@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-fixtures race stress fuzz-smoke obs-smoke check bench bench-smoke clean
+.PHONY: all build test vet lint lint-fixtures race stress fuzz-smoke obs-smoke check bench bench-check bench-smoke clean
 
 all: check
 
@@ -18,7 +18,8 @@ vet:
 # operator Close lifecycle, span lifecycle, selection-vector access
 # discipline, locks held across NextBatch, discarded load-bearing errors,
 # cancellation polling in absorbing loops, memory-governance charging,
-# TypedCol view escapes, spill-run lifecycles, and raw null-bitmap access.
+# TypedCol view escapes, spill-run lifecycles, raw null-bitmap access, and
+# the confinement of package unsafe to internal/variant/layout.go.
 # `jsqlint -list` names the analyzers; see DESIGN.md "Invariants".
 lint:
 	$(GO) run ./cmd/jsqlint -stats ./...
@@ -29,7 +30,11 @@ lint-fixtures:
 	$(GO) test -run TestFixtures ./internal/lint/
 
 # The observability substrate (internal/obsv) is shared by concurrent server
-# queries; the race detector run is the gate that keeps it race-clean.
+# queries; the race detector run is the gate that keeps it race-clean. -race
+# also turns on the compiler's checkptr instrumentation, so the same run is
+# the pointer-arithmetic gate for the one file that imports unsafe
+# (internal/variant/layout.go): every unsafe.String/unsafe.Slice it performs
+# under the whole test suite is checked against the allocation it points at.
 race:
 	$(GO) test -race ./...
 
@@ -52,11 +57,19 @@ fuzz-smoke:
 obs-smoke:
 	$(GO) run ./scripts/obssmoke
 
-check: build vet lint test race
+check: build vet lint test race bench-check
 
+# bench runs the whole benchmark set (BENCHMARK.json: five workloads, three
+# untraced runs and one traced run each) and writes results.json and
+# trace.json; compare two commits' files with `bash benchmark/run.sh -compare`.
 bench:
-	$(GO) run ./cmd/adlbench -events 2000 -runs 1 -json BENCH_ADL.json
-	$(GO) run ./cmd/ssbbench -sf 1 -sfs 0.5,1 -runs 1 -json BENCH_SSB.json
+	bash benchmark/run.sh --out results.json --trace-out trace.json
+
+# The benchmark harness is a Go module of its own (benchmark/go.mod), so the
+# root module's `go test ./...` does not reach its tests: unit tests plus a
+# toy-size pass of all five workloads against the current engine.
+bench-check:
+	cd benchmark && $(GO) test ./...
 
 # bench-smoke compiles and single-iterates every Go benchmark so CI catches
 # benchmark bit-rot without paying for real measurement runs.
@@ -64,4 +77,4 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 clean:
-	rm -f BENCH_ADL.json BENCH_SSB.json
+	rm -rf results.json trace.json .bench_build

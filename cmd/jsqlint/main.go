@@ -5,7 +5,7 @@
 // span lifecycle, selection-vector access discipline, lock scope across
 // NextBatch, discarded load-bearing errors, cancellation polling in
 // batch-absorbing loops, memory-governance charging, TypedCol view escapes,
-// spill-run lifecycles, and raw null-bitmap access.
+// spill-run lifecycles, raw null-bitmap access, and imports of unsafe.
 //
 // Usage:
 //

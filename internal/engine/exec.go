@@ -228,7 +228,7 @@ func prepareNode(n Node, ctx *execContext) (batchIter, error) {
 		}
 		width := len(x.Input.Schema().Names)
 		return &flattenIter{
-			in: in, input: input, outer: x.Outer, width: width,
+			in: in, input: input, outer: x.Outer,
 			bld: vector.NewBuilder(width+2, ctx.batchSize),
 		}, nil
 	case *AggregateNode:
@@ -391,9 +391,7 @@ func (p *projectIter) NextBatch() (*vector.Batch, error) {
 		}
 		// Copy out of the expression's reusable buffer: the emitted batch
 		// must stay valid until Close (sort and join retain batches).
-		c := make([]variant.Value, len(vals))
-		copy(c, vals)
-		cols[i] = c
+		cols[i] = b.CopyActive(vals)
 	}
 	// The projected vectors are aligned with the input's physical rows, so
 	// the selection carries over unchanged.
@@ -407,8 +405,7 @@ type flattenIter struct {
 	in     batchIter
 	input  vecFn
 	outer  bool
-	width  int // input width; output adds VALUE and INDEX
-	bld    *vector.Builder
+	bld    *vector.Builder // input width + 2: output adds VALUE and INDEX
 	inDone bool
 }
 
@@ -433,32 +430,16 @@ func (f *flattenIter) NextBatch() (*vector.Batch, error) {
 			return nil, err
 		}
 		b.ForEach(func(i int) {
-			v := vals[i]
-			var elems []variant.Value
-			if v.Kind() == variant.KindArray {
-				elems = v.AsArray()
-			}
+			elems := vals[i].AsArray() // nil unless an array
 			if len(elems) == 0 {
 				if f.outer {
 					// OUTER flatten keeps the row with NULL VALUE/INDEX.
-					row := make([]variant.Value, f.width+2)
-					for c := range b.Cols {
-						row[c] = b.Value(c, i)
-					}
-					row[f.width] = variant.Null
-					row[f.width+1] = variant.Null
-					f.bld.Append(row)
+					f.bld.AppendFrom(b, i, variant.Null, variant.Null)
 				}
 				return
 			}
 			for k, e := range elems {
-				row := make([]variant.Value, f.width+2)
-				for c := range b.Cols {
-					row[c] = b.Value(c, i)
-				}
-				row[f.width] = e
-				row[f.width+1] = variant.Int(int64(k))
-				f.bld.Append(row)
+				f.bld.AppendFrom(b, i, e, variant.Int(int64(k)))
 			}
 		})
 	}
@@ -1152,14 +1133,14 @@ func (j *joinIter) probeBatch(b *vector.Batch) error {
 			}
 			if ok {
 				emitted = true
-				j.bld.Append(append([]variant.Value(nil), combined...))
+				j.bld.Append(combined)
 			}
 		}
 		if !emitted && j.kind == "LEFT OUTER" {
 			for c := j.leftWidth; c < len(combined); c++ {
 				combined[c] = variant.Null
 			}
-			j.bld.Append(append([]variant.Value(nil), combined...))
+			j.bld.Append(combined)
 		}
 	})
 	return rowErr

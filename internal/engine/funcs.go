@@ -393,7 +393,7 @@ func fnObjectConstruct(args []variant.Value) (variant.Value, error) {
 	if len(args)%2 != 0 {
 		return variant.Null, fmt.Errorf("engine: OBJECT_CONSTRUCT expects an even number of arguments")
 	}
-	o := variant.NewObject()
+	o := variant.NewObjectSized(len(args) / 2)
 	for i := 0; i < len(args); i += 2 {
 		if args[i].Kind() != variant.KindString {
 			return variant.Null, fmt.Errorf("engine: OBJECT_CONSTRUCT key %d is not a string", i/2)

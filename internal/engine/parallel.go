@@ -669,7 +669,7 @@ func (p *paggIter) instantiate(src batchIter, cs []compiledStage, counts []*chai
 			it = &projectIter{in: it, fns: s.fns, alias: s.alias}
 		case s.flatten != nil:
 			it = &flattenIter{
-				in: it, input: s.input, outer: s.flatten.Outer, width: s.width,
+				in: it, input: s.input, outer: s.flatten.Outer,
 				bld: vector.NewBuilder(s.width+2, p.ctx.batchSize),
 			}
 		}

@@ -53,6 +53,7 @@ func runQueryBench(b *testing.B, name, sql string, rows int) {
 		bs := bs
 		b.Run(fmt.Sprintf("batch=%d", bs), func(b *testing.B) {
 			e := benchEngine(b, bs, 1, rows)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := e.Query(sql); err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"jsonpark/internal/sqlparse"
 	"jsonpark/internal/variant"
+	"jsonpark/internal/vector"
 )
 
 // multiPartEngine builds an engine whose "events" table spans many small
@@ -196,5 +197,61 @@ func TestUnorderedScanAnalysis(t *testing.T) {
 		if got != c.unordered {
 			t.Errorf("%s: unordered=%v, want %v", c.sql, got, c.unordered)
 		}
+	}
+}
+
+// TestFlattenAllocatesPerBatchNotPerRow pins the FLATTEN emit path: output
+// rows go from the source batch straight into the builder's column vectors,
+// so the allocations of an expansion are the output batches themselves (a
+// header, one vector per column, the Batch) and nothing that scales with
+// the row count.
+func TestFlattenAllocatesPerBatchNotPerRow(t *testing.T) {
+	const inRows, fanOut, batchSize, outWidth = 512, 8, 256, 4
+	ids := make([]variant.Value, inRows)
+	items := make([]variant.Value, inRows)
+	for i := range ids {
+		elems := make([]variant.Value, fanOut)
+		for k := range elems {
+			elems[k] = variant.Int(int64(i*fanOut + k))
+		}
+		ids[i], items[i] = variant.Int(int64(i)), variant.ArrayOf(elems)
+	}
+	src := &vector.Batch{Cols: [][]variant.Value{ids, items}}
+	input := func(b *vector.Batch) ([]variant.Value, error) { return b.Cols[1], nil }
+
+	var outRows, outBatches int
+	var last *vector.Batch
+	allocs := testing.AllocsPerRun(20, func() {
+		it := &flattenIter{
+			in: &countingIter{batches: []*vector.Batch{src}}, input: input,
+			bld: vector.NewBuilder(outWidth, batchSize),
+		}
+		outRows, outBatches = 0, 0
+		for {
+			b, err := it.NextBatch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				break
+			}
+			outRows += b.NumRows()
+			outBatches++
+			last = b
+		}
+		it.Close()
+	})
+	if outRows != inRows*fanOut || outBatches != inRows*fanOut/batchSize {
+		t.Fatalf("flatten emitted %d rows in %d batches, want %d in %d", outRows, outBatches, inRows*fanOut, inRows*fanOut/batchSize)
+	}
+	if got := variant.Array(last.Row(batchSize-1, nil)...).JSON(); got != fmt.Sprintf(`[511,%s,4095,7]`, items[511].JSON()) {
+		t.Fatalf("last output row = %s", got)
+	}
+	// Per output batch: the column-header slice, outWidth vectors, the Batch,
+	// and a share of the builder's ready queue; plus a constant for the
+	// iterator, builder and fake input themselves.
+	if budget := float64(outBatches*(outWidth+3) + 8); allocs > budget {
+		t.Errorf("flatten of %d rows into %d batches made %.0f allocations, want <= %.0f (no per-row allocation)",
+			outRows, outBatches, allocs, budget)
 	}
 }

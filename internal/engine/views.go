@@ -357,7 +357,7 @@ func (v *matView) refreshLocked(ctx *execContext) error {
 			case s.project != nil:
 				it = &projectIter{in: it, fns: s.fns, alias: s.alias}
 			case s.flatten != nil:
-				it = &flattenIter{in: it, input: s.input, outer: s.flatten.Outer, width: s.width,
+				it = &flattenIter{in: it, input: s.input, outer: s.flatten.Outer,
 					bld: vector.NewBuilder(s.width+2, ctx.batchSize)}
 			}
 		}

@@ -74,7 +74,7 @@ func FromAny(raw any) (Value, error) {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		o := NewObject()
+		o := NewObjectSized(len(keys))
 		for _, k := range keys {
 			v, err := FromAny(x[k])
 			if err != nil {
@@ -121,11 +121,11 @@ func (v Value) appendJSON(b *strings.Builder) {
 			b.WriteString(".0") // keep doubles distinguishable from ints
 		}
 	case KindString:
-		enc, _ := json.Marshal(v.str)
+		enc, _ := json.Marshal(v.str())
 		b.Write(enc)
 	case KindArray:
 		b.WriteByte('[')
-		for i, e := range v.arr {
+		for i, e := range v.elems() {
 			if i > 0 {
 				b.WriteByte(',')
 			}
@@ -134,14 +134,15 @@ func (v Value) appendJSON(b *strings.Builder) {
 		b.WriteByte(']')
 	case KindObject:
 		b.WriteByte('{')
-		for i, k := range v.obj.Keys() {
+		o := v.object()
+		for i, k := range o.Keys() {
 			if i > 0 {
 				b.WriteByte(',')
 			}
 			enc, _ := json.Marshal(k)
 			b.Write(enc)
 			b.WriteByte(':')
-			v.obj.ValueAt(i).appendJSON(b)
+			o.ValueAt(i).appendJSON(b)
 		}
 		b.WriteByte('}')
 	}

@@ -55,24 +55,27 @@ func (v Value) AppendGroupKey(dst []byte) []byte {
 		return appendGroupKeyNumber(dst, math.Float64frombits(v.num))
 	case KindString:
 		dst = append(dst, groupKeyString)
-		dst = binary.AppendUvarint(dst, uint64(len(v.str)))
-		return append(dst, v.str...)
+		str := v.str()
+		dst = binary.AppendUvarint(dst, uint64(len(str)))
+		return append(dst, str...)
 	case KindArray:
 		dst = append(dst, groupKeyArray)
-		dst = binary.AppendUvarint(dst, uint64(len(v.arr)))
-		for _, e := range v.arr {
+		elems := v.elems()
+		dst = binary.AppendUvarint(dst, uint64(len(elems)))
+		for _, e := range elems {
 			dst = e.AppendGroupKey(dst)
 		}
 		return dst
 	case KindObject:
 		dst = append(dst, groupKeyObject)
-		keys := append([]string(nil), v.obj.Keys()...)
+		o := v.object()
+		keys := append([]string(nil), o.Keys()...)
 		sort.Strings(keys)
 		dst = binary.AppendUvarint(dst, uint64(len(keys)))
 		for _, k := range keys {
 			dst = binary.AppendUvarint(dst, uint64(len(k)))
 			dst = append(dst, k...)
-			f, _ := v.obj.Get(k)
+			f, _ := o.Get(k)
 			dst = f.AppendGroupKey(dst)
 		}
 		return dst

@@ -43,23 +43,26 @@ func (v Value) AppendBinary(dst []byte) []byte {
 		return binary.BigEndian.AppendUint64(dst, v.num)
 	case KindString:
 		dst = append(dst, serString)
-		dst = binary.AppendUvarint(dst, uint64(len(v.str)))
-		return append(dst, v.str...)
+		str := v.str()
+		dst = binary.AppendUvarint(dst, uint64(len(str)))
+		return append(dst, str...)
 	case KindArray:
 		dst = append(dst, serArray)
-		dst = binary.AppendUvarint(dst, uint64(len(v.arr)))
-		for _, e := range v.arr {
+		elems := v.elems()
+		dst = binary.AppendUvarint(dst, uint64(len(elems)))
+		for _, e := range elems {
 			dst = e.AppendBinary(dst)
 		}
 		return dst
 	case KindObject:
 		dst = append(dst, serObject)
-		keys := v.obj.Keys()
+		o := v.object()
+		keys := o.Keys()
 		dst = binary.AppendUvarint(dst, uint64(len(keys)))
 		for i, k := range keys {
 			dst = binary.AppendUvarint(dst, uint64(len(k)))
 			dst = append(dst, k...)
-			dst = v.obj.ValueAt(i).AppendBinary(dst)
+			dst = o.ValueAt(i).AppendBinary(dst)
 		}
 		return dst
 	}
@@ -107,7 +110,9 @@ func DecodeBinary(src []byte) (Value, []byte, error) {
 			return Null, nil, fmt.Errorf("variant: decode: bad array length")
 		}
 		src = src[w:]
-		elems := make([]Value, 0, n)
+		// Every element takes at least its tag byte, so the input length
+		// bounds the presize against a hostile count.
+		elems := make([]Value, 0, min(n, uint64(len(src))))
 		for i := uint64(0); i < n; i++ {
 			var e Value
 			var err error
@@ -124,7 +129,8 @@ func DecodeBinary(src []byte) (Value, []byte, error) {
 			return Null, nil, fmt.Errorf("variant: decode: bad object length")
 		}
 		src = src[w:]
-		o := NewObject()
+		// Every field takes at least a key-length byte and a value tag.
+		o := NewObjectSized(int(min(n, uint64(len(src)/2))))
 		for i := uint64(0); i < n; i++ {
 			klen, kw := binary.Uvarint(src)
 			if kw <= 0 || uint64(len(src)-kw) < klen {

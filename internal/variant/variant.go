@@ -49,65 +49,36 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Value is an immutable dynamically typed value. The zero Value is SQL NULL.
-// Values are cheap to copy; arrays and objects share their backing storage,
-// so callers must not mutate the slices returned by Array, Keys or Fields.
-type Value struct {
-	kind Kind
-	num  uint64 // bool (0/1), int64 bits, or float64 bits
-	str  string
-	arr  []Value
-	obj  *Object
-}
+// smallObjectKeys is the largest field count an Object resolves by linear
+// scan. Nested documents are dominated by records of a handful of fields,
+// where comparing up to eight short keys costs no more than hashing one
+// (BenchmarkObjectGet) and a map per record is pure allocator and
+// garbage-collector load; the index is built once, on the Set that adds
+// field smallObjectKeys+1.
+const smallObjectKeys = 8
 
 // Object is an insertion-ordered string-keyed record.
 type Object struct {
 	keys   []string
 	values []Value
-	index  map[string]int
+	index  map[string]int // nil while len(keys) <= smallObjectKeys
 }
-
-// Null is the SQL NULL value.
-var Null = Value{kind: KindNull}
-
-// Bool returns a boolean value.
-func Bool(b bool) Value {
-	var n uint64
-	if b {
-		n = 1
-	}
-	return Value{kind: KindBool, num: n}
-}
-
-// Int returns an integer value.
-func Int(i int64) Value { return Value{kind: KindInt, num: uint64(i)} }
-
-// Float returns a double value.
-func Float(f float64) Value { return Value{kind: KindFloat, num: math.Float64bits(f)} }
-
-// String returns a string value.
-func String(s string) Value { return Value{kind: KindString, str: s} }
-
-// Array returns an array value wrapping vs without copying.
-func Array(vs ...Value) Value { return Value{kind: KindArray, arr: vs} }
-
-// ArrayOf returns an array value backed directly by vs.
-func ArrayOf(vs []Value) Value { return Value{kind: KindArray, arr: vs} }
 
 // NewObject returns an empty mutable object builder.
-func NewObject() *Object {
-	return &Object{index: make(map[string]int)}
-}
+func NewObject() *Object { return &Object{} }
 
-// ObjectValue wraps a finished Object as a Value.
-func ObjectValue(o *Object) Value { return Value{kind: KindObject, obj: o} }
+// NewObjectSized returns an empty object builder with room for n fields, for
+// decoders that know (or can bound) the field count up front.
+func NewObjectSized(n int) *Object {
+	return &Object{keys: make([]string, 0, n), values: make([]Value, 0, n)}
+}
 
 // ObjectFromPairs builds an object value from alternating key, value pairs.
 func ObjectFromPairs(pairs ...any) Value {
 	if len(pairs)%2 != 0 {
 		panic("variant.ObjectFromPairs: odd number of arguments")
 	}
-	o := NewObject()
+	o := NewObjectSized(len(pairs) / 2)
 	for i := 0; i < len(pairs); i += 2 {
 		key, ok := pairs[i].(string)
 		if !ok {
@@ -124,14 +95,38 @@ func ObjectFromPairs(pairs ...any) Value {
 
 // Set inserts or replaces a field. It returns the object for chaining.
 func (o *Object) Set(key string, v Value) *Object {
-	if i, ok := o.index[key]; ok {
+	if i := o.find(key); i >= 0 {
 		o.values[i] = v
 		return o
 	}
-	o.index[key] = len(o.keys)
+	if o.index == nil && len(o.keys) == smallObjectKeys {
+		o.index = make(map[string]int, max(cap(o.keys), 2*smallObjectKeys))
+		for i, k := range o.keys {
+			o.index[k] = i
+		}
+	}
+	if o.index != nil {
+		o.index[key] = len(o.keys)
+	}
 	o.keys = append(o.keys, key)
 	o.values = append(o.values, v)
 	return o
+}
+
+// find returns the position of key, or -1 when absent.
+func (o *Object) find(key string) int {
+	if o.index != nil {
+		if i, ok := o.index[key]; ok {
+			return i
+		}
+		return -1
+	}
+	for i, k := range o.keys {
+		if k == key {
+			return i
+		}
+	}
+	return -1
 }
 
 // Get returns the value of a field and whether it is present.
@@ -139,7 +134,7 @@ func (o *Object) Get(key string) (Value, bool) {
 	if o == nil {
 		return Null, false
 	}
-	if i, ok := o.index[key]; ok {
+	if i := o.find(key); i >= 0 {
 		return o.values[i], true
 	}
 	return Null, false
@@ -187,33 +182,33 @@ func (v Value) AsFloat() float64 {
 	return math.Float64frombits(v.num)
 }
 
-// AsString returns the string payload; v must be KindString.
-func (v Value) AsString() string { return v.str }
+// AsString returns the string payload, or "" when v is not a string.
+func (v Value) AsString() string { return v.str() }
 
-// AsArray returns the backing slice of an array value. Callers must not
-// mutate it.
-func (v Value) AsArray() []Value { return v.arr }
+// AsArray returns the backing slice of an array value, or nil when v is not
+// an array. Callers must not mutate it. The slice has cap == len, so an
+// append to it always copies and can never write into storage shared with
+// another Value.
+func (v Value) AsArray() []Value { return v.elems() }
 
-// AsObject returns the backing Object of an object value (possibly nil).
-func (v Value) AsObject() *Object { return v.obj }
+// AsObject returns the backing Object of an object value (possibly nil), or
+// nil when v is not an object.
+func (v Value) AsObject() *Object { return v.object() }
 
 // Field returns the named field of an object value. Accessing a field of a
 // non-object, or a missing field, yields NULL — VARIANT semantics.
 func (v Value) Field(name string) Value {
-	if v.kind != KindObject {
-		return Null
-	}
-	out, _ := v.obj.Get(name)
+	out, _ := v.object().Get(name)
 	return out
 }
 
 // Index returns the i-th element of an array value (0-based). Out-of-range
 // or non-array access yields NULL.
 func (v Value) Index(i int) Value {
-	if v.kind != KindArray || i < 0 || i >= len(v.arr) {
-		return Null
+	if arr := v.elems(); i >= 0 && i < len(arr) {
+		return arr[i]
 	}
-	return v.arr[i]
+	return Null
 }
 
 // Len returns the number of elements of an array or fields of an object,
@@ -221,9 +216,9 @@ func (v Value) Index(i int) Value {
 func (v Value) Len() int {
 	switch v.kind {
 	case KindArray:
-		return len(v.arr)
+		return len(v.elems())
 	case KindObject:
-		return v.obj.Len()
+		return v.object().Len()
 	}
 	return 0
 }
@@ -243,7 +238,7 @@ func (v Value) Truthy() bool {
 		f := math.Float64frombits(v.num)
 		return f != 0 && !math.IsNaN(f)
 	case KindString:
-		return v.str != ""
+		return v.str() != ""
 	}
 	return true
 }
@@ -284,21 +279,20 @@ func Compare(a, b Value) int {
 		}
 		return 0
 	case KindString:
-		return strings.Compare(a.str, b.str)
+		return strings.Compare(a.str(), b.str())
 	case KindArray:
-		n := len(a.arr)
-		if len(b.arr) < n {
-			n = len(b.arr)
-		}
+		ea, eb := a.elems(), b.elems()
+		n := min(len(ea), len(eb))
 		for i := 0; i < n; i++ {
-			if c := Compare(a.arr[i], b.arr[i]); c != 0 {
+			if c := Compare(ea[i], eb[i]); c != 0 {
 				return c
 			}
 		}
-		return len(a.arr) - len(b.arr)
+		return len(ea) - len(eb)
 	case KindObject:
-		ka := append([]string(nil), a.obj.Keys()...)
-		kb := append([]string(nil), b.obj.Keys()...)
+		oa, ob := a.object(), b.object()
+		ka := append([]string(nil), oa.Keys()...)
+		kb := append([]string(nil), ob.Keys()...)
 		sort.Strings(ka)
 		sort.Strings(kb)
 		n := len(ka)
@@ -309,8 +303,8 @@ func Compare(a, b Value) int {
 			if c := strings.Compare(ka[i], kb[i]); c != 0 {
 				return c
 			}
-			va, _ := a.obj.Get(ka[i])
-			vb, _ := b.obj.Get(kb[i])
+			va, _ := oa.Get(ka[i])
+			vb, _ := ob.Get(kb[i])
 			if c := Compare(va, vb); c != 0 {
 				return c
 			}
@@ -378,24 +372,26 @@ func (v Value) appendHash(b *strings.Builder) {
 		b.WriteString(strconv.FormatFloat(math.Float64frombits(v.num), 'g', -1, 64))
 	case KindString:
 		b.WriteByte('s')
-		b.WriteString(strconv.Itoa(len(v.str)))
+		str := v.str()
+		b.WriteString(strconv.Itoa(len(str)))
 		b.WriteByte(':')
-		b.WriteString(v.str)
+		b.WriteString(str)
 	case KindArray:
 		b.WriteByte('[')
-		for _, e := range v.arr {
+		for _, e := range v.elems() {
 			e.appendHash(b)
 			b.WriteByte(',')
 		}
 		b.WriteByte(']')
 	case KindObject:
 		b.WriteByte('{')
-		keys := append([]string(nil), v.obj.Keys()...)
+		o := v.object()
+		keys := append([]string(nil), o.Keys()...)
 		sort.Strings(keys)
 		for _, k := range keys {
 			b.WriteString(k)
 			b.WriteByte('=')
-			f, _ := v.obj.Get(k)
+			f, _ := o.Get(k)
 			f.appendHash(b)
 			b.WriteByte(',')
 		}
@@ -415,17 +411,18 @@ func (v Value) DeepSizeBytes() int64 {
 	case KindInt, KindFloat:
 		return 8
 	case KindString:
-		return int64(8 + len(v.str))
+		return int64(8 + len(v.str()))
 	case KindArray:
 		var n int64 = 8
-		for _, e := range v.arr {
+		for _, e := range v.elems() {
 			n += e.DeepSizeBytes()
 		}
 		return n
 	case KindObject:
 		var n int64 = 8
-		for i, k := range v.obj.Keys() {
-			n += int64(len(k)) + v.obj.ValueAt(i).DeepSizeBytes()
+		o := v.object()
+		for i, k := range o.Keys() {
+			n += int64(len(k)) + o.ValueAt(i).DeepSizeBytes()
 		}
 		return n
 	}

@@ -8,9 +8,10 @@ package vector
 
 import "jsonpark/internal/variant"
 
-// DefaultBatchSize is the number of rows one batch targets. 1024 keeps a
-// batch's column vectors comfortably inside the L2 cache for typical variant
-// widths while amortizing per-batch operator overhead over ~1000 rows.
+// DefaultBatchSize is the number of rows one batch targets. At 24 bytes per
+// variant.Value a 1024-row column vector is 24 KB, so a batch of a few
+// columns stays inside the L2 cache while per-batch operator overhead is
+// amortized over ~1000 rows.
 const DefaultBatchSize = 1024
 
 // Batch is one unit of columnar data flow. Cols holds the column vectors,
@@ -129,6 +130,22 @@ func (b *Batch) ActiveSel() []int {
 	return sel
 }
 
+// CopyActive returns a fresh vector aligned with b's physical rows that holds
+// vals at the active positions and NULL everywhere else. Operators use it to
+// take a kernel result out of its reusable buffer: positions outside the
+// selection are undefined there, so they are neither read nor retained.
+func (b *Batch) CopyActive(vals []variant.Value) []variant.Value {
+	out := make([]variant.Value, len(vals))
+	if b.Sel == nil {
+		copy(out, vals)
+		return out
+	}
+	for _, i := range b.Sel {
+		out[i] = vals[i]
+	}
+	return out
+}
+
 // Row gathers the physical row i into buf (grown as needed) and returns it.
 func (b *Batch) Row(i int, buf []variant.Value) []variant.Value {
 	if cap(buf) < len(b.Cols) {
@@ -201,17 +218,45 @@ func NewBuilder(width, size int) *Builder {
 	return &Builder{width: width, size: size}
 }
 
-// Append adds one row (len must equal the builder width).
+// Append adds one row (len must equal the builder width). The values are
+// copied into the column vectors, so the caller may reuse row.
 func (bu *Builder) Append(row []variant.Value) {
-	if bu.cols == nil {
-		bu.cols = make([][]variant.Value, bu.width)
-		for i := range bu.cols {
-			bu.cols[i] = make([]variant.Value, 0, bu.size)
-		}
-	}
+	bu.open()
 	for i, v := range row {
 		bu.cols[i] = append(bu.cols[i], v)
 	}
+	bu.seal()
+}
+
+// AppendFrom adds one row made of physical row i of src followed by tail
+// (src.Width()+len(tail) must equal the builder width). It reads src column
+// by column straight into the builder's vectors, so expanding operators
+// need no intermediate row.
+func (bu *Builder) AppendFrom(src *Batch, i int, tail ...variant.Value) {
+	bu.open()
+	w := len(src.Cols)
+	for c := 0; c < w; c++ {
+		bu.cols[c] = append(bu.cols[c], src.Value(c, i))
+	}
+	for k, v := range tail {
+		bu.cols[w+k] = append(bu.cols[w+k], v)
+	}
+	bu.seal()
+}
+
+// open allocates the column vectors of the batch under construction.
+func (bu *Builder) open() {
+	if bu.cols != nil {
+		return
+	}
+	bu.cols = make([][]variant.Value, bu.width)
+	for i := range bu.cols {
+		bu.cols[i] = make([]variant.Value, 0, bu.size)
+	}
+}
+
+// seal moves the batch under construction to the ready queue once full.
+func (bu *Builder) seal() {
 	if bu.width > 0 && len(bu.cols[0]) >= bu.size {
 		bu.ready = append(bu.ready, &Batch{Cols: bu.cols})
 		bu.cols = nil

@@ -124,3 +124,86 @@ func TestBuilderRowOrderPreserved(t *testing.T) {
 		t.Fatalf("lost rows: %v", got)
 	}
 }
+
+// AppendFrom reads the source batch column by column — variant vectors and
+// typed-only columns alike — and splits at the batch size like Append.
+func TestBuilderAppendFrom(t *testing.T) {
+	src := &Batch{
+		Cols:  [][]variant.Value{{variant.String("a"), variant.String("b"), variant.String("c")}, nil},
+		Typed: []*TypedCol{nil, NewInt64Col([]int64{10, 20, 30}, nil)},
+	}
+	bu := NewBuilder(4, 2)
+	for _, i := range []int{2, 0, 2} {
+		bu.AppendFrom(src, i, variant.Int(int64(i)), variant.Null)
+	}
+	if src.Cols[1] != nil {
+		t.Error("AppendFrom materialized the typed column of its source")
+	}
+	var got []string
+	drain := func(b *Batch) {
+		if b == nil {
+			return
+		}
+		if b.Width() != 4 {
+			t.Fatalf("width = %d, want 4", b.Width())
+		}
+		b.ForEach(func(i int) {
+			got = append(got, variant.Array(b.Row(i, nil)...).JSON())
+		})
+	}
+	full := bu.Pop()
+	if full == nil || full.NumRows() != 2 || bu.Pop() != nil {
+		t.Fatalf("first batch = %+v, want exactly one full batch of 2", full)
+	}
+	drain(full)
+	drain(bu.Flush())
+	want := []string{`["c",30,2,null]`, `["a",10,0,null]`, `["c",30,2,null]`}
+	if len(got) != len(want) {
+		t.Fatalf("rows = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("row %d = %s, want %s", i, got[i], want[i])
+		}
+	}
+}
+
+func TestBuilderAppendFromDoesNotAllocatePerRow(t *testing.T) {
+	src := intBatch(1, 2, 3, 4)
+	bu := NewBuilder(3, 1<<20) // one batch: its vectors are allocated on the first row
+	bu.AppendFrom(src, 0, variant.Int(0), variant.Null)
+	if n := testing.AllocsPerRun(1000, func() {
+		bu.AppendFrom(src, 3, variant.String("tail"), variant.Int(7))
+	}); n != 0 {
+		t.Fatalf("AppendFrom allocates %v times per row, want 0", n)
+	}
+}
+
+// CopyActive takes the defined positions of a kernel buffer and nothing
+// else: whatever a previous batch left at the inactive positions must not be
+// carried into (and kept alive by) the emitted column.
+func TestCopyActive(t *testing.T) {
+	buf := []variant.Value{variant.String("stale0"), variant.Int(1), variant.String("stale2"), variant.Int(3)}
+	dense := intBatch(0, 0, 0, 0)
+	got := dense.CopyActive(buf)
+	if &got[0] == &buf[0] {
+		t.Fatal("CopyActive aliased the kernel buffer")
+	}
+	for i := range buf {
+		if got[i].JSON() != buf[i].JSON() {
+			t.Errorf("dense copy [%d] = %v, want %v", i, got[i], buf[i])
+		}
+	}
+	sparse := dense.WithSel([]int{1, 3}).CopyActive(buf)
+	if len(sparse) != len(buf) {
+		t.Fatalf("sparse copy has %d rows, want physical length %d", len(sparse), len(buf))
+	}
+	for i, want := range []string{"null", "1", "null", "3"} {
+		if sparse[i].JSON() != want {
+			t.Errorf("sparse copy [%d] = %v, want %s", i, sparse[i], want)
+		}
+	}
+	if empty := dense.WithSel([]int{}).CopyActive(buf); len(empty) != len(buf) || !empty[1].IsNull() {
+		t.Errorf("empty selection copied %v", empty)
+	}
+}
