@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"jsonpark/internal/engine"
+	"jsonpark/internal/vector"
 )
 
 const parityEvents = 400
@@ -31,20 +32,37 @@ func TestADLBatchSizeParity(t *testing.T) {
 		name                   string
 		batchSize, parallelism int
 		memLimit               int64
+		// poison overwrites every recycled register, FLATTEN column and filter
+		// selection before reuse (vector.SetPoison): a consumer that kept a
+		// streamed batch past its producer's next NextBatch diverges here.
+		poison bool
 	}{
-		{"bs1-seq", 1, 1, 0},
-		{"bs1024-seq", 1024, 1, 0},
-		{"bs1-par4", 1, 4, 0},
-		{"bs1024-par4", 1024, 4, 0},
-		{"bs1024-par", 1024, 0, 0}, // 0 = NumCPU workers
+		{"bs1-seq", 1, 1, 0, false},
+		{"bs1024-seq", 1024, 1, 0, false},
+		{"bs1-par4", 1, 4, 0, false},
+		{"bs1024-par4", 1024, 4, 0, false},
+		{"bs1024-par", 1024, 0, 0, false}, // 0 = NumCPU workers
 		// Governed rows: the 64KiB breaker budget forces the benchmark
 		// queries to spill, and spilled results must stay byte-identical.
-		{"bs1024-seq-64k", 1024, 1, 64 * 1024},
-		{"bs1024-par4-64k", 1024, 4, 64 * 1024},
+		{"bs1024-seq-64k", 1024, 1, 64 * 1024, false},
+		{"bs1024-par4-64k", 1024, 4, 64 * 1024, false},
+		// Batch-lifetime rows: batch sizes 1, 2, 7, 1024 × parallelism 1, 4,
+		// poisoned, plus one poisoned spilling row.
+		{"poison-bs1-seq", 1, 1, 0, true},
+		{"poison-bs1-par4", 1, 4, 0, true},
+		{"poison-bs2-seq", 2, 1, 0, true},
+		{"poison-bs2-par4", 2, 4, 0, true},
+		{"poison-bs7-seq", 7, 1, 0, true},
+		{"poison-bs7-par4", 7, 4, 0, true},
+		{"poison-bs1024-seq", 1024, 1, 0, true},
+		{"poison-bs1024-par4", 1024, 4, 0, true},
+		{"poison-bs1024-par4-64k", 1024, 4, 64 * 1024, true},
 	}
+	defer vector.SetPoison(false)
 	type ref struct{ translated, handwritten string }
 	var want map[string]ref
 	for _, cfg := range configs {
+		vector.SetPoison(cfg.poison)
 		sess, _, err := SetupMemOpts(42, parityEvents, cfg.batchSize, cfg.parallelism, cfg.memLimit)
 		if err != nil {
 			t.Fatal(err)

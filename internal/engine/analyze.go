@@ -107,6 +107,12 @@ type PlanStats struct {
 	MemLimitBytes    int64  `json:"mem_limit_bytes,omitempty"`
 	Spills           int64  `json:"spills,omitempty"`
 	SpillBytes       int64  `json:"spill_bytes,omitempty"`
+	// Expression DAG of the operator (Filter, Project, Flatten, Aggregate):
+	// AST nodes compiled, instances evaluated per batch after sharing, and
+	// register slots.
+	ExprNodes    int `json:"expr_nodes,omitempty"`
+	ExprDistinct int `json:"expr_distinct,omitempty"`
+	ExprSlots    int `json:"expr_slots,omitempty"`
 	// Storage v2 counters, query-global (kernels are compiled per worker and
 	// batches flow across operators, so the split is not attributable to a
 	// single node): set on the root only.
@@ -162,6 +168,9 @@ func buildPlanStats(n Node, stats map[Node]*OpStats) *PlanStats {
 		Spills:           st.Spills,
 		SpillBytes:       st.SpillBytes,
 	}
+	if es, ok := nodeExprStats(n); ok {
+		out.ExprNodes, out.ExprDistinct, out.ExprSlots = es.Nodes, es.Distinct, es.Slots
+	}
 	childTime := time.Duration(0)
 	for _, c := range planChildren(n) {
 		cs := buildPlanStats(c, stats)
@@ -202,6 +211,10 @@ func (ps *PlanStats) Render() string {
 				n.MaxWorkerRows,
 				time.Duration(n.LocalWallUS)*time.Microsecond,
 				time.Duration(n.MergeWallUS)*time.Microsecond)
+		}
+		if n.ExprNodes > 0 {
+			b.WriteByte(' ')
+			b.WriteString(exprStats{n.ExprNodes, n.ExprDistinct, n.ExprSlots}.String())
 		}
 		if n.Spills > 0 || n.MemPeakBytes > 0 {
 			fmt.Fprintf(&b, " mem[peak=%d limit=%d spills=%d spill_bytes=%d]",
@@ -258,6 +271,35 @@ func describeNode(n Node) (op, detail string) {
 		return "UnionAll", ""
 	}
 	return fmt.Sprintf("%T", n), ""
+}
+
+// nodeExprStats sizes the expression DAG prepare compiles for n — did sharing
+// fire, how big is the register file — for the operators that evaluate
+// expressions per batch. It compiles the DAG afresh, so EXPLAIN can print it
+// without executing; a plan that fails to compile reports nothing here and
+// its error at Prepare.
+func nodeExprStats(n Node) (exprStats, bool) {
+	var d *exprDAG
+	var err error
+	switch x := n.(type) {
+	case *FilterNode:
+		d, err = compileVec(nil, x.Input.Schema(), x.Cond)
+	case *ProjectNode:
+		d, err = compileVecs(nil, x.Input.Schema(), x.Exprs)
+	case *FlattenNode:
+		d, err = compileVec(nil, x.Input.Schema(), x.Expr)
+	case *ParallelAggNode:
+		return nodeExprStats(x.AggregateNode)
+	case *AggregateNode:
+		var ev *aggEval
+		if ev, err = compileAggEval(nil, x); err == nil {
+			d = ev.dag
+		}
+	}
+	if d == nil || err != nil {
+		return exprStats{}, false
+	}
+	return d.stats(), true
 }
 
 // planChildren lists an operator's inputs in execution order.

@@ -424,6 +424,9 @@ func (e *Engine) bind(cp *compiledPlan, po PrepareOptions) (*Prepared, error) {
 	}
 	prsp := po.Span.Child("engine.prepare")
 	iter, err := prepare(cp.plan, ctx)
+	prsp.SetAttr("expr-nodes", ctx.exprs.Nodes)
+	prsp.SetAttr("expr-distinct", ctx.exprs.Distinct)
+	prsp.SetAttr("expr-slots", ctx.exprs.Slots)
 	prsp.End()
 	if err != nil {
 		return nil, err
@@ -570,6 +573,10 @@ func explainNode(b *strings.Builder, n Node, depth int) {
 	if detail != "" {
 		b.WriteByte(' ')
 		b.WriteString(detail)
+	}
+	if es, ok := nodeExprStats(n); ok {
+		b.WriteByte(' ')
+		b.WriteString(es.String())
 	}
 	b.WriteByte('\n')
 	for _, c := range planChildren(n) {

@@ -63,6 +63,9 @@ type execContext struct {
 	typedCols    int64
 	fallbackCols int64
 	diskReads    int64
+	// exprs totals the expression DAGs prepare compiled for the operator tree
+	// (driver goroutine only); it annotates the engine.prepare span.
+	exprs exprStats
 }
 
 // pinSnapshot returns the query's pinned snapshot of t, taking it on first
@@ -204,6 +207,7 @@ func prepareNode(n Node, ctx *execContext) (batchIter, error) {
 			in.Close()
 			return nil, err
 		}
+		ctx.exprs.add(cond.stats())
 		return &filterIter{in: in, cond: cond}, nil
 	case *ProjectNode:
 		in, err := prepare(x.Input, ctx)
@@ -215,7 +219,8 @@ func prepareNode(n Node, ctx *execContext) (batchIter, error) {
 			in.Close()
 			return nil, err
 		}
-		return &projectIter{in: in, fns: fns, alias: colRefIndexes(x.Input.Schema(), x.Exprs)}, nil
+		ctx.exprs.add(fns.stats())
+		return &projectIter{in: in, dag: fns}, nil
 	case *FlattenNode:
 		in, err := prepare(x.Input, ctx)
 		if err != nil {
@@ -226,11 +231,8 @@ func prepareNode(n Node, ctx *execContext) (batchIter, error) {
 			in.Close()
 			return nil, err
 		}
-		width := len(x.Input.Schema().Names)
-		return &flattenIter{
-			in: in, input: input, outer: x.Outer,
-			bld: vector.NewBuilder(width+2, ctx.batchSize),
-		}, nil
+		ctx.exprs.add(input.stats())
+		return newFlattenIter(in, input, x.Outer, len(x.Input.Schema().Names), ctx.batchSize), nil
 	case *AggregateNode:
 		return prepareAggregate(x, ctx)
 	case *ParallelAggNode:
@@ -294,10 +296,9 @@ func drainRowsHooked(it batchIter, hook func()) ([][]variant.Value, error) {
 	}
 }
 
-// selTruthy returns the physical indices of the active rows whose value is
-// non-NULL and SQL-true.
-func selTruthy(b *vector.Batch, vals []variant.Value) []int {
-	var sel []int
+// appendTruthy appends to sel the physical indices of the active rows whose
+// value is non-NULL and SQL-true.
+func appendTruthy(sel []int, b *vector.Batch, vals []variant.Value) []int {
 	b.ForEach(func(i int) {
 		if !vals[i].IsNull() && truthySQL(vals[i]) {
 			sel = append(sel, i)
@@ -307,10 +308,17 @@ func selTruthy(b *vector.Batch, vals []variant.Value) []int {
 }
 
 // --- filter / project / flatten ---------------------------------------------
+//
+// The three streaming operators own what they emit — a header, a selection,
+// registers, gathered columns — and recycle all of it on their next
+// NextBatch (DESIGN.md §6 "Batch lifetime"), so a steady-state pipeline of
+// them allocates nothing per batch.
 
 type filterIter struct {
 	in   batchIter
-	cond vecFn
+	cond *exprDAG
+	sel  []int
+	out  vector.Batch
 }
 
 func (f *filterIter) NextBatch() (*vector.Batch, error) {
@@ -319,46 +327,33 @@ func (f *filterIter) NextBatch() (*vector.Batch, error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		keep, err := f.cond(b)
-		if err != nil {
-			return nil, err
+		if kept, err := f.apply(b); kept || err != nil {
+			return &f.out, err
 		}
-		sel := selTruthy(b, keep)
-		if len(sel) == 0 {
-			continue
-		}
-		return b.WithSel(sel), nil
 	}
+}
+
+// apply points f.out at b restricted to the rows passing the condition,
+// reporting whether any did.
+func (f *filterIter) apply(b *vector.Batch) (bool, error) {
+	keep, err := f.cond.eval(b)
+	if err != nil {
+		return false, err
+	}
+	if vector.Poisoned() {
+		vector.PoisonSel(f.sel)
+	}
+	f.sel = appendTruthy(f.sel[:0], b, keep[0])
+	f.out = vector.Batch{Cols: b.Cols, Sel: f.sel, Typed: b.Typed}
+	return len(f.sel) > 0, nil
 }
 
 func (f *filterIter) Close() { f.in.Close() }
 
-// colRefIndexes maps each projection expression to its input-schema column
-// index when it is a plain column reference (resolvable via Lookup exactly
-// as compileVec resolves it), or -1 for computed expressions. Pass-through
-// columns skip evaluation entirely: the input representation — variant
-// vector or typed view — carries over into the output batch unchanged.
-func colRefIndexes(sc *Schema, exprs []sqlast.Expr) []int {
-	idx := make([]int, len(exprs))
-	for i, e := range exprs {
-		idx[i] = -1
-		if cr, ok := e.(*sqlast.ColRef); ok {
-			name := cr.Name
-			if cr.Table != "" {
-				name = cr.Table + "." + cr.Name
-			}
-			if j, ok := sc.Lookup(name); ok {
-				idx[i] = j
-			}
-		}
-	}
-	return idx
-}
-
 type projectIter struct {
-	in    batchIter
-	fns   []vecFn
-	alias []int // input column index for pass-through, -1 for computed
+	in  batchIter
+	dag *exprDAG
+	out vector.Batch
 }
 
 func (p *projectIter) NextBatch() (*vector.Batch, error) {
@@ -366,83 +361,112 @@ func (p *projectIter) NextBatch() (*vector.Batch, error) {
 	if err != nil || b == nil {
 		return nil, err
 	}
-	cols := make([][]variant.Value, len(p.fns))
-	var typed []*vector.TypedCol
-	for i, fn := range p.fns {
-		if src := p.alias[i]; src >= 0 {
-			// Pass-through: alias the input column's representation. The
-			// variant vector is stable (chunk storage or the batch's cached
-			// materialization); a typed view stays typed, so downstream
-			// kernels keep the fast path without a variant conversion.
-			cols[i] = b.Cols[src]
-			if cols[i] == nil {
-				if tc := b.TypedCol(src); tc != nil {
-					if typed == nil {
-						typed = make([]*vector.TypedCol, len(p.fns))
-					}
-					typed[i] = tc
-				}
-			}
-			continue
-		}
-		vals, err := fn(b)
-		if err != nil {
-			return nil, err
-		}
-		// Copy out of the expression's reusable buffer: the emitted batch
-		// must stay valid until Close (sort and join retain batches).
-		cols[i] = b.CopyActive(vals)
+	if err := p.dag.project(b, &p.out); err != nil {
+		return nil, err
 	}
-	// The projected vectors are aligned with the input's physical rows, so
-	// the selection carries over unchanged.
-	//jsqlint:ignore kernelalias pass-through columns alias stable input vectors or typed views, never reused kernel buffers; computed columns are copied above
-	return &vector.Batch{Cols: cols, Sel: b.Sel, Typed: typed}, nil
+	return &p.out, nil
 }
 
 func (p *projectIter) Close() { p.in.Close() }
 
+// flattenIter expands each input row once per element of its array. It works
+// a batch at a time and a column at a time: one pass over the arrays fills a
+// parent-index vector plus the VALUE and INDEX columns for up to size output
+// rows, then every parent column is gathered through the index vector. An
+// output batch never spans two input batches (the first would be gone), and a
+// cursor (pos, off) resumes mid-batch — mid-array — when an expansion
+// overflows size.
 type flattenIter struct {
 	in     batchIter
-	input  vecFn
+	input  *exprDAG
 	outer  bool
-	bld    *vector.Builder // input width + 2: output adds VALUE and INDEX
-	inDone bool
+	size   int
+	cur    *vector.Batch   // input batch under expansion
+	arrs   []variant.Value // its arrays, aligned with cur's physical rows
+	pos    int             // next active row of cur
+	off    int             // next element of that row's array
+	parent []int
+	cols   [][]variant.Value // input width + 2: output adds VALUE and INDEX
+	out    vector.Batch
+}
+
+func newFlattenIter(in batchIter, input *exprDAG, outer bool, width, size int) *flattenIter {
+	return &flattenIter{in: in, input: input, outer: outer, size: size, cols: make([][]variant.Value, width+2)}
 }
 
 func (f *flattenIter) NextBatch() (*vector.Batch, error) {
 	for {
-		if b := f.bld.Pop(); b != nil {
-			return b, nil
+		if f.cur != nil && f.expand() {
+			return &f.out, nil
 		}
-		if f.inDone {
-			return f.bld.Flush(), nil
-		}
-		b, err := f.in.NextBatch()
-		if err != nil {
+		if err := f.advance(); err != nil || f.cur == nil {
 			return nil, err
 		}
-		if b == nil {
-			f.inDone = true
+	}
+}
+
+// advance moves the cursor to the start of the next input batch; f.cur is nil
+// at end of input.
+func (f *flattenIter) advance() error {
+	f.cur = nil
+	b, err := f.in.NextBatch()
+	if err != nil || b == nil {
+		return err
+	}
+	arrs, err := f.input.eval(b)
+	if err != nil {
+		return err
+	}
+	f.cur, f.arrs, f.pos, f.off = b, arrs[0], 0, 0
+	return nil
+}
+
+// expand fills f.out with the next output rows of f.cur, reporting false
+// once the batch is exhausted.
+func (f *flattenIter) expand() bool {
+	b, w := f.cur, len(f.cols)-2
+	if f.parent == nil {
+		f.parent = make([]int, 0, f.size)
+		for c := range f.cols {
+			f.cols[c] = make([]variant.Value, 0, f.size)
+		}
+	}
+	if vector.Poisoned() {
+		vector.PoisonSel(f.parent)
+		for _, col := range f.cols {
+			vector.Poison(col)
+		}
+	}
+	parent, value, index := f.parent[:0], f.cols[w][:0], f.cols[w+1][:0]
+	for rows := b.NumRows(); f.pos < rows && len(parent) < f.size; {
+		i := b.ActiveAt(f.pos)
+		elems := f.arrs[i].AsArray() // nil unless an array
+		if len(elems) == 0 {
+			if f.outer {
+				// OUTER flatten keeps the row with NULL VALUE/INDEX.
+				parent, value, index = append(parent, i), append(value, variant.Null), append(index, variant.Null)
+			}
+			f.pos++
 			continue
 		}
-		vals, err := f.input(b)
-		if err != nil {
-			return nil, err
+		take := min(len(elems)-f.off, f.size-len(parent))
+		value = append(value, elems[f.off:f.off+take]...)
+		for k := f.off; k < f.off+take; k++ {
+			parent, index = append(parent, i), append(index, variant.Int(int64(k)))
 		}
-		b.ForEach(func(i int) {
-			elems := vals[i].AsArray() // nil unless an array
-			if len(elems) == 0 {
-				if f.outer {
-					// OUTER flatten keeps the row with NULL VALUE/INDEX.
-					f.bld.AppendFrom(b, i, variant.Null, variant.Null)
-				}
-				return
-			}
-			for k, e := range elems {
-				f.bld.AppendFrom(b, i, e, variant.Int(int64(k)))
-			}
-		})
+		if f.off += take; f.off == len(elems) {
+			f.pos, f.off = f.pos+1, 0
+		}
 	}
+	f.parent, f.cols[w], f.cols[w+1] = parent, value, index
+	if len(parent) == 0 {
+		return false
+	}
+	for c := 0; c < w; c++ {
+		f.cols[c] = b.Gather(c, parent, f.cols[c][:0])
+	}
+	f.out = vector.Batch{Cols: f.cols}
+	return true
 }
 
 func (f *flattenIter) Close() { f.in.Close() }
@@ -473,52 +497,63 @@ func (r *rowsIter) NextBatch() (*vector.Batch, error) {
 
 func (r *rowsIter) Close() {}
 
-// compiledAgg is one aggregate's compiled evaluation functions.
+// compiledAgg is one aggregate's spec and where its operands sit among the
+// aggEval DAG's outputs.
 type compiledAgg struct {
-	spec     AggSpec
-	arg      vecFn // nil for COUNT(*)
-	orderFns []vecFn
-	descs    []bool
+	spec  AggSpec
+	arg   int   // output index of the argument; -1 for COUNT(*)
+	order []int // output indexes of the WITHIN GROUP keys
+	descs []bool
 }
 
 // aggEval holds the compiled grouping and aggregate expressions of one
-// aggregation. Compiled expressions may hold state (reusable output
-// buffers, SEQ counters), so an aggEval must only ever be used by one
-// goroutine — the parallel aggregate compiles one per worker.
+// aggregation: one DAG whose outputs are the grouping keys, then each
+// aggregate's argument and order keys. The DAG owns registers and SEQ
+// counters, so an aggEval must only ever be used by one goroutine — the
+// parallel aggregate compiles one per worker.
 type aggEval struct {
-	groupFns []vecFn
-	aggs     []compiledAgg
+	dag     *exprDAG
+	ngroups int
+	aggs    []compiledAgg
+	// Per-batch views into the DAG's outputs and one row's worth of them.
+	avals      [][]variant.Value
+	ovals      [][][]variant.Value
+	rowG, rowA []variant.Value
+	rowO       [][]variant.Value
 }
 
 // compileAggEval compiles an aggregate's expressions against its input
 // schema.
 func compileAggEval(ctx *execContext, x *AggregateNode) (*aggEval, error) {
-	inSchema := x.Input.Schema()
-	groupFns, err := compileVecs(ctx, inSchema, x.GroupBy)
-	if err != nil {
-		return nil, err
-	}
+	exprs := append([]sqlast.Expr(nil), x.GroupBy...)
 	aggs := make([]compiledAgg, len(x.Aggs))
+	ovals := make([][][]variant.Value, len(x.Aggs))
 	for i, spec := range x.Aggs {
-		ca := compiledAgg{spec: spec}
+		ca := compiledAgg{spec: spec, arg: -1}
 		if spec.Arg != nil {
-			fn, err := compileVec(ctx, inSchema, spec.Arg)
-			if err != nil {
-				return nil, err
-			}
-			ca.arg = fn
+			ca.arg = len(exprs)
+			exprs = append(exprs, spec.Arg)
 		}
 		for _, o := range spec.OrderBy {
-			fn, err := compileVec(ctx, inSchema, o.Expr)
-			if err != nil {
-				return nil, err
-			}
-			ca.orderFns = append(ca.orderFns, fn)
+			ca.order = append(ca.order, len(exprs))
+			exprs = append(exprs, o.Expr)
 			ca.descs = append(ca.descs, o.Desc)
+		}
+		if len(ca.order) > 0 {
+			ovals[i] = make([][]variant.Value, len(ca.order))
 		}
 		aggs[i] = ca
 	}
-	return &aggEval{groupFns: groupFns, aggs: aggs}, nil
+	dag, err := compileVecs(ctx, x.Input.Schema(), exprs)
+	if err != nil {
+		return nil, err
+	}
+	return &aggEval{
+		dag: dag, ngroups: len(x.GroupBy), aggs: aggs,
+		avals: make([][]variant.Value, len(aggs)), ovals: ovals,
+		rowG: make([]variant.Value, len(x.GroupBy)), rowA: make([]variant.Value, len(aggs)),
+		rowO: make([][]variant.Value, len(aggs)),
+	}, nil
 }
 
 // aggGroup is one group's accumulated state.
@@ -579,15 +614,13 @@ func (e *aggEval) absorb(t *aggTable, b *vector.Batch) error {
 	if err != nil {
 		return err
 	}
-	rowG := make([]variant.Value, len(e.groupFns))
-	rowA := make([]variant.Value, len(e.aggs))
-	rowO := make([][]variant.Value, len(e.aggs))
+	rowG, rowA, rowO := e.rowG, e.rowA, e.rowO
 	var rowErr error
 	b.ForEach(func(i int) {
 		if rowErr != nil {
 			return
 		}
-		for k := range e.groupFns {
+		for k := range gvals {
 			rowG[k] = gvals[k][i]
 		}
 		for a := range e.aggs {
@@ -661,6 +694,7 @@ func prepareAggregate(x *AggregateNode, ctx *execContext) (batchIter, error) {
 		in.Close()
 		return nil, err
 	}
+	ctx.exprs.add(eval.dag.stats())
 	width := len(x.Schema().Names)
 
 	mergeable := aggsMergeable(x.Aggs)
@@ -700,7 +734,7 @@ func prepareAggregate(x *AggregateNode, ctx *execContext) (batchIter, error) {
 		}
 		// Global aggregation over an empty input yields one row. (An empty
 		// input never spills, so the fresh insert covers the external path.)
-		if len(eval.groupFns) == 0 && len(groups) == 0 {
+		if eval.ngroups == 0 && len(groups) == 0 {
 			table.insert(nil, nil)
 			groups = table.order
 		}
@@ -780,12 +814,9 @@ func prepareJoin(x *JoinNode, ctx *execContext, buildWorkers int, statNode Node)
 	}
 	// Probe keys evaluate vectorized over the streamed left batches; build
 	// keys evaluate row-wise over the materialized right side.
-	leftKeys := make([]vecFn, len(x.LeftKeys))
-	for i, k := range x.LeftKeys {
-		leftKeys[i], err = compileVec(ctx, x.Left.Schema(), k)
-		if err != nil {
-			return fail(err)
-		}
+	leftKeys, err := compileVecs(ctx, x.Left.Schema(), x.LeftKeys)
+	if err != nil {
+		return fail(err)
 	}
 	rightKeys := make([]evalFn, len(x.RightKeys))
 	for i, k := range x.RightKeys {
@@ -805,7 +836,8 @@ func prepareJoin(x *JoinNode, ctx *execContext, buildWorkers int, statNode Node)
 		leftWidth: leftWidth, rightWidth: rightWidth,
 		buildWorkers: buildWorkers, st: st,
 		ectx: ctx, mem: ctx.opMemFor(statNode, st),
-		bld: vector.NewBuilder(leftWidth+rightWidth, ctx.batchSize),
+		bld:      vector.NewBuilder(leftWidth+rightWidth, ctx.batchSize),
+		combined: make([]variant.Value, leftWidth+rightWidth),
 	}, nil
 }
 
@@ -821,7 +853,7 @@ type joinIter struct {
 	kind          string
 	left          batchIter
 	right         batchIter
-	leftKeys      []vecFn
+	leftKeys      *exprDAG
 	rightKeys     []evalFn
 	rightKeyExprs []sqlast.Expr // recompiled per build worker
 	rightSchema   *Schema
@@ -841,6 +873,7 @@ type joinIter struct {
 	spillRun  *storage.SpillRun       // non-nil once the build side spilled
 	buildRows int64
 	keyBuf    []byte
+	combined  []variant.Value // one output row under assembly
 	inDone    bool
 }
 
@@ -1078,16 +1111,12 @@ func (j *joinIter) NextBatch() (*vector.Batch, error) {
 func (j *joinIter) probeBatch(b *vector.Batch) error {
 	var kcols [][]variant.Value
 	if j.parts != nil {
-		kcols = make([][]variant.Value, len(j.leftKeys))
-		for i, fn := range j.leftKeys {
-			vals, err := fn(b)
-			if err != nil {
-				return err
-			}
-			kcols[i] = vals
+		var err error
+		if kcols, err = j.leftKeys.eval(b); err != nil {
+			return err
 		}
 	}
-	combined := make([]variant.Value, j.leftWidth+j.rightWidth)
+	combined := j.combined
 	var rowErr error
 	b.ForEach(func(i int) {
 		if rowErr != nil {
@@ -1189,16 +1218,15 @@ func prepareSort(x *SortNode, ctx *execContext, workers int, statNode Node) (bat
 	if err != nil {
 		return nil, err
 	}
-	keys := make([]vecFn, len(x.Keys))
+	exprs := make([]sqlast.Expr, len(x.Keys))
 	descs := make([]bool, len(x.Keys))
 	for i, k := range x.Keys {
-		fn, err := compileVec(ctx, x.Input.Schema(), k.Expr)
-		if err != nil {
-			in.Close()
-			return nil, err
-		}
-		keys[i] = fn
-		descs[i] = k.Desc
+		exprs[i], descs[i] = k.Expr, k.Desc
+	}
+	keys, err := compileVecs(ctx, x.Input.Schema(), exprs)
+	if err != nil {
+		in.Close()
+		return nil, err
 	}
 	st := ctx.statsFor(statNode)
 	return &sortIter{
@@ -1210,7 +1238,7 @@ func prepareSort(x *SortNode, ctx *execContext, workers int, statNode Node) (bat
 
 type sortIter struct {
 	in      batchIter
-	keys    []vecFn
+	keys    *exprDAG
 	descs   []bool
 	width   int
 	bsize   int
@@ -1258,7 +1286,7 @@ func (s *sortIter) materialize() error {
 	// less is pure (reads only the detached key vectors), so parallel run
 	// sorting shares it safely across workers.
 	less := func(ra, rb sortRef) bool {
-		for k := range s.keys {
+		for k := range s.descs {
 			c := variant.Compare(keyCols[ra.b][k][ra.i], keyCols[rb.b][k][rb.i])
 			if s.descs[k] {
 				c = -c
@@ -1300,17 +1328,18 @@ func (s *sortIter) materialize() error {
 		if b == nil {
 			break
 		}
-		kc := make([][]variant.Value, len(s.keys))
-		for k, fn := range s.keys {
-			vals, err := fn(b)
-			if err != nil {
-				return err
-			}
-			// Key vectors outlive the batch loop (the global sort reads them
-			// at the end), so detach them from the expressions' reusable
-			// buffers.
-			kc[k] = append([]variant.Value(nil), vals...)
+		vals, err := s.keys.eval(b)
+		if err != nil {
+			return err
 		}
+		// Key vectors and the batch itself outlive the drain loop (the global
+		// sort reads them at the end), so both are detached: from the key
+		// registers, and from whatever the input operator recycles.
+		kc := make([][]variant.Value, len(vals))
+		for k := range vals {
+			kc[k] = append([]variant.Value(nil), vals[k]...)
+		}
+		b = b.Detach()
 		bi := len(batches)
 		batches = append(batches, b)
 		keyCols = append(keyCols, kc)

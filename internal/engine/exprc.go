@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"strings"
 
 	"jsonpark/internal/sqlast"
 	"jsonpark/internal/variant"
@@ -38,234 +37,93 @@ func (s *Schema) Extend(names ...string) *Schema {
 // evalFn evaluates one compiled expression against a row.
 type evalFn func(row []variant.Value) (variant.Value, error)
 
-// compileExpr binds a SQL expression to a schema, producing an evaluator.
-// Flatten pseudo-columns resolve as "<alias>.VALUE" / "<alias>.INDEX".
+// compileExpr binds a SQL expression to a schema for row-at-a-time
+// evaluation (join residuals and build keys, constant folding). It is the
+// same compile pass as compileVecs — one place resolves names, functions and
+// literal keys — read back by evalRow instead of the batch kernels. Flatten
+// pseudo-columns resolve as "<alias>.VALUE" / "<alias>.INDEX". The result
+// holds state (SEQ counters, argument scratch): one goroutine per compile.
 func compileExpr(sc *Schema, e sqlast.Expr) (evalFn, error) {
-	switch x := e.(type) {
-	case *sqlast.Lit:
-		v := x.Value
-		return func([]variant.Value) (variant.Value, error) { return v, nil }, nil
-	case *sqlast.ColRef:
-		name := x.Name
-		if x.Table != "" {
-			name = x.Table + "." + x.Name
-		}
-		i, ok := sc.Lookup(name)
-		if !ok {
-			return nil, fmt.Errorf("engine: unknown column %q (have %v)", name, sc.Names)
-		}
-		return func(row []variant.Value) (variant.Value, error) { return row[i], nil }, nil
-	case *sqlast.Star:
-		return nil, fmt.Errorf("engine: '*' is only valid in COUNT(*) or a select list")
-	case *sqlast.FuncCall:
-		return compileFuncCall(sc, x)
-	case *sqlast.Binary:
-		return compileBinary(sc, x)
-	case *sqlast.Unary:
-		operand, err := compileExpr(sc, x.Operand)
-		if err != nil {
-			return nil, err
-		}
-		switch x.Op {
-		case "-":
-			return func(row []variant.Value) (variant.Value, error) {
-				v, err := operand(row)
-				if err != nil {
-					return variant.Null, err
-				}
-				return variant.Neg(v)
-			}, nil
-		case "NOT":
-			return func(row []variant.Value) (variant.Value, error) {
-				v, err := operand(row)
-				if err != nil {
-					return variant.Null, err
-				}
-				if v.IsNull() {
-					return variant.Null, nil
-				}
-				return variant.Bool(!truthySQL(v)), nil
-			}, nil
-		}
-		return nil, fmt.Errorf("engine: unknown unary operator %q", x.Op)
-	case *sqlast.IsNull:
-		operand, err := compileExpr(sc, x.Operand)
-		if err != nil {
-			return nil, err
-		}
-		negate := x.Negate
-		return func(row []variant.Value) (variant.Value, error) {
-			v, err := operand(row)
-			if err != nil {
-				return variant.Null, err
-			}
-			return variant.Bool(v.IsNull() != negate), nil
-		}, nil
-	case *sqlast.CaseWhen:
-		type arm struct{ cond, result evalFn }
-		arms := make([]arm, len(x.Whens))
-		for i, w := range x.Whens {
-			c, err := compileExpr(sc, w.Cond)
-			if err != nil {
-				return nil, err
-			}
-			r, err := compileExpr(sc, w.Result)
-			if err != nil {
-				return nil, err
-			}
-			arms[i] = arm{c, r}
-		}
-		var els evalFn
-		if x.Else != nil {
-			var err error
-			els, err = compileExpr(sc, x.Else)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return func(row []variant.Value) (variant.Value, error) {
-			for _, a := range arms {
-				c, err := a.cond(row)
-				if err != nil {
-					return variant.Null, err
-				}
-				if !c.IsNull() && truthySQL(c) {
-					return a.result(row)
-				}
-			}
-			if els != nil {
-				return els(row)
-			}
-			return variant.Null, nil
-		}, nil
-	case *sqlast.Cast:
-		operand, err := compileExpr(sc, x.Operand)
-		if err != nil {
-			return nil, err
-		}
-		typ := strings.ToUpper(x.Type)
-		return func(row []variant.Value) (variant.Value, error) {
-			v, err := operand(row)
-			if err != nil || v.IsNull() {
-				return v, err
-			}
-			return castValue(typ, v)
-		}, nil
+	c := dagCompilers.Get().(*dagCompiler)
+	defer c.release()
+	c.sc = sc
+	root, err := c.node(e)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("engine: cannot compile expression %T", e)
+	nodes := c.nodes
+	return func(row []variant.Value) (variant.Value, error) { return evalRow(nodes, root, row) }, nil
 }
 
-func compileFuncCall(sc *Schema, x *sqlast.FuncCall) (evalFn, error) {
-	name := strings.ToUpper(x.Name)
-	if isAggregateName(name) {
-		return nil, fmt.Errorf("engine: aggregate %s outside GROUP BY context", name)
-	}
-	if name == "SEQ8" || name == "SEQ4" {
-		// Monotone per-operator sequence, used for row-ID injection (§IV-B).
-		var counter int64
-		return func([]variant.Value) (variant.Value, error) {
-			v := variant.Int(counter)
-			counter++
-			return v, nil
-		}, nil
-	}
-	fn, ok := scalarFuncs[name]
-	if !ok {
-		return nil, fmt.Errorf("engine: unknown function %s", name)
-	}
-	args := make([]evalFn, len(x.Args))
-	for i, a := range x.Args {
-		c, err := compileExpr(sc, a)
-		if err != nil {
-			return nil, err
+// evalRow evaluates node id against one row, with the row engine's lazy
+// AND/OR/CASE: the semantics every batch kernel in exprv.go reproduces.
+func evalRow(nodes []*exprNode, id int32, row []variant.Value) (variant.Value, error) {
+	n := nodes[id]
+	switch n.op {
+	case opLit:
+		return n.lit, nil
+	case opCol:
+		return row[n.col], nil
+	case opSeq:
+		n.seq++
+		return variant.Int(n.seq - 1), nil
+	case opFunc:
+		if n.argBuf == nil {
+			n.argBuf = make([]variant.Value, len(n.kids))
 		}
-		args[i] = c
-	}
-	return func(row []variant.Value) (variant.Value, error) {
-		vals := make([]variant.Value, len(args))
-		for i, a := range args {
-			v, err := a(row)
+		for k, kid := range n.kids {
+			v, err := evalRow(nodes, kid, row)
 			if err != nil {
 				return variant.Null, err
 			}
-			vals[i] = v
+			n.argBuf[k] = v
 		}
-		return fn(vals)
-	}, nil
-}
-
-func compileBinary(sc *Schema, x *sqlast.Binary) (evalFn, error) {
-	left, err := compileExpr(sc, x.Left)
+		return n.fn(n.argBuf)
+	case opCase:
+		for k := 0; k+1 < len(n.kids); k += 2 {
+			c, err := evalRow(nodes, n.kids[k], row)
+			if err != nil {
+				return variant.Null, err
+			}
+			if !c.IsNull() && truthySQL(c) {
+				return evalRow(nodes, n.kids[k+1], row)
+			}
+		}
+		if n.flag {
+			return evalRow(nodes, n.kids[len(n.kids)-1], row)
+		}
+		return variant.Null, nil
+	}
+	l, err := evalRow(nodes, n.kids[0], row)
 	if err != nil {
-		return nil, err
+		return variant.Null, err
 	}
-	right, err := compileExpr(sc, x.Right)
-	if err != nil {
-		return nil, err
+	switch n.op {
+	case opField:
+		return l.Field(n.name), nil
+	case opUnary, opIsNull:
+		return n.un(l)
 	}
-	switch x.Op {
-	case "AND":
-		return func(row []variant.Value) (variant.Value, error) {
-			l, err := left(row)
-			if err != nil {
-				return variant.Null, err
-			}
-			if !l.IsNull() && !truthySQL(l) {
-				return variant.Bool(false), nil
-			}
-			r, err := right(row)
-			if err != nil {
-				return variant.Null, err
-			}
-			if !r.IsNull() && !truthySQL(r) {
-				return variant.Bool(false), nil
-			}
-			if l.IsNull() || r.IsNull() {
-				return variant.Null, nil
-			}
-			return variant.Bool(true), nil
-		}, nil
-	case "OR":
-		return func(row []variant.Value) (variant.Value, error) {
-			l, err := left(row)
-			if err != nil {
-				return variant.Null, err
-			}
-			if !l.IsNull() && truthySQL(l) {
-				return variant.Bool(true), nil
-			}
-			r, err := right(row)
-			if err != nil {
-				return variant.Null, err
-			}
-			if !r.IsNull() && truthySQL(r) {
-				return variant.Bool(true), nil
-			}
-			if l.IsNull() || r.IsNull() {
-				return variant.Null, nil
-			}
-			return variant.Bool(false), nil
-		}, nil
+	isOr := n.op == opOr
+	if n.op != opBin && !l.IsNull() && truthySQL(l) == isOr {
+		return variant.Bool(isOr), nil // the left side decides: the right is never evaluated
 	}
-	fn, err := scalarBinOp(x.Op)
-	if err != nil {
-		return nil, err
+	r, err := evalRow(nodes, n.kids[1], row)
+	switch {
+	case err != nil:
+		return variant.Null, err
+	case n.op == opBin:
+		return n.bin(l, r)
+	case !r.IsNull() && truthySQL(r) == isOr:
+		return variant.Bool(isOr), nil
+	case l.IsNull() || r.IsNull():
+		return variant.Null, nil
 	}
-	return func(row []variant.Value) (variant.Value, error) {
-		l, err := left(row)
-		if err != nil {
-			return variant.Null, err
-		}
-		r, err := right(row)
-		if err != nil {
-			return variant.Null, err
-		}
-		return fn(l, r)
-	}, nil
+	return variant.Bool(!isOr), nil
 }
 
 // scalarBinOp returns the elementwise kernel of a non-logical binary
-// operator, shared by the row and batch expression compilers.
+// operator, shared by the row and batch evaluators.
 func scalarBinOp(op string) (func(l, r variant.Value) (variant.Value, error), error) {
 	switch op {
 	case "+":
@@ -297,27 +155,14 @@ func scalarBinOp(op string) (func(l, r variant.Value) (variant.Value, error), er
 			if l.IsNull() || r.IsNull() {
 				return variant.Null, nil
 			}
-			c := variant.Compare(l, r)
-			switch op {
-			case "=":
-				return variant.Bool(c == 0), nil
-			case "<>":
-				return variant.Bool(c != 0), nil
-			case "<":
-				return variant.Bool(c < 0), nil
-			case "<=":
-				return variant.Bool(c <= 0), nil
-			case ">":
-				return variant.Bool(c > 0), nil
-			}
-			return variant.Bool(c >= 0), nil
+			return cmpBool(op, variant.Compare(l, r)), nil
 		}, nil
 	}
 	return nil, fmt.Errorf("engine: unknown binary operator %q", op)
 }
 
 // castValue applies a CAST to a non-NULL value; typ is already upper-cased.
-// Shared by the row and batch expression compilers.
+// Shared by the row and batch evaluators.
 func castValue(typ string, v variant.Value) (variant.Value, error) {
 	switch typ {
 	case "INT", "INTEGER", "NUMBER", "BIGINT":

@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 
-	"jsonpark/internal/sqlast"
 	"jsonpark/internal/variant"
 	"jsonpark/internal/vector"
 )
@@ -12,39 +11,17 @@ import (
 // Typed expression kernels. When a batch column carries a typed view
 // (vector.TypedCol aliasing a chunk's typed array), comparisons, arithmetic
 // and IS NULL over that column run as tight monomorphic loops — no per-value
-// variant dispatch, no materialization. Each compiled kernel keeps the
-// generic variant closure as its fallback and re-checks the batch at run
-// time, so a mixed-type partition (or an operator that produced plain
-// variant columns) silently takes the generic path; results are identical
-// either way, bit for bit.
+// variant dispatch, no materialization. The kernels are not a compiler of
+// their own: the DAG's binary and IS NULL instances try them first and
+// re-check the batch at run time, so a mixed-type partition (or an operator
+// that produced plain variant columns) silently takes the generic path;
+// results are identical either way, bit for bit.
 //
 // The kernels replicate the exact scalar semantics of scalarBinOp and
 // variant/arith.go: NULL propagation, int64 wraparound for + - *, `/` always
 // producing a double with int/int division-by-zero errors, `%` keeping ints,
 // float comparisons where NaN never orders, and cross-kind comparisons via
 // the kind-rank total order.
-
-// colRefIndex resolves e as a bare column reference against sc.
-func colRefIndex(sc *Schema, e sqlast.Expr) (int, bool) {
-	x, ok := e.(*sqlast.ColRef)
-	if !ok {
-		return 0, false
-	}
-	name := x.Name
-	if x.Table != "" {
-		name = x.Table + "." + x.Name
-	}
-	return sc.Lookup(name)
-}
-
-// litValue resolves e as a literal.
-func litValue(e sqlast.Expr) (variant.Value, bool) {
-	x, ok := e.(*sqlast.Lit)
-	if !ok {
-		return variant.Null, false
-	}
-	return x.Value, true
-}
 
 // typedRank mirrors variant's kind-rank order for the kinds a typed column
 // can hold (numbers share one rank).
@@ -66,22 +43,6 @@ const (
 	TypedColBool   = vector.TypedBool
 )
 
-func litRank(v variant.Value) int {
-	switch v.Kind() {
-	case variant.KindBool:
-		return 1
-	case variant.KindInt, variant.KindFloat:
-		return 2
-	case variant.KindString:
-		return 3
-	case variant.KindArray:
-		return 4
-	case variant.KindObject:
-		return 5
-	}
-	return 0 // null
-}
-
 // cmpBool turns a three-way comparison into the operator's boolean result.
 func cmpBool(op string, c int) variant.Value {
 	switch op {
@@ -99,211 +60,127 @@ func cmpBool(op string, c int) variant.Value {
 	return variant.Bool(c >= 0) // ">="
 }
 
-func isCmpOp(op string) bool {
-	switch op {
-	case "=", "<>", "<", "<=", ">", ">=":
-		return true
-	}
-	return false
-}
+// The operators with typed kernels.
+var (
+	cmpOps   = map[string]bool{"=": true, "<>": true, "<": true, "<=": true, ">": true, ">=": true}
+	arithOps = map[string]bool{"+": true, "-": true, "*": true, "/": true, "%": true}
+)
 
-func isArithOp(op string) bool {
-	switch op {
-	case "+", "-", "*", "/", "%":
-		return true
+// typedBinary runs n's typed kernel into out when its operands are bare
+// columns the batch carries typed views of (at least one; a literal operand
+// joins in as a constant typed column, so `col op lit`, `lit op col` and
+// `colA op colB` are one kernel); done is false when the generic variant path
+// must run instead.
+func (d *exprDAG) typedBinary(in *exprInst, n *exprNode, b *vector.Batch, out []variant.Value) (done bool, err error) {
+	if !cmpOps[n.name] && !arithOps[n.name] {
+		return false, nil
 	}
-	return false
-}
-
-// compileTypedBinary returns a typed-kernel evaluator for col⊗lit, lit⊗col
-// and col⊗col shapes of the comparison and arithmetic operators, or nil when
-// the expression shape cannot benefit. The returned closure owns its output
-// buffer (overwritten on the next call, per the vecFn contract) and calls
-// generic whenever the batch lacks the typed views it needs.
-func compileTypedBinary(ctx *execContext, sc *Schema, x *sqlast.Binary, generic vecFn) vecFn {
-	if !isCmpOp(x.Op) && !isArithOp(x.Op) {
-		return nil
-	}
-	if li, ok := colRefIndex(sc, x.Left); ok {
-		if lit, ok := litValue(x.Right); ok {
-			return typedColLitFn(ctx, li, x.Op, lit, false, generic)
-		}
-		if ri, ok := colRefIndex(sc, x.Right); ok {
-			return typedColColFn(ctx, li, ri, x.Op, generic)
-		}
-		return nil
-	}
-	if lit, ok := litValue(x.Left); ok {
-		if ri, ok := colRefIndex(sc, x.Right); ok {
-			return typedColLitFn(ctx, ri, x.Op, lit, true, generic)
-		}
-	}
-	return nil
-}
-
-// typedColLitFn evaluates `col op lit` (or `lit op col` when litLeft) against
-// the column's typed view.
-func typedColLitFn(ctx *execContext, ci int, op string, lit variant.Value, litLeft bool, generic vecFn) vecFn {
-	var out []variant.Value
-	return func(b *vector.Batch) ([]variant.Value, error) {
-		tc := b.TypedCol(ci)
-		if tc == nil {
-			return generic(b) //jsqlint:ignore kernelalias kernel-to-kernel delegation: the wrapper shares the fallback's buffer contract
-		}
-		out = growBuf(out, b.Len())
-		ok, err := typedColLitKernel(b, tc, op, lit, litLeft, out)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return generic(b) //jsqlint:ignore kernelalias kernel-to-kernel delegation: the wrapper shares the fallback's buffer contract
-		}
-		ctx.countTypedCols(1)
-		return out, nil
-	}
-}
-
-// typedColLitKernel fills out for the batch's active rows; the bool result
-// reports whether the (column kind, literal kind, op) combination has a
-// typed kernel at all.
-func typedColLitKernel(b *vector.Batch, tc *vector.TypedCol, op string, lit variant.Value, litLeft bool, out []variant.Value) (bool, error) {
-	// NULL literal: every comparison and arithmetic op yields NULL without
-	// reading a single column value.
-	if lit.IsNull() {
-		b.ForEach(func(i int) { out[i] = variant.Null })
-		return true, nil
-	}
-	if isCmpOp(op) {
-		if litLeft {
-			op = flipCmp(op)
-		}
-		cr, lr := typedRank(tc.Kind()), litRank(lit)
-		if cr != lr {
-			// Cross-rank comparison: the three-way result is a constant for
-			// every non-null row (numbers sort below strings, etc.).
-			c := cr - lr
-			res := cmpBool(op, c)
-			b.ForEach(func(i int) {
-				if tc.Null(i) {
-					out[i] = variant.Null
-				} else {
-					out[i] = res
-				}
-			})
-			return true, nil
-		}
-		return typedCmpColLit(b, tc, op, lit, out), nil
-	}
-	return typedArithColLit(b, tc, op, lit, litLeft, out)
-}
-
-// flipCmp mirrors a comparison so `lit op col` becomes `col op' lit`.
-func flipCmp(op string) string {
-	switch op {
-	case "<":
-		return ">"
-	case "<=":
-		return ">="
-	case ">":
-		return "<"
-	case ">=":
-		return "<="
-	}
-	return op // = and <> are symmetric
-}
-
-// typedCmpColLit handles same-rank comparisons: numeric column vs numeric
-// literal, string vs string, bool vs bool.
-func typedCmpColLit(b *vector.Batch, tc *vector.TypedCol, op string, lit variant.Value, out []variant.Value) bool {
-	switch tc.Kind() {
-	case TypedColInt:
-		xs := tc.Ints()
-		if lit.Kind() == variant.KindInt {
-			y := lit.AsInt()
-			b.ForEach(func(i int) {
-				if tc.Null(i) {
-					out[i] = variant.Null
-					return
-				}
-				out[i] = cmpBool(op, cmp3Int(xs[i], y))
-			})
-			return true
-		}
-		y := lit.AsFloat()
-		b.ForEach(func(i int) {
-			if tc.Null(i) {
-				out[i] = variant.Null
-				return
+	kid := [2]*exprNode{d.nodes[n.kids[0]], d.nodes[n.kids[1]]}
+	var side [2]*vector.TypedCol
+	cols := 0
+	for k, x := range kid {
+		if x.op == opCol {
+			if side[k] = b.TypedCol(int(x.col)); side[k] == nil {
+				return false, nil
 			}
-			out[i] = cmpBool(op, cmp3Float(float64(xs[i]), y))
-		})
-		return true
-	case TypedColFloat:
-		xs := tc.Floats()
-		y := lit.AsFloat()
-		b.ForEach(func(i int) {
-			if tc.Null(i) {
-				out[i] = variant.Null
-				return
-			}
-			out[i] = cmpBool(op, cmp3Float(xs[i], y))
-		})
-		return true
-	case TypedColString:
-		y := lit.AsString()
-		if codes := tc.Codes(); codes != nil {
-			// Dictionary fast path: compare each distinct string once.
-			dict := tc.Dict()
-			res := make([]variant.Value, len(dict))
-			for c, s := range dict {
-				res[c] = cmpBool(op, strings.Compare(s, y))
-			}
-			b.ForEach(func(i int) {
-				if tc.Null(i) {
-					out[i] = variant.Null
-					return
-				}
-				out[i] = res[codes[i]]
-			})
-			return true
+			cols++
 		}
-		xs := tc.Strs()
-		b.ForEach(func(i int) {
-			if tc.Null(i) {
-				out[i] = variant.Null
-				return
-			}
-			out[i] = cmpBool(op, strings.Compare(xs[i], y))
-		})
-		return true
-	case TypedColBool:
-		xs := tc.Bools()
-		y := lit.AsBool()
-		b.ForEach(func(i int) {
-			if tc.Null(i) {
-				out[i] = variant.Null
-				return
-			}
-			out[i] = cmpBool(op, cmp3Bool(xs[i], y))
-		})
-		return true
 	}
-	return false
-}
-
-func cmp3Int(x, y int64) int {
+	for k, x := range kid {
+		if x.op == opLit && cols > 0 {
+			side[k] = in.constCol(x.lit, d.n)
+		}
+	}
+	lt, rt := side[0], side[1]
 	switch {
-	case x < y:
-		return -1
-	case x > y:
-		return 1
+	case lt == nil || rt == nil:
+		return false, nil
+	case lt == nullLit || rt == nullLit:
+		// NULL literal: every comparison and arithmetic op yields NULL
+		// without reading a single column value.
+		b.ForEach(func(i int) { out[i] = variant.Null })
+		done = true
+	case kid[1].op == opLit && typedCmpDict(b, lt, rt, false, n.name, out),
+		kid[0].op == opLit && typedCmpDict(b, rt, lt, true, n.name, out):
+		done = true
+	default:
+		done, err = typedColColKernel(b, lt, rt, n.name, out)
 	}
-	return 0
+	if done && err == nil {
+		d.ctx.countTypedCols(cols)
+	}
+	return done, err
 }
 
-// cmp3Float matches variant.Compare on doubles: NaN compares equal to
-// everything (neither < nor > fires).
-func cmp3Float(x, y float64) int {
+// nullLit stands for a NULL literal operand, which has no typed kind.
+var nullLit = new(vector.TypedCol)
+
+// constCol returns lit as a typed column of n equal rows, cached on the
+// instance between batches; nil when the literal's kind has no typed
+// encoding (arrays, objects), which sends the node down the generic path.
+func (in *exprInst) constCol(lit variant.Value, n int) *vector.TypedCol {
+	if lit.IsNull() {
+		return nullLit
+	}
+	if in.x == nil {
+		in.x = &instScratch{}
+	}
+	if in.x.lit != nil && in.x.lit.Len() >= n {
+		return in.x.lit
+	}
+	n = max(n, 1) // row 0 is read back as the literal itself
+	switch lit.Kind() {
+	case variant.KindInt:
+		in.x.lit = vector.NewInt64Col(repeat(lit.AsInt(), n), nil)
+	case variant.KindFloat:
+		in.x.lit = vector.NewFloat64Col(repeat(lit.AsFloat(), n), nil)
+	case variant.KindString:
+		in.x.lit = vector.NewStringCol(repeat(lit.AsString(), n), nil)
+	case variant.KindBool:
+		in.x.lit = vector.NewBoolCol(repeat(lit.AsBool(), n), nil)
+	}
+	return in.x.lit
+}
+
+func repeat[T any](v T, n int) []T {
+	out := make([]T, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
+}
+
+// typedCmpDict compares a dictionary-encoded string column with a string
+// literal (lit, its constant column) by comparing each distinct string once;
+// it reports false, having done nothing, for any other operand pair.
+func typedCmpDict(b *vector.Batch, tc, lit *vector.TypedCol, litLeft bool, op string, out []variant.Value) bool {
+	codes := tc.Codes()
+	if codes == nil || lit.Kind() != TypedColString || !cmpOps[op] {
+		return false
+	}
+	y := lit.StringAt(0)
+	res := make([]variant.Value, len(tc.Dict()))
+	for c, s := range tc.Dict() {
+		if litLeft {
+			res[c] = cmpBool(op, strings.Compare(y, s))
+		} else {
+			res[c] = cmpBool(op, strings.Compare(s, y))
+		}
+	}
+	b.ForEach(func(i int) {
+		if tc.Null(i) {
+			out[i] = variant.Null
+			return
+		}
+		out[i] = res[codes[i]]
+	})
+	return true
+}
+
+// cmp3 is the three-way comparison of two numbers of one kind. On doubles it
+// matches variant.Compare: NaN compares equal to everything (neither < nor >
+// fires).
+func cmp3[T int64 | float64](x, y T) int {
 	switch {
 	case x < y:
 		return -1
@@ -323,169 +200,44 @@ func cmp3Bool(x, y bool) int {
 	return 1
 }
 
-// typedArithColLit handles + - * / % between a numeric typed column and a
-// numeric literal, replicating variant/arith.go exactly: int⊗int keeps int64
+// typedColColKernel evaluates `colA op colB` over two typed views of
+// compatible kinds, replicating variant/arith.go exactly: int⊗int keeps int64
 // (two's-complement wraparound) except `/` which always yields a double,
 // int/int division or mod by zero errors, and any float operand promotes to
-// float64 arithmetic.
-func typedArithColLit(b *vector.Batch, tc *vector.TypedCol, op string, lit variant.Value, litLeft bool, out []variant.Value) (bool, error) {
-	if !lit.IsNumber() {
-		return false, nil
-	}
-	intInt := tc.Kind() == TypedColInt && lit.Kind() == variant.KindInt
-	switch {
-	case intInt && op != "/":
-		xs := tc.Ints()
-		litI := lit.AsInt()
-		var err error
-		b.ForEach(func(i int) {
-			if err != nil {
-				return
-			}
-			if tc.Null(i) {
-				out[i] = variant.Null
-				return
-			}
-			x, y := xs[i], litI
-			if litLeft {
-				x, y = litI, xs[i]
-			}
-			switch op {
-			case "+":
-				out[i] = variant.Int(x + y)
-			case "-":
-				out[i] = variant.Int(x - y)
-			case "*":
-				out[i] = variant.Int(x * y)
-			case "%":
-				if y == 0 {
-					_, err = variant.Mod(variant.Int(x), variant.Int(y))
-					return
-				}
-				out[i] = variant.Int(x % y)
-			}
-		})
-		return true, err
-	case tc.Kind() == TypedColInt || tc.Kind() == TypedColFloat:
-		colF := typedFloatAt(tc)
-		litF := lit.AsFloat()
-		var err error
-		b.ForEach(func(i int) {
-			if err != nil {
-				return
-			}
-			if tc.Null(i) {
-				out[i] = variant.Null
-				return
-			}
-			x, y := colF(i), litF
-			if litLeft {
-				x, y = litF, colF(i)
-			}
-			switch op {
-			case "+":
-				out[i] = variant.Float(x + y)
-			case "-":
-				out[i] = variant.Float(x - y)
-			case "*":
-				out[i] = variant.Float(x * y)
-			case "/":
-				if intInt && y == 0 {
-					// int/int by zero is an error; float division yields ±Inf.
-					_, err = variant.Div(variant.Int(int64(x)), variant.Int(0))
-					return
-				}
-				out[i] = variant.Float(x / y)
-			case "%":
-				out[i] = variant.Float(math.Mod(x, y))
-			}
-		})
-		return true, err
-	}
-	return false, nil
-}
-
-// typedColColFn evaluates `colA op colB` when both columns expose typed
-// views of compatible kinds.
-func typedColColFn(ctx *execContext, li, ri int, op string, generic vecFn) vecFn {
-	var out []variant.Value
-	return func(b *vector.Batch) ([]variant.Value, error) {
-		lt, rt := b.TypedCol(li), b.TypedCol(ri)
-		if lt == nil || rt == nil {
-			return generic(b) //jsqlint:ignore kernelalias kernel-to-kernel delegation: the wrapper shares the fallback's buffer contract
-		}
-		out = growBuf(out, b.Len())
-		ok, err := typedColColKernel(b, lt, rt, op, out)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return generic(b) //jsqlint:ignore kernelalias kernel-to-kernel delegation: the wrapper shares the fallback's buffer contract
-		}
-		ctx.countTypedCols(2)
-		return out, nil
-	}
-}
-
+// float64 arithmetic. The bool result reports whether the (kinds, op)
+// combination has a typed kernel at all.
 func typedColColKernel(b *vector.Batch, lt, rt *vector.TypedCol, op string, out []variant.Value) (bool, error) {
 	lk, rk := lt.Kind(), rt.Kind()
 	numL := lk == TypedColInt || lk == TypedColFloat
 	numR := rk == TypedColInt || rk == TypedColFloat
-	if isCmpOp(op) {
+	if cmpOps[op] {
+		var cmp func(i int) int // three-way comparison of row i's two non-null values
 		switch {
 		case lk == TypedColInt && rk == TypedColInt:
 			xs, ys := lt.Ints(), rt.Ints()
-			b.ForEach(func(i int) {
-				if lt.Null(i) || rt.Null(i) {
-					out[i] = variant.Null
-					return
-				}
-				out[i] = cmpBool(op, cmp3Int(xs[i], ys[i]))
-			})
-			return true, nil
+			cmp = func(i int) int { return cmp3(xs[i], ys[i]) }
 		case numL && numR:
 			lf, rf := typedFloatAt(lt), typedFloatAt(rt)
-			b.ForEach(func(i int) {
-				if lt.Null(i) || rt.Null(i) {
-					out[i] = variant.Null
-					return
-				}
-				out[i] = cmpBool(op, cmp3Float(lf(i), rf(i)))
-			})
-			return true, nil
+			cmp = func(i int) int { return cmp3(lf(i), rf(i)) }
 		case lk == TypedColString && rk == TypedColString:
-			b.ForEach(func(i int) {
-				if lt.Null(i) || rt.Null(i) {
-					out[i] = variant.Null
-					return
-				}
-				out[i] = cmpBool(op, strings.Compare(lt.StringAt(i), rt.StringAt(i)))
-			})
-			return true, nil
+			cmp = func(i int) int { return strings.Compare(lt.StringAt(i), rt.StringAt(i)) }
 		case lk == TypedColBool && rk == TypedColBool:
 			xs, ys := lt.Bools(), rt.Bools()
-			b.ForEach(func(i int) {
-				if lt.Null(i) || rt.Null(i) {
-					out[i] = variant.Null
-					return
-				}
-				out[i] = cmpBool(op, cmp3Bool(xs[i], ys[i]))
-			})
-			return true, nil
+			cmp = func(i int) int { return cmp3Bool(xs[i], ys[i]) }
 		case typedRank(lk) != typedRank(rk):
-			// Constant three-way result for all non-null row pairs.
-			c := typedRank(lk) - typedRank(rk)
-			res := cmpBool(op, c)
-			b.ForEach(func(i int) {
-				if lt.Null(i) || rt.Null(i) {
-					out[i] = variant.Null
-					return
-				}
-				out[i] = res
-			})
-			return true, nil
+			c := typedRank(lk) - typedRank(rk) // the same for every row pair
+			cmp = func(int) int { return c }
+		default:
+			return false, nil
 		}
-		return false, nil
+		b.ForEach(func(i int) {
+			if lt.Null(i) || rt.Null(i) {
+				out[i] = variant.Null
+				return
+			}
+			out[i] = cmpBool(op, cmp(i))
+		})
+		return true, nil
 	}
 	if !numL || !numR {
 		return false, nil
@@ -562,28 +314,23 @@ func typedFloatAt(tc *vector.TypedCol) func(int) float64 {
 	return func(i int) float64 { return xs[i] }
 }
 
-// compileTypedIsNull evaluates IS [NOT] NULL straight off the null bitmap
-// when the operand is a column with a typed view.
-func compileTypedIsNull(ctx *execContext, sc *Schema, x *sqlast.IsNull, generic vecFn) vecFn {
-	ci, ok := colRefIndex(sc, x.Operand)
-	if !ok {
-		return nil
+// typedIsNull evaluates IS [NOT] NULL straight off the null bitmap when the
+// operand is a column with a typed view.
+func (d *exprDAG) typedIsNull(n *exprNode, b *vector.Batch, out []variant.Value) bool {
+	operand := d.nodes[n.kids[0]]
+	if operand.op != opCol {
+		return false
 	}
-	negate := x.Negate
-	var out []variant.Value
-	return func(b *vector.Batch) ([]variant.Value, error) {
-		tc := b.TypedCol(ci)
-		if tc == nil {
-			return generic(b) //jsqlint:ignore kernelalias kernel-to-kernel delegation: the wrapper shares the fallback's buffer contract
-		}
-		out = growBuf(out, b.Len())
-		if !tc.HasNulls() {
-			res := variant.Bool(negate)
-			b.ForEach(func(i int) { out[i] = res })
-		} else {
-			b.ForEach(func(i int) { out[i] = variant.Bool(tc.Null(i) != negate) })
-		}
-		ctx.countTypedCols(1)
-		return out, nil
+	tc := b.TypedCol(int(operand.col))
+	if tc == nil {
+		return false
 	}
+	if !tc.HasNulls() {
+		res := variant.Bool(n.flag)
+		b.ForEach(func(i int) { out[i] = res })
+	} else {
+		b.ForEach(func(i int) { out[i] = variant.Bool(tc.Null(i) != n.flag) })
+	}
+	d.ctx.countTypedCols(1)
+	return true
 }

@@ -2,417 +2,867 @@ package engine
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"jsonpark/internal/sqlast"
 	"jsonpark/internal/variant"
 	"jsonpark/internal/vector"
 )
 
-// vecFn evaluates one compiled expression over a batch, returning a vector
-// of results aligned with the batch's physical rows. Only the positions in
-// the batch's selection are computed (and valid); the returned slice may
-// alias a column of the input batch or a buffer owned by the closure that
-// is overwritten on its next call, so callers must not mutate it and must
-// copy anything they retain past the next evaluation.
-type vecFn func(b *vector.Batch) ([]variant.Value, error)
-
-// growBuf returns a length-n buffer, reusing buf's capacity when it fits.
-// Stale values at inactive positions are fine: vecFn results are only
-// defined at the batch's active positions.
-func growBuf(buf []variant.Value, n int) []variant.Value {
-	if cap(buf) < n {
-		return make([]variant.Value, n)
-	}
-	return buf[:n]
+// exprDAG is one operator's compiled expression set: everything it evaluates
+// per batch (a select list, a condition, grouping keys plus aggregate
+// arguments) as one DAG over one register file (DESIGN.md §6 "Expressions").
+//
+// Pass 1 hash-conses the AST bottom-up into structural nodes, so equal
+// deterministic sub-expressions are one node. Pass 2 emits scoped instances
+// in evaluation order: the lazy operand of AND/OR and every CASE arm is a
+// block with its own scope, run under the restricted selection. A node is
+// instantiated once per scope and found again from nested scopes (subset
+// selections, run later), never from a sibling or enclosing one, so nothing
+// is hoisted out of an arm and errors are those of evaluating every
+// occurrence. Liveness then packs the instances onto register slots.
+//
+// The registers belong to the DAG: it serves one pipeline instance (each
+// parallel worker compiles its own), an eval result is valid until the next
+// eval, and steady-state evaluation allocates nothing.
+type exprDAG struct {
+	ctx      *execContext // nil-safe: typed/fallback column counters
+	nodes    []*exprNode
+	insts    []exprInst
+	code     []int32 // root-scope instructions, in evaluation order
+	roots    []int32 // instance per compiled expression
+	slots    int
+	regs     [][]variant.Value // the register file, slots long, made on first eval
+	outs     [][]variant.Value // eval result header, one vector per root
+	argv     [][]variant.Value // opFunc scratch: operand vectors, one row's arguments
+	argBuf   []variant.Value
+	n        int    // physical rows of the batch under evaluation
+	epoch    uint64 // bumped per eval; stamps column materializations
+	astNodes int
 }
 
-// compileVec binds a SQL expression to a schema, producing a batch
-// evaluator. It mirrors compileExpr case for case; lazily evaluated
-// constructs (AND/OR/CASE) restrict the selection before evaluating their
-// conditional operands, preserving the row-at-a-time short-circuit
-// semantics (a division that the row engine never reached is not evaluated
-// here either). ctx (nil-safe) receives the typed-kernel vs variant-fallback
-// column-read counters; comparison, arithmetic and IS NULL shapes over
-// column references get typed kernels (exprt.go) with the generic closure as
-// their run-time fallback.
-func compileVec(ctx *execContext, sc *Schema, e sqlast.Expr) (vecFn, error) {
+type exprOp uint8
+
+const (
+	opLit exprOp = iota
+	opCol
+	opSeq
+	opFunc
+	opField // GET(x,'key'), and GET_PATH(x,'a.b') as nested GETs: the key (name) is resolved at compile time
+	opBin
+	opUnary  // - NOT and CAST, as the elementwise function un
+	opIsNull // IS [NOT] NULL: un too, plus a typed kernel over a bare column
+	opAnd
+	opOr
+	opCase
+)
+
+// exprNode is one structurally distinct sub-expression. kids of a CASE are
+// cond0, result0, cond1, result1, ... and the ELSE last when flag is set;
+// flag is also IS NOT NULL's negation.
+type exprNode struct {
+	op   exprOp
+	flag bool
+	col  int32
+	kids []int32
+	lit  variant.Value
+	name string // function, operator, or upper-cased cast type
+	fn   scalarFunc
+	bin  func(l, r variant.Value) (variant.Value, error)
+	un   func(v variant.Value) (variant.Value, error)
+	// Evaluation state; compiled nodes serve one evaluator on one goroutine.
+	seq    int64           // opSeq: the next value
+	argBuf []variant.Value // opFunc, row evaluation: one row's arguments
+}
+
+// exprInst is one scoped instance of a node: its operands, its register, and
+// the run-time state that must not be shared between uses.
+type exprInst struct {
+	node  int32
+	slot  int32
+	end   int32   // last instance index this one spans (its own unless lazy)
+	args  []int32 // operand instances, parallel to the node's kids
+	stamp uint64  // opCol: epoch of the register's materialization
+	x     *instScratch
+}
+
+// instScratch is what lazy operators (and typed kernels over a literal) keep
+// between batches so that evaluating them allocates nothing.
+type instScratch struct {
+	blocks [][]int32        // lazy operands' code; blocks[k] computes args[k+1]
+	sels   [2][]int         // CASE: remaining rows, alternating per arm
+	selM   []int            // rows needing the lazy operand / matching the arm
+	sub    vector.Batch     // header of the restricted view the blocks run under
+	lit    *vector.TypedCol // opBin: the literal operand as a constant typed column
+}
+
+// exprStats sizes a compiled DAG: AST nodes compiled, instances evaluated
+// per batch (nodes > distinct means sharing fired), and register slots.
+type exprStats struct{ Nodes, Distinct, Slots int }
+
+func (s exprStats) String() string {
+	return fmt.Sprintf("exprs[nodes=%d distinct=%d slots=%d]", s.Nodes, s.Distinct, s.Slots)
+}
+
+func (s *exprStats) add(o exprStats) {
+	s.Nodes += o.Nodes
+	s.Distinct += o.Distinct
+	s.Slots += o.Slots
+}
+
+func (d *exprDAG) stats() exprStats {
+	return exprStats{Nodes: d.astNodes, Distinct: len(d.insts), Slots: d.slots}
+}
+
+// compileVec compiles a single expression; see compileVecs.
+func compileVec(ctx *execContext, sc *Schema, e sqlast.Expr) (*exprDAG, error) {
+	return compileVecs(ctx, sc, []sqlast.Expr{e})
+}
+
+// compileVecs binds a list of SQL expressions to a schema as one DAG. ctx
+// (nil-safe) receives the typed-kernel vs variant-fallback column counters.
+func compileVecs(ctx *execContext, sc *Schema, exprs []sqlast.Expr) (*exprDAG, error) {
+	c := dagCompilers.Get().(*dagCompiler)
+	defer c.release()
+	c.sc, c.d = sc, &exprDAG{ctx: ctx, roots: make([]int32, len(exprs))}
+	for i, e := range exprs {
+		id, err := c.node(e)
+		if err != nil {
+			return nil, err
+		}
+		c.d.roots[i] = id // the node for now; its instance after emit
+	}
+	c.d.nodes, c.d.astNodes = c.nodes, c.visited
+	c.emitAll()
+	return c.d, nil
+}
+
+// dagCompiler is the scratch state of one compilation. A plan compiles dozens
+// of DAGs, most of them a handful of nodes, so the compilers are pooled: what
+// a DAG costs to build is then its own nodes and instances.
+type dagCompiler struct {
+	sc      *Schema
+	d       *exprDAG
+	nodes   []*exprNode
+	visited int // AST nodes compiled
+	// Pass 1. table is an open-addressing set of node ids keyed by structure
+	// (-1 is empty); stack holds the kids of the calls and CASEs being compiled.
+	table []int32
+	stack []int32
+	// Pass 2. instOf maps a node to its instance visible from the current
+	// scope; leaving a scope undoes the entries it added (trail), which is
+	// what keeps a block's instances from being read where the block may not
+	// have run.
+	instOf, trail, lastUse []int32
+	free, open             []int32
+	cur                    *[]int32 // code list of the scope being emitted
+	// ints backs the kids and operand lists of the DAG being built and chunk
+	// its nodes: carved out of growing chunks, not allocated one by one.
+	ints  []int32
+	chunk []exprNode
+}
+
+var dagCompilers = sync.Pool{New: func() any { return new(dagCompiler) }}
+
+func (c *dagCompiler) release() {
+	c.sc, c.d, c.nodes, c.visited, c.cur, c.ints, c.chunk = nil, nil, nil, 0, nil, nil, nil
+	c.table, c.stack, c.instOf, c.trail, c.lastUse = c.table[:0], c.stack[:0], c.instOf[:0], c.trail[:0], c.lastUse[:0]
+	c.free, c.open = c.free[:0], c.open[:0]
+	dagCompilers.Put(c)
+}
+
+// carve returns k fresh int32s. A full chunk is left to the lists already
+// carved from it and a new one started.
+func (c *dagCompiler) carve(k int) []int32 {
+	if len(c.ints)+k > cap(c.ints) {
+		c.ints = make([]int32, 0, 2*cap(c.ints)+k+8)
+	}
+	lo := len(c.ints)
+	c.ints = c.ints[:lo+k]
+	return c.ints[lo : lo+k : lo+k]
+}
+
+// --- pass 1: structural hash-consing ----------------------------------------
+
+// hash mixes everything same compares: operator, attributes (n.name carries
+// the function, operator spelling, field key or cast type), kids, and a
+// literal's kind and exact scalar value.
+func (n *exprNode) hash(kids []int32) uint64 {
+	const m = 0x9E3779B97F4A7C15
+	h := (uint64(n.op)<<33 ^ uint64(uint32(n.col))<<1) * m
+	if n.flag {
+		h ^= 1
+	}
+	for _, k := range kids {
+		h = (h ^ uint64(k)) * m
+	}
+	name := n.name
+	if n.op == opLit {
+		h = (h ^ uint64(n.lit.Kind())<<56 ^ litBits(n.lit)) * m
+		name = n.lit.AsString()
+	}
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * m
+	}
+	return h ^ h>>31
+}
+
+func (n *exprNode) same(o *exprNode, kids []int32) bool {
+	if n.op != o.op || n.flag != o.flag || n.col != o.col || n.name != o.name || !slices.Equal(n.kids, kids) {
+		return false
+	}
+	return n.op != opLit || n.lit.Kind() == o.lit.Kind() && litBits(n.lit) == litBits(o.lit) && n.lit.AsString() == o.lit.AsString()
+}
+
+// litBits is a scalar literal's exact value: 0.0 and -0.0, 1 and 1.0 differ.
+func litBits(v variant.Value) uint64 {
+	switch v.Kind() {
+	case variant.KindBool, variant.KindInt:
+		return uint64(v.AsInt())
+	case variant.KindFloat:
+		return math.Float64bits(v.AsFloat())
+	}
+	return 0
+}
+
+// unshared nodes are never interned: SEQ4/SEQ8 (each occurrence is its own
+// counter) and array or object literals (not worth comparing).
+func (n *exprNode) unshared() bool {
+	k := n.lit.Kind()
+	return n.op == opSeq || k == variant.KindArray || k == variant.KindObject
+}
+
+// intern returns the id of the node structurally equal to n over kids, adding
+// it when new.
+func (c *dagCompiler) intern(n exprNode, kids ...int32) int32 {
+	nodes := c.nodes
+	slot := -1
+	if !n.unshared() {
+		if 2*len(nodes) >= len(c.table) {
+			size := max(16, 4*len(nodes))
+			c.table = slices.Grow(c.table[:0], size)[:size]
+			for i := range c.table {
+				c.table[i] = -1
+			}
+			for id, old := range nodes {
+				if !old.unshared() {
+					c.table[c.probe(old, old.kids)] = int32(id)
+				}
+			}
+		}
+		if slot = c.probe(&n, kids); c.table[slot] >= 0 {
+			return c.table[slot]
+		}
+	}
+	if len(c.chunk) == cap(c.chunk) { // nodes are allocated in growing chunks, not one by one
+		c.chunk = make([]exprNode, 0, min(max(1, len(nodes)), 32))
+	}
+	c.chunk = append(c.chunk, n)
+	p := &c.chunk[len(c.chunk)-1]
+	p.kids = c.carve(len(kids))
+	copy(p.kids, kids)
+	if nodes == nil {
+		nodes = make([]*exprNode, 0, 4)
+	}
+	c.nodes = append(nodes, p)
+	if slot >= 0 {
+		c.table[slot] = int32(len(nodes))
+	}
+	return int32(len(nodes))
+}
+
+// probe returns the table slot holding the node equal to n, or the empty slot
+// where it belongs.
+func (c *dagCompiler) probe(n *exprNode, kids []int32) int {
+	i := int(n.hash(kids) % uint64(len(c.table)))
+	for c.table[i] >= 0 && !c.nodes[c.table[i]].same(n, kids) {
+		if i++; i == len(c.table) {
+			i = 0
+		}
+	}
+	return i
+}
+
+func (c *dagCompiler) node(e sqlast.Expr) (int32, error) {
+	c.visited++
 	switch x := e.(type) {
 	case *sqlast.Lit:
-		v := x.Value
-		var out []variant.Value
-		return func(b *vector.Batch) ([]variant.Value, error) {
-			out = growBuf(out, b.Len())
-			b.ForEach(func(i int) { out[i] = v })
-			return out, nil
-		}, nil
+		return c.intern(exprNode{op: opLit, lit: x.Value}), nil
 	case *sqlast.ColRef:
 		name := x.Name
 		if x.Table != "" {
 			name = x.Table + "." + x.Name
 		}
-		i, ok := sc.Lookup(name)
+		i, ok := c.sc.Lookup(name)
 		if !ok {
-			return nil, fmt.Errorf("engine: unknown column %q (have %v)", name, sc.Names)
+			return 0, fmt.Errorf("engine: unknown column %q (have %v)", name, c.sc.Names)
 		}
-		var out []variant.Value
-		return func(b *vector.Batch) ([]variant.Value, error) {
-			if b.Cols[i] == nil {
-				if tc := b.TypedCol(i); tc != nil {
-					// A typed column is leaving the typed fast path. Materialize
-					// into the closure buffer — the vecFn contract lets the
-					// output alias storage reused on the next call — rather
-					// than through Column's per-batch cache, which would
-					// allocate a fresh variant slice for every batch.
-					ctx.countFallbackCols(1)
-					out = tc.Materialize(out[:0])
-					return out, nil
-				}
-			}
-			return b.Column(i), nil
-		}, nil
+		return c.intern(exprNode{op: opCol, col: int32(i)}), nil
 	case *sqlast.Star:
-		return nil, fmt.Errorf("engine: '*' is only valid in COUNT(*) or a select list")
+		return 0, fmt.Errorf("engine: '*' is only valid in COUNT(*) or a select list")
 	case *sqlast.FuncCall:
-		return compileVecFuncCall(ctx, sc, x)
+		return c.funcCall(x)
 	case *sqlast.Binary:
-		return compileVecBinary(ctx, sc, x)
-	case *sqlast.Unary:
-		operand, err := compileVec(ctx, sc, x.Operand)
+		l, err := c.node(x.Left)
 		if err != nil {
-			return nil, err
+			return 0, err
+		}
+		r, err := c.node(x.Right)
+		if err != nil {
+			return 0, err
 		}
 		switch x.Op {
-		case "-":
-			return mapVec(operand, variant.Neg), nil
-		case "NOT":
-			return mapVec(operand, func(v variant.Value) (variant.Value, error) {
-				if v.IsNull() {
-					return variant.Null, nil
-				}
-				return variant.Bool(!truthySQL(v)), nil
-			}), nil
+		case "AND":
+			return c.intern(exprNode{op: opAnd}, l, r), nil
+		case "OR":
+			return c.intern(exprNode{op: opOr}, l, r), nil
 		}
-		return nil, fmt.Errorf("engine: unknown unary operator %q", x.Op)
+		fn, err := scalarBinOp(x.Op)
+		if err != nil {
+			return 0, err
+		}
+		return c.intern(exprNode{op: opBin, name: x.Op, bin: fn}, l, r), nil
+	case *sqlast.Unary:
+		id, err := c.unary(x.Operand, exprNode{op: opUnary, name: x.Op, un: unaryOps[x.Op]})
+		if err == nil && unaryOps[x.Op] == nil {
+			return 0, fmt.Errorf("engine: unknown unary operator %q", x.Op)
+		}
+		return id, err
 	case *sqlast.IsNull:
-		operand, err := compileVec(ctx, sc, x.Operand)
-		if err != nil {
-			return nil, err
+		un := valueIsNull
+		if x.Negate {
+			un = valueIsNotNull
 		}
-		negate := x.Negate
-		generic := mapVec(operand, func(v variant.Value) (variant.Value, error) {
-			return variant.Bool(v.IsNull() != negate), nil
-		})
-		if typed := compileTypedIsNull(ctx, sc, x, generic); typed != nil {
-			return typed, nil
-		}
-		return generic, nil
+		return c.unary(x.Operand, exprNode{op: opIsNull, flag: x.Negate, un: un})
 	case *sqlast.CaseWhen:
-		return compileVecCase(ctx, sc, x)
-	case *sqlast.Cast:
-		operand, err := compileVec(ctx, sc, x.Operand)
-		if err != nil {
-			return nil, err
+		arms := make([]sqlast.Expr, 0, 2*len(x.Whens)+1)
+		for _, w := range x.Whens {
+			arms = append(arms, w.Cond, w.Result)
 		}
+		if x.Else != nil {
+			arms = append(arms, x.Else)
+		}
+		return c.nary(arms, exprNode{op: opCase, flag: x.Else != nil})
+	case *sqlast.Cast:
 		typ := strings.ToUpper(x.Type)
-		return mapVec(operand, func(v variant.Value) (variant.Value, error) {
+		return c.unary(x.Operand, exprNode{op: opUnary, name: "::" + typ, un: func(v variant.Value) (variant.Value, error) {
 			if v.IsNull() {
 				return v, nil
 			}
 			return castValue(typ, v)
-		}), nil
+		}})
 	}
-	return nil, fmt.Errorf("engine: cannot compile expression %T", e)
+	return 0, fmt.Errorf("engine: cannot compile expression %T", e)
 }
 
-// mapVec lifts an elementwise kernel over the active rows of a batch.
-func mapVec(in vecFn, fn func(variant.Value) (variant.Value, error)) vecFn {
-	var out []variant.Value
-	return func(b *vector.Batch) ([]variant.Value, error) {
-		vals, err := in(b)
-		if err != nil {
-			return nil, err
+var unaryOps = map[string]func(variant.Value) (variant.Value, error){
+	"-": variant.Neg,
+	"NOT": func(v variant.Value) (variant.Value, error) {
+		if v.IsNull() {
+			return variant.Null, nil
 		}
-		out = growBuf(out, b.Len())
-		var ferr error
-		b.ForEach(func(i int) {
-			if ferr != nil {
-				return
-			}
-			out[i], ferr = fn(vals[i])
-		})
-		if ferr != nil {
-			return nil, ferr
-		}
-		return out, nil
-	}
+		return variant.Bool(!truthySQL(v)), nil
+	},
 }
 
-func compileVecFuncCall(ctx *execContext, sc *Schema, x *sqlast.FuncCall) (vecFn, error) {
+func valueIsNull(v variant.Value) (variant.Value, error)    { return variant.Bool(v.IsNull()), nil }
+func valueIsNotNull(v variant.Value) (variant.Value, error) { return variant.Bool(!v.IsNull()), nil }
+
+// unary interns the elementwise operator n over operand.
+func (c *dagCompiler) unary(operand sqlast.Expr, n exprNode) (int32, error) {
+	id, err := c.node(operand)
+	if err != nil {
+		return 0, err
+	}
+	return c.intern(n, id), nil
+}
+
+func (c *dagCompiler) funcCall(x *sqlast.FuncCall) (int32, error) {
 	name := strings.ToUpper(x.Name)
 	if isAggregateName(name) {
-		return nil, fmt.Errorf("engine: aggregate %s outside GROUP BY context", name)
+		return 0, fmt.Errorf("engine: aggregate %s outside GROUP BY context", name)
 	}
 	if name == "SEQ8" || name == "SEQ4" {
 		// Monotone per-operator sequence (row-ID injection, §IV-B). The
 		// counter advances in active-row order, so with the ordered scan
 		// merge the assigned IDs match the row engine's.
-		var counter int64
-		var out []variant.Value
-		return func(b *vector.Batch) ([]variant.Value, error) {
-			out = growBuf(out, b.Len())
-			b.ForEach(func(i int) {
-				out[i] = variant.Int(counter)
-				counter++
-			})
-			return out, nil
-		}, nil
+		return c.intern(exprNode{op: opSeq}), nil
 	}
 	fn, ok := scalarFuncs[name]
 	if !ok {
-		return nil, fmt.Errorf("engine: unknown function %s", name)
+		return 0, fmt.Errorf("engine: unknown function %s", name)
 	}
-	args := make([]vecFn, len(x.Args))
-	for i, a := range x.Args {
-		c, err := compileVec(ctx, sc, a)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = c
-	}
-	cols := make([][]variant.Value, len(args))
-	argBuf := make([]variant.Value, len(args))
-	var out []variant.Value
-	return func(b *vector.Batch) ([]variant.Value, error) {
-		for i, a := range args {
-			vals, err := a(b)
-			if err != nil {
-				return nil, err
-			}
-			// The argument buffers are fully consumed by fn within this call,
-			// before any argument kernel runs again.
-			cols[i] = vals //jsqlint:ignore kernelalias cols is scratch; read out below before the kernels' next call
-		}
-		out = growBuf(out, b.Len())
-		var ferr error
-		b.ForEach(func(i int) {
-			if ferr != nil {
-				return
-			}
-			for c := range cols {
-				argBuf[c] = cols[c][i]
-			}
-			out[i], ferr = fn(argBuf)
-		})
-		if ferr != nil {
-			return nil, ferr
-		}
-		return out, nil
-	}, nil
+	return c.nary(x.Args, exprNode{op: opFunc, name: name, fn: fn})
 }
 
-func compileVecBinary(ctx *execContext, sc *Schema, x *sqlast.Binary) (vecFn, error) {
-	left, err := compileVec(ctx, sc, x.Left)
-	if err != nil {
-		return nil, err
-	}
-	right, err := compileVec(ctx, sc, x.Right)
-	if err != nil {
-		return nil, err
-	}
-	switch x.Op {
-	case "AND":
-		var out []variant.Value
-		var need []int
-		return func(b *vector.Batch) ([]variant.Value, error) {
-			l, err := left(b)
-			if err != nil {
-				return nil, err
-			}
-			out = growBuf(out, b.Len())
-			// Rows whose left side is definitively FALSE never evaluate the
-			// right side, matching row-engine short-circuiting.
-			need = need[:0]
-			b.ForEach(func(i int) {
-				if !l[i].IsNull() && !truthySQL(l[i]) {
-					out[i] = variant.Bool(false)
-				} else {
-					need = append(need, i)
-				}
-			})
-			if len(need) == 0 {
-				return out, nil
-			}
-			r, err := right(b.WithSel(need))
-			if err != nil {
-				return nil, err
-			}
-			for _, i := range need {
-				switch {
-				case !r[i].IsNull() && !truthySQL(r[i]):
-					out[i] = variant.Bool(false)
-				case l[i].IsNull() || r[i].IsNull():
-					out[i] = variant.Null
-				default:
-					out[i] = variant.Bool(true)
-				}
-			}
-			return out, nil
-		}, nil
-	case "OR":
-		var out []variant.Value
-		var need []int
-		return func(b *vector.Batch) ([]variant.Value, error) {
-			l, err := left(b)
-			if err != nil {
-				return nil, err
-			}
-			out = growBuf(out, b.Len())
-			need = need[:0]
-			b.ForEach(func(i int) {
-				if !l[i].IsNull() && truthySQL(l[i]) {
-					out[i] = variant.Bool(true)
-				} else {
-					need = append(need, i)
-				}
-			})
-			if len(need) == 0 {
-				return out, nil
-			}
-			r, err := right(b.WithSel(need))
-			if err != nil {
-				return nil, err
-			}
-			for _, i := range need {
-				switch {
-				case !r[i].IsNull() && truthySQL(r[i]):
-					out[i] = variant.Bool(true)
-				case l[i].IsNull() || r[i].IsNull():
-					out[i] = variant.Null
-				default:
-					out[i] = variant.Bool(false)
-				}
-			}
-			return out, nil
-		}, nil
-	}
-	fn, err := scalarBinOp(x.Op)
-	if err != nil {
-		return nil, err
-	}
-	var out []variant.Value
-	generic := func(b *vector.Batch) ([]variant.Value, error) {
-		l, err := left(b)
+// nary interns n over the compiled operands; GET and GET_PATH with a literal
+// string key become field accesses, one per path step, with the key resolved
+// here.
+func (c *dagCompiler) nary(operands []sqlast.Expr, n exprNode) (int32, error) {
+	base := len(c.stack)
+	for _, a := range operands {
+		id, err := c.node(a)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		r, err := right(b)
-		if err != nil {
-			return nil, err
-		}
-		out = growBuf(out, b.Len())
-		var ferr error
-		b.ForEach(func(i int) {
-			if ferr != nil {
-				return
+		c.stack = append(c.stack, id)
+	}
+	kids := c.stack[base:]
+	c.stack = c.stack[:base]
+	if (n.name == "GET" || n.name == "GET_PATH") && len(kids) == 2 {
+		if key := c.nodes[kids[1]]; key.op == opLit && key.lit.Kind() == variant.KindString {
+			id, path := kids[0], []string{key.lit.AsString()}
+			if n.name == "GET_PATH" {
+				path = strings.Split(path[0], ".")
 			}
-			out[i], ferr = fn(l[i], r[i])
-		})
-		if ferr != nil {
-			return nil, ferr
+			for _, field := range path {
+				id = c.intern(exprNode{op: opField, name: field}, id)
+			}
+			return id, nil
 		}
-		return out, nil
 	}
-	if typed := compileTypedBinary(ctx, sc, x, generic); typed != nil {
-		return typed, nil
-	}
-	return generic, nil
+	return c.intern(n, kids...), nil
 }
 
-func compileVecCase(ctx *execContext, sc *Schema, x *sqlast.CaseWhen) (vecFn, error) {
-	type arm struct{ cond, result vecFn }
-	arms := make([]arm, len(x.Whens))
-	for i, w := range x.Whens {
-		c, err := compileVec(ctx, sc, w.Cond)
-		if err != nil {
-			return nil, err
-		}
-		r, err := compileVec(ctx, sc, w.Result)
-		if err != nil {
-			return nil, err
-		}
-		arms[i] = arm{c, r}
+// --- pass 2: scoped instances, liveness, register slots ---------------------
+
+const pinned = math.MaxInt32
+
+// emitAll instantiates the root nodes in evaluation order, then packs the
+// instances onto registers.
+func (c *dagCompiler) emitAll() {
+	d := c.d
+	c.instOf = slices.Grow(c.instOf, len(d.nodes))[:len(d.nodes)]
+	for i := range c.instOf {
+		c.instOf[i] = -1
 	}
-	var els vecFn
-	if x.Else != nil {
-		var err error
-		els, err = compileVec(ctx, sc, x.Else)
-		if err != nil {
-			return nil, err
-		}
+	d.insts, d.code = make([]exprInst, 0, len(d.nodes)), make([]int32, 0, len(d.nodes))
+	c.cur = &d.code
+	for i, node := range d.roots {
+		d.roots[i] = c.emit(node)
 	}
-	var out []variant.Value
-	return func(b *vector.Batch) ([]variant.Value, error) {
-		out = growBuf(out, b.Len())
-		// Arms evaluate on progressively restricted selections so a row only
-		// ever evaluates the conditions up to its first match, and only the
-		// matching arm's result — the lazy CASE semantics of the row engine.
-		remaining := b.ActiveSel()
-		for _, a := range arms {
-			if len(remaining) == 0 {
-				break
+	for _, r := range d.roots {
+		c.lastUse[r] = pinned
+	}
+	c.assignSlots()
+}
+
+func (c *dagCompiler) newInst(node int32) int32 {
+	id := int32(len(c.d.insts))
+	c.d.insts = append(c.d.insts, exprInst{node: node, slot: -1, end: id})
+	c.lastUse = append(c.lastUse, id)
+	return id
+}
+
+func (c *dagCompiler) emit(node int32) int32 {
+	if in := c.instOf[node]; in >= 0 {
+		return in
+	}
+	d := c.d
+	n := d.nodes[node]
+	var id int32
+	switch n.op {
+	case opLit, opCol:
+		// Selection-independent and infallible: one instance serves every
+		// scope, so the entry is never undone.
+		id = c.newInst(node)
+		c.instOf[node] = id
+		return id
+	case opAnd, opOr:
+		l := c.emit(n.kids[0])
+		id = c.newInst(node)
+		*c.cur = append(*c.cur, id)
+		args := c.carve(2)
+		args[0] = l
+		var code []int32
+		args[1], code = c.block(n.kids[1])
+		d.insts[id].args, d.insts[id].x = args, &instScratch{blocks: [][]int32{code}}
+	case opCase:
+		args := c.carve(len(n.kids))
+		args[0] = c.emit(n.kids[0]) // the first condition sees the CASE's own selection
+		id = c.newInst(node)
+		*c.cur = append(*c.cur, id)
+		blocks := make([][]int32, len(n.kids)-1)
+		for k := 1; k < len(n.kids); k++ {
+			args[k], blocks[k-1] = c.block(n.kids[k])
+		}
+		d.insts[id].args, d.insts[id].x = args, &instScratch{blocks: blocks}
+	default:
+		args := c.carve(len(n.kids))
+		for k, kid := range n.kids {
+			args[k] = c.emit(kid)
+		}
+		id = c.newInst(node)
+		*c.cur = append(*c.cur, id)
+		d.insts[id].args = args
+	}
+	in := &d.insts[id]
+	in.end = int32(len(d.insts)) - 1
+	for _, a := range in.args {
+		c.lastUse[a] = max(c.lastUse[a], in.end)
+	}
+	c.instOf[node] = id
+	c.trail = append(c.trail, node)
+	return id
+}
+
+// block emits node in a fresh scope, returning its instance and the scope's
+// code. The instance may belong to an enclosing scope (empty code).
+func (c *dagCompiler) block(node int32) (int32, []int32) {
+	var code []int32
+	outer, mark := c.cur, len(c.trail)
+	c.cur = &code
+	id := c.emit(node)
+	c.cur = outer
+	for _, n := range c.trail[mark:] {
+		c.instOf[n] = -1
+	}
+	c.trail = c.trail[:mark]
+	return id, code
+}
+
+// assignSlots is a linear scan over the instance order. An instance's
+// register is taken at its index — for a lazy operator that is before its
+// blocks run, since it writes short-circuited rows first — and returned once
+// the last instance using it has ended; roots keep theirs, and a literal's is
+// its alone from the start, since it is filled once and only ever read.
+func (c *dagCompiler) assignSlots() {
+	d := c.d
+	release := func(user *exprInst) {
+		for _, a := range user.args {
+			if op := d.nodes[d.insts[a].node].op; c.lastUse[a] == user.end && op != opLit {
+				c.free = append(c.free, d.insts[a].slot)
+				c.lastUse[a] = pinned // an operand used twice is released once
 			}
-			cvals, err := a.cond(b.WithSel(remaining))
+		}
+	}
+	for i := range d.insts {
+		in := &d.insts[i]
+		if len(c.free) > 0 && d.nodes[in.node].op != opLit {
+			in.slot, c.free = c.free[len(c.free)-1], c.free[:len(c.free)-1]
+		} else {
+			in.slot = int32(d.slots)
+			d.slots++
+		}
+		if in.end == int32(i) {
+			release(in)
+		} else {
+			c.open = append(c.open, int32(i))
+		}
+		for len(c.open) > 0 && d.insts[c.open[len(c.open)-1]].end == int32(i) {
+			release(&d.insts[c.open[len(c.open)-1]])
+			c.open = c.open[:len(c.open)-1]
+		}
+	}
+}
+
+// --- evaluation -------------------------------------------------------------
+
+// eval evaluates every compiled expression over b and returns one vector per
+// expression, aligned with the batch's physical rows and defined at its
+// active positions only. The vectors are registers (or columns of b): valid
+// until the next eval, never to be mutated by the caller.
+func (d *exprDAG) eval(b *vector.Batch) ([][]variant.Value, error) {
+	if err := d.begin(b); err != nil {
+		return nil, err
+	}
+	for i, r := range d.roots {
+		d.outs[i] = d.load(b, r)
+	}
+	return d.outs, nil
+}
+
+// project evaluates the DAG as a select list into out, a header the caller
+// recycles: computed columns are the pinned root registers, plain column
+// references pass the input's representation through (variant vector or
+// typed view, unmaterialized), and the selection carries over since every
+// vector is aligned with the input's physical rows.
+func (d *exprDAG) project(b *vector.Batch, out *vector.Batch) error {
+	if err := d.begin(b); err != nil {
+		return err
+	}
+	out.Cols, out.Sel = d.outs, b.Sel
+	for i := range out.Typed {
+		out.Typed[i] = nil
+	}
+	for i, r := range d.roots {
+		if n := d.nodes[d.insts[r].node]; n.op == opCol {
+			d.outs[i] = b.Cols[n.col]
+			if tc := b.TypedCol(int(n.col)); tc != nil && d.outs[i] == nil {
+				if out.Typed == nil {
+					out.Typed = make([]*vector.TypedCol, len(d.roots))
+				}
+				out.Typed[i] = tc
+			}
+			continue
+		}
+		d.outs[i] = d.load(b, r)
+	}
+	return nil
+}
+
+// begin evaluates every root-scope instance over b.
+func (d *exprDAG) begin(b *vector.Batch) error {
+	if d.regs == nil {
+		d.regs, d.outs = make([][]variant.Value, d.slots), make([][]variant.Value, len(d.roots))
+	}
+	d.epoch++
+	d.n = b.Len()
+	if vector.Poisoned() {
+		for i := range d.insts {
+			if d.nodes[d.insts[i].node].op != opLit {
+				vector.Poison(d.regs[d.insts[i].slot])
+			}
+		}
+	}
+	return d.run(d.code, b)
+}
+
+// denseSel is 0, 1, 2, ...: the selection kernels range over when a batch has
+// none. One immutable table serves every DAG; a batch longer than it swaps in
+// a longer one.
+var denseSel atomic.Pointer[[]int]
+
+func dense(n int) []int {
+	if p := denseSel.Load(); p != nil && len(*p) >= n {
+		return (*p)[:n]
+	}
+	sel := make([]int, max(n, 4*vector.DefaultBatchSize))
+	for i := range sel {
+		sel[i] = i
+	}
+	denseSel.Store(&sel)
+	return sel[:n]
+}
+
+// reg returns inst's register sized to the batch, allocating or growing it
+// on first need.
+func (d *exprDAG) reg(in *exprInst) []variant.Value {
+	r := d.regs[in.slot]
+	if cap(r) < d.n {
+		r = make([]variant.Value, d.n)
+	}
+	d.regs[in.slot] = r[:d.n]
+	return d.regs[in.slot]
+}
+
+// load returns an evaluated instance's vector. Columns resolve here, on
+// demand, so a column only ever read by typed kernels never materializes.
+func (d *exprDAG) load(b *vector.Batch, id int32) []variant.Value {
+	in := &d.insts[id]
+	n := d.nodes[in.node]
+	switch n.op {
+	case opCol:
+		if col := b.Cols[n.col]; col != nil {
+			return col
+		}
+		tc := b.TypedCol(int(n.col))
+		if tc == nil {
+			return nil
+		}
+		if in.stamp != d.epoch {
+			// A typed column is leaving the typed fast path: materialize into
+			// the register rather than through Batch.Column's cache, which
+			// would allocate a fresh vector per batch.
+			in.stamp = d.epoch
+			d.ctx.countFallbackCols(1)
+			d.regs[in.slot] = tc.Materialize(d.regs[in.slot][:0])
+		}
+	case opLit:
+		if r := d.regs[in.slot]; len(r) < d.n {
+			r = make([]variant.Value, d.n)
+			for i := range r {
+				r[i] = n.lit
+			}
+			d.regs[in.slot] = r
+		}
+		return d.regs[in.slot][:d.n]
+	}
+	return d.regs[in.slot]
+}
+
+func (d *exprDAG) run(code []int32, b *vector.Batch) error {
+	for _, id := range code {
+		if err := d.exec(&d.insts[id], b); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// restrict points x's recycled sub-batch header at b restricted to sel.
+func (x *instScratch) restrict(b *vector.Batch, sel []int) *vector.Batch {
+	x.sub = vector.Batch{Cols: b.Cols, Sel: sel, Typed: b.Typed}
+	return &x.sub
+}
+
+// exec evaluates one instance over b's active rows into its register.
+func (d *exprDAG) exec(in *exprInst, b *vector.Batch) error {
+	n := d.nodes[in.node]
+	sel := b.Sel
+	if sel == nil {
+		sel = dense(d.n)
+	}
+	out := d.reg(in)
+	switch n.op {
+	case opSeq:
+		for _, i := range sel {
+			out[i] = variant.Int(n.seq)
+			n.seq++
+		}
+	case opField:
+		src := d.load(b, in.args[0])
+		for _, i := range sel {
+			out[i] = src[i].Field(n.name)
+		}
+	case opFunc:
+		argv, argBuf := d.argv[:0], d.argBuf[:0]
+		for _, a := range in.args {
+			argv, argBuf = append(argv, d.load(b, a)), append(argBuf, variant.Null)
+		}
+		d.argv, d.argBuf = argv, argBuf
+		for _, i := range sel {
+			for k, col := range argv {
+				argBuf[k] = col[i]
+			}
+			v, err := n.fn(argBuf)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			var matched, rest []int
-			for _, i := range remaining {
-				if !cvals[i].IsNull() && truthySQL(cvals[i]) {
-					matched = append(matched, i)
-				} else {
-					rest = append(rest, i)
-				}
-			}
-			if len(matched) > 0 {
-				rvals, err := a.result(b.WithSel(matched))
-				if err != nil {
-					return nil, err
-				}
-				for _, i := range matched {
-					out[i] = rvals[i]
-				}
-			}
-			remaining = rest
+			out[i] = v
 		}
-		if len(remaining) > 0 {
-			if els != nil {
-				evals, err := els(b.WithSel(remaining))
-				if err != nil {
-					return nil, err
-				}
-				for _, i := range remaining {
-					out[i] = evals[i]
-				}
+	case opBin:
+		if done, err := d.typedBinary(in, n, b, out); done || err != nil {
+			return err
+		}
+		l, r := d.load(b, in.args[0]), d.load(b, in.args[1])
+		for _, i := range sel {
+			v, err := n.bin(l[i], r[i])
+			if err != nil {
+				return err
+			}
+			out[i] = v
+		}
+	case opUnary, opIsNull:
+		if n.op == opIsNull && d.typedIsNull(n, b, out) {
+			return nil
+		}
+		src := d.load(b, in.args[0])
+		for _, i := range sel {
+			v, err := n.un(src[i])
+			if err != nil {
+				return err
+			}
+			out[i] = v
+		}
+	case opAnd, opOr:
+		return d.execLogical(in, n.op == opOr, b, sel, out)
+	case opCase:
+		return d.execCase(in, n.flag, b, sel, out)
+	}
+	return nil
+}
+
+// execLogical evaluates AND (isOr false) or OR. Rows the left side decides —
+// FALSE for AND, TRUE for OR — never evaluate the right side, matching
+// row-engine short-circuiting; the rest run the right block under the
+// restricted selection.
+func (d *exprDAG) execLogical(in *exprInst, isOr bool, b *vector.Batch, sel []int, out []variant.Value) error {
+	l := d.load(b, in.args[0])
+	decided := variant.Bool(isOr)
+	x := in.x
+	need := x.selM[:0]
+	for _, i := range sel {
+		if !l[i].IsNull() && truthySQL(l[i]) == isOr {
+			out[i] = decided
+		} else {
+			need = append(need, i)
+		}
+	}
+	x.selM = need
+	if len(need) == 0 {
+		return nil
+	}
+	sb := x.restrict(b, need)
+	if err := d.run(x.blocks[0], sb); err != nil {
+		return err
+	}
+	r := d.load(sb, in.args[1])
+	for _, i := range need {
+		switch {
+		case !r[i].IsNull() && truthySQL(r[i]) == isOr:
+			out[i] = decided
+		case l[i].IsNull() || r[i].IsNull():
+			out[i] = variant.Null
+		default:
+			out[i] = variant.Bool(!isOr)
+		}
+	}
+	return nil
+}
+
+// execCase evaluates arms on progressively restricted selections, so a row
+// only ever evaluates the conditions up to its first match and only the
+// matching arm's result — the lazy CASE semantics of the row engine.
+func (d *exprDAG) execCase(in *exprInst, hasElse bool, b *vector.Batch, sel []int, out []variant.Value) error {
+	// branch runs the block computing args[k] under sel and returns its value.
+	x := in.x
+	branch := func(k int, sel []int) ([]variant.Value, error) {
+		sb := x.restrict(b, sel)
+		if err := d.run(x.blocks[k-1], sb); err != nil {
+			return nil, err
+		}
+		return d.load(sb, in.args[k]), nil
+	}
+	arms := len(in.args) / 2
+	remaining := sel
+	for a := 0; a < arms && len(remaining) > 0; a++ {
+		cvals := d.load(b, in.args[0])
+		if a > 0 {
+			var err error
+			if cvals, err = branch(2*a, remaining); err != nil {
+				return err
+			}
+		}
+		matched, rest := x.selM[:0], x.sels[a&1][:0]
+		for _, i := range remaining {
+			if !cvals[i].IsNull() && truthySQL(cvals[i]) {
+				matched = append(matched, i)
 			} else {
-				for _, i := range remaining {
-					out[i] = variant.Null
-				}
+				rest = append(rest, i)
 			}
 		}
-		return out, nil
-	}, nil
-}
-
-// compileVecs compiles a list of expressions against one schema.
-func compileVecs(ctx *execContext, sc *Schema, exprs []sqlast.Expr) ([]vecFn, error) {
-	fns := make([]vecFn, len(exprs))
-	for i, e := range exprs {
-		fn, err := compileVec(ctx, sc, e)
-		if err != nil {
-			return nil, err
+		x.selM, x.sels[a&1] = matched, rest
+		if len(matched) > 0 {
+			rvals, err := branch(2*a+1, matched)
+			if err != nil {
+				return err
+			}
+			for _, i := range matched {
+				out[i] = rvals[i]
+			}
 		}
-		fns[i] = fn
+		remaining = rest
 	}
-	return fns, nil
+	if len(remaining) == 0 {
+		return nil
+	}
+	if !hasElse {
+		for _, i := range remaining {
+			out[i] = variant.Null
+		}
+		return nil
+	}
+	evals, err := branch(2*arms, remaining)
+	if err != nil {
+		return err
+	}
+	for _, i := range remaining {
+		out[i] = evals[i]
+	}
+	return nil
 }

@@ -134,10 +134,7 @@ type compiledStage struct {
 	filter  *FilterNode
 	project *ProjectNode
 	flatten *FlattenNode
-	cond    vecFn
-	fns     []vecFn
-	alias   []int
-	input   vecFn
+	dag     *exprDAG // the stage's condition, select list or FLATTEN input
 	width   int
 }
 
@@ -153,21 +150,20 @@ func compileStages(ctx *execContext, stages []Node) ([]compiledStage, error) {
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, compiledStage{op: op, filter: x, cond: cond})
+			out = append(out, compiledStage{op: op, filter: x, dag: cond})
 		case *ProjectNode:
 			fns, err := compileVecs(ctx, x.Input.Schema(), x.Exprs)
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, compiledStage{op: op, project: x, fns: fns,
-				alias: colRefIndexes(x.Input.Schema(), x.Exprs)})
+			out = append(out, compiledStage{op: op, project: x, dag: fns})
 		case *FlattenNode:
 			input, err := compileVec(ctx, x.Input.Schema(), x.Expr)
 			if err != nil {
 				return nil, err
 			}
 			out = append(out, compiledStage{
-				op: op, flatten: x, input: input,
+				op: op, flatten: x, dag: input,
 				width: len(x.Input.Schema().Names),
 			})
 		default:
@@ -175,6 +171,18 @@ func compileStages(ctx *execContext, stages []Node) ([]compiledStage, error) {
 		}
 	}
 	return out, nil
+}
+
+// instantiate wraps in with the stage's operator. The DAG is the worker's
+// own, so the operator may be rebuilt per span: registers carry over.
+func (s *compiledStage) instantiate(in batchIter, batchSize int) batchIter {
+	switch {
+	case s.filter != nil:
+		return &filterIter{in: in, cond: s.dag}
+	case s.project != nil:
+		return &projectIter{in: in, dag: s.dag}
+	}
+	return newFlattenIter(in, s.dag, s.flatten.Outer, s.width, batchSize)
 }
 
 // prepareParallelAgg builds the two-phase partitioned hash aggregation.
@@ -199,13 +207,18 @@ func prepareParallelAgg(x *ParallelAggNode, ctx *execContext) (batchIter, error)
 			return nil, err
 		}
 	}
-	if _, err := compileStages(ctx, stages); err != nil {
+	cs, err := compileStages(ctx, stages)
+	if err != nil {
 		return nil, err
 	}
 	eval, err := compileAggEval(ctx, x.AggregateNode)
 	if err != nil {
 		return nil, err
 	}
+	for _, s := range cs {
+		ctx.exprs.add(s.dag.stats())
+	}
+	ctx.exprs.add(eval.dag.stats())
 	return &paggIter{
 		node: x, scan: scan, stages: stages, ctx: ctx,
 		st: ctx.statsFor(x), eval: eval, colIdx: colIdx,
@@ -358,7 +371,7 @@ func (p *paggIter) run() ([][]variant.Value, error) {
 				fail(err)
 				return
 			}
-			var filter vecFn
+			var filter *exprDAG
 			if p.scan.Filter != nil {
 				filter, err = compileVec(p.ctx, p.scan.Schema(), p.scan.Filter)
 				if err != nil {
@@ -602,7 +615,7 @@ func (p *paggIter) run() ([][]variant.Value, error) {
 
 	// Global aggregation over an empty input yields one row, exactly like
 	// the sequential operator.
-	if len(p.eval.groupFns) == 0 && len(all) == 0 {
+	if p.eval.ngroups == 0 && len(all) == 0 {
 		t := newAggTable(p.eval.aggs, 1)
 		t.insert(nil, nil)
 		all = t.order
@@ -661,18 +674,9 @@ func (p *paggIter) instantiate(src batchIter, cs []compiledStage, counts []*chai
 	if counts[0] != nil {
 		it = &countIter{in: it, c: counts[0]}
 	}
-	for i, s := range cs {
-		switch {
-		case s.filter != nil:
-			it = &filterIter{in: it, cond: s.cond}
-		case s.project != nil:
-			it = &projectIter{in: it, fns: s.fns, alias: s.alias}
-		case s.flatten != nil:
-			it = &flattenIter{
-				in: it, input: s.input, outer: s.flatten.Outer,
-				bld: vector.NewBuilder(s.width+2, p.ctx.batchSize),
-			}
-		}
+	for i := range cs {
+		s := &cs[i]
+		it = s.instantiate(it, p.ctx.batchSize)
 		if p.ctx.planCheck {
 			it = &checkIter{in: it, op: s.op}
 		}

@@ -21,8 +21,7 @@ import (
 // opProgress is one operator's live counters, shared between the executing
 // goroutines (writers) and ProgressSnapshot (reader).
 type opProgress struct {
-	op      string
-	detail  string
+	node    Node // described when a snapshot is taken, not on every bind
 	depth   int
 	rows    atomic.Int64
 	batches atomic.Int64
@@ -67,8 +66,7 @@ func newQueryProgress(plan Node, sql, traceID string) *queryProgress {
 	}
 	var walk func(n Node, depth int)
 	walk = func(n Node, depth int) {
-		op, detail := describeNode(n)
-		slot := &opProgress{op: op, detail: detail, depth: depth}
+		slot := &opProgress{node: n, depth: depth}
 		qp.ops = append(qp.ops, slot)
 		qp.byNode[n] = slot
 		for _, c := range planChildren(n) {
@@ -171,9 +169,10 @@ func (e *Engine) ProgressSnapshot() []QueryProgress {
 			Operators: make([]OpProgress, len(qp.ops)),
 		}
 		for j, op := range qp.ops {
+			name, detail := describeNode(op.node)
 			s.Operators[j] = OpProgress{
-				Op:       op.op,
-				Detail:   op.detail,
+				Op:       name,
+				Detail:   detail,
 				Depth:    op.depth,
 				Rows:     op.rows.Load(),
 				Batches:  op.batches.Load(),

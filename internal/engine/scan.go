@@ -26,7 +26,7 @@ func prepareScan(x *ScanNode, ctx *execContext) (batchIter, error) {
 		}
 		colIdx[i] = idx
 	}
-	var filter vecFn
+	var filter *exprDAG
 	if x.Filter != nil {
 		fn, err := compileVec(ctx, x.Schema(), x.Filter)
 		if err != nil {
@@ -72,7 +72,7 @@ func partitionPruned(x *ScanNode, p *storage.Partition) bool {
 // maps. The pushed-down filter shrinks each batch's selection, and fully
 // filtered batches are dropped. Returns the surviving batches and the chunk
 // bytes read.
-func scanPartition(ctx *execContext, p *storage.Partition, colIdx []int, filter vecFn, batchSize int) ([]*vector.Batch, int64, error) {
+func scanPartition(ctx *execContext, p *storage.Partition, colIdx []int, filter *exprDAG, batchSize int) ([]*vector.Batch, int64, error) {
 	read, err := p.EnsureLoaded()
 	if err != nil {
 		return nil, 0, err
@@ -115,11 +115,13 @@ func scanPartition(ctx *execContext, p *storage.Partition, colIdx []int, filter 
 		}
 		b := &vector.Batch{Cols: bcols, Typed: btyped}
 		if filter != nil {
-			keep, err := filter(b)
+			keep, err := filter.eval(b)
 			if err != nil {
 				return nil, bytes, err
 			}
-			sel := selTruthy(b, keep)
+			// A fresh selection per batch: scan batches are stable (they sit in
+			// worker result queues and span lists), unlike a filter operator's.
+			sel := appendTruthy(nil, b, keep[0])
 			if len(sel) == 0 {
 				continue
 			}
@@ -136,7 +138,7 @@ type scanIter struct {
 	node    *ScanNode
 	ctx     *execContext
 	st      *OpStats
-	filter  vecFn
+	filter  *exprDAG
 	colIdx  []int
 	parts   []*storage.Partition
 	started bool
@@ -233,7 +235,7 @@ func (m *morselScan) start() {
 			defer m.wg.Done()
 			// Each worker compiles its own filter: compiled expressions may
 			// hold state, so they must not be shared across goroutines.
-			var filter vecFn
+			var filter *exprDAG
 			if m.node.Filter != nil {
 				fn, err := compileVec(m.ctx, m.node.Schema(), m.node.Filter)
 				if err != nil {

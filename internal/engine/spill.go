@@ -517,33 +517,20 @@ func (x *extAgg) discard() {
 // evalBatch evaluates the grouping, argument and order expressions over one
 // batch — the shared column phase of absorb and spillTuples.
 func (e *aggEval) evalBatch(b *vector.Batch) (gvals, avals [][]variant.Value, ovals [][][]variant.Value, err error) {
-	gvals = make([][]variant.Value, len(e.groupFns))
-	for i, fn := range e.groupFns {
-		gvals[i], err = fn(b) //jsqlint:ignore kernelalias each fn is a distinct closure with its own buffer; callers consume all vectors before the next batch
-		if err != nil {
-			return nil, nil, nil, err
-		}
+	outs, err := e.dag.eval(b)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	avals = make([][]variant.Value, len(e.aggs))
-	ovals = make([][][]variant.Value, len(e.aggs))
 	for i, ca := range e.aggs {
-		if ca.arg != nil {
-			avals[i], err = ca.arg(b) //jsqlint:ignore kernelalias each arg is a distinct closure with its own buffer; callers consume all vectors before the next batch
-			if err != nil {
-				return nil, nil, nil, err
-			}
+		e.avals[i] = nil
+		if ca.arg >= 0 {
+			e.avals[i] = outs[ca.arg]
 		}
-		if len(ca.orderFns) > 0 {
-			ovals[i] = make([][]variant.Value, len(ca.orderFns))
-			for j, fn := range ca.orderFns {
-				ovals[i][j], err = fn(b)
-				if err != nil {
-					return nil, nil, nil, err
-				}
-			}
+		for j, r := range ca.order {
+			e.ovals[i][j] = outs[r]
 		}
 	}
-	return gvals, avals, ovals, nil
+	return outs[:e.ngroups], e.avals, e.ovals, nil
 }
 
 // spillTuples writes each active row's evaluated tuple (group values,
@@ -582,9 +569,7 @@ func (e *aggEval) spillTuples(w *storage.RunWriter, b *vector.Batch) error {
 // (input) order — the identical fold sequence the in-memory path would have
 // issued.
 func (e *aggEval) replayTuples(ectx *execContext, run *storage.SpillRun, t *aggTable) error {
-	rowG := make([]variant.Value, len(e.groupFns))
-	rowA := make([]variant.Value, len(e.aggs))
-	rowO := make([][]variant.Value, len(e.aggs))
+	rowG, rowA, rowO := e.rowG, e.rowA, e.rowO
 	rr := run.NewReader()
 	for {
 		// Deferred runs replay the whole input; poll per tuple so a cancel
@@ -607,16 +592,16 @@ func (e *aggEval) replayTuples(ectx *execContext, run *storage.SpillRun, t *aggT
 		}
 		for a, ca := range e.aggs {
 			rowA[a] = variant.Value{}
-			if ca.arg != nil {
+			if ca.arg >= 0 {
 				rowA[a], rec, err = variant.DecodeBinary(rec)
 				if err != nil {
 					return err
 				}
 			}
 			rowO[a] = nil
-			if len(ca.orderFns) > 0 {
-				ord := make([]variant.Value, len(ca.orderFns))
-				for j := range ca.orderFns {
+			if len(ca.order) > 0 {
+				ord := make([]variant.Value, len(ca.order))
+				for j := range ca.order {
 					ord[j], rec, err = variant.DecodeBinary(rec)
 					if err != nil {
 						return err

@@ -3,10 +3,14 @@ package engine
 import (
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"jsonpark/internal/bench"
+	"jsonpark/internal/sqlast"
+	"jsonpark/internal/sqlparse"
 	"jsonpark/internal/variant"
+	"jsonpark/internal/vector"
 )
 
 // benchRecorder collects the microbenchmark timings; set JSQ_BENCH_JSON to a
@@ -87,4 +91,124 @@ func BenchmarkFlattenReagg(b *testing.B) {
 	runQueryBench(b, "flatten-reagg",
 		`SELECT "id", COUNT(*) FROM (SELECT "id", "f".VALUE AS "v" FROM (SELECT * FROM "bench"), LATERAL FLATTEN(INPUT => "items") AS "f") GROUP BY "id"`,
 		5000)
+}
+
+// jetBatch builds one 1 024-row batch shaped like ADL q6/q7's inner
+// pipelines: an array of three jets, three 1-based indices into it, and one
+// jet and one muon object per row.
+func jetBatch(rows int) (*Schema, *vector.Batch) {
+	particle := func(i, k int) variant.Value {
+		return variant.ObjectFromPairs(
+			"pt", variant.Float(20+float64((i*7+k*13)%60)), "eta", variant.Float(float64((i+k)%50)/10-2.5),
+			"phi", variant.Float(float64((i*3+k)%63)/10-3.1), "mass", variant.Float(float64(k+1)*1.5),
+			"btag", variant.Float(float64((i+k)%10)/10))
+	}
+	cols := make([][]variant.Value, 6)
+	for c := range cols {
+		cols[c] = make([]variant.Value, rows)
+	}
+	for i := 0; i < rows; i++ {
+		cols[0][i] = variant.ArrayOf([]variant.Value{particle(i, 0), particle(i, 1), particle(i, 2)})
+		cols[1][i], cols[2][i], cols[3][i] = variant.Int(1), variant.Int(2), variant.Int(3)
+		cols[4][i], cols[5][i] = particle(i, 3), particle(i, 4)
+	}
+	return NewSchema([]string{"Jet", "i", "j", "k", "jet", "mu"}), &vector.Batch{Cols: cols}
+}
+
+// selectList parses a SELECT list into its expressions.
+func selectList(b *testing.B, list string) []sqlast.Expr {
+	b.Helper()
+	q, err := sqlparse.Parse(`SELECT ` + list + ` FROM "t"`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var exprs []sqlast.Expr
+	for _, it := range q.(*sqlast.Select).Items {
+		exprs = append(exprs, it.Expr)
+	}
+	return exprs
+}
+
+// BenchmarkExprDAG evaluates ADL's two heaviest expression sets over one
+// 1 024-row batch, steady state: q6's merged projection (every let inlined,
+// so each jet field is spelled seven times — the DAG evaluates it once) and
+// q7's ΔR filter with its lazy AND. allocs/op is the contract: 0. The
+// _compile variants time building the DAG, which every bind pays.
+func BenchmarkExprDAG(b *testing.B) {
+	sc, batch := jetBatch(1024)
+	jet := func(n string) string { return `GET("Jet", "` + n + `" - 1)` }
+	sum := func(term func(j string) string) string {
+		return term(jet("i")) + " + " + term(jet("j")) + " + " + term(jet("k"))
+	}
+	pt := func(j string) string { return `GET(` + j + `, 'pt')` }
+	pz := func(j string) string { return pt(j) + ` * SINH(GET(` + j + `, 'eta'))` }
+	q6 := strings.Join([]string{
+		jet("i"), jet("j"), jet("k"),
+		sum(func(j string) string { return pt(j) + ` * COS(GET(` + j + `, 'phi'))` }),
+		sum(func(j string) string { return pt(j) + ` * SIN(GET(` + j + `, 'phi'))` }),
+		sum(pz),
+		sum(func(j string) string {
+			return `SQRT(` + pt(j) + ` * ` + pt(j) + ` + (` + pz(j) + `) * (` + pz(j) + `) + GET(` + j + `, 'mass') * GET(` + j + `, 'mass'))`
+		}),
+	}, ", ")
+	dphi := `ATAN2(SIN(GET("jet", 'phi') - GET("mu", 'phi')), COS(GET("jet", 'phi') - GET("mu", 'phi')))`
+	deta := `(GET("jet", 'eta') - GET("mu", 'eta'))`
+	q7 := `SQRT(` + deta + ` * ` + deta + ` + ` + dphi + ` * ` + dphi + `) < 0.4 AND GET("mu", 'pt') > 10`
+	for _, bc := range []struct{ name, list string }{{"q6_project", q6}, {"q7_filter", q7}} {
+		exprs := selectList(b, bc.list)
+		b.Run(bc.name+"_compile", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := compileVecs(nil, sc, exprs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(bc.name, func(b *testing.B) {
+			d, err := compileVecs(nil, sc, exprs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := d.eval(batch); err != nil { // warm-up: registers reach their size
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := d.eval(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			st := d.stats()
+			b.ReportMetric(float64(st.Nodes), "nodes")
+			b.ReportMetric(float64(st.Distinct), "distinct")
+		})
+	}
+}
+
+// BenchmarkFlattenGather expands one 1 024-row batch of three-element arrays
+// through FLATTEN, six parent columns wide: the parent-index pass plus one
+// gather per column into recycled storage. allocs/op: 0.
+func BenchmarkFlattenGather(b *testing.B) {
+	sc, batch := jetBatch(1024)
+	input, err := compileVec(nil, sc, sqlast.C("Jet"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	it := newFlattenIter(&cycleIter{batches: []*vector.Batch{batch}}, input, false, batch.Width(), 1024)
+	pull := func() {
+		for rows := 0; rows < 3*1024; { // one input batch's worth of output
+			out, err := it.NextBatch()
+			if err != nil || out == nil {
+				b.Fatalf("flatten stopped: %v %v", out, err)
+			}
+			rows += out.NumRows()
+		}
+	}
+	pull()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pull()
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"jsonpark/internal/sqlast"
 	"jsonpark/internal/sqlparse"
 	"jsonpark/internal/variant"
 	"jsonpark/internal/vector"
@@ -200,58 +201,86 @@ func TestUnorderedScanAnalysis(t *testing.T) {
 	}
 }
 
-// TestFlattenAllocatesPerBatchNotPerRow pins the FLATTEN emit path: output
-// rows go from the source batch straight into the builder's column vectors,
-// so the allocations of an expansion are the output batches themselves (a
-// header, one vector per column, the Batch) and nothing that scales with
-// the row count.
-func TestFlattenAllocatesPerBatchNotPerRow(t *testing.T) {
-	const inRows, fanOut, batchSize, outWidth = 512, 8, 256, 4
-	ids := make([]variant.Value, inRows)
-	items := make([]variant.Value, inRows)
-	for i := range ids {
-		elems := make([]variant.Value, fanOut)
-		for k := range elems {
-			elems[k] = variant.Int(int64(i*fanOut + k))
-		}
-		ids[i], items[i] = variant.Int(int64(i)), variant.ArrayOf(elems)
-	}
-	src := &vector.Batch{Cols: [][]variant.Value{ids, items}}
-	input := func(b *vector.Batch) ([]variant.Value, error) { return b.Cols[1], nil }
+// cycleIter replays its batches forever, like a scan over stable chunk
+// views that never runs dry.
+type cycleIter struct {
+	batches []*vector.Batch
+	i       int
+}
 
-	var outRows, outBatches int
-	var last *vector.Batch
-	allocs := testing.AllocsPerRun(20, func() {
-		it := &flattenIter{
-			in: &countingIter{batches: []*vector.Batch{src}}, input: input,
-			bld: vector.NewBuilder(outWidth, batchSize),
-		}
-		outRows, outBatches = 0, 0
-		for {
-			b, err := it.NextBatch()
-			if err != nil {
-				t.Fatal(err)
+func (c *cycleIter) NextBatch() (*vector.Batch, error) {
+	b := c.batches[c.i%len(c.batches)]
+	c.i++
+	return b, nil
+}
+
+func (c *cycleIter) Close() {}
+
+// TestStreamingPipelineAllocatesNothingPerBatch pins the batch-lifetime
+// contract's payoff: a scan→FLATTEN→project→filter pipeline owns every
+// header, selection, register and gathered column it emits and recycles them
+// on its next NextBatch, so once warm it allocates nothing — not per row,
+// not per batch. The expressions cover the lazy operators (AND, OR, CASE),
+// whose selection scratch and sub-batch headers live on their DAG instance.
+func TestStreamingPipelineAllocatesNothingPerBatch(t *testing.T) {
+	const inRows, fanOut, batchSize = 512, 8, 256
+	var src []*vector.Batch
+	for part := 0; part < 3; part++ {
+		ids := make([]variant.Value, inRows)
+		items := make([]variant.Value, inRows)
+		for i := range ids {
+			elems := make([]variant.Value, (i+part)%fanOut) // includes empty arrays
+			for k := range elems {
+				elems[k] = variant.Int(int64(i*fanOut + k))
 			}
-			if b == nil {
-				break
-			}
-			outRows += b.NumRows()
-			outBatches++
-			last = b
+			ids[i], items[i] = variant.Int(int64(i)), variant.ArrayOf(elems)
 		}
-		it.Close()
-	})
-	if outRows != inRows*fanOut || outBatches != inRows*fanOut/batchSize {
-		t.Fatalf("flatten emitted %d rows in %d batches, want %d in %d", outRows, outBatches, inRows*fanOut, inRows*fanOut/batchSize)
+		src = append(src, &vector.Batch{Cols: [][]variant.Value{ids, items}})
 	}
-	if got := variant.Array(last.Row(batchSize-1, nil)...).JSON(); got != fmt.Sprintf(`[511,%s,4095,7]`, items[511].JSON()) {
-		t.Fatalf("last output row = %s", got)
+	val, idx := &sqlast.ColRef{Table: "f", Name: "VALUE"}, &sqlast.ColRef{Table: "f", Name: "INDEX"}
+	lit := func(i int64) sqlast.Expr { return sqlast.L(variant.Int(i)) }
+	inSchema := NewSchema([]string{"id", "items"})
+	flatSchema := inSchema.Extend("f.VALUE", "f.INDEX")
+	outSchema := NewSchema([]string{"id", "v", "c"})
+	must := func(d *exprDAG, err error) *exprDAG {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
 	}
-	// Per output batch: the column-header slice, outWidth vectors, the Batch,
-	// and a share of the builder's ready queue; plus a constant for the
-	// iterator, builder and fake input themselves.
-	if budget := float64(outBatches*(outWidth+3) + 8); allocs > budget {
-		t.Errorf("flatten of %d rows into %d batches made %.0f allocations, want <= %.0f (no per-row allocation)",
-			outRows, outBatches, allocs, budget)
+	input := must(compileVec(nil, inSchema, sqlast.C("items")))
+	list := must(compileVecs(nil, flatSchema, []sqlast.Expr{
+		sqlast.C("id"),
+		sqlast.B("+", sqlast.B("*", val, lit(2)), idx),
+		&sqlast.CaseWhen{
+			Whens: []sqlast.WhenClause{{Cond: sqlast.B("=", sqlast.B("%", val, lit(3)), lit(0)), Result: sqlast.B("*", val, lit(2))}},
+			Else:  lit(-1),
+		},
+	}))
+	cond := must(compileVec(nil, outSchema, sqlast.B("OR",
+		sqlast.B("AND", sqlast.B(">", sqlast.C("v"), lit(10)), sqlast.B("<>", sqlast.C("c"), lit(-1))),
+		sqlast.B("<", sqlast.C("id"), lit(3)))))
+	var it batchIter = &cycleIter{batches: src}
+	it = newFlattenIter(it, input, false, 2, batchSize)
+	it = &projectIter{in: it, dag: list}
+	it = &filterIter{in: it, cond: cond}
+
+	rows := 0
+	pull := func() {
+		b, err := it.NextBatch()
+		if err != nil || b == nil {
+			t.Fatalf("pipeline stopped: %v %v", b, err)
+		}
+		rows += b.NumRows()
+	}
+	for i := 0; i < 64; i++ { // warm-up: registers, columns and scratch reach their size
+		pull()
+	}
+	if rows == 0 {
+		t.Fatal("filter passed no rows; the test exercises nothing")
+	}
+	if allocs := testing.AllocsPerRun(200, pull); allocs != 0 {
+		t.Errorf("steady-state pipeline allocates %.1f times per batch, want 0", allocs)
 	}
 }

@@ -70,14 +70,12 @@ func isBatchIterType(t types.Type) bool {
 }
 
 // isKernelSig reports whether t is an expression-kernel signature: a
-// leading *vector.Batch parameter and ([]T, error) results. The exact shape
-// func(*vector.Batch) ([]T, error) is the engine's vecFn; typed kernels
-// (exprt.go) add trailing parameters — typed column views, operator
-// spellings, scratch buffers — but keep the contract that the returned
-// slice may be a closure-owned buffer reused on the next call, so any
-// batch-leading signature with a slice first result is treated as a
-// kernel. The result element type is left open so fixtures don't need the
-// real variant package.
+// leading *vector.Batch parameter and ([]T, error) results. The engine's is
+// exprDAG.eval, func(*vector.Batch) ([][]variant.Value, error), whose result
+// is the DAG's registers, overwritten by its next call; anything
+// batch-leading with a slice first result (trailing parameters allowed) is
+// held to the same contract. The result element type is left open so
+// fixtures don't need the real variant package.
 func isKernelSig(t types.Type) bool {
 	sig, ok := t.Underlying().(*types.Signature)
 	if !ok {

@@ -6,187 +6,228 @@ import (
 	"go/types"
 )
 
-// KernelAlias enforces the PR 2 buffer-reuse hazard: a compiled expression
-// kernel (any value of the vecFn shape, func(*vector.Batch) ([]T, error))
-// returns a vector that may alias a buffer owned by the kernel's closure
-// and overwritten on its next call. The returned slice therefore must not
-// outlive the current call: storing it into a struct field, a captured
-// (closure or package-level) variable, or returning it without a copy is
-// silent data corruption once the kernel runs again. Reading elements
-// (vals[i]) is safe — the hazard is retaining the slice header, not the
-// values. Copying detaches: append(dst, vals...) spreads elements and
-// copy(dst, vals) duplicates them, so neither propagates taint.
+// KernelAlias enforces the batch-lifetime contract (DESIGN.md §6): what a
+// producer hands out is borrowed until the producer's next call. Two
+// producers exist. An expression kernel — anything of the kernel shape,
+// func(*vector.Batch, ...) ([]T, error), in practice exprDAG.eval — returns
+// registers it overwrites on its next evaluation. A streaming operator's
+// NextBatch returns a batch whose header, selection and vectors it recycles
+// on its next NextBatch.
 //
-// Intentional aliasing (a column-reference kernel returns the stable input
-// column) is suppressed with //jsqlint:ignore kernelalias plus a reason.
+// Holding a borrowed value in a single slot (a local, a field used as the
+// current-batch cursor) or returning it onward is how operators stream, and
+// passes. What the contract forbids is accumulating borrowed values where
+// they outlive the producer's next call without detaching them first:
+//
+//   - appending one to a slice that is a field, a captured variable, or a
+//     local declared outside the loop that borrowed it;
+//   - storing one into an element of a slice or map declared outside the
+//     loop that borrowed it (a field or captured container included).
+//
+// Batch.Detach, append(dst, vals...) and copy detach; element reads of a
+// vector (vals[i]) yield values, not the borrowed storage. The analysis is
+// intraprocedural: a borrowed value passed to a call is the callee's
+// problem.
 var KernelAlias = &Analyzer{
 	Name: "kernelalias",
-	Doc:  "kernel output vectors must not be retained past the kernel's next call",
+	Doc:  "registers and streamed batches must not be accumulated past the producer's next call without Detach",
 	Run:  runKernelAlias,
 }
 
 func runKernelAlias(pass *Pass) error {
 	for _, f := range pass.Files {
 		for _, unit := range funcUnits(f) {
-			w := &aliasWalker{pass: pass, body: unit.body, taint: map[types.Object]bool{}}
+			w := &aliasWalker{pass: pass, body: unit.body, taint: map[types.Object]borrow{}}
 			w.walkStmts(unit.body.List)
 		}
 	}
 	return nil
 }
 
+// borrow marks a value as borrowed and remembers the innermost loop body
+// enclosing the producer call (nil when the call is not in a loop): one
+// iteration of that loop is how long the value is good for.
+type borrow struct {
+	ok   bool
+	loop *ast.BlockStmt
+}
+
 type aliasWalker struct {
 	pass  *Pass
 	body  *ast.BlockStmt
-	taint map[types.Object]bool
+	taint map[types.Object]borrow
+	loops []*ast.BlockStmt // enclosing loop bodies, innermost last
 }
 
-// isKernelCall reports whether the call invokes a value of the kernel
-// signature (the callee's static type is func(*vector.Batch) ([]T, error)).
-func (w *aliasWalker) isKernelCall(call *ast.CallExpr) bool {
+func (w *aliasWalker) here() borrow {
+	if len(w.loops) == 0 {
+		return borrow{ok: true}
+	}
+	return borrow{ok: true, loop: w.loops[len(w.loops)-1]}
+}
+
+// isProducerCall reports whether the call borrows its first result out: a
+// kernel evaluation or a NextBatch.
+func (w *aliasWalker) isProducerCall(call *ast.CallExpr) bool {
 	tv, ok := w.pass.Info.Types[call.Fun]
-	if !ok || tv.Type == nil {
+	if !ok || tv.Type == nil || tv.IsType() {
 		return false
 	}
-	if tv.IsType() { // conversion, not a call
+	if isKernelSig(tv.Type) {
+		return true
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "NextBatch" || len(call.Args) != 0 {
 		return false
 	}
-	return isKernelSig(tv.Type)
+	sig, ok := tv.Type.Underlying().(*types.Signature)
+	return ok && sig.Results().Len() == 2 && isBatchType(sig.Results().At(0).Type())
 }
 
-// tainted reports whether evaluating e can yield (or contain) a kernel's
-// reusable output slice.
-func (w *aliasWalker) tainted(e ast.Expr) bool {
+// borrowed reports whether evaluating e can yield (or contain) borrowed
+// storage.
+func (w *aliasWalker) borrowed(e ast.Expr) borrow {
 	switch x := e.(type) {
 	case *ast.Ident:
-		obj := w.pass.Info.ObjectOf(x)
-		return obj != nil && w.taint[obj]
-	case *ast.CallExpr:
-		if w.isKernelCall(x) {
-			return true
+		if obj := w.pass.Info.ObjectOf(x); obj != nil {
+			return w.taint[obj]
 		}
-		// append(dst, vals) retains vals as an element of dst; with ellipsis
-		// the elements are copied out, which detaches from the buffer.
-		if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "append" {
+	case *ast.CallExpr:
+		if w.isProducerCall(x) {
+			return w.here()
+		}
+		// append(dst, v) keeps v as an element of dst; with the ellipsis the
+		// elements are copied out, which detaches.
+		if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "append" && len(x.Args) > 0 {
 			if obj := w.pass.Info.ObjectOf(id); obj == nil || obj.Parent() == types.Universe {
-				if len(x.Args) > 0 && w.tainted(x.Args[0]) {
-					return true
+				if b := w.borrowed(x.Args[0]); b.ok {
+					return b
 				}
 				if x.Ellipsis == token.NoPos {
 					for _, a := range x.Args[1:] {
-						if w.tainted(a) {
-							return true
+						if b := w.borrowed(a); b.ok {
+							return b
 						}
 					}
 				}
 			}
 		}
-		return false
+		// Any other call — Detach above all — hands back something of its own.
 	case *ast.ParenExpr:
-		return w.tainted(x.X)
+		return w.borrowed(x.X)
 	case *ast.UnaryExpr:
 		if x.Op == token.AND {
-			return w.tainted(x.X) // &Batch{Cols: tainted} escapes the buffer
+			return w.borrowed(x.X)
 		}
-		return false
+	case *ast.StarExpr:
+		return w.borrowed(x.X)
 	case *ast.SliceExpr:
-		return w.tainted(x.X) // reslicing shares the backing array
+		return w.borrowed(x.X) // reslicing shares the backing array
+	case *ast.SelectorExpr:
+		return w.borrowed(x.X) // b.Cols, b.Sel of a borrowed batch
+	case *ast.IndexExpr:
+		// An element of a register file or a column list is itself a vector;
+		// an element of a vector is a value.
+		if tv, ok := w.pass.Info.Types[x]; ok && tv.Type != nil {
+			if _, isSlice := tv.Type.Underlying().(*types.Slice); isSlice {
+				return w.borrowed(x.X)
+			}
+		}
 	case *ast.CompositeLit:
 		for _, el := range x.Elts {
 			v := el
 			if kv, ok := el.(*ast.KeyValueExpr); ok {
 				v = kv.Value
 			}
-			if w.tainted(v) {
-				return true
+			if b := w.borrowed(v); b.ok {
+				return b
 			}
 		}
-		return false
 	}
-	// Index reads (vals[i]) produce element values, not the slice; any other
-	// expression form is considered clean.
+	return borrow{}
+}
+
+// outlives reports whether the variable or field e names survives one
+// iteration of loop: a field, a captured or package-level variable, or a
+// local declared outside the loop body. With no loop, locals do not.
+func (w *aliasWalker) outlives(e ast.Expr, loop *ast.BlockStmt) bool {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.SelectorExpr:
+		return true
+	case *ast.IndexExpr:
+		return w.outlives(x.X, loop)
+	case *ast.Ident:
+		obj, isVar := w.pass.Info.ObjectOf(x).(*types.Var)
+		if !isVar {
+			return false
+		}
+		if !declaredWithin(obj, w.body) {
+			return true
+		}
+		return loop != nil && !declaredWithin(obj, loop)
+	}
 	return false
 }
 
-// captured reports whether the identifier's object is declared outside the
-// current function body (closure capture or package-level state) — storing
-// a kernel buffer there retains it across calls.
-func (w *aliasWalker) captured(id *ast.Ident) bool {
-	obj := w.pass.Info.ObjectOf(id)
-	if obj == nil {
-		return false
+func (w *aliasWalker) setTaint(l ast.Expr, b borrow) {
+	id, ok := l.(*ast.Ident)
+	if !ok || id.Name == "_" {
+		return
 	}
-	if _, isVar := obj.(*types.Var); !isVar {
-		return false
-	}
-	return !declaredWithin(obj, w.body)
-}
-
-func (w *aliasWalker) setTaint(id *ast.Ident, t bool) {
 	obj := w.pass.Info.ObjectOf(id)
 	if obj == nil {
 		return
 	}
-	if t {
-		w.taint[obj] = true
+	if b.ok {
+		w.taint[obj] = b
 	} else {
 		delete(w.taint, obj)
 	}
 }
 
-func (w *aliasWalker) assign(lhs, rhs []ast.Expr, pos ast.Node) {
-	// Tuple form vals, err := fn(b): only the first result carries the buffer.
+func (w *aliasWalker) assign(lhs, rhs []ast.Expr) {
+	// Tuple form vals, err := d.eval(b): only the first result is borrowed.
 	if len(rhs) == 1 && len(lhs) > 1 {
-		if call, ok := ast.Unparen(rhs[0]).(*ast.CallExpr); ok && w.isKernelCall(call) {
-			w.storeTaint(lhs[0], true, pos)
-			for _, l := range lhs[1:] {
-				if id, ok := l.(*ast.Ident); ok {
-					w.setTaint(id, false)
-				}
-			}
-			return
+		b := borrow{}
+		if call, ok := ast.Unparen(rhs[0]).(*ast.CallExpr); ok && w.isProducerCall(call) {
+			b = w.here()
 		}
+		w.store(lhs[0], rhs[0], b)
+		for _, l := range lhs[1:] {
+			w.setTaint(l, borrow{})
+		}
+		return
 	}
 	if len(lhs) != len(rhs) {
 		return
 	}
 	for i := range lhs {
-		w.storeTaint(lhs[i], w.tainted(rhs[i]), pos)
+		w.store(lhs[i], rhs[i], w.borrowed(rhs[i]))
 	}
 }
 
-// storeTaint applies one lhs <- tainted-value store, reporting retention
-// sinks: struct fields, captured variables, and elements of either.
-func (w *aliasWalker) storeTaint(l ast.Expr, t bool, pos ast.Node) {
-	switch x := l.(type) {
-	case *ast.Ident:
-		if x.Name == "_" {
+// store applies l <- r where r is borrowed per b, reporting the two
+// accumulation forms.
+func (w *aliasWalker) store(l, r ast.Expr, b borrow) {
+	if !b.ok {
+		w.setTaint(l, b)
+		return
+	}
+	if call, ok := ast.Unparen(r).(*ast.CallExpr); ok {
+		if id, isIdent := call.Fun.(*ast.Ident); isIdent && id.Name == "append" && w.outlives(l, b.loop) {
+			w.pass.Reportf(l.Pos(), "borrowed register or batch appended to %s, which outlives the producer's next call; Detach (or copy) it first", exprString(l))
 			return
-		}
-		if t && w.captured(x) {
-			w.pass.Reportf(x.Pos(), "kernel output vector stored in captured variable %s; it is overwritten on the kernel's next call — copy it first", x.Name)
-			return
-		}
-		w.setTaint(x, t)
-	case *ast.SelectorExpr:
-		if t {
-			w.pass.Reportf(x.Pos(), "kernel output vector stored in field %s; it is overwritten on the kernel's next call — copy it first", exprString(x))
-		}
-	case *ast.IndexExpr:
-		if !t {
-			return
-		}
-		switch base := ast.Unparen(x.X).(type) {
-		case *ast.Ident:
-			if w.captured(base) {
-				w.pass.Reportf(x.Pos(), "kernel output vector stored in captured slice %s; it is overwritten on the kernel's next call — copy it first", base.Name)
-				return
-			}
-			w.setTaint(base, true) // local container now holds the buffer
-		case *ast.SelectorExpr:
-			w.pass.Reportf(x.Pos(), "kernel output vector stored in field %s; it is overwritten on the kernel's next call — copy it first", exprString(base))
 		}
 	}
+	if x, ok := l.(*ast.IndexExpr); ok {
+		if b.loop != nil && w.outlives(x.X, b.loop) {
+			w.pass.Reportf(l.Pos(), "borrowed register or batch stored into %s, which outlives the loop that borrowed it; Detach (or copy) it first", exprString(x.X))
+			return
+		}
+		w.setTaint(ast.Unparen(x.X), b) // the local container now holds it
+		return
+	}
+	w.setTaint(l, b)
 }
 
 func (w *aliasWalker) walkStmts(stmts []ast.Stmt) {
@@ -195,10 +236,16 @@ func (w *aliasWalker) walkStmts(stmts []ast.Stmt) {
 	}
 }
 
+func (w *aliasWalker) walkLoop(body *ast.BlockStmt) {
+	w.loops = append(w.loops, body)
+	w.walkStmts(body.List)
+	w.loops = w.loops[:len(w.loops)-1]
+}
+
 func (w *aliasWalker) walkStmt(s ast.Stmt) {
 	switch x := s.(type) {
 	case *ast.AssignStmt:
-		w.assign(x.Lhs, x.Rhs, x)
+		w.assign(x.Lhs, x.Rhs)
 	case *ast.DeclStmt:
 		if gd, ok := x.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
@@ -210,14 +257,7 @@ func (w *aliasWalker) walkStmt(s ast.Stmt) {
 				for i, n := range vs.Names {
 					lhs[i] = n
 				}
-				w.assign(lhs, vs.Values, x)
-			}
-		}
-	case *ast.ReturnStmt:
-		for _, r := range x.Results {
-			if w.tainted(r) {
-				w.pass.Reportf(x.Pos(), "kernel output vector returned without a copy; it is overwritten on the kernel's next call")
-				break
+				w.assign(lhs, vs.Values)
 			}
 		}
 	case *ast.IfStmt:
@@ -234,30 +274,22 @@ func (w *aliasWalker) walkStmt(s ast.Stmt) {
 		if x.Init != nil {
 			w.walkStmt(x.Init)
 		}
-		w.walkStmts(x.Body.List)
+		w.walkLoop(x.Body)
 		if x.Post != nil {
 			w.walkStmt(x.Post)
 		}
 	case *ast.RangeStmt:
-		w.walkStmts(x.Body.List)
+		w.walkLoop(x.Body)
 	case *ast.SwitchStmt:
 		if x.Init != nil {
 			w.walkStmt(x.Init)
 		}
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.walkStmts(cc.Body)
-			}
-		}
+		w.walkCases(x.Body)
 	case *ast.TypeSwitchStmt:
 		if x.Init != nil {
 			w.walkStmt(x.Init)
 		}
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.walkStmts(cc.Body)
-			}
-		}
+		w.walkCases(x.Body)
 	case *ast.SelectStmt:
 		for _, c := range x.Body.List {
 			if cc, ok := c.(*ast.CommClause); ok {
@@ -269,5 +301,13 @@ func (w *aliasWalker) walkStmt(s ast.Stmt) {
 		}
 	case *ast.LabeledStmt:
 		w.walkStmt(x.Stmt)
+	}
+}
+
+func (w *aliasWalker) walkCases(body *ast.BlockStmt) {
+	for _, c := range body.List {
+		if cc, ok := c.(*ast.CaseClause); ok {
+			w.walkStmts(cc.Body)
+		}
 	}
 }

@@ -3,10 +3,11 @@
 // go/types only — the sandbox has no golang.org/x/tools) plus the analyzers
 // that machine-check the executor's load-bearing invariants. PR 2's
 // vectorized executor bought its speed with conventions that previously
-// lived in comments: expression kernels reuse per-closure output buffers,
-// every operator acquired from a constructor must be Closed on all paths,
-// obsv spans must be ended, selection vectors are accessed through the
-// vector.Batch helpers, and no mutex may be held across a NextBatch call.
+// lived in comments: expression registers and streamed batches are borrowed
+// until their producer's next call, every operator acquired from a
+// constructor must be Closed on all paths, obsv spans must be ended,
+// selection vectors are accessed through the vector.Batch helpers, and no
+// mutex may be held across a NextBatch call.
 // cmd/jsqlint runs every analyzer over the module and is wired into
 // `make lint` and CI, turning those conventions into a compile-time gate.
 //
@@ -14,7 +15,7 @@
 // intentional and documented — with a directive comment on the reported
 // line or the line above it:
 //
-//	cols[i] = vals //jsqlint:ignore kernelalias reason for the aliasing
+//	kept = append(kept, b) //jsqlint:ignore kernelalias reason for the retention
 package lint
 
 import (

@@ -73,3 +73,39 @@ func TestSSBStorageParity(t *testing.T) {
 		}
 	}
 }
+
+// TestSSBTypedColumnCountersExact pins what the storage-path counters say
+// about the thirteen queries at SF 0.5: typed-kernel column reads and typed
+// columns materialized to variants, per query, generated and handwritten
+// alike. The numbers predate the expression DAG; sharing sub-expressions and
+// loading columns on demand must not move them (a shared typed kernel would
+// count once, a column two kernels fall back on would materialize once).
+func TestSSBTypedColumnCountersExact(t *testing.T) {
+	want := map[string][2]int64{
+		"q1.1": {12, 3}, "q1.2": {15, 3}, "q1.3": {18, 3},
+		"q2.1": {2, 3}, "q2.2": {3, 3}, "q2.3": {2, 3},
+		"q3.1": {8, 1}, "q3.2": {8, 1}, "q3.3": {10, 1}, "q3.4": {7, 1},
+		"q4.1": {4, 1}, "q4.2": {10, 1}, "q4.3": {9, 1},
+	}
+	for _, par := range []int{1, 4} {
+		sess, err := SetupSFMemOpts(7, 0.5, 1024, par, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range Queries() {
+			_, tres, err := RunTranslated(sess, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, hres, err := RunHandwritten(sess.Engine(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for path, m := range map[string]engine.Metrics{"generated": tres.Metrics, "handwritten": hres.Metrics} {
+				if got := [2]int64{m.TypedCols, m.FallbackCols}; got != want[q.ID] {
+					t.Errorf("%s %s par=%d: typed/fallback cols = %v, want %v", q.ID, path, par, got, want[q.ID])
+				}
+			}
+		}
+	}
+}

@@ -27,8 +27,14 @@ const DefaultBatchSize = 1024
 // consumer working unchanged.
 //
 // Column vectors may alias storage owned by others (scan batches alias the
-// micro-partition chunks; projections alias their inputs), so consumers must
-// never mutate Cols in place — operators produce new vectors instead.
+// micro-partition chunks; projections alias their inputs and their
+// expression registers), so consumers must never mutate Cols in place.
+//
+// Lifetime: a batch handed out by a streaming operator (project, filter,
+// flatten) is valid until that operator's next NextBatch, which recycles the
+// header, the selection and every vector the operator owns. Scan batches and
+// the output of materializing operators (aggregate, sort, join) are stable.
+// A consumer that keeps a batch across its producer's next call Detaches it.
 type Batch struct {
 	Cols  [][]variant.Value
 	Sel   []int
@@ -130,20 +136,70 @@ func (b *Batch) ActiveSel() []int {
 	return sel
 }
 
-// CopyActive returns a fresh vector aligned with b's physical rows that holds
-// vals at the active positions and NULL everywhere else. Operators use it to
-// take a kernel result out of its reusable buffer: positions outside the
-// selection are undefined there, so they are neither read nor retained.
-func (b *Batch) CopyActive(vals []variant.Value) []variant.Value {
-	out := make([]variant.Value, len(vals))
-	if b.Sel == nil {
-		copy(out, vals)
-		return out
+// ActiveAt returns the physical index of the k-th active row
+// (0 <= k < NumRows), for consumers that walk a batch with a cursor they
+// keep between calls.
+func (b *Batch) ActiveAt(k int) int {
+	if b.Sel != nil {
+		return b.Sel[k]
 	}
-	for _, i := range b.Sel {
-		out[i] = vals[i]
+	return k
+}
+
+// Detach returns a copy of the batch that owns its storage. A batch from a
+// streaming operator (project, filter, flatten) is valid only until that
+// operator's next NextBatch — its vectors are registers and recycled
+// columns — so a consumer that keeps batches (the sort's drain) detaches
+// each one on arrival. The copy keeps the physical layout: vectors of the
+// same length holding the active positions (NULL elsewhere, where the
+// source is undefined anyway) and a private selection, so row references
+// into the original stay valid. Typed views alias immutable chunk storage
+// and are shared as they are.
+func (b *Batch) Detach() *Batch {
+	out := &Batch{Cols: make([][]variant.Value, len(b.Cols))}
+	if b.Sel != nil {
+		out.Sel = append(make([]int, 0, len(b.Sel)), b.Sel...)
+	}
+	if b.Typed != nil {
+		out.Typed = append([]*TypedCol(nil), b.Typed...)
+	}
+	for c, col := range b.Cols {
+		if col == nil {
+			continue
+		}
+		out.Cols[c] = make([]variant.Value, len(col))
+		if b.Sel == nil {
+			copy(out.Cols[c], col)
+			continue
+		}
+		for _, i := range b.Sel {
+			out.Cols[c][i] = col[i]
+		}
 	}
 	return out
+}
+
+// Gather appends column c's values at the physical rows idx to dst and
+// returns it: the column-at-a-time half of an expanding operator (FLATTEN
+// replicates each parent column through its parent-index vector). A typed
+// column converts as it is gathered.
+func (b *Batch) Gather(c int, idx []int, dst []variant.Value) []variant.Value {
+	if col := b.Cols[c]; col != nil {
+		for _, i := range idx {
+			dst = append(dst, col[i])
+		}
+		return dst
+	}
+	if tc := b.TypedCol(c); tc != nil {
+		for _, i := range idx {
+			dst = append(dst, tc.ValueAt(i))
+		}
+		return dst
+	}
+	for range idx {
+		dst = append(dst, variant.Null)
+	}
+	return dst
 }
 
 // Row gathers the physical row i into buf (grown as needed) and returns it.
@@ -199,9 +255,9 @@ func (b *Batch) Truncate(n int) {
 	b.Sel = b.Sel[:n]
 }
 
-// Builder accumulates rows into fixed-size batches. Operators that expand or
-// recombine rows (flatten, join, aggregate, sort) feed it row-wise and emit
-// dense batches of the configured size.
+// Builder accumulates rows into fixed-size batches. The join feeds it its
+// output rows one at a time and emits dense batches of the configured size;
+// every batch it hands out owns freshly allocated vectors.
 type Builder struct {
 	width int
 	size  int
@@ -224,22 +280,6 @@ func (bu *Builder) Append(row []variant.Value) {
 	bu.open()
 	for i, v := range row {
 		bu.cols[i] = append(bu.cols[i], v)
-	}
-	bu.seal()
-}
-
-// AppendFrom adds one row made of physical row i of src followed by tail
-// (src.Width()+len(tail) must equal the builder width). It reads src column
-// by column straight into the builder's vectors, so expanding operators
-// need no intermediate row.
-func (bu *Builder) AppendFrom(src *Batch, i int, tail ...variant.Value) {
-	bu.open()
-	w := len(src.Cols)
-	for c := 0; c < w; c++ {
-		bu.cols[c] = append(bu.cols[c], src.Value(c, i))
-	}
-	for k, v := range tail {
-		bu.cols[w+k] = append(bu.cols[w+k], v)
 	}
 	bu.seal()
 }

@@ -125,85 +125,64 @@ func TestBuilderRowOrderPreserved(t *testing.T) {
 	}
 }
 
-// AppendFrom reads the source batch column by column — variant vectors and
-// typed-only columns alike — and splits at the batch size like Append.
-func TestBuilderAppendFrom(t *testing.T) {
+// Gather reads a source column at a parent-index vector — variant vectors
+// and typed-only columns alike — into storage the caller recycles.
+func TestGather(t *testing.T) {
 	src := &Batch{
 		Cols:  [][]variant.Value{{variant.String("a"), variant.String("b"), variant.String("c")}, nil},
 		Typed: []*TypedCol{nil, NewInt64Col([]int64{10, 20, 30}, nil)},
 	}
-	bu := NewBuilder(4, 2)
-	for _, i := range []int{2, 0, 2} {
-		bu.AppendFrom(src, i, variant.Int(int64(i)), variant.Null)
-	}
+	idx := []int{2, 0, 2}
+	names := src.Gather(0, idx, nil)
+	nums := src.Gather(1, idx, make([]variant.Value, 0, 8))
 	if src.Cols[1] != nil {
-		t.Error("AppendFrom materialized the typed column of its source")
+		t.Error("Gather materialized the typed column of its source")
 	}
-	var got []string
-	drain := func(b *Batch) {
-		if b == nil {
-			return
-		}
-		if b.Width() != 4 {
-			t.Fatalf("width = %d, want 4", b.Width())
-		}
-		b.ForEach(func(i int) {
-			got = append(got, variant.Array(b.Row(i, nil)...).JSON())
-		})
+	if got := variant.Array(names...).JSON() + variant.Array(nums...).JSON(); got != `["c","a","c"][30,10,30]` {
+		t.Errorf("gathered %s", got)
 	}
-	full := bu.Pop()
-	if full == nil || full.NumRows() != 2 || bu.Pop() != nil {
-		t.Fatalf("first batch = %+v, want exactly one full batch of 2", full)
-	}
-	drain(full)
-	drain(bu.Flush())
-	want := []string{`["c",30,2,null]`, `["a",10,0,null]`, `["c",30,2,null]`}
-	if len(got) != len(want) {
-		t.Fatalf("rows = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("row %d = %s, want %s", i, got[i], want[i])
-		}
-	}
-}
-
-func TestBuilderAppendFromDoesNotAllocatePerRow(t *testing.T) {
-	src := intBatch(1, 2, 3, 4)
-	bu := NewBuilder(3, 1<<20) // one batch: its vectors are allocated on the first row
-	bu.AppendFrom(src, 0, variant.Int(0), variant.Null)
-	if n := testing.AllocsPerRun(1000, func() {
-		bu.AppendFrom(src, 3, variant.String("tail"), variant.Int(7))
+	if n := testing.AllocsPerRun(100, func() {
+		names = src.Gather(0, idx, names[:0])
+		nums = src.Gather(1, idx, nums[:0])
 	}); n != 0 {
-		t.Fatalf("AppendFrom allocates %v times per row, want 0", n)
+		t.Errorf("Gather into recycled storage allocates %v times, want 0", n)
 	}
 }
 
-// CopyActive takes the defined positions of a kernel buffer and nothing
-// else: whatever a previous batch left at the inactive positions must not be
-// carried into (and kept alive by) the emitted column.
-func TestCopyActive(t *testing.T) {
-	buf := []variant.Value{variant.String("stale0"), variant.Int(1), variant.String("stale2"), variant.Int(3)}
-	dense := intBatch(0, 0, 0, 0)
-	got := dense.CopyActive(buf)
-	if &got[0] == &buf[0] {
-		t.Fatal("CopyActive aliased the kernel buffer")
-	}
-	for i := range buf {
-		if got[i].JSON() != buf[i].JSON() {
-			t.Errorf("dense copy [%d] = %v, want %v", i, got[i], buf[i])
-		}
-	}
-	sparse := dense.WithSel([]int{1, 3}).CopyActive(buf)
-	if len(sparse) != len(buf) {
-		t.Fatalf("sparse copy has %d rows, want physical length %d", len(sparse), len(buf))
+// Detach copies the defined positions of a streamed batch and nothing else:
+// the copy survives the producer overwriting its vectors and selection, keeps
+// the physical layout (row references stay valid), and leaves typed views
+// shared.
+func TestDetach(t *testing.T) {
+	reg := []variant.Value{variant.String("stale0"), variant.Int(1), variant.String("stale2"), variant.Int(3)}
+	sel := []int{1, 3}
+	tc := NewInt64Col([]int64{7, 8, 9, 10}, nil)
+	streamed := &Batch{Cols: [][]variant.Value{reg, nil}, Sel: sel, Typed: []*TypedCol{nil, tc}}
+	kept := streamed.Detach()
+	Poison(reg)
+	PoisonSel(sel)
+	if kept.NumRows() != 2 || kept.Len() != 4 || kept.TypedCol(1) != tc {
+		t.Fatalf("detached batch: rows=%d len=%d typed=%v", kept.NumRows(), kept.Len(), kept.TypedCol(1))
 	}
 	for i, want := range []string{"null", "1", "null", "3"} {
-		if sparse[i].JSON() != want {
-			t.Errorf("sparse copy [%d] = %v, want %s", i, sparse[i], want)
+		if got := kept.Cols[0][i].JSON(); got != want {
+			t.Errorf("detached [%d] = %s, want %s (inactive positions must not be carried)", i, got, want)
 		}
 	}
-	if empty := dense.WithSel([]int{}).CopyActive(buf); len(empty) != len(buf) || !empty[1].IsNull() {
-		t.Errorf("empty selection copied %v", empty)
+	var rows []string
+	kept.ForEach(func(i int) { rows = append(rows, variant.Array(kept.Row(i, nil)...).JSON()) })
+	if len(rows) != 2 || rows[0] != `[1,8]` || rows[1] != `[3,10]` {
+		t.Errorf("detached rows = %v", rows)
+	}
+	dense := intBatch(4, 5).Detach()
+	if dense.Sel != nil || dense.Cols[0][1].AsInt() != 5 {
+		t.Errorf("dense detach = %+v", dense)
+	}
+}
+
+func TestActiveAt(t *testing.T) {
+	b := intBatch(10, 11, 12, 13)
+	if b.ActiveAt(2) != 2 || b.WithSel([]int{1, 3}).ActiveAt(1) != 3 {
+		t.Error("ActiveAt does not follow the selection")
 	}
 }

@@ -1,7 +1,10 @@
 package jsonpark
 
 import (
+	"fmt"
 	"testing"
+
+	"jsonpark/internal/vector"
 )
 
 // eliminationWarehouse loads a dataset crafted so nested sub-queries produce
@@ -34,7 +37,9 @@ func eliminationWarehouse(t *testing.T, opts ...OpenOption) *Warehouse {
 // item for orders 2, 3 and 5, so the KEEP-flag and JOIN strategies both
 // have to eliminate spurious rows while keeping every parent. The expected
 // output is pinned as a golden, and batch sizes 1 and 1024 (sequential and
-// parallel) must agree with it exactly.
+// parallel) must agree with it exactly — as must batch sizes 1, 2, 7, 1024 ×
+// parallelism 1, 4 with recycled storage poisoned (vector.SetPoison), which
+// is how a consumer holding a streamed batch too long would show.
 func TestEliminationStrategiesAcrossBatchSizes(t *testing.T) {
 	query := `
 		for $o in collection("orders")
@@ -48,14 +53,25 @@ func TestEliminationStrategiesAcrossBatchSizes(t *testing.T) {
 		`{"id":3,"big":[[]]}` +
 		`{"id":4,"big":[["fig"]]}` +
 		`{"id":5,"big":[[]]}`
-	for _, cfg := range []struct {
-		name string
-		opts []OpenOption
-	}{
-		{"bs1-seq", []OpenOption{WithBatchSize(1), WithParallelism(1)}},
-		{"bs1024-seq", []OpenOption{WithBatchSize(1024), WithParallelism(1)}},
-		{"bs1024-par", []OpenOption{WithBatchSize(1024)}},
-	} {
+	type config struct {
+		name   string
+		opts   []OpenOption
+		poison bool
+	}
+	configs := []config{
+		{"bs1-seq", []OpenOption{WithBatchSize(1), WithParallelism(1)}, false},
+		{"bs1024-seq", []OpenOption{WithBatchSize(1024), WithParallelism(1)}, false},
+		{"bs1024-par", []OpenOption{WithBatchSize(1024)}, false},
+	}
+	for _, bs := range []int{1, 2, 7, 1024} {
+		for _, par := range []int{1, 4} {
+			configs = append(configs, config{fmt.Sprintf("poison-bs%d-par%d", bs, par),
+				[]OpenOption{WithBatchSize(bs), WithParallelism(par)}, true})
+		}
+	}
+	defer vector.SetPoison(false)
+	for _, cfg := range configs {
+		vector.SetPoison(cfg.poison)
 		w := eliminationWarehouse(t, cfg.opts...)
 		for _, strat := range []Strategy{StrategyKeepFlag, StrategyJoin} {
 			items, err := w.QueryItems(query, WithStrategy(strat))
