@@ -2,6 +2,7 @@ package adl
 
 import (
 	"jsonpark/internal/jsoniq"
+	"strings"
 	"testing"
 
 	"jsonpark/internal/core"
@@ -258,6 +259,39 @@ func TestBackendsAgreeAcrossSeeds(t *testing.T) {
 					t.Errorf("seed %d %s (%v): %v != %v", seed, id, strat, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestStreamAggregateCensus pins how many aggregates of each ADL plan the
+// physical pass streams — the row-ID re-aggregates of the nested queries; the
+// final `group by bin` always hashes, and of the handwritten texts only q7
+// numbers its jets with SEQ8 — so a derivation that silently stops firing
+// fails here rather than in a benchmark.
+func TestStreamAggregateCensus(t *testing.T) {
+	sess, _ := testSetup(t)
+	want := map[string][2]int{ // generated, handwritten
+		"q1": {0, 0}, "q2": {0, 0}, "q3": {0, 0},
+		"q4": {1, 0}, "q5": {1, 0}, "q6": {1, 0}, "q7": {3, 1}, "q8": {4, 0},
+	}
+	for _, q := range Queries() {
+		res, err := core.Translate(sess, q.JSONiq, core.Options{Strategy: q.Strategy})
+		if err != nil {
+			t.Fatalf("%s: %v", q.ID, err)
+		}
+		var got [2]int
+		for i, sql := range []string{res.SQL, q.SQL} {
+			plan, err := sess.Engine().Explain(sql)
+			if err != nil {
+				t.Fatalf("%s: %v", q.ID, err)
+			}
+			got[i] = strings.Count(plan, "Aggregate stream key=")
+			if hash := strings.Count(plan, "Aggregate hash "); got[i]+hash != strings.Count(plan, "Aggregate ") || hash == 0 {
+				t.Errorf("%s: %d stream + %d hash aggregates do not add up:\n%s", q.ID, got[i], hash, plan)
+			}
+		}
+		if got != want[q.ID] {
+			t.Errorf("%s: streaming aggregates (generated, handwritten) = %v, want %v", q.ID, got, want[q.ID])
 		}
 	}
 }

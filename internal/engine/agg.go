@@ -8,10 +8,14 @@ import (
 )
 
 // accumulator folds rows of one group for one aggregate. Order keys are
-// only supplied for ordered ARRAY_AGG.
+// only supplied for ordered ARRAY_AGG; add copies the ones it keeps, so the
+// caller may reuse the slice. result leaves the state intact (materialized
+// views finalize and keep folding); reset returns it to the empty group, so
+// the streaming aggregate folds every group into one accumulator.
 type accumulator interface {
 	add(v variant.Value, orderKeys []variant.Value) error
 	result(descs []bool) variant.Value
+	reset()
 }
 
 func newAccumulator(spec AggSpec) accumulator {
@@ -34,7 +38,11 @@ func newAccumulator(spec AggSpec) accumulator {
 	case "ANY_VALUE":
 		return &anyValueAcc{}
 	case "ARRAY_AGG":
-		return &arrayAggAcc{distinct: spec.Distinct, seen: make(map[string]bool)}
+		a := &arrayAggAcc{distinct: spec.Distinct, nord: len(spec.OrderBy)}
+		if a.distinct {
+			a.seen = make(map[string]bool)
+		}
+		return a
 	case "BOOLAND_AGG":
 		return &boolAgg{isAnd: true}
 	case "BOOLOR_AGG":
@@ -49,6 +57,7 @@ func (a *errAcc) add(variant.Value, []variant.Value) error {
 	return fmt.Errorf("engine: unsupported aggregate %s", a.name)
 }
 func (a *errAcc) result([]bool) variant.Value { return variant.Null }
+func (a *errAcc) reset()                      {}
 
 type countAcc struct {
 	star bool
@@ -62,6 +71,7 @@ func (a *countAcc) add(v variant.Value, _ []variant.Value) error {
 	return nil
 }
 func (a *countAcc) result([]bool) variant.Value { return variant.Int(a.n) }
+func (a *countAcc) reset()                      { a.n = 0 }
 
 // countDistinctAcc dedups on the canonical binary group key (same
 // equivalence classes as HashKey, but encoded into a reusable buffer so the
@@ -81,6 +91,7 @@ func (a *countDistinctAcc) add(v variant.Value, _ []variant.Value) error {
 	return nil
 }
 func (a *countDistinctAcc) result([]bool) variant.Value { return variant.Int(int64(len(a.seen))) }
+func (a *countDistinctAcc) reset()                      { clear(a.seen) }
 
 type countIfAcc struct{ n int64 }
 
@@ -91,6 +102,7 @@ func (a *countIfAcc) add(v variant.Value, _ []variant.Value) error {
 	return nil
 }
 func (a *countIfAcc) result([]bool) variant.Value { return variant.Int(a.n) }
+func (a *countIfAcc) reset()                      { a.n = 0 }
 
 type sumAcc struct {
 	intSum   int64
@@ -125,6 +137,8 @@ func (a *sumAcc) result([]bool) variant.Value {
 	return variant.Int(a.intSum)
 }
 
+func (a *sumAcc) reset() { *a = sumAcc{} }
+
 type avgAcc struct {
 	sum float64
 	n   int64
@@ -148,6 +162,8 @@ func (a *avgAcc) result([]bool) variant.Value {
 	}
 	return variant.Float(a.sum / float64(a.n))
 }
+
+func (a *avgAcc) reset() { *a = avgAcc{} }
 
 type minMaxAcc struct {
 	dir  int
@@ -173,6 +189,8 @@ func (a *minMaxAcc) result([]bool) variant.Value {
 	return a.best
 }
 
+func (a *minMaxAcc) reset() { *a = minMaxAcc{dir: a.dir} }
+
 type anyValueAcc struct {
 	v   variant.Value
 	any bool
@@ -193,15 +211,22 @@ func (a *anyValueAcc) result([]bool) variant.Value {
 	return a.v
 }
 
+func (a *anyValueAcc) reset() { *a = anyValueAcc{} }
+
 // arrayAggAcc collects non-NULL values, optionally de-duplicating, and sorts
 // by the WITHIN GROUP order keys at finalization. NULL inputs are skipped —
-// the property the paper's KEEP-flag strategy relies on (§IV-C1).
+// the property the paper's KEEP-flag strategy relies on (§IV-C1). The order
+// keys of the kept values sit flat in orders, nord per value, so a dropped
+// row (NULL, or a DISTINCT duplicate) costs nothing and a kept one no slice
+// of its own. seen exists only under DISTINCT.
 type arrayAggAcc struct {
 	distinct bool
+	nord     int
 	seen     map[string]bool
 	kbuf     []byte
 	vals     []variant.Value
-	orders   [][]variant.Value
+	orders   []variant.Value
+	idx      []int // result's sort permutation, reused
 }
 
 func (a *arrayAggAcc) add(v variant.Value, orderKeys []variant.Value) error {
@@ -216,38 +241,49 @@ func (a *arrayAggAcc) add(v variant.Value, orderKeys []variant.Value) error {
 		a.seen[string(a.kbuf)] = true
 	}
 	a.vals = append(a.vals, v)
-	if orderKeys != nil {
-		a.orders = append(a.orders, orderKeys)
-	}
+	a.orders = append(a.orders, orderKeys...)
 	return nil
 }
 
+// orderOf returns the WITHIN GROUP keys of the i-th kept value.
+func (a *arrayAggAcc) orderOf(i int) []variant.Value {
+	return a.orders[i*a.nord : (i+1)*a.nord]
+}
+
+// result always builds a fresh array: vals is the accumulator's own buffer
+// (appended to by later adds, recycled by reset).
 func (a *arrayAggAcc) result(descs []bool) variant.Value {
-	if len(a.orders) == len(a.vals) && len(a.orders) > 0 {
-		idx := make([]int, len(a.vals))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.SliceStable(idx, func(x, y int) bool {
-			ka, kb := a.orders[idx[x]], a.orders[idx[y]]
-			for k := range ka {
-				c := variant.Compare(ka[k], kb[k])
-				if k < len(descs) && descs[k] {
-					c = -c
-				}
-				if c != 0 {
-					return c < 0
-				}
-			}
-			return false
-		})
-		sorted := make([]variant.Value, len(a.vals))
-		for i, j := range idx {
-			sorted[i] = a.vals[j]
-		}
-		return variant.ArrayOf(sorted)
+	if a.nord == 0 || len(a.vals) == 0 {
+		return variant.ArrayOf(append([]variant.Value(nil), a.vals...))
 	}
-	return variant.ArrayOf(append([]variant.Value(nil), a.vals...))
+	idx := a.idx[:0]
+	for i := range a.vals {
+		idx = append(idx, i)
+	}
+	a.idx = idx
+	sort.SliceStable(idx, func(x, y int) bool {
+		ka, kb := a.orderOf(idx[x]), a.orderOf(idx[y])
+		for k := range ka {
+			c := variant.Compare(ka[k], kb[k])
+			if k < len(descs) && descs[k] {
+				c = -c
+			}
+			if c != 0 {
+				return c < 0
+			}
+		}
+		return false
+	})
+	sorted := make([]variant.Value, len(a.vals))
+	for i, j := range idx {
+		sorted[i] = a.vals[j]
+	}
+	return variant.ArrayOf(sorted)
+}
+
+func (a *arrayAggAcc) reset() {
+	a.vals, a.orders = a.vals[:0], a.orders[:0]
+	clear(a.seen)
 }
 
 // boolAgg implements BOOLAND_AGG / BOOLOR_AGG over non-NULL inputs.
@@ -281,6 +317,8 @@ func (a *boolAgg) result([]bool) variant.Value {
 	}
 	return variant.Bool(a.acc)
 }
+
+func (a *boolAgg) reset() { *a = boolAgg{isAnd: a.isAnd} }
 
 // mergeAccumulators folds src into dst. The parallel aggregate merges
 // partial states in storage-partition index order, which equals input row
@@ -331,11 +369,7 @@ func mergeAccumulators(dst, src accumulator) error {
 		// DISTINCT: re-check each later-partition value against the merged
 		// seen set so first-occurrence dedup matches the sequential order.
 		for i, v := range s.vals {
-			var ord []variant.Value
-			if len(s.orders) == len(s.vals) {
-				ord = s.orders[i]
-			}
-			if err := d.add(v, ord); err != nil {
+			if err := d.add(v, s.orderOf(i)); err != nil {
 				return err
 			}
 		}

@@ -253,7 +253,10 @@ func describeNode(n Node) (op, detail string) {
 		}
 		return "Flatten", fmt.Sprintf("%s%s as %s", outer, sqlast.RenderExpr(x.Expr), x.Alias)
 	case *AggregateNode:
-		return "Aggregate", fmt.Sprintf("groups=%d aggs=%d", len(x.GroupBy), len(x.Aggs))
+		if x.Stream {
+			return "Aggregate", fmt.Sprintf("stream key=%s aggs=%d", sqlast.RenderExpr(x.GroupBy[0]), len(x.Aggs))
+		}
+		return "Aggregate", fmt.Sprintf("hash groups=%d aggs=%d", len(x.GroupBy), len(x.Aggs))
 	case *ParallelAggNode:
 		return "ParallelAggregate", fmt.Sprintf("groups=%d aggs=%d pipelines=%d merge_parts=%d",
 			len(x.GroupBy), len(x.Aggs), x.Pipelines, x.MergeParts)

@@ -46,6 +46,10 @@ type Engine struct {
 	// batchHook, when set, runs after every root batch the executor drains.
 	// Tests use it to hold a query mid-flight deterministically.
 	batchHook func()
+	// forceHashAgg keeps every aggregate on the hash path. Only the
+	// differential tests set it (before the first query: compiled plans are
+	// cached) — the hash aggregate is the streaming aggregate's oracle.
+	forceHashAgg bool
 }
 
 // Option configures an Engine.
@@ -356,7 +360,7 @@ func (e *Engine) compile(sql string, po PrepareOptions) (*compiledPlan, error) {
 	}
 	physp := po.Span.Child("engine.physicalize")
 	var breakers int
-	plan, breakers = physicalizeTraced(plan, par, mergeParts, physp)
+	plan, breakers = physicalizeTraced(plan, par, mergeParts, e.forceHashAgg, physp)
 	physp.End()
 	var unordered map[Node]bool
 	if par > 1 {
@@ -560,7 +564,10 @@ func (e *Engine) Explain(sql string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	plan = optimize(plan)
+	// The plan-derived physical choice (stream or hash aggregate) is part of
+	// the rendering; the parallel breakers depend on the partition count at
+	// compile time and show in EXPLAIN ANALYZE only.
+	plan, _ = physicalize(optimize(plan), 1, 1, e.forceHashAgg)
 	var b strings.Builder
 	explainNode(&b, plan, 0)
 	return b.String(), nil

@@ -515,7 +515,9 @@ type aggEval struct {
 	dag     *exprDAG
 	ngroups int
 	aggs    []compiledAgg
-	// Per-batch views into the DAG's outputs and one row's worth of them.
+	// Per-batch views into the DAG's outputs and one row's worth of them
+	// (rowO[a] is nil unless aggregate a has WITHIN GROUP keys; accumulators
+	// copy what they keep, so the row scratch is reused).
 	avals      [][]variant.Value
 	ovals      [][][]variant.Value
 	rowG, rowA []variant.Value
@@ -528,6 +530,7 @@ func compileAggEval(ctx *execContext, x *AggregateNode) (*aggEval, error) {
 	exprs := append([]sqlast.Expr(nil), x.GroupBy...)
 	aggs := make([]compiledAgg, len(x.Aggs))
 	ovals := make([][][]variant.Value, len(x.Aggs))
+	rowO := make([][]variant.Value, len(x.Aggs))
 	for i, spec := range x.Aggs {
 		ca := compiledAgg{spec: spec, arg: -1}
 		if spec.Arg != nil {
@@ -541,6 +544,7 @@ func compileAggEval(ctx *execContext, x *AggregateNode) (*aggEval, error) {
 		}
 		if len(ca.order) > 0 {
 			ovals[i] = make([][]variant.Value, len(ca.order))
+			rowO[i] = make([]variant.Value, len(ca.order))
 		}
 		aggs[i] = ca
 	}
@@ -552,7 +556,7 @@ func compileAggEval(ctx *execContext, x *AggregateNode) (*aggEval, error) {
 		dag: dag, ngroups: len(x.GroupBy), aggs: aggs,
 		avals: make([][]variant.Value, len(aggs)), ovals: ovals,
 		rowG: make([]variant.Value, len(x.GroupBy)), rowA: make([]variant.Value, len(aggs)),
-		rowO: make([][]variant.Value, len(aggs)),
+		rowO: rowO,
 	}, nil
 }
 
@@ -614,7 +618,7 @@ func (e *aggEval) absorb(t *aggTable, b *vector.Batch) error {
 	if err != nil {
 		return err
 	}
-	rowG, rowA, rowO := e.rowG, e.rowA, e.rowO
+	rowG := e.rowG
 	var rowErr error
 	b.ForEach(func(i int) {
 		if rowErr != nil {
@@ -623,25 +627,26 @@ func (e *aggEval) absorb(t *aggTable, b *vector.Batch) error {
 		for k := range gvals {
 			rowG[k] = gvals[k][i]
 		}
-		for a := range e.aggs {
-			var v variant.Value
-			if avals[a] != nil {
-				v = avals[a][i]
-			}
-			rowA[a] = v
-			rowO[a] = nil
-			if ovals[a] != nil {
-				// Freshly allocated per row: ARRAY_AGG retains the slice.
-				ord := make([]variant.Value, len(ovals[a]))
-				for j := range ovals[a] {
-					ord[j] = ovals[a][j][i]
-				}
-				rowO[a] = ord
-			}
-		}
-		rowErr = e.foldRow(t, rowG, rowA, rowO)
+		e.loadRow(avals, ovals, i)
+		rowErr = e.foldRow(t, rowG, e.rowA, e.rowO)
 	})
 	return rowErr
+}
+
+// loadRow copies physical row i's aggregate arguments and WITHIN GROUP keys
+// out of the batch-wide vectors into rowA and rowO — the per-row step the
+// hash and the streaming aggregate share.
+func (e *aggEval) loadRow(avals [][]variant.Value, ovals [][][]variant.Value, i int) {
+	for a := range e.aggs {
+		var v variant.Value
+		if avals[a] != nil {
+			v = avals[a][i]
+		}
+		e.rowA[a] = v
+		for j := range ovals[a] {
+			e.rowO[a][j] = ovals[a][j][i]
+		}
+	}
 }
 
 // foldRow folds one row's evaluated values into the table. It is the shared
@@ -695,6 +700,9 @@ func prepareAggregate(x *AggregateNode, ctx *execContext) (batchIter, error) {
 		return nil, err
 	}
 	ctx.exprs.add(eval.dag.stats())
+	if x.Stream {
+		return newStreamAggIter(in, eval, ctx.batchSize), nil
+	}
 	width := len(x.Schema().Names)
 
 	mergeable := aggsMergeable(x.Aggs)
@@ -774,6 +782,116 @@ func (a *aggIter) Close() {
 		a.in = nil
 	}
 }
+
+// streamAggIter is the aggregate over an input clustered on its single group
+// key (AggregateNode.Stream; the order property in physical.go proves the key
+// column non-decreasing and integer). A key change closes the open group, so
+// one set of accumulators serves every group and finished groups go straight
+// into recycled output columns — valid until the next NextBatch, like every
+// streaming operator's batch (DESIGN.md §6). It holds one group of state: no
+// hash table, no memory charge, no spill, and it is not a pipeline breaker.
+// Groups come out in key order, which on a clustered key is the hash
+// aggregate's first-seen order, and every accumulator sees its group's rows in
+// input order, so the output is byte-identical to the hash path's.
+type streamAggIter struct {
+	in   batchIter
+	eval *aggEval
+	accs []accumulator
+	size int
+	key  variant.Value // the open group's key; its AsInt is the comparand
+	open bool
+	done bool
+	cols [][]variant.Value // the key, then one column per aggregate
+	out  vector.Batch
+}
+
+func newStreamAggIter(in batchIter, eval *aggEval, size int) *streamAggIter {
+	s := &streamAggIter{
+		in: in, eval: eval, size: size,
+		accs: make([]accumulator, len(eval.aggs)),
+		cols: make([][]variant.Value, 1+len(eval.aggs)),
+	}
+	for a := range eval.aggs {
+		s.accs[a] = newAccumulator(eval.aggs[a].spec)
+	}
+	return s
+}
+
+// NextBatch folds whole input batches until at least size groups finished
+// (or the input ended), so an output batch can exceed size by less than one
+// input batch.
+func (s *streamAggIter) NextBatch() (*vector.Batch, error) {
+	for c := range s.cols {
+		if vector.Poisoned() {
+			vector.Poison(s.cols[c])
+		}
+		s.cols[c] = s.cols[c][:0]
+	}
+	for !s.done && len(s.cols[0]) < s.size {
+		b, err := s.in.NextBatch()
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			s.done = true
+			if s.open {
+				s.emit()
+			}
+			break
+		}
+		if err := s.absorb(b); err != nil {
+			return nil, err
+		}
+	}
+	if len(s.cols[0]) == 0 {
+		return nil, nil
+	}
+	s.out = vector.Batch{Cols: s.cols}
+	return &s.out, nil
+}
+
+// absorb folds one batch's rows into the open group, emitting it on each key
+// change. A key that is not an integer or that decreases means the order
+// property was derived wrongly: fail the query rather than mis-group.
+func (s *streamAggIter) absorb(b *vector.Batch) error {
+	gvals, avals, ovals, err := s.eval.evalBatch(b)
+	if err != nil {
+		return err
+	}
+	keys := gvals[0]
+	for p, n := 0, b.NumRows(); p < n; p++ {
+		i := b.ActiveAt(p)
+		k := keys[i]
+		if k.Kind() != variant.KindInt || (s.open && k.AsInt() < s.key.AsInt()) {
+			return fmt.Errorf("engine: internal error: streaming aggregate key %s after %s is not a non-decreasing integer (order property derived wrongly)", k, s.key)
+		}
+		if !s.open || k.AsInt() != s.key.AsInt() {
+			if s.open {
+				s.emit()
+			}
+			s.key, s.open = k, true
+		}
+		s.eval.loadRow(avals, ovals, i)
+		for a, acc := range s.accs {
+			if err := acc.add(s.eval.rowA[a], s.eval.rowO[a]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// emit appends the open group's row to the output columns and resets the
+// accumulators for the next group.
+func (s *streamAggIter) emit() {
+	s.cols[0] = append(s.cols[0], s.key)
+	for a, acc := range s.accs {
+		s.cols[1+a] = append(s.cols[1+a], acc.result(s.eval.aggs[a].descs))
+		acc.reset()
+	}
+}
+
+func (s *streamAggIter) Close() { s.in.Close() }
 
 // --- joins -------------------------------------------------------------------
 

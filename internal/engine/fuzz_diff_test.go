@@ -7,13 +7,15 @@ import (
 	"testing"
 
 	"jsonpark/internal/variant"
+	"jsonpark/internal/vector"
 )
 
 // FuzzPlanDiff is the differential governance fuzzer: the input bytes seed
 // a deterministic generator that produces (a) a nested dataset and (b) one
 // query per pipeline shape — scan→filter, group, sort, join, and LATERAL
-// FLATTEN, each with randomized predicates, aggregate lists, sort
-// directions, and limits. The oracle is the sequential unlimited engine;
+// FLATTEN, and the row-ID re-aggregate, each with randomized predicates,
+// aggregate lists, sort directions, and limits. The oracle is the sequential
+// unlimited engine with every aggregate on the hash table;
 // every other (batch size, parallelism, mem-limit) cell must render
 // byte-identical rows, and the limited cells must never error. The ingest
 // cells add a streaming dimension: they load a prefix of the dataset, warm
@@ -37,8 +39,10 @@ func FuzzPlanDiff(f *testing.F) {
 		queries := genDiffQueries(rng)
 
 		// The oracle: one worker, no budget, no typed shredding — the pure
-		// variant path. Its rendering is ground truth.
-		oracle := diffCell{name: "oracle", batch: 1024, par: 1, typedOff: true}
+		// variant path — and every aggregate on the hash table, so the
+		// re-aggregate shape compares the streaming aggregate of every other
+		// cell against it. Its rendering is ground truth.
+		oracle := diffCell{name: "oracle", batch: 1024, par: 1, typedOff: true, hashAgg: true}
 		cells := []diffCell{
 			{name: "bs1-seq-64k", batch: 1, par: 1, limit: 64 * 1024},
 			{name: "bs1024-par4-64k", batch: 1024, par: 4, limit: 64 * 1024},
@@ -56,6 +60,10 @@ func FuzzPlanDiff(f *testing.F) {
 		}
 
 		want := runDiffCell(t, oracle, docs, queries)
+		// Recycled storage is poisoned for every cell under test: a consumer
+		// reading a streamed batch past its producer's next NextBatch diverges.
+		vector.SetPoison(true)
+		defer vector.SetPoison(false)
 		for _, c := range cells {
 			got := runDiffCell(t, c, docs, queries)
 			for qi, q := range queries {
@@ -80,6 +88,9 @@ type diffCell struct {
 	typedOff bool
 	persist  bool
 	ingest   bool
+	// hashAgg forces the hash aggregate where the plan would stream
+	// (Engine.forceHashAgg).
+	hashAgg bool
 }
 
 // runDiffCell loads the dataset into a fresh engine configured for the
@@ -102,6 +113,7 @@ func runDiffCell(t *testing.T, c diffCell, docs []string, queries []string) []st
 		opts = append(opts, WithResultCacheSize(64))
 	}
 	e := New(opts...)
+	e.forceHashAgg = c.hashAgg
 	tab, err := e.Catalog().CreateTable("t", []string{"grp", "id", "val", "s", "items"})
 	if err != nil {
 		t.Fatal(err)
@@ -119,6 +131,7 @@ func runDiffCell(t *testing.T, c diffCell, docs []string, queries []string) []st
 			t.Fatal(err)
 		}
 		e = New(opts...)
+		e.forceHashAgg = c.hashAgg
 	}
 	viewable := false
 	if c.ingest {
@@ -268,7 +281,30 @@ func genDiffQueries(r *diffRNG) []string {
 			`ORDER BY "id", "ix"%s`,
 		where(), limit())
 
-	return []string{scan, group, sort, join, flatten}
+	// Shape 6: the nested-query re-aggregate — row ID, OUTER FLATTEN, GROUP
+	// BY the row ID — which the physical pass streams. No ORDER BY: the row
+	// ID fixes the output order, and a LIMIT then sits directly on the
+	// aggregate.
+	reaggPool := []string{
+		`COUNT(*) AS c`, `COUNT_IF("f".VALUE > 3) AS ci`, `SUM("f".VALUE) AS sv`,
+		`MIN("f".VALUE) AS mn`, `ARRAY_AGG("f".VALUE) AS vs`,
+		`ARRAY_AGG(DISTINCT "f".VALUE) AS dv`,
+		`ARRAY_AGG("f".INDEX) WITHIN GROUP (ORDER BY "f".VALUE DESC, "f".INDEX) AS ov`,
+		`COUNT(DISTINCT "f".VALUE) AS dc`,
+	}
+	nreagg := 1 + r.n(4)
+	reaggs := make([]string, 0, nreagg)
+	start = r.n(len(reaggPool))
+	for i := 0; i < nreagg; i++ {
+		reaggs = append(reaggs, reaggPool[(start+i*3)%len(reaggPool)])
+	}
+	reagg := fmt.Sprintf(
+		`SELECT "rid", ANY_VALUE("id") AS "id", %s FROM `+
+			`(SELECT * FROM (SELECT *, SEQ8() AS "rid" FROM "t"%s), `+
+			`LATERAL FLATTEN(INPUT => "items", OUTER => TRUE) AS "f") GROUP BY "rid"%s`,
+		strings.Join(reaggs, ", "), where(), limit())
+
+	return []string{scan, group, sort, join, flatten, reagg}
 }
 
 // clipDiff bounds failure output so a divergence on a large dataset stays

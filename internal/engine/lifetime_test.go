@@ -36,6 +36,9 @@ var lifetimeQueries = []string{
 	`SELECT "grp", ARRAY_AGG("id" + 1) WITHIN GROUP (ORDER BY "val" * 2 DESC, "id") FROM "events" GROUP BY "grp"`,
 	`SELECT "id", "val" * 2 AS "d", CASE WHEN "val" > 5 THEN "id" ELSE -"id" END AS "c" FROM "events" WHERE "val" > 2 OR "id" < 10`,
 	`SELECT "id", "f".VALUE, "f".INDEX FROM (SELECT * FROM "events"), LATERAL FLATTEN(INPUT => "items", OUTER => TRUE) AS "f" WHERE "id" < 50`,
+	// Stacked streaming aggregates (the shape of ADL q7/q8): each recycles its
+	// output columns under a FLATTEN, a filter and the next aggregate.
+	`SELECT "rid", ARRAY_AGG("n") WITHIN GROUP (ORDER BY "n" DESC), ANY_VALUE("id") FROM (SELECT "r2", ANY_VALUE("rid") AS "rid", ANY_VALUE("id") AS "id", COUNT_IF("g".VALUE > "v") AS "n" FROM (SELECT * FROM (SELECT *, SEQ8() AS "r2" FROM (SELECT "rid", "id", "items", "f".VALUE AS "v" FROM (SELECT *, SEQ8() AS "rid" FROM "events"), LATERAL FLATTEN(INPUT => "items", OUTER => TRUE) AS "f")), LATERAL FLATTEN(INPUT => "items", OUTER => TRUE) AS "g") GROUP BY "r2") WHERE "n" < 3 GROUP BY "rid"`,
 }
 
 // TestPoisonedRecyclingParity is the batch-lifetime contract's regression:

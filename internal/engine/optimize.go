@@ -62,21 +62,16 @@ func optimizeTraced(n Node, sp *obsv.Span) Node {
 }
 
 // physicalizeTraced runs the physical pass (physical.go) with a trace span
-// recording how many pipeline breakers went parallel; the count is also
-// returned so the metrics layer can report it.
-func physicalizeTraced(n Node, par, mergeParts int, sp *obsv.Span) (Node, int) {
-	n = physicalize(n, par, mergeParts)
-	count := countNodesOf(n, func(x Node) bool {
-		switch x.(type) {
-		case *ParallelAggNode, *ParallelJoinNode, *ParallelSortNode:
-			return true
-		}
-		return false
-	})
+// recording how many pipeline breakers went parallel and how many aggregates
+// stream; the breaker count is also returned so the metrics layer can report
+// it.
+func physicalizeTraced(n Node, par, mergeParts int, hashOnly bool, sp *obsv.Span) (Node, int) {
+	n, counts := physicalize(n, par, mergeParts, hashOnly)
 	if sp != nil {
-		sp.SetAttr("parallel-breakers", count)
+		sp.SetAttr("parallel-breakers", counts.parallelBreakers)
+		sp.SetAttr("stream-aggs", counts.streamAggs)
 	}
-	return n, count
+	return n, counts.parallelBreakers
 }
 
 // countNodesOf counts plan nodes matching the predicate.

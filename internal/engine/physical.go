@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"strings"
+
 	"jsonpark/internal/sqlast"
+	"jsonpark/internal/variant"
 )
 
 // The physical pass. After the logical optimizer runs, physicalize walks
@@ -61,44 +64,160 @@ type ParallelSortNode struct {
 	SortWorkers int
 }
 
-// physicalize rewrites the optimized logical plan into its physical form
-// for the given parallelism. With parallelism <= 1 the plan is returned
-// untouched, so sequential engines never see the parallel nodes.
-func physicalize(n Node, par, mergeParts int) Node {
-	if par <= 1 {
-		return n
-	}
+// ordering is a node's order property: ordering[i] reports that output
+// column i is provably non-decreasing in row order. nil is the empty set.
+// Every admitted column descends from a row ID — SEQ8()/SEQ4() optionally
+// plus an integer literal — so its values are non-NULL integers, which is
+// what lets the streaming aggregate compare keys as int64.
+type ordering []bool
+
+func (o ordering) has(i int) bool { return i >= 0 && i < len(o) && o[i] }
+
+// physicalPass carries the knobs of one physicalize walk and counts what it
+// decided.
+type physicalPass struct {
+	par, mergeParts int
+	// hashOnly keeps every aggregate on the hash path (Engine.forceHashAgg,
+	// the differential tests' oracle).
+	hashOnly bool
+	physicalCounts
+}
+
+// physicalCounts is what one physicalize walk decided: pipeline breakers
+// wrapped in their parallel nodes, aggregates marked Stream.
+type physicalCounts struct {
+	parallelBreakers, streamAggs int
+}
+
+// physicalize rewrites the optimized logical plan into its physical form in
+// one bottom-up walk that carries each node's order property. An aggregate
+// whose single group key is a column of its input's property is marked
+// Stream at any parallelism; with parallelism > 1 the pipeline breakers that
+// qualify are wrapped in their parallel nodes, so sequential engines never
+// see those. The two never meet: a row-ID pipeline is stateful and
+// pipelineStages rejects it.
+func physicalize(n Node, par, mergeParts int, hashOnly bool) (Node, physicalCounts) {
 	if mergeParts <= 0 {
 		mergeParts = par
 	}
+	p := &physicalPass{par: par, mergeParts: mergeParts, hashOnly: hashOnly}
+	n, _ = p.rewrite(n)
+	return n, p.physicalCounts
+}
+
+// rewrite physicalizes n's subtree and derives n's order property:
+//
+//	Project    column i is ordered when Exprs[i] is SEQ8()/SEQ4() (+ integer
+//	           literal) or a reference to an ordered input column
+//	Filter, Limit   keep the input's property (a subsequence stays sorted)
+//	Flatten    keeps it for the input columns (a row's copies are adjacent);
+//	           VALUE and INDEX are not ordered
+//	Aggregate  streamed on key K: K is strictly increasing, and ANY_VALUE /
+//	           MIN / MAX of an ordered column is non-decreasing, because the
+//	           groups are consecutive runs of the input
+//	Scan, Sort, Join, Union, hash and parallel aggregates   empty
+func (p *physicalPass) rewrite(n Node) (Node, ordering) {
+	var in ordering
 	switch x := n.(type) {
 	case *FilterNode:
-		x.Input = physicalize(x.Input, par, mergeParts)
-	case *ProjectNode:
-		x.Input = physicalize(x.Input, par, mergeParts)
-	case *FlattenNode:
-		x.Input = physicalize(x.Input, par, mergeParts)
+		x.Input, in = p.rewrite(x.Input)
+		return x, in
 	case *LimitNode:
-		x.Input = physicalize(x.Input, par, mergeParts)
+		x.Input, in = p.rewrite(x.Input)
+		return x, in
+	case *FlattenNode:
+		x.Input, in = p.rewrite(x.Input)
+		return x, in
+	case *ProjectNode:
+		x.Input, in = p.rewrite(x.Input)
+		var out ordering
+		for i, e := range x.Exprs {
+			if isRowIDExpr(e) || in.has(colIndex(x.Input.Schema(), e)) {
+				if out == nil {
+					out = make(ordering, len(x.Exprs))
+				}
+				out[i] = true
+			}
+		}
+		return x, out
 	case *UnionNode:
-		x.Left = physicalize(x.Left, par, mergeParts)
-		x.Right = physicalize(x.Right, par, mergeParts)
+		x.Left, _ = p.rewrite(x.Left)
+		x.Right, _ = p.rewrite(x.Right)
 	case *AggregateNode:
-		x.Input = physicalize(x.Input, par, mergeParts)
-		if parallelAggEligible(x) {
-			return &ParallelAggNode{AggregateNode: x, Pipelines: par, MergeParts: mergeParts}
+		x.Input, in = p.rewrite(x.Input)
+		if !p.hashOnly && len(x.GroupBy) == 1 && in.has(colIndex(x.Input.Schema(), x.GroupBy[0])) {
+			x.Stream = true
+			p.streamAggs++
+			out := make(ordering, 1+len(x.Aggs))
+			out[0] = true
+			for i, spec := range x.Aggs {
+				switch spec.Name {
+				case "ANY_VALUE", "MIN", "MAX":
+					out[1+i] = in.has(colIndex(x.Input.Schema(), spec.Arg))
+				}
+			}
+			return x, out
+		}
+		if p.par > 1 && parallelAggEligible(x) {
+			p.parallelBreakers++
+			return &ParallelAggNode{AggregateNode: x, Pipelines: p.par, MergeParts: p.mergeParts}, nil
 		}
 	case *JoinNode:
-		x.Left = physicalize(x.Left, par, mergeParts)
-		x.Right = physicalize(x.Right, par, mergeParts)
-		if len(x.RightKeys) > 0 && !anyExprStateful(x.RightKeys) {
-			return &ParallelJoinNode{JoinNode: x, BuildWorkers: par}
+		x.Left, _ = p.rewrite(x.Left)
+		x.Right, _ = p.rewrite(x.Right)
+		if p.par > 1 && len(x.RightKeys) > 0 && !anyExprStateful(x.RightKeys) {
+			p.parallelBreakers++
+			return &ParallelJoinNode{JoinNode: x, BuildWorkers: p.par}, nil
 		}
 	case *SortNode:
-		x.Input = physicalize(x.Input, par, mergeParts)
-		return &ParallelSortNode{SortNode: x, SortWorkers: par}
+		x.Input, _ = p.rewrite(x.Input)
+		if p.par > 1 {
+			p.parallelBreakers++
+			return &ParallelSortNode{SortNode: x, SortWorkers: p.par}, nil
+		}
 	}
-	return n
+	return n, nil
+}
+
+// colIndex resolves e against sc when it is a plain column reference; -1
+// otherwise.
+func colIndex(sc *Schema, e sqlast.Expr) int {
+	cr, ok := e.(*sqlast.ColRef)
+	if !ok {
+		return -1
+	}
+	name := cr.Name
+	if cr.Table != "" {
+		name = cr.Table + "." + cr.Name
+	}
+	if i, ok := sc.Lookup(name); ok {
+		return i
+	}
+	return -1
+}
+
+// isRowIDExpr reports whether e is SEQ8()/SEQ4(), optionally plus an integer
+// literal on either side: a per-operator counter, so non-decreasing (in fact
+// increasing) over the rows the operator emits, at any batch size.
+func isRowIDExpr(e sqlast.Expr) bool {
+	if b, ok := e.(*sqlast.Binary); ok && b.Op == "+" {
+		if isIntLit(b.Right) {
+			e = b.Left
+		} else if isIntLit(b.Left) {
+			e = b.Right
+		}
+	}
+	fc, ok := e.(*sqlast.FuncCall)
+	if !ok {
+		return false
+	}
+	name := strings.ToUpper(fc.Name)
+	return name == "SEQ8" || name == "SEQ4"
+}
+
+func isIntLit(e sqlast.Expr) bool {
+	l, ok := e.(*sqlast.Lit)
+	return ok && l.Value.Kind() == variant.KindInt
 }
 
 // parallelAggEligible reports whether the aggregate can run as a two-phase

@@ -59,14 +59,18 @@ type AggSpec struct {
 	OrderBy  []sqlast.OrderItem // ARRAY_AGG ... WITHIN GROUP
 }
 
-// AggregateNode hash-groups by the GroupBy expressions and computes Aggs.
-// Output schema: GroupNames then AggNames.
+// AggregateNode groups by the GroupBy expressions and computes Aggs.
+// Output schema: GroupNames then AggNames. Stream is set by the physical pass
+// (physical.go) when the single group key is a column proven non-decreasing
+// in row order: the node then runs as a streaming aggregate instead of a
+// hash table, with identical output.
 type AggregateNode struct {
 	Input      Node
 	GroupBy    []sqlast.Expr
 	GroupNames []string
 	Aggs       []AggSpec
 	AggNames   []string
+	Stream     bool
 	schema     *Schema
 }
 

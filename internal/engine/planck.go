@@ -1,8 +1,8 @@
 package engine
 
 // planck is the plan-check pass: a debug mode (engine.WithPlanCheck) that
-// re-verifies, at plan build time and again at run time, the two invariants
-// the parallel scan work of PR 2 rests on.
+// re-verifies, at plan build time and again at run time, the invariants the
+// parallel scan work of PR 2 and the streaming aggregate rest on.
 //
 //  1. Unordered-exchange eligibility. collectUnorderedScans decides
 //     top-down which scans may skip the ordered morsel merge. planck
@@ -22,7 +22,15 @@ package engine
 //     error, forcing new operators to declare their contract here — and the
 //     checkIter wrapper verifies each emitted batch dynamically.
 //
-// Both checks are pure assertions: a passing plan executes identically with
+//  3. Streaming-aggregate clustering. physicalize marks an aggregate Stream
+//     from an order property it derives bottom-up for whole nodes. planck
+//     re-derives it the other way — top-down from each marked aggregate's
+//     key, one column at a time, to the SEQ8()/SEQ4() projection it must
+//     descend from — and fails preparation when the trace crosses anything
+//     that can reorder or recompute the column. (The run-time half is the
+//     operator's own check: a key that regresses fails the query.)
+//
+// All checks are pure assertions: a passing plan executes identically with
 // and without planck, modulo the per-batch validation cost.
 
 import (
@@ -37,7 +45,60 @@ func checkPlan(root Node, unordered map[Node]bool) error {
 	if err := checkUnorderedScans(root, nil, unordered); err != nil {
 		return err
 	}
+	if err := checkStreamAggs(root); err != nil {
+		return err
+	}
 	return checkSelContract(root)
+}
+
+// checkStreamAggs verifies every aggregate marked Stream: one group key, a
+// column reference, clustered in the aggregate's input.
+func checkStreamAggs(n Node) error {
+	if x, ok := n.(*AggregateNode); ok && x.Stream {
+		if len(x.GroupBy) != 1 || !clusteredColumn(x.Input, colIndex(x.Input.Schema(), x.GroupBy[0])) {
+			return fmt.Errorf("planck: aggregate is marked stream but its grouping %v does not trace to a row ID through order-preserving operators", x.GroupNames)
+		}
+	}
+	for _, c := range planChildren(n) {
+		if err := checkStreamAggs(c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// clusteredColumn traces output column col of n down to its origin and
+// reports whether it is non-decreasing in row order: a SEQ8()/SEQ4()
+// projection, reached through pass-through projections, filters, limits,
+// FLATTEN input columns, and streamed aggregates (their key, or ANY_VALUE /
+// MIN / MAX of a clustered column).
+func clusteredColumn(n Node, col int) bool {
+	if col < 0 {
+		return false
+	}
+	switch x := n.(type) {
+	case *ProjectNode:
+		e := x.Exprs[col]
+		return isRowIDExpr(e) || clusteredColumn(x.Input, colIndex(x.Input.Schema(), e))
+	case *FilterNode:
+		return clusteredColumn(x.Input, col)
+	case *LimitNode:
+		return clusteredColumn(x.Input, col)
+	case *FlattenNode:
+		return col < len(x.Input.Schema().Names) && clusteredColumn(x.Input, col)
+	case *AggregateNode:
+		if !x.Stream {
+			return false
+		}
+		if col == 0 {
+			return true // checkStreamAggs visits this aggregate's own key too
+		}
+		switch spec := x.Aggs[col-1]; spec.Name {
+		case "ANY_VALUE", "MIN", "MAX":
+			return clusteredColumn(x.Input, colIndex(x.Input.Schema(), spec.Arg))
+		}
+	}
+	return false
 }
 
 // checkUnorderedScans walks to every scan carrying the ancestor path and

@@ -132,13 +132,9 @@ func encodeAccState(dst []byte, acc accumulator) ([]byte, error) {
 		for _, v := range a.vals {
 			dst = v.AppendBinary(dst)
 		}
-		// orders is either empty or aligned with vals.
-		dst = binary.AppendUvarint(dst, uint64(len(a.orders)))
-		for _, ord := range a.orders {
-			dst = binary.AppendUvarint(dst, uint64(len(ord)))
-			for _, k := range ord {
-				dst = k.AppendBinary(dst)
-			}
+		// The order keys follow flat, nord (known from the spec) per value.
+		for _, k := range a.orders {
+			dst = k.AppendBinary(dst)
 		}
 	default:
 		return nil, fmt.Errorf("engine: aggregate %T has no spillable partial state", acc)
@@ -230,25 +226,10 @@ func decodeAccState(spec AggSpec, src []byte) (accumulator, []byte, error) {
 				a.seen[string(a.kbuf)] = true
 			}
 		}
-		if err == nil {
-			var no uint64
-			no, src, err = readSpillUvarint(src)
-			for i := uint64(0); err == nil && i < no; i++ {
-				var nk uint64
-				nk, src, err = readSpillUvarint(src)
-				if err != nil {
-					break
-				}
-				ord := make([]variant.Value, nk)
-				for k := uint64(0); k < nk; k++ {
-					ord[k], src, err = variant.DecodeBinary(src)
-					if err != nil {
-						break
-					}
-				}
-				if err == nil {
-					a.orders = append(a.orders, ord)
-				}
+		for i := 0; err == nil && i < len(a.vals)*a.nord; i++ {
+			var k variant.Value
+			if k, src, err = variant.DecodeBinary(src); err == nil {
+				a.orders = append(a.orders, k)
 			}
 		}
 	default:
@@ -598,16 +579,11 @@ func (e *aggEval) replayTuples(ectx *execContext, run *storage.SpillRun, t *aggT
 					return err
 				}
 			}
-			rowO[a] = nil
-			if len(ca.order) > 0 {
-				ord := make([]variant.Value, len(ca.order))
-				for j := range ca.order {
-					ord[j], rec, err = variant.DecodeBinary(rec)
-					if err != nil {
-						return err
-					}
+			for j := range rowO[a] {
+				rowO[a][j], rec, err = variant.DecodeBinary(rec)
+				if err != nil {
+					return err
 				}
-				rowO[a] = ord
 			}
 		}
 		if len(rec) != 0 {

@@ -43,6 +43,10 @@ var spillParityQueries = []string{
 	`SELECT "k", COUNT(*) AS c, MIN("v") AS mn, MAX("s") AS mx FROM "t" GROUP BY "k" ORDER BY "k"`,
 	`SELECT "k", COUNT(DISTINCT "s") AS d, ARRAY_AGG("v") AS vs FROM "t" GROUP BY "k" ORDER BY "k"`,
 	`SELECT "k", SUM("f") AS sf, AVG("f") AS af FROM "t" GROUP BY "k" ORDER BY "k"`,
+	// Ordered ARRAY_AGG: its WITHIN GROUP keys travel in the state runs, and
+	// (beside a float SUM) in the deferred tuples.
+	`SELECT "k", ARRAY_AGG("v") WITHIN GROUP (ORDER BY "s" DESC, "v") AS vs FROM "t" GROUP BY "k" ORDER BY "k"`,
+	`SELECT "k", SUM("f") AS sf, ARRAY_AGG(DISTINCT "v" % 7) WITHIN GROUP (ORDER BY "v" % 7 DESC) AS vs FROM "t" GROUP BY "k" ORDER BY "k"`,
 	`SELECT "v", "s" FROM "t" ORDER BY "s", "v" DESC`,
 	`SELECT "v", "v2", "s2" FROM (SELECT "k", "v" FROM "t" WHERE "k" < 9) INNER JOIN (SELECT "v" AS "v2", "s" AS "s2", "k" AS "k2" FROM "t") ON "v" = "v2" ORDER BY "v"`,
 	`SELECT "k2", COUNT(*) AS n FROM (SELECT "k", "v" FROM "t") LEFT OUTER JOIN (SELECT "v" AS "v2", "k" AS "k2" FROM "t" WHERE "k" = 3) ON "v" = "v2" GROUP BY "k2" ORDER BY "k2"`,

@@ -93,6 +93,29 @@ func BenchmarkFlattenReagg(b *testing.B) {
 		5000)
 }
 
+// BenchmarkReaggClustered measures the re-aggregate alone — GROUP BY a
+// clustered row ID, four rows a group, as every nested-query translation
+// ends — on each aggregate algorithm. The hash path is reachable on a
+// clustered key only by building the node by hand, as here, or through
+// Engine.forceHashAgg.
+func BenchmarkReaggClustered(b *testing.B) {
+	const groups = 5000
+	rows := clusteredRows(groups, 4)
+	for _, mode := range []string{"hash", "stream"} {
+		b.Run(mode, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				it := clusteredReagg(b, mode == "stream", rows)
+				b.StartTimer()
+				if n := drainCount(b, it); n != groups {
+					b.Fatalf("rows = %d", n)
+				}
+			}
+		})
+	}
+}
+
 // jetBatch builds one 1 024-row batch shaped like ADL q6/q7's inner
 // pipelines: an array of three jets, three 1-based indices into it, and one
 // jet and one muon object per row.

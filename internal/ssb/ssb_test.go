@@ -161,3 +161,25 @@ func TestSizesForScaleFactor(t *testing.T) {
 		t.Errorf("tiny sizes not floored: %+v", tiny)
 	}
 }
+
+// TestNoStreamAggregates: SSB has no nested queries, so no plan — generated
+// or handwritten — carries a row ID, and every aggregate stays on the hash
+// table (ssb_exec is the streaming aggregate's control workload).
+func TestNoStreamAggregates(t *testing.T) {
+	sess, _ := testEngines(t)
+	for _, q := range Queries() {
+		gen, err := TranslateSQL(sess, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sql := range []string{gen, q.SQL} {
+			plan, err := sess.Engine().Explain(sql)
+			if err != nil {
+				t.Fatalf("%s: %v", q.ID, err)
+			}
+			if strings.Contains(plan, "Aggregate stream") || !strings.Contains(plan, "Aggregate hash ") {
+				t.Errorf("%s: want hash aggregates only:\n%s", q.ID, plan)
+			}
+		}
+	}
+}
