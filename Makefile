@@ -38,11 +38,15 @@ lint-fixtures:
 race:
 	$(GO) test -race ./...
 
-# The early-close stress test hammers the parallel pipeline breakers
-# (aggregate, join build, sort) with LIMIT-truncated and abandoned queries;
-# under the race detector it is the gate for the worker-shutdown paths.
+# The stress tests hammer every worker pool of internal/engine — the
+# exchanges and the parallel pipeline breakers (aggregate, join build, sort)
+# — with LIMIT-truncated, cancelled and abandoned queries, plus the MVCC and
+# plan-cache races; under the race detector, five times over, they are the
+# gate for the worker-shutdown paths. The output is kept in stress.log, which
+# CI uploads when the run fails.
+stress: SHELL := /bin/bash
 stress:
-	$(GO) test -race -run 'Stress' -count 2 ./internal/engine/
+	set -o pipefail; $(GO) test -race -run 'Stress' -count 5 ./internal/engine/ 2>&1 | tee stress.log
 
 # fuzz-smoke gives each differential fuzzer a short budget so CI explores
 # the plan-generator space beyond the checked-in seed corpus. The seeds
@@ -77,4 +81,4 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 clean:
-	rm -rf results.json trace.json .bench_build
+	rm -rf results.json trace.json stress.log .bench_build

@@ -45,7 +45,6 @@ func main() {
 	repl := flag.Bool("repl", false, "interactive mode: queries end with a ';' line")
 	batchSize := flag.Int("batch-size", 0, "rows per vector batch (0 = engine default, 1024)")
 	parallelism := flag.Int("parallelism", 0, "workers for parallel scans, aggregation, join build and sort (0 = NumCPU, 1 = sequential)")
-	mergePartitions := flag.Int("merge-partitions", 0, "hash partitions of the parallel aggregate merge (0 = follow -parallelism)")
 	memLimit := flag.String("mem-limit", "", "pipeline-breaker memory budget per query, e.g. 64KiB or 512MiB (empty = unlimited; overflow spills to disk)")
 	timeout := flag.Duration("timeout", 0, "per-query execution time limit, e.g. 30s (0 = none)")
 	planCheck := flag.Bool("plancheck", false, "enable the planck debug pass (plan cross-checks + per-batch validation)")
@@ -69,7 +68,6 @@ func main() {
 	openOpts := []jsonpark.OpenOption{
 		jsonpark.WithBatchSize(*batchSize),
 		jsonpark.WithParallelism(*parallelism),
-		jsonpark.WithMergePartitions(*mergePartitions),
 		jsonpark.WithMemLimit(memBytes),
 		jsonpark.WithPlanCheck(*planCheck),
 		jsonpark.WithSlowQueryMillis(*slowMS),

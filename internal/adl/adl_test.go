@@ -295,3 +295,36 @@ func TestStreamAggregateCensus(t *testing.T) {
 		}
 	}
 }
+
+// TestExchangeCensus pins how many segments of each ADL plan the physical
+// pass wraps in an exchange that may fan out: every nested query's row-ID →
+// FLATTEN → re-aggregate chain (q2/q3 flatten without a row ID), none for
+// q1's plain scan, and both FLATTEN branches of handwritten q8's UNION ALL.
+// None may stay sequential: every row ID of these plans is only carried.
+func TestExchangeCensus(t *testing.T) {
+	sess, _ := testSetup(t)
+	want := map[string][2]int{ // generated, handwritten
+		"q1": {0, 0}, "q2": {1, 1}, "q3": {1, 1},
+		"q4": {1, 1}, "q5": {1, 1}, "q6": {1, 1}, "q7": {1, 1}, "q8": {1, 2},
+	}
+	for _, q := range Queries() {
+		res, err := core.Translate(sess, q.JSONiq, core.Options{Strategy: q.Strategy})
+		if err != nil {
+			t.Fatalf("%s: %v", q.ID, err)
+		}
+		var got [2]int
+		for i, sql := range []string{res.SQL, q.SQL} {
+			plan, err := sess.Engine().Explain(sql)
+			if err != nil {
+				t.Fatalf("%s: %v", q.ID, err)
+			}
+			got[i] = strings.Count(plan, "Exchange")
+			if strings.Contains(plan, "Exchange sequential") {
+				t.Errorf("%s: a segment stays sequential:\n%s", q.ID, plan)
+			}
+		}
+		if got != want[q.ID] {
+			t.Errorf("%s: exchanges (generated, handwritten) = %v, want %v", q.ID, got, want[q.ID])
+		}
+	}
+}

@@ -42,6 +42,7 @@ func TestADLStorageParity(t *testing.T) {
 	}{
 		{"variant-only", mkSession(engine.WithTypedColumns(false), engine.WithParallelism(1))},
 		{"typed", mkSession(engine.WithParallelism(1))},
+		{"typed-par2", mkSession(engine.WithParallelism(2))},
 		{"typed-par4", mkSession(engine.WithParallelism(4))},
 		{"typed-persist-reload", reload()},
 	}

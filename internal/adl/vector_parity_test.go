@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"jsonpark/internal/engine"
+	"jsonpark/internal/hepdata"
+	"jsonpark/internal/snowpark"
 	"jsonpark/internal/vector"
 )
 
@@ -36,37 +38,44 @@ func TestADLBatchSizeParity(t *testing.T) {
 		// selection before reuse (vector.SetPoison): a consumer that kept a
 		// streamed batch past its producer's next NextBatch diverges here.
 		poison bool
+		// partBytes > 0 cuts the table into micro-partitions of that size, so
+		// the exchanges fan out over many morsels and the parallel aggregate
+		// splits q1–q3 (one partition is one morsel at this event count).
+		partBytes int64
 	}{
-		{"bs1-seq", 1, 1, 0, false},
-		{"bs1024-seq", 1024, 1, 0, false},
-		{"bs1-par4", 1, 4, 0, false},
-		{"bs1024-par4", 1024, 4, 0, false},
-		{"bs1024-par", 1024, 0, 0, false}, // 0 = NumCPU workers
+		{"bs1-seq", 1, 1, 0, false, 0},
+		{"bs1024-seq", 1024, 1, 0, false, 0},
+		{"bs1-par4", 1, 4, 0, false, 0},
+		{"bs1024-par4", 1024, 4, 0, false, 0},
+		{"bs1024-par", 1024, 0, 0, false, 0}, // 0 = NumCPU workers
 		// Governed rows: the 64KiB breaker budget forces the benchmark
 		// queries to spill, and spilled results must stay byte-identical.
-		{"bs1024-seq-64k", 1024, 1, 64 * 1024, false},
-		{"bs1024-par4-64k", 1024, 4, 64 * 1024, false},
+		{"bs1024-seq-64k", 1024, 1, 64 * 1024, false, 0},
+		{"bs1024-par4-64k", 1024, 4, 64 * 1024, false, 0},
 		// Batch-lifetime rows: batch sizes 1, 2, 7, 1024 × parallelism 1, 4,
 		// poisoned, plus one poisoned spilling row.
-		{"poison-bs1-seq", 1, 1, 0, true},
-		{"poison-bs1-par4", 1, 4, 0, true},
-		{"poison-bs2-seq", 2, 1, 0, true},
-		{"poison-bs2-par4", 2, 4, 0, true},
-		{"poison-bs7-seq", 7, 1, 0, true},
-		{"poison-bs7-par4", 7, 4, 0, true},
-		{"poison-bs1024-seq", 1024, 1, 0, true},
-		{"poison-bs1024-par4", 1024, 4, 0, true},
-		{"poison-bs1024-par4-64k", 1024, 4, 64 * 1024, true},
+		{"poison-bs1-seq", 1, 1, 0, true, 0},
+		{"poison-bs1-par4", 1, 4, 0, true, 0},
+		{"poison-bs2-seq", 2, 1, 0, true, 0},
+		{"poison-bs2-par4", 2, 4, 0, true, 0},
+		{"poison-bs7-seq", 7, 1, 0, true, 0},
+		{"poison-bs7-par4", 7, 4, 0, true, 0},
+		{"poison-bs1024-seq", 1024, 1, 0, true, 0},
+		{"poison-bs1024-par4", 1024, 4, 0, true, 0},
+		{"poison-bs1024-par4-64k", 1024, 4, 64 * 1024, true, 0},
+		// Exchange rows: parallelism 2 (this box's, and adl_exec's), one
+		// partition and many.
+		{"bs1024-par2", 1024, 2, 0, false, 0},
+		{"poison-bs7-par2", 7, 2, 0, true, 0},
+		{"poison-bs1024-par2-parts", 1024, 2, 0, true, 16 << 10},
+		{"poison-bs7-par4-parts", 7, 4, 0, true, 16 << 10},
 	}
 	defer vector.SetPoison(false)
 	type ref struct{ translated, handwritten string }
 	var want map[string]ref
 	for _, cfg := range configs {
 		vector.SetPoison(cfg.poison)
-		sess, _, err := SetupMemOpts(42, parityEvents, cfg.batchSize, cfg.parallelism, cfg.memLimit)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sess := paritySession(t, cfg.batchSize, cfg.parallelism, cfg.memLimit, cfg.partBytes)
 		var spills int64
 		got := make(map[string]ref)
 		for _, q := range Queries() {
@@ -100,4 +109,33 @@ func TestADLBatchSizeParity(t *testing.T) {
 			}
 		}
 	}
+}
+
+// paritySession loads the parity dataset into a fresh engine, cut into
+// micro-partitions of partBytes when > 0.
+func paritySession(t *testing.T, batchSize, parallelism int, memLimit, partBytes int64) *snowpark.Session {
+	t.Helper()
+	if partBytes == 0 {
+		sess, _, err := SetupMemOpts(42, parityEvents, batchSize, parallelism, memLimit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess
+	}
+	eng := engine.New(engine.WithBatchSize(batchSize), engine.WithParallelism(parallelism),
+		engine.WithMemLimit(memLimit), engine.WithPlanCacheSize(-1))
+	tab, err := eng.Catalog().CreateTable("adl", hepdata.Columns())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab.SetTargetPartitionBytes(partBytes)
+	for _, d := range hepdata.Events(42, parityEvents) {
+		if err := tab.AppendObject(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(tab.Partitions()); n < 4 {
+		t.Fatalf("%d-byte partitions cut the parity table into %d partitions, want several", partBytes, n)
+	}
+	return snowpark.NewSession(eng)
 }

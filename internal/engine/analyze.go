@@ -35,6 +35,12 @@ type OpStats struct {
 	LocalWallUS   int64 // wall time of the parallel local phase, microseconds
 	MergeWallUS   int64 // wall time of the parallel merge phase, microseconds
 
+	// Exchange: the workers and morsels it fanned out to, or why it ran its
+	// segment sequentially.
+	Workers    int
+	Morsels    int
+	Sequential string
+
 	// Memory governance (WithMemLimit; zero when accounting is disabled or the
 	// operator retains no accounted state).
 	MemPeakBytes  int64 // peak accounted bytes held by this operator
@@ -103,6 +109,8 @@ type PlanStats struct {
 	MaxWorkerRows    int64  `json:"max_worker_rows,omitempty"`
 	LocalWallUS      int64  `json:"local_wall_us,omitempty"`
 	MergeWallUS      int64  `json:"merge_wall_us,omitempty"`
+	Workers          int    `json:"workers,omitempty"`
+	Morsels          int    `json:"morsels,omitempty"`
 	MemPeakBytes     int64  `json:"mem_peak_bytes,omitempty"`
 	MemLimitBytes    int64  `json:"mem_limit_bytes,omitempty"`
 	Spills           int64  `json:"spills,omitempty"`
@@ -167,6 +175,17 @@ func buildPlanStats(n Node, stats map[Node]*OpStats) *PlanStats {
 		MemLimitBytes:    st.MemLimitBytes,
 		Spills:           st.Spills,
 		SpillBytes:       st.SpillBytes,
+		Workers:          st.Workers,
+		Morsels:          st.Morsels,
+	}
+	if _, ok := n.(*ExchangeNode); ok {
+		// What the exchange did at run time replaces what it could do.
+		switch {
+		case st.Workers > 0:
+			out.Detail = strings.TrimSpace(fmt.Sprintf("workers=%d morsels=%d %s", st.Workers, st.Morsels, detail))
+		case st.Sequential != "":
+			out.Detail = "sequential: " + st.Sequential
+		}
 	}
 	if es, ok := nodeExprStats(n); ok {
 		out.ExprNodes, out.ExprDistinct, out.ExprSlots = es.Nodes, es.Distinct, es.Slots
@@ -257,6 +276,20 @@ func describeNode(n Node) (op, detail string) {
 			return "Aggregate", fmt.Sprintf("stream key=%s aggs=%d", sqlast.RenderExpr(x.GroupBy[0]), len(x.Aggs))
 		}
 		return "Aggregate", fmt.Sprintf("hash groups=%d aggs=%d", len(x.GroupBy), len(x.Aggs))
+	case *ExchangeNode:
+		if x.Why != "" {
+			return "Exchange", "sequential: " + x.Why
+		}
+		var ids []string
+		for i, r := range x.Renumber {
+			if r > 0 {
+				ids = append(ids, x.Schema().Names[i])
+			}
+		}
+		if len(ids) == 0 {
+			return "Exchange", ""
+		}
+		return "Exchange", fmt.Sprintf("renumber=%v", ids)
 	case *ParallelAggNode:
 		return "ParallelAggregate", fmt.Sprintf("groups=%d aggs=%d pipelines=%d merge_parts=%d",
 			len(x.GroupBy), len(x.Aggs), x.Pipelines, x.MergeParts)
@@ -317,6 +350,8 @@ func planChildren(n Node) []Node {
 	case *AggregateNode:
 		return []Node{x.Input}
 	case *ParallelAggNode:
+		return []Node{x.Input}
+	case *ExchangeNode:
 		return []Node{x.Input}
 	case *JoinNode:
 		return []Node{x.Left, x.Right}

@@ -21,7 +21,6 @@ type Engine struct {
 	catalog     *storage.Catalog
 	batchSize   int
 	parallelism int
-	mergeParts  int
 	memLimit    int64
 	planCheck   bool
 	dataDir     string
@@ -46,10 +45,14 @@ type Engine struct {
 	// batchHook, when set, runs after every root batch the executor drains.
 	// Tests use it to hold a query mid-flight deterministically.
 	batchHook func()
-	// forceHashAgg keeps every aggregate on the hash path. Only the
-	// differential tests set it (before the first query: compiled plans are
-	// cached) — the hash aggregate is the streaming aggregate's oracle.
+	// Test hooks, set before the first query (compiled plans are cached and
+	// the hooks are not in the plan key). forceHashAgg keeps every aggregate
+	// on the hash path — the streaming aggregate's oracle; mergeParts sets the
+	// parallel aggregate's merge partitions (0 follows the parallelism);
+	// morselRows shrinks the exchange's morsels so small tables fan out.
 	forceHashAgg bool
+	mergeParts   int
+	morselRows   int
 }
 
 // Option configures an Engine.
@@ -65,28 +68,18 @@ func WithBatchSize(n int) Option {
 	}
 }
 
-// WithParallelism caps the worker pool of every parallel operator: morsel
-// table scans and the pipeline-breaker phases (partitioned hash aggregation,
-// hash-join build, sort-run sorting). 1 runs everything sequentially; values
-// < 1 fall back to runtime.NumCPU(). Results are byte-identical at every
-// setting — operators whose parallel execution could change output (float
-// SUM/AVG folds, stateful SEQ expressions, unknown aggregates) stay on the
+// WithParallelism caps the worker pool of every parallel operator: the
+// exchanges (scans and nested FLATTEN/re-aggregate pipelines over morsels)
+// and the pipeline-breaker phases (partitioned hash aggregation, hash-join
+// build, sort-run sorting). 1 runs everything sequentially; values < 1 fall
+// back to runtime.NumCPU(). Results are byte-identical at every setting —
+// operators whose parallel execution could change output (float SUM/AVG
+// folds, row IDs used other than as keys, unknown aggregates) stay on the
 // sequential path.
 func WithParallelism(n int) Option {
 	return func(e *Engine) {
 		if n > 0 {
 			e.parallelism = n
-		}
-	}
-}
-
-// WithMergePartitions sets the number of disjoint hash partitions the
-// parallel aggregate's thread-local tables split into for the merge phase.
-// Values < 1 (the default) follow the parallelism setting.
-func WithMergePartitions(n int) Option {
-	return func(e *Engine) {
-		if n > 0 {
-			e.mergeParts = n
 		}
 	}
 }
@@ -354,13 +347,11 @@ func (e *Engine) compile(sql string, po PrepareOptions) (*compiledPlan, error) {
 	if par <= 0 {
 		par = runtime.NumCPU()
 	}
-	mergeParts := e.mergeParts
-	if mergeParts <= 0 {
-		mergeParts = par
-	}
 	physp := po.Span.Child("engine.physicalize")
-	var breakers int
-	plan, breakers = physicalizeTraced(plan, par, mergeParts, e.forceHashAgg, physp)
+	plan, counts := physicalize(plan, par, e.mergeParts, e.forceHashAgg)
+	physp.SetAttr("parallel-breakers", counts.parallelBreakers)
+	physp.SetAttr("stream-aggs", counts.streamAggs)
+	physp.SetAttr("parallel-pipelines", counts.parallelPipelines)
 	physp.End()
 	var unordered map[Node]bool
 	if par > 1 {
@@ -380,9 +371,8 @@ func (e *Engine) compile(sql string, po PrepareOptions) (*compiledPlan, error) {
 		sql:            sql,
 		plan:           plan,
 		columns:        plan.Schema().Names,
-		breakers:       breakers,
+		breakers:       counts.parallelBreakers,
 		par:            par,
-		mergeParts:     mergeParts,
 		unorderedScans: unordered,
 	}, nil
 }
@@ -411,7 +401,7 @@ func (e *Engine) bind(cp *compiledPlan, po PrepareOptions) (*Prepared, error) {
 		metrics:        &Metrics{ParallelBreakers: cp.breakers},
 		batchSize:      e.batchSize,
 		parallelism:    cp.par,
-		mergeParts:     cp.mergeParts,
+		morselRows:     e.morselRows,
 		acct:           acct,
 		prog:           newQueryProgress(cp.plan, cp.sql, po.TraceID),
 		batchHook:      e.batchHook,
@@ -564,9 +554,10 @@ func (e *Engine) Explain(sql string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	// The plan-derived physical choice (stream or hash aggregate) is part of
-	// the rendering; the parallel breakers depend on the partition count at
-	// compile time and show in EXPLAIN ANALYZE only.
+	// The plan-derived physical choices (stream or hash aggregate, exchanges)
+	// are part of the rendering; the parallel breakers depend on the partition
+	// count at compile time and show in EXPLAIN ANALYZE only, as does whether
+	// an exchange fanned out.
 	plan, _ = physicalize(optimize(plan), 1, 1, e.forceHashAgg)
 	var b strings.Builder
 	explainNode(&b, plan, 0)

@@ -27,12 +27,12 @@ type execContext struct {
 	// parallelism caps the morsel worker pool of each scan and the worker
 	// pools of the parallel pipeline breakers.
 	parallelism int
-	// mergeParts is the hash-partition count of the parallel aggregate's
-	// merge phase (defaults to parallelism).
-	mergeParts int
+	// morselRows overrides minMorselRows, the exchange's morsel size
+	// (Engine.morselRows, a test hook; 0 keeps the default).
+	morselRows int
 	// unorderedScans marks scans whose consumers are provably insensitive to
-	// row order; their morsel workers emit batches as they complete instead
-	// of merging in partition order.
+	// row order; their exchange releases morsels as they complete instead of
+	// in morsel order.
 	unorderedScans map[Node]bool
 	// planCheck wraps every operator in a checkIter validating the batch
 	// contract at run time (the planck debug pass).
@@ -237,6 +237,8 @@ func prepareNode(n Node, ctx *execContext) (batchIter, error) {
 		return prepareAggregate(x, ctx)
 	case *ParallelAggNode:
 		return prepareParallelAgg(x, ctx)
+	case *ExchangeNode:
+		return prepareExchange(x, ctx)
 	case *JoinNode:
 		return prepareJoin(x, ctx, 1, x)
 	case *ParallelJoinNode:
@@ -890,6 +892,10 @@ func (s *streamAggIter) emit() {
 		acc.reset()
 	}
 }
+
+// rewind readies the operator for a fresh input — an exchange worker's next
+// morsel — after the previous one ended with its last group emitted.
+func (s *streamAggIter) rewind() { s.done, s.open = false, false }
 
 func (s *streamAggIter) Close() { s.in.Close() }
 

@@ -210,15 +210,15 @@ func typedColColKernel(b *vector.Batch, lt, rt *vector.TypedCol, op string, out 
 	lk, rk := lt.Kind(), rt.Kind()
 	numL := lk == TypedColInt || lk == TypedColFloat
 	numR := rk == TypedColInt || rk == TypedColFloat
+	intInt := lk == TypedColInt && rk == TypedColInt
 	if cmpOps[op] {
 		var cmp func(i int) int // three-way comparison of row i's two non-null values
 		switch {
-		case lk == TypedColInt && rk == TypedColInt:
+		case intInt:
 			xs, ys := lt.Ints(), rt.Ints()
 			cmp = func(i int) int { return cmp3(xs[i], ys[i]) }
 		case numL && numR:
-			lf, rf := typedFloatAt(lt), typedFloatAt(rt)
-			cmp = func(i int) int { return cmp3(lf(i), rf(i)) }
+			return true, floatKernel(b, lt, rt, op, out)
 		case lk == TypedColString && rk == TypedColString:
 			cmp = func(i int) int { return strings.Compare(lt.StringAt(i), rt.StringAt(i)) }
 		case lk == TypedColBool && rk == TypedColBool:
@@ -242,36 +242,10 @@ func typedColColKernel(b *vector.Batch, lt, rt *vector.TypedCol, op string, out 
 	if !numL || !numR {
 		return false, nil
 	}
-	if lk == TypedColInt && rk == TypedColInt && op != "/" {
-		xs, ys := lt.Ints(), rt.Ints()
-		var err error
-		b.ForEach(func(i int) {
-			if err != nil {
-				return
-			}
-			if lt.Null(i) || rt.Null(i) {
-				out[i] = variant.Null
-				return
-			}
-			switch op {
-			case "+":
-				out[i] = variant.Int(xs[i] + ys[i])
-			case "-":
-				out[i] = variant.Int(xs[i] - ys[i])
-			case "*":
-				out[i] = variant.Int(xs[i] * ys[i])
-			case "%":
-				if ys[i] == 0 {
-					_, err = variant.Mod(variant.Int(xs[i]), variant.Int(0))
-					return
-				}
-				out[i] = variant.Int(xs[i] % ys[i])
-			}
-		})
-		return true, err
+	if !intInt || op == "/" {
+		return true, floatKernel(b, lt, rt, op, out)
 	}
-	intInt := lk == TypedColInt && rk == TypedColInt
-	lf, rf := typedFloatAt(lt), typedFloatAt(rt)
+	xs, ys := lt.Ints(), rt.Ints()
 	var err error
 	b.ForEach(func(i int) {
 		if err != nil {
@@ -281,7 +255,52 @@ func typedColColKernel(b *vector.Batch, lt, rt *vector.TypedCol, op string, out 
 			out[i] = variant.Null
 			return
 		}
-		x, y := lf(i), rf(i)
+		switch op {
+		case "+":
+			out[i] = variant.Int(xs[i] + ys[i])
+		case "-":
+			out[i] = variant.Int(xs[i] - ys[i])
+		case "*":
+			out[i] = variant.Int(xs[i] * ys[i])
+		case "%":
+			if ys[i] == 0 {
+				_, err = variant.Mod(variant.Int(xs[i]), variant.Int(0))
+				return
+			}
+			out[i] = variant.Int(xs[i] % ys[i])
+		}
+	})
+	return true, err
+}
+
+// floatKernel runs a comparison or arithmetic over two numeric columns
+// promoted to float64, straight off their backing slices.
+func floatKernel(b *vector.Batch, lt, rt *vector.TypedCol, op string, out []variant.Value) error {
+	switch {
+	case lt.Kind() == TypedColInt && rt.Kind() == TypedColInt:
+		return floatLoop(b, lt, rt, lt.Ints(), rt.Ints(), op, out)
+	case lt.Kind() == TypedColInt:
+		return floatLoop(b, lt, rt, lt.Ints(), rt.Floats(), op, out)
+	case rt.Kind() == TypedColInt:
+		return floatLoop(b, lt, rt, lt.Floats(), rt.Ints(), op, out)
+	}
+	return floatLoop(b, lt, rt, lt.Floats(), rt.Floats(), op, out)
+}
+
+// floatLoop is floatKernel for one pairing of slice types: only int/int
+// reaches it for `/` (division by zero errors there, as in variant.Div).
+func floatLoop[X, Y int64 | float64](b *vector.Batch, lt, rt *vector.TypedCol, xs []X, ys []Y, op string, out []variant.Value) error {
+	intInt := lt.Kind() == TypedColInt && rt.Kind() == TypedColInt
+	var err error
+	b.ForEach(func(i int) {
+		if err != nil {
+			return
+		}
+		if lt.Null(i) || rt.Null(i) {
+			out[i] = variant.Null
+			return
+		}
+		x, y := float64(xs[i]), float64(ys[i])
 		switch op {
 		case "+":
 			out[i] = variant.Float(x + y)
@@ -297,21 +316,11 @@ func typedColColKernel(b *vector.Batch, lt, rt *vector.TypedCol, op string, out 
 			out[i] = variant.Float(x / y)
 		case "%":
 			out[i] = variant.Float(math.Mod(x, y))
+		default:
+			out[i] = cmpBool(op, cmp3(x, y))
 		}
 	})
-	return true, err
-}
-
-// typedFloatAt returns a float64 accessor over a numeric typed column.
-func typedFloatAt(tc *vector.TypedCol) func(int) float64 {
-	if tc.Kind() == TypedColInt {
-		xs := tc.Ints()
-		//jsqlint:ignore typedalias accessor is consumed inside the same batch's kernel invocation and never outlives the scan
-		return func(i int) float64 { return float64(xs[i]) }
-	}
-	xs := tc.Floats()
-	//jsqlint:ignore typedalias accessor is consumed inside the same batch's kernel invocation and never outlives the scan
-	return func(i int) float64 { return xs[i] }
+	return err
 }
 
 // typedIsNull evaluates IS [NOT] NULL straight off the null bitmap when the

@@ -605,6 +605,25 @@ func (d *exprDAG) project(b *vector.Batch, out *vector.Batch) error {
 	return nil
 }
 
+// counter returns the SEQ8()/SEQ4() node compiled expression i evaluates,
+// bare or plus an integer literal (isRowIDExpr); nil for anything else. Its
+// seq is the number of IDs it has issued, which the exchange resets and reads
+// per morsel.
+func (d *exprDAG) counter(i int) *exprNode {
+	n := d.nodes[d.insts[d.roots[i]].node]
+	if n.op == opBin {
+		for _, k := range n.kids {
+			if d.nodes[k].op == opSeq {
+				return d.nodes[k]
+			}
+		}
+	}
+	if n.op == opSeq {
+		return n
+	}
+	return nil
+}
+
 // begin evaluates every root-scope instance over b.
 func (d *exprDAG) begin(b *vector.Batch) error {
 	if d.regs == nil {

@@ -16,7 +16,7 @@ import (
 // FLATTEN, and the row-ID re-aggregate, each with randomized predicates,
 // aggregate lists, sort directions, and limits. The oracle is the sequential
 // unlimited engine with every aggregate on the hash table;
-// every other (batch size, parallelism, mem-limit) cell must render
+// every other (batch size, parallelism, mem-limit, morsel) cell must render
 // byte-identical rows, and the limited cells must never error. The ingest
 // cells add a streaming dimension: they load a prefix of the dataset, warm
 // the result cache (and a materialized view when the group query is
@@ -57,6 +57,9 @@ func FuzzPlanDiff(f *testing.F) {
 			// match the oracle's full-dataset recompute.
 			{name: "bs1-seq-ingest", batch: 1, par: 1, ingest: true},
 			{name: "bs1024-par4-ingest", batch: 1024, par: 4, ingest: true},
+			// Exchange dimension: one partition cut into many small morsels,
+			// so every FLATTEN/re-aggregate segment fans out and renumbers.
+			{name: "bs7-par4-one-partition-morsels", batch: 7, par: 4, morselRows: 16},
 		}
 
 		want := runDiffCell(t, oracle, docs, queries)
@@ -91,6 +94,9 @@ type diffCell struct {
 	// hashAgg forces the hash aggregate where the plan would stream
 	// (Engine.forceHashAgg).
 	hashAgg bool
+	// morselRows > 0 loads the dataset as one partition and shrinks the
+	// exchange's morsels to that many rows (Engine.morselRows).
+	morselRows int
 }
 
 // runDiffCell loads the dataset into a fresh engine configured for the
@@ -113,12 +119,15 @@ func runDiffCell(t *testing.T, c diffCell, docs []string, queries []string) []st
 		opts = append(opts, WithResultCacheSize(64))
 	}
 	e := New(opts...)
-	e.forceHashAgg = c.hashAgg
+	e.forceHashAgg, e.morselRows = c.hashAgg, c.morselRows
 	tab, err := e.Catalog().CreateTable("t", []string{"grp", "id", "val", "s", "items"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tab.SetTargetPartitionBytes(2048)
+	if c.morselRows > 0 {
+		tab.SetTargetPartitionBytes(1 << 40)
+	}
 	for _, doc := range docs[:split] {
 		if err := tab.AppendObject(variant.MustParseJSON(doc)); err != nil {
 			t.Fatalf("[%s] bad generated doc %s: %v", c.name, doc, err)
@@ -131,7 +140,7 @@ func runDiffCell(t *testing.T, c diffCell, docs []string, queries []string) []st
 			t.Fatal(err)
 		}
 		e = New(opts...)
-		e.forceHashAgg = c.hashAgg
+		e.forceHashAgg, e.morselRows = c.hashAgg, c.morselRows
 	}
 	viewable := false
 	if c.ingest {

@@ -61,19 +61,6 @@ func optimizeTraced(n Node, sp *obsv.Span) Node {
 	return n
 }
 
-// physicalizeTraced runs the physical pass (physical.go) with a trace span
-// recording how many pipeline breakers went parallel and how many aggregates
-// stream; the breaker count is also returned so the metrics layer can report
-// it.
-func physicalizeTraced(n Node, par, mergeParts int, hashOnly bool, sp *obsv.Span) (Node, int) {
-	n, counts := physicalize(n, par, mergeParts, hashOnly)
-	if sp != nil {
-		sp.SetAttr("parallel-breakers", counts.parallelBreakers)
-		sp.SetAttr("stream-aggs", counts.streamAggs)
-	}
-	return n, counts.parallelBreakers
-}
-
 // countNodesOf counts plan nodes matching the predicate.
 func countNodesOf(n Node, match func(Node) bool) int {
 	total := 0

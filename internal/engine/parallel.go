@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"sync"
@@ -124,22 +125,45 @@ func (ci *countIter) NextBatch() (*vector.Batch, error) {
 
 func (ci *countIter) Close() { ci.in.Close() }
 
-// --- two-phase partitioned hash aggregation ----------------------------------
+// newChainCounts allocates one worker's counters, index 0 for the scan and
+// i+1 for stage i; nil slots for nil stats slots (the query is not analyzed).
+func newChainCounts(scanSt *OpStats, stageSts []*OpStats) []*chainCounts {
+	counts := make([]*chainCounts, len(stageSts)+1)
+	for i, st := range append([]*OpStats{scanSt}, stageSts...) {
+		if st != nil {
+			counts[i] = &chainCounts{st: st}
+		}
+	}
+	return counts
+}
+
+// stageStats pre-creates the stats slots of a worker pipeline's scan and
+// stages. It runs on the driver: statsFor mutates the stats map and must not
+// race with worker flushes.
+func stageStats(ctx *execContext, scan *ScanNode, stages []Node) (*OpStats, []*OpStats) {
+	sts := make([]*OpStats, len(stages))
+	for i, s := range stages {
+		sts[i] = ctx.statsFor(s)
+	}
+	return ctx.statsFor(scan), sts
+}
 
 // compiledStage is one pipeline stage's compiled expressions, owned by one
 // worker (compiled expressions hold state) and shared across that worker's
-// partitions.
+// partitions or morsels.
 type compiledStage struct {
 	op      string
 	filter  *FilterNode
 	project *ProjectNode
 	flatten *FlattenNode
-	dag     *exprDAG // the stage's condition, select list or FLATTEN input
+	agg     *aggEval // a streamed aggregate's grouping and arguments
+	dag     *exprDAG // the stage's condition, select list, FLATTEN input or agg's DAG
 	width   int
+	stream  *streamAggIter // the streamed aggregate last instantiated
 }
 
-// compileStages compiles the Filter/Project/Flatten chain (execution order)
-// for one worker.
+// compileStages compiles the Filter/Project/Flatten/streamed Aggregate chain
+// (execution order) for one worker.
 func compileStages(ctx *execContext, stages []Node) ([]compiledStage, error) {
 	out := make([]compiledStage, 0, len(stages))
 	for _, n := range stages {
@@ -166,8 +190,14 @@ func compileStages(ctx *execContext, stages []Node) ([]compiledStage, error) {
 				op: op, flatten: x, dag: input,
 				width: len(x.Input.Schema().Names),
 			})
+		case *AggregateNode:
+			eval, err := compileAggEval(ctx, x)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, compiledStage{op: op, agg: eval, dag: eval.dag})
 		default:
-			return nil, fmt.Errorf("engine: node %T cannot run in a parallel aggregation pipeline", n)
+			return nil, fmt.Errorf("engine: node %T cannot run in a worker pipeline", n)
 		}
 	}
 	return out, nil
@@ -181,26 +211,481 @@ func (s *compiledStage) instantiate(in batchIter, batchSize int) batchIter {
 		return &filterIter{in: in, cond: s.dag}
 	case s.project != nil:
 		return &projectIter{in: in, dag: s.dag}
+	case s.agg != nil:
+		s.stream = newStreamAggIter(in, s.agg, batchSize)
+		return s.stream
 	}
 	return newFlattenIter(in, s.dag, s.flatten.Outer, s.width, batchSize)
 }
+
+// instantiateChain assembles one worker's operator chain over src from its
+// compiled stages, with planck checking and count metering mirroring what
+// prepare applies to the streaming pipeline.
+func instantiateChain(ctx *execContext, src batchIter, cs []compiledStage, counts []*chainCounts, batchSize int) batchIter {
+	it := src
+	if ctx.planCheck {
+		it = &checkIter{in: it, op: "Scan"}
+	}
+	if counts[0] != nil {
+		it = &countIter{in: it, c: counts[0]}
+	}
+	for i := range cs {
+		s := &cs[i]
+		it = s.instantiate(it, batchSize)
+		if ctx.planCheck {
+			it = &checkIter{in: it, op: s.op}
+		}
+		if counts[i+1] != nil {
+			it = &countIter{in: it, c: counts[i+1]}
+		}
+	}
+	return it
+}
+
+// --- ordered exchange --------------------------------------------------------
+
+// minMorselRows is the exchange's morsel size, rounded up to whole batches:
+// large enough to amortize a morsel's rewind and hand-off, small enough that
+// one storage partition — adl_exec's whole table — still fans out.
+const minMorselRows = 1024
+
+// maxWorkerBatchRows caps the batches a segment's workers evaluate. Each
+// worker owns a register file of slots × batch rows (about 4 MB per worker on
+// ADL q7 at 1 024 rows), so W workers multiply the query's transient heap and
+// Go's heap goal doubles it again; at 256 rows the registers stay
+// cache-resident and the second worker costs adl_exec ~5% RSS instead of
+// ~29%, at equal speed. Results do not depend on the batch size.
+const maxWorkerBatchRows = 256
+
+// morsel is rows [lo, hi) of pinned partition part.
+type morsel struct{ part, lo, hi int }
+
+// morselOut is one morsel's output as a worker hands it to the driver.
+type morselOut struct {
+	k       int             // morsel index; -1 for a worker that failed to start
+	batches []*vector.Batch // detached: the worker's chain recycles its own
+	issued  []int64         // row IDs each counter issued in the morsel
+	bytes   int64           // charged to the query's accountant until handed out
+	err     error           // the morsel's first error, raised after its batches
+}
+
+// exchangeIter runs an ExchangeNode's segment — or, with no node, a plain
+// scan — on a pool of workers. Workers claim morsels from an atomic counter,
+// each holding one token of a bounded window, replay the segment over the
+// morsel on their own compiled stages, and hand the detached output to the
+// driver, which releases morsels strictly in morsel order (in completion
+// order when the planner proved the consumers order-insensitive) and returns
+// each one's token on release.
+//
+// Why the output is byte-identical to the sequential pipeline's: morsels are
+// contiguous row ranges, so every stage sees the same rows in the same order
+// (only the batch boundaries may differ, and no operator's output depends on
+// them). Counters restart at 0 per morsel; adding to each column tagged with
+// a counter the IDs that counter issued in the earlier morsels gives exactly
+// the sequential IDs, because the counter numbers the rows reaching its
+// projection in order, and those are the concatenation of the morsels'. No
+// group of a streamed aggregate spans two morsels — its key is a row ID of
+// the segment, and a row's copies never leave its morsel — so every fold sees
+// its rows in the sequential order too. The first error in row order is the
+// first errored morsel's, raised after its earlier batches.
+type exchangeIter struct {
+	ctx    *execContext
+	node   *ExchangeNode // nil: a plain scan, whose morsels are whole partitions
+	scan   *ScanNode
+	colIdx []int
+	parts  []*storage.Partition
+	st     *OpStats
+	prog   *opProgress
+	// seq is the sequential pipeline prepared at bind. It serves whenever the
+	// segment does not fan out and is closed unstarted when it does.
+	seq     batchIter
+	ordered bool
+	batch   int // rows per batch inside the workers (maxWorkerBatchRows)
+
+	started  bool
+	morsels  []morsel
+	scanSt   *OpStats
+	results  chan *morselOut
+	tokens   chan struct{}
+	stop     chan struct{}
+	halt     atomic.Bool
+	stopOnce sync.Once
+	wg       sync.WaitGroup
+	window   []*morselOut // received, unreleased: morsel k waits in slot k % len
+	next     int          // morsels released
+	offsets  []int64      // per counter: IDs issued by the released morsels
+	cur      *morselOut   // the morsel being handed out
+}
+
+// prepareExchange prepares the segment as the sequential pipeline — so bind
+// compiles it once and an exchange that does not fan out costs nothing — and
+// the exchange around it.
+func prepareExchange(x *ExchangeNode, ctx *execContext) (batchIter, error) {
+	seq, err := prepare(x.Input, ctx)
+	if err != nil {
+		return nil, err
+	}
+	colIdx, err := scanColumns(x.Scan)
+	if err != nil {
+		seq.Close()
+		return nil, err
+	}
+	return newExchangeIter(ctx, x, x.Scan, seq, colIdx), nil
+}
+
+func newExchangeIter(ctx *execContext, node *ExchangeNode, scan *ScanNode, seq batchIter, colIdx []int) *exchangeIter {
+	x := &exchangeIter{
+		ctx: ctx, node: node, scan: scan, colIdx: colIdx, seq: seq,
+		parts: ctx.pinSnapshot(scan.Table).Parts, ordered: !ctx.unorderedScans[scan],
+		batch: ctx.batchSize,
+	}
+	if node != nil {
+		x.st, x.prog = ctx.statsFor(node), ctx.progFor(node)
+		x.batch = min(x.batch, maxWorkerBatchRows)
+	}
+	return x
+}
+
+// start decides, on the first NextBatch, whether the segment fans out: it
+// must be eligible, run at parallelism > 1 and cut into two morsels or more
+// after pruning. Otherwise the sequential pipeline serves and the node
+// records why. An empty table yields no morsels and starts no goroutine.
+func (x *exchangeIter) start() {
+	x.started = true
+	var why string
+	if x.node != nil {
+		why = x.node.Why
+	}
+	if why == "" && x.ctx.parallelism < 2 {
+		why = "parallelism 1"
+	}
+	pruned := 0
+	if why == "" {
+		pruned = x.cut()
+		if len(x.morsels) < 2 {
+			why = [...]string{"no morsels", "one morsel"}[len(x.morsels)]
+		}
+	}
+	if why != "" {
+		if x.st != nil {
+			x.st.Sequential = why
+		}
+		return
+	}
+	x.seq.Close()
+	x.seq = nil
+	workers := min(x.ctx.parallelism, len(x.morsels))
+	var stages []Node
+	if x.node != nil {
+		stages = x.node.Stages
+		x.offsets = make([]int64, len(x.node.Counters))
+	}
+	if x.st != nil {
+		x.st.Workers, x.st.Morsels = workers, len(x.morsels)
+	}
+	scanSt, stageSts := stageStats(x.ctx, x.scan, stages)
+	x.ctx.addScanCounts(scanSt, len(x.parts), pruned, 0)
+	x.scanSt = scanSt // the workers add the bytes they read
+	if x.node == nil {
+		scanSt = nil // the plain scan's own statIter meters its rows
+	}
+	// The window lets each worker run one morsel ahead of the one the driver
+	// waits for; tokens is its semaphore.
+	x.window = make([]*morselOut, 2*workers)
+	x.tokens = make(chan struct{}, len(x.window))
+	for range x.window {
+		x.tokens <- struct{}{}
+	}
+	x.results = make(chan *morselOut, workers) // one result in flight per worker
+	x.stop = make(chan struct{})
+	var claim atomic.Int64
+	x.wg.Add(workers)
+	for range workers {
+		go x.work(&claim, scanSt, stageSts)
+	}
+}
+
+// cut splits the pinned, unpruned partitions into morsels and returns the
+// pruned count. A plain scan's morsels are whole partitions; a segment's are
+// runs of minMorselRows rounded up to whole worker batches, so no morsel but
+// a partition's last ends in a short batch.
+func (x *exchangeIter) cut() (pruned int) {
+	size := 0
+	if x.node != nil {
+		size = (cmp.Or(x.ctx.morselRows, minMorselRows) + x.batch - 1) / x.batch * x.batch
+	}
+	for i, p := range x.parts {
+		if partitionPruned(x.scan, p) {
+			pruned++
+			continue
+		}
+		n := p.NumRows()
+		step := cmp.Or(size, n)
+		for lo := 0; ; lo += step {
+			x.morsels = append(x.morsels, morsel{part: i, lo: lo, hi: min(lo+step, n)})
+			if lo+step >= n {
+				break
+			}
+		}
+	}
+	return pruned
+}
+
+// work is one worker: it compiles its own copy of the segment, then claims
+// morsels in order, one window token each, until none is left, its morsel
+// failed, or the exchange stops.
+func (x *exchangeIter) work(claim *atomic.Int64, scanSt *OpStats, stageSts []*OpStats) {
+	defer x.wg.Done()
+	r, err := x.compileRun(scanSt, stageSts)
+	if err != nil {
+		x.send(&morselOut{k: -1, err: err})
+		return
+	}
+	defer r.close(x.ctx)
+	for {
+		select {
+		case <-x.tokens:
+		case <-x.stop:
+			return
+		}
+		k := int(claim.Add(1) - 1)
+		if k >= len(x.morsels) || x.ctx.cancelled() != nil {
+			return
+		}
+		out := r.run(x, k)
+		if !x.send(out) || out.err != nil {
+			return
+		}
+	}
+}
+
+// send hands a result to the driver unless the exchange stopped, in which
+// case the result's accounted bytes go straight back.
+func (x *exchangeIter) send(out *morselOut) bool {
+	select {
+	case x.results <- out:
+		return true
+	case <-x.stop:
+		x.unhold(out)
+		return false
+	}
+}
+
+// segmentRun is one worker's compiled copy of the segment (compiled
+// expressions hold state), rewound per morsel.
+type segmentRun struct {
+	filter   *exprDAG
+	src      staticBatches
+	out      batchIter
+	stages   []compiledStage
+	counters []*exprNode
+	counts   []*chainCounts
+}
+
+func (x *exchangeIter) compileRun(scanSt *OpStats, stageSts []*OpStats) (*segmentRun, error) {
+	r := &segmentRun{}
+	var err error
+	if x.scan.Filter != nil {
+		if r.filter, err = compileVec(x.ctx, x.scan.Schema(), x.scan.Filter); err != nil {
+			return nil, err
+		}
+	}
+	if x.node != nil {
+		if r.stages, err = compileStages(x.ctx, x.node.Stages); err != nil {
+			return nil, err
+		}
+		for _, c := range x.node.Counters {
+			n := r.stages[c.stage].dag.counter(c.expr)
+			if n == nil {
+				return nil, fmt.Errorf("engine: internal error: exchange counter %v compiled to no SEQ node", c)
+			}
+			r.counters = append(r.counters, n)
+		}
+	}
+	r.counts = newChainCounts(scanSt, stageSts)
+	r.out = instantiateChain(x.ctx, &r.src, r.stages, r.counts, x.batch)
+	return r, nil
+}
+
+// run replays the segment over morsel k: the scan batches feed the chain's
+// source, streamed aggregates reopen, and counters restart at 0.
+func (r *segmentRun) run(x *exchangeIter, k int) *morselOut {
+	m := x.morsels[k]
+	out := &morselOut{k: k}
+	batches, bytes, err := scanPartition(x.ctx, x.parts[m.part], x.colIdx, r.filter, x.batch, m.lo, m.hi)
+	x.ctx.addScanCounts(x.scanSt, 0, 0, bytes)
+	if err != nil {
+		out.err = err
+		return out
+	}
+	r.src = staticBatches{batches: batches}
+	for i := range r.stages {
+		if s := r.stages[i].stream; s != nil {
+			s.rewind()
+		}
+	}
+	for _, c := range r.counters {
+		c.seq = 0
+	}
+	acct := x.ctx.acct
+	for !x.halt.Load() {
+		b, err := r.out.NextBatch()
+		if err != nil || b == nil {
+			out.err = err
+			break
+		}
+		if len(r.stages) > 0 {
+			// Scan batches are stable; a stage's are recycled by its next call.
+			b = b.Detach()
+			if acct.enabled() {
+				nb := activeRowsBytes(b)
+				acct.charge(nb)
+				x.prog.addMem(nb)
+				out.bytes += nb
+			}
+		}
+		out.batches = append(out.batches, b)
+	}
+	out.issued = make([]int64, len(r.counters))
+	for i, c := range r.counters {
+		out.issued[i] = c.seq
+	}
+	return out
+}
+
+func (r *segmentRun) close(ctx *execContext) {
+	r.out.Close()
+	for _, c := range r.counts {
+		c.flush(ctx)
+	}
+}
+
+func (x *exchangeIter) NextBatch() (*vector.Batch, error) {
+	if !x.started {
+		x.start()
+	}
+	if x.seq != nil {
+		return x.seq.NextBatch()
+	}
+	for x.cur == nil || len(x.cur.batches) == 0 {
+		if x.cur != nil && x.cur.err != nil {
+			return nil, x.cur.err
+		}
+		if x.next == len(x.morsels) {
+			return nil, nil
+		}
+		if err := x.release(); err != nil {
+			return nil, err
+		}
+	}
+	b := x.cur.batches[0]
+	x.cur.batches = x.cur.batches[1:]
+	return b, nil
+}
+
+// release makes the next morsel current — morsel next, or in unordered mode
+// whichever arrives first — renumbers its row IDs and returns its token, so
+// the workers may claim one morsel further.
+func (x *exchangeIter) release() error {
+	slot := x.next % len(x.window)
+	for x.window[slot] == nil {
+		out, err := x.recv()
+		if err != nil {
+			return err
+		}
+		if !x.ordered {
+			out.k = x.next
+		}
+		x.window[out.k%len(x.window)] = out
+	}
+	x.unhold(x.cur)
+	x.cur, x.window[slot] = x.window[slot], nil
+	x.next++
+	x.tokens <- struct{}{}
+	x.renumber(x.cur)
+	return nil
+}
+
+// recv blocks on the next worker result unless the query is cancelled first:
+// the driver's only blocking point, so a cancelled query never hangs here.
+// (Close releases the workers through the stop channel.)
+func (x *exchangeIter) recv() (*morselOut, error) {
+	select {
+	case out := <-x.results:
+		if out.k < 0 {
+			return nil, out.err
+		}
+		return out, nil
+	case <-x.ctx.queryCtx().Done():
+		return nil, x.ctx.cancelled()
+	}
+}
+
+// renumber adds each counter's running offset to the columns descending from
+// it, then advances the offsets past the morsel's IDs.
+func (x *exchangeIter) renumber(out *morselOut) {
+	if x.node == nil {
+		return
+	}
+	for c, r := range x.node.Renumber {
+		if r == 0 || x.offsets[r-1] == 0 {
+			continue
+		}
+		off := x.offsets[r-1]
+		for _, b := range out.batches {
+			col := b.Cols[c]
+			b.ForEach(func(i int) { col[i] = variant.Int(col[i].AsInt() + off) })
+		}
+	}
+	for i, n := range out.issued {
+		x.offsets[i] += n
+	}
+}
+
+// unhold returns a received morsel's accounted bytes.
+func (x *exchangeIter) unhold(out *morselOut) {
+	if out != nil && out.bytes > 0 {
+		x.ctx.acct.release(out.bytes)
+		x.prog.addMem(-out.bytes)
+		out.bytes = 0
+	}
+}
+
+// Close stops the workers, waits for them to exit and returns every
+// accounted byte still held; safe before the first NextBatch and twice.
+func (x *exchangeIter) Close() {
+	if x.seq != nil {
+		x.seq.Close()
+		return
+	}
+	if x.stop == nil {
+		return
+	}
+	x.stopOnce.Do(func() {
+		x.halt.Store(true)
+		close(x.stop)
+		x.wg.Wait()
+		for len(x.results) > 0 {
+			x.unhold(<-x.results)
+		}
+		for _, out := range x.window {
+			x.unhold(out)
+		}
+		x.unhold(x.cur)
+	})
+}
+
+// --- two-phase partitioned hash aggregation ----------------------------------
 
 // prepareParallelAgg builds the two-phase partitioned hash aggregation.
 // Compilation of every expression in the subtree happens here once so
 // compile errors still surface at Prepare time; the workers recompile their
 // own copies at run time (compiled expressions hold state).
 func prepareParallelAgg(x *ParallelAggNode, ctx *execContext) (batchIter, error) {
-	scan, stages, ok := pipelineStages(x.Input)
-	if !ok {
-		return nil, fmt.Errorf("engine: parallel aggregate over a non-pipelineable input (physicalize bug)")
-	}
-	colIdx := make([]int, len(scan.Columns))
-	for i, c := range scan.Columns {
-		idx := scan.Table.ColumnIndex(c)
-		if idx < 0 {
-			return nil, fmt.Errorf("engine: table %q has no column %q", scan.Table.Name, c)
-		}
-		colIdx[i] = idx
+	scan, stages := x.Scan, x.Stages
+	colIdx, err := scanColumns(scan)
+	if err != nil {
+		return nil, err
 	}
 	if scan.Filter != nil {
 		if _, err := compileVec(ctx, scan.Schema(), scan.Filter); err != nil {
@@ -306,13 +791,7 @@ func (p *paggIter) run() ([][]variant.Value, error) {
 		mergeParts = 1
 	}
 
-	// Pre-create every stats slot on the driver: statsFor mutates the stats
-	// map and must not race with worker flushes.
-	scanSt := p.ctx.statsFor(p.scan)
-	stageSts := make([]*OpStats, len(p.stages))
-	for i, s := range p.stages {
-		stageSts[i] = p.ctx.statsFor(s)
-	}
+	scanSt, stageSts := stageStats(p.ctx, p.scan, p.stages)
 	p.ctx.addScanCounts(scanSt, len(parts), 0, 0)
 
 	locals := make([]*aggTable, len(spans))
@@ -384,7 +863,7 @@ func (p *paggIter) run() ([][]variant.Value, error) {
 				fail(err)
 				return
 			}
-			counts := p.newChainCounts(scanSt, stageSts)
+			counts := newChainCounts(scanSt, stageSts)
 			defer func() {
 				for _, c := range counts {
 					c.flush(p.ctx)
@@ -428,7 +907,7 @@ func (p *paggIter) run() ([][]variant.Value, error) {
 						p.ctx.addScanCounts(scanSt, 0, 1, 0)
 						continue
 					}
-					batches, bytes, err := scanPartition(p.ctx, part, p.colIdx, filter, p.ctx.batchSize)
+					batches, bytes, err := scanPartition(p.ctx, part, p.colIdx, filter, p.ctx.batchSize, 0, part.NumRows())
 					p.ctx.addScanCounts(scanSt, 0, 0, bytes)
 					if err != nil {
 						fail(err)
@@ -441,7 +920,7 @@ func (p *paggIter) run() ([][]variant.Value, error) {
 				// input row order.
 				table := newAggTable(eval.aggs, mergeParts)
 				var spanCharged int64
-				it := p.instantiate(&staticBatches{batches: spanBatches}, cs, counts)
+				it := instantiateChain(p.ctx, &staticBatches{batches: spanBatches}, cs, counts, p.ctx.batchSize)
 				for {
 					b, berr := it.NextBatch()
 					if berr != nil {
@@ -647,44 +1126,6 @@ func (p *paggIter) run() ([][]variant.Value, error) {
 		p.ctx.mu.Unlock()
 	}
 	return emitGroupRows(all, p.eval.aggs), nil
-}
-
-// newChainCounts allocates the worker-local counters, index 0 for the scan
-// and i+1 for stage i; nil slots when the query is not analyzed.
-func (p *paggIter) newChainCounts(scanSt *OpStats, stageSts []*OpStats) []*chainCounts {
-	counts := make([]*chainCounts, len(p.stages)+1)
-	if p.ctx.stats == nil {
-		return counts
-	}
-	counts[0] = &chainCounts{st: scanSt}
-	for i := range p.stages {
-		counts[i+1] = &chainCounts{st: stageSts[i]}
-	}
-	return counts
-}
-
-// instantiate assembles one partition's operator chain from the worker's
-// compiled stages, with planck checking and count metering mirroring what
-// prepare applies to the streaming pipeline.
-func (p *paggIter) instantiate(src batchIter, cs []compiledStage, counts []*chainCounts) batchIter {
-	it := src
-	if p.ctx.planCheck {
-		it = &checkIter{in: it, op: "Scan"}
-	}
-	if counts[0] != nil {
-		it = &countIter{in: it, c: counts[0]}
-	}
-	for i := range cs {
-		s := &cs[i]
-		it = s.instantiate(it, p.ctx.batchSize)
-		if p.ctx.planCheck {
-			it = &checkIter{in: it, op: s.op}
-		}
-		if counts[i+1] != nil {
-			it = &countIter{in: it, c: counts[i+1]}
-		}
-	}
-	return it
 }
 
 // --- parallel hash-join build ------------------------------------------------

@@ -188,11 +188,12 @@ func TestParallelJoinAndSortAnalyze(t *testing.T) {
 	}
 }
 
-// TestWithMergePartitions pins the merge-partition option: results stay
+// TestMergePartitionsHook pins the merge-partition test hook: results stay
 // byte-identical and the configured partition count shows up in the stats.
-func TestWithMergePartitions(t *testing.T) {
+func TestMergePartitionsHook(t *testing.T) {
 	base := multiPartEngine(t, WithParallelism(1))
-	tuned := multiPartEngine(t, WithParallelism(4), WithMergePartitions(2), WithPlanCheck(true))
+	tuned := multiPartEngine(t, WithParallelism(4), WithPlanCheck(true))
+	tuned.mergeParts = 2
 	sql := `SELECT "grp", ARRAY_AGG("id"), COUNT(*) FROM "events" GROUP BY "grp"`
 	want, err := base.Query(sql)
 	if err != nil {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"strings"
 
 	"jsonpark/internal/sqlast"
@@ -8,18 +9,27 @@ import (
 )
 
 // The physical pass. After the logical optimizer runs, physicalize walks
-// the plan and wraps each pipeline breaker that can execute its blocking
-// phase in parallel without changing a single output byte:
+// the plan once, bottom-up, deriving each node's order property, and
+// rewrites what can run faster without changing a single output byte:
 //
-//   - AggregateNode → ParallelAggNode when the input is a straight
-//     stateless Filter/Project/Flatten chain over a multi-partition scan
-//     and every aggregate merges exactly (see aggsMergeable). Workers claim
-//     storage partitions morsel-style, aggregate each into a thread-local
-//     table, and the locals merge in parallel across disjoint hash
-//     partitions — in storage-partition order, which equals input row
-//     order, so first-seen group order, ANY_VALUE, ARRAY_AGG concatenation
-//     and DISTINCT first-occurrence dedup all reproduce the sequential
-//     result exactly.
+//   - AggregateNode.Stream when the single group key is a column of the
+//     input's order property (the streaming aggregate, exec.go).
+//
+//   - ExchangeNode around every maximal segment — a scan plus a chain of
+//     Filter / Project / Flatten / streamed Aggregate stages holding at least
+//     one FLATTEN or streamed aggregate. Workers replay the segment over
+//     sub-partition morsels; the driver releases morsels in order and
+//     renumbers row IDs exactly (parallel.go). A segment that uses a row ID
+//     any other way stays sequential and the node says why.
+//
+//   - AggregateNode → ParallelAggNode when the input is a segment without
+//     row IDs over a multi-partition scan and every aggregate merges exactly
+//     (see aggsMergeable). Workers claim storage partitions, aggregate each
+//     span into a thread-local table, and the locals merge in parallel
+//     across disjoint hash partitions — in storage-partition order, which
+//     equals input row order, so first-seen group order, ANY_VALUE,
+//     ARRAY_AGG concatenation and DISTINCT first-occurrence dedup all
+//     reproduce the sequential result exactly.
 //
 //   - JoinNode → ParallelJoinNode when it is an equi-join with stateless
 //     build keys: the build side partitions across workers into disjoint
@@ -36,10 +46,39 @@ import (
 // their lazy error behavior. planck certifies the contracts of the new
 // nodes in planck.go.
 
+// ExchangeNode runs its Input — a segment: Scan plus Stages — on parallel
+// workers, each replaying the segment over fixed sub-partition morsels, and
+// releases the morsels' output strictly in morsel order. Every row-ID
+// counter restarts per morsel; on release the driver adds each counter's
+// running offset to the output columns descending from it, so every row ID
+// comes out exactly as the sequential pipeline assigns it.
+type ExchangeNode struct {
+	Input  Node
+	Scan   *ScanNode
+	Stages []Node // execution order, scan side first
+	// Counters locates each SEQ8()/SEQ4() of the segment: the Project stage
+	// and select-list position evaluating it.
+	Counters []counterRef
+	// Renumber[i] is 1 + the index in Counters of the counter output column
+	// i descends from; 0 leaves the column alone.
+	Renumber []int
+	// Why names the rule keeping the segment sequential; empty when it may
+	// fan out.
+	Why string
+}
+
+func (n *ExchangeNode) Schema() *Schema { return n.Input.Schema() }
+
+// counterRef is one row-ID counter: select-list position expr of segment
+// stage stage (-1 when its projection belongs to no segment).
+type counterRef struct{ stage, expr int }
+
 // ParallelAggNode executes its embedded aggregate as a two-phase
-// partitioned hash aggregation over the pipeline below it.
+// partitioned hash aggregation over the segment below it.
 type ParallelAggNode struct {
 	*AggregateNode
+	Scan   *ScanNode
+	Stages []Node // the row-ID-free segment each worker replays per span
 	// Pipelines caps the phase-1 workers (each runs the scan→…→pre-aggregate
 	// pipeline over whole storage partitions).
 	Pipelines int
@@ -64,14 +103,39 @@ type ParallelSortNode struct {
 	SortWorkers int
 }
 
-// ordering is a node's order property: ordering[i] reports that output
-// column i is provably non-decreasing in row order. nil is the empty set.
-// Every admitted column descends from a row ID — SEQ8()/SEQ4() optionally
-// plus an integer literal — so its values are non-NULL integers, which is
-// what lets the streaming aggregate compare keys as int64.
-type ordering []bool
+// ordering is a node's order property: ordering[i], when non-nil, is the
+// row-ID counter output column i descends from, so the column is provably
+// non-decreasing in row order. Every such column is SEQ8()/SEQ4() optionally
+// plus an integer literal, carried unchanged, so its values are non-NULL
+// integers — what lets the streaming aggregate compare keys as int64 and the
+// exchange renumber a column by adding an offset.
+type ordering []*counterRef
 
-func (o ordering) has(i int) bool { return i >= 0 && i < len(o) && o[i] }
+func (o ordering) at(i int) *counterRef {
+	if i >= 0 && i < len(o) {
+		return o[i]
+	}
+	return nil
+}
+
+func (o ordering) has(i int) bool { return o.at(i) != nil }
+
+// segment is the chain physicalize is extending bottom-up: a scan and the
+// stages above it so far.
+type segment struct {
+	scan     *ScanNode
+	stages   []Node
+	counters []*counterRef
+	work     bool   // holds a FLATTEN or a streamed aggregate
+	why      string // the first rule keeping it sequential
+}
+
+// sequential records why, unless an earlier stage already gave a reason.
+func (s *segment) sequential(why string) {
+	if s.why == "" {
+		s.why = why
+	}
+}
 
 // physicalPass carries the knobs of one physicalize walk and counts what it
 // decided.
@@ -84,31 +148,31 @@ type physicalPass struct {
 }
 
 // physicalCounts is what one physicalize walk decided: pipeline breakers
-// wrapped in their parallel nodes, aggregates marked Stream.
+// wrapped in their parallel nodes, aggregates marked Stream, and exchanges
+// that may fan out at this parallelism.
 type physicalCounts struct {
-	parallelBreakers, streamAggs int
+	parallelBreakers, streamAggs, parallelPipelines int
 }
 
 // physicalize rewrites the optimized logical plan into its physical form in
-// one bottom-up walk that carries each node's order property. An aggregate
-// whose single group key is a column of its input's property is marked
-// Stream at any parallelism; with parallelism > 1 the pipeline breakers that
-// qualify are wrapped in their parallel nodes, so sequential engines never
-// see those. The two never meet: a row-ID pipeline is stateful and
-// pipelineStages rejects it.
+// one bottom-up walk that carries each node's order property. Stream marks
+// and exchanges depend on the plan alone, so they appear at every
+// parallelism (an exchange runs its segment inline at parallelism 1); the
+// parallel pipeline breakers appear only with parallelism > 1.
 func physicalize(n Node, par, mergeParts int, hashOnly bool) (Node, physicalCounts) {
 	if mergeParts <= 0 {
 		mergeParts = par
 	}
 	p := &physicalPass{par: par, mergeParts: mergeParts, hashOnly: hashOnly}
-	n, _ = p.rewrite(n)
-	return n, p.physicalCounts
+	n, out, seg := p.rewrite(n)
+	return p.seal(n, out, seg), p.physicalCounts
 }
 
-// rewrite physicalizes n's subtree and derives n's order property:
+// rewrite physicalizes n's subtree, derives n's order property, and returns
+// the segment n ends, if any:
 //
 //	Project    column i is ordered when Exprs[i] is SEQ8()/SEQ4() (+ integer
-//	           literal) or a reference to an ordered input column
+//	           literal: a new counter) or a reference to an ordered input column
 //	Filter, Limit   keep the input's property (a subsequence stays sorted)
 //	Flatten    keeps it for the input columns (a row's copies are adjacent);
 //	           VALUE and INDEX are not ordered
@@ -116,67 +180,169 @@ func physicalize(n Node, par, mergeParts int, hashOnly bool) (Node, physicalCoun
 //	           MIN / MAX of an ordered column is non-decreasing, because the
 //	           groups are consecutive runs of the input
 //	Scan, Sort, Join, Union, hash and parallel aggregates   empty
-func (p *physicalPass) rewrite(n Node) (Node, ordering) {
+//
+// Within a segment an ordered column may only be carried that way; any other
+// use — in a predicate, a computed column, a FLATTEN input, another
+// aggregate — would observe a morsel-local value, so it keeps the segment
+// sequential.
+func (p *physicalPass) rewrite(n Node) (Node, ordering, *segment) {
 	var in ordering
+	var seg *segment
 	switch x := n.(type) {
+	case *ScanNode:
+		seg = &segment{scan: x}
+		if exprStateful(x.Filter) {
+			seg.sequential("stateful scan filter")
+		}
+		return x, nil, seg
 	case *FilterNode:
-		x.Input, in = p.rewrite(x.Input)
-		return x, in
-	case *LimitNode:
-		x.Input, in = p.rewrite(x.Input)
-		return x, in
+		x.Input, in, seg = p.rewrite(x.Input)
+		if seg != nil {
+			if usesRowID(x.Cond, x.Input.Schema(), in) {
+				seg.sequential("row id in predicate")
+			}
+			seg.stages = append(seg.stages, x)
+		}
+		return x, in, seg
 	case *FlattenNode:
-		x.Input, in = p.rewrite(x.Input)
-		return x, in
+		x.Input, in, seg = p.rewrite(x.Input)
+		if seg != nil {
+			if usesRowID(x.Expr, x.Input.Schema(), in) {
+				seg.sequential("row id in FLATTEN input")
+			}
+			seg.stages, seg.work = append(seg.stages, x), true
+		}
+		return x, in, seg
 	case *ProjectNode:
-		x.Input, in = p.rewrite(x.Input)
+		x.Input, in, seg = p.rewrite(x.Input)
+		sc := x.Input.Schema()
 		var out ordering
 		for i, e := range x.Exprs {
-			if isRowIDExpr(e) || in.has(colIndex(x.Input.Schema(), e)) {
+			src := in.at(colIndex(sc, e))
+			switch {
+			case isRowIDExpr(e):
+				src = &counterRef{stage: -1, expr: i}
+				if seg != nil {
+					src.stage = len(seg.stages)
+					seg.counters = append(seg.counters, src)
+				}
+			case src == nil && seg != nil && usesRowID(e, sc, in):
+				seg.sequential("row id in expression")
+			}
+			if src != nil {
 				if out == nil {
 					out = make(ordering, len(x.Exprs))
 				}
-				out[i] = true
+				out[i] = src
 			}
 		}
-		return x, out
+		if seg != nil {
+			seg.stages = append(seg.stages, x)
+		}
+		return x, out, seg
+	case *LimitNode:
+		x.Input, in, seg = p.rewrite(x.Input)
+		x.Input = p.seal(x.Input, in, seg)
+		return x, in, nil
 	case *UnionNode:
-		x.Left, _ = p.rewrite(x.Left)
-		x.Right, _ = p.rewrite(x.Right)
+		x.Left = p.sealed(x.Left)
+		x.Right = p.sealed(x.Right)
 	case *AggregateNode:
-		x.Input, in = p.rewrite(x.Input)
-		if !p.hashOnly && len(x.GroupBy) == 1 && in.has(colIndex(x.Input.Schema(), x.GroupBy[0])) {
+		x.Input, in, seg = p.rewrite(x.Input)
+		sc := x.Input.Schema()
+		if !p.hashOnly && len(x.GroupBy) == 1 && in.has(colIndex(sc, x.GroupBy[0])) {
 			x.Stream = true
 			p.streamAggs++
 			out := make(ordering, 1+len(x.Aggs))
-			out[0] = true
+			out[0] = in.at(colIndex(sc, x.GroupBy[0]))
 			for i, spec := range x.Aggs {
 				switch spec.Name {
 				case "ANY_VALUE", "MIN", "MAX":
-					out[1+i] = in.has(colIndex(x.Input.Schema(), spec.Arg))
+					if out[1+i] = in.at(colIndex(sc, spec.Arg)); out[1+i] != nil {
+						continue
+					}
+				}
+				if seg != nil && aggUsesRowID(spec, sc, in) {
+					seg.sequential("row id in aggregate")
 				}
 			}
-			return x, out
+			if seg != nil {
+				seg.stages, seg.work = append(seg.stages, x), true
+			}
+			return x, out, seg
 		}
-		if p.par > 1 && parallelAggEligible(x) {
+		if p.par > 1 && parallelAggEligible(x, seg) {
 			p.parallelBreakers++
-			return &ParallelAggNode{AggregateNode: x, Pipelines: p.par, MergeParts: p.mergeParts}, nil
+			return &ParallelAggNode{AggregateNode: x, Scan: seg.scan, Stages: seg.stages, Pipelines: p.par, MergeParts: p.mergeParts}, nil, nil
 		}
+		x.Input = p.seal(x.Input, in, seg)
 	case *JoinNode:
-		x.Left, _ = p.rewrite(x.Left)
-		x.Right, _ = p.rewrite(x.Right)
+		x.Left = p.sealed(x.Left)
+		x.Right = p.sealed(x.Right)
 		if p.par > 1 && len(x.RightKeys) > 0 && !anyExprStateful(x.RightKeys) {
 			p.parallelBreakers++
-			return &ParallelJoinNode{JoinNode: x, BuildWorkers: p.par}, nil
+			return &ParallelJoinNode{JoinNode: x, BuildWorkers: p.par}, nil, nil
 		}
 	case *SortNode:
-		x.Input, _ = p.rewrite(x.Input)
+		x.Input = p.sealed(x.Input)
 		if p.par > 1 {
 			p.parallelBreakers++
-			return &ParallelSortNode{SortNode: x, SortWorkers: p.par}, nil
+			return &ParallelSortNode{SortNode: x, SortWorkers: p.par}, nil, nil
 		}
 	}
-	return n, nil
+	return n, nil, nil
+}
+
+// sealed physicalizes a subtree whose consumer ends any segment in it.
+func (p *physicalPass) sealed(n Node) Node {
+	return p.seal(p.rewrite(n))
+}
+
+// seal wraps a finished segment in its exchange. A segment without a FLATTEN
+// or streamed aggregate stays as it is: a plain scan pipeline's parallelism
+// is the scan's own (prepareScan).
+func (p *physicalPass) seal(n Node, out ordering, seg *segment) Node {
+	if seg == nil || !seg.work {
+		return n
+	}
+	x := &ExchangeNode{Input: n, Scan: seg.scan, Stages: seg.stages, Why: seg.why}
+	for _, c := range seg.counters {
+		x.Counters = append(x.Counters, *c)
+	}
+	x.Renumber = make([]int, len(n.Schema().Names))
+	for i := range x.Renumber {
+		if src := out.at(i); src != nil {
+			x.Renumber[i] = 1 + slices.Index(seg.counters, src)
+		}
+	}
+	if x.Why == "" && p.par > 1 {
+		p.parallelPipelines++
+	}
+	return x
+}
+
+// usesRowID reports whether e calls a counter or reads a column of sc that
+// the order property traces to one.
+func usesRowID(e sqlast.Expr, sc *Schema, in ordering) bool {
+	found := exprStateful(e)
+	walkExpr(e, func(x sqlast.Expr) bool {
+		found = found || in.has(colIndex(sc, x))
+		return !found
+	})
+	return found
+}
+
+// aggUsesRowID is usesRowID over an aggregate's argument and order keys.
+func aggUsesRowID(spec AggSpec, sc *Schema, in ordering) bool {
+	if usesRowID(spec.Arg, sc, in) {
+		return true
+	}
+	for _, o := range spec.OrderBy {
+		if usesRowID(o.Expr, sc, in) {
+			return true
+		}
+	}
+	return false
 }
 
 // colIndex resolves e against sc when it is a plain column reference; -1
@@ -222,17 +388,13 @@ func isIntLit(e sqlast.Expr) bool {
 
 // parallelAggEligible reports whether the aggregate can run as a two-phase
 // partitioned aggregation with byte-identical output: mergeable-exact
-// accumulators, stateless grouping, and a pipelineable input over more than
-// one storage partition.
-func parallelAggEligible(x *AggregateNode) bool {
-	if !aggsMergeable(x.Aggs) {
-		return false
-	}
-	if anyExprStateful(x.GroupBy) {
-		return false
-	}
-	scan, _, ok := pipelineStages(x.Input)
-	return ok && len(scan.Table.Partitions()) > 1
+// accumulators, stateless grouping, and an input segment without row IDs
+// (replaying a partition in isolation would restart the counter) over more
+// than one storage partition.
+func parallelAggEligible(x *AggregateNode, seg *segment) bool {
+	return seg != nil && seg.why == "" && len(seg.counters) == 0 &&
+		aggsMergeable(x.Aggs) && !anyExprStateful(x.GroupBy) &&
+		len(seg.scan.Table.Partitions()) > 1
 }
 
 // aggsMergeable reports whether every aggregate's partial states combine
@@ -258,50 +420,6 @@ func aggsMergeable(specs []AggSpec) bool {
 		}
 	}
 	return true
-}
-
-// pipelineStages decomposes an aggregate input into the operator chain the
-// phase-1 workers replay per storage partition: a straight
-// Filter/Project/Flatten chain (stateless expressions only, so replaying a
-// partition in isolation yields exactly the rows the sequential pipeline
-// would derive from it) over a scan with a stateless pushed-down filter.
-// Returns the scan, the intermediate stages in execution order (scan side
-// first), and whether the subtree qualifies.
-func pipelineStages(n Node) (*ScanNode, []Node, bool) {
-	var stages []Node
-	for {
-		switch x := n.(type) {
-		case *ScanNode:
-			if exprStateful(x.Filter) {
-				return nil, nil, false
-			}
-			// Reverse into execution order: the walk collected root-side first.
-			for i, j := 0, len(stages)-1; i < j; i, j = i+1, j-1 {
-				stages[i], stages[j] = stages[j], stages[i]
-			}
-			return x, stages, true
-		case *FilterNode:
-			if exprStateful(x.Cond) {
-				return nil, nil, false
-			}
-			stages = append(stages, x)
-			n = x.Input
-		case *ProjectNode:
-			if anyExprStateful(x.Exprs) {
-				return nil, nil, false
-			}
-			stages = append(stages, x)
-			n = x.Input
-		case *FlattenNode:
-			if exprStateful(x.Expr) {
-				return nil, nil, false
-			}
-			stages = append(stages, x)
-			n = x.Input
-		default:
-			return nil, nil, false
-		}
-	}
 }
 
 func anyExprStateful(exprs []sqlast.Expr) bool {

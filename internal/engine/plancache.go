@@ -40,7 +40,6 @@ type planKey struct {
 	fingerprint string
 	batchSize   int
 	parallelism int
-	mergeParts  int
 	memLimit    int64
 	typedOff    bool
 	planCheck   bool
@@ -57,8 +56,6 @@ type compiledPlan struct {
 	columns  []string
 	breakers int
 	par      int
-	// mergeParts is the resolved merge-partition count (falls back to par).
-	mergeParts int
 	// unorderedScans marks scans allowed to emit morsels out of order;
 	// read-only after compile.
 	unorderedScans map[Node]bool
@@ -174,7 +171,6 @@ func (e *Engine) planKeyFor(sql string) planKey {
 		fingerprint: qlog.Fingerprint(sql, ""),
 		batchSize:   e.batchSize,
 		parallelism: e.parallelism,
-		mergeParts:  e.mergeParts,
 		memLimit:    e.memLimit,
 		typedOff:    e.typedOff,
 		planCheck:   e.planCheck,

@@ -16,7 +16,7 @@ package engine
 //
 //  2. Selection-vector monotonicity. Every operator's contract is to emit
 //     batches whose selection vector is strictly increasing and in bounds
-//     (the merge in morselScan and Batch.ForEach both rely on it).
+//     (the exchange's renumbering and Batch.ForEach both rely on it).
 //     checkSelContract asserts statically that every plan node is one whose
 //     emitted selection class is known — an unfamiliar node type is an
 //     error, forcing new operators to declare their contract here — and the
@@ -84,6 +84,8 @@ func clusteredColumn(n Node, col int) bool {
 		return clusteredColumn(x.Input, col)
 	case *LimitNode:
 		return clusteredColumn(x.Input, col)
+	case *ExchangeNode:
+		return clusteredColumn(x.Input, col) // renumbering is exact
 	case *FlattenNode:
 		return col < len(x.Input.Schema().Names) && clusteredColumn(x.Input, col)
 	case *AggregateNode:
@@ -158,6 +160,9 @@ func unorderedEligible(path []Node, s *ScanNode) bool {
 			// aggregate can observe.
 		case *UnionNode:
 			// Concatenation passes each side through.
+		case *ExchangeNode:
+			// Whole morsels, in completion order when unordered: a permutation
+			// of its input's rows.
 		case *AggregateNode:
 			// The first aggregate on the path decides: a global aggregate
 			// over order-insensitive accumulators with stateless arguments
@@ -211,6 +216,8 @@ func checkSelContract(n Node) error {
 	switch n.(type) {
 	case *ScanNode, *FilterNode, *ProjectNode, *FlattenNode,
 		*AggregateNode, *JoinNode, *SortNode, *LimitNode, *UnionNode:
+	case *ExchangeNode:
+		// Emits its stages' batches detached: Detach keeps the selection.
 	case *ParallelAggNode, *ParallelJoinNode, *ParallelSortNode:
 		// The parallel breakers all materialize: the aggregate's merge, the
 		// join's builder output and the sort's run merge each emit dense

@@ -3,8 +3,6 @@ package engine
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"jsonpark/internal/sqlast"
 	"jsonpark/internal/storage"
@@ -13,40 +11,41 @@ import (
 )
 
 // prepareScan builds a table scan. With parallelism > 1 and more than one
-// micro-partition the scan is morsel-driven: workers claim partitions from a
-// shared counter and materialize them concurrently. Unless the planner proved
-// the consumers order-insensitive, worker output merges back in partition
-// order so results stay identical to the sequential scan.
+// micro-partition the scan is the exchange's zero-stage case (parallel.go):
+// workers claim whole partitions and materialize them concurrently. Unless
+// the planner proved the consumers order-insensitive, worker output is
+// released in partition order so results stay identical to the sequential
+// scan.
 func prepareScan(x *ScanNode, ctx *execContext) (batchIter, error) {
-	colIdx := make([]int, len(x.Columns))
-	for i, c := range x.Columns {
-		idx := x.Table.ColumnIndex(c)
-		if idx < 0 {
-			return nil, fmt.Errorf("engine: table %q has no column %q", x.Table.Name, c)
-		}
-		colIdx[i] = idx
+	colIdx, err := scanColumns(x)
+	if err != nil {
+		return nil, err
 	}
 	var filter *exprDAG
 	if x.Filter != nil {
-		fn, err := compileVec(ctx, x.Schema(), x.Filter)
-		if err != nil {
+		if filter, err = compileVec(ctx, x.Schema(), x.Filter); err != nil {
 			return nil, err
 		}
-		filter = fn
 	}
 	parts := ctx.pinSnapshot(x.Table).Parts
-	// A stateful pushed-down filter (SEQ8) must see rows in order; fall back
-	// to the sequential scan rather than give each worker its own counter.
+	seq := &scanIter{node: x, ctx: ctx, st: ctx.statsFor(x), filter: filter, colIdx: colIdx, parts: parts}
+	// A stateful pushed-down filter (SEQ8) must see rows in order; it stays
+	// on the sequential scan rather than give each worker its own counter.
 	if ctx.parallelism > 1 && len(parts) > 1 && !exprStateful(x.Filter) {
-		return &morselScan{
-			node: x, ctx: ctx, st: ctx.statsFor(x), colIdx: colIdx,
-			parts: parts, ordered: !ctx.unorderedScans[x],
-		}, nil
+		return newExchangeIter(ctx, nil, x, seq, colIdx), nil
 	}
-	return &scanIter{
-		node: x, ctx: ctx, st: ctx.statsFor(x), filter: filter,
-		colIdx: colIdx, parts: parts,
-	}, nil
+	return seq, nil
+}
+
+// scanColumns resolves the scan's projected columns to table column indexes.
+func scanColumns(x *ScanNode) ([]int, error) {
+	colIdx := make([]int, len(x.Columns))
+	for i, c := range x.Columns {
+		if colIdx[i] = x.Table.ColumnIndex(c); colIdx[i] < 0 {
+			return nil, fmt.Errorf("engine: table %q has no column %q", x.Table.Name, c)
+		}
+	}
+	return colIdx, nil
 }
 
 // partitionPruned reports whether the zone maps rule out every row of p.
@@ -63,16 +62,17 @@ func partitionPruned(x *ScanNode, p *storage.Partition) bool {
 	return false
 }
 
-// scanPartition cuts one partition's projected column chunks into batches of
-// at most batchSize rows. Typed chunks hand out typed views (Slice) with a
-// nil variant column — the typed fast path — and variant chunks alias the
-// chunk storage as before; either way the batch is zero-copy against the
-// partition. A persisted partition is cold-loaded here on first touch
-// (EnsureLoaded), after pruning already had its say from the header zone
-// maps. The pushed-down filter shrinks each batch's selection, and fully
-// filtered batches are dropped. Returns the surviving batches and the chunk
-// bytes read.
-func scanPartition(ctx *execContext, p *storage.Partition, colIdx []int, filter *exprDAG, batchSize int) ([]*vector.Batch, int64, error) {
+// scanPartition cuts rows [lo, hi) of one partition's projected column chunks
+// into batches of at most batchSize rows, starting at lo. Typed chunks hand
+// out typed views (Slice) with a nil variant column — the typed fast path —
+// and variant chunks alias the chunk storage as before; either way the batch
+// is zero-copy against the partition. A persisted partition is cold-loaded
+// here on first touch (EnsureLoaded), after pruning already had its say from
+// the header zone maps. The pushed-down filter shrinks each batch's
+// selection, and fully filtered batches are dropped. Returns the surviving
+// batches and the chunk bytes read, which the range starting the partition
+// (lo == 0) reports, so a partition cut into morsels counts them once.
+func scanPartition(ctx *execContext, p *storage.Partition, colIdx []int, filter *exprDAG, batchSize, lo, hi int) ([]*vector.Batch, int64, error) {
 	read, err := p.EnsureLoaded()
 	if err != nil {
 		return nil, 0, err
@@ -80,7 +80,7 @@ func scanPartition(ctx *execContext, p *storage.Partition, colIdx []int, filter 
 	if read {
 		ctx.countDiskRead()
 	}
-	rows := p.NumRows()
+	hi = min(hi, p.NumRows())
 	cols := make([][]variant.Value, len(colIdx))
 	typed := make([]*vector.TypedCol, len(colIdx))
 	anyTyped := false
@@ -93,14 +93,13 @@ func scanPartition(ctx *execContext, p *storage.Partition, colIdx []int, filter 
 		} else {
 			cols[i] = chunk.Values()
 		}
-		bytes += chunk.Bytes()
+		if lo == 0 {
+			bytes += chunk.Bytes()
+		}
 	}
 	var out []*vector.Batch
-	for lo := 0; lo < rows; lo += batchSize {
-		hi := lo + batchSize
-		if hi > rows {
-			hi = rows
-		}
+	for ; lo < hi; lo += batchSize {
+		end := min(lo+batchSize, hi)
 		bcols := make([][]variant.Value, len(cols))
 		var btyped []*vector.TypedCol
 		if anyTyped {
@@ -108,9 +107,9 @@ func scanPartition(ctx *execContext, p *storage.Partition, colIdx []int, filter 
 		}
 		for c := range cols {
 			if typed[c] != nil {
-				btyped[c] = typed[c].Slice(lo, hi)
+				btyped[c] = typed[c].Slice(lo, end)
 			} else {
-				bcols[c] = cols[c][lo:hi:hi]
+				bcols[c] = cols[c][lo:end:end]
 			}
 		}
 		b := &vector.Batch{Cols: bcols, Typed: btyped}
@@ -171,7 +170,7 @@ func (s *scanIter) NextBatch() (*vector.Batch, error) {
 			s.ctx.addScanCounts(s.st, 0, 1, 0)
 			continue
 		}
-		batches, bytes, err := scanPartition(s.ctx, p, s.colIdx, s.filter, s.ctx.batchSize)
+		batches, bytes, err := scanPartition(s.ctx, p, s.colIdx, s.filter, s.ctx.batchSize, 0, p.NumRows())
 		s.ctx.addScanCounts(s.st, 0, 0, bytes)
 		if err != nil {
 			return nil, err
@@ -182,169 +181,15 @@ func (s *scanIter) NextBatch() (*vector.Batch, error) {
 
 func (s *scanIter) Close() {}
 
-// --- morsel-driven parallel scan ---------------------------------------------
-
-// scanMsg is one partition's result, produced by a morsel worker.
-type scanMsg struct {
-	part    int
-	batches []*vector.Batch
-	err     error
-}
-
-// morselScan fans a scan's micro-partitions out to a worker pool. Each worker
-// repeatedly claims the next partition index from an atomic counter (the
-// morsel dispatch), prunes or materializes it, and sends the resulting
-// batches to the driver. In ordered mode the driver holds a reorder buffer
-// and releases partitions strictly in index order — byte-identical to the
-// sequential scan; in unordered mode (consumers proved order-insensitive)
-// partitions stream out as they complete, exchange-style.
-type morselScan struct {
-	node    *ScanNode
-	ctx     *execContext
-	st      *OpStats
-	colIdx  []int
-	parts   []*storage.Partition
-	ordered bool
-
-	started   bool
-	results   chan scanMsg
-	stop      chan struct{}
-	closeOnce sync.Once
-	wg        sync.WaitGroup
-
-	nextPart int // ordered: next partition index to release
-	consumed int // messages taken off the channel or buffer
-	buffered map[int]scanMsg
-	pending  []*vector.Batch
-}
-
-func (m *morselScan) start() {
-	m.started = true
-	m.ctx.addScanCounts(m.st, len(m.parts), 0, 0)
-	workers := m.ctx.parallelism
-	if workers > len(m.parts) {
-		workers = len(m.parts)
-	}
-	m.results = make(chan scanMsg, workers)
-	m.stop = make(chan struct{})
-	m.buffered = make(map[int]scanMsg)
-	var claim int64
-	m.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer m.wg.Done()
-			// Each worker compiles its own filter: compiled expressions may
-			// hold state, so they must not be shared across goroutines.
-			var filter *exprDAG
-			if m.node.Filter != nil {
-				fn, err := compileVec(m.ctx, m.node.Schema(), m.node.Filter)
-				if err != nil {
-					select {
-					case m.results <- scanMsg{part: -1, err: err}:
-					case <-m.stop:
-					}
-					return
-				}
-				filter = fn
-			}
-			for {
-				i := int(atomic.AddInt64(&claim, 1) - 1)
-				if i >= len(m.parts) {
-					return
-				}
-				msg := scanMsg{part: i}
-				p := m.parts[i]
-				if partitionPruned(m.node, p) {
-					m.ctx.addScanCounts(m.st, 0, 1, 0)
-				} else {
-					batches, bytes, err := scanPartition(m.ctx, p, m.colIdx, filter, m.ctx.batchSize)
-					m.ctx.addScanCounts(m.st, 0, 0, bytes)
-					msg.batches, msg.err = batches, err
-				}
-				select {
-				case m.results <- msg:
-				case <-m.stop:
-					return
-				}
-			}
-		}()
-	}
-}
-
-func (m *morselScan) NextBatch() (*vector.Batch, error) {
-	if !m.started {
-		m.start()
-	}
-	for {
-		if len(m.pending) > 0 {
-			b := m.pending[0]
-			m.pending = m.pending[1:]
-			return b, nil
-		}
-		if m.consumed >= len(m.parts) {
-			return nil, nil
-		}
-		var msg scanMsg
-		if m.ordered {
-			buf, ok := m.buffered[m.nextPart]
-			if ok {
-				delete(m.buffered, m.nextPart)
-				msg = buf
-			} else {
-				var err error
-				if msg, err = m.recv(); err != nil {
-					return nil, err
-				}
-				if msg.part >= 0 && msg.part != m.nextPart {
-					m.buffered[msg.part] = msg
-					continue
-				}
-			}
-			m.nextPart++
-		} else {
-			var err error
-			if msg, err = m.recv(); err != nil {
-				return nil, err
-			}
-		}
-		m.consumed++
-		if msg.err != nil {
-			return nil, msg.err
-		}
-		m.pending = msg.batches
-	}
-}
-
-// recv blocks on the next worker message unless the query context is
-// cancelled first — the driver's only blocking point, so a cancelled query
-// never hangs here while workers drain into a full channel. (Close still
-// releases the workers through the stop channel.)
-func (m *morselScan) recv() (scanMsg, error) {
-	select {
-	case msg := <-m.results:
-		return msg, nil
-	case <-m.ctx.queryCtx().Done():
-		return scanMsg{}, m.ctx.cancelled()
-	}
-}
-
-// Close stops the worker pool and waits for the goroutines to exit; safe to
-// call multiple times and before the first NextBatch.
-func (m *morselScan) Close() {
-	if !m.started {
-		return
-	}
-	m.closeOnce.Do(func() { close(m.stop) })
-	m.wg.Wait()
-}
-
 // --- order-sensitivity analysis ----------------------------------------------
 
 // collectUnorderedScans marks the scans whose row order provably cannot
-// affect the query result, allowing their morsel workers to skip the ordered
-// merge. The analysis is conservative: scan order matters at the root (result
-// rows come back in stream order) and the flag is only cleared by a global
-// aggregate whose aggregates are all order-insensitive.
+// affect the query result, allowing their exchange to release morsels as
+// they complete instead of in order. The analysis is conservative: scan
+// order matters at the root (result rows come back in stream order) and the
+// flag is only cleared by a global aggregate whose aggregates are all
+// order-insensitive. A row-ID projection marks everything below it ordered,
+// so an exchange that renumbers never runs unordered.
 func collectUnorderedScans(n Node) map[Node]bool {
 	m := make(map[Node]bool)
 	markOrdered(n, true, m)
@@ -382,6 +227,9 @@ func markOrdered(n Node, orderMatters bool, m map[Node]bool) {
 			om = om || exprStateful(g)
 		}
 		markOrdered(x.Input, om, m)
+	case *ExchangeNode:
+		// Its stages are the nodes below it: their cases decide for the scan.
+		markOrdered(x.Input, orderMatters, m)
 	case *ParallelAggNode:
 		// The parallel aggregate claims storage partitions itself; its subtree
 		// is replayed per partition by the phase-1 workers, never executed as a

@@ -12,7 +12,7 @@ import (
 // its workers are still producing, so Close must stop the pool and reap
 // every worker goroutine without racing the in-flight sends. Run under
 // -race (make race) this is the regression test for the stop-channel
-// handshake in morselScan.
+// handshake of the scan's exchange (exchangeIter).
 func TestParallelScanLimitEarlyCloseStress(t *testing.T) {
 	testutil.CheckLeaks(t)
 	e := multiPartEngine(t, WithBatchSize(4), WithParallelism(8))

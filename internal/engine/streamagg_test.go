@@ -117,7 +117,7 @@ func TestStreamAggregateRejectsRegressingKey(t *testing.T) {
 	// "grp" cycles 0..6, so it regresses on the eighth row; force the mark.
 	plan := buildPlan(t, e, `SELECT "grp", COUNT(*) FROM "events" GROUP BY "grp"`)
 	markStream(plan)
-	ctx := &execContext{metrics: &Metrics{}, batchSize: 64, parallelism: 1, mergeParts: 1, acct: newMemAccountant(0)}
+	ctx := &execContext{metrics: &Metrics{}, batchSize: 64, parallelism: 1, acct: newMemAccountant(0)}
 	it, err := prepare(plan, ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +317,7 @@ func clusteredReagg(tb testing.TB, stream bool, rows [][]variant.Value) batchIte
 		AggNames: []string{"__a0", "__a1", "__a2"},
 		Stream:   stream,
 	}
-	ctx := &execContext{metrics: &Metrics{}, batchSize: vector.DefaultBatchSize, parallelism: 1, mergeParts: 1, acct: newMemAccountant(0)}
+	ctx := &execContext{metrics: &Metrics{}, batchSize: vector.DefaultBatchSize, parallelism: 1, acct: newMemAccountant(0)}
 	it, err := prepare(agg, ctx)
 	if err != nil {
 		tb.Fatal(err)

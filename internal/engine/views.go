@@ -28,9 +28,11 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
+	"jsonpark/internal/sqlast"
 	"jsonpark/internal/sqlparse"
 	"jsonpark/internal/variant"
 )
@@ -191,7 +193,7 @@ walk:
 	// Compile once against a throwaway context: validates every expression at
 	// registration time and yields the static aggregate descriptors emit needs
 	// before the first refresh.
-	vctx := &execContext{metrics: &Metrics{}, batchSize: e.batchSize, parallelism: 1, mergeParts: 1, acct: newMemAccountant(0)}
+	vctx := &execContext{metrics: &Metrics{}, batchSize: e.batchSize, parallelism: 1, acct: newMemAccountant(0)}
 	if vctx.batchSize <= 0 {
 		vctx.batchSize = 1024
 	}
@@ -214,6 +216,44 @@ walk:
 		suffix:  suffix, agg: agg, scan: scan, stages: stages,
 		groups: make(map[string]*aggGroup), emitAggs: ev.aggs,
 	}, nil
+}
+
+// pipelineStages decomposes a view's aggregate input into the operator chain
+// each refresh replays per delta partition: a straight Filter/Project/Flatten
+// chain (stateless expressions only, so replaying a partition in isolation
+// yields exactly the rows the full pipeline would derive from it) over a scan
+// with a stateless pushed-down filter. Returns the scan, the stages in
+// execution order (scan side first), and whether the subtree qualifies.
+func pipelineStages(n Node) (*ScanNode, []Node, bool) {
+	var stages []Node
+	for {
+		var e sqlast.Expr
+		var in Node
+		switch x := n.(type) {
+		case *ScanNode:
+			if exprStateful(x.Filter) {
+				return nil, nil, false
+			}
+			slices.Reverse(stages) // the walk collected root-side first
+			return x, stages, true
+		case *FilterNode:
+			e, in = x.Cond, x.Input
+		case *ProjectNode:
+			if anyExprStateful(x.Exprs) {
+				return nil, nil, false
+			}
+			in = x.Input
+		case *FlattenNode:
+			e, in = x.Expr, x.Input
+		default:
+			return nil, nil, false
+		}
+		if exprStateful(e) {
+			return nil, nil, false
+		}
+		stages = append(stages, n)
+		n = in
+	}
 }
 
 // DropView removes a view, reporting whether it existed.
@@ -278,9 +318,9 @@ func (v *matView) query(qctx context.Context) (*Result, error) {
 	ctx := &execContext{
 		metrics:     &Metrics{},
 		batchSize:   v.eng.batchSize,
-		parallelism: 1, mergeParts: 1,
-		acct: newMemAccountant(0),
-		qctx: qctx,
+		parallelism: 1,
+		acct:        newMemAccountant(0),
+		qctx:        qctx,
 	}
 	if ctx.batchSize <= 0 {
 		ctx.batchSize = 1024
@@ -342,7 +382,7 @@ func (v *matView) refreshLocked(ctx *execContext) error {
 			ctx.addScanCounts(nil, 0, 1, 0)
 			continue
 		}
-		batches, bytes, err := scanPartition(ctx, part, colIdx, filter, ctx.batchSize)
+		batches, bytes, err := scanPartition(ctx, part, colIdx, filter, ctx.batchSize, 0, part.NumRows())
 		ctx.addScanCounts(nil, 1, 0, bytes)
 		if err != nil {
 			return err

@@ -183,3 +183,25 @@ func TestNoStreamAggregates(t *testing.T) {
 		}
 	}
 }
+
+// TestNoExchanges: SSB has no FLATTEN and no streamed aggregate, so no plan
+// gets an exchange — its scans keep their whole-partition parallelism and
+// ssb_exec is the nested exchange's control workload.
+func TestNoExchanges(t *testing.T) {
+	sess, _ := testEngines(t)
+	for _, q := range Queries() {
+		gen, err := TranslateSQL(sess, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sql := range []string{gen, q.SQL} {
+			plan, err := sess.Engine().Explain(sql)
+			if err != nil {
+				t.Fatalf("%s: %v", q.ID, err)
+			}
+			if strings.Contains(plan, "Exchange") {
+				t.Errorf("%s: want no exchange:\n%s", q.ID, plan)
+			}
+		}
+	}
+}

@@ -88,13 +88,12 @@ type Warehouse struct {
 type OpenOption func(*openConfig)
 
 type openConfig struct {
-	batchSize     int
-	parallelism   int
-	mergeParts    int
-	memLimit      int64
-	planCheck     bool
-	slowMS        int64
-	traceOut      io.Writer
+	batchSize        int
+	parallelism      int
+	memLimit         int64
+	planCheck        bool
+	slowMS           int64
+	traceOut         io.Writer
 	dataDir          string
 	typedOff         bool
 	planCacheSize    int
@@ -116,13 +115,6 @@ func WithBatchSize(n int) OpenOption {
 // any setting.
 func WithParallelism(n int) OpenOption {
 	return func(c *openConfig) { c.parallelism = n }
-}
-
-// WithMergePartitions sets the number of disjoint hash partitions the
-// parallel aggregate's thread-local tables split into for the merge phase
-// (default: the parallelism).
-func WithMergePartitions(n int) OpenOption {
-	return func(c *openConfig) { c.mergeParts = n }
 }
 
 // WithMemLimit caps the bytes of retained state the pipeline breakers
@@ -288,7 +280,6 @@ func Open(opts ...OpenOption) *Warehouse {
 	eng := engine.New(
 		engine.WithBatchSize(c.batchSize),
 		engine.WithParallelism(c.parallelism),
-		engine.WithMergePartitions(c.mergeParts),
 		engine.WithMemLimit(c.memLimit),
 		engine.WithPlanCheck(c.planCheck),
 		engine.WithTypedColumns(!c.typedOff),
