@@ -55,13 +55,14 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzPlanDiff' -fuzztime 30s ./internal/engine/
 
 # obs-smoke boots a real jsqd with slow-query capture and a qlog sink, runs
-# one query over HTTP, and asserts the observability contract end to end:
-# one parseable query-log JSON record, a populated /debug/slow, and a live
-# /metrics exposition.
+# one query four times over HTTP around an append, and asserts the
+# observability contract end to end: parseable query-log JSON records whose
+# plan- and result-cache hit flags follow the expected pattern, a populated
+# /debug/slow, and a live /metrics exposition.
 obs-smoke:
 	$(GO) run ./scripts/obssmoke
 
-check: build vet lint test race bench-check
+check: build vet lint test race obs-smoke bench-check
 
 # bench runs the whole benchmark set (BENCHMARK.json: five workloads, three
 # untraced runs and one traced run each) and writes results.json and

@@ -23,9 +23,9 @@ type OpStats struct {
 	PartitionsPruned int           // scan: partitions skipped via zone maps
 	Batches          int64         // vector batches emitted by this operator
 
-	// Parallel-breaker phase stats (ParallelAgg / ParallelJoin / ParallelSort;
-	// zero elsewhere). Pipelines > 0 marks the operator as having run a
-	// parallel blocking phase.
+	// Pipeline-breaker phase stats (a fanned-out hash aggregate, a join
+	// build, a parallel sort; zero elsewhere). Pipelines > 0 marks the
+	// operator as having recorded its blocking phase.
 	Pipelines     int   // phase-1 workers that ran
 	MergeParts    int   // disjoint hash/merge partitions of phase 2
 	LocalRows     int64 // rows folded into thread-local state (build rows, run rows)
@@ -35,8 +35,8 @@ type OpStats struct {
 	LocalWallUS   int64 // wall time of the parallel local phase, microseconds
 	MergeWallUS   int64 // wall time of the parallel merge phase, microseconds
 
-	// Exchange: the workers and morsels it fanned out to, or why it ran its
-	// segment sequentially.
+	// Exchange: the workers and morsels it fanned out to. Exchange and hash
+	// aggregate: why it ran sequentially.
 	Workers    int
 	Morsels    int
 	Sequential string
@@ -178,13 +178,18 @@ func buildPlanStats(n Node, stats map[Node]*OpStats) *PlanStats {
 		Workers:          st.Workers,
 		Morsels:          st.Morsels,
 	}
-	if _, ok := n.(*ExchangeNode); ok {
+	switch n.(type) {
+	case *ExchangeNode:
 		// What the exchange did at run time replaces what it could do.
 		switch {
 		case st.Workers > 0:
 			out.Detail = strings.TrimSpace(fmt.Sprintf("workers=%d morsels=%d %s", st.Workers, st.Morsels, detail))
 		case st.Sequential != "":
 			out.Detail = "sequential: " + st.Sequential
+		}
+	case *AggregateNode:
+		if st.Sequential != "" {
+			out.Detail += " sequential: " + st.Sequential
 		}
 	}
 	if es, ok := nodeExprStats(n); ok {
@@ -290,17 +295,10 @@ func describeNode(n Node) (op, detail string) {
 			return "Exchange", ""
 		}
 		return "Exchange", fmt.Sprintf("renumber=%v", ids)
-	case *ParallelAggNode:
-		return "ParallelAggregate", fmt.Sprintf("groups=%d aggs=%d pipelines=%d merge_parts=%d",
-			len(x.GroupBy), len(x.Aggs), x.Pipelines, x.MergeParts)
 	case *JoinNode:
 		return x.Kind + " Join", fmt.Sprintf("keys=%d", len(x.LeftKeys))
-	case *ParallelJoinNode:
-		return x.Kind + " Join", fmt.Sprintf("keys=%d build_workers=%d", len(x.LeftKeys), x.BuildWorkers)
 	case *SortNode:
 		return "Sort", fmt.Sprintf("keys=%d", len(x.Keys))
-	case *ParallelSortNode:
-		return "Sort", fmt.Sprintf("keys=%d sort_workers=%d", len(x.Keys), x.SortWorkers)
 	case *LimitNode:
 		return "Limit", fmt.Sprint(x.N)
 	case *UnionNode:
@@ -324,8 +322,6 @@ func nodeExprStats(n Node) (exprStats, bool) {
 		d, err = compileVecs(nil, x.Input.Schema(), x.Exprs)
 	case *FlattenNode:
 		d, err = compileVec(nil, x.Input.Schema(), x.Expr)
-	case *ParallelAggNode:
-		return nodeExprStats(x.AggregateNode)
 	case *AggregateNode:
 		var ev *aggEval
 		if ev, err = compileAggEval(nil, x); err == nil {
@@ -349,17 +345,11 @@ func planChildren(n Node) []Node {
 		return []Node{x.Input}
 	case *AggregateNode:
 		return []Node{x.Input}
-	case *ParallelAggNode:
-		return []Node{x.Input}
 	case *ExchangeNode:
 		return []Node{x.Input}
 	case *JoinNode:
 		return []Node{x.Left, x.Right}
-	case *ParallelJoinNode:
-		return []Node{x.Left, x.Right}
 	case *SortNode:
-		return []Node{x.Input}
-	case *ParallelSortNode:
 		return []Node{x.Input}
 	case *LimitNode:
 		return []Node{x.Input}

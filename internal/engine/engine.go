@@ -45,8 +45,8 @@ type Engine struct {
 	// batchHook, when set, runs after every root batch the executor drains.
 	// Tests use it to hold a query mid-flight deterministically.
 	batchHook func()
-	// Test hooks, set before the first query (compiled plans are cached and
-	// the hooks are not in the plan key). forceHashAgg keeps every aggregate
+	// Test hooks, set before the first query (compiled plans are cached on
+	// the query text alone). forceHashAgg keeps every aggregate
 	// on the hash path — the streaming aggregate's oracle; mergeParts sets the
 	// parallel aggregate's merge partitions (0 follows the parallelism);
 	// morselRows shrinks the exchange's morsels so small tables fan out.
@@ -227,8 +227,9 @@ type Metrics struct {
 	PartitionsTotal  int
 	PartitionsPruned int
 	RowsReturned     int64
-	// ParallelBreakers is the number of pipeline breakers (aggregates, join
-	// builds, sorts) the physical plan runs with parallel phases.
+	// ParallelBreakers is the number of pipeline breakers given parallel
+	// phases: join builds and sorts bound at parallelism > 1, and hash
+	// aggregates that fanned out.
 	ParallelBreakers int
 	// Memory governance (WithMemLimit): peak accounted bytes, the configured
 	// limit, and how often / how much the breakers spilled to disk.
@@ -278,8 +279,7 @@ type Prepared struct {
 	columns []string
 	metrics Metrics
 	// sql is the original query text; with the result cache on, RunCtx keys
-	// on (plan key, pinned partition versions) and the text guards against
-	// fingerprint collisions.
+	// on it and the pinned partition versions.
 	sql string
 	// used enforces the single-use contract (see ErrPreparedConsumed).
 	used atomic.Bool
@@ -304,7 +304,7 @@ func (e *Engine) Prepare(sql string) (*Prepared, error) {
 
 // PrepareOpts is Prepare with tracing and per-operator analysis. It splits
 // into two phases: compile (parse → plan → optimize → physicalize —
-// everything derivable from SQL text plus engine knobs, served from the
+// everything derivable from the SQL text and the schema, served from the
 // prepared-plan cache on repeats) and bind (fresh per-run iterator state
 // over the shared template).
 func (e *Engine) PrepareOpts(sql string, po PrepareOptions) (*Prepared, error) {
@@ -343,26 +343,14 @@ func (e *Engine) compile(sql string, po PrepareOptions) (*compiledPlan, error) {
 	osp := po.Span.Child("engine.optimize")
 	plan = optimizeTraced(plan, osp)
 	osp.End()
-	par := e.parallelism
-	if par <= 0 {
-		par = runtime.NumCPU()
-	}
 	physp := po.Span.Child("engine.physicalize")
-	plan, counts := physicalize(plan, par, e.mergeParts, e.forceHashAgg)
-	physp.SetAttr("parallel-breakers", counts.parallelBreakers)
+	plan, counts := physicalize(plan, e.forceHashAgg)
 	physp.SetAttr("stream-aggs", counts.streamAggs)
 	physp.SetAttr("parallel-pipelines", counts.parallelPipelines)
 	physp.End()
-	var unordered map[Node]bool
-	if par > 1 {
-		unordered = collectUnorderedScans(plan)
-	}
+	unordered := collectUnorderedScans(plan)
 	if e.planCheck {
-		u := unordered
-		if u == nil {
-			u = collectUnorderedScans(plan)
-		}
-		if err := checkPlan(plan, u); err != nil {
+		if err := checkPlan(plan, unordered); err != nil {
 			return nil, err
 		}
 	}
@@ -371,8 +359,6 @@ func (e *Engine) compile(sql string, po PrepareOptions) (*compiledPlan, error) {
 		sql:            sql,
 		plan:           plan,
 		columns:        plan.Schema().Names,
-		breakers:       counts.parallelBreakers,
-		par:            par,
 		unorderedScans: unordered,
 	}, nil
 }
@@ -398,10 +384,11 @@ func (e *Engine) bind(cp *compiledPlan, po PrepareOptions) (*Prepared, error) {
 		acct.pool = e.governor
 	}
 	ctx := &execContext{
-		metrics:        &Metrics{ParallelBreakers: cp.breakers},
+		metrics:        &Metrics{},
 		batchSize:      e.batchSize,
-		parallelism:    cp.par,
+		parallelism:    e.parallelism,
 		morselRows:     e.morselRows,
+		mergeParts:     e.mergeParts,
 		acct:           acct,
 		prog:           newQueryProgress(cp.plan, cp.sql, po.TraceID),
 		batchHook:      e.batchHook,
@@ -452,17 +439,15 @@ func (p *Prepared) RunCtx(ctx context.Context) (*Result, error) {
 	// governor pool even on error paths.
 	defer p.ctx.acct.drain()
 	// Result-cache fast path: the bind phase pinned every scanned table's
-	// partition-set version, so an exact (plan key, version vector) match
+	// partition-set version, so an exact (query text, version vector) match
 	// means the cached rows are byte-identical to what execution would
 	// produce. The batch-hook instrumentation path always executes.
 	var rc *resultCache
-	var rcKey planKey
 	var rcDeps []resultDep
 	if p.eng != nil && p.eng.resultCache != nil && p.ctx.batchHook == nil {
 		rc = p.eng.resultCache
-		rcKey = p.eng.planKeyFor(p.sql)
 		rcDeps = p.ctx.snapshotDeps()
-		if cols, rows, ok := rc.lookup(rcKey, p.sql, rcDeps); ok {
+		if cols, rows, ok := rc.lookup(p.sql, rcDeps); ok {
 			p.iter.Close()
 			m := Metrics{
 				CompileTime:    p.metrics.CompileTime,
@@ -496,7 +481,7 @@ func (p *Prepared) RunCtx(ctx context.Context) (*Result, error) {
 		m.MemLimitBytes = p.ctx.acct.limit
 	}
 	if rc != nil {
-		rc.insert(rcKey, p.sql, rcDeps, p.columns, rows)
+		rc.insert(p.sql, rcDeps, p.columns, rows)
 	}
 	return &Result{Columns: p.columns, Rows: rows, Metrics: m}, nil
 }
@@ -554,11 +539,7 @@ func (e *Engine) Explain(sql string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	// The plan-derived physical choices (stream or hash aggregate, exchanges)
-	// are part of the rendering; the parallel breakers depend on the partition
-	// count at compile time and show in EXPLAIN ANALYZE only, as does whether
-	// an exchange fanned out.
-	plan, _ = physicalize(optimize(plan), 1, 1, e.forceHashAgg)
+	plan, _ = physicalize(optimize(plan), e.forceHashAgg)
 	var b strings.Builder
 	explainNode(&b, plan, 0)
 	return b.String(), nil

@@ -25,11 +25,13 @@ type execContext struct {
 	// batchSize is the target row count of one vector.Batch.
 	batchSize int
 	// parallelism caps the morsel worker pool of each scan and the worker
-	// pools of the parallel pipeline breakers.
+	// pools of the parallel pipeline breakers, which each decide from it
+	// whether to fan out.
 	parallelism int
-	// morselRows overrides minMorselRows, the exchange's morsel size
-	// (Engine.morselRows, a test hook; 0 keeps the default).
-	morselRows int
+	// morselRows overrides minMorselRows, the exchange's morsel size, and
+	// mergeParts the parallel aggregate's merge partitions (Engine.morselRows
+	// and Engine.mergeParts, test hooks; 0 keeps the default).
+	morselRows, mergeParts int
 	// unorderedScans marks scans whose consumers are provably insensitive to
 	// row order; their exchange releases morsels as they complete instead of
 	// in morsel order.
@@ -235,18 +237,12 @@ func prepareNode(n Node, ctx *execContext) (batchIter, error) {
 		return newFlattenIter(in, input, x.Outer, len(x.Input.Schema().Names), ctx.batchSize), nil
 	case *AggregateNode:
 		return prepareAggregate(x, ctx)
-	case *ParallelAggNode:
-		return prepareParallelAgg(x, ctx)
 	case *ExchangeNode:
 		return prepareExchange(x, ctx)
 	case *JoinNode:
-		return prepareJoin(x, ctx, 1, x)
-	case *ParallelJoinNode:
-		return prepareJoin(x.JoinNode, ctx, x.BuildWorkers, x)
+		return prepareJoin(x, ctx)
 	case *SortNode:
-		return prepareSort(x, ctx, 1, x)
-	case *ParallelSortNode:
-		return prepareSort(x.SortNode, ctx, x.SortWorkers, x)
+		return prepareSort(x, ctx)
 	case *LimitNode:
 		in, err := prepare(x.Input, ctx)
 		if err != nil {
@@ -710,6 +706,10 @@ func prepareAggregate(x *AggregateNode, ctx *execContext) (batchIter, error) {
 	mergeable := aggsMergeable(x.Aggs)
 
 	run := func() ([][]variant.Value, error) {
+		if scan, stages, ok := aggFanOut(ctx, x); ok {
+			in.Close() // the sequential pipeline, unstarted
+			return parallelAgg(ctx, x, scan, stages, eval)
+		}
 		defer in.Close()
 		mem := ctx.opMemFor(x, ctx.statsFor(x))
 		ext := &extAgg{mem: mem, mergeable: mergeable, eval: eval}
@@ -754,10 +754,11 @@ func prepareAggregate(x *AggregateNode, ctx *execContext) (batchIter, error) {
 	return &aggIter{run: run, in: in, width: width, bsize: ctx.batchSize}, nil
 }
 
-// aggIter materializes its groups on first NextBatch. run closes the input
-// as soon as materialization finishes (success or error), releasing morsel
-// scan workers promptly; the iterator drops its reference so consumer Close
-// does not touch the input again.
+// aggIter materializes its groups on first NextBatch — sequentially, or as
+// the two-phase parallel aggregation when aggFanOut says so. run closes the
+// input as soon as materialization finishes (success or error), releasing
+// morsel scan workers promptly; the iterator drops its reference so consumer
+// Close does not touch the input again.
 type aggIter struct {
 	run   func() ([][]variant.Value, error)
 	in    batchIter
@@ -901,10 +902,16 @@ func (s *streamAggIter) Close() { s.in.Close() }
 
 // --- joins -------------------------------------------------------------------
 
-// prepareJoin builds a hash join. buildWorkers > 1 (the ParallelJoinNode
-// path) partitions the build side across workers; statNode names the plan
-// node whose stats slot receives the build-phase accounting.
-func prepareJoin(x *JoinNode, ctx *execContext, buildWorkers int, statNode Node) (batchIter, error) {
+// prepareJoin builds a hash join. An equi-join with stateless build keys
+// takes the query's parallelism as its build workers, which partition the
+// build side when it is large enough (buildParallel); a stateful key must
+// see the build rows in order, on one worker.
+func prepareJoin(x *JoinNode, ctx *execContext) (batchIter, error) {
+	buildWorkers := 1
+	if ctx.parallelism > 1 && len(x.RightKeys) > 0 && !anyExprStateful(x.RightKeys) {
+		buildWorkers = ctx.parallelism
+		ctx.metrics.ParallelBreakers++
+	}
 	left, err := prepare(x.Left, ctx)
 	if err != nil {
 		return nil, err
@@ -951,7 +958,7 @@ func prepareJoin(x *JoinNode, ctx *execContext, buildWorkers int, statNode Node)
 	}
 	leftWidth := len(x.Left.Schema().Names)
 	rightWidth := len(x.Right.Schema().Names)
-	st := ctx.statsFor(statNode)
+	st := ctx.statsFor(x)
 	return &joinIter{
 		kind: x.Kind, left: left, right: right,
 		leftKeys: leftKeys, rightKeys: rightKeys,
@@ -959,7 +966,7 @@ func prepareJoin(x *JoinNode, ctx *execContext, buildWorkers int, statNode Node)
 		residual: residual, on: onFn,
 		leftWidth: leftWidth, rightWidth: rightWidth,
 		buildWorkers: buildWorkers, st: st,
-		ectx: ctx, mem: ctx.opMemFor(statNode, st),
+		ectx: ctx, mem: ctx.opMemFor(x, st),
 		bld:      vector.NewBuilder(leftWidth+rightWidth, ctx.batchSize),
 		combined: make([]variant.Value, leftWidth+rightWidth),
 	}, nil
@@ -1002,8 +1009,8 @@ type joinIter struct {
 }
 
 // build drains and closes the build side, then constructs the partitioned
-// hash table — in parallel when the join was physicalized with build
-// workers and the build side is large enough to amortize them. The build
+// hash table — in parallel when the join was bound with build workers and
+// the build side is large enough to amortize them. The build
 // side is closed exactly once here (and nilled so Close stays idempotent).
 func (j *joinIter) build() error {
 	rows, err := j.drainBuild()
@@ -1335,9 +1342,14 @@ func (j *joinIter) Close() {
 
 // --- sort / limit / union -----------------------------------------------------
 
-// prepareSort builds a sort. workers > 1 (the ParallelSortNode path) sorts
-// per-worker runs merged stably; statNode receives the phase accounting.
-func prepareSort(x *SortNode, ctx *execContext, workers int, statNode Node) (batchIter, error) {
+// prepareSort builds a sort. It takes the query's parallelism as its
+// workers, which sort per-worker runs merged stably when the input is large
+// enough; the keys evaluate in input order either way, so stateful keys are
+// safe.
+func prepareSort(x *SortNode, ctx *execContext) (batchIter, error) {
+	if ctx.parallelism > 1 {
+		ctx.metrics.ParallelBreakers++
+	}
 	in, err := prepare(x.Input, ctx)
 	if err != nil {
 		return nil, err
@@ -1352,26 +1364,25 @@ func prepareSort(x *SortNode, ctx *execContext, workers int, statNode Node) (bat
 		in.Close()
 		return nil, err
 	}
-	st := ctx.statsFor(statNode)
+	st := ctx.statsFor(x)
 	return &sortIter{
 		in: in, keys: keys, descs: descs,
 		width: len(x.Input.Schema().Names), bsize: ctx.batchSize,
-		workers: workers, st: st, ectx: ctx, mem: ctx.opMemFor(statNode, st),
+		st: st, ectx: ctx, mem: ctx.opMemFor(x, st),
 	}, nil
 }
 
 type sortIter struct {
-	in      batchIter
-	keys    *exprDAG
-	descs   []bool
-	width   int
-	bsize   int
-	workers int
-	st      *OpStats
-	ectx    *execContext
-	mem     *opMem
-	runs    []*storage.SpillRun // sorted on-disk chunks, in input order
-	out     batchIter
+	in    batchIter
+	keys  *exprDAG
+	descs []bool
+	width int
+	bsize int
+	st    *OpStats
+	ectx  *execContext
+	mem   *opMem
+	runs  []*storage.SpillRun // sorted on-disk chunks, in input order
+	out   batchIter
 }
 
 func (s *sortIter) NextBatch() (*vector.Batch, error) {
@@ -1393,7 +1404,7 @@ type sortRef struct{ b, i int }
 // so morsel scan workers release promptly), evaluates the sort keys
 // batch-wise, and stably sorts the global row index — ties keep their input
 // order even when the rows arrived from a parallel scan's ordered merge.
-// With workers > 1 the comparison sort fans out into per-worker runs joined
+// At parallelism > 1 the comparison sort fans out into per-worker runs joined
 // by a stability-preserving multiway merge; key evaluation stays sequential
 // in input order either way.
 //
@@ -1422,9 +1433,9 @@ func (s *sortIter) materialize() error {
 		return false
 	}
 	sortChunk := func() error {
-		if s.workers > 1 && len(refs) >= minParallelSortRows {
+		if s.ectx.parallelism > 1 && len(refs) >= minParallelSortRows {
 			var err error
-			refs, err = parallelSortRefs(s.ectx, refs, less, s.workers, s.st)
+			refs, err = parallelSortRefs(s.ectx, refs, less, s.ectx.parallelism, s.st)
 			return err
 		}
 		sort.SliceStable(refs, func(a, b int) bool { return less(refs[a], refs[b]) })

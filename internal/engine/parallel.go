@@ -3,6 +3,7 @@ package engine
 import (
 	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -18,8 +19,9 @@ import (
 // half — the hash-aggregation build, the hash-join build and the sort —
 // while keeping every output byte identical to the sequential operators.
 // The ordering argument each one rests on is spelled out at its
-// implementation; physical.go decides which plans qualify, planck.go
-// certifies the contracts.
+// implementation. The plan carries no parallel node for them: each operator
+// takes its worker count from the query's parallelism when it is bound (join
+// build, sort) or when it first runs (aggregate: aggFanOut).
 
 // Minimum input sizes below which the parallel phases fall back to the
 // sequential code path: worker startup and merge bookkeeping cost more than
@@ -677,47 +679,53 @@ func (x *exchangeIter) Close() {
 
 // --- two-phase partitioned hash aggregation ----------------------------------
 
-// prepareParallelAgg builds the two-phase partitioned hash aggregation.
-// Compilation of every expression in the subtree happens here once so
-// compile errors still surface at Prepare time; the workers recompile their
-// own copies at run time (compiled expressions hold state).
-func prepareParallelAgg(x *ParallelAggNode, ctx *execContext) (batchIter, error) {
-	scan, stages := x.Scan, x.Stages
-	colIdx, err := scanColumns(scan)
-	if err != nil {
-		return nil, err
+// aggFanOut decides, on a hash aggregate's first NextBatch, whether it runs
+// as the two-phase partitioned aggregation (parallelAgg): the plan found it
+// eligible (AggregateNode.Why), the query runs at parallelism > 1, and the
+// pinned snapshot of its table holds more than one partition. It returns the
+// segment the workers replay; otherwise the stats slot records why the
+// aggregate stays sequential.
+func aggFanOut(ctx *execContext, x *AggregateNode) (*ScanNode, []Node, bool) {
+	scan, stages, ok := aggSegment(x.Input)
+	why := x.Why
+	switch {
+	case why != "":
+	case !ok:
+		why = "input not a scan pipeline"
+	case ctx.parallelism < 2:
+		why = "parallelism 1"
+	case len(ctx.pinSnapshot(scan.Table).Parts) < 2:
+		why = "one partition"
 	}
-	if scan.Filter != nil {
-		if _, err := compileVec(ctx, scan.Schema(), scan.Filter); err != nil {
-			return nil, err
+	if why != "" {
+		if st := ctx.statsFor(x); st != nil {
+			st.Sequential = why
 		}
+		return nil, nil, false
 	}
-	cs, err := compileStages(ctx, stages)
-	if err != nil {
-		return nil, err
-	}
-	eval, err := compileAggEval(ctx, x.AggregateNode)
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range cs {
-		ctx.exprs.add(s.dag.stats())
-	}
-	ctx.exprs.add(eval.dag.stats())
-	return &paggIter{
-		node: x, scan: scan, stages: stages, ctx: ctx,
-		st: ctx.statsFor(x), eval: eval, colIdx: colIdx,
-		width: len(x.Schema().Names),
-		parts: ctx.pinSnapshot(scan.Table).Parts,
-	}, nil
+	ctx.mu.Lock()
+	ctx.metrics.ParallelBreakers++
+	ctx.mu.Unlock()
+	return scan, stages, true
 }
 
-// paggIter runs the aggregation on first NextBatch:
+// aggSegment returns the scan and the stages, in execution order, of an
+// eligible aggregate's input: its exchange's segment, or a stateless chain
+// without FLATTEN that no exchange wraps.
+func aggSegment(in Node) (*ScanNode, []Node, bool) {
+	if x, ok := in.(*ExchangeNode); ok {
+		return x.Scan, x.Stages, true
+	}
+	return pipelineStages(in)
+}
+
+// parallelAgg runs the aggregation as two phases over the pinned partitions
+// of scan, in place of the sequential pipeline bind prepared:
 //
 //	phase 1 (local): workers claim contiguous spans of storage partitions
 //	from an atomic counter, replay the stateless Filter/Project/Flatten
 //	chain over each partition in ascending order, and fold the rows into a
-//	span-local aggTable whose groups are also bucketed into MergeParts
+//	span-local aggTable whose groups are also bucketed into mergeParts
 //	disjoint hash partitions.
 //
 //	phase 2 (merge): workers claim hash buckets; within a bucket the local
@@ -730,69 +738,28 @@ func prepareParallelAgg(x *ParallelAggNode, ctx *execContext) (batchIter, error)
 //	merged groups by stamp is exactly the sequential first-seen output
 //	order.
 //
-// Both phases run synchronously inside NextBatch and join their workers
-// before returning, so Close has nothing to interrupt.
-type paggIter struct {
-	node   *ParallelAggNode
-	scan   *ScanNode
-	stages []Node
-	ctx    *execContext
-	st     *OpStats
-	eval   *aggEval // driver-side copy (empty-input fallback only)
-	colIdx []int
-	width  int
-	// parts is the table's partition set pinned at bind time (the query's
-	// MVCC snapshot); the workers claim spans of it, never re-reading the
-	// live table.
-	parts []*storage.Partition
-	out   *rowsIter
-}
-
-func (p *paggIter) NextBatch() (*vector.Batch, error) {
-	if p.out == nil {
-		rows, err := p.run()
-		if err != nil {
-			return nil, err
-		}
-		p.out = &rowsIter{rows: rows, width: p.width, size: p.ctx.batchSize}
+// Both phases join their workers before returning. Each worker compiles its
+// own copy of the segment and the aggregate (compiled expressions hold
+// state); eval is the driver's copy, for the empty-input row and the spill
+// decoding.
+func parallelAgg(ctx *execContext, x *AggregateNode, scan *ScanNode, stages []Node, eval *aggEval) ([][]variant.Value, error) {
+	colIdx, err := scanColumns(scan)
+	if err != nil {
+		return nil, err
 	}
-	return p.out.NextBatch()
-}
-
-func (p *paggIter) Close() {}
-
-func (p *paggIter) run() ([][]variant.Value, error) {
-	parts := p.parts
-	spanCount := p.node.Pipelines * aggSpanFanout
-	if spanCount > len(parts) {
-		spanCount = len(parts)
-	}
-	if spanCount < 1 {
-		spanCount = 1
-	}
+	parts := ctx.pinSnapshot(scan.Table).Parts
+	spanCount := min(ctx.parallelism*aggSpanFanout, len(parts))
 	spans := make([][2]int, 0, spanCount)
 	chunk := (len(parts) + spanCount - 1) / spanCount
 	for lo := 0; lo < len(parts); lo += chunk {
-		hi := lo + chunk
-		if hi > len(parts) {
-			hi = len(parts)
-		}
-		spans = append(spans, [2]int{lo, hi})
+		spans = append(spans, [2]int{lo, min(lo+chunk, len(parts))})
 	}
-	workers := p.node.Pipelines
-	if workers > len(spans) {
-		workers = len(spans)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	mergeParts := p.node.MergeParts
-	if mergeParts < 1 {
-		mergeParts = 1
-	}
+	workers := min(ctx.parallelism, len(spans))
+	mergeParts := cmp.Or(ctx.mergeParts, ctx.parallelism)
+	st := ctx.statsFor(x)
 
-	scanSt, stageSts := stageStats(p.ctx, p.scan, p.stages)
-	p.ctx.addScanCounts(scanSt, len(parts), 0, 0)
+	scanSt, stageSts := stageStats(ctx, scan, stages)
+	ctx.addScanCounts(scanSt, len(parts), 0, 0)
 
 	locals := make([]*aggTable, len(spans))
 	spanRuns := make([][]*storage.SpillRun, len(spans))
@@ -804,7 +771,7 @@ func (p *paggIter) run() ([][]variant.Value, error) {
 		}
 	}()
 	workerRows := make([]int64, workers)
-	acct := p.ctx.acct
+	acct := ctx.acct
 	// Shared operator-level accounting, updated atomically by the workers and
 	// copied into the stats slot at the end.
 	var opCharged, opPeak, opHeld int64
@@ -812,7 +779,7 @@ func (p *paggIter) run() ([][]variant.Value, error) {
 	var spilledRows, spilledGroups int64
 	// prog mirrors the held-bytes gauge into the live-progress slot so
 	// /debug/queries shows the breaker's current memory while it runs.
-	prog := p.ctx.progFor(p.node)
+	prog := ctx.progFor(x)
 	defer func() {
 		held := atomic.LoadInt64(&opHeld)
 		acct.release(held)
@@ -829,7 +796,7 @@ func (p *paggIter) run() ([][]variant.Value, error) {
 	// checkCancel lets every worker loop abort within one morsel of a
 	// cancelled query context.
 	checkCancel := func() bool {
-		if err := p.ctx.cancelled(); err != nil {
+		if err := ctx.cancelled(); err != nil {
 			fail(err)
 			return true
 		}
@@ -845,20 +812,20 @@ func (p *paggIter) run() ([][]variant.Value, error) {
 			// Per-worker compilation: compiled expressions hold state
 			// (reusable buffers), so nothing compiled is shared across
 			// goroutines.
-			eval, err := compileAggEval(p.ctx, p.node.AggregateNode)
+			eval, err := compileAggEval(ctx, x)
 			if err != nil {
 				fail(err)
 				return
 			}
 			var filter *exprDAG
-			if p.scan.Filter != nil {
-				filter, err = compileVec(p.ctx, p.scan.Schema(), p.scan.Filter)
+			if scan.Filter != nil {
+				filter, err = compileVec(ctx, scan.Schema(), scan.Filter)
 				if err != nil {
 					fail(err)
 					return
 				}
 			}
-			cs, err := compileStages(p.ctx, p.stages)
+			cs, err := compileStages(ctx, stages)
 			if err != nil {
 				fail(err)
 				return
@@ -866,7 +833,7 @@ func (p *paggIter) run() ([][]variant.Value, error) {
 			counts := newChainCounts(scanSt, stageSts)
 			defer func() {
 				for _, c := range counts {
-					c.flush(p.ctx)
+					c.flush(ctx)
 				}
 			}()
 			// spillSpan moves one span table's state to disk mid-stream; the
@@ -903,12 +870,12 @@ func (p *paggIter) run() ([][]variant.Value, error) {
 						return
 					}
 					part := parts[i]
-					if partitionPruned(p.scan, part) {
-						p.ctx.addScanCounts(scanSt, 0, 1, 0)
+					if partitionPruned(scan, part) {
+						ctx.addScanCounts(scanSt, 0, 1, 0)
 						continue
 					}
-					batches, bytes, err := scanPartition(p.ctx, part, p.colIdx, filter, p.ctx.batchSize, 0, part.NumRows())
-					p.ctx.addScanCounts(scanSt, 0, 0, bytes)
+					batches, bytes, err := scanPartition(ctx, part, colIdx, filter, ctx.batchSize, 0, part.NumRows())
+					ctx.addScanCounts(scanSt, 0, 0, bytes)
 					if err != nil {
 						fail(err)
 						return
@@ -920,7 +887,7 @@ func (p *paggIter) run() ([][]variant.Value, error) {
 				// input row order.
 				table := newAggTable(eval.aggs, mergeParts)
 				var spanCharged int64
-				it := instantiateChain(p.ctx, &staticBatches{batches: spanBatches}, cs, counts, p.ctx.batchSize)
+				it := instantiateChain(ctx, &staticBatches{batches: spanBatches}, cs, counts, ctx.batchSize)
 				for {
 					b, berr := it.NextBatch()
 					if berr != nil {
@@ -996,13 +963,7 @@ func (p *paggIter) run() ([][]variant.Value, error) {
 
 	mergeStart := time.Now()
 	merged := make([][]*aggGroup, mergeParts)
-	mergeWorkers := workers
-	if mergeWorkers > mergeParts {
-		mergeWorkers = mergeParts
-	}
-	if mergeWorkers < 1 {
-		mergeWorkers = 1
-	}
+	mergeWorkers := min(workers, mergeParts)
 	var bclaim int64
 	var mwg sync.WaitGroup
 	mwg.Add(mergeWorkers)
@@ -1059,7 +1020,7 @@ func (p *paggIter) run() ([][]variant.Value, error) {
 						if rec == nil {
 							break
 						}
-						g, err := decodeSpilledGroup(rec, p.eval.aggs, int32(b), mergeParts)
+						g, err := decodeSpilledGroup(rec, eval.aggs, int32(b), mergeParts)
 						if err != nil {
 							fail(err)
 							return
@@ -1094,38 +1055,32 @@ func (p *paggIter) run() ([][]variant.Value, error) {
 
 	// Global aggregation over an empty input yields one row, exactly like
 	// the sequential operator.
-	if p.eval.ngroups == 0 && len(all) == 0 {
-		t := newAggTable(p.eval.aggs, 1)
+	if eval.ngroups == 0 && len(all) == 0 {
+		t := newAggTable(eval.aggs, 1)
 		t.insert(nil, nil)
 		all = t.order
 	}
 	mergeWall := time.Since(mergeStart)
 
-	if p.st != nil {
-		var maxRows int64
-		for _, r := range workerRows {
-			if r > maxRows {
-				maxRows = r
-			}
-		}
-		p.ctx.mu.Lock()
-		p.st.Pipelines = workers
-		p.st.MergeParts = mergeParts
-		p.st.LocalRows = localRows
-		p.st.LocalGroups = localGroups
-		p.st.MergedGroups = int64(len(all))
-		p.st.MaxWorkerRows = maxRows
-		p.st.LocalWallUS = localWall.Microseconds()
-		p.st.MergeWallUS = mergeWall.Microseconds()
+	if st != nil {
+		ctx.mu.Lock()
+		st.Pipelines = workers
+		st.MergeParts = mergeParts
+		st.LocalRows = localRows
+		st.LocalGroups = localGroups
+		st.MergedGroups = int64(len(all))
+		st.MaxWorkerRows = slices.Max(workerRows)
+		st.LocalWallUS = localWall.Microseconds()
+		st.MergeWallUS = mergeWall.Microseconds()
 		if acct.enabled() {
-			p.st.MemPeakBytes = atomic.LoadInt64(&opPeak)
-			p.st.MemLimitBytes = acct.limit
-			p.st.Spills = atomic.LoadInt64(&opSpills)
-			p.st.SpillBytes = atomic.LoadInt64(&opSpillBytes)
+			st.MemPeakBytes = atomic.LoadInt64(&opPeak)
+			st.MemLimitBytes = acct.limit
+			st.Spills = atomic.LoadInt64(&opSpills)
+			st.SpillBytes = atomic.LoadInt64(&opSpillBytes)
 		}
-		p.ctx.mu.Unlock()
+		ctx.mu.Unlock()
 	}
-	return emitGroupRows(all, p.eval.aggs), nil
+	return emitGroupRows(all, eval.aggs), nil
 }
 
 // --- parallel hash-join build ------------------------------------------------
@@ -1148,7 +1103,7 @@ type encChunk struct {
 //
 //	phase A: workers take contiguous row chunks, evaluate the build keys
 //	(each worker compiles its own copy — compiled expressions hold state,
-//	and physicalize admitted only stateless keys) and encode them into a
+//	and prepareJoin admitted only stateless keys) and encode them into a
 //	per-chunk byte arena, bucketing each by hash.
 //
 //	phase B: workers claim buckets and build each bucket's map by walking

@@ -34,7 +34,7 @@ var breakerQueries = []string{
 }
 
 // TestParallelBreakerParity is the core regression of the parallel pipeline
-// breakers: parallelism {1,4} × batch size {1,1024}, planck enabled, every
+// breakers: parallelism {1,2,4} × batch size {1,1024}, planck enabled, every
 // configuration byte-identical.
 func TestParallelBreakerParity(t *testing.T) {
 	configs := []struct {
@@ -43,6 +43,7 @@ func TestParallelBreakerParity(t *testing.T) {
 	}{
 		{"par1-bs1", []Option{WithParallelism(1), WithBatchSize(1), WithPlanCheck(true)}},
 		{"par1-bs1024", []Option{WithParallelism(1), WithBatchSize(1024), WithPlanCheck(true)}},
+		{"par2-bs1024", []Option{WithParallelism(2), WithBatchSize(1024), WithPlanCheck(true)}},
 		{"par4-bs1", []Option{WithParallelism(4), WithBatchSize(1), WithPlanCheck(true)}},
 		{"par4-bs1024", []Option{WithParallelism(4), WithBatchSize(1024), WithPlanCheck(true)}},
 	}
@@ -70,33 +71,47 @@ func TestParallelBreakerParity(t *testing.T) {
 	}
 }
 
-// TestParallelAggExplainAnalyze pins the observability contract: an analyzed
-// parallel aggregation reports the ParallelAggregate operator with its
-// per-phase stats, and the stats are internally consistent.
-func TestParallelAggExplainAnalyze(t *testing.T) {
-	e := multiPartEngine(t, WithParallelism(4), WithPlanCheck(true))
-	res, ps, err := e.QueryAnalyze(`SELECT grp, COUNT(*), MIN(val) FROM events GROUP BY grp`)
+// hashAgg runs sql analyzed and returns the result with its (one) hash
+// aggregate's annotated node and raw stats slot.
+func hashAgg(t *testing.T, e *Engine, sql string) (*Result, *PlanStats, *OpStats) {
+	t.Helper()
+	p, err := e.PrepareOpts(sql, PrepareOptions{Analyze: true})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", sql, err)
 	}
-	if len(res.Rows) != 7 {
-		t.Fatalf("expected 7 groups, got %d", len(res.Rows))
-	}
-	rendered := ps.Render()
-	if !strings.Contains(rendered, "ParallelAggregate") {
-		t.Fatalf("EXPLAIN ANALYZE does not show the parallel aggregate:\n%s", rendered)
-	}
-	if !strings.Contains(rendered, "par[pipelines=") {
-		t.Fatalf("EXPLAIN ANALYZE missing the parallel phase stats:\n%s", rendered)
+	res, err := p.Run()
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
 	}
 	var agg *PlanStats
-	ps.Walk(func(_ int, n *PlanStats) {
-		if n.Op == "ParallelAggregate" {
+	p.PlanStats().Walk(func(_ int, n *PlanStats) {
+		if n.Op == "Aggregate" && strings.HasPrefix(n.Detail, "hash") {
 			agg = n
 		}
 	})
-	if agg == nil {
-		t.Fatal("no ParallelAggregate node in PlanStats")
+	for n, st := range p.ctx.stats {
+		if x, ok := n.(*AggregateNode); ok && !x.Stream && agg != nil {
+			return res, agg, st
+		}
+	}
+	t.Fatalf("%s: no hash aggregate in the plan", sql)
+	return nil, nil, nil
+}
+
+// TestParallelAggExplainAnalyze pins the observability contract: an analyzed
+// aggregation that fanned out renders as a hash Aggregate with its per-phase
+// stats, and the stats are internally consistent.
+func TestParallelAggExplainAnalyze(t *testing.T) {
+	e := multiPartEngine(t, WithParallelism(4), WithPlanCheck(true))
+	res, agg, st := hashAgg(t, e, `SELECT grp, COUNT(*), MIN(val) FROM events GROUP BY grp`)
+	if len(res.Rows) != 7 {
+		t.Fatalf("expected 7 groups, got %d", len(res.Rows))
+	}
+	if res.Metrics.ParallelBreakers != 1 {
+		t.Fatalf("ParallelBreakers = %d, want 1", res.Metrics.ParallelBreakers)
+	}
+	if st.Sequential != "" || agg.Detail != "hash groups=1 aggs=2" {
+		t.Fatalf("aggregate did not fan out: %q (sequential %q)", agg.Detail, st.Sequential)
 	}
 	if agg.Pipelines < 1 || agg.MergeParts < 1 {
 		t.Fatalf("phase stats not recorded: %+v", agg)
@@ -120,27 +135,22 @@ func TestParallelAggExplainAnalyze(t *testing.T) {
 
 // TestOrderSensitiveAggStaysSequential pins the fallback rule: SUM and AVG
 // fold floats in input order (addition is not associative), and stateful
-// SEQ8 arguments observe evaluation order, so those plans keep the
-// sequential Aggregate operator even at high parallelism.
+// SEQ8 arguments observe evaluation order, so those aggregates stay
+// sequential even at high parallelism, and EXPLAIN ANALYZE says why.
 func TestOrderSensitiveAggStaysSequential(t *testing.T) {
 	e := multiPartEngine(t, WithParallelism(8), WithPlanCheck(true))
-	for _, sql := range []string{
-		`SELECT grp, SUM(val) FROM events GROUP BY grp`,
-		`SELECT grp, AVG(val) FROM events GROUP BY grp`,
-		`SELECT grp, MIN(SEQ8()) FROM events GROUP BY grp`,
+	for _, c := range []struct{ sql, why string }{
+		{`SELECT grp, SUM(val) FROM events GROUP BY grp`, "not mergeable: SUM"},
+		{`SELECT grp, AVG(val) FROM events GROUP BY grp`, "not mergeable: AVG"},
+		{`SELECT grp, MIN(SEQ8()) FROM events GROUP BY grp`, "row id in aggregate"},
+		{`SELECT "r", COUNT(*) FROM (SELECT SEQ8() % 3 AS "r" FROM events) GROUP BY "r"`, "row id in input"},
 	} {
-		_, ps, err := e.QueryAnalyze(sql)
-		if err != nil {
-			t.Fatalf("%s: %v", sql, err)
+		_, agg, st := hashAgg(t, e, c.sql)
+		if agg.Pipelines > 0 || st.Sequential != c.why {
+			t.Errorf("%s: pipelines=%d sequential %q, want %q", c.sql, agg.Pipelines, st.Sequential, c.why)
 		}
-		found := false
-		ps.Walk(func(_ int, n *PlanStats) {
-			if n.Op == "ParallelAggregate" {
-				found = true
-			}
-		})
-		if found {
-			t.Errorf("%s: order-sensitive aggregate went parallel", sql)
+		if !strings.HasSuffix(agg.Detail, " sequential: "+c.why) {
+			t.Errorf("%s: detail %q does not say why", c.sql, agg.Detail)
 		}
 	}
 }
@@ -167,7 +177,7 @@ func TestParallelJoinAndSortAnalyze(t *testing.T) {
 		t.Fatalf("join build phase stats not recorded: %+v", join)
 	}
 
-	_, ps, err = e.QueryAnalyze(`SELECT id FROM events ORDER BY val DESC, id`)
+	res, ps, err := e.QueryAnalyze(`SELECT id FROM events ORDER BY val DESC, id`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,9 +192,9 @@ func TestParallelJoinAndSortAnalyze(t *testing.T) {
 	}
 	// 500 rows clears minParallelSortRows only when lowered; at the default
 	// threshold the run stays sequential and the stats stay zero — both are
-	// legal, but the operator must report sort_workers in its detail.
-	if !strings.Contains(srt.Detail, "sort_workers=4") {
-		t.Fatalf("sort detail missing worker count: %q", srt.Detail)
+	// legal, but the sort took its workers at bind and counts as a breaker.
+	if srt.Detail != "keys=2" || res.Metrics.ParallelBreakers != 1 {
+		t.Fatalf("sort %q, ParallelBreakers = %d, want 1", srt.Detail, res.Metrics.ParallelBreakers)
 	}
 }
 
@@ -199,21 +209,12 @@ func TestMergePartitionsHook(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ps, err := tuned.QueryAnalyze(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, agg, _ := hashAgg(t, tuned, sql)
 	if renderRows(got) != renderRows(want) {
 		t.Fatal("merge-partition tuning changed the result")
 	}
-	var agg *PlanStats
-	ps.Walk(func(_ int, n *PlanStats) {
-		if n.Op == "ParallelAggregate" {
-			agg = n
-		}
-	})
-	if agg == nil {
-		t.Fatal("no ParallelAggregate node")
+	if agg.Pipelines == 0 {
+		t.Fatal("the aggregate did not fan out")
 	}
 	if agg.MergeParts != 2 {
 		t.Fatalf("merge parts = %d, want 2", agg.MergeParts)
@@ -221,7 +222,7 @@ func TestMergePartitionsHook(t *testing.T) {
 }
 
 // TestParallelAggSinglePartitionFallsBack: a table with one micro-partition
-// has nothing to split; the plan keeps the sequential Aggregate.
+// has nothing to split; the aggregate runs sequentially and says why.
 func TestParallelAggSinglePartitionFallsBack(t *testing.T) {
 	e := New(WithParallelism(4), WithPlanCheck(true))
 	tab, err := e.Catalog().CreateTable("one", []string{"k", "v"})
@@ -234,13 +235,9 @@ func TestParallelAggSinglePartitionFallsBack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, ps, err := e.QueryAnalyze(`SELECT k, COUNT(*) FROM one GROUP BY k`)
-	if err != nil {
-		t.Fatal(err)
+	res, agg, st := hashAgg(t, e, `SELECT k, COUNT(*) FROM one GROUP BY k`)
+	if agg.Pipelines > 0 || st.Sequential != "one partition" || res.Metrics.ParallelBreakers != 0 {
+		t.Errorf("single-partition table: pipelines=%d sequential %q breakers=%d, want 0/%q/0",
+			agg.Pipelines, st.Sequential, res.Metrics.ParallelBreakers, "one partition")
 	}
-	ps.Walk(func(_ int, n *PlanStats) {
-		if n.Op == "ParallelAggregate" {
-			t.Error("single-partition table should not aggregate in parallel")
-		}
-	})
 }

@@ -10,7 +10,9 @@ import (
 
 // The physical pass. After the logical optimizer runs, physicalize walks
 // the plan once, bottom-up, deriving each node's order property, and
-// rewrites what can run faster without changing a single output byte:
+// decides what can run faster without changing a single output byte. It
+// reads the plan alone — never storage, never the engine's parallelism — so a
+// compiled plan is a function of the SQL text and the schema:
 //
 //   - AggregateNode.Stream when the single group key is a column of the
 //     input's order property (the streaming aggregate, exec.go).
@@ -22,29 +24,17 @@ import (
 //     renumbers row IDs exactly (parallel.go). A segment that uses a row ID
 //     any other way stays sequential and the node says why.
 //
-//   - AggregateNode → ParallelAggNode when the input is a segment without
-//     row IDs over a multi-partition scan and every aggregate merges exactly
-//     (see aggsMergeable). Workers claim storage partitions, aggregate each
-//     span into a thread-local table, and the locals merge in parallel
-//     across disjoint hash partitions — in storage-partition order, which
-//     equals input row order, so first-seen group order, ANY_VALUE,
-//     ARRAY_AGG concatenation and DISTINCT first-occurrence dedup all
-//     reproduce the sequential result exactly.
-//
-//   - JoinNode → ParallelJoinNode when it is an equi-join with stateless
-//     build keys: the build side partitions across workers into disjoint
-//     per-bucket hash tables probed lock-free.
-//
-//   - SortNode → ParallelSortNode always: sort keys evaluate sequentially
-//     during materialization (so even stateful keys see input order); only
-//     the comparison-sorting of precomputed keys fans out into per-worker
-//     runs joined by a stability-preserving multiway merge.
+//   - AggregateNode.Why, the hash aggregate's verdict on the two-phase
+//     partitioned aggregation: empty when every aggregate merges exactly (see
+//     aggsMergeWhy), the group keys are stateless and the input is a segment
+//     without row IDs; otherwise the rule that failed. Whether an eligible
+//     aggregate fans out is decided when it runs (aggFanOut), like the
+//     exchange's fan-out, as are the join build's and the sort's workers.
 //
 // Everything order-sensitive stays on the sequential operators: SUM and AVG
 // fold floats in input order (addition is not associative), stateful (SEQ)
 // arguments observe evaluation order, and unknown aggregates must keep
-// their lazy error behavior. planck certifies the contracts of the new
-// nodes in planck.go.
+// their lazy error behavior. planck certifies the contracts in planck.go.
 
 // ExchangeNode runs its Input — a segment: Scan plus Stages — on parallel
 // workers, each replaying the segment over fixed sub-partition morsels, and
@@ -72,36 +62,6 @@ func (n *ExchangeNode) Schema() *Schema { return n.Input.Schema() }
 // counterRef is one row-ID counter: select-list position expr of segment
 // stage stage (-1 when its projection belongs to no segment).
 type counterRef struct{ stage, expr int }
-
-// ParallelAggNode executes its embedded aggregate as a two-phase
-// partitioned hash aggregation over the segment below it.
-type ParallelAggNode struct {
-	*AggregateNode
-	Scan   *ScanNode
-	Stages []Node // the row-ID-free segment each worker replays per span
-	// Pipelines caps the phase-1 workers (each runs the scan→…→pre-aggregate
-	// pipeline over whole storage partitions).
-	Pipelines int
-	// MergeParts is the number of disjoint hash partitions the thread-local
-	// tables split into for the parallel merge.
-	MergeParts int
-}
-
-// ParallelJoinNode executes its embedded join with a partitioned parallel
-// build phase.
-type ParallelJoinNode struct {
-	*JoinNode
-	// BuildWorkers caps the key-encoding workers; the build side also
-	// partitions into BuildWorkers disjoint hash tables.
-	BuildWorkers int
-}
-
-// ParallelSortNode executes its embedded sort as per-worker sorted runs
-// joined by a stable multiway merge.
-type ParallelSortNode struct {
-	*SortNode
-	SortWorkers int
-}
 
 // ordering is a node's order property: ordering[i], when non-nil, is the
 // row-ID counter output column i descends from, so the column is provably
@@ -137,33 +97,28 @@ func (s *segment) sequential(why string) {
 	}
 }
 
-// physicalPass carries the knobs of one physicalize walk and counts what it
+// physicalPass carries the knob of one physicalize walk and counts what it
 // decided.
 type physicalPass struct {
-	par, mergeParts int
 	// hashOnly keeps every aggregate on the hash path (Engine.forceHashAgg,
 	// the differential tests' oracle).
 	hashOnly bool
 	physicalCounts
 }
 
-// physicalCounts is what one physicalize walk decided: pipeline breakers
-// wrapped in their parallel nodes, aggregates marked Stream, and exchanges
-// that may fan out at this parallelism.
+// physicalCounts is what one physicalize walk decided: aggregates marked
+// Stream, and exchanges that may fan out.
 type physicalCounts struct {
-	parallelBreakers, streamAggs, parallelPipelines int
+	streamAggs, parallelPipelines int
 }
 
 // physicalize rewrites the optimized logical plan into its physical form in
-// one bottom-up walk that carries each node's order property. Stream marks
-// and exchanges depend on the plan alone, so they appear at every
-// parallelism (an exchange runs its segment inline at parallelism 1); the
-// parallel pipeline breakers appear only with parallelism > 1.
-func physicalize(n Node, par, mergeParts int, hashOnly bool) (Node, physicalCounts) {
-	if mergeParts <= 0 {
-		mergeParts = par
-	}
-	p := &physicalPass{par: par, mergeParts: mergeParts, hashOnly: hashOnly}
+// one bottom-up walk that carries each node's order property. The result is
+// the same at every parallelism: an exchange runs its segment inline at
+// parallelism 1, and an eligible hash aggregate decides its fan-out when it
+// runs.
+func physicalize(n Node, hashOnly bool) (Node, physicalCounts) {
+	p := &physicalPass{hashOnly: hashOnly}
 	n, out, seg := p.rewrite(n)
 	return p.seal(n, out, seg), p.physicalCounts
 }
@@ -179,7 +134,7 @@ func physicalize(n Node, par, mergeParts int, hashOnly bool) (Node, physicalCoun
 //	Aggregate  streamed on key K: K is strictly increasing, and ANY_VALUE /
 //	           MIN / MAX of an ordered column is non-decreasing, because the
 //	           groups are consecutive runs of the input
-//	Scan, Sort, Join, Union, hash and parallel aggregates   empty
+//	Scan, Sort, Join, Union, hash aggregates   empty
 //
 // Within a segment an ordered column may only be carried that way; any other
 // use — in a predicate, a computed column, a FLATTEN input, another
@@ -271,24 +226,13 @@ func (p *physicalPass) rewrite(n Node) (Node, ordering, *segment) {
 			}
 			return x, out, seg
 		}
-		if p.par > 1 && parallelAggEligible(x, seg) {
-			p.parallelBreakers++
-			return &ParallelAggNode{AggregateNode: x, Scan: seg.scan, Stages: seg.stages, Pipelines: p.par, MergeParts: p.mergeParts}, nil, nil
-		}
+		x.Why = parallelAggWhy(x, seg)
 		x.Input = p.seal(x.Input, in, seg)
 	case *JoinNode:
 		x.Left = p.sealed(x.Left)
 		x.Right = p.sealed(x.Right)
-		if p.par > 1 && len(x.RightKeys) > 0 && !anyExprStateful(x.RightKeys) {
-			p.parallelBreakers++
-			return &ParallelJoinNode{JoinNode: x, BuildWorkers: p.par}, nil, nil
-		}
 	case *SortNode:
 		x.Input = p.sealed(x.Input)
-		if p.par > 1 {
-			p.parallelBreakers++
-			return &ParallelSortNode{SortNode: x, SortWorkers: p.par}, nil, nil
-		}
 	}
 	return n, nil, nil
 }
@@ -315,7 +259,7 @@ func (p *physicalPass) seal(n Node, out ordering, seg *segment) Node {
 			x.Renumber[i] = 1 + slices.Index(seg.counters, src)
 		}
 	}
-	if x.Why == "" && p.par > 1 {
+	if x.Why == "" {
 		p.parallelPipelines++
 	}
 	return x
@@ -386,41 +330,53 @@ func isIntLit(e sqlast.Expr) bool {
 	return ok && l.Value.Kind() == variant.KindInt
 }
 
-// parallelAggEligible reports whether the aggregate can run as a two-phase
-// partitioned aggregation with byte-identical output: mergeable-exact
-// accumulators, stateless grouping, and an input segment without row IDs
-// (replaying a partition in isolation would restart the counter) over more
-// than one storage partition.
-func parallelAggEligible(x *AggregateNode, seg *segment) bool {
-	return seg != nil && seg.why == "" && len(seg.counters) == 0 &&
-		aggsMergeable(x.Aggs) && !anyExprStateful(x.GroupBy) &&
-		len(seg.scan.Table.Partitions()) > 1
+// parallelAggWhy is a hash aggregate's plan-time verdict on the two-phase
+// partitioned aggregation, which must reproduce the sequential output byte
+// for byte: empty when every accumulator merges exactly, the grouping is
+// stateless, and the input is a segment without row IDs (replaying a
+// partition in isolation would restart the counter); otherwise the first
+// rule that fails.
+func parallelAggWhy(x *AggregateNode, seg *segment) string {
+	switch why := aggsMergeWhy(x.Aggs); {
+	case why != "":
+		return why
+	case anyExprStateful(x.GroupBy):
+		return "row id in group key"
+	case seg == nil:
+		return "input not a scan pipeline"
+	case seg.why != "" || len(seg.counters) > 0:
+		return "row id in input"
+	}
+	return ""
 }
 
-// aggsMergeable reports whether every aggregate's partial states combine
-// exactly when partials are folded in input (partition index) order.
-// SUM and AVG are excluded — float addition is not associative, so merging
-// per-partition partial sums changes low-order bits versus the sequential
-// row-order fold. Unknown aggregates must keep their lazy add-time error.
-func aggsMergeable(specs []AggSpec) bool {
+// aggsMergeWhy says why the aggregates' partial states would not combine
+// exactly when partials are folded in input (partition index) order, or ""
+// when they do. SUM and AVG are excluded — float addition is not
+// associative, so merging per-partition partial sums changes low-order bits
+// versus the sequential row-order fold. Unknown aggregates must keep their
+// lazy add-time error.
+func aggsMergeWhy(specs []AggSpec) string {
 	for _, s := range specs {
 		switch s.Name {
 		case "COUNT", "COUNT_IF", "MIN", "MAX", "ANY_VALUE",
 			"BOOLAND_AGG", "BOOLOR_AGG", "ARRAY_AGG":
 		default:
-			return false
+			return "not mergeable: " + s.Name
 		}
 		if exprStateful(s.Arg) {
-			return false
+			return "row id in aggregate"
 		}
 		for _, o := range s.OrderBy {
 			if exprStateful(o.Expr) {
-				return false
+				return "row id in aggregate"
 			}
 		}
 	}
-	return true
+	return ""
 }
+
+func aggsMergeable(specs []AggSpec) bool { return aggsMergeWhy(specs) == "" }
 
 func anyExprStateful(exprs []sqlast.Expr) bool {
 	for _, e := range exprs {

@@ -63,7 +63,9 @@ type AggSpec struct {
 // Output schema: GroupNames then AggNames. Stream is set by the physical pass
 // (physical.go) when the single group key is a column proven non-decreasing
 // in row order: the node then runs as a streaming aggregate instead of a
-// hash table, with identical output.
+// hash table, with identical output. Why is the physical pass's verdict on a
+// hash aggregate's two-phase partitioned execution: the rule keeping it
+// sequential, empty when it may fan out at run time (parallel.go).
 type AggregateNode struct {
 	Input      Node
 	GroupBy    []sqlast.Expr
@@ -71,6 +73,7 @@ type AggregateNode struct {
 	Aggs       []AggSpec
 	AggNames   []string
 	Stream     bool
+	Why        string
 	schema     *Schema
 }
 

@@ -6,44 +6,28 @@ package engine
 // LRU so a hot repeated query skips every compile stage and pays only the
 // bind cost.
 //
-// Key anatomy: the query fingerprint (the same FNV-1a hash qlog records, so
-// a cache entry is correlatable with its log lines) × the full knob set that
-// shapes a physical plan (batch size, parallelism, merge partitions, memory
-// limit, typed columns, plan checking). Entries additionally remember the
-// catalog version they were compiled at; any version change — table
-// create/drop, data-dir reattachment, partition seal (including the implicit
-// seal in Warehouse.Flush) — invalidates the whole cache on the next access.
-// Eager whole-cache invalidation keeps the structure trivially bounded: no
-// stale entry ever lingers behind a version fence.
+// Key: the query text. A template is a function of the text and the schema
+// alone — physicalize reads neither storage nor the engine's knobs, and every
+// data- or knob-dependent choice (which breakers fan out, how many workers)
+// is made by the operators at bind or on their first batch — and the cache
+// belongs to one engine, whose knobs never change.
 //
-// Correctness note: a cached template could serve stale *data* only if the
-// partition list were baked into it. It is not — bind re-reads
-// Table.Partitions() every run — so the version fence exists for plan-shape
-// staleness (e.g. parallel-aggregate eligibility counts partitions) and for
-// dropped/recreated tables, whose *storage.Table pointer inside a cached
-// ScanNode would otherwise dangle.
+// Entries remember the catalog version they were compiled at, which moves
+// only on DDL: table create/drop, data-dir reattachment and on-disk table
+// discovery. Any version change invalidates the whole cache on the next
+// access, because a cached ScanNode holds the *storage.Table it was planned
+// against, which a dropped/recreated table would leave dangling. Appends and
+// seals never invalidate: bind pins the table's current partition set every
+// run, so a cached plan sees new data.
 
 import (
 	"container/list"
 	"sync"
 	"sync/atomic"
-
-	"jsonpark/internal/obsv/qlog"
 )
 
 // defaultPlanCacheSize bounds the cache when WithPlanCacheSize is not given.
 const defaultPlanCacheSize = 128
-
-// planKey identifies one compiled plan template: query fingerprint plus
-// every engine knob that can change the physical plan.
-type planKey struct {
-	fingerprint string
-	batchSize   int
-	parallelism int
-	memLimit    int64
-	typedOff    bool
-	planCheck   bool
-}
 
 // compiledPlan is the immutable output of the compile phase — everything
 // Prepare produced before per-run iterator state. It is shared across
@@ -51,31 +35,21 @@ type planKey struct {
 // (physicalize mutates in place, but only during compile; schemas are
 // pre-materialized so the lazy memo never races).
 type compiledPlan struct {
-	sql      string
-	plan     Node
-	columns  []string
-	breakers int
-	par      int
+	sql     string
+	plan    Node
+	columns []string
 	// unorderedScans marks scans allowed to emit morsels out of order;
 	// read-only after compile.
 	unorderedScans map[Node]bool
 }
 
-type planCacheEntry struct {
-	key planKey
-	// sql guards against fingerprint collisions: a hit must match the full
-	// query text, not just its 64-bit hash.
-	sql string
-	cp  *compiledPlan
-}
-
-// planCache is a bounded LRU of compiled plan templates. All entries belong
-// to one catalog version; a version change observed on lookup or insert
-// clears the cache.
+// planCache is a bounded LRU of compiled plan templates keyed on the query
+// text. All entries belong to one catalog version; a version change observed
+// on lookup or insert clears the cache.
 type planCache struct {
 	mu      sync.Mutex
 	size    int
-	entries map[planKey]*list.Element
+	entries map[string]*list.Element
 	lru     *list.List // front = most recently used
 	version int64      // catalog version the resident entries compiled at
 
@@ -87,7 +61,7 @@ type planCache struct {
 func newPlanCache(size int) *planCache {
 	return &planCache{
 		size:    size,
-		entries: make(map[planKey]*list.Element),
+		entries: make(map[string]*list.Element),
 		lru:     list.New(),
 	}
 }
@@ -102,46 +76,44 @@ func (c *planCache) syncVersionLocked(version int64) {
 	if len(c.entries) == 0 {
 		return
 	}
-	c.entries = make(map[planKey]*list.Element)
+	c.entries = make(map[string]*list.Element)
 	c.lru.Init()
 }
 
-// lookup returns the cached template for (key, sql) at the given catalog
-// version, promoting it to most-recently-used.
-func (c *planCache) lookup(key planKey, sql string, version int64) (*compiledPlan, bool) {
+// lookup returns the cached template for sql at the given catalog version,
+// promoting it to most-recently-used.
+func (c *planCache) lookup(sql string, version int64) (*compiledPlan, bool) {
 	c.mu.Lock()
 	c.syncVersionLocked(version)
-	el, ok := c.entries[key]
-	if ok {
-		ent := el.Value.(*planCacheEntry)
-		if ent.sql == sql {
-			c.lru.MoveToFront(el)
-			c.mu.Unlock()
-			c.hits.Add(1)
-			return ent.cp, true
-		}
+	el, ok := c.entries[sql]
+	if !ok {
+		c.mu.Unlock()
+		c.misses.Add(1)
+		return nil, false
 	}
+	c.lru.MoveToFront(el)
+	cp := el.Value.(*compiledPlan)
 	c.mu.Unlock()
-	c.misses.Add(1)
-	return nil, false
+	c.hits.Add(1)
+	return cp, true
 }
 
 // insert stores a freshly compiled template, evicting the least-recently
 // used entry when the cache is full.
-func (c *planCache) insert(key planKey, sql string, version int64, cp *compiledPlan) {
+func (c *planCache) insert(version int64, cp *compiledPlan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.syncVersionLocked(version)
-	if el, ok := c.entries[key]; ok {
-		el.Value = &planCacheEntry{key: key, sql: sql, cp: cp}
+	if el, ok := c.entries[cp.sql]; ok {
+		el.Value = cp
 		c.lru.MoveToFront(el)
 		return
 	}
-	c.entries[key] = c.lru.PushFront(&planCacheEntry{key: key, sql: sql, cp: cp})
+	c.entries[cp.sql] = c.lru.PushFront(cp)
 	for c.lru.Len() > c.size {
 		back := c.lru.Back()
 		c.lru.Remove(back)
-		delete(c.entries, back.Value.(*planCacheEntry).key)
+		delete(c.entries, back.Value.(*compiledPlan).sql)
 		c.evictions.Add(1)
 	}
 }
@@ -165,18 +137,6 @@ func (e *Engine) PlanCacheStats() (hits, misses, evictions, entries int64) {
 	return e.planCache.stats()
 }
 
-// planKeyFor builds the cache key for sql under this engine's knob set.
-func (e *Engine) planKeyFor(sql string) planKey {
-	return planKey{
-		fingerprint: qlog.Fingerprint(sql, ""),
-		batchSize:   e.batchSize,
-		parallelism: e.parallelism,
-		memLimit:    e.memLimit,
-		typedOff:    e.typedOff,
-		planCheck:   e.planCheck,
-	}
-}
-
 // compiledFor returns a plan template for sql — from the cache when a
 // current-version entry exists, else freshly compiled (and cached when the
 // catalog did not move mid-compile). The bool reports a cache hit.
@@ -185,9 +145,8 @@ func (e *Engine) compiledFor(sql string, po PrepareOptions) (*compiledPlan, bool
 		cp, err := e.compile(sql, po)
 		return cp, false, err
 	}
-	key := e.planKeyFor(sql)
 	version := e.catalog.Version()
-	if cp, ok := e.planCache.lookup(key, sql, version); ok {
+	if cp, ok := e.planCache.lookup(sql, version); ok {
 		po.Span.SetAttr("plan_cache", "hit")
 		return cp, true, nil
 	}
@@ -195,10 +154,10 @@ func (e *Engine) compiledFor(sql string, po PrepareOptions) (*compiledPlan, bool
 	if err != nil {
 		return nil, false, err
 	}
-	// Cache only if the catalog did not change while we compiled; a seal or
-	// DDL mid-compile would make the template's physical choices stale.
+	// Cache only if the catalog did not change while we compiled; DDL
+	// mid-compile could leave the template pointing at a dropped table.
 	if e.catalog.Version() == version {
-		e.planCache.insert(key, sql, version, cp)
+		e.planCache.insert(version, cp)
 	}
 	return cp, false, nil
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"jsonpark/internal/storage"
 	"jsonpark/internal/variant"
 )
 
@@ -88,10 +89,8 @@ func TestPlanCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestPlanCacheCatalogInvalidation pins the version fence: DDL and the
-// 1 → 2 partition transition (which flips parallel-aggregation
-// eligibility) must drop cached plans, while plain scans and further
-// partition growth must not.
+// TestPlanCacheCatalogInvalidation pins the version fence: DDL must drop
+// cached plans, while appends must not.
 func TestPlanCacheCatalogInvalidation(t *testing.T) {
 	e := cacheEngine(t)
 	const q = `SELECT COUNT(*) AS n FROM "c"`
@@ -150,55 +149,78 @@ func TestPlanCacheCatalogInvalidation(t *testing.T) {
 	}
 }
 
-// TestPlanCacheSealTransition pins the single invalidating seal: a table
-// crossing from one sealed partition to two changes plan shape, so exactly
-// that seal must evict cached plans.
-func TestPlanCacheSealTransition(t *testing.T) {
-	e := New()
-	tab, err := e.Catalog().CreateTable("s", []string{"v"})
+// growingTable creates table "s" holding one sealed partition of 300 rows.
+func growingTable(t *testing.T, e *Engine) *storage.Table {
+	t.Helper()
+	tab, err := e.Catalog().CreateTable("s", []string{"k", "v"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Append([]variant.Value{variant.Int(1)}); err != nil {
-		t.Fatal(err)
-	}
-	const q = `SELECT COUNT(*) AS n FROM "s"`
-	// First query seals partition #1 while executing; the cached plan must
-	// survive that seal or a fresh server would never hit on its second
-	// query.
-	if _, err := e.Query(q); err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Metrics.PlanCacheHit {
-		t.Fatal("first-scan seal of a single-partition table evicted the plan")
-	}
-	// Sealing partition #2 flips parallel-agg eligibility: must invalidate.
-	if err := tab.Append([]variant.Value{variant.Int(2)}); err != nil {
-		t.Fatal(err)
-	}
+	appendRows(t, tab, 0, 300)
 	tab.Seal()
-	res, err = e.Query(q)
-	if err != nil {
-		t.Fatal(err)
+	return tab
+}
+
+func appendRows(t *testing.T, tab *storage.Table, lo, hi int) {
+	t.Helper()
+	for i := lo; i < hi; i++ {
+		if err := tab.Append([]variant.Value{variant.Int(int64(i % 7)), variant.Int(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if res.Metrics.PlanCacheHit {
-		t.Fatal("plan survived the 1 → 2 partition transition")
+}
+
+// TestPlanCacheSurvivesPartitionGrowth: a plan cached while its table had
+// one partition is still served after a second one seals, and its aggregate
+// then fans out — the decision is the run's, not the plan's — with the
+// sequential engine's result.
+func TestPlanCacheSurvivesPartitionGrowth(t *testing.T) {
+	e := New(WithParallelism(4), WithPlanCheck(true))
+	ref := New(WithParallelism(1))
+	tab, refTab := growingTable(t, e), growingTable(t, ref)
+	const q = `SELECT "k", COUNT(*) AS n, MIN("v") AS mn, ARRAY_AGG("v") AS vs FROM "s" GROUP BY "k"`
+	for run := 1; run <= 2; run++ {
+		res, _, st := hashAgg(t, e, q)
+		if res.Metrics.PlanCacheHit != (run == 2) || st.Sequential != "one partition" {
+			t.Fatalf("run %d: plan-cache hit %v, sequential %q", run, res.Metrics.PlanCacheHit, st.Sequential)
+		}
 	}
-	// Partition #3 does not change eligibility: must keep the plan.
-	if err := tab.Append([]variant.Value{variant.Int(3)}); err != nil {
-		t.Fatal(err)
-	}
+	appendRows(t, tab, 300, 600)
+	appendRows(t, refTab, 300, 600)
 	tab.Seal()
-	res, err = e.Query(q)
+	refTab.Seal()
+	res, agg, _ := hashAgg(t, e, q)
+	if !res.Metrics.PlanCacheHit {
+		t.Fatal("the second partition's seal evicted the cached plan")
+	}
+	if agg.Pipelines == 0 {
+		t.Fatalf("the cached plan's aggregate did not fan out over two partitions: %q", agg.Detail)
+	}
+	want, err := ref.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Metrics.PlanCacheHit {
-		t.Fatal("plan did not survive the 2 → 3 partition transition")
+	if renderRows(res) != renderRows(want) {
+		t.Fatalf("fanned-out run diverges from parallelism 1\ngot:\n%s\nwant:\n%s", renderRows(res), renderRows(want))
+	}
+}
+
+// TestCompileNeverTouchesStorage: compiling a query whose aggregate may fan
+// out reads nothing from storage — the buffered rows stay unsealed, so the
+// table's version and partition list are unchanged, and so is the catalog's.
+func TestCompileNeverTouchesStorage(t *testing.T) {
+	e := New(WithParallelism(4))
+	tab := growingTable(t, e)
+	appendRows(t, tab, 300, 310) // buffered, unsealed
+	seals := 0
+	e.Catalog().SetMutationHook(func(string) { seals++ })
+	version, catVersion := tab.Version(), e.Catalog().Version()
+	if _, err := e.compile(`SELECT "k", COUNT(*) FROM "s" GROUP BY "k"`, PrepareOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if seals != 0 || tab.Version() != version || e.Catalog().Version() != catVersion {
+		t.Fatalf("compile sealed %d partition(s): table version %d → %d, catalog %d → %d",
+			seals, version, tab.Version(), catVersion, e.Catalog().Version())
 	}
 }
 

@@ -184,18 +184,6 @@ func unorderedEligible(path []Node, s *ScanNode) bool {
 		case *LimitNode:
 			// LIMIT keeps a prefix: which rows survive depends on order.
 			return false
-		case *ParallelSortNode:
-			// Same contract as SortNode: the run split + stable merge is
-			// byte-identical to the sequential stable sort, so it re-orders
-			// without changing the row multiset.
-		case *ParallelAggNode:
-			// The parallel aggregate replays its subtree per storage partition
-			// itself; the scan below it must never run as a morsel exchange.
-			return false
-		case *ParallelJoinNode:
-			// Build rows chunk by input index, so build order is observed just
-			// like the sequential join.
-			return false
 		default:
 			return false
 		}
@@ -218,10 +206,6 @@ func checkSelContract(n Node) error {
 		*AggregateNode, *JoinNode, *SortNode, *LimitNode, *UnionNode:
 	case *ExchangeNode:
 		// Emits its stages' batches detached: Detach keeps the selection.
-	case *ParallelAggNode, *ParallelJoinNode, *ParallelSortNode:
-		// The parallel breakers all materialize: the aggregate's merge, the
-		// join's builder output and the sort's run merge each emit dense
-		// (nil-Sel) batches, trivially satisfying the selection contract.
 	default:
 		return fmt.Errorf("planck: unknown plan node %T — declare its order and selection-vector contracts in planck.go", n)
 	}

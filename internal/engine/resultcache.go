@@ -1,11 +1,11 @@
 package engine
 
 // Partition-versioned result cache. A query's rows are fully determined by
-// its compiled plan (fingerprint + knob set, the same planKey the plan cache
-// uses) and the data it read — and under MVCC-by-partition-snapshot the data
-// is identified exactly by the pinned (table, partition-set version) pairs
-// the bind phase recorded. The cache therefore keys on the plan key and
-// stores the pinned version vector with each entry: a lookup hits only when
+// its text (within one engine, whose knobs never change — the plan cache's
+// key too) and the data it read — and under MVCC-by-partition-snapshot the
+// data is identified exactly by the pinned (table, partition-set version)
+// pairs the bind phase recorded. The cache therefore keys on the query text
+// and stores the pinned version vector with each entry: a lookup hits only when
 // every pinned version matches, so an append (whose seal advances the
 // table's version before the reader pins) misses precisely, with no
 // TTLs and no whole-cache flushes.
@@ -45,8 +45,7 @@ type resultDep struct {
 }
 
 type resultCacheEntry struct {
-	key     planKey
-	sql     string // fingerprint-collision guard, as in the plan cache
+	sql     string
 	deps    []resultDep
 	columns []string
 	rows    [][]variant.Value
@@ -80,13 +79,13 @@ func depsEqual(a, b []resultDep) bool {
 }
 
 // resultCache is a bounded LRU of completed query results keyed on
-// (plan key, pinned partition-set versions).
+// (query text, pinned partition-set versions).
 type resultCache struct {
 	mu         sync.Mutex
 	maxEntries int
 	maxBytes   int64
 	curBytes   int64
-	entries    map[planKey]*list.Element
+	entries    map[string]*list.Element
 	lru        *list.List // front = most recently used
 
 	hits          atomic.Int64
@@ -99,21 +98,21 @@ func newResultCache(maxEntries int, maxBytes int64) *resultCache {
 	return &resultCache{
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,
-		entries:    make(map[planKey]*list.Element),
+		entries:    make(map[string]*list.Element),
 		lru:        list.New(),
 	}
 }
 
-// lookup returns a copy of the cached rows when an entry matches the key,
-// the query text, and the caller's pinned version vector exactly. An entry
+// lookup returns a copy of the cached rows when an entry matches the query
+// text and the caller's pinned version vector exactly. An entry
 // with a stale version vector is dropped on the spot (version-advance
 // invalidation observed lazily).
-func (c *resultCache) lookup(key planKey, sql string, deps []resultDep) ([]string, [][]variant.Value, bool) {
+func (c *resultCache) lookup(sql string, deps []resultDep) ([]string, [][]variant.Value, bool) {
 	c.mu.Lock()
-	el, ok := c.entries[key]
+	el, ok := c.entries[sql]
 	if ok {
 		ent := el.Value.(*resultCacheEntry)
-		if ent.sql == sql && depsEqual(ent.deps, deps) {
+		if depsEqual(ent.deps, deps) {
 			c.lru.MoveToFront(el)
 			rows := copyRows(ent.rows)
 			c.mu.Unlock()
@@ -130,24 +129,24 @@ func (c *resultCache) lookup(key planKey, sql string, deps []resultDep) ([]strin
 
 // insert stores one completed result, copying the rows. Entries larger than
 // the whole byte budget are not cached.
-func (c *resultCache) insert(key planKey, sql string, deps []resultDep, columns []string, rows [][]variant.Value) {
+func (c *resultCache) insert(sql string, deps []resultDep, columns []string, rows [][]variant.Value) {
 	bytes := rowsBytes(rows)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if bytes > c.maxBytes {
 		return
 	}
-	if el, ok := c.entries[key]; ok {
+	if el, ok := c.entries[sql]; ok {
 		c.removeLocked(el)
 	}
 	ent := &resultCacheEntry{
-		key: key, sql: sql,
+		sql:     sql,
 		deps:    append([]resultDep(nil), deps...),
 		columns: columns,
 		rows:    copyRows(rows),
 		bytes:   bytes,
 	}
-	c.entries[key] = c.lru.PushFront(ent)
+	c.entries[sql] = c.lru.PushFront(ent)
 	c.curBytes += bytes
 	for c.lru.Len() > c.maxEntries || c.curBytes > c.maxBytes {
 		back := c.lru.Back()
@@ -178,7 +177,7 @@ func (c *resultCache) invalidate(table string) {
 func (c *resultCache) removeLocked(el *list.Element) {
 	ent := el.Value.(*resultCacheEntry)
 	c.lru.Remove(el)
-	delete(c.entries, ent.key)
+	delete(c.entries, ent.sql)
 	c.curBytes -= ent.bytes
 }
 

@@ -230,29 +230,14 @@ func markOrdered(n Node, orderMatters bool, m map[Node]bool) {
 	case *ExchangeNode:
 		// Its stages are the nodes below it: their cases decide for the scan.
 		markOrdered(x.Input, orderMatters, m)
-	case *ParallelAggNode:
-		// The parallel aggregate claims storage partitions itself; its subtree
-		// is replayed per partition by the phase-1 workers, never executed as a
-		// streaming pipeline, so no scan below it may run as a morsel exchange.
-		markOrdered(x.Input, true, m)
 	case *JoinNode:
 		// Probe order fixes output order; build-row insertion order fixes
 		// match order within a key. Both sides inherit the parent's need.
 		markOrdered(x.Left, true, m)
 		markOrdered(x.Right, true, m)
-	case *ParallelJoinNode:
-		// The parallel build chunks the materialized build rows by input
-		// index, so the build side must still arrive in order; probe order
-		// fixes output order as in the sequential join.
-		markOrdered(x.Left, true, m)
-		markOrdered(x.Right, true, m)
 	case *SortNode:
 		// Stable sort: tied rows keep input order, so the input stays ordered
 		// whenever the output order is observed.
-		markOrdered(x.Input, orderMatters, m)
-	case *ParallelSortNode:
-		// The parallel sort's run split + stable merge preserves input order
-		// among ties exactly like the sequential stable sort.
 		markOrdered(x.Input, orderMatters, m)
 	case *LimitNode:
 		markOrdered(x.Input, true, m)

@@ -15,7 +15,7 @@ import (
 // "stream:<key>" or "hash".
 func aggKinds(t *testing.T, e *Engine, sql string) []string {
 	t.Helper()
-	plan, _ := physicalize(buildPlan(t, e, sql), 1, 1, false)
+	plan, _ := physicalize(buildPlan(t, e, sql), false)
 	var out []string
 	var walk func(Node)
 	walk = func(n Node) {

@@ -105,7 +105,7 @@ type ViewInfo struct {
 
 // CreateView registers a materialized view over the SQL query. The query's
 // optimized logical plan must be a mergeable aggregation (the
-// parallelAggEligible fragment: COUNT/COUNT_IF/MIN/MAX/ANY_VALUE/
+// fragment the parallel aggregate admits: COUNT/COUNT_IF/MIN/MAX/ANY_VALUE/
 // BOOLAND_AGG/BOOLOR_AGG/ARRAY_AGG with stateless arguments and grouping,
 // over a stateless Filter/Project/Flatten pipeline on one table) optionally
 // under stateless Project/Sort/Limit/Filter operators. Anything else —

@@ -128,7 +128,6 @@ func (c *Catalog) ensureScannedLocked() error {
 			return c.scanErr
 		}
 		t.typedOff = c.typedOff
-		t.onSeal = func() { c.version.Add(1) }
 		t.onChange = func() { c.notifyMutate(name) }
 		c.tables[name] = t
 		c.version.Add(1)

@@ -32,11 +32,11 @@ type Catalog struct {
 	dataDir  string
 	scanned  bool
 	scanErr  error
-	// version counts every change that could affect a compiled plan: table
-	// create/drop, data-dir reattachment, and each partition seal (appends
-	// only become plan-relevant once they seal — the scan re-reads the
-	// partition list per run regardless). The engine's plan cache keys on it,
-	// so Flush/reload invalidates cached plan templates.
+	// version counts the DDL changes a compiled plan could go stale on: table
+	// create/drop, data-dir reattachment and on-disk table discovery. Seals
+	// never move it — a plan does not depend on the data, and every query
+	// pins the current partition set at bind. The engine's plan cache fences
+	// on it.
 	version atomic.Int64
 	// onMutate, when set, is called after any data-affecting catalog change:
 	// CreateTable / DropTable / SetDataDir (table name, or "" for a change
@@ -76,10 +76,9 @@ func NewCatalog() *Catalog {
 	return &Catalog{tables: make(map[string]*Table)}
 }
 
-// Version returns the catalog's monotonically increasing schema/data
-// version. It changes whenever a compiled plan could go stale: table
-// create/drop, data-directory reattachment, or a partition seal on any
-// attached table.
+// Version returns the catalog's monotonically increasing schema version. It
+// changes on table create/drop, data-directory reattachment and on-disk table
+// discovery — never on an append or a seal.
 func (c *Catalog) Version() int64 { return c.version.Load() }
 
 // SetTypedShredding toggles typed chunk encoding for tables created after the
@@ -104,7 +103,6 @@ func (c *Catalog) CreateTable(name string, columns []string) (*Table, error) {
 	}
 	t := NewTable(name, columns)
 	t.typedOff = c.typedOff
-	t.onSeal = func() { c.version.Add(1) }
 	t.onChange = func() { c.notifyMutate(name) }
 	if err := c.attachTableDirLocked(t); err != nil {
 		return nil, err
@@ -187,15 +185,9 @@ type Table struct {
 	targetBytes int64
 	colIndex    map[string]int
 	typedOff    bool
-	// onSeal, set when the table is attached to a catalog, bumps the
-	// catalog version when a seal changes plan shape. Sealing only affects
-	// compiled plans through the partition count crossing 1 → 2
-	// (parallel-aggregation eligibility); scans re-read Partitions() every
-	// run, so data visibility never needs an invalidation.
-	onSeal func()
 	// onChange, set when the table is attached to a catalog, fires on every
-	// seal (after the version bump) so data-sensitive caches can evict
-	// precisely. It runs under t.mu and must not call back into the table.
+	// seal so data-sensitive caches can evict precisely. It runs under t.mu
+	// and must not call back into the table.
 	onChange func()
 	// version is the table's partition-set version: a fresh value from the
 	// process-global clock at creation and after every seal. Readers pin a
@@ -295,14 +287,6 @@ func (t *Table) sealLocked() {
 	// part of the pinned set any new Snapshot returns, so results computed
 	// against the previous version are stale.
 	t.version = tableVersionClock.Add(1)
-	// Only the 1 → 2 partition transition can change a compiled plan's
-	// shape (parallel-aggregation eligibility requires > 1 partition), so
-	// only that seal invalidates cached plans. Single-partition tables
-	// seal on their first scan; bumping there would evict every plan the
-	// moment it first ran.
-	if t.onSeal != nil && len(t.partitions) == 2 {
-		t.onSeal()
-	}
 	if t.onChange != nil {
 		t.onChange()
 	}
