@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-fixtures race stress fuzz-smoke obs-smoke check bench bench-check bench-smoke clean
+.PHONY: all build test vet lint lint-fixtures race stress fuzz-smoke obs-smoke check bench bench-check bench-smoke loc clean
 
 all: check
 
@@ -80,6 +80,13 @@ bench-check:
 # benchmark bit-rot without paying for real measurement runs.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+
+# loc prints the non-test Go line count of every package under internal/,
+# then their total: the before/after numbers a simplification reports.
+loc:
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./internal/... | \
+		awk '{ n = 0; for (i = 2; i <= NF; i++) { while ((getline l < $$i) > 0) n++; close($$i) } \
+			printf "%7d  %s\n", n, $$1; t += n } END { printf "%7d  total\n", t }'
 
 clean:
 	rm -rf results.json trace.json stress.log .bench_build

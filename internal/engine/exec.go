@@ -1,11 +1,14 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"jsonpark/internal/sqlast"
 	"jsonpark/internal/storage"
@@ -513,6 +516,9 @@ type aggEval struct {
 	dag     *exprDAG
 	ngroups int
 	aggs    []compiledAgg
+	// mergeable: partial states merge exactly (aggsMergeable), so a table
+	// that overflows spills whole; otherwise the input past it is deferred.
+	mergeable bool
 	// Per-batch views into the DAG's outputs and one row's worth of them
 	// (rowO[a] is nil unless aggregate a has WITHIN GROUP keys; accumulators
 	// copy what they keep, so the row scratch is reused).
@@ -551,7 +557,7 @@ func compileAggEval(ctx *execContext, x *AggregateNode) (*aggEval, error) {
 		return nil, err
 	}
 	return &aggEval{
-		dag: dag, ngroups: len(x.GroupBy), aggs: aggs,
+		dag: dag, ngroups: len(x.GroupBy), aggs: aggs, mergeable: aggsMergeable(x.Aggs),
 		avals: make([][]variant.Value, len(aggs)), ovals: ovals,
 		rowG: make([]variant.Value, len(x.GroupBy)), rowA: make([]variant.Value, len(aggs)),
 		rowO: rowO,
@@ -564,9 +570,8 @@ type aggGroup struct {
 	keys []variant.Value
 	accs []accumulator
 	// seq is the group's insertion rank within its table; bucket its merge
-	// partition. Together with the table's storage-partition index they form
-	// the stamp that reproduces sequential first-seen output order after a
-	// parallel merge.
+	// partition. With the index of the merge source that first carried the
+	// group they form its stamp, which orders merged groups first-seen.
 	seq    int32
 	bucket int32
 	stamp  int64
@@ -582,7 +587,7 @@ type aggTable struct {
 	order    []*aggGroup   // insertion order
 	byBucket [][]*aggGroup // per merge partition, insertion order
 	keyBuf   []byte
-	rows     int64 // input rows folded (parallel-phase accounting)
+	rows     int64 // input rows folded (phase-1 accounting)
 }
 
 func newAggTable(aggs []compiledAgg, buckets int) *aggTable {
@@ -606,6 +611,16 @@ func (t *aggTable) insert(keyBytes []byte, keys []variant.Value) *aggGroup {
 		t.byBucket[g.bucket] = append(t.byBucket[g.bucket], g)
 	}
 	return g
+}
+
+// bucketGroups returns the table's groups assigned to merge partition b, in
+// insertion order. A single-bucket table holds everything in its global
+// insertion order.
+func (t *aggTable) bucketGroups(b int) []*aggGroup {
+	if t.buckets > 1 {
+		return t.byBucket[b]
+	}
+	return t.order
 }
 
 // absorb folds one batch into the table: group keys, aggregate arguments
@@ -673,8 +688,14 @@ func (e *aggEval) foldRow(t *aggTable, gv, av []variant.Value, ov [][]variant.Va
 	return nil
 }
 
-// emitGroupRows finalizes a list of groups into output rows.
-func emitGroupRows(groups []*aggGroup, aggs []compiledAgg) [][]variant.Value {
+// emitGroupRows finalizes a list of groups into output rows. A global
+// aggregation over an empty input yields one row.
+func emitGroupRows(groups []*aggGroup, global bool, aggs []compiledAgg) [][]variant.Value {
+	if global && len(groups) == 0 {
+		t := newAggTable(aggs, 1)
+		t.insert(nil, nil)
+		groups = t.order
+	}
 	out := make([][]variant.Value, 0, len(groups))
 	for _, g := range groups {
 		row := make([]variant.Value, 0, len(g.keys)+len(g.accs))
@@ -685,6 +706,191 @@ func emitGroupRows(groups []*aggGroup, aggs []compiledAgg) [][]variant.Value {
 		out = append(out, row)
 	}
 	return out
+}
+
+// --- the hash aggregate ---------------------------------------------------------
+//
+// One driver runs every hash aggregate — sequential, fanned out, spilled, and
+// a materialized view's refresh — in two phases. Phase 1 folds contiguous
+// spans of the input, each into a table of its own (aggSpan); phase 2 merges
+// the spans in input order (aggMerger). The sequential aggregate is the
+// one-span case, fed by the input pipeline bind prepared; a fanned-out one
+// has a span per worker claim over the pinned partitions (parallelAgg); a
+// view refresh is one span over the delta partitions, merged into the view's
+// retained state (views.go).
+
+// aggSpan is one contiguous span of an aggregate's input: the live table it
+// folds into, the state runs its earlier tables spilled (in input order), and
+// the bytes the live table holds.
+type aggSpan struct {
+	table        *aggTable
+	runs         []*storage.SpillRun
+	held         int64
+	rows, groups int64   // folded into the spilled tables
+	deferred     *extAgg // the order-exact overflow strategy, once it started
+}
+
+func newAggSpan(aggs []compiledAgg, buckets int) *aggSpan {
+	return &aggSpan{table: newAggTable(aggs, buckets)}
+}
+
+// fold absorbs every batch of in, then replays the tuples it deferred.
+func (s *aggSpan) fold(in batchIter, e *aggEval, mem *opMem) error {
+	for {
+		b, err := in.NextBatch()
+		if err != nil {
+			return err
+		}
+		if b == nil {
+			break
+		}
+		if err := s.absorb(e, mem, b); err != nil {
+			return err
+		}
+	}
+	if s.deferred != nil {
+		return s.deferred.replay(e, mem, s.table)
+	}
+	return nil
+}
+
+// absorb is the span's step per input batch: evaluate and fold the batch
+// into the live table, charge it, and on overflow move state out of memory.
+// A mergeable table spills whole to a state run and a fresh table starts; an
+// order-exact one stays resident (its fold must resume bit-exactly at
+// replay) and the rest of the input is deferred.
+func (s *aggSpan) absorb(e *aggEval, mem *opMem, b *vector.Batch) error {
+	if s.deferred != nil {
+		return e.spillTuples(s.deferred.w, b)
+	}
+	if err := e.absorb(s.table, b); err != nil {
+		return err
+	}
+	if !mem.enabled() {
+		return nil
+	}
+	nb := activeRowsBytes(b)
+	s.held += nb
+	if !mem.charge(nb) {
+		return nil
+	}
+	if !e.mergeable {
+		var err error
+		s.deferred, err = newExtAgg()
+		return err
+	}
+	run, err := spillAggTable(s.table)
+	if err != nil {
+		return err
+	}
+	s.runs = append(s.runs, run)
+	mem.noteSpill(run.Bytes())
+	mem.release(s.held)
+	s.held = 0
+	s.rows += s.table.rows
+	s.groups += int64(len(s.table.order))
+	s.table = newAggTable(s.table.aggs, s.table.buckets)
+	return nil
+}
+
+// folded returns the input rows and the groups the span's tables folded.
+func (s *aggSpan) folded() (rows, groups int64) {
+	return s.rows + s.table.rows, s.groups + int64(len(s.table.order))
+}
+
+// mergeInto folds the span's state runs, then its live table, into m as the
+// consecutive sources src, src+1, …, keeping the groups of merge bucket b of
+// buckets; it returns the next free source index.
+func (s *aggSpan) mergeInto(ctx *execContext, m *aggMerger, src, b, buckets int) (int, error) {
+	for _, r := range s.runs {
+		if err := m.foldRun(ctx, src, r, s.table.aggs, b, buckets); err != nil {
+			return 0, err
+		}
+		src++
+	}
+	for _, g := range s.table.bucketGroups(b) {
+		if err := m.fold(src, g); err != nil {
+			return 0, err
+		}
+	}
+	return src + 1, nil
+}
+
+// discard removes the span's run files (nil-safe: a failed phase 1 leaves
+// unclaimed spans); its bytes go back through the operator's opMem.
+func (s *aggSpan) discard() {
+	if s == nil {
+		return
+	}
+	for _, r := range s.runs {
+		r.Close()
+	}
+	if s.deferred != nil {
+		s.deferred.discard()
+	}
+}
+
+// aggMerger is the ordered merge of partial states: the merged groups by key
+// and in first-seen order. Sources arrive in input order — each span's state
+// runs, then its live table, span after span — so a group's partials merge in
+// input order and mergeAccumulators reproduces the sequential fold exactly
+// (the aggsMergeable proof). A group's first source is where the sequential
+// aggregate first saw it, so appending it there keeps out in first-seen
+// order; its stamp (source << 32 | insertion seq) orders groups across merge
+// buckets.
+type aggMerger struct {
+	seen map[string]*aggGroup
+	out  []*aggGroup
+}
+
+func (m *aggMerger) fold(src int, g *aggGroup) error {
+	dst, ok := m.seen[g.key]
+	if !ok {
+		if m.seen == nil {
+			m.seen = make(map[string]*aggGroup)
+		}
+		g.stamp = int64(src)<<32 | int64(g.seq)
+		m.seen[g.key] = g
+		m.out = append(m.out, g)
+		return nil
+	}
+	for a := range dst.accs {
+		if err := mergeAccumulators(dst.accs[a], g.accs[a]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// mergeSpans is phase 2: workers claim the merge buckets, merge each one's
+// groups across the spans, and the buckets' outputs interleave by stamp into
+// first-seen order. One span that never spilled is already in first-seen
+// order — the unspilled sequential aggregate pays no merge pass.
+func mergeSpans(ctx *execContext, spans []*aggSpan, buckets, workers int) ([]*aggGroup, error) {
+	if len(spans) == 1 && len(spans[0].runs) == 0 {
+		return spans[0].table.order, nil
+	}
+	merged := make([][]*aggGroup, buckets)
+	err := fanOut(ctx, workers, buckets, func(_ int, next func() (int, bool)) error {
+		for b, ok := next(); ok; b, ok = next() {
+			var m aggMerger
+			src := 0
+			for _, s := range spans {
+				var err error
+				if src, err = s.mergeInto(ctx, &m, src, b, buckets); err != nil {
+					return err
+				}
+			}
+			merged[b] = m.out
+		}
+		return nil
+	})
+	if err != nil || buckets == 1 {
+		return merged[0], err
+	}
+	all := slices.Concat(merged...)
+	slices.SortFunc(all, func(a, b *aggGroup) int { return cmp.Compare(a.stamp, b.stamp) })
+	return all, nil
 }
 
 func prepareAggregate(x *AggregateNode, ctx *execContext) (batchIter, error) {
@@ -701,70 +907,19 @@ func prepareAggregate(x *AggregateNode, ctx *execContext) (batchIter, error) {
 	if x.Stream {
 		return newStreamAggIter(in, eval, ctx.batchSize), nil
 	}
-	width := len(x.Schema().Names)
-
-	mergeable := aggsMergeable(x.Aggs)
-
-	run := func() ([][]variant.Value, error) {
-		if scan, stages, ok := aggFanOut(ctx, x); ok {
-			in.Close() // the sequential pipeline, unstarted
-			return parallelAgg(ctx, x, scan, stages, eval)
-		}
-		defer in.Close()
-		mem := ctx.opMemFor(x, ctx.statsFor(x))
-		ext := &extAgg{mem: mem, mergeable: mergeable, eval: eval}
-		defer ext.discard()
-		table := newAggTable(eval.aggs, 1)
-		for {
-			b, err := in.NextBatch()
-			if err != nil {
-				return nil, err
-			}
-			if b == nil {
-				break
-			}
-			if ext.deferring() {
-				if err := ext.deferBatch(b); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			if err := eval.absorb(table, b); err != nil {
-				return nil, err
-			}
-			if mem.enabled() && mem.charge(activeRowsBytes(b)) {
-				if table, err = ext.overflow(table); err != nil {
-					return nil, err
-				}
-			}
-		}
-		groups, err := ext.finish(table)
-		if err != nil {
-			return nil, err
-		}
-		// Global aggregation over an empty input yields one row. (An empty
-		// input never spills, so the fresh insert covers the external path.)
-		if eval.ngroups == 0 && len(groups) == 0 {
-			table.insert(nil, nil)
-			groups = table.order
-		}
-		return emitGroupRows(groups, eval.aggs), nil
-	}
-
-	return &aggIter{run: run, in: in, width: width, bsize: ctx.batchSize}, nil
+	return &aggIter{ctx: ctx, x: x, eval: eval, in: in}, nil
 }
 
-// aggIter materializes its groups on first NextBatch — sequentially, or as
-// the two-phase parallel aggregation when aggFanOut says so. run closes the
-// input as soon as materialization finishes (success or error), releasing
-// morsel scan workers promptly; the iterator drops its reference so consumer
+// aggIter is the hash aggregate. It runs both phases on its first NextBatch
+// and closes its input as soon as phase 1 ends (success or error), releasing
+// morsel scan workers promptly; it then drops the reference so consumer
 // Close does not touch the input again.
 type aggIter struct {
-	run   func() ([][]variant.Value, error)
-	in    batchIter
-	width int
-	bsize int
-	out   *rowsIter
+	ctx  *execContext
+	x    *AggregateNode
+	eval *aggEval  // the driver's copy
+	in   batchIter // the sequential input pipeline, prepared at bind
+	out  *rowsIter
 }
 
 func (a *aggIter) NextBatch() (*vector.Batch, error) {
@@ -774,9 +929,53 @@ func (a *aggIter) NextBatch() (*vector.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		a.out = &rowsIter{rows: rows, width: a.width, size: a.bsize}
+		a.out = &rowsIter{rows: rows, width: len(a.x.Schema().Names), size: a.ctx.batchSize}
 	}
 	return a.out.NextBatch()
+}
+
+// run is the driver: phase 1 folds one span from the sequential pipeline or,
+// when aggFanOut fans the aggregate out, a span per worker claim
+// (parallelAgg); phase 2 merges them.
+func (a *aggIter) run() ([][]variant.Value, error) {
+	ctx, e := a.ctx, a.eval
+	st := ctx.statsFor(a.x)
+	mem := ctx.opMemFor(a.x, st)
+	defer mem.releaseAll()
+	var spans []*aggSpan
+	defer func() {
+		for _, s := range spans {
+			s.discard()
+		}
+	}()
+	workers, buckets := 1, 1
+	scan, stages, fanned := aggFanOut(ctx, a.x)
+	var err error
+	if fanned {
+		a.in.Close() // the sequential pipeline, unstarted
+		workers, buckets = ctx.parallelism, cmp.Or(ctx.mergeParts, ctx.parallelism)
+		spans, err = parallelAgg(ctx, a.x, scan, stages, buckets, mem)
+	} else {
+		spans = []*aggSpan{newAggSpan(e.aggs, 1)}
+		err = spans[0].fold(a.in, e, mem)
+		a.in.Close()
+	}
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	groups, err := mergeSpans(ctx, spans, buckets, workers)
+	if err != nil {
+		return nil, err
+	}
+	mergeWall := time.Since(start)
+	rows := emitGroupRows(groups, e.ngroups == 0, e.aggs)
+	if fanned && st != nil {
+		ctx.mu.Lock()
+		st.MergedGroups, st.MergeWallUS = int64(len(rows)), mergeWall.Microseconds()
+		ctx.mu.Unlock()
+	}
+	return rows, nil
 }
 
 func (a *aggIter) Close() {

@@ -78,13 +78,14 @@ func junkRun(t *testing.T) *storage.SpillRun {
 	return run
 }
 
-// TestSpillMergeCancelled: mergeSpilledAgg drained every state run to
-// completion with no cancellation poll; a cancelled query now aborts
-// before decoding a single spilled group.
+// TestSpillMergeCancelled: the spilled-aggregate merge once drained every
+// state run to completion with no cancellation poll; the ordered merge's
+// state-run reader now aborts a cancelled query before decoding a single
+// spilled group.
 func TestSpillMergeCancelled(t *testing.T) {
 	run := junkRun(t)
 	defer run.Close()
-	_, err := mergeSpilledAgg(cancelledExecCtx(), []*storage.SpillRun{run}, nil, nil)
+	err := (&aggMerger{}).foldRun(cancelledExecCtx(), 0, run, nil, 0, 1)
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v does not unwrap to context.Canceled", err)
 	}

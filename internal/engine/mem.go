@@ -1,6 +1,9 @@
 package engine
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Memory governance. One memAccountant per query charges the state every
 // pipeline breaker retains — pre-aggregation tables, the join build side,
@@ -108,13 +111,14 @@ func (a *memAccountant) snapshot() (int64, int64, int64) {
 }
 
 // opMem is one operator's view of the shared accountant: it tracks what this
-// operator charged (for release on spill or Close) and mirrors peak/spill
-// counts into the operator's EXPLAIN ANALYZE stats slot.
+// operator holds (for release on spill or Close) and mirrors peak/spill
+// counts into the operator's EXPLAIN ANALYZE stats slot. Safe for concurrent
+// use: a fanned-out aggregate's workers charge one handle.
 type opMem struct {
-	ctx     *execContext
-	st      *OpStats
-	prog    *opProgress
-	charged int64
+	ctx  *execContext
+	st   *OpStats
+	prog *opProgress
+	held atomic.Int64
 }
 
 func (c *execContext) opMemFor(n Node, st *OpStats) *opMem {
@@ -125,29 +129,33 @@ func (c *execContext) opMemFor(n Node, st *OpStats) *opMem {
 func (m *opMem) enabled() bool { return m.ctx.acct.enabled() }
 
 // charge records n retained bytes against the query budget and reports
-// whether the operator should spill.
+// whether the operator should spill. The accountant is charged before the
+// operator's own count grows (and released after it shrinks), so the
+// operator's peak never exceeds the query's.
 func (m *opMem) charge(n int64) bool {
 	over := m.ctx.acct.charge(n)
-	m.charged += n
+	held := m.held.Add(n)
 	m.prog.addMem(n)
 	if m.st != nil {
 		m.ctx.mu.Lock()
-		if m.st.MemPeakBytes < m.charged {
-			m.st.MemPeakBytes = m.charged
-		}
+		m.st.MemPeakBytes = max(m.st.MemPeakBytes, held)
 		m.st.MemLimitBytes = m.ctx.acct.limit
 		m.ctx.mu.Unlock()
 	}
 	return over
 }
 
+// release returns n of the bytes this operator holds: one span's table when
+// it spills.
+func (m *opMem) release(n int64) {
+	m.held.Add(-n)
+	m.prog.addMem(-n)
+	m.ctx.acct.release(n)
+}
+
 // releaseAll returns everything this operator still holds; called when the
 // retained state moves to disk or the operator closes.
-func (m *opMem) releaseAll() {
-	m.ctx.acct.release(m.charged)
-	m.prog.addMem(-m.charged)
-	m.charged = 0
-}
+func (m *opMem) releaseAll() { m.release(m.held.Load()) }
 
 // noteSpill records one spill of b on-disk bytes against the query and the
 // operator's stats slot.

@@ -3,6 +3,7 @@ package engine
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -58,18 +59,8 @@ func bucketOfKey(key []byte, parts int) int32 {
 	return int32(h % uint64(parts))
 }
 
-// bucketGroups returns the table's groups assigned to merge partition b, in
-// insertion order. A single-bucket table holds everything in its global
-// insertion order.
-func (t *aggTable) bucketGroups(b int) []*aggGroup {
-	if t.buckets > 1 {
-		return t.byBucket[b]
-	}
-	return t.order
-}
-
-// staticBatches replays a pre-materialized batch list; the per-partition
-// pipeline chains of the parallel aggregate source from it.
+// staticBatches replays a pre-materialized batch list; a segment's worker
+// chain sources from it (segmentRun).
 type staticBatches struct {
 	batches []*vector.Batch
 	pos     int
@@ -139,17 +130,6 @@ func newChainCounts(scanSt *OpStats, stageSts []*OpStats) []*chainCounts {
 	return counts
 }
 
-// stageStats pre-creates the stats slots of a worker pipeline's scan and
-// stages. It runs on the driver: statsFor mutates the stats map and must not
-// race with worker flushes.
-func stageStats(ctx *execContext, scan *ScanNode, stages []Node) (*OpStats, []*OpStats) {
-	sts := make([]*OpStats, len(stages))
-	for i, s := range stages {
-		sts[i] = ctx.statsFor(s)
-	}
-	return ctx.statsFor(scan), sts
-}
-
 // compiledStage is one pipeline stage's compiled expressions, owned by one
 // worker (compiled expressions hold state) and shared across that worker's
 // partitions or morsels.
@@ -205,8 +185,7 @@ func compileStages(ctx *execContext, stages []Node) ([]compiledStage, error) {
 	return out, nil
 }
 
-// instantiate wraps in with the stage's operator. The DAG is the worker's
-// own, so the operator may be rebuilt per span: registers carry over.
+// instantiate wraps in with the stage's operator, over the worker's own DAG.
 func (s *compiledStage) instantiate(in batchIter, batchSize int) batchIter {
 	switch {
 	case s.filter != nil:
@@ -242,6 +221,152 @@ func instantiateChain(ctx *execContext, src batchIter, cs []compiledStage, count
 		}
 	}
 	return it
+}
+
+// --- segment replay -----------------------------------------------------------
+
+// segmentPlan is a segment as workers replay it over pinned partitions — the
+// exchange's morsels, a fanned-out aggregate's spans, a view's delta: the
+// scan and its stages (execution order), the row-ID counters to restart, and
+// the stats slots, taken on the driver because statsFor writes the stats map.
+type segmentPlan struct {
+	scan     *ScanNode
+	stages   []Node
+	counters []counterRef
+	colIdx   []int
+	batch    int        // rows per batch inside the workers
+	partSt   *OpStats   // the scan's partitions and bytes
+	rowSt    *OpStats   // the scan's rows; nil when a statIter meters them
+	stageSts []*OpStats // the stages' rows
+}
+
+func newSegmentPlan(ctx *execContext, scan *ScanNode, stages []Node, counters []counterRef, batch int) (*segmentPlan, error) {
+	colIdx, err := scanColumns(scan)
+	if err != nil {
+		return nil, err
+	}
+	st := ctx.statsFor(scan)
+	p := &segmentPlan{
+		scan: scan, stages: stages, counters: counters, colIdx: colIdx, batch: batch,
+		partSt: st, rowSt: st, stageSts: make([]*OpStats, len(stages)),
+	}
+	for i, s := range stages {
+		p.stageSts[i] = ctx.statsFor(s)
+	}
+	return p, nil
+}
+
+// segmentRun is one worker's compiled copy of a segment (compiled
+// expressions hold state), rewound for every replay.
+type segmentRun struct {
+	plan     *segmentPlan
+	ctx      *execContext
+	filter   *exprDAG
+	src      staticBatches
+	out      batchIter
+	stages   []compiledStage
+	counters []*exprNode
+	counts   []*chainCounts
+}
+
+func (p *segmentPlan) compile(ctx *execContext) (*segmentRun, error) {
+	r := &segmentRun{plan: p, ctx: ctx}
+	var err error
+	if p.scan.Filter != nil {
+		if r.filter, err = compileVec(ctx, p.scan.Schema(), p.scan.Filter); err != nil {
+			return nil, err
+		}
+	}
+	if r.stages, err = compileStages(ctx, p.stages); err != nil {
+		return nil, err
+	}
+	for _, c := range p.counters {
+		n := r.stages[c.stage].dag.counter(c.expr)
+		if n == nil {
+			return nil, fmt.Errorf("engine: internal error: exchange counter %v compiled to no SEQ node", c)
+		}
+		r.counters = append(r.counters, n)
+	}
+	r.counts = newChainCounts(p.rowSt, p.stageSts)
+	r.out = instantiateChain(ctx, &r.src, r.stages, r.counts, p.batch)
+	return r, nil
+}
+
+// replay rewinds the chain, r.out, over rows [lo, hi) of each partition of
+// parts in turn — one morsel, or whole partitions with hi past their ends.
+// Partitions the zone maps rule out are skipped and counted as
+// scanIter counts them; cancellation is polled per partition. Streamed
+// aggregates reopen and counters restart at 0.
+func (r *segmentRun) replay(parts []*storage.Partition, lo, hi int) error {
+	r.src = staticBatches{batches: r.src.batches[:0]}
+	for _, p := range parts {
+		if err := r.ctx.cancelled(); err != nil {
+			return err
+		}
+		if partitionPruned(r.plan.scan, p) {
+			r.ctx.addScanCounts(r.plan.partSt, 0, 1, 0)
+			continue
+		}
+		batches, bytes, err := scanPartition(r.ctx, p, r.plan.colIdx, r.filter, r.plan.batch, lo, hi)
+		r.ctx.addScanCounts(r.plan.partSt, 0, 0, bytes)
+		if err != nil {
+			return err
+		}
+		r.src.batches = append(r.src.batches, batches...)
+	}
+	for i := range r.stages {
+		if s := r.stages[i].stream; s != nil {
+			s.rewind()
+		}
+	}
+	for _, c := range r.counters {
+		c.seq = 0
+	}
+	return nil
+}
+
+func (r *segmentRun) close() {
+	r.out.Close()
+	for _, c := range r.counts {
+		c.flush(r.ctx)
+	}
+}
+
+// fanOut runs work on up to workers goroutines that claim the items 0..n-1
+// in turn through next, which reports false once the items run out, a
+// worker failed, or the query is cancelled. It returns the first error.
+func fanOut(ctx *execContext, workers, n int, work func(w int, next func() (int, bool)) error) error {
+	var claim atomic.Int64
+	var stop atomic.Bool
+	var once sync.Once
+	var first error
+	fail := func(err error) {
+		once.Do(func() { first = err })
+		stop.Store(true)
+	}
+	next := func() (int, bool) {
+		if stop.Load() {
+			return 0, false
+		}
+		if err := ctx.cancelled(); err != nil {
+			fail(err)
+			return 0, false
+		}
+		i := int(claim.Add(1) - 1)
+		return i, i < n
+	}
+	var wg sync.WaitGroup
+	for w := range min(workers, n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := work(w, next); err != nil {
+				fail(err)
+			}
+		}()
+	}
+	wg.Wait()
+	return first
 }
 
 // --- ordered exchange --------------------------------------------------------
@@ -291,22 +416,19 @@ type morselOut struct {
 // its rows in the sequential order too. The first error in row order is the
 // first errored morsel's, raised after its earlier batches.
 type exchangeIter struct {
-	ctx    *execContext
-	node   *ExchangeNode // nil: a plain scan, whose morsels are whole partitions
-	scan   *ScanNode
-	colIdx []int
-	parts  []*storage.Partition
-	st     *OpStats
-	prog   *opProgress
+	ctx   *execContext
+	node  *ExchangeNode // nil: a plain scan, whose morsels are whole partitions
+	seg   *segmentPlan
+	parts []*storage.Partition
+	st    *OpStats
+	prog  *opProgress
 	// seq is the sequential pipeline prepared at bind. It serves whenever the
 	// segment does not fan out and is closed unstarted when it does.
 	seq     batchIter
 	ordered bool
-	batch   int // rows per batch inside the workers (maxWorkerBatchRows)
 
 	started  bool
 	morsels  []morsel
-	scanSt   *OpStats
 	results  chan *morselOut
 	tokens   chan struct{}
 	stop     chan struct{}
@@ -327,23 +449,21 @@ func prepareExchange(x *ExchangeNode, ctx *execContext) (batchIter, error) {
 	if err != nil {
 		return nil, err
 	}
-	colIdx, err := scanColumns(x.Scan)
+	seg, err := newSegmentPlan(ctx, x.Scan, x.Stages, x.Counters, min(ctx.batchSize, maxWorkerBatchRows))
 	if err != nil {
 		seq.Close()
 		return nil, err
 	}
-	return newExchangeIter(ctx, x, x.Scan, seq, colIdx), nil
+	return newExchangeIter(ctx, x, seg, seq), nil
 }
 
-func newExchangeIter(ctx *execContext, node *ExchangeNode, scan *ScanNode, seq batchIter, colIdx []int) *exchangeIter {
+func newExchangeIter(ctx *execContext, node *ExchangeNode, seg *segmentPlan, seq batchIter) *exchangeIter {
 	x := &exchangeIter{
-		ctx: ctx, node: node, scan: scan, colIdx: colIdx, seq: seq,
-		parts: ctx.pinSnapshot(scan.Table).Parts, ordered: !ctx.unorderedScans[scan],
-		batch: ctx.batchSize,
+		ctx: ctx, node: node, seg: seg, seq: seq,
+		parts: ctx.pinSnapshot(seg.scan.Table).Parts, ordered: !ctx.unorderedScans[seg.scan],
 	}
 	if node != nil {
 		x.st, x.prog = ctx.statsFor(node), ctx.progFor(node)
-		x.batch = min(x.batch, maxWorkerBatchRows)
 	}
 	return x
 }
@@ -377,20 +497,11 @@ func (x *exchangeIter) start() {
 	x.seq.Close()
 	x.seq = nil
 	workers := min(x.ctx.parallelism, len(x.morsels))
-	var stages []Node
-	if x.node != nil {
-		stages = x.node.Stages
-		x.offsets = make([]int64, len(x.node.Counters))
-	}
+	x.offsets = make([]int64, len(x.seg.counters))
 	if x.st != nil {
 		x.st.Workers, x.st.Morsels = workers, len(x.morsels)
 	}
-	scanSt, stageSts := stageStats(x.ctx, x.scan, stages)
-	x.ctx.addScanCounts(scanSt, len(x.parts), pruned, 0)
-	x.scanSt = scanSt // the workers add the bytes they read
-	if x.node == nil {
-		scanSt = nil // the plain scan's own statIter meters its rows
-	}
+	x.ctx.addScanCounts(x.seg.partSt, len(x.parts), pruned, 0)
 	// The window lets each worker run one morsel ahead of the one the driver
 	// waits for; tokens is its semaphore.
 	x.window = make([]*morselOut, 2*workers)
@@ -403,7 +514,7 @@ func (x *exchangeIter) start() {
 	var claim atomic.Int64
 	x.wg.Add(workers)
 	for range workers {
-		go x.work(&claim, scanSt, stageSts)
+		go x.work(&claim)
 	}
 }
 
@@ -414,10 +525,11 @@ func (x *exchangeIter) start() {
 func (x *exchangeIter) cut() (pruned int) {
 	size := 0
 	if x.node != nil {
-		size = (cmp.Or(x.ctx.morselRows, minMorselRows) + x.batch - 1) / x.batch * x.batch
+		b := x.seg.batch
+		size = (cmp.Or(x.ctx.morselRows, minMorselRows) + b - 1) / b * b
 	}
 	for i, p := range x.parts {
-		if partitionPruned(x.scan, p) {
+		if partitionPruned(x.seg.scan, p) {
 			pruned++
 			continue
 		}
@@ -436,14 +548,14 @@ func (x *exchangeIter) cut() (pruned int) {
 // work is one worker: it compiles its own copy of the segment, then claims
 // morsels in order, one window token each, until none is left, its morsel
 // failed, or the exchange stops.
-func (x *exchangeIter) work(claim *atomic.Int64, scanSt *OpStats, stageSts []*OpStats) {
+func (x *exchangeIter) work(claim *atomic.Int64) {
 	defer x.wg.Done()
-	r, err := x.compileRun(scanSt, stageSts)
+	r, err := x.seg.compile(x.ctx)
 	if err != nil {
 		x.send(&morselOut{k: -1, err: err})
 		return
 	}
-	defer r.close(x.ctx)
+	defer r.close()
 	for {
 		select {
 		case <-x.tokens:
@@ -454,7 +566,7 @@ func (x *exchangeIter) work(claim *atomic.Int64, scanSt *OpStats, stageSts []*Op
 		if k >= len(x.morsels) || x.ctx.cancelled() != nil {
 			return
 		}
-		out := r.run(x, k)
+		out := x.runMorsel(r, k)
 		if !x.send(out) || out.err != nil {
 			return
 		}
@@ -473,61 +585,13 @@ func (x *exchangeIter) send(out *morselOut) bool {
 	}
 }
 
-// segmentRun is one worker's compiled copy of the segment (compiled
-// expressions hold state), rewound per morsel.
-type segmentRun struct {
-	filter   *exprDAG
-	src      staticBatches
-	out      batchIter
-	stages   []compiledStage
-	counters []*exprNode
-	counts   []*chainCounts
-}
-
-func (x *exchangeIter) compileRun(scanSt *OpStats, stageSts []*OpStats) (*segmentRun, error) {
-	r := &segmentRun{}
-	var err error
-	if x.scan.Filter != nil {
-		if r.filter, err = compileVec(x.ctx, x.scan.Schema(), x.scan.Filter); err != nil {
-			return nil, err
-		}
-	}
-	if x.node != nil {
-		if r.stages, err = compileStages(x.ctx, x.node.Stages); err != nil {
-			return nil, err
-		}
-		for _, c := range x.node.Counters {
-			n := r.stages[c.stage].dag.counter(c.expr)
-			if n == nil {
-				return nil, fmt.Errorf("engine: internal error: exchange counter %v compiled to no SEQ node", c)
-			}
-			r.counters = append(r.counters, n)
-		}
-	}
-	r.counts = newChainCounts(scanSt, stageSts)
-	r.out = instantiateChain(x.ctx, &r.src, r.stages, r.counts, x.batch)
-	return r, nil
-}
-
-// run replays the segment over morsel k: the scan batches feed the chain's
-// source, streamed aggregates reopen, and counters restart at 0.
-func (r *segmentRun) run(x *exchangeIter, k int) *morselOut {
+// runMorsel replays the segment over morsel k on the worker's run r.
+func (x *exchangeIter) runMorsel(r *segmentRun, k int) *morselOut {
 	m := x.morsels[k]
 	out := &morselOut{k: k}
-	batches, bytes, err := scanPartition(x.ctx, x.parts[m.part], x.colIdx, r.filter, x.batch, m.lo, m.hi)
-	x.ctx.addScanCounts(x.scanSt, 0, 0, bytes)
-	if err != nil {
+	if err := r.replay(x.parts[m.part:m.part+1], m.lo, m.hi); err != nil {
 		out.err = err
 		return out
-	}
-	r.src = staticBatches{batches: batches}
-	for i := range r.stages {
-		if s := r.stages[i].stream; s != nil {
-			s.rewind()
-		}
-	}
-	for _, c := range r.counters {
-		c.seq = 0
 	}
 	acct := x.ctx.acct
 	for !x.halt.Load() {
@@ -553,13 +617,6 @@ func (r *segmentRun) run(x *exchangeIter, k int) *morselOut {
 		out.issued[i] = c.seq
 	}
 	return out
-}
-
-func (r *segmentRun) close(ctx *execContext) {
-	r.out.Close()
-	for _, c := range r.counts {
-		c.flush(ctx)
-	}
 }
 
 func (x *exchangeIter) NextBatch() (*vector.Batch, error) {
@@ -677,10 +734,10 @@ func (x *exchangeIter) Close() {
 	})
 }
 
-// --- two-phase partitioned hash aggregation ----------------------------------
+// --- fanned-out hash aggregation ----------------------------------------------
 
-// aggFanOut decides, on a hash aggregate's first NextBatch, whether it runs
-// as the two-phase partitioned aggregation (parallelAgg): the plan found it
+// aggFanOut decides, on a hash aggregate's first NextBatch, whether its
+// phase 1 fans out over workers (parallelAgg): the plan found it
 // eligible (AggregateNode.Why), the query runs at parallelism > 1, and the
 // pinned snapshot of its table holds more than one partition. It returns the
 // segment the workers replay; otherwise the stats slot records why the
@@ -719,368 +776,71 @@ func aggSegment(in Node) (*ScanNode, []Node, bool) {
 	return pipelineStages(in)
 }
 
-// parallelAgg runs the aggregation as two phases over the pinned partitions
-// of scan, in place of the sequential pipeline bind prepared:
-//
-//	phase 1 (local): workers claim contiguous spans of storage partitions
-//	from an atomic counter, replay the stateless Filter/Project/Flatten
-//	chain over each partition in ascending order, and fold the rows into a
-//	span-local aggTable whose groups are also bucketed into mergeParts
-//	disjoint hash partitions.
-//
-//	phase 2 (merge): workers claim hash buckets; within a bucket the local
-//	tables fold together in span index order, which equals input row order
-//	(spans are disjoint ascending partition ranges) — so MIN/MAX/COUNT
-//	partials combine exactly, ARRAY_AGG partials concatenate in input
-//	order, DISTINCT dedup sees first occurrences first, and ANY_VALUE
-//	adopts the earliest span's value. The first table that carries a group
-//	stamps it with (span index << 32 | local insertion seq); sorting the
-//	merged groups by stamp is exactly the sequential first-seen output
-//	order.
-//
-// Both phases join their workers before returning. Each worker compiles its
-// own copy of the segment and the aggregate (compiled expressions hold
-// state); eval is the driver's copy, for the empty-input row and the spill
-// decoding.
-func parallelAgg(ctx *execContext, x *AggregateNode, scan *ScanNode, stages []Node, eval *aggEval) ([][]variant.Value, error) {
-	colIdx, err := scanColumns(scan)
+// parallelAgg is a fanned-out aggregate's phase 1, in place of the
+// sequential pipeline bind prepared: foldParts over the pinned partitions of
+// scan, aggSpanFanout spans per worker, each table hash-bucketing its groups
+// into buckets merge partitions. It records the phase's stats.
+func parallelAgg(ctx *execContext, x *AggregateNode, scan *ScanNode, stages []Node, buckets int, mem *opMem) ([]*aggSpan, error) {
+	seg, err := newSegmentPlan(ctx, scan, stages, nil, ctx.batchSize)
 	if err != nil {
 		return nil, err
 	}
 	parts := ctx.pinSnapshot(scan.Table).Parts
-	spanCount := min(ctx.parallelism*aggSpanFanout, len(parts))
-	spans := make([][2]int, 0, spanCount)
-	chunk := (len(parts) + spanCount - 1) / spanCount
-	for lo := 0; lo < len(parts); lo += chunk {
-		spans = append(spans, [2]int{lo, min(lo+chunk, len(parts))})
-	}
-	workers := min(ctx.parallelism, len(spans))
-	mergeParts := cmp.Or(ctx.mergeParts, ctx.parallelism)
-	st := ctx.statsFor(x)
-
-	scanSt, stageSts := stageStats(ctx, scan, stages)
-	ctx.addScanCounts(scanSt, len(parts), 0, 0)
-
-	locals := make([]*aggTable, len(spans))
-	spanRuns := make([][]*storage.SpillRun, len(spans))
-	defer func() {
-		for _, rs := range spanRuns {
-			for _, r := range rs {
-				r.Close()
-			}
-		}
-	}()
-	workerRows := make([]int64, workers)
-	acct := ctx.acct
-	// Shared operator-level accounting, updated atomically by the workers and
-	// copied into the stats slot at the end.
-	var opCharged, opPeak, opHeld int64
-	var opSpills, opSpillBytes int64
-	var spilledRows, spilledGroups int64
-	// prog mirrors the held-bytes gauge into the live-progress slot so
-	// /debug/queries shows the breaker's current memory while it runs.
-	prog := ctx.progFor(x)
-	defer func() {
-		held := atomic.LoadInt64(&opHeld)
-		acct.release(held)
-		prog.addMem(-held)
-	}()
-	var claim int64
-	var stop int32
-	var errOnce sync.Once
-	var firstErr error
-	fail := func(err error) {
-		errOnce.Do(func() { firstErr = err })
-		atomic.StoreInt32(&stop, 1)
-	}
-	// checkCancel lets every worker loop abort within one morsel of a
-	// cancelled query context.
-	checkCancel := func() bool {
-		if err := ctx.cancelled(); err != nil {
-			fail(err)
-			return true
-		}
-		return false
-	}
-
-	localStart := time.Now()
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			// Per-worker compilation: compiled expressions hold state
-			// (reusable buffers), so nothing compiled is shared across
-			// goroutines.
-			eval, err := compileAggEval(ctx, x)
-			if err != nil {
-				fail(err)
-				return
-			}
-			var filter *exprDAG
-			if scan.Filter != nil {
-				filter, err = compileVec(ctx, scan.Schema(), scan.Filter)
-				if err != nil {
-					fail(err)
-					return
-				}
-			}
-			cs, err := compileStages(ctx, stages)
-			if err != nil {
-				fail(err)
-				return
-			}
-			counts := newChainCounts(scanSt, stageSts)
-			defer func() {
-				for _, c := range counts {
-					c.flush(ctx)
-				}
-			}()
-			// spillSpan moves one span table's state to disk mid-stream; the
-			// merge phase folds the runs back in (span, run) order.
-			spillSpan := func(si int, table *aggTable, spanCharged *int64) (*aggTable, error) {
-				run, serr := spillAggTable(table, "pagg")
-				if serr != nil {
-					return nil, serr
-				}
-				spanRuns[si] = append(spanRuns[si], run)
-				acct.noteSpill(run.Bytes())
-				atomic.AddInt64(&opSpills, 1)
-				atomic.AddInt64(&opSpillBytes, run.Bytes())
-				atomic.AddInt64(&spilledRows, table.rows)
-				atomic.AddInt64(&spilledGroups, int64(len(table.order)))
-				workerRows[w] += table.rows
-				acct.release(*spanCharged)
-				atomic.AddInt64(&opHeld, -*spanCharged)
-				prog.addMem(-*spanCharged)
-				*spanCharged = 0
-				return newAggTable(eval.aggs, mergeParts), nil
-			}
-			for {
-				if atomic.LoadInt32(&stop) != 0 || checkCancel() {
-					return
-				}
-				si := int(atomic.AddInt64(&claim, 1) - 1)
-				if si >= len(spans) {
-					return
-				}
-				var spanBatches []*vector.Batch
-				for i := spans[si][0]; i < spans[si][1]; i++ {
-					if atomic.LoadInt32(&stop) != 0 || checkCancel() {
-						return
-					}
-					part := parts[i]
-					if partitionPruned(scan, part) {
-						ctx.addScanCounts(scanSt, 0, 1, 0)
-						continue
-					}
-					batches, bytes, err := scanPartition(ctx, part, colIdx, filter, ctx.batchSize, 0, part.NumRows())
-					ctx.addScanCounts(scanSt, 0, 0, bytes)
-					if err != nil {
-						fail(err)
-						return
-					}
-					spanBatches = append(spanBatches, batches...)
-				}
-				// One operator chain per span: the batches are already in
-				// ascending partition order, so a single replay preserves
-				// input row order.
-				table := newAggTable(eval.aggs, mergeParts)
-				var spanCharged int64
-				it := instantiateChain(ctx, &staticBatches{batches: spanBatches}, cs, counts, ctx.batchSize)
-				for {
-					b, berr := it.NextBatch()
-					if berr != nil {
-						it.Close()
-						fail(berr)
-						return
-					}
-					if b == nil {
-						break
-					}
-					if aerr := eval.absorb(table, b); aerr != nil {
-						it.Close()
-						fail(aerr)
-						return
-					}
-					if acct.enabled() {
-						nb := activeRowsBytes(b)
-						spanCharged += nb
-						atomic.AddInt64(&opHeld, nb)
-						prog.addMem(nb)
-						cur := atomic.AddInt64(&opCharged, nb)
-						for {
-							pk := atomic.LoadInt64(&opPeak)
-							if cur <= pk || atomic.CompareAndSwapInt64(&opPeak, pk, cur) {
-								break
-							}
-						}
-						if acct.charge(nb) {
-							var serr error
-							table, serr = spillSpan(si, table, &spanCharged)
-							if serr != nil {
-								it.Close()
-								fail(serr)
-								return
-							}
-						}
-					}
-				}
-				it.Close()
-				locals[si] = table
-				workerRows[w] += table.rows
-			}
-		}(w)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	localWall := time.Since(localStart)
-
-	// Compact the phase-1 output into merge sources: for each span, its spill
-	// runs in spill (= input) order, then its final live table. Source index
-	// order therefore equals input row order, so it serves as the stamp's
-	// major key exactly as the table index did before spilling existed.
-	type aggSource struct {
-		run   *storage.SpillRun
-		table *aggTable
-	}
-	var sources []aggSource
-	var localRows, localGroups int64
-	for si, t := range locals {
-		for _, r := range spanRuns[si] {
-			sources = append(sources, aggSource{run: r})
-		}
-		if t != nil && t.rows > 0 {
-			sources = append(sources, aggSource{table: t})
-			localRows += t.rows
-			localGroups += int64(len(t.order))
-		}
-	}
-	localRows += atomic.LoadInt64(&spilledRows)
-	localGroups += atomic.LoadInt64(&spilledGroups)
-
-	mergeStart := time.Now()
-	merged := make([][]*aggGroup, mergeParts)
-	mergeWorkers := min(workers, mergeParts)
-	var bclaim int64
-	var mwg sync.WaitGroup
-	mwg.Add(mergeWorkers)
-	for w := 0; w < mergeWorkers; w++ {
-		go func() {
-			defer mwg.Done()
-			for {
-				if atomic.LoadInt32(&stop) != 0 || checkCancel() {
-					return
-				}
-				b := int(atomic.AddInt64(&bclaim, 1) - 1)
-				if b >= mergeParts {
-					return
-				}
-				seen := make(map[string]*aggGroup)
-				var out []*aggGroup
-				fold := func(srcIdx int, g *aggGroup) error {
-					dst, ok := seen[g.key]
-					if !ok {
-						g.stamp = int64(srcIdx)<<32 | int64(g.seq)
-						seen[g.key] = g
-						out = append(out, g)
-						return nil
-					}
-					for a := range dst.accs {
-						if err := mergeAccumulators(dst.accs[a], g.accs[a]); err != nil {
-							return err
-						}
-					}
-					return nil
-				}
-				for srcIdx, src := range sources {
-					if src.table != nil {
-						for _, g := range src.table.bucketGroups(b) {
-							if err := fold(srcIdx, g); err != nil {
-								fail(err)
-								return
-							}
-						}
-						continue
-					}
-					// Each merge worker opens its own reader: SpillRun reads
-					// go through ReadAt and are concurrency-safe.
-					rr := src.run.NewReader()
-					for {
-						if atomic.LoadInt32(&stop) != 0 || checkCancel() {
-							return
-						}
-						rec, err := rr.Next()
-						if err != nil {
-							fail(err)
-							return
-						}
-						if rec == nil {
-							break
-						}
-						g, err := decodeSpilledGroup(rec, eval.aggs, int32(b), mergeParts)
-						if err != nil {
-							fail(err)
-							return
-						}
-						if g == nil {
-							continue // other merge partition
-						}
-						if err := fold(srcIdx, g); err != nil {
-							fail(err)
-							return
-						}
-					}
-				}
-				merged[b] = out
-			}
-		}()
-	}
-	mwg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	total := 0
-	for _, g := range merged {
-		total += len(g)
-	}
-	all := make([]*aggGroup, 0, total)
-	for _, g := range merged {
-		all = append(all, g...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].stamp < all[j].stamp })
-
-	// Global aggregation over an empty input yields one row, exactly like
-	// the sequential operator.
-	if eval.ngroups == 0 && len(all) == 0 {
-		t := newAggTable(eval.aggs, 1)
-		t.insert(nil, nil)
-		all = t.order
-	}
-	mergeWall := time.Since(mergeStart)
-
-	if st != nil {
+	start := time.Now()
+	spans, workerRows, err := foldParts(ctx, x, seg, parts, min(ctx.parallelism*aggSpanFanout, len(parts)), buckets, mem)
+	if st := ctx.statsFor(x); st != nil && err == nil {
 		ctx.mu.Lock()
-		st.Pipelines = workers
-		st.MergeParts = mergeParts
-		st.LocalRows = localRows
-		st.LocalGroups = localGroups
-		st.MergedGroups = int64(len(all))
+		st.Pipelines, st.MergeParts = len(workerRows), buckets
 		st.MaxWorkerRows = slices.Max(workerRows)
-		st.LocalWallUS = localWall.Microseconds()
-		st.MergeWallUS = mergeWall.Microseconds()
-		if acct.enabled() {
-			st.MemPeakBytes = atomic.LoadInt64(&opPeak)
-			st.MemLimitBytes = acct.limit
-			st.Spills = atomic.LoadInt64(&opSpills)
-			st.SpillBytes = atomic.LoadInt64(&opSpillBytes)
+		st.LocalWallUS = time.Since(start).Microseconds()
+		for _, s := range spans {
+			rows, groups := s.folded()
+			st.LocalRows += rows
+			st.LocalGroups += groups
 		}
 		ctx.mu.Unlock()
 	}
-	return emitGroupRows(all, eval.aggs), nil
+	return spans, err
+}
+
+// foldParts is phase 1 over pinned partitions, for a fanned-out aggregate
+// and a view refresh: it cuts parts into nspans contiguous spans, which up
+// to the query's parallelism of workers claim in turn, replaying the segment
+// over a span's partitions in ascending order into a span of its own whose
+// table hash-buckets its groups into buckets merge partitions. Each worker
+// compiles its own copy of the segment and the aggregate (compiled
+// expressions hold state); all charge mem. It returns the spans in input
+// order — span order is partition order, which is input row order — and the
+// rows each worker folded.
+func foldParts(ctx *execContext, x *AggregateNode, seg *segmentPlan, parts []*storage.Partition, nspans, buckets int, mem *opMem) ([]*aggSpan, []int64, error) {
+	ctx.addScanCounts(seg.partSt, len(parts), 0, 0)
+	spans := make([]*aggSpan, nspans)
+	workerRows := make([]int64, min(ctx.parallelism, nspans))
+	err := fanOut(ctx, len(workerRows), nspans, func(w int, next func() (int, bool)) error {
+		eval, err := compileAggEval(ctx, x)
+		if err != nil {
+			return err
+		}
+		r, err := seg.compile(ctx)
+		if err != nil {
+			return err
+		}
+		defer r.close()
+		for i, ok := next(); ok; i, ok = next() {
+			spans[i] = newAggSpan(eval.aggs, buckets)
+			err := r.replay(parts[i*len(parts)/nspans:(i+1)*len(parts)/nspans], 0, math.MaxInt)
+			if err == nil {
+				err = spans[i].fold(r.out, eval, mem)
+			}
+			if err != nil {
+				return err
+			}
+			rows, _ := spans[i].folded()
+			workerRows[w] += rows
+		}
+		return nil
+	})
+	return spans, workerRows, err
 }
 
 // --- parallel hash-join build ------------------------------------------------

@@ -32,7 +32,9 @@ func prepareScan(x *ScanNode, ctx *execContext) (batchIter, error) {
 	// A stateful pushed-down filter (SEQ8) must see rows in order; it stays
 	// on the sequential scan rather than give each worker its own counter.
 	if ctx.parallelism > 1 && len(parts) > 1 && !exprStateful(x.Filter) {
-		return newExchangeIter(ctx, nil, x, seq, colIdx), nil
+		// No stages, and the scan's own statIter meters its rows (nil rowSt).
+		seg := &segmentPlan{scan: x, colIdx: colIdx, batch: ctx.batchSize, partSt: seq.st}
+		return newExchangeIter(ctx, nil, seg, seq), nil
 	}
 	return seq, nil
 }

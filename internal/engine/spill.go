@@ -16,11 +16,12 @@ import (
 //
 // Three spill strategies, one per breaker:
 //
-//   - Hash aggregation, mergeable aggregates: the whole table spills as one
-//     run of exact partial states (group key, insertion rank, key values,
-//     accumulator states). Runs plus the final live table are folded back in
-//     spill order, which is input order, so mergeAccumulators reproduces the
-//     sequential fold exactly (the aggsMergeable proof).
+//   - Hash aggregation, mergeable aggregates: a span's whole table spills as
+//     one run of exact partial states (group key, insertion rank, key values,
+//     accumulator states). The ordered merge (aggMerger) folds the runs and
+//     the final live table back in spill order, which is input order, so
+//     mergeAccumulators reproduces the sequential fold exactly (the
+//     aggsMergeable proof).
 //   - Hash aggregation, order-exact aggregates (float SUM/AVG, unknown
 //     names): partial states do not merge exactly, so after overflow the
 //     remaining input tuples are deferred to disk — already evaluated, in
@@ -273,11 +274,11 @@ func readSpillUvarint(src []byte) (uint64, []byte, error) {
 
 // --- aggregation table state spill --------------------------------------------
 
-// spillAggTable serializes t's groups, in insertion order, as one run.
+// spillAggTable serializes t's groups, in insertion order, as one state run.
 // Record: key bytes, insertion rank, key values, one partial state per
 // aggregate.
-func spillAggTable(t *aggTable, tag string) (*storage.SpillRun, error) {
-	w, err := storage.NewRunWriter(tag)
+func spillAggTable(t *aggTable) (*storage.SpillRun, error) {
+	w, err := storage.NewRunWriter("agg")
 	if err != nil {
 		return nil, err
 	}
@@ -306,11 +307,11 @@ func spillAggTable(t *aggTable, tag string) (*storage.SpillRun, error) {
 	return w.Finish()
 }
 
-// decodeSpilledGroup restores one group record. When wantBucket >= 0 the
-// record is parsed only as far as its key; records hashing to a different
-// merge partition return (nil, nil) so concurrent merge workers can scan one
-// run cheaply.
-func decodeSpilledGroup(rec []byte, aggs []compiledAgg, wantBucket int32, parts int) (*aggGroup, error) {
+// decodeSpilledGroup restores one group record of merge partition
+// wantBucket of parts. A record hashing to another partition is parsed only
+// as far as its key and returns (nil, nil), so concurrent merge workers can
+// scan one run cheaply.
+func decodeSpilledGroup(rec []byte, aggs []compiledAgg, wantBucket, parts int) (*aggGroup, error) {
 	kl, rec, err := readSpillUvarint(rec)
 	if err != nil {
 		return nil, err
@@ -320,11 +321,8 @@ func decodeSpilledGroup(rec []byte, aggs []compiledAgg, wantBucket int32, parts 
 	}
 	keyBytes := rec[:kl]
 	rec = rec[kl:]
-	bucket := int32(0)
-	if parts > 1 {
-		bucket = bucketOfKey(keyBytes, parts)
-	}
-	if wantBucket >= 0 && bucket != wantBucket {
+	bucket := bucketOfKey(keyBytes, parts)
+	if int(bucket) != wantBucket {
 		return nil, nil
 	}
 	seq, rec, err := readSpillUvarint(rec)
@@ -358,139 +356,70 @@ func decodeSpilledGroup(rec []byte, aggs []compiledAgg, wantBucket int32, parts 
 	return g, nil
 }
 
-// mergeSpilledAgg folds the spill runs (in spill order) and then the final
-// live table into one group list. Spill order is input order, so merging a
-// group's partials in source order reproduces the sequential fold; a group's
-// first source is where it was globally first seen, so appending on first
-// sight reproduces sequential first-seen output order.
-func mergeSpilledAgg(ectx *execContext, runs []*storage.SpillRun, final *aggTable, aggs []compiledAgg) ([]*aggGroup, error) {
-	seen := make(map[string]*aggGroup)
-	var out []*aggGroup
-	fold := func(g *aggGroup) error {
-		dst, ok := seen[g.key]
-		if !ok {
-			seen[g.key] = g
-			out = append(out, g)
-			return nil
+// foldRun is the state-run reader of the ordered merge: it decodes run's
+// groups of merge bucket b of buckets and folds them into m as source src,
+// polling cancellation once per record — a run can hold far more groups than
+// any one batch, and a cancelled query must not replay them all.
+func (m *aggMerger) foldRun(ctx *execContext, src int, run *storage.SpillRun, aggs []compiledAgg, b, buckets int) error {
+	rr := run.NewReader()
+	for {
+		if err := ctx.cancelled(); err != nil {
+			return err
 		}
-		for a := range dst.accs {
-			if err := mergeAccumulators(dst.accs[a], g.accs[a]); err != nil {
-				return err
-			}
+		rec, err := rr.Next()
+		if err != nil || rec == nil {
+			return err
 		}
-		return nil
-	}
-	for _, r := range runs {
-		rr := r.NewReader()
-		for {
-			// The runs can hold far more groups than any one batch; a
-			// cancelled query must not replay them all before noticing.
-			if err := ectx.cancelled(); err != nil {
-				return nil, err
-			}
-			rec, err := rr.Next()
-			if err != nil {
-				return nil, err
-			}
-			if rec == nil {
-				break
-			}
-			g, err := decodeSpilledGroup(rec, aggs, -1, 1)
-			if err != nil {
-				return nil, err
-			}
-			if err := fold(g); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for _, g := range final.order {
-		if err := fold(g); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// --- sequential aggregation governance ----------------------------------------
-
-// extAgg is the external (memory-governed) state of one sequential
-// aggregation: either a list of whole-table state runs (mergeable
-// aggregates) or a deferred-tuple run (order-exact aggregates).
-type extAgg struct {
-	mem       *opMem
-	mergeable bool
-	eval      *aggEval
-	runs      []*storage.SpillRun
-	tw        *storage.RunWriter
-}
-
-// deferring reports whether the aggregation switched to deferring raw input
-// tuples to disk.
-func (x *extAgg) deferring() bool { return x.tw != nil }
-
-// overflow moves state out of memory after the budget tripped. Mergeable
-// aggregates serialize the whole table and continue into a fresh one;
-// order-exact aggregates switch to deferring tuples (the current table stays
-// resident — its fold must resume bit-exactly at replay).
-func (x *extAgg) overflow(t *aggTable) (*aggTable, error) {
-	if x.mergeable {
-		run, err := spillAggTable(t, "agg")
+		g, err := decodeSpilledGroup(rec, aggs, b, buckets)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		x.runs = append(x.runs, run)
-		x.mem.noteSpill(run.Bytes())
-		x.mem.releaseAll()
-		return newAggTable(x.eval.aggs, t.buckets), nil
+		if g == nil {
+			continue // another merge bucket's
+		}
+		if err := m.fold(src, g); err != nil {
+			return err
+		}
 	}
+}
+
+// extAgg is the overflow strategy of order-exact aggregates (float SUM/AVG,
+// unknown names), whose partial states do not merge: past the overflow every
+// input tuple is deferred to a run — already evaluated, in input order — and
+// replayed into the resident table at the end, the very fold sequence the
+// in-memory path issues.
+type extAgg struct {
+	w   *storage.RunWriter
+	run *storage.SpillRun
+}
+
+func newExtAgg() (*extAgg, error) {
 	w, err := storage.NewRunWriter("aggdefer")
 	if err != nil {
 		return nil, err
 	}
-	x.tw = w
-	return t, nil
+	return &extAgg{w: w}, nil
 }
 
-// deferBatch evaluates one batch exactly like absorb and writes each active
-// row's tuple to the deferral run instead of folding it.
-func (x *extAgg) deferBatch(b *vector.Batch) error {
-	return x.eval.spillTuples(x.tw, b)
-}
-
-// finish produces the final group list: replaying deferred tuples into the
-// live table, merging state runs, or just handing back the table.
-func (x *extAgg) finish(t *aggTable) ([]*aggGroup, error) {
-	if x.tw != nil {
-		run, err := x.tw.Finish()
-		x.tw = nil
-		if err != nil {
-			return nil, err
-		}
-		x.runs = append(x.runs, run) // discard() will remove it
-		x.mem.noteSpill(run.Bytes())
-		if err := x.eval.replayTuples(x.mem.ctx, run, t); err != nil {
-			return nil, err
-		}
-		return t.order, nil
+// replay finishes the deferral run and folds it into t.
+func (x *extAgg) replay(e *aggEval, mem *opMem, t *aggTable) error {
+	run, err := x.w.Finish()
+	x.w = nil
+	if err != nil {
+		return err
 	}
-	if len(x.runs) == 0 {
-		return t.order, nil
-	}
-	return mergeSpilledAgg(x.mem.ctx, x.runs, t, x.eval.aggs)
+	x.run = run // discard removes it
+	mem.noteSpill(run.Bytes())
+	return e.replayTuples(mem.ctx, run, t)
 }
 
-// discard releases every on-disk and accounted resource; safe after finish.
+// discard removes the deferral run; safe after replay.
 func (x *extAgg) discard() {
-	if x.tw != nil {
-		x.tw.Abort()
-		x.tw = nil
+	if x.w != nil {
+		x.w.Abort()
+		x.w = nil
 	}
-	for _, r := range x.runs {
-		r.Close()
-	}
-	x.runs = nil
-	x.mem.releaseAll()
+	x.run.Close()
 }
 
 // --- deferred tuple spill / replay --------------------------------------------

@@ -66,6 +66,7 @@ func TestSpillParityGrid(t *testing.T) {
 		{"bs1-seq-unlimited", 1, 1, 0}, // reference
 		{"bs1-seq-64k", 1, 1, 64 * 1024},
 		{"bs1024-seq-64k", 1024, 1, 64 * 1024},
+		{"bs1024-par2-64k", 1024, 2, 64 * 1024},
 		{"bs1-par4-64k", 1, 4, 64 * 1024},
 		{"bs1024-par4-64k", 1024, 4, 64 * 1024},
 		{"bs1024-par4-unlimited", 1024, 4, 0},
@@ -110,7 +111,7 @@ func TestSpillEveryBreakerSpills(t *testing.T) {
 		{`SELECT "v" FROM "t" ORDER BY "s", "v"`, "Sort"},
 		{`SELECT "v" FROM (SELECT "k", "v" FROM "t" WHERE "k" < 2) INNER JOIN (SELECT "v" AS "v2", "s" AS "s2" FROM "t") ON "v" = "v2"`, "Join"},
 	}
-	for _, par := range []int{1, 4} {
+	for _, par := range []int{1, 2, 4} {
 		// 16KiB: small enough that even a single pruned int column (8 bytes
 		// per row x 6000 rows) overflows on every breaker at any parallelism.
 		e := spillEngine(t, WithParallelism(par), WithMemLimit(16*1024))
@@ -132,6 +133,31 @@ func TestSpillEveryBreakerSpills(t *testing.T) {
 				t.Errorf("par=%d %s: no %s operator reported a spill\n%s",
 					par, c.sql, c.op, p.PlanStats().Render())
 			}
+		}
+	}
+}
+
+// TestOperatorMemPeakWithinQueryPeak: an operator's mem[peak=] is the most
+// it held at once, so it can never exceed the query's own peak — including a
+// fanned-out aggregate whose spans spill and release concurrently.
+func TestOperatorMemPeakWithinQueryPeak(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		e := spillEngine(t, WithParallelism(par), WithMemLimit(16*1024))
+		for _, q := range spillParityQueries {
+			p, err := e.PrepareOpts(q, PrepareOptions{Analyze: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := p.Run()
+			if err != nil {
+				t.Fatalf("par=%d %s: %v", par, q, err)
+			}
+			p.PlanStats().Walk(func(_ int, n *PlanStats) {
+				if n.MemPeakBytes > res.Metrics.MemPeakBytes {
+					t.Errorf("par=%d %s: %s peak %d B exceeds the query's %d B",
+						par, q, n.Op, n.MemPeakBytes, res.Metrics.MemPeakBytes)
+				}
+			})
 		}
 	}
 }

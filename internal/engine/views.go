@@ -5,21 +5,21 @@ package engine
 // parallel aggregate admits (aggsMergeable accumulators, stateless grouping,
 // a stateless Filter/Project/Flatten pipeline over one scan) — optionally
 // under a stateless Project/Sort/Limit/Filter suffix. The view retains the
-// aggregation's accumulator state between queries; a refresh scans only the
-// storage partitions sealed since the last refresh (partitions are immutable
-// and the partition list is append-only, so "new data" is exactly a suffix
-// of the pinned partition list) and folds the delta state in with
-// mergeAccumulators.
+// hash aggregate's merged state between queries (an aggMerger), and a
+// refresh is one span of the same two-phase driver (exec.go): phase 1
+// replays the segment over only the storage partitions sealed since the last
+// refresh (partitions are immutable and the partition list is append-only,
+// so "new data" is exactly a suffix of the pinned partition list) into one
+// span, and phase 2 merges that span into the retained merger.
 //
-// Correctness mirrors the parallel aggregate's proof: delta partitions come
-// strictly after every previously absorbed partition, so merging delta
-// partials into the retained state in delta first-seen order reproduces the
-// sequential row-order fold exactly — which is why SUM/AVG (non-associative
-// float folds) are rejected along with everything else aggsMergeable
-// excludes. First-seen group output order is preserved by stamping each new
-// group with (absorbed-partition watermark << 32 | delta insertion seq):
-// watermarks grow monotonically across refreshes, so appending new groups
-// keeps the retained order sorted without re-sorting old groups.
+// Correctness is the driver's merge proof: delta partitions come strictly
+// after every previously absorbed partition, so merging delta partials into
+// the retained state in delta first-seen order reproduces the sequential
+// row-order fold exactly — which is why SUM/AVG (non-associative float
+// folds) are rejected along with everything else aggsMergeable excludes.
+// The delta's source index is the absorbed-partition watermark, which grows
+// monotonically across refreshes, so new groups append in first-seen order
+// (stamp order) without re-sorting old groups.
 //
 // The suffix above the aggregate is replayed from scratch on every query —
 // it is cheap (it runs over groups, not rows) and keeps ORDER BY / LIMIT /
@@ -56,19 +56,16 @@ type matView struct {
 	columns []string
 
 	// Decomposed plan: suffix is the stateless operator chain above the
-	// aggregate in root-first order; scan/stages are the aggregate's input
-	// pipeline (execution order), shared with the parallel aggregate's
-	// decomposition.
+	// aggregate in root-first order; seg is the aggregate's input pipeline,
+	// replayed over the delta partitions.
 	suffix []Node
 	agg    *AggregateNode
-	scan   *ScanNode
-	stages []Node
+	seg    *segmentPlan
 
 	mu sync.Mutex
-	// groups/order are the retained merged accumulator state, order sorted by
-	// stamp (sequential first-seen output order).
-	groups map[string]*aggGroup
-	order  []*aggGroup
+	// merged is the retained state: groups merged across refreshes, in
+	// sequential first-seen output order.
+	merged aggMerger
 	// emitAggs carries the aggregate descriptors for finalization; compiled
 	// once at registration (expressions hold state, but descs are static).
 	emitAggs []compiledAgg
@@ -201,20 +198,18 @@ walk:
 	if err != nil {
 		return nil, err
 	}
-	if scan.Filter != nil {
-		if _, err := compileVec(vctx, scan.Schema(), scan.Filter); err != nil {
-			return nil, err
-		}
+	seg, err := newSegmentPlan(vctx, scan, stages, nil, vctx.batchSize)
+	if err != nil {
+		return nil, err
 	}
-	if _, err := compileStages(vctx, stages); err != nil {
+	if _, err := seg.compile(vctx); err != nil {
 		return nil, err
 	}
 	materializeSchemas(plan)
 	return &matView{
 		name: name, sql: sql, eng: e,
 		columns: plan.Schema().Names,
-		suffix:  suffix, agg: agg, scan: scan, stages: stages,
-		groups: make(map[string]*aggGroup), emitAggs: ev.aggs,
+		suffix:  suffix, agg: agg, seg: seg, emitAggs: ev.aggs,
 	}, nil
 }
 
@@ -290,9 +285,9 @@ func (e *Engine) ViewInfos() []ViewInfo {
 	for i, v := range vs {
 		v.mu.Lock()
 		infos[i] = ViewInfo{
-			Name: v.name, SQL: v.sql, Table: v.scan.Table.Name,
+			Name: v.name, SQL: v.sql, Table: v.seg.scan.Table.Name,
 			Columns: append([]string(nil), v.columns...),
-			Groups:  len(v.order), PartsDone: v.partsDone,
+			Groups:  len(v.merged.out), PartsDone: v.partsDone,
 			Refreshes: v.refreshes, DeltaParts: v.deltaParts,
 		}
 		v.mu.Unlock()
@@ -341,117 +336,35 @@ func (v *matView) query(qctx context.Context) (*Result, error) {
 // the retained state. The snapshot seals buffered rows first, so a refresh
 // observes everything appended before it, exactly like a query.
 func (v *matView) refreshLocked(ctx *execContext) error {
-	snap := v.scan.Table.Snapshot()
-	delta := snap.Parts[v.partsDone:]
-	if len(delta) == 0 {
-		v.version = snap.Version
-		return nil
-	}
-	eval, err := compileAggEval(ctx, v.agg)
-	if err != nil {
-		return err
-	}
-	var filter *exprDAG
-	if v.scan.Filter != nil {
-		if filter, err = compileVec(ctx, v.scan.Schema(), v.scan.Filter); err != nil {
-			return err
-		}
-	}
-	cs, err := compileStages(ctx, v.stages)
-	if err != nil {
-		return err
-	}
-	colIdx := make([]int, len(v.scan.Columns))
-	for i, c := range v.scan.Columns {
-		idx := v.scan.Table.ColumnIndex(c)
-		if idx < 0 {
-			return fmt.Errorf("engine: table %q has no column %q", v.scan.Table.Name, c)
-		}
-		colIdx[i] = idx
-	}
-
-	// Fold the delta into a fresh table: the delta partitions are scanned in
-	// ascending partition order, so the fresh table's insertion order is the
-	// delta's first-seen order.
-	dt := newAggTable(eval.aggs, 1)
-	for _, part := range delta {
-		if err := ctx.cancelled(); err != nil {
-			return err
-		}
-		if partitionPruned(v.scan, part) {
-			ctx.addScanCounts(nil, 0, 1, 0)
-			continue
-		}
-		batches, bytes, err := scanPartition(ctx, part, colIdx, filter, ctx.batchSize, 0, part.NumRows())
-		ctx.addScanCounts(nil, 1, 0, bytes)
+	snap := v.seg.scan.Table.Snapshot()
+	if delta := snap.Parts[v.partsDone:]; len(delta) > 0 {
+		// One span over the delta, merged into the retained state with the
+		// pre-refresh watermark as its source: every delta row comes after
+		// every absorbed one, so partials merge in input order and new groups
+		// append in first-seen order.
+		mem := ctx.opMemFor(v.agg, nil)
+		defer mem.releaseAll()
+		spans, _, err := foldParts(ctx, v.agg, v.seg, delta, 1, 1, mem)
+		defer spans[0].discard()
 		if err != nil {
 			return err
 		}
-		it := batchIter(&staticBatches{batches: batches})
-		for si := range cs {
-			it = cs[si].instantiate(it, ctx.batchSize)
+		if _, err := spans[0].mergeInto(ctx, &v.merged, v.partsDone, 0, 1); err != nil {
+			return err
 		}
-		for {
-			if err := ctx.cancelled(); err != nil {
-				it.Close()
-				return err
-			}
-			b, err := it.NextBatch()
-			if err != nil {
-				it.Close()
-				return err
-			}
-			if b == nil {
-				break
-			}
-			if err := eval.absorb(dt, b); err != nil {
-				it.Close()
-				return err
-			}
-		}
-		it.Close()
+		v.partsDone = len(snap.Parts)
+		v.refreshes++
+		v.deltaParts += int64(len(delta))
 	}
-
-	// Merge the delta state in: every delta row comes after every previously
-	// absorbed row (partition order = input row order), so folding delta
-	// partials into the retained accumulators reproduces the sequential fold.
-	// New groups are stamped with the pre-refresh watermark as the major key —
-	// strictly larger than every earlier stamp — so appending them in delta
-	// first-seen order keeps v.order sorted by stamp.
-	base := int64(v.partsDone)
-	for _, g := range dt.order {
-		dst, ok := v.groups[g.key]
-		if !ok {
-			g.stamp = base<<32 | int64(g.seq)
-			v.groups[g.key] = g
-			v.order = append(v.order, g)
-			continue
-		}
-		for a := range dst.accs {
-			if err := mergeAccumulators(dst.accs[a], g.accs[a]); err != nil {
-				return err
-			}
-		}
-	}
-	v.emitAggs = eval.aggs
-	v.partsDone = len(snap.Parts)
 	v.version = snap.Version
-	v.refreshes++
-	v.deltaParts += int64(len(delta))
 	return nil
 }
 
 // emitLocked finalizes the retained groups and replays the suffix.
 func (v *matView) emitLocked(ctx *execContext) ([][]variant.Value, error) {
-	groups := v.order
-	// Global aggregation over an empty input yields one row, applied at emit
-	// so the synthetic group never pollutes the retained state.
-	if len(v.agg.GroupBy) == 0 && len(groups) == 0 {
-		t := newAggTable(v.emitAggs, 1)
-		t.insert(nil, nil)
-		groups = t.order
-	}
-	rows := emitGroupRows(groups, v.emitAggs)
+	// A global aggregation's one row over an empty input is made at emit, so
+	// the synthetic group never pollutes the retained state.
+	rows := emitGroupRows(v.merged.out, len(v.agg.GroupBy) == 0, v.emitAggs)
 	if len(v.suffix) == 0 {
 		return rows, nil
 	}

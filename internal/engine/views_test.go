@@ -82,6 +82,43 @@ func TestViewIncrementalParity(t *testing.T) {
 	}
 }
 
+// TestViewRefreshCountsPartitions: a refresh reports the partitions it
+// considered and pruned the way a query's scan does — the first refresh
+// exactly what the cold query reports, a later one only its delta.
+func TestViewRefreshCountsPartitions(t *testing.T) {
+	const q = `SELECT "k", COUNT(*) AS n FROM "g" WHERE "v" >= 250 GROUP BY "k"`
+	e := New()
+	viewLoad(t, e, 0, 310)
+	if err := e.CreateView("recent", q); err != nil {
+		t.Fatal(err)
+	}
+	cold, err := e.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.QueryView(context.Background(), "recent")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Metrics.PartitionsTotal != cold.Metrics.PartitionsTotal || got.Metrics.PartitionsPruned != cold.Metrics.PartitionsPruned {
+		t.Fatalf("first refresh: total/pruned = %d/%d, cold query %d/%d",
+			got.Metrics.PartitionsTotal, got.Metrics.PartitionsPruned,
+			cold.Metrics.PartitionsTotal, cold.Metrics.PartitionsPruned)
+	}
+	if cold.Metrics.PartitionsPruned == 0 {
+		t.Fatal("the cold query pruned nothing; the test proves nothing")
+	}
+	viewLoad(t, e, 310, 372) // two more partitions, none prunable
+	got, err = e.QueryView(context.Background(), "recent")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Metrics.PartitionsTotal != 2 || got.Metrics.PartitionsPruned != 0 {
+		t.Fatalf("delta refresh: total/pruned = %d/%d, want 2/0",
+			got.Metrics.PartitionsTotal, got.Metrics.PartitionsPruned)
+	}
+}
+
 // TestViewSuffixReplay covers the stateless operator chain above the
 // aggregate: a filter + sort + limit suffix must replay byte-identically on
 // every query, including after appends shuffle the group contents.
