@@ -47,7 +47,6 @@ func main() {
 	parallelism := flag.Int("parallelism", 0, "workers for parallel scans, aggregation, join build and sort (0 = NumCPU, 1 = sequential)")
 	memLimit := flag.String("mem-limit", "", "pipeline-breaker memory budget per query, e.g. 64KiB or 512MiB (empty = unlimited; overflow spills to disk)")
 	timeout := flag.Duration("timeout", 0, "per-query execution time limit, e.g. 30s (0 = none)")
-	planCheck := flag.Bool("plancheck", false, "enable the planck debug pass (plan cross-checks + per-batch validation)")
 	qlogPath := flag.String("qlog", "", "append a structured query-log JSON line per query to FILE (- = stderr)")
 	slowMS := flag.Int64("slow-query-ms", -1, "retain span tree + plan snapshot for queries slower than this many ms (0 = every query, negative = off)")
 	traceOut := flag.String("trace-out", "", "append every finished trace as a JSON line to FILE")
@@ -69,7 +68,6 @@ func main() {
 		jsonpark.WithBatchSize(*batchSize),
 		jsonpark.WithParallelism(*parallelism),
 		jsonpark.WithMemLimit(memBytes),
-		jsonpark.WithPlanCheck(*planCheck),
 		jsonpark.WithSlowQueryMillis(*slowMS),
 		jsonpark.WithDataDir(*dataDir),
 		jsonpark.WithTypedColumns(*typedColumns),

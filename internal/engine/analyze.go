@@ -3,25 +3,31 @@ package engine
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"jsonpark/internal/sqlast"
-	"jsonpark/internal/vector"
 )
 
-// OpStats accumulates one operator's runtime statistics when a query is
-// prepared with Analyze. Scan-only fields (bytes, partitions) stay zero on
-// other operators. Stats are written by the driving goroutine (the scan
-// operators' partition accounting arrives from morsel workers through the
-// execContext mutex); snapshots for reporting are taken after Run.
+// OpStats is one plan node's counter record. Bind allocates one per node of
+// the plan (newQueryProgress), and every goroutine that runs the operator —
+// the driver's envelope and each worker chain's — adds into the same record:
+// ProgressSnapshot reads the atomics live, buildPlanStats reads the whole
+// record after Run. WallTime is metered only when the query is analyzed. The
+// scan fields are written under the execContext mutex, the breaker and spill
+// fields by the operator's driver.
 type OpStats struct {
-	RowsOut          int64         // active rows emitted by this operator
-	Calls            int64         // NextBatch() invocations (batches + the final EOF)
+	node    Node // described when a snapshot is taken, not on every bind
+	depth   int
+	rows    atomic.Int64 // active rows emitted by this operator
+	batches atomic.Int64 // vector batches emitted by this operator
+	held    atomic.Int64 // accounted bytes the operator retains now (opMem)
+	memPeak atomic.Int64 // the most it retained at once
+
 	WallTime         time.Duration // inclusive: covers all children
 	BytesScanned     int64         // scan: column-chunk bytes materialized
 	PartitionsTotal  int           // scan: partitions considered
 	PartitionsPruned int           // scan: partitions skipped via zone maps
-	Batches          int64         // vector batches emitted by this operator
 
 	// Pipeline-breaker phase stats (a fanned-out hash aggregate, a join
 	// build, a parallel sort; zero elsewhere). Pipelines > 0 marks the
@@ -41,49 +47,10 @@ type OpStats struct {
 	Morsels    int
 	Sequential string
 
-	// Memory governance (WithMemLimit; zero when accounting is disabled or the
-	// operator retains no accounted state).
-	MemPeakBytes  int64 // peak accounted bytes held by this operator
-	MemLimitBytes int64 // the query-wide limit in effect
-	Spills        int64 // spill-to-disk events by this operator
-	SpillBytes    int64 // bytes written to spill runs by this operator
-}
-
-// statIter wraps an operator's iterator, metering emitted batches, rows and
-// inclusive wall time. Children are wrapped too, so self time is recoverable
-// as inclusive minus the children's inclusive times. statIter is the sole
-// Batches counter: operators never count their own output.
-type statIter struct {
-	in batchIter
-	st *OpStats
-}
-
-func (s *statIter) NextBatch() (*vector.Batch, error) {
-	start := time.Now()
-	b, err := s.in.NextBatch()
-	s.st.WallTime += time.Since(start)
-	s.st.Calls++
-	if b != nil {
-		s.st.Batches++
-		s.st.RowsOut += int64(b.NumRows())
-	}
-	return b, err
-}
-
-func (s *statIter) Close() { s.in.Close() }
-
-// statsFor returns the stats slot for a plan node, or nil when the query is
-// not being analyzed.
-func (c *execContext) statsFor(n Node) *OpStats {
-	if c.stats == nil {
-		return nil
-	}
-	st, ok := c.stats[n]
-	if !ok {
-		st = &OpStats{}
-		c.stats[n] = st
-	}
-	return st
+	// Memory governance (WithMemLimit): spill-to-disk events by this operator
+	// and the bytes they wrote.
+	Spills     int64
+	SpillBytes int64
 }
 
 // PlanStats is the annotated plan tree of an analyzed query: one node per
@@ -147,22 +114,20 @@ func (ps *PlanStats) walk(depth int, fn func(int, *PlanStats)) {
 }
 
 // buildPlanStats assembles the annotated tree from the executed plan and the
-// per-node stats recorded during Run.
-func buildPlanStats(n Node, stats map[Node]*OpStats) *PlanStats {
+// per-node records of Run; the query's memory limit is reported on the
+// operators that charged memory.
+func buildPlanStats(n Node, c *execContext) *PlanStats {
 	op, detail := describeNode(n)
-	st := stats[n]
-	if st == nil {
-		st = &OpStats{}
-	}
+	st := c.statsFor(n)
 	out := &PlanStats{
 		Op:               op,
 		Detail:           detail,
-		RowsOut:          st.RowsOut,
+		RowsOut:          st.rows.Load(),
 		TimeUS:           st.WallTime.Microseconds(),
 		BytesScanned:     st.BytesScanned,
 		PartitionsTotal:  st.PartitionsTotal,
 		PartitionsPruned: st.PartitionsPruned,
-		Batches:          st.Batches,
+		Batches:          st.batches.Load(),
 		Pipelines:        st.Pipelines,
 		MergeParts:       st.MergeParts,
 		LocalRows:        st.LocalRows,
@@ -171,8 +136,7 @@ func buildPlanStats(n Node, stats map[Node]*OpStats) *PlanStats {
 		MaxWorkerRows:    st.MaxWorkerRows,
 		LocalWallUS:      st.LocalWallUS,
 		MergeWallUS:      st.MergeWallUS,
-		MemPeakBytes:     st.MemPeakBytes,
-		MemLimitBytes:    st.MemLimitBytes,
+		MemPeakBytes:     st.memPeak.Load(),
 		Spills:           st.Spills,
 		SpillBytes:       st.SpillBytes,
 		Workers:          st.Workers,
@@ -192,12 +156,15 @@ func buildPlanStats(n Node, stats map[Node]*OpStats) *PlanStats {
 			out.Detail += " sequential: " + st.Sequential
 		}
 	}
+	if out.MemPeakBytes > 0 || out.Spills > 0 {
+		out.MemLimitBytes = c.acct.limit
+	}
 	if es, ok := nodeExprStats(n); ok {
 		out.ExprNodes, out.ExprDistinct, out.ExprSlots = es.Nodes, es.Distinct, es.Slots
 	}
 	childTime := time.Duration(0)
-	for _, c := range planChildren(n) {
-		cs := buildPlanStats(c, stats)
+	for _, ch := range planChildren(n) {
+		cs := buildPlanStats(ch, c)
 		out.Children = append(out.Children, cs)
 		out.RowsIn += cs.RowsOut
 		childTime += cs.Time()

@@ -22,7 +22,6 @@ type Engine struct {
 	batchSize   int
 	parallelism int
 	memLimit    int64
-	planCheck   bool
 	dataDir     string
 	typedOff    bool
 	// planCacheSize is the requested cache bound (0 = default, < 0 = off);
@@ -49,10 +48,13 @@ type Engine struct {
 	// the query text alone). forceHashAgg keeps every aggregate
 	// on the hash path — the streaming aggregate's oracle; mergeParts sets the
 	// parallel aggregate's merge partitions (0 follows the parallelism);
-	// morselRows shrinks the exchange's morsels so small tables fan out.
+	// morselRows shrinks the exchange's morsels so small tables fan out;
+	// planCheck turns on the planck pass (planck.go): every compiled plan is
+	// cross-checked and every envelope validates the batches it passes on.
 	forceHashAgg bool
 	mergeParts   int
 	morselRows   int
+	planCheck    bool
 }
 
 // Option configures an Engine.
@@ -115,15 +117,6 @@ func WithDataDir(dir string) Option {
 // variant values (the v1 layout).
 func WithTypedColumns(on bool) Option {
 	return func(e *Engine) { e.typedOff = !on }
-}
-
-// WithPlanCheck enables the planck debug pass: every prepared plan is
-// cross-checked for unordered-exchange eligibility and declared
-// selection-vector contracts, and every operator is wrapped to validate the
-// batches it emits (see planck.go). Intended for tests and debugging — the
-// per-batch validation costs a scan over each selection vector.
-func WithPlanCheck(on bool) Option {
-	return func(e *Engine) { e.planCheck = on }
 }
 
 // WithPlanCacheSize bounds the prepared-plan cache: n > 0 sets the entry
@@ -389,19 +382,15 @@ func (e *Engine) bind(cp *compiledPlan, po PrepareOptions) (*Prepared, error) {
 		parallelism:    e.parallelism,
 		morselRows:     e.morselRows,
 		mergeParts:     e.mergeParts,
+		planCheck:      e.planCheck,
 		acct:           acct,
 		prog:           newQueryProgress(cp.plan, cp.sql, po.TraceID),
+		analyze:        po.Analyze,
 		batchHook:      e.batchHook,
 		unorderedScans: cp.unorderedScans,
 	}
 	if ctx.batchSize <= 0 {
 		ctx.batchSize = vector.DefaultBatchSize
-	}
-	if e.planCheck {
-		ctx.planCheck = true
-	}
-	if po.Analyze {
-		ctx.stats = make(map[Node]*OpStats)
 	}
 	prsp := po.Span.Child("engine.prepare")
 	iter, err := prepare(cp.plan, ctx)
@@ -458,7 +447,7 @@ func (p *Prepared) RunCtx(ctx context.Context) (*Result, error) {
 			return &Result{Columns: cols, Rows: rows, Metrics: m}, nil
 		}
 	}
-	if p.eng != nil && p.ctx.prog != nil {
+	if p.eng != nil {
 		p.eng.progress.add(p.ctx.prog)
 		defer p.eng.progress.remove(p.ctx.prog)
 	}
@@ -490,10 +479,10 @@ func (p *Prepared) RunCtx(ctx context.Context) (*Result, error) {
 // Analyze and executed with Run; nil otherwise. Stats reflect execution so
 // far, so call it after Run completes.
 func (p *Prepared) PlanStats() *PlanStats {
-	if p.ctx.stats == nil {
+	if !p.ctx.analyze {
 		return nil
 	}
-	ps := buildPlanStats(p.plan, p.ctx.stats)
+	ps := buildPlanStats(p.plan, p.ctx)
 	ps.TypedCols = atomic.LoadInt64(&p.ctx.typedCols)
 	ps.FallbackCols = atomic.LoadInt64(&p.ctx.fallbackCols)
 	ps.DiskReads = atomic.LoadInt64(&p.ctx.diskReads)

@@ -68,7 +68,7 @@ func TestExchangeRowIDsExact(t *testing.T) {
 	poisonRecycling(t)
 	for _, bs := range []int{1, 7, 1024} {
 		for _, par := range []int{1, 2, 4} {
-			e := oneTableEngine(t, docs, 0, WithBatchSize(bs), WithParallelism(par), WithPlanCheck(true))
+			e := oneTableEngine(t, docs, 0, WithBatchSize(bs), WithParallelism(par), planChecked())
 			res, ps, err := e.QueryAnalyze(sql)
 			if err != nil {
 				t.Fatalf("bs=%d par=%d: %v", bs, par, err)

@@ -18,13 +18,19 @@ import (
 
 // execContext carries per-query runtime state shared by all operators.
 // Scan workers run on multiple goroutines, so the shared metrics (and the
-// scan operators' stats slots) are updated under mu.
+// scan and spill fields of the per-node records) are updated under mu.
 type execContext struct {
 	metrics *Metrics
 	mu      sync.Mutex
-	// stats, when non-nil, enables per-operator metering (EXPLAIN ANALYZE):
-	// prepare wraps every operator in a statIter writing into its node's slot.
-	stats map[Node]*OpStats
+	// prog is the query's per-node record table (progress.go), allocated at
+	// bind: every operator's envelope, on the driver and on the worker
+	// chains, adds its rows and batches there, and the memory-governed
+	// operators keep their held bytes there. ProgressSnapshot and PlanStats
+	// both read it. Nil outside a prepared query (a view refresh).
+	prog *queryProgress
+	// analyze adds wall time to the driver envelopes' metering (EXPLAIN
+	// ANALYZE); PlanStats is nil without it.
+	analyze bool
 	// batchSize is the target row count of one vector.Batch.
 	batchSize int
 	// parallelism caps the morsel worker pool of each scan and the worker
@@ -39,20 +45,17 @@ type execContext struct {
 	// row order; their exchange releases morsels as they complete instead of
 	// in morsel order.
 	unorderedScans map[Node]bool
-	// planCheck wraps every operator in a checkIter validating the batch
-	// contract at run time (the planck debug pass).
+	// planCheck makes every envelope validate the batches its operator emits
+	// (the planck debug pass; Engine.planCheck, a test hook).
 	planCheck bool
 	// qctx is the query's cancellation context, installed by Prepared.RunCtx
-	// before the first NextBatch. Every operator is wrapped in a cancelIter
-	// checking it, and the parallel workers poll it between morsels.
+	// before the first NextBatch. Every operator's envelope, worker chains'
+	// included, polls it once per batch, and the parallel workers poll it
+	// between morsels and partitions.
 	qctx context.Context
 	// acct is the query's shared memory accountant (mem.go); the pipeline
 	// breakers charge retained bytes against it and spill on overflow.
 	acct *memAccountant
-	// prog, when non-nil, carries the query's live per-operator counters
-	// (progress.go): prepare wraps each operator in a progIter and the
-	// memory-governed breakers mirror their charges into it.
-	prog *queryProgress
 	// batchHook, when non-nil, runs after every root batch RunCtx drains
 	// (test instrumentation for observing queries mid-flight).
 	batchHook func()
@@ -96,27 +99,28 @@ func (c *execContext) queryCtx() context.Context {
 }
 
 // cancelled returns the context error, wrapped so callers can still match
-// context.Canceled / context.DeadlineExceeded with errors.Is.
+// context.Canceled / context.DeadlineExceeded with errors.Is. It polls the
+// Done channel, which is lock-free, where Err takes the context's mutex.
 func (c *execContext) cancelled() error {
-	if err := c.queryCtx().Err(); err != nil {
-		return fmt.Errorf("engine: query interrupted: %w", err)
+	select {
+	case <-c.queryCtx().Done():
+		return fmt.Errorf("engine: query interrupted: %w", c.qctx.Err())
+	default:
+		return nil
 	}
-	return nil
 }
 
 // addScanCounts merges one partition's accounting into the shared metrics
-// and the scan's stats slot. Called concurrently by morsel workers.
+// and the scan's record. Called concurrently by morsel workers.
 func (c *execContext) addScanCounts(st *OpStats, totalParts, pruned int, bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.metrics.PartitionsTotal += totalParts
 	c.metrics.PartitionsPruned += pruned
 	c.metrics.BytesScanned += bytes
-	if st != nil {
-		st.PartitionsTotal += totalParts
-		st.PartitionsPruned += pruned
-		st.BytesScanned += bytes
-	}
+	st.PartitionsTotal += totalParts
+	st.PartitionsPruned += pruned
+	st.BytesScanned += bytes
 }
 
 // Storage-path counters, updated atomically: expression kernels run on
@@ -154,47 +158,62 @@ type batchIter interface {
 	Close()
 }
 
-// prepare compiles a logical plan into an executable operator tree, wrapping
-// each operator with a metering iterator when the query is analyzed. All
-// expression compilation happens here, so preparation cost is part of the
-// measured compile phase.
+// prepare compiles a logical plan into an executable operator tree, each
+// operator in its envelope. All expression compilation happens here, so
+// preparation cost is part of the measured compile phase.
 func prepare(n Node, ctx *execContext) (batchIter, error) {
 	it, err := prepareNode(n, ctx)
 	if err != nil {
 		return it, err
 	}
-	// Every operator checks the query context once per batch, so a cancel or
-	// deadline surfaces within one batch of work on any pipeline.
-	it = &cancelIter{in: it, c: ctx}
-	if ctx.planCheck {
-		op, _ := describeNode(n)
-		it = &checkIter{in: it, op: op}
-	}
-	if ctx.stats != nil {
-		it = &statIter{in: it, st: ctx.statsFor(n)}
-	}
-	if slot := ctx.progFor(n); slot != nil {
-		it = &progIter{in: it, p: slot}
-	}
-	return it, nil
+	return ctx.envelop(it, ctx.statsFor(n), ctx.analyze), nil
 }
 
-// cancelIter propagates query cancellation through the operator tree. The
-// raw context error stays the error chain's root, so callers can match
-// context.Canceled / context.DeadlineExceeded end to end.
-type cancelIter struct {
-	in batchIter
-	c  *execContext
+// envelope is the one wrapper around every operator, built by envelop for the
+// driver's tree (prepare) and for each worker chain (instantiateChain). Per
+// NextBatch it polls cancellation, so a cancel or deadline surfaces within one
+// batch of work on any pipeline; validates the emitted batch under plan-check;
+// adds the batch to the node's record; and, when timed, adds the call's
+// inclusive wall time. Worker chains are not timed: their summed time is not
+// wall time, and the parallel operator's own driver-side time covers them.
+type envelope struct {
+	in    batchIter
+	ctx   *execContext
+	st    *OpStats
+	timed bool
 }
 
-func (ci *cancelIter) NextBatch() (*vector.Batch, error) {
-	if err := ci.c.cancelled(); err != nil {
+func (c *execContext) envelop(in batchIter, st *OpStats, timed bool) batchIter {
+	return &envelope{in: in, ctx: c, st: st, timed: timed}
+}
+
+func (e *envelope) NextBatch() (*vector.Batch, error) {
+	if err := e.ctx.cancelled(); err != nil {
 		return nil, err
 	}
-	return ci.in.NextBatch()
+	var start time.Time
+	if e.timed {
+		start = time.Now()
+	}
+	b, err := e.in.NextBatch()
+	if e.timed {
+		e.st.WallTime += time.Since(start)
+	}
+	if b == nil {
+		return nil, err
+	}
+	if e.ctx.planCheck && err == nil {
+		if verr := validateBatch(b); verr != nil {
+			op, _ := describeNode(e.st.node)
+			return nil, fmt.Errorf("planck: %s emitted an invalid batch: %w", op, verr)
+		}
+	}
+	e.st.rows.Add(int64(b.NumRows()))
+	e.st.batches.Add(1)
+	return b, err
 }
 
-func (ci *cancelIter) Close() { ci.in.Close() }
+func (e *envelope) Close() { e.in.Close() }
 
 // prepareNode builds the operator for one plan node; children are built via
 // prepare so they get metered too.
@@ -939,8 +958,7 @@ func (a *aggIter) NextBatch() (*vector.Batch, error) {
 // (parallelAgg); phase 2 merges them.
 func (a *aggIter) run() ([][]variant.Value, error) {
 	ctx, e := a.ctx, a.eval
-	st := ctx.statsFor(a.x)
-	mem := ctx.opMemFor(a.x, st)
+	mem := ctx.opMemFor(a.x)
 	defer mem.releaseAll()
 	var spans []*aggSpan
 	defer func() {
@@ -970,10 +988,8 @@ func (a *aggIter) run() ([][]variant.Value, error) {
 	}
 	mergeWall := time.Since(start)
 	rows := emitGroupRows(groups, e.ngroups == 0, e.aggs)
-	if fanned && st != nil {
-		ctx.mu.Lock()
-		st.MergedGroups, st.MergeWallUS = int64(len(rows)), mergeWall.Microseconds()
-		ctx.mu.Unlock()
+	if fanned {
+		mem.st.MergedGroups, mem.st.MergeWallUS = int64(len(rows)), mergeWall.Microseconds()
 	}
 	return rows, nil
 }
@@ -1157,15 +1173,13 @@ func prepareJoin(x *JoinNode, ctx *execContext) (batchIter, error) {
 	}
 	leftWidth := len(x.Left.Schema().Names)
 	rightWidth := len(x.Right.Schema().Names)
-	st := ctx.statsFor(x)
 	return &joinIter{
 		kind: x.Kind, left: left, right: right,
 		leftKeys: leftKeys, rightKeys: rightKeys,
 		rightKeyExprs: x.RightKeys, rightSchema: x.Right.Schema(),
 		residual: residual, on: onFn,
 		leftWidth: leftWidth, rightWidth: rightWidth,
-		buildWorkers: buildWorkers, st: st,
-		ectx: ctx, mem: ctx.opMemFor(x, st),
+		buildWorkers: buildWorkers, ectx: ctx, mem: ctx.opMemFor(x),
 		bld:      vector.NewBuilder(leftWidth+rightWidth, ctx.batchSize),
 		combined: make([]variant.Value, leftWidth+rightWidth),
 	}, nil
@@ -1192,7 +1206,6 @@ type joinIter struct {
 	leftWidth     int
 	rightWidth    int
 	buildWorkers  int
-	st            *OpStats
 	ectx          *execContext
 	mem           *opMem
 	bld           *vector.Builder
@@ -1223,12 +1236,10 @@ func (j *joinIter) build() error {
 		j.rightRows = rows
 	case j.spillRun != nil:
 		// The offset index was built incrementally during the spilling drain.
-		if j.st != nil {
-			j.st.Pipelines = 1
-			j.st.MergeParts = 1
-			j.st.LocalRows = j.buildRows
-			j.st.MergedGroups = int64(len(j.parts[0]))
-		}
+		j.mem.st.Pipelines = 1
+		j.mem.st.MergeParts = 1
+		j.mem.st.LocalRows = j.buildRows
+		j.mem.st.MergedGroups = int64(len(j.parts[0]))
 	case j.buildWorkers > 1 && len(rows) >= minParallelBuildRows:
 		if err := j.buildParallel(rows); err != nil {
 			return err
@@ -1399,12 +1410,10 @@ func (j *joinIter) buildSequential(rows [][]variant.Value) error {
 		}
 		e.rows = append(e.rows, row)
 	}
-	if j.st != nil {
-		j.st.Pipelines = 1
-		j.st.MergeParts = 1
-		j.st.LocalRows = int64(len(rows))
-		j.st.MergedGroups = int64(len(m))
-	}
+	j.mem.st.Pipelines = 1
+	j.mem.st.MergeParts = 1
+	j.mem.st.LocalRows = int64(len(rows))
+	j.mem.st.MergedGroups = int64(len(m))
 	return nil
 }
 
@@ -1563,11 +1572,10 @@ func prepareSort(x *SortNode, ctx *execContext) (batchIter, error) {
 		in.Close()
 		return nil, err
 	}
-	st := ctx.statsFor(x)
 	return &sortIter{
 		in: in, keys: keys, descs: descs,
 		width: len(x.Input.Schema().Names), bsize: ctx.batchSize,
-		st: st, ectx: ctx, mem: ctx.opMemFor(x, st),
+		ectx: ctx, mem: ctx.opMemFor(x),
 	}, nil
 }
 
@@ -1577,7 +1585,6 @@ type sortIter struct {
 	descs []bool
 	width int
 	bsize int
-	st    *OpStats
 	ectx  *execContext
 	mem   *opMem
 	runs  []*storage.SpillRun // sorted on-disk chunks, in input order
@@ -1634,7 +1641,7 @@ func (s *sortIter) materialize() error {
 	sortChunk := func() error {
 		if s.ectx.parallelism > 1 && len(refs) >= minParallelSortRows {
 			var err error
-			refs, err = parallelSortRefs(s.ectx, refs, less, s.ectx.parallelism, s.st)
+			refs, err = parallelSortRefs(s.ectx, refs, less, s.ectx.parallelism, s.mem.st)
 			return err
 		}
 		sort.SliceStable(refs, func(a, b int) bool { return less(refs[a], refs[b]) })

@@ -54,7 +54,7 @@ func TestPoisonedRecyclingParity(t *testing.T) {
 	poisonRecycling(t)
 	for _, bs := range []int{1, 2, 7, 1024} {
 		for _, par := range []int{1, 4} {
-			e := multiPartEngine(t, WithBatchSize(bs), WithParallelism(par), WithPlanCheck(true))
+			e := multiPartEngine(t, WithBatchSize(bs), WithParallelism(par), planChecked())
 			for i, sql := range queries {
 				res, err := e.Query(sql)
 				if err != nil {

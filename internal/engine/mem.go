@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Memory governance. One memAccountant per query charges the state every
 // pipeline breaker retains — pre-aggregation tables, the join build side,
@@ -110,19 +107,18 @@ func (a *memAccountant) snapshot() (int64, int64, int64) {
 	return a.peak, a.spills, a.spillBytes
 }
 
-// opMem is one operator's view of the shared accountant: it tracks what this
-// operator holds (for release on spill or Close) and mirrors peak/spill
-// counts into the operator's EXPLAIN ANALYZE stats slot. Safe for concurrent
-// use: a fanned-out aggregate's workers charge one handle.
+// opMem is one operator's view of the shared accountant. It keeps what the
+// operator holds, for release on spill or Close, in the operator's record —
+// the live gauge of ProgressSnapshot — along with the peak and spill counts
+// EXPLAIN ANALYZE reports. Safe for concurrent use: a fanned-out aggregate's
+// workers charge one handle, an exchange's workers another.
 type opMem struct {
-	ctx  *execContext
-	st   *OpStats
-	prog *opProgress
-	held atomic.Int64
+	ctx *execContext
+	st  *OpStats
 }
 
-func (c *execContext) opMemFor(n Node, st *OpStats) *opMem {
-	return &opMem{ctx: c, st: st, prog: c.progFor(n)}
+func (c *execContext) opMemFor(n Node) *opMem {
+	return &opMem{ctx: c, st: c.statsFor(n)}
 }
 
 // enabled reports whether this query runs under a memory limit.
@@ -134,37 +130,32 @@ func (m *opMem) enabled() bool { return m.ctx.acct.enabled() }
 // operator's peak never exceeds the query's.
 func (m *opMem) charge(n int64) bool {
 	over := m.ctx.acct.charge(n)
-	held := m.held.Add(n)
-	m.prog.addMem(n)
-	if m.st != nil {
-		m.ctx.mu.Lock()
-		m.st.MemPeakBytes = max(m.st.MemPeakBytes, held)
-		m.st.MemLimitBytes = m.ctx.acct.limit
-		m.ctx.mu.Unlock()
+	held := m.st.held.Add(n)
+	for peak := m.st.memPeak.Load(); held > peak; peak = m.st.memPeak.Load() {
+		if m.st.memPeak.CompareAndSwap(peak, held) {
+			break
+		}
 	}
 	return over
 }
 
 // release returns n of the bytes this operator holds: one span's table when
-// it spills.
+// it spills, one morsel's batches when the exchange hands them out.
 func (m *opMem) release(n int64) {
-	m.held.Add(-n)
-	m.prog.addMem(-n)
+	m.st.held.Add(-n)
 	m.ctx.acct.release(n)
 }
 
 // releaseAll returns everything this operator still holds; called when the
 // retained state moves to disk or the operator closes.
-func (m *opMem) releaseAll() { m.release(m.held.Load()) }
+func (m *opMem) releaseAll() { m.release(m.st.held.Load()) }
 
 // noteSpill records one spill of b on-disk bytes against the query and the
-// operator's stats slot.
+// operator's record.
 func (m *opMem) noteSpill(b int64) {
 	m.ctx.acct.noteSpill(b)
-	if m.st != nil {
-		m.ctx.mu.Lock()
-		m.st.Spills++
-		m.st.SpillBytes += b
-		m.ctx.mu.Unlock()
-	}
+	m.ctx.mu.Lock()
+	m.st.Spills++
+	m.st.SpillBytes += b
+	m.ctx.mu.Unlock()
 }

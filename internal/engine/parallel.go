@@ -77,64 +77,11 @@ func (s *staticBatches) NextBatch() (*vector.Batch, error) {
 
 func (s *staticBatches) Close() {}
 
-// chainCounts accumulates one operator's row/batch counters inside one
-// worker, flushed into the shared stats slot once at worker exit. Wall time
-// is deliberately not metered on worker chains: the workers run
-// concurrently, so their summed time is not wall time, and the parallel
-// operator's own (driver-side) inclusive time already covers the phase.
-type chainCounts struct {
-	st      *OpStats
-	rows    int64
-	batches int64
-	calls   int64
-}
-
-func (c *chainCounts) flush(ctx *execContext) {
-	if c == nil || c.st == nil {
-		return
-	}
-	ctx.mu.Lock()
-	c.st.RowsOut += c.rows
-	c.st.Batches += c.batches
-	c.st.Calls += c.calls
-	ctx.mu.Unlock()
-}
-
-// countIter meters rows/batches/calls into a worker-local chainCounts.
-type countIter struct {
-	in batchIter
-	c  *chainCounts
-}
-
-func (ci *countIter) NextBatch() (*vector.Batch, error) {
-	b, err := ci.in.NextBatch()
-	ci.c.calls++
-	if b != nil {
-		ci.c.batches++
-		ci.c.rows += int64(b.NumRows())
-	}
-	return b, err
-}
-
-func (ci *countIter) Close() { ci.in.Close() }
-
-// newChainCounts allocates one worker's counters, index 0 for the scan and
-// i+1 for stage i; nil slots for nil stats slots (the query is not analyzed).
-func newChainCounts(scanSt *OpStats, stageSts []*OpStats) []*chainCounts {
-	counts := make([]*chainCounts, len(stageSts)+1)
-	for i, st := range append([]*OpStats{scanSt}, stageSts...) {
-		if st != nil {
-			counts[i] = &chainCounts{st: st}
-		}
-	}
-	return counts
-}
-
 // compiledStage is one pipeline stage's compiled expressions, owned by one
 // worker (compiled expressions hold state) and shared across that worker's
 // partitions or morsels.
 type compiledStage struct {
-	op      string
+	node    Node
 	filter  *FilterNode
 	project *ProjectNode
 	flatten *FlattenNode
@@ -149,27 +96,26 @@ type compiledStage struct {
 func compileStages(ctx *execContext, stages []Node) ([]compiledStage, error) {
 	out := make([]compiledStage, 0, len(stages))
 	for _, n := range stages {
-		op, _ := describeNode(n)
 		switch x := n.(type) {
 		case *FilterNode:
 			cond, err := compileVec(ctx, x.Input.Schema(), x.Cond)
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, compiledStage{op: op, filter: x, dag: cond})
+			out = append(out, compiledStage{node: n, filter: x, dag: cond})
 		case *ProjectNode:
 			fns, err := compileVecs(ctx, x.Input.Schema(), x.Exprs)
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, compiledStage{op: op, project: x, dag: fns})
+			out = append(out, compiledStage{node: n, project: x, dag: fns})
 		case *FlattenNode:
 			input, err := compileVec(ctx, x.Input.Schema(), x.Expr)
 			if err != nil {
 				return nil, err
 			}
 			out = append(out, compiledStage{
-				op: op, flatten: x, dag: input,
+				node: n, flatten: x, dag: input,
 				width: len(x.Input.Schema().Names),
 			})
 		case *AggregateNode:
@@ -177,7 +123,7 @@ func compileStages(ctx *execContext, stages []Node) ([]compiledStage, error) {
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, compiledStage{op: op, agg: eval, dag: eval.dag})
+			out = append(out, compiledStage{node: n, agg: eval, dag: eval.dag})
 		default:
 			return nil, fmt.Errorf("engine: node %T cannot run in a worker pipeline", n)
 		}
@@ -200,25 +146,20 @@ func (s *compiledStage) instantiate(in batchIter, batchSize int) batchIter {
 }
 
 // instantiateChain assembles one worker's operator chain over src from its
-// compiled stages, with planck checking and count metering mirroring what
-// prepare applies to the streaming pipeline.
-func instantiateChain(ctx *execContext, src batchIter, cs []compiledStage, counts []*chainCounts, batchSize int) batchIter {
-	it := src
-	if ctx.planCheck {
-		it = &checkIter{in: it, op: "Scan"}
+// compiled stages, every operator — the source included — in the envelope
+// prepare puts around the driver's: each polls cancellation, checks under
+// plan-check and adds into the node's shared record. A plain scan's exchange
+// meters the scan's rows in its own envelope, so its workers' source meters
+// into a record nothing reads.
+func instantiateChain(ctx *execContext, p *segmentPlan, src batchIter, cs []compiledStage) batchIter {
+	st := p.scanSt
+	if p.outerScan {
+		st = &OpStats{node: p.scan}
 	}
-	if counts[0] != nil {
-		it = &countIter{in: it, c: counts[0]}
-	}
+	it := ctx.envelop(src, st, false)
 	for i := range cs {
 		s := &cs[i]
-		it = s.instantiate(it, batchSize)
-		if ctx.planCheck {
-			it = &checkIter{in: it, op: s.op}
-		}
-		if counts[i+1] != nil {
-			it = &countIter{in: it, c: counts[i+1]}
-		}
+		it = ctx.envelop(s.instantiate(it, p.batch), ctx.statsFor(s.node), false)
 	}
 	return it
 }
@@ -228,16 +169,15 @@ func instantiateChain(ctx *execContext, src batchIter, cs []compiledStage, count
 // segmentPlan is a segment as workers replay it over pinned partitions — the
 // exchange's morsels, a fanned-out aggregate's spans, a view's delta: the
 // scan and its stages (execution order), the row-ID counters to restart, and
-// the stats slots, taken on the driver because statsFor writes the stats map.
+// the scan's record.
 type segmentPlan struct {
-	scan     *ScanNode
-	stages   []Node
-	counters []counterRef
-	colIdx   []int
-	batch    int        // rows per batch inside the workers
-	partSt   *OpStats   // the scan's partitions and bytes
-	rowSt    *OpStats   // the scan's rows; nil when a statIter meters them
-	stageSts []*OpStats // the stages' rows
+	scan      *ScanNode
+	stages    []Node
+	counters  []counterRef
+	colIdx    []int
+	batch     int      // rows per batch inside the workers
+	scanSt    *OpStats // the scan's record: partitions, bytes and rows
+	outerScan bool     // a plain scan's exchange, whose envelope meters the rows
 }
 
 func newSegmentPlan(ctx *execContext, scan *ScanNode, stages []Node, counters []counterRef, batch int) (*segmentPlan, error) {
@@ -245,15 +185,10 @@ func newSegmentPlan(ctx *execContext, scan *ScanNode, stages []Node, counters []
 	if err != nil {
 		return nil, err
 	}
-	st := ctx.statsFor(scan)
-	p := &segmentPlan{
+	return &segmentPlan{
 		scan: scan, stages: stages, counters: counters, colIdx: colIdx, batch: batch,
-		partSt: st, rowSt: st, stageSts: make([]*OpStats, len(stages)),
-	}
-	for i, s := range stages {
-		p.stageSts[i] = ctx.statsFor(s)
-	}
-	return p, nil
+		scanSt: ctx.statsFor(scan),
+	}, nil
 }
 
 // segmentRun is one worker's compiled copy of a segment (compiled
@@ -266,7 +201,6 @@ type segmentRun struct {
 	out      batchIter
 	stages   []compiledStage
 	counters []*exprNode
-	counts   []*chainCounts
 }
 
 func (p *segmentPlan) compile(ctx *execContext) (*segmentRun, error) {
@@ -287,8 +221,7 @@ func (p *segmentPlan) compile(ctx *execContext) (*segmentRun, error) {
 		}
 		r.counters = append(r.counters, n)
 	}
-	r.counts = newChainCounts(p.rowSt, p.stageSts)
-	r.out = instantiateChain(ctx, &r.src, r.stages, r.counts, p.batch)
+	r.out = instantiateChain(ctx, p, &r.src, r.stages)
 	return r, nil
 }
 
@@ -304,11 +237,11 @@ func (r *segmentRun) replay(parts []*storage.Partition, lo, hi int) error {
 			return err
 		}
 		if partitionPruned(r.plan.scan, p) {
-			r.ctx.addScanCounts(r.plan.partSt, 0, 1, 0)
+			r.ctx.addScanCounts(r.plan.scanSt, 0, 1, 0)
 			continue
 		}
 		batches, bytes, err := scanPartition(r.ctx, p, r.plan.colIdx, r.filter, r.plan.batch, lo, hi)
-		r.ctx.addScanCounts(r.plan.partSt, 0, 0, bytes)
+		r.ctx.addScanCounts(r.plan.scanSt, 0, 0, bytes)
 		if err != nil {
 			return err
 		}
@@ -325,12 +258,7 @@ func (r *segmentRun) replay(parts []*storage.Partition, lo, hi int) error {
 	return nil
 }
 
-func (r *segmentRun) close() {
-	r.out.Close()
-	for _, c := range r.counts {
-		c.flush(r.ctx)
-	}
-}
+func (r *segmentRun) close() { r.out.Close() }
 
 // fanOut runs work on up to workers goroutines that claim the items 0..n-1
 // in turn through next, which reports false once the items run out, a
@@ -392,7 +320,7 @@ type morselOut struct {
 	k       int             // morsel index; -1 for a worker that failed to start
 	batches []*vector.Batch // detached: the worker's chain recycles its own
 	issued  []int64         // row IDs each counter issued in the morsel
-	bytes   int64           // charged to the query's accountant until handed out
+	bytes   int64           // charged to the exchange's opMem until handed out
 	err     error           // the morsel's first error, raised after its batches
 }
 
@@ -420,8 +348,9 @@ type exchangeIter struct {
 	node  *ExchangeNode // nil: a plain scan, whose morsels are whole partitions
 	seg   *segmentPlan
 	parts []*storage.Partition
-	st    *OpStats
-	prog  *opProgress
+	// mem charges the detached batches workers hand over until they are
+	// handed out; its record is the exchange node's.
+	mem *opMem
 	// seq is the sequential pipeline prepared at bind. It serves whenever the
 	// segment does not fan out and is closed unstarted when it does.
 	seq     batchIter
@@ -458,14 +387,10 @@ func prepareExchange(x *ExchangeNode, ctx *execContext) (batchIter, error) {
 }
 
 func newExchangeIter(ctx *execContext, node *ExchangeNode, seg *segmentPlan, seq batchIter) *exchangeIter {
-	x := &exchangeIter{
-		ctx: ctx, node: node, seg: seg, seq: seq,
+	return &exchangeIter{
+		ctx: ctx, node: node, seg: seg, seq: seq, mem: ctx.opMemFor(node),
 		parts: ctx.pinSnapshot(seg.scan.Table).Parts, ordered: !ctx.unorderedScans[seg.scan],
 	}
-	if node != nil {
-		x.st, x.prog = ctx.statsFor(node), ctx.progFor(node)
-	}
-	return x
 }
 
 // start decides, on the first NextBatch, whether the segment fans out: it
@@ -489,19 +414,15 @@ func (x *exchangeIter) start() {
 		}
 	}
 	if why != "" {
-		if x.st != nil {
-			x.st.Sequential = why
-		}
+		x.mem.st.Sequential = why
 		return
 	}
 	x.seq.Close()
 	x.seq = nil
 	workers := min(x.ctx.parallelism, len(x.morsels))
 	x.offsets = make([]int64, len(x.seg.counters))
-	if x.st != nil {
-		x.st.Workers, x.st.Morsels = workers, len(x.morsels)
-	}
-	x.ctx.addScanCounts(x.seg.partSt, len(x.parts), pruned, 0)
+	x.mem.st.Workers, x.mem.st.Morsels = workers, len(x.morsels)
+	x.ctx.addScanCounts(x.seg.scanSt, len(x.parts), pruned, 0)
 	// The window lets each worker run one morsel ahead of the one the driver
 	// waits for; tokens is its semaphore.
 	x.window = make([]*morselOut, 2*workers)
@@ -573,14 +494,13 @@ func (x *exchangeIter) work(claim *atomic.Int64) {
 	}
 }
 
-// send hands a result to the driver unless the exchange stopped, in which
-// case the result's accounted bytes go straight back.
+// send hands a result to the driver unless the exchange stopped; Close
+// returns the accounted bytes of results never handed over.
 func (x *exchangeIter) send(out *morselOut) bool {
 	select {
 	case x.results <- out:
 		return true
 	case <-x.stop:
-		x.unhold(out)
 		return false
 	}
 }
@@ -593,7 +513,6 @@ func (x *exchangeIter) runMorsel(r *segmentRun, k int) *morselOut {
 		out.err = err
 		return out
 	}
-	acct := x.ctx.acct
 	for !x.halt.Load() {
 		b, err := r.out.NextBatch()
 		if err != nil || b == nil {
@@ -603,10 +522,9 @@ func (x *exchangeIter) runMorsel(r *segmentRun, k int) *morselOut {
 		if len(r.stages) > 0 {
 			// Scan batches are stable; a stage's are recycled by its next call.
 			b = b.Detach()
-			if acct.enabled() {
+			if x.mem.enabled() {
 				nb := activeRowsBytes(b)
-				acct.charge(nb)
-				x.prog.addMem(nb)
+				x.mem.charge(nb)
 				out.bytes += nb
 			}
 		}
@@ -704,14 +622,15 @@ func (x *exchangeIter) renumber(out *morselOut) {
 // unhold returns a received morsel's accounted bytes.
 func (x *exchangeIter) unhold(out *morselOut) {
 	if out != nil && out.bytes > 0 {
-		x.ctx.acct.release(out.bytes)
-		x.prog.addMem(-out.bytes)
+		x.mem.release(out.bytes)
 		out.bytes = 0
 	}
 }
 
 // Close stops the workers, waits for them to exit and returns every
-// accounted byte still held; safe before the first NextBatch and twice.
+// accounted byte still held — of the morsel being handed out, the window, the
+// results queue and the results never sent; safe before the first NextBatch
+// and twice.
 func (x *exchangeIter) Close() {
 	if x.seq != nil {
 		x.seq.Close()
@@ -724,13 +643,7 @@ func (x *exchangeIter) Close() {
 		x.halt.Store(true)
 		close(x.stop)
 		x.wg.Wait()
-		for len(x.results) > 0 {
-			x.unhold(<-x.results)
-		}
-		for _, out := range x.window {
-			x.unhold(out)
-		}
-		x.unhold(x.cur)
+		x.mem.releaseAll()
 	})
 }
 
@@ -740,7 +653,7 @@ func (x *exchangeIter) Close() {
 // phase 1 fans out over workers (parallelAgg): the plan found it
 // eligible (AggregateNode.Why), the query runs at parallelism > 1, and the
 // pinned snapshot of its table holds more than one partition. It returns the
-// segment the workers replay; otherwise the stats slot records why the
+// segment the workers replay; otherwise the node's record notes why the
 // aggregate stays sequential.
 func aggFanOut(ctx *execContext, x *AggregateNode) (*ScanNode, []Node, bool) {
 	scan, stages, ok := aggSegment(x.Input)
@@ -755,9 +668,7 @@ func aggFanOut(ctx *execContext, x *AggregateNode) (*ScanNode, []Node, bool) {
 		why = "one partition"
 	}
 	if why != "" {
-		if st := ctx.statsFor(x); st != nil {
-			st.Sequential = why
-		}
+		ctx.statsFor(x).Sequential = why
 		return nil, nil, false
 	}
 	ctx.mu.Lock()
@@ -788,19 +699,19 @@ func parallelAgg(ctx *execContext, x *AggregateNode, scan *ScanNode, stages []No
 	parts := ctx.pinSnapshot(scan.Table).Parts
 	start := time.Now()
 	spans, workerRows, err := foldParts(ctx, x, seg, parts, min(ctx.parallelism*aggSpanFanout, len(parts)), buckets, mem)
-	if st := ctx.statsFor(x); st != nil && err == nil {
-		ctx.mu.Lock()
-		st.Pipelines, st.MergeParts = len(workerRows), buckets
-		st.MaxWorkerRows = slices.Max(workerRows)
-		st.LocalWallUS = time.Since(start).Microseconds()
-		for _, s := range spans {
-			rows, groups := s.folded()
-			st.LocalRows += rows
-			st.LocalGroups += groups
-		}
-		ctx.mu.Unlock()
+	if err != nil {
+		return spans, err
 	}
-	return spans, err
+	st := mem.st
+	st.Pipelines, st.MergeParts = len(workerRows), buckets
+	st.MaxWorkerRows = slices.Max(workerRows)
+	st.LocalWallUS = time.Since(start).Microseconds()
+	for _, s := range spans {
+		rows, groups := s.folded()
+		st.LocalRows += rows
+		st.LocalGroups += groups
+	}
+	return spans, nil
 }
 
 // foldParts is phase 1 over pinned partitions, for a fanned-out aggregate
@@ -813,7 +724,7 @@ func parallelAgg(ctx *execContext, x *AggregateNode, scan *ScanNode, stages []No
 // order — span order is partition order, which is input row order — and the
 // rows each worker folded.
 func foldParts(ctx *execContext, x *AggregateNode, seg *segmentPlan, parts []*storage.Partition, nspans, buckets int, mem *opMem) ([]*aggSpan, []int64, error) {
-	ctx.addScanCounts(seg.partSt, len(parts), 0, 0)
+	ctx.addScanCounts(seg.scanSt, len(parts), 0, 0)
 	spans := make([]*aggSpan, nspans)
 	workerRows := make([]int64, min(ctx.parallelism, nspans))
 	err := fanOut(ctx, len(workerRows), nspans, func(w int, next func() (int, bool)) error {
@@ -1000,25 +911,23 @@ func (j *joinIter) buildParallel(rows [][]variant.Value) error {
 	}
 	mergeWall := time.Since(mergeStart)
 
-	if j.st != nil {
-		var keys int64
-		for _, m := range j.parts {
-			keys += int64(len(m))
-		}
-		var maxChunk int64
-		for _, s := range spans {
-			if n := int64(s[1] - s[0]); n > maxChunk {
-				maxChunk = n
-			}
-		}
-		j.st.Pipelines = len(spans)
-		j.st.MergeParts = parts
-		j.st.LocalRows = int64(len(rows))
-		j.st.MergedGroups = keys
-		j.st.MaxWorkerRows = maxChunk
-		j.st.LocalWallUS = localWall.Microseconds()
-		j.st.MergeWallUS = mergeWall.Microseconds()
+	var keys int64
+	for _, m := range j.parts {
+		keys += int64(len(m))
 	}
+	var maxChunk int64
+	for _, s := range spans {
+		if n := int64(s[1] - s[0]); n > maxChunk {
+			maxChunk = n
+		}
+	}
+	j.mem.st.Pipelines = len(spans)
+	j.mem.st.MergeParts = parts
+	j.mem.st.LocalRows = int64(len(rows))
+	j.mem.st.MergedGroups = keys
+	j.mem.st.MaxWorkerRows = maxChunk
+	j.mem.st.LocalWallUS = localWall.Microseconds()
+	j.mem.st.MergeWallUS = mergeWall.Microseconds()
 	return nil
 }
 
@@ -1084,19 +993,17 @@ func parallelSortRefs(ctx *execContext, refs []sortRef, less func(a, b sortRef) 
 	}
 	mergeWall := time.Since(mergeStart)
 
-	if st != nil {
-		var maxRun int64
-		for _, run := range runs {
-			if int64(len(run)) > maxRun {
-				maxRun = int64(len(run))
-			}
+	var maxRun int64
+	for _, run := range runs {
+		if int64(len(run)) > maxRun {
+			maxRun = int64(len(run))
 		}
-		st.Pipelines = len(runs)
-		st.MergeParts = len(runs)
-		st.LocalRows = int64(n)
-		st.MaxWorkerRows = maxRun
-		st.LocalWallUS = localWall.Microseconds()
-		st.MergeWallUS = mergeWall.Microseconds()
 	}
+	st.Pipelines = len(runs)
+	st.MergeParts = len(runs)
+	st.LocalRows = int64(n)
+	st.MaxWorkerRows = maxRun
+	st.LocalWallUS = localWall.Microseconds()
+	st.MergeWallUS = mergeWall.Microseconds()
 	return out, nil
 }

@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"jsonpark/internal/variant"
+	"jsonpark/internal/vector"
 )
 
 // breakerQueries exercise every parallel pipeline breaker: partitioned hash
@@ -41,11 +44,11 @@ func TestParallelBreakerParity(t *testing.T) {
 		name string
 		opts []Option
 	}{
-		{"par1-bs1", []Option{WithParallelism(1), WithBatchSize(1), WithPlanCheck(true)}},
-		{"par1-bs1024", []Option{WithParallelism(1), WithBatchSize(1024), WithPlanCheck(true)}},
-		{"par2-bs1024", []Option{WithParallelism(2), WithBatchSize(1024), WithPlanCheck(true)}},
-		{"par4-bs1", []Option{WithParallelism(4), WithBatchSize(1), WithPlanCheck(true)}},
-		{"par4-bs1024", []Option{WithParallelism(4), WithBatchSize(1024), WithPlanCheck(true)}},
+		{"par1-bs1", []Option{WithParallelism(1), WithBatchSize(1), planChecked()}},
+		{"par1-bs1024", []Option{WithParallelism(1), WithBatchSize(1024), planChecked()}},
+		{"par2-bs1024", []Option{WithParallelism(2), WithBatchSize(1024), planChecked()}},
+		{"par4-bs1", []Option{WithParallelism(4), WithBatchSize(1), planChecked()}},
+		{"par4-bs1024", []Option{WithParallelism(4), WithBatchSize(1024), planChecked()}},
 	}
 	engines := make([]*Engine, len(configs))
 	for i, c := range configs {
@@ -72,7 +75,7 @@ func TestParallelBreakerParity(t *testing.T) {
 }
 
 // hashAgg runs sql analyzed and returns the result with its (one) hash
-// aggregate's annotated node and raw stats slot.
+// aggregate's annotated node and raw record.
 func hashAgg(t *testing.T, e *Engine, sql string) (*Result, *PlanStats, *OpStats) {
 	t.Helper()
 	p, err := e.PrepareOpts(sql, PrepareOptions{Analyze: true})
@@ -89,7 +92,7 @@ func hashAgg(t *testing.T, e *Engine, sql string) (*Result, *PlanStats, *OpStats
 			agg = n
 		}
 	})
-	for n, st := range p.ctx.stats {
+	for n, st := range p.ctx.prog.byNode {
 		if x, ok := n.(*AggregateNode); ok && !x.Stream && agg != nil {
 			return res, agg, st
 		}
@@ -102,7 +105,7 @@ func hashAgg(t *testing.T, e *Engine, sql string) (*Result, *PlanStats, *OpStats
 // aggregation that fanned out renders as a hash Aggregate with its per-phase
 // stats, and the stats are internally consistent.
 func TestParallelAggExplainAnalyze(t *testing.T) {
-	e := multiPartEngine(t, WithParallelism(4), WithPlanCheck(true))
+	e := multiPartEngine(t, WithParallelism(4), planChecked())
 	res, agg, st := hashAgg(t, e, `SELECT grp, COUNT(*), MIN(val) FROM events GROUP BY grp`)
 	if len(res.Rows) != 7 {
 		t.Fatalf("expected 7 groups, got %d", len(res.Rows))
@@ -138,7 +141,7 @@ func TestParallelAggExplainAnalyze(t *testing.T) {
 // SEQ8 arguments observe evaluation order, so those aggregates stay
 // sequential even at high parallelism, and EXPLAIN ANALYZE says why.
 func TestOrderSensitiveAggStaysSequential(t *testing.T) {
-	e := multiPartEngine(t, WithParallelism(8), WithPlanCheck(true))
+	e := multiPartEngine(t, WithParallelism(8), planChecked())
 	for _, c := range []struct{ sql, why string }{
 		{`SELECT grp, SUM(val) FROM events GROUP BY grp`, "not mergeable: SUM"},
 		{`SELECT grp, AVG(val) FROM events GROUP BY grp`, "not mergeable: AVG"},
@@ -158,7 +161,7 @@ func TestOrderSensitiveAggStaysSequential(t *testing.T) {
 // TestParallelJoinAndSortAnalyze checks that the join build and sort report
 // their parallel phase stats.
 func TestParallelJoinAndSortAnalyze(t *testing.T) {
-	e := multiPartEngine(t, WithParallelism(4), WithPlanCheck(true))
+	e := multiPartEngine(t, WithParallelism(4), planChecked())
 	_, ps, err := e.QueryAnalyze(
 		`SELECT COUNT(*) FROM (SELECT "grp" AS "g" FROM "events") INNER JOIN (SELECT * FROM "events") ON "g" = "grp"`)
 	if err != nil {
@@ -202,7 +205,7 @@ func TestParallelJoinAndSortAnalyze(t *testing.T) {
 // byte-identical and the configured partition count shows up in the stats.
 func TestMergePartitionsHook(t *testing.T) {
 	base := multiPartEngine(t, WithParallelism(1))
-	tuned := multiPartEngine(t, WithParallelism(4), WithPlanCheck(true))
+	tuned := multiPartEngine(t, WithParallelism(4), planChecked())
 	tuned.mergeParts = 2
 	sql := `SELECT "grp", ARRAY_AGG("id"), COUNT(*) FROM "events" GROUP BY "grp"`
 	want, err := base.Query(sql)
@@ -224,7 +227,7 @@ func TestMergePartitionsHook(t *testing.T) {
 // TestParallelAggSinglePartitionFallsBack: a table with one micro-partition
 // has nothing to split; the aggregate runs sequentially and says why.
 func TestParallelAggSinglePartitionFallsBack(t *testing.T) {
-	e := New(WithParallelism(4), WithPlanCheck(true))
+	e := New(WithParallelism(4), planChecked())
 	tab, err := e.Catalog().CreateTable("one", []string{"k", "v"})
 	if err != nil {
 		t.Fatal(err)
@@ -239,5 +242,18 @@ func TestParallelAggSinglePartitionFallsBack(t *testing.T) {
 	if agg.Pipelines > 0 || st.Sequential != "one partition" || res.Metrics.ParallelBreakers != 0 {
 		t.Errorf("single-partition table: pipelines=%d sequential %q breakers=%d, want 0/%q/0",
 			agg.Pipelines, st.Sequential, res.Metrics.ParallelBreakers, "one partition")
+	}
+}
+
+// TestWorkerChainPollsCancellation: a worker chain runs in the same envelope
+// as the driver's operators, so a cancelled query stops it at its first
+// batch instead of letting a span fold absorb the whole source.
+func TestWorkerChainPollsCancellation(t *testing.T) {
+	ctx := cancelledExecCtx()
+	src := &staticBatches{batches: []*vector.Batch{{Cols: [][]variant.Value{{variant.Int(1), variant.Int(2)}}}}}
+	chain := instantiateChain(ctx, &segmentPlan{scanSt: &OpStats{}, batch: 4}, src, nil)
+	defer chain.Close()
+	if b, err := chain.NextBatch(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("first NextBatch = %v, %v; want context.Canceled", b, err)
 	}
 }

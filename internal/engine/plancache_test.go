@@ -175,7 +175,7 @@ func appendRows(t *testing.T, tab *storage.Table, lo, hi int) {
 // then fans out — the decision is the run's, not the plan's — with the
 // sequential engine's result.
 func TestPlanCacheSurvivesPartitionGrowth(t *testing.T) {
-	e := New(WithParallelism(4), WithPlanCheck(true))
+	e := New(WithParallelism(4), planChecked())
 	ref := New(WithParallelism(1))
 	tab, refTab := growingTable(t, e), growingTable(t, ref)
 	const q = `SELECT "k", COUNT(*) AS n, MIN("v") AS mn, ARRAY_AGG("v") AS vs FROM "s" GROUP BY "k"`

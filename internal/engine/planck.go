@@ -1,8 +1,9 @@
 package engine
 
-// planck is the plan-check pass: a debug mode (engine.WithPlanCheck) that
-// re-verifies, at plan build time and again at run time, the invariants the
-// parallel scan work of PR 2 and the streaming aggregate rest on.
+// planck is the plan-check pass: a debug mode (the Engine.planCheck test
+// hook) that re-verifies, at plan build time and again at run time, the
+// invariants the parallel scan work of PR 2 and the streaming aggregate rest
+// on.
 //
 //  1. Unordered-exchange eligibility. collectUnorderedScans decides
 //     top-down which scans may skip the ordered morsel merge. planck
@@ -20,7 +21,7 @@ package engine
 //     checkSelContract asserts statically that every plan node is one whose
 //     emitted selection class is known — an unfamiliar node type is an
 //     error, forcing new operators to declare their contract here — and the
-//     checkIter wrapper verifies each emitted batch dynamically.
+//     operator envelope runs validateBatch on each emitted batch.
 //
 //  3. Streaming-aggregate clustering. physicalize marks an aggregate Stream
 //     from an order property it derives bottom-up for whole nodes. planck
@@ -219,26 +220,8 @@ func checkSelContract(n Node) error {
 
 // --- run-time half -----------------------------------------------------------
 
-// checkIter enforces the batch contract on every vector an operator emits:
+// validateBatch enforces the batch contract on a vector an operator emits:
 // equal-length columns and a strictly increasing, in-bounds selection.
-type checkIter struct {
-	in batchIter
-	op string
-}
-
-func (c *checkIter) NextBatch() (*vector.Batch, error) {
-	b, err := c.in.NextBatch()
-	if err != nil || b == nil {
-		return b, err
-	}
-	if verr := validateBatch(b); verr != nil {
-		return nil, fmt.Errorf("planck: %s emitted an invalid batch: %w", c.op, verr)
-	}
-	return b, nil
-}
-
-func (c *checkIter) Close() { c.in.Close() }
-
 func validateBatch(b *vector.Batch) error {
 	rows := -1
 	for i, col := range b.Cols {

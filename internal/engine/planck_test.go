@@ -10,6 +10,11 @@ import (
 	"jsonpark/internal/vector"
 )
 
+// planChecked turns on the planck pass (the Engine.planCheck test hook).
+func planChecked() Option {
+	return func(e *Engine) { e.planCheck = true }
+}
+
 // buildPlan compiles and optimizes one query against the engine's catalog.
 func buildPlan(t *testing.T, e *Engine, sql string) Node {
 	t.Helper()
@@ -191,7 +196,7 @@ func TestValidateBatch(t *testing.T) {
 // the checks must stay silent and the results must match an unchecked
 // engine exactly.
 func TestPlanCheckEndToEnd(t *testing.T) {
-	checked := multiPartEngine(t, WithPlanCheck(true), WithBatchSize(7), WithParallelism(4))
+	checked := multiPartEngine(t, planChecked(), WithBatchSize(7), WithParallelism(4))
 	plain := multiPartEngine(t, WithBatchSize(7), WithParallelism(4))
 	for _, sql := range parityQueries {
 		want, err := plain.Query(sql)

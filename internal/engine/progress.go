@@ -3,72 +3,41 @@ package engine
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
-
-	"jsonpark/internal/vector"
 )
 
 // Live progress introspection. Every query prepared through PrepareOpts
-// registers one queryProgress with its engine for the duration of RunCtx;
-// prepare wraps each operator in a progIter bumping lock-free per-operator
-// counters, and (*Engine).ProgressSnapshot reads them atomically at any
-// moment, so /debug/queries can show per-operator rows/batches/memory for
-// queries that are still running. The counters are plain atomics with no
-// per-batch allocation — the overhead on the hot path is two atomic adds
-// per operator per batch.
+// registers its queryProgress — the plan's per-node records — with its engine
+// for the duration of RunCtx, and (*Engine).ProgressSnapshot reads the
+// records' atomics at any moment, so /debug/queries shows per-operator
+// rows/batches/memory for queries that are still running. The counters are
+// the ones EXPLAIN ANALYZE reports: the operator envelope adds into them on
+// the driver and on every worker chain alike.
 
-// opProgress is one operator's live counters, shared between the executing
-// goroutines (writers) and ProgressSnapshot (reader).
-type opProgress struct {
-	node    Node // described when a snapshot is taken, not on every bind
-	depth   int
-	rows    atomic.Int64
-	batches atomic.Int64
-	mem     atomic.Int64
-}
-
-func (p *opProgress) addRows(rows int64) {
-	if p == nil {
-		return
-	}
-	p.rows.Add(rows)
-	p.batches.Add(1)
-}
-
-// addMem shifts the operator's currently-charged byte gauge (negative on
-// release/spill). Nil-safe so un-tracked operators cost nothing.
-func (p *opProgress) addMem(n int64) {
-	if p == nil {
-		return
-	}
-	p.mem.Add(n)
-}
-
-// queryProgress is one in-flight query's live state: identity plus one
-// opProgress per plan operator in pre-order.
+// queryProgress is one query's record table: identity plus one OpStats per
+// plan operator in pre-order.
 type queryProgress struct {
 	id      uint64
 	traceID string
 	sql     string
 	start   time.Time
-	ops     []*opProgress
-	byNode  map[Node]*opProgress
+	ops     []*OpStats
+	byNode  map[Node]*OpStats
 }
 
-// newQueryProgress walks the physical plan pre-order, allocating one
-// counter slot per operator.
+// newQueryProgress walks the physical plan pre-order, allocating one record
+// per operator.
 func newQueryProgress(plan Node, sql, traceID string) *queryProgress {
 	qp := &queryProgress{
 		traceID: traceID,
 		sql:     sql,
-		byNode:  make(map[Node]*opProgress),
+		byNode:  make(map[Node]*OpStats),
 	}
 	var walk func(n Node, depth int)
 	walk = func(n Node, depth int) {
-		slot := &opProgress{node: n, depth: depth}
-		qp.ops = append(qp.ops, slot)
-		qp.byNode[n] = slot
+		st := &OpStats{node: n, depth: depth}
+		qp.ops = append(qp.ops, st)
+		qp.byNode[n] = st
 		for _, c := range planChildren(n) {
 			walk(c, depth+1)
 		}
@@ -77,30 +46,18 @@ func newQueryProgress(plan Node, sql, traceID string) *queryProgress {
 	return qp
 }
 
-// progFor returns the live counter slot for a plan node (nil when the query
-// is not progress-tracked or the node is synthetic).
-func (c *execContext) progFor(n Node) *opProgress {
-	if c == nil || c.prog == nil || n == nil {
-		return nil
+// statsFor returns a plan node's record. The table is complete from bind on
+// and never written after, so workers look records up concurrently; a node
+// outside it (a view refresh's, a view suffix replay's) meters into a record
+// of its own that nothing reads.
+func (c *execContext) statsFor(n Node) *OpStats {
+	if c.prog != nil {
+		if st := c.prog.byNode[n]; st != nil {
+			return st
+		}
 	}
-	return c.prog.byNode[n]
+	return &OpStats{node: n}
 }
-
-// progIter bumps the operator's live counters for every emitted batch.
-type progIter struct {
-	in batchIter
-	p  *opProgress
-}
-
-func (pi *progIter) NextBatch() (*vector.Batch, error) {
-	b, err := pi.in.NextBatch()
-	if b != nil {
-		pi.p.addRows(int64(b.NumRows()))
-	}
-	return b, err
-}
-
-func (pi *progIter) Close() { pi.in.Close() }
 
 // OpProgress is the atomic snapshot of one operator's live counters, in
 // plan pre-order (Depth reconstructs the tree shape).
@@ -176,7 +133,7 @@ func (e *Engine) ProgressSnapshot() []QueryProgress {
 				Depth:    op.depth,
 				Rows:     op.rows.Load(),
 				Batches:  op.batches.Load(),
-				MemBytes: op.mem.Load(),
+				MemBytes: op.held.Load(),
 			}
 		}
 		out[i] = s

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -118,6 +119,70 @@ func TestProgressCountersMonotonic(t *testing.T) {
 	}
 	if first <= 0 || second <= first {
 		t.Errorf("counters not monotonic: first=%d second=%d", first, second)
+	}
+}
+
+// TestLiveProgressMatchesAnalyze: live progress and EXPLAIN ANALYZE read one
+// record per node, so at the last root batch every operator's live rows and
+// batches equal its PlanStats — inside a fanned-out aggregate and exchange
+// too, whose worker chains add into the same records — and the rows equal the
+// sequential run's.
+func TestLiveProgressMatchesAnalyze(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		engine func(par int) *Engine
+		sql    string
+	}{
+		{"fanned-agg", func(par int) *Engine { return multiPartEngine(t, WithParallelism(par)) },
+			`SELECT "grp", COUNT(*) FROM "events" GROUP BY "grp"`},
+		{"exchange", func(par int) *Engine { return oneTableEngine(t, itemDocs(4000), 0, WithParallelism(par)) },
+			`SELECT "rid", COUNT(*) FROM ` + ridFlatT + ` GROUP BY "rid"`},
+	} {
+		var seqRows []int64
+		for _, par := range []int{1, 2, 4} {
+			e := c.engine(par)
+			var live []OpProgress
+			e.SetExecBatchHook(func() {
+				snaps := e.ProgressSnapshot()
+				if len(snaps) != 1 {
+					t.Fatalf("%s par=%d: want 1 in-flight query, got %d", c.name, par, len(snaps))
+				}
+				live = snaps[0].Operators
+			})
+			p, err := e.PrepareOpts(c.sql, PrepareOptions{Analyze: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.Run(); err != nil {
+				t.Fatalf("%s par=%d: %v", c.name, par, err)
+			}
+			var want []*PlanStats
+			fanned := false
+			p.PlanStats().Walk(func(_ int, n *PlanStats) {
+				want = append(want, n)
+				fanned = fanned || n.Pipelines > 0 || n.Workers > 0
+			})
+			if fanned != (par > 1) {
+				t.Fatalf("%s par=%d: fanned out = %v\n%s", c.name, par, fanned, p.PlanStats().Render())
+			}
+			if len(live) != len(want) {
+				t.Fatalf("%s par=%d: %d live operators, %d in PlanStats", c.name, par, len(live), len(want))
+			}
+			var rows []int64
+			for i, op := range live {
+				w := want[i]
+				if op.Op != w.Op || op.Rows != w.RowsOut || op.Batches != w.Batches {
+					t.Errorf("%s par=%d: live %s rows=%d batches=%d, analyzed %s rows=%d batches=%d",
+						c.name, par, op.Op, op.Rows, op.Batches, w.Op, w.RowsOut, w.Batches)
+				}
+				rows = append(rows, op.Rows)
+			}
+			if par == 1 {
+				seqRows = rows
+			} else if !slices.Equal(rows, seqRows) {
+				t.Errorf("%s par=%d: live rows %v, sequential %v\n%s", c.name, par, rows, seqRows, p.PlanStats().Render())
+			}
+		}
 	}
 }
 

@@ -32,8 +32,7 @@ func prepareScan(x *ScanNode, ctx *execContext) (batchIter, error) {
 	// A stateful pushed-down filter (SEQ8) must see rows in order; it stays
 	// on the sequential scan rather than give each worker its own counter.
 	if ctx.parallelism > 1 && len(parts) > 1 && !exprStateful(x.Filter) {
-		// No stages, and the scan's own statIter meters its rows (nil rowSt).
-		seg := &segmentPlan{scan: x, colIdx: colIdx, batch: ctx.batchSize, partSt: seq.st}
+		seg := &segmentPlan{scan: x, colIdx: colIdx, batch: ctx.batchSize, scanSt: seq.st, outerScan: true}
 		return newExchangeIter(ctx, nil, seg, seq), nil
 	}
 	return seq, nil
@@ -162,7 +161,7 @@ func (s *scanIter) NextBatch() (*vector.Batch, error) {
 			return nil, nil
 		}
 		// One NextBatch call can chew through many pruned partitions before
-		// producing a batch; the cancelIter wrap only polls between calls.
+		// producing a batch; the envelope only polls between calls.
 		if err := s.ctx.cancelled(); err != nil {
 			return nil, err
 		}

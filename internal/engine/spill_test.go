@@ -139,12 +139,19 @@ func TestSpillEveryBreakerSpills(t *testing.T) {
 
 // TestOperatorMemPeakWithinQueryPeak: an operator's mem[peak=] is the most
 // it held at once, so it can never exceed the query's own peak — including a
-// fanned-out aggregate whose spans spill and release concurrently.
+// fanned-out aggregate whose spans spill and release concurrently, and an
+// exchange holding its workers' hand-off batches.
 func TestOperatorMemPeakWithinQueryPeak(t *testing.T) {
+	const exchangeQuery = `SELECT "rid", COUNT(*) FROM ` + ridFlatT + ` GROUP BY "rid"`
 	for _, par := range []int{1, 4} {
 		e := spillEngine(t, WithParallelism(par), WithMemLimit(16*1024))
-		for _, q := range spillParityQueries {
-			p, err := e.PrepareOpts(q, PrepareOptions{Analyze: true})
+		x := oneTableEngine(t, itemDocs(4000), 0, WithParallelism(par), WithMemLimit(16*1024))
+		for _, q := range append(spillParityQueries, exchangeQuery) {
+			eng := e
+			if q == exchangeQuery {
+				eng = x
+			}
+			p, err := eng.PrepareOpts(q, PrepareOptions{Analyze: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,12 +159,21 @@ func TestOperatorMemPeakWithinQueryPeak(t *testing.T) {
 			if err != nil {
 				t.Fatalf("par=%d %s: %v", par, q, err)
 			}
+			sawExchange := false
 			p.PlanStats().Walk(func(_ int, n *PlanStats) {
+				sawExchange = sawExchange || n.Op == "Exchange"
 				if n.MemPeakBytes > res.Metrics.MemPeakBytes {
 					t.Errorf("par=%d %s: %s peak %d B exceeds the query's %d B",
 						par, q, n.Op, n.MemPeakBytes, res.Metrics.MemPeakBytes)
 				}
+				// A fanned-out exchange charges its hand-off through its opMem.
+				if n.Op == "Exchange" && par > 1 && n.MemPeakBytes == 0 {
+					t.Errorf("par=%d %s: the exchange reports no mem[peak=]\n%s", par, q, p.PlanStats().Render())
+				}
 			})
+			if q == exchangeQuery && !sawExchange {
+				t.Fatalf("par=%d: no Exchange in\n%s", par, p.PlanStats().Render())
+			}
 		}
 	}
 }
@@ -261,7 +277,7 @@ func TestJoinCloseIdempotent(t *testing.T) {
 			leftWidth:  2,
 			rightWidth: 2,
 			ectx:       ctx,
-			mem:        ctx.opMemFor(nil, nil),
+			mem:        ctx.opMemFor(nil),
 			bld:        vector.NewBuilder(4, 4),
 		}
 		return j, left, right

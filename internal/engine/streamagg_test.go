@@ -176,7 +176,7 @@ func TestStreamVsHashAggregate(t *testing.T) {
 	poisonRecycling(t)
 	for _, bs := range []int{1, 7, 1024} {
 		for _, par := range []int{1, 4} {
-			e := multiPartEngine(t, WithBatchSize(bs), WithParallelism(par), WithPlanCheck(true))
+			e := multiPartEngine(t, WithBatchSize(bs), WithParallelism(par), planChecked())
 			for i, sql := range queries {
 				res, err := e.Query(sql)
 				if err != nil {

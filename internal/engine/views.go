@@ -342,7 +342,7 @@ func (v *matView) refreshLocked(ctx *execContext) error {
 		// pre-refresh watermark as its source: every delta row comes after
 		// every absorbed one, so partials merge in input order and new groups
 		// append in first-seen order.
-		mem := ctx.opMemFor(v.agg, nil)
+		mem := ctx.opMemFor(v.agg)
 		defer mem.releaseAll()
 		spans, _, err := foldParts(ctx, v.agg, v.seg, delta, 1, 1, mem)
 		defer spans[0].discard()

@@ -10,8 +10,10 @@ import (
 // NextBatch on a concrete operator or Next on a spill-run reader — must
 // poll cancellation on every iteration, or a cancelled query keeps
 // scanning, merging, or replaying until the loop drains naturally.
-// NextBatch through the batchIter *interface* is exempt: prepare() wraps
-// every operator in cancelIter, so the interface call itself is the poll.
+// NextBatch through the batchIter *interface* is exempt: every operator —
+// in the driver's tree (prepare) and in each worker chain
+// (instantiateChain) — runs in the operator envelope, which polls once per
+// batch, so the interface call itself is the poll.
 // A poll is a call to a method named cancelled/canceled, ctx.Err(),
 // receiving from ctx.Done(), or a call to a local closure or
 // package-level function whose body polls (the parallel workers'
@@ -19,7 +21,7 @@ import (
 // bindings.
 var CtxPoll = &Analyzer{
 	Name: "ctxpoll",
-	Doc:  "batch-absorbing loops must poll cancellation every iteration or run behind a cancelIter",
+	Doc:  "batch-absorbing loops must poll cancellation every iteration or run behind the operator envelope",
 	Run:  runCtxPoll,
 }
 
@@ -41,7 +43,7 @@ func runCtxPoll(pass *Pass) error {
 				return true
 			}
 			if absorb := absorbCallIn(pass, body); absorb != "" && !pollsIn(pass, body, bindings, pollers) {
-				pass.Reportf(n.Pos(), "loop absorbs batches via %s without polling cancellation; call ctx.cancelled() each iteration or wrap the source in a cancelIter", absorb)
+				pass.Reportf(n.Pos(), "loop absorbs batches via %s without polling cancellation; call ctx.cancelled() each iteration or absorb through the operator envelope", absorb)
 			}
 			return true
 		})
@@ -80,7 +82,7 @@ func absorbCallIn(pass *Pass, body *ast.BlockStmt) string {
 			if !isBatchType(sig.Results().At(0).Type()) {
 				return true
 			}
-			// Interface dispatch means the cancelIter wrap already polls.
+			// Interface dispatch means the operator envelope already polls.
 			if rtv, ok := pass.Info.Types[sel.X]; ok && rtv.Type != nil {
 				if _, isIface := deref(rtv.Type).Underlying().(*types.Interface); isIface {
 					return true

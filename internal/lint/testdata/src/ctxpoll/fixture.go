@@ -1,8 +1,8 @@
 // Fixture for the ctxpoll analyzer: a loop that absorbs unbounded input —
 // NextBatch on a concrete operator, Next on a spill-run reader — must poll
-// cancellation every iteration. The interface call is exempt (prepare wraps
-// every operator in a cancelIter), and polls resolved through a bound
-// closure or a package helper count.
+// cancellation every iteration. The interface call is exempt (every operator
+// runs in the operator envelope, which polls), and polls resolved through a
+// bound closure or a package helper count.
 package ctxpoll
 
 import (
@@ -123,8 +123,8 @@ func drainHelper(ctx *qctx, s *src) error {
 	}
 }
 
-// Compliant: NextBatch through the iterator interface is already wrapped in
-// a cancelIter; the interface call is the poll.
+// Compliant: NextBatch through the iterator interface reaches the operator
+// envelope; the interface call is the poll.
 func drainIface(it batchIter) error {
 	for {
 		b, err := it.NextBatch()

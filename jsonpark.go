@@ -91,7 +91,6 @@ type openConfig struct {
 	batchSize        int
 	parallelism      int
 	memLimit         int64
-	planCheck        bool
 	slowMS           int64
 	traceOut         io.Writer
 	dataDir          string
@@ -124,14 +123,6 @@ func WithParallelism(n int) OpenOption {
 // <= 0 (the default) disable accounting.
 func WithMemLimit(bytes int64) OpenOption {
 	return func(c *openConfig) { c.memLimit = bytes }
-}
-
-// WithPlanCheck enables the engine's planck debug pass: every prepared
-// plan is cross-checked (unordered-exchange eligibility, selection-vector
-// contracts) and every operator validates the batches it emits. Intended
-// for tests and debugging.
-func WithPlanCheck(on bool) OpenOption {
-	return func(c *openConfig) { c.planCheck = on }
 }
 
 // WithSlowQueryMillis arms slow-query capture (the -slow-query-ms flag):
@@ -281,7 +272,6 @@ func Open(opts ...OpenOption) *Warehouse {
 		engine.WithBatchSize(c.batchSize),
 		engine.WithParallelism(c.parallelism),
 		engine.WithMemLimit(c.memLimit),
-		engine.WithPlanCheck(c.planCheck),
 		engine.WithTypedColumns(!c.typedOff),
 		engine.WithDataDir(c.dataDir),
 		engine.WithPlanCacheSize(c.planCacheSize),
