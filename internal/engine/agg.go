@@ -323,7 +323,7 @@ func (a *boolAgg) reset() { *a = boolAgg{isAnd: a.isAnd} }
 // mergeAccumulators folds src into dst. The parallel aggregate merges
 // partial states in storage-partition index order, which equals input row
 // order, so every merge below reproduces the sequential fold exactly.
-// Only the aggregates admitted by aggsMergeable ever reach this function;
+// Only the aggregates admitted by aggsMergeWhy ever reach this function;
 // anything else (SUM/AVG float folds, unknown aggregates) is rejected at
 // physicalization and errors here as a guard.
 func mergeAccumulators(dst, src accumulator) error {

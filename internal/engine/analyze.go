@@ -152,7 +152,9 @@ func buildPlanStats(n Node, c *execContext) *PlanStats {
 			out.Detail = "sequential: " + st.Sequential
 		}
 	case *AggregateNode:
+		// The run-time reason replaces the plan-time verdict it may repeat.
 		if st.Sequential != "" {
+			out.Detail, _, _ = strings.Cut(detail, " sequential: ")
 			out.Detail += " sequential: " + st.Sequential
 		}
 	}
@@ -247,7 +249,11 @@ func describeNode(n Node) (op, detail string) {
 		if x.Stream {
 			return "Aggregate", fmt.Sprintf("stream key=%s aggs=%d", sqlast.RenderExpr(x.GroupBy[0]), len(x.Aggs))
 		}
-		return "Aggregate", fmt.Sprintf("hash groups=%d aggs=%d", len(x.GroupBy), len(x.Aggs))
+		d := fmt.Sprintf("hash groups=%d aggs=%d", len(x.GroupBy), len(x.Aggs))
+		if x.Why != "" {
+			d += " sequential: " + x.Why
+		}
+		return "Aggregate", d
 	case *ExchangeNode:
 		if x.Why != "" {
 			return "Exchange", "sequential: " + x.Why
@@ -276,29 +282,15 @@ func describeNode(n Node) (op, detail string) {
 
 // nodeExprStats sizes the expression DAG prepare compiles for n — did sharing
 // fire, how big is the register file — for the operators that evaluate
-// expressions per batch. It compiles the DAG afresh, so EXPLAIN can print it
-// without executing; a plan that fails to compile reports nothing here and
-// its error at Prepare.
+// expressions per batch (the stage builder's nodes). It compiles the DAG
+// afresh, so EXPLAIN can print it without executing; a plan that fails to
+// compile reports nothing here and its error at Prepare.
 func nodeExprStats(n Node) (exprStats, bool) {
-	var d *exprDAG
-	var err error
-	switch x := n.(type) {
-	case *FilterNode:
-		d, err = compileVec(nil, x.Input.Schema(), x.Cond)
-	case *ProjectNode:
-		d, err = compileVecs(nil, x.Input.Schema(), x.Exprs)
-	case *FlattenNode:
-		d, err = compileVec(nil, x.Input.Schema(), x.Expr)
-	case *AggregateNode:
-		var ev *aggEval
-		if ev, err = compileAggEval(nil, x); err == nil {
-			d = ev.dag
-		}
-	}
-	if d == nil || err != nil {
+	s, err := compileStage(nil, n)
+	if err != nil {
 		return exprStats{}, false
 	}
-	return d.stats(), true
+	return s.dag.stats(), true
 }
 
 // planChildren lists an operator's inputs in execution order.

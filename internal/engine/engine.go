@@ -317,8 +317,10 @@ func (e *Engine) PrepareOpts(sql string, po PrepareOptions) (*Prepared, error) {
 }
 
 // compile runs every per-query-text stage and returns the immutable plan
-// template. Nothing in the result may depend on per-run state: schemas are
-// pre-materialized so concurrent binds never race on the lazy memos.
+// template — the one way SQL becomes a physical plan, for Prepare, Explain
+// and CreateView alike. Nothing in the result may depend on per-run state:
+// schemas are pre-materialized so concurrent binds never race on the lazy
+// memos.
 func (e *Engine) compile(sql string, po PrepareOptions) (*compiledPlan, error) {
 	psp := po.Span.Child("sql.parse")
 	q, err := sqlparse.Parse(sql)
@@ -334,26 +336,20 @@ func (e *Engine) compile(sql string, po PrepareOptions) (*compiledPlan, error) {
 		return nil, err
 	}
 	osp := po.Span.Child("engine.optimize")
-	plan = optimizeTraced(plan, osp)
+	plan = optimize(plan, osp)
 	osp.End()
 	physp := po.Span.Child("engine.physicalize")
 	plan, counts := physicalize(plan, e.forceHashAgg)
 	physp.SetAttr("stream-aggs", counts.streamAggs)
 	physp.SetAttr("parallel-pipelines", counts.parallelPipelines)
 	physp.End()
-	unordered := collectUnorderedScans(plan)
 	if e.planCheck {
-		if err := checkPlan(plan, unordered); err != nil {
+		if err := checkPlan(plan); err != nil {
 			return nil, err
 		}
 	}
 	materializeSchemas(plan)
-	return &compiledPlan{
-		sql:            sql,
-		plan:           plan,
-		columns:        plan.Schema().Names,
-		unorderedScans: unordered,
-	}, nil
+	return &compiledPlan{sql: sql, plan: plan, columns: plan.Schema().Names}, nil
 }
 
 // materializeSchemas forces every node's lazy schema memo while the plan is
@@ -377,17 +373,16 @@ func (e *Engine) bind(cp *compiledPlan, po PrepareOptions) (*Prepared, error) {
 		acct.pool = e.governor
 	}
 	ctx := &execContext{
-		metrics:        &Metrics{},
-		batchSize:      e.batchSize,
-		parallelism:    e.parallelism,
-		morselRows:     e.morselRows,
-		mergeParts:     e.mergeParts,
-		planCheck:      e.planCheck,
-		acct:           acct,
-		prog:           newQueryProgress(cp.plan, cp.sql, po.TraceID),
-		analyze:        po.Analyze,
-		batchHook:      e.batchHook,
-		unorderedScans: cp.unorderedScans,
+		metrics:     &Metrics{},
+		batchSize:   e.batchSize,
+		parallelism: e.parallelism,
+		morselRows:  e.morselRows,
+		mergeParts:  e.mergeParts,
+		planCheck:   e.planCheck,
+		acct:        acct,
+		prog:        newQueryProgress(cp.plan, cp.sql, po.TraceID),
+		analyze:     po.Analyze,
+		batchHook:   e.batchHook,
 	}
 	if ctx.batchSize <= 0 {
 		ctx.batchSize = vector.DefaultBatchSize
@@ -517,20 +512,14 @@ func (e *Engine) QueryCtx(ctx context.Context, sql string) (*Result, error) {
 	return p.RunCtx(ctx)
 }
 
-// Explain returns a textual rendering of the optimized plan.
+// Explain returns a textual rendering of the physical plan compile builds.
 func (e *Engine) Explain(sql string) (string, error) {
-	q, err := sqlparse.Parse(sql)
+	cp, err := e.compile(sql, PrepareOptions{})
 	if err != nil {
 		return "", err
 	}
-	pl := &planner{catalog: e.catalog}
-	plan, err := pl.Build(q)
-	if err != nil {
-		return "", err
-	}
-	plan, _ = physicalize(optimize(plan), e.forceHashAgg)
 	var b strings.Builder
-	explainNode(&b, plan, 0)
+	explainNode(&b, cp.plan, 0)
 	return b.String(), nil
 }
 

@@ -41,10 +41,6 @@ type execContext struct {
 	// mergeParts the parallel aggregate's merge partitions (Engine.morselRows
 	// and Engine.mergeParts, test hooks; 0 keeps the default).
 	morselRows, mergeParts int
-	// unorderedScans marks scans whose consumers are provably insensitive to
-	// row order; their exchange releases morsels as they complete instead of
-	// in morsel order.
-	unorderedScans map[Node]bool
 	// planCheck makes every envelope validate the batches its operator emits
 	// (the planck debug pass; Engine.planCheck, a test hook).
 	planCheck bool
@@ -221,42 +217,8 @@ func prepareNode(n Node, ctx *execContext) (batchIter, error) {
 	switch x := n.(type) {
 	case *ScanNode:
 		return prepareScan(x, ctx)
-	case *FilterNode:
-		in, err := prepare(x.Input, ctx)
-		if err != nil {
-			return nil, err
-		}
-		cond, err := compileVec(ctx, x.Input.Schema(), x.Cond)
-		if err != nil {
-			in.Close()
-			return nil, err
-		}
-		ctx.exprs.add(cond.stats())
-		return &filterIter{in: in, cond: cond}, nil
-	case *ProjectNode:
-		in, err := prepare(x.Input, ctx)
-		if err != nil {
-			return nil, err
-		}
-		fns, err := compileVecs(ctx, x.Input.Schema(), x.Exprs)
-		if err != nil {
-			in.Close()
-			return nil, err
-		}
-		ctx.exprs.add(fns.stats())
-		return &projectIter{in: in, dag: fns}, nil
-	case *FlattenNode:
-		in, err := prepare(x.Input, ctx)
-		if err != nil {
-			return nil, err
-		}
-		input, err := compileVec(ctx, x.Input.Schema(), x.Expr)
-		if err != nil {
-			in.Close()
-			return nil, err
-		}
-		ctx.exprs.add(input.stats())
-		return newFlattenIter(in, input, x.Outer, len(x.Input.Schema().Names), ctx.batchSize), nil
+	case *FilterNode, *ProjectNode, *FlattenNode:
+		return prepareStage(x, ctx)
 	case *AggregateNode:
 		return prepareAggregate(x, ctx)
 	case *ExchangeNode:
@@ -288,6 +250,22 @@ func prepareNode(n Node, ctx *execContext) (batchIter, error) {
 		return &unionIter{iters: []batchIter{left, right}}, nil
 	}
 	return nil, fmt.Errorf("engine: cannot prepare node %T", n)
+}
+
+// prepareStage builds a Filter, Project, Flatten or streamed Aggregate over
+// its prepared input through the stage builder worker chains use.
+func prepareStage(n Node, ctx *execContext) (batchIter, error) {
+	in, err := prepare(planChildren(n)[0], ctx)
+	if err != nil {
+		return nil, err
+	}
+	s, err := compileStage(ctx, n)
+	if err != nil {
+		in.Close()
+		return nil, err
+	}
+	ctx.exprs.add(s.dag.stats())
+	return s.instantiate(in, ctx.batchSize), nil
 }
 
 // drainRows pulls every batch from an iterator and materializes the active
@@ -535,7 +513,7 @@ type aggEval struct {
 	dag     *exprDAG
 	ngroups int
 	aggs    []compiledAgg
-	// mergeable: partial states merge exactly (aggsMergeable), so a table
+	// mergeable: partial states merge exactly (aggsMergeWhy), so a table
 	// that overflows spills whole; otherwise the input past it is deferred.
 	mergeable bool
 	// Per-batch views into the DAG's outputs and one row's worth of them
@@ -576,7 +554,7 @@ func compileAggEval(ctx *execContext, x *AggregateNode) (*aggEval, error) {
 		return nil, err
 	}
 	return &aggEval{
-		dag: dag, ngroups: len(x.GroupBy), aggs: aggs, mergeable: aggsMergeable(x.Aggs),
+		dag: dag, ngroups: len(x.GroupBy), aggs: aggs, mergeable: aggsMergeWhy(x.Aggs) == "",
 		avals: make([][]variant.Value, len(aggs)), ovals: ovals,
 		rowG: make([]variant.Value, len(x.GroupBy)), rowA: make([]variant.Value, len(aggs)),
 		rowO: rowO,
@@ -853,7 +831,7 @@ func (s *aggSpan) discard() {
 // and in first-seen order. Sources arrive in input order — each span's state
 // runs, then its live table, span after span — so a group's partials merge in
 // input order and mergeAccumulators reproduces the sequential fold exactly
-// (the aggsMergeable proof). A group's first source is where the sequential
+// (the aggsMergeWhy proof). A group's first source is where the sequential
 // aggregate first saw it, so appending it there keeps out in first-seen
 // order; its stamp (source << 32 | insertion seq) orders groups across merge
 // buckets.
@@ -913,6 +891,9 @@ func mergeSpans(ctx *execContext, spans []*aggSpan, buckets, workers int) ([]*ag
 }
 
 func prepareAggregate(x *AggregateNode, ctx *execContext) (batchIter, error) {
+	if x.Stream {
+		return prepareStage(x, ctx)
+	}
 	in, err := prepare(x.Input, ctx)
 	if err != nil {
 		return nil, err
@@ -923,9 +904,6 @@ func prepareAggregate(x *AggregateNode, ctx *execContext) (batchIter, error) {
 		return nil, err
 	}
 	ctx.exprs.add(eval.dag.stats())
-	if x.Stream {
-		return newStreamAggIter(in, eval, ctx.batchSize), nil
-	}
 	return &aggIter{ctx: ctx, x: x, eval: eval, in: in}, nil
 }
 
@@ -967,12 +945,12 @@ func (a *aggIter) run() ([][]variant.Value, error) {
 		}
 	}()
 	workers, buckets := 1, 1
-	scan, stages, fanned := aggFanOut(ctx, a.x)
+	fanned := aggFanOut(ctx, a.x)
 	var err error
 	if fanned {
 		a.in.Close() // the sequential pipeline, unstarted
 		workers, buckets = ctx.parallelism, cmp.Or(ctx.mergeParts, ctx.parallelism)
-		spans, err = parallelAgg(ctx, a.x, scan, stages, buckets, mem)
+		spans, err = parallelAgg(ctx, a.x, buckets, mem)
 	} else {
 		spans = []*aggSpan{newAggSpan(e.aggs, 1)}
 		err = spans[0].fold(a.in, e, mem)

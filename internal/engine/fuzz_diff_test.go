@@ -16,8 +16,9 @@ import (
 // FLATTEN, and the row-ID re-aggregate, each with randomized predicates,
 // aggregate lists, sort directions, and limits. The oracle is the sequential
 // unlimited engine with every aggregate on the hash table;
-// every other (batch size, parallelism, mem-limit, morsel) cell must render
-// byte-identical rows, and the limited cells must never error. The ingest
+// every other (batch size, parallelism, mem-limit, morsel) cell runs under
+// planck and must render byte-identical rows, and the limited cells must
+// never error. The ingest
 // cells add a streaming dimension: they load a prefix of the dataset, warm
 // the result cache (and a materialized view when the group query is
 // mergeable), append the remaining documents mid-run, and must still match
@@ -118,8 +119,13 @@ func runDiffCell(t *testing.T, c diffCell, docs []string, queries []string) []st
 		split = len(docs) * 3 / 5
 		opts = append(opts, WithResultCacheSize(64))
 	}
+	// Every cell but the oracle runs under planck, which certifies each
+	// generated plan's stream marks and every batch's contract.
+	hooks := func(e *Engine) {
+		e.forceHashAgg, e.morselRows, e.planCheck = c.hashAgg, c.morselRows, !c.hashAgg
+	}
 	e := New(opts...)
-	e.forceHashAgg, e.morselRows = c.hashAgg, c.morselRows
+	hooks(e)
 	tab, err := e.Catalog().CreateTable("t", []string{"grp", "id", "val", "s", "items"})
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +146,7 @@ func runDiffCell(t *testing.T, c diffCell, docs []string, queries []string) []st
 			t.Fatal(err)
 		}
 		e = New(opts...)
-		e.forceHashAgg, e.morselRows = c.hashAgg, c.morselRows
+		hooks(e)
 	}
 	viewable := false
 	if c.ingest {

@@ -13,16 +13,11 @@ import (
 // optimize runs the engine's rewrite pipeline: expression simplification
 // (including struct-field pushdown through OBJECT_CONSTRUCT), predicate
 // pushdown with equi-join detection, projection pruning down to the scans,
-// and zone-map prune-predicate derivation.
-func optimize(n Node) Node {
-	return optimizeTraced(n, nil)
-}
-
-// optimizeTraced is optimize with one child span per rewrite rule, each
-// annotated with what the rule achieved (projects collapsed, predicates
-// sunk into scans, columns pruned, zone-map predicates derived) so a trace
-// shows which rules fired on a given query.
-func optimizeTraced(n Node, sp *obsv.Span) Node {
+// and zone-map prune-predicate derivation. Under a non-nil sp each rule gets
+// a child span annotated with what it achieved (projects collapsed,
+// predicates sunk into scans, columns pruned, zone-map predicates derived),
+// so a trace shows which rules fired on a given query.
+func optimize(n Node, sp *obsv.Span) Node {
 	rule := func(name string, fn func(Node) Node, attr func(s *obsv.Span)) {
 		s := sp.Child("rule." + name)
 		n = fn(n)

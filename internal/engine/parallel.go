@@ -77,72 +77,67 @@ func (s *staticBatches) NextBatch() (*vector.Batch, error) {
 
 func (s *staticBatches) Close() {}
 
-// compiledStage is one pipeline stage's compiled expressions, owned by one
-// worker (compiled expressions hold state) and shared across that worker's
-// partitions or morsels.
+// compiledStage is one pipeline stage's compiled expressions. The stage
+// builder — compileStage, then instantiate — is the only way a Filter,
+// Project, Flatten or streamed Aggregate operator is made: once per stage for
+// the driver's tree (prepareStage) and once per worker for each segment
+// replay, where the worker owns it (compiled expressions hold state) across
+// its partitions or morsels.
 type compiledStage struct {
-	node    Node
-	filter  *FilterNode
-	project *ProjectNode
-	flatten *FlattenNode
-	agg     *aggEval // a streamed aggregate's grouping and arguments
-	dag     *exprDAG // the stage's condition, select list, FLATTEN input or agg's DAG
-	width   int
-	stream  *streamAggIter // the streamed aggregate last instantiated
+	node   Node
+	agg    *aggEval       // an aggregate's grouping and arguments
+	dag    *exprDAG       // the condition, select list, FLATTEN input or agg's DAG
+	stream *streamAggIter // the streamed aggregate last instantiated
 }
 
-// compileStages compiles the Filter/Project/Flatten/streamed Aggregate chain
-// (execution order) for one worker.
+// compileStage compiles one Filter, Project, Flatten or Aggregate node's
+// expressions against its input schema.
+func compileStage(ctx *execContext, n Node) (compiledStage, error) {
+	s := compiledStage{node: n}
+	var err error
+	switch x := n.(type) {
+	case *FilterNode:
+		s.dag, err = compileVec(ctx, x.Input.Schema(), x.Cond)
+	case *ProjectNode:
+		s.dag, err = compileVecs(ctx, x.Input.Schema(), x.Exprs)
+	case *FlattenNode:
+		s.dag, err = compileVec(ctx, x.Input.Schema(), x.Expr)
+	case *AggregateNode:
+		if s.agg, err = compileAggEval(ctx, x); err == nil {
+			s.dag = s.agg.dag
+		}
+	default:
+		err = fmt.Errorf("engine: node %T is not a pipeline stage", n)
+	}
+	return s, err
+}
+
+// compileStages compiles a segment's stage chain (execution order) for one
+// worker.
 func compileStages(ctx *execContext, stages []Node) ([]compiledStage, error) {
-	out := make([]compiledStage, 0, len(stages))
-	for _, n := range stages {
-		switch x := n.(type) {
-		case *FilterNode:
-			cond, err := compileVec(ctx, x.Input.Schema(), x.Cond)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, compiledStage{node: n, filter: x, dag: cond})
-		case *ProjectNode:
-			fns, err := compileVecs(ctx, x.Input.Schema(), x.Exprs)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, compiledStage{node: n, project: x, dag: fns})
-		case *FlattenNode:
-			input, err := compileVec(ctx, x.Input.Schema(), x.Expr)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, compiledStage{
-				node: n, flatten: x, dag: input,
-				width: len(x.Input.Schema().Names),
-			})
-		case *AggregateNode:
-			eval, err := compileAggEval(ctx, x)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, compiledStage{node: n, agg: eval, dag: eval.dag})
-		default:
-			return nil, fmt.Errorf("engine: node %T cannot run in a worker pipeline", n)
+	out := make([]compiledStage, len(stages))
+	for i, n := range stages {
+		var err error
+		if out[i], err = compileStage(ctx, n); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
 }
 
-// instantiate wraps in with the stage's operator, over the worker's own DAG.
+// instantiate wraps in with the stage's operator, over the stage's own DAG;
+// an aggregate stage is streamed.
 func (s *compiledStage) instantiate(in batchIter, batchSize int) batchIter {
-	switch {
-	case s.filter != nil:
+	switch x := s.node.(type) {
+	case *FilterNode:
 		return &filterIter{in: in, cond: s.dag}
-	case s.project != nil:
+	case *ProjectNode:
 		return &projectIter{in: in, dag: s.dag}
-	case s.agg != nil:
-		s.stream = newStreamAggIter(in, s.agg, batchSize)
-		return s.stream
+	case *FlattenNode:
+		return newFlattenIter(in, s.dag, x.Outer, len(x.Input.Schema().Names), batchSize)
 	}
-	return newFlattenIter(in, s.dag, s.flatten.Outer, s.width, batchSize)
+	s.stream = newStreamAggIter(in, s.agg, batchSize)
+	return s.stream
 }
 
 // instantiateChain assembles one worker's operator chain over src from its
@@ -328,9 +323,8 @@ type morselOut struct {
 // scan — on a pool of workers. Workers claim morsels from an atomic counter,
 // each holding one token of a bounded window, replay the segment over the
 // morsel on their own compiled stages, and hand the detached output to the
-// driver, which releases morsels strictly in morsel order (in completion
-// order when the planner proved the consumers order-insensitive) and returns
-// each one's token on release.
+// driver, which releases morsels strictly in morsel order and returns each
+// one's token on release.
 //
 // Why the output is byte-identical to the sequential pipeline's: morsels are
 // contiguous row ranges, so every stage sees the same rows in the same order
@@ -353,8 +347,7 @@ type exchangeIter struct {
 	mem *opMem
 	// seq is the sequential pipeline prepared at bind. It serves whenever the
 	// segment does not fan out and is closed unstarted when it does.
-	seq     batchIter
-	ordered bool
+	seq batchIter
 
 	started  bool
 	morsels  []morsel
@@ -389,7 +382,7 @@ func prepareExchange(x *ExchangeNode, ctx *execContext) (batchIter, error) {
 func newExchangeIter(ctx *execContext, node *ExchangeNode, seg *segmentPlan, seq batchIter) *exchangeIter {
 	return &exchangeIter{
 		ctx: ctx, node: node, seg: seg, seq: seq, mem: ctx.opMemFor(node),
-		parts: ctx.pinSnapshot(seg.scan.Table).Parts, ordered: !ctx.unorderedScans[seg.scan],
+		parts: ctx.pinSnapshot(seg.scan.Table).Parts,
 	}
 }
 
@@ -560,18 +553,14 @@ func (x *exchangeIter) NextBatch() (*vector.Batch, error) {
 	return b, nil
 }
 
-// release makes the next morsel current — morsel next, or in unordered mode
-// whichever arrives first — renumbers its row IDs and returns its token, so
-// the workers may claim one morsel further.
+// release makes morsel next current, renumbers its row IDs and returns its
+// token, so the workers may claim one morsel further.
 func (x *exchangeIter) release() error {
 	slot := x.next % len(x.window)
 	for x.window[slot] == nil {
 		out, err := x.recv()
 		if err != nil {
 			return err
-		}
-		if !x.ordered {
-			out.k = x.next
 		}
 		x.window[out.k%len(x.window)] = out
 	}
@@ -652,51 +641,38 @@ func (x *exchangeIter) Close() {
 // aggFanOut decides, on a hash aggregate's first NextBatch, whether its
 // phase 1 fans out over workers (parallelAgg): the plan found it
 // eligible (AggregateNode.Why), the query runs at parallelism > 1, and the
-// pinned snapshot of its table holds more than one partition. It returns the
-// segment the workers replay; otherwise the node's record notes why the
-// aggregate stays sequential.
-func aggFanOut(ctx *execContext, x *AggregateNode) (*ScanNode, []Node, bool) {
-	scan, stages, ok := aggSegment(x.Input)
+// pinned snapshot of its table holds more than one partition. Otherwise the
+// node's record notes why the aggregate stays sequential.
+func aggFanOut(ctx *execContext, x *AggregateNode) bool {
 	why := x.Why
 	switch {
 	case why != "":
-	case !ok:
-		why = "input not a scan pipeline"
 	case ctx.parallelism < 2:
 		why = "parallelism 1"
-	case len(ctx.pinSnapshot(scan.Table).Parts) < 2:
+	case len(ctx.pinSnapshot(x.Scan.Table).Parts) < 2:
 		why = "one partition"
 	}
 	if why != "" {
 		ctx.statsFor(x).Sequential = why
-		return nil, nil, false
+		return false
 	}
 	ctx.mu.Lock()
 	ctx.metrics.ParallelBreakers++
 	ctx.mu.Unlock()
-	return scan, stages, true
-}
-
-// aggSegment returns the scan and the stages, in execution order, of an
-// eligible aggregate's input: its exchange's segment, or a stateless chain
-// without FLATTEN that no exchange wraps.
-func aggSegment(in Node) (*ScanNode, []Node, bool) {
-	if x, ok := in.(*ExchangeNode); ok {
-		return x.Scan, x.Stages, true
-	}
-	return pipelineStages(in)
+	return true
 }
 
 // parallelAgg is a fanned-out aggregate's phase 1, in place of the
 // sequential pipeline bind prepared: foldParts over the pinned partitions of
-// scan, aggSpanFanout spans per worker, each table hash-bucketing its groups
-// into buckets merge partitions. It records the phase's stats.
-func parallelAgg(ctx *execContext, x *AggregateNode, scan *ScanNode, stages []Node, buckets int, mem *opMem) ([]*aggSpan, error) {
-	seg, err := newSegmentPlan(ctx, scan, stages, nil, ctx.batchSize)
+// the aggregate's segment, aggSpanFanout spans per worker, each table
+// hash-bucketing its groups into buckets merge partitions. It records the
+// phase's stats.
+func parallelAgg(ctx *execContext, x *AggregateNode, buckets int, mem *opMem) ([]*aggSpan, error) {
+	seg, err := newSegmentPlan(ctx, x.Scan, x.Stages, nil, ctx.batchSize)
 	if err != nil {
 		return nil, err
 	}
-	parts := ctx.pinSnapshot(scan.Table).Parts
+	parts := ctx.pinSnapshot(x.Scan.Table).Parts
 	start := time.Now()
 	spans, workerRows, err := foldParts(ctx, x, seg, parts, min(ctx.parallelism*aggSpanFanout, len(parts)), buckets, mem)
 	if err != nil {

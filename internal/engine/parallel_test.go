@@ -139,7 +139,8 @@ func TestParallelAggExplainAnalyze(t *testing.T) {
 // TestOrderSensitiveAggStaysSequential pins the fallback rule: SUM and AVG
 // fold floats in input order (addition is not associative), and stateful
 // SEQ8 arguments observe evaluation order, so those aggregates stay
-// sequential even at high parallelism, and EXPLAIN ANALYZE says why.
+// sequential even at high parallelism. EXPLAIN prints the plan-time verdict
+// and EXPLAIN ANALYZE the run-time reason in its place, once.
 func TestOrderSensitiveAggStaysSequential(t *testing.T) {
 	e := multiPartEngine(t, WithParallelism(8), planChecked())
 	for _, c := range []struct{ sql, why string }{
@@ -148,12 +149,19 @@ func TestOrderSensitiveAggStaysSequential(t *testing.T) {
 		{`SELECT grp, MIN(SEQ8()) FROM events GROUP BY grp`, "row id in aggregate"},
 		{`SELECT "r", COUNT(*) FROM (SELECT SEQ8() % 3 AS "r" FROM events) GROUP BY "r"`, "row id in input"},
 	} {
+		plan, err := e.Explain(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan, "Aggregate hash groups=1 aggs=1 sequential: "+c.why+" exprs[") {
+			t.Errorf("%s: EXPLAIN does not say why:\n%s", c.sql, plan)
+		}
 		_, agg, st := hashAgg(t, e, c.sql)
 		if agg.Pipelines > 0 || st.Sequential != c.why {
 			t.Errorf("%s: pipelines=%d sequential %q, want %q", c.sql, agg.Pipelines, st.Sequential, c.why)
 		}
-		if !strings.HasSuffix(agg.Detail, " sequential: "+c.why) {
-			t.Errorf("%s: detail %q does not say why", c.sql, agg.Detail)
+		if agg.Detail != "hash groups=1 aggs=1 sequential: "+c.why {
+			t.Errorf("%s: detail %q does not say why exactly once", c.sql, agg.Detail)
 		}
 	}
 }
@@ -238,10 +246,23 @@ func TestParallelAggSinglePartitionFallsBack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, agg, st := hashAgg(t, e, `SELECT k, COUNT(*) FROM one GROUP BY k`)
+	const sql = `SELECT k, COUNT(*) FROM one GROUP BY k`
+	// The plan admits fanning out, so EXPLAIN gives no verdict; the run says
+	// why it did not.
+	plan, err := e.Explain(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(plan, "Aggregate hash groups=1 aggs=1 exprs[") {
+		t.Errorf("EXPLAIN gives an eligible aggregate a verdict:\n%s", plan)
+	}
+	res, agg, st := hashAgg(t, e, sql)
 	if agg.Pipelines > 0 || st.Sequential != "one partition" || res.Metrics.ParallelBreakers != 0 {
 		t.Errorf("single-partition table: pipelines=%d sequential %q breakers=%d, want 0/%q/0",
 			agg.Pipelines, st.Sequential, res.Metrics.ParallelBreakers, "one partition")
+	}
+	if agg.Detail != "hash groups=1 aggs=1 sequential: one partition" {
+		t.Errorf("EXPLAIN ANALYZE detail %q", agg.Detail)
 	}
 }
 

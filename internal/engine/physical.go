@@ -10,9 +10,11 @@ import (
 
 // The physical pass. After the logical optimizer runs, physicalize walks
 // the plan once, bottom-up, deriving each node's order property, and
-// decides what can run faster without changing a single output byte. It
-// reads the plan alone — never storage, never the engine's parallelism — so a
-// compiled plan is a function of the SQL text and the schema:
+// decides what can run faster without changing a single output byte. It is
+// the engine's only plan analysis: every segment an operator replays is the
+// one it found. It reads the plan alone — never storage, never the engine's
+// parallelism — so a compiled plan is a function of the SQL text and the
+// schema:
 //
 //   - AggregateNode.Stream when the single group key is a column of the
 //     input's order property (the streaming aggregate, exec.go).
@@ -27,9 +29,11 @@ import (
 //   - AggregateNode.Why, the hash aggregate's verdict on the two-phase
 //     partitioned aggregation: empty when every aggregate merges exactly (see
 //     aggsMergeWhy), the group keys are stateless and the input is a segment
-//     without row IDs; otherwise the rule that failed. Whether an eligible
-//     aggregate fans out is decided when it runs (aggFanOut), like the
-//     exchange's fan-out, as are the join build's and the sort's workers.
+//     without row IDs; otherwise the rule that failed. An eligible aggregate
+//     records that segment (Scan, Stages): its fanned-out workers and a
+//     materialized view's refreshes replay it. Whether it fans out is decided
+//     when it runs (aggFanOut), like the exchange's fan-out, as are the join
+//     build's and the sort's workers.
 //
 // Everything order-sensitive stays on the sequential operators: SUM and AVG
 // fold floats in input order (addition is not associative), stateful (SEQ)
@@ -226,7 +230,9 @@ func (p *physicalPass) rewrite(n Node) (Node, ordering, *segment) {
 			}
 			return x, out, seg
 		}
-		x.Why = parallelAggWhy(x, seg)
+		if x.Why = parallelAggWhy(x, seg); x.Why == "" {
+			x.Scan, x.Stages = seg.scan, seg.stages
+		}
 		x.Input = p.seal(x.Input, in, seg)
 	case *JoinNode:
 		x.Left = p.sealed(x.Left)
@@ -375,8 +381,6 @@ func aggsMergeWhy(specs []AggSpec) string {
 	}
 	return ""
 }
-
-func aggsMergeable(specs []AggSpec) bool { return aggsMergeWhy(specs) == "" }
 
 func anyExprStateful(exprs []sqlast.Expr) bool {
 	for _, e := range exprs {

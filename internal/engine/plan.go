@@ -65,7 +65,10 @@ type AggSpec struct {
 // in row order: the node then runs as a streaming aggregate instead of a
 // hash table, with identical output. Why is the physical pass's verdict on a
 // hash aggregate's two-phase partitioned execution: the rule keeping it
-// sequential, empty when it may fan out at run time (parallel.go).
+// sequential, empty when it may fan out at run time (parallel.go). With Why
+// empty, Scan and Stages (execution order) are the segment the physical pass
+// walked below the aggregate: what its fanned-out workers and a view's
+// refreshes replay.
 type AggregateNode struct {
 	Input      Node
 	GroupBy    []sqlast.Expr
@@ -74,6 +77,8 @@ type AggregateNode struct {
 	AggNames   []string
 	Stream     bool
 	Why        string
+	Scan       *ScanNode
+	Stages     []Node
 	schema     *Schema
 }
 

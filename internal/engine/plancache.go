@@ -38,9 +38,6 @@ type compiledPlan struct {
 	sql     string
 	plan    Node
 	columns []string
-	// unorderedScans marks scans allowed to emit morsels out of order;
-	// read-only after compile.
-	unorderedScans map[Node]bool
 }
 
 // planCache is a bounded LRU of compiled plan templates keyed on the query

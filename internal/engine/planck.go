@@ -2,18 +2,15 @@ package engine
 
 // planck is the plan-check pass: a debug mode (the Engine.planCheck test
 // hook) that re-verifies, at plan build time and again at run time, the
-// invariants the parallel scan work of PR 2 and the streaming aggregate rest
-// on.
+// invariants the physical plan and the operators rest on.
 //
-//  1. Unordered-exchange eligibility. collectUnorderedScans decides
-//     top-down which scans may skip the ordered morsel merge. planck
-//     re-derives the same property bottom-up — a scan is eligible exactly
-//     when the path from it to the nearest order-erasing aggregate (global,
-//     order-insensitive, stateless arguments) consists only of operators
-//     that preserve the row multiset independent of order — and fails
-//     preparation if the two analyses ever disagree, in either direction. A
-//     scan marked unordered but not eligible is a wrong-results bug; a scan
-//     eligible but not marked is a silent performance regression.
+//  1. Streaming-aggregate clustering. physicalize marks an aggregate Stream
+//     from an order property it derives bottom-up for whole nodes. planck
+//     re-derives it the other way — top-down from each marked aggregate's
+//     key, one column at a time, to the SEQ8()/SEQ4() projection it must
+//     descend from — and fails preparation when the trace crosses anything
+//     that can reorder or recompute the column. (The run-time half is the
+//     operator's own check: a key that regresses fails the query.)
 //
 //  2. Selection-vector monotonicity. Every operator's contract is to emit
 //     batches whose selection vector is strictly increasing and in bounds
@@ -22,14 +19,6 @@ package engine
 //     emitted selection class is known — an unfamiliar node type is an
 //     error, forcing new operators to declare their contract here — and the
 //     operator envelope runs validateBatch on each emitted batch.
-//
-//  3. Streaming-aggregate clustering. physicalize marks an aggregate Stream
-//     from an order property it derives bottom-up for whole nodes. planck
-//     re-derives it the other way — top-down from each marked aggregate's
-//     key, one column at a time, to the SEQ8()/SEQ4() projection it must
-//     descend from — and fails preparation when the trace crosses anything
-//     that can reorder or recompute the column. (The run-time half is the
-//     operator's own check: a key that regresses fails the query.)
 //
 // All checks are pure assertions: a passing plan executes identically with
 // and without planck, modulo the per-batch validation cost.
@@ -40,12 +29,8 @@ import (
 	"jsonpark/internal/vector"
 )
 
-// checkPlan runs the build-time half of planck against the marking that the
-// executor will actually use.
-func checkPlan(root Node, unordered map[Node]bool) error {
-	if err := checkUnorderedScans(root, nil, unordered); err != nil {
-		return err
-	}
+// checkPlan runs the build-time half of planck over a compiled plan.
+func checkPlan(root Node) error {
 	if err := checkStreamAggs(root); err != nil {
 		return err
 	}
@@ -101,95 +86,6 @@ func clusteredColumn(n Node, col int) bool {
 			return clusteredColumn(x.Input, colIndex(x.Input.Schema(), spec.Arg))
 		}
 	}
-	return false
-}
-
-// checkUnorderedScans walks to every scan carrying the ancestor path and
-// diffs bottom-up eligibility against the top-down marking.
-func checkUnorderedScans(n Node, path []Node, unordered map[Node]bool) error {
-	if s, ok := n.(*ScanNode); ok {
-		eligible := unorderedEligible(path, s)
-		switch {
-		case unordered[s] && !eligible:
-			return fmt.Errorf("planck: scan of %s is marked for unordered exchange but an order-sensitive consumer observes it", s.Table.Name)
-		case eligible && !unordered[s]:
-			return fmt.Errorf("planck: scan of %s is eligible for unordered exchange but not marked (ordered merge forced needlessly)", s.Table.Name)
-		}
-		return nil
-	}
-	path = append(path, n)
-	for _, c := range planChildren(n) {
-		if err := checkUnorderedScans(c, path, unordered); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// unorderedEligible derives order-insensitivity bottom-up, independently of
-// markOrdered's top-down flag propagation: walking from the scan towards
-// the root, each operator either passes the row multiset through
-// order-independently (continue), erases order entirely (eligible), or
-// observes order (ineligible).
-func unorderedEligible(path []Node, s *ScanNode) bool {
-	// A stateful pushed-down filter (SEQ8/SEQ4) makes the scan's own output
-	// depend on evaluation order.
-	if exprStateful(s.Filter) {
-		return false
-	}
-	for i := len(path) - 1; i >= 0; i-- {
-		switch x := path[i].(type) {
-		case *FilterNode:
-			// A stateless filter keeps the same rows under any order; a
-			// stateful one keeps different rows.
-			if exprStateful(x.Cond) {
-				return false
-			}
-		case *ProjectNode:
-			for _, e := range x.Exprs {
-				if exprStateful(e) {
-					return false
-				}
-			}
-		case *FlattenNode:
-			if exprStateful(x.Expr) {
-				return false
-			}
-		case *SortNode:
-			// A sort re-orders but never changes the row multiset; stateful
-			// sort keys alter only the order, which nothing below an erasing
-			// aggregate can observe.
-		case *UnionNode:
-			// Concatenation passes each side through.
-		case *ExchangeNode:
-			// Whole morsels, in completion order when unordered: a permutation
-			// of its input's rows.
-		case *AggregateNode:
-			// The first aggregate on the path decides: a global aggregate
-			// over order-insensitive accumulators with stateless arguments
-			// erases its input order; any other aggregate observes it
-			// (grouped output order is first-seen, float SUM folds in input
-			// order).
-			if len(x.GroupBy) > 0 || !aggsOrderInsensitive(x.Aggs) {
-				return false
-			}
-			for _, spec := range x.Aggs {
-				if exprStateful(spec.Arg) {
-					return false
-				}
-			}
-			return true
-		case *JoinNode:
-			// Probe order fixes output order, build order fixes match order.
-			return false
-		case *LimitNode:
-			// LIMIT keeps a prefix: which rows survive depends on order.
-			return false
-		default:
-			return false
-		}
-	}
-	// Reached the root: result rows come back in stream order.
 	return false
 }
 

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"jsonpark/internal/sqlast"
 	"jsonpark/internal/sqlparse"
 	"jsonpark/internal/variant"
 	"jsonpark/internal/vector"
@@ -27,14 +26,15 @@ func buildPlan(t *testing.T, e *Engine, sql string) Node {
 	if err != nil {
 		t.Fatalf("%s: %v", sql, err)
 	}
-	return optimize(plan)
+	return optimize(plan, nil)
 }
 
-// TestPlanCheckAgreesWithMarkOrdered is planck's core property: the
-// bottom-up eligibility derivation must agree with the top-down marking on
-// every plan shape the planner produces.
-func TestPlanCheckAgreesWithMarkOrdered(t *testing.T) {
+// TestPlanCheckCertifiesPhysicalPlans runs planck's build-time half over the
+// plans compile produces — exchanges, streamed and hash aggregates included —
+// for every plan shape the parity battery and the nested-query shapes cover.
+func TestPlanCheckCertifiesPhysicalPlans(t *testing.T) {
 	e := multiPartEngine(t)
+	flat := `(SELECT * FROM ` + ridEvents + `, LATERAL FLATTEN(INPUT => "items", OUTER => TRUE) AS "f")`
 	queries := append([]string{}, parityQueries...)
 	queries = append(queries,
 		`SELECT COUNT(*) FROM events`,
@@ -43,116 +43,31 @@ func TestPlanCheckAgreesWithMarkOrdered(t *testing.T) {
 		`SELECT SUM(val) FROM events`,
 		`SELECT COUNT(*) FROM (SELECT id FROM events ORDER BY val)`,
 		`SELECT COUNT(*) FROM (SELECT id FROM events LIMIT 5)`,
+		`SELECT "rid", COUNT(*), ARRAY_AGG("f".VALUE) FROM `+flat+` GROUP BY "rid"`,
+		`SELECT COUNT(*) FROM (SELECT * FROM "events"), LATERAL FLATTEN(INPUT => "items") AS "f"`,
 	)
-	for _, sql := range queries {
-		plan := buildPlan(t, e, sql)
-		if err := checkPlan(plan, collectUnorderedScans(plan)); err != nil {
-			t.Errorf("%s: %v", sql, err)
-		}
-	}
-}
-
-// TestPlanCheckRejectsWrongMarking feeds checkPlan markings that disagree
-// with eligibility in each direction.
-func TestPlanCheckRejectsWrongMarking(t *testing.T) {
-	e := multiPartEngine(t)
-
-	// Root order is observed: marking this scan unordered is a
-	// wrong-results bug and must be caught.
-	ordered := buildPlan(t, e, `SELECT id FROM events`)
-	var scan *ScanNode
-	var find func(Node)
-	find = func(n Node) {
-		if s, ok := n.(*ScanNode); ok {
-			scan = s
-			return
+	exchanges := 0
+	var count func(Node)
+	count = func(n Node) {
+		if _, ok := n.(*ExchangeNode); ok {
+			exchanges++
 		}
 		for _, c := range planChildren(n) {
-			find(c)
+			count(c)
 		}
 	}
-	find(ordered)
-	if scan == nil {
-		t.Fatal("no scan in plan")
-	}
-	err := checkPlan(ordered, map[Node]bool{scan: true})
-	if err == nil || !strings.Contains(err.Error(), "order-sensitive consumer") {
-		t.Errorf("over-marking: got %v, want order-sensitive consumer error", err)
-	}
-
-	// A global COUNT erases order: an empty marking means the ordered merge
-	// is forced needlessly, which planck also reports.
-	erased := buildPlan(t, e, `SELECT COUNT(*) FROM events`)
-	err = checkPlan(erased, map[Node]bool{})
-	if err == nil || !strings.Contains(err.Error(), "not marked") {
-		t.Errorf("under-marking: got %v, want not-marked error", err)
-	}
-}
-
-// TestUnorderedEligiblePathRules exercises the path classification directly
-// on hand-built plans.
-func TestUnorderedEligiblePathRules(t *testing.T) {
-	e := multiPartEngine(t)
-	tab, err := e.Catalog().Table("events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	scan := func() *ScanNode { return &ScanNode{Table: tab, Columns: []string{"val"}} }
-	global := func(in Node) *AggregateNode {
-		return &AggregateNode{Input: in, Aggs: []AggSpec{{Name: "COUNT", Star: true}}, AggNames: []string{"c"}}
-	}
-	seq := &sqlast.FuncCall{Name: "SEQ8"}
-
-	cases := []struct {
-		name     string
-		plan     func() (Node, *ScanNode)
-		eligible bool
-	}{
-		{"agg over scan", func() (Node, *ScanNode) {
-			s := scan()
-			return global(s), s
-		}, true},
-		{"agg over sort", func() (Node, *ScanNode) {
-			s := scan()
-			return global(&SortNode{Input: s, Keys: []sqlast.OrderItem{{Expr: seq}}}), s
-		}, true},
-		{"agg over stateful filter", func() (Node, *ScanNode) {
-			s := scan()
-			return global(&FilterNode{Input: s, Cond: seq}), s
-		}, false},
-		{"agg over limit", func() (Node, *ScanNode) {
-			s := scan()
-			return global(&LimitNode{Input: s, N: 5}), s
-		}, false},
-		{"grouped agg", func() (Node, *ScanNode) {
-			s := scan()
-			return &AggregateNode{
-				Input: s, GroupBy: []sqlast.Expr{&sqlast.ColRef{Name: "val"}},
-				GroupNames: []string{"val"},
-				Aggs:       []AggSpec{{Name: "COUNT", Star: true}}, AggNames: []string{"c"},
-			}, s
-		}, false},
-		{"no aggregate", func() (Node, *ScanNode) {
-			s := scan()
-			return &FilterNode{Input: s, Cond: &sqlast.ColRef{Name: "val"}}, s
-		}, false},
-	}
-	for _, c := range cases {
-		root, s := c.plan()
-		want := map[Node]bool{}
-		if c.eligible {
-			want[s] = true
+	for _, sql := range queries {
+		cp, err := e.compile(sql, PrepareOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
 		}
-		if err := checkPlan(root, want); err != nil {
-			t.Errorf("%s: eligible=%v rejected: %v", c.name, c.eligible, err)
+		if err := checkPlan(cp.plan); err != nil {
+			t.Errorf("%s: %v", sql, err)
 		}
-		wrong := map[Node]bool{}
-		if !c.eligible {
-			wrong[s] = true
-		}
-		if err := checkPlan(root, wrong); err == nil {
-			t.Errorf("%s: inverted marking accepted", c.name)
-		}
+		count(cp.plan)
+	}
+	if exchanges < 2 {
+		t.Fatalf("%d exchanges across the battery: the physical shapes are not covered", exchanges)
 	}
 }
 
@@ -162,7 +77,7 @@ type fakeNode struct{}
 func (fakeNode) Schema() *Schema { return NewSchema(nil) }
 
 func TestCheckSelContractRejectsUnknownNodes(t *testing.T) {
-	err := checkPlan(fakeNode{}, nil)
+	err := checkPlan(fakeNode{})
 	if err == nil || !strings.Contains(err.Error(), "unknown plan node") {
 		t.Errorf("got %v, want unknown-plan-node error", err)
 	}

@@ -12,10 +12,9 @@ import (
 
 // prepareScan builds a table scan. With parallelism > 1 and more than one
 // micro-partition the scan is the exchange's zero-stage case (parallel.go):
-// workers claim whole partitions and materialize them concurrently. Unless
-// the planner proved the consumers order-insensitive, worker output is
-// released in partition order so results stay identical to the sequential
-// scan.
+// workers claim whole partitions and materialize them concurrently, and their
+// output is released in partition order, so results stay identical to the
+// sequential scan.
 func prepareScan(x *ScanNode, ctx *execContext) (batchIter, error) {
 	colIdx, err := scanColumns(x)
 	if err != nil {
@@ -181,91 +180,6 @@ func (s *scanIter) NextBatch() (*vector.Batch, error) {
 }
 
 func (s *scanIter) Close() {}
-
-// --- order-sensitivity analysis ----------------------------------------------
-
-// collectUnorderedScans marks the scans whose row order provably cannot
-// affect the query result, allowing their exchange to release morsels as
-// they complete instead of in order. The analysis is conservative: scan
-// order matters at the root (result rows come back in stream order) and the
-// flag is only cleared by a global aggregate whose aggregates are all
-// order-insensitive. A row-ID projection marks everything below it ordered,
-// so an exchange that renumbers never runs unordered.
-func collectUnorderedScans(n Node) map[Node]bool {
-	m := make(map[Node]bool)
-	markOrdered(n, true, m)
-	return m
-}
-
-func markOrdered(n Node, orderMatters bool, m map[Node]bool) {
-	switch x := n.(type) {
-	case *ScanNode:
-		if !orderMatters && !exprStateful(x.Filter) {
-			m[x] = true
-		}
-	case *FilterNode:
-		markOrdered(x.Input, orderMatters || exprStateful(x.Cond), m)
-	case *ProjectNode:
-		om := orderMatters
-		for _, e := range x.Exprs {
-			om = om || exprStateful(e)
-		}
-		markOrdered(x.Input, om, m)
-	case *FlattenNode:
-		markOrdered(x.Input, orderMatters || exprStateful(x.Expr), m)
-	case *AggregateNode:
-		// A global aggregate over order-insensitive accumulators erases its
-		// input order entirely. Grouped aggregates keep order: output groups
-		// appear in first-seen order.
-		om := true
-		if len(x.GroupBy) == 0 && aggsOrderInsensitive(x.Aggs) {
-			om = false
-		}
-		for _, spec := range x.Aggs {
-			om = om || exprStateful(spec.Arg)
-		}
-		for _, g := range x.GroupBy {
-			om = om || exprStateful(g)
-		}
-		markOrdered(x.Input, om, m)
-	case *ExchangeNode:
-		// Its stages are the nodes below it: their cases decide for the scan.
-		markOrdered(x.Input, orderMatters, m)
-	case *JoinNode:
-		// Probe order fixes output order; build-row insertion order fixes
-		// match order within a key. Both sides inherit the parent's need.
-		markOrdered(x.Left, true, m)
-		markOrdered(x.Right, true, m)
-	case *SortNode:
-		// Stable sort: tied rows keep input order, so the input stays ordered
-		// whenever the output order is observed.
-		markOrdered(x.Input, orderMatters, m)
-	case *LimitNode:
-		markOrdered(x.Input, true, m)
-	case *UnionNode:
-		markOrdered(x.Left, orderMatters, m)
-		markOrdered(x.Right, orderMatters, m)
-	}
-}
-
-// aggsOrderInsensitive reports whether every aggregate yields the same result
-// for any permutation of its input. SUM/AVG over floats are excluded: float
-// addition is not associative, so a different accumulation order can change
-// low-order bits. DISTINCT and WITHIN GROUP specs are conservatively treated
-// as order-sensitive.
-func aggsOrderInsensitive(specs []AggSpec) bool {
-	for _, s := range specs {
-		if s.Distinct || len(s.OrderBy) > 0 {
-			return false
-		}
-		switch s.Name {
-		case "COUNT", "COUNT_IF", "MIN", "MAX", "BOOLAND_AGG", "BOOLOR_AGG":
-		default:
-			return false
-		}
-	}
-	return true
-}
 
 // exprStateful reports whether evaluating e has side effects that make its
 // result depend on evaluation order (the SEQ8/SEQ4 row-number counters).

@@ -21,7 +21,7 @@ import (
 //     accumulator states). The ordered merge (aggMerger) folds the runs and
 //     the final live table back in spill order, which is input order, so
 //     mergeAccumulators reproduces the sequential fold exactly (the
-//     aggsMergeable proof).
+//     aggsMergeWhy proof).
 //   - Hash aggregation, order-exact aggregates (float SUM/AVG, unknown
 //     names): partial states do not merge exactly, so after overflow the
 //     remaining input tuples are deferred to disk — already evaluated, in
@@ -92,7 +92,7 @@ const (
 )
 
 // encodeAccState appends acc's exact partial state. Only the aggregates
-// admitted by aggsMergeable are encodable — the aggregation spill path picks
+// admitted by aggsMergeWhy are encodable — the aggregation spill path picks
 // the tuple-replay strategy for everything else before ever getting here.
 func encodeAccState(dst []byte, acc accumulator) ([]byte, error) {
 	switch a := acc.(type) {

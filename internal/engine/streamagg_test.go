@@ -104,7 +104,7 @@ func TestPlanCheckRejectsUnclusteredStream(t *testing.T) {
 	e := multiPartEngine(t)
 	plan := buildPlan(t, e, `SELECT "id", COUNT(*) FROM "events" GROUP BY "id"`)
 	markStream(plan)
-	err := checkPlan(plan, collectUnorderedScans(plan))
+	err := checkPlan(plan)
 	if err == nil || !strings.Contains(err.Error(), "marked stream") {
 		t.Fatalf("checkPlan accepted a stream aggregate over a scan column: %v", err)
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"jsonpark/internal/sqlast"
-	"jsonpark/internal/sqlparse"
 	"jsonpark/internal/variant"
 	"jsonpark/internal/vector"
 )
@@ -163,40 +162,6 @@ func TestLimitClosesParallelScan(t *testing.T) {
 			if row[0].AsInt() != int64(j) {
 				t.Fatalf("row %d = %v; ordered merge broken", j, row)
 			}
-		}
-	}
-}
-
-// TestUnorderedScanAnalysis checks the order-sensitivity analysis: only a
-// global aggregate over order-insensitive aggregates may release its scan
-// from the ordered merge.
-func TestUnorderedScanAnalysis(t *testing.T) {
-	e := multiPartEngine(t)
-	cases := []struct {
-		sql       string
-		unordered bool
-	}{
-		{`SELECT COUNT(*), MIN(val), MAX(val) FROM events`, true},
-		{`SELECT SUM(val) FROM events`, false},                   // float addition order matters
-		{`SELECT grp, COUNT(*) FROM events GROUP BY grp`, false}, // first-seen group order
-		{`SELECT id FROM events`, false},                         // root order observed
-		{`SELECT COUNT(*) FROM events WHERE val > 1`, true},
-	}
-	for _, c := range cases {
-		q, err := sqlparse.Parse(c.sql)
-		if err != nil {
-			t.Fatalf("%s: %v", c.sql, err)
-		}
-		pl := &planner{catalog: e.Catalog()}
-		plan, err := pl.Build(q)
-		if err != nil {
-			t.Fatalf("%s: %v", c.sql, err)
-		}
-		plan = optimize(plan)
-		m := collectUnorderedScans(plan)
-		got := len(m) > 0
-		if got != c.unordered {
-			t.Errorf("%s: unordered=%v, want %v", c.sql, got, c.unordered)
 		}
 	}
 }

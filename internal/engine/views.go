@@ -1,22 +1,23 @@
 package engine
 
 // Incrementally maintained materialized views. A view is registered from SQL
-// text whose plan is a mergeable aggregation — the same fragment the
-// parallel aggregate admits (aggsMergeable accumulators, stateless grouping,
-// a stateless Filter/Project/Flatten pipeline over one scan) — optionally
-// under a stateless Project/Sort/Limit/Filter suffix. The view retains the
-// hash aggregate's merged state between queries (an aggMerger), and a
-// refresh is one span of the same two-phase driver (exec.go): phase 1
-// replays the segment over only the storage partitions sealed since the last
-// refresh (partitions are immutable and the partition list is append-only,
-// so "new data" is exactly a suffix of the pinned partition list) into one
-// span, and phase 2 merges that span into the retained merger.
+// text whose physical plan (compile's) is a hash aggregate the physical pass
+// found eligible to fan out — an empty AggregateNode.Why: mergeable
+// accumulators, stateless grouping, and a row-ID-free segment below it —
+// optionally under a stateless Project/Sort/Limit/Filter suffix. The view
+// retains the hash aggregate's merged state between queries (an aggMerger),
+// and a refresh is one span of the same two-phase driver (exec.go): phase 1
+// replays the segment physicalize recorded on the aggregate over only the
+// storage partitions sealed since the last refresh (partitions are immutable
+// and the partition list is append-only, so "new data" is exactly a suffix
+// of the pinned partition list) into one span, and phase 2 merges that span
+// into the retained merger.
 //
 // Correctness is the driver's merge proof: delta partitions come strictly
 // after every previously absorbed partition, so merging delta partials into
 // the retained state in delta first-seen order reproduces the sequential
 // row-order fold exactly — which is why SUM/AVG (non-associative float
-// folds) are rejected along with everything else aggsMergeable excludes.
+// folds) are rejected along with everything else the verdict excludes.
 // The delta's source index is the absorbed-partition watermark, which grows
 // monotonically across refreshes, so new groups append in first-seen order
 // (stamp order) without re-sorting old groups.
@@ -28,12 +29,9 @@ package engine
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 
-	"jsonpark/internal/sqlast"
-	"jsonpark/internal/sqlparse"
 	"jsonpark/internal/variant"
 )
 
@@ -70,9 +68,8 @@ type matView struct {
 	// once at registration (expressions hold state, but descs are static).
 	emitAggs []compiledAgg
 	// partsDone is the absorbed-partition watermark into the table's
-	// append-only partition list; version the table version last observed.
+	// append-only partition list.
 	partsDone int
-	version   int64
 	// Refresh accounting for introspection.
 	refreshes  int64
 	deltaParts int64
@@ -101,29 +98,22 @@ type ViewInfo struct {
 }
 
 // CreateView registers a materialized view over the SQL query. The query's
-// optimized logical plan must be a mergeable aggregation (the
-// fragment the parallel aggregate admits: COUNT/COUNT_IF/MIN/MAX/ANY_VALUE/
-// BOOLAND_AGG/BOOLOR_AGG/ARRAY_AGG with stateless arguments and grouping,
-// over a stateless Filter/Project/Flatten pipeline on one table) optionally
-// under stateless Project/Sort/Limit/Filter operators. Anything else —
-// SUM/AVG (float folds don't merge exactly), joins, unions, stateful
-// expressions — is rejected so incremental results stay byte-identical to
-// full recomputation.
+// physical plan must be a hash aggregate the parallel aggregate admits
+// (COUNT/COUNT_IF/MIN/MAX/ANY_VALUE/BOOLAND_AGG/BOOLOR_AGG/ARRAY_AGG with
+// stateless arguments and grouping, over a row-ID-free Filter/Project/Flatten
+// pipeline on one table) optionally under stateless Project/Sort/Limit/Filter
+// operators. Anything else — SUM/AVG (float folds don't merge exactly),
+// joins, unions, row IDs — is rejected, naming the aggregate's verdict, so
+// incremental results stay byte-identical to full recomputation.
 func (e *Engine) CreateView(name, sql string) error {
 	if name == "" {
 		return fmt.Errorf("engine: view name must not be empty")
 	}
-	q, err := sqlparse.Parse(sql)
+	cp, err := e.compile(sql, PrepareOptions{})
 	if err != nil {
 		return err
 	}
-	pl := &planner{catalog: e.catalog}
-	plan, err := pl.Build(q)
-	if err != nil {
-		return err
-	}
-	plan = optimize(plan)
-	v, err := e.decomposeView(name, sql, plan)
+	v, err := e.decomposeView(name, sql, cp.plan)
 	if err != nil {
 		return err
 	}
@@ -139,8 +129,8 @@ func (e *Engine) CreateView(name, sql string) error {
 	return nil
 }
 
-// decomposeView splits the optimized plan into suffix + aggregate + input
-// pipeline and validates mergeability.
+// decomposeView splits the physical plan into suffix + aggregate + the
+// aggregate's segment and accepts the aggregate on its verdict.
 func (e *Engine) decomposeView(name, sql string, plan Node) (*matView, error) {
 	var suffix []Node
 	n := plan
@@ -170,6 +160,10 @@ walk:
 		case *LimitNode:
 			suffix = append(suffix, x)
 			n = x.Input
+		case *ExchangeNode:
+			// Only a streamed aggregate sits in a segment: look through the
+			// exchange to name its verdict.
+			n = x.Input
 		case *AggregateNode:
 			break walk
 		default:
@@ -177,15 +171,13 @@ walk:
 		}
 	}
 	agg := n.(*AggregateNode)
-	if !aggsMergeable(agg.Aggs) {
-		return nil, fmt.Errorf("engine: view %q: aggregates are not mergeable (SUM/AVG and unknown aggregates cannot delta-merge exactly)", name)
+	why := agg.Why
+	if agg.Stream {
+		// Its key is a row ID of its input: the verdict the hash path gets.
+		why = "row id in input"
 	}
-	if anyExprStateful(agg.GroupBy) {
-		return nil, fmt.Errorf("engine: view %q: stateful grouping expression", name)
-	}
-	scan, stages, ok := pipelineStages(agg.Input)
-	if !ok {
-		return nil, fmt.Errorf("engine: view %q: aggregate input is not a stateless single-table pipeline", name)
+	if why != "" {
+		return nil, fmt.Errorf("engine: view %q: the aggregate cannot merge incrementally: %s", name, why)
 	}
 	// Compile once against a throwaway context: validates every expression at
 	// registration time and yields the static aggregate descriptors emit needs
@@ -198,57 +190,18 @@ walk:
 	if err != nil {
 		return nil, err
 	}
-	seg, err := newSegmentPlan(vctx, scan, stages, nil, vctx.batchSize)
+	seg, err := newSegmentPlan(vctx, agg.Scan, agg.Stages, nil, vctx.batchSize)
 	if err != nil {
 		return nil, err
 	}
 	if _, err := seg.compile(vctx); err != nil {
 		return nil, err
 	}
-	materializeSchemas(plan)
 	return &matView{
 		name: name, sql: sql, eng: e,
 		columns: plan.Schema().Names,
 		suffix:  suffix, agg: agg, seg: seg, emitAggs: ev.aggs,
 	}, nil
-}
-
-// pipelineStages decomposes a view's aggregate input into the operator chain
-// each refresh replays per delta partition: a straight Filter/Project/Flatten
-// chain (stateless expressions only, so replaying a partition in isolation
-// yields exactly the rows the full pipeline would derive from it) over a scan
-// with a stateless pushed-down filter. Returns the scan, the stages in
-// execution order (scan side first), and whether the subtree qualifies.
-func pipelineStages(n Node) (*ScanNode, []Node, bool) {
-	var stages []Node
-	for {
-		var e sqlast.Expr
-		var in Node
-		switch x := n.(type) {
-		case *ScanNode:
-			if exprStateful(x.Filter) {
-				return nil, nil, false
-			}
-			slices.Reverse(stages) // the walk collected root-side first
-			return x, stages, true
-		case *FilterNode:
-			e, in = x.Cond, x.Input
-		case *ProjectNode:
-			if anyExprStateful(x.Exprs) {
-				return nil, nil, false
-			}
-			in = x.Input
-		case *FlattenNode:
-			e, in = x.Expr, x.Input
-		default:
-			return nil, nil, false
-		}
-		if exprStateful(e) {
-			return nil, nil, false
-		}
-		stages = append(stages, n)
-		n = in
-	}
 }
 
 // DropView removes a view, reporting whether it existed.
@@ -356,7 +309,6 @@ func (v *matView) refreshLocked(ctx *execContext) error {
 		v.refreshes++
 		v.deltaParts += int64(len(delta))
 	}
-	v.version = snap.Version
 	return nil
 }
 

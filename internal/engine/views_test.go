@@ -31,53 +31,91 @@ func viewLoad(t *testing.T, e *Engine, lo, hi int) {
 	}
 }
 
+// itemLoad appends itemDocs rows [lo,hi) into table "t" (id, items), sealing
+// every 37 rows.
+func itemLoad(t *testing.T, e *Engine, lo, hi int) {
+	t.Helper()
+	tab, err := e.Catalog().Table("t")
+	if err != nil {
+		tab, err = e.Catalog().CreateTable("t", []string{"id", "items"})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	docs := itemDocs(hi)
+	for i := lo; i < hi; i++ {
+		if err := tab.AppendObject(variant.MustParseJSON(docs[i])); err != nil {
+			t.Fatal(err)
+		}
+		if (i+1)%37 == 0 {
+			tab.Seal()
+		}
+	}
+}
+
 // TestViewIncrementalParity is the views half of the acceptance grid: across
 // batch sizes and typed storage, an incrementally refreshed view must render
 // byte-identically to cold recomputation of the same query, after every
-// interleaved append — while scanning only the delta partitions.
+// interleaved append — while scanning only the delta partitions. The FLATTEN
+// view's aggregate reads an exchange, whose segment each refresh replays.
 func TestViewIncrementalParity(t *testing.T) {
-	const q = `SELECT "k", COUNT(*) AS n, MIN("v") AS mn, MAX("v") AS mx, ARRAY_AGG("v") AS vs FROM "g" GROUP BY "k" ORDER BY "k"`
-	checkpoints := []int{60, 130, 131, 240}
-	for _, batch := range []int{1, 1024} {
-		for _, typed := range []bool{true, false} {
-			t.Run(fmt.Sprintf("bs%d-typed%v", batch, typed), func(t *testing.T) {
-				e := New(WithBatchSize(batch), WithTypedColumns(typed))
-				viewLoad(t, e, 0, checkpoints[0])
-				if err := e.CreateView("byk", q); err != nil {
-					t.Fatal(err)
-				}
-				prev := checkpoints[0]
-				for _, hi := range checkpoints {
-					viewLoad(t, e, prev, hi)
-					prev = hi
-					got, err := e.QueryView(context.Background(), "byk")
-					if err != nil {
+	views := []struct {
+		prefix, q   string
+		load        func(*testing.T, *Engine, int, int)
+		checkpoints []int
+		exchange    bool
+	}{
+		{"", `SELECT "k", COUNT(*) AS n, MIN("v") AS mn, MAX("v") AS mx, ARRAY_AGG("v") AS vs FROM "g" GROUP BY "k" ORDER BY "k"`,
+			viewLoad, []int{60, 130, 131, 240}, false},
+		{"flatten-", `SELECT "f".VALUE % 5 AS "k", COUNT(*) AS "n", MAX("id") AS "mx" FROM (SELECT * FROM "t"), LATERAL FLATTEN(INPUT => "items") AS "f" GROUP BY "f".VALUE % 5 ORDER BY "k"`,
+			itemLoad, []int{100, 250, 400}, true},
+	}
+	for _, vw := range views {
+		checkpoints := vw.checkpoints
+		for _, batch := range []int{1, 1024} {
+			for _, typed := range []bool{true, false} {
+				t.Run(fmt.Sprintf("%sbs%d-typed%v", vw.prefix, batch, typed), func(t *testing.T) {
+					e := New(WithBatchSize(batch), WithTypedColumns(typed))
+					vw.load(t, e, 0, checkpoints[0])
+					if err := e.CreateView("byk", vw.q); err != nil {
 						t.Fatal(err)
 					}
-					// Cold oracle: a fresh engine over exactly the same rows.
-					cold := New(WithBatchSize(batch), WithTypedColumns(typed))
-					viewLoad(t, cold, 0, hi)
-					want, err := cold.Query(q)
-					if err != nil {
-						t.Fatal(err)
+					if _, ok := e.views.views["byk"].agg.Input.(*ExchangeNode); ok != vw.exchange {
+						t.Fatalf("aggregate input is %T, want an exchange: %v", e.views.views["byk"].agg.Input, vw.exchange)
 					}
-					if renderRows(got) != renderRows(want) {
-						t.Fatalf("at %d rows: view diverges from cold recompute:\n got %s\nwant %s",
-							hi, clipDiff(renderRows(got)), clipDiff(renderRows(want)))
+					prev := checkpoints[0]
+					for _, hi := range checkpoints {
+						vw.load(t, e, prev, hi)
+						prev = hi
+						got, err := e.QueryView(context.Background(), "byk")
+						if err != nil {
+							t.Fatal(err)
+						}
+						// Cold oracle: a fresh engine over exactly the same rows.
+						cold := New(WithBatchSize(batch), WithTypedColumns(typed))
+						vw.load(t, cold, 0, hi)
+						want, err := cold.Query(vw.q)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if renderRows(got) != renderRows(want) {
+							t.Fatalf("at %d rows: view diverges from cold recompute:\n got %s\nwant %s",
+								hi, clipDiff(renderRows(got)), clipDiff(renderRows(want)))
+						}
 					}
-				}
-				// Incrementality: the summed delta partitions across refreshes
-				// must equal the final partition count — each partition scanned
-				// exactly once, never re-scanned.
-				info := e.ViewInfos()[0]
-				if info.DeltaParts != int64(info.PartsDone) {
-					t.Fatalf("delta partitions %d != absorbed watermark %d (partitions re-scanned?)",
-						info.DeltaParts, info.PartsDone)
-				}
-				if info.Refreshes != int64(len(checkpoints)) {
-					t.Fatalf("refreshes = %d, want %d", info.Refreshes, len(checkpoints))
-				}
-			})
+					// Incrementality: the summed delta partitions across refreshes
+					// must equal the final partition count — each partition scanned
+					// exactly once, never re-scanned.
+					info := e.ViewInfos()[0]
+					if info.DeltaParts != int64(info.PartsDone) {
+						t.Fatalf("delta partitions %d != absorbed watermark %d (partitions re-scanned?)",
+							info.DeltaParts, info.PartsDone)
+					}
+					if info.Refreshes != int64(len(checkpoints)) {
+						t.Fatalf("refreshes = %d, want %d", info.Refreshes, len(checkpoints))
+					}
+				})
+			}
 		}
 	}
 }
@@ -193,22 +231,26 @@ func TestViewEmptyGlobalAggregate(t *testing.T) {
 }
 
 // TestViewRejections: everything outside the mergeable fragment must be
-// refused at registration, with an error naming the reason.
+// refused at registration, with an error naming the aggregate's verdict (or
+// the suffix rule that failed).
 func TestViewRejections(t *testing.T) {
 	e := New()
 	viewLoad(t, e, 0, 10)
-	if _, err := e.Catalog().CreateTable("h", []string{"k", "w"}); err != nil {
-		t.Fatal(err)
+	for _, tab := range [][]string{{"h", "k", "w"}, {"t", "id", "items"}} {
+		if _, err := e.Catalog().CreateTable(tab[0], tab[1:]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	cases := []struct {
 		name, sql, wantErr string
 	}{
-		{"sum", `SELECT "k", SUM("v") AS s FROM "g" GROUP BY "k"`, "mergeable"},
-		{"avg", `SELECT AVG("v") AS a FROM "g"`, "mergeable"},
-		{"stateful-group", `SELECT SEQ8() AS r, COUNT(*) AS n FROM "g" GROUP BY SEQ8()`, "stateful"},
-		{"stateful-suffix", `SELECT SEQ8() AS r, "n" FROM (SELECT COUNT(*) AS n FROM "g")`, "stateful"},
-		{"join", `SELECT COUNT(*) AS n FROM (SELECT * FROM "g") LEFT OUTER JOIN (SELECT * FROM "h") ON "k" = "w"`, "single-table"},
+		{"sum", `SELECT "k", SUM("v") AS s FROM "g" GROUP BY "k"`, "cannot merge incrementally: not mergeable: SUM"},
+		{"avg", `SELECT AVG("v") AS a FROM "g"`, "cannot merge incrementally: not mergeable: AVG"},
+		{"stateful-group", `SELECT SEQ8() AS r, COUNT(*) AS n FROM "g" GROUP BY SEQ8()`, "cannot merge incrementally: row id in group key"},
+		{"stateful-suffix", `SELECT SEQ8() AS r, "n" FROM (SELECT COUNT(*) AS n FROM "g")`, "stateful projection above the aggregate"},
+		{"join", `SELECT COUNT(*) AS n FROM (SELECT * FROM "g") LEFT OUTER JOIN (SELECT * FROM "h") ON "k" = "w"`, "cannot merge incrementally: input not a scan pipeline"},
 		{"plain-scan", `SELECT "v" FROM "g"`, "maintainable"},
+		{"row-id", `SELECT "rid", COUNT(*) AS n FROM ` + ridFlatT + ` GROUP BY "rid"`, "cannot merge incrementally: row id in input"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
