@@ -82,9 +82,9 @@ type PlanStats struct {
 	MemLimitBytes    int64  `json:"mem_limit_bytes,omitempty"`
 	Spills           int64  `json:"spills,omitempty"`
 	SpillBytes       int64  `json:"spill_bytes,omitempty"`
-	// Expression DAG of the operator (Filter, Project, Flatten, Aggregate):
-	// AST nodes compiled, instances evaluated per batch after sharing, and
-	// register slots.
+	// Expression DAGs of the operator (Filter, Project, Flatten, Aggregate,
+	// Join): AST nodes compiled, instances evaluated per batch after sharing,
+	// and register slots.
 	ExprNodes    int `json:"expr_nodes,omitempty"`
 	ExprDistinct int `json:"expr_distinct,omitempty"`
 	ExprSlots    int `json:"expr_slots,omitempty"`
@@ -280,12 +280,18 @@ func describeNode(n Node) (op, detail string) {
 	return fmt.Sprintf("%T", n), ""
 }
 
-// nodeExprStats sizes the expression DAG prepare compiles for n — did sharing
-// fire, how big is the register file — for the operators that evaluate
-// expressions per batch (the stage builder's nodes). It compiles the DAG
-// afresh, so EXPLAIN can print it without executing; a plan that fails to
-// compile reports nothing here and its error at Prepare.
+// nodeExprStats sizes the expression DAGs prepare compiles for n — did
+// sharing fire, how big is the register file — for the operators that
+// evaluate expressions per batch: the stage builder's nodes, and a join with
+// keys or a residual (its DAGs summed). It compiles afresh, so EXPLAIN can
+// print it without executing; a plan that fails to compile reports nothing
+// here and its error at Prepare.
 func nodeExprStats(n Node) (exprStats, bool) {
+	if x, ok := n.(*JoinNode); ok {
+		e, err := compileJoin(nil, x)
+		st := e.stats()
+		return st, err == nil && st.Nodes > 0
+	}
 	s, err := compileStage(nil, n)
 	if err != nil {
 		return exprStats{}, false

@@ -211,12 +211,13 @@ func TestHashJoinFromCrossPlusEquality(t *testing.T) {
 	if r.Rows[0][1].AsString() != "ten" || r.Rows[2][1].AsString() != "twenty" {
 		t.Errorf("join result = %v", r.Rows)
 	}
-	// The optimizer must have converted it into a hash equi-join.
+	// The optimizer must have converted it into a hash equi-join, and EXPLAIN
+	// sizes its probe- and build-key DAGs.
 	plan, err := e.Explain(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan, "INNER Join keys=1") {
+	if !strings.Contains(plan, "INNER Join keys=1 exprs[nodes=2 distinct=2 slots=2]") {
 		t.Errorf("expected hash join in plan:\n%s", plan)
 	}
 }

@@ -1095,14 +1095,14 @@ func (s *streamAggIter) Close() { s.in.Close() }
 
 // --- joins -------------------------------------------------------------------
 
-// prepareJoin builds a hash join. An equi-join with stateless build keys
-// takes the query's parallelism as its build workers, which partition the
-// build side when it is large enough (buildParallel); a stateful key must
-// see the build rows in order, on one worker.
+// prepareJoin builds a hash join. An equi-join takes the query's parallelism
+// as its build workers, which bucket the hash table when the build side is
+// large enough (joinIter.build). Keys and residual evaluate on the driver, in
+// input order, so a stateful expression needs no special case.
 func prepareJoin(x *JoinNode, ctx *execContext) (batchIter, error) {
-	buildWorkers := 1
-	if ctx.parallelism > 1 && len(x.RightKeys) > 0 && !anyExprStateful(x.RightKeys) {
-		buildWorkers = ctx.parallelism
+	workers := 1
+	if ctx.parallelism > 1 && len(x.RightKeys) > 0 {
+		workers = ctx.parallelism
 		ctx.metrics.ParallelBreakers++
 	}
 	left, err := prepare(x.Left, ctx)
@@ -1114,285 +1114,313 @@ func prepareJoin(x *JoinNode, ctx *execContext) (batchIter, error) {
 		left.Close()
 		return nil, err
 	}
-	// Both children are live from here on; every compile failure below must
-	// release them before bailing out.
-	fail := func(err error) (batchIter, error) {
+	exprs, err := compileJoin(ctx, x)
+	if err != nil {
 		left.Close()
 		right.Close()
 		return nil, err
 	}
-	combined := x.Schema()
-	var residual evalFn
-	if x.Residual != nil {
-		residual, err = compileExpr(combined, x.Residual)
-		if err != nil {
-			return fail(err)
-		}
-	}
-	var onFn evalFn
-	if x.On != nil {
-		onFn, err = compileExpr(combined, x.On)
-		if err != nil {
-			return fail(err)
-		}
-	}
-	// Probe keys evaluate vectorized over the streamed left batches; build
-	// keys evaluate row-wise over the materialized right side.
-	leftKeys, err := compileVecs(ctx, x.Left.Schema(), x.LeftKeys)
-	if err != nil {
-		return fail(err)
-	}
-	rightKeys := make([]evalFn, len(x.RightKeys))
-	for i, k := range x.RightKeys {
-		rightKeys[i], err = compileExpr(x.Right.Schema(), k)
-		if err != nil {
-			return fail(err)
-		}
-	}
-	leftWidth := len(x.Left.Schema().Names)
-	rightWidth := len(x.Right.Schema().Names)
+	ctx.exprs.add(exprs.stats())
 	return &joinIter{
-		kind: x.Kind, left: left, right: right,
-		leftKeys: leftKeys, rightKeys: rightKeys,
-		rightKeyExprs: x.RightKeys, rightSchema: x.Right.Schema(),
-		residual: residual, on: onFn,
-		leftWidth: leftWidth, rightWidth: rightWidth,
-		buildWorkers: buildWorkers, ectx: ctx, mem: ctx.opMemFor(x),
-		bld:      vector.NewBuilder(leftWidth+rightWidth, ctx.batchSize),
-		combined: make([]variant.Value, leftWidth+rightWidth),
+		kind: x.Kind, left: left, right: right, exprs: exprs,
+		leftWidth: len(x.Left.Schema().Names), rightWidth: len(x.Right.Schema().Names),
+		workers: workers, size: ctx.batchSize, ectx: ctx, mem: ctx.opMemFor(x),
 	}, nil
 }
 
-// buildList is one join key's build rows in input order. Entries are held
-// by pointer so appending to a hot key never re-allocates its map key. When
-// the build side spilled, offs holds the rows' spill-file offsets instead.
-type buildList struct {
-	rows [][]variant.Value
-	offs []int64
+// joinExprs is a join's compiled expressions, one DAG each: the probe keys
+// over the left input, the build keys over the right, and the residual over
+// the combined row. A join without keys has no key DAGs, one without a
+// residual no residual DAG.
+type joinExprs struct{ probe, build, residual *exprDAG }
+
+// compileJoin compiles a join's expressions, for prepare and for EXPLAIN.
+func compileJoin(ctx *execContext, x *JoinNode) (joinExprs, error) {
+	var e joinExprs
+	var err error
+	if len(x.LeftKeys) > 0 {
+		if e.probe, err = compileVecs(ctx, x.Left.Schema(), x.LeftKeys); err != nil {
+			return e, err
+		}
+		if e.build, err = compileVecs(ctx, x.Right.Schema(), x.RightKeys); err != nil {
+			return e, err
+		}
+	}
+	if x.Residual != nil {
+		e.residual, err = compileVec(ctx, x.Schema(), x.Residual)
+	}
+	return e, err
 }
 
+func (e joinExprs) stats() exprStats {
+	var s exprStats
+	for _, d := range [...]*exprDAG{e.probe, e.build, e.residual} {
+		if d != nil {
+			s.add(d.stats())
+		}
+	}
+	return s
+}
+
+// appendJoinKey appends row i's encoded key to buf, reporting false when a
+// key value is NULL: NULL never equals anything, so such a row neither builds
+// nor probes. A join without keys gives every row the empty key.
+func appendJoinKey(buf []byte, kcols [][]variant.Value, i int) ([]byte, bool) {
+	for _, col := range kcols {
+		if col[i].IsNull() {
+			return buf, false
+		}
+		buf = col[i].AppendGroupKey(buf)
+	}
+	return buf, true
+}
+
+// joinRef addresses the build row of one probe pair: row i of the join's
+// batch b. A negative b is no row — the NULL padding of a LEFT OUTER row that
+// has no candidates.
+type joinRef struct{ b, i int32 }
+
+// buildRows indexes the kept build rows in drain order: row r's encoded key
+// is keys[ends[r-1]:ends[r]], its hash bucket buckets[r], and locs[r] where it
+// lives — batch<<32 | row among the retained batches, or its record's offset
+// once the build side spilled.
+type buildRows struct {
+	keys    []byte
+	ends    []int
+	buckets []int32
+	locs    []int64
+}
+
+// joinIter is the hash join. Its first NextBatch builds: it drains the right
+// side, retaining each batch's kept rows as one dense copy, then maps every
+// key to its candidate rows. It then probes a left batch at a time: it
+// collects up to a batch of (left row, candidate) pairs, gathers their
+// combined columns into a fresh batch, evaluates the residual over the pairs,
+// and emits the batch restricted to the survivors. The order is each left
+// row's surviving candidates in build order or, for a LEFT OUTER row none of
+// whose candidates survives, the row once with NULLs on the right. Its
+// batches are stable.
 type joinIter struct {
-	kind          string
-	left          batchIter
-	right         batchIter
-	leftKeys      *exprDAG
-	rightKeys     []evalFn
-	rightKeyExprs []sqlast.Expr // recompiled per build worker
-	rightSchema   *Schema
-	residual      evalFn
-	on            evalFn
-	leftWidth     int
-	rightWidth    int
-	buildWorkers  int
-	ectx          *execContext
-	mem           *opMem
-	bld           *vector.Builder
+	kind       string
+	left       batchIter
+	right      batchIter
+	exprs      joinExprs
+	leftWidth  int
+	rightWidth int
+	workers    int // build workers, one hash bucket each
+	size       int // pairs per output batch
+	ectx       *execContext
+	mem        *opMem
 
-	built     bool
-	parts     []map[string]*buildList // disjoint hash partitions of the build side
-	rightRows [][]variant.Value       // CROSS mode
-	spillRun  *storage.SpillRun       // non-nil once the build side spilled
-	buildRows int64
-	keyBuf    []byte
-	combined  []variant.Value // one output row under assembly
-	inDone    bool
+	built    bool
+	rows     buildRows
+	batches  []*vector.Batch       // the retained build rows; once spilled, the decode scratch
+	parts    []map[string]*[]int64 // per bucket: key -> candidate locators, in build order
+	spillRun *storage.SpillRun     // non-nil once the build side spilled
+
+	// The probe cursor: the left batch under probe and its key vectors, its
+	// next active row, the next of that row's candidates, and whether one of
+	// the row's candidates survived the residual so far.
+	cur      *vector.Batch
+	keys     [][]variant.Value
+	pos, off int
+	matched  bool
+	// Per pair, recycled for every output batch: its left row, its build row,
+	// and whether it is its left row's last; plus key and selection scratch
+	// and the rows decoded into the scratch batch.
+	lidx    []int
+	refs    []joinRef
+	last    []bool
+	keyBuf  []byte
+	sel     []int
+	decoded int32
 }
 
-// build drains and closes the build side, then constructs the partitioned
-// hash table — in parallel when the join was bound with build workers and
-// the build side is large enough to amortize them. The build
+// build drains and closes the build side, then maps every key to its
+// candidates: workers claim the hash buckets — one bucket and one worker at
+// parallelism 1 or below minParallelBuildRows rows — and build each one's
+// map in one pass over the rows in drain order, so every candidate list is
+// in build order, the order probe emission and LEFT OUTER observe. The build
 // side is closed exactly once here (and nilled so Close stays idempotent).
 func (j *joinIter) build() error {
-	rows, err := j.drainBuild()
+	err := j.drainBuild()
 	j.right.Close()
 	j.right = nil
 	if err != nil {
 		return err
 	}
-	switch {
-	case len(j.rightKeys) == 0:
-		j.rightRows = rows
-	case j.spillRun != nil:
-		// The offset index was built incrementally during the spilling drain.
-		j.mem.st.Pipelines = 1
-		j.mem.st.MergeParts = 1
-		j.mem.st.LocalRows = j.buildRows
-		j.mem.st.MergedGroups = int64(len(j.parts[0]))
-	case j.buildWorkers > 1 && len(rows) >= minParallelBuildRows:
-		if err := j.buildParallel(rows); err != nil {
-			return err
-		}
-	default:
-		if err := j.buildSequential(rows); err != nil {
-			return err
-		}
+	rows := &j.rows
+	buckets := j.workers
+	if len(rows.locs) < minParallelBuildRows {
+		buckets = 1
 	}
-	j.built = true
+	j.parts = make([]map[string]*[]int64, buckets)
+	workerRows := make([]int64, buckets)
+	start := time.Now()
+	err = fanOut(j.ectx, buckets, buckets, func(w int, next func() (int, bool)) error {
+		for b, ok := next(); ok; b, ok = next() {
+			m := make(map[string]*[]int64)
+			lo := 0
+			for r, hi := range rows.ends {
+				if buckets == 1 || int(rows.buckets[r]) == b {
+					l := m[string(rows.keys[lo:hi])]
+					if l == nil {
+						l = new([]int64)
+						m[string(rows.keys[lo:hi])] = l
+					}
+					*l = append(*l, rows.locs[r])
+					workerRows[w]++
+				}
+				lo = hi
+			}
+			j.parts[b] = m
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	st := j.mem.st
+	st.Pipelines, st.MergeParts = buckets, buckets
+	st.MaxWorkerRows = slices.Max(workerRows)
+	st.MergeWallUS = time.Since(start).Microseconds()
+	for _, m := range j.parts {
+		st.MergedGroups += int64(len(m))
+	}
 	return nil
 }
 
-// drainBuild materializes the build side under the memory budget. Once the
-// budget trips (and the join is keyed), the drain switches to spilling:
-// every surviving build row goes to an offset-indexed run and the hash index
-// maps key bytes to file offsets, appended in input order — exactly the
-// candidate order buildSequential produces in memory. CROSS joins have no
-// key to index by and always stay in memory.
-func (j *joinIter) drainBuild() ([][]variant.Value, error) {
-	var rows [][]variant.Value
+// drainBuild drains the build side a batch at a time. Each batch's active
+// rows are copied once, a column at a time, into a dense batch (denseCopy);
+// the build keys evaluate over the copy, in input order, and the rows whose
+// keys are not NULL are indexed (encodeKeys). The join retains the copy and
+// charges it. Once the budget trips, a keyed join spills: the rows indexed so
+// far, then every later one, go in drain order to an offset-indexed run. A
+// join without keys has nothing to index a run by and stays in memory.
+func (j *joinIter) drainBuild() error {
 	var w *storage.RunWriter
-	var enc []byte
 	for {
 		b, err := j.right.NextBatch()
+		var copied *vector.Batch
+		var keep []int
+		if err == nil && b != nil {
+			j.mem.st.LocalRows += int64(b.NumRows())
+			copied = denseCopy(b)
+			keep, err = j.encodeKeys(copied)
+		}
+		if err == nil && b != nil && w != nil {
+			err = j.writeRows(w, copied, keep)
+		}
 		if err != nil {
 			if w != nil {
 				w.Abort()
 			}
-			return nil, err
+			return err
 		}
 		if b == nil {
 			break
 		}
-		if w == nil {
-			rows = b.AppendRows(rows)
-			// Charge unconditionally so CROSS builds count against the budget
-			// and show up in MemPeakBytes; only keyed joins can act on the
-			// overflow by spilling (a CROSS join has no key to index runs by).
-			over := j.mem.enabled() && j.mem.charge(activeRowsBytes(b))
-			if over && len(j.rightKeys) > 0 {
-				if w, err = j.startBuildSpill(rows); err != nil {
-					return nil, err
-				}
-				rows = nil
-				j.mem.releaseAll()
-			}
+		if w != nil || len(keep) == 0 {
 			continue
 		}
-		var rowBuf []variant.Value
-		var rowErr error
-		b.ForEach(func(i int) {
-			if rowErr != nil {
-				return
+		for _, i := range keep {
+			j.rows.locs = append(j.rows.locs, int64(len(j.batches))<<32|int64(i))
+		}
+		j.batches = append(j.batches, copied)
+		if j.mem.enabled() && j.mem.charge(activeRowsBytes(copied)) && j.exprs.build != nil {
+			if w, err = j.spill(); err != nil {
+				return err
 			}
-			rowBuf = b.Row(i, rowBuf)
-			rowErr = j.spillBuildRow(w, rowBuf, &enc)
-		})
-		if rowErr != nil {
-			w.Abort()
-			return nil, rowErr
 		}
 	}
 	if w != nil {
 		run, err := w.Finish()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		j.spillRun = run
 		j.mem.noteSpill(run.Bytes())
+		j.batches = []*vector.Batch{{Cols: make([][]variant.Value, j.rightWidth)}}
 	}
-	return rows, nil
+	return nil
 }
 
-// startBuildSpill opens the build spill run and replays the rows drained so
-// far through the same per-row path the rest of the stream will take, so the
-// file and index hold the full build side in input order.
-func (j *joinIter) startBuildSpill(rows [][]variant.Value) (*storage.RunWriter, error) {
+// denseCopy copies b's active rows into fresh dense vectors, one allocation
+// per column.
+func denseCopy(b *vector.Batch) *vector.Batch {
+	sel := b.Sel
+	if sel == nil {
+		sel = dense(b.Len())
+	}
+	out := &vector.Batch{Cols: make([][]variant.Value, len(b.Cols))}
+	for c := range out.Cols {
+		out.Cols[c] = b.Gather(c, sel, make([]variant.Value, 0, len(sel)))
+	}
+	return out
+}
+
+// encodeKeys evaluates the build keys over a dense build batch and encodes
+// the key of every row it keeps — each row of a join without keys, those
+// whose keys are not NULL of an equi-join — returning the kept rows. Their
+// locators are the caller's to add.
+func (j *joinIter) encodeKeys(b *vector.Batch) ([]int, error) {
+	var kcols [][]variant.Value
+	if j.exprs.build != nil {
+		var err error
+		if kcols, err = j.exprs.build.eval(b); err != nil {
+			return nil, err
+		}
+	}
+	rows := &j.rows
+	keep := make([]int, 0, b.Len())
+	for i := range b.Len() {
+		start := len(rows.keys)
+		var ok bool
+		if rows.keys, ok = appendJoinKey(rows.keys, kcols, i); !ok {
+			rows.keys = rows.keys[:start]
+			continue
+		}
+		keep = append(keep, i)
+		rows.ends = append(rows.ends, len(rows.keys))
+		rows.buckets = append(rows.buckets, bucketOfKey(rows.keys[start:], j.workers))
+	}
+	return keep, nil
+}
+
+// writeRows writes b's kept rows to the build run in order, locating each
+// row by its record's offset.
+func (j *joinIter) writeRows(w *storage.RunWriter, b *vector.Batch, keep []int) error {
+	var rec []byte
+	for _, i := range keep {
+		rec = appendRowBinary(rec[:0], b, i)
+		off, err := w.WriteRecord(rec)
+		if err != nil {
+			return err
+		}
+		j.rows.locs = append(j.rows.locs, off)
+	}
+	return nil
+}
+
+// spill opens the build side's run and moves the indexed rows into it in
+// drain order, each row's locator becoming its record's offset; the retained
+// batches go and their bytes are released.
+func (j *joinIter) spill() (*storage.RunWriter, error) {
 	w, err := storage.NewRunWriter("join")
 	if err != nil {
 		return nil, err
 	}
-	j.parts = []map[string]*buildList{make(map[string]*buildList)}
-	var enc []byte
-	for _, row := range rows {
-		if err := j.spillBuildRow(w, row, &enc); err != nil {
+	var rec []byte
+	for r, loc := range j.rows.locs {
+		rec = appendRowBinary(rec[:0], j.batches[loc>>32], int(int32(loc)))
+		if j.rows.locs[r], err = w.WriteRecord(rec); err != nil {
 			w.Abort()
 			return nil, err
 		}
 	}
+	j.batches = nil
+	j.mem.releaseAll()
 	return w, nil
-}
-
-// spillBuildRow indexes and writes one build row. NULL-key rows are dropped
-// entirely — they can never match an equi-join probe, exactly as
-// buildSequential skips them.
-func (j *joinIter) spillBuildRow(w *storage.RunWriter, row []variant.Value, enc *[]byte) error {
-	j.buildRows++
-	j.keyBuf = j.keyBuf[:0]
-	for _, fn := range j.rightKeys {
-		v, err := fn(row)
-		if err != nil {
-			return err
-		}
-		if v.IsNull() {
-			return nil
-		}
-		j.keyBuf = v.AppendGroupKey(j.keyBuf)
-	}
-	*enc = encodeRowValues((*enc)[:0], row)
-	off, err := w.WriteRecord(*enc)
-	if err != nil {
-		return err
-	}
-	m := j.parts[0]
-	e, ok := m[string(j.keyBuf)]
-	if !ok {
-		e = &buildList{}
-		m[string(j.keyBuf)] = e
-	}
-	e.offs = append(e.offs, off)
-	return nil
-}
-
-// fetchSpilled materializes one candidate list from the build spill file, in
-// the stored (input) order.
-func (j *joinIter) fetchSpilled(offs []int64) ([][]variant.Value, error) {
-	rows := make([][]variant.Value, len(offs))
-	for i, off := range offs {
-		rec, err := j.spillRun.ReadRecordAt(off)
-		if err != nil {
-			return nil, err
-		}
-		row, err := decodeRowValues(rec, j.rightWidth)
-		if err != nil {
-			return nil, err
-		}
-		rows[i] = row
-	}
-	return rows, nil
-}
-
-func (j *joinIter) buildSequential(rows [][]variant.Value) error {
-	m := make(map[string]*buildList)
-	j.parts = []map[string]*buildList{m}
-	var kb []byte
-	for _, row := range rows {
-		kb = kb[:0]
-		skip := false
-		for _, fn := range j.rightKeys {
-			v, err := fn(row)
-			if err != nil {
-				return err
-			}
-			if v.IsNull() {
-				skip = true // NULL keys never match in equi-joins
-				break
-			}
-			kb = v.AppendGroupKey(kb)
-		}
-		if skip {
-			continue
-		}
-		e, ok := m[string(kb)]
-		if !ok {
-			e = &buildList{}
-			m[string(kb)] = e
-		}
-		e.rows = append(e.rows, row)
-	}
-	j.mem.st.Pipelines = 1
-	j.mem.st.MergeParts = 1
-	j.mem.st.LocalRows = int64(len(rows))
-	j.mem.st.MergedGroups = int64(len(m))
-	return nil
 }
 
 func (j *joinIter) NextBatch() (*vector.Batch, error) {
@@ -1400,112 +1428,177 @@ func (j *joinIter) NextBatch() (*vector.Batch, error) {
 		if err := j.build(); err != nil {
 			return nil, err
 		}
+		j.built = true
 	}
 	for {
-		if b := j.bld.Pop(); b != nil {
-			return b, nil
+		if j.cur == nil || j.pos == j.cur.NumRows() {
+			if err := j.advance(); err != nil || j.cur == nil {
+				return nil, err
+			}
 		}
-		if j.inDone {
-			return j.bld.Flush(), nil
-		}
-		b, err := j.left.NextBatch()
-		if err != nil {
+		if err := j.collect(); err != nil {
 			return nil, err
 		}
-		if b == nil {
-			j.inDone = true
-			continue
-		}
-		if err := j.probeBatch(b); err != nil {
-			return nil, err
+		if out, err := j.emit(); out != nil || err != nil {
+			return out, err
 		}
 	}
 }
 
-// probeBatch joins every active left row of one batch against the built
-// right side, appending output rows to the builder. Probing is lock-free:
-// the partitioned tables are read-only after build.
-func (j *joinIter) probeBatch(b *vector.Batch) error {
-	var kcols [][]variant.Value
-	if j.parts != nil {
-		var err error
-		if kcols, err = j.leftKeys.eval(b); err != nil {
+// advance moves the probe to the next left batch and evaluates its keys;
+// j.cur is nil at the end of the left input.
+func (j *joinIter) advance() error {
+	b, err := j.left.NextBatch()
+	j.cur, j.pos, j.off = b, 0, 0
+	if err != nil || b == nil || j.exprs.probe == nil {
+		return err
+	}
+	j.keys, err = j.exprs.probe.eval(b)
+	return err
+}
+
+// candidates returns the locators of left row i's candidates: the build rows
+// under its key, in build order.
+func (j *joinIter) candidates(i int) []int64 {
+	var ok bool
+	if j.keyBuf, ok = appendJoinKey(j.keyBuf[:0], j.keys, i); !ok {
+		return nil
+	}
+	if l := j.parts[bucketOfKey(j.keyBuf, len(j.parts))][string(j.keyBuf)]; l != nil {
+		return *l
+	}
+	return nil
+}
+
+// collect fills the pairs, from the cursor on, with up to size pairs of the
+// left batch under probe: each active row's candidates in build order, and
+// one pair without a build row for a LEFT OUTER row that has none.
+func (j *joinIter) collect() error {
+	j.lidx, j.refs, j.last = j.lidx[:0], j.refs[:0], j.last[:0]
+	if j.spillRun != nil {
+		scratch := j.batches[0].Cols
+		for c := range scratch {
+			if vector.Poisoned() {
+				vector.Poison(scratch[c])
+			}
+			scratch[c] = scratch[c][:0]
+		}
+		j.decoded = 0
+	}
+	for n := j.cur.NumRows(); j.pos < n && len(j.refs) < j.size; {
+		i := j.cur.ActiveAt(j.pos)
+		cands := j.candidates(i)
+		if len(cands) == 0 {
+			if j.kind == "LEFT OUTER" {
+				j.lidx, j.refs, j.last = append(j.lidx, i), append(j.refs, joinRef{b: -1}), append(j.last, true)
+			}
+			j.pos++
+			continue
+		}
+		take := min(len(cands)-j.off, j.size-len(j.refs))
+		if err := j.appendRefs(cands[j.off : j.off+take]); err != nil {
 			return err
 		}
+		for range take {
+			j.lidx, j.last = append(j.lidx, i), append(j.last, false)
+		}
+		if j.off += take; j.off == len(cands) {
+			j.last[len(j.last)-1] = true
+			j.pos, j.off = j.pos+1, 0
+		}
 	}
-	combined := j.combined
-	var rowErr error
-	b.ForEach(func(i int) {
-		if rowErr != nil {
-			return
-		}
-		candidates := j.rightRows
-		if j.parts != nil {
-			j.keyBuf = j.keyBuf[:0]
-			nullKey := false
-			for k := range kcols {
-				v := kcols[k][i]
-				if v.IsNull() {
-					nullKey = true
-					break
-				}
-				j.keyBuf = v.AppendGroupKey(j.keyBuf)
-			}
-			candidates = nil
-			if !nullKey {
-				m := j.parts[bucketOfKey(j.keyBuf, len(j.parts))]
-				if e, ok := m[string(j.keyBuf)]; ok {
-					if j.spillRun != nil {
-						candidates, rowErr = j.fetchSpilled(e.offs)
-						if rowErr != nil {
-							return
-						}
-					} else {
-						candidates = e.rows
-					}
-				}
-			}
-		}
-		for c := range b.Cols {
-			combined[c] = b.Value(c, i)
-		}
-		emitted := false
-		for _, rightRow := range candidates {
-			copy(combined[j.leftWidth:], rightRow)
-			ok, err := j.matches(combined)
-			if err != nil {
-				rowErr = err
-				return
-			}
-			if ok {
-				emitted = true
-				j.bld.Append(combined)
-			}
-		}
-		if !emitted && j.kind == "LEFT OUTER" {
-			for c := j.leftWidth; c < len(combined); c++ {
-				combined[c] = variant.Null
-			}
-			j.bld.Append(combined)
-		}
-	})
-	return rowErr
+	return nil
 }
 
-func (j *joinIter) matches(combined []variant.Value) (bool, error) {
-	for _, cond := range []evalFn{j.residual, j.on} {
-		if cond == nil {
+// appendRefs adds the build rows at locs to the pairs: a retained row by its
+// locator, a spilled one decoded into the scratch batch first, so a probe
+// pairs with either the same way.
+func (j *joinIter) appendRefs(locs []int64) error {
+	for _, loc := range locs {
+		if j.spillRun == nil {
+			j.refs = append(j.refs, joinRef{b: int32(loc >> 32), i: int32(loc)})
 			continue
 		}
-		v, err := cond(combined)
+		rec, err := j.spillRun.ReadRecordAt(loc)
 		if err != nil {
-			return false, err
+			return err
 		}
-		if v.IsNull() || !truthySQL(v) {
-			return false, nil
+		if err := decodeRowInto(j.batches[0].Cols, rec); err != nil {
+			return err
+		}
+		j.refs = append(j.refs, joinRef{b: 0, i: j.decoded})
+		j.decoded++
+	}
+	return nil
+}
+
+// emit gathers the pairs' combined columns into a fresh batch and evaluates
+// the residual over the pairs that have a build row. It returns the batch
+// restricted to the surviving pairs — a LEFT OUTER row none of whose
+// candidates survived keeps its last pair with the right columns NULLed — or
+// nil when none survives.
+func (j *joinIter) emit() (*vector.Batch, error) {
+	n := len(j.refs)
+	if n == 0 {
+		return nil, nil
+	}
+	out := &vector.Batch{Cols: make([][]variant.Value, j.leftWidth+j.rightWidth)}
+	for c := 0; c < j.leftWidth; c++ {
+		out.Cols[c] = j.cur.Gather(c, j.lidx, make([]variant.Value, 0, n))
+	}
+	for c := 0; c < j.rightWidth; c++ {
+		col := make([]variant.Value, n)
+		for k, r := range j.refs {
+			col[k] = variant.Null
+			if r.b >= 0 {
+				col[k] = j.batches[r.b].Cols[c][r.i]
+			}
+		}
+		out.Cols[j.leftWidth+c] = col
+	}
+	if j.exprs.residual == nil {
+		return out, nil
+	}
+	pairs := j.sel[:0]
+	for k, r := range j.refs {
+		if r.b >= 0 {
+			pairs = append(pairs, k)
 		}
 	}
-	return true, nil
+	j.sel = pairs
+	var pass []variant.Value
+	if len(pairs) > 0 {
+		out.Sel = pairs
+		vals, err := j.exprs.residual.eval(out)
+		if err != nil {
+			return nil, err
+		}
+		pass = vals[0]
+	}
+	sel := make([]int, 0, n)
+	for k, r := range j.refs {
+		switch {
+		case r.b < 0:
+			sel = append(sel, k)
+		case !pass[k].IsNull() && truthySQL(pass[k]):
+			sel, j.matched = append(sel, k), true
+		case j.last[k] && !j.matched && j.kind == "LEFT OUTER":
+			for c := j.leftWidth; c < len(out.Cols); c++ {
+				out.Cols[c][k] = variant.Null
+			}
+			sel = append(sel, k)
+		}
+		if j.last[k] {
+			j.matched = false
+		}
+	}
+	switch out.Sel = sel; len(sel) {
+	case 0:
+		return nil, nil
+	case n:
+		out.Sel = nil
+	}
+	return out, nil
 }
 
 // Close is idempotent: build already closed (and nilled) the right side, so
@@ -1629,7 +1722,7 @@ func (s *sortIter) materialize() error {
 		if err := sortChunk(); err != nil {
 			return err
 		}
-		run, err := writeSortRun(batches, keyCols, refs, s.width)
+		run, err := writeSortRun(batches, keyCols, refs)
 		if err != nil {
 			return err
 		}

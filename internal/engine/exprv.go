@@ -74,9 +74,8 @@ type exprNode struct {
 	fn   scalarFunc
 	bin  func(l, r variant.Value) (variant.Value, error)
 	un   func(v variant.Value) (variant.Value, error)
-	// Evaluation state; compiled nodes serve one evaluator on one goroutine.
-	seq    int64           // opSeq: the next value
-	argBuf []variant.Value // opFunc, row evaluation: one row's arguments
+	// Evaluation state; compiled nodes serve one DAG on one goroutine.
+	seq int64 // opSeq: the next value
 }
 
 // exprInst is one scoped instance of a node: its operands, its register, and
@@ -372,6 +371,85 @@ var unaryOps = map[string]func(variant.Value) (variant.Value, error){
 func valueIsNull(v variant.Value) (variant.Value, error)    { return variant.Bool(v.IsNull()), nil }
 func valueIsNotNull(v variant.Value) (variant.Value, error) { return variant.Bool(!v.IsNull()), nil }
 
+// scalarBinOp returns the elementwise kernel of a non-logical binary
+// operator.
+func scalarBinOp(op string) (func(l, r variant.Value) (variant.Value, error), error) {
+	switch op {
+	case "+":
+		return variant.Add, nil
+	case "-":
+		return variant.Sub, nil
+	case "*":
+		return variant.Mul, nil
+	case "/":
+		return variant.Div, nil
+	case "%":
+		return variant.Mod, nil
+	case "||":
+		return func(l, r variant.Value) (variant.Value, error) {
+			if l.IsNull() || r.IsNull() {
+				return variant.Null, nil
+			}
+			ls, rs := l, r
+			if ls.Kind() != variant.KindString {
+				ls = variant.String(ls.JSON())
+			}
+			if rs.Kind() != variant.KindString {
+				rs = variant.String(rs.JSON())
+			}
+			return variant.String(ls.AsString() + rs.AsString()), nil
+		}, nil
+	case "=", "<>", "<", "<=", ">", ">=":
+		return func(l, r variant.Value) (variant.Value, error) {
+			if l.IsNull() || r.IsNull() {
+				return variant.Null, nil
+			}
+			return cmpBool(op, variant.Compare(l, r)), nil
+		}, nil
+	}
+	return nil, fmt.Errorf("engine: unknown binary operator %q", op)
+}
+
+// castValue applies a CAST to a non-NULL value; typ is already upper-cased.
+func castValue(typ string, v variant.Value) (variant.Value, error) {
+	switch typ {
+	case "INT", "INTEGER", "NUMBER", "BIGINT":
+		i, err := variant.ToInt(v)
+		if err != nil {
+			return variant.Null, err
+		}
+		return variant.Int(i), nil
+	case "DOUBLE", "FLOAT", "REAL":
+		f, err := variant.ToFloat(v)
+		if err != nil {
+			return variant.Null, err
+		}
+		return variant.Float(f), nil
+	case "VARCHAR", "STRING", "TEXT":
+		if v.Kind() == variant.KindString {
+			return v, nil
+		}
+		return variant.String(v.JSON()), nil
+	case "BOOLEAN":
+		return variant.Bool(truthySQL(v)), nil
+	case "VARIANT":
+		return v, nil
+	}
+	return variant.Null, fmt.Errorf("engine: unsupported cast type %q", typ)
+}
+
+// truthySQL reports SQL boolean truth: only boolean TRUE is true; numbers
+// are true when non-zero (Snowflake-style implicit boolean coercion).
+func truthySQL(v variant.Value) bool {
+	switch v.Kind() {
+	case variant.KindBool:
+		return v.AsBool()
+	case variant.KindInt, variant.KindFloat:
+		return v.AsFloat() != 0
+	}
+	return false
+}
+
 // unary interns the elementwise operator n over operand.
 func (c *dagCompiler) unary(operand sqlast.Expr, n exprNode) (int32, error) {
 	id, err := c.node(operand)
@@ -389,7 +467,7 @@ func (c *dagCompiler) funcCall(x *sqlast.FuncCall) (int32, error) {
 	if name == "SEQ8" || name == "SEQ4" {
 		// Monotone per-operator sequence (row-ID injection, §IV-B). The
 		// counter advances in active-row order, so with the ordered scan
-		// merge the assigned IDs match the row engine's.
+		// merge the assigned IDs are the sequential row order's.
 		return c.intern(exprNode{op: opSeq}), nil
 	}
 	fn, ok := scalarFuncs[name]
@@ -787,8 +865,8 @@ func (d *exprDAG) exec(in *exprInst, b *vector.Batch) error {
 }
 
 // execLogical evaluates AND (isOr false) or OR. Rows the left side decides —
-// FALSE for AND, TRUE for OR — never evaluate the right side, matching
-// row-engine short-circuiting; the rest run the right block under the
+// FALSE for AND, TRUE for OR — never evaluate the right side, as SQL
+// short-circuiting requires; the rest run the right block under the
 // restricted selection.
 func (d *exprDAG) execLogical(in *exprInst, isOr bool, b *vector.Batch, sel []int, out []variant.Value) error {
 	l := d.load(b, in.args[0])
@@ -826,7 +904,7 @@ func (d *exprDAG) execLogical(in *exprInst, isOr bool, b *vector.Batch, sel []in
 
 // execCase evaluates arms on progressively restricted selections, so a row
 // only ever evaluates the conditions up to its first match and only the
-// matching arm's result — the lazy CASE semantics of the row engine.
+// matching arm's result — lazy CASE semantics.
 func (d *exprDAG) execCase(in *exprInst, hasElse bool, b *vector.Batch, sel []int, out []variant.Value) error {
 	// branch runs the block computing args[k] under sel and returns its value.
 	x := in.x

@@ -12,8 +12,9 @@ import (
 
 // FuzzPlanDiff is the differential governance fuzzer: the input bytes seed
 // a deterministic generator that produces (a) a nested dataset and (b) one
-// query per pipeline shape — scan→filter, group, sort, join, and LATERAL
-// FLATTEN, and the row-ID re-aggregate, each with randomized predicates,
+// query per pipeline shape — scan→filter, group, sort, join, LATERAL
+// FLATTEN, the row-ID re-aggregate, and the row-ID self-join that joins a
+// re-aggregate back to its row IDs — each with randomized predicates, residuals,
 // aggregate lists, sort directions, and limits. The oracle is the sequential
 // unlimited engine with every aggregate on the hash table;
 // every other (batch size, parallelism, mem-limit, morsel) cell runs under
@@ -33,6 +34,10 @@ func FuzzPlanDiff(f *testing.F) {
 	f.Add([]byte("spill the breakers"))
 	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7})
 	f.Add([]byte("jsoniq on snowpark"))
+	// Joins with a residual over both sides that keep rows: LEFT OUTER (with
+	// NULL-padded rows) and INNER.
+	f.Add([]byte("residual 2"))
+	f.Add([]byte("residual 44"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rng := newDiffRNG(data)
@@ -277,16 +282,22 @@ func genDiffQueries(r *diffRNG) []string {
 
 	// Shape 4: subquery join on the group key (the dialect has no qualified
 	// column refs, so the build side renames its columns), totally ordered
-	// by the probe id plus the build columns.
+	// by the probe id plus the build columns. Sometimes the ON condition
+	// also holds a residual over both sides, which a LEFT OUTER row can fail
+	// for every candidate.
 	joinKind := "INNER"
 	if r.n(2) == 0 {
 		joinKind = "LEFT OUTER"
 	}
+	residual := ""
+	if r.n(2) == 0 {
+		residual = fmt.Sprintf(` AND "id" %% %d < "i2" %% %d`, 2+r.n(5), 2+r.n(5))
+	}
 	join := fmt.Sprintf(
 		`SELECT "id", "g2", "s2" FROM (SELECT "id", "grp" FROM "t"%s) %s JOIN `+
-			`(SELECT "grp" AS "g2", "s" AS "s2" FROM "t" WHERE "id" < %d) `+
-			`ON "grp" = "g2" ORDER BY "id", "s2", "g2"%s`,
-		where(), joinKind, 1+r.n(150), limit())
+			`(SELECT "grp" AS "g2", "s" AS "s2", "id" AS "i2" FROM "t" WHERE "id" < %d) `+
+			`ON "grp" = "g2"%s ORDER BY "id", "s2", "g2"%s`,
+		where(), joinKind, 1+r.n(150), residual, limit())
 
 	// Shape 5: LATERAL FLATTEN of the nested array, ordered by the unique
 	// (id, INDEX) pair.
@@ -319,7 +330,28 @@ func genDiffQueries(r *diffRNG) []string {
 			`LATERAL FLATTEN(INPUT => "items", OUTER => TRUE) AS "f") GROUP BY "rid"%s`,
 		strings.Join(reaggs, ", "), where(), limit())
 
-	return []string{scan, group, sort, join, flatten, reagg}
+	// Shape 7: the row-ID self-join — the JOIN strategy's nested query
+	// (§IV-C2), generated ADL q6's shape. The SEQ8() projection is LEFT OUTER
+	// joined on its row ID to a re-aggregate of its own OUTER FLATTEN, whose
+	// filter drops some row IDs altogether. No ORDER BY: the probe order is
+	// the row-ID order.
+	base := fmt.Sprintf(`SELECT *, SEQ8() AS "rid" FROM "t"%s`, where())
+	selfJoin := fmt.Sprintf(
+		`SELECT "id", "rid", "r2", %s FROM (%s) LEFT OUTER JOIN `+
+			`(SELECT "rid" AS "r2", %s FROM (SELECT * FROM (%s), LATERAL FLATTEN(INPUT => "items", OUTER => TRUE) AS "f") `+
+			`WHERE "f".VALUE > %d OR "id" %% 3 = 0 GROUP BY "rid") ON "rid" = "r2"%s`,
+		strings.Join(aliases(reaggs), ", "), base, strings.Join(reaggs, ", "), base, r.n(50), limit())
+
+	return []string{scan, group, sort, join, flatten, reagg, selfJoin}
+}
+
+// aliases returns the output names of "<expr> AS <name>" select items.
+func aliases(items []string) []string {
+	out := make([]string, len(items))
+	for i, it := range items {
+		out[i] = `"` + it[strings.LastIndex(it, " AS ")+4:] + `"`
+	}
+	return out
 }
 
 // clipDiff bounds failure output so a divergence on a large dataset stays

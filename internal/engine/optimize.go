@@ -8,6 +8,7 @@ import (
 	"jsonpark/internal/sqlast"
 	"jsonpark/internal/storage"
 	"jsonpark/internal/variant"
+	"jsonpark/internal/vector"
 )
 
 // optimize runs the engine's rewrite pipeline: expression simplification
@@ -460,17 +461,19 @@ func foldLiteralCall(call *sqlast.FuncCall) sqlast.Expr {
 	return nil
 }
 
-// evalConst evaluates an expression with no column references.
+// evalConst evaluates an expression with no column references through a DAG
+// over a one-row batch; the batch's one column only gives it its length. An
+// expression that errors stays unfolded, to fail at run time.
 func evalConst(e sqlast.Expr) (variant.Value, bool) {
-	fn, err := compileExpr(NewSchema(nil), e)
+	d, err := compileVec(nil, NewSchema(nil), e)
 	if err != nil {
 		return variant.Null, false
 	}
-	v, err := fn(nil)
+	vals, err := d.eval(&vector.Batch{Cols: [][]variant.Value{{variant.Null}}})
 	if err != nil {
 		return variant.Null, false
 	}
-	return v, true
+	return vals[0][0], true
 }
 
 // --- predicate pushdown ---------------------------------------------------

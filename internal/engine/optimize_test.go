@@ -135,6 +135,18 @@ func TestSimplifyFoldsConstants(t *testing.T) {
 	if len(r.Rows) != 0 {
 		t.Errorf("contradiction returned rows: %v", r.Rows)
 	}
+	if plan := planOf(t, e, `SELECT "o_id" FROM "orders" WHERE '12'::INT > 0`); !strings.Contains(plan, "filter=TRUE") {
+		t.Errorf("constant cast not folded:\n%s", plan)
+	}
+	// A literal expression that errors when folded stays in the plan and
+	// fails when it runs, with the error evaluation has always raised.
+	failing := `SELECT "o_id" FROM "orders" WHERE 'abc'::INT > 0`
+	if plan := planOf(t, e, failing); !strings.Contains(plan, "('abc' :: INT)") {
+		t.Errorf("failing cast folded away:\n%s", plan)
+	}
+	if _, err := e.Query(failing); err == nil || err.Error() != "variant: cannot coerce VARCHAR to NUMBER" {
+		t.Errorf("failing cast: error %v", err)
+	}
 }
 
 func TestGetArrayConstructFolding(t *testing.T) {

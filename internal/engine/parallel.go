@@ -17,16 +17,17 @@ import (
 
 // Parallel pipeline breakers. The morsel-driven scan of PR 2 parallelizes
 // the streaming half of a pipeline; this file parallelizes the blocking
-// half — the hash-aggregation build, the hash-join build and the sort —
+// half — the hash-aggregation build and the sort, and holds the worker loop
+// (fanOut) the hash-join build (joinIter.build) claims its buckets through —
 // while keeping every output byte identical to the sequential operators.
 // The ordering argument each one rests on is spelled out at its
 // implementation. The plan carries no parallel node for them: each operator
 // takes its worker count from the query's parallelism when it is bound (join
 // build, sort) or when it first runs (aggregate: aggFanOut).
 
-// Minimum input sizes below which the parallel phases fall back to the
-// sequential code path: worker startup and merge bookkeeping cost more than
-// they save on small inputs.
+// Minimum input sizes below which the parallel phases run on one worker:
+// worker startup and merge bookkeeping cost more than they save on small
+// inputs.
 const (
 	minParallelBuildRows = 256
 	minParallelSortRows  = 1024
@@ -728,183 +729,6 @@ func foldParts(ctx *execContext, x *AggregateNode, seg *segmentPlan, parts []*st
 		return nil
 	})
 	return spans, workerRows, err
-}
-
-// --- parallel hash-join build ------------------------------------------------
-
-// encRef locates one encoded build key in its chunk's arena.
-type encRef struct {
-	row    int32
-	lo, hi int32
-	bucket int32
-}
-
-// encChunk is one worker's contiguous share of the build rows: a key arena
-// plus the refs of the non-NULL-key rows, in row order.
-type encChunk struct {
-	arena []byte
-	refs  []encRef
-}
-
-// buildParallel constructs the partitioned hash table in two phases:
-//
-//	phase A: workers take contiguous row chunks, evaluate the build keys
-//	(each worker compiles its own copy — compiled expressions hold state,
-//	and prepareJoin admitted only stateless keys) and encode them into a
-//	per-chunk byte arena, bucketing each by hash.
-//
-//	phase B: workers claim buckets and build each bucket's map by walking
-//	the chunks in index order. Chunks are contiguous ascending row ranges
-//	and refs within a chunk are in row order, so every key's candidate
-//	list comes out in build-input order — the property probe emission and
-//	LEFT OUTER semantics observe.
-func (j *joinIter) buildParallel(rows [][]variant.Value) error {
-	parts := j.buildWorkers
-	workers := j.buildWorkers
-	if workers > len(rows) {
-		workers = len(rows)
-	}
-	chunkLen := (len(rows) + workers - 1) / workers
-	var spans [][2]int
-	for lo := 0; lo < len(rows); lo += chunkLen {
-		hi := lo + chunkLen
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		spans = append(spans, [2]int{lo, hi})
-	}
-
-	chunks := make([]encChunk, len(spans))
-	var stop int32
-	var errOnce sync.Once
-	var firstErr error
-	fail := func(err error) {
-		errOnce.Do(func() { firstErr = err })
-		atomic.StoreInt32(&stop, 1)
-	}
-	checkCancel := func() bool {
-		if err := j.ectx.cancelled(); err != nil {
-			fail(err)
-			return true
-		}
-		return false
-	}
-
-	localStart := time.Now()
-	var wg sync.WaitGroup
-	wg.Add(len(spans))
-	for si, span := range spans {
-		go func(si, lo, hi int) {
-			defer wg.Done()
-			fns := make([]evalFn, len(j.rightKeyExprs))
-			for i, k := range j.rightKeyExprs {
-				fn, err := compileExpr(j.rightSchema, k)
-				if err != nil {
-					fail(err)
-					return
-				}
-				fns[i] = fn
-			}
-			var arena []byte
-			refs := make([]encRef, 0, hi-lo)
-			for r := lo; r < hi; r++ {
-				if atomic.LoadInt32(&stop) != 0 {
-					return
-				}
-				if (r-lo)%256 == 0 && checkCancel() {
-					return
-				}
-				start := len(arena)
-				skip := false
-				for _, fn := range fns {
-					v, err := fn(rows[r])
-					if err != nil {
-						fail(err)
-						return
-					}
-					if v.IsNull() {
-						skip = true // NULL keys never match in equi-joins
-						break
-					}
-					arena = v.AppendGroupKey(arena)
-				}
-				if skip {
-					arena = arena[:start]
-					continue
-				}
-				refs = append(refs, encRef{
-					row: int32(r), lo: int32(start), hi: int32(len(arena)),
-					bucket: bucketOfKey(arena[start:], parts),
-				})
-			}
-			chunks[si] = encChunk{arena: arena, refs: refs}
-		}(si, span[0], span[1])
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	localWall := time.Since(localStart)
-
-	mergeStart := time.Now()
-	j.parts = make([]map[string]*buildList, parts)
-	var bclaim int64
-	var mwg sync.WaitGroup
-	mwg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer mwg.Done()
-			for {
-				if atomic.LoadInt32(&stop) != 0 || checkCancel() {
-					return
-				}
-				b := int(atomic.AddInt64(&bclaim, 1) - 1)
-				if b >= parts {
-					return
-				}
-				m := make(map[string]*buildList)
-				for _, c := range chunks {
-					for _, ref := range c.refs {
-						if int(ref.bucket) != b {
-							continue
-						}
-						key := c.arena[ref.lo:ref.hi]
-						e, ok := m[string(key)]
-						if !ok {
-							e = &buildList{}
-							m[string(key)] = e
-						}
-						e.rows = append(e.rows, rows[ref.row])
-					}
-				}
-				j.parts[b] = m
-			}
-		}()
-	}
-	mwg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	mergeWall := time.Since(mergeStart)
-
-	var keys int64
-	for _, m := range j.parts {
-		keys += int64(len(m))
-	}
-	var maxChunk int64
-	for _, s := range spans {
-		if n := int64(s[1] - s[0]); n > maxChunk {
-			maxChunk = n
-		}
-	}
-	j.mem.st.Pipelines = len(spans)
-	j.mem.st.MergeParts = parts
-	j.mem.st.LocalRows = int64(len(rows))
-	j.mem.st.MergedGroups = keys
-	j.mem.st.MaxWorkerRows = maxChunk
-	j.mem.st.LocalWallUS = localWall.Microseconds()
-	j.mem.st.MergeWallUS = mergeWall.Microseconds()
-	return nil
 }
 
 // --- parallel sort -----------------------------------------------------------

@@ -13,6 +13,33 @@ type Node interface {
 	Schema() *Schema
 }
 
+// Schema names the columns of a row stream. Later duplicates shadow earlier
+// ones, matching SELECT-list alias behaviour.
+type Schema struct {
+	Names []string
+	index map[string]int
+}
+
+// NewSchema builds a schema from column names.
+func NewSchema(names []string) *Schema {
+	s := &Schema{Names: append([]string(nil), names...), index: make(map[string]int, len(names))}
+	for i, n := range names {
+		s.index[n] = i
+	}
+	return s
+}
+
+// Lookup returns the position of a column.
+func (s *Schema) Lookup(name string) (int, bool) {
+	i, ok := s.index[name]
+	return i, ok
+}
+
+// Extend returns a new schema with extra columns appended.
+func (s *Schema) Extend(names ...string) *Schema {
+	return NewSchema(append(append([]string(nil), s.Names...), names...))
+}
+
 // ScanNode reads a table's micro-partitions. Columns is the projected subset
 // (projection pruning rewrites it); Filter is the pushed-down residual
 // predicate; Prunes are zone-map predicates for partition pruning.
@@ -82,10 +109,10 @@ type AggregateNode struct {
 	schema     *Schema
 }
 
-// JoinNode joins two inputs. The optimizer may extract hash keys from an
-// INNER/CROSS join's conjuncts (LeftKeys/RightKeys) leaving Residual; a
-// LEFT OUTER join always requires keys (the translation only emits
-// equi-joins on row IDs).
+// JoinNode joins two inputs. On is the parsed condition: predicate pushdown
+// splits it into hash keys (LeftKeys/RightKeys), from its equalities across
+// the sides, and the Residual, and clears it, for every join kind, so the
+// operator never evaluates On (planck checks).
 type JoinNode struct {
 	Kind      string // INNER, LEFT OUTER, CROSS
 	Left      Node

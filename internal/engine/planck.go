@@ -20,12 +20,16 @@ package engine
 //     error, forcing new operators to declare their contract here — and the
 //     operator envelope runs validateBatch on each emitted batch.
 //
+//  3. Join conditions. A compiled join carries keys and a residual only; an
+//     ON condition left on it would be silently ignored, so it fails.
+//
 // All checks are pure assertions: a passing plan executes identically with
 // and without planck, modulo the per-batch validation cost.
 
 import (
 	"fmt"
 
+	"jsonpark/internal/sqlast"
 	"jsonpark/internal/vector"
 )
 
@@ -93,14 +97,21 @@ func clusteredColumn(n Node, col int) bool {
 // selection-vector contract is declared below. All current operators emit
 // batches whose Sel is nil (dense) or strictly increasing: filters build
 // selections via Batch.ForEach in physical order, projections carry their
-// input's selection through unchanged, and every materializing operator
-// (aggregate, join, sort, flatten, scan merge) emits dense batches. A node
+// input's selection through unchanged, the join selects its surviving pairs
+// in pair order, and every other materializing operator (aggregate, sort,
+// flatten, scan merge) emits dense batches. A node
 // type this switch does not know cannot be certified and fails the check —
-// adding an operator means deciding its contract here.
+// adding an operator means deciding its contract here. A join must also have
+// no ON condition left: the operator evaluates only its keys and residual,
+// into which pushdown folds ON for every join kind the parser produces.
 func checkSelContract(n Node) error {
-	switch n.(type) {
+	switch x := n.(type) {
 	case *ScanNode, *FilterNode, *ProjectNode, *FlattenNode,
-		*AggregateNode, *JoinNode, *SortNode, *LimitNode, *UnionNode:
+		*AggregateNode, *SortNode, *LimitNode, *UnionNode:
+	case *JoinNode:
+		if x.On != nil {
+			return fmt.Errorf("planck: %s join kept its ON condition %s, which the operator never evaluates", x.Kind, sqlast.RenderExpr(x.On))
+		}
 	case *ExchangeNode:
 		// Emits its stages' batches detached: Detach keeps the selection.
 	default:

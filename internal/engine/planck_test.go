@@ -83,6 +83,39 @@ func TestCheckSelContractRejectsUnknownNodes(t *testing.T) {
 	}
 }
 
+// TestCheckPlanRejectsJoinOn: the join operator evaluates keys and residual
+// only, so a compiled join that still carries an ON condition fails planck
+// instead of silently dropping it.
+func TestCheckPlanRejectsJoinOn(t *testing.T) {
+	e := multiPartEngine(t)
+	sql := `SELECT "id", "oid" FROM (SELECT "id", "grp" FROM "events") INNER JOIN (SELECT "id" AS "oid", "grp" AS "og" FROM "events") ON "grp" = "og" AND "id" < "oid"`
+	cp, err := e.compile(sql, PrepareOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var join *JoinNode
+	var find func(Node)
+	find = func(n Node) {
+		if x, ok := n.(*JoinNode); ok {
+			join = x
+		}
+		for _, c := range planChildren(n) {
+			find(c)
+		}
+	}
+	find(cp.plan)
+	if join == nil || join.On != nil || len(join.LeftKeys) != 1 || join.Residual == nil {
+		t.Fatalf("pushdown did not fold ON into one key and a residual: %+v", join)
+	}
+	if err := checkPlan(cp.plan); err != nil {
+		t.Fatalf("folded join rejected: %v", err)
+	}
+	join.On = join.Residual
+	if err := checkPlan(cp.plan); err == nil || !strings.Contains(err.Error(), "kept its ON condition") {
+		t.Errorf("join with an ON condition: got %v, want a kept-ON error", err)
+	}
+}
+
 func TestValidateBatch(t *testing.T) {
 	col := func(n int) []variant.Value { return make([]variant.Value, n) }
 	good := &vector.Batch{Cols: [][]variant.Value{col(4), col(4)}, Sel: []int{0, 2, 3}}

@@ -33,9 +33,11 @@ import (
 //     evaluated keys) as one run; consecutive runs are consecutive input
 //     chunks, so the earliest-run-tiebreak k-way merge equals the global
 //     stable sort.
-//   - Join build: rows go to an offset-indexed run, the in-memory hash index
-//     maps key bytes to offsets in input order, and probes fetch candidates
-//     by offset — same candidates, same order, as the in-memory build.
+//   - Join build: the retained build rows, then every later one, go to an
+//     offset-indexed run in drain order, and the hash table maps key bytes to
+//     offsets instead of retained rows. A probe decodes a candidate list into
+//     a scratch batch and pairs with it as with retained rows — same
+//     candidates, same order, as the in-memory build.
 
 // activeRowsBytes is the conservative retained-bytes charge for one batch:
 // the deep size of every active row. Operators charge it per absorbed batch;
@@ -53,28 +55,29 @@ func activeRowsBytes(b *vector.Batch) int64 {
 
 // --- generic row codec --------------------------------------------------------
 
-// encodeRowValues appends every column value of one row with the exact codec.
-func encodeRowValues(dst []byte, row []variant.Value) []byte {
-	for _, v := range row {
-		dst = v.AppendBinary(dst)
+// appendRowBinary appends every column value of b's physical row i with the
+// exact codec.
+func appendRowBinary(dst []byte, b *vector.Batch, i int) []byte {
+	for c := range b.Cols {
+		dst = b.Value(c, i).AppendBinary(dst)
 	}
 	return dst
 }
 
-// decodeRowValues decodes a width-column row written by encodeRowValues.
-func decodeRowValues(rec []byte, width int) ([]variant.Value, error) {
-	row := make([]variant.Value, width)
-	var err error
-	for c := 0; c < width; c++ {
-		row[c], rec, err = variant.DecodeBinary(rec)
+// decodeRowInto decodes a row written by appendRowBinary, appending each of
+// its values to its column of cols.
+func decodeRowInto(cols [][]variant.Value, rec []byte) error {
+	for c := range cols {
+		v, rest, err := variant.DecodeBinary(rec)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		cols[c], rec = append(cols[c], v), rest
 	}
 	if len(rec) != 0 {
-		return nil, fmt.Errorf("engine: spilled row has %d trailing bytes", len(rec))
+		return fmt.Errorf("engine: spilled row has %d trailing bytes", len(rec))
 	}
-	return row, nil
+	return nil
 }
 
 // --- accumulator partial-state codec ------------------------------------------
@@ -527,19 +530,16 @@ func (e *aggEval) replayTuples(ectx *execContext, run *storage.SpillRun, t *aggT
 // --- sort runs ----------------------------------------------------------------
 
 // writeSortRun writes the buffered chunk's rows, in sorted (refs) order,
-// with their evaluated key values. Record: width row values, then one value
+// with their evaluated key values. Record: the row's values, then one value
 // per sort key.
-func writeSortRun(batches []*vector.Batch, keyCols [][][]variant.Value, refs []sortRef, width int) (*storage.SpillRun, error) {
+func writeSortRun(batches []*vector.Batch, keyCols [][][]variant.Value, refs []sortRef) (*storage.SpillRun, error) {
 	w, err := storage.NewRunWriter("sort")
 	if err != nil {
 		return nil, err
 	}
 	var rec []byte
 	for _, r := range refs {
-		rec = rec[:0]
-		for c := 0; c < width; c++ {
-			rec = batches[r.b].Value(c, r.i).AppendBinary(rec)
-		}
+		rec = appendRowBinary(rec[:0], batches[r.b], r.i)
 		for k := range keyCols[r.b] {
 			rec = keyCols[r.b][k][r.i].AppendBinary(rec)
 		}

@@ -276,9 +276,10 @@ func TestJoinCloseIdempotent(t *testing.T) {
 			right:      right,
 			leftWidth:  2,
 			rightWidth: 2,
+			workers:    1,
+			size:       4,
 			ectx:       ctx,
 			mem:        ctx.opMemFor(nil),
-			bld:        vector.NewBuilder(4, 4),
 		}
 		return j, left, right
 	}

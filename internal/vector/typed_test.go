@@ -95,14 +95,16 @@ func TestBatchTypedColumnMaterializeCaches(t *testing.T) {
 	}
 }
 
-func TestBatchRowOverTypedColumn(t *testing.T) {
+func TestBatchValueOverTypedColumn(t *testing.T) {
 	b := &Batch{
 		Cols:  make([][]variant.Value, 2),
 		Typed: []*TypedCol{NewInt64Col([]int64{7, 8}, nil), nil},
 	}
 	b.Cols[1] = []variant.Value{variant.String("a"), variant.String("b")}
-	row := b.Row(1, nil)
-	if row[0].AsInt() != 8 || row[1].AsString() != "b" {
-		t.Fatalf("Row = %v", row)
+	if v0, v1 := b.Value(0, 1), b.Value(1, 1); v0.AsInt() != 8 || v1.AsString() != "b" {
+		t.Fatalf("row 1 = %v, %v", v0, v1)
+	}
+	if b.Cols[0] != nil {
+		t.Error("Value materialized the typed column")
 	}
 }

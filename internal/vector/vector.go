@@ -81,8 +81,8 @@ func (b *Batch) Column(c int) []variant.Value {
 
 // Value returns the variant at (column c, physical row i). A typed-only
 // column converts the single row in place instead of materializing the whole
-// vector — the right trade for row-wise consumers (join probe, sort and
-// spill row assembly, flatten) that read each row at most once.
+// vector — the right trade for row-wise consumers (sort and spill row
+// assembly, memory charging) that read each row at most once.
 func (b *Batch) Value(c, i int) variant.Value {
 	if b.Cols[c] != nil {
 		return b.Cols[c][i]
@@ -181,8 +181,9 @@ func (b *Batch) Detach() *Batch {
 
 // Gather appends column c's values at the physical rows idx to dst and
 // returns it: the column-at-a-time half of an expanding operator (FLATTEN
-// replicates each parent column through its parent-index vector). A typed
-// column converts as it is gathered.
+// replicates each parent column through its parent-index vector, the join
+// each probe column through its pairs' rows) and of the join's build-side
+// copy. A typed column converts as it is gathered.
 func (b *Batch) Gather(c int, idx []int, dst []variant.Value) []variant.Value {
 	if col := b.Cols[c]; col != nil {
 		for _, i := range idx {
@@ -202,19 +203,8 @@ func (b *Batch) Gather(c int, idx []int, dst []variant.Value) []variant.Value {
 	return dst
 }
 
-// Row gathers the physical row i into buf (grown as needed) and returns it.
-func (b *Batch) Row(i int, buf []variant.Value) []variant.Value {
-	if cap(buf) < len(b.Cols) {
-		buf = make([]variant.Value, len(b.Cols))
-	}
-	buf = buf[:len(b.Cols)]
-	for c := range b.Cols {
-		buf[c] = b.Column(c)[i]
-	}
-	return buf
-}
-
-// AppendRows materializes every active row and appends them to rows.
+// AppendRows materializes every active row and appends them to rows: how a
+// query's result leaves the engine.
 func (b *Batch) AppendRows(rows [][]variant.Value) [][]variant.Value {
 	for c := range b.Cols {
 		b.Column(c)
@@ -255,9 +245,9 @@ func (b *Batch) Truncate(n int) {
 	b.Sel = b.Sel[:n]
 }
 
-// Builder accumulates rows into fixed-size batches. The join feeds it its
-// output rows one at a time and emits dense batches of the configured size;
-// every batch it hands out owns freshly allocated vectors.
+// Builder accumulates rows into fixed-size batches. The sort's run merge
+// feeds it its output rows one at a time and emits dense batches of the
+// configured size; every batch it hands out owns freshly allocated vectors.
 type Builder struct {
 	width int
 	size  int

@@ -170,7 +170,7 @@ func TestDetach(t *testing.T) {
 		}
 	}
 	var rows []string
-	kept.ForEach(func(i int) { rows = append(rows, variant.Array(kept.Row(i, nil)...).JSON()) })
+	kept.ForEach(func(i int) { rows = append(rows, variant.Array(kept.Value(0, i), kept.Value(1, i)).JSON()) })
 	if len(rows) != 2 || rows[0] != `[1,8]` || rows[1] != `[3,10]` {
 		t.Errorf("detached rows = %v", rows)
 	}
