@@ -1,6 +1,7 @@
 package adl
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -59,5 +60,40 @@ func TestMetricsAccuracy(t *testing.T) {
 				t.Errorf("plan bytes=%d, metrics bytes=%d", planBytes, res.Metrics.BytesScanned)
 			}
 		})
+	}
+}
+
+// TestExplainAnalyzeShowsTyping: EXPLAIN ANALYZE says where typing held. On
+// generated q6 the projections computing the trijet kinematics run typed
+// kernels and the re-aggregate converts their typed results to build its
+// objects; every operator's typed=N fallback=M adds up to the query's
+// storage[typed= fallback=] totals.
+func TestExplainAnalyzeShowsTyping(t *testing.T) {
+	sess, _ := testSetup(t)
+	q, _ := ByID("q6")
+	tres, err := core.Translate(sess, q.JSONiq, core.Options{Strategy: q.Strategy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, plan, err := sess.Engine().QueryAnalyze(tres.SQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var typed, fallback int64
+	var typedProject, fallbackAgg bool
+	plan.Walk(func(_ int, n *engine.PlanStats) {
+		typed += n.ExprTyped
+		fallback += n.ExprFallback
+		typedProject = typedProject || n.Op == "Project" && n.ExprTyped > 0
+		fallbackAgg = fallbackAgg || n.Op == "Aggregate" && n.ExprFallback > 0
+	})
+	if !typedProject || !fallbackAgg {
+		t.Errorf("want a typed Project and an Aggregate converting typed results:\n%s", plan.Render())
+	}
+	if typed != res.Metrics.TypedCols || fallback != res.Metrics.FallbackCols || typed == 0 {
+		t.Errorf("operators add up to typed=%d fallback=%d, query reports %d/%d", typed, fallback, res.Metrics.TypedCols, res.Metrics.FallbackCols)
+	}
+	if r := plan.Render(); !strings.Contains(r, " typed=") || !strings.Contains(r, "storage[typed=") {
+		t.Errorf("render lacks the typed=/storage[] clauses:\n%s", r)
 	}
 }

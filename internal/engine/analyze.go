@@ -23,6 +23,9 @@ type OpStats struct {
 	batches atomic.Int64 // vector batches emitted by this operator
 	held    atomic.Int64 // accounted bytes the operator retains now (opMem)
 	memPeak atomic.Int64 // the most it retained at once
+	// Its expression DAGs' typed vectors read by typed kernels, and typed
+	// vectors converted to variants (exprDAG.flush).
+	typed, fallback atomic.Int64
 
 	WallTime         time.Duration // inclusive: covers all children
 	BytesScanned     int64         // scan: column-chunk bytes materialized
@@ -88,9 +91,12 @@ type PlanStats struct {
 	ExprNodes    int `json:"expr_nodes,omitempty"`
 	ExprDistinct int `json:"expr_distinct,omitempty"`
 	ExprSlots    int `json:"expr_slots,omitempty"`
-	// Storage v2 counters, query-global (kernels are compiled per worker and
-	// batches flow across operators, so the split is not attributable to a
-	// single node): set on the root only.
+	// Where typing held in the operator's DAGs: typed vectors its kernels
+	// read, and typed vectors it converted to variants.
+	ExprTyped    int64 `json:"expr_typed,omitempty"`
+	ExprFallback int64 `json:"expr_fallback,omitempty"`
+	// Storage v2 counters, query-global, set on the root only: the typed and
+	// fallback totals over every operator, and partitions read from disk.
 	TypedCols    int64        `json:"typed_cols,omitempty"`
 	FallbackCols int64        `json:"fallback_cols,omitempty"`
 	DiskReads    int64        `json:"disk_reads,omitempty"`
@@ -141,6 +147,8 @@ func buildPlanStats(n Node, c *execContext) *PlanStats {
 		SpillBytes:       st.SpillBytes,
 		Workers:          st.Workers,
 		Morsels:          st.Morsels,
+		ExprTyped:        st.typed.Load(),
+		ExprFallback:     st.fallback.Load(),
 	}
 	switch n.(type) {
 	case *ExchangeNode:
@@ -208,6 +216,9 @@ func (ps *PlanStats) Render() string {
 		if n.ExprNodes > 0 {
 			b.WriteByte(' ')
 			b.WriteString(exprStats{n.ExprNodes, n.ExprDistinct, n.ExprSlots}.String())
+		}
+		if n.ExprTyped > 0 || n.ExprFallback > 0 {
+			fmt.Fprintf(&b, " typed=%d fallback=%d", n.ExprTyped, n.ExprFallback)
 		}
 		if n.Spills > 0 || n.MemPeakBytes > 0 {
 			fmt.Fprintf(&b, " mem[peak=%d limit=%d spills=%d spill_bytes=%d]",

@@ -109,11 +109,12 @@ func WithDataDir(dir string) Option {
 	return func(e *Engine) { e.dataDir = dir }
 }
 
-// WithTypedColumns toggles typed shredding at partition seal (on by
-// default): uniform scalar leaf columns are stored as typed arrays
-// (int64/float64/string/bool + null bitmap, dictionary-encoded strings)
-// that the expression kernels read without variant materialization.
-// Results are byte-identical either way; false keeps every column as
+// WithTypedColumns toggles typed execution (on by default): uniform scalar
+// leaf columns are shredded at partition seal into typed arrays
+// (int64/float64/string/bool + null bitmap, dictionary-encoded strings), and
+// expressions keep numbers and booleans in typed registers, both read by
+// typed kernels without variant materialization. Results are byte-identical
+// either way; false keeps every column and every expression result as
 // variant values (the v1 layout).
 func WithTypedColumns(on bool) Option {
 	return func(e *Engine) { e.typedOff = !on }
@@ -230,8 +231,9 @@ type Metrics struct {
 	MemLimitBytes int64
 	Spills        int64
 	SpillBytes    int64
-	// Storage v2: column reads served by typed kernels, typed columns that
-	// fell back to variant materialization, and partition data sections
+	// Typed execution: typed vectors (columns and expression results) read
+	// by typed kernels, and typed vectors converted to variants for an
+	// operator or function that needs them; and partition data sections
 	// cold-loaded from disk during this query.
 	TypedCols    int64
 	FallbackCols int64
@@ -383,6 +385,7 @@ func (e *Engine) bind(cp *compiledPlan, po PrepareOptions) (*Prepared, error) {
 		prog:        newQueryProgress(cp.plan, cp.sql, po.TraceID),
 		analyze:     po.Analyze,
 		batchHook:   e.batchHook,
+		typedOff:    e.typedOff,
 	}
 	if ctx.batchSize <= 0 {
 		ctx.batchSize = vector.DefaultBatchSize

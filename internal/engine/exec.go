@@ -63,6 +63,8 @@ type execContext struct {
 	// on the driver goroutine only (prepare and the breaker drivers), so the
 	// map needs no lock. The pinned versions also key the result cache.
 	snapshots map[*storage.Table]storage.TableSnapshot
+	// typedOff keeps the expression DAGs on variants (WithTypedColumns).
+	typedOff bool
 	// Storage-path counters (atomic; see countTypedCols and friends below).
 	typedCols    int64
 	fallbackCols int64
@@ -124,14 +126,14 @@ func (c *execContext) addScanCounts(st *OpStats, totalParts, pruned int, bytes i
 // are nil-safe so compiled expressions also work without an execContext
 // (benchmarks, tests).
 
-// countTypedCols records n column reads served by typed kernels.
+// countTypedCols records n typed vectors read by typed kernels.
 func (c *execContext) countTypedCols(n int) {
 	if c != nil {
 		atomic.AddInt64(&c.typedCols, int64(n))
 	}
 }
 
-// countFallbackCols records n typed columns materialized to variants.
+// countFallbackCols records n typed vectors converted to variants.
 func (c *execContext) countFallbackCols(n int) {
 	if c != nil {
 		atomic.AddInt64(&c.fallbackCols, int64(n))
@@ -294,17 +296,6 @@ func drainRowsHooked(it batchIter, hook func()) ([][]variant.Value, error) {
 	}
 }
 
-// appendTruthy appends to sel the physical indices of the active rows whose
-// value is non-NULL and SQL-true.
-func appendTruthy(sel []int, b *vector.Batch, vals []variant.Value) []int {
-	b.ForEach(func(i int) {
-		if !vals[i].IsNull() && truthySQL(vals[i]) {
-			sel = append(sel, i)
-		}
-	})
-	return sel
-}
-
 // --- filter / project / flatten ---------------------------------------------
 //
 // The three streaming operators own what they emit — a header, a selection,
@@ -334,14 +325,14 @@ func (f *filterIter) NextBatch() (*vector.Batch, error) {
 // apply points f.out at b restricted to the rows passing the condition,
 // reporting whether any did.
 func (f *filterIter) apply(b *vector.Batch) (bool, error) {
-	keep, err := f.cond.eval(b)
-	if err != nil {
-		return false, err
-	}
 	if vector.Poisoned() {
 		vector.PoisonSel(f.sel)
 	}
-	f.sel = appendTruthy(f.sel[:0], b, keep[0])
+	sel, err := f.cond.selectTrue(b, f.sel[:0])
+	if err != nil {
+		return false, err
+	}
+	f.sel = sel
 	f.out = vector.Batch{Cols: b.Cols, Sel: f.sel, Typed: b.Typed}
 	return len(f.sel) > 0, nil
 }
@@ -370,26 +361,40 @@ func (p *projectIter) Close() { p.in.Close() }
 // flattenIter expands each input row once per element of its array. It works
 // a batch at a time and a column at a time: one pass over the arrays fills a
 // parent-index vector plus the VALUE and INDEX columns for up to size output
-// rows, then every parent column is gathered through the index vector. An
-// output batch never spans two input batches (the first would be gone), and a
-// cursor (pos, off) resumes mid-batch — mid-array — when an expansion
-// overflows size.
+// rows, then every parent column is gathered through the index vector, typed
+// when it arrives typed. An output batch never spans two input batches (the
+// first would be gone), and a cursor (pos, off) resumes mid-batch — mid-array
+// — when an expansion overflows size. With typed registers on, INDEX is an
+// int64 register; over ARRAY_RANGE(lo, hi) (rng) the DAG evaluates the two
+// bounds instead of the array, and VALUE is an int64 register of the integers
+// the array would hold, which is never built.
 type flattenIter struct {
 	in     batchIter
 	input  *exprDAG
 	outer  bool
+	rng    bool
 	size   int
 	cur    *vector.Batch   // input batch under expansion
 	arrs   []variant.Value // its arrays, aligned with cur's physical rows
+	los    []int64         // rng: each row's first integer, aligned likewise
+	spans  []int           // rng: each row's element count
 	pos    int             // next active row of cur
 	off    int             // next element of that row's array
 	parent []int
-	cols   [][]variant.Value // input width + 2: output adds VALUE and INDEX
-	out    vector.Batch
+	// Storage per output column — input width + 2, as the output adds VALUE
+	// and INDEX — variant and, with typed registers on, typed.
+	cols  [][]variant.Value
+	tcols []vector.TypedCol
+	out   vector.Batch
 }
 
-func newFlattenIter(in batchIter, input *exprDAG, outer bool, width, size int) *flattenIter {
-	return &flattenIter{in: in, input: input, outer: outer, size: size, cols: make([][]variant.Value, width+2)}
+func newFlattenIter(in batchIter, input *exprDAG, outer, rng bool, width, size int) *flattenIter {
+	f := &flattenIter{in: in, input: input, outer: outer, rng: rng, size: size, cols: make([][]variant.Value, width+2)}
+	f.out.Cols = make([][]variant.Value, width+2)
+	if input.typed {
+		f.tcols, f.out.Typed = make([]vector.TypedCol, width+2), make([]*vector.TypedCol, width+2)
+	}
+	return f
 }
 
 func (f *flattenIter) NextBatch() (*vector.Batch, error) {
@@ -411,48 +416,119 @@ func (f *flattenIter) advance() error {
 	if err != nil || b == nil {
 		return err
 	}
-	arrs, err := f.input.eval(b)
+	if f.rng {
+		err = f.bounds(b)
+	} else {
+		var arrs [][]variant.Value
+		if arrs, err = f.input.eval(b); err == nil {
+			f.arrs = arrs[0]
+		}
+	}
 	if err != nil {
 		return err
 	}
-	f.cur, f.arrs, f.pos, f.off = b, arrs[0], 0, 0
+	f.cur, f.pos, f.off = b, 0, 0
+	return nil
+}
+
+// bounds evaluates a range FLATTEN's bounds over b and applies ARRAY_RANGE's
+// rules to every active row before any row expands, as building the arrays
+// would: each row's first integer and element count (none for NULL).
+func (f *flattenIter) bounds(b *vector.Batch) error {
+	d := f.input
+	defer d.flush()
+	if err := d.begin(b); err != nil {
+		return err
+	}
+	lo, lol := d.arg(b, d.roots[0])
+	hi, hil := d.arg(b, d.roots[1])
+	f.los, f.spans = slices.Grow(f.los[:0], d.n)[:d.n], slices.Grow(f.spans[:0], d.n)[:d.n]
+	for _, i := range d.active(b) {
+		first, n, _, err := rangeBounds(at(lo, lol, i), at(hi, hil, i))
+		if err != nil {
+			return err
+		}
+		f.los[i], f.spans[i] = first, n
+	}
 	return nil
 }
 
 // expand fills f.out with the next output rows of f.cur, reporting false
 // once the batch is exhausted.
 func (f *flattenIter) expand() bool {
-	b, w := f.cur, len(f.cols)-2
+	b, w, typed := f.cur, len(f.cols)-2, f.tcols != nil
 	if f.parent == nil {
 		f.parent = make([]int, 0, f.size)
-		for c := range f.cols {
-			f.cols[c] = make([]variant.Value, 0, f.size)
-		}
 	}
 	if vector.Poisoned() {
 		vector.PoisonSel(f.parent)
-		for _, col := range f.cols {
-			vector.Poison(col)
+		for c := range f.cols {
+			vector.Poison(f.cols[c])
+			if typed {
+				vector.PoisonTyped(&f.tcols[c])
+			}
 		}
 	}
-	parent, value, index := f.parent[:0], f.cols[w][:0], f.cols[w+1][:0]
+	// VALUE and INDEX: variant vectors, or int64 registers filled by position.
+	var value, index []variant.Value
+	var vals, idx []int64
+	if typed {
+		f.tcols[w+1].Reset(vector.TypedInt64, f.size)
+		idx = f.tcols[w+1].Ints()
+	} else {
+		index = f.store(w + 1)
+	}
+	if f.rng {
+		f.tcols[w].Reset(vector.TypedInt64, f.size)
+		vals = f.tcols[w].Ints()
+	} else {
+		value = f.store(w)
+	}
+	parent := f.parent[:0]
 	for rows := b.NumRows(); f.pos < rows && len(parent) < f.size; {
 		i := b.ActiveAt(f.pos)
-		elems := f.arrs[i].AsArray() // nil unless an array
-		if len(elems) == 0 {
+		var elems []variant.Value
+		n := 0
+		if f.rng {
+			n = f.spans[i]
+		} else {
+			elems = f.arrs[i].AsArray() // nil unless an array
+			n = len(elems)
+		}
+		if n == 0 {
 			if f.outer {
 				// OUTER flatten keeps the row with NULL VALUE/INDEX.
-				parent, value, index = append(parent, i), append(value, variant.Null), append(index, variant.Null)
+				if f.rng {
+					f.tcols[w].SetNull(len(parent))
+				} else {
+					value = append(value, variant.Null)
+				}
+				if typed {
+					f.tcols[w+1].SetNull(len(parent))
+				} else {
+					index = append(index, variant.Null)
+				}
+				parent = append(parent, i)
 			}
 			f.pos++
 			continue
 		}
-		take := min(len(elems)-f.off, f.size-len(parent))
-		value = append(value, elems[f.off:f.off+take]...)
-		for k := f.off; k < f.off+take; k++ {
-			parent, index = append(parent, i), append(index, variant.Int(int64(k)))
+		take := min(n-f.off, f.size-len(parent))
+		if !f.rng {
+			value = append(value, elems[f.off:f.off+take]...)
 		}
-		if f.off += take; f.off == len(elems) {
+		for k := f.off; k < f.off+take; k++ {
+			switch {
+			case f.rng:
+				vals[len(parent)], idx[len(parent)] = f.los[i]+int64(k), int64(k)
+			case typed:
+				idx[len(parent)] = int64(k)
+			default:
+				index = append(index, variant.Int(int64(k)))
+			}
+			parent = append(parent, i)
+		}
+		if f.off += take; f.off == n {
 			f.pos, f.off = f.pos+1, 0
 		}
 	}
@@ -460,11 +536,42 @@ func (f *flattenIter) expand() bool {
 	if len(parent) == 0 {
 		return false
 	}
+	f.out.Sel = nil
+	f.emit(w, f.rng, value)
+	f.emit(w+1, typed, index)
 	for c := 0; c < w; c++ {
-		f.cols[c] = b.Gather(c, parent, f.cols[c][:0])
+		if tc := b.TypedCol(c); typed && tc != nil && tc.Kind() != vector.TypedString {
+			tc.Gather(parent, &f.tcols[c])
+			f.emit(c, true, nil)
+			continue
+		}
+		f.cols[c] = b.Gather(c, parent, f.store(c))
+		f.emit(c, false, f.cols[c])
 	}
-	f.out = vector.Batch{Cols: f.cols}
 	return true
+}
+
+// store returns output column c's variant storage, emptied; on first use it
+// allocates the storage at its full size.
+func (f *flattenIter) store(c int) []variant.Value {
+	if f.cols[c] == nil {
+		f.cols[c] = make([]variant.Value, 0, f.size)
+	}
+	return f.cols[c][:0]
+}
+
+// emit sets output column c to its typed register, shrunk to the batch's
+// rows, or to the variant vector vals.
+func (f *flattenIter) emit(c int, typed bool, vals []variant.Value) {
+	if typed {
+		f.tcols[c].SetLen(len(f.parent))
+		f.out.Cols[c], f.out.Typed[c] = nil, &f.tcols[c]
+		return
+	}
+	f.out.Cols[c] = vals
+	if f.out.Typed != nil {
+		f.out.Typed[c] = nil
+	}
 }
 
 func (f *flattenIter) Close() { f.in.Close() }
@@ -549,7 +656,7 @@ func compileAggEval(ctx *execContext, x *AggregateNode) (*aggEval, error) {
 		}
 		aggs[i] = ca
 	}
-	dag, err := compileVecs(ctx, x.Input.Schema(), exprs)
+	dag, err := compileVecs(ctx, x, x.Input.Schema(), exprs)
 	if err != nil {
 		return nil, err
 	}
@@ -1139,15 +1246,15 @@ func compileJoin(ctx *execContext, x *JoinNode) (joinExprs, error) {
 	var e joinExprs
 	var err error
 	if len(x.LeftKeys) > 0 {
-		if e.probe, err = compileVecs(ctx, x.Left.Schema(), x.LeftKeys); err != nil {
+		if e.probe, err = compileVecs(ctx, x, x.Left.Schema(), x.LeftKeys); err != nil {
 			return e, err
 		}
-		if e.build, err = compileVecs(ctx, x.Right.Schema(), x.RightKeys); err != nil {
+		if e.build, err = compileVecs(ctx, x, x.Right.Schema(), x.RightKeys); err != nil {
 			return e, err
 		}
 	}
 	if x.Residual != nil {
-		e.residual, err = compileVec(ctx, x.Schema(), x.Residual)
+		e.residual, err = compileVec(ctx, x, x.Schema(), x.Residual)
 	}
 	return e, err
 }
@@ -1233,6 +1340,7 @@ type joinIter struct {
 	last    []bool
 	keyBuf  []byte
 	sel     []int
+	pass    []int
 	decoded int32
 }
 
@@ -1566,21 +1674,25 @@ func (j *joinIter) emit() (*vector.Batch, error) {
 		}
 	}
 	j.sel = pairs
-	var pass []variant.Value
+	var pass []int // the pairs that pass, in order
 	if len(pairs) > 0 {
 		out.Sel = pairs
-		vals, err := j.exprs.residual.eval(out)
-		if err != nil {
+		var err error
+		if pass, err = j.exprs.residual.selectTrue(out, j.pass[:0]); err != nil {
 			return nil, err
 		}
-		pass = vals[0]
+		j.pass = pass
 	}
 	sel := make([]int, 0, n)
 	for k, r := range j.refs {
+		passed := len(pass) > 0 && pass[0] == k
+		if passed {
+			pass = pass[1:]
+		}
 		switch {
 		case r.b < 0:
 			sel = append(sel, k)
-		case !pass[k].IsNull() && truthySQL(pass[k]):
+		case passed:
 			sel, j.matched = append(sel, k), true
 		case j.last[k] && !j.matched && j.kind == "LEFT OUTER":
 			for c := j.leftWidth; c < len(out.Cols); c++ {
@@ -1638,7 +1750,7 @@ func prepareSort(x *SortNode, ctx *execContext) (batchIter, error) {
 	for i, k := range x.Keys {
 		exprs[i], descs[i] = k.Expr, k.Desc
 	}
-	keys, err := compileVecs(ctx, x.Input.Schema(), exprs)
+	keys, err := compileVecs(ctx, x, x.Input.Schema(), exprs)
 	if err != nil {
 		in.Close()
 		return nil, err

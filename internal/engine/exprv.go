@@ -28,21 +28,30 @@ import (
 //
 // The registers belong to the DAG: it serves one pipeline instance (each
 // parallel worker compiles its own), an eval result is valid until the next
-// eval, and steady-state evaluation allocates nothing.
+// eval, and steady-state evaluation allocates nothing. Each register slot has
+// a variant and a typed form (exprt.go).
 type exprDAG struct {
-	ctx      *execContext // nil-safe: typed/fallback column counters
+	ctx      *execContext // nil-safe: the query's typed/fallback counters
+	st       *OpStats     // nil-safe: the operator's typed/fallback counters
+	typed    bool         // typed registers on (WithTypedColumns)
 	nodes    []*exprNode
 	insts    []exprInst
 	code     []int32 // root-scope instructions, in evaluation order
 	roots    []int32 // instance per compiled expression
 	slots    int
 	regs     [][]variant.Value // the register file, slots long, made on first eval
+	tregs    []vector.TypedCol // its typed form, one register per slot
+	forms    vector.Batch      // forms.Typed[inst]: the instance's typed result in this batch, nil when variant
 	outs     [][]variant.Value // eval result header, one vector per root
 	argv     [][]variant.Value // opFunc scratch: operand vectors, one row's arguments
 	argBuf   []variant.Value
+	rest     []int  // selectTrue scratch: the rows that fail
 	n        int    // physical rows of the batch under evaluation
-	epoch    uint64 // bumped per eval; stamps column materializations
+	epoch    uint64 // bumped per eval; stamps conversions of typed results
 	astNodes int
+	// Typed vectors kernels read and typed results converted to variants in
+	// the current call, added to ctx and st once per call (flush).
+	nTyped, nFallback int
 }
 
 type exprOp uint8
@@ -54,8 +63,8 @@ const (
 	opFunc
 	opField // GET(x,'key'), and GET_PATH(x,'a.b') as nested GETs: the key (name) is resolved at compile time
 	opBin
-	opUnary  // - NOT and CAST, as the elementwise function un
-	opIsNull // IS [NOT] NULL: un too, plus a typed kernel over a bare column
+	opUnary  // - NOT and CAST; - and CAST over variants as the elementwise function un
+	opIsNull // IS [NOT] NULL
 	opAnd
 	opOr
 	opCase
@@ -63,10 +72,12 @@ const (
 
 // exprNode is one structurally distinct sub-expression. kids of a CASE are
 // cond0, result0, cond1, result1, ... and the ELSE last when flag is set;
-// flag is also IS NOT NULL's negation.
+// flag is also IS NOT NULL's negation. kern names the typed kernel of an
+// operator (binKerns, unaryKerns) or of a function (typedFuncs index + 1).
 type exprNode struct {
 	op   exprOp
 	flag bool
+	kern uint8
 	col  int32
 	kids []int32
 	lit  variant.Value
@@ -85,18 +96,18 @@ type exprInst struct {
 	slot  int32
 	end   int32   // last instance index this one spans (its own unless lazy)
 	args  []int32 // operand instances, parallel to the node's kids
-	stamp uint64  // opCol: epoch of the register's materialization
+	stamp uint64  // epoch of the typed result's conversion into the variant register
 	x     *instScratch
 }
 
-// instScratch is what lazy operators (and typed kernels over a literal) keep
-// between batches so that evaluating them allocates nothing.
+// instScratch is what lazy operators (and a comparison over a dictionary
+// column) keep between batches so that evaluating them allocates nothing.
 type instScratch struct {
-	blocks [][]int32        // lazy operands' code; blocks[k] computes args[k+1]
-	sels   [2][]int         // CASE: remaining rows, alternating per arm
-	selM   []int            // rows needing the lazy operand / matching the arm
-	sub    vector.Batch     // header of the restricted view the blocks run under
-	lit    *vector.TypedCol // opBin: the literal operand as a constant typed column
+	blocks [][]int32       // lazy operands' code; blocks[k] computes args[k+1]
+	sels   [2][]int        // CASE: remaining rows, alternating per arm
+	selM   []int           // rows needing the lazy operand / matching the arm
+	sub    vector.Batch    // header of the restricted view the blocks run under
+	dict   vector.DictMemo // comparison: its result per dictionary entry
 }
 
 // exprStats sizes a compiled DAG: AST nodes compiled, instances evaluated
@@ -118,16 +129,21 @@ func (d *exprDAG) stats() exprStats {
 }
 
 // compileVec compiles a single expression; see compileVecs.
-func compileVec(ctx *execContext, sc *Schema, e sqlast.Expr) (*exprDAG, error) {
-	return compileVecs(ctx, sc, []sqlast.Expr{e})
+func compileVec(ctx *execContext, n Node, sc *Schema, e sqlast.Expr) (*exprDAG, error) {
+	return compileVecs(ctx, n, sc, []sqlast.Expr{e})
 }
 
-// compileVecs binds a list of SQL expressions to a schema as one DAG. ctx
-// (nil-safe) receives the typed-kernel vs variant-fallback column counters.
-func compileVecs(ctx *execContext, sc *Schema, exprs []sqlast.Expr) (*exprDAG, error) {
+// compileVecs binds a list of SQL expressions to a schema as one DAG for
+// plan node n's operator. ctx (nil-safe) turns typed registers off with
+// typed columns and receives the typed-kernel vs variant-fallback counters,
+// as does n's record.
+func compileVecs(ctx *execContext, n Node, sc *Schema, exprs []sqlast.Expr) (*exprDAG, error) {
 	c := dagCompilers.Get().(*dagCompiler)
 	defer c.release()
-	c.sc, c.d = sc, &exprDAG{ctx: ctx, roots: make([]int32, len(exprs))}
+	c.sc, c.d = sc, &exprDAG{ctx: ctx, typed: ctx == nil || !ctx.typedOff, roots: make([]int32, len(exprs))}
+	if ctx != nil && n != nil {
+		c.d.st = ctx.statsFor(n)
+	}
 	for i, e := range exprs {
 		id, err := c.node(e)
 		if err != nil {
@@ -320,23 +336,25 @@ func (c *dagCompiler) node(e sqlast.Expr) (int32, error) {
 		case "OR":
 			return c.intern(exprNode{op: opOr}, l, r), nil
 		}
-		fn, err := scalarBinOp(x.Op)
-		if err != nil {
-			return 0, err
+		n := exprNode{op: opBin, name: x.Op, kern: binKerns[x.Op]}
+		if !isCmp(n.kern) {
+			if n.bin, err = scalarBinOp(x.Op); err != nil {
+				return 0, err
+			}
 		}
-		return c.intern(exprNode{op: opBin, name: x.Op, bin: fn}, l, r), nil
+		return c.intern(n, l, r), nil
 	case *sqlast.Unary:
-		id, err := c.unary(x.Operand, exprNode{op: opUnary, name: x.Op, un: unaryOps[x.Op]})
-		if err == nil && unaryOps[x.Op] == nil {
+		n := exprNode{op: opUnary, name: x.Op, kern: unaryKerns[x.Op]}
+		if n.kern == kNeg {
+			n.un = variant.Neg
+		}
+		id, err := c.unary(x.Operand, n)
+		if err == nil && n.kern == 0 {
 			return 0, fmt.Errorf("engine: unknown unary operator %q", x.Op)
 		}
 		return id, err
 	case *sqlast.IsNull:
-		un := valueIsNull
-		if x.Negate {
-			un = valueIsNotNull
-		}
-		return c.unary(x.Operand, exprNode{op: opIsNull, flag: x.Negate, un: un})
+		return c.unary(x.Operand, exprNode{op: opIsNull, flag: x.Negate})
 	case *sqlast.CaseWhen:
 		arms := make([]sqlast.Expr, 0, 2*len(x.Whens)+1)
 		for _, w := range x.Whens {
@@ -358,21 +376,8 @@ func (c *dagCompiler) node(e sqlast.Expr) (int32, error) {
 	return 0, fmt.Errorf("engine: cannot compile expression %T", e)
 }
 
-var unaryOps = map[string]func(variant.Value) (variant.Value, error){
-	"-": variant.Neg,
-	"NOT": func(v variant.Value) (variant.Value, error) {
-		if v.IsNull() {
-			return variant.Null, nil
-		}
-		return variant.Bool(!truthySQL(v)), nil
-	},
-}
-
-func valueIsNull(v variant.Value) (variant.Value, error)    { return variant.Bool(v.IsNull()), nil }
-func valueIsNotNull(v variant.Value) (variant.Value, error) { return variant.Bool(!v.IsNull()), nil }
-
-// scalarBinOp returns the elementwise kernel of a non-logical binary
-// operator.
+// scalarBinOp returns the elementwise variant kernel of an arithmetic or
+// concatenation operator; comparisons are execCompare's.
 func scalarBinOp(op string) (func(l, r variant.Value) (variant.Value, error), error) {
 	switch op {
 	case "+":
@@ -398,13 +403,6 @@ func scalarBinOp(op string) (func(l, r variant.Value) (variant.Value, error), er
 				rs = variant.String(rs.JSON())
 			}
 			return variant.String(ls.AsString() + rs.AsString()), nil
-		}, nil
-	case "=", "<>", "<", "<=", ">", ">=":
-		return func(l, r variant.Value) (variant.Value, error) {
-			if l.IsNull() || r.IsNull() {
-				return variant.Null, nil
-			}
-			return cmpBool(op, variant.Compare(l, r)), nil
 		}, nil
 	}
 	return nil, fmt.Errorf("engine: unknown binary operator %q", op)
@@ -474,7 +472,7 @@ func (c *dagCompiler) funcCall(x *sqlast.FuncCall) (int32, error) {
 	if !ok {
 		return 0, fmt.Errorf("engine: unknown function %s", name)
 	}
-	return c.nary(x.Args, exprNode{op: opFunc, name: name, fn: fn})
+	return c.nary(x.Args, exprNode{op: opFunc, name: name, fn: fn, kern: typedFuncIdx[name]})
 }
 
 // nary interns n over the compiled operands; GET and GET_PATH with a literal
@@ -643,8 +641,10 @@ func (c *dagCompiler) assignSlots() {
 // eval evaluates every compiled expression over b and returns one vector per
 // expression, aligned with the batch's physical rows and defined at its
 // active positions only. The vectors are registers (or columns of b): valid
-// until the next eval, never to be mutated by the caller.
+// until the next eval, never to be mutated by the caller. A typed result
+// converts to variants here.
 func (d *exprDAG) eval(b *vector.Batch) ([][]variant.Value, error) {
+	defer d.flush()
 	if err := d.begin(b); err != nil {
 		return nil, err
 	}
@@ -655,11 +655,13 @@ func (d *exprDAG) eval(b *vector.Batch) ([][]variant.Value, error) {
 }
 
 // project evaluates the DAG as a select list into out, a header the caller
-// recycles: computed columns are the pinned root registers, plain column
+// recycles: a computed column is its pinned root register — the typed view
+// when the result is typed, the variant vector otherwise — plain column
 // references pass the input's representation through (variant vector or
 // typed view, unmaterialized), and the selection carries over since every
 // vector is aligned with the input's physical rows.
 func (d *exprDAG) project(b *vector.Batch, out *vector.Batch) error {
+	defer d.flush()
 	if err := d.begin(b); err != nil {
 		return err
 	}
@@ -668,19 +670,55 @@ func (d *exprDAG) project(b *vector.Batch, out *vector.Batch) error {
 		out.Typed[i] = nil
 	}
 	for i, r := range d.roots {
-		if n := d.nodes[d.insts[r].node]; n.op == opCol {
-			d.outs[i] = b.Cols[n.col]
-			if tc := b.TypedCol(int(n.col)); tc != nil && d.outs[i] == nil {
-				if out.Typed == nil {
-					out.Typed = make([]*vector.TypedCol, len(d.roots))
-				}
-				out.Typed[i] = tc
+		var tc *vector.TypedCol
+		switch n := d.nodes[d.insts[r].node]; {
+		case n.op == opCol:
+			if d.outs[i] = b.Cols[n.col]; d.outs[i] == nil {
+				tc = b.TypedCol(int(n.col))
 			}
-			continue
+		case d.forms.Typed[r] != nil:
+			d.outs[i], tc = nil, d.forms.Typed[r]
+		default:
+			d.outs[i] = d.load(b, r)
 		}
-		d.outs[i] = d.load(b, r)
+		if tc != nil {
+			if out.Typed == nil {
+				out.Typed = make([]*vector.TypedCol, len(d.roots))
+			}
+			out.Typed[i] = tc
+		}
 	}
 	return nil
+}
+
+// selectTrue evaluates the DAG's one expression, a condition, over b and
+// appends to sel the active rows where it is SQL-true — straight off a
+// typed boolean result when it has one.
+func (d *exprDAG) selectTrue(b *vector.Batch, sel []int) ([]int, error) {
+	defer d.flush()
+	if err := d.begin(b); err != nil {
+		return nil, err
+	}
+	sel, d.rest = d.splitTruth(b, d.roots[0], true, d.active(b), sel, d.rest[:0])
+	return sel, nil
+}
+
+// flush adds the typed reads and conversions of the call that is ending to
+// the query's and the operator's counters.
+func (d *exprDAG) flush() {
+	if d.nTyped > 0 {
+		d.ctx.countTypedCols(d.nTyped)
+		if d.st != nil {
+			d.st.typed.Add(int64(d.nTyped))
+		}
+	}
+	if d.nFallback > 0 {
+		d.ctx.countFallbackCols(d.nFallback)
+		if d.st != nil {
+			d.st.fallback.Add(int64(d.nFallback))
+		}
+	}
+	d.nTyped, d.nFallback = 0, 0
 }
 
 // counter returns the SEQ8()/SEQ4() node compiled expression i evaluates,
@@ -702,21 +740,37 @@ func (d *exprDAG) counter(i int) *exprNode {
 	return nil
 }
 
-// begin evaluates every root-scope instance over b.
+// begin evaluates every root-scope instance over b. A column reference's
+// typed form is the batch's typed view of the column.
 func (d *exprDAG) begin(b *vector.Batch) error {
 	if d.regs == nil {
 		d.regs, d.outs = make([][]variant.Value, d.slots), make([][]variant.Value, len(d.roots))
+		d.tregs, d.forms.Typed = make([]vector.TypedCol, d.slots), make([]*vector.TypedCol, len(d.insts))
 	}
 	d.epoch++
 	d.n = b.Len()
-	if vector.Poisoned() {
-		for i := range d.insts {
-			if d.nodes[d.insts[i].node].op != opLit {
-				vector.Poison(d.regs[d.insts[i].slot])
-			}
+	poisoned := vector.Poisoned()
+	for i := range d.insts {
+		in := &d.insts[i]
+		n := d.nodes[in.node]
+		d.forms.Typed[i] = nil
+		if n.op == opCol && d.typed {
+			d.forms.Typed[i] = b.TypedCol(int(n.col))
+		}
+		if poisoned && n.op != opLit {
+			vector.Poison(d.regs[in.slot])
+			vector.PoisonTyped(&d.tregs[in.slot])
 		}
 	}
 	return d.run(d.code, b)
+}
+
+// active is the active rows of b, whose selection may be nil.
+func (d *exprDAG) active(b *vector.Batch) []int {
+	if b.Sel != nil {
+		return b.Sel
+	}
+	return dense(d.n)
 }
 
 // denseSel is 0, 1, 2, ...: the selection kernels range over when a batch has
@@ -747,27 +801,22 @@ func (d *exprDAG) reg(in *exprInst) []variant.Value {
 	return d.regs[in.slot]
 }
 
-// load returns an evaluated instance's vector. Columns resolve here, on
-// demand, so a column only ever read by typed kernels never materializes.
+// load returns an evaluated instance's variant vector. Columns resolve here,
+// on demand, and a typed result — a column's typed view, a typed register —
+// converts into the instance's variant register at most once per batch, so
+// an operand only typed kernels read never converts. A literal fills its
+// register once; kernels read literals through arg, as scalars, instead.
 func (d *exprDAG) load(b *vector.Batch, id int32) []variant.Value {
 	in := &d.insts[id]
 	n := d.nodes[in.node]
+	tc := d.forms.Typed[id]
 	switch n.op {
 	case opCol:
 		if col := b.Cols[n.col]; col != nil {
 			return col
 		}
-		tc := b.TypedCol(int(n.col))
-		if tc == nil {
+		if tc = b.TypedCol(int(n.col)); tc == nil {
 			return nil
-		}
-		if in.stamp != d.epoch {
-			// A typed column is leaving the typed fast path: materialize into
-			// the register rather than through Batch.Column's cache, which
-			// would allocate a fresh vector per batch.
-			in.stamp = d.epoch
-			d.ctx.countFallbackCols(1)
-			d.regs[in.slot] = tc.Materialize(d.regs[in.slot][:0])
 		}
 	case opLit:
 		if r := d.regs[in.slot]; len(r) < d.n {
@@ -779,12 +828,36 @@ func (d *exprDAG) load(b *vector.Batch, id int32) []variant.Value {
 		}
 		return d.regs[in.slot][:d.n]
 	}
+	if tc != nil && in.stamp != d.epoch {
+		// The whole register converts, whatever b's selection: a later load
+		// from an enclosing scope reads more rows than a block's.
+		in.stamp = d.epoch
+		d.nFallback++
+		d.regs[in.slot] = tc.Materialize(d.regs[in.slot][:0])
+	}
 	return d.regs[in.slot]
+}
+
+// arg returns an evaluated operand for a variant kernel: its vector, or nil
+// and the value of a literal.
+func (d *exprDAG) arg(b *vector.Batch, id int32) ([]variant.Value, variant.Value) {
+	if n := d.nodes[d.insts[id].node]; n.op == opLit {
+		return nil, n.lit
+	}
+	return d.load(b, id), variant.Null
+}
+
+// at is row i of an operand arg returned.
+func at(vals []variant.Value, lit variant.Value, i int) variant.Value {
+	if vals != nil {
+		return vals[i]
+	}
+	return lit
 }
 
 func (d *exprDAG) run(code []int32, b *vector.Batch) error {
 	for _, id := range code {
-		if err := d.exec(&d.insts[id], b); err != nil {
+		if err := d.exec(id, b); err != nil {
 			return err
 		}
 	}
@@ -797,90 +870,113 @@ func (x *instScratch) restrict(b *vector.Batch, sel []int) *vector.Batch {
 	return &x.sub
 }
 
-// exec evaluates one instance over b's active rows into its register.
-func (d *exprDAG) exec(in *exprInst, b *vector.Batch) error {
+// exec evaluates instance id over b's active rows into its register, typed
+// or variant (exprt.go).
+func (d *exprDAG) exec(id int32, b *vector.Batch) error {
+	in := &d.insts[id]
 	n := d.nodes[in.node]
-	sel := b.Sel
-	if sel == nil {
-		sel = dense(d.n)
-	}
-	out := d.reg(in)
+	sel := d.active(b)
 	switch n.op {
 	case opSeq:
+		out := d.reg(in)
 		for _, i := range sel {
 			out[i] = variant.Int(n.seq)
 			n.seq++
 		}
 	case opField:
-		src := d.load(b, in.args[0])
-		for _, i := range sel {
-			out[i] = src[i].Field(n.name)
-		}
+		src, lit := d.arg(b, in.args[0])
+		d.extract(id, sel, func(i int) variant.Value { return at(src, lit, i).Field(n.name) })
 	case opFunc:
-		argv, argBuf := d.argv[:0], d.argBuf[:0]
-		for _, a := range in.args {
-			argv, argBuf = append(argv, d.load(b, a)), append(argBuf, variant.Null)
-		}
-		d.argv, d.argBuf = argv, argBuf
-		for _, i := range sel {
-			for k, col := range argv {
-				argBuf[k] = col[i]
-			}
-			v, err := n.fn(argBuf)
-			if err != nil {
+		if n.kern > 0 && d.typed {
+			if done, err := d.execTypedFunc(id, n, b, sel); done || err != nil {
 				return err
 			}
-			out[i] = v
 		}
+		return d.execFunc(in, n, b, sel)
 	case opBin:
-		if done, err := d.typedBinary(in, n, b, out); done || err != nil {
-			return err
-		}
-		l, r := d.load(b, in.args[0]), d.load(b, in.args[1])
-		for _, i := range sel {
-			v, err := n.bin(l[i], r[i])
-			if err != nil {
-				return err
-			}
-			out[i] = v
-		}
-	case opUnary, opIsNull:
-		if n.op == opIsNull && d.typedIsNull(n, b, out) {
+		if isCmp(n.kern) {
+			d.execCompare(id, n.kern, b, sel)
 			return nil
 		}
-		src := d.load(b, in.args[0])
+		if n.kern > 0 && d.typed {
+			if done, err := d.typedArith(id, n.kern, nil, sel); done || err != nil {
+				return err
+			}
+		}
+		out := d.reg(in)
+		l, ll := d.arg(b, in.args[0])
+		r, rl := d.arg(b, in.args[1])
 		for _, i := range sel {
-			v, err := n.un(src[i])
+			v, err := n.bin(at(l, ll, i), at(r, rl, i))
 			if err != nil {
 				return err
 			}
 			out[i] = v
 		}
+	case opUnary:
+		if n.kern == kNot {
+			d.execNot(id, b, sel)
+			return nil
+		}
+		if n.kern == kNeg && d.typedNeg(id, sel, d.forms.Typed[in.args[0]]) {
+			return nil
+		}
+		out := d.reg(in)
+		src, lit := d.arg(b, in.args[0])
+		for _, i := range sel {
+			v, err := n.un(at(src, lit, i))
+			if err != nil {
+				return err
+			}
+			out[i] = v
+		}
+	case opIsNull:
+		d.execIsNull(id, n.flag, b, sel)
 	case opAnd, opOr:
-		return d.execLogical(in, n.op == opOr, b, sel, out)
+		return d.execLogical(id, n.op == opOr, b, sel)
 	case opCase:
-		return d.execCase(in, n.flag, b, sel, out)
+		return d.execCase(in, n.flag, b, sel, d.reg(in))
 	}
 	return nil
 }
 
-// execLogical evaluates AND (isOr false) or OR. Rows the left side decides —
-// FALSE for AND, TRUE for OR — never evaluate the right side, as SQL
-// short-circuiting requires; the rest run the right block under the
-// restricted selection.
-func (d *exprDAG) execLogical(in *exprInst, isOr bool, b *vector.Batch, sel []int, out []variant.Value) error {
-	l := d.load(b, in.args[0])
-	decided := variant.Bool(isOr)
-	x := in.x
-	need := x.selM[:0]
-	for _, i := range sel {
-		if !l[i].IsNull() && truthySQL(l[i]) == isOr {
-			out[i] = decided
-		} else {
-			need = append(need, i)
-		}
+// execFunc runs a function's generic kernel, one row's arguments at a time.
+func (d *exprDAG) execFunc(in *exprInst, n *exprNode, b *vector.Batch, sel []int) error {
+	out := d.reg(in)
+	argv, argBuf := d.argv[:0], d.argBuf[:0]
+	for _, a := range in.args {
+		vals, lit := d.arg(b, a)
+		argv, argBuf = append(argv, vals), append(argBuf, lit)
 	}
-	x.selM = need
+	d.argv, d.argBuf = argv, argBuf
+	for _, i := range sel {
+		for k, col := range argv {
+			if col != nil {
+				argBuf[k] = col[i]
+			}
+		}
+		v, err := n.fn(argBuf)
+		if err != nil {
+			return err
+		}
+		out[i] = v
+	}
+	return nil
+}
+
+// execLogical evaluates AND (isOr false) or OR, three-valued. Rows the left
+// side decides — FALSE for AND, TRUE for OR — never evaluate the right side,
+// as SQL short-circuiting requires; the rest run the right block under the
+// restricted selection.
+func (d *exprDAG) execLogical(id int32, isOr bool, b *vector.Batch, sel []int) error {
+	in := &d.insts[id]
+	w := d.boolOut(id)
+	x := in.x
+	decided, need := d.splitTruth(b, in.args[0], isOr, sel, x.sels[0][:0], x.selM[:0])
+	x.sels[0], x.selM = decided, need
+	for _, i := range decided {
+		w.set(i, isOr)
+	}
 	if len(need) == 0 {
 		return nil
 	}
@@ -888,15 +984,22 @@ func (d *exprDAG) execLogical(in *exprInst, isOr bool, b *vector.Batch, sel []in
 	if err := d.run(x.blocks[0], sb); err != nil {
 		return err
 	}
-	r := d.load(sb, in.args[1])
+	lc, rc := d.forms.Typed[in.args[0]], d.forms.Typed[in.args[1]]
+	var l truthVec
+	if lc == nil {
+		l.vals, l.lit = d.arg(b, in.args[0])
+	}
+	r := d.truthOf(sb, in.args[1], rc)
 	for _, i := range need {
+		rv, rnull := truthAt(rc, &r, i)
+		_, lnull := truthAt(lc, &l, i)
 		switch {
-		case !r[i].IsNull() && truthySQL(r[i]) == isOr:
-			out[i] = decided
-		case l[i].IsNull() || r[i].IsNull():
-			out[i] = variant.Null
+		case !rnull && rv == isOr:
+			w.set(i, isOr)
+		case lnull || rnull:
+			w.null(i)
 		default:
-			out[i] = variant.Bool(!isOr)
+			w.set(i, !isOr)
 		}
 	}
 	return nil
@@ -904,43 +1007,35 @@ func (d *exprDAG) execLogical(in *exprInst, isOr bool, b *vector.Batch, sel []in
 
 // execCase evaluates arms on progressively restricted selections, so a row
 // only ever evaluates the conditions up to its first match and only the
-// matching arm's result — lazy CASE semantics.
+// matching arm's result — lazy CASE semantics. Its result is a variant.
 func (d *exprDAG) execCase(in *exprInst, hasElse bool, b *vector.Batch, sel []int, out []variant.Value) error {
-	// branch runs the block computing args[k] under sel and returns its value.
+	// branch runs the block computing args[k] under sel, returning the
+	// restricted view it ran over.
 	x := in.x
-	branch := func(k int, sel []int) ([]variant.Value, error) {
+	branch := func(k int, sel []int) (*vector.Batch, error) {
 		sb := x.restrict(b, sel)
-		if err := d.run(x.blocks[k-1], sb); err != nil {
-			return nil, err
-		}
-		return d.load(sb, in.args[k]), nil
+		return sb, d.run(x.blocks[k-1], sb)
 	}
 	arms := len(in.args) / 2
 	remaining := sel
 	for a := 0; a < arms && len(remaining) > 0; a++ {
-		cvals := d.load(b, in.args[0])
+		cb := b
 		if a > 0 {
 			var err error
-			if cvals, err = branch(2*a, remaining); err != nil {
+			if cb, err = branch(2*a, remaining); err != nil {
 				return err
 			}
 		}
-		matched, rest := x.selM[:0], x.sels[a&1][:0]
-		for _, i := range remaining {
-			if !cvals[i].IsNull() && truthySQL(cvals[i]) {
-				matched = append(matched, i)
-			} else {
-				rest = append(rest, i)
-			}
-		}
+		matched, rest := d.splitTruth(cb, in.args[2*a], true, remaining, x.selM[:0], x.sels[a&1][:0])
 		x.selM, x.sels[a&1] = matched, rest
 		if len(matched) > 0 {
-			rvals, err := branch(2*a+1, matched)
+			rb, err := branch(2*a+1, matched)
 			if err != nil {
 				return err
 			}
+			vals, lit := d.arg(rb, in.args[2*a+1])
 			for _, i := range matched {
-				out[i] = rvals[i]
+				out[i] = at(vals, lit, i)
 			}
 		}
 		remaining = rest
@@ -954,12 +1049,13 @@ func (d *exprDAG) execCase(in *exprInst, hasElse bool, b *vector.Batch, sel []in
 		}
 		return nil
 	}
-	evals, err := branch(2*arms, remaining)
+	eb, err := branch(2*arms, remaining)
 	if err != nil {
 		return err
 	}
+	vals, lit := d.arg(eb, in.args[2*arms])
 	for _, i := range remaining {
-		out[i] = evals[i]
+		out[i] = at(vals, lit, i)
 	}
 	return nil
 }

@@ -21,6 +21,36 @@ type scalarFunc func(args []variant.Value) (variant.Value, error)
 
 var scalarFuncs = map[string]scalarFunc{}
 
+// typedFunc is a scalar function's typed kernel (exprt.go), which runs in
+// its place when the operands are typed in a batch: math over one or two
+// doubles, FLOOR-style rounding, IFF, or GET by index. A call to a function
+// that has one compiles with the kernel's index + 1 in exprNode.kern.
+type typedFunc struct {
+	kind typedFuncKind
+	f1   func(float64) float64
+	f2   func(x, y float64) float64
+}
+
+type typedFuncKind uint8
+
+const (
+	tfMath1 typedFuncKind = iota
+	tfMath2
+	tfRound
+	tfIff
+	tfGet
+)
+
+var (
+	typedFuncs   []typedFunc
+	typedFuncIdx = map[string]uint8{}
+)
+
+func regTyped(name string, tf typedFunc) {
+	typedFuncs = append(typedFuncs, tf)
+	typedFuncIdx[name] = uint8(len(typedFuncs))
+}
+
 func init() {
 	reg := func(name string, fn scalarFunc) { scalarFuncs[name] = fn }
 
@@ -72,26 +102,13 @@ func init() {
 		if err := arity("ARRAY_RANGE", args, 2); err != nil {
 			return variant.Null, err
 		}
-		if args[0].IsNull() || args[1].IsNull() {
-			return variant.Null, nil
-		}
-		lo, err := variant.ToInt(args[0])
-		if err != nil {
+		lo, n, null, err := rangeBounds(args[0], args[1])
+		if null || err != nil {
 			return variant.Null, err
 		}
-		hi, err := variant.ToInt(args[1])
-		if err != nil {
-			return variant.Null, err
-		}
-		if hi < lo {
-			return variant.ArrayOf(nil), nil
-		}
-		if hi-lo > 1<<22 {
-			return variant.Null, fmt.Errorf("engine: ARRAY_RANGE span too large (%d)", hi-lo)
-		}
-		out := make([]variant.Value, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			out = append(out, variant.Int(i))
+		out := make([]variant.Value, n)
+		for i := range out {
+			out[i] = variant.Int(lo + int64(i))
 		}
 		return variant.ArrayOf(out), nil
 	})
@@ -123,32 +140,48 @@ func init() {
 		return variant.ArrayOf(arr[from:to]), nil
 	})
 
-	reg("ABS", numeric1("ABS", math.Abs))
-	reg("SQRT", numeric1("SQRT", math.Sqrt))
-	reg("EXP", numeric1("EXP", math.Exp))
-	reg("LN", numeric1("LN", math.Log))
-	reg("SIN", numeric1("SIN", math.Sin))
-	reg("COS", numeric1("COS", math.Cos))
-	reg("TAN", numeric1("TAN", math.Tan))
-	reg("ASIN", numeric1("ASIN", math.Asin))
-	reg("ACOS", numeric1("ACOS", math.Acos))
-	reg("ATAN", numeric1("ATAN", math.Atan))
-	reg("SINH", numeric1("SINH", math.Sinh))
-	reg("COSH", numeric1("COSH", math.Cosh))
-	reg("TANH", numeric1("TANH", math.Tanh))
-	reg("ATAN2", numeric2("ATAN2", math.Atan2))
-	reg("POWER", numeric2("POWER", math.Pow))
-	reg("POW", numeric2("POW", math.Pow))
+	// The math functions, with their typed kernels (exprt.go).
+	math1 := func(name string, f func(float64) float64) {
+		reg(name, numeric1(name, f))
+		regTyped(name, typedFunc{kind: tfMath1, f1: f})
+	}
+	math2 := func(name string, f func(x, y float64) float64) {
+		reg(name, numeric2(name, f))
+		regTyped(name, typedFunc{kind: tfMath2, f2: f})
+	}
+	rounding := func(name string, f func(float64) float64) {
+		reg(name, numeric1Int(name, f))
+		regTyped(name, typedFunc{kind: tfRound, f1: f})
+	}
+	math1("ABS", math.Abs)
+	math1("SQRT", math.Sqrt)
+	math1("EXP", math.Exp)
+	math1("LN", math.Log)
+	math1("SIN", math.Sin)
+	math1("COS", math.Cos)
+	math1("TAN", math.Tan)
+	math1("ASIN", math.Asin)
+	math1("ACOS", math.Acos)
+	math1("ATAN", math.Atan)
+	math1("SINH", math.Sinh)
+	math1("COSH", math.Cosh)
+	math1("TANH", math.Tanh)
+	math2("ATAN2", math.Atan2)
+	math2("POWER", math.Pow)
+	math2("POW", math.Pow)
 	reg("MOD", func(args []variant.Value) (variant.Value, error) {
 		if err := arity("MOD", args, 2); err != nil {
 			return variant.Null, err
 		}
 		return variant.Mod(args[0], args[1])
 	})
-	reg("FLOOR", numeric1Int("FLOOR", math.Floor))
-	reg("CEIL", numeric1Int("CEIL", math.Ceil))
-	reg("ROUND", numeric1Int("ROUND", math.Round))
-	reg("TRUNC", numeric1Int("TRUNC", math.Trunc))
+	rounding("FLOOR", math.Floor)
+	rounding("CEIL", math.Ceil)
+	rounding("ROUND", math.Round)
+	rounding("TRUNC", math.Trunc)
+	regTyped("IFF", typedFunc{kind: tfIff})
+	regTyped("GET", typedFunc{kind: tfGet})
+	regTyped("SQUARE", typedFunc{kind: tfMath1, f1: func(x float64) float64 { return x * x }})
 	reg("PI", func(args []variant.Value) (variant.Value, error) {
 		if err := arity("PI", args, 0); err != nil {
 			return variant.Null, err
@@ -312,11 +345,47 @@ func numeric1Int(name string, fn func(float64) float64) scalarFunc {
 			return variant.Null, fmt.Errorf("engine: %s: %w", name, err)
 		}
 		r := fn(f)
-		if r == math.Trunc(r) && !math.IsInf(r, 0) {
-			return variant.Int(int64(r)), nil
+		if i, ok := roundedInt(r); ok {
+			return variant.Int(i), nil
 		}
 		return variant.Float(r), nil
 	}
+}
+
+// roundedInt converts a rounding function's double result to the integer it
+// names, unless it is fractional (NaN included) or outside the int64 range,
+// where the double stays.
+func roundedInt(r float64) (int64, bool) {
+	if r != math.Trunc(r) || !variant.FitsInt(r) {
+		return 0, false
+	}
+	return int64(r), true
+}
+
+// maxRangeSpan bounds the elements one ARRAY_RANGE produces.
+const maxRangeSpan = 1 << 22
+
+// rangeBounds applies ARRAY_RANGE(lo, hi)'s argument rules — NULL when a
+// bound is NULL, integer coercion, the span limit — and returns the first
+// element and the element count: the function and a FLATTEN streaming its
+// elements share them.
+func rangeBounds(loV, hiV variant.Value) (lo int64, n int, null bool, err error) {
+	if loV.IsNull() || hiV.IsNull() {
+		return 0, 0, true, nil
+	}
+	if lo, err = variant.ToInt(loV); err != nil {
+		return 0, 0, false, err
+	}
+	hi, err := variant.ToInt(hiV)
+	if err != nil || hi < lo {
+		return lo, 0, false, err
+	}
+	// hi-lo overflows int64 when the bounds are far apart; as unsigned
+	// integers the difference is exact.
+	if span := uint64(hi) - uint64(lo); span > maxRangeSpan {
+		return 0, 0, false, fmt.Errorf("engine: ARRAY_RANGE span too large (%d)", span)
+	}
+	return lo, int(hi - lo), false, nil
 }
 
 func numeric2(name string, fn func(a, b float64) float64) scalarFunc {

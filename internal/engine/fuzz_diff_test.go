@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -131,7 +132,7 @@ func runDiffCell(t *testing.T, c diffCell, docs []string, queries []string) []st
 	}
 	e := New(opts...)
 	hooks(e)
-	tab, err := e.Catalog().CreateTable("t", []string{"grp", "id", "val", "s", "items"})
+	tab, err := e.Catalog().CreateTable("t", []string{"grp", "id", "val", "s", "items", "x"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,20 +207,43 @@ func runDiffCell(t *testing.T, c diffCell, docs []string, queries []string) []st
 }
 
 // genDiffDocs builds a deterministic nested dataset: a handful of group
-// keys, unique ids, exact-ratio floats, variable-length pad strings, and
-// arrays sized 0..3 for FLATTEN.
+// keys, unique ids, exact-ratio floats, variable-length pad strings, arrays
+// sized 0..3 for FLATTEN, and a field "x" of mixed kinds — an int, a double,
+// NULL, missing, a string, -0.0 or an int near ±2^63 — so that some
+// partitions and batches hold it typed and others fall back to variants.
 func genDiffDocs(r *diffRNG) []string {
 	n := 1 + r.n(250)
 	groups := 1 + r.n(13)
+	// Most datasets keep "x" to a few kinds, so whole partitions shred typed.
+	kinds := 1 + r.n(7)
 	docs := make([]string, n)
 	for i := 0; i < n; i++ {
 		items := make([]string, r.n(4))
 		for j := range items {
 			items[j] = fmt.Sprint(r.n(50))
 		}
-		docs[i] = fmt.Sprintf(`{"grp": %d, "id": %d, "val": %g, "s": "p%02d%s", "items": [%s]}`,
+		var x string
+		switch r.n(kinds) {
+		case 0:
+			x = fmt.Sprintf(`, "x": %d`, r.n(2001)-1000)
+		case 1:
+			x = fmt.Sprintf(`, "x": %g`, float64(r.n(4001)-2000)/8.0)
+		case 2:
+			x = `, "x": null`
+		case 3: // missing
+		case 4:
+			x = fmt.Sprintf(`, "x": "x%d"`, r.n(9))
+		case 5:
+			x = `, "x": -0.0`
+		default:
+			x = fmt.Sprintf(`, "x": %d`, int64(math.MaxInt64)-int64(r.n(3)))
+			if r.n(2) == 0 {
+				x = fmt.Sprintf(`, "x": %d`, int64(math.MinInt64)+int64(r.n(3)))
+			}
+		}
+		docs[i] = fmt.Sprintf(`{"grp": %d, "id": %d, "val": %g, "s": "p%02d%s", "items": [%s]%s}`,
 			r.n(groups), i, float64(r.n(997))/16.0, r.n(37),
-			strings.Repeat("x", r.n(24)), strings.Join(items, ", "))
+			strings.Repeat("x", r.n(24)), strings.Join(items, ", "), x)
 	}
 	return docs
 }
@@ -255,9 +279,26 @@ func genDiffQueries(r *diffRNG) []string {
 		return ""
 	}
 
+	// Expressions over the mixed-kind "x": arithmetic, math and rounding, and
+	// a condition. Arithmetic on a string fails, so a query computing over
+	// "x" keeps the rows whose "x" is no string (xWhere) — and the typed
+	// partitions and batches beside the variant ones.
+	xItems := `, "x" * 2 + "val" AS "xa", SQRT(ABS("x")) AS "xs", FLOOR("x" / 3) AS "xf", ` +
+		`"x" > "val" AND "x" IS NOT NULL AS "xc"`
+	xWhere := func(w string) string {
+		cond := `TYPEOF("x") <> 'VARCHAR'`
+		if r.n(2) == 0 {
+			cond += ` AND ("x" > "val" AND "x" IS NOT NULL)`
+		}
+		if w == "" {
+			return " WHERE " + cond
+		}
+		return w + " AND " + cond
+	}
+
 	// Shape 1: scan → filter → project, totally ordered by the unique id.
-	scan := fmt.Sprintf(`SELECT "id", "grp", "val", "s" FROM "t"%s ORDER BY "id"%s%s`,
-		where(), dir(), limit())
+	scan := fmt.Sprintf(`SELECT "id", "grp", "val", "s"%s FROM "t"%s ORDER BY "id"%s%s`,
+		xItems, xWhere(where()), dir(), limit())
 
 	// Shape 2: hash aggregation over a random aggregate list; group keys are
 	// unique, so ordering by the key is total.
@@ -302,10 +343,10 @@ func genDiffQueries(r *diffRNG) []string {
 	// Shape 5: LATERAL FLATTEN of the nested array, ordered by the unique
 	// (id, INDEX) pair.
 	flatten := fmt.Sprintf(
-		`SELECT "id", "f".INDEX AS "ix", "f".VALUE AS "item" FROM `+
+		`SELECT "id", "f".INDEX AS "ix", "f".VALUE AS "item"%s, "f".INDEX * "x" AS "xi" FROM `+
 			`(SELECT * FROM "t"%s), LATERAL FLATTEN(INPUT => "items") AS "f" `+
 			`ORDER BY "id", "ix"%s`,
-		where(), limit())
+		xItems, xWhere(where()), limit())
 
 	// Shape 6: the nested-query re-aggregate — row ID, OUTER FLATTEN, GROUP
 	// BY the row ID — which the physical pass streams. No ORDER BY: the row

@@ -36,6 +36,10 @@ var lifetimeQueries = []string{
 	`SELECT "grp", ARRAY_AGG("id" + 1) WITHIN GROUP (ORDER BY "val" * 2 DESC, "id") FROM "events" GROUP BY "grp"`,
 	`SELECT "id", "val" * 2 AS "d", CASE WHEN "val" > 5 THEN "id" ELSE -"id" END AS "c" FROM "events" WHERE "val" > 2 OR "id" < 10`,
 	`SELECT "id", "f".VALUE, "f".INDEX FROM (SELECT * FROM "events"), LATERAL FLATTEN(INPUT => "items", OUTER => TRUE) AS "f" WHERE "id" < 50`,
+	// Typed registers: a range FLATTEN's int64 VALUE and INDEX, and a typed
+	// projected root, kept by the exchange and then by the sort — each
+	// detaches, which must copy a register where it shares a chunk view.
+	`SELECT "id", "f".VALUE * 2.5 AS "v", "f".INDEX + "grp" AS "w" FROM (SELECT * FROM "events"), LATERAL FLATTEN(INPUT => ARRAY_RANGE("grp", "grp" * 2 + 1)) AS "f" ORDER BY "v", "id"`,
 	// Stacked streaming aggregates (the shape of ADL q7/q8): each recycles its
 	// output columns under a FLATTEN, a filter and the next aggregate.
 	`SELECT "rid", ARRAY_AGG("n") WITHIN GROUP (ORDER BY "n" DESC), ANY_VALUE("id") FROM (SELECT "r2", ANY_VALUE("rid") AS "rid", ANY_VALUE("id") AS "id", COUNT_IF("g".VALUE > "v") AS "n" FROM (SELECT * FROM (SELECT *, SEQ8() AS "r2" FROM (SELECT "rid", "id", "items", "f".VALUE AS "v" FROM (SELECT *, SEQ8() AS "rid" FROM "events"), LATERAL FLATTEN(INPUT => "items", OUTER => TRUE) AS "f")), LATERAL FLATTEN(INPUT => "items", OUTER => TRUE) AS "g") GROUP BY "r2") WHERE "n" < 3 GROUP BY "rid"`,
@@ -103,7 +107,7 @@ func TestSharingKeepsSeqDistinct(t *testing.T) {
 		}
 	}
 	seq := sqlast.F("SEQ8")
-	d, err := compileVecs(nil, NewSchema(nil), []sqlast.Expr{sqlast.B("+", seq, sqlast.L(variant.Int(1))), sqlast.B("+", sqlast.F("SEQ8"), sqlast.L(variant.Int(1)))})
+	d, err := compileVecs(nil, nil, NewSchema(nil), []sqlast.Expr{sqlast.B("+", seq, sqlast.L(variant.Int(1))), sqlast.B("+", sqlast.F("SEQ8"), sqlast.L(variant.Int(1)))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +169,7 @@ func TestSharingNeverReadsAnArmsValueOutside(t *testing.T) {
 		return &sqlast.CaseWhen{Whens: []sqlast.WhenClause{{Cond: sqlast.B(">", sqlast.C("n"), sqlast.L(variant.Int(3))), Result: mul()}}}
 	}
 	stats := func(exprs ...sqlast.Expr) exprStats {
-		d, err := compileVecs(nil, sc, exprs)
+		d, err := compileVecs(nil, nil, sc, exprs)
 		if err != nil {
 			t.Fatal(err)
 		}

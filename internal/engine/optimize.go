@@ -465,7 +465,7 @@ func foldLiteralCall(call *sqlast.FuncCall) sqlast.Expr {
 // over a one-row batch; the batch's one column only gives it its length. An
 // expression that errors stays unfolded, to fail at run time.
 func evalConst(e sqlast.Expr) (variant.Value, bool) {
-	d, err := compileVec(nil, NewSchema(nil), e)
+	d, err := compileVec(nil, nil, NewSchema(nil), e)
 	if err != nil {
 		return variant.Null, false
 	}

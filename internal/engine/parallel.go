@@ -6,10 +6,12 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"jsonpark/internal/sqlast"
 	"jsonpark/internal/storage"
 	"jsonpark/internal/variant"
 	"jsonpark/internal/vector"
@@ -88,21 +90,29 @@ type compiledStage struct {
 	node   Node
 	agg    *aggEval       // an aggregate's grouping and arguments
 	dag    *exprDAG       // the condition, select list, FLATTEN input or agg's DAG
+	rng    bool           // a FLATTEN over ARRAY_RANGE: dag holds its bounds
 	stream *streamAggIter // the streamed aggregate last instantiated
 }
 
 // compileStage compiles one Filter, Project, Flatten or Aggregate node's
-// expressions against its input schema.
+// expressions against its input schema. With typed registers on, a FLATTEN
+// over ARRAY_RANGE(lo, hi) compiles the two bounds and streams the integers
+// instead of building the array.
 func compileStage(ctx *execContext, n Node) (compiledStage, error) {
 	s := compiledStage{node: n}
 	var err error
 	switch x := n.(type) {
 	case *FilterNode:
-		s.dag, err = compileVec(ctx, x.Input.Schema(), x.Cond)
+		s.dag, err = compileVec(ctx, n, x.Input.Schema(), x.Cond)
 	case *ProjectNode:
-		s.dag, err = compileVecs(ctx, x.Input.Schema(), x.Exprs)
+		s.dag, err = compileVecs(ctx, n, x.Input.Schema(), x.Exprs)
 	case *FlattenNode:
-		s.dag, err = compileVec(ctx, x.Input.Schema(), x.Expr)
+		call, ok := x.Expr.(*sqlast.FuncCall)
+		if s.rng = ok && strings.EqualFold(call.Name, "ARRAY_RANGE") && len(call.Args) == 2 && (ctx == nil || !ctx.typedOff); s.rng {
+			s.dag, err = compileVecs(ctx, n, x.Input.Schema(), call.Args)
+		} else {
+			s.dag, err = compileVec(ctx, n, x.Input.Schema(), x.Expr)
+		}
 	case *AggregateNode:
 		if s.agg, err = compileAggEval(ctx, x); err == nil {
 			s.dag = s.agg.dag
@@ -135,7 +145,7 @@ func (s *compiledStage) instantiate(in batchIter, batchSize int) batchIter {
 	case *ProjectNode:
 		return &projectIter{in: in, dag: s.dag}
 	case *FlattenNode:
-		return newFlattenIter(in, s.dag, x.Outer, len(x.Input.Schema().Names), batchSize)
+		return newFlattenIter(in, s.dag, x.Outer, s.rng, len(x.Input.Schema().Names), batchSize)
 	}
 	s.stream = newStreamAggIter(in, s.agg, batchSize)
 	return s.stream
@@ -203,7 +213,7 @@ func (p *segmentPlan) compile(ctx *execContext) (*segmentRun, error) {
 	r := &segmentRun{plan: p, ctx: ctx}
 	var err error
 	if p.scan.Filter != nil {
-		if r.filter, err = compileVec(ctx, p.scan.Schema(), p.scan.Filter); err != nil {
+		if r.filter, err = compileVec(ctx, p.scan, p.scan.Schema(), p.scan.Filter); err != nil {
 			return nil, err
 		}
 	}

@@ -22,7 +22,7 @@ func prepareScan(x *ScanNode, ctx *execContext) (batchIter, error) {
 	}
 	var filter *exprDAG
 	if x.Filter != nil {
-		if filter, err = compileVec(ctx, x.Schema(), x.Filter); err != nil {
+		if filter, err = compileVec(ctx, x, x.Schema(), x.Filter); err != nil {
 			return nil, err
 		}
 	}
@@ -114,13 +114,12 @@ func scanPartition(ctx *execContext, p *storage.Partition, colIdx []int, filter 
 		}
 		b := &vector.Batch{Cols: bcols, Typed: btyped}
 		if filter != nil {
-			keep, err := filter.eval(b)
+			// A fresh selection per batch: scan batches are stable (they sit in
+			// worker result queues and span lists), unlike a filter operator's.
+			sel, err := filter.selectTrue(b, nil)
 			if err != nil {
 				return nil, bytes, err
 			}
-			// A fresh selection per batch: scan batches are stable (they sit in
-			// worker result queues and span lists), unlike a filter operator's.
-			sel := appendTruthy(nil, b, keep[0])
 			if len(sel) == 0 {
 				continue
 			}

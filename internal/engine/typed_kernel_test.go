@@ -2,10 +2,13 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
+	"jsonpark/internal/sqlast"
 	"jsonpark/internal/variant"
+	"jsonpark/internal/vector"
 )
 
 // typedKernelEngine loads a table whose columns hit every typed encoding:
@@ -87,6 +90,20 @@ var typedKernelQueries = []string{
 	`SELECT "i" FROM "tk" WHERE "i" > 100 OR "s" = 'tag0'`,
 	`SELECT SUM("i"), MIN("f"), MAX("u") FROM "tk"`,
 	`SELECT "s", COUNT(*) FROM "tk" GROUP BY "s" ORDER BY "s"`,
+	// Computed operands: typed registers feeding typed kernels, typed
+	// projection outputs, and register-typed conditions.
+	`SELECT ("i" + 1) * 2, ("i" - "f") / 4, ("i" * 3) % 7, -("i" + 1), -"f" FROM "tk"`,
+	`SELECT SQRT(ABS("f" - 10)), SIN("i" * 0.5), ATAN2("f", "i" + 1), POWER("i", 2), SQUARE("f" + 1) FROM "tk"`,
+	`SELECT FLOOR("f" * 1.5), CEIL("i" / 4), ROUND("f"), TRUNC(-"f"), FLOOR("i") FROM "tk"`,
+	`SELECT "i" FROM "tk" WHERE ("i" + 1) % 3 = 0 AND NOT ("f" > 10)`,
+	`SELECT "i" FROM "tk" WHERE "i" * 2 > "f" OR ("i" IS NULL AND "b")`,
+	`SELECT "i" + 1 > "f", NOT "b", "b" AND "i" > 5, "b" OR "i" < 0, ("i" + 1) IS NULL FROM "tk"`,
+	`SELECT IFF("b", "i", "i" * 2), IFF("i" > 50, "f", NULL), IFF("b", 1.5, "f") FROM "tk"`,
+	`SELECT GET(ARRAY_CONSTRUCT(10, 20.5, 'x'), "i" % 3), GET(ARRAY_CONSTRUCT(1, 2, 3), "f") FROM "tk" WHERE "i" >= 0`,
+	`SELECT GET("m", 'x') + 1, GET("m", 'x') * "f", GET("m", 'y') FROM "tk"`,
+	`SELECT CASE WHEN "i" > 5 THEN "f" * 2 WHEN "b" THEN "i" + 1 ELSE 0 END FROM "tk"`,
+	`SELECT "i" + NULL, NULL * "f", "i" = NULL, "s" < 'tag1', 'tag1' > "s", "u" = "s" FROM "tk"`,
+	`SELECT "s", COUNT(*) FROM "tk" WHERE "f" * 4 > "i" GROUP BY "s" ORDER BY "s"`,
 }
 
 // TestTypedKernelParity is the typed-vs-variant oracle: every query must
@@ -119,6 +136,11 @@ func TestTypedKernelErrorParity(t *testing.T) {
 		`SELECT "i" / 0 FROM "tk"`,
 		`SELECT "i" % 0 FROM "tk"`,
 		`SELECT 5 % ("i" - "i") FROM "tk"`,
+		`SELECT ("i" + 1) / 0 FROM "tk"`,
+		`SELECT ("i" * 2) % 0 FROM "tk"`,
+		`SELECT ("i" + 1) % ("i" - "i") FROM "tk"`,
+		`SELECT -"b" FROM "tk"`,
+		`SELECT "s" * 2 FROM "tk"`,
 	} {
 		_, verr := variantEng.Query(q)
 		_, terr := typedEng.Query(q)
@@ -129,11 +151,101 @@ func TestTypedKernelErrorParity(t *testing.T) {
 			t.Errorf("%s: error mismatch\nvariant: %v\ntyped:   %v", q, verr, terr)
 		}
 	}
-	// Float division by zero is NOT an error on either path.
-	for _, e := range []*Engine{variantEng, typedEng} {
-		if _, err := e.Query(`SELECT "f" / 0 FROM "tk" LIMIT 1`); err != nil {
-			t.Errorf("float div by zero should not error: %v", err)
+	// Float division or modulo by zero is NOT an error on either path.
+	for _, q := range []string{`SELECT "f" / 0 FROM "tk"`, `SELECT ("f" * 2) % 0, ("i" + 0.5) / 0 FROM "tk"`} {
+		want := renderRows(mustQuery(t, variantEng, q))
+		if got := renderRows(mustQuery(t, typedEng, q)); got != want {
+			t.Errorf("%s:\nvariant:\n%s\ntyped:\n%s", q, want, got)
 		}
+	}
+}
+
+// ARRAY_RANGE's span check cannot overflow: bounds further apart than an
+// int64 holds fail with "span too large", as a select item and as a FLATTEN
+// input, typed or not, on the driver and on exchange workers — where a
+// panic would take the server down.
+func TestArrayRangeSpanOverflow(t *testing.T) {
+	for _, typed := range []bool{true, false} {
+		for _, par := range []int{1, 4} {
+			e := New(WithTypedColumns(typed), WithParallelism(par))
+			e.morselRows = 2
+			tab, err := e.Catalog().CreateTable("t", []string{"a"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, a := range []int64{3, 5, math.MaxInt64, 2} {
+				if err := tab.Append([]variant.Value{variant.Int(a)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, q := range []string{
+				`SELECT ARRAY_RANGE(-10, "a") FROM "t"`,
+				`SELECT "f".VALUE FROM (SELECT * FROM "t"), LATERAL FLATTEN(INPUT => ARRAY_RANGE(-10, "a")) AS "f"`,
+			} {
+				if _, err := e.Query(q); err == nil || !strings.Contains(err.Error(), "ARRAY_RANGE span too large (9223372036854775817)") {
+					t.Errorf("typed=%v par=%d %s: err = %v, want span too large", typed, par, q, err)
+				}
+			}
+		}
+	}
+}
+
+// FLOOR, CEIL, ROUND and TRUNC return an integer only when the rounded
+// double has one, and a typed column takes the same rule: doubles outside
+// the int64 range stay doubles instead of becoming math.MinInt64.
+func TestRoundingKeepsUnrepresentableDoubles(t *testing.T) {
+	load := func(typed bool, vals ...float64) *Engine {
+		e := New(WithTypedColumns(typed), WithParallelism(1))
+		tab, err := e.Catalog().CreateTable("t", []string{"d"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range vals {
+			if err := tab.Append([]variant.Value{variant.Float(v)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e
+	}
+	r := mustQuery(t, load(true, 0), `SELECT FLOOR(1e300), ROUND(1e300), CEIL(-1e19), TRUNC(-9.223372036854775808e18), FLOOR(2.5) FROM "t"`)
+	if got := renderRows(r); got != "1e+300\t1e+300\t-1e+19\t-9223372036854775808\t2\t\n" {
+		t.Errorf("literal rounding = %q", got)
+	}
+	for _, vals := range [][]float64{{1.5, -2.5, 7}, {1.5, 1e300, -1e19, 2.5}, {math.NaN(), 1.5}} {
+		q := `SELECT FLOOR("d"), CEIL("d"), ROUND("d"), TRUNC("d") FROM "t"`
+		want := renderRows(mustQuery(t, load(false, vals...), q))
+		if got := renderRows(mustQuery(t, load(true, vals...), q)); got != want {
+			t.Errorf("%v: typed\n%s\nvariant\n%s", vals, got, want)
+		}
+	}
+}
+
+// A comparison against a dictionary-encoded column keeps its per-dictionary
+// result table on its instance: batch after batch of one chunk allocates
+// nothing.
+func TestDictComparisonAllocatesNothing(t *testing.T) {
+	dict := []string{"tag0", "tag1", "tag2"}
+	codes := make([]uint32, 1024)
+	for i := range codes {
+		codes[i] = uint32(i % 3)
+	}
+	b := &vector.Batch{Cols: make([][]variant.Value, 1), Typed: []*vector.TypedCol{vector.NewDictCol(dict, codes, nil)}}
+	d, err := compileVec(nil, nil, NewSchema([]string{"s"}), sqlast.B(">=", sqlast.C("s"), sqlast.L(variant.String("tag1"))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sel []int
+	run := func() {
+		if sel, err = d.selectTrue(b, sel[:0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if len(sel) != 682 {
+		t.Fatalf("selected %d rows, want 682", len(sel))
+	}
+	if n := testing.AllocsPerRun(100, run); n != 0 {
+		t.Errorf("dictionary comparison allocates %v times per batch, want 0", n)
 	}
 }
 

@@ -182,13 +182,13 @@ func BenchmarkExprDAG(b *testing.B) {
 		b.Run(bc.name+"_compile", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := compileVecs(nil, sc, exprs); err != nil {
+				if _, err := compileVecs(nil, nil, sc, exprs); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(bc.name, func(b *testing.B) {
-			d, err := compileVecs(nil, sc, exprs)
+			d, err := compileVecs(nil, nil, sc, exprs)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -214,11 +214,11 @@ func BenchmarkExprDAG(b *testing.B) {
 // gather per column into recycled storage. allocs/op: 0.
 func BenchmarkFlattenGather(b *testing.B) {
 	sc, batch := jetBatch(1024)
-	input, err := compileVec(nil, sc, sqlast.C("Jet"))
+	input, err := compileVec(nil, nil, sc, sqlast.C("Jet"))
 	if err != nil {
 		b.Fatal(err)
 	}
-	it := newFlattenIter(&cycleIter{batches: []*vector.Batch{batch}}, input, false, batch.Width(), 1024)
+	it := newFlattenIter(&cycleIter{batches: []*vector.Batch{batch}}, input, false, false, batch.Width(), 1024)
 	pull := func() {
 		for rows := 0; rows < 3*1024; { // one input batch's worth of output
 			out, err := it.NextBatch()

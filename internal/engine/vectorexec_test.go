@@ -214,8 +214,8 @@ func TestStreamingPipelineAllocatesNothingPerBatch(t *testing.T) {
 		}
 		return d
 	}
-	input := must(compileVec(nil, inSchema, sqlast.C("items")))
-	list := must(compileVecs(nil, flatSchema, []sqlast.Expr{
+	input := must(compileVec(nil, nil, inSchema, sqlast.C("items")))
+	list := must(compileVecs(nil, nil, flatSchema, []sqlast.Expr{
 		sqlast.C("id"),
 		sqlast.B("+", sqlast.B("*", val, lit(2)), idx),
 		&sqlast.CaseWhen{
@@ -223,11 +223,11 @@ func TestStreamingPipelineAllocatesNothingPerBatch(t *testing.T) {
 			Else:  lit(-1),
 		},
 	}))
-	cond := must(compileVec(nil, outSchema, sqlast.B("OR",
+	cond := must(compileVec(nil, nil, outSchema, sqlast.B("OR",
 		sqlast.B("AND", sqlast.B(">", sqlast.C("v"), lit(10)), sqlast.B("<>", sqlast.C("c"), lit(-1))),
 		sqlast.B("<", sqlast.C("id"), lit(3)))))
 	var it batchIter = &cycleIter{batches: src}
-	it = newFlattenIter(it, input, false, 2, batchSize)
+	it = newFlattenIter(it, input, false, false, 2, batchSize)
 	it = &projectIter{in: it, dag: list}
 	it = &filterIter{in: it, cond: cond}
 

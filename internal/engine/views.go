@@ -269,6 +269,7 @@ func (v *matView) query(qctx context.Context) (*Result, error) {
 		parallelism: 1,
 		acct:        newMemAccountant(0),
 		qctx:        qctx,
+		typedOff:    v.eng.typedOff,
 	}
 	if ctx.batchSize <= 0 {
 		ctx.batchSize = 1024

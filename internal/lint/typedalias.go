@@ -6,26 +6,30 @@ import (
 	"go/types"
 )
 
-// TypedAlias guards the Storage v2 zero-copy contract: a vector.TypedCol is
-// a view over its chunk's arrays — Slice never copies and the raw
-// accessors (Ints, Floats, Strs, Dict, Codes, Bools) hand out the backing
-// slices themselves. A view (or a backing slice obtained from one) must
-// not outlive the scan that produced it: storing it into a struct field,
-// returning it, or capturing it in a closure that escapes pins the whole
-// chunk in memory and — worse — silently reads stale storage if the chunk
-// is ever compacted or evicted. Materialize and ValueAt are the sanctioned
-// escapes (they build owned variants); placing views in a vector.Batch is
-// the sanctioned carrier (batches are the scan-lifetime unit the executor
-// already reasons about). The vector package itself owns the
-// representation and is exempt; constructors (NewInt64Col, ...) produce
-// owned columns and start clean, so storage chunk building passes.
+// TypedAlias guards the zero-copy contract of typed vectors: a
+// vector.TypedCol a batch carries is a view over storage someone else owns —
+// Slice never copies and the raw accessors (Ints, Floats, Strs, Dict, Codes,
+// Bools) hand out the backing slices themselves. The storage is either a
+// chunk's immutable arrays or an operator's register (an expression result,
+// a FLATTEN column), which the operator refills on its next call. A view (or
+// a backing slice obtained from one) must not outlive what produced it:
+// storing it into a struct field, returning it, or capturing it in a
+// closure that escapes pins a chunk in memory and reads stale storage once
+// the chunk is compacted or evicted, or once the register is refilled.
+// Materialize and ValueAt are the sanctioned escapes (they build owned
+// variants); placing views in a vector.Batch is the sanctioned carrier
+// (batches are the unit whose lifetime the executor already reasons about,
+// and Batch.Detach copies registers where it shares chunk views). The
+// vector package itself owns the representation and is exempt;
+// constructors (NewInt64Col, ...) produce owned columns and start clean, so
+// storage chunk building passes, and so does an operator's own register.
 //
 // Runs on the dataflow core: views flow through assignments, appends,
 // slices and view calls; escapes are reported where the value leaves the
 // function.
 var TypedAlias = &Analyzer{
 	Name: "typedalias",
-	Doc:  "TypedCol views and their backing slices must not outlive the scan; Materialize is the escape hatch",
+	Doc:  "TypedCol views and their backing slices must not outlive their producer; Materialize is the escape hatch",
 	Run:  runTypedAlias,
 }
 
@@ -98,7 +102,7 @@ func runTypedAlias(pass *Pass) error {
 		},
 	}
 	runTaintFlow(pass, spec, func(pos token.Pos, kind escapeKind, what string) {
-		pass.Reportf(pos, "TypedCol view %s %s; views alias chunk storage and must not outlive the scan — use Materialize for an owned copy", kind, what)
+		pass.Reportf(pos, "TypedCol view %s %s; views alias chunk or register storage and must not outlive their producer — use Materialize for an owned copy", kind, what)
 	})
 	return nil
 }

@@ -47,10 +47,10 @@ type QueryObservation struct {
 	// SpillBytes is the bytes the memory-governed breakers wrote to
 	// temp-file runs under WithMemLimit.
 	SpillBytes int64
-	// TypedCols counts column reads served by typed kernels over shredded
-	// chunk views; FallbackCols counts typed columns the plan materialized
-	// back to variants; DiskReads counts micro-partitions cold-loaded from
-	// a persistent warehouse directory.
+	// TypedCols counts typed vectors (shredded columns, typed expression
+	// results) read by typed kernels; FallbackCols counts typed vectors the
+	// plan converted back to variants; DiskReads counts micro-partitions
+	// cold-loaded from a persistent warehouse directory.
 	TypedCols    int64
 	FallbackCols int64
 	DiskReads    int64
@@ -89,9 +89,9 @@ func NewObserver() *Observer {
 		spillBytes: r.Counter("jsonpark_spill_bytes_total",
 			"Cumulative bytes written to spill runs by memory-governed pipeline breakers."),
 		typedCols: r.Counter("jsonpark_typed_columns_total",
-			"Cumulative column reads served by typed kernels over shredded chunks."),
+			"Cumulative typed vectors (shredded columns, typed expression results) read by typed kernels."),
 		fallbackCols: r.Counter("jsonpark_fallback_columns_total",
-			"Cumulative typed columns materialized back to variants by expressions."),
+			"Cumulative typed vectors converted back to variants by expressions."),
 		diskReads: r.Counter("jsonpark_disk_partition_reads_total",
 			"Cumulative micro-partitions cold-loaded from a persistent data directory."),
 		queriesCancelled: r.Counter("jsonpark_queries_cancelled_total",

@@ -157,8 +157,8 @@ type QueryRecord struct {
 	SpillBytes       int64
 	Spills           int64
 	ParallelBreakers int64
-	// Storage v2 counters: column reads served by typed kernels, typed
-	// columns that fell back to variant materialization, and partition data
+	// Typed-execution and storage counters: typed vectors read by typed
+	// kernels, typed vectors converted to variants, and partition data
 	// sections cold-loaded from disk.
 	TypedCols    int64
 	FallbackCols int64

@@ -75,17 +75,38 @@ func TestSSBStorageParity(t *testing.T) {
 }
 
 // TestSSBTypedColumnCountersExact pins what the storage-path counters say
-// about the thirteen queries at SF 0.5: typed-kernel column reads and typed
-// columns materialized to variants, per query, generated and handwritten
-// alike. The numbers predate the expression DAG; sharing sub-expressions and
-// loading columns on demand must not move them (a shared typed kernel would
-// count once, a column two kernels fall back on would materialize once).
+// about the thirteen queries at SF 0.5: typed vectors read by typed kernels
+// and typed vectors converted to variants, per query, generated and
+// handwritten alike. Sharing sub-expressions and loading columns on demand
+// must not move them (a shared typed kernel would count once, a column two
+// kernels fall back on would convert once).
+//
+// Typed registers raised the typed counts and left every fallback count
+// alone: a comparison's result is now a typed boolean, so besides each
+// comparison reading its typed column, every scan filter reads its typed
+// condition (+1 per batch) and every AND or OR its two typed operands (+2
+// per batch). Per query, with the scanned batches the pushed-down filters
+// see (lineorder and date 3 each, customer, supplier and part 1):
+//
+//	q1.1 12 → 30: lineorder 3 × (2 ANDs + filter) = +15, date 3 × filter = +3
+//	q1.2 15 → 39: lineorder 3 × (3 ANDs + filter) = +21, date +3
+//	q1.3 18 → 48: lineorder +21, date 3 × (AND + filter) = +9
+//	q2.1  2 →  4: part and supplier filters +1 each
+//	q2.2  3 →  7: part AND + filter = +3, supplier +1
+//	q2.3  2 →  4: part and supplier +1 each
+//	q3.1  8 → 19: customer and supplier +1 each, date 3 × (AND + filter) = +9
+//	q3.2  8 → 19: as q3.1
+//	q3.3 10 → 25: customer and supplier OR + filter = +3 each, date +9
+//	q3.4  7 → 16: customer and supplier +3 each, date 3 × filter = +3
+//	q4.1  4 →  9: customer and supplier +1 each, part OR + filter = +3
+//	q4.2 10 → 24: customer and supplier +1 each, part +3, date 3 × (OR + filter) = +9
+//	q4.3  9 → 21: customer, supplier and part +1 each, date +9
 func TestSSBTypedColumnCountersExact(t *testing.T) {
 	want := map[string][2]int64{
-		"q1.1": {12, 3}, "q1.2": {15, 3}, "q1.3": {18, 3},
-		"q2.1": {2, 3}, "q2.2": {3, 3}, "q2.3": {2, 3},
-		"q3.1": {8, 1}, "q3.2": {8, 1}, "q3.3": {10, 1}, "q3.4": {7, 1},
-		"q4.1": {4, 1}, "q4.2": {10, 1}, "q4.3": {9, 1},
+		"q1.1": {30, 3}, "q1.2": {39, 3}, "q1.3": {48, 3},
+		"q2.1": {4, 3}, "q2.2": {7, 3}, "q2.3": {4, 3},
+		"q3.1": {19, 1}, "q3.2": {19, 1}, "q3.3": {25, 1}, "q3.4": {16, 1},
+		"q4.1": {9, 1}, "q4.2": {24, 1}, "q4.3": {21, 1},
 	}
 	for _, par := range []int{1, 4} {
 		sess, err := SetupSFMemOpts(7, 0.5, 1024, par, 0)

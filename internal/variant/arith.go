@@ -54,7 +54,11 @@ func IDiv(a, b Value) (Value, error) {
 	if y == 0 {
 		return Null, fmt.Errorf("variant: idiv by zero")
 	}
-	return Int(int64(math.Trunc(a.AsFloat() / y))), nil
+	q, err := truncInt(a.AsFloat()/y, KindFloat)
+	if err != nil {
+		return Null, err
+	}
+	return Int(q), nil
 }
 
 // Mod returns the remainder (sign follows the dividend, as in Go and SQL).
@@ -141,13 +145,12 @@ func ToFloat(v Value) (float64, error) {
 	return 0, fmt.Errorf("variant: cannot coerce %s to DOUBLE", v.Kind())
 }
 
-// ToInt coerces a value to an integer, truncating doubles.
+// ToInt coerces a value to an integer, truncating doubles. A double that is
+// NaN, infinite or outside the int64 range does not coerce.
 func ToInt(v Value) (int64, error) {
 	switch v.Kind() {
 	case KindInt:
 		return v.AsInt(), nil
-	case KindFloat:
-		return int64(math.Trunc(v.AsFloat())), nil
 	case KindBool:
 		if v.AsBool() {
 			return 1, nil
@@ -158,5 +161,18 @@ func ToInt(v Value) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("variant: cannot coerce %s to NUMBER", v.Kind())
 	}
-	return int64(math.Trunc(f)), nil
+	return truncInt(f, v.Kind())
 }
+
+// truncInt truncates f to an integer, the coercion of a value of kind k.
+func truncInt(f float64, k Kind) (int64, error) {
+	t := math.Trunc(f)
+	if !FitsInt(t) {
+		return 0, fmt.Errorf("variant: cannot coerce %s to NUMBER", k)
+	}
+	return int64(t), nil
+}
+
+// FitsInt reports whether f lies in [-2^63, 2^63), the doubles whose integral
+// values convert to int64 exactly; NaN and ±Inf do not.
+func FitsInt(f float64) bool { return f >= -(1<<63) && f < 1<<63 }

@@ -258,6 +258,31 @@ func TestCoercions(t *testing.T) {
 	}
 }
 
+// A double with no int64 value — NaN, an infinity, or one outside
+// [-2^63, 2^63) — does not coerce to an integer; int64 conversion would turn
+// each into math.MinInt64. The range's own ends still coerce.
+func TestToIntRejectsUnrepresentableDoubles(t *testing.T) {
+	for _, v := range []Value{
+		Float(math.NaN()), Float(math.Inf(1)), Float(math.Inf(-1)),
+		Float(1e300), Float(-1e19), Float(9223372036854775808), String("1e300"),
+	} {
+		if i, err := ToInt(v); err == nil || !strings.Contains(err.Error(), "cannot coerce") {
+			t.Errorf("ToInt(%v) = %d, %v; want a coercion error", v, i, err)
+		}
+	}
+	if i, err := ToInt(Float(-9223372036854775808)); err != nil || i != math.MinInt64 {
+		t.Errorf("ToInt(-2^63) = %d, %v", i, err)
+	}
+	if i, err := ToInt(Float(9.2233720368547748e18)); err != nil || i != 9223372036854774784 {
+		t.Errorf("ToInt(largest double below 2^63) = %d, %v", i, err)
+	}
+	for _, q := range [][2]Value{{Float(1e300), Float(1e-300)}, {Float(math.Inf(1)), Int(2)}, {Float(math.NaN()), Int(1)}} {
+		if v, err := IDiv(q[0], q[1]); err == nil || !strings.Contains(err.Error(), "cannot coerce DOUBLE to NUMBER") {
+			t.Errorf("IDiv(%v, %v) = %v, %v; want a coercion error", q[0], q[1], v, err)
+		}
+	}
+}
+
 // Property: Compare is a total order — antisymmetric and reflexive — over
 // randomly generated scalar values.
 func TestCompareAntisymmetricProperty(t *testing.T) {

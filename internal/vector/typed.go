@@ -40,7 +40,12 @@ func (k TypedKind) String() string {
 // chunk's arrays with zero copying (same contract as Batch.Cols).
 //
 // A value slice position i is only meaningful when Null(i) is false; null
-// positions hold the zero value of the element type.
+// positions of a chunk view hold the zero value of the element type.
+//
+// A register (Reset) is a TypedCol an operator owns and refills every batch:
+// an expression DAG's typed result, FLATTEN's typed columns. Its views are
+// recycled storage, valid until the owner's next call like any variant
+// register, so Batch.Detach copies them where it shares chunk views.
 type TypedCol struct {
 	kind TypedKind
 	n    int
@@ -58,6 +63,11 @@ type TypedCol struct {
 	dict  []string
 	codes []uint32
 	bools []bool
+
+	// reg marks a register; bits is its null-bitmap storage, kept across
+	// batches while nulls is nil.
+	reg  bool
+	bits []uint64
 }
 
 // NewInt64Col wraps an int64 slice (and optional null bitmap over [0,
@@ -221,6 +231,130 @@ func (t *TypedCol) ValueAt(i int) variant.Value {
 		return variant.Bool(t.bools[i])
 	}
 	return variant.Null
+}
+
+// Reset makes t an n-row register of an int64, float64 or bool kind over the
+// storage it kept from earlier batches: values undefined, no NULLs.
+func (t *TypedCol) Reset(kind TypedKind, n int) {
+	t.kind, t.n, t.nulls, t.nullOff, t.reg = kind, n, nil, 0, true
+	switch kind {
+	case TypedInt64:
+		t.ints = resize(t.ints, n)
+	case TypedFloat64:
+		t.floats = resize(t.floats, n)
+	case TypedBool:
+		t.bools = resize(t.bools, n)
+	default:
+		panic("vector: a register holds numbers or booleans")
+	}
+}
+
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// SetLen shrinks a register to its first n rows, keeping their values and
+// NULLs: for a producer that fills rows up to a bound it learns only as it
+// goes.
+func (t *TypedCol) SetLen(n int) {
+	t.n = n
+	switch t.kind {
+	case TypedInt64:
+		t.ints = t.ints[:n]
+	case TypedFloat64:
+		t.floats = t.floats[:n]
+	case TypedBool:
+		t.bools = t.bools[:n]
+	}
+}
+
+// SetNull marks row i of a register NULL.
+func (t *TypedCol) SetNull(i int) {
+	if t.nulls == nil {
+		t.bits = resize(t.bits, NullBitmapWords(t.n))
+		clear(t.bits)
+		t.nulls = t.bits
+	}
+	SetNullBit(t.nulls, i)
+}
+
+// NullsFrom marks NULL every row of sel that is NULL in src (nil: none).
+func (t *TypedCol) NullsFrom(src *TypedCol, sel []int) {
+	if src == nil || src.nulls == nil {
+		return
+	}
+	for _, i := range sel {
+		if src.Null(i) {
+			t.SetNull(i)
+		}
+	}
+}
+
+// Gather refills the register dst with t's rows at idx, in order. t holds
+// numbers or booleans; a string column gathers through Batch.Gather.
+func (t *TypedCol) Gather(idx []int, dst *TypedCol) {
+	dst.Reset(t.kind, len(idx))
+	switch t.kind {
+	case TypedInt64:
+		for k, i := range idx {
+			dst.ints[k] = t.ints[i]
+		}
+	case TypedFloat64:
+		for k, i := range idx {
+			dst.floats[k] = t.floats[i]
+		}
+	case TypedBool:
+		for k, i := range idx {
+			dst.bools[k] = t.bools[i]
+		}
+	}
+	if t.nulls != nil {
+		for k, i := range idx {
+			if t.Null(i) {
+				dst.SetNull(k)
+			}
+		}
+	}
+}
+
+// clone copies a register into storage of its own.
+func (t *TypedCol) clone() *TypedCol {
+	out := &TypedCol{kind: t.kind, n: t.n}
+	switch t.kind {
+	case TypedInt64:
+		out.ints = append([]int64(nil), t.ints...)
+	case TypedFloat64:
+		out.floats = append([]float64(nil), t.floats...)
+	case TypedBool:
+		out.bools = append([]bool(nil), t.bools...)
+	}
+	if t.nulls != nil {
+		out.nulls = append([]uint64(nil), t.nulls...)
+	}
+	return out
+}
+
+// DictMemo keeps a table with one entry per string of a dictionary-encoded
+// column — a comparison's result for each distinct string — and computes it
+// again only when a batch brings a different dictionary, so comparing batch
+// after batch of one chunk allocates nothing.
+type DictMemo struct {
+	dict  []string
+	table []bool
+}
+
+// Table returns the memo's table for t's dictionary, first calling fill over
+// the dictionary when it is not the one the table was computed for.
+func (m *DictMemo) Table(t *TypedCol, fill func(dict []string, table []bool)) []bool {
+	same := len(m.dict) == len(t.dict) && (len(t.dict) == 0 || &m.dict[0] == &t.dict[0])
+	if !same || m.table == nil {
+		m.dict, m.table = t.dict, resize(m.table, len(t.dict))
+		fill(m.dict, m.table)
+	}
+	return m.table
 }
 
 // SetNullBit marks bit i of a null bitmap sized for n rows; a helper for

@@ -153,15 +153,22 @@ func (b *Batch) ActiveAt(k int) int {
 // each one on arrival. The copy keeps the physical layout: vectors of the
 // same length holding the active positions (NULL elsewhere, where the
 // source is undefined anyway) and a private selection, so row references
-// into the original stay valid. Typed views alias immutable chunk storage
-// and are shared as they are.
+// into the original stay valid. A typed view of immutable chunk storage is
+// shared as it is; a register (an expression result, a FLATTEN column) is
+// recycled storage and is copied.
 func (b *Batch) Detach() *Batch {
 	out := &Batch{Cols: make([][]variant.Value, len(b.Cols))}
 	if b.Sel != nil {
 		out.Sel = append(make([]int, 0, len(b.Sel)), b.Sel...)
 	}
 	if b.Typed != nil {
-		out.Typed = append([]*TypedCol(nil), b.Typed...)
+		out.Typed = make([]*TypedCol, len(b.Typed))
+		for c, tc := range b.Typed {
+			if tc != nil && tc.reg {
+				tc = tc.clone()
+			}
+			out.Typed[c] = tc
+		}
 	}
 	for c, col := range b.Cols {
 		if col == nil {

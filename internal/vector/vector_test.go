@@ -180,6 +180,80 @@ func TestDetach(t *testing.T) {
 	}
 }
 
+// A register's typed view is recycled storage, so Detach copies it — values
+// and NULLs — where it shares a chunk view: the copy survives the owner
+// resetting and poisoning the register for its next batch.
+func TestDetachCopiesRegisters(t *testing.T) {
+	var reg TypedCol
+	reg.Reset(TypedFloat64, 3)
+	copy(reg.Floats(), []float64{1.5, 2.5, 3.5})
+	reg.SetNull(1)
+	chunk := NewInt64Col([]int64{7, 8, 9}, nil)
+	kept := (&Batch{Cols: make([][]variant.Value, 2), Typed: []*TypedCol{&reg, chunk}}).Detach()
+	PoisonTyped(&reg)
+	reg.Reset(TypedBool, 3)
+	if kept.TypedCol(1) != chunk || kept.TypedCol(0) == &reg {
+		t.Fatalf("detach shared the register or copied the chunk view")
+	}
+	if got := variant.Array(kept.Column(0)...).JSON(); got != `[1.5,null,3.5]` {
+		t.Errorf("detached register = %s", got)
+	}
+}
+
+// A register keeps its storage across Resets, takes NULLs on demand, gathers
+// a typed column through a parent-index vector, and refills without
+// allocating once warm.
+func TestRegisterResetGatherNulls(t *testing.T) {
+	src := NewInt64Col([]int64{10, 20, 30, 40}, make([]uint64, 1))
+	SetNullBit(src.nulls, 2)
+	view, idx := src.Slice(1, 4), []int{2, 1, 0, 1}
+	var reg TypedCol
+	fill := func() { view.Gather(idx, &reg) }
+	fill()
+	if got := variant.Array(reg.Materialize(nil)...).JSON(); got != `[40,null,20,null]` || !reg.HasNulls() {
+		t.Errorf("gathered %s", got)
+	}
+	reg.Reset(TypedBool, 4)
+	if reg.HasNulls() || reg.Len() != 4 {
+		t.Errorf("Reset kept NULLs or length: nulls=%v len=%d", reg.HasNulls(), reg.Len())
+	}
+	reg.SetNull(3)
+	reg.SetLen(2)
+	if reg.Len() != 2 || len(reg.Bools()) != 2 || reg.Null(1) {
+		t.Errorf("SetLen: len=%d null(1)=%v", reg.Len(), reg.Null(1))
+	}
+	if n := testing.AllocsPerRun(100, func() { fill(); reg.SetNull(0) }); n != 0 {
+		t.Errorf("refilling a warm register allocates %v times, want 0", n)
+	}
+}
+
+// DictMemo computes its table once per dictionary and again only when a
+// column with another dictionary arrives.
+func TestDictMemo(t *testing.T) {
+	dict := []string{"a", "b", "c"}
+	calls := 0
+	isB := func(d []string, table []bool) {
+		calls++
+		for c, s := range d {
+			table[c] = s == "b"
+		}
+	}
+	var m DictMemo
+	col := NewDictCol(dict, []uint32{1, 0, 2}, nil)
+	for _, view := range []*TypedCol{col, col.Slice(1, 3), col} {
+		if table := m.Table(view, isB); len(table) != 3 || !table[1] || table[0] {
+			t.Fatalf("table = %v", table)
+		}
+	}
+	if calls != 1 {
+		t.Errorf("one dictionary filled %d times", calls)
+	}
+	m.Table(NewDictCol([]string{"a", "b", "c"}, []uint32{0}, nil), isB)
+	if calls != 2 {
+		t.Errorf("a second dictionary did not refill the table")
+	}
+}
+
 func TestActiveAt(t *testing.T) {
 	b := intBatch(10, 11, 12, 13)
 	if b.ActiveAt(2) != 2 || b.WithSel([]int{1, 3}).ActiveAt(1) != 3 {

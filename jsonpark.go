@@ -156,12 +156,13 @@ func WithDataDir(dir string) OpenOption {
 	return func(c *openConfig) { c.dataDir = dir }
 }
 
-// WithTypedColumns toggles typed shredding at partition seal (on by
-// default): leaf columns whose non-null values are uniformly one scalar
-// kind are stored as typed arrays (int64/float64/string/bool plus a null
-// bitmap, dictionary-encoded low-cardinality strings) that the expression
-// kernels scan without per-row variant dispatch. Query results are
-// byte-identical either way; false keeps every column in the variant
+// WithTypedColumns toggles typed execution (on by default): leaf columns
+// whose non-null values are uniformly one scalar kind are stored as typed
+// arrays at partition seal (int64/float64/string/bool plus a null bitmap,
+// dictionary-encoded low-cardinality strings), and expressions keep numbers
+// and booleans in typed registers, both scanned by the expression kernels
+// without per-row variant dispatch. Query results are byte-identical either
+// way; false keeps every column and every expression result in the variant
 // encoding.
 func WithTypedColumns(on bool) OpenOption {
 	return func(c *openConfig) { c.typedOff = !on }
