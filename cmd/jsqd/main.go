@@ -46,9 +46,8 @@ func main() {
 	traceOut := flag.String("trace-out", "", "append every finished trace as a JSON line to FILE")
 	dataDir := flag.String("data-dir", "", "persist micro-partitions under DIR and reopen collections found there (empty = in-memory)")
 	typedColumns := flag.Bool("typed-columns", true, "shred uniform scalar columns into typed arrays at partition seal (typed expression kernels)")
-	planCacheSize := flag.Int("plan-cache-size", 256, "prepared-plan cache entries; repeated queries skip compilation (0 = engine default, negative = off)")
-	resultCacheSize := flag.Int("result-cache-size", 256, "partition-versioned result cache entries; repeated queries over unchanged collections skip execution (0 or negative = off)")
-	resultCacheBytes := flag.String("result-cache-bytes", "64MiB", "result cache resident-row byte budget, e.g. 64MiB")
+	cacheEntries := flag.Int("plan-cache-size", 256, "query cache entries; repeated queries skip compilation, and with -result-cache-bytes execution (0 = engine default, negative = off)")
+	resultBytes := flag.String("result-cache-bytes", "64MiB", "result cache resident-row byte budget, e.g. 64MiB; repeated queries over unchanged collections skip execution (0 = off)")
 	var views []string
 	flag.Func("view", "register a materialized view as NAME=JSONIQ_QUERY at startup (repeatable; refreshed incrementally on /views/query)", func(s string) error {
 		if !strings.Contains(s, "=") {
@@ -78,10 +77,10 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	var resultCacheByteBudget int64
-	if *resultCacheBytes != "" {
+	var resultByteBudget int64
+	if *resultBytes != "" {
 		var err error
-		resultCacheByteBudget, err = jsonpark.ParseByteSize(*resultCacheBytes)
+		resultByteBudget, err = jsonpark.ParseByteSize(*resultBytes)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -92,9 +91,8 @@ func main() {
 		jsonpark.WithSlowQueryMillis(*slowMS),
 		jsonpark.WithDataDir(*dataDir),
 		jsonpark.WithTypedColumns(*typedColumns),
-		jsonpark.WithPlanCacheSize(*planCacheSize),
-		jsonpark.WithResultCacheSize(*resultCacheSize),
-		jsonpark.WithResultCacheBytes(resultCacheByteBudget),
+		jsonpark.WithPlanCacheSize(*cacheEntries),
+		jsonpark.WithResultCacheBytes(resultByteBudget),
 	}
 	if globalMemBytes > 0 || *tenantSlots > 0 {
 		opts = append(opts, jsonpark.WithGovernor(jsonpark.NewGovernor(jsonpark.GovernorConfig{

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -24,16 +25,12 @@ type Engine struct {
 	memLimit    int64
 	dataDir     string
 	typedOff    bool
-	// planCacheSize is the requested cache bound (0 = default, < 0 = off);
-	// planCache is the live cache, nil when disabled.
-	planCacheSize int
-	planCache     *planCache
-	// resultCacheSize/resultCacheBytes bound the partition-versioned result
-	// cache (off unless WithResultCacheSize enables it); resultCache is the
-	// live cache, nil when disabled.
-	resultCacheSize  int
-	resultCacheBytes int64
-	resultCache      *resultCache
+	// cacheSize is the requested entry cap of the query cache (0 = default,
+	// < 0 = off) and resultBytes its result budget (0 = no results); cache
+	// is the live cache, nil when disabled.
+	cacheSize   int
+	resultBytes int64
+	cache       *queryCache
 	// views is the registry of incrementally maintained materialized views.
 	views viewRegistry
 	// governor, when set, is the server-wide admission gate and shared
@@ -120,30 +117,24 @@ func WithTypedColumns(on bool) Option {
 	return func(e *Engine) { e.typedOff = !on }
 }
 
-// WithPlanCacheSize bounds the prepared-plan cache: n > 0 sets the entry
-// cap, n == 0 (the default) keeps the default size, and n < 0 disables
-// caching entirely — every Prepare recompiles from scratch.
+// WithPlanCacheSize bounds the query cache (querycache.go), which keeps
+// compiled plans and, with WithResultCacheBytes, their results: n > 0 sets
+// the entry cap, n == 0 (the default) keeps the default size, and n < 0
+// disables the cache entirely — every Prepare recompiles from scratch and no
+// result is cached.
 func WithPlanCacheSize(n int) Option {
-	return func(e *Engine) { e.planCacheSize = n }
+	return func(e *Engine) { e.cacheSize = n }
 }
 
-// WithResultCacheSize enables the partition-versioned result cache with an
-// entry cap: repeated queries over unchanged pinned partition sets return
-// their rows without executing. n <= 0 (the default) keeps the cache off —
-// results are served straight from storage every run. Invalidation is exact:
-// any seal, DDL, or data-dir change on a table a cached result read evicts
-// that result (and only that result).
-func WithResultCacheSize(n int) Option {
-	return func(e *Engine) { e.resultCacheSize = n }
-}
-
-// WithResultCacheBytes bounds the result cache's resident row bytes
-// (default 64 MiB when the cache is enabled). Results larger than the budget
-// are never cached; smaller ones evict LRU entries until they fit.
+// WithResultCacheBytes turns result caching on with a budget of n resident
+// row bytes (n <= 0, the default, keeps it off): a repeated query whose
+// pinned partition sets are unchanged returns its rows without executing.
+// Results larger than the budget are never cached; smaller ones evict the
+// least recently used results until they fit.
 func WithResultCacheBytes(n int64) Option {
 	return func(e *Engine) {
 		if n > 0 {
-			e.resultCacheBytes = n
+			e.resultBytes = n
 		}
 	}
 }
@@ -173,22 +164,12 @@ func New(opts ...Option) *Engine {
 	if e.dataDir != "" {
 		e.catalog.SetDataDir(e.dataDir)
 	}
-	size := e.planCacheSize
+	size := e.cacheSize
 	if size == 0 {
 		size = defaultPlanCacheSize
 	}
 	if size > 0 {
-		e.planCache = newPlanCache(size)
-	}
-	if e.resultCacheSize > 0 {
-		bytes := e.resultCacheBytes
-		if bytes <= 0 {
-			bytes = defaultResultCacheBytes
-		}
-		e.resultCache = newResultCache(e.resultCacheSize, bytes)
-		// Precise eviction: every seal/DDL/data-dir change drops exactly the
-		// entries that read the mutated table.
-		e.catalog.SetMutationHook(e.resultCache.invalidate)
+		e.cache = newQueryCache(size, e.resultBytes)
 	}
 	return e
 }
@@ -267,15 +248,13 @@ var ErrPreparedConsumed = errors.New("prepared: already consumed")
 
 // Prepared is a compiled query ready to execute once.
 type Prepared struct {
-	eng     *Engine
-	plan    Node
+	eng *Engine
+	// cp is the template this run bound; with result caching on, RunCtx looks
+	// its text up and attaches its rows to it.
+	cp      *compiledPlan
 	iter    batchIter
 	ctx     *execContext
-	columns []string
 	metrics Metrics
-	// sql is the original query text; with the result cache on, RunCtx keys
-	// on it and the pinned partition versions.
-	sql string
 	// used enforces the single-use contract (see ErrPreparedConsumed).
 	used atomic.Bool
 }
@@ -312,7 +291,6 @@ func (e *Engine) PrepareOpts(sql string, po PrepareOptions) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.sql = sql
 	p.metrics.PlanCacheHit = hit
 	p.metrics.CompileTime = time.Since(start)
 	return p, nil
@@ -351,7 +329,7 @@ func (e *Engine) compile(sql string, po PrepareOptions) (*compiledPlan, error) {
 		}
 	}
 	materializeSchemas(plan)
-	return &compiledPlan{sql: sql, plan: plan, columns: plan.Schema().Names}, nil
+	return &compiledPlan{sql: sql, plan: plan, columns: plan.Schema().Names, tables: pl.tables}, nil
 }
 
 // materializeSchemas forces every node's lazy schema memo while the plan is
@@ -399,7 +377,7 @@ func (e *Engine) bind(cp *compiledPlan, po PrepareOptions) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{eng: e, plan: cp.plan, iter: iter, ctx: ctx, columns: cp.columns}, nil
+	return &Prepared{eng: e, cp: cp, iter: iter, ctx: ctx}, nil
 }
 
 // Run executes the prepared query to completion. A Prepared is single-use.
@@ -429,12 +407,11 @@ func (p *Prepared) RunCtx(ctx context.Context) (*Result, error) {
 	// partition-set version, so an exact (query text, version vector) match
 	// means the cached rows are byte-identical to what execution would
 	// produce. The batch-hook instrumentation path always executes.
-	var rc *resultCache
-	var rcDeps []resultDep
-	if p.eng != nil && p.eng.resultCache != nil && p.ctx.batchHook == nil {
-		rc = p.eng.resultCache
-		rcDeps = p.ctx.snapshotDeps()
-		if cols, rows, ok := rc.lookup(p.sql, rcDeps); ok {
+	var rc *queryCache
+	var deps []resultDep
+	if p.eng != nil && p.eng.cache != nil && p.eng.cache.maxBytes > 0 && p.ctx.batchHook == nil {
+		rc, deps = p.eng.cache, p.ctx.snapshotDeps()
+		if rows, ok := rc.rows(p.cp.sql, deps); ok {
 			p.iter.Close()
 			m := Metrics{
 				CompileTime:    p.metrics.CompileTime,
@@ -442,7 +419,7 @@ func (p *Prepared) RunCtx(ctx context.Context) (*Result, error) {
 				ResultCacheHit: true,
 				RowsReturned:   int64(len(rows)),
 			}
-			return &Result{Columns: cols, Rows: rows, Metrics: m}, nil
+			return &Result{Columns: slices.Clone(p.cp.columns), Rows: rows, Metrics: m}, nil
 		}
 	}
 	if p.eng != nil {
@@ -468,9 +445,9 @@ func (p *Prepared) RunCtx(ctx context.Context) (*Result, error) {
 		m.MemLimitBytes = p.ctx.acct.limit
 	}
 	if rc != nil {
-		rc.insert(p.sql, rcDeps, p.columns, rows)
+		rc.attach(p.cp, deps, rows)
 	}
-	return &Result{Columns: p.columns, Rows: rows, Metrics: m}, nil
+	return &Result{Columns: slices.Clone(p.cp.columns), Rows: rows, Metrics: m}, nil
 }
 
 // PlanStats returns the annotated operator tree of a query prepared with
@@ -480,7 +457,7 @@ func (p *Prepared) PlanStats() *PlanStats {
 	if !p.ctx.analyze {
 		return nil
 	}
-	ps := buildPlanStats(p.plan, p.ctx)
+	ps := buildPlanStats(p.cp.plan, p.ctx)
 	ps.TypedCols = atomic.LoadInt64(&p.ctx.typedCols)
 	ps.FallbackCols = atomic.LoadInt64(&p.ctx.fallbackCols)
 	ps.DiskReads = atomic.LoadInt64(&p.ctx.diskReads)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"jsonpark/internal/storage"
 	"jsonpark/internal/variant"
 	"jsonpark/internal/vector"
 )
@@ -25,7 +26,8 @@ import (
 // the result cache (and a materialized view when the group query is
 // mergeable), append the remaining documents mid-run, and must still match
 // the oracle's cold recompute over the full dataset — cached and
-// incrementally refreshed results included. Running the seed corpus as a
+// incrementally refreshed results included, and again after the table is
+// dropped and recreated with the full data. Running the seed corpus as a
 // plain unit test (`go test`) already covers every shape;
 // `go test -fuzz=FuzzPlanDiff` explores the generator space further.
 func FuzzPlanDiff(f *testing.F) {
@@ -123,7 +125,7 @@ func runDiffCell(t *testing.T, c diffCell, docs []string, queries []string) []st
 	split := len(docs)
 	if c.ingest {
 		split = len(docs) * 3 / 5
-		opts = append(opts, WithResultCacheSize(64))
+		opts = append(opts, WithResultCacheBytes(64<<20))
 	}
 	// Every cell but the oracle runs under planck, which certifies each
 	// generated plan's stream marks and every batch's contract.
@@ -132,19 +134,19 @@ func runDiffCell(t *testing.T, c diffCell, docs []string, queries []string) []st
 	}
 	e := New(opts...)
 	hooks(e)
-	tab, err := e.Catalog().CreateTable("t", []string{"grp", "id", "val", "s", "items", "x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab.SetTargetPartitionBytes(2048)
-	if c.morselRows > 0 {
-		tab.SetTargetPartitionBytes(1 << 40)
-	}
-	for _, doc := range docs[:split] {
-		if err := tab.AppendObject(variant.MustParseJSON(doc)); err != nil {
-			t.Fatalf("[%s] bad generated doc %s: %v", c.name, doc, err)
+	load := func(docs []string) *storage.Table {
+		tab, err := e.Catalog().CreateTable("t", []string{"grp", "id", "val", "s", "items", "x"})
+		if err != nil {
+			t.Fatal(err)
 		}
+		tab.SetTargetPartitionBytes(2048)
+		if c.morselRows > 0 {
+			tab.SetTargetPartitionBytes(1 << 40)
+		}
+		appendDocs(t, c, tab, docs)
+		return tab
 	}
+	tab := load(docs[:split])
 	if c.persist {
 		// Seal everything to disk, then restart: a fresh engine over the same
 		// directory must reconstruct the table bit-exactly from headers + data.
@@ -165,45 +167,64 @@ func runDiffCell(t *testing.T, c diffCell, docs []string, queries []string) []st
 			}
 		}
 		viewable = e.CreateView("mv", queries[1]) == nil
-		for _, doc := range docs[split:] {
-			if err := tab.AppendObject(variant.MustParseJSON(doc)); err != nil {
-				t.Fatalf("[%s] bad generated doc %s: %v", c.name, doc, err)
-			}
-		}
+		appendDocs(t, c, tab, docs[split:])
 	}
 	out := make([]string, len(queries))
 	for qi, q := range queries {
-		res, err := e.Query(q)
-		if err != nil {
-			// The generator emits only valid SQL; an error here is an engine
-			// bug (or a generator regression), never fuzz noise.
-			t.Fatalf("[%s] %s: %v", c.name, q, err)
-		}
-		out[qi] = renderRows(res)
-		if c.ingest {
-			// Second run serves from the re-populated result cache; it must be
-			// byte-identical to the executed run.
-			res2, err := e.Query(q)
-			if err != nil {
-				t.Fatalf("[%s] reread %s: %v", c.name, q, err)
-			}
-			if got := renderRows(res2); got != out[qi] {
-				t.Fatalf("[%s] cached reread diverges on %s:\n got %s\nwant %s",
-					c.name, q, clipDiff(got), clipDiff(out[qi]))
-			}
-		}
+		out[qi] = diffQuery(t, c, e, q)
 	}
-	if viewable {
-		res, err := e.QueryView(context.Background(), "mv")
-		if err != nil {
-			t.Fatalf("[%s] view refresh after append: %v", c.name, err)
+	if !c.ingest {
+		return out
+	}
+	// Every reread and view refresh must equal the executed run. Round 0
+	// rereads from the re-populated result cache; round 1 runs after the table
+	// is dropped and recreated with the full data, so no plan, result or view
+	// state of the dropped table may serve; round 2 rereads again.
+	for round := 0; round < 3; round++ {
+		if round == 1 {
+			e.Catalog().DropTable("t")
+			load(docs)
 		}
-		if got := renderRows(res); got != out[1] {
-			t.Fatalf("[%s] incremental view diverges from %s:\n got %s\nwant %s",
-				c.name, queries[1], clipDiff(got), clipDiff(out[1]))
+		for qi, q := range queries {
+			if got := diffQuery(t, c, e, q); got != out[qi] {
+				t.Fatalf("[%s] round %d: cached reread diverges on %s:\n got %s\nwant %s",
+					c.name, round, q, clipDiff(got), clipDiff(out[qi]))
+			}
+		}
+		if viewable {
+			res, err := e.QueryView(context.Background(), "mv")
+			if err != nil {
+				t.Fatalf("[%s] round %d: view refresh: %v", c.name, round, err)
+			}
+			if got := renderRows(res); got != out[1] {
+				t.Fatalf("[%s] round %d: incremental view diverges from %s:\n got %s\nwant %s",
+					c.name, round, queries[1], clipDiff(got), clipDiff(out[1]))
+			}
 		}
 	}
 	return out
+}
+
+// appendDocs appends generated documents to the cell's table.
+func appendDocs(t *testing.T, c diffCell, tab *storage.Table, docs []string) {
+	t.Helper()
+	for _, doc := range docs {
+		if err := tab.AppendObject(variant.MustParseJSON(doc)); err != nil {
+			t.Fatalf("[%s] bad generated doc %s: %v", c.name, doc, err)
+		}
+	}
+}
+
+// diffQuery runs one generated query and renders its rows.
+func diffQuery(t *testing.T, c diffCell, e *Engine, q string) string {
+	t.Helper()
+	res, err := e.Query(q)
+	if err != nil {
+		// The generator emits only valid SQL; an error here is an engine bug
+		// (or a generator regression), never fuzz noise.
+		t.Fatalf("[%s] %s: %v", c.name, q, err)
+	}
+	return renderRows(res)
 }
 
 // genDiffDocs builds a deterministic nested dataset: a handful of group

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"jsonpark/internal/sqlast"
@@ -180,6 +181,8 @@ func (n *UnionNode) Schema() *Schema { return n.Left.Schema() }
 // planner builds logical plans from parsed SQL.
 type planner struct {
 	catalog *storage.Catalog
+	// tables collects each table instance a name resolved to, once.
+	tables []*storage.Table
 }
 
 // Build converts a parsed query into an unoptimized logical plan.
@@ -330,6 +333,9 @@ func (p *planner) buildFrom(f sqlast.FromItem) (Node, error) {
 		t, err := p.catalog.Table(x.Name)
 		if err != nil {
 			return nil, err
+		}
+		if !slices.Contains(p.tables, t) {
+			p.tables = append(p.tables, t)
 		}
 		return &ScanNode{Table: t, Columns: append([]string(nil), t.Columns...)}, nil
 	case *sqlast.SubqueryRef:

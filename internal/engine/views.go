@@ -29,6 +29,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -45,34 +46,36 @@ type viewRowsNode struct {
 func (n *viewRowsNode) Schema() *Schema { return n.schema }
 
 // matView is one registered materialized view: the decomposed plan plus the
-// retained accumulator state. All fields past the immutable header are
-// guarded by mu — refresh and emit run under it.
+// retained accumulator state. Everything past name and eng is guarded by mu
+// — refresh and emit run under it.
 type matView struct {
-	name    string
-	sql     string
-	eng     *Engine
-	columns []string
-
-	// Decomposed plan: suffix is the stateless operator chain above the
-	// aggregate in root-first order; seg is the aggregate's input pipeline,
-	// replayed over the delta partitions.
-	suffix []Node
-	agg    *AggregateNode
-	seg    *segmentPlan
+	name string
+	eng  *Engine
 
 	mu sync.Mutex
+	*viewPlan
 	// merged is the retained state: groups merged across refreshes, in
 	// sequential first-seen output order.
 	merged aggMerger
-	// emitAggs carries the aggregate descriptors for finalization; compiled
-	// once at registration (expressions hold state, but descs are static).
-	emitAggs []compiledAgg
 	// partsDone is the absorbed-partition watermark into the table's
 	// append-only partition list.
 	partsDone int
 	// Refresh accounting for introspection.
 	refreshes  int64
 	deltaParts int64
+}
+
+// viewPlan is a view's compiled query, decomposed: suffix is the stateless
+// operator chain above the aggregate in root-first order; seg is the
+// aggregate's input pipeline, replayed over the delta partitions; emitAggs
+// carries the aggregate descriptors for finalization (expressions hold
+// state, but descs are static).
+type viewPlan struct {
+	cp       *compiledPlan
+	suffix   []Node
+	agg      *AggregateNode
+	seg      *segmentPlan
+	emitAggs []compiledAgg
 }
 
 // viewRegistry holds an engine's materialized views by name.
@@ -113,10 +116,11 @@ func (e *Engine) CreateView(name, sql string) error {
 	if err != nil {
 		return err
 	}
-	v, err := e.decomposeView(name, sql, cp.plan)
+	vp, err := e.decomposeView(name, cp)
 	if err != nil {
 		return err
 	}
+	v := &matView{name: name, eng: e, viewPlan: vp}
 	e.views.mu.Lock()
 	defer e.views.mu.Unlock()
 	if _, exists := e.views.views[name]; exists {
@@ -131,9 +135,9 @@ func (e *Engine) CreateView(name, sql string) error {
 
 // decomposeView splits the physical plan into suffix + aggregate + the
 // aggregate's segment and accepts the aggregate on its verdict.
-func (e *Engine) decomposeView(name, sql string, plan Node) (*matView, error) {
+func (e *Engine) decomposeView(name string, cp *compiledPlan) (*viewPlan, error) {
 	var suffix []Node
-	n := plan
+	n := cp.plan
 walk:
 	for {
 		switch x := n.(type) {
@@ -197,11 +201,7 @@ walk:
 	if _, err := seg.compile(vctx); err != nil {
 		return nil, err
 	}
-	return &matView{
-		name: name, sql: sql, eng: e,
-		columns: plan.Schema().Names,
-		suffix:  suffix, agg: agg, seg: seg, emitAggs: ev.aggs,
-	}, nil
+	return &viewPlan{cp: cp, suffix: suffix, agg: agg, seg: seg, emitAggs: ev.aggs}, nil
 }
 
 // DropView removes a view, reporting whether it existed.
@@ -238,8 +238,8 @@ func (e *Engine) ViewInfos() []ViewInfo {
 	for i, v := range vs {
 		v.mu.Lock()
 		infos[i] = ViewInfo{
-			Name: v.name, SQL: v.sql, Table: v.seg.scan.Table.Name,
-			Columns: append([]string(nil), v.columns...),
+			Name: v.name, SQL: v.cp.sql, Table: v.seg.scan.Table.Name,
+			Columns: slices.Clone(v.cp.columns),
 			Groups:  len(v.merged.out), PartsDone: v.partsDone,
 			Refreshes: v.refreshes, DeltaParts: v.deltaParts,
 		}
@@ -283,13 +283,16 @@ func (v *matView) query(qctx context.Context) (*Result, error) {
 	}
 	m := *ctx.metrics
 	m.RowsReturned = int64(len(rows))
-	return &Result{Columns: append([]string(nil), v.columns...), Rows: rows, Metrics: m}, nil
+	return &Result{Columns: slices.Clone(v.cp.columns), Rows: rows, Metrics: m}, nil
 }
 
 // refreshLocked absorbs the partitions sealed since the last refresh into
 // the retained state. The snapshot seals buffered rows first, so a refresh
 // observes everything appended before it, exactly like a query.
 func (v *matView) refreshLocked(ctx *execContext) error {
+	if err := v.followTableLocked(); err != nil {
+		return err
+	}
 	snap := v.seg.scan.Table.Snapshot()
 	if delta := snap.Parts[v.partsDone:]; len(delta) > 0 {
 		// One span over the delta, merged into the retained state with the
@@ -310,6 +313,31 @@ func (v *matView) refreshLocked(ctx *execContext) error {
 		v.refreshes++
 		v.deltaParts += int64(len(delta))
 	}
+	return nil
+}
+
+// followTableLocked applies the query cache's staleness rule to the view:
+// the retained state stands while the view's table is still the catalog's
+// table under its name. A recreated table rebuilds the view from its SQL with
+// empty state, so the refresh absorbs the new table from partition 0 and the
+// view equals the cold query; a dropped one is an error naming the table.
+func (v *matView) followTableLocked() error {
+	cur, err := v.cp.current(v.eng.catalog)
+	if err != nil {
+		return fmt.Errorf("engine: view %q: %w", v.name, err)
+	}
+	if cur {
+		return nil
+	}
+	cp, err := v.eng.compile(v.cp.sql, PrepareOptions{})
+	if err != nil {
+		return fmt.Errorf("engine: view %q: %w", v.name, err)
+	}
+	vp, err := v.eng.decomposeView(v.name, cp)
+	if err != nil {
+		return err
+	}
+	v.viewPlan, v.merged, v.partsDone, v.deltaParts = vp, aggMerger{}, 0, 0
 	return nil
 }
 

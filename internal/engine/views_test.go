@@ -336,3 +336,46 @@ func TestViewQueryCancellation(t *testing.T) {
 		t.Fatalf("post-cancel view total = %d, want %d", sum, wantSum)
 	}
 }
+
+// TestViewFollowsRecreatedTable: a view follows its table's identity, the
+// query cache's rule. After the table is dropped and recreated under the
+// same name with other rows, the view equals the cold query over the new
+// rows; after a drop alone, reading the view is an error naming the table.
+func TestViewFollowsRecreatedTable(t *testing.T) {
+	const q = `SELECT "k", COUNT(*) AS n, MIN("v") AS mn, MAX("v") AS mx FROM "g" GROUP BY "k" ORDER BY "k"`
+	for _, par := range []int{1, 4} {
+		for _, typed := range []bool{true, false} {
+			t.Run(fmt.Sprintf("par%d-typed%v", par, typed), func(t *testing.T) {
+				opts := []Option{WithParallelism(par), WithTypedColumns(typed)}
+				e := New(opts...)
+				viewLoad(t, e, 0, 100)
+				if err := e.CreateView("byk", q); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := e.QueryView(context.Background(), "byk"); err != nil {
+					t.Fatal(err)
+				}
+				e.Catalog().DropTable("g")
+				viewLoad(t, e, 500, 560)
+				got, err := e.QueryView(context.Background(), "byk")
+				if err != nil {
+					t.Fatal(err)
+				}
+				cold := New(opts...)
+				viewLoad(t, cold, 500, 560)
+				want, err := cold.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if renderRows(got) != renderRows(want) {
+					t.Fatalf("view over the recreated table diverges from the cold query:\n got %s\nwant %s",
+						renderRows(got), renderRows(want))
+				}
+				e.Catalog().DropTable("g")
+				if _, err := e.QueryView(context.Background(), "byk"); err == nil || !strings.Contains(err.Error(), `"g"`) {
+					t.Fatalf("view over a dropped table: err = %v, want one naming table \"g\"", err)
+				}
+			})
+		}
+	}
+}

@@ -79,11 +79,7 @@ func (c *Catalog) SetDataDir(dir string) {
 	c.dataDir = dir
 	c.scanned = false
 	c.scanErr = nil
-	c.version.Add(1)
 	c.mu.Unlock()
-	// Reattachment can swap in an arbitrary on-disk view; any cached result
-	// for any table may now be stale.
-	c.notifyMutate("")
 }
 
 // DataDir returns the catalog's data directory ("" when in-memory only).
@@ -128,9 +124,7 @@ func (c *Catalog) ensureScannedLocked() error {
 			return c.scanErr
 		}
 		t.typedOff = c.typedOff
-		t.onChange = func() { c.notifyMutate(name) }
 		c.tables[name] = t
-		c.version.Add(1)
 	}
 	if err := c.adoptTablesLocked(); err != nil {
 		c.scanErr = err

@@ -32,54 +32,18 @@ type Catalog struct {
 	dataDir  string
 	scanned  bool
 	scanErr  error
-	// version counts the DDL changes a compiled plan could go stale on: table
-	// create/drop, data-dir reattachment and on-disk table discovery. Seals
-	// never move it — a plan does not depend on the data, and every query
-	// pins the current partition set at bind. The engine's plan cache fences
-	// on it.
-	version atomic.Int64
-	// onMutate, when set, is called after any data-affecting catalog change:
-	// CreateTable / DropTable / SetDataDir (table name, or "" for a change
-	// affecting every table) and every partition seal on an attached table.
-	// The engine's result cache uses it to evict exactly the affected
-	// entries. Stored atomically so seals (which fire under a table lock,
-	// not the catalog lock) read it race-free.
-	onMutate atomic.Pointer[func(table string)]
-}
-
-// SetMutationHook installs the catalog's change listener (see onMutate).
-// Call it before concurrent use; the hook must not call back into the
-// catalog or its tables.
-func (c *Catalog) SetMutationHook(fn func(table string)) {
-	if fn == nil {
-		c.onMutate.Store(nil)
-		return
-	}
-	c.onMutate.Store(&fn)
-}
-
-// notifyMutate fires the mutation hook, if any. table == "" means "every
-// table may have changed" (data-dir reattachment).
-func (c *Catalog) notifyMutate(table string) {
-	if fn := c.onMutate.Load(); fn != nil {
-		(*fn)(table)
-	}
 }
 
 // tableVersionClock issues partition-set versions. It is process-global so a
-// (table name, version) pair can never repeat across drop/recreate cycles or
-// across catalogs sharing one result cache.
+// version is never reused, across drop/recreate cycles and across catalogs:
+// a version match implies the same table instance as well as the same
+// partition set.
 var tableVersionClock atomic.Int64
 
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
 	return &Catalog{tables: make(map[string]*Table)}
 }
-
-// Version returns the catalog's monotonically increasing schema version. It
-// changes on table create/drop, data-directory reattachment and on-disk table
-// discovery — never on an append or a seal.
-func (c *Catalog) Version() int64 { return c.version.Load() }
 
 // SetTypedShredding toggles typed chunk encoding for tables created after the
 // call (on by default). Off, every chunk keeps the variant representation —
@@ -103,13 +67,10 @@ func (c *Catalog) CreateTable(name string, columns []string) (*Table, error) {
 	}
 	t := NewTable(name, columns)
 	t.typedOff = c.typedOff
-	t.onChange = func() { c.notifyMutate(name) }
 	if err := c.attachTableDirLocked(t); err != nil {
 		return nil, err
 	}
 	c.tables[name] = t
-	c.version.Add(1)
-	c.notifyMutate(name)
 	return t, nil
 }
 
@@ -124,8 +85,6 @@ func (c *Catalog) DropTable(name string) {
 		return
 	}
 	delete(c.tables, name)
-	c.version.Add(1)
-	c.notifyMutate(name)
 	if t.dir != "" {
 		os.RemoveAll(t.dir)
 	}
@@ -185,10 +144,6 @@ type Table struct {
 	targetBytes int64
 	colIndex    map[string]int
 	typedOff    bool
-	// onChange, set when the table is attached to a catalog, fires on every
-	// seal so data-sensitive caches can evict precisely. It runs under t.mu
-	// and must not call back into the table.
-	onChange func()
 	// version is the table's partition-set version: a fresh value from the
 	// process-global clock at creation and after every seal. Readers pin a
 	// (partitions, version) pair via Snapshot; a version match guarantees an
@@ -287,9 +242,6 @@ func (t *Table) sealLocked() {
 	// part of the pinned set any new Snapshot returns, so results computed
 	// against the previous version are stale.
 	t.version = tableVersionClock.Add(1)
-	if t.onChange != nil {
-		t.onChange()
-	}
 }
 
 // Seal closes the open partition so that all data is visible to scans with

@@ -88,17 +88,16 @@ type Warehouse struct {
 type OpenOption func(*openConfig)
 
 type openConfig struct {
-	batchSize        int
-	parallelism      int
-	memLimit         int64
-	slowMS           int64
-	traceOut         io.Writer
-	dataDir          string
-	typedOff         bool
-	planCacheSize    int
-	resultCacheSize  int
-	resultCacheBytes int64
-	governor         *engine.Governor
+	batchSize   int
+	parallelism int
+	memLimit    int64
+	slowMS      int64
+	traceOut    io.Writer
+	dataDir     string
+	typedOff    bool
+	cacheSize   int
+	resultBytes int64
+	governor    *engine.Governor
 }
 
 // WithBatchSize sets the rows-per-batch of the vectorized executor (default
@@ -168,33 +167,29 @@ func WithTypedColumns(on bool) OpenOption {
 	return func(c *openConfig) { c.typedOff = !on }
 }
 
-// WithPlanCacheSize bounds the engine's prepared-plan cache (the
-// -plan-cache-size flag): repeated queries skip the compile pipeline
+// WithPlanCacheSize bounds the engine's query cache (the -plan-cache-size
+// flag), which keeps compiled plans and, with WithResultCacheBytes, their
+// results: repeated queries skip the compile pipeline
 // (parse/plan/optimize/physicalize) and pay only the per-run bind cost.
 // n > 0 caps resident entries, 0 (the default) keeps the engine default,
-// n < 0 disables caching. The cache invalidates itself whenever the catalog
-// changes — collection create/drop, Flush, partition seal.
+// n < 0 disables the cache, results included. A cached plan is reused while
+// every collection it reads is still the same collection: dropping and
+// recreating a collection recompiles the plans over it and no others, and
+// appends and Flush never do.
 func WithPlanCacheSize(n int) OpenOption {
-	return func(c *openConfig) { c.planCacheSize = n }
+	return func(c *openConfig) { c.cacheSize = n }
 }
 
-// WithResultCacheSize enables the partition-versioned result cache (the
-// -result-cache-size flag): a repeated query whose pinned partition sets are
-// unchanged returns its rows without executing, byte-identical to a cold
-// run. Invalidation is exact — appending to a collection (the seal bumps the
-// partition-set version), DDL, or a data-dir change evicts precisely the
-// cached results that read the mutated collection. n <= 0 (the default)
-// keeps the cache off.
-func WithResultCacheSize(n int) OpenOption {
-	return func(c *openConfig) { c.resultCacheSize = n }
-}
-
-// WithResultCacheBytes bounds the result cache's resident row bytes (the
-// -result-cache-bytes flag; default 64 MiB when the cache is enabled).
-// Results larger than the budget are never cached; smaller ones evict LRU
-// entries until they fit.
+// WithResultCacheBytes turns on the result cache (the -result-cache-bytes
+// flag) with a budget of n resident row bytes; n <= 0 (the default) keeps it
+// off. A repeated query whose pinned partition sets are unchanged returns
+// its rows without executing, byte-identical to a cold run: an append to a
+// collection (its seal advances the partition-set version) or recreating it
+// makes the next lookup miss. Results live in the plan cache's entries, so
+// they need the plan cache on. Results larger than the budget are never
+// cached; smaller ones evict the least recently used results until they fit.
 func WithResultCacheBytes(n int64) OpenOption {
-	return func(c *openConfig) { c.resultCacheBytes = n }
+	return func(c *openConfig) { c.resultBytes = n }
 }
 
 // Governor is the server-wide resource governor: one shared memory pool all
@@ -275,9 +270,8 @@ func Open(opts ...OpenOption) *Warehouse {
 		engine.WithMemLimit(c.memLimit),
 		engine.WithTypedColumns(!c.typedOff),
 		engine.WithDataDir(c.dataDir),
-		engine.WithPlanCacheSize(c.planCacheSize),
-		engine.WithResultCacheSize(c.resultCacheSize),
-		engine.WithResultCacheBytes(c.resultCacheBytes),
+		engine.WithPlanCacheSize(c.cacheSize),
+		engine.WithResultCacheBytes(c.resultBytes),
 		engine.WithGovernor(c.governor),
 	)
 	w := &Warehouse{
