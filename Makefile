@@ -39,11 +39,11 @@ race:
 	$(GO) test -race ./...
 
 # The stress tests hammer every worker pool of internal/engine — the
-# exchanges and the parallel pipeline breakers (aggregate, join build, sort)
-# — with LIMIT-truncated, cancelled and abandoned queries, plus the MVCC and
-# plan-cache races; under the race detector, five times over, they are the
-# gate for the worker-shutdown paths. The output is kept in stress.log, which
-# CI uploads when the run fails.
+# exchanges and the parallel pipeline breakers (aggregate and join build;
+# the sort is sequential) — with LIMIT-truncated, cancelled and abandoned
+# queries, plus the MVCC and plan-cache races; under the race detector, five
+# times over, they are the gate for the worker-shutdown paths. The output is
+# kept in stress.log, which CI uploads when the run fails.
 stress: SHELL := /bin/bash
 stress:
 	set -o pipefail; $(GO) test -race -run 'Stress' -count 5 ./internal/engine/ 2>&1 | tee stress.log

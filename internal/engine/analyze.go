@@ -33,7 +33,7 @@ type OpStats struct {
 	PartitionsPruned int           // scan: partitions skipped via zone maps
 
 	// Pipeline-breaker phase stats (a fanned-out hash aggregate, a join
-	// build, a parallel sort; zero elsewhere). Pipelines > 0 marks the
+	// build; zero elsewhere, the sort included). Pipelines > 0 marks the
 	// operator as having recorded its blocking phase.
 	Pipelines     int   // phase-1 workers that ran
 	MergeParts    int   // disjoint hash/merge partitions of phase 2

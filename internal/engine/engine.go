@@ -202,9 +202,8 @@ type Metrics struct {
 	PartitionsTotal  int
 	PartitionsPruned int
 	RowsReturned     int64
-	// ParallelBreakers is the number of pipeline breakers given parallel
-	// phases: join builds and sorts bound at parallelism > 1, and hash
-	// aggregates that fanned out.
+	// ParallelBreakers is the number of pipeline breakers that fanned out:
+	// hash aggregates, and join builds over more than one bucket.
 	ParallelBreakers int
 	// Memory governance (WithMemLimit): peak accounted bytes, the configured
 	// limit, and how often / how much the breakers spilled to disk.

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -236,9 +235,9 @@ func prepareNode(n Node, ctx *execContext) (batchIter, error) {
 		}
 		return &limitIter{in: in, remaining: x.N}, nil
 	case *viewRowsNode:
-		// Materialized-view suffix replay: the aggregate's finalized rows feed
-		// the stateless operators above it (views.go).
-		return &rowsIter{rows: x.rows, width: len(x.schema.Names), size: ctx.batchSize}, nil
+		// Materialized-view suffix replay: the aggregate's finalized groups
+		// feed the stateless operators above it (views.go).
+		return x.src, nil
 	case *UnionNode:
 		left, err := prepare(x.Left, ctx)
 		if err != nil {
@@ -578,30 +577,6 @@ func (f *flattenIter) Close() { f.in.Close() }
 
 // --- aggregation --------------------------------------------------------------
 
-// rowsIter emits pre-materialized rows as dense batches (aggregate and sort
-// outputs).
-type rowsIter struct {
-	rows  [][]variant.Value
-	width int
-	size  int
-	pos   int
-}
-
-func (r *rowsIter) NextBatch() (*vector.Batch, error) {
-	if r.pos >= len(r.rows) {
-		return nil, nil
-	}
-	hi := r.pos + r.size
-	if hi > len(r.rows) {
-		hi = len(r.rows)
-	}
-	b := vector.ColumnizeRows(r.rows, r.width, r.pos, hi)
-	r.pos = hi
-	return b, nil
-}
-
-func (r *rowsIter) Close() {}
-
 // compiledAgg is one aggregate's spec and where its operands sit among the
 // aggEval DAG's outputs.
 type compiledAgg struct {
@@ -792,25 +767,54 @@ func (e *aggEval) foldRow(t *aggTable, gv, av []variant.Value, ov [][]variant.Va
 	return nil
 }
 
-// emitGroupRows finalizes a list of groups into output rows. A global
-// aggregation over an empty input yields one row.
-func emitGroupRows(groups []*aggGroup, global bool, aggs []compiledAgg) [][]variant.Value {
-	if global && len(groups) == 0 {
+// groupsIter emits finalized groups — each group's keys, then its
+// accumulators' results — as dense batches of up to size rows, written a
+// column at a time into fresh vectors, so its batches are stable. The hash
+// aggregate and a materialized view emit through it.
+type groupsIter struct {
+	groups []*aggGroup
+	nkeys  int
+	aggs   []compiledAgg
+	size   int
+	pos    int
+}
+
+// newGroupsIter emits groups; a global aggregation (no keys) over an empty
+// input emits one row of empty accumulators.
+func newGroupsIter(groups []*aggGroup, nkeys int, aggs []compiledAgg, size int) *groupsIter {
+	if nkeys == 0 && len(groups) == 0 {
 		t := newAggTable(aggs, 1)
 		t.insert(nil, nil)
 		groups = t.order
 	}
-	out := make([][]variant.Value, 0, len(groups))
-	for _, g := range groups {
-		row := make([]variant.Value, 0, len(g.keys)+len(g.accs))
-		row = append(row, g.keys...)
-		for i, acc := range g.accs {
-			row = append(row, acc.result(aggs[i].descs))
-		}
-		out = append(out, row)
-	}
-	return out
+	return &groupsIter{groups: groups, nkeys: nkeys, aggs: aggs, size: size}
 }
+
+func (g *groupsIter) NextBatch() (*vector.Batch, error) {
+	part := g.groups[g.pos:min(g.pos+g.size, len(g.groups))]
+	if len(part) == 0 {
+		return nil, nil
+	}
+	g.pos += len(part)
+	out := &vector.Batch{Cols: make([][]variant.Value, g.nkeys+len(g.aggs))}
+	for c := range g.nkeys {
+		col := make([]variant.Value, len(part))
+		for r, grp := range part {
+			col[r] = grp.keys[c]
+		}
+		out.Cols[c] = col
+	}
+	for a, ca := range g.aggs {
+		col := make([]variant.Value, len(part))
+		for r, grp := range part {
+			col[r] = grp.accs[a].result(ca.descs)
+		}
+		out.Cols[g.nkeys+a] = col
+	}
+	return out, nil
+}
+
+func (g *groupsIter) Close() {}
 
 // --- the hash aggregate ---------------------------------------------------------
 //
@@ -1023,25 +1027,25 @@ type aggIter struct {
 	x    *AggregateNode
 	eval *aggEval  // the driver's copy
 	in   batchIter // the sequential input pipeline, prepared at bind
-	out  *rowsIter
+	out  *groupsIter
 }
 
 func (a *aggIter) NextBatch() (*vector.Batch, error) {
 	if a.out == nil {
-		rows, err := a.run()
+		out, err := a.run()
 		a.in = nil // run closed it
 		if err != nil {
 			return nil, err
 		}
-		a.out = &rowsIter{rows: rows, width: len(a.x.Schema().Names), size: a.ctx.batchSize}
+		a.out = out
 	}
 	return a.out.NextBatch()
 }
 
 // run is the driver: phase 1 folds one span from the sequential pipeline or,
 // when aggFanOut fans the aggregate out, a span per worker claim
-// (parallelAgg); phase 2 merges them.
-func (a *aggIter) run() ([][]variant.Value, error) {
+// (parallelAgg); phase 2 merges them into the groups it emits.
+func (a *aggIter) run() (*groupsIter, error) {
 	ctx, e := a.ctx, a.eval
 	mem := ctx.opMemFor(a.x)
 	defer mem.releaseAll()
@@ -1072,11 +1076,11 @@ func (a *aggIter) run() ([][]variant.Value, error) {
 		return nil, err
 	}
 	mergeWall := time.Since(start)
-	rows := emitGroupRows(groups, e.ngroups == 0, e.aggs)
+	out := newGroupsIter(groups, e.ngroups, e.aggs, ctx.batchSize)
 	if fanned {
-		mem.st.MergedGroups, mem.st.MergeWallUS = int64(len(rows)), mergeWall.Microseconds()
+		mem.st.MergedGroups, mem.st.MergeWallUS = int64(len(out.groups)), mergeWall.Microseconds()
 	}
-	return rows, nil
+	return out, nil
 }
 
 func (a *aggIter) Close() {
@@ -1210,7 +1214,6 @@ func prepareJoin(x *JoinNode, ctx *execContext) (batchIter, error) {
 	workers := 1
 	if ctx.parallelism > 1 && len(x.RightKeys) > 0 {
 		workers = ctx.parallelism
-		ctx.metrics.ParallelBreakers++
 	}
 	left, err := prepare(x.Left, ctx)
 	if err != nil {
@@ -1282,11 +1285,6 @@ func appendJoinKey(buf []byte, kcols [][]variant.Value, i int) ([]byte, bool) {
 	return buf, true
 }
 
-// joinRef addresses the build row of one probe pair: row i of the join's
-// batch b. A negative b is no row — the NULL padding of a LEFT OUTER row that
-// has no candidates.
-type joinRef struct{ b, i int32 }
-
 // buildRows indexes the kept build rows in drain order: row r's encoded key
 // is keys[ends[r-1]:ends[r]], its hash bucket buckets[r], and locs[r] where it
 // lives — batch<<32 | row among the retained batches, or its record's offset
@@ -1336,7 +1334,7 @@ type joinIter struct {
 	// and whether it is its left row's last; plus key and selection scratch
 	// and the rows decoded into the scratch batch.
 	lidx    []int
-	refs    []joinRef
+	refs    []rowRef
 	last    []bool
 	keyBuf  []byte
 	sel     []int
@@ -1348,8 +1346,10 @@ type joinIter struct {
 // candidates: workers claim the hash buckets — one bucket and one worker at
 // parallelism 1 or below minParallelBuildRows rows — and build each one's
 // map in one pass over the rows in drain order, so every candidate list is
-// in build order, the order probe emission and LEFT OUTER observe. The build
-// side is closed exactly once here (and nilled so Close stays idempotent).
+// in build order, the order probe emission and LEFT OUTER observe. A build
+// that fans out over more than one bucket counts as a parallel breaker. The
+// build side is closed exactly once here (and nilled so Close stays
+// idempotent).
 func (j *joinIter) build() error {
 	err := j.drainBuild()
 	j.right.Close()
@@ -1361,6 +1361,11 @@ func (j *joinIter) build() error {
 	buckets := j.workers
 	if len(rows.locs) < minParallelBuildRows {
 		buckets = 1
+	}
+	if buckets > 1 {
+		j.ectx.mu.Lock()
+		j.ectx.metrics.ParallelBreakers++
+		j.ectx.mu.Unlock()
 	}
 	j.parts = make([]map[string]*[]int64, buckets)
 	workerRows := make([]int64, buckets)
@@ -1454,7 +1459,7 @@ func (j *joinIter) drainBuild() error {
 }
 
 // denseCopy copies b's active rows into fresh dense vectors, one allocation
-// per column.
+// per column: how the join's build side and the sort retain their input.
 func denseCopy(b *vector.Batch) *vector.Batch {
 	sel := b.Sel
 	if sel == nil {
@@ -1465,6 +1470,25 @@ func denseCopy(b *vector.Batch) *vector.Batch {
 		out.Cols[c] = b.Gather(c, sel, make([]variant.Value, 0, len(sel)))
 	}
 	return out
+}
+
+// rowRef addresses row i of batch b among the dense copies an operator
+// retains: a join's build row, a sort's buffered row. A negative b is no row
+// — the NULL padding of a LEFT OUTER row that has no candidates.
+type rowRef struct{ b, i int32 }
+
+// gatherRefs appends column c of the rows refs address among batches to dst
+// — NULL for a ref without a row — and returns it: the column-at-a-time
+// output of the join's right side and of the sort.
+func gatherRefs(batches []*vector.Batch, c int, refs []rowRef, dst []variant.Value) []variant.Value {
+	for _, r := range refs {
+		v := variant.Null
+		if r.b >= 0 {
+			v = batches[r.b].Cols[c][r.i]
+		}
+		dst = append(dst, v)
+	}
+	return dst
 }
 
 // encodeKeys evaluates the build keys over a dense build batch and encodes
@@ -1598,7 +1622,7 @@ func (j *joinIter) collect() error {
 		cands := j.candidates(i)
 		if len(cands) == 0 {
 			if j.kind == "LEFT OUTER" {
-				j.lidx, j.refs, j.last = append(j.lidx, i), append(j.refs, joinRef{b: -1}), append(j.last, true)
+				j.lidx, j.refs, j.last = append(j.lidx, i), append(j.refs, rowRef{b: -1}), append(j.last, true)
 			}
 			j.pos++
 			continue
@@ -1624,7 +1648,7 @@ func (j *joinIter) collect() error {
 func (j *joinIter) appendRefs(locs []int64) error {
 	for _, loc := range locs {
 		if j.spillRun == nil {
-			j.refs = append(j.refs, joinRef{b: int32(loc >> 32), i: int32(loc)})
+			j.refs = append(j.refs, rowRef{b: int32(loc >> 32), i: int32(loc)})
 			continue
 		}
 		rec, err := j.spillRun.ReadRecordAt(loc)
@@ -1634,7 +1658,7 @@ func (j *joinIter) appendRefs(locs []int64) error {
 		if err := decodeRowInto(j.batches[0].Cols, rec); err != nil {
 			return err
 		}
-		j.refs = append(j.refs, joinRef{b: 0, i: j.decoded})
+		j.refs = append(j.refs, rowRef{b: 0, i: j.decoded})
 		j.decoded++
 	}
 	return nil
@@ -1655,14 +1679,7 @@ func (j *joinIter) emit() (*vector.Batch, error) {
 		out.Cols[c] = j.cur.Gather(c, j.lidx, make([]variant.Value, 0, n))
 	}
 	for c := 0; c < j.rightWidth; c++ {
-		col := make([]variant.Value, n)
-		for k, r := range j.refs {
-			col[k] = variant.Null
-			if r.b >= 0 {
-				col[k] = j.batches[r.b].Cols[c][r.i]
-			}
-		}
-		out.Cols[j.leftWidth+c] = col
+		out.Cols[j.leftWidth+c] = gatherRefs(j.batches, c, j.refs, make([]variant.Value, 0, n))
 	}
 	if j.exprs.residual == nil {
 		return out, nil
@@ -1733,14 +1750,8 @@ func (j *joinIter) Close() {
 
 // --- sort / limit / union -----------------------------------------------------
 
-// prepareSort builds a sort. It takes the query's parallelism as its
-// workers, which sort per-worker runs merged stably when the input is large
-// enough; the keys evaluate in input order either way, so stateful keys are
-// safe.
+// prepareSort builds a sort.
 func prepareSort(x *SortNode, ctx *execContext) (batchIter, error) {
-	if ctx.parallelism > 1 {
-		ctx.metrics.ParallelBreakers++
-	}
 	in, err := prepare(x.Input, ctx)
 	if err != nil {
 		return nil, err
@@ -1757,93 +1768,63 @@ func prepareSort(x *SortNode, ctx *execContext) (batchIter, error) {
 	}
 	return &sortIter{
 		in: in, keys: keys, descs: descs,
-		width: len(x.Input.Schema().Names), bsize: ctx.batchSize,
-		ectx: ctx, mem: ctx.opMemFor(x),
+		width: len(x.Input.Schema().Names), size: ctx.batchSize, mem: ctx.opMemFor(x),
 	}, nil
 }
 
+// sortIter is the sort, built from the join's parts. Its first NextBatch
+// drains the input and closes it at once, so morsel scan workers release
+// promptly: each batch's active rows are copied once into a dense batch
+// (denseCopy), the keys evaluate over the copy on the driver, once and in
+// input order — so a stateful key needs no special case — and every row gets
+// a locator. One stable sort of the locators orders the rows,
+// ties in input order, and each output batch gathers its rows a column at a
+// time through them (gatherRefs), into fresh vectors.
+//
+// Under a memory limit the buffered chunk spills instead: it is stably
+// sorted and written, keys first, as one run (writeSortRun). Runs are
+// consecutive input chunks, so the earliest-run-tiebreak k-way merge
+// (sortRunMerge) equals the global stable sort byte for byte.
 type sortIter struct {
 	in    batchIter
 	keys  *exprDAG
 	descs []bool
 	width int
-	bsize int
-	ectx  *execContext
+	size  int // rows per output batch
 	mem   *opMem
-	runs  []*storage.SpillRun // sorted on-disk chunks, in input order
-	out   batchIter
+
+	started bool
+	// The buffered chunk: dense copies of the input batches, each one's key
+	// values row-major (row i's are keyRows[b][i*len(descs):]), and a locator
+	// per row, sorted once the drain ends; refs[pos:] are still to emit.
+	batches []*vector.Batch
+	keyRows [][]variant.Value
+	refs    []rowRef
+	pos     int
+	runs    []*storage.SpillRun // sorted on-disk chunks, in input order
+	merge   *sortRunMerge       // non-nil once the input spilled
 }
 
 func (s *sortIter) NextBatch() (*vector.Batch, error) {
-	if s.out == nil {
+	if !s.started {
+		s.started = true
 		err := s.materialize()
 		s.in = nil // materialize closed it
 		if err != nil {
 			return nil, err
 		}
 	}
-	return s.out.NextBatch()
+	if s.merge != nil {
+		return s.merge.NextBatch()
+	}
+	return s.emit(), nil
 }
 
-// sortRef addresses one row of the drained input: batch index + physical
-// row index.
-type sortRef struct{ b, i int }
-
-// materialize drains the input (closing it as soon as the drain finishes,
-// so morsel scan workers release promptly), evaluates the sort keys
-// batch-wise, and stably sorts the global row index — ties keep their input
-// order even when the rows arrived from a parallel scan's ordered merge.
-// At parallelism > 1 the comparison sort fans out into per-worker runs joined
-// by a stability-preserving multiway merge; key evaluation stays sequential
-// in input order either way.
-//
-// Under a memory limit the buffered chunk spills: it is stably sorted and
-// written (rows plus their already-evaluated keys — stateful key expressions
-// must evaluate exactly once, in input order) as one on-disk run. Runs are
-// consecutive input chunks, so the final earliest-run-tiebreak k-way merge
-// equals the global stable sort byte for byte.
+// materialize drains the input into the buffered chunk, spilling it as a run
+// whenever the budget trips, then sorts what stayed in memory or, once the
+// input spilled, spills the rest too and starts the merge.
 func (s *sortIter) materialize() error {
 	defer s.in.Close()
-	var batches []*vector.Batch
-	var keyCols [][][]variant.Value // [batch][key] -> physical-aligned values
-	var refs []sortRef
-	// less is pure (reads only the detached key vectors), so parallel run
-	// sorting shares it safely across workers.
-	less := func(ra, rb sortRef) bool {
-		for k := range s.descs {
-			c := variant.Compare(keyCols[ra.b][k][ra.i], keyCols[rb.b][k][rb.i])
-			if s.descs[k] {
-				c = -c
-			}
-			if c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	}
-	sortChunk := func() error {
-		if s.ectx.parallelism > 1 && len(refs) >= minParallelSortRows {
-			var err error
-			refs, err = parallelSortRefs(s.ectx, refs, less, s.ectx.parallelism, s.mem.st)
-			return err
-		}
-		sort.SliceStable(refs, func(a, b int) bool { return less(refs[a], refs[b]) })
-		return nil
-	}
-	flushRun := func() error {
-		if err := sortChunk(); err != nil {
-			return err
-		}
-		run, err := writeSortRun(batches, keyCols, refs)
-		if err != nil {
-			return err
-		}
-		s.runs = append(s.runs, run)
-		s.mem.noteSpill(run.Bytes())
-		s.mem.releaseAll()
-		batches, keyCols, refs = nil, nil, nil
-		return nil
-	}
 	for {
 		b, err := s.in.NextBatch()
 		if err != nil {
@@ -1852,61 +1833,105 @@ func (s *sortIter) materialize() error {
 		if b == nil {
 			break
 		}
-		vals, err := s.keys.eval(b)
-		if err != nil {
+		b = denseCopy(b)
+		if err := s.absorb(b); err != nil {
 			return err
 		}
-		// Key vectors and the batch itself outlive the drain loop (the global
-		// sort reads them at the end), so both are detached: from the key
-		// registers, and from whatever the input operator recycles.
-		kc := make([][]variant.Value, len(vals))
-		for k := range vals {
-			kc[k] = append([]variant.Value(nil), vals[k]...)
-		}
-		b = b.Detach()
-		bi := len(batches)
-		batches = append(batches, b)
-		keyCols = append(keyCols, kc)
-		b.ForEach(func(i int) {
-			refs = append(refs, sortRef{b: bi, i: i})
-		})
 		if s.mem.enabled() && s.mem.charge(activeRowsBytes(b)) {
-			if err := flushRun(); err != nil {
+			if err := s.spill(); err != nil {
 				return err
 			}
 		}
 	}
 	if len(s.runs) == 0 {
-		if err := sortChunk(); err != nil {
-			return err
-		}
-		rows := make([][]variant.Value, len(refs))
-		for n, r := range refs {
-			row := make([]variant.Value, s.width)
-			for c := 0; c < s.width; c++ {
-				row[c] = batches[r.b].Value(c, r.i)
-			}
-			rows[n] = row
-		}
-		s.out = &rowsIter{rows: rows, width: s.width, size: s.bsize}
+		s.sortRefs()
 		return nil
 	}
-	if len(refs) > 0 {
-		if err := flushRun(); err != nil {
+	if len(s.refs) > 0 {
+		if err := s.spill(); err != nil {
 			return err
 		}
 	}
-	s.out = newSortRunMerge(s.runs, s.descs, s.width, s.bsize)
+	s.merge = newSortRunMerge(s.runs, s.descs, s.width, s.size)
 	return nil
+}
+
+// absorb evaluates the keys over the dense batch b and buffers b, its key
+// values and a locator per row.
+func (s *sortIter) absorb(b *vector.Batch) error {
+	kcols, err := s.keys.eval(b)
+	if err != nil {
+		return err
+	}
+	n, nk := b.Len(), len(kcols)
+	keys := make([]variant.Value, n*nk)
+	for k, col := range kcols {
+		for i := range n {
+			keys[i*nk+k] = col[i]
+		}
+	}
+	bi := int32(len(s.batches))
+	s.batches, s.keyRows = append(s.batches, b), append(s.keyRows, keys)
+	for i := range n {
+		s.refs = append(s.refs, rowRef{b: bi, i: int32(i)})
+	}
+	return nil
+}
+
+// sortRefs stably sorts the buffered rows' locators by their keys.
+func (s *sortIter) sortRefs() {
+	nk := len(s.descs)
+	slices.SortStableFunc(s.refs, func(a, b rowRef) int {
+		return compareSortKeys(s.descs, s.keyRows[a.b][int(a.i)*nk:], s.keyRows[b.b][int(b.i)*nk:])
+	})
+}
+
+// compareSortKeys orders two rows by their key values under descs.
+func compareSortKeys(descs []bool, a, b []variant.Value) int {
+	for k, desc := range descs {
+		if c := variant.Compare(a[k], b[k]); c != 0 {
+			if desc {
+				return -c
+			}
+			return c
+		}
+	}
+	return 0
+}
+
+// spill sorts the buffered chunk, writes it as the next run and releases it.
+func (s *sortIter) spill() error {
+	s.sortRefs()
+	run, err := writeSortRun(s.batches, s.keyRows, len(s.descs), s.refs)
+	if err != nil {
+		return err
+	}
+	s.runs = append(s.runs, run)
+	s.mem.noteSpill(run.Bytes())
+	s.mem.releaseAll()
+	s.batches, s.keyRows, s.refs = nil, nil, s.refs[:0]
+	return nil
+}
+
+// emit gathers the next size sorted rows a column at a time into a fresh
+// batch; nil once every row is out.
+func (s *sortIter) emit() *vector.Batch {
+	refs := s.refs[s.pos:min(s.pos+s.size, len(s.refs))]
+	if len(refs) == 0 {
+		return nil
+	}
+	s.pos += len(refs)
+	out := &vector.Batch{Cols: make([][]variant.Value, s.width)}
+	for c := range out.Cols {
+		out.Cols[c] = gatherRefs(s.batches, c, refs, make([]variant.Value, 0, len(refs)))
+	}
+	return out
 }
 
 func (s *sortIter) Close() {
 	if s.in != nil {
 		s.in.Close()
 		s.in = nil
-	}
-	if s.out != nil {
-		s.out.Close()
 	}
 	for _, r := range s.runs {
 		r.Close()

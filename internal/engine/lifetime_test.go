@@ -37,9 +37,13 @@ var lifetimeQueries = []string{
 	`SELECT "id", "val" * 2 AS "d", CASE WHEN "val" > 5 THEN "id" ELSE -"id" END AS "c" FROM "events" WHERE "val" > 2 OR "id" < 10`,
 	`SELECT "id", "f".VALUE, "f".INDEX FROM (SELECT * FROM "events"), LATERAL FLATTEN(INPUT => "items", OUTER => TRUE) AS "f" WHERE "id" < 50`,
 	// Typed registers: a range FLATTEN's int64 VALUE and INDEX, and a typed
-	// projected root, kept by the exchange and then by the sort — each
-	// detaches, which must copy a register where it shares a chunk view.
+	// projected root, kept by the exchange, which detaches and must copy a
+	// register where it shares a chunk view, and then by the sort's dense
+	// copy.
 	`SELECT "id", "f".VALUE * 2.5 AS "v", "f".INDEX + "grp" AS "w" FROM (SELECT * FROM "events"), LATERAL FLATTEN(INPUT => ARRAY_RANGE("grp", "grp" * 2 + 1)) AS "f" ORDER BY "v", "id"`,
+	// A stateful sort key with many duplicate keys: SEQ8 numbers the sort's
+	// input rows once, in input order, and ties keep input order.
+	`SELECT "grp", "id", "val" FROM "events" ORDER BY "grp", SEQ8() % 3 DESC, "val"`,
 	// Stacked streaming aggregates (the shape of ADL q7/q8): each recycles its
 	// output columns under a FLATTEN, a filter and the next aggregate.
 	`SELECT "rid", ARRAY_AGG("n") WITHIN GROUP (ORDER BY "n" DESC), ANY_VALUE("id") FROM (SELECT "r2", ANY_VALUE("rid") AS "rid", ANY_VALUE("id") AS "id", COUNT_IF("g".VALUE > "v") AS "n" FROM (SELECT * FROM (SELECT *, SEQ8() AS "r2" FROM (SELECT "rid", "id", "items", "f".VALUE AS "v" FROM (SELECT *, SEQ8() AS "rid" FROM "events"), LATERAL FLATTEN(INPUT => "items", OUTER => TRUE) AS "f")), LATERAL FLATTEN(INPUT => "items", OUTER => TRUE) AS "g") GROUP BY "r2") WHERE "n" < 3 GROUP BY "rid"`,

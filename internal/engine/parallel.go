@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,23 +16,20 @@ import (
 	"jsonpark/internal/vector"
 )
 
-// Parallel pipeline breakers. The morsel-driven scan of PR 2 parallelizes
-// the streaming half of a pipeline; this file parallelizes the blocking
-// half — the hash-aggregation build and the sort, and holds the worker loop
-// (fanOut) the hash-join build (joinIter.build) claims its buckets through —
-// while keeping every output byte identical to the sequential operators.
-// The ordering argument each one rests on is spelled out at its
-// implementation. The plan carries no parallel node for them: each operator
-// takes its worker count from the query's parallelism when it is bound (join
-// build, sort) or when it first runs (aggregate: aggFanOut).
+// Parallel pipeline breakers. The morsel-driven scan parallelizes the
+// streaming half of a pipeline; this file parallelizes the blocking half —
+// the hash aggregation, and it holds the worker loop (fanOut) the hash-join
+// build (joinIter.build) claims its buckets through — while keeping every
+// output byte identical to the sequential operators. The ordering
+// argument each one rests on is spelled out at its implementation. The plan
+// carries no parallel node for them: each operator takes its worker count
+// from the query's parallelism when it is bound (join build) or when it
+// first runs (aggregate: aggFanOut). The sort stays sequential (exec.go).
 
-// Minimum input sizes below which the parallel phases run on one worker:
-// worker startup and merge bookkeeping cost more than they save on small
-// inputs.
-const (
-	minParallelBuildRows = 256
-	minParallelSortRows  = 1024
-)
+// minParallelBuildRows is the build-side size below which a join builds one
+// bucket on one worker: worker startup and bucket bookkeeping cost more than
+// they save on small inputs.
+const minParallelBuildRows = 256
 
 // aggSpanFanout is the number of phase-1 claims per aggregation worker. Each
 // claim is a contiguous span of storage partitions sharing one local table:
@@ -739,81 +735,4 @@ func foldParts(ctx *execContext, x *AggregateNode, seg *segmentPlan, parts []*st
 		return nil
 	})
 	return spans, workerRows, err
-}
-
-// --- parallel sort -----------------------------------------------------------
-
-// parallelSortRefs sorts the ref slice with per-worker sorted runs joined by
-// a stability-preserving multiway merge. Runs are contiguous ascending
-// spans, each stably sorted in place; the merge picks the smallest head,
-// breaking ties toward the earliest run — which holds the earliest input
-// indices — so the result is exactly the global stable sort. less must be
-// pure (the sort keys are pre-evaluated), which lets every worker share it.
-// The driver-side merge loop polls the query context so a cancelled sort
-// aborts promptly.
-func parallelSortRefs(ctx *execContext, refs []sortRef, less func(a, b sortRef) bool, workers int, st *OpStats) ([]sortRef, error) {
-	n := len(refs)
-	if workers > n {
-		workers = n
-	}
-	chunkLen := (n + workers - 1) / workers
-	var runs [][]sortRef
-	for lo := 0; lo < n; lo += chunkLen {
-		hi := lo + chunkLen
-		if hi > n {
-			hi = n
-		}
-		runs = append(runs, refs[lo:hi:hi])
-	}
-
-	localStart := time.Now()
-	var wg sync.WaitGroup
-	wg.Add(len(runs))
-	for _, run := range runs {
-		go func(run []sortRef) {
-			defer wg.Done()
-			sort.SliceStable(run, func(a, b int) bool { return less(run[a], run[b]) })
-		}(run)
-	}
-	wg.Wait()
-	localWall := time.Since(localStart)
-
-	mergeStart := time.Now()
-	out := make([]sortRef, 0, n)
-	idx := make([]int, len(runs))
-	for len(out) < n {
-		if len(out)%4096 == 0 {
-			if err := ctx.cancelled(); err != nil {
-				return nil, err
-			}
-		}
-		best := -1
-		for r := range runs {
-			if idx[r] >= len(runs[r]) {
-				continue
-			}
-			// Strict less: on ties the earliest run wins, preserving
-			// stability across runs.
-			if best < 0 || less(runs[r][idx[r]], runs[best][idx[best]]) {
-				best = r
-			}
-		}
-		out = append(out, runs[best][idx[best]])
-		idx[best]++
-	}
-	mergeWall := time.Since(mergeStart)
-
-	var maxRun int64
-	for _, run := range runs {
-		if int64(len(run)) > maxRun {
-			maxRun = int64(len(run))
-		}
-	}
-	st.Pipelines = len(runs)
-	st.MergeParts = len(runs)
-	st.LocalRows = int64(n)
-	st.MaxWorkerRows = maxRun
-	st.LocalWallUS = localWall.Microseconds()
-	st.MergeWallUS = mergeWall.Microseconds()
-	return out, nil
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // benchParallelisms sweeps the worker pool shared by the morsel scan and the
-// pipeline breakers (partitioned aggregation, join build, sort runs).
+// parallel pipeline breakers (partitioned aggregation, join build).
 var benchParallelisms = []int{1, 2, 4, 8}
 
 // benchParEngine builds an engine whose "bpar" fact table seals a partition
@@ -95,10 +95,16 @@ func BenchmarkJoinBuild(b *testing.B) {
 		40000)
 }
 
-// BenchmarkParSort measures a full-table sort (per-worker runs + multiway
-// merge when parallel).
-func BenchmarkParSort(b *testing.B) {
-	runParallelBench(b, "par-sort",
-		`SELECT "id", "val" FROM "bpar" ORDER BY "val" DESC, "id"`,
-		40000)
+// BenchmarkSort measures a full-table sort of 40 000 rows: the dense copies,
+// the key evaluation, one stable sort of row locators and the gathered
+// output. The sort is sequential, so there is no worker sweep.
+func BenchmarkSort(b *testing.B) {
+	e := benchParEngine(b, 1, 40000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Query(`SELECT "id", "val" FROM "bpar" ORDER BY "val" DESC, "id"`); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

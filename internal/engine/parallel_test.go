@@ -10,10 +10,10 @@ import (
 	"jsonpark/internal/vector"
 )
 
-// breakerQueries exercise every parallel pipeline breaker: partitioned hash
+// breakerQueries exercise every pipeline breaker: partitioned hash
 // aggregation (with ARRAY_AGG concatenation, DISTINCT dedup, ANY_VALUE
 // first-wins and WITHIN GROUP ordering — the order-sensitive merges), the
-// parallel hash-join build, and the parallel sort.
+// parallel hash-join build, and the sort.
 var breakerQueries = []string{
 	// Grouped aggregation, mergeable accumulators only.
 	`SELECT grp, COUNT(*), MIN(val), MAX(val) FROM events GROUP BY grp`,
@@ -31,7 +31,7 @@ var breakerQueries = []string{
 	// Joins: equi-join (parallel build) and LEFT OUTER.
 	`SELECT COUNT(*) FROM (SELECT "grp" AS "g" FROM "events" WHERE "id" < 100) INNER JOIN (SELECT * FROM "events") ON "g" = "grp"`,
 	`SELECT "id", "oid" FROM (SELECT "id", "grp" FROM "events" WHERE "id" < 25) LEFT OUTER JOIN (SELECT "id" AS "oid", "grp" AS "g2" FROM "events" WHERE "val" > 12) ON "grp" = "g2"`,
-	// Sorts: duplicate keys probe the stable multiway merge.
+	// Sorts: duplicate keys probe the stable sort.
 	`SELECT id, grp, val FROM events ORDER BY grp, val DESC`,
 	`SELECT id FROM events ORDER BY val DESC LIMIT 31`,
 }
@@ -166,26 +166,39 @@ func TestOrderSensitiveAggStaysSequential(t *testing.T) {
 	}
 }
 
-// TestParallelJoinAndSortAnalyze checks that the join build and sort report
-// their parallel phase stats.
+// TestParallelJoinAndSortAnalyze: a join build that fans out over buckets
+// reports its phase stats and counts as a parallel breaker; one below
+// minParallelBuildRows builds one bucket and does not count, nor does the
+// sort, which is sequential at every parallelism.
 func TestParallelJoinAndSortAnalyze(t *testing.T) {
 	e := multiPartEngine(t, WithParallelism(4), planChecked())
-	_, ps, err := e.QueryAnalyze(
-		`SELECT COUNT(*) FROM (SELECT "grp" AS "g" FROM "events") INNER JOIN (SELECT * FROM "events") ON "g" = "grp"`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var join *PlanStats
-	ps.Walk(func(_ int, n *PlanStats) {
-		if strings.Contains(n.Op, "Join") {
-			join = n
+	for _, c := range []struct {
+		build            string
+		rows             int64
+		buckets, breaker int
+	}{
+		{`SELECT * FROM "events"`, 500, 4, 1},
+		{`SELECT * FROM "events" WHERE "id" < 100`, 100, 1, 0},
+	} {
+		res, ps, err := e.QueryAnalyze(`SELECT COUNT(*) FROM (SELECT "grp" AS "g" FROM "events") INNER JOIN (` + c.build + `) ON "g" = "grp"`)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if join == nil {
-		t.Fatal("no join in plan")
-	}
-	if join.Pipelines < 1 || join.LocalRows != 500 {
-		t.Fatalf("join build phase stats not recorded: %+v", join)
+		var join *PlanStats
+		ps.Walk(func(_ int, n *PlanStats) {
+			if strings.Contains(n.Op, "Join") {
+				join = n
+			}
+		})
+		if join == nil {
+			t.Fatal("no join in plan")
+		}
+		if join.Pipelines != c.buckets || join.LocalRows != c.rows {
+			t.Errorf("%d-row build: pipelines=%d local_rows=%d, want %d/%d", c.rows, join.Pipelines, join.LocalRows, c.buckets, c.rows)
+		}
+		if res.Metrics.ParallelBreakers != c.breaker {
+			t.Errorf("%d-row build: ParallelBreakers = %d, want %d", c.rows, res.Metrics.ParallelBreakers, c.breaker)
+		}
 	}
 
 	res, ps, err := e.QueryAnalyze(`SELECT id FROM events ORDER BY val DESC, id`)
@@ -201,11 +214,8 @@ func TestParallelJoinAndSortAnalyze(t *testing.T) {
 	if srt == nil {
 		t.Fatal("no sort in plan")
 	}
-	// 500 rows clears minParallelSortRows only when lowered; at the default
-	// threshold the run stays sequential and the stats stay zero — both are
-	// legal, but the sort took its workers at bind and counts as a breaker.
-	if srt.Detail != "keys=2" || res.Metrics.ParallelBreakers != 1 {
-		t.Fatalf("sort %q, ParallelBreakers = %d, want 1", srt.Detail, res.Metrics.ParallelBreakers)
+	if srt.Detail != "keys=2" || srt.Pipelines != 0 || res.Metrics.ParallelBreakers != 0 {
+		t.Fatalf("sort %q pipelines=%d, ParallelBreakers = %d, want a sequential sort counting 0", srt.Detail, srt.Pipelines, res.Metrics.ParallelBreakers)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // value read back from disk is bit-identical to the value that was written —
 // the foundation of the byte-identical-output guarantee at any memory limit.
 //
-// Three spill strategies, one per breaker:
+// The spill strategies, by breaker:
 //
 //   - Hash aggregation, mergeable aggregates: a span's whole table spills as
 //     one run of exact partial states (group key, insertion rank, key values,
@@ -29,10 +29,11 @@ import (
 //     The pre-overflow table stays in memory (a documented floor on the
 //     effective limit); the fold sequence is identical, hence so is every
 //     accumulator bit.
-//   - Sort: the buffered chunk is stably sorted and written (rows plus their
-//     evaluated keys) as one run; consecutive runs are consecutive input
-//     chunks, so the earliest-run-tiebreak k-way merge equals the global
-//     stable sort.
+//   - Sort: the buffered chunk is stably sorted and written (each row's
+//     evaluated keys, then the row) as one run; consecutive runs are
+//     consecutive input chunks, so the earliest-run-tiebreak k-way merge
+//     equals the global stable sort. The merge decodes only the runs' head
+//     keys, and each chosen row straight into its output batch's columns.
 //   - Join build: the retained build rows, then every later one, go to an
 //     offset-indexed run in drain order, and the hash table maps key bytes to
 //     offsets instead of retained rows. A probe decodes a candidate list into
@@ -529,20 +530,22 @@ func (e *aggEval) replayTuples(ectx *execContext, run *storage.SpillRun, t *aggT
 
 // --- sort runs ----------------------------------------------------------------
 
-// writeSortRun writes the buffered chunk's rows, in sorted (refs) order,
-// with their evaluated key values. Record: the row's values, then one value
-// per sort key.
-func writeSortRun(batches []*vector.Batch, keyCols [][][]variant.Value, refs []sortRef) (*storage.SpillRun, error) {
+// writeSortRun writes the sorted chunk's rows in refs order, each with its
+// nk evaluated key values. Record: the key values, then the row's values, so
+// a merge cursor decodes only its head's keys and the chosen row decodes
+// straight into the output columns.
+func writeSortRun(batches []*vector.Batch, keyRows [][]variant.Value, nk int, refs []rowRef) (*storage.SpillRun, error) {
 	w, err := storage.NewRunWriter("sort")
 	if err != nil {
 		return nil, err
 	}
 	var rec []byte
 	for _, r := range refs {
-		rec = appendRowBinary(rec[:0], batches[r.b], r.i)
-		for k := range keyCols[r.b] {
-			rec = keyCols[r.b][k][r.i].AppendBinary(rec)
+		rec = rec[:0]
+		for _, v := range keyRows[r.b][int(r.i)*nk : int(r.i+1)*nk] {
+			rec = v.AppendBinary(rec)
 		}
+		rec = appendRowBinary(rec, batches[r.b], int(r.i))
 		if _, err := w.WriteRecord(rec); err != nil {
 			w.Abort()
 			return nil, err
@@ -551,14 +554,13 @@ func writeSortRun(batches []*vector.Batch, keyCols [][][]variant.Value, refs []s
 	return w.Finish()
 }
 
-// sortRunCursor streams one sorted run during the merge.
+// sortRunCursor is one sorted run under the merge: its reader, and its head
+// record's keys, decoded, and row, still encoded.
 type sortRunCursor struct {
-	rr    *storage.RunReader
-	width int
-	nkeys int
-	row   []variant.Value
-	keys  []variant.Value
-	done  bool
+	rr   *storage.RunReader
+	keys []variant.Value
+	row  []byte
+	done bool
 }
 
 func (c *sortRunCursor) advance() error {
@@ -568,27 +570,14 @@ func (c *sortRunCursor) advance() error {
 	}
 	if rec == nil {
 		c.done = true
-		c.row, c.keys = nil, nil
 		return nil
 	}
-	row := make([]variant.Value, c.width)
-	for i := 0; i < c.width; i++ {
-		row[i], rec, err = variant.DecodeBinary(rec)
-		if err != nil {
+	for k := range c.keys {
+		if c.keys[k], rec, err = variant.DecodeBinary(rec); err != nil {
 			return err
 		}
 	}
-	keys := make([]variant.Value, c.nkeys)
-	for k := 0; k < c.nkeys; k++ {
-		keys[k], rec, err = variant.DecodeBinary(rec)
-		if err != nil {
-			return err
-		}
-	}
-	if len(rec) != 0 {
-		return fmt.Errorf("engine: sort run record has %d trailing bytes", len(rec))
-	}
-	c.row, c.keys = row, keys
+	c.row = rec
 	return nil
 }
 
@@ -599,35 +588,21 @@ func (c *sortRunCursor) advance() error {
 type sortRunMerge struct {
 	cursors []*sortRunCursor
 	descs   []bool
-	bld     *vector.Builder
+	width   int
+	size    int
 	started bool
-	drained bool
 }
 
-func newSortRunMerge(runs []*storage.SpillRun, descs []bool, width, bsize int) *sortRunMerge {
+func newSortRunMerge(runs []*storage.SpillRun, descs []bool, width, size int) *sortRunMerge {
 	cursors := make([]*sortRunCursor, len(runs))
 	for i, r := range runs {
-		cursors[i] = &sortRunCursor{rr: r.NewReader(), width: width, nkeys: len(descs)}
+		cursors[i] = &sortRunCursor{rr: r.NewReader(), keys: make([]variant.Value, len(descs))}
 	}
-	return &sortRunMerge{
-		cursors: cursors, descs: descs,
-		bld: vector.NewBuilder(width, bsize),
-	}
+	return &sortRunMerge{cursors: cursors, descs: descs, width: width, size: size}
 }
 
-func (m *sortRunMerge) lessKeys(a, b []variant.Value) bool {
-	for k := range m.descs {
-		c := variant.Compare(a[k], b[k])
-		if m.descs[k] {
-			c = -c
-		}
-		if c != 0 {
-			return c < 0
-		}
-	}
-	return false
-}
-
+// NextBatch merges up to size rows, decoding each straight into the columns
+// of a fresh batch; nil once every run is out.
 func (m *sortRunMerge) NextBatch() (*vector.Batch, error) {
 	if !m.started {
 		m.started = true
@@ -637,35 +612,40 @@ func (m *sortRunMerge) NextBatch() (*vector.Batch, error) {
 			}
 		}
 	}
-	for {
-		if b := m.bld.Pop(); b != nil {
-			return b, nil
+	var cols [][]variant.Value
+	for range m.size {
+		c := m.head()
+		if c == nil {
+			break
 		}
-		if m.drained {
-			return m.bld.Flush(), nil
-		}
-		// Strict less over ascending cursor index keeps ties on the earliest
-		// run, i.e. the earliest input chunk.
-		best := -1
-		for ci, c := range m.cursors {
-			if c.done {
-				continue
-			}
-			if best < 0 || m.lessKeys(c.keys, m.cursors[best].keys) {
-				best = ci
+		if cols == nil {
+			cols = make([][]variant.Value, m.width)
+			for i := range cols {
+				cols[i] = make([]variant.Value, 0, m.size)
 			}
 		}
-		if best < 0 {
-			m.drained = true
-			continue
+		if err := decodeRowInto(cols, c.row); err != nil {
+			return nil, err
 		}
-		c := m.cursors[best]
-		m.bld.Append(c.row)
 		if err := c.advance(); err != nil {
 			return nil, err
 		}
 	}
+	if cols == nil {
+		return nil, nil
+	}
+	return &vector.Batch{Cols: cols}, nil
 }
 
-// Close is a no-op: the sortIter owns the run files and removes them.
-func (m *sortRunMerge) Close() {}
+// head returns the cursor whose row comes next: the least keys, a tie to
+// the earliest run, i.e. the earliest input chunk. It is nil once every run
+// is out.
+func (m *sortRunMerge) head() *sortRunCursor {
+	var best *sortRunCursor
+	for _, c := range m.cursors {
+		if !c.done && (best == nil || compareSortKeys(m.descs, c.keys, best.keys) < 0) {
+			best = c
+		}
+	}
+	return best
+}

@@ -48,6 +48,10 @@ var spillParityQueries = []string{
 	`SELECT "k", ARRAY_AGG("v") WITHIN GROUP (ORDER BY "s" DESC, "v") AS vs FROM "t" GROUP BY "k" ORDER BY "k"`,
 	`SELECT "k", SUM("f") AS sf, ARRAY_AGG(DISTINCT "v" % 7) WITHIN GROUP (ORDER BY "v" % 7 DESC) AS vs FROM "t" GROUP BY "k" ORDER BY "k"`,
 	`SELECT "v", "s" FROM "t" ORDER BY "s", "v" DESC`,
+	// A stateful key with many duplicate keys: SEQ8 numbers the rows once, in
+	// input order, in memory and across spilled runs alike; ties keep input
+	// order.
+	`SELECT "k", "v", "s" FROM "t" ORDER BY "k", SEQ8() % 3 DESC`,
 	`SELECT "v", "v2", "s2" FROM (SELECT "k", "v" FROM "t" WHERE "k" < 9) INNER JOIN (SELECT "v" AS "v2", "s" AS "s2", "k" AS "k2" FROM "t") ON "v" = "v2" ORDER BY "v"`,
 	`SELECT "k2", COUNT(*) AS n FROM (SELECT "k", "v" FROM "t") LEFT OUTER JOIN (SELECT "v" AS "v2", "k" AS "k2" FROM "t" WHERE "k" = 3) ON "v" = "v2" GROUP BY "k2" ORDER BY "k2"`,
 }
@@ -260,11 +264,11 @@ func (c *countingIter) Close() { c.closes++ }
 // exactly once.
 func TestJoinCloseIdempotent(t *testing.T) {
 	mkBatch := func(vals ...int64) *vector.Batch {
-		bld := vector.NewBuilder(2, len(vals))
+		b := &vector.Batch{Cols: make([][]variant.Value, 2)}
 		for _, v := range vals {
-			bld.Append([]variant.Value{variant.Int(v), variant.Int(v * 10)})
+			b.Cols[0], b.Cols[1] = append(b.Cols[0], variant.Int(v)), append(b.Cols[1], variant.Int(v*10))
 		}
-		return bld.Pop()
+		return b
 	}
 	newJoin := func() (*joinIter, *countingIter, *countingIter) {
 		ctx := &execContext{acct: newMemAccountant(0), batchSize: 4}

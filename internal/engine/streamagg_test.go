@@ -290,39 +290,56 @@ func TestExplainNamesAggregateAlgorithm(t *testing.T) {
 	}
 }
 
-// clusteredRows builds groups × perGroup rows (rid, id, v) clustered on rid.
-func clusteredRows(groups, perGroup int) [][]variant.Value {
-	rows := make([][]variant.Value, 0, groups*perGroup)
+// clusteredBatches builds groups × perGroup rows (rid, id, v) clustered on
+// rid, in dense batches of vector.DefaultBatchSize rows.
+func clusteredBatches(groups, perGroup int) []*vector.Batch {
+	var out []*vector.Batch
+	var cols [][]variant.Value
 	for g := 0; g < groups; g++ {
 		for k := 0; k < perGroup; k++ {
-			rows = append(rows, []variant.Value{variant.Int(int64(g)), variant.Int(int64(g * 3)), variant.Int(int64(g + k))})
+			if cols == nil || len(cols[0]) == vector.DefaultBatchSize {
+				cols = make([][]variant.Value, 3)
+				out = append(out, &vector.Batch{Cols: cols})
+			}
+			cols[0] = append(cols[0], variant.Int(int64(g)))
+			cols[1] = append(cols[1], variant.Int(int64(g*3)))
+			cols[2] = append(cols[2], variant.Int(int64(g+k)))
 		}
 	}
-	return rows
+	return out
 }
 
-// clusteredReagg prepares GROUP BY "rid" over prebuilt clustered rows — the
-// re-aggregate alone, without a scan or FLATTEN below it or a result drain
-// above — on the named algorithm.
-func clusteredReagg(tb testing.TB, stream bool, rows [][]variant.Value) batchIter {
+// prepareOverBatches prepares the operator op makes over a leaf replaying
+// the prebuilt (rid, id, v) batches — with no scan below it and no result
+// drain above.
+func prepareOverBatches(tb testing.TB, batches []*vector.Batch, op func(in Node) Node) batchIter {
 	tb.Helper()
-	agg := &AggregateNode{
-		Input:   &viewRowsNode{schema: NewSchema([]string{"rid", "id", "v"}), rows: rows},
-		GroupBy: []sqlast.Expr{sqlast.C("rid")}, GroupNames: []string{"__g0"},
-		Aggs: []AggSpec{
-			{Name: "COUNT", Star: true},
-			{Name: "ANY_VALUE", Arg: sqlast.C("id")},
-			{Name: "ARRAY_AGG", Arg: sqlast.C("v")},
-		},
-		AggNames: []string{"__a0", "__a1", "__a2"},
-		Stream:   stream,
-	}
+	src := &viewRowsNode{schema: NewSchema([]string{"rid", "id", "v"}), src: &staticBatches{batches: batches}}
 	ctx := &execContext{metrics: &Metrics{}, batchSize: vector.DefaultBatchSize, parallelism: 1, acct: newMemAccountant(0)}
-	it, err := prepare(agg, ctx)
+	it, err := prepare(op(src), ctx)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return it
+}
+
+// clusteredReagg prepares GROUP BY "rid" over prebuilt clustered batches —
+// the re-aggregate alone — on the named algorithm.
+func clusteredReagg(tb testing.TB, stream bool, batches []*vector.Batch) batchIter {
+	tb.Helper()
+	return prepareOverBatches(tb, batches, func(in Node) Node {
+		return &AggregateNode{
+			Input:   in,
+			GroupBy: []sqlast.Expr{sqlast.C("rid")}, GroupNames: []string{"__g0"},
+			Aggs: []AggSpec{
+				{Name: "COUNT", Star: true},
+				{Name: "ANY_VALUE", Arg: sqlast.C("id")},
+				{Name: "ARRAY_AGG", Arg: sqlast.C("v")},
+			},
+			AggNames: []string{"__a0", "__a1", "__a2"},
+			Stream:   stream,
+		}
+	})
 }
 
 // drainCount pulls every batch and returns the row count, materializing
@@ -349,10 +366,10 @@ func drainCount(tb testing.TB, it batchIter) int {
 // per query (the source's columns, the output columns growing to a batch).
 func TestStreamAggregateAllocatesOnlyResults(t *testing.T) {
 	const groups, slack = 4000, 400
-	rows := clusteredRows(groups, 4)
+	batches := clusteredBatches(groups, 4)
 	its := make([]batchIter, 4) // AllocsPerRun: one warm-up call plus three runs
 	for i := range its {
-		its[i] = clusteredReagg(t, true, rows)
+		its[i] = clusteredReagg(t, true, batches)
 	}
 	next := 0
 	allocs := testing.AllocsPerRun(len(its)-1, func() {
@@ -363,5 +380,30 @@ func TestStreamAggregateAllocatesOnlyResults(t *testing.T) {
 	})
 	if allocs > groups+slack {
 		t.Errorf("streaming aggregate allocated %.0f objects for %d groups, want one per group (the ARRAY_AGG array) plus at most %d", allocs, groups, slack)
+	}
+}
+
+// TestSortAllocatesPerBatchNotPerRow: the sort copies its input, sorts row
+// locators and gathers its output a column at a time, so sorting 10 000 rows
+// at batch 1 024 allocates per batch and column — the dense copies, their
+// key rows, the output vectors — and never a row.
+func TestSortAllocatesPerBatchNotPerRow(t *testing.T) {
+	const rows, bound = 10000, 300
+	batches := clusteredBatches(rows/4, 4)
+	its := make([]batchIter, 4) // AllocsPerRun: one warm-up call plus three runs
+	for i := range its {
+		its[i] = prepareOverBatches(t, batches, func(in Node) Node {
+			return &SortNode{Input: in, Keys: []sqlast.OrderItem{{Expr: sqlast.C("v"), Desc: true}, {Expr: sqlast.C("id")}}}
+		})
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(len(its)-1, func() {
+		if n := drainCount(t, its[next]); n != rows {
+			t.Fatalf("rows = %d", n)
+		}
+		next++
+	})
+	if allocs > bound {
+		t.Errorf("sorting %d rows allocated %.0f objects, want at most %d (per batch and column, not per row)", rows, allocs, bound)
 	}
 }

@@ -100,13 +100,13 @@ func BenchmarkFlattenReagg(b *testing.B) {
 // Engine.forceHashAgg.
 func BenchmarkReaggClustered(b *testing.B) {
 	const groups = 5000
-	rows := clusteredRows(groups, 4)
+	batches := clusteredBatches(groups, 4)
 	for _, mode := range []string{"hash", "stream"} {
 		b.Run(mode, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				it := clusteredReagg(b, mode == "stream", rows)
+				it := clusteredReagg(b, mode == "stream", batches)
 				b.StartTimer()
 				if n := drainCount(b, it); n != groups {
 					b.Fatalf("rows = %d", n)

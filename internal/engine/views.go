@@ -36,11 +36,12 @@ import (
 	"jsonpark/internal/variant"
 )
 
-// viewRowsNode replays a view's aggregate output rows so the stateless
-// suffix executes through the ordinary operators.
+// viewRowsNode feeds a view's finalized groups, emitted as batches, to the
+// stateless suffix, which executes through the ordinary operators. Its
+// source is one-shot, so emitLocked builds a node per query.
 type viewRowsNode struct {
 	schema *Schema
-	rows   [][]variant.Value
+	src    batchIter
 }
 
 func (n *viewRowsNode) Schema() *Schema { return n.schema }
@@ -345,14 +346,11 @@ func (v *matView) followTableLocked() error {
 func (v *matView) emitLocked(ctx *execContext) ([][]variant.Value, error) {
 	// A global aggregation's one row over an empty input is made at emit, so
 	// the synthetic group never pollutes the retained state.
-	rows := emitGroupRows(v.merged.out, len(v.agg.GroupBy) == 0, v.emitAggs)
-	if len(v.suffix) == 0 {
-		return rows, nil
-	}
-	// Rebuild the suffix over the materialized aggregate rows with shallow
-	// clones: the shared expression trees are stateless (checked at
-	// registration) and schema memos recompute per clone.
-	node := Node(&viewRowsNode{schema: v.agg.Schema(), rows: rows})
+	groups := newGroupsIter(v.merged.out, len(v.agg.GroupBy), v.emitAggs, ctx.batchSize)
+	// Rebuild the suffix over the emitted groups with shallow clones: the
+	// shared expression trees are stateless (checked at registration) and
+	// schema memos recompute per clone.
+	node := Node(&viewRowsNode{schema: v.agg.Schema(), src: groups})
 	for i := len(v.suffix) - 1; i >= 0; i-- {
 		switch s := v.suffix[i].(type) {
 		case *ProjectNode:

@@ -33,8 +33,9 @@ const DefaultBatchSize = 1024
 // Lifetime: a batch handed out by a streaming operator (project, filter,
 // flatten) is valid until that operator's next NextBatch, which recycles the
 // header, the selection and every vector the operator owns. Scan batches and
-// the output of materializing operators (aggregate, sort, join) are stable.
-// A consumer that keeps a batch across its producer's next call Detaches it.
+// the output of materializing operators (aggregate, sort, join), which write
+// each batch into fresh vectors, are stable. A consumer that keeps a batch
+// across its producer's next call copies it (Detach, or a dense Gather).
 type Batch struct {
 	Cols  [][]variant.Value
 	Sel   []int
@@ -81,8 +82,8 @@ func (b *Batch) Column(c int) []variant.Value {
 
 // Value returns the variant at (column c, physical row i). A typed-only
 // column converts the single row in place instead of materializing the whole
-// vector — the right trade for row-wise consumers (sort and spill row
-// assembly, memory charging) that read each row at most once.
+// vector — the right trade for row-wise consumers (spill row encoding,
+// memory charging) that read each row at most once.
 func (b *Batch) Value(c, i int) variant.Value {
 	if b.Cols[c] != nil {
 		return b.Cols[c][i]
@@ -149,8 +150,8 @@ func (b *Batch) ActiveAt(k int) int {
 // Detach returns a copy of the batch that owns its storage. A batch from a
 // streaming operator (project, filter, flatten) is valid only until that
 // operator's next NextBatch — its vectors are registers and recycled
-// columns — so a consumer that keeps batches (the sort's drain) detaches
-// each one on arrival. The copy keeps the physical layout: vectors of the
+// columns — so a consumer that keeps batches (the exchange's workers)
+// detaches each one on arrival. The copy keeps the physical layout: vectors of the
 // same length holding the active positions (NULL elsewhere, where the
 // source is undefined anyway) and a private selection, so row references
 // into the original stay valid. A typed view of immutable chunk storage is
@@ -189,8 +190,9 @@ func (b *Batch) Detach() *Batch {
 // Gather appends column c's values at the physical rows idx to dst and
 // returns it: the column-at-a-time half of an expanding operator (FLATTEN
 // replicates each parent column through its parent-index vector, the join
-// each probe column through its pairs' rows) and of the join's build-side
-// copy. A typed column converts as it is gathered.
+// each probe column through its pairs' rows) and of the dense copies the
+// join's build side and the sort retain. A typed column converts as it is
+// gathered.
 func (b *Batch) Gather(c int, idx []int, dst []variant.Value) []variant.Value {
 	if col := b.Cols[c]; col != nil {
 		for _, i := range idx {
@@ -226,21 +228,6 @@ func (b *Batch) AppendRows(rows [][]variant.Value) [][]variant.Value {
 	return rows
 }
 
-// ColumnizeRows converts rows[lo:hi] from row-major to a dense column-major
-// batch of the given width. Materializing operators (aggregate merge, sort
-// output) emit their result rows through it.
-func ColumnizeRows(rows [][]variant.Value, width, lo, hi int) *Batch {
-	cols := make([][]variant.Value, width)
-	for c := range cols {
-		col := make([]variant.Value, hi-lo)
-		for k := range col {
-			col[k] = rows[lo+k][c]
-		}
-		cols[c] = col
-	}
-	return &Batch{Cols: cols}
-}
-
 // Truncate drops all but the first n active rows.
 func (b *Batch) Truncate(n int) {
 	if n >= b.NumRows() {
@@ -250,73 +237,4 @@ func (b *Batch) Truncate(n int) {
 		b.Sel = b.ActiveSel()
 	}
 	b.Sel = b.Sel[:n]
-}
-
-// Builder accumulates rows into fixed-size batches. The sort's run merge
-// feeds it its output rows one at a time and emits dense batches of the
-// configured size; every batch it hands out owns freshly allocated vectors.
-type Builder struct {
-	width int
-	size  int
-	cols  [][]variant.Value
-	ready []*Batch
-}
-
-// NewBuilder returns a builder producing batches of the given width and row
-// capacity.
-func NewBuilder(width, size int) *Builder {
-	if size <= 0 {
-		size = DefaultBatchSize
-	}
-	return &Builder{width: width, size: size}
-}
-
-// Append adds one row (len must equal the builder width). The values are
-// copied into the column vectors, so the caller may reuse row.
-func (bu *Builder) Append(row []variant.Value) {
-	bu.open()
-	for i, v := range row {
-		bu.cols[i] = append(bu.cols[i], v)
-	}
-	bu.seal()
-}
-
-// open allocates the column vectors of the batch under construction.
-func (bu *Builder) open() {
-	if bu.cols != nil {
-		return
-	}
-	bu.cols = make([][]variant.Value, bu.width)
-	for i := range bu.cols {
-		bu.cols[i] = make([]variant.Value, 0, bu.size)
-	}
-}
-
-// seal moves the batch under construction to the ready queue once full.
-func (bu *Builder) seal() {
-	if bu.width > 0 && len(bu.cols[0]) >= bu.size {
-		bu.ready = append(bu.ready, &Batch{Cols: bu.cols})
-		bu.cols = nil
-	}
-}
-
-// Pop returns the next completed batch, or nil if none is full yet.
-func (bu *Builder) Pop() *Batch {
-	if len(bu.ready) == 0 {
-		return nil
-	}
-	b := bu.ready[0]
-	bu.ready = bu.ready[1:]
-	return b
-}
-
-// Flush returns any buffered partial batch (nil when empty). Call after the
-// input is exhausted and Pop returned nil.
-func (bu *Builder) Flush() *Batch {
-	if bu.cols == nil || (bu.width > 0 && len(bu.cols[0]) == 0) {
-		return nil
-	}
-	b := &Batch{Cols: bu.cols}
-	bu.cols = nil
-	return b
 }

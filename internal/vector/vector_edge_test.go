@@ -74,56 +74,3 @@ func TestTruncateBeyondActiveRowsIsNoop(t *testing.T) {
 		t.Errorf("dense Truncate(1): NumRows=%d Sel=%v, want 1 row at phys 0", dense.NumRows(), dense.Sel)
 	}
 }
-
-// A Builder must be reusable after Flush drains its partial batch: the next
-// Append starts a fresh accumulation that shares nothing with emitted
-// batches.
-func TestBuilderReuseAfterFlush(t *testing.T) {
-	bu := NewBuilder(1, 4)
-	if b := bu.Flush(); b != nil {
-		t.Fatalf("Flush on a fresh builder = %v, want nil", b)
-	}
-	if b := bu.Pop(); b != nil {
-		t.Fatalf("Pop on a fresh builder = %v, want nil", b)
-	}
-
-	bu.Append([]variant.Value{variant.Int(1)})
-	first := bu.Flush()
-	if first == nil || first.Len() != 1 {
-		t.Fatalf("first Flush = %v, want a 1-row batch", first)
-	}
-
-	for i := 2; i <= 6; i++ {
-		bu.Append([]variant.Value{variant.Int(int64(i))})
-	}
-	full := bu.Pop()
-	if full == nil || full.Len() != 4 {
-		t.Fatalf("Pop after refill = %v, want a full 4-row batch", full)
-	}
-	rest := bu.Flush()
-	if rest == nil || rest.Len() != 1 {
-		t.Fatalf("second Flush = %v, want a 1-row batch", rest)
-	}
-	if b := bu.Flush(); b != nil {
-		t.Fatalf("Flush after drain = %v, want nil", b)
-	}
-
-	// The flushed batches own their columns: filling the builder again must
-	// not mutate them.
-	if got := first.Cols[0][0].JSON(); got != "1" {
-		t.Errorf("earlier batch mutated by reuse: row 0 = %s, want 1", got)
-	}
-}
-
-// A zero-width builder (degenerate but reachable from width-0 schemas) must
-// not panic or emit phantom batches.
-func TestBuilderZeroWidth(t *testing.T) {
-	bu := NewBuilder(0, 4)
-	bu.Append(nil)
-	if b := bu.Pop(); b != nil {
-		t.Errorf("Pop = %v, want nil", b)
-	}
-	if b := bu.Flush(); b != nil && b.Len() != 0 {
-		t.Errorf("Flush = %d rows, want none", b.Len())
-	}
-}

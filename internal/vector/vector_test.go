@@ -78,53 +78,6 @@ func TestActiveSelDense(t *testing.T) {
 	}
 }
 
-func TestBuilderEmitsFixedSizeBatches(t *testing.T) {
-	bu := NewBuilder(2, 3)
-	for i := 0; i < 7; i++ {
-		bu.Append([]variant.Value{variant.Int(int64(i)), variant.String("x")})
-	}
-	var sizes []int
-	for b := bu.Pop(); b != nil; b = bu.Pop() {
-		sizes = append(sizes, b.NumRows())
-	}
-	if len(sizes) != 2 || sizes[0] != 3 || sizes[1] != 3 {
-		t.Fatalf("full batches = %v", sizes)
-	}
-	tail := bu.Flush()
-	if tail == nil || tail.NumRows() != 1 || tail.Cols[0][0].AsInt() != 6 {
-		t.Fatalf("flush = %+v", tail)
-	}
-	if bu.Flush() != nil {
-		t.Fatal("second flush not nil")
-	}
-}
-
-func TestBuilderRowOrderPreserved(t *testing.T) {
-	bu := NewBuilder(1, 4)
-	for i := 0; i < 10; i++ {
-		bu.Append([]variant.Value{variant.Int(int64(i))})
-	}
-	var got []int64
-	drain := func(b *Batch) {
-		if b == nil {
-			return
-		}
-		b.ForEach(func(i int) { got = append(got, b.Cols[0][i].AsInt()) })
-	}
-	for b := bu.Pop(); b != nil; b = bu.Pop() {
-		drain(b)
-	}
-	drain(bu.Flush())
-	for i, v := range got {
-		if int64(i) != v {
-			t.Fatalf("order broken at %d: %v", i, got)
-		}
-	}
-	if len(got) != 10 {
-		t.Fatalf("lost rows: %v", got)
-	}
-}
-
 // Gather reads a source column at a parent-index vector — variant vectors
 // and typed-only columns alike — into storage the caller recycles.
 func TestGather(t *testing.T) {
