@@ -82,11 +82,14 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 # loc prints the non-test Go line count of every package under internal/,
-# then their total: the before/after numbers a simplification reports.
+# their total, then the totals of cmd/ and of the root package: the
+# before/after numbers a simplification reports.
 loc:
-	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./internal/... | \
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./internal/... ./cmd/... . | \
 		awk '{ n = 0; for (i = 2; i <= NF; i++) { while ((getline l < $$i) > 0) n++; close($$i) } \
-			printf "%7d  %s\n", n, $$1; t += n } END { printf "%7d  total\n", t }'
+			if ($$1 ~ /^jsonpark\/internal\//) { printf "%7d  %s\n", n, $$1; t += n } \
+			else if ($$1 ~ /^jsonpark\/cmd\//) c += n; else r += n } \
+			END { printf "%7d  total\n%7d  cmd/\n%7d  root package\n", t, c, r }'
 
 clean:
 	rm -rf results.json trace.json stress.log .bench_build

@@ -6,11 +6,25 @@ import (
 
 	"jsonpark/internal/core"
 	"jsonpark/internal/engine"
+	"jsonpark/internal/hepdata"
 	"jsonpark/internal/jsoniq"
 	"jsonpark/internal/runtime"
 	"jsonpark/internal/snowpark"
 	"jsonpark/internal/variant"
 )
+
+// Setup loads events generated from seed into a fresh engine and returns
+// the session plus the documents (for the interpreted baselines). The query
+// cache is off, so every run pays compilation; opts apply after that, so
+// engine.WithPlanCacheSize(0) turns it back on.
+func Setup(seed int64, events int, opts ...engine.Option) (*snowpark.Session, []variant.Value, error) {
+	eng := engine.New(append([]engine.Option{engine.WithPlanCacheSize(-1)}, opts...)...)
+	docs, err := hepdata.Load(eng, "adl", seed, events)
+	if err != nil {
+		return nil, nil, err
+	}
+	return snowpark.NewSession(eng), docs, nil
+}
 
 // HistBin is one histogram bucket.
 type HistBin struct {

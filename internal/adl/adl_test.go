@@ -8,6 +8,7 @@ import (
 	"jsonpark/internal/core"
 	"jsonpark/internal/engine"
 	"jsonpark/internal/hepdata"
+	"jsonpark/internal/iterplan"
 	"jsonpark/internal/runtime"
 	"jsonpark/internal/snowpark"
 	"jsonpark/internal/variant"
@@ -326,5 +327,32 @@ func TestExchangeCensus(t *testing.T) {
 		if got != want[q.ID] {
 			t.Errorf("%s: exchanges (generated, handwritten) = %v, want %v", q.ID, got, want[q.ID])
 		}
+	}
+}
+
+func TestTable2ShapeMatchesPaper(t *testing.T) {
+	// The paper's Table II shape: totals grow from Q1 to Q8 overall, Q6 and
+	// Q8 dominate, and FLWOR iterators are a small fraction of the total.
+	totals := map[string]int{}
+	for _, q := range Queries() {
+		expr, err := jsoniq.Parse(q.JSONiq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		it, err := iterplan.Build(jsoniq.Rewrite(expr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := iterplan.Census(it)
+		totals[q.ID] = c.Total()
+		if c.FLWOR*2 >= c.Total() {
+			t.Errorf("%s: FLWOR iterators (%d) should be a minority of %d", q.ID, c.FLWOR, c.Total())
+		}
+	}
+	if totals["q1"] >= totals["q5"] || totals["q5"] >= totals["q6"] {
+		t.Errorf("totals not growing: %v", totals)
+	}
+	if totals["q6"] < 2*totals["q4"] || totals["q8"] < 2*totals["q4"] {
+		t.Errorf("q6/q8 should dominate: %v", totals)
 	}
 }

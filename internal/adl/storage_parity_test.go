@@ -16,11 +16,11 @@ import (
 // pipelines.
 func TestADLStorageParity(t *testing.T) {
 	mkSession := func(opts ...engine.Option) *snowpark.Session {
-		eng := engine.New(opts...)
-		if _, err := hepdata.Load(eng, "adl", 42, parityEvents); err != nil {
+		sess, _, err := Setup(42, parityEvents, opts...)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return snowpark.NewSession(eng)
+		return sess
 	}
 	reload := func() *snowpark.Session {
 		dir := t.TempDir()

@@ -115,15 +115,16 @@ func TestADLBatchSizeParity(t *testing.T) {
 // micro-partitions of partBytes when > 0.
 func paritySession(t *testing.T, batchSize, parallelism int, memLimit, partBytes int64) *snowpark.Session {
 	t.Helper()
+	opts := []engine.Option{engine.WithBatchSize(batchSize), engine.WithParallelism(parallelism),
+		engine.WithMemLimit(memLimit)}
 	if partBytes == 0 {
-		sess, _, err := SetupMemOpts(42, parityEvents, batchSize, parallelism, memLimit)
+		sess, _, err := Setup(42, parityEvents, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return sess
 	}
-	eng := engine.New(engine.WithBatchSize(batchSize), engine.WithParallelism(parallelism),
-		engine.WithMemLimit(memLimit), engine.WithPlanCacheSize(-1))
+	eng := engine.New(append(opts, engine.WithPlanCacheSize(-1))...)
 	tab, err := eng.Catalog().CreateTable("adl", hepdata.Columns())
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"jsonpark/internal/bench"
 	"jsonpark/internal/variant"
 )
 
@@ -44,7 +43,7 @@ func benchParEngine(b *testing.B, parallelism, rows int) *Engine {
 	return e
 }
 
-func runParallelBench(b *testing.B, name, sql string, rows int) {
+func runParallelBench(b *testing.B, sql string, rows int) {
 	for _, par := range benchParallelisms {
 		par := par
 		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
@@ -55,15 +54,6 @@ func runParallelBench(b *testing.B, name, sql string, rows int) {
 					b.Fatal(err)
 				}
 			}
-			b.StopTimer()
-			benchRecorder.Add(bench.Record{
-				Experiment: name,
-				Query:      sql,
-				System:     fmt.Sprintf("par=%d", par),
-				Scale:      float64(rows),
-				MeanMicros: b.Elapsed().Microseconds() / int64(b.N),
-				Runs:       b.N,
-			})
 		})
 	}
 }
@@ -72,7 +62,7 @@ func runParallelBench(b *testing.B, name, sql string, rows int) {
 // the shape where the partitioned two-phase aggregate replaces the single
 // pipeline-breaker thread.
 func BenchmarkGroupAgg(b *testing.B) {
-	runParallelBench(b, "group-agg",
+	runParallelBench(b,
 		`SELECT "grp", COUNT(*), MIN("val"), MAX("val") FROM "bpar" GROUP BY "grp"`,
 		40000)
 }
@@ -81,7 +71,7 @@ func BenchmarkGroupAgg(b *testing.B) {
 // pattern (ARRAY_AGG + ANY_VALUE grouped by row ID) with the aggregation
 // running above a parallel flatten pipeline.
 func BenchmarkReaggParallel(b *testing.B) {
-	runParallelBench(b, "reagg-parallel",
+	runParallelBench(b,
 		`SELECT "id", ARRAY_AGG("v"), ANY_VALUE("grp") FROM (SELECT "id", "grp", "f".VALUE AS "v" FROM (SELECT * FROM "bpar"), LATERAL FLATTEN(INPUT => "items") AS "f") GROUP BY "id"`,
 		8000)
 }
@@ -90,7 +80,7 @@ func BenchmarkReaggParallel(b *testing.B) {
 // dimension table, so nearly all the time is building the hash table over the
 // fact rows.
 func BenchmarkJoinBuild(b *testing.B) {
-	runParallelBench(b, "join-build",
+	runParallelBench(b,
 		`SELECT COUNT(*) FROM "bdim" INNER JOIN "bpar" ON "k" = "grp"`,
 		40000)
 }

@@ -3,8 +3,6 @@ package engine
 import (
 	"fmt"
 	"testing"
-
-	"jsonpark/internal/bench"
 )
 
 // BenchmarkTypedVsVariantScan measures the storage-v2 typed kernels against
@@ -38,15 +36,6 @@ func BenchmarkTypedVsVariantScan(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				b.StopTimer()
-				benchRecorder.Add(bench.Record{
-					Experiment: "typed-vs-variant",
-					Query:      q.sql,
-					System:     fmt.Sprintf("%s/batch=1024", mode.name),
-					Scale:      float64(rows),
-					MeanMicros: b.Elapsed().Microseconds() / int64(b.N),
-					Runs:       b.N,
-				})
 			})
 		}
 	}

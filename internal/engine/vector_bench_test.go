@@ -2,32 +2,14 @@ package engine
 
 import (
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 
-	"jsonpark/internal/bench"
 	"jsonpark/internal/sqlast"
 	"jsonpark/internal/sqlparse"
 	"jsonpark/internal/variant"
 	"jsonpark/internal/vector"
 )
-
-// benchRecorder collects the microbenchmark timings; set JSQ_BENCH_JSON to a
-// path to also write them as a bench.Recorder run file:
-//
-//	JSQ_BENCH_JSON=/tmp/micro.json go test -bench 'ScanFilterAgg|FlattenReagg' ./internal/engine/
-var benchRecorder = bench.NewRecorder("engine-microbench")
-
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if path := os.Getenv("JSQ_BENCH_JSON"); path != "" && len(benchRecorder.Records()) > 0 {
-		if err := benchRecorder.WriteFile(path); err != nil {
-			fmt.Fprintf(os.Stderr, "bench recorder: %v\n", err)
-		}
-	}
-	os.Exit(code)
-}
 
 // benchBatchSizes spans the regimes of interest: 1 reproduces row-at-a-time
 // dispatch overhead, 64/1024 the cache-friendly sweet spot, 4096 the point
@@ -52,7 +34,7 @@ func benchEngine(b *testing.B, batchSize, parallelism, rows int, extra ...Option
 	return e
 }
 
-func runQueryBench(b *testing.B, name, sql string, rows int) {
+func runQueryBench(b *testing.B, sql string, rows int) {
 	for _, bs := range benchBatchSizes {
 		bs := bs
 		b.Run(fmt.Sprintf("batch=%d", bs), func(b *testing.B) {
@@ -64,15 +46,6 @@ func runQueryBench(b *testing.B, name, sql string, rows int) {
 					b.Fatal(err)
 				}
 			}
-			b.StopTimer()
-			benchRecorder.Add(bench.Record{
-				Experiment: name,
-				Query:      sql,
-				System:     fmt.Sprintf("batch=%d", bs),
-				Scale:      float64(rows),
-				MeanMicros: b.Elapsed().Microseconds() / int64(b.N),
-				Runs:       b.N,
-			})
 		})
 	}
 }
@@ -80,7 +53,7 @@ func runQueryBench(b *testing.B, name, sql string, rows int) {
 // BenchmarkScanFilterAgg measures the scan → filter → grouped-aggregate
 // pipeline across batch sizes.
 func BenchmarkScanFilterAgg(b *testing.B) {
-	runQueryBench(b, "scan-filter-agg",
+	runQueryBench(b,
 		`SELECT "grp", COUNT(*), MIN("val"), MAX("val") FROM "bench" WHERE "val" > 3 GROUP BY "grp"`,
 		20000)
 }
@@ -88,7 +61,7 @@ func BenchmarkScanFilterAgg(b *testing.B) {
 // BenchmarkFlattenReagg measures the flatten → re-aggregate shape at the
 // core of the paper's nested-query translation (§IV-B).
 func BenchmarkFlattenReagg(b *testing.B) {
-	runQueryBench(b, "flatten-reagg",
+	runQueryBench(b,
 		`SELECT "id", COUNT(*) FROM (SELECT "id", "f".VALUE AS "v" FROM (SELECT * FROM "bench"), LATERAL FLATTEN(INPUT => "items") AS "f") GROUP BY "id"`,
 		5000)
 }

@@ -34,6 +34,10 @@ func Queries() []Query {
 	}
 }
 
+// Fig11bQueries is the subset the paper plots across scale factors: the
+// first query of each flight.
+var Fig11bQueries = []string{"q1.1", "q2.1", "q3.1", "q4.1"}
+
 // ByID returns one query.
 func ByID(id string) (Query, bool) {
 	for _, q := range Queries() {

@@ -12,6 +12,17 @@ import (
 	"jsonpark/internal/variant"
 )
 
+// Setup loads the SSB database generated from seed at scale factor sf into
+// a fresh engine. The query cache is off, so every run pays compilation;
+// opts apply after that.
+func Setup(seed int64, sf float64, opts ...engine.Option) (*snowpark.Session, error) {
+	eng := engine.New(append([]engine.Option{engine.WithPlanCacheSize(-1)}, opts...)...)
+	if err := Generate(seed, SizesForScaleFactor(sf)).Load(eng); err != nil {
+		return nil, err
+	}
+	return snowpark.NewSession(eng), nil
+}
+
 // Rows is a canonical, order-insensitive query result: one JSON object per
 // row, sorted by serialized form.
 type Rows []string

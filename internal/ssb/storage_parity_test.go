@@ -16,11 +16,11 @@ import (
 func TestSSBStorageParity(t *testing.T) {
 	const seed, sf = 7, 0.2
 	mkSession := func(opts ...engine.Option) *snowpark.Session {
-		eng := engine.New(opts...)
-		if err := Generate(seed, SizesForScaleFactor(sf)).Load(eng); err != nil {
+		sess, err := Setup(seed, sf, opts...)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return snowpark.NewSession(eng)
+		return sess
 	}
 	reload := func() *snowpark.Session {
 		dir := t.TempDir()
@@ -109,7 +109,7 @@ func TestSSBTypedColumnCountersExact(t *testing.T) {
 		"q4.1": {9, 1}, "q4.2": {24, 1}, "q4.3": {21, 1},
 	}
 	for _, par := range []int{1, 4} {
-		sess, err := SetupSFMemOpts(7, 0.5, 1024, par, 0)
+		sess, err := Setup(7, 0.5, engine.WithBatchSize(1024), engine.WithParallelism(par))
 		if err != nil {
 			t.Fatal(err)
 		}

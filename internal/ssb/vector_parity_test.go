@@ -59,7 +59,8 @@ func TestSSBBatchSizeParity(t *testing.T) {
 	var want map[string]ref
 	for _, cfg := range configs {
 		vector.SetPoison(cfg.poison)
-		sess, err := SetupSFMemOpts(7, 0.5, cfg.batchSize, cfg.parallelism, cfg.memLimit)
+		sess, err := Setup(7, 0.5, engine.WithBatchSize(cfg.batchSize),
+			engine.WithParallelism(cfg.parallelism), engine.WithMemLimit(cfg.memLimit))
 		if err != nil {
 			t.Fatal(err)
 		}
