@@ -48,11 +48,13 @@ stress: SHELL := /bin/bash
 stress:
 	set -o pipefail; $(GO) test -race -run 'Stress' -count 5 ./internal/engine/ 2>&1 | tee stress.log
 
-# fuzz-smoke gives each differential fuzzer a short budget so CI explores
-# the plan-generator space beyond the checked-in seed corpus. The seeds
-# themselves already run as unit tests under `make test`.
+# fuzz-smoke gives each fuzzer a short budget so CI explores beyond the
+# checked-in seed corpus: the differential plan fuzzer, and the SQL parser
+# fuzzer (no panic or hang on any input; what parses renders back stably).
+# The seeds themselves already run as unit tests under `make test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzPlanDiff' -fuzztime 30s ./internal/engine/
+	$(GO) test -run '^$$' -fuzz 'FuzzSQLParse' -fuzztime 30s ./internal/sqlparse/
 
 # obs-smoke boots a real jsqd with slow-query capture and a qlog sink, runs
 # one query four times over HTTP around an append, and asserts the

@@ -356,3 +356,43 @@ func TestTable2ShapeMatchesPaper(t *testing.T) {
 		t.Errorf("q6/q8 should dominate: %v", totals)
 	}
 }
+
+// TestJoinBuildSideCensus pins that no ADL join builds its left input at the
+// adl_exec load (8 000 events). The one join, generated q6's row-ID
+// self-join, is LEFT OUTER, and its right input, a re-aggregate, has no row
+// bound; the handwritten texts and serve_mix's cold MET-histogram texts
+// have no join.
+func TestJoinBuildSideCensus(t *testing.T) {
+	sess, _, err := Setup(42, 8000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := `for $e in collection("adl")
+where $e.MET.pt gt 12.5
+group by $bin := floor($e.MET.pt div 5.0) * 5.0
+order by $bin
+return {"bin": $bin, "count": count($e)}`
+	joins := 0
+	for _, q := range append(Queries(), Query{ID: "cold", JSONiq: cold}) {
+		res, err := core.Translate(sess, q.JSONiq, core.Options{Strategy: q.Strategy})
+		if err != nil {
+			t.Fatalf("%s: %v", q.ID, err)
+		}
+		for _, sql := range []string{res.SQL, q.SQL} {
+			if sql == "" {
+				continue
+			}
+			plan, err := sess.Engine().Explain(sql)
+			if err != nil {
+				t.Fatalf("%s: %v", q.ID, err)
+			}
+			joins += strings.Count(plan, " Join ")
+			if strings.Count(plan, " build=right ") != strings.Count(plan, " Join ") {
+				t.Errorf("%s: a join does not build right:\n%s", q.ID, plan)
+			}
+		}
+	}
+	if joins != 1 {
+		t.Errorf("%d joins across the ADL plans, want 1 (generated q6)", joins)
+	}
+}

@@ -50,6 +50,9 @@ type OpStats struct {
 	Morsels    int
 	Sequential string
 
+	// Join: the build side bind chose and the row bounds it chose from.
+	build joinBuild
+
 	// Memory governance (WithMemLimit): spill-to-disk events by this operator
 	// and the bytes they wrote.
 	Spills     int64
@@ -159,6 +162,8 @@ func buildPlanStats(n Node, c *execContext) *PlanStats {
 		case st.Sequential != "":
 			out.Detail = "sequential: " + st.Sequential
 		}
+	case *JoinNode:
+		out.Detail += " " + st.build.String()
 	case *AggregateNode:
 		// The run-time reason replaces the plan-time verdict it may repeat.
 		if st.Sequential != "" {

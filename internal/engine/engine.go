@@ -47,8 +47,11 @@ type Engine struct {
 	// parallel aggregate's merge partitions (0 follows the parallelism);
 	// morselRows shrinks the exchange's morsels so small tables fan out;
 	// planCheck turns on the planck pass (planck.go): every compiled plan is
-	// cross-checked and every envelope validates the batches it passes on.
+	// cross-checked and every envelope validates the batches it passes on;
+	// forceBuild makes every join that may build left build on the side it
+	// names — the left build's oracle is buildRight.
 	forceHashAgg bool
+	forceBuild   buildSide
 	mergeParts   int
 	morselRows   int
 	planCheck    bool
@@ -363,6 +366,7 @@ func (e *Engine) bind(cp *compiledPlan, po PrepareOptions) (*Prepared, error) {
 		analyze:     po.Analyze,
 		batchHook:   e.batchHook,
 		typedOff:    e.typedOff,
+		forceBuild:  e.forceBuild,
 	}
 	if ctx.batchSize <= 0 {
 		ctx.batchSize = vector.DefaultBatchSize
@@ -513,6 +517,10 @@ func explainNode(b *strings.Builder, n Node, depth int) {
 	if es, ok := nodeExprStats(n); ok {
 		b.WriteByte(' ')
 		b.WriteString(es.String())
+	}
+	if x, ok := n.(*JoinNode); ok {
+		b.WriteByte(' ')
+		b.WriteString(chooseBuild(x, (*storage.Table).NumRows, buildAuto).String())
 	}
 	b.WriteByte('\n')
 	for _, c := range planChildren(n) {

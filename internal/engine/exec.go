@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,6 +65,9 @@ type execContext struct {
 	snapshots map[*storage.Table]storage.TableSnapshot
 	// typedOff keeps the expression DAGs on variants (WithTypedColumns).
 	typedOff bool
+	// forceBuild forces the joins that may build left to one side
+	// (Engine.forceBuild, a test hook).
+	forceBuild buildSide
 	// Storage-path counters (atomic; see countTypedCols and friends below).
 	typedCols    int64
 	fallbackCols int64
@@ -85,6 +89,15 @@ func (c *execContext) pinSnapshot(t *storage.Table) storage.TableSnapshot {
 	s := t.Snapshot()
 	c.snapshots[t] = s
 	return s
+}
+
+// pinnedRows counts the rows of t's pinned snapshot, pinning it on first use.
+func (c *execContext) pinnedRows(t *storage.Table) int64 {
+	var n int64
+	for _, p := range c.pinSnapshot(t).Parts {
+		n += int64(p.NumRows())
+	}
+	return n
 }
 
 // queryCtx returns the query's cancellation context (never nil).
@@ -1206,10 +1219,11 @@ func (s *streamAggIter) Close() { s.in.Close() }
 
 // --- joins -------------------------------------------------------------------
 
-// prepareJoin builds a hash join. An equi-join takes the query's parallelism
-// as its build workers, which bucket the hash table when the build side is
-// large enough (joinIter.build). Keys and residual evaluate on the driver, in
-// input order, so a stateful expression needs no special case.
+// prepareJoin builds a hash join on the side chooseBuild picks from the pinned
+// snapshots. An equi-join takes the query's parallelism as its build workers,
+// which bucket the hash table when the build side is large enough
+// (joinIter.index). Keys and residual evaluate on the driver, in input order,
+// so a stateful expression needs no special case.
 func prepareJoin(x *JoinNode, ctx *execContext) (batchIter, error) {
 	workers := 1
 	if ctx.parallelism > 1 && len(x.RightKeys) > 0 {
@@ -1231,28 +1245,97 @@ func prepareJoin(x *JoinNode, ctx *execContext) (batchIter, error) {
 		return nil, err
 	}
 	ctx.exprs.add(exprs.stats())
+	side := chooseBuild(x, ctx.pinnedRows, ctx.forceBuild)
+	ctx.statsFor(x).build = side
+	rightWidth := len(x.Right.Schema().Names)
 	return &joinIter{
-		kind: x.Kind, left: left, right: right, exprs: exprs,
-		leftWidth: len(x.Left.Schema().Names), rightWidth: len(x.Right.Schema().Names),
+		kind: x.Kind, left: left, right: right, exprs: exprs, buildLeft: side.left,
+		leftWidth: len(x.Left.Schema().Names), rightWidth: rightWidth,
+		store:   rowStore{width: rightWidth},
 		workers: workers, size: ctx.batchSize, ectx: ctx, mem: ctx.opMemFor(x),
 	}, nil
 }
 
-// joinExprs is a join's compiled expressions, one DAG each: the probe keys
-// over the left input, the build keys over the right, and the residual over
-// the combined row. A join without keys has no key DAGs, one without a
-// residual no residual DAG.
-type joinExprs struct{ probe, build, residual *exprDAG }
+// buildSide forces the build side of every join that may build left
+// (Engine.forceBuild, a test hook); buildAuto follows the row bounds.
+type buildSide uint8
+
+const (
+	buildAuto buildSide = iota
+	buildRight
+	buildLeft
+)
+
+// joinBuild is a join's build side and its inputs' row bounds, -1 where
+// unknown.
+type joinBuild struct {
+	left         bool
+	lrows, rrows int64
+}
+
+// String renders the choice for EXPLAIN: "build=left rows=2400/48000".
+func (b joinBuild) String() string {
+	side := "right"
+	if b.left {
+		side = "left"
+	}
+	bound := func(n int64) string {
+		if n < 0 {
+			return "?"
+		}
+		return strconv.FormatInt(n, 10)
+	}
+	return fmt.Sprintf("build=%s rows=%s/%s", side, bound(b.lrows), bound(b.rrows))
+}
+
+// chooseBuild decides a join's build side from its inputs' row bounds, rows
+// counting a table's rows. An INNER equi-join on plain column keys without a
+// residual builds its left input when both bounds are known and the left's is
+// at most a quarter of the right's; every other join builds its right input.
+// The choice never changes the output (joinIter), only what is hashed.
+func chooseBuild(x *JoinNode, rows func(*storage.Table) int64, force buildSide) joinBuild {
+	b := joinBuild{lrows: rowBound(x.Left, rows), rrows: rowBound(x.Right, rows)}
+	if force == buildRight || x.Kind != "INNER" || len(x.LeftKeys) == 0 || x.Residual != nil {
+		return b
+	}
+	for _, k := range slices.Concat(x.LeftKeys, x.RightKeys) {
+		if _, ok := k.(*sqlast.ColRef); !ok {
+			return b
+		}
+	}
+	b.left = force == buildLeft || b.lrows >= 0 && b.rrows >= 0 && 4*b.lrows <= b.rrows
+	return b
+}
+
+// rowBound bounds the rows n emits: a scan's table rows, passed up through
+// filters and projections. Anything else has no bound (-1).
+func rowBound(n Node, rows func(*storage.Table) int64) int64 {
+	switch x := n.(type) {
+	case *ScanNode:
+		return rows(x.Table)
+	case *FilterNode:
+		return rowBound(x.Input, rows)
+	case *ProjectNode:
+		return rowBound(x.Input, rows)
+	}
+	return -1
+}
+
+// joinExprs is a join's compiled expressions, one DAG each: the keys over the
+// left input, the keys over the right, and the residual over the combined
+// row. A join without keys has no key DAGs, one without a residual no
+// residual DAG.
+type joinExprs struct{ left, right, residual *exprDAG }
 
 // compileJoin compiles a join's expressions, for prepare and for EXPLAIN.
 func compileJoin(ctx *execContext, x *JoinNode) (joinExprs, error) {
 	var e joinExprs
 	var err error
 	if len(x.LeftKeys) > 0 {
-		if e.probe, err = compileVecs(ctx, x, x.Left.Schema(), x.LeftKeys); err != nil {
+		if e.left, err = compileVecs(ctx, x, x.Left.Schema(), x.LeftKeys); err != nil {
 			return e, err
 		}
-		if e.build, err = compileVecs(ctx, x, x.Right.Schema(), x.RightKeys); err != nil {
+		if e.right, err = compileVecs(ctx, x, x.Right.Schema(), x.RightKeys); err != nil {
 			return e, err
 		}
 	}
@@ -1264,7 +1347,7 @@ func compileJoin(ctx *execContext, x *JoinNode) (joinExprs, error) {
 
 func (e joinExprs) stats() exprStats {
 	var s exprStats
-	for _, d := range [...]*exprDAG{e.probe, e.build, e.residual} {
+	for _, d := range [...]*exprDAG{e.left, e.right, e.residual} {
 		if d != nil {
 			s.add(d.stats())
 		}
@@ -1285,31 +1368,224 @@ func appendJoinKey(buf []byte, kcols [][]variant.Value, i int) ([]byte, bool) {
 	return buf, true
 }
 
-// buildRows indexes the kept build rows in drain order: row r's encoded key
-// is keys[ends[r-1]:ends[r]], its hash bucket buckets[r], and locs[r] where it
-// lives — batch<<32 | row among the retained batches, or its record's offset
-// once the build side spilled.
-type buildRows struct {
+// buildKeys are the encoded keys of the build rows, in drain order: row r's
+// key is keys[ends[r-1]:ends[r]] and its hash bucket buckets[r].
+type buildKeys struct {
 	keys    []byte
 	ends    []int
 	buckets []int32
-	locs    []int64
 }
 
-// joinIter is the hash join. Its first NextBatch builds: it drains the right
-// side, retaining each batch's kept rows as one dense copy, then maps every
-// key to its candidate rows. It then probes a left batch at a time: it
-// collects up to a batch of (left row, candidate) pairs, gathers their
-// combined columns into a fresh batch, evaluates the residual over the pairs,
-// and emits the batch restricted to the survivors. The order is each left
-// row's surviving candidates in build order or, for a LEFT OUTER row none of
-// whose candidates survives, the row once with NULLs on the right. Its
-// batches are stable.
+// rowStore retains the rows a join reads back by index: the build rows, or a
+// left build's matched right rows. Stored row r lives at locs[r] —
+// batch<<32 | row among the retained dense batches until the budget trips,
+// then its record's offset in an offset-indexed run, where the retained rows
+// move in order and every later row follows.
+type rowStore struct {
+	width   int
+	batches []*vector.Batch // the retained rows; once spilled, the decode scratch
+	locs    []int64
+	charged int64              // the bytes the retained batches hold
+	w       *storage.RunWriter // open from the spill until seal
+	run     *storage.SpillRun  // non-nil once sealed after a spill
+	decoded int32              // rows decoded into the scratch batch
+}
+
+// add stores rows keep of the dense batch b: it retains b or, once spilled,
+// writes the rows to the run.
+func (s *rowStore) add(b *vector.Batch, keep []int) error {
+	if s.w != nil {
+		return s.write(b, keep)
+	}
+	if len(keep) > 0 {
+		for _, i := range keep {
+			s.locs = append(s.locs, int64(len(s.batches))<<32|int64(i))
+		}
+		s.batches = append(s.batches, b)
+	}
+	return nil
+}
+
+// charge charges b when add retained it. When that trips the budget a
+// spillable store moves to disk; a join without keys has nothing to index a
+// run by and stays in memory.
+func (s *rowStore) charge(mem *opMem, b *vector.Batch, spillable bool) error {
+	if !mem.enabled() || len(s.batches) == 0 || s.batches[len(s.batches)-1] != b {
+		return nil
+	}
+	n := activeRowsBytes(b)
+	s.charged += n
+	if !mem.charge(n) || !spillable {
+		return nil
+	}
+	return s.spill(mem)
+}
+
+// spill opens the store's run and moves the retained rows into it in order,
+// each locator becoming its record's offset; the retained batches go and
+// their bytes are released.
+func (s *rowStore) spill(mem *opMem) error {
+	w, err := storage.NewRunWriter("join")
+	if err != nil {
+		return err
+	}
+	s.w = w
+	var rec []byte
+	for r, loc := range s.locs {
+		rec = appendRowBinary(rec[:0], s.batches[loc>>32], int(int32(loc)))
+		if s.locs[r], err = w.WriteRecord(rec); err != nil {
+			return err
+		}
+	}
+	s.batches = nil
+	mem.release(s.charged)
+	s.charged = 0
+	return nil
+}
+
+// write appends rows keep of b to the run, locating each by its offset.
+func (s *rowStore) write(b *vector.Batch, keep []int) error {
+	var rec []byte
+	for _, i := range keep {
+		rec = appendRowBinary(rec[:0], b, i)
+		off, err := s.w.WriteRecord(rec)
+		if err != nil {
+			return err
+		}
+		s.locs = append(s.locs, off)
+	}
+	return nil
+}
+
+// seal finishes a spilled store's run and readies the decode scratch.
+func (s *rowStore) seal(mem *opMem) error {
+	if s.w == nil {
+		return nil
+	}
+	run, err := s.w.Finish()
+	s.w = nil
+	if err != nil {
+		return err
+	}
+	s.run = run
+	mem.noteSpill(run.Bytes())
+	s.batches = []*vector.Batch{{Cols: make([][]variant.Value, s.width)}}
+	return nil
+}
+
+// ref addresses stored row r: a retained row where it lies, a spilled one
+// decoded into the scratch batch first, so a consumer pairs with either the
+// same way until the next rewind.
+func (s *rowStore) ref(r int64) (rowRef, error) {
+	loc := s.locs[r]
+	if s.run == nil {
+		return rowRef{b: int32(loc >> 32), i: int32(loc)}, nil
+	}
+	rec, err := s.run.ReadRecordAt(loc)
+	if err == nil {
+		err = decodeRowInto(s.batches[0].Cols, rec)
+	}
+	s.decoded++
+	return rowRef{b: 0, i: s.decoded - 1}, err
+}
+
+// rewind empties a spilled store's scratch batch for the next output batch.
+func (s *rowStore) rewind() {
+	if s.run == nil {
+		return
+	}
+	scratch := s.batches[0].Cols
+	for c := range scratch {
+		if vector.Poisoned() {
+			vector.Poison(scratch[c])
+		}
+		scratch[c] = scratch[c][:0]
+	}
+	s.decoded = 0
+}
+
+// releaseAll returns what the store holds: its run, half-written or
+// sealed, and the bytes its retained rows charged.
+func (s *rowStore) releaseAll(mem *opMem) {
+	if s.w != nil {
+		s.w.Abort()
+		s.w = nil
+	}
+	s.run.Close()
+	if s.charged > 0 {
+		mem.release(s.charged)
+		s.charged = 0
+	}
+}
+
+// storeReplay is a left build's probe input: its stored left rows in drain
+// order — the retained dense batches as they are, or once spilled the run's
+// records decoded a batch at a time — and then the error that stopped the
+// drain, if one did, where the right build's probe would have met it.
+type storeReplay struct {
+	s    rowStore
+	next int
+	rd   *storage.RunReader
+	size int
+	err  error
+	ctx  *execContext
+	mem  *opMem
+}
+
+func (r *storeReplay) NextBatch() (*vector.Batch, error) {
+	s := &r.s
+	if s.run == nil {
+		if r.next == len(s.batches) {
+			return nil, r.err
+		}
+		r.next++
+		return s.batches[r.next-1], nil
+	}
+	if r.rd == nil {
+		r.rd = s.run.NewReader()
+	}
+	b := &vector.Batch{Cols: make([][]variant.Value, s.width)}
+	n := 0
+	for ; n < r.size && r.next < len(s.locs); n, r.next = n+1, r.next+1 {
+		if err := r.ctx.cancelled(); err != nil {
+			return nil, err
+		}
+		rec, err := r.rd.Next()
+		if err == nil {
+			err = decodeRowInto(b.Cols, rec)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	if n == 0 {
+		return nil, r.err
+	}
+	return b, nil
+}
+
+func (r *storeReplay) Close() { r.s.releaseAll(r.mem) }
+
+// joinIter is the hash join. Its first NextBatch builds, on the side
+// chooseBuild picked. A right build drains the right input, retaining each
+// batch's kept rows as one dense copy, and maps every key to its candidate
+// rows. A left build drains the left input the same way and maps its keys,
+// then streams the right input past that map, retaining only the right rows
+// that match: each key's candidates are its matches in right-input order,
+// and the stored left rows become the probe input. Either way the join then
+// probes a left batch at a time: it collects up to a batch of (left row,
+// candidate) pairs, gathers their combined columns into a fresh batch,
+// evaluates the residual over the pairs, and emits the batch restricted to
+// the survivors. The order is each left row's surviving candidates in
+// right-input order or, for a LEFT OUTER row none of whose candidates
+// survives, the row once with NULLs on the right — the same rows in the same
+// order for both builds. Its batches are stable.
 type joinIter struct {
 	kind       string
-	left       batchIter
+	left       batchIter // the probe input: the left input, or a left build's replay
 	right      batchIter
 	exprs      joinExprs
+	buildLeft  bool
 	leftWidth  int
 	rightWidth int
 	workers    int // build workers, one hash bucket each
@@ -1317,49 +1593,104 @@ type joinIter struct {
 	ectx       *execContext
 	mem        *opMem
 
-	built    bool
-	rows     buildRows
-	batches  []*vector.Batch       // the retained build rows; once spilled, the decode scratch
-	parts    []map[string]*[]int64 // per bucket: key -> candidate locators, in build order
-	spillRun *storage.SpillRun     // non-nil once the build side spilled
+	built bool
+	keys  buildKeys
+	store rowStore // the right rows candidates index: the build rows, or a left build's matches
+	// Per bucket: key -> candidates, indexes into store.locs in right-input
+	// order.
+	parts []map[string]*[]int64
 
 	// The probe cursor: the left batch under probe and its key vectors, its
 	// next active row, the next of that row's candidates, and whether one of
 	// the row's candidates survived the residual so far.
 	cur      *vector.Batch
-	keys     [][]variant.Value
+	curKeys  [][]variant.Value
 	pos, off int
 	matched  bool
-	// Per pair, recycled for every output batch: its left row, its build row,
-	// and whether it is its left row's last; plus key and selection scratch
-	// and the rows decoded into the scratch batch.
-	lidx    []int
-	refs    []rowRef
-	last    []bool
-	keyBuf  []byte
-	sel     []int
-	pass    []int
-	decoded int32
+	// Per pair, recycled for every output batch: its left row, its right row,
+	// and whether it is its left row's last; plus key and selection scratch.
+	lidx   []int
+	refs   []rowRef
+	last   []bool
+	keyBuf []byte
+	sel    []int
+	pass   []int
 }
 
-// build drains and closes the build side, then maps every key to its
-// candidates: workers claim the hash buckets — one bucket and one worker at
-// parallelism 1 or below minParallelBuildRows rows — and build each one's
-// map in one pass over the rows in drain order, so every candidate list is
-// in build order, the order probe emission and LEFT OUTER observe. A build
-// that fans out over more than one bucket counts as a parallel breaker. The
-// build side is closed exactly once here (and nilled so Close stays
-// idempotent).
+// build drains and closes the build side and maps its keys; a left build
+// then streams and closes the right input (matchRight) and replays the
+// stored left rows as the probe input. After a left drain that failed the
+// right input still streams, so a failing right input's error comes first,
+// as with a right build, and the left's comes after the rows before it. The
+// closed inputs are nilled so Close stays idempotent.
 func (j *joinIter) build() error {
-	err := j.drainBuild()
+	if !j.buildLeft {
+		inErr, err := j.drain(j.right, j.exprs.right, &j.store)
+		j.right.Close()
+		j.right = nil
+		if err = cmp.Or(inErr, err); err != nil {
+			return err
+		}
+		return j.index(true)
+	}
+	replay := &storeReplay{s: rowStore{width: j.leftWidth}, size: j.size, ctx: j.ectx, mem: j.mem}
+	inErr, err := j.drain(j.left, j.exprs.left, &replay.s)
+	j.left.Close()
+	j.left, replay.err = replay, inErr
+	if err == nil {
+		err = j.index(false)
+	}
+	if err == nil {
+		err = j.matchRight()
+	}
 	j.right.Close()
 	j.right = nil
-	if err != nil {
-		return err
+	return err
+}
+
+// drain drains in a batch at a time into s. Each batch's active rows are
+// copied once, a column at a time, into a dense batch (denseCopy); the keys
+// evaluate in input order, and the rows whose keys are not NULL are indexed
+// (encodeKeys) and stored. A right build's keys evaluate over the copy, a
+// left build's over the batch as it came, as the probe it replaces did — so
+// an operator's typed and fallback counters read the same for both builds.
+// It returns the input's error apart from its own, with the rows before it
+// stored.
+func (j *joinIter) drain(in batchIter, keys *exprDAG, s *rowStore) (inErr, err error) {
+	for {
+		b, err := in.NextBatch()
+		if err != nil || b == nil {
+			return err, s.seal(j.mem)
+		}
+		j.mem.st.LocalRows += int64(b.NumRows())
+		copied := denseCopy(b)
+		src := copied
+		if j.buildLeft {
+			src = b
+		}
+		keep, err := j.encodeKeys(keys, src)
+		if err == nil {
+			err = s.add(copied, keep)
+		}
+		if err == nil {
+			err = s.charge(j.mem, copied, keys != nil)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
-	rows := &j.rows
+}
+
+// index maps every build key to its candidates: workers claim the hash
+// buckets — one bucket and one worker at parallelism 1 or below
+// minParallelBuildRows rows — and build each one's map in one pass over the
+// rows in drain order. A right build lists each key's rows, in build order;
+// a left build starts each key's list empty for matchRight to fill. A build
+// that fans out over more than one bucket counts as a parallel breaker.
+func (j *joinIter) index(list bool) error {
+	k := &j.keys
 	buckets := j.workers
-	if len(rows.locs) < minParallelBuildRows {
+	if len(k.ends) < minParallelBuildRows {
 		buckets = 1
 	}
 	if buckets > 1 {
@@ -1370,18 +1701,20 @@ func (j *joinIter) build() error {
 	j.parts = make([]map[string]*[]int64, buckets)
 	workerRows := make([]int64, buckets)
 	start := time.Now()
-	err = fanOut(j.ectx, buckets, buckets, func(w int, next func() (int, bool)) error {
+	err := fanOut(j.ectx, buckets, buckets, func(w int, next func() (int, bool)) error {
 		for b, ok := next(); ok; b, ok = next() {
 			m := make(map[string]*[]int64)
 			lo := 0
-			for r, hi := range rows.ends {
-				if buckets == 1 || int(rows.buckets[r]) == b {
-					l := m[string(rows.keys[lo:hi])]
+			for r, hi := range k.ends {
+				if buckets == 1 || int(k.buckets[r]) == b {
+					l := m[string(k.keys[lo:hi])]
 					if l == nil {
 						l = new([]int64)
-						m[string(rows.keys[lo:hi])] = l
+						m[string(k.keys[lo:hi])] = l
 					}
-					*l = append(*l, rows.locs[r])
+					if list {
+						*l = append(*l, int64(r))
+					}
 					workerRows[w]++
 				}
 				lo = hi
@@ -1403,63 +1736,53 @@ func (j *joinIter) build() error {
 	return nil
 }
 
-// drainBuild drains the build side a batch at a time. Each batch's active
-// rows are copied once, a column at a time, into a dense batch (denseCopy);
-// the build keys evaluate over the copy, in input order, and the rows whose
-// keys are not NULL are indexed (encodeKeys). The join retains the copy and
-// charges it. Once the budget trips, a keyed join spills: the rows indexed so
-// far, then every later one, go in drain order to an offset-indexed run. A
-// join without keys has nothing to index a run by and stays in memory.
-func (j *joinIter) drainBuild() error {
-	var w *storage.RunWriter
+// matchRight streams the right input past a left build's map. Its keys are
+// plain columns (chooseBuild), read in place, typed or not. The right rows
+// whose key the map holds are copied densely, in input order, into the
+// store, and each one's index is appended to its key's candidates.
+func (j *joinIter) matchRight() error {
+	cols := j.exprs.right.rootCols()
+	var sel []int
+	var lists []*[]int64
 	for {
 		b, err := j.right.NextBatch()
-		var copied *vector.Batch
-		var keep []int
-		if err == nil && b != nil {
-			j.mem.st.LocalRows += int64(b.NumRows())
-			copied = denseCopy(b)
-			keep, err = j.encodeKeys(copied)
+		if err != nil || b == nil {
+			return cmp.Or(err, j.store.seal(j.mem))
 		}
-		if err == nil && b != nil && w != nil {
-			err = j.writeRows(w, copied, keep)
-		}
-		if err != nil {
-			if w != nil {
-				w.Abort()
+		sel, lists = sel[:0], lists[:0]
+	rows:
+		for p, n := 0, b.NumRows(); p < n; p++ {
+			i := b.ActiveAt(p)
+			j.keyBuf = j.keyBuf[:0]
+			for _, c := range cols {
+				v := b.Value(c, i)
+				if v.IsNull() {
+					continue rows
+				}
+				j.keyBuf = v.AppendGroupKey(j.keyBuf)
 			}
-			return err
+			if l := j.parts[bucketOfKey(j.keyBuf, len(j.parts))][string(j.keyBuf)]; l != nil {
+				sel, lists = append(sel, i), append(lists, l)
+			}
 		}
-		if b == nil {
-			break
-		}
-		if w != nil || len(keep) == 0 {
+		if len(sel) == 0 {
 			continue
 		}
-		for _, i := range keep {
-			j.rows.locs = append(j.rows.locs, int64(len(j.batches))<<32|int64(i))
+		for k, l := range lists {
+			*l = append(*l, int64(len(j.store.locs)+k))
 		}
-		j.batches = append(j.batches, copied)
-		if j.mem.enabled() && j.mem.charge(activeRowsBytes(copied)) && j.exprs.build != nil {
-			if w, err = j.spill(); err != nil {
-				return err
-			}
-		}
-	}
-	if w != nil {
-		run, err := w.Finish()
-		if err != nil {
+		matched := denseCopy(&vector.Batch{Cols: b.Cols, Typed: b.Typed, Sel: sel})
+		if err := j.store.add(matched, dense(len(sel))); err != nil {
 			return err
 		}
-		j.spillRun = run
-		j.mem.noteSpill(run.Bytes())
-		j.batches = []*vector.Batch{{Cols: make([][]variant.Value, j.rightWidth)}}
+		if err := j.store.charge(j.mem, matched, true); err != nil {
+			return err
+		}
 	}
-	return nil
 }
 
 // denseCopy copies b's active rows into fresh dense vectors, one allocation
-// per column: how the join's build side and the sort retain their input.
+// per column: how the join and the sort retain their input.
 func denseCopy(b *vector.Batch) *vector.Batch {
 	sel := b.Sel
 	if sel == nil {
@@ -1473,7 +1796,7 @@ func denseCopy(b *vector.Batch) *vector.Batch {
 }
 
 // rowRef addresses row i of batch b among the dense copies an operator
-// retains: a join's build row, a sort's buffered row. A negative b is no row
+// retains: a join's right row, a sort's buffered row. A negative b is no row
 // — the NULL padding of a LEFT OUTER row that has no candidates.
 type rowRef struct{ b, i int32 }
 
@@ -1491,68 +1814,32 @@ func gatherRefs(batches []*vector.Batch, c int, refs []rowRef, dst []variant.Val
 	return dst
 }
 
-// encodeKeys evaluates the build keys over a dense build batch and encodes
-// the key of every row it keeps — each row of a join without keys, those
-// whose keys are not NULL of an equi-join — returning the kept rows. Their
-// locators are the caller's to add.
-func (j *joinIter) encodeKeys(b *vector.Batch) ([]int, error) {
+// encodeKeys evaluates the keys over a build batch and encodes the key of
+// every active row it keeps — each row of a join without keys, those whose
+// keys are not NULL of an equi-join — returning the kept rows' active
+// positions, their rows in the batch's dense copy.
+func (j *joinIter) encodeKeys(keys *exprDAG, b *vector.Batch) ([]int, error) {
 	var kcols [][]variant.Value
-	if j.exprs.build != nil {
+	if keys != nil {
 		var err error
-		if kcols, err = j.exprs.build.eval(b); err != nil {
+		if kcols, err = keys.eval(b); err != nil {
 			return nil, err
 		}
 	}
-	rows := &j.rows
-	keep := make([]int, 0, b.Len())
-	for i := range b.Len() {
-		start := len(rows.keys)
+	k := &j.keys
+	keep := make([]int, 0, b.NumRows())
+	for p, n := 0, b.NumRows(); p < n; p++ {
+		start := len(k.keys)
 		var ok bool
-		if rows.keys, ok = appendJoinKey(rows.keys, kcols, i); !ok {
-			rows.keys = rows.keys[:start]
+		if k.keys, ok = appendJoinKey(k.keys, kcols, b.ActiveAt(p)); !ok {
+			k.keys = k.keys[:start]
 			continue
 		}
-		keep = append(keep, i)
-		rows.ends = append(rows.ends, len(rows.keys))
-		rows.buckets = append(rows.buckets, bucketOfKey(rows.keys[start:], j.workers))
+		keep = append(keep, p)
+		k.ends = append(k.ends, len(k.keys))
+		k.buckets = append(k.buckets, bucketOfKey(k.keys[start:], j.workers))
 	}
 	return keep, nil
-}
-
-// writeRows writes b's kept rows to the build run in order, locating each
-// row by its record's offset.
-func (j *joinIter) writeRows(w *storage.RunWriter, b *vector.Batch, keep []int) error {
-	var rec []byte
-	for _, i := range keep {
-		rec = appendRowBinary(rec[:0], b, i)
-		off, err := w.WriteRecord(rec)
-		if err != nil {
-			return err
-		}
-		j.rows.locs = append(j.rows.locs, off)
-	}
-	return nil
-}
-
-// spill opens the build side's run and moves the indexed rows into it in
-// drain order, each row's locator becoming its record's offset; the retained
-// batches go and their bytes are released.
-func (j *joinIter) spill() (*storage.RunWriter, error) {
-	w, err := storage.NewRunWriter("join")
-	if err != nil {
-		return nil, err
-	}
-	var rec []byte
-	for r, loc := range j.rows.locs {
-		rec = appendRowBinary(rec[:0], j.batches[loc>>32], int(int32(loc)))
-		if j.rows.locs[r], err = w.WriteRecord(rec); err != nil {
-			w.Abort()
-			return nil, err
-		}
-	}
-	j.batches = nil
-	j.mem.releaseAll()
-	return w, nil
 }
 
 func (j *joinIter) NextBatch() (*vector.Batch, error) {
@@ -1582,18 +1869,17 @@ func (j *joinIter) NextBatch() (*vector.Batch, error) {
 func (j *joinIter) advance() error {
 	b, err := j.left.NextBatch()
 	j.cur, j.pos, j.off = b, 0, 0
-	if err != nil || b == nil || j.exprs.probe == nil {
+	if err != nil || b == nil || j.exprs.left == nil {
 		return err
 	}
-	j.keys, err = j.exprs.probe.eval(b)
+	j.curKeys, err = j.exprs.left.eval(b)
 	return err
 }
 
-// candidates returns the locators of left row i's candidates: the build rows
-// under its key, in build order.
+// candidates returns left row i's candidates, in right-input order.
 func (j *joinIter) candidates(i int) []int64 {
 	var ok bool
-	if j.keyBuf, ok = appendJoinKey(j.keyBuf[:0], j.keys, i); !ok {
+	if j.keyBuf, ok = appendJoinKey(j.keyBuf[:0], j.curKeys, i); !ok {
 		return nil
 	}
 	if l := j.parts[bucketOfKey(j.keyBuf, len(j.parts))][string(j.keyBuf)]; l != nil {
@@ -1603,20 +1889,11 @@ func (j *joinIter) candidates(i int) []int64 {
 }
 
 // collect fills the pairs, from the cursor on, with up to size pairs of the
-// left batch under probe: each active row's candidates in build order, and
-// one pair without a build row for a LEFT OUTER row that has none.
+// left batch under probe: each active row's candidates in right-input order,
+// and one pair without a right row for a LEFT OUTER row that has none.
 func (j *joinIter) collect() error {
 	j.lidx, j.refs, j.last = j.lidx[:0], j.refs[:0], j.last[:0]
-	if j.spillRun != nil {
-		scratch := j.batches[0].Cols
-		for c := range scratch {
-			if vector.Poisoned() {
-				vector.Poison(scratch[c])
-			}
-			scratch[c] = scratch[c][:0]
-		}
-		j.decoded = 0
-	}
+	j.store.rewind()
 	for n := j.cur.NumRows(); j.pos < n && len(j.refs) < j.size; {
 		i := j.cur.ActiveAt(j.pos)
 		cands := j.candidates(i)
@@ -1628,38 +1905,17 @@ func (j *joinIter) collect() error {
 			continue
 		}
 		take := min(len(cands)-j.off, j.size-len(j.refs))
-		if err := j.appendRefs(cands[j.off : j.off+take]); err != nil {
-			return err
-		}
-		for range take {
-			j.lidx, j.last = append(j.lidx, i), append(j.last, false)
+		for _, r := range cands[j.off : j.off+take] {
+			ref, err := j.store.ref(r)
+			if err != nil {
+				return err
+			}
+			j.lidx, j.refs, j.last = append(j.lidx, i), append(j.refs, ref), append(j.last, false)
 		}
 		if j.off += take; j.off == len(cands) {
 			j.last[len(j.last)-1] = true
 			j.pos, j.off = j.pos+1, 0
 		}
-	}
-	return nil
-}
-
-// appendRefs adds the build rows at locs to the pairs: a retained row by its
-// locator, a spilled one decoded into the scratch batch first, so a probe
-// pairs with either the same way.
-func (j *joinIter) appendRefs(locs []int64) error {
-	for _, loc := range locs {
-		if j.spillRun == nil {
-			j.refs = append(j.refs, rowRef{b: int32(loc >> 32), i: int32(loc)})
-			continue
-		}
-		rec, err := j.spillRun.ReadRecordAt(loc)
-		if err != nil {
-			return err
-		}
-		if err := decodeRowInto(j.batches[0].Cols, rec); err != nil {
-			return err
-		}
-		j.refs = append(j.refs, rowRef{b: 0, i: j.decoded})
-		j.decoded++
 	}
 	return nil
 }
@@ -1679,7 +1935,7 @@ func (j *joinIter) emit() (*vector.Batch, error) {
 		out.Cols[c] = j.cur.Gather(c, j.lidx, make([]variant.Value, 0, n))
 	}
 	for c := 0; c < j.rightWidth; c++ {
-		out.Cols[j.leftWidth+c] = gatherRefs(j.batches, c, j.refs, make([]variant.Value, 0, n))
+		out.Cols[j.leftWidth+c] = gatherRefs(j.store.batches, c, j.refs, make([]variant.Value, 0, n))
 	}
 	if j.exprs.residual == nil {
 		return out, nil
@@ -1742,7 +1998,7 @@ func (j *joinIter) Close() {
 		j.right.Close()
 		j.right = nil
 	}
-	j.spillRun.Close()
+	j.store.releaseAll(j.mem)
 	if j.mem != nil {
 		j.mem.releaseAll()
 	}

@@ -654,6 +654,16 @@ func (d *exprDAG) eval(b *vector.Batch) ([][]variant.Value, error) {
 	return d.outs, nil
 }
 
+// rootCols returns the input column each root reads, for a DAG whose every
+// root is a plain column reference.
+func (d *exprDAG) rootCols() []int {
+	cols := make([]int, len(d.roots))
+	for i, r := range d.roots {
+		cols[i] = int(d.nodes[d.insts[r].node].col)
+	}
+	return cols
+}
+
 // project evaluates the DAG as a select list into out, a header the caller
 // recycles: a computed column is its pinned root register — the typed view
 // when the result is typed, the variant vector otherwise — plain column

@@ -27,7 +27,10 @@ import (
 // mergeable), append the remaining documents mid-run, and must still match
 // the oracle's cold recompute over the full dataset — cached and
 // incrementally refreshed results included, and again after the table is
-// dropped and recreated with the full data. Running the seed corpus as a
+// dropped and recreated with the full data. The build-side dimension runs
+// every join shape, and a dimension-first join the default rule builds left,
+// with the build forced left and forced right (checkBuildSides): same rows,
+// same order, same error. Running the seed corpus as a
 // plain unit test (`go test`) already covers every shape;
 // `go test -fuzz=FuzzPlanDiff` explores the generator space further.
 func FuzzPlanDiff(f *testing.F) {
@@ -41,6 +44,12 @@ func FuzzPlanDiff(f *testing.F) {
 	// NULL-padded rows) and INNER.
 	f.Add([]byte("residual 2"))
 	f.Add([]byte("residual 44"))
+	// Both inputs of the dimension-first join fail: the right input's error
+	// comes first, as with a right build.
+	f.Add([]byte("c"))
+	// A LIMIT over the dimension-first join stops before a failing left row
+	// at batch size 1 but not at 1 024: both builds must do the same in each.
+	f.Add([]byte("\xd2\"\xbe\xef"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rng := newDiffRNG(data)
@@ -85,7 +94,128 @@ func FuzzPlanDiff(f *testing.F) {
 				}
 			}
 		}
+		dims, dimFirst := genDimensionJoin(rng, len(docs))
+		checkBuildSides(t, docs, dims, []string{queries[3], queries[6], dimFirst})
 	})
+}
+
+// checkBuildSides runs the join queries over t and the dimension table d at
+// batch sizes 1/7/1024 and parallelism 1/2/4, each with every join that may
+// build left forced right, forced left, and left to the row-bound rule. In
+// each cell the three runs must render the same, error included; and a
+// cell's rows must equal the first cell's when neither failed — which batch
+// a failing row sits in decides whether a LIMIT stops before it, so errors
+// are compared within a cell only. One cell, batch size 1024 at parallelism
+// 2, runs under a 2 KiB memory limit so both builds spill; a spilled join
+// reads each candidate back from disk, so spilling every cell would
+// dominate the fuzzer's time, and the spill grids cover the rest. The last
+// query is the dimension-first join, which the rule must build left.
+func checkBuildSides(t *testing.T, docs, dims, queries []string) {
+	t.Helper()
+	var first []string
+	for _, bs := range []int{1024, 1, 7} {
+		for _, par := range []int{1, 2, 4} {
+			limit := int64(0)
+			if bs == 1024 && par == 2 {
+				limit = 2 << 10
+			}
+			var right []string
+			for _, side := range []buildSide{buildRight, buildLeft, buildAuto} {
+				e := New(WithBatchSize(bs), WithParallelism(par), WithMemLimit(limit))
+				e.forceBuild, e.planCheck = side, true
+				for _, tab := range []struct {
+					name string
+					cols []string
+					docs []string
+				}{
+					{"t", []string{"grp", "id", "val", "s", "items", "x"}, docs},
+					{"d", []string{"dk", "dm", "dn", "dv"}, dims},
+				} {
+					tb, err := e.Catalog().CreateTable(tab.name, tab.cols)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tb.SetTargetPartitionBytes(2048)
+					appendDocs(t, diffCell{name: "build-side"}, tb, tab.docs)
+				}
+				if first == nil {
+					plan, err := e.Explain(queries[len(queries)-1])
+					if err != nil || !strings.Contains(plan, " build=left ") {
+						t.Fatalf("the dimension-first join does not build left (%v):\n%s", err, plan)
+					}
+				}
+				for qi, q := range queries {
+					got := "rows:\n"
+					res, err := e.Query(q)
+					if err != nil {
+						got = "error: " + err.Error()
+					} else {
+						got += renderRows(res)
+					}
+					switch {
+					case len(first) == qi:
+						first = append(first, got)
+					case len(right) == qi:
+						if err == nil && !strings.HasPrefix(first[qi], "error: ") && got != first[qi] {
+							t.Errorf("[bs=%d par=%d limit=%d] rows diverge from bs=1024 par=1 on %s\nthere:\n%s\nhere:\n%s",
+								bs, par, limit, q, clipDiff(first[qi]), clipDiff(got))
+						}
+					case got != right[qi]:
+						t.Errorf("[bs=%d par=%d limit=%d side=%d] diverges from the right build on %s\nright:\n%s\ngot:\n%s",
+							bs, par, limit, side, q, clipDiff(right[qi]), clipDiff(got))
+					}
+					if side == buildRight {
+						right = append(right, got)
+					}
+				}
+			}
+		}
+	}
+}
+
+// genDimensionJoin builds the dimension table d — at most a quarter of t's
+// n rows, so the row-bound rule builds it — and a join of d to t with
+// duplicate and NULL keys, sometimes a second key, a projection that fails
+// on either side, a filter on d, and a LIMIT. It has no ORDER BY: the join's
+// own output order is what the build sides must agree on.
+func genDimensionJoin(r *diffRNG, n int) ([]string, string) {
+	dims := make([]string, r.n(n/4+1))
+	for i := range dims {
+		dk := fmt.Sprint(r.n(15)) // t's groups are below 13: some keys miss
+		if r.n(6) == 0 {
+			dk = "null"
+		}
+		dv := fmt.Sprint(r.n(9))
+		if r.n(40) == 0 {
+			dv = `"v"` // arithmetic on it fails
+		}
+		dims[i] = fmt.Sprintf(`{"dk": %s, "dm": %d, "dn": "d%d", "dv": %s}`, dk, r.n(3), i, dv)
+	}
+	left, right := "", ""
+	switch r.n(6) {
+	case 0:
+		left = `, "dv" + 1 AS "dv1"`
+	case 1:
+		right = `, "x" * 2 AS "x2"`
+	case 2:
+		left, right = `, "dv" + 1 AS "dv1"`, `, "x" * 2 AS "x2"`
+	}
+	where := ""
+	if r.n(3) == 0 {
+		where = fmt.Sprintf(` WHERE "dk" <> %d`, r.n(13))
+	}
+	on := `"dk" = "grp"`
+	if r.n(2) == 0 {
+		on = `"dm" = "m" AND "dk" = "grp"`
+	}
+	limit := ""
+	if r.n(3) == 0 {
+		limit = fmt.Sprintf(` LIMIT %d`, 1+r.n(60))
+	}
+	return dims, fmt.Sprintf(
+		`SELECT * FROM (SELECT "dk", "dm", "dn"%s FROM "d"%s) INNER JOIN `+
+			`(SELECT "grp", "id" %% 3 AS "m", "id", "val", "x"%s FROM "t") ON %s%s`,
+		left, where, right, on, limit)
 }
 
 type diffCell struct {

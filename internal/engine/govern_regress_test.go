@@ -16,7 +16,7 @@ import (
 	"jsonpark/internal/variant"
 )
 
-// TestCrossJoinBuildCharged: drainBuild used to skip charging entirely for
+// TestCrossJoinBuildCharged: the join build used to skip charging entirely for
 // unkeyed joins, so a CROSS join's whole build side escaped the budget and
 // MemPeakBytes read 0. The build side must now be charged (and released on
 // Close) while output stays identical — CROSS joins still never spill.

@@ -30,6 +30,9 @@ var lifetimeQueries = []string{
 	`SELECT "id", "f".VALUE AS "v" FROM (SELECT * FROM "events"), LATERAL FLATTEN(INPUT => "items") AS "f" WHERE "f".VALUE % 7 <> 0 ORDER BY "v" DESC`,
 	`SELECT "a", "b", "v" FROM (SELECT "id" * 2 AS "a", "grp" + 1 AS "ga" FROM "events" WHERE "id" < 60) INNER JOIN (SELECT "id" + 0 AS "b", "grp" + 1 AS "gb", "f".VALUE * 2 AS "v" FROM (SELECT * FROM "events" WHERE "id" < 40), LATERAL FLATTEN(INPUT => "items") AS "f") ON "ga" = "gb"`,
 	`SELECT "a", "v" FROM (SELECT "id" * 2 AS "a", "f".INDEX + "grp" AS "ga" FROM (SELECT * FROM "events" WHERE "id" < 30), LATERAL FLATTEN(INPUT => "items", OUTER => TRUE) AS "f") LEFT OUTER JOIN (SELECT "grp" + 3 AS "gb", "val" * 2 AS "v" FROM "events" WHERE "id" < 9) ON "ga" = "gb"`,
+	// A left build: the small dim drains from a projection's registers, and
+	// the matched right rows are kept from a filtered projection's.
+	`SELECT "dn", "b", "v" FROM (SELECT "dk" + 1 AS "ga", "dn" FROM "dim") INNER JOIN (SELECT "id" * 2 AS "b", "grp" + 1 AS "gb", "val" * 3 AS "v" FROM "events" WHERE "id" % 5 <> 0) ON "ga" = "gb"`,
 	`SELECT "id", "f".VALUE * 3 AS "t" FROM (SELECT * FROM "events"), LATERAL FLATTEN(INPUT => "items") AS "f" LIMIT 37`,
 	`(SELECT "id" * 2 AS "v" FROM "events" WHERE "grp" = 1) UNION ALL (SELECT "f".VALUE + 1 AS "v" FROM (SELECT * FROM "events" WHERE "grp" = 2), LATERAL FLATTEN(INPUT => "items") AS "f")`,
 	`SELECT "grp", ARRAY_AGG("f".VALUE * 2), ANY_VALUE("id" + 1) FROM (SELECT * FROM "events"), LATERAL FLATTEN(INPUT => "items") AS "f" GROUP BY "grp"`,

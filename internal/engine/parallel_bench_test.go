@@ -48,6 +48,7 @@ func runParallelBench(b *testing.B, sql string, rows int) {
 		par := par
 		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
 			e := benchParEngine(b, par, rows)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := e.Query(sql); err != nil {
@@ -76,12 +77,22 @@ func BenchmarkReaggParallel(b *testing.B) {
 		8000)
 }
 
-// BenchmarkJoinBuild measures hash-join build cost: the probe side is a tiny
-// dimension table, so nearly all the time is building the hash table over the
-// fact rows.
-func BenchmarkJoinBuild(b *testing.B) {
+// BenchmarkJoinSmallBuild measures a hash join with a small build and a
+// large probe: the 401-row "bdim" is at most a quarter of "bpar"'s 40 000
+// rows, so the join builds bdim and streams bpar past its table, keeping the
+// rows that match.
+func BenchmarkJoinSmallBuild(b *testing.B) {
 	runParallelBench(b,
 		`SELECT COUNT(*) FROM "bdim" INNER JOIN "bpar" ON "k" = "grp"`,
+		40000)
+}
+
+// BenchmarkJoinLargeBuild measures hash-join build cost on a large build:
+// bpar joined to itself on its unique id, so the 40 000-row right input is
+// drained, copied and indexed.
+func BenchmarkJoinLargeBuild(b *testing.B) {
+	runParallelBench(b,
+		`SELECT COUNT(*) FROM (SELECT "id" FROM "bpar") INNER JOIN (SELECT "id" AS "i2" FROM "bpar") ON "id" = "i2"`,
 		40000)
 }
 

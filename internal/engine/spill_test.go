@@ -13,7 +13,9 @@ import (
 
 // spillEngine builds a dataset sized so every breaker shape below crosses
 // the small test budget: many groups, a wide join build side, and enough
-// rows that sort input far exceeds 64KiB.
+// rows that sort input far exceeds 64KiB. Beside "t" it loads "dim", a fifth
+// of t's rows — small enough that a join of dim to t builds dim — whose keys
+// "dk" hit 600 of t's "v" values twice each and are NULL on every 13th row.
 func spillEngine(t *testing.T, opts ...Option) *Engine {
 	t.Helper()
 	e := New(opts...)
@@ -32,13 +34,27 @@ func spillEngine(t *testing.T, opts ...Option) *Engine {
 			t.Fatal(err)
 		}
 	}
+	dim, err := e.Catalog().CreateTable("dim", []string{"dk", "dn"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1200; i++ {
+		dk := variant.Int(int64(i / 2 * 10))
+		if i%13 == 0 {
+			dk = variant.Null
+		}
+		if err := dim.Append([]variant.Value{dk, variant.String(fmt.Sprintf("dim-%04d-%s", i, strings.Repeat("y", 40)))}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	return e
 }
 
 // spillParityQueries exercises every spilling code path: mergeable
 // aggregate state runs (COUNT/MIN/MAX/ARRAY_AGG/COUNT DISTINCT), the
 // deferred-tuple replay path (float SUM/AVG), external sort-run merge,
-// and the offset-indexed join-build spill.
+// the offset-indexed join-build spill, and a left build's spilled build
+// rows and matched right rows.
 var spillParityQueries = []string{
 	`SELECT "k", COUNT(*) AS c, MIN("v") AS mn, MAX("s") AS mx FROM "t" GROUP BY "k" ORDER BY "k"`,
 	`SELECT "k", COUNT(DISTINCT "s") AS d, ARRAY_AGG("v") AS vs FROM "t" GROUP BY "k" ORDER BY "k"`,
@@ -54,7 +70,12 @@ var spillParityQueries = []string{
 	`SELECT "k", "v", "s" FROM "t" ORDER BY "k", SEQ8() % 3 DESC`,
 	`SELECT "v", "v2", "s2" FROM (SELECT "k", "v" FROM "t" WHERE "k" < 9) INNER JOIN (SELECT "v" AS "v2", "s" AS "s2", "k" AS "k2" FROM "t") ON "v" = "v2" ORDER BY "v"`,
 	`SELECT "k2", COUNT(*) AS n FROM (SELECT "k", "v" FROM "t") LEFT OUTER JOIN (SELECT "v" AS "v2", "k" AS "k2" FROM "t" WHERE "k" = 3) ON "v" = "v2" GROUP BY "k2" ORDER BY "k2"`,
+	dimFirstJoin,
 }
+
+// dimFirstJoin joins the small "dim" to "t": the row bounds (1200 ≤ 6000/4)
+// build it left, and its output is left-major, without an ORDER BY.
+const dimFirstJoin = `SELECT "dn", "v", "s" FROM (SELECT "dk", "dn" FROM "dim") INNER JOIN (SELECT "v", "s", "k" FROM "t") ON "dk" = "v"`
 
 // TestSpillParityGrid is the governance acceptance grid: every query must
 // produce rows byte-identical to the batch-size-1 sequential unlimited
@@ -110,10 +131,14 @@ func TestSpillEveryBreakerSpills(t *testing.T) {
 	cases := []struct {
 		sql string
 		op  string // substring of the op name expected to spill
+		// detail is a substring of the spilling operator's detail: each join
+		// case pins its build side.
+		detail string
 	}{
-		{`SELECT "k", COUNT(*) AS c FROM "t" GROUP BY "k"`, "Aggregate"},
-		{`SELECT "v" FROM "t" ORDER BY "s", "v"`, "Sort"},
-		{`SELECT "v" FROM (SELECT "k", "v" FROM "t" WHERE "k" < 2) INNER JOIN (SELECT "v" AS "v2", "s" AS "s2" FROM "t") ON "v" = "v2"`, "Join"},
+		{`SELECT "k", COUNT(*) AS c FROM "t" GROUP BY "k"`, "Aggregate", ""},
+		{`SELECT "v" FROM "t" ORDER BY "s", "v"`, "Sort", ""},
+		{`SELECT "v" FROM (SELECT "k", "v" FROM "t" WHERE "k" < 2) INNER JOIN (SELECT "v" AS "v2", "s" AS "s2" FROM "t") ON "v" = "v2"`, "Join", "build=right rows=6000/6000"},
+		{dimFirstJoin, "Join", "build=left rows=1200/6000"},
 	}
 	for _, par := range []int{1, 2, 4} {
 		// 16KiB: small enough that even a single pruned int column (8 bytes
@@ -129,7 +154,7 @@ func TestSpillEveryBreakerSpills(t *testing.T) {
 			}
 			var spilled bool
 			p.PlanStats().Walk(func(_ int, n *PlanStats) {
-				if strings.Contains(n.Op, c.op) && n.Spills > 0 {
+				if strings.Contains(n.Op, c.op) && strings.Contains(n.Detail, c.detail) && n.Spills > 0 {
 					spilled = true
 				}
 			})

@@ -31,6 +31,21 @@ func multiPartEngine(t *testing.T, opts ...Option) *Engine {
 			t.Fatal(err)
 		}
 	}
+	// "dim" is small enough beside events that a join of the two builds it:
+	// keys 0..8, NULL on every seventh row.
+	dim, err := e.Catalog().CreateTable("dim", []string{"dk", "dn"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		dk := variant.Int(int64(i % 9))
+		if i%7 == 0 {
+			dk = variant.Null
+		}
+		if err := dim.Append([]variant.Value{dk, variant.String(fmt.Sprintf("n%d", i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	return e
 }
 

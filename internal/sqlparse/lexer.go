@@ -37,7 +37,9 @@ func (e *Error) Error() string {
 }
 
 func lexSQL(src string) ([]token, error) {
-	var out []token
+	// The paper's SQL runs 3 to 7 bytes a token (generated ADL about 4): one
+	// allocation holds every token.
+	out := make([]token, 0, len(src)/3+1)
 	line, col := 1, 1
 	i := 0
 	adv := func(n int) {
@@ -60,52 +62,17 @@ func lexSQL(src string) ([]token, error) {
 			for i < len(src) && src[i] != '\n' {
 				adv(1)
 			}
-		case c == '"':
-			startL, startC := line, col
-			adv(1)
-			var b strings.Builder
-			closed := false
-			for i < len(src) {
-				if src[i] == '"' {
-					if i+1 < len(src) && src[i+1] == '"' {
-						b.WriteByte('"')
-						adv(2)
-						continue
-					}
-					adv(1)
-					closed = true
-					break
-				}
-				b.WriteByte(src[i])
-				adv(1)
+		case c == '"' || c == '\'':
+			kind, what := tQuotedIdent, "quoted identifier"
+			if c == '\'' {
+				kind, what = tString, "string literal"
 			}
-			if !closed {
-				return nil, &Error{Line: startL, Col: startC, Msg: "unterminated quoted identifier"}
+			text, n, ok := quoted(src[i:])
+			if !ok {
+				return nil, &Error{Line: line, Col: col, Msg: "unterminated " + what}
 			}
-			out = append(out, token{tQuotedIdent, b.String(), startL, startC})
-		case c == '\'':
-			startL, startC := line, col
-			adv(1)
-			var b strings.Builder
-			closed := false
-			for i < len(src) {
-				if src[i] == '\'' {
-					if i+1 < len(src) && src[i+1] == '\'' {
-						b.WriteByte('\'')
-						adv(2)
-						continue
-					}
-					adv(1)
-					closed = true
-					break
-				}
-				b.WriteByte(src[i])
-				adv(1)
-			}
-			if !closed {
-				return nil, &Error{Line: startL, Col: startC, Msg: "unterminated string literal"}
-			}
-			out = append(out, token{tString, b.String(), startL, startC})
+			out = append(out, token{kind, text, line, col})
+			adv(n)
 		case c >= '0' && c <= '9':
 			startL, startC := line, col
 			start := i
@@ -161,6 +128,29 @@ func lexSQL(src string) ([]token, error) {
 	}
 	out = append(out, token{tEOF, "", line, col})
 	return out, nil
+}
+
+// quoted reads the quoted identifier or string literal s opens: its text —
+// a substring of s unless it holds a doubled quote, which stands for one
+// quote — and its length, quotes included. ok is false when it does not
+// close.
+func quoted(s string) (text string, n int, ok bool) {
+	q := s[0]
+	doubled := false
+	for k := 1; k < len(s); k++ {
+		switch {
+		case s[k] != q:
+		case k+1 < len(s) && s[k+1] == q:
+			doubled = true
+			k++
+		default:
+			if text = s[1:k]; doubled {
+				text = strings.ReplaceAll(text, s[k:k+1]+s[k:k+1], s[k:k+1])
+			}
+			return text, k + 1, true
+		}
+	}
+	return "", 0, false
 }
 
 func isIdentStart(c byte) bool {

@@ -205,3 +205,64 @@ func TestNoExchanges(t *testing.T) {
 		}
 	}
 }
+
+// TestJoinBuildSideCensus pins the build side of every SSB join at SF 8 (the
+// ssb_exec load): in both SQL forms exactly the first join of q3.x and q4.x
+// (customer or supplier ⋈ lineorder) builds its left input, a dimension
+// table at most a quarter of lineorder's rows; every other join has a join
+// below it on the left, so no row bound, and builds right. serve_mix's cold
+// revenue texts (q1.1's shape, lineorder first) build right too.
+func TestJoinBuildSideCensus(t *testing.T) {
+	sess, err := Setup(20240611, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sess.Engine()
+	count := func(id, sql string) (left, joins int) {
+		t.Helper()
+		plan, err := eng.Explain(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		joins = strings.Count(plan, " Join ")
+		if sides := strings.Count(plan, " build="); sides != joins {
+			t.Errorf("%s: %d build sides for %d joins:\n%s", id, sides, joins, plan)
+		}
+		return strings.Count(plan, " build=left "), joins
+	}
+	var total [2]int
+	for _, q := range Queries() {
+		gen, err := TranslateSQL(sess, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		if strings.HasPrefix(q.ID, "q3.") || strings.HasPrefix(q.ID, "q4.") {
+			want = 1
+		}
+		for i, sql := range []string{gen, q.SQL} {
+			left, joins := count(q.ID, sql)
+			if left != want {
+				t.Errorf("%s form %d: %d of %d joins build left, want %d", q.ID, i, left, joins, want)
+			}
+			total[i] += left
+		}
+	}
+	if total != [2]int{7, 7} {
+		t.Errorf("left builds (generated, handwritten) = %v, want [7 7]", total)
+	}
+	cold := `sum(
+  for $l in collection("lineorder")
+  for $d in collection("date")
+  where $l.lo_orderdate eq $d.d_datekey
+  where $d.d_year eq 1994 and $l.lo_discount ge 4 and $l.lo_discount le 6 and $l.lo_quantity lt 30
+  return $l.lo_extendedprice * $l.lo_discount
+)`
+	sql, err := TranslateSQL(sess, Query{ID: "cold", JSONiq: cold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if left, joins := count("cold", sql); left != 0 || joins != 1 {
+		t.Errorf("cold revenue text: %d of %d joins build left, want 0 of 1", left, joins)
+	}
+}

@@ -313,10 +313,13 @@ func (t *Table) Partitions() []*Partition {
 	return t.Snapshot().Parts
 }
 
-// NumRows returns the total row count.
+// NumRows returns the total row count, buffered rows included, without
+// sealing them.
 func (t *Table) NumRows() int64 {
-	var n int64
-	for _, p := range t.Partitions() {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	n := int64(t.open.rows)
+	for _, p := range t.partitions {
 		n += int64(p.rows)
 	}
 	return n
