@@ -49,12 +49,16 @@ stress:
 	set -o pipefail; $(GO) test -race -run 'Stress' -count 5 ./internal/engine/ 2>&1 | tee stress.log
 
 # fuzz-smoke gives each fuzzer a short budget so CI explores beyond the
-# checked-in seed corpus: the differential plan fuzzer, and the SQL parser
-# fuzzer (no panic or hang on any input; what parses renders back stably).
+# checked-in seed corpus: the differential plan fuzzer, the SQL parser
+# fuzzer (no panic or hang on any input; what parses renders back stably),
+# and the value decoder + freezer fuzzer (no panic, hang or unbounded
+# allocation decoding any bytes; a frozen value is exactly the decoded one,
+# with every pointer inside its block).
 # The seeds themselves already run as unit tests under `make test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzPlanDiff' -fuzztime 30s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz 'FuzzSQLParse' -fuzztime 30s ./internal/sqlparse/
+	$(GO) test -run '^$$' -fuzz 'FuzzFreeze' -fuzztime 30s ./internal/variant/
 
 # obs-smoke boots a real jsqd with slow-query capture and a qlog sink, runs
 # one query four times over HTTP around an append, and asserts the

@@ -248,6 +248,11 @@ func (p *parser) parseSelectItem() (sqlast.SelectItem, error) {
 	} else if p.peek().kind == tQuotedIdent {
 		item.Alias = p.advance().text
 	}
+	// A parenthesized star is an expression, but `*` renders bare, where an
+	// alias after it would not parse back.
+	if _, star := e.(*sqlast.Star); star && item.Alias != "" {
+		return sqlast.SelectItem{}, p.errf("a star cannot take an alias")
+	}
 	return item, nil
 }
 

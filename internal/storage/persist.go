@@ -542,7 +542,7 @@ func readChunkData(r *byteReader, cc *ColumnChunk) error {
 			}
 			vals = append(vals, v)
 		}
-		cc.values = vals
+		cc.values = variant.Freeze(vals)
 		return nil
 	}
 

@@ -382,11 +382,11 @@ func (p *Partition) append(row []variant.Value) {
 	p.rows++
 }
 
-// finalize runs once at seal time: it trims each chunk's over-allocated
-// value slice to its final length, attempts the typed encoding (when enabled
-// for the table), and computes the per-path statistics in one pass — typed
-// chunks derive their root zone map straight from the typed array, variant
-// chunks shred every value. Appends never pay for stats upkeep; sealed
+// finalize runs once at seal time: it attempts the typed encoding (when
+// enabled for the table), freezes each chunk left on the variant encoding,
+// and computes the per-path statistics in one pass — typed chunks derive
+// their root zone map straight from the typed array, variant chunks shred
+// every value. Appends never pay for stats upkeep; sealed
 // partitions are immutable so the work happens exactly once.
 func (p *Partition) finalize(typed bool) {
 	for _, cc := range p.chunks {
@@ -428,9 +428,11 @@ func (cc *ColumnChunk) append(v variant.Value) {
 	cc.bytes += v.DeepSizeBytes()
 }
 
-// finalize trims the value slice to its final length (append growth can leave
-// the capacity nearly double the length), builds the typed encoding when
-// requested, and computes the chunk's path statistics.
+// finalize builds the typed encoding when requested, freezes a chunk that
+// stays on the variant representation into one pointer-free block
+// (variant.Freeze: the garbage collector marks it as one object instead of
+// re-marking every nested value each cycle), and computes the chunk's path
+// statistics from the frozen values.
 func (cc *ColumnChunk) finalize(typed bool) {
 	if typed {
 		cc.typed = buildTyped(cc.values)
@@ -443,11 +445,7 @@ func (cc *ColumnChunk) finalize(typed bool) {
 		cc.rootStatsFromTyped(cc.typed)
 		return
 	}
-	if cap(cc.values) > len(cc.values) {
-		trimmed := make([]variant.Value, len(cc.values))
-		copy(trimmed, cc.values)
-		cc.values = trimmed
-	}
+	cc.values = variant.Freeze(cc.values)
 	for _, v := range cc.values {
 		cc.shred("", v)
 	}

@@ -69,10 +69,20 @@ func (v Value) AppendBinary(dst []byte) []byte {
 	return append(dst, serNull)
 }
 
+// maxDecodeDepth bounds the nesting DecodeBinary accepts, so a hostile
+// input of nested array tags cannot recurse without bound. It matches the
+// nesting limit of encoding/json, the only producer of documents.
+const maxDecodeDepth = 10000
+
 // DecodeBinary decodes one value from the front of src, returning it and the
 // unconsumed tail. Strings copy out of src, so the caller may reuse its
 // buffer after decoding.
-func DecodeBinary(src []byte) (Value, []byte, error) {
+func DecodeBinary(src []byte) (Value, []byte, error) { return decodeBinary(src, 0) }
+
+func decodeBinary(src []byte, depth int) (Value, []byte, error) {
+	if depth > maxDecodeDepth {
+		return Null, nil, fmt.Errorf("variant: decode: nesting deeper than %d", maxDecodeDepth)
+	}
 	if len(src) == 0 {
 		return Null, nil, fmt.Errorf("variant: decode: empty input")
 	}
@@ -116,7 +126,7 @@ func DecodeBinary(src []byte) (Value, []byte, error) {
 		for i := uint64(0); i < n; i++ {
 			var e Value
 			var err error
-			e, src, err = DecodeBinary(src)
+			e, src, err = decodeBinary(src, depth+1)
 			if err != nil {
 				return Null, nil, err
 			}
@@ -140,7 +150,7 @@ func DecodeBinary(src []byte) (Value, []byte, error) {
 			src = src[kw+int(klen):]
 			var f Value
 			var err error
-			f, src, err = DecodeBinary(src)
+			f, src, err = decodeBinary(src, depth+1)
 			if err != nil {
 				return Null, nil, err
 			}

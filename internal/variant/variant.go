@@ -8,6 +8,7 @@ package variant
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -61,7 +62,10 @@ const smallObjectKeys = 8
 type Object struct {
 	keys   []string
 	values []Value
-	index  map[string]int // nil while len(keys) <= smallObjectKeys
+	index  map[string]int // nil while len(keys) <= smallObjectKeys, and when frozen
+	// frozen is nil in a builder. Freeze sets it: at a frozen wide object's
+	// field positions sorted by key (byKey), at a sentinel otherwise.
+	frozen *uint32
 }
 
 // NewObject returns an empty mutable object builder.
@@ -93,8 +97,12 @@ func ObjectFromPairs(pairs ...any) Value {
 	return ObjectValue(o)
 }
 
-// Set inserts or replaces a field. It returns the object for chaining.
+// Set inserts or replaces a field. It returns the object for chaining. Set
+// panics on a frozen object (Freeze): stored values are immutable.
 func (o *Object) Set(key string, v Value) *Object {
+	if o.frozen != nil {
+		panic("variant: Set on a frozen object")
+	}
 	if i := o.find(key); i >= 0 {
 		o.values[i] = v
 		return o
@@ -118,6 +126,15 @@ func (o *Object) find(key string) int {
 	if o.index != nil {
 		if i, ok := o.index[key]; ok {
 			return i
+		}
+		return -1
+	}
+	if o.frozen != nil && len(o.keys) > smallObjectKeys {
+		idx := o.byKey()
+		if i, ok := slices.BinarySearchFunc(idx, key, func(p uint32, k string) int {
+			return strings.Compare(o.keys[p], k)
+		}); ok {
+			return int(idx[i])
 		}
 		return -1
 	}

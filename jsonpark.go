@@ -30,8 +30,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"jsonpark/internal/core"
@@ -76,7 +78,14 @@ type Warehouse struct {
 	eng  *engine.Engine
 	sess *snowpark.Session
 	obs  *obsv.Observer
-	docs map[string][]Value
+	// docs holds every document LoadObject appended, as the concatenated
+	// exact binary encoding (Value.AppendBinary) of each collection, only
+	// so that QueryInterpreted can replay them. Bytes, not Values: storage
+	// keeps its own frozen copy, and a second copy as live objects would be
+	// re-marked by every garbage collection. Appends never rewrite a byte,
+	// so a slice header taken under docsMu stays readable after it.
+	docsMu sync.Mutex
+	docs   map[string][]byte
 	// slowThresh/slowOn arm slow-query capture (WithSlowQueryMillis):
 	// queries at or above the threshold retain their full span tree and
 	// EXPLAIN ANALYZE snapshot in the observer's slow ring.
@@ -278,7 +287,7 @@ func Open(opts ...OpenOption) *Warehouse {
 		eng:  eng,
 		sess: snowpark.NewSession(eng),
 		obs:  obsv.NewObserver(),
-		docs: make(map[string][]Value),
+		docs: make(map[string][]byte),
 	}
 	w.obs.RegisterPlanCacheStats(eng.PlanCacheStats)
 	w.obs.RegisterResultCacheStats(eng.ResultCacheStats)
@@ -325,7 +334,9 @@ func (w *Warehouse) LoadObject(collection string, v Value) error {
 	if err := t.AppendObject(v); err != nil {
 		return err
 	}
-	w.docs[collection] = append(w.docs[collection], v)
+	w.docsMu.Lock()
+	w.docs[collection] = v.AppendBinary(w.docs[collection])
+	w.docsMu.Unlock()
 	return nil
 }
 
@@ -638,8 +649,19 @@ func (w *Warehouse) QueryInterpreted(jsoniqSrc string) ([]Value, error) {
 	if err != nil {
 		return nil, err
 	}
+	w.docsMu.Lock()
+	encoded := maps.Clone(w.docs)
+	w.docsMu.Unlock()
 	rt := runtime.New(runtime.ProfileDefault)
-	for name, docs := range w.docs {
+	for name, enc := range encoded {
+		var docs []Value
+		for len(enc) > 0 {
+			var d Value
+			if d, enc, err = variant.DecodeBinary(enc); err != nil {
+				return nil, err
+			}
+			docs = append(docs, d)
+		}
 		rt.LoadCollection(name, docs)
 	}
 	return rt.Run(jsoniq.Rewrite(expr))

@@ -2,7 +2,10 @@ package jsonpark
 
 import (
 	"strings"
+	"sync"
 	"testing"
+
+	"jsonpark/internal/variant"
 )
 
 func exampleWarehouse(t *testing.T) *Warehouse {
@@ -99,6 +102,105 @@ func TestWarehouseInterpretedMatchesTranslated(t *testing.T) {
 		if translated[i].HashKey() != interpreted[i].HashKey() {
 			t.Errorf("row %d: %v vs %v", i, translated[i], interpreted[i])
 		}
+	}
+}
+
+// TestWarehouseInterpretedReplaysExactDocuments: the interpreter replays the
+// loaded documents from their binary encoding, which must keep a missing
+// field apart from an explicit null and the integer 1 apart from the double
+// 1.0, exactly as loaded.
+func TestWarehouseInterpretedReplaysExactDocuments(t *testing.T) {
+	w := Open()
+	if err := w.CreateCollection("docs", []string{"id", "v"}); err != nil {
+		t.Fatal(err)
+	}
+	docs := []string{
+		`{"id": 1, "v": 1}`,
+		`{"id": 2, "v": 1.0}`,
+		`{"id": 3, "v": null}`,
+		`{"id": 4}`,
+		`{"id": 5, "v": {"n": null, "xs": [1, 1.0, "1", []]}}`,
+	}
+	for _, d := range docs {
+		if err := w.LoadJSON("docs", d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	items, err := w.QueryInterpreted(`for $d in collection("docs") return $d`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(items) != len(docs) {
+		t.Fatalf("replayed %d documents, want %d", len(items), len(docs))
+	}
+	for i, d := range docs {
+		want := variant.MustParseJSON(d)
+		if !variant.BinaryEqual(items[i], want) {
+			t.Errorf("document %d replayed as %s, want %s", i, items[i].JSON(), want.JSON())
+		}
+	}
+	src := `for $d in collection("docs") order by $d.id return {"id": $d.id, "v": $d.v}`
+	translated, err := w.QueryItems(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	interpreted, err := w.QueryInterpreted(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(translated) != len(interpreted) {
+		t.Fatalf("row count mismatch: %d vs %d", len(translated), len(interpreted))
+	}
+	for i := range translated {
+		if translated[i].HashKey() != interpreted[i].HashKey() {
+			t.Errorf("row %d: %v vs %v", i, translated[i], interpreted[i])
+		}
+	}
+}
+
+// TestWarehouseConcurrentLoadAndReplay: loads and interpreted replays may run
+// from several goroutines at once (jsqd serves both); every replay sees a
+// whole-document prefix of the loads.
+func TestWarehouseConcurrentLoadAndReplay(t *testing.T) {
+	w := Open()
+	if err := w.CreateCollection("docs", []string{"id"}); err != nil {
+		t.Fatal(err)
+	}
+	// The interpreter knows a collection once it holds a document.
+	if err := w.LoadJSON("docs", `{"id": 0, "tag": "x"}`); err != nil {
+		t.Fatal(err)
+	}
+	const loaders, perLoader = 4, 50
+	var wg sync.WaitGroup
+	for g := 0; g < loaders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perLoader; i++ {
+				if err := w.LoadJSON("docs", `{"id": 1, "tag": "x"}`); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			if _, err := w.QueryInterpreted(`for $d in collection("docs") return $d.tag`); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	items, err := w.QueryInterpreted(`for $d in collection("docs") return $d.tag`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(items) != 1+loaders*perLoader {
+		t.Fatalf("replayed %d documents, want %d", len(items), 1+loaders*perLoader)
 	}
 }
 
