@@ -39,10 +39,11 @@ race:
 	$(GO) test -race ./...
 
 # The stress tests hammer every worker pool of internal/engine — the
-# exchanges and the parallel pipeline breakers (aggregate and join build;
-# the sort is sequential) — with LIMIT-truncated, cancelled and abandoned
-# queries, plus the MVCC and plan-cache races; under the race detector, five
-# times over, they are the gate for the worker-shutdown paths. The output is
+# exchanges and the fanned-out hash aggregate's phase 1 (the join build and
+# the sort are sequential) — with LIMIT-truncated, cancelled and abandoned
+# queries, plus the join's early Close, the MVCC and plan-cache races; under
+# the race detector, five times over, they are the gate for the
+# worker-shutdown paths. The output is
 # kept in stress.log, which CI uploads when the run fails.
 stress: SHELL := /bin/bash
 stress:
@@ -51,14 +52,17 @@ stress:
 # fuzz-smoke gives each fuzzer a short budget so CI explores beyond the
 # checked-in seed corpus: the differential plan fuzzer, the SQL parser
 # fuzzer (no panic or hang on any input; what parses renders back stably),
-# and the value decoder + freezer fuzzer (no panic, hang or unbounded
+# the value decoder + freezer fuzzer (no panic, hang or unbounded
 # allocation decoding any bytes; a frozen value is exactly the decoded one,
-# with every pointer inside its block).
+# with every pointer inside its block), and the JSON parser fuzzer (no panic
+# or hang; what parses renders through JSON() back to an equal value; data
+# after the first value is rejected).
 # The seeds themselves already run as unit tests under `make test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzPlanDiff' -fuzztime 30s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz 'FuzzSQLParse' -fuzztime 30s ./internal/sqlparse/
 	$(GO) test -run '^$$' -fuzz 'FuzzFreeze' -fuzztime 30s ./internal/variant/
+	$(GO) test -run '^$$' -fuzz 'FuzzParseJSON' -fuzztime 30s ./internal/variant/
 
 # obs-smoke boots a real jsqd with slow-query capture and a qlog sink, runs
 # one query four times over HTTP around an append, and asserts the

@@ -44,7 +44,7 @@ func main() {
 	demo := flag.Bool("demo", false, "load a tiny built-in orders dataset")
 	repl := flag.Bool("repl", false, "interactive mode: queries end with a ';' line")
 	batchSize := flag.Int("batch-size", 0, "rows per vector batch (0 = engine default, 1024)")
-	parallelism := flag.Int("parallelism", 0, "workers for parallel scans, aggregation, join build and sort (0 = NumCPU, 1 = sequential)")
+	parallelism := flag.Int("parallelism", 0, "workers for parallel scans, nested pipelines and aggregation (0 = NumCPU, 1 = sequential)")
 	memLimit := flag.String("mem-limit", "", "pipeline-breaker memory budget per query, e.g. 64KiB or 512MiB (empty = unlimited; overflow spills to disk)")
 	timeout := flag.Duration("timeout", 0, "per-query execution time limit, e.g. 30s (0 = none)")
 	qlogPath := flag.String("qlog", "", "append a structured query-log JSON line per query to FILE (- = stderr)")

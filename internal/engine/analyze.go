@@ -32,17 +32,16 @@ type OpStats struct {
 	PartitionsTotal  int           // scan: partitions considered
 	PartitionsPruned int           // scan: partitions skipped via zone maps
 
-	// Pipeline-breaker phase stats (a fanned-out hash aggregate, a join
-	// build; zero elsewhere, the sort included). Pipelines > 0 marks the
-	// operator as having recorded its blocking phase.
+	// Pipeline-breaker phase stats: only a fanned-out hash aggregate fills
+	// them (zero elsewhere, the join build and the sort included).
+	// Pipelines > 0 marks the operator as having recorded its phases.
 	Pipelines     int   // phase-1 workers that ran
-	MergeParts    int   // disjoint hash/merge partitions of phase 2
-	LocalRows     int64 // rows folded into thread-local state (build rows, run rows)
-	LocalGroups   int64 // groups across all thread-local tables (pre-merge)
-	MergedGroups  int64 // distinct groups (or build keys) after the merge
+	LocalRows     int64 // rows folded into the spans' tables
+	LocalGroups   int64 // groups across all the spans' tables (pre-merge)
+	MergedGroups  int64 // distinct groups after the merge
 	MaxWorkerRows int64 // largest per-worker share of LocalRows (skew indicator)
-	LocalWallUS   int64 // wall time of the parallel local phase, microseconds
-	MergeWallUS   int64 // wall time of the parallel merge phase, microseconds
+	LocalWallUS   int64 // wall time of the parallel phase 1, microseconds
+	MergeWallUS   int64 // wall time of the ordered phase-2 merge, microseconds
 
 	// Exchange: the workers and morsels it fanned out to. Exchange and hash
 	// aggregate: why it ran sequentially.
@@ -75,7 +74,6 @@ type PlanStats struct {
 	PartitionsPruned int    `json:"partitions_pruned,omitempty"`
 	Batches          int64  `json:"batches,omitempty"`
 	Pipelines        int    `json:"pipelines,omitempty"`
-	MergeParts       int    `json:"merge_parts,omitempty"`
 	LocalRows        int64  `json:"local_rows,omitempty"`
 	LocalGroups      int64  `json:"local_groups,omitempty"`
 	MergedGroups     int64  `json:"merged_groups,omitempty"`
@@ -138,7 +136,6 @@ func buildPlanStats(n Node, c *execContext) *PlanStats {
 		PartitionsPruned: st.PartitionsPruned,
 		Batches:          st.batches.Load(),
 		Pipelines:        st.Pipelines,
-		MergeParts:       st.MergeParts,
 		LocalRows:        st.LocalRows,
 		LocalGroups:      st.LocalGroups,
 		MergedGroups:     st.MergedGroups,
@@ -212,8 +209,8 @@ func (ps *PlanStats) Render() string {
 			fmt.Fprintf(&b, " batches=%d", n.Batches)
 		}
 		if n.Pipelines > 0 {
-			fmt.Fprintf(&b, " par[pipelines=%d merge_parts=%d local_rows=%d local_groups=%d merged=%d max_worker_rows=%d local=%s merge=%s]",
-				n.Pipelines, n.MergeParts, n.LocalRows, n.LocalGroups, n.MergedGroups,
+			fmt.Fprintf(&b, " par[pipelines=%d local_rows=%d local_groups=%d merged=%d max_worker_rows=%d local=%s merge=%s]",
+				n.Pipelines, n.LocalRows, n.LocalGroups, n.MergedGroups,
 				n.MaxWorkerRows,
 				time.Duration(n.LocalWallUS)*time.Microsecond,
 				time.Duration(n.MergeWallUS)*time.Microsecond)

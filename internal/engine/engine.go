@@ -42,17 +42,15 @@ type Engine struct {
 	// Tests use it to hold a query mid-flight deterministically.
 	batchHook func()
 	// Test hooks, set before the first query (compiled plans are cached on
-	// the query text alone). forceHashAgg keeps every aggregate
-	// on the hash path — the streaming aggregate's oracle; mergeParts sets the
-	// parallel aggregate's merge partitions (0 follows the parallelism);
-	// morselRows shrinks the exchange's morsels so small tables fan out;
-	// planCheck turns on the planck pass (planck.go): every compiled plan is
-	// cross-checked and every envelope validates the batches it passes on;
-	// forceBuild makes every join that may build left build on the side it
-	// names — the left build's oracle is buildRight.
+	// the query text alone). forceHashAgg keeps every aggregate on the hash
+	// path — the streaming aggregate's oracle; morselRows shrinks the
+	// exchange's morsels so small tables fan out; planCheck turns on the
+	// planck pass (planck.go): every compiled plan is cross-checked and
+	// every envelope validates the batches it passes on; forceBuild makes
+	// every join that may build left build on the side it names — the left
+	// build's oracle is buildRight.
 	forceHashAgg bool
 	forceBuild   buildSide
-	mergeParts   int
 	morselRows   int
 	planCheck    bool
 }
@@ -72,12 +70,11 @@ func WithBatchSize(n int) Option {
 
 // WithParallelism caps the worker pool of every parallel operator: the
 // exchanges (scans and nested FLATTEN/re-aggregate pipelines over morsels)
-// and the pipeline-breaker phases (partitioned hash aggregation, hash-join
-// build, sort-run sorting). 1 runs everything sequentially; values < 1 fall
-// back to runtime.NumCPU(). Results are byte-identical at every setting —
-// operators whose parallel execution could change output (float SUM/AVG
-// folds, row IDs used other than as keys, unknown aggregates) stay on the
-// sequential path.
+// and the hash aggregate's phase 1 over a multi-partition table. 1 runs
+// everything sequentially; values < 1 fall back to runtime.NumCPU(). Results
+// are byte-identical at every setting — operators whose parallel execution
+// could change output (float SUM/AVG folds, row IDs used other than as keys,
+// unknown aggregates) stay on the sequential path.
 func WithParallelism(n int) Option {
 	return func(e *Engine) {
 		if n > 0 {
@@ -206,7 +203,8 @@ type Metrics struct {
 	PartitionsPruned int
 	RowsReturned     int64
 	// ParallelBreakers is the number of pipeline breakers that fanned out:
-	// hash aggregates, and join builds over more than one bucket.
+	// hash aggregates whose phase 1 ran on workers (the join build and the
+	// sort are sequential at every parallelism).
 	ParallelBreakers int
 	// Memory governance (WithMemLimit): peak accounted bytes, the configured
 	// limit, and how often / how much the breakers spilled to disk.
@@ -359,7 +357,6 @@ func (e *Engine) bind(cp *compiledPlan, po PrepareOptions) (*Prepared, error) {
 		batchSize:   e.batchSize,
 		parallelism: e.parallelism,
 		morselRows:  e.morselRows,
-		mergeParts:  e.mergeParts,
 		planCheck:   e.planCheck,
 		acct:        acct,
 		prog:        newQueryProgress(cp.plan, cp.sql, po.TraceID),

@@ -37,10 +37,9 @@ type execContext struct {
 	// pools of the parallel pipeline breakers, which each decide from it
 	// whether to fan out.
 	parallelism int
-	// morselRows overrides minMorselRows, the exchange's morsel size, and
-	// mergeParts the parallel aggregate's merge partitions (Engine.morselRows
-	// and Engine.mergeParts, test hooks; 0 keeps the default).
-	morselRows, mergeParts int
+	// morselRows overrides minMorselRows, the exchange's morsel size
+	// (Engine.morselRows, a test hook; 0 keeps the default).
+	morselRows int
 	// planCheck makes every envelope validate the batches its operator emits
 	// (the planck debug pass; Engine.planCheck, a test hook).
 	planCheck bool
@@ -661,33 +660,21 @@ type aggGroup struct {
 	key  string // canonical binary group key (retained for the merge map)
 	keys []variant.Value
 	accs []accumulator
-	// seq is the group's insertion rank within its table; bucket its merge
-	// partition. With the index of the merge source that first carried the
-	// group they form its stamp, which orders merged groups first-seen.
-	seq    int32
-	bucket int32
-	stamp  int64
 }
 
 // aggTable is one hash-aggregation table keyed by the canonical binary
 // group key. Lookups reuse keyBuf and only allocate the key string on first
 // insertion, so steady-state grouping is allocation-free per row.
 type aggTable struct {
-	aggs     []compiledAgg
-	buckets  int // > 1: thread-local mode, groups also index into byBucket
-	groups   map[string]*aggGroup
-	order    []*aggGroup   // insertion order
-	byBucket [][]*aggGroup // per merge partition, insertion order
-	keyBuf   []byte
-	rows     int64 // input rows folded (phase-1 accounting)
+	aggs   []compiledAgg
+	groups map[string]*aggGroup
+	order  []*aggGroup // insertion order
+	keyBuf []byte
+	rows   int64 // input rows folded (phase-1 accounting)
 }
 
-func newAggTable(aggs []compiledAgg, buckets int) *aggTable {
-	t := &aggTable{aggs: aggs, buckets: buckets, groups: make(map[string]*aggGroup)}
-	if buckets > 1 {
-		t.byBucket = make([][]*aggGroup, buckets)
-	}
-	return t
+func newAggTable(aggs []compiledAgg) *aggTable {
+	return &aggTable{aggs: aggs, groups: make(map[string]*aggGroup)}
 }
 
 func (t *aggTable) insert(keyBytes []byte, keys []variant.Value) *aggGroup {
@@ -695,24 +682,9 @@ func (t *aggTable) insert(keyBytes []byte, keys []variant.Value) *aggGroup {
 	for i := range t.aggs {
 		g.accs[i] = newAccumulator(t.aggs[i].spec)
 	}
-	g.seq = int32(len(t.order))
 	t.groups[g.key] = g
 	t.order = append(t.order, g)
-	if t.buckets > 1 {
-		g.bucket = bucketOfKey(keyBytes, t.buckets)
-		t.byBucket[g.bucket] = append(t.byBucket[g.bucket], g)
-	}
 	return g
-}
-
-// bucketGroups returns the table's groups assigned to merge partition b, in
-// insertion order. A single-bucket table holds everything in its global
-// insertion order.
-func (t *aggTable) bucketGroups(b int) []*aggGroup {
-	if t.buckets > 1 {
-		return t.byBucket[b]
-	}
-	return t.order
 }
 
 // absorb folds one batch into the table: group keys, aggregate arguments
@@ -796,7 +768,7 @@ type groupsIter struct {
 // input emits one row of empty accumulators.
 func newGroupsIter(groups []*aggGroup, nkeys int, aggs []compiledAgg, size int) *groupsIter {
 	if nkeys == 0 && len(groups) == 0 {
-		t := newAggTable(aggs, 1)
+		t := newAggTable(aggs)
 		t.insert(nil, nil)
 		groups = t.order
 	}
@@ -851,8 +823,8 @@ type aggSpan struct {
 	deferred     *extAgg // the order-exact overflow strategy, once it started
 }
 
-func newAggSpan(aggs []compiledAgg, buckets int) *aggSpan {
-	return &aggSpan{table: newAggTable(aggs, buckets)}
+func newAggSpan(aggs []compiledAgg) *aggSpan {
+	return &aggSpan{table: newAggTable(aggs)}
 }
 
 // fold absorbs every batch of in, then replays the tuples it deferred.
@@ -910,7 +882,7 @@ func (s *aggSpan) absorb(e *aggEval, mem *opMem, b *vector.Batch) error {
 	s.held = 0
 	s.rows += s.table.rows
 	s.groups += int64(len(s.table.order))
-	s.table = newAggTable(s.table.aggs, s.table.buckets)
+	s.table = newAggTable(s.table.aggs)
 	return nil
 }
 
@@ -919,22 +891,19 @@ func (s *aggSpan) folded() (rows, groups int64) {
 	return s.rows + s.table.rows, s.groups + int64(len(s.table.order))
 }
 
-// mergeInto folds the span's state runs, then its live table, into m as the
-// consecutive sources src, src+1, …, keeping the groups of merge bucket b of
-// buckets; it returns the next free source index.
-func (s *aggSpan) mergeInto(ctx *execContext, m *aggMerger, src, b, buckets int) (int, error) {
+// mergeInto folds the span's state runs, then its live table, into m.
+func (s *aggSpan) mergeInto(ctx *execContext, m *aggMerger) error {
 	for _, r := range s.runs {
-		if err := m.foldRun(ctx, src, r, s.table.aggs, b, buckets); err != nil {
-			return 0, err
-		}
-		src++
-	}
-	for _, g := range s.table.bucketGroups(b) {
-		if err := m.fold(src, g); err != nil {
-			return 0, err
+		if err := m.foldRun(ctx, r, s.table.aggs); err != nil {
+			return err
 		}
 	}
-	return src + 1, nil
+	for _, g := range s.table.order {
+		if err := m.fold(g); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // discard removes the span's run files (nil-safe: a failed phase 1 leaves
@@ -955,22 +924,20 @@ func (s *aggSpan) discard() {
 // and in first-seen order. Sources arrive in input order — each span's state
 // runs, then its live table, span after span — so a group's partials merge in
 // input order and mergeAccumulators reproduces the sequential fold exactly
-// (the aggsMergeWhy proof). A group's first source is where the sequential
-// aggregate first saw it, so appending it there keeps out in first-seen
-// order; its stamp (source << 32 | insertion seq) orders groups across merge
-// buckets.
+// (the aggsMergeWhy proof). Each source lists its groups in insertion order,
+// so a group first arrives where the sequential aggregate first saw it, and
+// appending it there keeps out in first-seen order.
 type aggMerger struct {
 	seen map[string]*aggGroup
 	out  []*aggGroup
 }
 
-func (m *aggMerger) fold(src int, g *aggGroup) error {
+func (m *aggMerger) fold(g *aggGroup) error {
 	dst, ok := m.seen[g.key]
 	if !ok {
 		if m.seen == nil {
 			m.seen = make(map[string]*aggGroup)
 		}
-		g.stamp = int64(src)<<32 | int64(g.seq)
 		m.seen[g.key] = g
 		m.out = append(m.out, g)
 		return nil
@@ -983,35 +950,20 @@ func (m *aggMerger) fold(src int, g *aggGroup) error {
 	return nil
 }
 
-// mergeSpans is phase 2: workers claim the merge buckets, merge each one's
-// groups across the spans, and the buckets' outputs interleave by stamp into
-// first-seen order. One span that never spilled is already in first-seen
-// order — the unspilled sequential aggregate pays no merge pass.
-func mergeSpans(ctx *execContext, spans []*aggSpan, buckets, workers int) ([]*aggGroup, error) {
+// mergeSpans is phase 2: one ordered pass over the spans' sources. One span
+// that never spilled is already in first-seen order — the unspilled
+// sequential aggregate pays no merge pass.
+func mergeSpans(ctx *execContext, spans []*aggSpan) ([]*aggGroup, error) {
 	if len(spans) == 1 && len(spans[0].runs) == 0 {
 		return spans[0].table.order, nil
 	}
-	merged := make([][]*aggGroup, buckets)
-	err := fanOut(ctx, workers, buckets, func(_ int, next func() (int, bool)) error {
-		for b, ok := next(); ok; b, ok = next() {
-			var m aggMerger
-			src := 0
-			for _, s := range spans {
-				var err error
-				if src, err = s.mergeInto(ctx, &m, src, b, buckets); err != nil {
-					return err
-				}
-			}
-			merged[b] = m.out
+	var m aggMerger
+	for _, s := range spans {
+		if err := s.mergeInto(ctx, &m); err != nil {
+			return nil, err
 		}
-		return nil
-	})
-	if err != nil || buckets == 1 {
-		return merged[0], err
 	}
-	all := slices.Concat(merged...)
-	slices.SortFunc(all, func(a, b *aggGroup) int { return cmp.Compare(a.stamp, b.stamp) })
-	return all, nil
+	return m.out, nil
 }
 
 func prepareAggregate(x *AggregateNode, ctx *execContext) (batchIter, error) {
@@ -1068,15 +1020,13 @@ func (a *aggIter) run() (*groupsIter, error) {
 			s.discard()
 		}
 	}()
-	workers, buckets := 1, 1
 	fanned := aggFanOut(ctx, a.x)
 	var err error
 	if fanned {
 		a.in.Close() // the sequential pipeline, unstarted
-		workers, buckets = ctx.parallelism, cmp.Or(ctx.mergeParts, ctx.parallelism)
-		spans, err = parallelAgg(ctx, a.x, buckets, mem)
+		spans, err = parallelAgg(ctx, a.x, mem)
 	} else {
-		spans = []*aggSpan{newAggSpan(e.aggs, 1)}
+		spans = []*aggSpan{newAggSpan(e.aggs)}
 		err = spans[0].fold(a.in, e, mem)
 		a.in.Close()
 	}
@@ -1084,7 +1034,7 @@ func (a *aggIter) run() (*groupsIter, error) {
 		return nil, err
 	}
 	start := time.Now()
-	groups, err := mergeSpans(ctx, spans, buckets, workers)
+	groups, err := mergeSpans(ctx, spans)
 	if err != nil {
 		return nil, err
 	}
@@ -1220,15 +1170,9 @@ func (s *streamAggIter) Close() { s.in.Close() }
 // --- joins -------------------------------------------------------------------
 
 // prepareJoin builds a hash join on the side chooseBuild picks from the pinned
-// snapshots. An equi-join takes the query's parallelism as its build workers,
-// which bucket the hash table when the build side is large enough
-// (joinIter.index). Keys and residual evaluate on the driver, in input order,
-// so a stateful expression needs no special case.
+// snapshots. Keys and residual evaluate on the driver, in input order, so a
+// stateful expression needs no special case.
 func prepareJoin(x *JoinNode, ctx *execContext) (batchIter, error) {
-	workers := 1
-	if ctx.parallelism > 1 && len(x.RightKeys) > 0 {
-		workers = ctx.parallelism
-	}
 	left, err := prepare(x.Left, ctx)
 	if err != nil {
 		return nil, err
@@ -1251,8 +1195,8 @@ func prepareJoin(x *JoinNode, ctx *execContext) (batchIter, error) {
 	return &joinIter{
 		kind: x.Kind, left: left, right: right, exprs: exprs, buildLeft: side.left,
 		leftWidth: len(x.Left.Schema().Names), rightWidth: rightWidth,
-		store:   rowStore{width: rightWidth},
-		workers: workers, size: ctx.batchSize, ectx: ctx, mem: ctx.opMemFor(x),
+		store: rowStore{width: rightWidth},
+		size:  ctx.batchSize, ectx: ctx, mem: ctx.opMemFor(x),
 	}, nil
 }
 
@@ -1369,11 +1313,10 @@ func appendJoinKey(buf []byte, kcols [][]variant.Value, i int) ([]byte, bool) {
 }
 
 // buildKeys are the encoded keys of the build rows, in drain order: row r's
-// key is keys[ends[r-1]:ends[r]] and its hash bucket buckets[r].
+// key is keys[ends[r-1]:ends[r]].
 type buildKeys struct {
-	keys    []byte
-	ends    []int
-	buckets []int32
+	keys []byte
+	ends []int
 }
 
 // rowStore retains the rows a join reads back by index: the build rows, or a
@@ -1588,7 +1531,6 @@ type joinIter struct {
 	buildLeft  bool
 	leftWidth  int
 	rightWidth int
-	workers    int // build workers, one hash bucket each
 	size       int // pairs per output batch
 	ectx       *execContext
 	mem        *opMem
@@ -1596,9 +1538,8 @@ type joinIter struct {
 	built bool
 	keys  buildKeys
 	store rowStore // the right rows candidates index: the build rows, or a left build's matches
-	// Per bucket: key -> candidates, indexes into store.locs in right-input
-	// order.
-	parts []map[string]*[]int64
+	// key -> candidates, indexes into store.locs in right-input order.
+	table map[string]*[]int64
 
 	// The probe cursor: the left batch under probe and its key vectors, its
 	// next active row, the next of that row's candidates, and whether one of
@@ -1631,16 +1572,15 @@ func (j *joinIter) build() error {
 		if err = cmp.Or(inErr, err); err != nil {
 			return err
 		}
-		return j.index(true)
+		j.index(true)
+		return nil
 	}
 	replay := &storeReplay{s: rowStore{width: j.leftWidth}, size: j.size, ctx: j.ectx, mem: j.mem}
 	inErr, err := j.drain(j.left, j.exprs.left, &replay.s)
 	j.left.Close()
 	j.left, replay.err = replay, inErr
 	if err == nil {
-		err = j.index(false)
-	}
-	if err == nil {
+		j.index(false)
 		err = j.matchRight()
 	}
 	j.right.Close()
@@ -1662,7 +1602,6 @@ func (j *joinIter) drain(in batchIter, keys *exprDAG, s *rowStore) (inErr, err e
 		if err != nil || b == nil {
 			return err, s.seal(j.mem)
 		}
-		j.mem.st.LocalRows += int64(b.NumRows())
 		copied := denseCopy(b)
 		src := copied
 		if j.buildLeft {
@@ -1681,59 +1620,24 @@ func (j *joinIter) drain(in batchIter, keys *exprDAG, s *rowStore) (inErr, err e
 	}
 }
 
-// index maps every build key to its candidates: workers claim the hash
-// buckets — one bucket and one worker at parallelism 1 or below
-// minParallelBuildRows rows — and build each one's map in one pass over the
-// rows in drain order. A right build lists each key's rows, in build order;
-// a left build starts each key's list empty for matchRight to fill. A build
-// that fans out over more than one bucket counts as a parallel breaker.
-func (j *joinIter) index(list bool) error {
+// index maps every build key to its candidates in one pass over the rows in
+// drain order. A right build lists each key's rows, in build order; a left
+// build starts each key's list empty for matchRight to fill.
+func (j *joinIter) index(list bool) {
 	k := &j.keys
-	buckets := j.workers
-	if len(k.ends) < minParallelBuildRows {
-		buckets = 1
-	}
-	if buckets > 1 {
-		j.ectx.mu.Lock()
-		j.ectx.metrics.ParallelBreakers++
-		j.ectx.mu.Unlock()
-	}
-	j.parts = make([]map[string]*[]int64, buckets)
-	workerRows := make([]int64, buckets)
-	start := time.Now()
-	err := fanOut(j.ectx, buckets, buckets, func(w int, next func() (int, bool)) error {
-		for b, ok := next(); ok; b, ok = next() {
-			m := make(map[string]*[]int64)
-			lo := 0
-			for r, hi := range k.ends {
-				if buckets == 1 || int(k.buckets[r]) == b {
-					l := m[string(k.keys[lo:hi])]
-					if l == nil {
-						l = new([]int64)
-						m[string(k.keys[lo:hi])] = l
-					}
-					if list {
-						*l = append(*l, int64(r))
-					}
-					workerRows[w]++
-				}
-				lo = hi
-			}
-			j.parts[b] = m
+	j.table = make(map[string]*[]int64)
+	lo := 0
+	for r, hi := range k.ends {
+		l := j.table[string(k.keys[lo:hi])]
+		if l == nil {
+			l = new([]int64)
+			j.table[string(k.keys[lo:hi])] = l
 		}
-		return nil
-	})
-	if err != nil {
-		return err
+		if list {
+			*l = append(*l, int64(r))
+		}
+		lo = hi
 	}
-	st := j.mem.st
-	st.Pipelines, st.MergeParts = buckets, buckets
-	st.MaxWorkerRows = slices.Max(workerRows)
-	st.MergeWallUS = time.Since(start).Microseconds()
-	for _, m := range j.parts {
-		st.MergedGroups += int64(len(m))
-	}
-	return nil
 }
 
 // matchRight streams the right input past a left build's map. Its keys are
@@ -1761,7 +1665,7 @@ func (j *joinIter) matchRight() error {
 				}
 				j.keyBuf = v.AppendGroupKey(j.keyBuf)
 			}
-			if l := j.parts[bucketOfKey(j.keyBuf, len(j.parts))][string(j.keyBuf)]; l != nil {
+			if l := j.table[string(j.keyBuf)]; l != nil {
 				sel, lists = append(sel, i), append(lists, l)
 			}
 		}
@@ -1837,7 +1741,6 @@ func (j *joinIter) encodeKeys(keys *exprDAG, b *vector.Batch) ([]int, error) {
 		}
 		keep = append(keep, p)
 		k.ends = append(k.ends, len(k.keys))
-		k.buckets = append(k.buckets, bucketOfKey(k.keys[start:], j.workers))
 	}
 	return keep, nil
 }
@@ -1882,7 +1785,7 @@ func (j *joinIter) candidates(i int) []int64 {
 	if j.keyBuf, ok = appendJoinKey(j.keyBuf[:0], j.curKeys, i); !ok {
 		return nil
 	}
-	if l := j.parts[bucketOfKey(j.keyBuf, len(j.parts))][string(j.keyBuf)]; l != nil {
+	if l := j.table[string(j.keyBuf)]; l != nil {
 		return *l
 	}
 	return nil

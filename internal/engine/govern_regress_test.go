@@ -85,7 +85,7 @@ func junkRun(t *testing.T) *storage.SpillRun {
 func TestSpillMergeCancelled(t *testing.T) {
 	run := junkRun(t)
 	defer run.Close()
-	err := (&aggMerger{}).foldRun(cancelledExecCtx(), 0, run, nil, 0, 1)
+	err := (&aggMerger{}).foldRun(cancelledExecCtx(), run, nil)
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v does not unwrap to context.Canceled", err)
 	}

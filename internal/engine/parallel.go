@@ -16,20 +16,13 @@ import (
 	"jsonpark/internal/vector"
 )
 
-// Parallel pipeline breakers. The morsel-driven scan parallelizes the
-// streaming half of a pipeline; this file parallelizes the blocking half —
-// the hash aggregation, and it holds the worker loop (fanOut) the hash-join
-// build (joinIter.build) claims its buckets through — while keeping every
-// output byte identical to the sequential operators. The ordering
-// argument each one rests on is spelled out at its implementation. The plan
-// carries no parallel node for them: each operator takes its worker count
-// from the query's parallelism when it is bound (join build) or when it
-// first runs (aggregate: aggFanOut). The sort stays sequential (exec.go).
-
-// minParallelBuildRows is the build-side size below which a join builds one
-// bucket on one worker: worker startup and bucket bookkeeping cost more than
-// they save on small inputs.
-const minParallelBuildRows = 256
+// Parallel execution. The ordered exchange parallelizes the streaming half of
+// a pipeline; of the blocking half, only the hash aggregation's phase 1 fans
+// out (foldParts, over the worker loop fanOut), while keeping every output
+// byte identical to the sequential operator — the ordering argument is
+// spelled out at aggMerger. The plan carries no parallel node for it: the
+// aggregate decides when it first runs (aggFanOut). The join build and the
+// sort each fill one table on the driver at every parallelism (exec.go).
 
 // aggSpanFanout is the number of phase-1 claims per aggregation worker. Each
 // claim is a contiguous span of storage partitions sharing one local table:
@@ -39,24 +32,6 @@ const minParallelBuildRows = 256
 // whenever partitions hold fewer rows than the group cardinality. A few
 // spans per worker keeps claims balanced without shrinking the tables much.
 const aggSpanFanout = 2
-
-// bucketOfKey hashes a canonical binary group key onto one of parts
-// disjoint merge partitions (FNV-1a).
-func bucketOfKey(key []byte, parts int) int32 {
-	if parts <= 1 {
-		return 0
-	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return int32(h % uint64(parts))
-}
 
 // staticBatches replays a pre-materialized batch list; a segment's worker
 // chain sources from it (segmentRun).
@@ -671,22 +646,21 @@ func aggFanOut(ctx *execContext, x *AggregateNode) bool {
 
 // parallelAgg is a fanned-out aggregate's phase 1, in place of the
 // sequential pipeline bind prepared: foldParts over the pinned partitions of
-// the aggregate's segment, aggSpanFanout spans per worker, each table
-// hash-bucketing its groups into buckets merge partitions. It records the
+// the aggregate's segment, aggSpanFanout spans per worker. It records the
 // phase's stats.
-func parallelAgg(ctx *execContext, x *AggregateNode, buckets int, mem *opMem) ([]*aggSpan, error) {
+func parallelAgg(ctx *execContext, x *AggregateNode, mem *opMem) ([]*aggSpan, error) {
 	seg, err := newSegmentPlan(ctx, x.Scan, x.Stages, nil, ctx.batchSize)
 	if err != nil {
 		return nil, err
 	}
 	parts := ctx.pinSnapshot(x.Scan.Table).Parts
 	start := time.Now()
-	spans, workerRows, err := foldParts(ctx, x, seg, parts, min(ctx.parallelism*aggSpanFanout, len(parts)), buckets, mem)
+	spans, workerRows, err := foldParts(ctx, x, seg, parts, min(ctx.parallelism*aggSpanFanout, len(parts)), mem)
 	if err != nil {
 		return spans, err
 	}
 	st := mem.st
-	st.Pipelines, st.MergeParts = len(workerRows), buckets
+	st.Pipelines = len(workerRows)
 	st.MaxWorkerRows = slices.Max(workerRows)
 	st.LocalWallUS = time.Since(start).Microseconds()
 	for _, s := range spans {
@@ -700,13 +674,12 @@ func parallelAgg(ctx *execContext, x *AggregateNode, buckets int, mem *opMem) ([
 // foldParts is phase 1 over pinned partitions, for a fanned-out aggregate
 // and a view refresh: it cuts parts into nspans contiguous spans, which up
 // to the query's parallelism of workers claim in turn, replaying the segment
-// over a span's partitions in ascending order into a span of its own whose
-// table hash-buckets its groups into buckets merge partitions. Each worker
-// compiles its own copy of the segment and the aggregate (compiled
+// over a span's partitions in ascending order into a span of its own. Each
+// worker compiles its own copy of the segment and the aggregate (compiled
 // expressions hold state); all charge mem. It returns the spans in input
 // order — span order is partition order, which is input row order — and the
 // rows each worker folded.
-func foldParts(ctx *execContext, x *AggregateNode, seg *segmentPlan, parts []*storage.Partition, nspans, buckets int, mem *opMem) ([]*aggSpan, []int64, error) {
+func foldParts(ctx *execContext, x *AggregateNode, seg *segmentPlan, parts []*storage.Partition, nspans int, mem *opMem) ([]*aggSpan, []int64, error) {
 	ctx.addScanCounts(seg.scanSt, len(parts), 0, 0)
 	spans := make([]*aggSpan, nspans)
 	workerRows := make([]int64, min(ctx.parallelism, nspans))
@@ -721,7 +694,7 @@ func foldParts(ctx *execContext, x *AggregateNode, seg *segmentPlan, parts []*st
 		}
 		defer r.close()
 		for i, ok := next(); ok; i, ok = next() {
-			spans[i] = newAggSpan(eval.aggs, buckets)
+			spans[i] = newAggSpan(eval.aggs)
 			err := r.replay(parts[i*len(parts)/nspans:(i+1)*len(parts)/nspans], 0, math.MaxInt)
 			if err == nil {
 				err = spans[i].fold(r.out, eval, mem)

@@ -32,8 +32,7 @@ import (
 //     without row IDs; otherwise the rule that failed. An eligible aggregate
 //     records that segment (Scan, Stages): its fanned-out workers and a
 //     materialized view's refreshes replay it. Whether it fans out is decided
-//     when it runs (aggFanOut), like the exchange's fan-out, as are the join
-//     build's and the sort's workers.
+//     when it runs (aggFanOut), like the exchange's fan-out.
 //
 // Everything order-sensitive stays on the sequential operators: SUM and AVG
 // fold floats in input order (addition is not associative), stateful (SEQ)

@@ -17,9 +17,9 @@ import (
 // The spill strategies, by breaker:
 //
 //   - Hash aggregation, mergeable aggregates: a span's whole table spills as
-//     one run of exact partial states (group key, insertion rank, key values,
-//     accumulator states). The ordered merge (aggMerger) folds the runs and
-//     the final live table back in spill order, which is input order, so
+//     one run of exact partial states (group key, key values, accumulator
+//     states). The ordered merge (aggMerger) folds the runs and the final
+//     live table back in spill order, which is input order, so
 //     mergeAccumulators reproduces the sequential fold exactly (the
 //     aggsMergeWhy proof).
 //   - Hash aggregation, order-exact aggregates (float SUM/AVG, unknown
@@ -279,8 +279,7 @@ func readSpillUvarint(src []byte) (uint64, []byte, error) {
 // --- aggregation table state spill --------------------------------------------
 
 // spillAggTable serializes t's groups, in insertion order, as one state run.
-// Record: key bytes, insertion rank, key values, one partial state per
-// aggregate.
+// Record: key bytes, key values, one partial state per aggregate.
 func spillAggTable(t *aggTable) (*storage.SpillRun, error) {
 	w, err := storage.NewRunWriter("agg")
 	if err != nil {
@@ -291,7 +290,6 @@ func spillAggTable(t *aggTable) (*storage.SpillRun, error) {
 		rec = rec[:0]
 		rec = binary.AppendUvarint(rec, uint64(len(g.key)))
 		rec = append(rec, g.key...)
-		rec = binary.AppendUvarint(rec, uint64(g.seq))
 		rec = binary.AppendUvarint(rec, uint64(len(g.keys)))
 		for _, kv := range g.keys {
 			rec = kv.AppendBinary(rec)
@@ -311,11 +309,8 @@ func spillAggTable(t *aggTable) (*storage.SpillRun, error) {
 	return w.Finish()
 }
 
-// decodeSpilledGroup restores one group record of merge partition
-// wantBucket of parts. A record hashing to another partition is parsed only
-// as far as its key and returns (nil, nil), so concurrent merge workers can
-// scan one run cheaply.
-func decodeSpilledGroup(rec []byte, aggs []compiledAgg, wantBucket, parts int) (*aggGroup, error) {
+// decodeSpilledGroup restores one group record.
+func decodeSpilledGroup(rec []byte, aggs []compiledAgg) (*aggGroup, error) {
 	kl, rec, err := readSpillUvarint(rec)
 	if err != nil {
 		return nil, err
@@ -323,21 +318,11 @@ func decodeSpilledGroup(rec []byte, aggs []compiledAgg, wantBucket, parts int) (
 	if uint64(len(rec)) < kl {
 		return nil, fmt.Errorf("engine: truncated spilled group key")
 	}
-	keyBytes := rec[:kl]
-	rec = rec[kl:]
-	bucket := bucketOfKey(keyBytes, parts)
-	if int(bucket) != wantBucket {
-		return nil, nil
-	}
-	seq, rec, err := readSpillUvarint(rec)
+	g := &aggGroup{key: string(rec[:kl])}
+	nk, rec, err := readSpillUvarint(rec[kl:])
 	if err != nil {
 		return nil, err
 	}
-	nk, rec, err := readSpillUvarint(rec)
-	if err != nil {
-		return nil, err
-	}
-	g := &aggGroup{key: string(keyBytes), seq: int32(seq), bucket: bucket}
 	if nk > 0 {
 		g.keys = make([]variant.Value, nk)
 		for i := uint64(0); i < nk; i++ {
@@ -361,10 +346,10 @@ func decodeSpilledGroup(rec []byte, aggs []compiledAgg, wantBucket, parts int) (
 }
 
 // foldRun is the state-run reader of the ordered merge: it decodes run's
-// groups of merge bucket b of buckets and folds them into m as source src,
-// polling cancellation once per record — a run can hold far more groups than
-// any one batch, and a cancelled query must not replay them all.
-func (m *aggMerger) foldRun(ctx *execContext, src int, run *storage.SpillRun, aggs []compiledAgg, b, buckets int) error {
+// groups and folds them into m, polling cancellation once per record — a run
+// can hold far more groups than any one batch, and a cancelled query must not
+// replay them all.
+func (m *aggMerger) foldRun(ctx *execContext, run *storage.SpillRun, aggs []compiledAgg) error {
 	rr := run.NewReader()
 	for {
 		if err := ctx.cancelled(); err != nil {
@@ -374,14 +359,11 @@ func (m *aggMerger) foldRun(ctx *execContext, src int, run *storage.SpillRun, ag
 		if err != nil || rec == nil {
 			return err
 		}
-		g, err := decodeSpilledGroup(rec, aggs, b, buckets)
+		g, err := decodeSpilledGroup(rec, aggs)
 		if err != nil {
 			return err
 		}
-		if g == nil {
-			continue // another merge bucket's
-		}
-		if err := m.fold(src, g); err != nil {
+		if err := m.fold(g); err != nil {
 			return err
 		}
 	}

@@ -305,7 +305,6 @@ func TestJoinCloseIdempotent(t *testing.T) {
 			right:      right,
 			leftWidth:  2,
 			rightWidth: 2,
-			workers:    1,
 			size:       4,
 			ectx:       ctx,
 			mem:        ctx.opMemFor(nil),

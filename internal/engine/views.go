@@ -296,18 +296,17 @@ func (v *matView) refreshLocked(ctx *execContext) error {
 	}
 	snap := v.seg.scan.Table.Snapshot()
 	if delta := snap.Parts[v.partsDone:]; len(delta) > 0 {
-		// One span over the delta, merged into the retained state with the
-		// pre-refresh watermark as its source: every delta row comes after
-		// every absorbed one, so partials merge in input order and new groups
-		// append in first-seen order.
+		// One span over the delta, merged into the retained state: every
+		// delta row comes after every absorbed one, so partials merge in
+		// input order and new groups append in first-seen order.
 		mem := ctx.opMemFor(v.agg)
 		defer mem.releaseAll()
-		spans, _, err := foldParts(ctx, v.agg, v.seg, delta, 1, 1, mem)
+		spans, _, err := foldParts(ctx, v.agg, v.seg, delta, 1, mem)
 		defer spans[0].discard()
 		if err != nil {
 			return err
 		}
-		if _, err := spans[0].mergeInto(ctx, &v.merged, v.partsDone, 0, 1); err != nil {
+		if err := spans[0].mergeInto(ctx, &v.merged); err != nil {
 			return err
 		}
 		v.partsDone = len(snap.Parts)

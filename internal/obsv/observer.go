@@ -41,8 +41,8 @@ type QueryObservation struct {
 	RowsReturned     int64
 	PartitionsTotal  int64
 	PartitionsPruned int64
-	// ParallelBreakers counts the pipeline breakers (aggregates, join
-	// builds) the plan executed with parallel phases.
+	// ParallelBreakers counts the pipeline breakers (fanned-out hash
+	// aggregates) the plan executed with parallel phases.
 	ParallelBreakers int64
 	// SpillBytes is the bytes the memory-governed breakers wrote to
 	// temp-file runs under WithMemLimit.
@@ -85,7 +85,7 @@ func NewObserver() *Observer {
 		partitionsPruned: r.Counter("jsonpark_partitions_pruned_total",
 			"Cumulative micro-partitions pruned via zone maps."),
 		parallelBreakers: r.Counter("jsonpark_parallel_breakers_total",
-			"Cumulative pipeline breakers (aggregates, join builds) executed with parallel phases."),
+			"Cumulative pipeline breakers (fanned-out hash aggregates) executed with parallel phases."),
 		spillBytes: r.Counter("jsonpark_spill_bytes_total",
 			"Cumulative bytes written to spill runs by memory-governed pipeline breakers."),
 		typedCols: r.Counter("jsonpark_typed_columns_total",

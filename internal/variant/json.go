@@ -1,8 +1,10 @@
 package variant
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"sort"
 	"strconv"
@@ -11,13 +13,18 @@ import (
 
 // ParseJSON decodes one JSON document into a Value. Numbers without a
 // fractional part or exponent decode as KindInt when they fit in int64,
-// otherwise as KindFloat.
+// otherwise as KindFloat. Whitespace may follow the document; anything else
+// — a second document, a garbled tail — is an error.
 func ParseJSON(data []byte) (Value, error) {
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.UseNumber()
 	var raw any
 	if err := dec.Decode(&raw); err != nil {
 		return Null, fmt.Errorf("variant: parse json: %w", err)
+	}
+	end := dec.InputOffset()
+	if err := dec.Decode(new(any)); err != io.EOF {
+		return Null, fmt.Errorf("variant: parse json: data after the value that ends at offset %d", end)
 	}
 	return FromAny(raw)
 }

@@ -369,11 +369,25 @@ func TestFromAnyGoTypes(t *testing.T) {
 	}
 }
 
+// TestParseJSONErrors: truncated and empty input fail, and so does anything
+// but whitespace after the first value — ParseJSON once dropped such a tail
+// without a word, so a JSON-lines row holding two documents lost data.
 func TestParseJSONErrors(t *testing.T) {
-	if _, err := ParseJSON([]byte(`{"a":`)); err == nil {
-		t.Error("truncated JSON should fail")
+	for _, in := range append([]string{`{"a":`, ``}, trailingInputs...) {
+		if v, err := ParseJSON([]byte(in)); err == nil {
+			t.Errorf("ParseJSON(%q) = %s, want an error", in, v.JSON())
+		}
 	}
-	if _, err := ParseJSON([]byte(``)); err == nil {
-		t.Error("empty input should fail")
+	for in, want := range map[string]string{
+		"{\"a\":1}\n":  `{"a":1}`,
+		" 1 ":          `1`,
+		"\t[1,2]\r\n ": `[1,2]`,
+	} {
+		v, err := ParseJSON([]byte(in))
+		if err != nil {
+			t.Errorf("ParseJSON(%q): %v", in, err)
+		} else if v.JSON() != want {
+			t.Errorf("ParseJSON(%q) = %s, want %s", in, v.JSON(), want)
+		}
 	}
 }

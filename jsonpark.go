@@ -116,9 +116,8 @@ func WithBatchSize(n int) OpenOption {
 }
 
 // WithParallelism caps the worker pools of every parallel operator: morsel
-// table scans and the pipeline-breaker phases (partitioned hash
-// aggregation, hash-join build, sort-run sorting). Default: the number of
-// CPUs; 1 forces fully sequential execution. Results are byte-identical at
+// table scans and nested pipelines, and the hash aggregate's phase 1 over a
+// multi-partition table. Default: the number of CPUs; 1 forces fully sequential execution. Results are byte-identical at
 // any setting.
 func WithParallelism(n int) OpenOption {
 	return func(c *openConfig) { c.parallelism = n }
