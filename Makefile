@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-fixtures race stress fuzz-smoke obs-smoke check bench bench-check bench-smoke loc clean
+.PHONY: all build test vet fmt-check lint lint-fixtures race stress fuzz-smoke obs-smoke check bench bench-check bench-smoke loc clean
 
 all: check
 
@@ -12,6 +12,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails, listing the offenders, when any Go file is not
+# gofmt-formatted. gofmt walks the whole tree from the root, so the
+# benchmark/ module is checked along with the root module.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l found unformatted files:"; echo "$$out"; exit 1; fi
 
 # jsqlint (cmd/jsqlint, internal/lint) machine-checks the executor's
 # invariants that vet and the type system cannot: kernel-output aliasing,
@@ -72,7 +78,7 @@ fuzz-smoke:
 obs-smoke:
 	$(GO) run ./scripts/obssmoke
 
-check: build vet lint test race obs-smoke bench-check
+check: build vet fmt-check lint test race obs-smoke bench-check
 
 # bench runs the whole benchmark set (BENCHMARK.json: five workloads, three
 # untraced runs and one traced run each) and writes results.json and

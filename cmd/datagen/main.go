@@ -29,7 +29,6 @@ func main() {
 	seed := flag.Int64("seed", 42, "generator seed")
 	dataDir := flag.String("data-dir", "", "write micro-partitions into a warehouse directory instead of JSON lines on stdout")
 	collection := flag.String("collection", "", "collection name for -data-dir (default: \"events\" for adl, the -table name for ssb)")
-	typedColumns := flag.Bool("typed-columns", true, "shred uniform scalar columns into typed arrays (only with -data-dir)")
 	flag.Parse()
 
 	var docs []variant.Value
@@ -64,7 +63,7 @@ func main() {
 	}
 
 	if *dataDir != "" {
-		if err := writeWarehouse(*dataDir, name, docs, *typedColumns); err != nil {
+		if err := writeWarehouse(*dataDir, name, docs); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "datagen: wrote %d rows to %s/%s\n", len(docs), *dataDir, name)
@@ -85,8 +84,8 @@ func main() {
 // writeWarehouse loads the documents into a persistent warehouse at dir,
 // staging one column per top-level field (union across documents, in
 // first-seen order), and flushes so every row reaches disk.
-func writeWarehouse(dir, name string, docs []variant.Value, typed bool) error {
-	w := jsonpark.Open(jsonpark.WithDataDir(dir), jsonpark.WithTypedColumns(typed))
+func writeWarehouse(dir, name string, docs []variant.Value) error {
+	w := jsonpark.Open(jsonpark.WithDataDir(dir))
 	var cols []string
 	seen := map[string]bool{}
 	for _, d := range docs {

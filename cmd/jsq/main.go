@@ -51,7 +51,6 @@ func main() {
 	slowMS := flag.Int64("slow-query-ms", -1, "retain span tree + plan snapshot for queries slower than this many ms (0 = every query, negative = off)")
 	traceOut := flag.String("trace-out", "", "append every finished trace as a JSON line to FILE")
 	dataDir := flag.String("data-dir", "", "persist micro-partitions under DIR and reopen collections found there (empty = in-memory)")
-	typedColumns := flag.Bool("typed-columns", true, "shred uniform scalar columns into typed arrays at partition seal (typed expression kernels)")
 	planCacheSize := flag.Int("plan-cache-size", 0, "prepared-plan cache entries; repeated queries (e.g. in -repl) skip compilation (0 = engine default, negative = off)")
 	flag.Parse()
 
@@ -70,7 +69,6 @@ func main() {
 		jsonpark.WithMemLimit(memBytes),
 		jsonpark.WithSlowQueryMillis(*slowMS),
 		jsonpark.WithDataDir(*dataDir),
-		jsonpark.WithTypedColumns(*typedColumns),
 		jsonpark.WithPlanCacheSize(*planCacheSize),
 	}
 	if *traceOut != "" {
@@ -364,7 +362,7 @@ func loadJSONL(w *jsonpark.Warehouse, collection, path, columns string) error {
 	}
 	for _, d := range docs {
 		if err := w.LoadObject(collection, d); err != nil {
-			return err
+			return fmt.Errorf("%s: %w", path, err)
 		}
 	}
 	return nil

@@ -45,7 +45,6 @@ func main() {
 	slowMS := flag.Int64("slow-query-ms", -1, "capture queries slower than this many ms in /debug/slow, logged at warn (0 = every query, negative = off)")
 	traceOut := flag.String("trace-out", "", "append every finished trace as a JSON line to FILE")
 	dataDir := flag.String("data-dir", "", "persist micro-partitions under DIR and reopen collections found there (empty = in-memory)")
-	typedColumns := flag.Bool("typed-columns", true, "shred uniform scalar columns into typed arrays at partition seal (typed expression kernels)")
 	cacheEntries := flag.Int("plan-cache-size", 256, "query cache entries; repeated queries skip compilation, and with -result-cache-bytes execution (0 = engine default, negative = off)")
 	resultBytes := flag.String("result-cache-bytes", "64MiB", "result cache resident-row byte budget, e.g. 64MiB; repeated queries over unchanged collections skip execution (0 = off)")
 	var views []string
@@ -90,7 +89,6 @@ func main() {
 		jsonpark.WithMemLimit(memBytes),
 		jsonpark.WithSlowQueryMillis(*slowMS),
 		jsonpark.WithDataDir(*dataDir),
-		jsonpark.WithTypedColumns(*typedColumns),
 		jsonpark.WithPlanCacheSize(*cacheEntries),
 		jsonpark.WithResultCacheBytes(resultByteBudget),
 	}

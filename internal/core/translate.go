@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"jsonpark/internal/jsoniq"
@@ -234,20 +235,20 @@ func (ctx *clauseContext) applyGroupBy(gb *jsoniq.GroupByClause, rest []jsoniq.C
 	for v := range nonGrouping {
 		used := false
 		for _, c := range newRest {
-			if clauseUsesVar(c, v) {
+			if jsoniq.ClauseUsesVar(c, v) {
 				used = true
 				break
 			}
 		}
 		if !used {
-			used = exprUsesVar(newRet, v)
+			used = jsoniq.ExprUsesVar(newRet, v)
 		}
 		if used {
 			arrayVars = append(arrayVars, v)
 		}
 	}
 	// Deterministic ordering for stable SQL output.
-	sortStrings(arrayVars)
+	slices.Sort(arrayVars)
 	for _, v := range arrayVars {
 		aggCols = append(aggCols, snowpark.ArrayAgg(colByName(v)).As(v))
 	}
@@ -286,51 +287,4 @@ func colByName(name string) snowpark.Column {
 		return snowpark.FlattenIndex(strings.TrimSuffix(name, ".INDEX"))
 	}
 	return snowpark.Col(name)
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-func clauseUsesVar(c jsoniq.Clause, name string) bool {
-	switch cl := c.(type) {
-	case *jsoniq.ForClause:
-		return exprUsesVar(cl.In, name)
-	case *jsoniq.LetClause:
-		return exprUsesVar(cl.Expr, name)
-	case *jsoniq.WhereClause:
-		return exprUsesVar(cl.Cond, name)
-	case *jsoniq.GroupByClause:
-		for _, k := range cl.Keys {
-			if k.Expr == nil && k.Var == name {
-				return true
-			}
-			if k.Expr != nil && exprUsesVar(k.Expr, name) {
-				return true
-			}
-		}
-	case *jsoniq.OrderByClause:
-		for _, k := range cl.Keys {
-			if exprUsesVar(k.Expr, name) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func exprUsesVar(e jsoniq.Expr, name string) bool {
-	found := false
-	jsoniq.Walk(e, func(n jsoniq.Expr) bool {
-		if v, ok := n.(*jsoniq.VarRef); ok && v.Name == name {
-			found = true
-			return false
-		}
-		return !found
-	})
-	return found
 }

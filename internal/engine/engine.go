@@ -112,7 +112,9 @@ func WithDataDir(dir string) Option {
 // expressions keep numbers and booleans in typed registers, both read by
 // typed kernels without variant materialization. Results are byte-identical
 // either way; false keeps every column and every expression result as
-// variant values (the v1 layout).
+// variant values (the v1 layout). No deployment turns it off: false is the
+// variant oracle of the engine, ADL and SSB parity grids, of FuzzPlanDiff's
+// oracle cell and of the storage benchmarks.
 func WithTypedColumns(on bool) Option {
 	return func(e *Engine) { e.typedOff = !on }
 }
@@ -151,19 +153,13 @@ func WithGovernor(g *Governor) Option {
 // New returns an empty engine.
 func New(opts ...Option) *Engine {
 	e := &Engine{
-		catalog:     storage.NewCatalog(),
 		batchSize:   vector.DefaultBatchSize,
 		parallelism: runtime.NumCPU(),
 	}
 	for _, o := range opts {
 		o(e)
 	}
-	if e.typedOff {
-		e.catalog.SetTypedShredding(false)
-	}
-	if e.dataDir != "" {
-		e.catalog.SetDataDir(e.dataDir)
-	}
+	e.catalog = storage.NewCatalog(e.dataDir, !e.typedOff)
 	size := e.cacheSize
 	if size == 0 {
 		size = defaultPlanCacheSize

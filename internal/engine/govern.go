@@ -100,9 +100,6 @@ func NewGovernor(cfg GovernorConfig) *Governor {
 	return g
 }
 
-// Config returns the effective (defaulted) configuration.
-func (g *Governor) Config() GovernorConfig { return g.cfg }
-
 // memLimited reports whether the global memory pool is in force.
 func (g *Governor) memLimited() bool { return g != nil && g.cfg.MemLimit > 0 }
 

@@ -499,9 +499,7 @@ func TestResultCacheByteBudget(t *testing.T) {
 // The rule: a plan is current while its tables are still the catalog's tables
 // under their names, a result while their pinned partition-set versions also
 // match. So only append + seal and drop + recreate of t1 miss the result,
-// only the recreate misses the plan, and DDL on other tables or attaching a
-// data directory (the in-memory tables shadow it, keeping their identity and
-// versions) miss nothing.
+// only the recreate misses the plan, and DDL on other tables misses nothing.
 func TestResultCacheInvalidationMatrix(t *testing.T) {
 	const q = `SELECT COUNT(*) AS n, MAX("v") AS mx FROM "t1"`
 	span := func(lo, hi int) []int {
@@ -572,11 +570,6 @@ func TestResultCacheInvalidationMatrix(t *testing.T) {
 				load(t, e, "t1", span(100, 130))
 			},
 			rows: span(100, 130), planHit: false, resultHit: false, invalidations: 1,
-		},
-		{
-			name:   "set-data-dir",
-			mutate: func(t *testing.T, e *Engine) { e.Catalog().SetDataDir(t.TempDir()) },
-			rows:   span(0, 40), planHit: true, resultHit: true,
 		},
 	}
 	for _, c := range cases {

@@ -196,9 +196,9 @@ func eliminateDeadLets(e Expr) Expr {
 				kept = append(kept, c)
 				continue
 			}
-			used := exprUsesVar(x.Return, let.Var)
+			used := ExprUsesVar(x.Return, let.Var)
 			for _, later := range x.Clauses[i+1:] {
-				if clauseUsesVar(later, let.Var) {
+				if ClauseUsesVar(later, let.Var) {
 					used = true
 					break
 				}
@@ -262,17 +262,20 @@ func rewriteClauseChildren(c Clause) {
 	}
 }
 
-func clauseUsesVar(c Clause, name string) bool {
+// ClauseUsesVar reports whether clause c references the variable name: in
+// its input, bound, condition or key expressions, or as a group-by key that
+// regroups an existing variable.
+func ClauseUsesVar(c Clause, name string) bool {
 	switch cl := c.(type) {
 	case *ForClause:
-		return exprUsesVar(cl.In, name)
+		return ExprUsesVar(cl.In, name)
 	case *LetClause:
-		return exprUsesVar(cl.Expr, name)
+		return ExprUsesVar(cl.Expr, name)
 	case *WhereClause:
-		return exprUsesVar(cl.Cond, name)
+		return ExprUsesVar(cl.Cond, name)
 	case *GroupByClause:
 		for _, k := range cl.Keys {
-			if k.Expr != nil && exprUsesVar(k.Expr, name) {
+			if k.Expr != nil && ExprUsesVar(k.Expr, name) {
 				return true
 			}
 			if k.Expr == nil && k.Var == name {
@@ -281,7 +284,7 @@ func clauseUsesVar(c Clause, name string) bool {
 		}
 	case *OrderByClause:
 		for _, k := range cl.Keys {
-			if exprUsesVar(k.Expr, name) {
+			if ExprUsesVar(k.Expr, name) {
 				return true
 			}
 		}
@@ -289,7 +292,8 @@ func clauseUsesVar(c Clause, name string) bool {
 	return false
 }
 
-func exprUsesVar(e Expr, name string) bool {
+// ExprUsesVar reports whether expression e references the variable name.
+func ExprUsesVar(e Expr, name string) bool {
 	found := false
 	Walk(e, func(n Expr) bool {
 		if v, ok := n.(*VarRef); ok && v.Name == name {

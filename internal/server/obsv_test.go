@@ -112,8 +112,7 @@ func TestQueryLogErrorRecord(t *testing.T) {
 // with no-store caching and a working ?limit=.
 func TestDebugSlowEndpoint(t *testing.T) {
 	w := jsonpark.Open(jsonpark.WithSlowQueryMillis(0))
-	s := New(w)
-	s.SetQueryLog(nil)
+	s := New(w, WithQueryLog(nil))
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 	loadOrders(t, srv)
@@ -229,8 +228,7 @@ func TestDebugQueriesHeadersAndLimit(t *testing.T) {
 // with non-zero per-operator row counts.
 func TestDebugQueriesShowsInFlightProgress(t *testing.T) {
 	w := jsonpark.Open(jsonpark.WithBatchSize(1), jsonpark.WithParallelism(1))
-	s := New(w)
-	s.SetQueryLog(nil)
+	s := New(w, WithQueryLog(nil))
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 	loadOrders(t, srv)

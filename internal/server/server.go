@@ -106,9 +106,6 @@ func New(w *jsonpark.Warehouse, opts ...Option) *Server {
 	return s
 }
 
-// SetQueryLog replaces the structured query logger (nil discards).
-func (s *Server) SetQueryLog(l *qlog.Logger) { s.qlog = l }
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
@@ -363,7 +360,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if err := s.w.LoadObject(req.Collection, v); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			writeError(w, http.StatusBadRequest, fmt.Errorf("document %d: %w", i, err))
 			return
 		}
 	}

@@ -19,8 +19,7 @@ import (
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	w := jsonpark.Open()
-	s := New(w)
-	s.SetQueryLog(nil)
+	s := New(w, WithQueryLog(nil))
 	srv := httptest.NewServer(s)
 	t.Cleanup(srv.Close)
 	return srv
@@ -137,6 +136,18 @@ func TestHTTPErrors(t *testing.T) {
 	code, _ = post(t, srv, "/collections", `{"name": "dup", "columns": ["x"]}`)
 	if code != http.StatusConflict {
 		t.Errorf("duplicate code = %d", code)
+	}
+}
+
+// A non-object document has no fields to stage: /load answers 400 and the
+// message names the offending document.
+func TestLoadRejectsNonObject(t *testing.T) {
+	srv := testServer(t)
+	post(t, srv, "/collections", `{"name": "orders", "columns": ["id", "items"]}`)
+	code, out := post(t, srv, "/load", `{"collection": "orders", "documents": [{"id": 1, "items": []}, [1, 2]]}`)
+	msg, _ := out["error"].(string)
+	if code != http.StatusBadRequest || !strings.Contains(msg, "document 1") || !strings.Contains(msg, "ARRAY") {
+		t.Fatalf("load of an array = %d %v, want 400 naming document 1 and ARRAY", code, out)
 	}
 }
 
@@ -346,8 +357,7 @@ func TestQueryAnalyzeOverHTTP(t *testing.T) {
 // 504 with a structured body and shows up as a cancelled query in /metrics.
 func TestQueryTimeoutReturns504(t *testing.T) {
 	w := jsonpark.Open()
-	s := New(w, WithQueryTimeout(time.Nanosecond))
-	s.SetQueryLog(nil)
+	s := New(w, WithQueryTimeout(time.Nanosecond), WithQueryLog(nil))
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 	loadOrders(t, srv) // only /query is governed by the timeout
@@ -384,8 +394,7 @@ func TestQueryTimeoutReturns504(t *testing.T) {
 // page on server health dashboards.
 func TestClientDisconnectReturns499(t *testing.T) {
 	w := jsonpark.Open()
-	s := New(w)
-	s.SetQueryLog(nil)
+	s := New(w, WithQueryLog(nil))
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 	loadOrders(t, srv)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"jsonpark/internal/engine"
-	"jsonpark/internal/obsv"
 	"jsonpark/internal/sqlast"
 )
 
@@ -286,42 +285,19 @@ func (df *DataFrame) Limit(n int64) *DataFrame {
 // Collect triggers execution of the composed SQL query in the engine and
 // returns the full result with metrics.
 func (df *DataFrame) Collect() (*engine.Result, error) {
-	res, _, err := df.CollectTraced(nil, false)
+	res, _, err := df.CollectOpts(context.Background(), engine.PrepareOptions{})
 	return res, err
 }
 
-// CollectTraced is Collect with observability: the span (may be nil)
-// receives the engine's compile-stage children plus an engine.execute span,
-// and analyze enables per-operator metering, returning the annotated plan
-// tree alongside the result (nil when analyze is false).
-func (df *DataFrame) CollectTraced(sp *obsv.Span, analyze bool) (*engine.Result, *engine.PlanStats, error) {
-	return df.CollectTracedCtx(context.Background(), sp, analyze)
-}
-
-// CollectTracedCtx is CollectTraced under a cancellation context: a cancel
-// or deadline aborts execution promptly with an error satisfying
-// errors.Is(err, context.Canceled) / context.DeadlineExceeded.
-func (df *DataFrame) CollectTracedCtx(ctx context.Context, sp *obsv.Span, analyze bool) (*engine.Result, *engine.PlanStats, error) {
-	return df.CollectOpts(ctx, CollectOptions{Span: sp, Analyze: analyze})
-}
-
-// CollectOptions parameterizes CollectOpts: an optional compile-stage span,
-// per-operator metering, and the trace ID labelling the query's live
-// progress entry in the engine's ProgressSnapshot.
-type CollectOptions struct {
-	Span    *obsv.Span
-	Analyze bool
-	TraceID string
-}
-
-// CollectOpts is the fully-parameterized Collect all other variants reduce
-// to.
-func (df *DataFrame) CollectOpts(ctx context.Context, opts CollectOptions) (*engine.Result, *engine.PlanStats, error) {
-	p, err := df.session.eng.PrepareOpts(df.SQL(), engine.PrepareOptions{
-		Span:    opts.Span,
-		Analyze: opts.Analyze,
-		TraceID: opts.TraceID,
-	})
+// CollectOpts is Collect under a cancellation context and the engine's
+// prepare options: opts.Span (may be nil) receives the engine's
+// compile-stage children plus an engine.execute span, and opts.Analyze
+// enables per-operator metering, returning the annotated plan tree alongside
+// the result (nil when Analyze is false). A cancel or deadline aborts
+// execution promptly with an error satisfying errors.Is(err,
+// context.Canceled) / context.DeadlineExceeded.
+func (df *DataFrame) CollectOpts(ctx context.Context, opts engine.PrepareOptions) (*engine.Result, *engine.PlanStats, error) {
+	p, err := df.session.eng.PrepareOpts(df.SQL(), opts)
 	if err != nil {
 		return nil, nil, err
 	}

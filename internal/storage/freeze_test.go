@@ -54,8 +54,7 @@ func TestSealedChunksArePointerFree(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	c := storage.NewCatalog()
-	c.SetDataDir(dir)
+	c := storage.NewCatalog(dir, true)
 	ptab, err := c.CreateTable("adl", hepdata.Columns())
 	if err != nil {
 		t.Fatal(err)
@@ -64,8 +63,7 @@ func TestSealedChunksArePointerFree(t *testing.T) {
 	tab, ptab, c = nil, nil, nil
 
 	before = liveHeapObjects()
-	reopened := storage.NewCatalog()
-	reopened.SetDataDir(dir)
+	reopened := storage.NewCatalog(dir, true)
 	rtab, err := reopened.Table("adl")
 	if err != nil {
 		t.Fatal(err)

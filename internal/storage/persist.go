@@ -70,28 +70,9 @@ func corruptf(path, format string, args ...any) error {
 	return &CorruptError{Path: path, Detail: fmt.Sprintf(format, args...)}
 }
 
-// SetDataDir attaches a data directory to the catalog. Existing on-disk
-// tables are discovered lazily on first catalog access (so opening a
-// warehouse stays error-free); tables created afterwards persist every sealed
-// partition under the directory.
-func (c *Catalog) SetDataDir(dir string) {
-	c.mu.Lock()
-	c.dataDir = dir
-	c.scanned = false
-	c.scanErr = nil
-	c.mu.Unlock()
-}
-
-// DataDir returns the catalog's data directory ("" when in-memory only).
-func (c *Catalog) DataDir() string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.dataDir
-}
-
-// ensureScannedLocked discovers on-disk tables once per SetDataDir. The
-// first error is sticky: the catalog keeps returning it rather than serving
-// a partial view of the directory.
+// ensureScannedLocked discovers on-disk tables once, before the first table
+// is created or looked up. The first error is sticky: the catalog keeps
+// returning it rather than serving a partial view of the directory.
 func (c *Catalog) ensureScannedLocked() error {
 	if c.scanned || c.dataDir == "" {
 		return c.scanErr
@@ -111,9 +92,6 @@ func (c *Catalog) ensureScannedLocked() error {
 			continue
 		}
 		name := e.Name()
-		if _, exists := c.tables[name]; exists {
-			continue
-		}
 		dir := filepath.Join(c.dataDir, name)
 		if _, err := os.Stat(filepath.Join(dir, manifestName)); err != nil {
 			continue // not a table directory
@@ -125,53 +103,6 @@ func (c *Catalog) ensureScannedLocked() error {
 		}
 		t.typedOff = c.typedOff
 		c.tables[name] = t
-	}
-	if err := c.adoptTablesLocked(); err != nil {
-		c.scanErr = err
-	}
-	return c.scanErr
-}
-
-// adoptTablesLocked attaches the data directory to tables that predate it:
-// a table created while the catalog was in-memory (or before a later
-// SetDataDir) has no directory, so partitions sealed by its appends — and
-// anything Flush seals later — would silently never reach disk. Adoption
-// writes the MANIFEST, persists every already-sealed partition, and leaves
-// the table on the normal seal-to-disk path. A same-named on-disk directory
-// is replaced: the in-memory table shadows it in every query, so it is the
-// authoritative state.
-func (c *Catalog) adoptTablesLocked() error {
-	if c.dataDir == "" {
-		return nil
-	}
-	for _, t := range c.tables {
-		t.mu.Lock()
-		err := c.adoptTableLocked(t)
-		t.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// adoptTableLocked does the per-table work of adoptTablesLocked; the caller
-// holds both the catalog lock and t.mu.
-func (c *Catalog) adoptTableLocked(t *Table) error {
-	if t.dir != "" {
-		return nil
-	}
-	dir := filepath.Join(c.dataDir, t.Name)
-	if err := os.RemoveAll(dir); err != nil {
-		return fmt.Errorf("storage: replacing table dir: %w", err)
-	}
-	if err := c.attachTableDirLocked(t); err != nil {
-		return err
-	}
-	for _, p := range t.partitions {
-		if err := t.writePartitionLocked(p); err != nil {
-			return err
-		}
 	}
 	return nil
 }

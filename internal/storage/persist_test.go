@@ -12,8 +12,7 @@ import (
 
 func persistRows(t *testing.T, dir string, n int) {
 	t.Helper()
-	c := NewCatalog()
-	c.SetDataDir(dir)
+	c := NewCatalog(dir, true)
 	tab, err := c.CreateTable("ev", []string{"id", "tag", "meta"})
 	if err != nil {
 		t.Fatal(err)
@@ -39,8 +38,7 @@ func TestPersistRoundTrip(t *testing.T) {
 	persistRows(t, dir, 100)
 
 	// A fresh catalog (a "restarted process") rediscovers the table.
-	c := NewCatalog()
-	c.SetDataDir(dir)
+	c := NewCatalog(dir, true)
 	tab, err := c.Table("ev")
 	if err != nil {
 		t.Fatal(err)
@@ -117,8 +115,7 @@ func TestPersistAppendAfterReload(t *testing.T) {
 	dir := t.TempDir()
 	persistRows(t, dir, 10)
 
-	c := NewCatalog()
-	c.SetDataDir(dir)
+	c := NewCatalog(dir, true)
 	tab, err := c.Table("ev")
 	if err != nil {
 		t.Fatal(err)
@@ -130,8 +127,7 @@ func TestPersistAppendAfterReload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2 := NewCatalog()
-	c2.SetDataDir(dir)
+	c2 := NewCatalog(dir, true)
 	tab2, err := c2.Table("ev")
 	if err != nil {
 		t.Fatal(err)
@@ -141,85 +137,10 @@ func TestPersistAppendAfterReload(t *testing.T) {
 	}
 }
 
-// TestPersistAdoptsInMemoryTables is the reopen-after-append regression: a
-// table created before the catalog had a data directory seals partitions in
-// memory; attaching the directory later must adopt them — manifest written,
-// already-sealed partitions persisted — and partitions sealed by appends
-// afterwards must reach disk too, so a restart loses nothing.
-func TestPersistAdoptsInMemoryTables(t *testing.T) {
-	dir := t.TempDir()
-	c := NewCatalog()
-	tab, err := c.CreateTable("ev", []string{"id", "tag", "meta"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := func(i int) []variant.Value {
-		return []variant.Value{
-			variant.Int(int64(i)),
-			variant.String(fmt.Sprintf("tag%d", i%3)),
-			variant.ObjectFromPairs("q", variant.Int(int64(i%5))),
-		}
-	}
-	// Phase 1: purely in-memory — two sealed partitions plus buffered rows.
-	for i := 0; i < 30; i++ {
-		if err := tab.Append(row(i)); err != nil {
-			t.Fatal(err)
-		}
-		if i == 9 || i == 19 {
-			tab.Seal()
-		}
-	}
-	// Phase 2: attach the directory, keep appending; the seal at i==39 goes
-	// through the normal seal-to-disk path.
-	c.SetDataDir(dir)
-	for i := 30; i < 50; i++ {
-		if err := tab.Append(row(i)); err != nil {
-			t.Fatal(err)
-		}
-		if i == 39 {
-			tab.Seal()
-		}
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Restart: every row — sealed before the directory existed, sealed by an
-	// append after, or buffered at Flush — must come back.
-	c2 := NewCatalog()
-	c2.SetDataDir(dir)
-	tab2, err := c2.Table("ev")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tab2.NumRows(); got != 50 {
-		t.Fatalf("NumRows after restart = %d, want 50", got)
-	}
-	if parts := tab2.Partitions(); len(parts) != 4 {
-		t.Fatalf("partitions after restart = %d, want 4", len(parts))
-	}
-	seen := 0
-	for _, p := range tab2.Partitions() {
-		if _, err := p.EnsureLoaded(); err != nil {
-			t.Fatal(err)
-		}
-		for _, v := range p.Column(0).Values() {
-			if v.AsInt() != int64(seen) {
-				t.Fatalf("row %d reloaded as id %d", seen, v.AsInt())
-			}
-			seen++
-		}
-	}
-	if seen != 50 {
-		t.Fatalf("reloaded %d rows, want 50", seen)
-	}
-}
-
 func TestPersistDropTableRemovesDir(t *testing.T) {
 	dir := t.TempDir()
 	persistRows(t, dir, 5)
-	c := NewCatalog()
-	c.SetDataDir(dir)
+	c := NewCatalog(dir, true)
 	if _, err := c.Table("ev"); err != nil {
 		t.Fatal(err)
 	}
@@ -275,8 +196,7 @@ func TestPersistCorruptionIsStructuredError(t *testing.T) {
 			persistRows(t, dir, 20)
 			corruptPartitionFile(t, dir, tc.mutate)
 
-			c := NewCatalog()
-			c.SetDataDir(dir)
+			c := NewCatalog(dir, true)
 			tab, err := c.Table("ev")
 			if tc.headerErr {
 				if err == nil {

@@ -26,12 +26,13 @@ const DefaultPartitionBytes = 4 << 20
 
 // Catalog is the collection of tables known to one engine instance.
 type Catalog struct {
-	mu       sync.RWMutex
-	tables   map[string]*Table
-	typedOff bool
-	dataDir  string
-	scanned  bool
-	scanErr  error
+	typedOff bool   // fixed by NewCatalog
+	dataDir  string // fixed by NewCatalog
+
+	mu      sync.Mutex
+	tables  map[string]*Table
+	scanned bool
+	scanErr error
 }
 
 // tableVersionClock issues partition-set versions. It is process-global so a
@@ -40,18 +41,14 @@ type Catalog struct {
 // partition set.
 var tableVersionClock atomic.Int64
 
-// NewCatalog returns an empty catalog.
-func NewCatalog() *Catalog {
-	return &Catalog{tables: make(map[string]*Table)}
-}
-
-// SetTypedShredding toggles typed chunk encoding for tables created after the
-// call (on by default). Off, every chunk keeps the variant representation —
-// the reference storage mode for parity testing.
-func (c *Catalog) SetTypedShredding(on bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.typedOff = !on
+// NewCatalog returns a catalog over dataDir ("" keeps it in memory only).
+// Existing on-disk tables are discovered lazily on first catalog access (so
+// opening a warehouse stays error-free); tables created afterwards persist
+// every sealed partition under the directory. typed selects typed chunk
+// encoding at seal; off, every chunk keeps the variant representation — the
+// reference storage mode for parity testing.
+func NewCatalog(dataDir string, typed bool) *Catalog {
+	return &Catalog{tables: make(map[string]*Table), dataDir: dataDir, typedOff: !typed}
 }
 
 // CreateTable registers a new table with the given top-level column names.
@@ -176,14 +173,6 @@ func NewTable(name string, columns []string) *Table {
 	return t
 }
 
-// SetTypedShredding toggles typed chunk encoding for partitions sealed after
-// the call (on by default).
-func (t *Table) SetTypedShredding(on bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.typedOff = !on
-}
-
 // SetTargetPartitionBytes overrides the micro-partition size target. It only
 // affects subsequent appends.
 func (t *Table) SetTargetPartitionBytes(n int64) {
@@ -219,8 +208,12 @@ func (t *Table) Append(row []variant.Value) error {
 
 // AppendObject adds one row from an object value: each table column is taken
 // from the object's same-named field (missing fields become NULL). This is
-// the schema-oblivious multi-column staging of §III-C.
+// the schema-oblivious multi-column staging of §III-C. Any other kind of
+// value is rejected: it has no fields, so it would stage as an all-NULL row.
 func (t *Table) AppendObject(obj variant.Value) error {
+	if k := obj.Kind(); k != variant.KindObject {
+		return fmt.Errorf("storage: table %q stages objects, got %s", t.Name, k)
+	}
 	row := make([]variant.Value, len(t.Columns))
 	for i, c := range t.Columns {
 		row[i] = obj.Field(c)

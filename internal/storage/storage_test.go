@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -9,7 +10,7 @@ import (
 )
 
 func TestCatalogCreateAndLookup(t *testing.T) {
-	c := NewCatalog()
+	c := NewCatalog("", true)
 	if _, err := c.CreateTable("t", []string{"a", "b"}); err != nil {
 		t.Fatal(err)
 	}
@@ -70,6 +71,21 @@ func TestAppendObjectStagesByColumnName(t *testing.T) {
 	}
 	if got := p.Column(1).Values()[0].Field("pt").AsFloat(); got != 12.5 {
 		t.Errorf("MET.pt = %v", got)
+	}
+}
+
+// A document that is not an object has no fields to stage; storing it as an
+// all-NULL row would silently lose it.
+func TestAppendObjectRejectsNonObjects(t *testing.T) {
+	tab := NewTable("t", []string{"a"})
+	for doc, kind := range map[string]string{`[1,2]`: "ARRAY", `5`: "NUMBER", `"s"`: "VARCHAR", `null`: "NULL"} {
+		err := tab.AppendObject(variant.MustParseJSON(doc))
+		if err == nil || !strings.Contains(err.Error(), kind) {
+			t.Errorf("AppendObject(%s) = %v, want an error naming %s", doc, err, kind)
+		}
+	}
+	if n := tab.NumRows(); n != 0 {
+		t.Fatalf("rejected documents left %d rows", n)
 	}
 }
 
@@ -255,7 +271,7 @@ func TestPartitionsSealOpenData(t *testing.T) {
 }
 
 func TestTableNamesSorted(t *testing.T) {
-	c := NewCatalog()
+	c := NewCatalog("", true)
 	for _, n := range []string{"zeta", "alpha", "mid"} {
 		if _, err := c.CreateTable(n, []string{"x"}); err != nil {
 			t.Fatal(err)

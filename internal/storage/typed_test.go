@@ -11,8 +11,10 @@ import (
 // sealOne builds a single sealed partition from rows of one column.
 func sealOne(t *testing.T, typed bool, vals ...variant.Value) *Partition {
 	t.Helper()
-	tab := NewTable("t", []string{"c"})
-	tab.SetTypedShredding(typed)
+	tab, err := NewCatalog("", typed).CreateTable("t", []string{"c"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, v := range vals {
 		if err := tab.Append([]variant.Value{v}); err != nil {
 			t.Fatal(err)
@@ -81,15 +83,13 @@ func TestTypedShreddingDisabled(t *testing.T) {
 }
 
 func TestCatalogTypedShreddingKnob(t *testing.T) {
-	c := NewCatalog()
-	c.SetTypedShredding(false)
-	tab, err := c.CreateTable("t", []string{"c"})
+	tab, err := NewCatalog("", false).CreateTable("t", []string{"c"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tab.Append([]variant.Value{variant.Int(1)})
 	if tab.Partitions()[0].Column(0).Typed() != nil {
-		t.Fatal("catalog knob did not propagate to the table")
+		t.Fatal("catalog typed mode did not propagate to the table")
 	}
 }
 

@@ -96,23 +96,18 @@ type Warehouse struct {
 // OpenOption configures a Warehouse.
 type OpenOption func(*openConfig)
 
+// openConfig holds the engine options Open forwards unchanged, plus the
+// warehouse's own two settings.
 type openConfig struct {
-	batchSize   int
-	parallelism int
-	memLimit    int64
-	slowMS      int64
-	traceOut    io.Writer
-	dataDir     string
-	typedOff    bool
-	cacheSize   int
-	resultBytes int64
-	governor    *engine.Governor
+	engine   []engine.Option
+	slowMS   int64
+	traceOut io.Writer
 }
 
 // WithBatchSize sets the rows-per-batch of the vectorized executor (default
 // 1024). Mostly useful for testing and benchmarking batch-size sensitivity.
 func WithBatchSize(n int) OpenOption {
-	return func(c *openConfig) { c.batchSize = n }
+	return func(c *openConfig) { c.engine = append(c.engine, engine.WithBatchSize(n)) }
 }
 
 // WithParallelism caps the worker pools of every parallel operator: morsel
@@ -120,7 +115,7 @@ func WithBatchSize(n int) OpenOption {
 // multi-partition table. Default: the number of CPUs; 1 forces fully sequential execution. Results are byte-identical at
 // any setting.
 func WithParallelism(n int) OpenOption {
-	return func(c *openConfig) { c.parallelism = n }
+	return func(c *openConfig) { c.engine = append(c.engine, engine.WithParallelism(n)) }
 }
 
 // WithMemLimit caps the bytes of retained state the pipeline breakers
@@ -129,7 +124,7 @@ func WithParallelism(n int) OpenOption {
 // runs and the output stays byte-identical to the unlimited run. Values
 // <= 0 (the default) disable accounting.
 func WithMemLimit(bytes int64) OpenOption {
-	return func(c *openConfig) { c.memLimit = bytes }
+	return func(c *openConfig) { c.engine = append(c.engine, engine.WithMemLimit(bytes)) }
 }
 
 // WithSlowQueryMillis arms slow-query capture (the -slow-query-ms flag):
@@ -160,19 +155,7 @@ func WithTraceExport(w io.Writer) OpenOption {
 // open partition are not on disk until Flush (or the partition seals on
 // its own). Empty dir (the default) keeps everything in memory.
 func WithDataDir(dir string) OpenOption {
-	return func(c *openConfig) { c.dataDir = dir }
-}
-
-// WithTypedColumns toggles typed execution (on by default): leaf columns
-// whose non-null values are uniformly one scalar kind are stored as typed
-// arrays at partition seal (int64/float64/string/bool plus a null bitmap,
-// dictionary-encoded low-cardinality strings), and expressions keep numbers
-// and booleans in typed registers, both scanned by the expression kernels
-// without per-row variant dispatch. Query results are byte-identical either
-// way; false keeps every column and every expression result in the variant
-// encoding.
-func WithTypedColumns(on bool) OpenOption {
-	return func(c *openConfig) { c.typedOff = !on }
+	return func(c *openConfig) { c.engine = append(c.engine, engine.WithDataDir(dir)) }
 }
 
 // WithPlanCacheSize bounds the engine's query cache (the -plan-cache-size
@@ -185,7 +168,7 @@ func WithTypedColumns(on bool) OpenOption {
 // recreating a collection recompiles the plans over it and no others, and
 // appends and Flush never do.
 func WithPlanCacheSize(n int) OpenOption {
-	return func(c *openConfig) { c.cacheSize = n }
+	return func(c *openConfig) { c.engine = append(c.engine, engine.WithPlanCacheSize(n)) }
 }
 
 // WithResultCacheBytes turns on the result cache (the -result-cache-bytes
@@ -197,7 +180,7 @@ func WithPlanCacheSize(n int) OpenOption {
 // they need the plan cache on. Results larger than the budget are never
 // cached; smaller ones evict the least recently used results until they fit.
 func WithResultCacheBytes(n int64) OpenOption {
-	return func(c *openConfig) { c.resultBytes = n }
+	return func(c *openConfig) { c.engine = append(c.engine, engine.WithResultCacheBytes(n)) }
 }
 
 // Governor is the server-wide resource governor: one shared memory pool all
@@ -222,12 +205,13 @@ func NewGovernor(cfg GovernorConfig) *Governor { return engine.NewGovernor(cfg) 
 // governor's shared pool — pool pressure triggers spills exactly like
 // WithMemLimit — and servers gate request admission through it.
 func WithGovernor(g *Governor) OpenOption {
-	return func(c *openConfig) { c.governor = g }
+	return func(c *openConfig) { c.engine = append(c.engine, engine.WithGovernor(g)) }
 }
 
 // ParseByteSize parses a human byte-size string — "67108864", "64KiB",
 // "512MiB", "1GiB", "2kb", "10m" — into bytes. Suffixes are binary
 // (KiB/K/k = 1024) and case-insensitive; the "iB"/"b" tail is optional.
+// Sizes of 2^63 bytes or more are rejected.
 func ParseByteSize(s string) (int64, error) {
 	t := strings.TrimSpace(s)
 	if t == "" {
@@ -263,7 +247,11 @@ func ParseByteSize(s string) (int64, error) {
 	if err != nil || f < 0 {
 		return 0, fmt.Errorf("jsonpark: bad byte size %q", s)
 	}
-	return int64(f * float64(mult)), nil
+	n := f * float64(mult)
+	if n >= 1<<63 { // int64 conversion would wrap to a negative size
+		return 0, fmt.Errorf("jsonpark: byte size %q overflows int64", s)
+	}
+	return int64(n), nil
 }
 
 // Open creates an empty in-memory warehouse.
@@ -272,16 +260,7 @@ func Open(opts ...OpenOption) *Warehouse {
 	for _, fn := range opts {
 		fn(&c)
 	}
-	eng := engine.New(
-		engine.WithBatchSize(c.batchSize),
-		engine.WithParallelism(c.parallelism),
-		engine.WithMemLimit(c.memLimit),
-		engine.WithTypedColumns(!c.typedOff),
-		engine.WithDataDir(c.dataDir),
-		engine.WithPlanCacheSize(c.cacheSize),
-		engine.WithResultCacheBytes(c.resultBytes),
-		engine.WithGovernor(c.governor),
-	)
+	eng := engine.New(c.engine...)
 	w := &Warehouse{
 		eng:  eng,
 		sess: snowpark.NewSession(eng),
@@ -540,7 +519,7 @@ func (w *Warehouse) QueryTraced(jsoniqSrc string, opts ...QueryOption) (*QueryRe
 	if qctx == nil {
 		qctx = context.Background()
 	}
-	result, plan, err := tres.DataFrame.CollectOpts(qctx, snowpark.CollectOptions{
+	result, plan, err := tres.DataFrame.CollectOpts(qctx, engine.PrepareOptions{
 		Span:    tr.Root,
 		Analyze: c.analyze,
 		TraceID: tr.ID,

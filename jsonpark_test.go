@@ -234,6 +234,53 @@ func TestWarehouseErrors(t *testing.T) {
 	}
 }
 
+// A document that is not an object has no fields to stage: loading it
+// fails and leaves the collection unchanged, for both backends.
+func TestWarehouseLoadRejectsNonObject(t *testing.T) {
+	w := exampleWarehouse(t)
+	tab, err := w.Engine().Catalog().Table("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := tab.NumRows()
+	if err := w.LoadJSON("orders", `[1,2]`); err == nil || !strings.Contains(err.Error(), "ARRAY") {
+		t.Fatalf("LoadJSON of an array = %v, want an error naming ARRAY", err)
+	}
+	if got := tab.NumRows(); got != before {
+		t.Fatalf("rows = %d after a rejected load, want %d", got, before)
+	}
+	items, err := w.QueryInterpreted(`count(collection("orders"))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(items) != 1 || items[0].AsInt() != before {
+		t.Fatalf("interpreted count = %v, want %d", items, before)
+	}
+}
+
+func TestParseByteSize(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want int64
+	}{
+		{"64MiB", 64 << 20},
+		{"1.5m", 3 << 19},
+		{"2g", 2 << 30},
+		{"0", 0},
+	} {
+		if got, err := ParseByteSize(tc.in); err != nil || got != tc.want {
+			t.Errorf("ParseByteSize(%q) = %d, %v; want %d", tc.in, got, err, tc.want)
+		}
+	}
+	// Malformed sizes, and sizes of 2^63 bytes or more, which would wrap to
+	// a negative int64.
+	for _, in := range []string{"", "ib", "8EiB", "1e19", "9.3e18", "16777216TiB"} {
+		if got, err := ParseByteSize(in); err == nil {
+			t.Errorf("ParseByteSize(%q) = %d, want an error", in, got)
+		}
+	}
+}
+
 func TestWarehouseExplain(t *testing.T) {
 	w := exampleWarehouse(t)
 	sql, err := w.Translate(`for $o in collection("orders") where $o.id gt 1 return $o.id`)
