@@ -88,7 +88,8 @@ type Options struct {
 
 // Result is a completed translation.
 type Result struct {
-	// DataFrame lazily encapsulates the single translated SQL query.
+	// DataFrame lazily encapsulates the single translated SQL query, already
+	// rendered: its SQL and Collect reuse the text in SQL.
 	DataFrame *snowpark.DataFrame
 	// SQL is the rendered query text.
 	SQL string
@@ -129,6 +130,7 @@ func Translate(sess *snowpark.Session, src string, opts Options) (*Result, error
 		return nil, err
 	}
 	rsp := sp.Child("snowpark.render")
+	df = df.Rendered()
 	sql := df.SQL()
 	rsp.SetAttr("sql-bytes", len(sql))
 	rsp.End()

@@ -219,6 +219,10 @@ type Metrics struct {
 	// cache — the query skipped parse/plan/optimize/physicalize and paid only
 	// the per-run bind cost.
 	PlanCacheHit bool
+	// TextCacheHit reports that the plan was found under its source text's
+	// alias (PrepareText): the frontend did not run either. It implies
+	// PlanCacheHit.
+	TextCacheHit bool
 	// ResultCacheHit reports that the rows were served from the
 	// partition-versioned result cache — the query skipped execution
 	// entirely because an identical plan ran before over the same pinned
@@ -234,6 +238,22 @@ type Result struct {
 	Columns []string
 	Rows    [][]variant.Value
 	Metrics Metrics
+	// items is the result cache's encoding of Rows (ItemsJSON), shared with
+	// the cache; nil when the result cache did not keep these rows.
+	items []byte
+}
+
+// ItemsJSON returns a single-column result's items as one compact JSON
+// array, each item rendered by variant.Value.AppendJSON. Rows the result
+// cache kept, served by a hit or attached by the run that computed them,
+// return the bytes the cache encoded once — read-only, and describing the
+// rows as the query returned them, not as a caller may have mutated them;
+// any other result is encoded on each call.
+func (r *Result) ItemsJSON() ([]byte, error) {
+	if r.items != nil {
+		return slices.Clip(r.items), nil
+	}
+	return appendItems(nil, r.Rows)
 }
 
 // ErrPreparedConsumed reports a second Run/RunCtx on the same Prepared:
@@ -245,9 +265,14 @@ var ErrPreparedConsumed = errors.New("prepared: already consumed")
 // Prepared is a compiled query ready to execute once.
 type Prepared struct {
 	eng *Engine
-	// cp is the template this run bound; with result caching on, RunCtx looks
-	// its text up and attaches its rows to it.
-	cp      *compiledPlan
+	// cp is the template this run bound; with result caching on, bind looked
+	// its text up under deps, the versions it pinned, and on a miss RunCtx
+	// attaches the rows to it under the same deps.
+	cp   *compiledPlan
+	deps []resultDep
+	// hit is the current result half bind found: RunCtx returns it, and iter
+	// and ctx stay nil — no operator tree, accountant or progress entry.
+	hit     *cachedRows
 	iter    batchIter
 	ctx     *execContext
 	metrics Metrics
@@ -287,8 +312,7 @@ func (e *Engine) PrepareOpts(sql string, po PrepareOptions) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.metrics.PlanCacheHit = hit
-	p.metrics.CompileTime = time.Since(start)
+	p.metrics = Metrics{PlanCacheHit: hit, CompileTime: time.Since(start)}
 	return p, nil
 }
 
@@ -338,12 +362,28 @@ func materializeSchemas(n Node) {
 	}
 }
 
-// bind builds the cheap per-run state over a compiled template: execution
-// context, memory accountant (wired to the governor pool when one is
-// attached), progress entry, and the operator iterator tree. The template
-// itself is only read — scans re-read their table's partition list here, so
-// data appended after compile is visible on every run.
+// bind builds the per-run state over a compiled template. It first pins the
+// snapshot of every table the template reads — the pins seal buffered rows
+// and fix the read view, so data appended after compile is visible on every
+// run — and, with result caching on, looks the template's result half up
+// under the pinned versions. A current one makes the run a hit and nothing
+// else is built. Otherwise bind builds the execution context over the same
+// pins, the memory accountant (wired to the governor pool when one is
+// attached), the progress entry and the operator iterator tree. The
+// batch-hook instrumentation path always executes. The template itself is
+// only read.
 func (e *Engine) bind(cp *compiledPlan, po PrepareOptions) (*Prepared, error) {
+	snaps := make(map[*storage.Table]storage.TableSnapshot, len(cp.tables))
+	for _, t := range cp.tables {
+		snaps[t] = t.Snapshot()
+	}
+	p := &Prepared{eng: e, cp: cp}
+	if e.cache != nil && e.cache.maxBytes > 0 && e.batchHook == nil {
+		p.deps = snapshotDeps(snaps)
+		if p.hit = e.cache.result(cp.sql, p.deps); p.hit != nil {
+			return p, nil
+		}
+	}
 	acct := newMemAccountant(e.memLimit)
 	if e.governor.memLimited() {
 		acct.pool = e.governor
@@ -360,6 +400,7 @@ func (e *Engine) bind(cp *compiledPlan, po PrepareOptions) (*Prepared, error) {
 		batchHook:   e.batchHook,
 		typedOff:    e.typedOff,
 		forceBuild:  e.forceBuild,
+		snapshots:   snaps,
 	}
 	if ctx.batchSize <= 0 {
 		ctx.batchSize = vector.DefaultBatchSize
@@ -373,7 +414,8 @@ func (e *Engine) bind(cp *compiledPlan, po PrepareOptions) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{eng: e, cp: cp, iter: iter, ctx: ctx}, nil
+	p.iter, p.ctx = iter, ctx
+	return p, nil
 }
 
 // Run executes the prepared query to completion. A Prepared is single-use.
@@ -390,6 +432,15 @@ func (p *Prepared) RunCtx(ctx context.Context) (*Result, error) {
 	if p.used.Swap(true) {
 		return nil, ErrPreparedConsumed
 	}
+	// Result-cache hit: bind pinned every table's partition-set version, so an
+	// exact (query text, version vector) match means the cached rows are
+	// byte-identical to what execution would produce.
+	if h := p.hit; h != nil {
+		m := p.metrics
+		m.ResultCacheHit = true
+		m.RowsReturned = int64(len(h.rows))
+		return &Result{Columns: slices.Clone(p.cp.columns), Rows: copyRows(h.rows), Metrics: m, items: h.items}, nil
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -399,29 +450,8 @@ func (p *Prepared) RunCtx(ctx context.Context) (*Result, error) {
 	// Backstop: whatever the operators still hold charged goes back to the
 	// governor pool even on error paths.
 	defer p.ctx.acct.drain()
-	// Result-cache fast path: the bind phase pinned every scanned table's
-	// partition-set version, so an exact (query text, version vector) match
-	// means the cached rows are byte-identical to what execution would
-	// produce. The batch-hook instrumentation path always executes.
-	var rc *queryCache
-	var deps []resultDep
-	if p.eng != nil && p.eng.cache != nil && p.eng.cache.maxBytes > 0 && p.ctx.batchHook == nil {
-		rc, deps = p.eng.cache, p.ctx.snapshotDeps()
-		if rows, ok := rc.rows(p.cp.sql, deps); ok {
-			p.iter.Close()
-			m := Metrics{
-				CompileTime:    p.metrics.CompileTime,
-				PlanCacheHit:   p.metrics.PlanCacheHit,
-				ResultCacheHit: true,
-				RowsReturned:   int64(len(rows)),
-			}
-			return &Result{Columns: slices.Clone(p.cp.columns), Rows: rows, Metrics: m}, nil
-		}
-	}
-	if p.eng != nil {
-		p.eng.progress.add(p.ctx.prog)
-		defer p.eng.progress.remove(p.ctx.prog)
-	}
+	p.eng.progress.add(p.ctx.prog)
+	defer p.eng.progress.remove(p.ctx.prog)
 	start := time.Now()
 	rows, err := drainRowsHooked(p.iter, p.ctx.batchHook)
 	p.iter.Close()
@@ -434,23 +464,26 @@ func (p *Prepared) RunCtx(ctx context.Context) (*Result, error) {
 	m.DiskReads = atomic.LoadInt64(&p.ctx.diskReads)
 	m.CompileTime = p.metrics.CompileTime
 	m.PlanCacheHit = p.metrics.PlanCacheHit
+	m.TextCacheHit = p.metrics.TextCacheHit
 	m.ExecTime = time.Since(start)
 	m.RowsReturned = int64(len(rows))
 	m.MemPeakBytes, m.Spills, m.SpillBytes = p.ctx.acct.snapshot()
 	if p.ctx.acct.enabled() {
 		m.MemLimitBytes = p.ctx.acct.limit
 	}
-	if rc != nil {
-		rc.attach(p.cp, deps, rows)
+	res := &Result{Columns: slices.Clone(p.cp.columns), Rows: rows, Metrics: m}
+	if p.deps != nil {
+		res.items = p.eng.cache.attach(p.cp, p.deps, rows)
 	}
-	return &Result{Columns: slices.Clone(p.cp.columns), Rows: rows, Metrics: m}, nil
+	return res, nil
 }
 
 // PlanStats returns the annotated operator tree of a query prepared with
-// Analyze and executed with Run; nil otherwise. Stats reflect execution so
+// Analyze and executed with Run; nil otherwise — and nil for a result-cache
+// hit, which executed nothing, Analyze or not. Stats reflect execution so
 // far, so call it after Run completes.
 func (p *Prepared) PlanStats() *PlanStats {
-	if !p.ctx.analyze {
+	if p.ctx == nil || !p.ctx.analyze {
 		return nil
 	}
 	ps := buildPlanStats(p.cp.plan, p.ctx)

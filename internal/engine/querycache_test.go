@@ -493,13 +493,15 @@ func TestResultCacheByteBudget(t *testing.T) {
 
 // TestResultCacheInvalidationMatrix is the query cache's one staleness
 // matrix. For each catalog mutation it pins whether the next run of a query
-// over t1 hits the plan and the result half of its entry, how many result
-// halves the mutation made stale, and that the run and a view over t1,
-// refreshed before the mutation, both equal a cold engine over t1's rows.
-// The rule: a plan is current while its tables are still the catalog's tables
-// under their names, a result while their pinned partition-set versions also
-// match. So only append + seal and drop + recreate of t1 miss the result,
-// only the recreate misses the plan, and DDL on other tables misses nothing.
+// over t1, prepared by its source text, hits the text alias, the plan and the
+// result half of its entry, how many result halves the mutation made stale,
+// and that the run and a view over t1, refreshed before the mutation, both
+// equal a cold engine over t1's rows. The rule: a plan and the text's alias
+// are current while its tables are still the catalog's tables under their
+// names, a result while their pinned partition-set versions also match. So
+// only append + seal and drop + recreate of t1 miss the result, only the
+// recreate misses the plan and the alias, and DDL on other tables misses
+// nothing.
 func TestResultCacheInvalidationMatrix(t *testing.T) {
 	const q = `SELECT COUNT(*) AS n, MAX("v") AS mx FROM "t1"`
 	span := func(lo, hi int) []int {
@@ -508,6 +510,14 @@ func TestResultCacheInvalidationMatrix(t *testing.T) {
 			vs = append(vs, v)
 		}
 		return vs
+	}
+	// run prepares q under its text, translated over the current t1.
+	run := func(t *testing.T, e *Engine) *Result {
+		res, _ := runText(t, e, "text", func() (*Translation, error) {
+			tab, err := e.Catalog().Table("t1")
+			return &Translation{SQL: q, Tables: []*storage.Table{tab}}, err
+		})
+		return res
 	}
 	load := func(t *testing.T, e *Engine, name string, vals []int) {
 		t.Helper()
@@ -580,11 +590,12 @@ func TestResultCacheInvalidationMatrix(t *testing.T) {
 			if err := e.CreateView("mv", q); err != nil {
 				t.Fatal(err)
 			}
-			// Warm the plan, the result and the view's retained state.
-			for _, q := range []string{q, q, `SELECT COUNT(*) AS n FROM "t2"`} {
-				if _, err := e.Query(q); err != nil {
-					t.Fatal(err)
-				}
+			// Warm the alias, the plan, the result and the view's retained
+			// state.
+			run(t, e)
+			run(t, e)
+			if _, err := e.Query(`SELECT COUNT(*) AS n FROM "t2"`); err != nil {
+				t.Fatal(err)
 			}
 			if _, err := e.QueryView(t.Context(), "mv"); err != nil {
 				t.Fatal(err)
@@ -592,13 +603,11 @@ func TestResultCacheInvalidationMatrix(t *testing.T) {
 
 			c.mutate(t, e)
 
-			res, err := e.Query(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Metrics.PlanCacheHit != c.planHit || res.Metrics.ResultCacheHit != c.resultHit {
-				t.Errorf("plan hit %v, result hit %v; want %v, %v",
-					res.Metrics.PlanCacheHit, res.Metrics.ResultCacheHit, c.planHit, c.resultHit)
+			res := run(t, e)
+			m := res.Metrics
+			if m.TextCacheHit != c.planHit || m.PlanCacheHit != c.planHit || m.ResultCacheHit != c.resultHit {
+				t.Errorf("text hit %v, plan hit %v, result hit %v; want %v, %v, %v",
+					m.TextCacheHit, m.PlanCacheHit, m.ResultCacheHit, c.planHit, c.planHit, c.resultHit)
 			}
 			if _, _, _, inv, _, _ := e.ResultCacheStats(); inv != c.invalidations {
 				t.Errorf("result invalidations = %d, want %d", inv, c.invalidations)
@@ -753,9 +762,10 @@ func TestResultCacheParityGrid(t *testing.T) {
 	}
 }
 
-// TestResultCacheAnalyzeHit pins that a cache hit under Analyze still
-// returns a non-nil (zeroed) plan-stats tree — the slow-query capture path
-// relies on it.
+// TestResultCacheAnalyzeHit pins that a run under Analyze still hits the
+// warmed result cache — slow-query capture forces Analyze on every query —
+// and that such a hit carries no plan: bind found the rows before building
+// an operator tree, so nothing executed and there is nothing to annotate.
 func TestResultCacheAnalyzeHit(t *testing.T) {
 	e := rcEngine(t)
 	const q = `SELECT "k", COUNT(*) AS n FROM "c" GROUP BY "k" ORDER BY "k"`
@@ -766,6 +776,9 @@ func TestResultCacheAnalyzeHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if p.iter != nil || p.ctx != nil {
+		t.Fatal("a result-cache hit built an operator tree")
+	}
 	res, err := p.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -773,10 +786,7 @@ func TestResultCacheAnalyzeHit(t *testing.T) {
 	if !res.Metrics.ResultCacheHit {
 		t.Fatal("analyzed run missed the warmed result cache")
 	}
-	if p.PlanStats() == nil {
-		t.Fatal("PlanStats() = nil on an analyzed cache hit")
-	}
-	if !strings.Contains(p.PlanStats().Render(), "Aggregate") {
-		t.Fatal("analyzed cache hit lost the plan tree shape")
+	if ps := p.PlanStats(); ps != nil {
+		t.Fatalf("PlanStats() on a result-cache hit = %s, want nil", ps.Render())
 	}
 }

@@ -29,6 +29,7 @@ type Observer struct {
 	fallbackCols     *Counter
 	diskReads        *Counter
 	queriesCancelled *Counter
+	textCacheHits    *Counter
 	runtime          *RuntimeSampler
 }
 
@@ -57,6 +58,9 @@ type QueryObservation struct {
 	// Cancelled marks a query aborted by context cancellation or deadline;
 	// such queries count under status="cancelled" rather than "error".
 	Cancelled bool
+	// TextCacheHit marks a query whose plan the query cache found under its
+	// source text, so the JSONiq frontend did not run.
+	TextCacheHit bool
 }
 
 // NewObserver builds an observer with the standard metric set registered.
@@ -96,6 +100,8 @@ func NewObserver() *Observer {
 			"Cumulative micro-partitions cold-loaded from a persistent data directory."),
 		queriesCancelled: r.Counter("jsonpark_queries_cancelled_total",
 			"Queries aborted by context cancellation or deadline."),
+		textCacheHits: r.Counter("jsonpark_text_cache_hits_total",
+			"Queries whose plan the query cache found under their source text (JSONiq frontend skipped)."),
 		runtime: NewRuntimeSampler(r),
 	}
 }
@@ -256,6 +262,9 @@ func (o *Observer) ObserveQuery(q QueryObservation) {
 	o.typedCols.Add(float64(q.TypedCols))
 	o.fallbackCols.Add(float64(q.FallbackCols))
 	o.diskReads.Add(float64(q.DiskReads))
+	if q.TextCacheHit {
+		o.textCacheHits.Inc()
+	}
 	if q.Trace == nil {
 		return
 	}

@@ -15,8 +15,11 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"strconv"
 	"sync"
 	"time"
+
+	"jsonpark/internal/variant"
 )
 
 // Level orders log records by severity.
@@ -108,7 +111,17 @@ func (l *Logger) Log(level Level, event string, fields ...Field) {
 
 // appendJSON appends the JSON encoding of v, degrading to an encoded error
 // string for unmarshalable values so a bad field never loses the record.
+// The field types of a query record are written directly, in the bytes
+// json.Marshal writes for them.
 func appendJSON(buf []byte, v any) []byte {
+	switch x := v.(type) {
+	case string:
+		return variant.AppendJSONString(buf, x)
+	case int64:
+		return strconv.AppendInt(buf, x, 10)
+	case bool:
+		return strconv.AppendBool(buf, x)
+	}
 	b, err := json.Marshal(v)
 	if err != nil {
 		b, _ = json.Marshal(fmt.Sprintf("!marshal: %v", err))
@@ -141,6 +154,10 @@ type QueryRecord struct {
 	// cache: the run skipped parse/plan/optimize/physicalize and paid only
 	// the bind cost.
 	CacheHit bool
+	// TextCacheHit reports the plan was found under the query's source text
+	// (text plus strategy): the run skipped the JSONiq frontend as well. It
+	// implies CacheHit.
+	TextCacheHit bool
 	// ResultCacheHit reports the engine served the rows from the
 	// partition-versioned result cache: the run skipped execution entirely.
 	ResultCacheHit bool
@@ -186,6 +203,7 @@ func (l *Logger) LogQuery(r QueryRecord) {
 		F("fingerprint", r.Fingerprint),
 		F("status", r.Status),
 		F("cache_hit", r.CacheHit),
+		F("text_cache_hit", r.TextCacheHit),
 		F("result_cache_hit", r.ResultCacheHit),
 		F("parse_us", r.ParseUS),
 		F("plan_us", r.PlanUS),

@@ -260,24 +260,62 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	res := rep.Result
 	s.qlog.LogQuery(queryRecord(rep, qlog.StatusOK, nil))
-	items := make([]json.RawMessage, len(res.Rows))
-	for i, row := range res.Rows {
-		items[i] = json.RawMessage(row[0].JSON())
+	body, err := queryBody(rep)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
 	}
-	out := map[string]any{
-		"items":    items,
-		"sql":      rep.SQL,
-		"trace_id": rep.TraceID,
-		"strategy": rep.Strategy,
-		"metrics":  metricsOf(res),
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
+}
+
+// queryBody writes the /query success body directly: the keys and values
+// json.Encoder would write for the equivalent map, in its sorted key order
+// and with its trailing newline. The items are the result's own encoding
+// (Result.ItemsJSON) — on a result-cache hit the bytes the cache encoded
+// once — the SQL is the report's encoding of it, made once per translation,
+// and every string is escaped as encoding/json escapes it.
+func queryBody(rep *jsonpark.QueryReport) ([]byte, error) {
+	res := rep.Result
+	items, err := res.ItemsJSON()
+	if err != nil {
+		return nil, err
 	}
+	sql := rep.SQLJSON()
+	b := make([]byte, 0, len(items)+len(sql)+256)
+	b = append(b, `{"items":`...)
+	b = append(b, items...)
+	metrics, err := json.Marshal(metricsOf(res))
+	if err != nil {
+		return nil, err
+	}
+	b = append(b, `,"metrics":`...)
+	b = append(b, metrics...)
 	if rep.Plan != nil {
-		out["plan"] = rep.Plan
-		out["plan_text"] = rep.RenderAnalyze()
+		plan, err := json.Marshal(rep.Plan)
+		if err != nil {
+			return nil, err
+		}
+		b = append(b, `,"plan":`...)
+		b = append(b, plan...)
+		b = appendField(b, "plan_text", rep.RenderAnalyze())
 	}
-	writeJSON(w, http.StatusOK, out)
+	b = append(b, `,"sql":`...)
+	b = append(b, sql...)
+	b = appendField(b, "strategy", rep.Strategy)
+	b = appendField(b, "trace_id", rep.TraceID)
+	return append(b, '}', '\n'), nil
+}
+
+// appendField appends `,"key":value` with value escaped as encoding/json
+// escapes a string.
+func appendField(b []byte, key, value string) []byte {
+	b = append(b, ',', '"')
+	b = append(b, key...)
+	b = append(b, '"', ':')
+	return variant.AppendJSONString(b, value)
 }
 
 // answerAdmission maps an admission failure onto the wire: shed requests

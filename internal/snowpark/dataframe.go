@@ -1,11 +1,12 @@
 package snowpark
 
 import (
-	"context"
 	"fmt"
+	"slices"
 
 	"jsonpark/internal/engine"
 	"jsonpark/internal/sqlast"
+	"jsonpark/internal/storage"
 )
 
 // Session binds DataFrames to an engine instance, mirroring Snowpark's
@@ -35,6 +36,7 @@ func (s *Session) Table(name string) (*DataFrame, error) {
 		session: s,
 		query:   &sqlast.Select{Items: items, From: &sqlast.TableRef{Name: name}},
 		cols:    append([]string(nil), t.Columns...),
+		tables:  []*storage.Table{t},
 	}, nil
 }
 
@@ -44,13 +46,38 @@ type DataFrame struct {
 	session *Session
 	query   sqlast.Query
 	cols    []string
+	// tables are the table instances Session.Table resolved for this frame
+	// and its inputs, each once.
+	tables []*storage.Table
+	// sql is the rendered query, kept by Rendered; "" until then.
+	sql string
 }
 
 // Columns returns the output column names.
 func (df *DataFrame) Columns() []string { return append([]string(nil), df.cols...) }
 
+// Tables returns the table instances the frame reads: the catalog's tables
+// at the time Session.Table resolved their names.
+func (df *DataFrame) Tables() []*storage.Table { return slices.Clone(df.tables) }
+
 // SQL renders the single native SQL query this DataFrame represents.
-func (df *DataFrame) SQL() string { return sqlast.Render(df.query) }
+func (df *DataFrame) SQL() string {
+	if df.sql != "" {
+		return df.sql
+	}
+	return sqlast.Render(df.query)
+}
+
+// Rendered returns the same query with its SQL rendered once and kept, so
+// SQL and Collect on the result never render it again.
+func (df *DataFrame) Rendered() *DataFrame {
+	if df.sql != "" {
+		return df
+	}
+	out := *df
+	out.sql = sqlast.Render(df.query)
+	return &out
+}
 
 // Query exposes the underlying SQL AST.
 func (df *DataFrame) Query() sqlast.Query { return df.query }
@@ -60,7 +87,18 @@ func (df *DataFrame) subquery() *sqlast.SubqueryRef {
 }
 
 func (df *DataFrame) derive(q sqlast.Query, cols []string) *DataFrame {
-	return &DataFrame{session: df.session, query: q, cols: cols}
+	return &DataFrame{session: df.session, query: q, cols: cols, tables: df.tables}
+}
+
+// deriveBoth is derive for an operator over df and other.
+func (df *DataFrame) deriveBoth(other *DataFrame, q sqlast.Query, cols []string) *DataFrame {
+	out := df.derive(q, cols)
+	for _, t := range other.tables {
+		if !slices.Contains(out.tables, t) {
+			out.tables = append(slices.Clip(out.tables), t)
+		}
+	}
+	return out
 }
 
 // outName derives the output name of a projected column.
@@ -251,7 +289,7 @@ func (df *DataFrame) Join(other *DataFrame, on Column, kind string) (*DataFrame,
 	}
 	q := &sqlast.Select{Items: []sqlast.SelectItem{{Star: true}}, From: j}
 	cols := append(append([]string(nil), df.cols...), other.cols...)
-	return df.derive(q, cols), nil
+	return df.deriveBoth(other, q, cols), nil
 }
 
 // CrossJoin is Join with JoinCross and no condition.
@@ -264,7 +302,7 @@ func (df *DataFrame) UnionAll(other *DataFrame) (*DataFrame, error) {
 	if len(df.cols) != len(other.cols) {
 		return nil, fmt.Errorf("snowpark: UNION ALL arity mismatch (%d vs %d)", len(df.cols), len(other.cols))
 	}
-	return df.derive(&sqlast.SetOp{Op: "UNION ALL", Left: df.query, Right: other.query}, df.cols), nil
+	return df.deriveBoth(other, &sqlast.SetOp{Op: "UNION ALL", Left: df.query, Right: other.query}, df.cols), nil
 }
 
 // Sort orders rows, like DataFrame.sort().
@@ -285,27 +323,5 @@ func (df *DataFrame) Limit(n int64) *DataFrame {
 // Collect triggers execution of the composed SQL query in the engine and
 // returns the full result with metrics.
 func (df *DataFrame) Collect() (*engine.Result, error) {
-	res, _, err := df.CollectOpts(context.Background(), engine.PrepareOptions{})
-	return res, err
-}
-
-// CollectOpts is Collect under a cancellation context and the engine's
-// prepare options: opts.Span (may be nil) receives the engine's
-// compile-stage children plus an engine.execute span, and opts.Analyze
-// enables per-operator metering, returning the annotated plan tree alongside
-// the result (nil when Analyze is false). A cancel or deadline aborts
-// execution promptly with an error satisfying errors.Is(err,
-// context.Canceled) / context.DeadlineExceeded.
-func (df *DataFrame) CollectOpts(ctx context.Context, opts engine.PrepareOptions) (*engine.Result, *engine.PlanStats, error) {
-	p, err := df.session.eng.PrepareOpts(df.SQL(), opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	esp := opts.Span.Child("engine.execute")
-	res, err := p.RunCtx(ctx)
-	esp.End()
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, p.PlanStats(), nil
+	return df.session.eng.Query(df.SQL())
 }

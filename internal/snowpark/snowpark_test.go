@@ -282,3 +282,46 @@ func TestArrayAggOrderedGeneratesWithinGroup(t *testing.T) {
 		t.Errorf("ids = %v", res.Rows[0][0])
 	}
 }
+
+// TestFrameTablesAndRendered pins what a frame records: the table instances
+// Session.Table resolved for it and its inputs, each once, through joins and
+// unions; and a Rendered frame's SQL is the rendering it kept.
+func TestFrameTablesAndRendered(t *testing.T) {
+	s := testSession(t)
+	orders, err := s.Table("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	adl, err := s.Table("adl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := s.Table("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	renamed, err := again.Select(Col("o_id").As("id2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	self, err := orders.CrossJoin(renamed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	both, err := self.CrossJoin(adl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ot, _ := s.Engine().Catalog().Table("orders")
+	at, _ := s.Engine().Catalog().Table("adl")
+	if got := both.Tables(); len(got) != 2 || got[0] != ot || got[1] != at {
+		t.Fatalf("Tables() = %v, want [orders adl] once each", got)
+	}
+	if got := self.Tables(); len(got) != 1 || got[0] != ot {
+		t.Fatalf("self-join Tables() = %v, want [orders]", got)
+	}
+	r := both.Rendered()
+	if r.SQL() != both.SQL() || r.Rendered() != r {
+		t.Fatal("a rendered frame's SQL differs from its rendering, or renders again")
+	}
+}

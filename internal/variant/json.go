@@ -8,7 +8,7 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"strings"
+	"unicode/utf8"
 )
 
 // ParseJSON decodes one JSON document into a Value. Numbers without a
@@ -98,61 +98,123 @@ func FromAny(raw any) (Value, error) {
 
 // JSON renders v as compact JSON. NaN and infinities render as null, which
 // matches how engines serialize non-finite doubles into JSON output.
-func (v Value) JSON() string {
-	var b strings.Builder
-	v.appendJSON(&b)
-	return b.String()
-}
+func (v Value) JSON() string { return string(v.AppendJSON(nil)) }
 
-func (v Value) appendJSON(b *strings.Builder) {
+// AppendJSON appends v's JSON rendering (the bytes JSON returns) to dst.
+// Strings and keys are escaped as encoding/json escapes them, HTML
+// characters and U+2028/U+2029 included, so the output is already in the
+// form encoding/json would compact it to.
+func (v Value) AppendJSON(dst []byte) []byte {
 	switch v.kind {
 	case KindNull:
-		b.WriteString("null")
+		return append(dst, "null"...)
 	case KindBool:
 		if v.num != 0 {
-			b.WriteString("true")
-		} else {
-			b.WriteString("false")
+			return append(dst, "true"...)
 		}
+		return append(dst, "false"...)
 	case KindInt:
-		b.WriteString(strconv.FormatInt(int64(v.num), 10))
+		return strconv.AppendInt(dst, int64(v.num), 10)
 	case KindFloat:
 		f := math.Float64frombits(v.num)
 		if math.IsNaN(f) || math.IsInf(f, 0) {
-			b.WriteString("null")
-			return
+			return append(dst, "null"...)
 		}
-		s := strconv.FormatFloat(f, 'g', -1, 64)
-		b.WriteString(s)
-		if !strings.ContainsAny(s, ".eE") {
-			b.WriteString(".0") // keep doubles distinguishable from ints
+		start := len(dst)
+		dst = strconv.AppendFloat(dst, f, 'g', -1, 64)
+		if !bytes.ContainsAny(dst[start:], ".eE") {
+			dst = append(dst, ".0"...) // keep doubles distinguishable from ints
 		}
+		return dst
 	case KindString:
-		enc, _ := json.Marshal(v.str())
-		b.Write(enc)
+		return AppendJSONString(dst, v.str())
 	case KindArray:
-		b.WriteByte('[')
+		dst = append(dst, '[')
 		for i, e := range v.elems() {
 			if i > 0 {
-				b.WriteByte(',')
+				dst = append(dst, ',')
 			}
-			e.appendJSON(b)
+			dst = e.AppendJSON(dst)
 		}
-		b.WriteByte(']')
+		return append(dst, ']')
 	case KindObject:
-		b.WriteByte('{')
+		dst = append(dst, '{')
 		o := v.object()
 		for i, k := range o.Keys() {
 			if i > 0 {
-				b.WriteByte(',')
+				dst = append(dst, ',')
 			}
-			enc, _ := json.Marshal(k)
-			b.Write(enc)
-			b.WriteByte(':')
-			o.ValueAt(i).appendJSON(b)
+			dst = AppendJSONString(dst, k)
+			dst = append(dst, ':')
+			dst = o.ValueAt(i).AppendJSON(dst)
 		}
-		b.WriteByte('}')
+		return append(dst, '}')
 	}
+	return dst
+}
+
+// jsonSafe marks the ASCII bytes a JSON string literal holds unescaped.
+var jsonSafe = func() (t [utf8.RuneSelf]bool) {
+	for b := 0x20; b < utf8.RuneSelf; b++ {
+		t[b] = b != '"' && b != '\\' && b != '<' && b != '>' && b != '&'
+	}
+	return t
+}()
+
+// AppendJSONString appends s as a JSON string literal, escaped exactly as
+// encoding/json.Marshal escapes it: quote, backslash and the control
+// characters (\b \f \n \r \t by name, the rest as \u00XX), the HTML
+// characters < > & as \u003c \u003e \u0026, U+2028 and U+2029 as \u2028
+// and \u2029, and every invalid UTF-8 byte as \ufffd.
+func AppendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		b := s[i]
+		if b < utf8.RuneSelf {
+			if jsonSafe[b] {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }
 
 // String implements fmt.Stringer with the JSON rendering.

@@ -51,3 +51,33 @@ func afterFirstValue(data []byte) []byte {
 	}
 	return bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n")
 }
+
+// FuzzAppendJSONString: AppendJSONString writes exactly the bytes
+// encoding/json.Marshal writes for the same string — every escape class,
+// invalid UTF-8 and the JavaScript line separators included — and a string
+// value's JSON() is that literal too.
+func FuzzAppendJSONString(f *testing.F) {
+	for b := 0; b < 256; b++ {
+		f.Add(string([]byte{'a', byte(b), 'z'}))
+	}
+	for _, s := range []string{
+		"", `say "hi"\`, "<a href='x'>&amp;</a>", "line\u2028para\u2029end",
+		"\x00\x01\x1f\x7f", "\b\f\n\r\t", "é😀中", "\xff\xfe", "\xe2\x80", "a\xc3",
+		"\xed\xa0\x80", // an encoded surrogate half is invalid UTF-8
+		`{"nested": ["json", 1]}`,
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendJSONString([]byte("prefix"), s); string(got) != "prefix"+string(want) {
+			t.Fatalf("AppendJSONString(%q) = %s, want prefix%s", s, got, want)
+		}
+		if got := String(s).JSON(); got != string(want) {
+			t.Fatalf("String(%q).JSON() = %s, want %s", s, got, want)
+		}
+	})
+}

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -380,8 +381,14 @@ type QueryReport struct {
 	Query    string
 	SQL      string
 	Strategy string
-	Census   iterplan.CensusResult
-	Result   *Result
+	// Fingerprint is qlog.Fingerprint of SQL and Strategy, computed once per
+	// translation; "" when the query failed to translate.
+	Fingerprint string
+	Census      iterplan.CensusResult
+	Result      *Result
+	// tx is the translation the report's SQL came from; nil when the query
+	// failed to translate.
+	tx *translation
 	// Plan is the per-operator stats tree; nil unless WithAnalyze was given
 	// or slow-query capture is armed on the warehouse.
 	Plan *engine.PlanStats
@@ -390,6 +397,18 @@ type QueryReport struct {
 	// Slow marks a query that met the warehouse's slow-query threshold and
 	// was captured in the observer's slow ring; callers log it at warn.
 	Slow bool
+}
+
+// SQLJSON returns SQL encoded as a JSON string literal, escaped as
+// encoding/json escapes it. It is encoded on first use, once per
+// translation, and shared by every repeat of the text, so the bytes are
+// read-only; nil when the query failed to translate.
+func (r *QueryReport) SQLJSON() []byte {
+	if r.tx == nil {
+		return nil
+	}
+	r.tx.once.Do(func() { r.tx.sqlJSON = variant.AppendJSONString(nil, r.SQL) })
+	return slices.Clip(r.tx.sqlJSON)
 }
 
 // RenderAnalyze formats the annotated plan tree (EXPLAIN ANALYZE output);
@@ -417,9 +436,7 @@ func (r *QueryReport) QueryLogRecord(status string, err error) qlog.QueryRecord 
 	rec.Query = r.Query
 	rec.Strategy = r.Strategy
 	rec.Slow = r.Slow
-	if r.SQL != "" {
-		rec.Fingerprint = qlog.Fingerprint(r.SQL, r.Strategy)
-	}
+	rec.Fingerprint = r.Fingerprint
 	if r.Trace != nil {
 		ph := obsv.Phases(r.Trace)
 		rec.ParseUS = ph.Parse.Microseconds()
@@ -431,6 +448,7 @@ func (r *QueryReport) QueryLogRecord(status string, err error) qlog.QueryRecord 
 	if r.Result != nil {
 		m := r.Result.Metrics
 		rec.CacheHit = m.PlanCacheHit
+		rec.TextCacheHit = m.TextCacheHit
 		rec.ResultCacheHit = m.ResultCacheHit
 		rec.Rows = m.RowsReturned
 		rec.BytesScanned = m.BytesScanned
@@ -455,10 +473,27 @@ func (w *Warehouse) Query(jsoniqSrc string, opts ...QueryOption) (*Result, error
 	return rep.Result, nil
 }
 
+// translation is what a query report needs from the JSONiq frontend. The
+// query cache keeps it beside the entry the text translated to, so a
+// repeated text reports it without translating again.
+type translation struct {
+	strategy    string
+	census      iterplan.CensusResult
+	fingerprint string
+	once        sync.Once // guards sqlJSON, encoded on first use
+	sqlJSON     []byte
+}
+
 // QueryTraced runs a query with full lifecycle observability: a trace is
 // recorded into the warehouse observer's ring buffer (span per stage), the
 // standard metrics are updated, and the report carries trace ID, SQL,
 // census and — with WithAnalyze — the per-operator plan statistics.
+//
+// The query text plus the requested strategy is a second key of the query
+// cache's entry for the text's SQL: a repeat whose entry is current skips
+// the JSONiq frontend (no lex/parse/rewrite/iterator tree/translate/render
+// span) and reports the SQL, strategy, census and fingerprint the first
+// translation recorded.
 func (w *Warehouse) QueryTraced(jsoniqSrc string, opts ...QueryOption) (*QueryReport, error) {
 	var c queryConfig
 	for _, fn := range opts {
@@ -473,12 +508,13 @@ func (w *Warehouse) QueryTraced(jsoniqSrc string, opts ...QueryOption) (*QueryRe
 	tr.SetAttr("query", jsoniqSrc)
 	c.opts.Span = tr.Root
 
-	slow := false
-	finish := func(res *Result, plan *engine.PlanStats, err error) *obsv.TraceData {
+	rep := &QueryReport{TraceID: tr.ID, Query: jsoniqSrc}
+	finish := func(res *Result, plan *engine.PlanStats, err error) (*QueryReport, error) {
 		tr.SetError(err)
 		td := tr.Finish()
+		rep.Trace, rep.Result, rep.Plan = td, res, plan
 		if w.slowOn && td.Duration() >= w.slowThresh {
-			slow = true
+			rep.Slow = true
 			sq := obsv.SlowQuery{Trace: td}
 			if plan != nil {
 				sq.Plan = plan
@@ -501,54 +537,57 @@ func (w *Warehouse) QueryTraced(jsoniqSrc string, opts ...QueryOption) (*QueryRe
 			ob.TypedCols = res.Metrics.TypedCols
 			ob.FallbackCols = res.Metrics.FallbackCols
 			ob.DiskReads = res.Metrics.DiskReads
+			ob.TextCacheHit = res.Metrics.TextCacheHit
 		}
 		w.obs.ObserveQuery(ob)
-		return td
+		// Failed queries still return a partial report (trace identity, span
+		// tree, and the translation when there was one) alongside the error,
+		// so callers can log them fully.
+		return rep, err
 	}
 
-	tres, err := core.Translate(w.sess, jsoniqSrc, c.opts)
-	if err != nil {
-		td := finish(nil, nil, err)
-		// Failed queries still return a partial report (trace identity and
-		// span tree) alongside the error, so callers can log them fully.
-		return &QueryReport{TraceID: tr.ID, Query: jsoniqSrc, Trace: td, Slow: slow}, err
+	key := c.opts.Strategy.String() + "\x00" + jsoniqSrc
+	p, translated, err := w.eng.PrepareText(key, engine.PrepareOptions{
+		Span:    tr.Root,
+		Analyze: c.analyze,
+		TraceID: tr.ID,
+	}, func() (*engine.Translation, error) {
+		tres, err := core.Translate(w.sess, jsoniqSrc, c.opts)
+		if err != nil {
+			return nil, err
+		}
+		strategy := tres.Strategy.String()
+		return &engine.Translation{
+			SQL:    tres.SQL,
+			Tables: tres.DataFrame.Tables(),
+			Facts: &translation{
+				strategy:    strategy,
+				census:      tres.Census,
+				fingerprint: qlog.Fingerprint(tres.SQL, strategy),
+			},
+		}, nil
+	})
+	if translated != nil {
+		t := translated.Facts.(*translation)
+		rep.SQL, rep.Strategy, rep.Census, rep.Fingerprint, rep.tx = translated.SQL, t.strategy, t.census, t.fingerprint, t
+		tr.SetAttr("sql", rep.SQL)
+		tr.SetAttr("strategy", rep.Strategy)
 	}
-	tr.SetAttr("sql", tres.SQL)
-	tr.SetAttr("strategy", tres.Strategy.String())
+	if err != nil {
+		return finish(nil, nil, err)
+	}
 	qctx := c.ctx
 	if qctx == nil {
 		qctx = context.Background()
 	}
-	result, plan, err := tres.DataFrame.CollectOpts(qctx, engine.PrepareOptions{
-		Span:    tr.Root,
-		Analyze: c.analyze,
-		TraceID: tr.ID,
-	})
+	esp := tr.Root.Child("engine.execute")
+	result, err := p.RunCtx(qctx)
+	esp.End()
 	if err != nil {
-		td := finish(nil, nil, err)
-		return &QueryReport{
-			TraceID:  tr.ID,
-			Query:    jsoniqSrc,
-			SQL:      tres.SQL,
-			Strategy: tres.Strategy.String(),
-			Census:   tres.Census,
-			Trace:    td,
-			Slow:     slow,
-		}, err
+		return finish(nil, nil, err)
 	}
-	tr.SetAttr("rows", fmt.Sprint(result.Metrics.RowsReturned))
-	td := finish(result, plan, nil)
-	return &QueryReport{
-		TraceID:  tr.ID,
-		Query:    jsoniqSrc,
-		SQL:      tres.SQL,
-		Strategy: tres.Strategy.String(),
-		Census:   tres.Census,
-		Result:   result,
-		Plan:     plan,
-		Trace:    td,
-		Slow:     slow,
-	}, nil
+	tr.SetAttr("rows", strconv.FormatInt(result.Metrics.RowsReturned, 10))
+	return finish(result, p.PlanStats(), nil)
 }
 
 // QueryItems is Query returning the bare result items.

@@ -6,8 +6,9 @@
 // required keys, the result cache flipping false→true→false→true across the
 // append (the new partition makes the cached rows stale, then they re-warm)
 // while the cached plan, which no data change makes stale, hits from the
-// second run on, a populated /debug/slow, and a live /metrics exposition
-// including the plan-cache and result-cache counters.
+// second run on — found under the query text, so the JSONiq frontend runs
+// once — a populated /debug/slow, and a live /metrics exposition including
+// the plan-, text- and result-cache counters.
 // It exercises the same binary and flags an operator would use, not the
 // test harness.
 package main
@@ -132,6 +133,9 @@ func run() error {
 	if err := checkCounterAtLeast(base+"/metrics", "jsonpark_plan_cache_hits_total", 1); err != nil {
 		return err
 	}
+	if err := checkCounterAtLeast(base+"/metrics", "jsonpark_text_cache_hits_total", 3); err != nil {
+		return err
+	}
 	// Run 3's lookup found run 1's rows stale and counted it: staleness is
 	// found lazily, and the benchmark reports this counter as
 	// engine.result_cache_invalidations.
@@ -167,7 +171,7 @@ func checkQlog(path string) error {
 	}
 	for i, rec := range records {
 		for _, key := range []string{"trace_id", "fingerprint", "status",
-			"cache_hit", "result_cache_hit", "parse_us", "plan_us",
+			"cache_hit", "text_cache_hit", "result_cache_hit", "parse_us", "plan_us",
 			"sqlgen_us", "exec_us", "total_us", "rows", "mem_peak_bytes",
 			"spill_bytes", "typed_cols", "fallback_cols", "disk_reads"} {
 			if _, ok := rec[key]; !ok {
@@ -181,10 +185,12 @@ func checkQlog(path string) error {
 	// Result cache: runs 1 and 3 execute (fresh server, then the appended
 	// partition makes the cached rows stale); runs 2 and 4 hit. Plan cache:
 	// only run 1 compiles. A plan stays current while its collection is the
-	// same table, so the append and its seal leave it valid.
+	// same table, so the append and its seal leave it valid — and with it
+	// the query text's alias of the plan's entry, so only run 1 translates.
 	want := map[string][]bool{
 		"result_cache_hit": {false, true, false, true},
 		"cache_hit":        {false, true, true, true},
+		"text_cache_hit":   {false, true, true, true},
 	}
 	for key, pattern := range want {
 		for i, w := range pattern {
