@@ -60,15 +60,18 @@ stress:
 # fuzzer (no panic or hang on any input; what parses renders back stably),
 # the value decoder + freezer fuzzer (no panic, hang or unbounded
 # allocation decoding any bytes; a frozen value is exactly the decoded one,
-# with every pointer inside its block), and the JSON parser fuzzer (no panic
+# with every pointer inside its block), the JSON parser fuzzer (no panic
 # or hang; what parses renders through JSON() back to an equal value; data
-# after the first value is rejected).
+# after the first value is rejected), and the JSON string escaper fuzzer
+# (the bytes encoding/json writes for any string; every /query body and
+# query-log line escapes its strings through it).
 # The seeds themselves already run as unit tests under `make test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzPlanDiff' -fuzztime 30s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz 'FuzzSQLParse' -fuzztime 30s ./internal/sqlparse/
 	$(GO) test -run '^$$' -fuzz 'FuzzFreeze' -fuzztime 30s ./internal/variant/
 	$(GO) test -run '^$$' -fuzz 'FuzzParseJSON' -fuzztime 30s ./internal/variant/
+	$(GO) test -run '^$$' -fuzz 'FuzzAppendJSONString' -fuzztime 30s ./internal/variant/
 
 # obs-smoke boots a real jsqd with slow-query capture and a qlog sink, runs
 # one query four times over HTTP around an append, and asserts the

@@ -181,7 +181,7 @@ func main() {
 	}
 	if *explainAnalyze {
 		rep, err := w.QueryTraced(query, jsonpark.WithStrategy(strat), jsonpark.WithAnalyze(), jsonpark.WithContext(ctx))
-		qlogger.LogQuery(rep.QueryLogRecord(logStatus(err), err))
+		qlogger.LogQuery(rep.QueryLogRecord())
 		if err != nil {
 			fatal(describeCancel(err, *timeout))
 		}
@@ -194,7 +194,7 @@ func main() {
 		return
 	}
 	rep, err := w.QueryTraced(query, jsonpark.WithStrategy(strat), jsonpark.WithContext(ctx))
-	qlogger.LogQuery(rep.QueryLogRecord(logStatus(err), err))
+	qlogger.LogQuery(rep.QueryLogRecord())
 	if err != nil {
 		fatal(describeCancel(err, *timeout))
 	}
@@ -292,24 +292,11 @@ func replQuery(w *jsonpark.Warehouse, qlogger *qlog.Logger, query string, strat 
 		defer cancel()
 	}
 	rep, err := w.QueryTraced(query, jsonpark.WithStrategy(strat), jsonpark.WithContext(ctx))
-	qlogger.LogQuery(rep.QueryLogRecord(logStatus(err), err))
+	qlogger.LogQuery(rep.QueryLogRecord())
 	if err != nil {
 		return nil, err
 	}
 	return rep.Result, nil
-}
-
-// logStatus maps an execution error to the query-log status vocabulary.
-func logStatus(err error) string {
-	switch {
-	case err == nil:
-		return qlog.StatusOK
-	case errors.Is(err, context.DeadlineExceeded):
-		return qlog.StatusTimeout
-	case errors.Is(err, context.Canceled):
-		return qlog.StatusCancelled
-	}
-	return qlog.StatusError
 }
 
 // appendFile opens (creating if needed) a log sink for append-only writes.

@@ -190,44 +190,15 @@ func (e *Engine) SetExecBatchHook(fn func()) { e.batchHook = fn }
 
 // Metrics reports per-query costs, mirroring the measurements of §V:
 // compile time (parse + plan + optimize + operator preparation), execution
-// time, bytes scanned (per touched column chunk), and partition pruning.
+// time, and the query's counters (bytes scanned per touched column chunk,
+// partition pruning, spills, typed columns, cache hits; see obsv.Counters).
 type Metrics struct {
-	CompileTime      time.Duration
-	ExecTime         time.Duration
-	BytesScanned     int64
-	PartitionsTotal  int
-	PartitionsPruned int
-	RowsReturned     int64
-	// ParallelBreakers is the number of pipeline breakers that fanned out:
-	// hash aggregates whose phase 1 ran on workers (the join build and the
-	// sort are sequential at every parallelism).
-	ParallelBreakers int
-	// Memory governance (WithMemLimit): peak accounted bytes, the configured
-	// limit, and how often / how much the breakers spilled to disk.
-	MemPeakBytes  int64
+	CompileTime time.Duration
+	ExecTime    time.Duration
+	// MemLimitBytes is the configured per-query memory limit (WithMemLimit);
+	// 0 when accounting is off.
 	MemLimitBytes int64
-	Spills        int64
-	SpillBytes    int64
-	// Typed execution: typed vectors (columns and expression results) read
-	// by typed kernels, and typed vectors converted to variants for an
-	// operator or function that needs them; and partition data sections
-	// cold-loaded from disk during this query.
-	TypedCols    int64
-	FallbackCols int64
-	DiskReads    int64
-	// PlanCacheHit reports that compilation was served from the prepared-plan
-	// cache — the query skipped parse/plan/optimize/physicalize and paid only
-	// the per-run bind cost.
-	PlanCacheHit bool
-	// TextCacheHit reports that the plan was found under its source text's
-	// alias (PrepareText): the frontend did not run either. It implies
-	// PlanCacheHit.
-	TextCacheHit bool
-	// ResultCacheHit reports that the rows were served from the
-	// partition-versioned result cache — the query skipped execution
-	// entirely because an identical plan ran before over the same pinned
-	// partition sets.
-	ResultCacheHit bool
+	obsv.Counters
 }
 
 // Total returns compile + execution time (the paper's "total time").
@@ -312,7 +283,7 @@ func (e *Engine) PrepareOpts(sql string, po PrepareOptions) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.metrics = Metrics{PlanCacheHit: hit, CompileTime: time.Since(start)}
+	p.metrics.PlanCacheHit, p.metrics.CompileTime = hit, time.Since(start)
 	return p, nil
 }
 
@@ -389,7 +360,7 @@ func (e *Engine) bind(cp *compiledPlan, po PrepareOptions) (*Prepared, error) {
 		acct.pool = e.governor
 	}
 	ctx := &execContext{
-		metrics:     &Metrics{},
+		metrics:     &p.metrics,
 		batchSize:   e.batchSize,
 		parallelism: e.parallelism,
 		morselRows:  e.morselRows,
@@ -458,20 +429,17 @@ func (p *Prepared) RunCtx(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := *p.ctx.metrics
+	m := &p.metrics // the execution context counted the scans into it
 	m.TypedCols = atomic.LoadInt64(&p.ctx.typedCols)
 	m.FallbackCols = atomic.LoadInt64(&p.ctx.fallbackCols)
 	m.DiskReads = atomic.LoadInt64(&p.ctx.diskReads)
-	m.CompileTime = p.metrics.CompileTime
-	m.PlanCacheHit = p.metrics.PlanCacheHit
-	m.TextCacheHit = p.metrics.TextCacheHit
 	m.ExecTime = time.Since(start)
 	m.RowsReturned = int64(len(rows))
 	m.MemPeakBytes, m.Spills, m.SpillBytes = p.ctx.acct.snapshot()
 	if p.ctx.acct.enabled() {
 		m.MemLimitBytes = p.ctx.acct.limit
 	}
-	res := &Result{Columns: slices.Clone(p.cp.columns), Rows: rows, Metrics: m}
+	res := &Result{Columns: slices.Clone(p.cp.columns), Rows: rows, Metrics: *m}
 	if p.deps != nil {
 		res.items = p.eng.cache.attach(p.cp, p.deps, rows)
 	}

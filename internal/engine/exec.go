@@ -124,8 +124,8 @@ func (c *execContext) cancelled() error {
 func (c *execContext) addScanCounts(st *OpStats, totalParts, pruned int, bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.metrics.PartitionsTotal += totalParts
-	c.metrics.PartitionsPruned += pruned
+	c.metrics.PartitionsTotal += int64(totalParts)
+	c.metrics.PartitionsPruned += int64(pruned)
 	c.metrics.BytesScanned += bytes
 	st.PartitionsTotal += totalParts
 	st.PartitionsPruned += pruned

@@ -398,7 +398,7 @@ func (e *Engine) PrepareText(key string, po PrepareOptions, translate func() (*T
 			if err != nil {
 				return nil, tr, err
 			}
-			p.metrics = Metrics{PlanCacheHit: true, TextCacheHit: true, CompileTime: time.Since(start)}
+			p.metrics.PlanCacheHit, p.metrics.TextCacheHit, p.metrics.CompileTime = true, true, time.Since(start)
 			return p, tr, nil
 		}
 	}

@@ -19,54 +19,48 @@ type Observer struct {
 	phaseSeconds     *HistogramVec
 	statusSeconds    *HistogramVec
 	querySeconds     *Histogram
-	bytesScanned     *Counter
-	rowsReturned     *Counter
-	partitionsTotal  *Counter
-	partitionsPruned *Counter
-	parallelBreakers *Counter
-	spillBytes       *Counter
-	typedCols        *Counter
-	fallbackCols     *Counter
-	diskReads        *Counter
 	queriesCancelled *Counter
-	textCacheHits    *Counter
+	counters         [len(counterSeries)]*Counter
 	runtime          *RuntimeSampler
 }
 
-// QueryObservation is one finished query's measurements, reported by the
-// warehouse façade after the trace ends.
-type QueryObservation struct {
-	Trace            *TraceData
-	Errored          bool
-	BytesScanned     int64
-	RowsReturned     int64
-	PartitionsTotal  int64
-	PartitionsPruned int64
-	// ParallelBreakers counts the pipeline breakers (fanned-out hash
-	// aggregates) the plan executed with parallel phases.
-	ParallelBreakers int64
-	// SpillBytes is the bytes the memory-governed breakers wrote to
-	// temp-file runs under WithMemLimit.
-	SpillBytes int64
-	// TypedCols counts typed vectors (shredded columns, typed expression
-	// results) read by typed kernels; FallbackCols counts typed vectors the
-	// plan converted back to variants; DiskReads counts micro-partitions
-	// cold-loaded from a persistent warehouse directory.
-	TypedCols    int64
-	FallbackCols int64
-	DiskReads    int64
-	// Cancelled marks a query aborted by context cancellation or deadline;
-	// such queries count under status="cancelled" rather than "error".
-	Cancelled bool
-	// TextCacheHit marks a query whose plan the query cache found under its
-	// source text, so the JSONiq frontend did not run.
-	TextCacheHit bool
+// counterSeries lists the per-query counters /metrics sums across queries:
+// each series' name and help, and the field of Counters it adds.
+var counterSeries = [...]struct {
+	name, help string
+	value      func(*Counters) int64
+}{
+	{"jsonpark_bytes_scanned_total", "Cumulative bytes scanned across all queries.",
+		func(c *Counters) int64 { return c.BytesScanned }},
+	{"jsonpark_rows_returned_total", "Cumulative result rows returned across all queries.",
+		func(c *Counters) int64 { return c.RowsReturned }},
+	{"jsonpark_partitions_considered_total", "Cumulative micro-partitions considered by scans.",
+		func(c *Counters) int64 { return c.PartitionsTotal }},
+	{"jsonpark_partitions_pruned_total", "Cumulative micro-partitions pruned via zone maps.",
+		func(c *Counters) int64 { return c.PartitionsPruned }},
+	{"jsonpark_parallel_breakers_total", "Cumulative pipeline breakers (fanned-out hash aggregates) executed with parallel phases.",
+		func(c *Counters) int64 { return c.ParallelBreakers }},
+	{"jsonpark_spill_bytes_total", "Cumulative bytes written to spill runs by memory-governed pipeline breakers.",
+		func(c *Counters) int64 { return c.SpillBytes }},
+	{"jsonpark_typed_columns_total", "Cumulative typed vectors (shredded columns, typed expression results) read by typed kernels.",
+		func(c *Counters) int64 { return c.TypedCols }},
+	{"jsonpark_fallback_columns_total", "Cumulative typed vectors converted back to variants by expressions.",
+		func(c *Counters) int64 { return c.FallbackCols }},
+	{"jsonpark_disk_partition_reads_total", "Cumulative micro-partitions cold-loaded from a persistent data directory.",
+		func(c *Counters) int64 { return c.DiskReads }},
+	{"jsonpark_text_cache_hits_total", "Queries whose plan the query cache found under their source text (JSONiq frontend skipped).",
+		func(c *Counters) int64 {
+			if c.TextCacheHit {
+				return 1
+			}
+			return 0
+		}},
 }
 
 // NewObserver builds an observer with the standard metric set registered.
 func NewObserver() *Observer {
 	r := NewRegistry()
-	return &Observer{
+	o := &Observer{
 		Tracer:   NewTracer(0),
 		Registry: r,
 		Slow:     NewSlowRing(0),
@@ -80,30 +74,14 @@ func NewObserver() *Observer {
 			"End-to-end query latency, by final status.", nil, "status"),
 		querySeconds: r.Histogram("jsonpark_query_seconds",
 			"End-to-end query latency (translate + compile + execute).", nil),
-		bytesScanned: r.Counter("jsonpark_bytes_scanned_total",
-			"Cumulative bytes scanned across all queries."),
-		rowsReturned: r.Counter("jsonpark_rows_returned_total",
-			"Cumulative result rows returned across all queries."),
-		partitionsTotal: r.Counter("jsonpark_partitions_considered_total",
-			"Cumulative micro-partitions considered by scans."),
-		partitionsPruned: r.Counter("jsonpark_partitions_pruned_total",
-			"Cumulative micro-partitions pruned via zone maps."),
-		parallelBreakers: r.Counter("jsonpark_parallel_breakers_total",
-			"Cumulative pipeline breakers (fanned-out hash aggregates) executed with parallel phases."),
-		spillBytes: r.Counter("jsonpark_spill_bytes_total",
-			"Cumulative bytes written to spill runs by memory-governed pipeline breakers."),
-		typedCols: r.Counter("jsonpark_typed_columns_total",
-			"Cumulative typed vectors (shredded columns, typed expression results) read by typed kernels."),
-		fallbackCols: r.Counter("jsonpark_fallback_columns_total",
-			"Cumulative typed vectors converted back to variants by expressions."),
-		diskReads: r.Counter("jsonpark_disk_partition_reads_total",
-			"Cumulative micro-partitions cold-loaded from a persistent data directory."),
 		queriesCancelled: r.Counter("jsonpark_queries_cancelled_total",
 			"Queries aborted by context cancellation or deadline."),
-		textCacheHits: r.Counter("jsonpark_text_cache_hits_total",
-			"Queries whose plan the query cache found under their source text (JSONiq frontend skipped)."),
-		runtime: NewRuntimeSampler(r),
 	}
+	for i, s := range counterSeries {
+		o.counters[i] = r.Counter(s.name, s.help)
+	}
+	o.runtime = NewRuntimeSampler(r)
+	return o
 }
 
 // RegisterPlanCacheStats exposes the engine's prepared-plan cache counters
@@ -226,7 +204,7 @@ func (o *Observer) CountShed() {
 	if o == nil {
 		return
 	}
-	o.queriesTotal.With("shed").Inc()
+	o.queriesTotal.With(StatusShed).Inc()
 }
 
 // SampleRuntime refreshes the runtime gauge set (goroutines, heap, GC);
@@ -238,32 +216,23 @@ func (o *Observer) SampleRuntime() {
 	o.runtime.Sample()
 }
 
-// ObserveQuery folds one finished query into the registry: status count,
-// end-to-end latency, per-span stage histograms and scan totals.
+// ObserveQuery folds one finished query's outcome record into the
+// registry: status count, end-to-end latency, per-span stage and phase
+// histograms and the per-query counter totals. A timeout counts under
+// status="cancelled".
 func (o *Observer) ObserveQuery(q QueryObservation) {
 	if o == nil {
 		return
 	}
-	status := "ok"
-	switch {
-	case q.Cancelled:
-		status = "cancelled"
+	status := q.Status
+	switch status {
+	case StatusTimeout, StatusCancelled:
+		status = StatusCancelled
 		o.queriesCancelled.Inc()
-	case q.Errored:
-		status = "error"
 	}
 	o.queriesTotal.With(status).Inc()
-	o.spillBytes.Add(float64(q.SpillBytes))
-	o.bytesScanned.Add(float64(q.BytesScanned))
-	o.rowsReturned.Add(float64(q.RowsReturned))
-	o.partitionsTotal.Add(float64(q.PartitionsTotal))
-	o.partitionsPruned.Add(float64(q.PartitionsPruned))
-	o.parallelBreakers.Add(float64(q.ParallelBreakers))
-	o.typedCols.Add(float64(q.TypedCols))
-	o.fallbackCols.Add(float64(q.FallbackCols))
-	o.diskReads.Add(float64(q.DiskReads))
-	if q.TextCacheHit {
-		o.textCacheHits.Inc()
+	for i, s := range counterSeries {
+		o.counters[i].Add(float64(s.value(&q.Counters)))
 	}
 	if q.Trace == nil {
 		return
@@ -277,9 +246,8 @@ func (o *Observer) ObserveQuery(q QueryObservation) {
 		o.stageSeconds.With(sd.Name).Observe(
 			(time.Duration(sd.DurationUS) * time.Microsecond).Seconds())
 	})
-	ph := Phases(q.Trace)
-	o.phaseSeconds.With("parse").Observe(ph.Parse.Seconds())
-	o.phaseSeconds.With("plan").Observe(ph.Plan.Seconds())
-	o.phaseSeconds.With("sqlgen").Observe(ph.SQLGen.Seconds())
-	o.phaseSeconds.With("exec").Observe(ph.Exec.Seconds())
+	o.phaseSeconds.With("parse").Observe(q.Phases.Parse.Seconds())
+	o.phaseSeconds.With("plan").Observe(q.Phases.Plan.Seconds())
+	o.phaseSeconds.With("sqlgen").Observe(q.Phases.SQLGen.Seconds())
+	o.phaseSeconds.With("exec").Observe(q.Phases.Exec.Seconds())
 }

@@ -185,8 +185,8 @@ func TestExpositionFormat(t *testing.T) {
 	tr := o.Tracer.Start("query")
 	tr.Root.Child("jsoniq.parse").End()
 	td := tr.Finish()
-	o.ObserveQuery(QueryObservation{Trace: td, BytesScanned: 4096, RowsReturned: 7, ParallelBreakers: 2})
-	o.ObserveQuery(QueryObservation{Errored: true})
+	o.ObserveQuery(Outcome(td, nil, Counters{BytesScanned: 4096, RowsReturned: 7, ParallelBreakers: 2}))
+	o.ObserveQuery(Outcome(nil, fmt.Errorf("boom"), Counters{}))
 
 	var sb strings.Builder
 	o.Registry.Expose(&sb)
@@ -256,7 +256,7 @@ func TestConcurrentObservations(t *testing.T) {
 				tr := o.Tracer.Start("query")
 				tr.Root.Child("stage").End()
 				td := tr.Finish()
-				o.ObserveQuery(QueryObservation{Trace: td, BytesScanned: 1, RowsReturned: 1})
+				o.ObserveQuery(Outcome(td, nil, Counters{BytesScanned: 1, RowsReturned: 1}))
 			}
 		}()
 	}

@@ -19,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"jsonpark/internal/obsv"
 	"jsonpark/internal/variant"
 )
 
@@ -129,16 +130,13 @@ func appendJSON(buf []byte, v any) []byte {
 	return append(buf, b...)
 }
 
-// Statuses a query completion record can carry.
+// Statuses a query completion record can carry (obsv.StatusOf).
 const (
-	StatusOK        = "ok"
-	StatusError     = "error"
-	StatusCancelled = "cancelled"
-	StatusTimeout   = "timeout"
-	// StatusShed marks a request refused at admission (HTTP 429): the
-	// governor's tenant slots or memory pool stayed exhausted past the
-	// queue timeout, so the query never compiled or executed.
-	StatusShed = "shed"
+	StatusOK        = obsv.StatusOK
+	StatusError     = obsv.StatusError
+	StatusCancelled = obsv.StatusCancelled
+	StatusTimeout   = obsv.StatusTimeout
+	StatusShed      = obsv.StatusShed
 )
 
 // QueryRecord is the fixed schema of one query completion record (see
@@ -150,17 +148,6 @@ type QueryRecord struct {
 	Fingerprint string
 	Status      string // ok | error | cancelled | timeout | shed
 	Error       string // empty unless Status != ok
-	// CacheHit reports the engine served compilation from the prepared-plan
-	// cache: the run skipped parse/plan/optimize/physicalize and paid only
-	// the bind cost.
-	CacheHit bool
-	// TextCacheHit reports the plan was found under the query's source text
-	// (text plus strategy): the run skipped the JSONiq frontend as well. It
-	// implies CacheHit.
-	TextCacheHit bool
-	// ResultCacheHit reports the engine served the rows from the
-	// partition-versioned result cache: the run skipped execution entirely.
-	ResultCacheHit bool
 
 	ParseUS  int64
 	PlanUS   int64
@@ -168,19 +155,8 @@ type QueryRecord struct {
 	ExecUS   int64
 	TotalUS  int64
 
-	Rows             int64
-	BytesScanned     int64
-	MemPeakBytes     int64
-	SpillBytes       int64
-	Spills           int64
-	ParallelBreakers int64
-	// Typed-execution and storage counters: typed vectors read by typed
-	// kernels, typed vectors converted to variants, and partition data
-	// sections cold-loaded from disk.
-	TypedCols    int64
-	FallbackCols int64
-	DiskReads    int64
-	Slow         bool
+	obsv.Counters
+	Slow bool
 }
 
 // LogQuery emits r as one "query" record. Slow queries and non-ok statuses
@@ -202,7 +178,7 @@ func (l *Logger) LogQuery(r QueryRecord) {
 		F("strategy", r.Strategy),
 		F("fingerprint", r.Fingerprint),
 		F("status", r.Status),
-		F("cache_hit", r.CacheHit),
+		F("cache_hit", r.PlanCacheHit),
 		F("text_cache_hit", r.TextCacheHit),
 		F("result_cache_hit", r.ResultCacheHit),
 		F("parse_us", r.ParseUS),
@@ -210,7 +186,7 @@ func (l *Logger) LogQuery(r QueryRecord) {
 		F("sqlgen_us", r.SQLGenUS),
 		F("exec_us", r.ExecUS),
 		F("total_us", r.TotalUS),
-		F("rows", r.Rows),
+		F("rows", r.RowsReturned),
 		F("bytes_scanned", r.BytesScanned),
 		F("mem_peak_bytes", r.MemPeakBytes),
 		F("spill_bytes", r.SpillBytes),

@@ -6,6 +6,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"jsonpark/internal/obsv"
 )
 
 func TestLogEmitsOneOrderedJSONLine(t *testing.T) {
@@ -90,6 +93,41 @@ func TestLogQuerySchemaAndLevels(t *testing.T) {
 		if c.rec.Error != "" && m["error"] != c.rec.Error {
 			t.Errorf("error field = %v, want %q", m["error"], c.rec.Error)
 		}
+	}
+}
+
+// TestLogQueryGoldenLine pins one completion record byte for byte, every
+// field set and the clock fixed: a renamed, reordered, dropped or re-encoded
+// key fails here.
+func TestLogQueryGoldenLine(t *testing.T) {
+	var buf bytes.Buffer
+	l := New(&buf)
+	l.now = func() time.Time { return time.Date(2026, 1, 2, 3, 4, 5, 6, time.UTC) }
+	l.LogQuery(QueryRecord{
+		TraceID:     "t-1",
+		Query:       `for $d in collection("docs") return $d`,
+		Strategy:    "keep-flag",
+		Fingerprint: "0123456789abcdef",
+		Status:      StatusError,
+		Error:       "boom <&>",
+		ParseUS:     1, PlanUS: 2, SQLGenUS: 3, ExecUS: 4, TotalUS: 10,
+		Counters: obsv.Counters{
+			RowsReturned: 11, BytesScanned: 12, PartitionsTotal: 13, PartitionsPruned: 14,
+			ParallelBreakers: 15, MemPeakBytes: 16, Spills: 17, SpillBytes: 18,
+			TypedCols: 19, FallbackCols: 20, DiskReads: 21,
+			PlanCacheHit: true, TextCacheHit: true, ResultCacheHit: true,
+		},
+		Slow: true,
+	})
+	const want = `{"ts":"2026-01-02T03:04:05.000000006Z","level":"error","event":"query",` +
+		`"trace_id":"t-1","query":"for $d in collection(\"docs\") return $d","strategy":"keep-flag",` +
+		`"fingerprint":"0123456789abcdef","status":"error","cache_hit":true,"text_cache_hit":true,` +
+		`"result_cache_hit":true,"parse_us":1,"plan_us":2,"sqlgen_us":3,"exec_us":4,"total_us":10,` +
+		`"rows":11,"bytes_scanned":12,"mem_peak_bytes":16,"spill_bytes":18,"spills":17,` +
+		`"parallel_breakers":15,"typed_cols":19,"fallback_cols":20,"disk_reads":21,"slow":true,` +
+		`"error":"boom \u003c\u0026\u003e"}` + "\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("LogQuery wrote\n%s\nwant\n%s", got, want)
 	}
 }
 

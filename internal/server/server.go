@@ -43,6 +43,7 @@ import (
 
 	"jsonpark"
 
+	"jsonpark/internal/obsv"
 	"jsonpark/internal/obsv/qlog"
 	"jsonpark/internal/variant"
 )
@@ -119,8 +120,8 @@ type metricsJSON struct {
 	CompileMicros    int64 `json:"compile_us"`
 	ExecMicros       int64 `json:"exec_us"`
 	BytesScanned     int64 `json:"bytes_scanned"`
-	PartitionsTotal  int   `json:"partitions_total"`
-	PartitionsPruned int   `json:"partitions_pruned"`
+	PartitionsTotal  int64 `json:"partitions_total"`
+	PartitionsPruned int64 `json:"partitions_pruned"`
 	Rows             int64 `json:"rows"`
 }
 
@@ -175,12 +176,6 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, into any) bool {
 	return true
 }
 
-// queryRecord assembles the structured query-log completion record from a
-// (possibly partial, on error) query report.
-func queryRecord(rep *jsonpark.QueryReport, status string, err error) qlog.QueryRecord {
-	return rep.QueryLogRecord(status, err)
-}
-
 func strategyOptions(name string) ([]jsonpark.QueryOption, error) {
 	switch name {
 	case "", "keep-flag":
@@ -232,35 +227,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		defer release()
 	}
 	rep, err := s.w.QueryTraced(req.Query, opts...)
+	s.qlog.LogQuery(rep.QueryLogRecord())
 	if err != nil {
-		status := qlog.StatusError
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			status = qlog.StatusTimeout
-		case errors.Is(err, context.Canceled):
-			status = qlog.StatusCancelled
-		}
-		s.qlog.LogQuery(queryRecord(rep, status, err))
-		switch status {
-		case qlog.StatusTimeout:
-			writeJSON(w, http.StatusGatewayTimeout, map[string]any{
-				"error":      fmt.Sprintf("query exceeded the server time limit of %s", s.timeout),
-				"code":       "query_timeout",
-				"timeout_ms": s.timeout.Milliseconds(),
-			})
-		case qlog.StatusCancelled:
-			// Best-effort: the client that closed the request will not read
-			// this body, but proxies and tests see a definite status.
-			writeJSON(w, StatusClientClosedRequest, map[string]any{
-				"error": "query cancelled: client closed request",
-				"code":  "query_cancelled",
-			})
-		default:
-			writeError(w, http.StatusBadRequest, err)
-		}
+		s.writeFailure(w, rep.Outcome.Status, err, "")
 		return
 	}
-	s.qlog.LogQuery(queryRecord(rep, qlog.StatusOK, nil))
 	body, err := queryBody(rep)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
@@ -340,20 +311,31 @@ func (s *Server) answerAdmission(w http.ResponseWriter, query string, err error)
 		})
 		return
 	}
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		s.qlog.LogQuery(qlog.QueryRecord{Query: query, Status: qlog.StatusTimeout, Error: err.Error()})
+	status := obsv.StatusOf(err)
+	s.qlog.LogQuery(qlog.QueryRecord{Query: query, Status: status, Error: err.Error()})
+	s.writeFailure(w, status, err, " while queued for admission")
+}
+
+// writeFailure answers a query that failed with err and status: a timeout
+// is a structured 504, a cancellation a 499 and any other error a 400.
+// while completes the timeout message ("" for a query that was running).
+func (s *Server) writeFailure(w http.ResponseWriter, status string, err error, while string) {
+	switch status {
+	case qlog.StatusTimeout:
 		writeJSON(w, http.StatusGatewayTimeout, map[string]any{
-			"error":      fmt.Sprintf("query exceeded the server time limit of %s while queued for admission", s.timeout),
+			"error":      fmt.Sprintf("query exceeded the server time limit of %s%s", s.timeout, while),
 			"code":       "query_timeout",
 			"timeout_ms": s.timeout.Milliseconds(),
 		})
-	default:
-		s.qlog.LogQuery(qlog.QueryRecord{Query: query, Status: qlog.StatusCancelled, Error: err.Error()})
+	case qlog.StatusCancelled:
+		// Best-effort: the client that closed the request will not read
+		// this body, but proxies and tests see a definite status.
 		writeJSON(w, StatusClientClosedRequest, map[string]any{
 			"error": "query cancelled: client closed request",
 			"code":  "query_cancelled",
 		})
+	default:
+		writeError(w, http.StatusBadRequest, err)
 	}
 }
 

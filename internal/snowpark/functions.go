@@ -21,7 +21,6 @@ func Call(name string, args ...Column) Column {
 func Abs(c Column) Column          { return Call("ABS", c) }
 func Sqrt(c Column) Column         { return Call("SQRT", c) }
 func Exp(c Column) Column          { return Call("EXP", c) }
-func Ln(c Column) Column           { return Call("LN", c) }
 func Floor(c Column) Column        { return Call("FLOOR", c) }
 func Ceil(c Column) Column         { return Call("CEIL", c) }
 func Round(c Column) Column        { return Call("ROUND", c) }
@@ -35,7 +34,6 @@ func Atan2(y, x Column) Column     { return Call("ATAN2", y, x) }
 func Sinh(c Column) Column         { return Call("SINH", c) }
 func Cosh(c Column) Column         { return Call("COSH", c) }
 func Power(base, p Column) Column  { return Call("POWER", base, p) }
-func Square(c Column) Column       { return Call("SQUARE", c) }
 func Pi() Column                   { return Call("PI") }
 func Greatest(cs ...Column) Column { return Call("GREATEST", cs...) }
 func Least(cs ...Column) Column    { return Call("LEAST", cs...) }
@@ -43,7 +41,6 @@ func Least(cs ...Column) Column    { return Call("LEAST", cs...) }
 // Conditionals and NULL handling.
 func Iff(cond, then, els Column) Column { return Call("IFF", cond, then, els) }
 func Coalesce(cs ...Column) Column      { return Call("COALESCE", cs...) }
-func EqualNull(a, b Column) Column      { return Call("EQUAL_NULL", a, b) }
 
 // CaseWhen starts a searched CASE expression builder.
 func CaseWhen(cond, result Column) *CaseBuilder {
@@ -113,11 +110,6 @@ func ArraySlice(c, from, to Column) Column { return Call("ARRAY_SLICE", c, from,
 // Get is GET(v, key): field by string, element by 0-based index.
 func Get(v, key Column) Column { return Call("GET", v, key) }
 
-// Conversions.
-func ToDouble(c Column) Column  { return Call("TO_DOUBLE", c) }
-func ToNumber(c Column) Column  { return Call("TO_NUMBER", c) }
-func ToVarchar(c Column) Column { return Call("TO_VARCHAR", c) }
-
 // Seq8 yields a distinct integer per row — the row-ID injection primitive
 // for nested query handling (§IV-B).
 func Seq8() Column { return Call("SEQ8") }
@@ -137,7 +129,6 @@ func Min(c Column) Column        { return Call("MIN", c) }
 func Max(c Column) Column        { return Call("MAX", c) }
 func AnyValue(c Column) Column   { return Call("ANY_VALUE", c) }
 func BoolAndAgg(c Column) Column { return Call("BOOLAND_AGG", c) }
-func BoolOrAgg(c Column) Column  { return Call("BOOLOR_AGG", c) }
 func CountIf(c Column) Column    { return Call("COUNT_IF", c) }
 
 // ArrayAgg collects non-NULL values into an array.

@@ -27,10 +27,8 @@ package jsonpark
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"maps"
 	"slices"
 	"strconv"
 	"strings"
@@ -84,7 +82,9 @@ type Warehouse struct {
 	// so that QueryInterpreted can replay them. Bytes, not Values: storage
 	// keeps its own frozen copy, and a second copy as live objects would be
 	// re-marked by every garbage collection. Appends never rewrite a byte,
-	// so a slice header taken under docsMu stays readable after it.
+	// so a slice header taken under docsMu stays readable after it. Under
+	// docsMu a collection's documents are exactly the rows LoadObject
+	// appended to its table.
 	docsMu sync.Mutex
 	docs   map[string][]byte
 	// slowThresh/slowOn arm slow-query capture (WithSlowQueryMillis):
@@ -310,12 +310,14 @@ func (w *Warehouse) LoadObject(collection string, v Value) error {
 	if err != nil {
 		return err
 	}
+	// One lock over both appends keeps the kept documents and the table's
+	// rows in step for QueryInterpreted.
+	w.docsMu.Lock()
+	defer w.docsMu.Unlock()
 	if err := t.AppendObject(v); err != nil {
 		return err
 	}
-	w.docsMu.Lock()
 	w.docs[collection] = v.AppendBinary(w.docs[collection])
-	w.docsMu.Unlock()
 	return nil
 }
 
@@ -397,6 +399,12 @@ type QueryReport struct {
 	// Slow marks a query that met the warehouse's slow-query threshold and
 	// was captured in the observer's slow ring; callers log it at warn.
 	Slow bool
+	// Outcome is the query's outcome record — status, phase rollup and
+	// counters — built once when its trace ends; /metrics and the query log
+	// read it.
+	Outcome obsv.QueryObservation
+	// err is the error the query failed with, nil on success.
+	err error
 }
 
 // SQLJSON returns SQL encoded as a JSON string literal, escaped as
@@ -421,44 +429,28 @@ func (r *QueryReport) RenderAnalyze() string {
 }
 
 // QueryLogRecord flattens the report into a structured query-log record:
-// trace ID, fingerprint, per-phase timings and execution metrics. Nil-safe —
-// a nil receiver (query failed before a report existed) yields a record
-// carrying only status and error.
-func (r *QueryReport) QueryLogRecord(status string, err error) qlog.QueryRecord {
-	rec := qlog.QueryRecord{Status: status}
-	if err != nil {
-		rec.Error = err.Error()
+// trace ID, fingerprint, status and error, and the outcome record's
+// per-phase timings and counters.
+func (r *QueryReport) QueryLogRecord() qlog.QueryRecord {
+	o := &r.Outcome
+	rec := qlog.QueryRecord{
+		TraceID:     r.TraceID,
+		Query:       r.Query,
+		Strategy:    r.Strategy,
+		Fingerprint: r.Fingerprint,
+		Status:      o.Status,
+		ParseUS:     o.Phases.Parse.Microseconds(),
+		PlanUS:      o.Phases.Plan.Microseconds(),
+		SQLGenUS:    o.Phases.SQLGen.Microseconds(),
+		ExecUS:      o.Phases.Exec.Microseconds(),
+		Counters:    o.Counters,
+		Slow:        r.Slow,
 	}
-	if r == nil {
-		return rec
+	if o.Trace != nil {
+		rec.TotalUS = o.Trace.DurUS
 	}
-	rec.TraceID = r.TraceID
-	rec.Query = r.Query
-	rec.Strategy = r.Strategy
-	rec.Slow = r.Slow
-	rec.Fingerprint = r.Fingerprint
-	if r.Trace != nil {
-		ph := obsv.Phases(r.Trace)
-		rec.ParseUS = ph.Parse.Microseconds()
-		rec.PlanUS = ph.Plan.Microseconds()
-		rec.SQLGenUS = ph.SQLGen.Microseconds()
-		rec.ExecUS = ph.Exec.Microseconds()
-		rec.TotalUS = r.Trace.DurUS
-	}
-	if r.Result != nil {
-		m := r.Result.Metrics
-		rec.CacheHit = m.PlanCacheHit
-		rec.TextCacheHit = m.TextCacheHit
-		rec.ResultCacheHit = m.ResultCacheHit
-		rec.Rows = m.RowsReturned
-		rec.BytesScanned = m.BytesScanned
-		rec.MemPeakBytes = m.MemPeakBytes
-		rec.SpillBytes = m.SpillBytes
-		rec.Spills = m.Spills
-		rec.ParallelBreakers = int64(m.ParallelBreakers)
-		rec.TypedCols = m.TypedCols
-		rec.FallbackCols = m.FallbackCols
-		rec.DiskReads = m.DiskReads
+	if r.err != nil {
+		rec.Error = r.err.Error()
 	}
 	return rec
 }
@@ -521,25 +513,12 @@ func (w *Warehouse) QueryTraced(jsoniqSrc string, opts ...QueryOption) (*QueryRe
 			}
 			w.obs.Slow.Record(sq)
 		}
-		ob := obsv.QueryObservation{
-			Trace:   td,
-			Errored: err != nil,
-			Cancelled: err != nil &&
-				(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)),
-		}
+		var c obsv.Counters
 		if res != nil {
-			ob.BytesScanned = res.Metrics.BytesScanned
-			ob.RowsReturned = res.Metrics.RowsReturned
-			ob.PartitionsTotal = int64(res.Metrics.PartitionsTotal)
-			ob.PartitionsPruned = int64(res.Metrics.PartitionsPruned)
-			ob.ParallelBreakers = int64(res.Metrics.ParallelBreakers)
-			ob.SpillBytes = res.Metrics.SpillBytes
-			ob.TypedCols = res.Metrics.TypedCols
-			ob.FallbackCols = res.Metrics.FallbackCols
-			ob.DiskReads = res.Metrics.DiskReads
-			ob.TextCacheHit = res.Metrics.TextCacheHit
+			c = res.Metrics.Counters
 		}
-		w.obs.ObserveQuery(ob)
+		rep.Outcome, rep.err = obsv.Outcome(td, err, c), err
+		w.obs.ObserveQuery(rep.Outcome)
 		// Failed queries still return a partial report (trace identity, span
 		// tree, and the translation when there was one) alongside the error,
 		// so callers can log them fully.
@@ -651,37 +630,57 @@ func (w *Warehouse) Flush() error { return w.eng.Catalog().Flush() }
 // SQL executes a raw SQL query against the engine directly.
 func (w *Warehouse) SQL(sql string) (*Result, error) { return w.eng.Query(sql) }
 
-// SQLCtx is SQL under a cancellation context.
-func (w *Warehouse) SQLCtx(ctx context.Context, sql string) (*Result, error) {
-	return w.eng.QueryCtx(ctx, sql)
-}
-
 // ExplainSQL renders the optimized plan of a SQL query.
 func (w *Warehouse) ExplainSQL(sql string) (string, error) { return w.eng.Explain(sql) }
 
 // QueryInterpreted executes the JSONiq query on the interpreted iterator
-// back-end (the DSQL-engine baseline) over the same loaded documents.
+// back-end (the DSQL-engine baseline) over the same loaded documents. It
+// replays the documents LoadObject kept, so it refuses a collection whose
+// table holds rows this warehouse did not load — rows reopened from a data
+// directory, say — rather than answer over part of it.
 func (w *Warehouse) QueryInterpreted(jsoniqSrc string) ([]Value, error) {
 	expr, err := jsoniq.Parse(jsoniqSrc)
 	if err != nil {
 		return nil, err
 	}
-	w.docsMu.Lock()
-	encoded := maps.Clone(w.docs)
-	w.docsMu.Unlock()
+	expr = jsoniq.Rewrite(expr)
 	rt := runtime.New(runtime.ProfileDefault)
-	for name, enc := range encoded {
-		var docs []Value
-		for len(enc) > 0 {
-			var d Value
-			if d, enc, err = variant.DecodeBinary(enc); err != nil {
-				return nil, err
-			}
-			docs = append(docs, d)
+	loaded := map[string]bool{}
+	jsoniq.Walk(expr, func(e jsoniq.Expr) bool {
+		if c, ok := e.(*jsoniq.Collection); ok && err == nil && !loaded[c.Name] {
+			loaded[c.Name] = true
+			err = w.replay(rt, c.Name)
 		}
-		rt.LoadCollection(name, docs)
+		return err == nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return rt.Run(jsoniq.Rewrite(expr))
+	return rt.Run(expr)
+}
+
+// replay loads the documents of collection name into rt.
+func (w *Warehouse) replay(rt *runtime.Engine, name string) error {
+	t, err := w.eng.Catalog().Table(name)
+	if err != nil {
+		return err
+	}
+	w.docsMu.Lock()
+	enc, rows := w.docs[name], t.NumRows()
+	w.docsMu.Unlock()
+	var docs []Value
+	for len(enc) > 0 {
+		var d Value
+		if d, enc, err = variant.DecodeBinary(enc); err != nil {
+			return err
+		}
+		docs = append(docs, d)
+	}
+	if int64(len(docs)) != rows {
+		return fmt.Errorf("jsonpark: collection %q holds %d rows, but the interpreter has %d of its documents to replay", name, rows, len(docs))
+	}
+	rt.LoadCollection(name, docs)
+	return nil
 }
 
 // Engine exposes the underlying SQL engine (advanced use: catalog access,

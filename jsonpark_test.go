@@ -1,6 +1,7 @@
 package jsonpark
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -201,6 +202,47 @@ func TestWarehouseConcurrentLoadAndReplay(t *testing.T) {
 	}
 	if len(items) != 1+loaders*perLoader {
 		t.Fatalf("replayed %d documents, want %d", len(items), 1+loaders*perLoader)
+	}
+}
+
+// TestInterpretedRefusesReopenedRows: the interpreter replays only the
+// documents loaded since Open, so on a reopened persistent warehouse it
+// must refuse the collection — naming it — instead of answering over the
+// newer part of it, while the translated path still sees every row.
+func TestInterpretedRefusesReopenedRows(t *testing.T) {
+	dir := t.TempDir()
+	w := Open(WithDataDir(dir))
+	if err := w.CreateCollection("docs", []string{"id"}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 3; i++ {
+		if err := w.LoadJSON("docs", fmt.Sprintf(`{"id": %d}`, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	const q = `for $d in collection("docs") return $d.id`
+	w = Open(WithDataDir(dir))
+	refused := func(when string) {
+		t.Helper()
+		items, err := w.QueryInterpreted(q)
+		if err == nil || !strings.Contains(err.Error(), `collection "docs"`) {
+			t.Fatalf("%s: interpreted = %v, %v; want an error naming collection \"docs\"", when, items, err)
+		}
+	}
+	refused("reopened")
+	if err := w.LoadJSON("docs", `{"id": 4}`); err != nil {
+		t.Fatal(err)
+	}
+	refused("reopened, then loaded")
+	items, err := w.QueryItems(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(items) != 4 {
+		t.Fatalf("translated query returned %d items, want 4", len(items))
 	}
 }
 

@@ -74,7 +74,7 @@ func TestTextHitSkipsFrontend(t *testing.T) {
 	if want := qlog.Fingerprint(first.SQL, first.Strategy); first.Fingerprint != want {
 		t.Fatalf("fingerprint %s, want %s", first.Fingerprint, want)
 	}
-	rec := again.QueryLogRecord(qlog.StatusOK, nil)
+	rec := again.QueryLogRecord()
 	if !rec.TextCacheHit || rec.Fingerprint != first.Fingerprint {
 		t.Fatalf("query-log record %+v", rec)
 	}
