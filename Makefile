@@ -77,7 +77,9 @@ fuzz-smoke:
 # one query four times over HTTP around an append, and asserts the
 # observability contract end to end: parseable query-log JSON records whose
 # plan- and result-cache hit flags follow the expected pattern, a populated
-# /debug/slow, and a live /metrics exposition.
+# /debug/slow, and a live /metrics exposition. It also runs jsq: a failing
+# one-shot query writes one qlog record with status error, and -backend
+# interp prints what the translated back-end prints.
 obs-smoke:
 	$(GO) run ./scripts/obssmoke
 

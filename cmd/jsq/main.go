@@ -1,7 +1,8 @@
 // Command jsq runs JSONiq queries against JSON-lines data, mirroring the
 // paper's client workflow: the query is translated into one native SQL
 // string and executed by the embedded columnar engine, or interpreted by
-// the baseline runtime for comparison.
+// the baseline runtime over the documents read from -data or -demo, for
+// comparison.
 //
 // Usage:
 //
@@ -36,7 +37,7 @@ func main() {
 	collection := flag.String("collection", "data", "collection name for the input")
 	columns := flag.String("columns", "", "staged columns (default: union of top-level fields)")
 	backend := flag.String("backend", "translate", "translate | interp")
-	strategy := flag.String("strategy", "keep-flag", "nested-query strategy: keep-flag | join")
+	strategy := flag.String("strategy", "keep-flag", "nested-query strategy: keep-flag | join | auto")
 	sqlOnly := flag.Bool("sql-only", false, "print the generated SQL and exit")
 	explain := flag.Bool("explain", false, "print the optimized engine plan and exit")
 	explainAnalyze := flag.Bool("explain-analyze", false, "execute and print the plan annotated with per-operator rows, wall time and scan stats")
@@ -92,13 +93,18 @@ func main() {
 	}
 
 	w := jsonpark.Open(openOpts...)
+	// docs holds what was loaded from -demo or -data, the documents
+	// -backend interp runs over.
+	var docs map[string][]jsonpark.Value
 	switch {
 	case *demo:
-		loadDemo(w)
+		docs = loadDemo(w)
 	case *data != "":
-		if err := loadJSONL(w, *collection, *data, *columns); err != nil {
+		loaded, err := loadJSONL(w, *collection, *data, *columns)
+		if err != nil {
 			fatal(err)
 		}
+		docs = map[string][]jsonpark.Value{*collection: loaded}
 	case *dataDir != "":
 		// Persistent warehouse with no fresh input: query what's on disk.
 	default:
@@ -150,7 +156,10 @@ func main() {
 	}
 
 	if *backend == "interp" {
-		items, err := w.QueryInterpreted(query)
+		if docs == nil {
+			fatal(fmt.Errorf("-backend interp runs over the documents of -data FILE or -demo; give one"))
+		}
+		items, err := jsonpark.Interpret(query, docs)
 		if err != nil {
 			fatal(err)
 		}
@@ -163,15 +172,15 @@ func main() {
 		fatal(fmt.Errorf("unknown -backend %q", *backend))
 	}
 
-	sql, err := w.Translate(query, jsonpark.WithStrategy(strat))
-	if err != nil {
-		fatal(err)
-	}
-	if *sqlOnly {
-		fmt.Println(sql)
-		return
-	}
-	if *explain {
+	if *sqlOnly || *explain {
+		sql, err := w.Translate(query, jsonpark.WithStrategy(strat))
+		if err != nil {
+			fatal(err)
+		}
+		if *sqlOnly {
+			fmt.Println(sql)
+			return
+		}
 		plan, err := w.ExplainSQL(sql)
 		if err != nil {
 			fatal(err)
@@ -252,17 +261,16 @@ func runREPL(w *jsonpark.Warehouse, qlogger *qlog.Logger, strat jsonpark.Strateg
 				prompt()
 				continue
 			}
-			if showSQL {
-				if sql, err := w.Translate(query, jsonpark.WithStrategy(strat)); err == nil {
-					fmt.Println("--", sql)
-				}
+			rep, err := replQuery(w, qlogger, query, strat, timeout)
+			if showSQL && rep.SQL != "" {
+				fmt.Println("--", rep.SQL)
 			}
-			res, err := replQuery(w, qlogger, query, strat, timeout)
 			if err != nil {
 				fmt.Println("error:", describeCancel(err, timeout))
 				prompt()
 				continue
 			}
+			res := rep.Result
 			for _, row := range res.Rows {
 				fmt.Println(row[0].JSON())
 			}
@@ -282,8 +290,9 @@ func runREPL(w *jsonpark.Warehouse, qlogger *qlog.Logger, strat jsonpark.Strateg
 }
 
 // replQuery executes one REPL query under a per-query signal context, so an
-// interrupt cancels the query and control returns to the prompt.
-func replQuery(w *jsonpark.Warehouse, qlogger *qlog.Logger, query string, strat jsonpark.Strategy, timeout time.Duration) (*jsonpark.Result, error) {
+// interrupt cancels the query and control returns to the prompt. The report
+// comes back on failure too, with the SQL when the query translated.
+func replQuery(w *jsonpark.Warehouse, qlogger *qlog.Logger, query string, strat jsonpark.Strategy, timeout time.Duration) (*jsonpark.QueryReport, error) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	if timeout > 0 {
@@ -293,10 +302,7 @@ func replQuery(w *jsonpark.Warehouse, qlogger *qlog.Logger, query string, strat 
 	}
 	rep, err := w.QueryTraced(query, jsonpark.WithStrategy(strat), jsonpark.WithContext(ctx))
 	qlogger.LogQuery(rep.QueryLogRecord())
-	if err != nil {
-		return nil, err
-	}
-	return rep.Result, nil
+	return rep, err
 }
 
 // appendFile opens (creating if needed) a log sink for append-only writes.
@@ -306,11 +312,12 @@ func appendFile(path string) (*os.File, error) {
 
 // loadJSONL stages a JSON-lines file. Without -columns, a first pass
 // collects the union of top-level field names (schema inference on load,
-// keeping the engine itself schema-oblivious).
-func loadJSONL(w *jsonpark.Warehouse, collection, path, columns string) error {
+// keeping the engine itself schema-oblivious). It returns the documents it
+// loaded.
+func loadJSONL(w *jsonpark.Warehouse, collection, path, columns string) ([]jsonpark.Value, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var docs []jsonpark.Value
 	sc := bufio.NewScanner(strings.NewReader(string(raw)))
@@ -322,12 +329,12 @@ func loadJSONL(w *jsonpark.Warehouse, collection, path, columns string) error {
 		}
 		v, err := jsonpark.ParseJSON(line)
 		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
+			return nil, fmt.Errorf("%s: %w", path, err)
 		}
 		docs = append(docs, v)
 	}
 	if err := sc.Err(); err != nil {
-		return err
+		return nil, err
 	}
 	var cols []string
 	if columns != "" {
@@ -345,29 +352,37 @@ func loadJSONL(w *jsonpark.Warehouse, collection, path, columns string) error {
 		sort.Strings(cols)
 	}
 	if err := w.CreateCollection(collection, cols); err != nil {
-		return err
+		return nil, err
 	}
 	for _, d := range docs {
 		if err := w.LoadObject(collection, d); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
+			return nil, fmt.Errorf("%s: %w", path, err)
 		}
 	}
-	return nil
+	return docs, nil
 }
 
-func loadDemo(w *jsonpark.Warehouse) {
+// loadDemo stages the built-in orders collection and returns its documents.
+func loadDemo(w *jsonpark.Warehouse) map[string][]jsonpark.Value {
 	if err := w.CreateCollection("orders", []string{"id", "customer", "items"}); err != nil {
 		fatal(err)
 	}
+	var orders []jsonpark.Value
 	for _, d := range []string{
 		`{"id": 1, "customer": "ada", "items": [{"sku": "apple", "qty": 2, "price": 1.5}]}`,
 		`{"id": 2, "customer": "bob", "items": []}`,
 		`{"id": 3, "customer": "ada", "items": [{"sku": "plum", "qty": 5, "price": 0.5}, {"sku": "fig", "qty": 1, "price": 3.0}]}`,
 	} {
-		if err := w.LoadJSON("orders", d); err != nil {
+		v, err := jsonpark.ParseJSON(d)
+		if err != nil {
 			fatal(err)
 		}
+		if err := w.LoadObject("orders", v); err != nil {
+			fatal(err)
+		}
+		orders = append(orders, v)
 	}
+	return map[string][]jsonpark.Value{"orders": orders}
 }
 
 func fatal(err error) {

@@ -75,3 +75,61 @@ func ExampleWarehouse_Translate() {
 	// Output:
 	// SELECT
 }
+
+// ExampleInterpret cross-checks a translated query against the interpreted
+// back-end over the same documents. The interpreter reads the documents
+// exactly as they are passed: a missing field stays apart from an explicit
+// null, and 1 from 1.0, where staging stores the missing field as NULL.
+func ExampleInterpret() {
+	w := jsonpark.Open()
+	if err := w.CreateCollection("docs", []string{"id", "v"}); err != nil {
+		log.Fatal(err)
+	}
+	var docs []jsonpark.Value
+	for _, d := range []string{`{"id": 1, "v": 1}`, `{"id": 2, "v": 1.0}`, `{"id": 3, "v": null}`, `{"id": 4}`} {
+		v, err := jsonpark.ParseJSON(d)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := w.LoadObject("docs", v); err != nil {
+			log.Fatal(err)
+		}
+		docs = append(docs, v)
+	}
+	collections := map[string][]jsonpark.Value{"docs": docs}
+	const q = `for $d in collection("docs") order by $d.id return {"id": $d.id, "v": $d.v}`
+	translated, err := w.QueryItems(q)
+	if err != nil {
+		log.Fatal(err)
+	}
+	interpreted, err := jsonpark.Interpret(q, collections)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, it := range translated {
+		fmt.Println("translated ", it.JSON())
+	}
+	for _, it := range interpreted {
+		fmt.Println("interpreted", it.JSON())
+	}
+	exact, err := jsonpark.Interpret(`for $d in collection("docs") return $d`, collections)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, d := range exact {
+		fmt.Println("document   ", d.JSON())
+	}
+	// Output:
+	// translated  {"id":1,"v":1}
+	// translated  {"id":2,"v":1.0}
+	// translated  {"id":3,"v":null}
+	// translated  {"id":4,"v":null}
+	// interpreted {"id":1,"v":1}
+	// interpreted {"id":2,"v":1.0}
+	// interpreted {"id":3,"v":null}
+	// interpreted {"id":4,"v":null}
+	// document    {"id":1,"v":1}
+	// document    {"id":2,"v":1.0}
+	// document    {"id":3,"v":null}
+	// document    {"id":4}
+}

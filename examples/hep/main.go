@@ -19,7 +19,8 @@ func main() {
 	if err := w.CreateCollection("adl", hepdata.Columns()); err != nil {
 		log.Fatal(err)
 	}
-	for _, ev := range hepdata.Events(42, 5000) {
+	events := hepdata.Events(42, 5000)
+	for _, ev := range events {
 		if err := w.LoadObject("adl", ev); err != nil {
 			log.Fatal(err)
 		}
@@ -69,8 +70,9 @@ func main() {
 		fmt.Printf("  %6.0f %5d %s\n", o.Field("bin").AsFloat(), o.Field("count").AsInt(), bar)
 	}
 
-	// Cross-check against the interpreted iterator back-end.
-	interp, err := w.QueryInterpreted(query)
+	// Cross-check against the interpreted iterator back-end over the same
+	// events.
+	interp, err := jsonpark.Interpret(query, map[string][]jsonpark.Value{"adl": events})
 	if err != nil {
 		log.Fatal(err)
 	}

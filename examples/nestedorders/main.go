@@ -16,15 +16,21 @@ func main() {
 	if err := w.CreateCollection("orders", []string{"id", "region", "items"}); err != nil {
 		log.Fatal(err)
 	}
+	var orders []jsonpark.Value
 	for _, d := range []string{
 		`{"id": 1, "region": "EU", "items": [{"sku": "a", "qty": 10, "price": 3.0}, {"sku": "b", "qty": 1, "price": 50.0}]}`,
 		`{"id": 2, "region": "EU", "items": []}`,
 		`{"id": 3, "region": "US", "items": [{"sku": "c", "qty": 2, "price": 5.0}]}`,
 		`{"id": 4, "region": "US", "items": [{"sku": "d", "qty": 1, "price": 1.0}]}`,
 	} {
-		if err := w.LoadJSON("orders", d); err != nil {
+		v, err := jsonpark.ParseJSON(d)
+		if err != nil {
 			log.Fatal(err)
 		}
+		if err := w.LoadObject("orders", v); err != nil {
+			log.Fatal(err)
+		}
+		orders = append(orders, v)
 	}
 
 	// Per order: the skus of "large" line items (qty >= 2). Orders 2 (empty
@@ -59,8 +65,8 @@ func main() {
 	}
 
 	// The interpreted back-end implements JSONiq semantics directly and
-	// serves as the ground truth.
-	interp, err := w.QueryInterpreted(query)
+	// serves as the ground truth, over the same documents.
+	interp, err := jsonpark.Interpret(query, map[string][]jsonpark.Value{"orders": orders})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -355,17 +355,13 @@ func (e *Engine) bind(cp *compiledPlan, po PrepareOptions) (*Prepared, error) {
 			return p, nil
 		}
 	}
-	acct := newMemAccountant(e.memLimit)
-	if e.governor.memLimited() {
-		acct.pool = e.governor
-	}
 	ctx := &execContext{
 		metrics:     &p.metrics,
 		batchSize:   e.batchSize,
 		parallelism: e.parallelism,
 		morselRows:  e.morselRows,
 		planCheck:   e.planCheck,
-		acct:        acct,
+		acct:        e.queryAccountant(),
 		prog:        newQueryProgress(cp.plan, cp.sql, po.TraceID),
 		analyze:     po.Analyze,
 		batchHook:   e.batchHook,
@@ -387,6 +383,32 @@ func (e *Engine) bind(cp *compiledPlan, po PrepareOptions) (*Prepared, error) {
 	}
 	p.iter, p.ctx = iter, ctx
 	return p, nil
+}
+
+// queryAccountant builds one run's memory accountant: the engine's per-query
+// limit, drawing from the governor's pool when one is attached. The run
+// drains it when it ends, so the pool gets back whatever is still charged.
+func (e *Engine) queryAccountant() *memAccountant {
+	acct := &memAccountant{limit: e.memLimit}
+	if e.governor.memLimited() {
+		acct.pool = e.governor
+	}
+	return acct
+}
+
+// fillMetrics copies what a run counted outside m — the typed, fallback and
+// disk-read column counts and the accountant's memory figures — into m,
+// with the execution time since start and the rows returned.
+func (c *execContext) fillMetrics(m *Metrics, start time.Time, rows int) {
+	m.TypedCols = atomic.LoadInt64(&c.typedCols)
+	m.FallbackCols = atomic.LoadInt64(&c.fallbackCols)
+	m.DiskReads = atomic.LoadInt64(&c.diskReads)
+	m.ExecTime = time.Since(start)
+	m.RowsReturned = int64(rows)
+	m.MemPeakBytes, m.Spills, m.SpillBytes = c.acct.snapshot()
+	if c.acct.enabled() {
+		m.MemLimitBytes = c.acct.limit
+	}
 }
 
 // Run executes the prepared query to completion. A Prepared is single-use.
@@ -430,15 +452,7 @@ func (p *Prepared) RunCtx(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	m := &p.metrics // the execution context counted the scans into it
-	m.TypedCols = atomic.LoadInt64(&p.ctx.typedCols)
-	m.FallbackCols = atomic.LoadInt64(&p.ctx.fallbackCols)
-	m.DiskReads = atomic.LoadInt64(&p.ctx.diskReads)
-	m.ExecTime = time.Since(start)
-	m.RowsReturned = int64(len(rows))
-	m.MemPeakBytes, m.Spills, m.SpillBytes = p.ctx.acct.snapshot()
-	if p.ctx.acct.enabled() {
-		m.MemLimitBytes = p.ctx.acct.limit
-	}
+	p.ctx.fillMetrics(m, start, len(rows))
 	res := &Result{Columns: slices.Clone(p.cp.columns), Rows: rows, Metrics: *m}
 	if p.deps != nil {
 		res.items = p.eng.cache.attach(p.cp, p.deps, rows)

@@ -56,7 +56,7 @@ func TestCrossJoinBuildCharged(t *testing.T) {
 func cancelledExecCtx() *execContext {
 	qctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	return &execContext{acct: newMemAccountant(0), qctx: qctx}
+	return &execContext{acct: &memAccountant{}, qctx: qctx}
 }
 
 // junkRun writes one opaque record to a spill run; cancellation must fire

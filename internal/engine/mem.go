@@ -24,13 +24,6 @@ type memAccountant struct {
 	spillBytes int64
 }
 
-func newMemAccountant(limit int64) *memAccountant {
-	if limit < 0 {
-		limit = 0
-	}
-	return &memAccountant{limit: limit}
-}
-
 // enabled reports whether any limit — per-query or pool — is in force. With
 // neither, operators skip charging entirely and the unlimited path stays
 // zero-overhead.

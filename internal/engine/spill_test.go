@@ -296,7 +296,7 @@ func TestJoinCloseIdempotent(t *testing.T) {
 		return b
 	}
 	newJoin := func() (*joinIter, *countingIter, *countingIter) {
-		ctx := &execContext{acct: newMemAccountant(0), batchSize: 4}
+		ctx := &execContext{acct: &memAccountant{}, batchSize: 4}
 		left := &countingIter{batches: []*vector.Batch{mkBatch(1, 2, 3)}}
 		right := &countingIter{batches: []*vector.Batch{mkBatch(2, 3, 4)}}
 		j := &joinIter{

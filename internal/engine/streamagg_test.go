@@ -117,7 +117,7 @@ func TestStreamAggregateRejectsRegressingKey(t *testing.T) {
 	// "grp" cycles 0..6, so it regresses on the eighth row; force the mark.
 	plan := buildPlan(t, e, `SELECT "grp", COUNT(*) FROM "events" GROUP BY "grp"`)
 	markStream(plan)
-	ctx := &execContext{metrics: &Metrics{}, batchSize: 64, parallelism: 1, acct: newMemAccountant(0)}
+	ctx := &execContext{metrics: &Metrics{}, batchSize: 64, parallelism: 1, acct: &memAccountant{}}
 	it, err := prepare(plan, ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -315,7 +315,7 @@ func clusteredBatches(groups, perGroup int) []*vector.Batch {
 func prepareOverBatches(tb testing.TB, batches []*vector.Batch, op func(in Node) Node) batchIter {
 	tb.Helper()
 	src := &viewRowsNode{schema: NewSchema([]string{"rid", "id", "v"}), src: &staticBatches{batches: batches}}
-	ctx := &execContext{metrics: &Metrics{}, batchSize: vector.DefaultBatchSize, parallelism: 1, acct: newMemAccountant(0)}
+	ctx := &execContext{metrics: &Metrics{}, batchSize: vector.DefaultBatchSize, parallelism: 1, acct: &memAccountant{}}
 	it, err := prepare(op(src), ctx)
 	if err != nil {
 		tb.Fatal(err)

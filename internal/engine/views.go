@@ -32,8 +32,10 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"time"
 
 	"jsonpark/internal/variant"
+	"jsonpark/internal/vector"
 )
 
 // viewRowsNode feeds a view's finalized groups, emitted as batches, to the
@@ -187,7 +189,7 @@ walk:
 	// Compile once against a throwaway context: validates every expression at
 	// registration time and yields the static aggregate descriptors emit needs
 	// before the first refresh.
-	vctx := &execContext{metrics: &Metrics{}, batchSize: e.batchSize, parallelism: 1, acct: newMemAccountant(0)}
+	vctx := &execContext{metrics: &Metrics{}, batchSize: e.batchSize, parallelism: 1, acct: &memAccountant{}}
 	if vctx.batchSize <= 0 {
 		vctx.batchSize = 1024
 	}
@@ -268,13 +270,15 @@ func (v *matView) query(qctx context.Context) (*Result, error) {
 		metrics:     &Metrics{},
 		batchSize:   v.eng.batchSize,
 		parallelism: 1,
-		acct:        newMemAccountant(0),
+		acct:        v.eng.queryAccountant(),
 		qctx:        qctx,
 		typedOff:    v.eng.typedOff,
 	}
+	defer ctx.acct.drain()
 	if ctx.batchSize <= 0 {
-		ctx.batchSize = 1024
+		ctx.batchSize = vector.DefaultBatchSize
 	}
+	start := time.Now()
 	if err := v.refreshLocked(ctx); err != nil {
 		return nil, err
 	}
@@ -282,9 +286,8 @@ func (v *matView) query(qctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := *ctx.metrics
-	m.RowsReturned = int64(len(rows))
-	return &Result{Columns: slices.Clone(v.cp.columns), Rows: rows, Metrics: m}, nil
+	ctx.fillMetrics(ctx.metrics, start, len(rows))
+	return &Result{Columns: slices.Clone(v.cp.columns), Rows: rows, Metrics: *ctx.metrics}, nil
 }
 
 // refreshLocked absorbs the partitions sealed since the last refresh into

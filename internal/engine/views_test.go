@@ -58,6 +58,9 @@ func itemLoad(t *testing.T, e *Engine, lo, hi int) {
 // byte-identically to cold recomputation of the same query, after every
 // interleaved append — while scanning only the delta partitions. The FLATTEN
 // view's aggregate reads an exchange, whose segment each refresh replays.
+// The governed cells refresh under a memory limit that makes every refresh
+// spill and report its cost; the poisoned cells overwrite recycled batch
+// storage before reuse, so retained view state that aliases a batch shows.
 func TestViewIncrementalParity(t *testing.T) {
 	views := []struct {
 		prefix, q   string
@@ -70,52 +73,111 @@ func TestViewIncrementalParity(t *testing.T) {
 		{"flatten-", `SELECT "f".VALUE % 5 AS "k", COUNT(*) AS "n", MAX("id") AS "mx" FROM (SELECT * FROM "t"), LATERAL FLATTEN(INPUT => "items") AS "f" GROUP BY "f".VALUE % 5 ORDER BY "k"`,
 			itemLoad, []int{100, 250, 400}, true},
 	}
+	type cell struct {
+		name     string
+		batch    int
+		typed    bool
+		memLimit int64
+		poison   bool
+	}
+	var cells []cell
+	for _, batch := range []int{1, 1024} {
+		for _, typed := range []bool{true, false} {
+			cells = append(cells, cell{name: fmt.Sprintf("bs%d-typed%v", batch, typed), batch: batch, typed: typed})
+		}
+	}
+	cells = append(cells,
+		cell{name: "governed-bs1024", batch: 1024, typed: true, memLimit: 256},
+		cell{name: "poisoned-bs1", batch: 1, typed: true, poison: true},
+		cell{name: "poisoned-bs1024", batch: 1024, typed: true, poison: true},
+	)
 	for _, vw := range views {
 		checkpoints := vw.checkpoints
-		for _, batch := range []int{1, 1024} {
-			for _, typed := range []bool{true, false} {
-				t.Run(fmt.Sprintf("%sbs%d-typed%v", vw.prefix, batch, typed), func(t *testing.T) {
-					e := New(WithBatchSize(batch), WithTypedColumns(typed))
-					vw.load(t, e, 0, checkpoints[0])
-					if err := e.CreateView("byk", vw.q); err != nil {
+		for _, c := range cells {
+			t.Run(vw.prefix+c.name, func(t *testing.T) {
+				if c.poison {
+					poisonRecycling(t)
+				}
+				e := New(WithBatchSize(c.batch), WithTypedColumns(c.typed), WithMemLimit(c.memLimit))
+				vw.load(t, e, 0, checkpoints[0])
+				if err := e.CreateView("byk", vw.q); err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := e.views.views["byk"].agg.Input.(*ExchangeNode); ok != vw.exchange {
+					t.Fatalf("aggregate input is %T, want an exchange: %v", e.views.views["byk"].agg.Input, vw.exchange)
+				}
+				prev := checkpoints[0]
+				for _, hi := range checkpoints {
+					vw.load(t, e, prev, hi)
+					prev = hi
+					got, err := e.QueryView(context.Background(), "byk")
+					if err != nil {
 						t.Fatal(err)
 					}
-					if _, ok := e.views.views["byk"].agg.Input.(*ExchangeNode); ok != vw.exchange {
-						t.Fatalf("aggregate input is %T, want an exchange: %v", e.views.views["byk"].agg.Input, vw.exchange)
+					// Cold oracle: a fresh, ungoverned engine over exactly the
+					// same rows.
+					cold := New(WithBatchSize(c.batch), WithTypedColumns(c.typed))
+					vw.load(t, cold, 0, hi)
+					want, err := cold.Query(vw.q)
+					if err != nil {
+						t.Fatal(err)
 					}
-					prev := checkpoints[0]
-					for _, hi := range checkpoints {
-						vw.load(t, e, prev, hi)
-						prev = hi
-						got, err := e.QueryView(context.Background(), "byk")
-						if err != nil {
-							t.Fatal(err)
-						}
-						// Cold oracle: a fresh engine over exactly the same rows.
-						cold := New(WithBatchSize(batch), WithTypedColumns(typed))
-						vw.load(t, cold, 0, hi)
-						want, err := cold.Query(vw.q)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if renderRows(got) != renderRows(want) {
-							t.Fatalf("at %d rows: view diverges from cold recompute:\n got %s\nwant %s",
-								hi, clipDiff(renderRows(got)), clipDiff(renderRows(want)))
-						}
+					if renderRows(got) != renderRows(want) {
+						t.Fatalf("at %d rows: view diverges from cold recompute:\n got %s\nwant %s",
+							hi, clipDiff(renderRows(got)), clipDiff(renderRows(want)))
 					}
-					// Incrementality: the summed delta partitions across refreshes
-					// must equal the final partition count — each partition scanned
-					// exactly once, never re-scanned.
-					info := e.ViewInfos()[0]
-					if info.DeltaParts != int64(info.PartsDone) {
-						t.Fatalf("delta partitions %d != absorbed watermark %d (partitions re-scanned?)",
-							info.DeltaParts, info.PartsDone)
+					if m := got.Metrics; c.memLimit > 0 && (m.Spills == 0 || m.ExecTime <= 0 || m.MemLimitBytes != c.memLimit || m.MemPeakBytes <= 0) {
+						t.Fatalf("at %d rows: refresh under a %d-byte limit reports spills=%d exec=%v limit=%d peak=%d",
+							hi, c.memLimit, m.Spills, m.ExecTime, m.MemLimitBytes, m.MemPeakBytes)
 					}
-					if info.Refreshes != int64(len(checkpoints)) {
-						t.Fatalf("refreshes = %d, want %d", info.Refreshes, len(checkpoints))
-					}
-				})
-			}
+				}
+				// Incrementality: the summed delta partitions across refreshes
+				// must equal the final partition count — each partition scanned
+				// exactly once, never re-scanned.
+				info := e.ViewInfos()[0]
+				if info.DeltaParts != int64(info.PartsDone) {
+					t.Fatalf("delta partitions %d != absorbed watermark %d (partitions re-scanned?)",
+						info.DeltaParts, info.PartsDone)
+				}
+				if info.Refreshes != int64(len(checkpoints)) {
+					t.Fatalf("refreshes = %d, want %d", info.Refreshes, len(checkpoints))
+				}
+			})
+		}
+	}
+}
+
+// TestViewRefreshDrawsFromGovernorPool: a refresh charges the governor's
+// shared pool like a query does, spills under its pressure with rows equal
+// to the cold query's, and gives every byte back when it returns.
+func TestViewRefreshDrawsFromGovernorPool(t *testing.T) {
+	const q = `SELECT "k", COUNT(*) AS n, ARRAY_AGG("v") AS vs FROM "g" GROUP BY "k" ORDER BY "k"`
+	gov := NewGovernor(GovernorConfig{MemLimit: 256})
+	e := New(WithGovernor(gov))
+	viewLoad(t, e, 0, 0)
+	if err := e.CreateView("byk", q); err != nil {
+		t.Fatal(err)
+	}
+	for _, hi := range []int{100, 200} {
+		viewLoad(t, e, hi-100, hi)
+		got, err := e.QueryView(context.Background(), "byk")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold := New()
+		viewLoad(t, cold, 0, hi)
+		want, err := cold.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if renderRows(got) != renderRows(want) {
+			t.Fatalf("at %d rows: governed view diverges from cold recompute", hi)
+		}
+		if got.Metrics.Spills == 0 {
+			t.Fatalf("at %d rows: no spill under a 256-byte pool", hi)
+		}
+		if snap := gov.Snapshot(); snap.MemUsedBytes != 0 || snap.MemPeakBytes == 0 {
+			t.Fatalf("at %d rows: pool used %d, peak %d after the refresh; want 0 and > 0", hi, snap.MemUsedBytes, snap.MemPeakBytes)
 		}
 	}
 }

@@ -10,8 +10,9 @@
 // non-FLWOR iterators to Column expressions; nested queries re-aggregate via
 // row-ID injection, LATERAL FLATTEN and ARRAY_AGG, with both published
 // strategies against erroneous object elimination (a KEEP flag column, or a
-// copy + left outer join). An interpreted back-end executes the same
-// iterator tree directly and stands in for the paper's DSQL baselines.
+// copy + left outer join). An interpreted back-end (Interpret) executes the
+// same iterator tree directly over caller-supplied documents and stands in
+// for the paper's DSQL baselines.
 //
 // Quick start:
 //
@@ -77,16 +78,6 @@ type Warehouse struct {
 	eng  *engine.Engine
 	sess *snowpark.Session
 	obs  *obsv.Observer
-	// docs holds every document LoadObject appended, as the concatenated
-	// exact binary encoding (Value.AppendBinary) of each collection, only
-	// so that QueryInterpreted can replay them. Bytes, not Values: storage
-	// keeps its own frozen copy, and a second copy as live objects would be
-	// re-marked by every garbage collection. Appends never rewrite a byte,
-	// so a slice header taken under docsMu stays readable after it. Under
-	// docsMu a collection's documents are exactly the rows LoadObject
-	// appended to its table.
-	docsMu sync.Mutex
-	docs   map[string][]byte
 	// slowThresh/slowOn arm slow-query capture (WithSlowQueryMillis):
 	// queries at or above the threshold retain their full span tree and
 	// EXPLAIN ANALYZE snapshot in the observer's slow ring.
@@ -266,7 +257,6 @@ func Open(opts ...OpenOption) *Warehouse {
 		eng:  eng,
 		sess: snowpark.NewSession(eng),
 		obs:  obsv.NewObserver(),
-		docs: make(map[string][]byte),
 	}
 	w.obs.RegisterPlanCacheStats(eng.PlanCacheStats)
 	w.obs.RegisterResultCacheStats(eng.ResultCacheStats)
@@ -310,15 +300,7 @@ func (w *Warehouse) LoadObject(collection string, v Value) error {
 	if err != nil {
 		return err
 	}
-	// One lock over both appends keeps the kept documents and the table's
-	// rows in step for QueryInterpreted.
-	w.docsMu.Lock()
-	defer w.docsMu.Unlock()
-	if err := t.AppendObject(v); err != nil {
-		return err
-	}
-	w.docs[collection] = v.AppendBinary(w.docs[collection])
-	return nil
+	return t.AppendObject(v)
 }
 
 // LoadJSON appends one JSON document.
@@ -633,54 +615,21 @@ func (w *Warehouse) SQL(sql string) (*Result, error) { return w.eng.Query(sql) }
 // ExplainSQL renders the optimized plan of a SQL query.
 func (w *Warehouse) ExplainSQL(sql string) (string, error) { return w.eng.Explain(sql) }
 
-// QueryInterpreted executes the JSONiq query on the interpreted iterator
-// back-end (the DSQL-engine baseline) over the same loaded documents. It
-// replays the documents LoadObject kept, so it refuses a collection whose
-// table holds rows this warehouse did not load — rows reopened from a data
-// directory, say — rather than answer over part of it.
-func (w *Warehouse) QueryInterpreted(jsoniqSrc string) ([]Value, error) {
-	expr, err := jsoniq.Parse(jsoniqSrc)
+// Interpret executes a JSONiq query on the interpreted iterator back-end
+// (the DSQL-engine baseline and the translator's oracle) over exactly the
+// documents given, keyed by collection name. It reads no warehouse, so a
+// missing field and an explicit null, or 1 and 1.0, stay exactly as the
+// caller passed them; staging stores a missing field as NULL.
+func Interpret(query string, collections map[string][]Value) ([]Value, error) {
+	expr, err := jsoniq.Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	expr = jsoniq.Rewrite(expr)
 	rt := runtime.New(runtime.ProfileDefault)
-	loaded := map[string]bool{}
-	jsoniq.Walk(expr, func(e jsoniq.Expr) bool {
-		if c, ok := e.(*jsoniq.Collection); ok && err == nil && !loaded[c.Name] {
-			loaded[c.Name] = true
-			err = w.replay(rt, c.Name)
-		}
-		return err == nil
-	})
-	if err != nil {
-		return nil, err
+	for name, docs := range collections {
+		rt.LoadCollection(name, docs)
 	}
-	return rt.Run(expr)
-}
-
-// replay loads the documents of collection name into rt.
-func (w *Warehouse) replay(rt *runtime.Engine, name string) error {
-	t, err := w.eng.Catalog().Table(name)
-	if err != nil {
-		return err
-	}
-	w.docsMu.Lock()
-	enc, rows := w.docs[name], t.NumRows()
-	w.docsMu.Unlock()
-	var docs []Value
-	for len(enc) > 0 {
-		var d Value
-		if d, enc, err = variant.DecodeBinary(enc); err != nil {
-			return err
-		}
-		docs = append(docs, d)
-	}
-	if int64(len(docs)) != rows {
-		return fmt.Errorf("jsonpark: collection %q holds %d rows, but the interpreter has %d of its documents to replay", name, rows, len(docs))
-	}
-	rt.LoadCollection(name, docs)
-	return nil
+	return rt.Run(jsoniq.Rewrite(expr))
 }
 
 // Engine exposes the underlying SQL engine (advanced use: catalog access,

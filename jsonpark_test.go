@@ -1,7 +1,6 @@
 package jsonpark
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -9,23 +8,53 @@ import (
 	"jsonpark/internal/variant"
 )
 
+// exampleOrders are the documents exampleWarehouse loads into "orders".
+var exampleOrders = []string{
+	`{"id": 1, "customer": "ada", "items": [{"sku": "apple", "qty": 2, "price": 1.5}, {"sku": "pear", "qty": 1, "price": 2.0}]}`,
+	`{"id": 2, "customer": "bob", "items": []}`,
+	`{"id": 3, "customer": "ada", "items": [{"sku": "plum", "qty": 5, "price": 0.5}]}`,
+}
+
 func exampleWarehouse(t *testing.T) *Warehouse {
 	t.Helper()
 	w := Open()
 	if err := w.CreateCollection("orders", []string{"id", "customer", "items"}); err != nil {
 		t.Fatal(err)
 	}
-	docs := []string{
-		`{"id": 1, "customer": "ada", "items": [{"sku": "apple", "qty": 2, "price": 1.5}, {"sku": "pear", "qty": 1, "price": 2.0}]}`,
-		`{"id": 2, "customer": "bob", "items": []}`,
-		`{"id": 3, "customer": "ada", "items": [{"sku": "plum", "qty": 5, "price": 0.5}]}`,
-	}
-	for _, d := range docs {
-		if err := w.LoadJSON("orders", d); err != nil {
+	loadDocs(t, w, "orders", exampleOrders)
+	return w
+}
+
+// loadDocs loads each JSON document into collection and returns the parsed
+// documents, which the interpreter then runs over.
+func loadDocs(t *testing.T, w *Warehouse, collection string, docs []string) []Value {
+	t.Helper()
+	vs := make([]Value, len(docs))
+	for i, d := range docs {
+		v, err := ParseJSON(d)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if err := w.LoadObject(collection, v); err != nil {
+			t.Fatal(err)
+		}
+		vs[i] = v
 	}
-	return w
+	return vs
+}
+
+// sameItems fails t unless the translated and interpreted items agree one
+// for one.
+func sameItems(t *testing.T, translated, interpreted []Value) {
+	t.Helper()
+	if len(translated) != len(interpreted) {
+		t.Fatalf("row count mismatch: %d vs %d", len(translated), len(interpreted))
+	}
+	for i := range translated {
+		if translated[i].HashKey() != interpreted[i].HashKey() {
+			t.Errorf("row %d: %v vs %v", i, translated[i], interpreted[i])
+		}
+	}
 }
 
 func TestWarehouseQuickstartFlow(t *testing.T) {
@@ -83,7 +112,11 @@ func TestWarehouseTranslateProducesSingleSQL(t *testing.T) {
 }
 
 func TestWarehouseInterpretedMatchesTranslated(t *testing.T) {
-	w := exampleWarehouse(t)
+	w := Open()
+	if err := w.CreateCollection("orders", []string{"id", "customer", "items"}); err != nil {
+		t.Fatal(err)
+	}
+	docs := loadDocs(t, w, "orders", exampleOrders)
 	src := `for $o in collection("orders")
 		group by $c := $o.customer
 		order by $c
@@ -92,52 +125,41 @@ func TestWarehouseInterpretedMatchesTranslated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	interpreted, err := w.QueryInterpreted(src)
+	interpreted, err := Interpret(src, map[string][]Value{"orders": docs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(translated) != len(interpreted) {
-		t.Fatalf("row count mismatch: %d vs %d", len(translated), len(interpreted))
-	}
-	for i := range translated {
-		if translated[i].HashKey() != interpreted[i].HashKey() {
-			t.Errorf("row %d: %v vs %v", i, translated[i], interpreted[i])
-		}
-	}
+	sameItems(t, translated, interpreted)
 }
 
-// TestWarehouseInterpretedReplaysExactDocuments: the interpreter replays the
-// loaded documents from their binary encoding, which must keep a missing
-// field apart from an explicit null and the integer 1 apart from the double
-// 1.0, exactly as loaded.
+// TestWarehouseInterpretedReplaysExactDocuments: the interpreter runs over
+// the documents it is given, which keeps a missing field apart from an
+// explicit null and the integer 1 apart from the double 1.0, exactly as
+// loaded; the translated query over the same loads agrees with it.
 func TestWarehouseInterpretedReplaysExactDocuments(t *testing.T) {
 	w := Open()
 	if err := w.CreateCollection("docs", []string{"id", "v"}); err != nil {
 		t.Fatal(err)
 	}
-	docs := []string{
+	texts := []string{
 		`{"id": 1, "v": 1}`,
 		`{"id": 2, "v": 1.0}`,
 		`{"id": 3, "v": null}`,
 		`{"id": 4}`,
 		`{"id": 5, "v": {"n": null, "xs": [1, 1.0, "1", []]}}`,
 	}
-	for _, d := range docs {
-		if err := w.LoadJSON("docs", d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	items, err := w.QueryInterpreted(`for $d in collection("docs") return $d`)
+	docs := map[string][]Value{"docs": loadDocs(t, w, "docs", texts)}
+	items, err := Interpret(`for $d in collection("docs") return $d`, docs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(items) != len(docs) {
-		t.Fatalf("replayed %d documents, want %d", len(items), len(docs))
+	if len(items) != len(texts) {
+		t.Fatalf("interpreted %d documents, want %d", len(items), len(texts))
 	}
-	for i, d := range docs {
+	for i, d := range texts {
 		want := variant.MustParseJSON(d)
 		if !variant.BinaryEqual(items[i], want) {
-			t.Errorf("document %d replayed as %s, want %s", i, items[i].JSON(), want.JSON())
+			t.Errorf("document %d interpreted as %s, want %s", i, items[i].JSON(), want.JSON())
 		}
 	}
 	src := `for $d in collection("docs") order by $d.id return {"id": $d.id, "v": $d.v}`
@@ -145,30 +167,18 @@ func TestWarehouseInterpretedReplaysExactDocuments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	interpreted, err := w.QueryInterpreted(src)
+	interpreted, err := Interpret(src, docs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(translated) != len(interpreted) {
-		t.Fatalf("row count mismatch: %d vs %d", len(translated), len(interpreted))
-	}
-	for i := range translated {
-		if translated[i].HashKey() != interpreted[i].HashKey() {
-			t.Errorf("row %d: %v vs %v", i, translated[i], interpreted[i])
-		}
-	}
+	sameItems(t, translated, interpreted)
 }
 
-// TestWarehouseConcurrentLoadAndReplay: loads and interpreted replays may run
-// from several goroutines at once (jsqd serves both); every replay sees a
-// whole-document prefix of the loads.
-func TestWarehouseConcurrentLoadAndReplay(t *testing.T) {
+// TestWarehouseConcurrentLoad: loads may run from several goroutines at
+// once (jsqd serves them); every one of them is counted.
+func TestWarehouseConcurrentLoad(t *testing.T) {
 	w := Open()
 	if err := w.CreateCollection("docs", []string{"id"}); err != nil {
-		t.Fatal(err)
-	}
-	// The interpreter knows a collection once it holds a document.
-	if err := w.LoadJSON("docs", `{"id": 0, "tag": "x"}`); err != nil {
 		t.Fatal(err)
 	}
 	const loaders, perLoader = 4, 50
@@ -185,64 +195,13 @@ func TestWarehouseConcurrentLoadAndReplay(t *testing.T) {
 			}
 		}()
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 20; i++ {
-			if _, err := w.QueryInterpreted(`for $d in collection("docs") return $d.tag`); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
 	wg.Wait()
-	items, err := w.QueryInterpreted(`for $d in collection("docs") return $d.tag`)
+	items, err := w.QueryItems(`count(for $d in collection("docs") return $d)`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(items) != 1+loaders*perLoader {
-		t.Fatalf("replayed %d documents, want %d", len(items), 1+loaders*perLoader)
-	}
-}
-
-// TestInterpretedRefusesReopenedRows: the interpreter replays only the
-// documents loaded since Open, so on a reopened persistent warehouse it
-// must refuse the collection — naming it — instead of answering over the
-// newer part of it, while the translated path still sees every row.
-func TestInterpretedRefusesReopenedRows(t *testing.T) {
-	dir := t.TempDir()
-	w := Open(WithDataDir(dir))
-	if err := w.CreateCollection("docs", []string{"id"}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 3; i++ {
-		if err := w.LoadJSON("docs", fmt.Sprintf(`{"id": %d}`, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	const q = `for $d in collection("docs") return $d.id`
-	w = Open(WithDataDir(dir))
-	refused := func(when string) {
-		t.Helper()
-		items, err := w.QueryInterpreted(q)
-		if err == nil || !strings.Contains(err.Error(), `collection "docs"`) {
-			t.Fatalf("%s: interpreted = %v, %v; want an error naming collection \"docs\"", when, items, err)
-		}
-	}
-	refused("reopened")
-	if err := w.LoadJSON("docs", `{"id": 4}`); err != nil {
-		t.Fatal(err)
-	}
-	refused("reopened, then loaded")
-	items, err := w.QueryItems(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(items) != 4 {
-		t.Fatalf("translated query returned %d items, want 4", len(items))
+	if len(items) != 1 || items[0].AsInt() != loaders*perLoader {
+		t.Fatalf("translated count = %v, want %d", items, loaders*perLoader)
 	}
 }
 
@@ -277,9 +236,14 @@ func TestWarehouseErrors(t *testing.T) {
 }
 
 // A document that is not an object has no fields to stage: loading it
-// fails and leaves the collection unchanged, for both backends.
+// fails and leaves the collection unchanged, and the interpreter over the
+// documents that did load counts what the table holds.
 func TestWarehouseLoadRejectsNonObject(t *testing.T) {
-	w := exampleWarehouse(t)
+	w := Open()
+	if err := w.CreateCollection("orders", []string{"id", "customer", "items"}); err != nil {
+		t.Fatal(err)
+	}
+	docs := loadDocs(t, w, "orders", exampleOrders)
 	tab, err := w.Engine().Catalog().Table("orders")
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +255,7 @@ func TestWarehouseLoadRejectsNonObject(t *testing.T) {
 	if got := tab.NumRows(); got != before {
 		t.Fatalf("rows = %d after a rejected load, want %d", got, before)
 	}
-	items, err := w.QueryInterpreted(`count(collection("orders"))`)
+	items, err := Interpret(`count(collection("orders"))`, map[string][]Value{"orders": docs})
 	if err != nil {
 		t.Fatal(err)
 	}

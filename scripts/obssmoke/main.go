@@ -8,8 +8,12 @@
 // while the cached plan, which no data change makes stale, hits from the
 // second run on — found under the query text, so the JSONiq frontend runs
 // once — a populated /debug/slow, and a live /metrics exposition including
-// the plan-, text- and result-cache counters.
-// It exercises the same binary and flags an operator would use, not the
+// the plan-, text- and result-cache counters. It also builds jsq and checks
+// that a one-shot query that fails to parse still writes exactly one qlog
+// record, with status error and the error text, and that -backend interp
+// prints the same items as the default translated back-end over the smoke's
+// data file.
+// It exercises the same binaries and flags an operator would use, not the
 // test harness.
 package main
 
@@ -52,13 +56,18 @@ func run() error {
 		return err
 	}
 
+	jsq, err := build(dir, "jsq")
+	if err != nil {
+		return err
+	}
+	if err := checkJSQ(jsq, dir, data); err != nil {
+		return err
+	}
 	// go run would put the server behind an intermediary process that
 	// orphans it on kill; build a real binary and manage it directly.
-	bin := filepath.Join(dir, "jsqd")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/jsqd")
-	build.Stdout, build.Stderr = os.Stderr, os.Stderr
-	if err := build.Run(); err != nil {
-		return fmt.Errorf("building jsqd: %w", err)
+	bin, err := build(dir, "jsqd")
+	if err != nil {
+		return err
 	}
 
 	addr, err := freeAddr()
@@ -143,6 +152,57 @@ func run() error {
 		return err
 	}
 	return checkCounterAtLeast(base+"/metrics", "jsonpark_result_cache_hits_total", 2)
+}
+
+// build compiles ./cmd/name into dir and returns the binary's path.
+func build(dir, name string) (string, error) {
+	bin := filepath.Join(dir, name)
+	cmd := exec.Command("go", "build", "-o", bin, "./cmd/"+name)
+	cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
+	if err := cmd.Run(); err != nil {
+		return "", fmt.Errorf("building %s: %w", name, err)
+	}
+	return bin, nil
+}
+
+// checkJSQ asserts that a one-shot jsq query that fails to parse exits
+// non-zero and writes exactly one qlog record, with status error and the
+// error jsq printed, and that the interpreted and translated back-ends
+// print the same items over data.
+func checkJSQ(jsq, dir, data string) error {
+	qlogPath := filepath.Join(dir, "jsq.log")
+	var stderr strings.Builder
+	bad := exec.Command(jsq, "-data", data, "-collection", "smoke", "-qlog", qlogPath, "for $o in")
+	bad.Stderr = &stderr
+	if err := bad.Run(); err == nil {
+		return fmt.Errorf("jsq ran a query that does not parse without an error")
+	}
+	raw, err := os.ReadFile(qlogPath)
+	if err != nil {
+		return fmt.Errorf("jsq query log: %w", err)
+	}
+	lines := strings.FieldsFunc(string(raw), func(r rune) bool { return r == '\n' })
+	var rec map[string]any
+	if len(lines) != 1 || json.Unmarshal([]byte(lines[0]), &rec) != nil {
+		return fmt.Errorf("jsq query log holds %d lines, want one JSON record:\n%s", len(lines), raw)
+	}
+	msg, _ := rec["error"].(string)
+	if rec["event"] != "query" || rec["status"] != "error" || msg == "" || !strings.Contains(stderr.String(), msg) {
+		return fmt.Errorf("jsq query record %v, want event query, status error and the error jsq printed: %s", rec, stderr.String())
+	}
+	const query = `for $o in collection("smoke") order by $o.id return {"id": $o.id, "qty": [for $i in $o.items[] return $i.qty]}`
+	var out [2]string
+	for i, backend := range []string{"translate", "interp"} {
+		b, err := exec.Command(jsq, "-data", data, "-collection", "smoke", "-backend", backend, query).Output()
+		if err != nil {
+			return fmt.Errorf("jsq -backend %s: %w", backend, err)
+		}
+		out[i] = string(b)
+	}
+	if out[0] == "" || out[0] != out[1] {
+		return fmt.Errorf("jsq back-ends disagree:\ntranslate:\n%sinterp:\n%s", out[0], out[1])
+	}
+	return nil
 }
 
 // checkQlog asserts the query log holds exactly four parseable "query"

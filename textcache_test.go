@@ -8,24 +8,22 @@ import (
 	"jsonpark/internal/obsv/qlog"
 )
 
+// cachedOrders are the documents cachedWarehouse loads into "orders".
+var cachedOrders = []string{
+	`{"id": 1, "customer": "ada", "items": [{"sku": "apple", "qty": 2}, {"sku": "pear", "qty": 1}]}`,
+	`{"id": 2, "customer": "bob", "items": []}`,
+	`{"id": 3, "customer": "ada", "items": [{"sku": "plum", "qty": 5}]}`,
+}
+
 // cachedWarehouse is exampleWarehouse with the result cache on, as jsqd
-// runs it.
-func cachedWarehouse(t *testing.T) *Warehouse {
+// runs it, over cachedOrders.
+func cachedWarehouse(t *testing.T) (*Warehouse, []Value) {
 	t.Helper()
 	w := Open(WithResultCacheBytes(1 << 20))
 	if err := w.CreateCollection("orders", []string{"id", "customer", "items"}); err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range []string{
-		`{"id": 1, "customer": "ada", "items": [{"sku": "apple", "qty": 2}, {"sku": "pear", "qty": 1}]}`,
-		`{"id": 2, "customer": "bob", "items": []}`,
-		`{"id": 3, "customer": "ada", "items": [{"sku": "plum", "qty": 5}]}`,
-	} {
-		if err := w.LoadJSON("orders", d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return w
+	return w, loadDocs(t, w, "orders", cachedOrders)
 }
 
 func itemsOf(t *testing.T, rep *QueryReport) string {
@@ -41,7 +39,7 @@ func itemsOf(t *testing.T, rep *QueryReport) string {
 // has no JSONiq frontend stage and no operator-tree build, yet its report
 // carries the first translation's SQL, strategy, census and fingerprint.
 func TestTextHitSkipsFrontend(t *testing.T) {
-	w := cachedWarehouse(t)
+	w, _ := cachedWarehouse(t)
 	const q = `for $o in collection("orders") where $o.id ge 2 order by $o.id return {"id": $o.id, "n": count($o.items[])}`
 	first, err := w.QueryTraced(q)
 	if err != nil {
@@ -88,7 +86,7 @@ func TestTextHitSkipsFrontend(t *testing.T) {
 // same text translates again (the assembled object gains the new column)
 // and answers over the new data.
 func TestTextAliasFollowsRecreatedCollection(t *testing.T) {
-	w := cachedWarehouse(t)
+	w, _ := cachedWarehouse(t)
 	const q = `for $o in collection("orders") order by $o.id return $o`
 	if _, err := w.QueryTraced(q); err != nil {
 		t.Fatal(err)
@@ -120,9 +118,9 @@ func TestTextAliasFollowsRecreatedCollection(t *testing.T) {
 // each repeat reports its own strategy and SQL, and both answers agree with
 // the interpreter.
 func TestTextAliasPerStrategy(t *testing.T) {
-	w := cachedWarehouse(t)
+	w, docs := cachedWarehouse(t)
 	const q = `for $o in collection("orders") order by $o.id return {"id": $o.id, "big": [for $i in $o.items[] where $i.qty gt 1 return $i.sku]}`
-	want, err := w.QueryInterpreted(q)
+	want, err := Interpret(q, map[string][]Value{"orders": docs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +161,7 @@ func TestTextAliasPerStrategy(t *testing.T) {
 
 // TestTextCacheHitsCounted pins the /metrics counter of text hits.
 func TestTextCacheHitsCounted(t *testing.T) {
-	w := cachedWarehouse(t)
+	w, _ := cachedWarehouse(t)
 	for i := 0; i < 3; i++ {
 		if _, err := w.Query(`for $o in collection("orders") return $o.id`); err != nil {
 			t.Fatal(err)
