@@ -308,10 +308,7 @@ func (c *dagCompiler) node(e sqlast.Expr) (int32, error) {
 	case *sqlast.Lit:
 		return c.intern(exprNode{op: opLit, lit: x.Value}), nil
 	case *sqlast.ColRef:
-		name := x.Name
-		if x.Table != "" {
-			name = x.Table + "." + x.Name
-		}
+		name := x.QualifiedName()
 		i, ok := c.sc.Lookup(name)
 		if !ok {
 			return 0, fmt.Errorf("engine: unknown column %q (have %v)", name, c.sc.Names)
@@ -462,7 +459,7 @@ func (c *dagCompiler) funcCall(x *sqlast.FuncCall) (int32, error) {
 	if isAggregateName(name) {
 		return 0, fmt.Errorf("engine: aggregate %s outside GROUP BY context", name)
 	}
-	if name == "SEQ8" || name == "SEQ4" {
+	if isRowCounter(name) {
 		// Monotone per-operator sequence (row-ID injection, §IV-B). The
 		// counter advances in active-row order, so with the ordered scan
 		// merge the assigned IDs are the sequential row order's.

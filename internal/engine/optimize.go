@@ -134,12 +134,15 @@ func mergeProjects(n Node) Node {
 			if !mergeable {
 				break
 			}
-			defs := make(map[string]sqlast.Expr, len(inner.Names))
-			for i, name := range inner.Names {
-				defs[name] = inner.Exprs[i]
+			defs := projectDefs(inner)
+			inline := func(cr *sqlast.ColRef) sqlast.Expr {
+				if def, ok := defs[cr.QualifiedName()]; ok {
+					return def
+				}
+				return cr
 			}
 			for i := range x.Exprs {
-				x.Exprs[i] = substituteDefs(x.Exprs[i], defs)
+				x.Exprs[i], _ = inlineRefs(x.Exprs[i], inline)
 			}
 			x.Input = inner.Input
 		}
@@ -162,13 +165,9 @@ func mergeProjects(n Node) Node {
 }
 
 func countRefs(e sqlast.Expr, into map[string]int) {
-	walkExpr(e, func(n sqlast.Expr) bool {
+	sqlast.Walk(e, func(n sqlast.Expr) bool {
 		if cr, ok := n.(*sqlast.ColRef); ok {
-			name := cr.Name
-			if cr.Table != "" {
-				name = cr.Table + "." + cr.Name
-			}
-			into[name]++
+			into[cr.QualifiedName()]++
 		}
 		return true
 	})
@@ -182,52 +181,35 @@ func isFreeExpr(e sqlast.Expr) bool {
 	return false
 }
 
-// substituteDefs replaces column references with their defining expressions.
-func substituteDefs(e sqlast.Expr, defs map[string]sqlast.Expr) sqlast.Expr {
-	switch x := e.(type) {
-	case *sqlast.ColRef:
-		name := x.Name
-		if x.Table != "" {
-			name = x.Table + "." + x.Name
-		}
-		if def, ok := defs[name]; ok {
-			return def
-		}
-		return x
-	case *sqlast.Lit, *sqlast.Star:
-		return e
-	case *sqlast.FuncCall:
-		args := make([]sqlast.Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = substituteDefs(a, defs)
-		}
-		out := &sqlast.FuncCall{Name: x.Name, Args: args, Distinct: x.Distinct}
-		for _, o := range x.WithinOrder {
-			out.WithinOrder = append(out.WithinOrder, sqlast.OrderItem{Expr: substituteDefs(o.Expr, defs), Desc: o.Desc})
-		}
-		return out
-	case *sqlast.Binary:
-		return &sqlast.Binary{Op: x.Op, Left: substituteDefs(x.Left, defs), Right: substituteDefs(x.Right, defs)}
-	case *sqlast.Unary:
-		return &sqlast.Unary{Op: x.Op, Operand: substituteDefs(x.Operand, defs)}
-	case *sqlast.IsNull:
-		return &sqlast.IsNull{Operand: substituteDefs(x.Operand, defs), Negate: x.Negate}
-	case *sqlast.CaseWhen:
-		out := &sqlast.CaseWhen{}
-		for _, w := range x.Whens {
-			out.Whens = append(out.Whens, sqlast.WhenClause{
-				Cond:   substituteDefs(w.Cond, defs),
-				Result: substituteDefs(w.Result, defs),
-			})
-		}
-		if x.Else != nil {
-			out.Else = substituteDefs(x.Else, defs)
-		}
-		return out
-	case *sqlast.Cast:
-		return &sqlast.Cast{Operand: substituteDefs(x.Operand, defs), Type: x.Type}
+// projectDefs maps each output name of p to its defining expression.
+func projectDefs(p *ProjectNode) map[string]sqlast.Expr {
+	defs := make(map[string]sqlast.Expr, len(p.Names))
+	for i, name := range p.Names {
+		defs[name] = p.Exprs[i]
 	}
-	return e
+	return defs
+}
+
+// inlineRefs rebuilds e with each column reference cr replaced by def(cr):
+// the planner inlines select-list aliases, mergeProjects and filter pushdown
+// a project's definitions. def returns cr itself to keep the reference, or
+// nil to refuse it, which makes inlineRefs report false.
+func inlineRefs(e sqlast.Expr, def func(*sqlast.ColRef) sqlast.Expr) (sqlast.Expr, bool) {
+	ok := true
+	var visit func(sqlast.Expr) sqlast.Expr
+	visit = func(e sqlast.Expr) sqlast.Expr {
+		cr, isRef := e.(*sqlast.ColRef)
+		if !isRef {
+			return sqlast.MapChildren(e, visit)
+		}
+		if d := def(cr); d != nil {
+			return d
+		}
+		ok = false
+		return e
+	}
+	out := visit(e)
+	return out, ok
 }
 
 // --- expression simplification -------------------------------------------
@@ -286,33 +268,22 @@ func simplifyExpr(e sqlast.Expr) sqlast.Expr {
 	if e == nil {
 		return nil
 	}
+	e = sqlast.MapChildren(e, simplifyExpr)
 	switch x := e.(type) {
-	case *sqlast.Lit, *sqlast.ColRef, *sqlast.Star:
-		return e
 	case *sqlast.FuncCall:
-		args := make([]sqlast.Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = simplifyExpr(a)
-		}
-		out := &sqlast.FuncCall{Name: x.Name, Args: args, Distinct: x.Distinct, WithinOrder: x.WithinOrder}
-		if folded := foldGet(out); folded != nil {
+		if folded := foldGet(x); folded != nil {
 			return folded
 		}
-		if lit := foldLiteralCall(out); lit != nil {
+		if lit := foldLiteralCall(x); lit != nil {
 			return lit
 		}
-		return out
 	case *sqlast.Binary:
-		l := simplifyExpr(x.Left)
-		r := simplifyExpr(x.Right)
-		out := &sqlast.Binary{Op: x.Op, Left: l, Right: r}
+		l, r := x.Left, x.Right
 		if ll, lok := l.(*sqlast.Lit); lok {
-			if rl, rok := r.(*sqlast.Lit); rok {
-				if v, ok := evalConst(out); ok {
+			if _, rok := r.(*sqlast.Lit); rok {
+				if v, ok := evalConst(x); ok {
 					return &sqlast.Lit{Value: v}
 				}
-				_ = ll
-				_ = rl
 			}
 			// Short circuits.
 			if x.Op == "AND" && ll.Value.Kind() == variant.KindBool {
@@ -342,58 +313,44 @@ func simplifyExpr(e sqlast.Expr) sqlast.Expr {
 				return l
 			}
 		}
-		return out
 	case *sqlast.Unary:
-		o := simplifyExpr(x.Operand)
-		out := &sqlast.Unary{Op: x.Op, Operand: o}
-		if _, ok := o.(*sqlast.Lit); ok {
-			if v, folded := evalConst(out); folded {
+		if _, ok := x.Operand.(*sqlast.Lit); ok {
+			if v, folded := evalConst(x); folded {
 				return &sqlast.Lit{Value: v}
 			}
 		}
-		return out
 	case *sqlast.IsNull:
-		o := simplifyExpr(x.Operand)
-		if lit, ok := o.(*sqlast.Lit); ok {
+		if lit, ok := x.Operand.(*sqlast.Lit); ok {
 			return &sqlast.Lit{Value: variant.Bool(lit.Value.IsNull() != x.Negate)}
 		}
-		return &sqlast.IsNull{Operand: o, Negate: x.Negate}
 	case *sqlast.CaseWhen:
-		out := &sqlast.CaseWhen{}
-		for _, w := range x.Whens {
-			out.Whens = append(out.Whens, sqlast.WhenClause{
-				Cond:   simplifyExpr(w.Cond),
-				Result: simplifyExpr(w.Result),
-			})
-		}
-		out.Else = simplifyExpr(x.Else)
-		// Fold a leading constant condition.
-		for len(out.Whens) > 0 {
-			lit, ok := out.Whens[0].Cond.(*sqlast.Lit)
+		// Fold leading constant conditions.
+		whens := x.Whens
+		for len(whens) > 0 {
+			lit, ok := whens[0].Cond.(*sqlast.Lit)
 			if !ok {
 				break
 			}
 			if !lit.Value.IsNull() && truthySQL(lit.Value) {
-				return out.Whens[0].Result
+				return whens[0].Result
 			}
-			out.Whens = out.Whens[1:]
+			whens = whens[1:]
 		}
-		if len(out.Whens) == 0 {
-			if out.Else != nil {
-				return out.Else
+		if len(whens) == 0 {
+			if x.Else != nil {
+				return x.Else
 			}
 			return &sqlast.Lit{Value: variant.Null}
 		}
-		return out
+		if len(whens) < len(x.Whens) {
+			return &sqlast.CaseWhen{Whens: whens, Else: x.Else}
+		}
 	case *sqlast.Cast:
-		o := simplifyExpr(x.Operand)
-		out := &sqlast.Cast{Operand: o, Type: x.Type}
-		if _, ok := o.(*sqlast.Lit); ok {
-			if v, folded := evalConst(out); folded {
+		if _, ok := x.Operand.(*sqlast.Lit); ok {
+			if v, folded := evalConst(x); folded {
 				return &sqlast.Lit{Value: v}
 			}
 		}
-		return out
 	}
 	return e
 }
@@ -444,7 +401,7 @@ func foldGet(call *sqlast.FuncCall) sqlast.Expr {
 // literals. Volatile functions (SEQ8) are excluded.
 func foldLiteralCall(call *sqlast.FuncCall) sqlast.Expr {
 	name := strings.ToUpper(call.Name)
-	if name == "SEQ8" || name == "SEQ4" || isAggregateName(name) {
+	if isRowCounter(name) || isAggregateName(name) {
 		return nil
 	}
 	if _, ok := scalarFuncs[name]; !ok {
@@ -518,11 +475,23 @@ func pushFilter(n Node, conjuncts []sqlast.Expr) Node {
 		return pushFilter(x.Input, append(conjuncts, splitConjuncts(x.Cond)...))
 	case *ProjectNode:
 		var below, above []sqlast.Expr
-		for _, c := range conjuncts {
-			if sub, ok := substituteThroughProject(c, x); ok {
-				below = append(below, sub)
-			} else {
-				above = append(above, c)
+		if len(conjuncts) > 0 {
+			// A conjunct moves below when it reads only the project's
+			// outputs and none of them is stateful (SEQ8): inlined into the
+			// filter, a row counter would count the filter's input rows.
+			defs := projectDefs(x)
+			inline := func(cr *sqlast.ColRef) sqlast.Expr {
+				if def := defs[cr.QualifiedName()]; def != nil && !exprStateful(def) {
+					return def
+				}
+				return nil
+			}
+			for _, c := range conjuncts {
+				if sub, ok := inlineRefs(c, inline); ok {
+					below = append(below, sub)
+				} else {
+					above = append(above, c)
+				}
 			}
 		}
 		x.Input = pushFilter(x.Input, below)
@@ -656,13 +625,9 @@ func equiKey(c sqlast.Expr, left, right *Schema) (ok bool, l, r sqlast.Expr) {
 type nameSet map[string]bool
 
 func refsOf(e sqlast.Expr, into nameSet) {
-	walkExpr(e, func(n sqlast.Expr) bool {
+	sqlast.Walk(e, func(n sqlast.Expr) bool {
 		if cr, ok := n.(*sqlast.ColRef); ok {
-			name := cr.Name
-			if cr.Table != "" {
-				name = cr.Table + "." + cr.Name
-			}
-			into[name] = true
+			into[cr.QualifiedName()] = true
 		}
 		return true
 	})
@@ -830,77 +795,6 @@ func pruneNode(n Node, needed nameSet) Node {
 		return x
 	}
 	return n
-}
-
-// substituteThroughProject rewrites a conjunct over a project's output
-// schema into one over its input schema by inlining the defining
-// expressions. Volatile definitions (containing SEQ8) block substitution.
-func substituteThroughProject(c sqlast.Expr, p *ProjectNode) (sqlast.Expr, bool) {
-	defs := make(map[string]sqlast.Expr, len(p.Names))
-	for i, name := range p.Names {
-		defs[name] = p.Exprs[i]
-	}
-	ok := true
-	var subst func(e sqlast.Expr) sqlast.Expr
-	subst = func(e sqlast.Expr) sqlast.Expr {
-		switch x := e.(type) {
-		case *sqlast.ColRef:
-			name := x.Name
-			if x.Table != "" {
-				name = x.Table + "." + x.Name
-			}
-			def, found := defs[name]
-			if !found || isVolatile(def) {
-				ok = false
-				return e
-			}
-			return def
-		case *sqlast.Lit, *sqlast.Star:
-			return e
-		case *sqlast.FuncCall:
-			args := make([]sqlast.Expr, len(x.Args))
-			for i, a := range x.Args {
-				args[i] = subst(a)
-			}
-			return &sqlast.FuncCall{Name: x.Name, Args: args, Distinct: x.Distinct, WithinOrder: x.WithinOrder}
-		case *sqlast.Binary:
-			return &sqlast.Binary{Op: x.Op, Left: subst(x.Left), Right: subst(x.Right)}
-		case *sqlast.Unary:
-			return &sqlast.Unary{Op: x.Op, Operand: subst(x.Operand)}
-		case *sqlast.IsNull:
-			return &sqlast.IsNull{Operand: subst(x.Operand), Negate: x.Negate}
-		case *sqlast.CaseWhen:
-			out := &sqlast.CaseWhen{}
-			for _, w := range x.Whens {
-				out.Whens = append(out.Whens, sqlast.WhenClause{Cond: subst(w.Cond), Result: subst(w.Result)})
-			}
-			if x.Else != nil {
-				out.Else = subst(x.Else)
-			}
-			return out
-		case *sqlast.Cast:
-			return &sqlast.Cast{Operand: subst(x.Operand), Type: x.Type}
-		}
-		ok = false
-		return e
-	}
-	out := subst(c)
-	return out, ok
-}
-
-func isVolatile(e sqlast.Expr) bool {
-	vol := false
-	walkExpr(e, func(n sqlast.Expr) bool {
-		if fc, ok := n.(*sqlast.FuncCall); ok {
-			name := strings.ToUpper(fc.Name)
-			if name == "SEQ8" || name == "SEQ4" {
-				vol = true
-				return false
-			}
-		}
-		return true
-	})
-	return vol
 }
 
 // --- zone-map prune derivation --------------------------------------------

@@ -273,12 +273,7 @@ func (p *physicalPass) seal(n Node, out ordering, seg *segment) Node {
 // usesRowID reports whether e calls a counter or reads a column of sc that
 // the order property traces to one.
 func usesRowID(e sqlast.Expr, sc *Schema, in ordering) bool {
-	found := exprStateful(e)
-	walkExpr(e, func(x sqlast.Expr) bool {
-		found = found || in.has(colIndex(sc, x))
-		return !found
-	})
-	return found
+	return exprStateful(e) || anyNode(e, func(x sqlast.Expr) bool { return in.has(colIndex(sc, x)) })
 }
 
 // aggUsesRowID is usesRowID over an aggregate's argument and order keys.
@@ -301,11 +296,7 @@ func colIndex(sc *Schema, e sqlast.Expr) int {
 	if !ok {
 		return -1
 	}
-	name := cr.Name
-	if cr.Table != "" {
-		name = cr.Table + "." + cr.Name
-	}
-	if i, ok := sc.Lookup(name); ok {
+	if i, ok := sc.Lookup(cr.QualifiedName()); ok {
 		return i
 	}
 	return -1
@@ -326,8 +317,7 @@ func isRowIDExpr(e sqlast.Expr) bool {
 	if !ok {
 		return false
 	}
-	name := strings.ToUpper(fc.Name)
-	return name == "SEQ8" || name == "SEQ4"
+	return isRowCounter(strings.ToUpper(fc.Name))
 }
 
 func isIntLit(e sqlast.Expr) bool {
@@ -345,7 +335,7 @@ func parallelAggWhy(x *AggregateNode, seg *segment) string {
 	switch why := aggsMergeWhy(x.Aggs); {
 	case why != "":
 		return why
-	case anyExprStateful(x.GroupBy):
+	case slices.ContainsFunc(x.GroupBy, exprStateful):
 		return "row id in group key"
 	case seg == nil:
 		return "input not a scan pipeline"
@@ -379,13 +369,4 @@ func aggsMergeWhy(specs []AggSpec) string {
 		}
 	}
 	return ""
-}
-
-func anyExprStateful(exprs []sqlast.Expr) bool {
-	for _, e := range exprs {
-		if exprStateful(e) {
-			return true
-		}
-	}
-	return false
 }

@@ -284,7 +284,12 @@ func (p *planner) buildSelect(s *sqlast.Select) (Node, error) {
 			}
 		}
 		for i := range orderBy {
-			key := substituteAliases(orderBy[i].Expr, aliasDefs)
+			key, _ := inlineRefs(orderBy[i].Expr, func(cr *sqlast.ColRef) sqlast.Expr {
+				if def, ok := aliasDefs[cr.Name]; ok && cr.Table == "" {
+					return def
+				}
+				return cr
+			})
 			orderBy[i].Expr, err = rw.rewrite(key)
 			if err != nil {
 				return nil, fmt.Errorf("engine: ORDER BY key %s: %w", sqlast.RenderExpr(orderBy[i].Expr), err)
@@ -391,88 +396,20 @@ func colRefFor(name string) *sqlast.ColRef {
 }
 
 func containsAggregate(e sqlast.Expr) bool {
+	return anyNode(e, func(n sqlast.Expr) bool {
+		fc, ok := n.(*sqlast.FuncCall)
+		return ok && isAggregateName(fc.Name)
+	})
+}
+
+// anyNode reports whether pred holds for e or any of its subexpressions.
+func anyNode(e sqlast.Expr, pred func(sqlast.Expr) bool) bool {
 	found := false
-	walkExpr(e, func(n sqlast.Expr) bool {
-		if fc, ok := n.(*sqlast.FuncCall); ok && isAggregateName(fc.Name) {
-			found = true
-			return false
-		}
-		return true
+	sqlast.Walk(e, func(n sqlast.Expr) bool {
+		found = found || pred(n)
+		return !found
 	})
 	return found
-}
-
-// walkExpr visits an expression tree pre-order while fn returns true.
-func walkExpr(e sqlast.Expr, fn func(sqlast.Expr) bool) {
-	if e == nil || !fn(e) {
-		return
-	}
-	switch x := e.(type) {
-	case *sqlast.FuncCall:
-		for _, a := range x.Args {
-			walkExpr(a, fn)
-		}
-		for _, o := range x.WithinOrder {
-			walkExpr(o.Expr, fn)
-		}
-	case *sqlast.Binary:
-		walkExpr(x.Left, fn)
-		walkExpr(x.Right, fn)
-	case *sqlast.Unary:
-		walkExpr(x.Operand, fn)
-	case *sqlast.IsNull:
-		walkExpr(x.Operand, fn)
-	case *sqlast.CaseWhen:
-		for _, w := range x.Whens {
-			walkExpr(w.Cond, fn)
-			walkExpr(w.Result, fn)
-		}
-		walkExpr(x.Else, fn)
-	case *sqlast.Cast:
-		walkExpr(x.Operand, fn)
-	}
-}
-
-// substituteAliases replaces unqualified column references that name a
-// select-list alias with the alias's defining expression, leaving everything
-// else untouched.
-func substituteAliases(e sqlast.Expr, defs map[string]sqlast.Expr) sqlast.Expr {
-	switch x := e.(type) {
-	case *sqlast.ColRef:
-		if x.Table == "" {
-			if def, ok := defs[x.Name]; ok {
-				return def
-			}
-		}
-		return x
-	case *sqlast.FuncCall:
-		args := make([]sqlast.Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = substituteAliases(a, defs)
-		}
-		return &sqlast.FuncCall{Name: x.Name, Args: args, Distinct: x.Distinct, WithinOrder: x.WithinOrder}
-	case *sqlast.Binary:
-		return &sqlast.Binary{Op: x.Op, Left: substituteAliases(x.Left, defs), Right: substituteAliases(x.Right, defs)}
-	case *sqlast.Unary:
-		return &sqlast.Unary{Op: x.Op, Operand: substituteAliases(x.Operand, defs)}
-	case *sqlast.IsNull:
-		return &sqlast.IsNull{Operand: substituteAliases(x.Operand, defs), Negate: x.Negate}
-	case *sqlast.CaseWhen:
-		out := &sqlast.CaseWhen{}
-		for _, w := range x.Whens {
-			out.Whens = append(out.Whens, sqlast.WhenClause{
-				Cond:   substituteAliases(w.Cond, defs),
-				Result: substituteAliases(w.Result, defs),
-			})
-		}
-		if x.Else != nil {
-			out.Else = substituteAliases(x.Else, defs)
-		}
-		return out
-	case *sqlast.Cast:
-		return &sqlast.Cast{Operand: substituteAliases(x.Operand, defs), Type: x.Type}
-	}
-	return e
 }
 
 // aggRewriter replaces aggregate calls and group-by expressions inside
@@ -483,85 +420,41 @@ type aggRewriter struct {
 }
 
 func (rw *aggRewriter) rewrite(e sqlast.Expr) (sqlast.Expr, error) {
-	// Whole-expression match against a GROUP BY key.
-	for i, g := range rw.agg.GroupBy {
-		if exprEqual(e, g) {
-			return sqlast.C(rw.agg.GroupNames[i]), nil
+	var err error
+	var visit func(sqlast.Expr) sqlast.Expr
+	visit = func(e sqlast.Expr) sqlast.Expr {
+		if err != nil {
+			return e
 		}
+		// Whole-expression match against a GROUP BY key.
+		for i, g := range rw.agg.GroupBy {
+			if exprEqual(e, g) {
+				return sqlast.C(rw.agg.GroupNames[i])
+			}
+		}
+		switch x := e.(type) {
+		case *sqlast.FuncCall:
+			if isAggregateName(x.Name) {
+				var ref sqlast.Expr
+				ref, err = rw.registerAgg(x)
+				return ref
+			}
+		case *sqlast.ColRef:
+			err = fmt.Errorf("engine: column %q must appear in GROUP BY or inside an aggregate", sqlast.RenderExpr(x))
+			return e
+		}
+		return sqlast.MapChildren(e, visit)
 	}
-	switch x := e.(type) {
-	case *sqlast.FuncCall:
-		if isAggregateName(x.Name) {
-			return rw.registerAgg(x)
-		}
-		args := make([]sqlast.Expr, len(x.Args))
-		for i, a := range x.Args {
-			na, err := rw.rewrite(a)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = na
-		}
-		return &sqlast.FuncCall{Name: x.Name, Args: args, Distinct: x.Distinct, WithinOrder: x.WithinOrder}, nil
-	case *sqlast.Binary:
-		l, err := rw.rewrite(x.Left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := rw.rewrite(x.Right)
-		if err != nil {
-			return nil, err
-		}
-		return &sqlast.Binary{Op: x.Op, Left: l, Right: r}, nil
-	case *sqlast.Unary:
-		o, err := rw.rewrite(x.Operand)
-		if err != nil {
-			return nil, err
-		}
-		return &sqlast.Unary{Op: x.Op, Operand: o}, nil
-	case *sqlast.IsNull:
-		o, err := rw.rewrite(x.Operand)
-		if err != nil {
-			return nil, err
-		}
-		return &sqlast.IsNull{Operand: o, Negate: x.Negate}, nil
-	case *sqlast.CaseWhen:
-		out := &sqlast.CaseWhen{}
-		for _, w := range x.Whens {
-			c, err := rw.rewrite(w.Cond)
-			if err != nil {
-				return nil, err
-			}
-			r, err := rw.rewrite(w.Result)
-			if err != nil {
-				return nil, err
-			}
-			out.Whens = append(out.Whens, sqlast.WhenClause{Cond: c, Result: r})
-		}
-		if x.Else != nil {
-			e2, err := rw.rewrite(x.Else)
-			if err != nil {
-				return nil, err
-			}
-			out.Else = e2
-		}
-		return out, nil
-	case *sqlast.Cast:
-		o, err := rw.rewrite(x.Operand)
-		if err != nil {
-			return nil, err
-		}
-		return &sqlast.Cast{Operand: o, Type: x.Type}, nil
-	case *sqlast.Lit:
-		return x, nil
-	case *sqlast.ColRef:
-		return nil, fmt.Errorf("engine: column %q must appear in GROUP BY or inside an aggregate", sqlast.RenderExpr(x))
+	out := visit(e)
+	if err != nil {
+		return nil, err
 	}
-	return e, nil
+	return out, nil
 }
 
 func (rw *aggRewriter) registerAgg(call *sqlast.FuncCall) (sqlast.Expr, error) {
-	spec := AggSpec{Name: strings.ToUpper(call.Name), Distinct: call.Distinct, OrderBy: call.WithinOrder}
+	// The spec owns its order keys: the optimizer rewrites them in place.
+	spec := AggSpec{Name: strings.ToUpper(call.Name), Distinct: call.Distinct, OrderBy: slices.Clone(call.WithinOrder)}
 	switch len(call.Args) {
 	case 0:
 		return nil, fmt.Errorf("engine: %s requires an argument", spec.Name)
@@ -632,19 +525,12 @@ func exprsResolve(sc *Schema, keys []sqlast.OrderItem) bool {
 }
 
 func exprResolves(sc *Schema, e sqlast.Expr) bool {
-	ok := true
-	walkExpr(e, func(n sqlast.Expr) bool {
-		if cr, isRef := n.(*sqlast.ColRef); isRef {
-			name := cr.Name
-			if cr.Table != "" {
-				name = cr.Table + "." + cr.Name
-			}
-			if _, found := sc.Lookup(name); !found {
-				ok = false
-				return false
-			}
+	return !anyNode(e, func(n sqlast.Expr) bool {
+		cr, isRef := n.(*sqlast.ColRef)
+		if !isRef {
+			return false
 		}
-		return true
+		_, found := sc.Lookup(cr.QualifiedName())
+		return !found
 	})
-	return ok
 }

@@ -180,41 +180,19 @@ func (s *scanIter) NextBatch() (*vector.Batch, error) {
 
 func (s *scanIter) Close() {}
 
-// exprStateful reports whether evaluating e has side effects that make its
-// result depend on evaluation order (the SEQ8/SEQ4 row-number counters).
-// nil expressions are stateless.
+// isRowCounter reports whether the function named name (upper case) is a
+// SEQ8/SEQ4 row-number counter: each call returns the next number, so its
+// value depends on how many rows were evaluated before.
+func isRowCounter(name string) bool {
+	return name == "SEQ8" || name == "SEQ4"
+}
+
+// exprStateful reports whether e calls a row counter anywhere, WITHIN GROUP
+// keys included, so that its result depends on evaluation order. nil
+// expressions are stateless.
 func exprStateful(e sqlast.Expr) bool {
-	switch x := e.(type) {
-	case nil:
-		return false
-	case *sqlast.Lit, *sqlast.ColRef, *sqlast.Star:
-		return false
-	case *sqlast.FuncCall:
-		name := strings.ToUpper(x.Name)
-		if name == "SEQ8" || name == "SEQ4" {
-			return true
-		}
-		for _, a := range x.Args {
-			if exprStateful(a) {
-				return true
-			}
-		}
-		return false
-	case *sqlast.Binary:
-		return exprStateful(x.Left) || exprStateful(x.Right)
-	case *sqlast.Unary:
-		return exprStateful(x.Operand)
-	case *sqlast.IsNull:
-		return exprStateful(x.Operand)
-	case *sqlast.Cast:
-		return exprStateful(x.Operand)
-	case *sqlast.CaseWhen:
-		for _, w := range x.Whens {
-			if exprStateful(w.Cond) || exprStateful(w.Result) {
-				return true
-			}
-		}
-		return exprStateful(x.Else)
-	}
-	return true // unknown node: assume stateful
+	return anyNode(e, func(n sqlast.Expr) bool {
+		fc, ok := n.(*sqlast.FuncCall)
+		return ok && isRowCounter(strings.ToUpper(fc.Name))
+	})
 }

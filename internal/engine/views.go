@@ -145,7 +145,7 @@ walk:
 	for {
 		switch x := n.(type) {
 		case *ProjectNode:
-			if anyExprStateful(x.Exprs) {
+			if slices.ContainsFunc(x.Exprs, exprStateful) {
 				return nil, fmt.Errorf("engine: view %q: stateful projection above the aggregate", name)
 			}
 			suffix = append(suffix, x)

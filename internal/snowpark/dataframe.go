@@ -107,10 +107,7 @@ func outName(c Column) (string, error) {
 		return c.alias, nil
 	}
 	if cr, ok := c.expr.(*sqlast.ColRef); ok {
-		if cr.Table != "" {
-			return cr.Table + "." + cr.Name, nil
-		}
-		return cr.Name, nil
+		return cr.QualifiedName(), nil
 	}
 	return "", fmt.Errorf("snowpark: derived column %s requires an alias (use .As)", sqlast.RenderExpr(c.expr))
 }

@@ -77,6 +77,15 @@ type Cast struct {
 	Type    string
 }
 
+// QualifiedName is the name the reference resolves by: "table.name" when it
+// is qualified, else the bare name.
+func (c *ColRef) QualifiedName() string {
+	if c.Table == "" {
+		return c.Name
+	}
+	return c.Table + "." + c.Name
+}
+
 func (*Lit) exprNode()      {}
 func (*ColRef) exprNode()   {}
 func (*Star) exprNode()     {}
@@ -86,6 +95,119 @@ func (*Unary) exprNode()    {}
 func (*IsNull) exprNode()   {}
 func (*CaseWhen) exprNode() {}
 func (*Cast) exprNode()     {}
+
+// Walk visits e and its subexpressions in pre-order, each node's children
+// in the order MapChildren maps them; when fn returns false the node's
+// children are skipped. A nil e is not visited.
+func Walk(e Expr, fn func(Expr) bool) {
+	if e == nil || !fn(e) {
+		return
+	}
+	switch x := e.(type) {
+	case *Lit, *ColRef, *Star:
+	case *FuncCall:
+		for _, a := range x.Args {
+			Walk(a, fn)
+		}
+		for _, o := range x.WithinOrder {
+			Walk(o.Expr, fn)
+		}
+	case *Binary:
+		Walk(x.Left, fn)
+		Walk(x.Right, fn)
+	case *Unary:
+		Walk(x.Operand, fn)
+	case *IsNull:
+		Walk(x.Operand, fn)
+	case *CaseWhen:
+		for _, w := range x.Whens {
+			Walk(w.Cond, fn)
+			Walk(w.Result, fn)
+		}
+		Walk(x.Else, fn)
+	case *Cast:
+		Walk(x.Operand, fn)
+	default:
+		panic(fmt.Sprintf("sqlast: unknown expr node %T", e))
+	}
+}
+
+// MapChildren returns e with each direct child c replaced by fn(c), called
+// in order on: a FuncCall's arguments, then its WITHIN GROUP keys; a
+// Binary's operands; a CaseWhen's conditions and results, then its Else when
+// present; the operand of a Unary, IsNull or Cast. Lit, ColRef and Star have
+// no children. Nodes are immutable once built, so MapChildren never assigns
+// into e: when fn returns every child unchanged it returns e itself and
+// allocates nothing, otherwise a new node that shares the unchanged
+// children. Every rewrite of an expression recurses through MapChildren or
+// Walk, so these two are where a new kind of expression declares its
+// children (TestTraversal checks they agree).
+func MapChildren(e Expr, fn func(Expr) Expr) Expr {
+	switch x := e.(type) {
+	case nil, *Lit, *ColRef, *Star:
+		return e
+	case *FuncCall:
+		args, argsChanged := mapSlice(x.Args, fn)
+		order, orderChanged := mapSlice(x.WithinOrder, func(o OrderItem) OrderItem { o.Expr = fn(o.Expr); return o })
+		if !argsChanged && !orderChanged {
+			return e
+		}
+		return &FuncCall{Name: x.Name, Args: args, Distinct: x.Distinct, WithinOrder: order}
+	case *Binary:
+		l, r := fn(x.Left), fn(x.Right)
+		if l == x.Left && r == x.Right {
+			return e
+		}
+		return &Binary{Op: x.Op, Left: l, Right: r}
+	case *Unary:
+		if o := fn(x.Operand); o != x.Operand {
+			return &Unary{Op: x.Op, Operand: o}
+		}
+		return e
+	case *IsNull:
+		if o := fn(x.Operand); o != x.Operand {
+			return &IsNull{Operand: o, Negate: x.Negate}
+		}
+		return e
+	case *CaseWhen:
+		whens, changed := mapSlice(x.Whens, func(w WhenClause) WhenClause {
+			return WhenClause{Cond: fn(w.Cond), Result: fn(w.Result)}
+		})
+		els := x.Else
+		if els != nil {
+			els = fn(els)
+		}
+		if !changed && els == x.Else {
+			return e
+		}
+		return &CaseWhen{Whens: whens, Else: els}
+	case *Cast:
+		if o := fn(x.Operand); o != x.Operand {
+			return &Cast{Operand: o, Type: x.Type}
+		}
+		return e
+	}
+	panic(fmt.Sprintf("sqlast: unknown expr node %T", e))
+}
+
+// mapSlice applies fn to each element of s in order. When every element
+// comes back equal it returns s itself and false, else a new slice of the
+// results and true.
+func mapSlice[T comparable](s []T, fn func(T) T) ([]T, bool) {
+	var out []T
+	for i, v := range s {
+		if c := fn(v); c != v || out != nil {
+			if out == nil {
+				out = append(make([]T, 0, len(s)), s[:i]...)
+			}
+			out = append(out, c)
+		}
+	}
+	if out == nil {
+		return s, false
+	}
+	return out, true
+}
 
 // Query is a full query: a Select or a set operation over queries.
 type Query interface{ queryNode() }

@@ -5,9 +5,10 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"os"
 	"strings"
 	"testing"
+
+	"jsonpark/internal/testutil"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_values.txt from the current implementation")
@@ -112,27 +113,7 @@ func renderGolden() string {
 }
 
 func TestGoldenEncodings(t *testing.T) {
-	got := renderGolden()
-	if *updateGolden {
-		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got == string(want) {
-		return
-	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(gl) && i < len(wl); i++ {
-		if gl[i] != wl[i] {
-			t.Fatalf("golden mismatch at line %d:\n got  %s\n want %s", i+1, gl[i], wl[i])
-		}
-	}
-	t.Fatalf("golden mismatch: %d lines, want %d", len(gl), len(wl))
+	testutil.Golden(t, goldenPath, renderGolden(), *updateGolden)
 }
 
 // TestGoldenBinaryRoundTrip decodes every golden binary encoding and checks
