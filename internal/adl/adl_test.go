@@ -297,6 +297,43 @@ func TestStreamAggregateCensus(t *testing.T) {
 	}
 }
 
+// TestDiscardRuleCensus pins how often the two discard rules fire on each
+// ADL plan, per form — keep-flag, join, handwritten — as {FLATTEN lower
+// bounds, top-1 aggregates}, counted off EXPLAIN's markers. A bound needs a
+// plain `a < b` conjunct directly above its FLATTEN, which keep-flag's
+// OR-guarded filters are not; a top-1 needs an ordered ARRAY_AGG read only
+// at index 0: q6's best trijet, q8's best pair and other lepton.
+func TestDiscardRuleCensus(t *testing.T) {
+	sess, _ := testSetup(t)
+	want := map[string][3][2]int{
+		"q1": {}, "q2": {}, "q3": {}, "q4": {}, "q7": {},
+		"q5": {{0, 0}, {1, 0}, {1, 0}},
+		"q6": {{0, 1}, {2, 1}, {2, 1}},
+		"q8": {{0, 2}, {2, 3}, {1, 2}},
+	}
+	for _, q := range Queries() {
+		var sqls []string
+		for _, s := range []core.Strategy{core.StrategyKeepFlag, core.StrategyJoin} {
+			res, err := core.Translate(sess, q.JSONiq, core.Options{Strategy: s})
+			if err != nil {
+				t.Fatalf("%s %s: %v", q.ID, s, err)
+			}
+			sqls = append(sqls, res.SQL)
+		}
+		var got [3][2]int
+		for i, sql := range append(sqls, q.SQL) {
+			plan, err := sess.Engine().Explain(sql)
+			if err != nil {
+				t.Fatalf("%s: %v", q.ID, err)
+			}
+			got[i] = [2]int{strings.Count(plan, " from="), strings.Count(plan, " top1(")}
+		}
+		if got != want[q.ID] {
+			t.Errorf("%s: {bounds, top-1s} (keep-flag, join, handwritten) = %v, want %v", q.ID, got, want[q.ID])
+		}
+	}
+}
+
 // TestExchangeCensus pins how many segments of each ADL plan the physical
 // pass wraps in an exchange that may fan out: every nested query's row-ID →
 // FLATTEN → re-aggregate chain (q2/q3 flatten without a row ID), none for

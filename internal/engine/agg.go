@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"jsonpark/internal/sqlast"
 	"jsonpark/internal/variant"
 )
 
@@ -38,6 +39,9 @@ func newAccumulator(spec AggSpec) accumulator {
 	case "ANY_VALUE":
 		return &anyValueAcc{}
 	case "ARRAY_AGG":
+		if spec.Top1 {
+			return newTop1Acc(spec.OrderBy)
+		}
 		a := &arrayAggAcc{distinct: spec.Distinct, nord: len(spec.OrderBy)}
 		if a.distinct {
 			a.seen = make(map[string]bool)
@@ -286,6 +290,45 @@ func (a *arrayAggAcc) reset() {
 	clear(a.seen)
 }
 
+// top1Acc is an ordered ARRAY_AGG's element 0 (AggSpec.Top1): the non-NULL
+// value whose WITHIN GROUP keys come first, NULL for a group with none. It
+// keeps one (value, keys) pair and replaces it only on strictly smaller keys,
+// so of equal keys the first row in input order wins — the element
+// arrayAggAcc's stable sort puts first, wherever variant.Compare totally
+// orders the keys (see DESIGN.md §6 for the keys it does not).
+type top1Acc struct {
+	descs []bool
+	best  variant.Value
+	keys  []variant.Value
+	any   bool
+}
+
+func newTop1Acc(order []sqlast.OrderItem) *top1Acc {
+	a := &top1Acc{descs: make([]bool, len(order)), keys: make([]variant.Value, len(order))}
+	for i, o := range order {
+		a.descs[i] = o.Desc
+	}
+	return a
+}
+
+func (a *top1Acc) add(v variant.Value, orderKeys []variant.Value) error {
+	if v.IsNull() || a.any && compareSortKeys(a.descs, orderKeys, a.keys) >= 0 {
+		return nil
+	}
+	a.best, a.any = v, true
+	copy(a.keys, orderKeys)
+	return nil
+}
+
+func (a *top1Acc) result([]bool) variant.Value {
+	if !a.any {
+		return variant.Null
+	}
+	return a.best
+}
+
+func (a *top1Acc) reset() { a.best, a.any = variant.Null, false }
+
 // boolAgg implements BOOLAND_AGG / BOOLOR_AGG over non-NULL inputs.
 type boolAgg struct {
 	isAnd bool
@@ -358,6 +401,11 @@ func mergeAccumulators(dst, src accumulator) error {
 			if err := d.add(variant.Bool(s.acc), nil); err != nil {
 				return err
 			}
+		}
+	case *top1Acc:
+		// dst holds the earlier rows: it keeps ties.
+		if s.any {
+			return dst.add(s.best, s.keys)
 		}
 	case *arrayAggAcc:
 		d := dst.(*arrayAggAcc)

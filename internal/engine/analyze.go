@@ -257,12 +257,33 @@ func describeNode(n Node) (op, detail string) {
 		if x.Outer {
 			outer = "outer "
 		}
-		return "Flatten", fmt.Sprintf("%s%s as %s", outer, sqlast.RenderExpr(x.Expr), x.Alias)
-	case *AggregateNode:
-		if x.Stream {
-			return "Aggregate", fmt.Sprintf("stream key=%s aggs=%d", sqlast.RenderExpr(x.GroupBy[0]), len(x.Aggs))
+		d := fmt.Sprintf("%s%s as %s", outer, sqlast.RenderExpr(x.Expr), x.Alias)
+		if b := x.From; b != nil {
+			col, first := "INDEX", sqlast.RenderExpr(b.Expr)
+			if b.Value {
+				col = "VALUE"
+			}
+			if b.Strict {
+				first = "(" + first + " + 1)"
+			}
+			d += fmt.Sprintf(" from=%s>=%s", col, first)
 		}
+		return "Flatten", d
+	case *AggregateNode:
 		d := fmt.Sprintf("hash groups=%d aggs=%d", len(x.GroupBy), len(x.Aggs))
+		if x.Stream {
+			d = fmt.Sprintf("stream key=%s aggs=%d", sqlast.RenderExpr(x.GroupBy[0]), len(x.Aggs))
+		}
+		for i, spec := range x.Aggs {
+			if !spec.Top1 {
+				continue
+			}
+			d += " top1(" + x.AggNames[i]
+			if keys, ok := objectKeys(spec.Arg); ok {
+				d += " carries " + strings.Join(keys, ",")
+			}
+			d += ")"
+		}
 		if x.Why != "" {
 			d += " sequential: " + x.Why
 		}

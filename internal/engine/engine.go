@@ -48,11 +48,13 @@ type Engine struct {
 	// planck pass (planck.go): every compiled plan is cross-checked and
 	// every envelope validates the batches it passes on; forceBuild makes
 	// every join that may build left build on the side it names — the left
-	// build's oracle is buildRight.
-	forceHashAgg bool
-	forceBuild   buildSide
-	morselRows   int
-	planCheck    bool
+	// build's oracle is buildRight; noDiscardRules turns off the top-1 and
+	// flatten-bound rules (discard.go) — their oracle.
+	forceHashAgg   bool
+	forceBuild     buildSide
+	morselRows     int
+	planCheck      bool
+	noDiscardRules bool
 }
 
 // Option configures an Engine.
@@ -307,7 +309,7 @@ func (e *Engine) compile(sql string, po PrepareOptions) (*compiledPlan, error) {
 		return nil, err
 	}
 	osp := po.Span.Child("engine.optimize")
-	plan = optimize(plan, osp)
+	plan = optimize(plan, osp, !e.noDiscardRules)
 	osp.End()
 	physp := po.Span.Child("engine.physicalize")
 	plan, counts := physicalize(plan, e.forceHashAgg)

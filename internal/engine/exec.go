@@ -378,17 +378,22 @@ func (p *projectIter) Close() { p.in.Close() }
 // — when an expansion overflows size. With typed registers on, INDEX is an
 // int64 register; over ARRAY_RANGE(lo, hi) (rng) the DAG evaluates the two
 // bounds instead of the array, and VALUE is an int64 register of the integers
-// the array would hold, which is never built.
+// the array would hold, which is never built. With a lower bound (from, the
+// DAG's last root) each row's expansion starts at the first position the
+// bound admits; the positions skipped never become rows, and the ones kept
+// keep their INDEX and VALUE.
 type flattenIter struct {
 	in     batchIter
 	input  *exprDAG
 	outer  bool
 	rng    bool
+	from   *FlattenBound
 	size   int
 	cur    *vector.Batch   // input batch under expansion
 	arrs   []variant.Value // its arrays, aligned with cur's physical rows
 	los    []int64         // rng: each row's first integer, aligned likewise
 	spans  []int           // rng: each row's element count
+	starts []int           // from: each row's first position, aligned likewise
 	pos    int             // next active row of cur
 	off    int             // next element of that row's array
 	parent []int
@@ -427,30 +432,39 @@ func (f *flattenIter) advance() error {
 	if err != nil || b == nil {
 		return err
 	}
-	if f.rng {
-		err = f.bounds(b)
-	} else {
-		var arrs [][]variant.Value
-		if arrs, err = f.input.eval(b); err == nil {
-			f.arrs = arrs[0]
-		}
-	}
-	if err != nil {
+	if err := f.evalInputs(b); err != nil {
 		return err
 	}
 	f.cur, f.pos, f.off = b, 0, 0
 	return nil
 }
 
-// bounds evaluates a range FLATTEN's bounds over b and applies ARRAY_RANGE's
-// rules to every active row before any row expands, as building the arrays
-// would: each row's first integer and element count (none for NULL).
-func (f *flattenIter) bounds(b *vector.Batch) error {
+// evalInputs evaluates the FLATTEN's DAG over b: the arrays, or a range
+// FLATTEN's bounds, then each row's start under a lower bound.
+func (f *flattenIter) evalInputs(b *vector.Batch) error {
 	d := f.input
 	defer d.flush()
 	if err := d.begin(b); err != nil {
 		return err
 	}
+	if f.rng {
+		if err := f.bounds(b); err != nil {
+			return err
+		}
+	} else {
+		f.arrs = d.load(b, d.roots[0])
+	}
+	if f.from != nil {
+		f.startsOf(b)
+	}
+	return nil
+}
+
+// bounds applies ARRAY_RANGE's rules to every active row of b before any row
+// expands, as building the arrays would: each row's first integer and
+// element count (none for NULL).
+func (f *flattenIter) bounds(b *vector.Batch) error {
+	d := f.input
 	lo, lol := d.arg(b, d.roots[0])
 	hi, hil := d.arg(b, d.roots[1])
 	f.los, f.spans = slices.Grow(f.los[:0], d.n)[:d.n], slices.Grow(f.spans[:0], d.n)[:d.n]
@@ -462,6 +476,41 @@ func (f *flattenIter) bounds(b *vector.Batch) error {
 		f.los[i], f.spans[i] = first, n
 	}
 	return nil
+}
+
+// startsOf computes each active row's first position under the lower bound
+// (flattenStart), reading a typed bound without converting it. A VALUE bound
+// is relative to the array's first integer: the range's lo, or element 0 of
+// the ARRAY_RANGE array built with typed registers off.
+func (f *flattenIter) startsOf(b *vector.Batch) {
+	d := f.input
+	root := d.roots[len(d.roots)-1]
+	tc := d.forms.Typed[root]
+	var vals []variant.Value
+	var lit variant.Value
+	if tc == nil {
+		vals, lit = d.arg(b, root)
+	}
+	f.starts = slices.Grow(f.starts[:0], d.n)[:d.n]
+	for _, i := range d.active(b) {
+		a := at(vals, lit, i)
+		if tc != nil {
+			a = tc.ValueAt(i)
+		}
+		base := int64(0)
+		switch {
+		case !f.from.Value:
+		case f.rng:
+			base = f.los[i]
+		default:
+			if first := f.arrs[i].Index(0); first.Kind() == variant.KindInt {
+				base = first.AsInt()
+			} else {
+				a = variant.Null // no integers to bound
+			}
+		}
+		f.starts[i] = flattenStart(a, f.from.Strict, base)
+	}
 }
 
 // expand fills f.out with the next output rows of f.cur, reporting false
@@ -505,6 +554,9 @@ func (f *flattenIter) expand() bool {
 		} else {
 			elems = f.arrs[i].AsArray() // nil unless an array
 			n = len(elems)
+		}
+		if f.from != nil {
+			f.off = max(f.off, min(f.starts[i], n))
 		}
 		if n == 0 {
 			if f.outer {

@@ -459,6 +459,9 @@ func (c *dagCompiler) funcCall(x *sqlast.FuncCall) (int32, error) {
 	if isAggregateName(name) {
 		return 0, fmt.Errorf("engine: aggregate %s outside GROUP BY context", name)
 	}
+	if len(x.WithinOrder) > 0 {
+		return 0, fmt.Errorf("engine: WITHIN GROUP on %s, which is not an aggregate", name)
+	}
 	if isRowCounter(name) {
 		// Monotone per-operator sequence (row-ID injection, §IV-B). The
 		// counter advances in active-row order, so with the ordered scan

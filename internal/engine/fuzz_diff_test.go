@@ -50,6 +50,11 @@ func FuzzPlanDiff(f *testing.F) {
 	// A LIMIT over the dimension-first join stops before a failing left row
 	// at batch size 1 but not at 1 024: both builds must do the same in each.
 	f.Add([]byte("\xd2\"\xbe\xef"))
+	// Shapes 8 and 9, the discard rules' inputs. Every seed generates both;
+	// these pin the branches below.
+	for _, seed := range discardSeeds {
+		f.Add([]byte(seed))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rng := newDiffRNG(data)
@@ -57,10 +62,11 @@ func FuzzPlanDiff(f *testing.F) {
 		queries := genDiffQueries(rng)
 
 		// The oracle: one worker, no budget, no typed shredding — the pure
-		// variant path — and every aggregate on the hash table, so the
+		// variant path — every aggregate on the hash table, so the
 		// re-aggregate shape compares the streaming aggregate of every other
-		// cell against it. Its rendering is ground truth.
-		oracle := diffCell{name: "oracle", batch: 1024, par: 1, typedOff: true, hashAgg: true}
+		// cell against it, and the discard rules off, so the bound and top-1
+		// shapes compare them. Its rendering is ground truth.
+		oracle := diffCell{name: "oracle", batch: 1024, par: 1, typedOff: true, hashAgg: true, noDiscard: true}
 		cells := []diffCell{
 			{name: "bs1-seq-64k", batch: 1, par: 1, limit: 64 * 1024},
 			{name: "bs1024-par4-64k", batch: 1024, par: 4, limit: 64 * 1024},
@@ -231,8 +237,9 @@ type diffCell struct {
 	persist  bool
 	ingest   bool
 	// hashAgg forces the hash aggregate where the plan would stream
-	// (Engine.forceHashAgg).
-	hashAgg bool
+	// (Engine.forceHashAgg); noDiscard turns the discard rules off
+	// (Engine.noDiscardRules).
+	hashAgg, noDiscard bool
 	// morselRows > 0 loads the dataset as one partition and shrinks the
 	// exchange's morsels to that many rows (Engine.morselRows).
 	morselRows int
@@ -261,6 +268,7 @@ func runDiffCell(t *testing.T, c diffCell, docs []string, queries []string) []st
 	// generated plan's stream marks and every batch's contract.
 	hooks := func(e *Engine) {
 		e.forceHashAgg, e.morselRows, e.planCheck = c.hashAgg, c.morselRows, !c.hashAgg
+		e.noDiscardRules = c.noDiscard
 	}
 	e := New(opts...)
 	hooks(e)
@@ -534,7 +542,81 @@ func genDiffQueries(r *diffRNG) []string {
 			`WHERE "f".VALUE > %d OR "id" %% 3 = 0 GROUP BY "rid") ON "rid" = "r2"%s`,
 		strings.Join(aliases(reaggs), ", "), base, strings.Join(reaggs, ", "), base, r.n(50), limit())
 
-	return []string{scan, group, sort, join, flatten, reagg, selfJoin}
+	return []string{scan, group, sort, join, flatten, reagg, selfJoin, genBoundQuery(r), genTop1Query(r, where())}
+}
+
+// genBoundQuery is shape 8: FLATTEN × FLATTEN under a comparison the
+// flatten-bound rule reads as a lower bound on the inner FLATTEN's INDEX or
+// ARRAY_RANGE VALUE — every operator, both operand orders, OUTER flattens,
+// empty and one-element arrays, and left sides that are NULL, float, an int
+// near ±2^63 or a string ("x"), or an expression the rule leaves alone.
+func genBoundQuery(r *diffRNG) string {
+	outer := func() string {
+		if r.n(2) == 0 {
+			return ", OUTER => TRUE"
+		}
+		return ""
+	}
+	inner, cols := `"items"`, []string{`"g".INDEX`}
+	if r.n(2) == 0 {
+		inner = fmt.Sprintf(`ARRAY_RANGE(%d, ARRAY_SIZE("items") + %d)`, r.n(5)-2, r.n(3))
+		cols = append(cols, `"g".VALUE`)
+	}
+	lhs := []string{`"f".INDEX`, `"f".VALUE`, `"x"`, `NULL`, `1.5`, fmt.Sprint(r.n(4) - 1), `"f".INDEX + 1`}
+	a, b := lhs[r.n(len(lhs))], cols[r.n(len(cols))]
+	op := []string{"<", "<=", ">", ">="}[r.n(4)]
+	cond := a + " " + op + " " + b
+	if r.n(2) == 0 {
+		flip := map[string]string{"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+		cond = b + " " + flip[op] + " " + a
+	}
+	if r.n(3) == 0 {
+		cond += ` AND "g".INDEX <> 1`
+	}
+	return fmt.Sprintf(
+		`SELECT "id", "f".INDEX AS "fi", "g".INDEX AS "gi", "g".VALUE AS "gv" FROM (SELECT * FROM "t"), `+
+			`LATERAL FLATTEN(INPUT => "items"%s) AS "f", LATERAL FLATTEN(INPUT => %s%s) AS "g" `+
+			`WHERE %s ORDER BY "id", "fi", "gi"`,
+		outer(), inner, outer(), cond)
+}
+
+// genTop1Query is shape 9: GET(ARRAY_AGG(v) WITHIN GROUP (ORDER BY k...), 0),
+// the top-1 rule's input, hashed by group or streamed by row ID over an
+// OUTER FLATTEN — with tied keys, NULL keys and values, mixed-kind keys
+// ("x"), DESC keys, and an OBJECT_CONSTRUCT value read by field (the rule
+// then carries only the fields read) or whole.
+func genTop1Query(r *diffRNG, where string) string {
+	dir := func() string {
+		if r.n(2) == 0 {
+			return " DESC"
+		}
+		return ""
+	}
+	stream := r.n(2) == 0
+	vals := []string{`"id"`, `IFF("id" % 4 = 0, NULL, "id")`, `"x"`, `OBJECT_CONSTRUCT('a', "id", 'b', "s", 'c', "x")`}
+	keys := []string{`"x"`, `"grp" % 3`, `"val"`, `IFF("id" % 5 = 0, NULL, "id" % 4)`}
+	if stream {
+		vals = append(vals, `"f".VALUE`, `OBJECT_CONSTRUCT('a', "f".INDEX, 'b', "s", 'c', "f".VALUE)`)
+		keys = append(keys, `"f".VALUE % 3`, `"f".INDEX`)
+	}
+	val := vals[r.n(len(vals))]
+	order := keys[r.n(len(keys))] + dir()
+	if r.n(2) == 0 {
+		order += ", " + keys[r.n(len(keys))] + dir()
+	}
+	reads := `"top"`
+	if strings.HasPrefix(val, "OBJECT_CONSTRUCT") && r.n(3) > 0 {
+		reads = `GET("top", 'a') AS "ta", GET("top", 'c') AS "tc"`
+	}
+	agg := fmt.Sprintf(`GET(ARRAY_AGG(%s) WITHIN GROUP (ORDER BY %s), 0) AS "top"`, val, order)
+	if !stream {
+		return fmt.Sprintf(`SELECT "grp", %s FROM (SELECT "grp", %s FROM "t"%s GROUP BY "grp") ORDER BY "grp"`,
+			reads, agg, where)
+	}
+	return fmt.Sprintf(
+		`SELECT "rid", %s FROM (SELECT "rid", %s FROM (SELECT * FROM (SELECT *, SEQ8() AS "rid" FROM "t"%s), `+
+			`LATERAL FLATTEN(INPUT => "items", OUTER => TRUE) AS "f") GROUP BY "rid")`,
+		reads, agg, where)
 }
 
 // aliases returns the output names of "<expr> AS <name>" select items.
@@ -589,3 +671,10 @@ func (r *diffRNG) n(m int) int {
 	}
 	return int(r.next() % uint64(m))
 }
+
+// discardSeeds are FuzzPlanDiff inputs whose shapes 8 and 9 between them
+// cover every operator and operand order, an OUTER inner FLATTEN, INDEX and
+// VALUE bounds from a column, an int, a float, NULL and "x"; and top-1 over
+// hashed and streamed groups, NULL and mixed-kind keys, DESC, two keys, NULL
+// values, and an OBJECT_CONSTRUCT read by field.
+var discardSeeds = []string{"d37", "d57", "d0", "d2", "d3", "d6"}

@@ -14,11 +14,13 @@ import (
 // optimize runs the engine's rewrite pipeline: expression simplification
 // (including struct-field pushdown through OBJECT_CONSTRUCT), predicate
 // pushdown with equi-join detection, projection pruning down to the scans,
-// and zone-map prune-predicate derivation. Under a non-nil sp each rule gets
-// a child span annotated with what it achieved (projects collapsed,
-// predicates sunk into scans, columns pruned, zone-map predicates derived),
-// so a trace shows which rules fired on a given query.
-func optimize(n Node, sp *obsv.Span) Node {
+// then, with discard set, the two discard rules (discard.go) — top-1
+// aggregates, pruning again, FLATTEN lower bounds — and zone-map
+// prune-predicate derivation. Under a non-nil sp each rule gets a child span
+// annotated with what it achieved (projects collapsed, predicates sunk into
+// scans, columns pruned, aggregates and FLATTENs rewritten, zone-map
+// predicates derived), so a trace shows which rules fired on a given query.
+func optimize(n Node, sp *obsv.Span, discard bool) Node {
 	rule := func(name string, fn func(Node) Node, attr func(s *obsv.Span)) {
 		s := sp.Child("rule." + name)
 		n = fn(n)
@@ -51,46 +53,58 @@ func optimize(n Node, sp *obsv.Span) Node {
 	rule("prune-columns", func(x Node) Node { return pruneNode(x, nil) }, func(s *obsv.Span) {
 		s.SetAttr("scan-columns", countScanColumns(n))
 	})
+	if discard {
+		fired := 0
+		firedAttr := func(s *obsv.Span) { s.SetAttr("fired", fired) }
+		rule("top1", func(x Node) Node {
+			var narrowed bool
+			if fired, narrowed = top1Aggs(x); narrowed {
+				x = pruneNode(x, nil) // what only the dropped fields read
+			}
+			return x
+		}, firedAttr)
+		rule("flatten-bound", func(x Node) Node { fired = flattenBounds(x); return x }, firedAttr)
+	}
 	rule("derive-prunes", func(x Node) Node { deriveScanPrunes(x); return x }, func(s *obsv.Span) {
 		s.SetAttr("prune-predicates", countScanPrunes(n))
 	})
 	return n
 }
 
-// countNodesOf counts plan nodes matching the predicate.
-func countNodesOf(n Node, match func(Node) bool) int {
-	total := 0
-	if match(n) {
-		total++
-	}
+// forEachNode calls fn on n and every node below it, parents first.
+func forEachNode(n Node, fn func(Node)) {
+	fn(n)
 	for _, c := range planChildren(n) {
-		total += countNodesOf(c, match)
+		forEachNode(c, fn)
 	}
-	return total
 }
 
 func countProjects(n Node) int {
-	return countNodesOf(n, func(x Node) bool { _, ok := x.(*ProjectNode); return ok })
+	total := 0
+	forEachNode(n, func(x Node) {
+		if _, ok := x.(*ProjectNode); ok {
+			total++
+		}
+	})
+	return total
 }
 
 func countScanPrunes(n Node) int {
 	total := 0
-	countNodesOf(n, func(x Node) bool {
+	forEachNode(n, func(x Node) {
 		if s, ok := x.(*ScanNode); ok {
 			total += len(s.Prunes)
 		}
-		return false
 	})
 	return total
 }
 
 func countScanColumns(n Node) int {
 	total := 0
-	countNodesOf(n, func(x Node) bool {
+	forEachNode(n, func(x Node) {
 		if s, ok := x.(*ScanNode); ok {
 			total += len(s.Columns)
 		}
-		return false
 	})
 	return total
 }
@@ -704,6 +718,9 @@ func pruneNode(n Node, needed nameSet) Node {
 				}
 			}
 			refsOf(x.Expr, childNeeded)
+			if x.From != nil {
+				refsOf(x.From.Expr, childNeeded)
+			}
 		}
 		x.Input = pruneNode(x.Input, childNeeded)
 		x.schema = nil

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,7 +67,8 @@ type compiledStage struct {
 // compileStage compiles one Filter, Project, Flatten or Aggregate node's
 // expressions against its input schema. With typed registers on, a FLATTEN
 // over ARRAY_RANGE(lo, hi) compiles the two bounds and streams the integers
-// instead of building the array.
+// instead of building the array. A FLATTEN's lower bound (From) compiles as
+// the DAG's last root.
 func compileStage(ctx *execContext, n Node) (compiledStage, error) {
 	s := compiledStage{node: n}
 	var err error
@@ -78,12 +78,14 @@ func compileStage(ctx *execContext, n Node) (compiledStage, error) {
 	case *ProjectNode:
 		s.dag, err = compileVecs(ctx, n, x.Input.Schema(), x.Exprs)
 	case *FlattenNode:
-		call, ok := x.Expr.(*sqlast.FuncCall)
-		if s.rng = ok && strings.EqualFold(call.Name, "ARRAY_RANGE") && len(call.Args) == 2 && (ctx == nil || !ctx.typedOff); s.rng {
-			s.dag, err = compileVecs(ctx, n, x.Input.Schema(), call.Args)
-		} else {
-			s.dag, err = compileVec(ctx, n, x.Input.Schema(), x.Expr)
+		exprs := []sqlast.Expr{x.Expr}
+		if call, ok := arrayRangeCall(x.Expr); ok && (ctx == nil || !ctx.typedOff) {
+			s.rng, exprs = true, call.Args
 		}
+		if x.From != nil {
+			exprs = append(exprs[:len(exprs):len(exprs)], x.From.Expr) // a copy: never the call's arguments
+		}
+		s.dag, err = compileVecs(ctx, n, x.Input.Schema(), exprs)
 	case *AggregateNode:
 		if s.agg, err = compileAggEval(ctx, x); err == nil {
 			s.dag = s.agg.dag
@@ -116,7 +118,9 @@ func (s *compiledStage) instantiate(in batchIter, batchSize int) batchIter {
 	case *ProjectNode:
 		return &projectIter{in: in, dag: s.dag}
 	case *FlattenNode:
-		return newFlattenIter(in, s.dag, x.Outer, s.rng, len(x.Input.Schema().Names), batchSize)
+		f := newFlattenIter(in, s.dag, x.Outer, s.rng, len(x.Input.Schema().Names), batchSize)
+		f.from = x.From
+		return f
 	}
 	s.stream = newStreamAggIter(in, s.agg, batchSize)
 	return s.stream

@@ -165,7 +165,7 @@ func (p *physicalPass) rewrite(n Node) (Node, ordering, *segment) {
 	case *FlattenNode:
 		x.Input, in, seg = p.rewrite(x.Input)
 		if seg != nil {
-			if usesRowID(x.Expr, x.Input.Schema(), in) {
+			if usesRowID(x.Expr, x.Input.Schema(), in) || x.From != nil && usesRowID(x.From.Expr, x.Input.Schema(), in) {
 				seg.sequential("row id in FLATTEN input")
 			}
 			seg.stages, seg.work = append(seg.stages, x), true

@@ -69,22 +69,39 @@ type ProjectNode struct {
 // FlattenNode is LATERAL FLATTEN: per input row it emits one row per element
 // of the array-valued Expr, appending columns "<Alias>.VALUE" and
 // "<Alias>.INDEX". With Outer, rows whose input is empty or not an array
-// still emit one row with NULLs.
+// still emit one row with NULLs. From, set by the flatten-bound rule
+// (discard.go), is where each row's expansion starts.
 type FlattenNode struct {
 	Input  Node
 	Expr   sqlast.Expr
 	Outer  bool
 	Alias  string
+	From   *FlattenBound
 	schema *Schema
 }
 
-// AggSpec is one aggregate computation.
+// FlattenBound is a lower bound a FLATTEN's consumer puts on one of its
+// columns: the conjunct `Expr < col` (`Expr <= col` unless Strict), where
+// col is the INDEX or, with Value, the VALUE of a FLATTEN over
+// ARRAY_RANGE(lo, hi), and Expr reads only the FLATTEN's input. Per input
+// row whose Expr is an integer, the FLATTEN skips the positions the
+// conjunct rejects; the conjunct stays in the filter above.
+type FlattenBound struct {
+	Expr   sqlast.Expr
+	Strict bool
+	Value  bool
+}
+
+// AggSpec is one aggregate computation. Top1, set by the top-1 rule
+// (discard.go) on an ordered ARRAY_AGG whose array is only read at index 0,
+// makes the aggregate output that element alone.
 type AggSpec struct {
 	Name     string // upper-case function name
 	Arg      sqlast.Expr
 	Star     bool // COUNT(*)
 	Distinct bool
 	OrderBy  []sqlast.OrderItem // ARRAY_AGG ... WITHIN GROUP
+	Top1     bool
 }
 
 // AggregateNode groups by the GroupBy expressions and computes Aggs.
@@ -440,7 +457,7 @@ func (rw *aggRewriter) rewrite(e sqlast.Expr) (sqlast.Expr, error) {
 				return ref
 			}
 		case *sqlast.ColRef:
-			err = fmt.Errorf("engine: column %q must appear in GROUP BY or inside an aggregate", sqlast.RenderExpr(x))
+			err = fmt.Errorf("engine: column %s must appear in GROUP BY or inside an aggregate", sqlast.RenderExpr(x))
 			return e
 		}
 		return sqlast.MapChildren(e, visit)

@@ -26,7 +26,7 @@ func buildPlan(t *testing.T, e *Engine, sql string) Node {
 	if err != nil {
 		t.Fatalf("%s: %v", sql, err)
 	}
-	return optimize(plan, nil)
+	return optimize(plan, nil, !e.noDiscardRules)
 }
 
 // TestPlanCheckCertifiesPhysicalPlans runs planck's build-time half over the

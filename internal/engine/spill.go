@@ -93,6 +93,7 @@ const (
 	accStateAnyValue      = 'v'
 	accStateBool          = 'b'
 	accStateArrayAgg      = 'a'
+	accStateTop1          = 't'
 )
 
 // encodeAccState appends acc's exact partial state. Only the aggregates
@@ -131,6 +132,15 @@ func encodeAccState(dst []byte, acc accumulator) ([]byte, error) {
 		dst = append(dst, accStateBool)
 		dst = appendSpillBool(dst, a.any)
 		dst = appendSpillBool(dst, a.acc)
+	case *top1Acc:
+		dst = append(dst, accStateTop1)
+		dst = appendSpillBool(dst, a.any)
+		if a.any {
+			dst = a.best.AppendBinary(dst)
+			for _, k := range a.keys {
+				dst = k.AppendBinary(dst)
+			}
+		}
 	case *arrayAggAcc:
 		dst = append(dst, accStateArrayAgg)
 		dst = binary.AppendUvarint(dst, uint64(len(a.vals)))
@@ -211,6 +221,17 @@ func decodeAccState(spec AggSpec, src []byte) (accumulator, []byte, error) {
 		a.any, src, err = readSpillBool(src)
 		if err == nil {
 			a.acc, src, err = readSpillBool(src)
+		}
+	case *top1Acc:
+		if tag != accStateTop1 {
+			return nil, nil, fmt.Errorf("engine: accumulator state tag %q for top-1 ARRAY_AGG", tag)
+		}
+		a.any, src, err = readSpillBool(src)
+		if err == nil && a.any {
+			a.best, src, err = variant.DecodeBinary(src)
+		}
+		for i := 0; err == nil && a.any && i < len(a.keys); i++ {
+			a.keys[i], src, err = variant.DecodeBinary(src)
 		}
 	case *arrayAggAcc:
 		if tag != accStateArrayAgg {

@@ -182,6 +182,66 @@ func BenchmarkExprDAG(b *testing.B) {
 	}
 }
 
+// BenchmarkQ6Triangle runs ADL q6's trijet pipeline through the engine over
+// one 1 024-event batch of five-jet events: three ARRAY_RANGE FLATTENs under
+// i < j < k, a projection of the kinematics, and per event the pt of the
+// candidate whose mass is nearest 172.5, as GET(ARRAY_AGG(...) WITHIN GROUP
+// (ORDER BY ...), 0). rules=on lets the discard rules bound the FLATTENs
+// and fold the ARRAY_AGG to one top-1 accumulator that carries only pt;
+// rules=off (Engine.noDiscardRules) builds all 125 triples and one sorted
+// array of objects per event.
+func BenchmarkQ6Triangle(b *testing.B) {
+	jet := func(v string) string { return `GET("Jet", "` + v + `".VALUE - 1)` }
+	sum := func(f func(j string) string) string {
+		return "(" + f(jet("f1")) + " + " + f(jet("f2")) + " + " + f(jet("f3")) + ")"
+	}
+	px := sum(func(j string) string { return `GET(` + j + `, 'pt') * COS(GET(` + j + `, 'phi'))` })
+	py := sum(func(j string) string { return `GET(` + j + `, 'pt') * SIN(GET(` + j + `, 'phi'))` })
+	en := sum(func(j string) string {
+		return `SQRT(GET(` + j + `, 'pt') * GET(` + j + `, 'pt') + GET(` + j + `, 'mass') * GET(` + j + `, 'mass'))`
+	})
+	mb := `GREATEST(GET(` + jet("f1") + `, 'btag'), GET(` + jet("f2") + `, 'btag'), GET(` + jet("f3") + `, 'btag'))`
+	inner := `SELECT "rid", SQRT(` + px + ` * ` + px + ` + ` + py + ` * ` + py + `) AS "tpt", ` + mb + ` AS "mb", ` +
+		`ABS(SQRT(` + en + ` * ` + en + ` - ` + px + ` * ` + px + ` - ` + py + ` * ` + py + `) - 172.5) AS "dm" ` +
+		`FROM (SELECT *, SEQ8() AS "rid" FROM "jets"), ` +
+		`LATERAL FLATTEN(INPUT => ARRAY_RANGE(1, ARRAY_SIZE("Jet") + 1)) AS "f1", ` +
+		`LATERAL FLATTEN(INPUT => ARRAY_RANGE(1, ARRAY_SIZE("Jet") + 1)) AS "f2", ` +
+		`LATERAL FLATTEN(INPUT => ARRAY_RANGE(1, ARRAY_SIZE("Jet") + 1)) AS "f3" ` +
+		`WHERE "f1".VALUE < "f2".VALUE AND "f2".VALUE < "f3".VALUE`
+	sql := `SELECT GET("best", 'pt') AS "pt" FROM (SELECT "rid", GET(ARRAY_AGG(OBJECT_CONSTRUCT('pt', "tpt", 'maxbtag', "mb")) ` +
+		`WITHIN GROUP (ORDER BY "dm"), 0) AS "best" FROM (` + inner + `) GROUP BY "rid")`
+	for _, on := range []bool{true, false} {
+		b.Run(fmt.Sprintf("rules=%s", map[bool]string{true: "on", false: "off"}[on]), func(b *testing.B) {
+			e := New(WithBatchSize(1024), WithParallelism(1))
+			e.noDiscardRules = !on
+			tab, err := e.Catalog().CreateTable("jets", []string{"Jet"})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < 1024; i++ {
+				jets := make([]string, 5)
+				for k := range jets {
+					jets[k] = fmt.Sprintf(`{"pt": %d, "phi": %g, "mass": %g, "btag": %g}`,
+						20+(i*7+k*13)%60, float64((i*3+k)%63)/10-3.1, float64(k+1)*1.5, float64((i+k)%10)/10)
+				}
+				if err := tab.AppendObject(variant.MustParseJSON(`{"Jet": [` + strings.Join(jets, ", ") + `]}`)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if plan, err := e.Explain(sql); err != nil || strings.Contains(plan, " top1(") != on {
+				b.Fatalf("rules=%v: plan %v\n%s", on, err, plan)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Query(sql); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkFlattenGather expands one 1 024-row batch of three-element arrays
 // through FLATTEN, six parent columns wide: the parent-index pass plus one
 // gather per column into recycled storage. allocs/op: 0.

@@ -206,6 +206,31 @@ func TestNoExchanges(t *testing.T) {
 	}
 }
 
+// TestNoDiscardRulesOnSSB pins that neither discard rule fires on SSB, in
+// either SQL form: its plans have no FLATTEN and no ordered ARRAY_AGG, so
+// the rules leave them — and ssb_exec — exactly as they were.
+func TestNoDiscardRulesOnSSB(t *testing.T) {
+	sess, err := Setup(20240611, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range Queries() {
+		gen, err := TranslateSQL(sess, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, sql := range []string{gen, q.SQL} {
+			plan, err := sess.Engine().Explain(sql)
+			if err != nil {
+				t.Fatalf("%s: %v", q.ID, err)
+			}
+			if n := strings.Count(plan, " from=") + strings.Count(plan, " top1("); n != 0 {
+				t.Errorf("%s form %d: discard rules fired %d times:\n%s", q.ID, i, n, plan)
+			}
+		}
+	}
+}
+
 // TestJoinBuildSideCensus pins the build side of every SSB join at SF 8 (the
 // ssb_exec load): in both SQL forms exactly the first join of q3.x and q4.x
 // (customer or supplier ⋈ lineorder) builds its left input, a dimension
