@@ -1,8 +1,10 @@
 // Package core implements the paper's primary contribution: translating
 // JSONiq queries into a single native SQL query via the Snowpark-style
-// DataFrame API (§III). The translator walks the iterator tree produced by
-// the JSONiq frontend exactly once; FLWOR iterators manipulate DataFrame
-// objects while non-FLWOR iterators compose Column objects (§III-B). Nested
+// DataFrame API (§III). The translator walks the rewritten expression tree
+// the JSONiq frontend produces exactly once, one node per iterator of §III;
+// FLWOR clauses manipulate DataFrame objects while other expressions
+// compose Column objects (§III-B). The iterator tree itself is built only
+// for the census (Translate). Nested
 // queries are handled by row-ID injection, LATERAL FLATTEN and
 // re-aggregation (§IV-B), with both published strategies for the erroneous
 // object elimination problem (§IV-C): the KEEP flag-column approach and the

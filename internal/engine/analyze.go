@@ -175,12 +175,12 @@ func buildPlanStats(n Node, c *execContext) *PlanStats {
 		out.ExprNodes, out.ExprDistinct, out.ExprSlots = es.Nodes, es.Distinct, es.Slots
 	}
 	childTime := time.Duration(0)
-	for _, ch := range planChildren(n) {
-		cs := buildPlanStats(ch, c)
+	inputSlots(n, func(in *Node) {
+		cs := buildPlanStats(*in, c)
 		out.Children = append(out.Children, cs)
 		out.RowsIn += cs.RowsOut
 		childTime += cs.Time()
-	}
+	})
 	self := st.WallTime - childTime
 	if self < 0 {
 		self = 0
@@ -331,29 +331,4 @@ func nodeExprStats(n Node) (exprStats, bool) {
 		return exprStats{}, false
 	}
 	return s.dag.stats(), true
-}
-
-// planChildren lists an operator's inputs in execution order.
-func planChildren(n Node) []Node {
-	switch x := n.(type) {
-	case *FilterNode:
-		return []Node{x.Input}
-	case *ProjectNode:
-		return []Node{x.Input}
-	case *FlattenNode:
-		return []Node{x.Input}
-	case *AggregateNode:
-		return []Node{x.Input}
-	case *ExchangeNode:
-		return []Node{x.Input}
-	case *JoinNode:
-		return []Node{x.Left, x.Right}
-	case *SortNode:
-		return []Node{x.Input}
-	case *LimitNode:
-		return []Node{x.Input}
-	case *UnionNode:
-		return []Node{x.Left, x.Right}
-	}
-	return nil
 }

@@ -137,9 +137,7 @@ func top1Aggs(root Node) (fired int, narrowed bool) {
 			}
 		}
 		path = append(path, n)
-		for _, c := range planChildren(n) {
-			visit(c)
-		}
+		inputSlots(n, func(in *Node) { visit(*in) })
 		path = path[:len(path)-1]
 	}
 	visit(root)
@@ -247,54 +245,10 @@ func (t *top1Trace) step(parent, child Node) {
 	default:
 		t.failed = true
 	}
-	for _, e := range exprSlots(parent) {
-		t.reads(*e)
-	}
+	exprSlots(parent, func(e *sqlast.Expr) { t.reads(*e) })
 	if _, ok := parent.(*AggregateNode); ok {
 		t.arrays, t.values = nil, nil // its outputs are new columns
 	}
-}
-
-// exprSlots lists the expressions n evaluates over its input, as slots the
-// top-1 rewrite may replace.
-func exprSlots(n Node) []*sqlast.Expr {
-	var out []*sqlast.Expr
-	switch x := n.(type) {
-	case *FilterNode:
-		out = append(out, &x.Cond)
-	case *SortNode:
-		for i := range x.Keys {
-			out = append(out, &x.Keys[i].Expr)
-		}
-	case *FlattenNode:
-		out = append(out, &x.Expr)
-		if x.From != nil {
-			out = append(out, &x.From.Expr)
-		}
-	case *JoinNode:
-		out = append(out, &x.On, &x.Residual)
-		for i := range x.LeftKeys {
-			out = append(out, &x.LeftKeys[i])
-		}
-		for i := range x.RightKeys {
-			out = append(out, &x.RightKeys[i])
-		}
-	case *ProjectNode:
-		for i := range x.Exprs {
-			out = append(out, &x.Exprs[i])
-		}
-	case *AggregateNode:
-		for i := range x.GroupBy {
-			out = append(out, &x.GroupBy[i])
-		}
-		for i := range x.Aggs {
-			out = append(out, &x.Aggs[i].Arg)
-			for j := range x.Aggs[i].OrderBy {
-				out = append(out, &x.Aggs[i].OrderBy[j].Expr)
-			}
-		}
-	}
-	return out
 }
 
 // shadowed fails the trace when a traced name is also one of names, which
@@ -376,13 +330,13 @@ func stripTop1(n Node, scope names) {
 		}
 		return sqlast.MapChildren(e, strip)
 	}
-	for _, e := range exprSlots(n) {
+	exprSlots(n, func(e *sqlast.Expr) {
 		if cr := t.array(*e); cr != nil {
 			*e = cr
 		} else {
 			*e = strip(*e)
 		}
-	}
+	})
 }
 
 // keepFields narrows OBJECT_CONSTRUCT('k1', v1, ...) with literal string

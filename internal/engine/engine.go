@@ -329,10 +329,7 @@ func (e *Engine) compile(sql string, po PrepareOptions) (*compiledPlan, error) {
 // still private to one goroutine; cached templates are then read-only under
 // concurrent binds.
 func materializeSchemas(n Node) {
-	n.Schema()
-	for _, c := range planChildren(n) {
-		materializeSchemas(c)
-	}
+	forEachNode(n, func(x Node) { x.Schema() })
 }
 
 // bind builds the per-run state over a compiled template. It first pins the
@@ -533,7 +530,5 @@ func explainNode(b *strings.Builder, n Node, depth int) {
 		b.WriteString(chooseBuild(x, (*storage.Table).NumRows, buildAuto).String())
 	}
 	b.WriteByte('\n')
-	for _, c := range planChildren(n) {
-		explainNode(b, c, depth+1)
-	}
+	inputSlots(n, func(in *Node) { explainNode(b, *in, depth+1) })
 }

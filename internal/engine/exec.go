@@ -268,7 +268,9 @@ func prepareNode(n Node, ctx *execContext) (batchIter, error) {
 // prepareStage builds a Filter, Project, Flatten or streamed Aggregate over
 // its prepared input through the stage builder worker chains use.
 func prepareStage(n Node, ctx *execContext) (batchIter, error) {
-	in, err := prepare(planChildren(n)[0], ctx)
+	var input Node
+	inputSlots(n, func(in *Node) { input = *in }) // a stage has one input
+	in, err := prepare(input, ctx)
 	if err != nil {
 		return nil, err
 	}

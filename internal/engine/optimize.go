@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"jsonpark/internal/obsv"
@@ -11,15 +12,19 @@ import (
 	"jsonpark/internal/vector"
 )
 
-// optimize runs the engine's rewrite pipeline: expression simplification
-// (including struct-field pushdown through OBJECT_CONSTRUCT), predicate
-// pushdown with equi-join detection, projection pruning down to the scans,
-// then, with discard set, the two discard rules (discard.go) — top-1
-// aggregates, pruning again, FLATTEN lower bounds — and zone-map
-// prune-predicate derivation. Under a non-nil sp each rule gets a child span
-// annotated with what it achieved (projects collapsed, predicates sunk into
-// scans, columns pruned, aggregates and FLATTENs rewritten, zone-map
-// predicates derived), so a trace shows which rules fired on a given query.
+// optimize runs the engine's rewrite pipeline, each rule once, in this
+// order: predicate pushdown with equi-join detection (it substitutes
+// projection definitions into predicates and splits join conditions into
+// keys and residual), project merging, expression simplification over every
+// expression the plan now holds (constant folding and the struct-field
+// pushdown GET(OBJECT_CONSTRUCT(...)) folding that the first two expose),
+// projection pruning down to the scans, then, with discard set, the two
+// discard rules (discard.go) — top-1 aggregates, pruning again, FLATTEN
+// lower bounds — and last zone-map prune-predicate derivation. Under a
+// non-nil sp each rule gets a child span annotated with what it achieved
+// (projects collapsed, columns pruned, aggregates and FLATTENs rewritten,
+// zone-map predicates derived), so a trace shows which rules fired on a
+// given query.
 func optimize(n Node, sp *obsv.Span, discard bool) Node {
 	rule := func(name string, fn func(Node) Node, attr func(s *obsv.Span)) {
 		s := sp.Child("rule." + name)
@@ -29,27 +34,15 @@ func optimize(n Node, sp *obsv.Span, discard bool) Node {
 		}
 		s.End()
 	}
-	projectAttr := func(before int) func(*obsv.Span) {
-		return func(s *obsv.Span) {
-			s.SetAttr("projects", fmt.Sprintf("%d->%d", before, countProjects(n)))
-		}
-	}
+	rule("pushdown", pushDown, nil)
 	before := 0
 	if sp != nil {
 		before = countProjects(n)
 	}
+	rule("merge-projects", mergeProjects, func(s *obsv.Span) {
+		s.SetAttr("projects", fmt.Sprintf("%d->%d", before, countProjects(n)))
+	})
 	rule("simplify", simplifyNode, nil)
-	rule("merge-projects", mergeProjects, projectAttr(before))
-	// Pushdown substitutes projection definitions into predicates, exposing
-	// fresh GET(OBJECT_CONSTRUCT(...)) folding opportunities that projection
-	// pruning depends on — simplify again, and re-merge projection pairs
-	// that pushdown separated.
-	if sp != nil {
-		before = countProjects(n)
-	}
-	rule("pushdown", pushDown, nil)
-	rule("simplify", simplifyNode, nil)
-	rule("merge-projects", mergeProjects, projectAttr(before))
 	rule("prune-columns", func(x Node) Node { return pruneNode(x, nil) }, func(s *obsv.Span) {
 		s.SetAttr("scan-columns", countScanColumns(n))
 	})
@@ -69,14 +62,6 @@ func optimize(n Node, sp *obsv.Span, discard bool) Node {
 		s.SetAttr("prune-predicates", countScanPrunes(n))
 	})
 	return n
-}
-
-// forEachNode calls fn on n and every node below it, parents first.
-func forEachNode(n Node, fn func(Node)) {
-	fn(n)
-	for _, c := range planChildren(n) {
-		forEachNode(c, fn)
-	}
 }
 
 func countProjects(n Node) int {
@@ -116,66 +101,37 @@ func countScanColumns(n Node) int {
 // volatile SEQ8 definitions, whose single use keeps the value sequence
 // intact).
 func mergeProjects(n Node) Node {
-	switch x := n.(type) {
-	case *FilterNode:
-		x.Input = mergeProjects(x.Input)
-	case *ProjectNode:
-		x.Input = mergeProjects(x.Input)
-		for {
-			inner, ok := x.Input.(*ProjectNode)
-			if !ok {
-				break
-			}
-			counts := make(map[string]int)
-			for _, e := range x.Exprs {
-				countRefs(e, counts)
-			}
-			mergeable := true
-			for i, name := range inner.Names {
-				c := counts[name]
-				if c == 0 {
-					continue
-				}
-				def := inner.Exprs[i]
-				if isFreeExpr(def) {
-					continue
-				}
-				if c > 1 {
-					mergeable = false
-					break
-				}
-			}
-			if !mergeable {
-				break
-			}
-			defs := projectDefs(inner)
-			inline := func(cr *sqlast.ColRef) sqlast.Expr {
-				if def, ok := defs[cr.QualifiedName()]; ok {
-					return def
-				}
-				return cr
-			}
-			for i := range x.Exprs {
-				x.Exprs[i], _ = inlineRefs(x.Exprs[i], inline)
-			}
-			x.Input = inner.Input
-		}
-	case *FlattenNode:
-		x.Input = mergeProjects(x.Input)
-	case *AggregateNode:
-		x.Input = mergeProjects(x.Input)
-	case *JoinNode:
-		x.Left = mergeProjects(x.Left)
-		x.Right = mergeProjects(x.Right)
-	case *SortNode:
-		x.Input = mergeProjects(x.Input)
-	case *LimitNode:
-		x.Input = mergeProjects(x.Input)
-	case *UnionNode:
-		x.Left = mergeProjects(x.Left)
-		x.Right = mergeProjects(x.Right)
+	inputSlots(n, func(in *Node) { *in = mergeProjects(*in) })
+	x, ok := n.(*ProjectNode)
+	if !ok {
+		return n
 	}
-	return n
+	for {
+		inner, ok := x.Input.(*ProjectNode)
+		if !ok {
+			return n
+		}
+		counts := make(map[string]int)
+		for _, e := range x.Exprs {
+			countRefs(e, counts)
+		}
+		for i, name := range inner.Names {
+			if counts[name] > 1 && !isFreeExpr(inner.Exprs[i]) {
+				return n
+			}
+		}
+		defs := projectDefs(inner)
+		inline := func(cr *sqlast.ColRef) sqlast.Expr {
+			if def, ok := defs[cr.QualifiedName()]; ok {
+				return def
+			}
+			return cr
+		}
+		for i := range x.Exprs {
+			x.Exprs[i], _ = inlineRefs(x.Exprs[i], inline)
+		}
+		x.Input = inner.Input
+	}
 }
 
 func countRefs(e sqlast.Expr, into map[string]int) {
@@ -207,7 +163,10 @@ func projectDefs(p *ProjectNode) map[string]sqlast.Expr {
 // inlineRefs rebuilds e with each column reference cr replaced by def(cr):
 // the planner inlines select-list aliases, mergeProjects and filter pushdown
 // a project's definitions. def returns cr itself to keep the reference, or
-// nil to refuse it, which makes inlineRefs report false.
+// nil to refuse it, which makes inlineRefs report false. A definition that
+// is a reference to a column of the same name keeps cr, so e is rebuilt only
+// where its text changes: pushdown sinks a conjunct through every layer of
+// "x" AS "x" pass-throughs before projects merge.
 func inlineRefs(e sqlast.Expr, def func(*sqlast.ColRef) sqlast.Expr) (sqlast.Expr, bool) {
 	ok := true
 	var visit func(sqlast.Expr) sqlast.Expr
@@ -217,6 +176,9 @@ func inlineRefs(e sqlast.Expr, def func(*sqlast.ColRef) sqlast.Expr) (sqlast.Exp
 			return sqlast.MapChildren(e, visit)
 		}
 		if d := def(cr); d != nil {
+			if dr, same := d.(*sqlast.ColRef); same && *dr == *cr {
+				return cr
+			}
 			return d
 		}
 		ok = false
@@ -228,49 +190,11 @@ func inlineRefs(e sqlast.Expr, def func(*sqlast.ColRef) sqlast.Expr) (sqlast.Exp
 
 // --- expression simplification -------------------------------------------
 
+// simplifyNode simplifies every expression of every node in the plan.
 func simplifyNode(n Node) Node {
-	switch x := n.(type) {
-	case *ScanNode:
-		x.Filter = simplifyExpr(x.Filter)
-	case *FilterNode:
-		x.Input = simplifyNode(x.Input)
-		x.Cond = simplifyExpr(x.Cond)
-	case *ProjectNode:
-		x.Input = simplifyNode(x.Input)
-		for i := range x.Exprs {
-			x.Exprs[i] = simplifyExpr(x.Exprs[i])
-		}
-	case *FlattenNode:
-		x.Input = simplifyNode(x.Input)
-		x.Expr = simplifyExpr(x.Expr)
-	case *AggregateNode:
-		x.Input = simplifyNode(x.Input)
-		for i := range x.GroupBy {
-			x.GroupBy[i] = simplifyExpr(x.GroupBy[i])
-		}
-		for i := range x.Aggs {
-			if x.Aggs[i].Arg != nil {
-				x.Aggs[i].Arg = simplifyExpr(x.Aggs[i].Arg)
-			}
-			for j := range x.Aggs[i].OrderBy {
-				x.Aggs[i].OrderBy[j].Expr = simplifyExpr(x.Aggs[i].OrderBy[j].Expr)
-			}
-		}
-	case *JoinNode:
-		x.Left = simplifyNode(x.Left)
-		x.Right = simplifyNode(x.Right)
-		x.On = simplifyExpr(x.On)
-	case *SortNode:
-		x.Input = simplifyNode(x.Input)
-		for i := range x.Keys {
-			x.Keys[i].Expr = simplifyExpr(x.Keys[i].Expr)
-		}
-	case *LimitNode:
-		x.Input = simplifyNode(x.Input)
-	case *UnionNode:
-		x.Left = simplifyNode(x.Left)
-		x.Right = simplifyNode(x.Right)
-	}
+	forEachNode(n, func(x Node) {
+		exprSlots(x, func(e *sqlast.Expr) { *e = simplifyExpr(*e) })
+	})
 	return n
 }
 
@@ -336,28 +260,6 @@ func simplifyExpr(e sqlast.Expr) sqlast.Expr {
 	case *sqlast.IsNull:
 		if lit, ok := x.Operand.(*sqlast.Lit); ok {
 			return &sqlast.Lit{Value: variant.Bool(lit.Value.IsNull() != x.Negate)}
-		}
-	case *sqlast.CaseWhen:
-		// Fold leading constant conditions.
-		whens := x.Whens
-		for len(whens) > 0 {
-			lit, ok := whens[0].Cond.(*sqlast.Lit)
-			if !ok {
-				break
-			}
-			if !lit.Value.IsNull() && truthySQL(lit.Value) {
-				return whens[0].Result
-			}
-			whens = whens[1:]
-		}
-		if len(whens) == 0 {
-			if x.Else != nil {
-				return x.Else
-			}
-			return &sqlast.Lit{Value: variant.Null}
-		}
-		if len(whens) < len(x.Whens) {
-			return &sqlast.CaseWhen{Whens: whens, Else: x.Else}
 		}
 	case *sqlast.Cast:
 		if _, ok := x.Operand.(*sqlast.Lit); ok {
@@ -655,11 +557,7 @@ func pruneNode(n Node, needed nameSet) Node {
 		if needed == nil {
 			return x
 		}
-		req := make(nameSet)
-		for k := range needed {
-			req[k] = true
-		}
-		refsOf(x.Filter, req)
+		req := inputNeeds(make(nameSet), x, needed)
 		var cols []string
 		for _, c := range x.Columns {
 			if req[c] {
@@ -671,17 +569,6 @@ func pruneNode(n Node, needed nameSet) Node {
 		}
 		x.Columns = cols
 		x.schema = nil
-		return x
-	case *FilterNode:
-		var childNeeded nameSet
-		if needed != nil {
-			childNeeded = make(nameSet)
-			for k := range needed {
-				childNeeded[k] = true
-			}
-			refsOf(x.Cond, childNeeded)
-		}
-		x.Input = pruneNode(x.Input, childNeeded)
 		return x
 	case *ProjectNode:
 		if needed != nil {
@@ -702,28 +589,7 @@ func pruneNode(n Node, needed nameSet) Node {
 			x.Names = names
 			x.schema = nil
 		}
-		childNeeded := make(nameSet)
-		for _, e := range x.Exprs {
-			refsOf(e, childNeeded)
-		}
-		x.Input = pruneNode(x.Input, childNeeded)
-		return x
-	case *FlattenNode:
-		childNeeded := nameSet(nil)
-		if needed != nil {
-			childNeeded = make(nameSet)
-			for k := range needed {
-				if k != x.Alias+".VALUE" && k != x.Alias+".INDEX" {
-					childNeeded[k] = true
-				}
-			}
-			refsOf(x.Expr, childNeeded)
-			if x.From != nil {
-				refsOf(x.From.Expr, childNeeded)
-			}
-		}
-		x.Input = pruneNode(x.Input, childNeeded)
-		x.schema = nil
+		x.Input = pruneNode(x.Input, addReads(make(nameSet), x))
 		return x
 	case *AggregateNode:
 		// Drop aggregates whose output is never consumed (e.g. ANY_VALUE
@@ -742,18 +608,7 @@ func pruneNode(n Node, needed nameSet) Node {
 			x.AggNames = names
 			x.schema = nil
 		}
-		childNeeded := make(nameSet)
-		for _, g := range x.GroupBy {
-			refsOf(g, childNeeded)
-		}
-		for _, a := range x.Aggs {
-			if a.Arg != nil {
-				refsOf(a.Arg, childNeeded)
-			}
-			for _, o := range a.OrderBy {
-				refsOf(o.Expr, childNeeded)
-			}
-		}
+		childNeeded := addReads(make(nameSet), x)
 		if len(childNeeded) == 0 {
 			childNeeded = nil // COUNT(*) only: any column will do
 		}
@@ -763,19 +618,7 @@ func pruneNode(n Node, needed nameSet) Node {
 		leftNeeded, rightNeeded := nameSet(nil), nameSet(nil)
 		if needed != nil {
 			leftNeeded, rightNeeded = make(nameSet), make(nameSet)
-			collect := make(nameSet)
-			for k := range needed {
-				collect[k] = true
-			}
-			refsOf(x.On, collect)
-			refsOf(x.Residual, collect)
-			for _, k := range x.LeftKeys {
-				refsOf(k, collect)
-			}
-			for _, k := range x.RightKeys {
-				refsOf(k, collect)
-			}
-			for name := range collect {
+			for name := range inputNeeds(make(nameSet), x, needed) {
 				if _, ok := x.Left.Schema().Lookup(name); ok {
 					leftNeeded[name] = true
 				}
@@ -788,61 +631,60 @@ func pruneNode(n Node, needed nameSet) Node {
 		x.Right = pruneNode(x.Right, rightNeeded)
 		x.schema = nil
 		return x
-	case *SortNode:
-		var childNeeded nameSet
-		if needed != nil {
-			childNeeded = make(nameSet)
-			for k := range needed {
-				childNeeded[k] = true
-			}
-			for _, key := range x.Keys {
-				refsOf(key.Expr, childNeeded)
-			}
-		}
-		x.Input = pruneNode(x.Input, childNeeded)
-		return x
-	case *LimitNode:
-		x.Input = pruneNode(x.Input, needed)
-		return x
 	case *UnionNode:
 		// Positional semantics: pruning either side would misalign columns,
 		// so both branches keep their full output.
 		x.Left = pruneNode(x.Left, nil)
 		x.Right = pruneNode(x.Right, nil)
 		return x
+	case *FlattenNode:
+		// Its own two columns come from no input.
+		x.Input = pruneNode(x.Input, inputNeeds(make(nameSet), x, needed, x.Alias+".VALUE", x.Alias+".INDEX"))
+		x.schema = nil
+		return x
 	}
+	// Filter, Sort and Limit pass their input's columns through.
+	childNeeded := inputNeeds(make(nameSet), n, needed)
+	inputSlots(n, func(in *Node) { *in = pruneNode(*in, childNeeded) })
 	return n
+}
+
+// inputNeeds fills into with the columns n's input must supply for n to
+// output needed: those but the ones n makes itself (own), plus every column
+// n's expressions read. A nil needed, every column, gives nil. The callers
+// make into, so it stays on their stack.
+func inputNeeds(into nameSet, n Node, needed nameSet, own ...string) nameSet {
+	if needed == nil {
+		return nil
+	}
+	for k := range needed {
+		if !slices.Contains(own, k) {
+			into[k] = true
+		}
+	}
+	return addReads(into, n)
+}
+
+// addReads adds every column n's expressions read to into and returns it.
+func addReads(into nameSet, n Node) nameSet {
+	exprSlots(n, func(e *sqlast.Expr) { refsOf(*e, into) })
+	return into
 }
 
 // --- zone-map prune derivation --------------------------------------------
 
+// deriveScanPrunes turns each scan filter conjunct a zone map can decide
+// into a prune predicate on that scan.
 func deriveScanPrunes(n Node) {
-	switch x := n.(type) {
-	case *ScanNode:
-		for _, c := range splitConjuncts(x.Filter) {
-			if pred, ok := toPrunePredicate(c); ok {
-				x.Prunes = append(x.Prunes, pred)
+	forEachNode(n, func(x Node) {
+		if s, ok := x.(*ScanNode); ok {
+			for _, c := range splitConjuncts(s.Filter) {
+				if pred, ok := toPrunePredicate(c); ok {
+					s.Prunes = append(s.Prunes, pred)
+				}
 			}
 		}
-	case *FilterNode:
-		deriveScanPrunes(x.Input)
-	case *ProjectNode:
-		deriveScanPrunes(x.Input)
-	case *FlattenNode:
-		deriveScanPrunes(x.Input)
-	case *AggregateNode:
-		deriveScanPrunes(x.Input)
-	case *JoinNode:
-		deriveScanPrunes(x.Left)
-		deriveScanPrunes(x.Right)
-	case *SortNode:
-		deriveScanPrunes(x.Input)
-	case *LimitNode:
-		deriveScanPrunes(x.Input)
-	case *UnionNode:
-		deriveScanPrunes(x.Left)
-		deriveScanPrunes(x.Right)
-	}
+	})
 }
 
 // toPrunePredicate recognizes `path-expr op literal` (or flipped) where

@@ -237,3 +237,48 @@ func TestUnusedAggregatesPruned(t *testing.T) {
 		t.Errorf("unused aggregate input not pruned:\n%s", plan)
 	}
 }
+
+// TestSimplifyJoinKeys: simplify runs after pushdown has split a join's ON
+// into hash keys and a residual, so it must fold those, not the cleared ON:
+// GET(OBJECT_CONSTRUCT('k', c), 'k') on the build side ends as the plain
+// column c.
+func TestSimplifyJoinKeys(t *testing.T) {
+	e := testEngine(t)
+	const sql = `SELECT "o_id", "c_name" FROM (SELECT * FROM "orders") JOIN (SELECT * FROM "customer")
+		ON "o_custkey" = GET(OBJECT_CONSTRUCT('k', "c_custkey"), 'k') AND "o_totalprice" > GET(OBJECT_CONSTRUCT('k', "c_custkey"), 'k')`
+	check := func(name string, plan Node) {
+		t.Helper()
+		var j *JoinNode
+		forEachNode(plan, func(n Node) {
+			if x, ok := n.(*JoinNode); ok {
+				j = x
+			}
+		})
+		if j == nil || len(j.RightKeys) != 1 {
+			t.Fatalf("%s: want one join with one key pair", name)
+		}
+		if cr, ok := j.RightKeys[0].(*sqlast.ColRef); !ok || cr.QualifiedName() != "c_custkey" {
+			t.Errorf("%s: right key %s, want \"c_custkey\"", name, sqlast.RenderExpr(j.RightKeys[0]))
+		}
+		if res := sqlast.RenderExpr(j.Residual); res != `("o_totalprice" > "c_custkey")` {
+			t.Errorf("%s: residual %s, want (\"o_totalprice\" > \"c_custkey\")", name, res)
+		}
+	}
+	check("optimize", buildPlan(t, e, sql))
+
+	// The rule alone, on the shape pushdown leaves: ON cleared, keys and
+	// residual holding the unfolded expressions.
+	q, err := sqlparse.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := (&planner{catalog: e.Catalog()}).Build(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("pushdown+simplify", simplifyNode(pushDown(plan)))
+
+	if r := mustQuery(t, e, sql); len(r.Rows) != 3 {
+		t.Errorf("rows = %v, want the 3 orders with a customer", r.Rows)
+	}
+}

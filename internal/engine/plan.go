@@ -195,6 +195,93 @@ func (n *SortNode) Schema() *Schema  { return n.Input.Schema() }
 func (n *LimitNode) Schema() *Schema { return n.Input.Schema() }
 func (n *UnionNode) Schema() *Schema { return n.Left.Schema() }
 
+// --- traversal ---------------------------------------------------------------
+//
+// inputSlots and exprSlots are the only lists of what each node kind holds:
+// every rule that visits inputs or expressions without caring about the kind
+// goes through them, so a new kind or field is declared once, here
+// (TestPlanTraversal checks both against the node structs). The physical
+// annotations AggregateNode/ExchangeNode.Scan and .Stages are not inputs.
+// Both call fn on each slot rather than return a list, so walking a plan
+// allocates nothing.
+
+// inputSlots calls fn on each of n's inputs in execution order, as a slot a
+// rewrite may replace.
+func inputSlots(n Node, fn func(*Node)) {
+	switch x := n.(type) {
+	case *FilterNode:
+		fn(&x.Input)
+	case *ProjectNode:
+		fn(&x.Input)
+	case *FlattenNode:
+		fn(&x.Input)
+	case *AggregateNode:
+		fn(&x.Input)
+	case *ExchangeNode:
+		fn(&x.Input)
+	case *JoinNode:
+		fn(&x.Left)
+		fn(&x.Right)
+	case *SortNode:
+		fn(&x.Input)
+	case *LimitNode:
+		fn(&x.Input)
+	case *UnionNode:
+		fn(&x.Left)
+		fn(&x.Right)
+	}
+}
+
+// forEachNode calls fn on n and every node below it, parents first.
+func forEachNode(n Node, fn func(Node)) {
+	fn(n)
+	inputSlots(n, func(in *Node) { forEachNode(*in, fn) })
+}
+
+// exprSlots calls fn on each expression n evaluates, as a slot a rewrite may
+// replace. A slot may hold nil: a join's cleared On or absent Residual,
+// COUNT(*)'s Arg, a scan with no pushed filter.
+func exprSlots(n Node, fn func(*sqlast.Expr)) {
+	switch x := n.(type) {
+	case *ScanNode:
+		fn(&x.Filter)
+	case *FilterNode:
+		fn(&x.Cond)
+	case *SortNode:
+		for i := range x.Keys {
+			fn(&x.Keys[i].Expr)
+		}
+	case *FlattenNode:
+		fn(&x.Expr)
+		if x.From != nil {
+			fn(&x.From.Expr)
+		}
+	case *JoinNode:
+		fn(&x.On)
+		fn(&x.Residual)
+		for i := range x.LeftKeys {
+			fn(&x.LeftKeys[i])
+		}
+		for i := range x.RightKeys {
+			fn(&x.RightKeys[i])
+		}
+	case *ProjectNode:
+		for i := range x.Exprs {
+			fn(&x.Exprs[i])
+		}
+	case *AggregateNode:
+		for i := range x.GroupBy {
+			fn(&x.GroupBy[i])
+		}
+		for i := range x.Aggs {
+			fn(&x.Aggs[i].Arg)
+			for j := range x.Aggs[i].OrderBy {
+				fn(&x.Aggs[i].OrderBy[j].Expr)
+			}
+		}
+	}
+}
+
 // planner builds logical plans from parsed SQL.
 type planner struct {
 	catalog *storage.Catalog

@@ -43,18 +43,17 @@ func checkPlan(root Node) error {
 
 // checkStreamAggs verifies every aggregate marked Stream: one group key, a
 // column reference, clustered in the aggregate's input.
-func checkStreamAggs(n Node) error {
-	if x, ok := n.(*AggregateNode); ok && x.Stream {
+func checkStreamAggs(root Node) (err error) {
+	forEachNode(root, func(n Node) {
+		x, ok := n.(*AggregateNode)
+		if err != nil || !ok || !x.Stream {
+			return
+		}
 		if len(x.GroupBy) != 1 || !clusteredColumn(x.Input, colIndex(x.Input.Schema(), x.GroupBy[0])) {
-			return fmt.Errorf("planck: aggregate is marked stream but its grouping %v does not trace to a row ID through order-preserving operators", x.GroupNames)
+			err = fmt.Errorf("planck: aggregate is marked stream but its grouping %v does not trace to a row ID through order-preserving operators", x.GroupNames)
 		}
-	}
-	for _, c := range planChildren(n) {
-		if err := checkStreamAggs(c); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
+	return err
 }
 
 // clusteredColumn traces output column col of n down to its origin and
@@ -104,25 +103,25 @@ func clusteredColumn(n Node, col int) bool {
 // adding an operator means deciding its contract here. A join must also have
 // no ON condition left: the operator evaluates only its keys and residual,
 // into which pushdown folds ON for every join kind the parser produces.
-func checkSelContract(n Node) error {
-	switch x := n.(type) {
-	case *ScanNode, *FilterNode, *ProjectNode, *FlattenNode,
-		*AggregateNode, *SortNode, *LimitNode, *UnionNode:
-	case *JoinNode:
-		if x.On != nil {
-			return fmt.Errorf("planck: %s join kept its ON condition %s, which the operator never evaluates", x.Kind, sqlast.RenderExpr(x.On))
+func checkSelContract(root Node) (err error) {
+	forEachNode(root, func(n Node) {
+		if err != nil {
+			return
 		}
-	case *ExchangeNode:
-		// Emits its stages' batches detached: Detach keeps the selection.
-	default:
-		return fmt.Errorf("planck: unknown plan node %T — declare its order and selection-vector contracts in planck.go", n)
-	}
-	for _, c := range planChildren(n) {
-		if err := checkSelContract(c); err != nil {
-			return err
+		switch x := n.(type) {
+		case *ScanNode, *FilterNode, *ProjectNode, *FlattenNode,
+			*AggregateNode, *SortNode, *LimitNode, *UnionNode:
+		case *JoinNode:
+			if x.On != nil {
+				err = fmt.Errorf("planck: %s join kept its ON condition %s, which the operator never evaluates", x.Kind, sqlast.RenderExpr(x.On))
+			}
+		case *ExchangeNode:
+			// Emits its stages' batches detached: Detach keeps the selection.
+		default:
+			err = fmt.Errorf("planck: unknown plan node %T — declare its order and selection-vector contracts in planck.go", n)
 		}
-	}
-	return nil
+	})
+	return err
 }
 
 // --- run-time half -----------------------------------------------------------

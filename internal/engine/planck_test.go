@@ -47,15 +47,6 @@ func TestPlanCheckCertifiesPhysicalPlans(t *testing.T) {
 		`SELECT COUNT(*) FROM (SELECT * FROM "events"), LATERAL FLATTEN(INPUT => "items") AS "f"`,
 	)
 	exchanges := 0
-	var count func(Node)
-	count = func(n Node) {
-		if _, ok := n.(*ExchangeNode); ok {
-			exchanges++
-		}
-		for _, c := range planChildren(n) {
-			count(c)
-		}
-	}
 	for _, sql := range queries {
 		cp, err := e.compile(sql, PrepareOptions{})
 		if err != nil {
@@ -64,7 +55,11 @@ func TestPlanCheckCertifiesPhysicalPlans(t *testing.T) {
 		if err := checkPlan(cp.plan); err != nil {
 			t.Errorf("%s: %v", sql, err)
 		}
-		count(cp.plan)
+		forEachNode(cp.plan, func(n Node) {
+			if _, ok := n.(*ExchangeNode); ok {
+				exchanges++
+			}
+		})
 	}
 	if exchanges < 2 {
 		t.Fatalf("%d exchanges across the battery: the physical shapes are not covered", exchanges)
@@ -94,16 +89,11 @@ func TestCheckPlanRejectsJoinOn(t *testing.T) {
 		t.Fatal(err)
 	}
 	var join *JoinNode
-	var find func(Node)
-	find = func(n Node) {
+	forEachNode(cp.plan, func(n Node) {
 		if x, ok := n.(*JoinNode); ok {
 			join = x
 		}
-		for _, c := range planChildren(n) {
-			find(c)
-		}
-	}
-	find(cp.plan)
+	})
 	if join == nil || join.On != nil || len(join.LeftKeys) != 1 || join.Residual == nil {
 		t.Fatalf("pushdown did not fold ON into one key and a residual: %+v", join)
 	}

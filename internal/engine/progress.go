@@ -38,9 +38,7 @@ func newQueryProgress(plan Node, sql, traceID string) *queryProgress {
 		st := &OpStats{node: n, depth: depth}
 		qp.ops = append(qp.ops, st)
 		qp.byNode[n] = st
-		for _, c := range planChildren(n) {
-			walk(c, depth+1)
-		}
+		inputSlots(n, func(in *Node) { walk(*in, depth+1) })
 	}
 	walk(plan, 0)
 	return qp

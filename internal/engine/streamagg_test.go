@@ -17,8 +17,7 @@ func aggKinds(t *testing.T, e *Engine, sql string) []string {
 	t.Helper()
 	plan, _ := physicalize(buildPlan(t, e, sql), false)
 	var out []string
-	var walk func(Node)
-	walk = func(n Node) {
+	forEachNode(plan, func(n Node) {
 		if a, ok := n.(*AggregateNode); ok {
 			if a.Stream {
 				out = append(out, "stream:"+sqlast.RenderExpr(a.GroupBy[0]))
@@ -26,11 +25,7 @@ func aggKinds(t *testing.T, e *Engine, sql string) []string {
 				out = append(out, "hash")
 			}
 		}
-		for _, c := range planChildren(n) {
-			walk(c)
-		}
-	}
-	walk(plan)
+	})
 	if err := checkStreamAggs(plan); err != nil {
 		t.Errorf("%s: planck disagrees with physicalize: %v", sql, err)
 	}
@@ -90,12 +85,11 @@ func TestOrderPropertyDerivation(t *testing.T) {
 
 // markStream marks every aggregate of the plan Stream, justified or not.
 func markStream(n Node) {
-	if a, ok := n.(*AggregateNode); ok {
-		a.Stream = true
-	}
-	for _, c := range planChildren(n) {
-		markStream(c)
-	}
+	forEachNode(n, func(x Node) {
+		if a, ok := x.(*AggregateNode); ok {
+			a.Stream = true
+		}
+	})
 }
 
 // TestPlanCheckRejectsUnclusteredStream: planck's top-down trace must refuse a

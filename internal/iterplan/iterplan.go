@@ -3,9 +3,11 @@
 // paper). Each expression-tree node becomes exactly one iterator. FLWOR
 // clause iterators are chained: the left child points to the preceding
 // clause iterator and the right child to the clause's subexpression
-// (Figure 3b). Both back-ends — the interpreted runtime and the Snowpark
-// translator — consume this tree, and the per-query iterator census
-// reproduces Table II.
+// (Figure 3b). Neither back-end walks this tree: the Snowpark translator
+// works on the expression tree, and core.Translate builds this tree only for
+// the per-query iterator census, which reproduces Table II; the interpreted
+// runtime builds it and reads only its root before evaluating the
+// expression tree.
 package iterplan
 
 import (

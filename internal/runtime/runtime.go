@@ -1,5 +1,5 @@
-// Package runtime is the interpreted JSONiq back-end: it executes the
-// iterator tree directly over materialized JSON items with per-item dynamic
+// Package runtime is the interpreted JSONiq back-end: it evaluates the
+// rewritten expression tree directly over materialized JSON items with per-item dynamic
 // dispatch and clause-by-clause materialization. It is the stand-in for the
 // paper's DSQL baselines (§V-A): the ProfileRumbleSpark profile adds
 // serialization at pipeline-stage boundaries (Spark shuffle + UDF data

@@ -301,3 +301,42 @@ func TestWarehouseExplain(t *testing.T) {
 		t.Errorf("plan = %s", plan)
 	}
 }
+
+// TestLetBoundObjectFieldFolds: a field read of a let-bound object
+// constructor folds to the field's own column, so the scan reads only the
+// columns the query returns or filters on and the result projection is that
+// one column reference (nodes=1: no GET, no OBJECT_CONSTRUCT); the rows are
+// the interpreter's.
+func TestLetBoundObjectFieldFolds(t *testing.T) {
+	w := Open()
+	if err := w.CreateCollection("data", []string{"x", "y"}); err != nil {
+		t.Fatal(err)
+	}
+	docs := loadDocs(t, w, "data", []string{`{"x": 1, "y": "a"}`, `{"x": 2, "y": "b"}`, `{"x": 3, "y": "c"}`})
+	const src = `for $e in collection("data") let $o := {"a": $e.x, "b": $e.y} where $o.a gt 1 return $o.a`
+	sql, err := w.Translate(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := w.ExplainSQL(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(plan), "\n")
+	if len(lines) != 2 || !strings.HasPrefix(lines[0], "Project [result] exprs[nodes=1 ") ||
+		!strings.HasPrefix(strings.TrimSpace(lines[1]), "Scan data cols=[x] ") {
+		t.Errorf("want the result column straight over a scan of x alone, got:\n%s", plan)
+	}
+	translated, err := w.QueryItems(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	interpreted, err := Interpret(src, map[string][]Value{"data": docs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(translated) != 2 {
+		t.Errorf("translated = %v, want 2 rows", translated)
+	}
+	sameItems(t, translated, interpreted)
+}
