@@ -49,8 +49,10 @@ type OpStats struct {
 	Morsels    int
 	Sequential string
 
-	// Join: the build side bind chose and the row bounds it chose from.
+	// Join: the build side bind chose and the row bounds it chose from, and
+	// the table its build made (joinIter.noteTable), set by the driver.
 	build joinBuild
+	table string
 
 	// Memory governance (WithMemLimit): spill-to-disk events by this operator
 	// and the bytes they wrote.
@@ -93,7 +95,8 @@ type PlanStats struct {
 	ExprDistinct int `json:"expr_distinct,omitempty"`
 	ExprSlots    int `json:"expr_slots,omitempty"`
 	// Where typing held in the operator's DAGs: typed vectors its kernels
-	// read, and typed vectors it converted to variants.
+	// read (a join's keys and an aggregate's inputs read in place included),
+	// and typed vectors it converted to variants.
 	ExprTyped    int64 `json:"expr_typed,omitempty"`
 	ExprFallback int64 `json:"expr_fallback,omitempty"`
 	// Storage v2 counters, query-global, set on the root only: the typed and
@@ -161,6 +164,9 @@ func buildPlanStats(n Node, c *execContext) *PlanStats {
 		}
 	case *JoinNode:
 		out.Detail += " " + st.build.String()
+		if st.table != "" {
+			out.Detail += " table=" + st.table
+		}
 	case *AggregateNode:
 		// The run-time reason replaces the plan-time verdict it may repeat.
 		if st.Sequential != "" {

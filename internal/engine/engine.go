@@ -49,12 +49,15 @@ type Engine struct {
 	// every envelope validates the batches it passes on; forceBuild makes
 	// every join that may build left build on the side it names — the left
 	// build's oracle is buildRight; noDiscardRules turns off the top-1 and
-	// flatten-bound rules (discard.go) — their oracle.
+	// flatten-bound rules (discard.go) — their oracle; byteKeyedJoin keys
+	// every hash join by bytes and gathers every probe into fresh vectors —
+	// the numeric join table's and the streaming probe's oracle.
 	forceHashAgg   bool
 	forceBuild     buildSide
 	morselRows     int
 	planCheck      bool
 	noDiscardRules bool
+	byteKeyedJoin  bool
 }
 
 // Option configures an Engine.
@@ -355,18 +358,19 @@ func (e *Engine) bind(cp *compiledPlan, po PrepareOptions) (*Prepared, error) {
 		}
 	}
 	ctx := &execContext{
-		metrics:     &p.metrics,
-		batchSize:   e.batchSize,
-		parallelism: e.parallelism,
-		morselRows:  e.morselRows,
-		planCheck:   e.planCheck,
-		acct:        e.queryAccountant(),
-		prog:        newQueryProgress(cp.plan, cp.sql, po.TraceID),
-		analyze:     po.Analyze,
-		batchHook:   e.batchHook,
-		typedOff:    e.typedOff,
-		forceBuild:  e.forceBuild,
-		snapshots:   snaps,
+		metrics:       &p.metrics,
+		batchSize:     e.batchSize,
+		parallelism:   e.parallelism,
+		morselRows:    e.morselRows,
+		planCheck:     e.planCheck,
+		acct:          e.queryAccountant(),
+		prog:          newQueryProgress(cp.plan, cp.sql, po.TraceID),
+		analyze:       po.Analyze,
+		batchHook:     e.batchHook,
+		typedOff:      e.typedOff,
+		forceBuild:    e.forceBuild,
+		snapshots:     snaps,
+		byteKeyedJoin: e.byteKeyedJoin,
 	}
 	if ctx.batchSize <= 0 {
 		ctx.batchSize = vector.DefaultBatchSize

@@ -67,6 +67,9 @@ type execContext struct {
 	// forceBuild forces the joins that may build left to one side
 	// (Engine.forceBuild, a test hook).
 	forceBuild buildSide
+	// byteKeyedJoin keys every join by bytes and gathers every probe
+	// (Engine.byteKeyedJoin, a test hook).
+	byteKeyedJoin bool
 	// Storage-path counters (atomic; see countTypedCols and friends below).
 	typedCols    int64
 	fallbackCols int64
@@ -664,11 +667,11 @@ type aggEval struct {
 	// mergeable: partial states merge exactly (aggsMergeWhy), so a table
 	// that overflows spills whole; otherwise the input past it is deferred.
 	mergeable bool
-	// Per-batch views into the DAG's outputs and one row's worth of them
-	// (rowO[a] is nil unless aggregate a has WITHIN GROUP keys; accumulators
-	// copy what they keep, so the row scratch is reused).
-	avals      [][]variant.Value
-	ovals      [][][]variant.Value
+	// The DAG's outputs over the batch under evaluation, typed ones read in
+	// place (exprDAG.evalTyped), and one row's worth of them (rowO[a] is nil
+	// unless aggregate a has WITHIN GROUP keys; accumulators copy what they
+	// keep, so the row scratch is reused).
+	outs       vector.Batch
 	rowG, rowA []variant.Value
 	rowO       [][]variant.Value
 }
@@ -678,7 +681,6 @@ type aggEval struct {
 func compileAggEval(ctx *execContext, x *AggregateNode) (*aggEval, error) {
 	exprs := append([]sqlast.Expr(nil), x.GroupBy...)
 	aggs := make([]compiledAgg, len(x.Aggs))
-	ovals := make([][][]variant.Value, len(x.Aggs))
 	rowO := make([][]variant.Value, len(x.Aggs))
 	for i, spec := range x.Aggs {
 		ca := compiledAgg{spec: spec, arg: -1}
@@ -692,7 +694,6 @@ func compileAggEval(ctx *execContext, x *AggregateNode) (*aggEval, error) {
 			ca.descs = append(ca.descs, o.Desc)
 		}
 		if len(ca.order) > 0 {
-			ovals[i] = make([][]variant.Value, len(ca.order))
 			rowO[i] = make([]variant.Value, len(ca.order))
 		}
 		aggs[i] = ca
@@ -703,7 +704,6 @@ func compileAggEval(ctx *execContext, x *AggregateNode) (*aggEval, error) {
 	}
 	return &aggEval{
 		dag: dag, ngroups: len(x.GroupBy), aggs: aggs, mergeable: aggsMergeWhy(x.Aggs) == "",
-		avals: make([][]variant.Value, len(aggs)), ovals: ovals,
 		rowG: make([]variant.Value, len(x.GroupBy)), rowA: make([]variant.Value, len(aggs)),
 		rowO: rowO,
 	}, nil
@@ -745,37 +745,36 @@ func (t *aggTable) insert(keyBytes []byte, keys []variant.Value) *aggGroup {
 // and order keys evaluate once per batch, then fold row-wise into the
 // accumulators.
 func (e *aggEval) absorb(t *aggTable, b *vector.Batch) error {
-	gvals, avals, ovals, err := e.evalBatch(b)
-	if err != nil {
+	if err := e.dag.evalTyped(b, &e.outs); err != nil {
 		return err
 	}
-	rowG := e.rowG
 	var rowErr error
 	b.ForEach(func(i int) {
 		if rowErr != nil {
 			return
 		}
-		for k := range gvals {
-			rowG[k] = gvals[k][i]
-		}
-		e.loadRow(avals, ovals, i)
-		rowErr = e.foldRow(t, rowG, e.rowA, e.rowO)
+		e.loadRow(i)
+		rowErr = e.foldRow(t, e.rowG, e.rowA, e.rowO)
 	})
 	return rowErr
 }
 
-// loadRow copies physical row i's aggregate arguments and WITHIN GROUP keys
-// out of the batch-wide vectors into rowA and rowO — the per-row step the
-// hash and the streaming aggregate share.
-func (e *aggEval) loadRow(avals [][]variant.Value, ovals [][][]variant.Value, i int) {
-	for a := range e.aggs {
+// loadRow copies physical row i's group keys, aggregate arguments and WITHIN
+// GROUP keys out of the batch-wide outputs into rowG, rowA and rowO — the
+// per-row step the hash and the streaming aggregate and the tuple spill
+// share.
+func (e *aggEval) loadRow(i int) {
+	for k := range e.rowG {
+		e.rowG[k] = e.outs.Value(k, i)
+	}
+	for a, ca := range e.aggs {
 		var v variant.Value
-		if avals[a] != nil {
-			v = avals[a][i]
+		if ca.arg >= 0 {
+			v = e.outs.Value(ca.arg, i)
 		}
 		e.rowA[a] = v
-		for j := range ovals[a] {
-			e.rowO[a][j] = ovals[a][j][i]
+		for j, r := range ca.order {
+			e.rowO[a][j] = e.outs.Value(r, i)
 		}
 	}
 }
@@ -1178,14 +1177,13 @@ func (s *streamAggIter) NextBatch() (*vector.Batch, error) {
 // change. A key that is not an integer or that decreases means the order
 // property was derived wrongly: fail the query rather than mis-group.
 func (s *streamAggIter) absorb(b *vector.Batch) error {
-	gvals, avals, ovals, err := s.eval.evalBatch(b)
-	if err != nil {
+	if err := s.eval.dag.evalTyped(b, &s.eval.outs); err != nil {
 		return err
 	}
-	keys := gvals[0]
 	for p, n := 0, b.NumRows(); p < n; p++ {
 		i := b.ActiveAt(p)
-		k := keys[i]
+		s.eval.loadRow(i)
+		k := s.eval.rowG[0]
 		if k.Kind() != variant.KindInt || (s.open && k.AsInt() < s.key.AsInt()) {
 			return fmt.Errorf("engine: internal error: streaming aggregate key %s after %s is not a non-decreasing integer (order property derived wrongly)", k, s.key)
 		}
@@ -1195,7 +1193,6 @@ func (s *streamAggIter) absorb(b *vector.Batch) error {
 			}
 			s.key, s.open = k, true
 		}
-		s.eval.loadRow(avals, ovals, i)
 		for a, acc := range s.accs {
 			if err := acc.add(s.eval.rowA[a], s.eval.rowO[a]); err != nil {
 				return err
@@ -1244,13 +1241,14 @@ func prepareJoin(x *JoinNode, ctx *execContext) (batchIter, error) {
 	}
 	ctx.exprs.add(exprs.stats())
 	side := chooseBuild(x, ctx.pinnedRows, ctx.forceBuild)
-	ctx.statsFor(x).build = side
+	st := ctx.statsFor(x)
+	st.build = side
 	rightWidth := len(x.Right.Schema().Names)
 	return &joinIter{
 		kind: x.Kind, left: left, right: right, exprs: exprs, buildLeft: side.left,
 		leftWidth: len(x.Left.Schema().Names), rightWidth: rightWidth,
 		store: rowStore{width: rightWidth},
-		size:  ctx.batchSize, ectx: ctx, mem: ctx.opMemFor(x),
+		size:  ctx.batchSize, ectx: ctx, mem: ctx.opMemFor(x), st: st, byteKeys: ctx.byteKeyedJoin,
 	}, nil
 }
 
@@ -1351,26 +1349,6 @@ func (e joinExprs) stats() exprStats {
 		}
 	}
 	return s
-}
-
-// appendJoinKey appends row i's encoded key to buf, reporting false when a
-// key value is NULL: NULL never equals anything, so such a row neither builds
-// nor probes. A join without keys gives every row the empty key.
-func appendJoinKey(buf []byte, kcols [][]variant.Value, i int) ([]byte, bool) {
-	for _, col := range kcols {
-		if col[i].IsNull() {
-			return buf, false
-		}
-		buf = col[i].AppendGroupKey(buf)
-	}
-	return buf, true
-}
-
-// buildKeys are the encoded keys of the build rows, in drain order: row r's
-// key is keys[ends[r-1]:ends[r]].
-type buildKeys struct {
-	keys []byte
-	ends []int
 }
 
 // rowStore retains the rows a join reads back by index: the build rows, or a
@@ -1486,6 +1464,31 @@ func (s *rowStore) ref(r int64) (rowRef, error) {
 	return rowRef{b: 0, i: s.decoded - 1}, err
 }
 
+// typedKinds returns, per column, the typed kind every retained batch holds
+// the column in, or -1 where one does not or the store spilled: the kind the
+// join's streaming probe gathers the column in.
+func (s *rowStore) typedKinds() []int8 {
+	kinds := make([]int8, s.width)
+	for c := range kinds {
+		kinds[c] = -1
+		if s.run != nil || len(s.batches) == 0 {
+			continue
+		}
+		first := s.batches[0].TypedCol(c)
+		if first == nil {
+			continue
+		}
+		kinds[c] = int8(first.Kind())
+		for _, b := range s.batches[1:] {
+			if tc := b.TypedCol(c); tc == nil || tc.Kind() != first.Kind() {
+				kinds[c] = -1
+				break
+			}
+		}
+	}
+	return kinds
+}
+
 // rewind empties a spilled store's scratch batch for the next output batch.
 func (s *rowStore) rewind() {
 	if s.run == nil {
@@ -1565,18 +1568,23 @@ func (r *storeReplay) Close() { r.s.releaseAll(r.mem) }
 
 // joinIter is the hash join. Its first NextBatch builds, on the side
 // chooseBuild picked. A right build drains the right input, retaining each
-// batch's kept rows as one dense copy, and maps every key to its candidate
-// rows. A left build drains the left input the same way and maps its keys,
-// then streams the right input past that map, retaining only the right rows
-// that match: each key's candidates are its matches in right-input order,
-// and the stored left rows become the probe input. Either way the join then
-// probes a left batch at a time: it collects up to a batch of (left row,
-// candidate) pairs, gathers their combined columns into a fresh batch,
-// evaluates the residual over the pairs, and emits the batch restricted to
-// the survivors. The order is each left row's surviving candidates in
-// right-input order or, for a LEFT OUTER row none of whose candidates
-// survives, the row once with NULLs on the right — the same rows in the same
-// order for both builds. Its batches are stable.
+// batch's kept rows as one dense copy, and indexes every key in the join
+// table (jointable.go), which chains each key's rows in build order. A left
+// build drains the left input the same way and indexes its keys with empty
+// chains, then streams the right input past that table, retaining only the
+// right rows that match: each key's candidates are its matches in
+// right-input order, and the stored left rows become the probe input. Either
+// way the join then probes a left batch at a time, looking every active
+// row's key up at once. When a right build left no key with a second row,
+// each probe row has at most one candidate and the join streams
+// (emitStream): it emits the probe batch's own columns under a selection,
+// beside the build columns gathered into registers it recycles. Otherwise it
+// collects up to a batch of (left row, candidate) pairs, gathers their
+// combined columns into a fresh batch, evaluates the residual over the
+// pairs, and emits the batch restricted to the survivors. The order is each
+// left row's surviving candidates in right-input order or, for a LEFT OUTER
+// row none of whose candidates survives, the row once with NULLs on the
+// right — the same rows in the same order for both builds and both emits.
 type joinIter struct {
 	kind       string
 	left       batchIter // the probe input: the left input, or a left build's replay
@@ -1588,20 +1596,30 @@ type joinIter struct {
 	size       int // pairs per output batch
 	ectx       *execContext
 	mem        *opMem
+	st         *OpStats // nil-safe: where EXPLAIN ANALYZE reads the table built
+	// byteKeys keys every join by bytes and gathers every probe into fresh
+	// vectors (Engine.byteKeyedJoin): the numeric table's and the streaming
+	// probe's oracle.
+	byteKeys bool
 
 	built bool
 	keys  buildKeys
 	store rowStore // the right rows candidates index: the build rows, or a left build's matches
-	// key -> candidates, indexes into store.locs in right-input order.
-	table map[string]*[]int64
+	table joinTable
+	// stream is set for a right build whose keys are all distinct: every
+	// probe goes through emitStream.
+	stream bool
+	kh     vector.Batch // the key vectors of the batch under build or probe
 
-	// The probe cursor: the left batch under probe and its key vectors, its
-	// next active row, the next of that row's candidates, and whether one of
-	// the row's candidates survived the residual so far.
-	cur      *vector.Batch
-	curKeys  [][]variant.Value
-	pos, off int
-	matched  bool
+	// The probe cursor: the left batch under probe, each of its rows' key
+	// slot (-1: no key the table holds), its next active row, that row's next
+	// candidate (-1 before its lookup), and whether one of the row's
+	// candidates survived the residual so far.
+	cur     *vector.Batch
+	found   []int32
+	pos     int
+	cand    int32
+	matched bool
 	// Per pair, recycled for every output batch: its left row, its right row,
 	// and whether it is its left row's last; plus key and selection scratch.
 	lidx   []int
@@ -1610,15 +1628,24 @@ type joinIter struct {
 	keyBuf []byte
 	sel    []int
 	pass   []int
+	// emitStream's recycled output: the header, the output selection, and a
+	// register per build column — typed where kinds names the typed kind
+	// every stored batch holds the column in, variant where it is -1.
+	out   vector.Batch
+	osel  []int
+	vregs [][]variant.Value
+	tregs []vector.TypedCol
+	kinds []int8
 }
 
-// build drains and closes the build side and maps its keys; a left build
+// build drains and closes the build side and indexes its keys; a left build
 // then streams and closes the right input (matchRight) and replays the
 // stored left rows as the probe input. After a left drain that failed the
 // right input still streams, so a failing right input's error comes first,
 // as with a right build, and the left's comes after the rows before it. The
 // closed inputs are nilled so Close stays idempotent.
 func (j *joinIter) build() error {
+	j.keys.num = !j.byteKeys && j.exprs.right != nil && len(j.exprs.right.roots) == 1
 	if !j.buildLeft {
 		inErr, err := j.drain(j.right, j.exprs.right, &j.store)
 		j.right.Close()
@@ -1627,6 +1654,10 @@ func (j *joinIter) build() error {
 			return err
 		}
 		j.index(true)
+		if j.stream = !j.table.dup && !j.byteKeys; j.stream {
+			j.kinds = j.store.typedKinds()
+		}
+		j.noteTable()
 		return nil
 	}
 	replay := &storeReplay{s: rowStore{width: j.leftWidth}, size: j.size, ctx: j.ectx, mem: j.mem}
@@ -1636,20 +1667,36 @@ func (j *joinIter) build() error {
 	if err == nil {
 		j.index(false)
 		err = j.matchRight()
+		j.noteTable()
 	}
 	j.right.Close()
 	j.right = nil
 	return err
 }
 
+// noteTable records the table built for EXPLAIN ANALYZE: "number" or
+// "bytes", plus "unique" when the probe streams.
+func (j *joinIter) noteTable() {
+	if j.st == nil {
+		return
+	}
+	j.st.table = "bytes"
+	if j.table.numeric() {
+		j.st.table = "number"
+	}
+	if j.stream {
+		j.st.table += " unique"
+	}
+}
+
 // drain drains in a batch at a time into s. Each batch's active rows are
-// copied once, a column at a time, into a dense batch (denseCopy); the keys
-// evaluate in input order, and the rows whose keys are not NULL are indexed
-// (encodeKeys) and stored. A right build's keys evaluate over the copy, a
-// left build's over the batch as it came, as the probe it replaces did — so
-// an operator's typed and fallback counters read the same for both builds.
-// It returns the input's error apart from its own, with the rows before it
-// stored.
+// copied once, a column at a time, into a dense batch (denseCopy, typed
+// numbers and booleans kept typed); the keys evaluate in input order, and
+// the rows whose keys are not NULL are keyed (addKeys) and stored. A right
+// build's keys evaluate over the copy, a left build's over the batch as it
+// came, as the probe it replaces did — so an operator's typed and fallback
+// counters read the same for both builds. It returns the input's error
+// apart from its own, with the rows before it stored.
 func (j *joinIter) drain(in batchIter, keys *exprDAG, s *rowStore) (inErr, err error) {
 	for {
 		b, err := in.NextBatch()
@@ -1661,7 +1708,7 @@ func (j *joinIter) drain(in batchIter, keys *exprDAG, s *rowStore) (inErr, err e
 		if j.buildLeft {
 			src = b
 		}
-		keep, err := j.encodeKeys(keys, src)
+		keep, err := j.addKeys(keys, src)
 		if err == nil {
 			err = s.add(copied, keep)
 		}
@@ -1674,60 +1721,77 @@ func (j *joinIter) drain(in batchIter, keys *exprDAG, s *rowStore) (inErr, err e
 	}
 }
 
-// index maps every build key to its candidates in one pass over the rows in
-// drain order. A right build lists each key's rows, in build order; a left
-// build starts each key's list empty for matchRight to fill.
+// addKeys evaluates the keys over a build batch, reading a typed key vector
+// in place, and adds the key of every active row it keeps — each row of a
+// join without keys, those whose keys are not NULL of an equi-join —
+// returning the kept rows' active positions, their rows in the batch's dense
+// copy.
+func (j *joinIter) addKeys(keys *exprDAG, b *vector.Batch) ([]int, error) {
+	if err := j.evalKeys(keys, b); err != nil {
+		return nil, err
+	}
+	keep := make([]int, 0, b.NumRows())
+	for p, n := 0, b.NumRows(); p < n; p++ {
+		if j.keys.add(&j.kh, b.ActiveAt(p)) {
+			keep = append(keep, p)
+		}
+	}
+	return keep, nil
+}
+
+// evalKeys evaluates keys over b into j.kh; a join without keys has none.
+func (j *joinIter) evalKeys(keys *exprDAG, b *vector.Batch) error {
+	if keys == nil {
+		j.kh.Cols, j.kh.Typed = nil, nil
+		return nil
+	}
+	return keys.evalTyped(b, &j.kh)
+}
+
+// index puts every build key in the table in one pass over the rows in
+// drain order. A right build chains each key's rows, in build order; a left
+// build starts each key's chain empty for matchRight to fill.
 func (j *joinIter) index(list bool) {
-	k := &j.keys
-	j.table = make(map[string]*[]int64)
-	lo := 0
-	for r, hi := range k.ends {
-		l := j.table[string(k.keys[lo:hi])]
-		if l == nil {
-			l = new([]int64)
-			j.table[string(k.keys[lo:hi])] = l
+	t := &j.table
+	t.alloc(&j.keys)
+	n := int32(j.keys.rows())
+	if list {
+		t.next = make([]int32, 0, n)
+	}
+	for r := int32(0); r < n; r++ {
+		if s := t.insert(r); list {
+			t.push(s, r)
 		}
-		if list {
-			*l = append(*l, int64(r))
-		}
-		lo = hi
 	}
 }
 
-// matchRight streams the right input past a left build's map. Its keys are
-// plain columns (chooseBuild), read in place, typed or not. The right rows
-// whose key the map holds are copied densely, in input order, into the
-// store, and each one's index is appended to its key's candidates.
+// matchRight streams the right input past a left build's table. Its keys
+// are plain columns (chooseBuild), read in place (evalKeys). The right
+// rows whose key the table holds are copied densely, in input order, into
+// the store, and each one's index is chained to its key's candidates.
 func (j *joinIter) matchRight() error {
-	cols := j.exprs.right.rootCols()
 	var sel []int
-	var lists []*[]int64
 	for {
 		b, err := j.right.NextBatch()
 		if err != nil || b == nil {
 			return cmp.Or(err, j.store.seal(j.mem))
 		}
-		sel, lists = sel[:0], lists[:0]
-	rows:
-		for p, n := 0, b.NumRows(); p < n; p++ {
-			i := b.ActiveAt(p)
-			j.keyBuf = j.keyBuf[:0]
-			for _, c := range cols {
-				v := b.Value(c, i)
-				if v.IsNull() {
-					continue rows
-				}
-				j.keyBuf = v.AppendGroupKey(j.keyBuf)
-			}
-			if l := j.table[string(j.keyBuf)]; l != nil {
-				sel, lists = append(sel, i), append(lists, l)
+		if err := j.evalKeys(j.exprs.right, b); err != nil {
+			return err
+		}
+		rows := activeRows(b)
+		j.found, j.keyBuf = j.table.lookup(&j.kh, rows, b.Len(), j.found, j.keyBuf)
+		sel = sel[:0]
+		for _, i := range rows {
+			if j.found[i] >= 0 {
+				sel = append(sel, i)
 			}
 		}
 		if len(sel) == 0 {
 			continue
 		}
-		for k, l := range lists {
-			*l = append(*l, int64(len(j.store.locs)+k))
+		for k, i := range sel {
+			j.table.push(j.found[i], int32(len(j.store.locs)+k))
 		}
 		matched := denseCopy(&vector.Batch{Cols: b.Cols, Typed: b.Typed, Sel: sel})
 		if err := j.store.add(matched, dense(len(sel))); err != nil {
@@ -1739,15 +1803,29 @@ func (j *joinIter) matchRight() error {
 	}
 }
 
-// denseCopy copies b's active rows into fresh dense vectors, one allocation
-// per column: how the join and the sort retain their input.
-func denseCopy(b *vector.Batch) *vector.Batch {
-	sel := b.Sel
-	if sel == nil {
-		sel = dense(b.Len())
+// activeRows is b's active physical rows.
+func activeRows(b *vector.Batch) []int {
+	if b.Sel != nil {
+		return b.Sel
 	}
+	return dense(b.Len())
+}
+
+// denseCopy copies b's active rows into fresh dense vectors, one allocation
+// per column: how the join and the sort retain their input. A column b holds
+// as typed numbers or booleans stays typed — the streaming probe gathers the
+// join's build columns typed; the sort reads its rows through Batch.Value.
+func denseCopy(b *vector.Batch) *vector.Batch {
+	sel := activeRows(b)
 	out := &vector.Batch{Cols: make([][]variant.Value, len(b.Cols))}
 	for c := range out.Cols {
+		if tc := b.TypedCol(c); tc != nil && tc.Kind() != vector.TypedString {
+			if out.Typed == nil {
+				out.Typed = make([]*vector.TypedCol, len(b.Cols))
+			}
+			out.Typed[c] = tc.Copy(sel)
+			continue
+		}
 		out.Cols[c] = b.Gather(c, sel, make([]variant.Value, 0, len(sel)))
 	}
 	return out
@@ -1765,38 +1843,11 @@ func gatherRefs(batches []*vector.Batch, c int, refs []rowRef, dst []variant.Val
 	for _, r := range refs {
 		v := variant.Null
 		if r.b >= 0 {
-			v = batches[r.b].Cols[c][r.i]
+			v = batches[r.b].Value(c, int(r.i))
 		}
 		dst = append(dst, v)
 	}
 	return dst
-}
-
-// encodeKeys evaluates the keys over a build batch and encodes the key of
-// every active row it keeps — each row of a join without keys, those whose
-// keys are not NULL of an equi-join — returning the kept rows' active
-// positions, their rows in the batch's dense copy.
-func (j *joinIter) encodeKeys(keys *exprDAG, b *vector.Batch) ([]int, error) {
-	var kcols [][]variant.Value
-	if keys != nil {
-		var err error
-		if kcols, err = keys.eval(b); err != nil {
-			return nil, err
-		}
-	}
-	k := &j.keys
-	keep := make([]int, 0, b.NumRows())
-	for p, n := 0, b.NumRows(); p < n; p++ {
-		start := len(k.keys)
-		var ok bool
-		if k.keys, ok = appendJoinKey(k.keys, kcols, b.ActiveAt(p)); !ok {
-			k.keys = k.keys[:start]
-			continue
-		}
-		keep = append(keep, p)
-		k.ends = append(k.ends, len(k.keys))
-	}
-	return keep, nil
 }
 
 func (j *joinIter) NextBatch() (*vector.Batch, error) {
@@ -1812,36 +1863,31 @@ func (j *joinIter) NextBatch() (*vector.Batch, error) {
 				return nil, err
 			}
 		}
-		if err := j.collect(); err != nil {
-			return nil, err
+		var out *vector.Batch
+		var err error
+		if j.stream {
+			out, err = j.emitStream()
+		} else if err = j.collect(); err == nil {
+			out, err = j.emit()
 		}
-		if out, err := j.emit(); out != nil || err != nil {
+		if out != nil || err != nil {
 			return out, err
 		}
 	}
 }
 
-// advance moves the probe to the next left batch and evaluates its keys;
-// j.cur is nil at the end of the left input.
+// advance moves the probe to the next left batch, evaluates its keys and
+// looks every active row's up; j.cur is nil at the end of the left input.
 func (j *joinIter) advance() error {
 	b, err := j.left.NextBatch()
-	j.cur, j.pos, j.off = b, 0, 0
-	if err != nil || b == nil || j.exprs.left == nil {
+	j.cur, j.pos, j.cand = b, 0, -1
+	if err != nil || b == nil {
 		return err
 	}
-	j.curKeys, err = j.exprs.left.eval(b)
-	return err
-}
-
-// candidates returns left row i's candidates, in right-input order.
-func (j *joinIter) candidates(i int) []int64 {
-	var ok bool
-	if j.keyBuf, ok = appendJoinKey(j.keyBuf[:0], j.curKeys, i); !ok {
-		return nil
+	if err := j.evalKeys(j.exprs.left, b); err != nil {
+		return err
 	}
-	if l := j.table[string(j.keyBuf)]; l != nil {
-		return *l
-	}
+	j.found, j.keyBuf = j.table.lookup(&j.kh, activeRows(b), b.Len(), j.found, j.keyBuf)
 	return nil
 }
 
@@ -1853,25 +1899,28 @@ func (j *joinIter) collect() error {
 	j.store.rewind()
 	for n := j.cur.NumRows(); j.pos < n && len(j.refs) < j.size; {
 		i := j.cur.ActiveAt(j.pos)
-		cands := j.candidates(i)
-		if len(cands) == 0 {
-			if j.kind == "LEFT OUTER" {
-				j.lidx, j.refs, j.last = append(j.lidx, i), append(j.refs, rowRef{b: -1}), append(j.last, true)
+		if j.cand < 0 {
+			if s := j.found[i]; s >= 0 {
+				j.cand = j.table.slots[s].head
 			}
-			j.pos++
-			continue
+			if j.cand < 0 {
+				if j.kind == "LEFT OUTER" {
+					j.lidx, j.refs, j.last = append(j.lidx, i), append(j.refs, rowRef{b: -1}), append(j.last, true)
+				}
+				j.pos++
+				continue
+			}
 		}
-		take := min(len(cands)-j.off, j.size-len(j.refs))
-		for _, r := range cands[j.off : j.off+take] {
-			ref, err := j.store.ref(r)
+		for ; j.cand >= 0 && len(j.refs) < j.size; j.cand = j.table.next[j.cand] {
+			ref, err := j.store.ref(int64(j.cand))
 			if err != nil {
 				return err
 			}
 			j.lidx, j.refs, j.last = append(j.lidx, i), append(j.refs, ref), append(j.last, false)
 		}
-		if j.off += take; j.off == len(cands) {
+		if j.cand < 0 {
 			j.last[len(j.last)-1] = true
-			j.pos, j.off = j.pos+1, 0
+			j.pos++
 		}
 	}
 	return nil
@@ -1941,6 +1990,129 @@ func (j *joinIter) emit() (*vector.Batch, error) {
 		out.Sel = nil
 	}
 	return out, nil
+}
+
+// emitStream probes for a right build whose keys are all distinct, where a
+// row has at most one candidate and the output keeps the probe batch's
+// physical rows. From the cursor on, it takes as many rows as collect would
+// pair: each active row with a candidate, and for LEFT OUTER each without.
+// It emits the probe batch's own columns, typed views included, under the
+// selection of the taken rows that survive the residual, beside the build
+// columns gathered into its registers; a LEFT OUTER row without a surviving
+// candidate is selected with NULL build columns. The batch is valid until
+// the next NextBatch.
+func (j *joinIter) emitStream() (*vector.Batch, error) {
+	cur, outer := j.cur, j.kind == "LEFT OUTER"
+	if vector.Poisoned() {
+		vector.PoisonSel(j.sel)
+		vector.PoisonSel(j.lidx)
+		vector.PoisonSel(j.osel)
+	}
+	hits, rows := j.sel[:0], j.lidx[:0]
+	j.refs = j.refs[:0]
+	j.store.rewind()
+	for n := cur.NumRows(); j.pos < n && len(rows) < j.size; j.pos++ {
+		i := cur.ActiveAt(j.pos)
+		if s := j.found[i]; s >= 0 {
+			ref, err := j.store.ref(int64(j.table.slots[s].head))
+			if err != nil {
+				return nil, err
+			}
+			hits, j.refs = append(hits, i), append(j.refs, ref)
+		} else if !outer {
+			continue
+		}
+		rows = append(rows, i)
+	}
+	j.sel, j.lidx = hits, rows
+	out := &j.out
+	if out.Cols == nil {
+		width := j.leftWidth + j.rightWidth
+		out.Cols, out.Typed = make([][]variant.Value, width), make([]*vector.TypedCol, width)
+		j.vregs, j.tregs = make([][]variant.Value, j.rightWidth), make([]vector.TypedCol, j.rightWidth)
+	}
+	for c := 0; c < j.leftWidth; c++ {
+		out.Cols[c], out.Typed[c] = cur.Cols[c], cur.TypedCol(c)
+	}
+	for c := 0; c < j.rightWidth; c++ {
+		j.gatherBuild(c, hits, cur.Len())
+	}
+	var pass []int // the hits that pass, in order
+	if j.exprs.residual != nil && len(hits) > 0 {
+		out.Sel = hits
+		var err error
+		if pass, err = j.exprs.residual.selectTrue(out, j.pass[:0]); err != nil {
+			return nil, err
+		}
+		j.pass = pass
+	}
+	sel, h := j.osel[:0], 0
+	for _, i := range rows {
+		hit := h < len(hits) && hits[h] == i
+		if hit {
+			h++
+		}
+		switch {
+		case hit && j.exprs.residual == nil:
+		case hit && len(pass) > 0 && pass[0] == i:
+			pass = pass[1:]
+		case outer:
+			j.padBuild(i)
+		default:
+			continue
+		}
+		sel = append(sel, i)
+	}
+	j.osel = sel
+	if len(sel) == 0 {
+		return nil, nil
+	}
+	out.Sel = sel
+	return out, nil
+}
+
+// gatherBuild refills build column c's register, n rows long, with the
+// candidates of the hits, through the refs emitStream took.
+func (j *joinIter) gatherBuild(c int, hits []int, n int) {
+	col := j.leftWidth + c
+	if k := j.kinds[c]; k >= 0 {
+		t := &j.tregs[c]
+		if vector.Poisoned() {
+			vector.PoisonTyped(t)
+		}
+		t.Reset(vector.TypedKind(k), n)
+		for h, i := range hits {
+			r := j.refs[h]
+			t.Put(i, j.store.batches[r.b].Typed[c], int(r.i))
+		}
+		j.out.Cols[col], j.out.Typed[col] = nil, t
+		return
+	}
+	v := j.vregs[c]
+	if cap(v) < n {
+		v = make([]variant.Value, n)
+	}
+	v = v[:n]
+	if vector.Poisoned() {
+		vector.Poison(v)
+	}
+	for h, i := range hits {
+		r := j.refs[h]
+		v[i] = j.store.batches[r.b].Value(c, int(r.i))
+	}
+	j.vregs[c] = v
+	j.out.Cols[col], j.out.Typed[col] = v, nil
+}
+
+// padBuild NULLs row i of every build column register.
+func (j *joinIter) padBuild(i int) {
+	for c := range j.kinds {
+		if j.kinds[c] >= 0 {
+			j.tregs[c].SetNull(i)
+		} else {
+			j.vregs[c][i] = variant.Null
+		}
+	}
 }
 
 // Close is idempotent: build already closed (and nilled) the right side, so

@@ -27,7 +27,8 @@ import (
 // (variant/arith.go, funcs.go): NULL propagation, int64 wraparound for + - *,
 // `/` always producing a double with int/int division by zero an error, `%`
 // keeping ints and erroring on an int zero divisor, a mixed int and float
-// pair promoted to float, comparisons where NaN never orders, and cross-kind
+// pair promoted to float, comparisons where NaN equals NaN and sorts above
+// +Inf (variant.CompareFloat), and cross-kind
 // comparisons by kind rank. Errors carry the variant path's text.
 
 // Local aliases keep the kernel switch lines readable.
@@ -98,16 +99,17 @@ func cmpTrue(op uint8, c int) bool {
 }
 
 // cmp3 is the three-way comparison of two numbers of one kind. On doubles it
-// matches variant.Compare: NaN compares equal to everything (neither < nor >
-// fires).
+// matches variant.Compare: NaN equals NaN and sorts above +Inf.
 func cmp3[T int64 | float64](x, y T) int {
 	switch {
 	case x < y:
 		return -1
 	case x > y:
 		return 1
+	case x == y:
+		return 0
 	}
-	return 0
+	return variant.CompareFloat(float64(x), float64(y)) // a NaN
 }
 
 func cmp3Bool(x, y bool) int {

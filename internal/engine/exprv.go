@@ -654,16 +654,6 @@ func (d *exprDAG) eval(b *vector.Batch) ([][]variant.Value, error) {
 	return d.outs, nil
 }
 
-// rootCols returns the input column each root reads, for a DAG whose every
-// root is a plain column reference.
-func (d *exprDAG) rootCols() []int {
-	cols := make([]int, len(d.roots))
-	for i, r := range d.roots {
-		cols[i] = int(d.nodes[d.insts[r].node].col)
-	}
-	return cols
-}
-
 // project evaluates the DAG as a select list into out, a header the caller
 // recycles: a computed column is its pinned root register — the typed view
 // when the result is typed, the variant vector otherwise — plain column
@@ -698,6 +688,24 @@ func (d *exprDAG) project(b *vector.Batch, out *vector.Batch) error {
 			out.Typed[i] = tc
 		}
 	}
+	return nil
+}
+
+// evalTyped evaluates every root over b into out as project does — a typed
+// result stays typed, to be read in place — and counts each typed root
+// vector as a typed read: the evaluation of consumers that read their
+// inputs a row at a time, the join's keys and the aggregate's inputs, which
+// would read a converted vector once.
+func (d *exprDAG) evalTyped(b *vector.Batch, out *vector.Batch) error {
+	if err := d.project(b, out); err != nil {
+		return err
+	}
+	for _, tc := range out.Typed {
+		if tc != nil {
+			d.nTyped++
+		}
+	}
+	d.flush()
 	return nil
 }
 

@@ -15,11 +15,12 @@ import (
 // FuzzPlanDiff is the differential governance fuzzer: the input bytes seed
 // a deterministic generator that produces (a) a nested dataset and (b) one
 // query per pipeline shape — scan→filter, group, sort, join, LATERAL
-// FLATTEN, the row-ID re-aggregate, and the row-ID self-join that joins a
-// re-aggregate back to its row IDs — each with randomized predicates, residuals,
-// aggregate lists, sort directions, and limits. The oracle is the sequential
-// unlimited engine with every aggregate on the hash table;
-// every other (batch size, parallelism, mem-limit, morsel) cell runs under
+// FLATTEN, the row-ID re-aggregate, the row-ID self-join that joins a
+// re-aggregate back to its row IDs, and a join on computed keys of every
+// class the join table tells apart — each with randomized predicates,
+// residuals, aggregate lists, sort directions, and limits. The oracle is the
+// sequential unlimited engine with every aggregate on the hash table and
+// every join keyed by bytes; every other (batch size, parallelism, mem-limit, morsel) cell runs under
 // planck and must render byte-identical rows, and the limited cells must
 // never error. The ingest
 // cells add a streaming dimension: they load a prefix of the dataset, warm
@@ -55,18 +56,29 @@ func FuzzPlanDiff(f *testing.F) {
 	for _, seed := range discardSeeds {
 		f.Add([]byte(seed))
 	}
+	// Shape 10, the join key classes. Every seed generates it; these pin the
+	// classes below.
+	for _, seed := range keySeeds {
+		f.Add([]byte(seed))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rng := newDiffRNG(data)
 		docs := genDiffDocs(rng)
 		queries := genDiffQueries(rng)
+		// Shape 10 draws after the dimension join, so the seeds above keep
+		// the dimension joins they were added for.
+		dims, dimFirst := genDimensionJoin(rng, len(docs))
+		queries = append(queries, genKeyJoin(rng))
 
 		// The oracle: one worker, no budget, no typed shredding — the pure
 		// variant path — every aggregate on the hash table, so the
 		// re-aggregate shape compares the streaming aggregate of every other
-		// cell against it, and the discard rules off, so the bound and top-1
-		// shapes compare them. Its rendering is ground truth.
-		oracle := diffCell{name: "oracle", batch: 1024, par: 1, typedOff: true, hashAgg: true, noDiscard: true}
+		// cell against it, the discard rules off, so the bound and top-1
+		// shapes compare them, and every join keyed by bytes and gathering
+		// its probe, so the join shapes compare the numeric table and the
+		// streaming probe. Its rendering is ground truth.
+		oracle := diffCell{name: "oracle", batch: 1024, par: 1, typedOff: true, hashAgg: true, noDiscard: true, byteJoin: true}
 		cells := []diffCell{
 			{name: "bs1-seq-64k", batch: 1, par: 1, limit: 64 * 1024},
 			{name: "bs1024-par4-64k", batch: 1024, par: 4, limit: 64 * 1024},
@@ -100,8 +112,7 @@ func FuzzPlanDiff(f *testing.F) {
 				}
 			}
 		}
-		dims, dimFirst := genDimensionJoin(rng, len(docs))
-		checkBuildSides(t, docs, dims, []string{queries[3], queries[6], dimFirst})
+		checkBuildSides(t, docs, dims, []string{queries[3], queries[6], queries[9], dimFirst})
 	})
 }
 
@@ -115,9 +126,15 @@ func FuzzPlanDiff(f *testing.F) {
 // 2, runs under a 2 KiB memory limit so both builds spill; a spilled join
 // reads each candidate back from disk, so spilling every cell would
 // dominate the fuzzer's time, and the spill grids cover the rest. The last
-// query is the dimension-first join, which the rule must build left.
+// query is the dimension-first join, which the rule must build left. Every
+// cell runs with recycled storage poisoned, so a consumer that keeps a
+// streaming join's batch past its next call diverges.
 func checkBuildSides(t *testing.T, docs, dims, queries []string) {
 	t.Helper()
+	if !vector.Poisoned() {
+		vector.SetPoison(true)
+		defer vector.SetPoison(false)
+	}
 	var first []string
 	for _, bs := range []int{1024, 1, 7} {
 		for _, par := range []int{1, 2, 4} {
@@ -238,8 +255,9 @@ type diffCell struct {
 	ingest   bool
 	// hashAgg forces the hash aggregate where the plan would stream
 	// (Engine.forceHashAgg); noDiscard turns the discard rules off
-	// (Engine.noDiscardRules).
-	hashAgg, noDiscard bool
+	// (Engine.noDiscardRules); byteJoin keys every join by bytes and gathers
+	// every probe (Engine.byteKeyedJoin).
+	hashAgg, noDiscard, byteJoin bool
 	// morselRows > 0 loads the dataset as one partition and shrinks the
 	// exchange's morsels to that many rows (Engine.morselRows).
 	morselRows int
@@ -268,7 +286,7 @@ func runDiffCell(t *testing.T, c diffCell, docs []string, queries []string) []st
 	// generated plan's stream marks and every batch's contract.
 	hooks := func(e *Engine) {
 		e.forceHashAgg, e.morselRows, e.planCheck = c.hashAgg, c.morselRows, !c.hashAgg
-		e.noDiscardRules = c.noDiscard
+		e.noDiscardRules, e.byteKeyedJoin = c.noDiscard, c.byteJoin
 	}
 	e := New(opts...)
 	hooks(e)
@@ -545,6 +563,51 @@ func genDiffQueries(r *diffRNG) []string {
 	return []string{scan, group, sort, join, flatten, reagg, selfJoin, genBoundQuery(r), genTop1Query(r, where())}
 }
 
+// joinKeys are shape 10's key expressions, one drawn per side: ints
+// (duplicated, or unique), floats some of which equal ints (1 vs 1.0), NaN
+// beside numbers, -0 beside +0, ints beyond 2^53 that collapse onto one
+// float, and "x" — ints, floats, -0.0, ints near ±2^63, strings, NULL and
+// missing.
+var joinKeys = []string{
+	`"grp"`,
+	`"grp" / 2`,
+	`"id"`,
+	`"id" / 1`,
+	`IFF("id" % 5 = 0, SQRT(0 - 1 - "grp"), "grp")`,
+	`IFF("id" % 3 = 0, -0.0, "grp" % 3)`,
+	`"grp" + 9007199254740992`,
+	`"x"`,
+}
+
+// genKeyJoin is shape 10: an equi-join on a computed key of one of the
+// joinKeys per side, INNER or LEFT OUTER, sometimes with a residual and a
+// LIMIT. The oracle keys it by bytes and gathers every probe
+// (Engine.byteKeyedJoin); every other cell keys a numeric build by the number
+// and streams a unique one. No ORDER BY: the probe order is the output order.
+func genKeyJoin(r *diffRNG) string {
+	where := ""
+	if r.n(3) == 0 {
+		where = fmt.Sprintf(` WHERE "grp" <> %d`, r.n(13))
+	}
+	kind := "INNER"
+	if r.n(2) == 0 {
+		kind = "LEFT OUTER"
+	}
+	left, right := joinKeys[r.n(len(joinKeys))], joinKeys[r.n(len(joinKeys))]
+	residual := ""
+	if r.n(3) == 0 {
+		residual = fmt.Sprintf(` AND "id" %% %d <> "i2" %% %d`, 2+r.n(3), 2+r.n(3))
+	}
+	limit := ""
+	if r.n(4) == 0 {
+		limit = fmt.Sprintf(` LIMIT %d`, 1+r.n(60))
+	}
+	return fmt.Sprintf(
+		`SELECT "id", "k", "i2", "k2" FROM (SELECT "id", %s AS "k" FROM "t"%s) %s JOIN `+
+			`(SELECT "id" AS "i2", %s AS "k2" FROM "t" WHERE "id" < %d) ON "k" = "k2"%s%s`,
+		left, where, kind, right, 1+r.n(200), residual, limit)
+}
+
 // genBoundQuery is shape 8: FLATTEN × FLATTEN under a comparison the
 // flatten-bound rule reads as a lower bound on the inner FLATTEN's INDEX or
 // ARRAY_RANGE VALUE — every operator, both operand orders, OUTER flattens,
@@ -678,3 +741,11 @@ func (r *diffRNG) n(m int) int {
 // hashed and streamed groups, NULL and mixed-kind keys, DESC, two keys, NULL
 // values, and an OBJECT_CONSTRUCT read by field.
 var discardSeeds = []string{"d37", "d57", "d0", "d2", "d3", "d6"}
+
+// keySeeds are FuzzPlanDiff inputs whose shape-10 joins between them cover 1
+// against 1.0 (unique float build; int probe of a float build), NaN on both
+// sides, -0 against +0 and against "x", ints past 2^53 on both sides, "x"'s
+// strings and NULLs against numbers, and duplicate build keys — INNER and
+// LEFT OUTER, with and without a residual and a LIMIT; checkBuildSides runs
+// each on both build sides.
+var keySeeds = []string{"k12", "k19", "k15", "k0", "k2", "k161", "k58", "k18", "k16", "k3"}

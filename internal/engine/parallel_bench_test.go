@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"jsonpark/internal/sqlast"
 	"jsonpark/internal/variant"
+	"jsonpark/internal/vector"
 )
 
 // benchParallelisms sweeps the worker pool shared by the morsel scan and the
@@ -107,5 +109,86 @@ func BenchmarkSort(b *testing.B) {
 		if _, err := e.Query(`SELECT "id", "val" FROM "bpar" ORDER BY "val" DESC, "id"`); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkJoinProbe times the hash join operator alone, its inputs typed
+// int64 batches already in memory: each op builds a 4 096-row table and
+// probes 40 960 rows past it, half of whose keys miss. number-unique keys
+// the numeric table by distinct numbers, so the probe streams (emitStream);
+// number-dup gives each key four build rows, so the probe gathers pairs into
+// fresh batches; bytes-2col joins on two columns, which keys the table by
+// the byte encoding of both.
+func BenchmarkJoinProbe(b *testing.B) {
+	const buildRows, probeBatches, size = 4096, 40, 1024
+	ints := func(n int, f func(i int) int64) *vector.TypedCol {
+		v := make([]int64, n)
+		for i := range v {
+			v[i] = f(i)
+		}
+		return vector.NewInt64Col(v, nil)
+	}
+	for _, c := range []struct {
+		name string
+		key  func(i int) int64 // build row i's key
+		keys int
+	}{
+		{"number-unique", func(i int) int64 { return int64(i) }, 1},
+		{"number-dup", func(i int) int64 { return int64(i % (buildRows / 4)) }, 1},
+		{"bytes-2col", func(i int) int64 { return int64(i) }, 2},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var build, probe []*vector.Batch
+			for lo := 0; lo < buildRows; lo += size {
+				k := ints(size, func(i int) int64 { return c.key(lo + i) })
+				build = append(build, &vector.Batch{Cols: make([][]variant.Value, 3),
+					Typed: []*vector.TypedCol{k, k, ints(size, func(i int) int64 { return int64(lo + i) })}})
+			}
+			for p := 0; p < probeBatches; p++ {
+				k := ints(size, func(i int) int64 { return int64((p*size + i) % (2 * buildRows)) })
+				probe = append(probe, &vector.Batch{Cols: make([][]variant.Value, 3),
+					Typed: []*vector.TypedCol{k, k, ints(size, func(i int) int64 { return int64(p*size + i) })}})
+			}
+			keys := func(names ...string) []sqlast.Expr {
+				var out []sqlast.Expr
+				for _, n := range names[:c.keys] {
+					out = append(out, sqlast.C(n))
+				}
+				return out
+			}
+			lk, err := compileVecs(nil, nil, NewSchema([]string{"k", "k2", "id"}), keys("k", "k2"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			rk, err := compileVecs(nil, nil, NewSchema([]string{"bk", "bk2", "bn"}), keys("bk", "bk2"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ctx := &execContext{acct: &memAccountant{}, batchSize: size}
+				j := &joinIter{
+					kind: "INNER", left: &staticBatches{batches: probe}, right: &staticBatches{batches: build},
+					exprs: joinExprs{left: lk, right: rk}, leftWidth: 3, rightWidth: 3,
+					store: rowStore{width: 3}, size: size, ectx: ctx, mem: ctx.opMemFor(nil),
+				}
+				rows := 0
+				for {
+					out, err := j.NextBatch()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if out == nil {
+						break
+					}
+					rows += out.NumRows()
+				}
+				j.Close()
+				if rows != probeBatches*size/2 { // dup: an eighth of the probe hits, four rows each
+					b.Fatalf("joined %d rows, want %d", rows, probeBatches*size/2)
+				}
+			}
+		})
 	}
 }

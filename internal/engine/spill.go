@@ -431,32 +431,12 @@ func (x *extAgg) discard() {
 
 // --- deferred tuple spill / replay --------------------------------------------
 
-// evalBatch evaluates the grouping, argument and order expressions over one
-// batch — the shared column phase of absorb and spillTuples.
-func (e *aggEval) evalBatch(b *vector.Batch) (gvals, avals [][]variant.Value, ovals [][][]variant.Value, err error) {
-	outs, err := e.dag.eval(b)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	for i, ca := range e.aggs {
-		e.avals[i] = nil
-		if ca.arg >= 0 {
-			e.avals[i] = outs[ca.arg]
-		}
-		for j, r := range ca.order {
-			e.ovals[i][j] = outs[r]
-		}
-	}
-	return outs[:e.ngroups], e.avals, e.ovals, nil
-}
-
 // spillTuples writes each active row's evaluated tuple (group values,
 // argument values, order values — in that fixed shape) to the deferral run.
 // Evaluating here keeps expression call order identical to the in-memory
 // path, so stateful expressions (SEQ) see the same sequence either way.
 func (e *aggEval) spillTuples(w *storage.RunWriter, b *vector.Batch) error {
-	gvals, avals, ovals, err := e.evalBatch(b)
-	if err != nil {
+	if err := e.dag.evalTyped(b, &e.outs); err != nil {
 		return err
 	}
 	var rec []byte
@@ -465,16 +445,17 @@ func (e *aggEval) spillTuples(w *storage.RunWriter, b *vector.Batch) error {
 		if rowErr != nil {
 			return
 		}
+		e.loadRow(i)
 		rec = rec[:0]
-		for k := range gvals {
-			rec = gvals[k][i].AppendBinary(rec)
+		for _, v := range e.rowG {
+			rec = v.AppendBinary(rec)
 		}
-		for a := range e.aggs {
-			if avals[a] != nil {
-				rec = avals[a][i].AppendBinary(rec)
+		for a, ca := range e.aggs {
+			if ca.arg >= 0 {
+				rec = e.rowA[a].AppendBinary(rec)
 			}
-			for j := range ovals[a] {
-				rec = ovals[a][j][i].AppendBinary(rec)
+			for _, v := range e.rowO[a] {
+				rec = v.AppendBinary(rec)
 			}
 		}
 		_, rowErr = w.WriteRecord(rec)

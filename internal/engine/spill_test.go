@@ -335,3 +335,42 @@ func TestJoinCloseIdempotent(t *testing.T) {
 		t.Fatalf("post-build double Close: left=%d right=%d closes, want 1/1", left.closes, right.closes)
 	}
 }
+
+// TestSortNaNIsTotallyOrdered pins variant.Compare's total order on NaN
+// (Snowflake's rule: NaN equals NaN and sorts above +Inf). Over 400 rows
+// whose negative "v" make SQRT("v") NaN, the in-memory stable sort and the
+// spilled-run merge must return the same order — they did not while NaN
+// compared equal to every number — with every NaN row last, in input order.
+func TestSortNaNIsTotallyOrdered(t *testing.T) {
+	const sql = `SELECT "id" FROM "t" ORDER BY SQRT("v")`
+	load := func(opts ...Option) *Engine {
+		e := New(opts...)
+		tab, err := e.Catalog().CreateTable("t", []string{"id", "v"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 400; i++ {
+			if err := tab.Append([]variant.Value{variant.Int(int64(i)), variant.Int(int64(i*37%101 - 20))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e
+	}
+	want := renderRows(mustQuery(t, load(), sql))
+	res := mustQuery(t, load(WithMemLimit(2<<10)), sql)
+	if res.Metrics.Spills == 0 {
+		t.Fatal("the limited sort did not spill")
+	}
+	if got := renderRows(res); got != want {
+		t.Fatalf("spilled sort diverges from the in-memory one\ngot:\n%s\nwant:\n%s", got, want)
+	}
+	var nan []string
+	for i := 0; i < 400; i++ {
+		if i*37%101-20 < 0 {
+			nan = append(nan, fmt.Sprintf("%d\t", i))
+		}
+	}
+	if tail := strings.Join(nan, "\n") + "\n"; !strings.HasSuffix(want, tail) {
+		t.Errorf("the NaN rows are not last, in input order:\n%s", want)
+	}
+}

@@ -250,10 +250,11 @@ func TestDictComparisonAllocatesNothing(t *testing.T) {
 }
 
 // TestTypedKernelMetrics checks the typed/fallback accounting: a pushed-down
-// comparison runs typed (TypedCols > 0, no fallback), while grouping by a
-// typed column materializes it through the ColRef expression
-// (FallbackCols > 0) — plain projection does NOT, since projectIter passes
-// typed views through untouched. In-memory tables never read from disk.
+// comparison runs typed (TypedCols > 0, no fallback), grouping by a typed
+// column reads it in place (TypedCols > 0, no fallback), while a function
+// without a typed kernel materializes its typed operand (FallbackCols > 0) —
+// plain projection does NOT, since projectIter passes typed views through
+// untouched. In-memory tables never read from disk.
 func TestTypedKernelMetrics(t *testing.T) {
 	e := typedKernelEngine(t, WithParallelism(1))
 	r := mustQuery(t, e, `SELECT COUNT(*) FROM "tk" WHERE "i" > 50`)
@@ -270,8 +271,14 @@ func TestTypedKernelMetrics(t *testing.T) {
 	}
 
 	r = mustQuery(t, e, `SELECT "u", COUNT(*) FROM "tk" GROUP BY "u"`)
+	if r.Metrics.TypedCols == 0 || r.Metrics.FallbackCols != 0 {
+		t.Errorf("grouping by a typed column reported typed=%d fallback=%d, want typed > 0 and no fallback",
+			r.Metrics.TypedCols, r.Metrics.FallbackCols)
+	}
+
+	r = mustQuery(t, e, `SELECT CONCAT("u", 'x') FROM "tk"`)
 	if r.Metrics.FallbackCols == 0 {
-		t.Errorf("grouping by a typed column reported FallbackCols = 0")
+		t.Errorf("CONCAT over a typed column reported FallbackCols = 0")
 	}
 
 	off := typedKernelEngine(t, WithTypedColumns(false))
@@ -339,5 +346,98 @@ func TestEngineDataDirRestart(t *testing.T) {
 	}
 	if res3.Metrics.DiskReads != 0 {
 		t.Errorf("pruned-out query still read %d partitions", res3.Metrics.DiskReads)
+	}
+}
+
+// TestTypedCompareOrdersNaNLast: the typed comparison kernel orders NaN as
+// variant.Compare does — equal to NaN, above +Inf — so a typed and a variant
+// engine select the same rows, and MAX over a NaN is NaN.
+func TestTypedCompareOrdersNaNLast(t *testing.T) {
+	load := func(opts ...Option) *Engine {
+		e := New(opts...)
+		tab, err := e.Catalog().CreateTable("t", []string{"id", "v"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 50; i++ {
+			if err := tab.Append([]variant.Value{variant.Int(int64(i)), variant.Float(float64(i%7) - 2)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e
+	}
+	typed, off := load(), load(WithTypedColumns(false))
+	for _, sql := range []string{
+		`SELECT "id" FROM "t" WHERE SQRT("v") > 1e308`,
+		`SELECT "id" FROM "t" WHERE SQRT("v") = SQRT("v") AND SQRT("v") >= SQRT(0 - 1)`,
+		`SELECT "id", SQRT("v") < "v" AS "lt" FROM "t"`,
+		`SELECT COUNT(*) FROM "t" WHERE SQRT("v") <> SQRT(0 - 1)`,
+	} {
+		want := renderRows(mustQuery(t, off, sql))
+		if got := renderRows(mustQuery(t, typed, sql)); got != want {
+			t.Errorf("%s: typed diverges\ngot:\n%s\nwant:\n%s", sql, got, want)
+		}
+	}
+	if got := renderRows(mustQuery(t, off, `SELECT COUNT(*) FROM "t" WHERE SQRT("v") > 1e308`)); got != "15\t\n" {
+		t.Errorf("NaN rows above 1e308: %q, want 15", got)
+	}
+}
+
+// TestStoredNaNZoneMapsPruneAlike: zone maps over a stored float column
+// holding NaN order it as variant.Compare does — NaN the max, the min only
+// when every value is NaN — so pruning keeps every partition with a matching
+// row, typed columns on or off. Small partitions, some starting with NaN,
+// make the zone maps decide.
+func TestStoredNaNZoneMapsPruneAlike(t *testing.T) {
+	const rows = 60
+	v := func(i int) float64 {
+		if i%5 == 0 {
+			return math.NaN()
+		}
+		return float64(i % 4)
+	}
+	load := func(opts ...Option) *Engine {
+		e := New(opts...)
+		tab, err := e.Catalog().CreateTable("t", []string{"id", "v"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab.SetTargetPartitionBytes(128)
+		for i := 0; i < rows; i++ {
+			if err := tab.Append([]variant.Value{variant.Int(int64(i)), variant.Float(v(i))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e
+	}
+	typed, off := load(), load(WithTypedColumns(false))
+	var pruned int64
+	for _, c := range []struct {
+		sql  string
+		want func(x float64) bool
+	}{
+		{`SELECT COUNT(*) FROM "t" WHERE "v" > 1e308`, math.IsNaN},
+		{`SELECT COUNT(*) FROM "t" WHERE "v" = 1`, func(x float64) bool { return x == 1 }},
+		{`SELECT COUNT(*) FROM "t" WHERE "v" < 5`, func(x float64) bool { return x < 5 }},
+		{`SELECT COUNT(*) FROM "t" WHERE "v" >= 3`, func(x float64) bool { return x >= 3 || math.IsNaN(x) }},
+		{`SELECT COUNT(*) FROM "t" WHERE "v" = 7`, func(float64) bool { return false }},
+	} {
+		n := 0
+		for i := 0; i < rows; i++ {
+			if c.want(v(i)) {
+				n++
+			}
+		}
+		want := fmt.Sprintf("%d\t\n", n)
+		for name, e := range map[string]*Engine{"typed": typed, "variant": off} {
+			r := mustQuery(t, e, c.sql)
+			if got := renderRows(r); got != want {
+				t.Errorf("%s (%s columns) = %q, want %q", c.sql, name, got, want)
+			}
+			pruned += r.Metrics.PartitionsPruned
+		}
+	}
+	if pruned == 0 {
+		t.Error("zone maps pruned no partition")
 	}
 }

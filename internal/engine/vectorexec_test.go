@@ -202,6 +202,7 @@ func (c *cycleIter) Close() {}
 // on its next NextBatch, so once warm it allocates nothing — not per row,
 // not per batch. The expressions cover the lazy operators (AND, OR, CASE),
 // whose selection scratch and sub-batch headers live on their DAG instance.
+// Its join subtest does the same for a scan→join→project pipeline.
 func TestStreamingPipelineAllocatesNothingPerBatch(t *testing.T) {
 	const inRows, fanOut, batchSize = 512, 8, 256
 	var src []*vector.Batch
@@ -262,5 +263,87 @@ func TestStreamingPipelineAllocatesNothingPerBatch(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, pull); allocs != 0 {
 		t.Errorf("steady-state pipeline allocates %.1f times per batch, want 0", allocs)
+	}
+	t.Run("join", streamingJoinAllocatesNothing)
+}
+
+// streamingJoinAllocatesNothing extends the contract to the hash join: a
+// scan→join→project pipeline over a unique numeric build — typed
+// int64 keys on both sides, a typed float, a typed int and a variant string
+// build column — probes through emitStream, which emits the probe batch's
+// own columns under its selection and gathers the build columns into
+// registers it recycles, so once warm it allocates nothing per batch. The
+// join is LEFT OUTER with a residual, so misses and failed candidates pad
+// the build registers with NULLs.
+func streamingJoinAllocatesNothing(t *testing.T) {
+	const probeRows, buildRows, batchSize = 512, 300, 256
+	var src []*vector.Batch
+	for part := 0; part < 3; part++ {
+		keys, ids := make([]int64, probeRows), make([]variant.Value, probeRows)
+		for i := range keys {
+			keys[i] = int64((i*7 + part) % (2 * buildRows)) // half the keys miss
+			ids[i] = variant.Int(int64(part*probeRows + i))
+		}
+		src = append(src, &vector.Batch{Cols: [][]variant.Value{nil, ids}, Typed: []*vector.TypedCol{vector.NewInt64Col(keys, nil), nil}})
+	}
+	var build []*vector.Batch
+	for lo := 0; lo < buildRows; lo += 100 {
+		keys, vals, ns := make([]int64, 100), make([]float64, 100), make([]int64, 100)
+		names := make([]variant.Value, 100)
+		for i := range keys {
+			keys[i], vals[i], ns[i] = int64(lo+i), float64(lo+i)/4, int64(lo+i)%5
+			names[i] = variant.String(fmt.Sprintf("b%d", lo+i))
+		}
+		build = append(build, &vector.Batch{
+			Cols:  [][]variant.Value{nil, nil, nil, names},
+			Typed: []*vector.TypedCol{vector.NewInt64Col(keys, nil), vector.NewFloat64Col(vals, nil), vector.NewInt64Col(ns, nil), nil},
+		})
+	}
+	must := func(d *exprDAG, err error) *exprDAG {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	lit := func(i int64) sqlast.Expr { return sqlast.L(variant.Int(i)) }
+	left, right := NewSchema([]string{"k", "id"}), NewSchema([]string{"bk", "bv", "bn", "bs"})
+	joined := NewSchema([]string{"k", "id", "bk", "bv", "bn", "bs"})
+	ctx := &execContext{acct: &memAccountant{}, batchSize: batchSize}
+	j := &joinIter{
+		kind: "LEFT OUTER", left: &cycleIter{batches: src}, right: &staticBatches{batches: build},
+		exprs: joinExprs{
+			left:     must(compileVecs(nil, nil, left, []sqlast.Expr{sqlast.C("k")})),
+			right:    must(compileVecs(nil, nil, right, []sqlast.Expr{sqlast.C("bk")})),
+			residual: must(compileVec(nil, nil, joined, sqlast.B("<>", sqlast.B("%", sqlast.C("id"), lit(3)), sqlast.C("bn")))),
+		},
+		leftWidth: 2, rightWidth: 4, store: rowStore{width: 4}, size: batchSize, ectx: ctx, mem: ctx.opMemFor(nil),
+	}
+	defer j.Close()
+	var it batchIter = &projectIter{in: j, dag: must(compileVecs(nil, nil, joined, []sqlast.Expr{
+		sqlast.C("id"), sqlast.B("+", sqlast.C("bv"), sqlast.C("k")), sqlast.C("bs"),
+	}))}
+
+	rows, padded := 0, 0
+	pull := func() {
+		b, err := it.NextBatch()
+		if err != nil || b == nil {
+			t.Fatalf("pipeline stopped: %v %v", b, err)
+		}
+		rows += b.NumRows()
+		b.ForEach(func(i int) {
+			if b.Value(2, i).IsNull() {
+				padded++
+			}
+		})
+	}
+	for i := 0; i < 64; i++ { // warm-up: registers, selections and scratch reach their size
+		pull()
+	}
+	if !j.stream || rows == 0 || padded == 0 || padded == rows {
+		t.Fatalf("stream=%v rows=%d padded=%d: the pipeline does not exercise the streaming probe", j.stream, rows, padded)
+	}
+	if allocs := testing.AllocsPerRun(200, pull); allocs != 0 {
+		t.Errorf("steady-state join pipeline allocates %.1f times per batch, want 0", allocs)
 	}
 }

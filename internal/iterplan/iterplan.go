@@ -6,8 +6,7 @@
 // (Figure 3b). Neither back-end walks this tree: the Snowpark translator
 // works on the expression tree, and core.Translate builds this tree only for
 // the per-query iterator census, which reproduces Table II; the interpreted
-// runtime builds it and reads only its root before evaluating the
-// expression tree.
+// runtime evaluates the expression tree directly.
 package iterplan
 
 import (

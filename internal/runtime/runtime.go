@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"sort"
 
-	"jsonpark/internal/iterplan"
 	"jsonpark/internal/jsoniq"
 	"jsonpark/internal/variant"
 )
@@ -64,20 +63,10 @@ func (e *Engine) LoadCollection(name string, docs []variant.Value) {
 // Run parses nothing: it executes an already-parsed query and returns the
 // result items in order.
 func (e *Engine) Run(query jsoniq.Expr) ([]variant.Value, error) {
-	root, err := iterplan.Build(query)
-	if err != nil {
-		return nil, err
-	}
-	return e.RunIterators(root)
-}
-
-// RunIterators executes an iterator tree.
-func (e *Engine) RunIterators(root *iterplan.Iterator) ([]variant.Value, error) {
-	if root.Kind == iterplan.KindReturn {
-		fl := root.Expr.(*jsoniq.FLWOR)
+	if fl, ok := query.(*jsoniq.FLWOR); ok {
 		return e.runFLWOR(fl, newTuple(nil))
 	}
-	v, err := e.eval(root.Expr, newTuple(nil))
+	v, err := e.eval(query, newTuple(nil))
 	if err != nil {
 		return nil, err
 	}

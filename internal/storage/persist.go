@@ -19,6 +19,11 @@
 // encoding tag (variant, int64, float64, string, dict, bool), an optional
 // null bitmap, and the flat values. Every read is bounds-checked; malformed
 // files surface *CorruptError, never a panic.
+//
+// Version 2 zone maps order doubles by variant.CompareFloat (a NaN is the
+// max). Version 1 ones were written while NaN compared equal to every
+// number, so a NaN may be missing from a max or stand in for a min; their
+// numeric bounds are widened on read (oldStatsBounds) instead of trusted.
 package storage
 
 import (
@@ -37,7 +42,8 @@ import (
 const (
 	manifestMagic  = "JPKT"
 	partitionMagic = "JPKP"
-	formatVersion  = 1
+	formatVersion  = 2
+	oldestVersion  = 1 // still readable: see oldStatsBounds
 
 	manifestName = "MANIFEST"
 	partPrefix   = "part-"
@@ -140,7 +146,7 @@ func openTableDir(dir, name string) (*Table, error) {
 		return nil, fmt.Errorf("storage: reading manifest: %w", err)
 	}
 	r := &byteReader{path: mpath, buf: buf}
-	if err := r.expectMagic(manifestMagic); err != nil {
+	if _, err := r.expectMagic(manifestMagic); err != nil {
 		return nil, err
 	}
 	ncols, err := r.uvarint()
@@ -337,7 +343,8 @@ func readPartitionHeader(path string, cols []string) (*Partition, error) {
 		return nil, fmt.Errorf("storage: reading partition: %w", err)
 	}
 	r := &byteReader{path: path, buf: buf}
-	if err := r.expectMagic(partitionMagic); err != nil {
+	version, err := r.expectMagic(partitionMagic)
+	if err != nil {
 		return nil, err
 	}
 	headerLen, err := r.uvarint()
@@ -376,6 +383,9 @@ func readPartitionHeader(path string, cols []string) (*Partition, error) {
 		if err := readStats(hr, cc.stats); err != nil {
 			return nil, err
 		}
+		if version < 2 {
+			oldStatsBounds(cc.stats)
+		}
 	}
 	dataLen, err := r.uvarint()
 	if err != nil {
@@ -389,6 +399,28 @@ func readPartitionHeader(path string, cols []string) (*Partition, error) {
 		return loadPartitionData(p, path, dataOff, int(dataLen))
 	}
 	return p, nil
+}
+
+// oldStatsBounds widens a version-1 zone map's numeric bounds so pruning
+// stays sound under the NaN-last order: a numeric max becomes NaN, the top
+// of the numbers, and a NaN min — written when the first value was NaN and
+// no number could displace it — becomes -Inf, their bottom.
+func oldStatsBounds(stats map[string]*PathStats) {
+	for _, st := range stats {
+		if st.NonNull == 0 {
+			continue
+		}
+		if isNumber(st.Max) {
+			st.Max = variant.Float(math.NaN())
+		}
+		if isNumber(st.Min) && math.IsNaN(st.Min.AsFloat()) {
+			st.Min = variant.Float(math.Inf(-1))
+		}
+	}
+}
+
+func isNumber(v variant.Value) bool {
+	return v.Kind() == variant.KindInt || v.Kind() == variant.KindFloat
 }
 
 func readStats(r *byteReader, stats map[string]*PathStats) error {
@@ -585,18 +617,20 @@ type byteReader struct {
 	off  int
 }
 
-func (r *byteReader) expectMagic(magic string) error {
+// expectMagic reads the magic and the version byte, returning the version.
+func (r *byteReader) expectMagic(magic string) (byte, error) {
 	b, err := r.bytes(len(magic) + 1)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if string(b[:len(magic)]) != magic {
-		return corruptf(r.path, "bad magic %q", b[:len(magic)])
+		return 0, corruptf(r.path, "bad magic %q", b[:len(magic)])
 	}
-	if b[len(magic)] != formatVersion {
-		return corruptf(r.path, "unsupported format version %d (supported: %d)", b[len(magic)], formatVersion)
+	v := b[len(magic)]
+	if v < oldestVersion || v > formatVersion {
+		return 0, corruptf(r.path, "unsupported format version %d (supported: %d-%d)", v, oldestVersion, formatVersion)
 	}
-	return nil
+	return v, nil
 }
 
 func (r *byteReader) bytes(n int) ([]byte, error) {

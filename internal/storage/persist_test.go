@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -225,5 +226,57 @@ func TestPersistCorruptionIsStructuredError(t *testing.T) {
 				t.Fatalf("error %v is not a *CorruptError", loadErr)
 			}
 		})
+	}
+}
+
+// TestPersistVersion1StatsWidened: a version-1 partition's zone map was
+// written while NaN compared equal to every number, so a column whose first
+// value is NaN recorded min = max = NaN. Read back, its numeric bounds widen
+// to [-Inf, NaN], so no predicate prunes the finite rows it holds.
+func TestPersistVersion1StatsWidened(t *testing.T) {
+	dir := t.TempDir()
+	c := NewCatalog(dir, true)
+	tab, err := c.CreateTable("ev", []string{"v"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []float64{math.NaN(), 3, -1} {
+		if err := tab.Append([]variant.Value{variant.Float(x)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	p := tab.Partitions()[0]
+	st := p.Column(0).PathStat("")
+	if st.Min.AsFloat() != -1 || !math.IsNaN(st.Max.AsFloat()) {
+		t.Fatalf("version-2 bounds = %v/%v, want -1/NaN", st.Min, st.Max)
+	}
+	st.Min, st.Max = variant.Float(math.NaN()), variant.Float(math.NaN())
+	v1 := encodePartition(p)
+	v1[len(partitionMagic)] = 1
+	corruptPartitionFile(t, dir, func([]byte) []byte { return v1 })
+
+	tab2, err := NewCatalog(dir, true).Table("ev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2 := tab2.Partitions()[0]
+	st2 := p2.Column(0).PathStat("")
+	if !math.IsInf(st2.Min.AsFloat(), -1) || !math.IsNaN(st2.Max.AsFloat()) {
+		t.Errorf("version-1 bounds read as %v/%v, want -Inf/NaN", st2.Min, st2.Max)
+	}
+	for _, pred := range []PrunePredicate{
+		{Column: "v", Op: PruneEq, Value: variant.Int(3)},
+		{Column: "v", Op: PruneLt, Value: variant.Int(0)},
+		{Column: "v", Op: PruneGt, Value: variant.Float(1e308)},
+	} {
+		if !p2.MayMatch(0, pred) {
+			t.Errorf("version-1 partition pruned by %+v", pred)
+		}
+	}
+	if _, err := p2.EnsureLoaded(); err != nil {
+		t.Fatalf("version-1 data did not load: %v", err)
 	}
 }

@@ -123,8 +123,9 @@ func buildStringTyped(values []variant.Value, nulls []uint64, nullCount int) *ve
 // rootStatsFromTyped fills the chunk's "" path statistics from its typed
 // array — one pass, no variant boxing — replicating exactly what shred would
 // record for a uniformly scalar column: per-value byte volume, null count,
-// and min/max under variant.Compare's ordering (floats use strict <, so NaN
-// never displaces an extremum, matching Compare's treatment).
+// and min/max under variant.Compare's ordering (floats compare through
+// variant.CompareFloat, so a NaN is the max, and the min only when every
+// value is NaN).
 func (cc *ColumnChunk) rootStatsFromTyped(tc *vector.TypedCol) {
 	st := cc.stat("")
 	n := tc.Len()
@@ -165,10 +166,10 @@ func (cc *ColumnChunk) rootStatsFromTyped(tc *vector.TypedCol) {
 			if st.NonNull == 0 {
 				min, max = x, x
 			} else {
-				if x < min {
+				if variant.CompareFloat(x, min) < 0 {
 					min = x
 				}
-				if x > max {
+				if variant.CompareFloat(x, max) > 0 {
 					max = x
 				}
 			}

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"jsonpark/internal/variant"
@@ -125,7 +126,8 @@ func TestTypedDictionaryEncoding(t *testing.T) {
 }
 
 func TestTypedZoneMapsMatchVariantShred(t *testing.T) {
-	mk := func() []variant.Value {
+	nan := math.NaN()
+	ints := func() []variant.Value {
 		var vals []variant.Value
 		for i := 0; i < 50; i++ {
 			if i%7 == 0 {
@@ -136,14 +138,41 @@ func TestTypedZoneMapsMatchVariantShred(t *testing.T) {
 		}
 		return vals
 	}
-	typedSt := sealOne(t, true, mk()...).Column(0).PathStat("")
-	varSt := sealOne(t, false, mk()...).Column(0).PathStat("")
-	if typedSt == nil || varSt == nil {
-		t.Fatal("missing root stats")
+	floats := func(xs ...float64) func() []variant.Value {
+		return func() []variant.Value {
+			vals := []variant.Value{variant.Null}
+			for _, x := range xs {
+				vals = append(vals, variant.Float(x))
+			}
+			return vals
+		}
 	}
-	if !variant.BinaryEqual(typedSt.Min, varSt.Min) || !variant.BinaryEqual(typedSt.Max, varSt.Max) ||
-		typedSt.NonNull != varSt.NonNull || typedSt.NullCount != varSt.NullCount || typedSt.Bytes != varSt.Bytes {
-		t.Fatalf("typed stats %+v != variant stats %+v", typedSt, varSt)
+	for _, tc := range []struct {
+		name     string
+		mk       func() []variant.Value
+		min, max variant.Value // NULL: only compared with the shredded stats
+	}{
+		{name: "ints", mk: ints},
+		{name: "nan-inside", mk: floats(1, nan, 2), min: variant.Float(1), max: variant.Float(nan)},
+		{name: "nan-first", mk: floats(nan, 3, -1), min: variant.Float(-1), max: variant.Float(nan)},
+		{name: "nan-above-inf", mk: floats(math.Inf(1), nan, math.Inf(-1)), min: variant.Float(math.Inf(-1)), max: variant.Float(nan)},
+		{name: "all-nan", mk: floats(nan, nan), min: variant.Float(nan), max: variant.Float(nan)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			typedSt := sealOne(t, true, tc.mk()...).Column(0).PathStat("")
+			varSt := sealOne(t, false, tc.mk()...).Column(0).PathStat("")
+			if typedSt == nil || varSt == nil {
+				t.Fatal("missing root stats")
+			}
+			if !variant.BinaryEqual(typedSt.Min, varSt.Min) || !variant.BinaryEqual(typedSt.Max, varSt.Max) ||
+				typedSt.NonNull != varSt.NonNull || typedSt.NullCount != varSt.NullCount || typedSt.Bytes != varSt.Bytes {
+				t.Fatalf("typed stats %+v != variant stats %+v", typedSt, varSt)
+			}
+			if !tc.min.IsNull() &&
+				(!variant.BinaryEqual(typedSt.Min, tc.min) || !variant.BinaryEqual(typedSt.Max, tc.max)) {
+				t.Fatalf("min/max = %v/%v, want %v/%v", typedSt.Min, typedSt.Max, tc.min, tc.max)
+			}
+		})
 	}
 }
 

@@ -84,10 +84,18 @@ func (v Value) AppendGroupKey(dst []byte) []byte {
 }
 
 func appendGroupKeyNumber(dst []byte, f float64) []byte {
-	bits := math.Float64bits(f)
-	if f != f {
-		bits = canonicalNaNBits
-	}
 	dst = append(dst, groupKeyNumber)
-	return binary.BigEndian.AppendUint64(dst, bits)
+	return binary.BigEndian.AppendUint64(dst, NumberKey(f))
+}
+
+// NumberKey is the 8-byte payload AppendGroupKey writes after a number's
+// tag: f's bits, every NaN's the canonical ones. Two numbers share a group
+// key exactly when their NumberKeys are equal, so a table keyed by numbers
+// alone (the hash join's) can key by it with no byte encoding; an int keys
+// as NumberKey(float64(i)).
+func NumberKey(f float64) uint64 {
+	if f != f {
+		return canonicalNaNBits
+	}
+	return math.Float64bits(f)
 }

@@ -261,7 +261,7 @@ func (v Value) Truthy() bool {
 }
 
 // Compare totally orders two values: NULL first, then by kind order, numbers
-// compared numerically across Int/Float, strings lexicographically, arrays
+// compared numerically across Int/Float (CompareFloat: NaN last), strings lexicographically, arrays
 // element-wise, objects by sorted key/value pairs. It returns -1, 0 or +1.
 func Compare(a, b Value) int {
 	ra, rb := rankOf(a.kind), rankOf(b.kind)
@@ -287,14 +287,7 @@ func Compare(a, b Value) int {
 			}
 			return 0
 		}
-		x, y := a.AsFloat(), b.AsFloat()
-		switch {
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		}
-		return 0
+		return CompareFloat(a.AsFloat(), b.AsFloat())
 	case KindString:
 		return strings.Compare(a.str(), b.str())
 	case KindArray:
@@ -329,6 +322,24 @@ func Compare(a, b Value) int {
 		return len(ka) - len(kb)
 	}
 	return 0
+}
+
+// CompareFloat is Compare's order on doubles, Snowflake's: NaN equals NaN
+// and sorts above +Inf, so the order stays total; +0 and -0 compare equal.
+func CompareFloat(x, y float64) int {
+	switch {
+	case x < y:
+		return -1
+	case x > y:
+		return 1
+	case x == y:
+		return 0
+	case x != x && y != y:
+		return 0
+	case x != x:
+		return 1
+	}
+	return -1
 }
 
 func rankOf(k Kind) int {

@@ -391,3 +391,28 @@ func TestParseJSONErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestCompareOrdersNaNLast: Compare is a total order on numbers — NaN equals
+// NaN (any payload) and sorts above +Inf, below every string — so sorts,
+// MIN/MAX and the join's NaN key class agree.
+func TestCompareOrdersNaNLast(t *testing.T) {
+	nan, other := Float(math.NaN()), Float(math.Float64frombits(math.Float64bits(math.NaN())^1))
+	for _, c := range []struct {
+		a, b Value
+		want int
+	}{
+		{nan, other, 0},
+		{nan, Float(math.Inf(1)), 1},
+		{Int(math.MaxInt64), nan, -1},
+		{nan, Float(math.Inf(-1)), 1},
+		{nan, String(""), -1},
+		{Float(math.Copysign(0, -1)), Int(0), 0},
+	} {
+		if got := Compare(c.a, c.b); got != c.want {
+			t.Errorf("Compare(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
+		}
+		if got := Compare(c.b, c.a); got != -c.want {
+			t.Errorf("Compare(%v, %v) = %d, want %d", c.b, c.a, got, -c.want)
+		}
+	}
+}

@@ -320,6 +320,33 @@ func (t *TypedCol) Gather(idx []int, dst *TypedCol) {
 	}
 }
 
+// Put sets row i of a register to row si of src — its value, or NULL —
+// where both hold the same number or boolean kind.
+func (t *TypedCol) Put(i int, src *TypedCol, si int) {
+	if src.Null(si) {
+		t.SetNull(i)
+		return
+	}
+	switch t.kind {
+	case TypedInt64:
+		t.ints[i] = src.ints[si]
+	case TypedFloat64:
+		t.floats[i] = src.floats[si]
+	case TypedBool:
+		t.bools[i] = src.bools[si]
+	}
+}
+
+// Copy returns t's rows at idx, in order, in storage of their own: a stable
+// column, not a register — how the hash join retains a typed build column.
+// t holds numbers or booleans.
+func (t *TypedCol) Copy(idx []int) *TypedCol {
+	out := &TypedCol{}
+	t.Gather(idx, out)
+	out.reg = false
+	return out
+}
+
 // clone copies a register into storage of its own.
 func (t *TypedCol) clone() *TypedCol {
 	out := &TypedCol{kind: t.kind, n: t.n}

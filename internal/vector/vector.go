@@ -31,11 +31,13 @@ const DefaultBatchSize = 1024
 // expression registers), so consumers must never mutate Cols in place.
 //
 // Lifetime: a batch handed out by a streaming operator (project, filter,
-// flatten) is valid until that operator's next NextBatch, which recycles the
-// header, the selection and every vector the operator owns. Scan batches and
-// the output of materializing operators (aggregate, sort, join), which write
-// each batch into fresh vectors, are stable. A consumer that keeps a batch
-// across its producer's next call copies it (Detach, or a dense Gather).
+// flatten, a join probing a build whose keys are all distinct) is valid
+// until that operator's next NextBatch, which recycles the header, the
+// selection and every vector the operator owns. Scan batches and the output
+// of materializing operators (aggregate, sort, a join with duplicate keys or
+// a left build), which write each batch into fresh vectors, are stable. A
+// consumer that keeps a batch across its producer's next call copies it
+// (Detach, or a dense Gather).
 type Batch struct {
 	Cols  [][]variant.Value
 	Sel   []int
@@ -148,11 +150,11 @@ func (b *Batch) ActiveAt(k int) int {
 }
 
 // Detach returns a copy of the batch that owns its storage. A batch from a
-// streaming operator (project, filter, flatten) is valid only until that
-// operator's next NextBatch — its vectors are registers and recycled
-// columns — so a consumer that keeps batches (the exchange's workers)
-// detaches each one on arrival. The copy keeps the physical layout: vectors of the
-// same length holding the active positions (NULL elsewhere, where the
+// streaming operator (project, filter, flatten, a streaming join) is valid
+// only until that operator's next NextBatch — its vectors are registers and
+// recycled columns — so a consumer that keeps batches (the exchange's
+// workers) detaches each one on arrival. The copy keeps the physical
+// layout: vectors of the same length holding the active positions (NULL elsewhere, where the
 // source is undefined anyway) and a private selection, so row references
 // into the original stay valid. A typed view of immutable chunk storage is
 // shared as it is; a register (an expression result, a FLATTEN column) is
