@@ -62,9 +62,11 @@ stress:
 # allocation decoding any bytes; a frozen value is exactly the decoded one,
 # with every pointer inside its block), the JSON parser fuzzer (no panic
 # or hang; what parses renders through JSON() back to an equal value; data
-# after the first value is rejected), and the JSON string escaper fuzzer
+# after the first value is rejected), the JSON string escaper fuzzer
 # (the bytes encoding/json writes for any string; every /query body and
-# query-log line escapes its strings through it).
+# query-log line escapes its strings through it), and the JSONiq frontend
+# fuzzer (no panic or hang lexing, parsing and inlining any text; for what
+# parses, Rewrite leaves its input unchanged and is idempotent).
 # The seeds themselves already run as unit tests under `make test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzPlanDiff' -fuzztime 30s ./internal/engine/
@@ -72,6 +74,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzFreeze' -fuzztime 30s ./internal/variant/
 	$(GO) test -run '^$$' -fuzz 'FuzzParseJSON' -fuzztime 30s ./internal/variant/
 	$(GO) test -run '^$$' -fuzz 'FuzzAppendJSONString' -fuzztime 30s ./internal/variant/
+	$(GO) test -run '^$$' -fuzz 'FuzzJSONiqParse' -fuzztime 30s ./internal/jsoniq/
 
 # obs-smoke boots a real jsqd with slow-query capture and a qlog sink, runs
 # one query four times over HTTP around an append, and asserts the

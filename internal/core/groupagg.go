@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+
 	"jsonpark/internal/jsoniq"
 )
 
@@ -34,208 +36,88 @@ var jsoniqAggregates = map[string]string{
 
 // rootVar returns the variable a pure path expression is rooted at, if any.
 func rootVar(e jsoniq.Expr) (string, bool) {
-	switch x := e.(type) {
-	case *jsoniq.VarRef:
-		return x.Name, true
-	case *jsoniq.FieldAccess:
-		return rootVar(x.Base)
-	case *jsoniq.ArrayUnbox:
-		return rootVar(x.Base)
+	for {
+		switch x := e.(type) {
+		case *jsoniq.VarRef:
+			return x.Name, true
+		case *jsoniq.FieldAccess:
+			e = x.Base
+		case *jsoniq.ArrayUnbox:
+			e = x.Base
+		default:
+			return "", false
+		}
 	}
-	return "", false
 }
 
-func (rw *groupAggRewriter) rewriteExpr(e jsoniq.Expr) (jsoniq.Expr, error) {
+// rewrite replaces each aggregate call over a non-grouping variable in e
+// that is still free — not rebound by a clause of a FLWOR around the call
+// (jsoniq.MapBound) — by the synthetic variable of its aggregate.
+func (rw *groupAggRewriter) rewrite(e jsoniq.Expr) jsoniq.Expr {
 	switch x := e.(type) {
-	case nil:
-		return nil, nil
-	case *jsoniq.Literal, *jsoniq.Collection:
-		return e, nil
-	case *jsoniq.VarRef:
-		return e, nil
 	case *jsoniq.FunctionCall:
-		if agg, ok := jsoniqAggregates[x.Name]; ok && len(x.Args) == 1 {
-			if v, rooted := rootVar(x.Args[0]); rooted && rw.nonGrouping[v] {
-				spec := groupAggSpec{agg: agg, arg: x.Args[0]}
-				if agg == "COUNT" {
-					if vr, plain := x.Args[0].(*jsoniq.VarRef); plain && rw.nonNull[vr.Name] {
-						spec.arg = nil
-						spec.star = true
-					}
-				}
-				// Identical aggregates (e.g. the same sum in both order by
-				// and return) share one output column.
-				key := spec.agg
-				if spec.arg != nil {
-					key += " " + jsoniq.Format(spec.arg)
-				}
-				for _, existing := range rw.specs {
-					ek := existing.agg
-					if existing.arg != nil {
-						ek += " " + jsoniq.Format(existing.arg)
-					}
-					if ek == key {
-						return &jsoniq.VarRef{Name: existing.name}, nil
-					}
-				}
-				spec.name = rw.tr.fresh("gagg")
-				rw.specs = append(rw.specs, spec)
-				return &jsoniq.VarRef{Name: spec.name}, nil
-			}
+		if name := rw.detect(x); name != "" {
+			return &jsoniq.VarRef{Name: name}
 		}
-		out := &jsoniq.FunctionCall{Name: x.Name}
-		for _, a := range x.Args {
-			na, err := rw.rewriteExpr(a)
-			if err != nil {
-				return nil, err
-			}
-			out.Args = append(out.Args, na)
-		}
-		return out, nil
-	case *jsoniq.FieldAccess:
-		base, err := rw.rewriteExpr(x.Base)
-		if err != nil {
-			return nil, err
-		}
-		return &jsoniq.FieldAccess{Base: base, Field: x.Field}, nil
-	case *jsoniq.ArrayUnbox:
-		base, err := rw.rewriteExpr(x.Base)
-		if err != nil {
-			return nil, err
-		}
-		return &jsoniq.ArrayUnbox{Base: base}, nil
-	case *jsoniq.ArrayIndex:
-		base, err := rw.rewriteExpr(x.Base)
-		if err != nil {
-			return nil, err
-		}
-		idx, err := rw.rewriteExpr(x.Index)
-		if err != nil {
-			return nil, err
-		}
-		return &jsoniq.ArrayIndex{Base: base, Index: idx}, nil
-	case *jsoniq.ObjectCtor:
-		out := &jsoniq.ObjectCtor{Keys: x.Keys}
-		for _, v := range x.Values {
-			nv, err := rw.rewriteExpr(v)
-			if err != nil {
-				return nil, err
-			}
-			out.Values = append(out.Values, nv)
-		}
-		return out, nil
-	case *jsoniq.ArrayCtor:
-		out := &jsoniq.ArrayCtor{}
-		for _, v := range x.Items {
-			nv, err := rw.rewriteExpr(v)
-			if err != nil {
-				return nil, err
-			}
-			out.Items = append(out.Items, nv)
-		}
-		return out, nil
-	case *jsoniq.Binary:
-		l, err := rw.rewriteExpr(x.Left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := rw.rewriteExpr(x.Right)
-		if err != nil {
-			return nil, err
-		}
-		return &jsoniq.Binary{Op: x.Op, Left: l, Right: r}, nil
-	case *jsoniq.Unary:
-		o, err := rw.rewriteExpr(x.Operand)
-		if err != nil {
-			return nil, err
-		}
-		return &jsoniq.Unary{Op: x.Op, Operand: o}, nil
-	case *jsoniq.If:
-		cond, err := rw.rewriteExpr(x.Cond)
-		if err != nil {
-			return nil, err
-		}
-		then, err := rw.rewriteExpr(x.Then)
-		if err != nil {
-			return nil, err
-		}
-		els, err := rw.rewriteExpr(x.Else)
-		if err != nil {
-			return nil, err
-		}
-		return &jsoniq.If{Cond: cond, Then: then, Else: els}, nil
 	case *jsoniq.FLWOR:
-		// Nested FLWORs see the grouped bindings; aggregate calls inside
-		// them operate on already-aggregated arrays, so only rewrite
-		// occurrences that still refer to non-grouping variables directly.
-		out := &jsoniq.FLWOR{}
-		for _, c := range x.Clauses {
-			nc, err := rw.rewriteClause(c)
-			if err != nil {
-				return nil, err
-			}
-			out.Clauses = append(out.Clauses, nc)
+		// Nested FLWORs see the grouped bindings until one of their clauses
+		// rebinds the name; aggregate calls after that read the new binding.
+		outer, shadowed := rw.nonGrouping, false
+		cs := make([]jsoniq.Clause, len(x.Clauses))
+		for i, c := range x.Clauses {
+			cs[i] = jsoniq.MapClause(c, rw.rewrite)
+			jsoniq.MapBound(c, func(v string) string {
+				if rw.nonGrouping[v] {
+					if !shadowed {
+						rw.nonGrouping, shadowed = maps.Clone(outer), true
+					}
+					delete(rw.nonGrouping, v)
+				}
+				return v
+			})
 		}
-		ret, err := rw.rewriteExpr(x.Return)
-		if err != nil {
-			return nil, err
-		}
-		out.Return = ret
-		return out, nil
+		out := *x
+		out.Clauses, out.Return = cs, rw.rewrite(x.Return)
+		rw.nonGrouping = outer
+		return &out
 	}
-	return e, nil
+	return jsoniq.MapChildren(e, rw.rewrite)
 }
 
-func (rw *groupAggRewriter) rewriteClause(c jsoniq.Clause) (jsoniq.Clause, error) {
-	switch cl := c.(type) {
-	case *jsoniq.ForClause:
-		in, err := rw.rewriteExpr(cl.In)
-		if err != nil {
-			return nil, err
-		}
-		out := *cl
-		out.In = in
-		return &out, nil
-	case *jsoniq.LetClause:
-		e, err := rw.rewriteExpr(cl.Expr)
-		if err != nil {
-			return nil, err
-		}
-		out := *cl
-		out.Expr = e
-		return &out, nil
-	case *jsoniq.WhereClause:
-		e, err := rw.rewriteExpr(cl.Cond)
-		if err != nil {
-			return nil, err
-		}
-		out := *cl
-		out.Cond = e
-		return &out, nil
-	case *jsoniq.GroupByClause:
-		out := &jsoniq.GroupByClause{}
-		for _, k := range cl.Keys {
-			nk := k
-			if k.Expr != nil {
-				e, err := rw.rewriteExpr(k.Expr)
-				if err != nil {
-					return nil, err
-				}
-				nk.Expr = e
-			}
-			out.Keys = append(out.Keys, nk)
-		}
-		return out, nil
-	case *jsoniq.OrderByClause:
-		out := &jsoniq.OrderByClause{}
-		for _, k := range cl.Keys {
-			e, err := rw.rewriteExpr(k.Expr)
-			if err != nil {
-				return nil, err
-			}
-			out.Keys = append(out.Keys, jsoniq.OrderKey{Expr: e, Descending: k.Descending})
-		}
-		return out, nil
+// detect returns the synthetic variable of call when it is an aggregate over
+// a path rooted at a free non-grouping variable, registering the aggregate
+// on first sight; "" otherwise.
+func (rw *groupAggRewriter) detect(call *jsoniq.FunctionCall) string {
+	agg, ok := jsoniqAggregates[call.Name]
+	if !ok || len(call.Args) != 1 {
+		return ""
 	}
-	return c, nil
+	if v, rooted := rootVar(call.Args[0]); !rooted || !rw.nonGrouping[v] {
+		return ""
+	}
+	spec := groupAggSpec{agg: agg, arg: call.Args[0]}
+	if agg == "COUNT" {
+		if vr, plain := call.Args[0].(*jsoniq.VarRef); plain && rw.nonNull[vr.Name] {
+			spec.arg = nil
+			spec.star = true
+		}
+	}
+	// Identical aggregates (e.g. the same sum in both order by and return)
+	// share one output column.
+	key := spec.agg
+	if spec.arg != nil {
+		key += " " + jsoniq.Format(spec.arg)
+	}
+	for _, existing := range rw.specs {
+		ek := existing.agg
+		if existing.arg != nil {
+			ek += " " + jsoniq.Format(existing.arg)
+		}
+		if ek == key {
+			return existing.name
+		}
+	}
+	spec.name = rw.tr.fresh("gagg")
+	rw.specs = append(rw.specs, spec)
+	return spec.name
 }

@@ -198,18 +198,9 @@ func (ctx *clauseContext) applyGroupBy(gb *jsoniq.GroupByClause, rest []jsoniq.C
 	// Aggregate detection: rewrite count($v...)/sum/avg/min/max into
 	// synthetic variables backed by SQL aggregates.
 	rw := &groupAggRewriter{tr: tr, nonGrouping: nonGrouping, nonNull: ctx.nonNull}
-	newRest := make([]jsoniq.Clause, len(rest))
-	for i, c := range rest {
-		nc, err := rw.rewriteClause(c)
-		if err != nil {
-			return nil, nil, err
-		}
-		newRest[i] = nc
-	}
-	newRet, err := rw.rewriteExpr(ret)
-	if err != nil {
-		return nil, nil, err
-	}
+	// The clauses after the group by and the return are rewritten as one
+	// FLWOR, so one that rebinds a grouped name ends that name's detection.
+	after := rw.rewrite(&jsoniq.FLWOR{Clauses: rest, Return: ret}).(*jsoniq.FLWOR)
 
 	var aggCols []snowpark.Column
 	for _, spec := range rw.specs {
@@ -233,17 +224,7 @@ func (ctx *clauseContext) applyGroupBy(gb *jsoniq.GroupByClause, rest []jsoniq.C
 	// arrays of their per-tuple values.
 	var arrayVars []string
 	for v := range nonGrouping {
-		used := false
-		for _, c := range newRest {
-			if jsoniq.ClauseUsesVar(c, v) {
-				used = true
-				break
-			}
-		}
-		if !used {
-			used = jsoniq.ExprUsesVar(newRet, v)
-		}
-		if used {
+		if jsoniq.ExprUsesVar(after, v) {
 			arrayVars = append(arrayVars, v)
 		}
 	}
@@ -274,7 +255,7 @@ func (ctx *clauseContext) applyGroupBy(gb *jsoniq.GroupByClause, rest []jsoniq.C
 	for v := range nonGrouping {
 		delete(tr.tableVars, v)
 	}
-	return newRest, newRet, nil
+	return after.Clauses, after.Return, nil
 }
 
 // colByName rebuilds a column reference, restoring the qualification of

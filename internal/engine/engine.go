@@ -466,15 +466,14 @@ func (p *Prepared) RunCtx(ctx context.Context) (*Result, error) {
 // PlanStats returns the annotated operator tree of a query prepared with
 // Analyze and executed with Run; nil otherwise — and nil for a result-cache
 // hit, which executed nothing, Analyze or not. Stats reflect execution so
-// far, so call it after Run completes.
+// far, so call it after Run completes: the root's typed, fallback and
+// disk-read counts are the ones Run filled into the result's Metrics.
 func (p *Prepared) PlanStats() *PlanStats {
 	if p.ctx == nil || !p.ctx.analyze {
 		return nil
 	}
 	ps := buildPlanStats(p.cp.plan, p.ctx)
-	ps.TypedCols = atomic.LoadInt64(&p.ctx.typedCols)
-	ps.FallbackCols = atomic.LoadInt64(&p.ctx.fallbackCols)
-	ps.DiskReads = atomic.LoadInt64(&p.ctx.diskReads)
+	ps.TypedCols, ps.FallbackCols, ps.DiskReads = p.metrics.TypedCols, p.metrics.FallbackCols, p.metrics.DiskReads
 	return ps
 }
 

@@ -206,7 +206,7 @@ func init() {
 		if err := arity("IFF", args, 3); err != nil {
 			return variant.Null, err
 		}
-		if !args[0].IsNull() && args[0].Kind() == variant.KindBool && args[0].AsBool() {
+		if truthySQL(args[0]) {
 			return args[1], nil
 		}
 		return args[2], nil

@@ -223,32 +223,13 @@ func simplifyExpr(e sqlast.Expr) sqlast.Expr {
 					return &sqlast.Lit{Value: v}
 				}
 			}
-			// Short circuits.
-			if x.Op == "AND" && ll.Value.Kind() == variant.KindBool {
-				if !ll.Value.AsBool() {
-					return &sqlast.Lit{Value: variant.Bool(false)}
-				}
-				return r
-			}
-			if x.Op == "OR" && ll.Value.Kind() == variant.KindBool {
-				if ll.Value.AsBool() {
-					return &sqlast.Lit{Value: variant.Bool(true)}
-				}
-				return r
+			if folded := shortCircuit(x.Op, ll, r); folded != nil {
+				return folded
 			}
 		}
-		if rl, rok := r.(*sqlast.Lit); rok && rl.Value.Kind() == variant.KindBool {
-			if x.Op == "AND" {
-				if !rl.Value.AsBool() {
-					return &sqlast.Lit{Value: variant.Bool(false)}
-				}
-				return l
-			}
-			if x.Op == "OR" {
-				if rl.Value.AsBool() {
-					return &sqlast.Lit{Value: variant.Bool(true)}
-				}
-				return l
+		if rl, rok := r.(*sqlast.Lit); rok {
+			if folded := shortCircuit(x.Op, rl, l); folded != nil {
+				return folded
 			}
 		}
 	case *sqlast.Unary:
@@ -269,6 +250,54 @@ func simplifyExpr(e sqlast.Expr) sqlast.Expr {
 		}
 	}
 	return e
+}
+
+// shortCircuit folds AND or OR (op) with the boolean literal lit on one side
+// and other on the other: a literal that decides the result (FALSE for AND,
+// TRUE for OR) gives it, and one that does not gives other, but only when
+// other is itself boolean-valued — the three-valued operator returns TRUE,
+// FALSE or NULL, never the value of a non-boolean operand. Anything else
+// stays (nil).
+func shortCircuit(op string, lit *sqlast.Lit, other sqlast.Expr) sqlast.Expr {
+	if (op != "AND" && op != "OR") || lit.Value.Kind() != variant.KindBool {
+		return nil
+	}
+	if decides := op == "OR"; lit.Value.AsBool() == decides {
+		return &sqlast.Lit{Value: variant.Bool(decides)}
+	}
+	if boolValued(other) {
+		return other
+	}
+	return nil
+}
+
+// boolValued reports whether e always evaluates to a boolean or NULL: a
+// boolean or NULL literal, a comparison, AND, OR, NOT, IS [NOT] NULL, or an
+// IFF or CASE whose every result is boolean-valued.
+func boolValued(e sqlast.Expr) bool {
+	switch x := e.(type) {
+	case *sqlast.Lit:
+		return x.Value.Kind() == variant.KindBool || x.Value.IsNull()
+	case *sqlast.Binary:
+		switch x.Op {
+		case "=", "<>", "<", "<=", ">", ">=", "AND", "OR":
+			return true
+		}
+	case *sqlast.Unary:
+		return x.Op == "NOT"
+	case *sqlast.IsNull:
+		return true
+	case *sqlast.FuncCall:
+		return strings.EqualFold(x.Name, "IFF") && len(x.Args) == 3 && boolValued(x.Args[1]) && boolValued(x.Args[2])
+	case *sqlast.CaseWhen:
+		for _, w := range x.Whens {
+			if !boolValued(w.Result) {
+				return false
+			}
+		}
+		return x.Else == nil || boolValued(x.Else)
+	}
+	return false
 }
 
 // foldGet rewrites GET over constructor calls: struct-field pushdown.

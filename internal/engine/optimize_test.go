@@ -149,6 +149,28 @@ func TestSimplifyFoldsConstants(t *testing.T) {
 	}
 }
 
+// TestLogicalShortCircuitsKeepTruth: TRUE AND x and x OR FALSE fold to x
+// only when x is boolean-valued — the operators return a boolean, never a
+// string or number operand — and IFF reads its condition's truth as AND,
+// OR, WHERE and CASE do.
+func TestLogicalShortCircuitsKeepTruth(t *testing.T) {
+	e := testEngine(t)
+	r := mustQuery(t, e, `SELECT TRUE AND "o_clerk", "o_id" OR FALSE, TRUE AND "o_id" - 1,
+		IFF("o_id", 'yes', 'no'), IFF("o_id" - 1, 'yes', 'no'), IFF("o_clerk", 'yes', 'no')
+		FROM "orders" WHERE "o_id" = 1`)
+	want := []variant.Value{variant.Bool(false), variant.Bool(true), variant.Bool(false),
+		variant.String("yes"), variant.String("no"), variant.String("no")}
+	for i, w := range want {
+		if got := r.Rows[0][i]; !variant.Equal(got, w) {
+			t.Errorf("column %d = %s, want %s", i, got.JSON(), w.JSON())
+		}
+	}
+	plan := planOf(t, e, `SELECT "o_id" FROM "orders" WHERE TRUE AND "o_id" > 1 AND (FALSE OR "o_id" < 4)`)
+	if strings.Contains(plan, "TRUE") || strings.Contains(plan, "FALSE") {
+		t.Errorf("short circuit over a comparison not folded:\n%s", plan)
+	}
+}
+
 func TestGetArrayConstructFolding(t *testing.T) {
 	e := testEngine(t)
 	r := mustQuery(t, e, `SELECT GET(ARRAY_CONSTRUCT("o_id", "o_custkey"), 1) AS "x" FROM "orders" ORDER BY "x" ASC LIMIT 1`)

@@ -63,7 +63,12 @@ type Iterator struct {
 
 // Build converts an expression tree into an iterator tree.
 func Build(e jsoniq.Expr) (*Iterator, error) {
-	return buildExpr(e)
+	var b builder
+	it := b.expr(e)
+	if b.err != nil {
+		return nil, b.err
+	}
+	return it, nil
 }
 
 // MustBuild is Build that panics on error.
@@ -75,116 +80,35 @@ func MustBuild(e jsoniq.Expr) *Iterator {
 	return it
 }
 
-func buildExpr(e jsoniq.Expr) (*Iterator, error) {
-	switch x := e.(type) {
-	case *jsoniq.Literal:
-		return &Iterator{Kind: KindLiteral, Expr: e}, nil
-	case *jsoniq.VarRef:
-		return &Iterator{Kind: KindVariable, Expr: e}, nil
-	case *jsoniq.Collection:
-		return &Iterator{Kind: KindCollection, Expr: e}, nil
-	case *jsoniq.FieldAccess:
-		base, err := buildExpr(x.Base)
-		if err != nil {
-			return nil, err
-		}
-		return &Iterator{Kind: KindFieldAccess, Expr: e, Children: []*Iterator{base}}, nil
-	case *jsoniq.ArrayUnbox:
-		base, err := buildExpr(x.Base)
-		if err != nil {
-			return nil, err
-		}
-		return &Iterator{Kind: KindUnbox, Expr: e, Children: []*Iterator{base}}, nil
-	case *jsoniq.ArrayIndex:
-		base, err := buildExpr(x.Base)
-		if err != nil {
-			return nil, err
-		}
-		idx, err := buildExpr(x.Index)
-		if err != nil {
-			return nil, err
-		}
-		return &Iterator{Kind: KindIndex, Expr: e, Children: []*Iterator{base, idx}}, nil
-	case *jsoniq.ObjectCtor:
-		it := &Iterator{Kind: KindObjectCtor, Expr: e}
-		for _, v := range x.Values {
-			c, err := buildExpr(v)
-			if err != nil {
-				return nil, err
-			}
-			it.Children = append(it.Children, c)
-		}
-		return it, nil
-	case *jsoniq.ArrayCtor:
-		it := &Iterator{Kind: KindArrayCtor, Expr: e}
-		for _, v := range x.Items {
-			c, err := buildExpr(v)
-			if err != nil {
-				return nil, err
-			}
-			it.Children = append(it.Children, c)
-		}
-		return it, nil
-	case *jsoniq.Binary:
-		l, err := buildExpr(x.Left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := buildExpr(x.Right)
-		if err != nil {
-			return nil, err
-		}
-		kind := KindArithmetic
-		switch x.Op {
-		case jsoniq.OpEq, jsoniq.OpNe, jsoniq.OpLt, jsoniq.OpLe, jsoniq.OpGt, jsoniq.OpGe:
-			kind = KindComparison
-		case jsoniq.OpAnd, jsoniq.OpOr:
-			kind = KindLogical
-		case jsoniq.OpTo:
-			kind = KindRange
-		case jsoniq.OpConcat:
-			kind = KindConcat
-		}
-		return &Iterator{Kind: kind, Expr: e, Children: []*Iterator{l, r}}, nil
-	case *jsoniq.Unary:
-		o, err := buildExpr(x.Operand)
-		if err != nil {
-			return nil, err
-		}
-		return &Iterator{Kind: KindUnary, Expr: e, Children: []*Iterator{o}}, nil
-	case *jsoniq.If:
-		cond, err := buildExpr(x.Cond)
-		if err != nil {
-			return nil, err
-		}
-		then, err := buildExpr(x.Then)
-		if err != nil {
-			return nil, err
-		}
-		els, err := buildExpr(x.Else)
-		if err != nil {
-			return nil, err
-		}
-		return &Iterator{Kind: KindConditional, Expr: e, Children: []*Iterator{cond, then, els}}, nil
-	case *jsoniq.FunctionCall:
-		it := &Iterator{Kind: KindFunction, Expr: e}
-		for _, a := range x.Args {
-			c, err := buildExpr(a)
-			if err != nil {
-				return nil, err
-			}
-			it.Children = append(it.Children, c)
-		}
-		return it, nil
-	case *jsoniq.FLWOR:
-		return buildFLWOR(x)
+// builder builds one iterator per node over jsoniq.MapChildren and
+// jsoniq.MapClause, keeping the first error.
+type builder struct{ err error }
+
+func (b *builder) expr(e jsoniq.Expr) *Iterator {
+	if f, ok := e.(*jsoniq.FLWOR); ok {
+		return b.flwor(f)
 	}
-	return nil, fmt.Errorf("iterplan: unsupported expression %T", e)
+	it := &Iterator{Kind: exprKind(e), Expr: e}
+	if it.Kind == "" && b.err == nil {
+		b.err = fmt.Errorf("iterplan: unsupported expression %T", e)
+	}
+	jsoniq.MapChildren(e, b.appendTo(&it.Children))
+	return it
 }
 
-// buildFLWOR chains clause iterators left-to-right and roots the chain in a
-// return iterator.
-func buildFLWOR(f *jsoniq.FLWOR) (*Iterator, error) {
+// appendTo returns a child callback that appends the iterator of each
+// expression it is handed to out.
+func (b *builder) appendTo(out *[]*Iterator) func(jsoniq.Expr) jsoniq.Expr {
+	return func(c jsoniq.Expr) jsoniq.Expr {
+		*out = append(*out, b.expr(c))
+		return c
+	}
+}
+
+// flwor chains clause iterators left-to-right and roots the chain in a
+// return iterator: each one's left child is the preceding clause's iterator
+// and its right children are the iterators of the clause's expressions.
+func (b *builder) flwor(f *jsoniq.FLWOR) *Iterator {
 	var prev *Iterator
 	link := func(it *Iterator, rights []*Iterator) {
 		it.IsFLWOR = true
@@ -197,67 +121,60 @@ func buildFLWOR(f *jsoniq.FLWOR) (*Iterator, error) {
 		prev = it
 	}
 	for _, c := range f.Clauses {
-		switch cl := c.(type) {
-		case *jsoniq.ForClause:
-			in, err := buildExpr(cl.In)
-			if err != nil {
-				return nil, err
-			}
-			link(&Iterator{Kind: KindFor, Clause: cl}, []*Iterator{in})
-		case *jsoniq.LetClause:
-			expr, err := buildExpr(cl.Expr)
-			if err != nil {
-				return nil, err
-			}
-			link(&Iterator{Kind: KindLet, Clause: cl}, []*Iterator{expr})
-		case *jsoniq.WhereClause:
-			cond, err := buildExpr(cl.Cond)
-			if err != nil {
-				return nil, err
-			}
-			link(&Iterator{Kind: KindWhere, Clause: cl}, []*Iterator{cond})
-		case *jsoniq.GroupByClause:
-			var rights []*Iterator
-			for _, k := range cl.Keys {
-				if k.Expr == nil {
-					continue
-				}
-				keyIt, err := buildExpr(k.Expr)
-				if err != nil {
-					return nil, err
-				}
-				rights = append(rights, keyIt)
-			}
-			link(&Iterator{Kind: KindGroupBy, Clause: cl}, rights)
-		case *jsoniq.OrderByClause:
-			var rights []*Iterator
-			for _, k := range cl.Keys {
-				keyIt, err := buildExpr(k.Expr)
-				if err != nil {
-					return nil, err
-				}
-				rights = append(rights, keyIt)
-			}
-			link(&Iterator{Kind: KindOrderBy, Clause: cl}, rights)
-		case *jsoniq.CountClause:
-			link(&Iterator{Kind: KindCount, Clause: cl}, nil)
-		default:
-			return nil, fmt.Errorf("iterplan: unsupported clause %T", c)
+		var rights []*Iterator
+		jsoniq.MapClause(c, b.appendTo(&rights))
+		link(&Iterator{Kind: clauseKinds[c.Kind()], Clause: c}, rights)
+	}
+	link(&Iterator{Kind: KindReturn, Expr: f}, []*Iterator{b.expr(f.Return)})
+	return prev
+}
+
+// clauseKinds maps a clause keyword (jsoniq.Clause.Kind) to its iterator
+// kind.
+var clauseKinds = map[string]Kind{
+	"for": KindFor, "let": KindLet, "where": KindWhere,
+	"group by": KindGroupBy, "order by": KindOrderBy, "count": KindCount,
+}
+
+// exprKind maps an expression node to its iterator kind; "" for none.
+func exprKind(e jsoniq.Expr) Kind {
+	switch x := e.(type) {
+	case *jsoniq.Literal:
+		return KindLiteral
+	case *jsoniq.VarRef:
+		return KindVariable
+	case *jsoniq.Collection:
+		return KindCollection
+	case *jsoniq.FieldAccess:
+		return KindFieldAccess
+	case *jsoniq.ArrayUnbox:
+		return KindUnbox
+	case *jsoniq.ArrayIndex:
+		return KindIndex
+	case *jsoniq.ObjectCtor:
+		return KindObjectCtor
+	case *jsoniq.ArrayCtor:
+		return KindArrayCtor
+	case *jsoniq.Binary:
+		switch x.Op {
+		case jsoniq.OpEq, jsoniq.OpNe, jsoniq.OpLt, jsoniq.OpLe, jsoniq.OpGt, jsoniq.OpGe:
+			return KindComparison
+		case jsoniq.OpAnd, jsoniq.OpOr:
+			return KindLogical
+		case jsoniq.OpTo:
+			return KindRange
+		case jsoniq.OpConcat:
+			return KindConcat
 		}
+		return KindArithmetic
+	case *jsoniq.Unary:
+		return KindUnary
+	case *jsoniq.If:
+		return KindConditional
+	case *jsoniq.FunctionCall:
+		return KindFunction
 	}
-	ret, err := buildExpr(f.Return)
-	if err != nil {
-		return nil, err
-	}
-	root := &Iterator{Kind: KindReturn, Expr: f}
-	root.IsFLWOR = true
-	root.Left = prev
-	root.Right = []*Iterator{ret}
-	if prev != nil {
-		root.Children = append(root.Children, prev)
-	}
-	root.Children = append(root.Children, ret)
-	return root, nil
+	return ""
 }
 
 // Census counts iterators, split into FLWOR clause iterators and the rest —

@@ -2,6 +2,8 @@ package jsoniq
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 
 	"jsonpark/internal/obsv"
@@ -129,321 +131,87 @@ func (m *Module) Inline() (Expr, error) {
 		decls[d.Name] = d
 	}
 	in := &inliner{decls: decls}
-	return in.expr(m.Body, nil)
+	out := in.expr(m.Body)
+	if in.err != nil {
+		return nil, in.err
+	}
+	return out, nil
 }
 
 type inliner struct {
 	decls  map[string]FunctionDecl
 	fresh  int
 	active []string // call stack for recursion detection
+	err    error    // the first error; the rewrite stops there
 }
 
-func (in *inliner) expr(e Expr, subst map[string]Expr) (Expr, error) {
-	switch x := e.(type) {
-	case nil:
-		return nil, nil
-	case *Literal, *Collection:
-		return e, nil
-	case *VarRef:
-		if subst != nil {
-			if repl, ok := subst[x.Name]; ok {
-				return repl, nil
-			}
-		}
-		return e, nil
-	case *FieldAccess:
-		base, err := in.expr(x.Base, subst)
-		if err != nil {
-			return nil, err
-		}
-		return &FieldAccess{pos: x.pos, Base: base, Field: x.Field}, nil
-	case *ArrayUnbox:
-		base, err := in.expr(x.Base, subst)
-		if err != nil {
-			return nil, err
-		}
-		return &ArrayUnbox{pos: x.pos, Base: base}, nil
-	case *ArrayIndex:
-		base, err := in.expr(x.Base, subst)
-		if err != nil {
-			return nil, err
-		}
-		idx, err := in.expr(x.Index, subst)
-		if err != nil {
-			return nil, err
-		}
-		return &ArrayIndex{pos: x.pos, Base: base, Index: idx}, nil
-	case *ObjectCtor:
-		out := &ObjectCtor{pos: x.pos, Keys: x.Keys}
-		for _, v := range x.Values {
-			nv, err := in.expr(v, subst)
-			if err != nil {
-				return nil, err
-			}
-			out.Values = append(out.Values, nv)
-		}
-		return out, nil
-	case *ArrayCtor:
-		out := &ArrayCtor{pos: x.pos}
-		for _, v := range x.Items {
-			nv, err := in.expr(v, subst)
-			if err != nil {
-				return nil, err
-			}
-			out.Items = append(out.Items, nv)
-		}
-		return out, nil
-	case *Binary:
-		l, err := in.expr(x.Left, subst)
-		if err != nil {
-			return nil, err
-		}
-		r, err := in.expr(x.Right, subst)
-		if err != nil {
-			return nil, err
-		}
-		return &Binary{pos: x.pos, Op: x.Op, Left: l, Right: r}, nil
-	case *Unary:
-		o, err := in.expr(x.Operand, subst)
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{pos: x.pos, Op: x.Op, Operand: o}, nil
-	case *If:
-		cond, err := in.expr(x.Cond, subst)
-		if err != nil {
-			return nil, err
-		}
-		then, err := in.expr(x.Then, subst)
-		if err != nil {
-			return nil, err
-		}
-		els, err := in.expr(x.Else, subst)
-		if err != nil {
-			return nil, err
-		}
-		return &If{pos: x.pos, Cond: cond, Then: then, Else: els}, nil
-	case *FunctionCall:
-		args := make([]Expr, len(x.Args))
-		for i, a := range x.Args {
-			na, err := in.expr(a, subst)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = na
-		}
-		decl, isUser := in.decls[x.Name]
-		if !isUser {
-			return &FunctionCall{pos: x.pos, Name: x.Name, Args: args}, nil
-		}
-		for _, active := range in.active {
-			if active == x.Name {
-				return nil, fmt.Errorf("jsoniq: recursive functions are not supported (cycle through %s)", x.Name)
-			}
-		}
-		if len(args) != len(decl.Params) {
-			return nil, fmt.Errorf("jsoniq: %s expects %d arguments, got %d", x.Name, len(decl.Params), len(args))
-		}
-		// Alpha-rename the body's bound variables, bind parameters to the
-		// (already inlined) argument expressions, then inline the body
-		// itself so nested user-function calls resolve too.
-		body := in.renameBound(decl.Body)
-		paramSubst := make(map[string]Expr, len(args))
-		for i, p := range decl.Params {
-			paramSubst[p] = args[i]
-		}
-		in.active = append(in.active, x.Name)
-		out, err := in.expr(body, paramSubst)
-		in.active = in.active[:len(in.active)-1]
-		return out, err
-	case *FLWOR:
-		out := &FLWOR{pos: x.pos}
-		for _, c := range x.Clauses {
-			nc, err := in.clause(c, subst)
-			if err != nil {
-				return nil, err
-			}
-			out.Clauses = append(out.Clauses, nc)
-		}
-		ret, err := in.expr(x.Return, subst)
-		if err != nil {
-			return nil, err
-		}
-		out.Return = ret
-		return out, nil
-	}
-	return nil, fmt.Errorf("jsoniq: cannot inline through %T", e)
-}
-
-func (in *inliner) clause(c Clause, subst map[string]Expr) (Clause, error) {
-	switch cl := c.(type) {
-	case *ForClause:
-		e, err := in.expr(cl.In, subst)
-		if err != nil {
-			return nil, err
-		}
-		out := *cl
-		out.In = e
-		return &out, nil
-	case *LetClause:
-		e, err := in.expr(cl.Expr, subst)
-		if err != nil {
-			return nil, err
-		}
-		out := *cl
-		out.Expr = e
-		return &out, nil
-	case *WhereClause:
-		e, err := in.expr(cl.Cond, subst)
-		if err != nil {
-			return nil, err
-		}
-		out := *cl
-		out.Cond = e
-		return &out, nil
-	case *GroupByClause:
-		out := &GroupByClause{pos: cl.pos}
-		for _, k := range cl.Keys {
-			nk := k
-			if k.Expr != nil {
-				e, err := in.expr(k.Expr, subst)
-				if err != nil {
-					return nil, err
-				}
-				nk.Expr = e
-			}
-			out.Keys = append(out.Keys, nk)
-		}
-		return out, nil
-	case *OrderByClause:
-		out := &OrderByClause{pos: cl.pos}
-		for _, k := range cl.Keys {
-			e, err := in.expr(k.Expr, subst)
-			if err != nil {
-				return nil, err
-			}
-			out.Keys = append(out.Keys, OrderKey{Expr: e, Descending: k.Descending})
-		}
-		return out, nil
-	case *CountClause:
-		out := *cl
-		return &out, nil
-	}
-	return nil, fmt.Errorf("jsoniq: cannot inline through clause %T", c)
-}
-
-// renameBound rewrites every variable bound inside the body (by for, let,
-// group by or count clauses) to a fresh name, preventing capture of caller
-// variables passed in argument expressions.
-func (in *inliner) renameBound(e Expr) Expr {
-	renames := map[string]string{}
-	var walkE func(Expr) Expr
-	var walkC func(Clause) Clause
-	rename := func(name string) string {
-		if nn, ok := renames[name]; ok {
-			return nn
-		}
-		in.fresh++
-		nn := name + "#inl" + strconv.Itoa(in.fresh)
-		renames[name] = nn
-		return nn
-	}
-	ref := func(name string) string {
-		if nn, ok := renames[name]; ok {
-			return nn
-		}
-		return name
-	}
-	walkC = func(c Clause) Clause {
-		switch cl := c.(type) {
-		case *ForClause:
-			out := *cl
-			out.In = walkE(cl.In) // bindings scope over later clauses only
-			out.Var = rename(cl.Var)
-			if cl.PosVar != "" {
-				out.PosVar = rename(cl.PosVar)
-			}
-			return &out
-		case *LetClause:
-			out := *cl
-			out.Expr = walkE(cl.Expr)
-			out.Var = rename(cl.Var)
-			return &out
-		case *WhereClause:
-			out := *cl
-			out.Cond = walkE(cl.Cond)
-			return &out
-		case *GroupByClause:
-			out := &GroupByClause{pos: cl.pos}
-			for _, k := range cl.Keys {
-				nk := k
-				if k.Expr != nil {
-					nk.Expr = walkE(k.Expr)
-				}
-				nk.Var = rename(k.Var)
-				out.Keys = append(out.Keys, nk)
-			}
-			return out
-		case *OrderByClause:
-			out := &OrderByClause{pos: cl.pos}
-			for _, k := range cl.Keys {
-				out.Keys = append(out.Keys, OrderKey{Expr: walkE(k.Expr), Descending: k.Descending})
-			}
-			return out
-		case *CountClause:
-			out := *cl
-			out.Var = rename(cl.Var)
-			return &out
-		}
-		return c
-	}
-	walkE = func(e Expr) Expr {
-		switch x := e.(type) {
-		case nil:
-			return nil
-		case *Literal, *Collection:
-			return e
-		case *VarRef:
-			return &VarRef{pos: x.pos, Name: ref(x.Name)}
-		case *FieldAccess:
-			return &FieldAccess{pos: x.pos, Base: walkE(x.Base), Field: x.Field}
-		case *ArrayUnbox:
-			return &ArrayUnbox{pos: x.pos, Base: walkE(x.Base)}
-		case *ArrayIndex:
-			return &ArrayIndex{pos: x.pos, Base: walkE(x.Base), Index: walkE(x.Index)}
-		case *ObjectCtor:
-			out := &ObjectCtor{pos: x.pos, Keys: x.Keys}
-			for _, v := range x.Values {
-				out.Values = append(out.Values, walkE(v))
-			}
-			return out
-		case *ArrayCtor:
-			out := &ArrayCtor{pos: x.pos}
-			for _, v := range x.Items {
-				out.Items = append(out.Items, walkE(v))
-			}
-			return out
-		case *Binary:
-			return &Binary{pos: x.pos, Op: x.Op, Left: walkE(x.Left), Right: walkE(x.Right)}
-		case *Unary:
-			return &Unary{pos: x.pos, Op: x.Op, Operand: walkE(x.Operand)}
-		case *If:
-			return &If{pos: x.pos, Cond: walkE(x.Cond), Then: walkE(x.Then), Else: walkE(x.Else)}
-		case *FunctionCall:
-			out := &FunctionCall{pos: x.pos, Name: x.Name}
-			for _, a := range x.Args {
-				out.Args = append(out.Args, walkE(a))
-			}
-			return out
-		case *FLWOR:
-			out := &FLWOR{pos: x.pos}
-			for _, c := range x.Clauses {
-				out.Clauses = append(out.Clauses, walkC(c))
-			}
-			out.Return = walkE(x.Return)
-			return out
-		}
+// expr inlines every user-function call in e, bottom-up: a call's arguments
+// are inlined before its body replaces it.
+func (in *inliner) expr(e Expr) Expr {
+	if in.err != nil {
 		return e
 	}
-	return walkE(e)
+	e = MapChildren(e, in.expr)
+	x, ok := e.(*FunctionCall)
+	if !ok {
+		return e
+	}
+	decl, isUser := in.decls[x.Name]
+	if !isUser || in.err != nil {
+		return e
+	}
+	if slices.Contains(in.active, x.Name) {
+		in.err = fmt.Errorf("jsoniq: recursive functions are not supported (cycle through %s)", x.Name)
+		return e
+	}
+	if len(x.Args) != len(decl.Params) {
+		in.err = fmt.Errorf("jsoniq: %s expects %d arguments, got %d", x.Name, len(decl.Params), len(x.Args))
+		return e
+	}
+	// Bind the parameters to the (already inlined) argument expressions,
+	// then inline the body itself so nested user-function calls resolve too.
+	env := make(map[string]Expr, len(x.Args))
+	for i, p := range decl.Params {
+		env[p] = x.Args[i]
+	}
+	in.active = append(in.active, x.Name)
+	out := in.expr(in.substitute(decl.Body, env))
+	in.active = in.active[:len(in.active)-1]
+	return out
+}
+
+// substitute returns e with each free reference to a name of env replaced
+// by its expression, and every variable a FLWOR inside e binds renamed to a
+// fresh name, so a binding of the body can capture no variable of an
+// argument. A renamed binding holds for the later clauses and the return of
+// its FLWOR only (MapBound): there the old name means the new one.
+func (in *inliner) substitute(e Expr, env map[string]Expr) Expr {
+	switch x := e.(type) {
+	case *VarRef:
+		if repl, ok := env[x.Name]; ok {
+			return repl
+		}
+		return e
+	case *FLWOR:
+		env = maps.Clone(env)
+		out := &FLWOR{pos: x.pos, Clauses: make([]Clause, len(x.Clauses))}
+		for i, c := range x.Clauses {
+			var renamed [][2]string // {old, new}
+			c = MapBound(c, func(v string) string {
+				in.fresh++
+				nv := v + "#inl" + strconv.Itoa(in.fresh)
+				renamed = append(renamed, [2]string{v, nv})
+				return nv
+			})
+			// The clause's expressions, a renamed `group by $k`'s read of
+			// $k included, still see the outer bindings.
+			out.Clauses[i] = MapClause(c, func(c Expr) Expr { return in.substitute(c, env) })
+			for _, r := range renamed {
+				env[r[0]] = &VarRef{pos: x.pos, Name: r[1]}
+			}
+		}
+		out.Return = in.substitute(x.Return, env)
+		return out
+	}
+	return MapChildren(e, func(c Expr) Expr { return in.substitute(c, env) })
 }

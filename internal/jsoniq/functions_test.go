@@ -131,3 +131,44 @@ func TestProloglessQueriesUnchanged(t *testing.T) {
 		t.Fatalf("top = %T", e)
 	}
 }
+
+func TestInlineRenamesPerScope(t *testing.T) {
+	// The body rebinds its parameter's name inside a nested FLWOR only: the
+	// renaming of that binding must not reach the parameter's reads outside
+	// it, which take the argument.
+	e, err := Parse(`
+		declare function local:g($x) { let $y := (for $x in [10][] return $x) return $x + size($y) }
+		for $e in collection("data") return local:g($e.id)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := Format(e)
+	if !strings.Contains(text, "return ($e.id + size($y#inl") {
+		t.Errorf("the parameter outside the nested FLWOR is not the argument: %s", text)
+	}
+	Walk(e, func(n Expr) bool {
+		if v, ok := n.(*VarRef); ok && ExprUsesVar(e, v.Name) {
+			t.Errorf("$%s is unbound in %s", v.Name, text)
+		}
+		return true
+	})
+}
+
+func TestInlineRegroupsRenamedVariable(t *testing.T) {
+	// `group by $k` in a body reads $k: renamed, the key keeps that read,
+	// through the renaming of $k's own binding or the parameter's argument.
+	for src, want := range map[string]string{
+		`declare function local:f($xs) { for $v in $xs[] let $k := $v.g group by $k return $k }
+		 for $e in collection("c") return local:f($e.vs)`: `(for $e in collection("c") return (for $v#inl1 in $e.vs[] let $k#inl2 := $v#inl1.g group by $k#inl3 := $k#inl2 return $k#inl3))`,
+		`declare function local:f($xs, $k) { for $v in $xs[] group by $k return $k }
+		 for $e in collection("c") return local:f($e.vs, $e.g)`: `(for $e in collection("c") return (for $v#inl1 in $e.vs[] group by $k#inl2 := $e.g return $k#inl2))`,
+	} {
+		e, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := Format(e); got != want {
+			t.Errorf("inlined\n%s\nwant\n%s", got, want)
+		}
+	}
+}

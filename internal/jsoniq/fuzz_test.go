@@ -1,0 +1,79 @@
+package jsoniq_test
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+
+	"jsonpark/internal/adl"
+	"jsonpark/internal/jsoniq"
+	"jsonpark/internal/ssb"
+)
+
+// FuzzJSONiqParse: on any input the lexer, parser and inliner return
+// without panicking or hanging, and for any text that parses Rewrite leaves
+// its input as it was (by Format) and is idempotent. The seeds are ADL
+// q1–q8, SSB's JSONiq texts and every query written out in the core and
+// jsoniq tests, the `declare function` modules included.
+func FuzzJSONiqParse(f *testing.F) {
+	for _, q := range adl.Queries() {
+		f.Add(q.JSONiq)
+	}
+	for _, q := range ssb.Queries() {
+		f.Add(q.JSONiq)
+	}
+	for _, src := range testQueries(f, "../core/*_test.go", "*_test.go") {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		e, err := jsoniq.Parse(src)
+		if err != nil {
+			return
+		}
+		before := jsoniq.Format(e)
+		once := jsoniq.Rewrite(e)
+		if after := jsoniq.Format(e); after != before {
+			t.Fatalf("Rewrite changed its input:\n%s\nwas\n%s", after, before)
+		}
+		text := jsoniq.Format(once)
+		if twice := jsoniq.Format(jsoniq.Rewrite(once)); twice != text {
+			t.Fatalf("Rewrite is not idempotent on %q:\n%s\nthen\n%s", src, text, twice)
+		}
+	})
+}
+
+// testQueries returns the raw string literals of the Go files matching the
+// patterns that parse as JSONiq queries.
+func testQueries(tb testing.TB, patterns ...string) []string {
+	tb.Helper()
+	var out []string
+	for _, pattern := range patterns {
+		files, err := filepath.Glob(pattern)
+		if err != nil || len(files) == 0 {
+			tb.Fatalf("no files match %s (%v)", pattern, err)
+		}
+		for _, name := range files {
+			f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.SkipObjectResolution)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				lit, ok := n.(*ast.BasicLit)
+				if !ok || lit.Kind != token.STRING || !strings.HasPrefix(lit.Value, "`") {
+					return true
+				}
+				if src, err := strconv.Unquote(lit.Value); err == nil {
+					if _, err := jsoniq.Parse(src); err == nil {
+						out = append(out, src)
+					}
+				}
+				return true
+			})
+		}
+	}
+	return out
+}

@@ -346,9 +346,18 @@ func TestRewriteConstantFolding(t *testing.T) {
 	if !ok || lit.Value.Truthy() {
 		t.Fatalf("x and false should fold to false, got %v", Format(e))
 	}
-	e = Rewrite(MustParse(`$x or false`))
-	if _, ok := e.(*VarRef); !ok {
-		t.Fatalf("x or false should fold to $x, got %v", Format(e))
+	// A literal that does not decide the result leaves the other side's
+	// effective boolean value, not the side itself.
+	for src, want := range map[string]string{
+		`$x or false`:        `boolean($x)`,
+		`true and $x`:        `boolean($x)`,
+		`true and ($x lt 1)`: `($x lt 1)`,
+		`false or not($x)`:   `not($x)`,
+		`true and 5`:         `true`,
+	} {
+		if got := Format(Rewrite(MustParse(src))); got != want {
+			t.Errorf("Rewrite(%s) = %s, want %s", src, got, want)
+		}
 	}
 }
 

@@ -1,45 +1,21 @@
 package jsoniq
 
 import (
+	"slices"
+
 	"jsonpark/internal/variant"
 )
 
 // Rewrite applies back-end-agnostic expression-tree optimizations, mirroring
 // RumbleDB's rewrite phase (§III-A2): constant folding of arithmetic, logic
 // and conditionals over literals, and elimination of let-bound variables
-// that are never referenced (dead code elimination).
+// that are never referenced (dead code elimination). It rewrites bottom-up
+// in one pass through MapChildren, so it never modifies e: the result shares
+// every subtree that did not change, and is e itself when nothing did.
 func Rewrite(e Expr) Expr {
-	e = foldConstants(e)
-	e = eliminateDeadLets(e)
-	return e
-}
-
-func foldConstants(e Expr) Expr {
+	e = MapChildren(e, Rewrite)
 	switch x := e.(type) {
-	case *Literal, *VarRef, *Collection:
-		return e
-	case *FieldAccess:
-		x.Base = foldConstants(x.Base)
-		return x
-	case *ArrayUnbox:
-		x.Base = foldConstants(x.Base)
-		return x
-	case *ArrayIndex:
-		x.Base = foldConstants(x.Base)
-		x.Index = foldConstants(x.Index)
-		return x
-	case *ObjectCtor:
-		for i := range x.Values {
-			x.Values[i] = foldConstants(x.Values[i])
-		}
-		return x
-	case *ArrayCtor:
-		for i := range x.Items {
-			x.Items[i] = foldConstants(x.Items[i])
-		}
-		return x
 	case *Unary:
-		x.Operand = foldConstants(x.Operand)
 		if lit, ok := x.Operand.(*Literal); ok {
 			switch x.Op {
 			case "-":
@@ -50,92 +26,74 @@ func foldConstants(e Expr) Expr {
 				return &Literal{pos: x.pos, Value: variant.Bool(!lit.Value.Truthy())}
 			}
 		}
-		return x
 	case *Binary:
-		x.Left = foldConstants(x.Left)
-		x.Right = foldConstants(x.Right)
-		l, lok := x.Left.(*Literal)
-		r, rok := x.Right.(*Literal)
-		if lok && rok {
-			if v, ok := foldBinary(x.Op, l.Value, r.Value); ok {
-				return &Literal{pos: x.pos, Value: v}
-			}
-		}
-		// Logical short circuits with one literal side.
-		if x.Op == OpAnd {
-			if lok && !l.Value.Truthy() {
-				return &Literal{pos: x.pos, Value: variant.Bool(false)}
-			}
-			if lok && l.Value.Truthy() {
-				return x.Right
-			}
-			if rok {
-				if !r.Value.Truthy() {
-					return &Literal{pos: x.pos, Value: variant.Bool(false)}
-				}
-				return x.Left
-			}
-		}
-		if x.Op == OpOr {
-			if lok && l.Value.Truthy() {
-				return &Literal{pos: x.pos, Value: variant.Bool(true)}
-			}
-			if lok && !l.Value.Truthy() {
-				return x.Right
-			}
-			if rok {
-				if r.Value.Truthy() {
-					return &Literal{pos: x.pos, Value: variant.Bool(true)}
-				}
-				return x.Left
-			}
-		}
-		return x
+		return foldBinaryExpr(x)
 	case *If:
-		x.Cond = foldConstants(x.Cond)
-		x.Then = foldConstants(x.Then)
-		x.Else = foldConstants(x.Else)
 		if lit, ok := x.Cond.(*Literal); ok {
 			if lit.Value.Truthy() {
 				return x.Then
 			}
 			return x.Else
 		}
-		return x
-	case *FunctionCall:
-		for i := range x.Args {
-			x.Args[i] = foldConstants(x.Args[i])
-		}
-		return x
 	case *FLWOR:
-		for _, c := range x.Clauses {
-			foldClause(c)
-		}
-		x.Return = foldConstants(x.Return)
-		return x
+		return dropDeadLets(x)
 	}
 	return e
 }
 
-func foldClause(c Clause) {
-	switch cl := c.(type) {
-	case *ForClause:
-		cl.In = foldConstants(cl.In)
-	case *LetClause:
-		cl.Expr = foldConstants(cl.Expr)
-	case *WhereClause:
-		cl.Cond = foldConstants(cl.Cond)
-	case *GroupByClause:
-		for i := range cl.Keys {
-			if cl.Keys[i].Expr != nil {
-				cl.Keys[i].Expr = foldConstants(cl.Keys[i].Expr)
-			}
-		}
-	case *OrderByClause:
-		for i := range cl.Keys {
-			cl.Keys[i].Expr = foldConstants(cl.Keys[i].Expr)
+// foldBinaryExpr folds an operator over two literals, and a logical operator
+// with one literal side: a side that decides the result (false for and,
+// true for or) gives it, and a side that does not leaves the effective
+// boolean value of the other side, never the other side's own value.
+func foldBinaryExpr(x *Binary) Expr {
+	l, lok := x.Left.(*Literal)
+	r, rok := x.Right.(*Literal)
+	if lok && rok {
+		if v, ok := foldBinary(x.Op, l.Value, r.Value); ok {
+			return &Literal{pos: x.pos, Value: v}
 		}
 	}
+	if x.Op != OpAnd && x.Op != OpOr {
+		return x
+	}
+	decides := x.Op == OpOr
+	switch {
+	case lok && l.Value.Truthy() == decides, rok && r.Value.Truthy() == decides:
+		return &Literal{pos: x.pos, Value: variant.Bool(decides)}
+	case lok:
+		return asBoolean(x.Right)
+	case rok:
+		return asBoolean(x.Left)
+	}
+	return x
+}
+
+// asBoolean returns an expression for e's effective boolean value: e itself
+// when it already is a boolean (a comparison, and, or, not, boolean(),
+// exists() or empty()), the truth of a literal, else boolean(e).
+func asBoolean(e Expr) Expr {
+	switch x := e.(type) {
+	case *Literal:
+		if x.Value.Kind() != variant.KindBool {
+			return &Literal{pos: x.pos, Value: variant.Bool(x.Value.Truthy())}
+		}
+		return e
+	case *Binary:
+		if x.Op >= OpEq && x.Op <= OpOr {
+			return e
+		}
+	case *Unary:
+		if x.Op == "not" {
+			return e
+		}
+	case *FunctionCall:
+		switch x.Name {
+		case "boolean", "not", "exists", "empty":
+			return e
+		}
+	}
+	line, col := e.Pos()
+	return &FunctionCall{pos: pos{line, col}, Name: "boolean", Args: []Expr{e}}
 }
 
 func foldBinary(op BinaryOp, l, r variant.Value) (variant.Value, bool) {
@@ -180,188 +138,25 @@ func foldBinary(op BinaryOp, l, r variant.Value) (variant.Value, bool) {
 	return v, true
 }
 
-// eliminateDeadLets removes let clauses whose variable is never referenced
-// by later clauses or the return expression.
-func eliminateDeadLets(e Expr) Expr {
-	switch x := e.(type) {
-	case *FLWOR:
-		for _, c := range x.Clauses {
-			rewriteClauseChildren(c)
+// dropDeadLets removes the let clauses of f whose variable no later clause
+// and not the return reads. It walks the clauses back to front, so a let
+// read only by a dead let is dead too.
+func dropDeadLets(f *FLWOR) Expr {
+	cs := f.Clauses
+	for i := len(cs) - 1; i >= 0; i-- {
+		let, ok := cs[i].(*LetClause)
+		if !ok || chainUsesVar(cs[i+1:], f.Return, let.Var) {
+			continue
 		}
-		x.Return = eliminateDeadLets(x.Return)
-		kept := x.Clauses[:0]
-		for i, c := range x.Clauses {
-			let, ok := c.(*LetClause)
-			if !ok {
-				kept = append(kept, c)
-				continue
-			}
-			used := ExprUsesVar(x.Return, let.Var)
-			for _, later := range x.Clauses[i+1:] {
-				if ClauseUsesVar(later, let.Var) {
-					used = true
-					break
-				}
-			}
-			if used {
-				kept = append(kept, c)
-			}
+		if len(cs) == len(f.Clauses) {
+			cs = slices.Clone(cs)
 		}
-		x.Clauses = kept
-		return x
-	case *FieldAccess:
-		x.Base = eliminateDeadLets(x.Base)
-	case *ArrayUnbox:
-		x.Base = eliminateDeadLets(x.Base)
-	case *ArrayIndex:
-		x.Base = eliminateDeadLets(x.Base)
-		x.Index = eliminateDeadLets(x.Index)
-	case *ObjectCtor:
-		for i := range x.Values {
-			x.Values[i] = eliminateDeadLets(x.Values[i])
-		}
-	case *ArrayCtor:
-		for i := range x.Items {
-			x.Items[i] = eliminateDeadLets(x.Items[i])
-		}
-	case *Unary:
-		x.Operand = eliminateDeadLets(x.Operand)
-	case *Binary:
-		x.Left = eliminateDeadLets(x.Left)
-		x.Right = eliminateDeadLets(x.Right)
-	case *If:
-		x.Cond = eliminateDeadLets(x.Cond)
-		x.Then = eliminateDeadLets(x.Then)
-		x.Else = eliminateDeadLets(x.Else)
-	case *FunctionCall:
-		for i := range x.Args {
-			x.Args[i] = eliminateDeadLets(x.Args[i])
-		}
+		cs = slices.Delete(cs, i, i+1)
 	}
-	return e
-}
-
-func rewriteClauseChildren(c Clause) {
-	switch cl := c.(type) {
-	case *ForClause:
-		cl.In = eliminateDeadLets(cl.In)
-	case *LetClause:
-		cl.Expr = eliminateDeadLets(cl.Expr)
-	case *WhereClause:
-		cl.Cond = eliminateDeadLets(cl.Cond)
-	case *GroupByClause:
-		for i := range cl.Keys {
-			if cl.Keys[i].Expr != nil {
-				cl.Keys[i].Expr = eliminateDeadLets(cl.Keys[i].Expr)
-			}
-		}
-	case *OrderByClause:
-		for i := range cl.Keys {
-			cl.Keys[i].Expr = eliminateDeadLets(cl.Keys[i].Expr)
-		}
+	if len(cs) == len(f.Clauses) {
+		return f
 	}
-}
-
-// ClauseUsesVar reports whether clause c references the variable name: in
-// its input, bound, condition or key expressions, or as a group-by key that
-// regroups an existing variable.
-func ClauseUsesVar(c Clause, name string) bool {
-	switch cl := c.(type) {
-	case *ForClause:
-		return ExprUsesVar(cl.In, name)
-	case *LetClause:
-		return ExprUsesVar(cl.Expr, name)
-	case *WhereClause:
-		return ExprUsesVar(cl.Cond, name)
-	case *GroupByClause:
-		for _, k := range cl.Keys {
-			if k.Expr != nil && ExprUsesVar(k.Expr, name) {
-				return true
-			}
-			if k.Expr == nil && k.Var == name {
-				return true
-			}
-		}
-	case *OrderByClause:
-		for _, k := range cl.Keys {
-			if ExprUsesVar(k.Expr, name) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// ExprUsesVar reports whether expression e references the variable name.
-func ExprUsesVar(e Expr, name string) bool {
-	found := false
-	Walk(e, func(n Expr) bool {
-		if v, ok := n.(*VarRef); ok && v.Name == name {
-			found = true
-			return false
-		}
-		return !found
-	})
-	return found
-}
-
-// Walk traverses the expression tree in pre-order, descending into a node's
-// children only while fn returns true. FLWOR clause subexpressions are
-// visited as children of the FLWOR node.
-func Walk(e Expr, fn func(Expr) bool) {
-	if e == nil || !fn(e) {
-		return
-	}
-	switch x := e.(type) {
-	case *FieldAccess:
-		Walk(x.Base, fn)
-	case *ArrayUnbox:
-		Walk(x.Base, fn)
-	case *ArrayIndex:
-		Walk(x.Base, fn)
-		Walk(x.Index, fn)
-	case *ObjectCtor:
-		for _, v := range x.Values {
-			Walk(v, fn)
-		}
-	case *ArrayCtor:
-		for _, v := range x.Items {
-			Walk(v, fn)
-		}
-	case *Unary:
-		Walk(x.Operand, fn)
-	case *Binary:
-		Walk(x.Left, fn)
-		Walk(x.Right, fn)
-	case *If:
-		Walk(x.Cond, fn)
-		Walk(x.Then, fn)
-		Walk(x.Else, fn)
-	case *FunctionCall:
-		for _, a := range x.Args {
-			Walk(a, fn)
-		}
-	case *FLWOR:
-		for _, c := range x.Clauses {
-			switch cl := c.(type) {
-			case *ForClause:
-				Walk(cl.In, fn)
-			case *LetClause:
-				Walk(cl.Expr, fn)
-			case *WhereClause:
-				Walk(cl.Cond, fn)
-			case *GroupByClause:
-				for _, k := range cl.Keys {
-					if k.Expr != nil {
-						Walk(k.Expr, fn)
-					}
-				}
-			case *OrderByClause:
-				for _, k := range cl.Keys {
-					Walk(k.Expr, fn)
-				}
-			}
-		}
-		Walk(x.Return, fn)
-	}
+	out := *f
+	out.Clauses = cs
+	return &out
 }
