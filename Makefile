@@ -45,9 +45,11 @@ race:
 	$(GO) test -race ./...
 
 # The stress tests hammer every worker pool of internal/engine — the
-# exchanges and the fanned-out hash aggregate's phase 1 (the join build and
-# the sort are sequential) — with LIMIT-truncated, cancelled and abandoned
-# queries, plus the join's early Close, the MVCC and plan-cache races; under
+# exchanges, whose stages include hash-join probes and a left build's match
+# pass, and the fanned-out hash aggregate's phase 1 (the join build and the
+# sort stay sequential: workers only read a built table) — with
+# LIMIT-truncated, cancelled and abandoned queries, plus the join's early
+# Close, the MVCC and plan-cache races; under
 # the race detector, five times over, they are the gate for the
 # worker-shutdown paths. The output is
 # kept in stress.log, which CI uploads when the run fails.

@@ -367,6 +367,36 @@ func TestExchangeCensus(t *testing.T) {
 	}
 }
 
+// TestJoinProbeRowIDStaysOnDriver: the join strategy rejoins each nested
+// FLWOR's re-aggregate to its outer rows on the row ID, so a join of
+// generated q4–q8 under it whose left input is a scan pipeline reads a row
+// ID of that segment — a counter each exchange worker would restart per
+// morsel — and keeps its probe on the driver, and EXPLAIN ANALYZE says why
+// on its line; the others rejoin the output of a join below them, no scan
+// pipeline. (plans.golden pins that no probe joins a segment.)
+func TestJoinProbeRowIDStaysOnDriver(t *testing.T) {
+	sess, _ := testSetup(t)
+	for _, q := range Queries()[3:] {
+		res, err := core.Translate(sess, q.JSONiq, core.Options{Strategy: core.StrategyJoin})
+		if err != nil {
+			t.Fatalf("%s: %v", q.ID, err)
+		}
+		_, ps, err := sess.Engine().QueryAnalyze(res.SQL)
+		if err != nil {
+			t.Fatalf("%s: %v", q.ID, err)
+		}
+		pinned := 0
+		ps.Walk(func(_ int, n *engine.PlanStats) {
+			if strings.HasSuffix(n.Op, " Join") && strings.HasSuffix(n.Detail, " sequential: row id in join key") {
+				pinned++
+			}
+		})
+		if pinned == 0 {
+			t.Errorf("%s: no join keeps its probe on the driver for the row ID\n%s", q.ID, ps.Render())
+		}
+	}
+}
+
 func TestTable2ShapeMatchesPaper(t *testing.T) {
 	// The paper's Table II shape: totals grow from Q1 to Q8 overall, Q6 and
 	// Q8 dominate, and FLWOR iterators are a small fraction of the total.

@@ -153,7 +153,7 @@ func buildPlanStats(n Node, c *execContext) *PlanStats {
 		ExprTyped:        st.typed.Load(),
 		ExprFallback:     st.fallback.Load(),
 	}
-	switch n.(type) {
+	switch x := n.(type) {
 	case *ExchangeNode:
 		// What the exchange did at run time replaces what it could do.
 		switch {
@@ -166,6 +166,14 @@ func buildPlanStats(n Node, c *execContext) *PlanStats {
 		out.Detail += " " + st.build.String()
 		if st.table != "" {
 			out.Detail += " table=" + st.table
+		}
+		if x.Match != nil {
+			if ms := c.statsFor(x.Match); ms.Workers > 0 {
+				out.Detail += fmt.Sprintf(" match[workers=%d morsels=%d]", ms.Workers, ms.Morsels)
+			}
+		}
+		if x.Why != "" {
+			out.Detail += " sequential: " + x.Why
 		}
 	case *AggregateNode:
 		// The run-time reason replaces the plan-time verdict it may repeat.

@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -141,5 +143,95 @@ func TestExchangeAbandonedDrainStress(t *testing.T) {
 		if used != 0 {
 			t.Fatalf("iteration %d: %d bytes still charged after Close", i, used)
 		}
+	}
+}
+
+// TestProbeChainStress: a three-join probe chain fanned out over 64-row
+// morsels with either build side, and a dimension-first chain whose left
+// build's match pass fans out — once with a budget small enough that its
+// matched rows spill — under LIMIT truncation, cancellation mid-probe and
+// Close before, during and after the first morsels. The tables the workers
+// read must outlive them: an exchange closes its sequential pipeline, which
+// owns the builds, only once its workers have exited. Every accounted byte
+// returns to the accountant without the end-of-query backstop, and no
+// worker goroutine or spill file is left behind.
+func TestProbeChainStress(t *testing.T) {
+	testutil.CheckLeaks(t)
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	charged := func(p *Prepared) int64 {
+		p.ctx.acct.mu.Lock()
+		defer p.ctx.acct.mu.Unlock()
+		return p.ctx.acct.used
+	}
+	const dimFirst = `SELECT id, a, b FROM d1 INNER JOIN t ON d1k = k1 INNER JOIN d2 ON k2 = d2k`
+	for _, c := range []struct {
+		sql   string
+		side  buildSide
+		limit int64
+		match string // the join line's match detail, when the match fans out
+	}{
+		{probeChain, buildRight, 1 << 30, ""},
+		{probeChain, buildLeft, 1 << 30, ""},
+		{dimFirst, buildAuto, 1 << 30, " match[workers=4 morsels=63]"},
+		{dimFirst, buildAuto, 16 << 10, " match[workers=4 morsels=63]"},
+	} {
+		e := probeEngine(t, 4000, 64, nil, WithBatchSize(16), WithParallelism(4), WithMemLimit(c.limit))
+		e.forceBuild = c.side
+		_, ps, err := e.QueryAnalyze(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matched, spilled := c.match == "", false
+		ps.Walk(func(_ int, n *PlanStats) {
+			matched = matched || strings.Contains(n.Detail, c.match)
+			spilled = spilled || n.Spills > 0
+		})
+		if !matched || spilled != (c.limit < 1<<20) {
+			t.Fatalf("%s limit=%d: match %v, spilled %v\n%s", c.sql, c.limit, matched, spilled, ps.Render())
+		}
+		for i := 0; i < 20; i++ {
+			n := 1 + i*7
+			res, err := e.Query(c.sql + fmt.Sprintf(" LIMIT %d", n))
+			if err != nil || len(res.Rows) != n {
+				t.Fatalf("%s side=%d LIMIT %d: %v rows, err %v", c.sql, c.side, n, res, err)
+			}
+		}
+		for i := 0; i < 20; i++ {
+			delay := time.Duration(i%5) * 200 * time.Microsecond
+			p, err := e.Prepare(c.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			go func() {
+				time.Sleep(delay)
+				cancel()
+			}()
+			_, err = p.RunCtx(ctx)
+			cancel()
+			if err != nil && !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s side=%d iteration %d: error %v is not context.Canceled", c.sql, c.side, i, err)
+			}
+		}
+		for i := 0; i < 30; i++ {
+			p, err := e.Prepare(c.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < i%5; k++ {
+				if _, err := p.iter.NextBatch(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p.iter.Close()
+			p.iter.Close()
+			if used := charged(p); used != 0 {
+				t.Fatalf("%s side=%d iteration %d: %d bytes still charged after Close", c.sql, c.side, i, used)
+			}
+		}
+	}
+	if left, _ := filepath.Glob(filepath.Join(tmp, "*")); len(left) > 0 {
+		t.Errorf("spill files left behind: %v", left)
 	}
 }

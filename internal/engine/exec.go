@@ -70,6 +70,10 @@ type execContext struct {
 	// byteKeyedJoin keys every join by bytes and gathers every probe
 	// (Engine.byteKeyedJoin, a test hook).
 	byteKeyedJoin bool
+	// joins maps each join prepared so far to its operator, so an exchange
+	// whose segment probes it can build it before fanning out (driver
+	// goroutine only, at bind).
+	joins map[*JoinNode]*joinIter
 	// Storage-path counters (atomic; see countTypedCols and friends below).
 	typedCols    int64
 	fallbackCols int64
@@ -1221,8 +1225,11 @@ func (s *streamAggIter) Close() { s.in.Close() }
 // --- joins -------------------------------------------------------------------
 
 // prepareJoin builds a hash join on the side chooseBuild picks from the pinned
-// snapshots. Keys and residual evaluate on the driver, in input order, so a
-// stateful expression needs no special case.
+// snapshots. Keys and residual evaluate in input order, so a stateful
+// expression needs no special case: a join whose probe is an exchange stage
+// reads no row ID (physical.go). It registers the join with ctx, so an
+// exchange whose segment probes it builds it before fanning out; a left
+// build's right input becomes its match pass (matchStage).
 func prepareJoin(x *JoinNode, ctx *execContext) (batchIter, error) {
 	left, err := prepare(x.Left, ctx)
 	if err != nil {
@@ -1241,15 +1248,40 @@ func prepareJoin(x *JoinNode, ctx *execContext) (batchIter, error) {
 	}
 	ctx.exprs.add(exprs.stats())
 	side := chooseBuild(x, ctx.pinnedRows, ctx.forceBuild)
-	st := ctx.statsFor(x)
-	st.build = side
-	rightWidth := len(x.Right.Schema().Names)
-	return &joinIter{
-		kind: x.Kind, left: left, right: right, exprs: exprs, buildLeft: side.left,
-		leftWidth: len(x.Left.Schema().Names), rightWidth: rightWidth,
-		store: rowStore{width: rightWidth},
-		size:  ctx.batchSize, ectx: ctx, mem: ctx.opMemFor(x), st: st, byteKeys: ctx.byteKeyedJoin,
-	}, nil
+	j := newJoinIter(ctx, x.Kind, left, right, exprs, len(x.Left.Schema().Names), len(x.Right.Schema().Names), ctx.opMemFor(x))
+	j.st, j.byteKeys, j.buildLeft = ctx.statsFor(x), ctx.byteKeyedJoin, side.left
+	j.st.build = side
+	if side.left {
+		m, err := j.matchStage(ctx, x)
+		if err != nil {
+			j.Close()
+			return nil, err
+		}
+		j.right = m
+	}
+	if ctx.joins == nil {
+		ctx.joins = make(map[*JoinNode]*joinIter)
+	}
+	ctx.joins[x] = j
+	return j, nil
+}
+
+// matchStage wraps a left build's right input in the match pass: a matchIter
+// over it, which the driver runs, or — when the plan recorded the right
+// input's segment (JoinNode.Match) — the exchange that replays the segment
+// over morsels with that same match as its last stage, and falls back to the
+// driver's.
+func (j *joinIter) matchStage(ctx *execContext, x *JoinNode) (batchIter, error) {
+	m := &matchIter{in: j.right, b: &j.joinBuilt, keys: j.exprs.right}
+	if x.Match == nil {
+		return m, nil
+	}
+	seg, err := newSegmentPlan(ctx, x.Match.Scan, x.Match.Stages, x.Match.Counters, workerBatch(ctx, x.Match.Stages))
+	if err != nil {
+		return nil, err
+	}
+	seg.match, seg.matchOf = &j.joinBuilt, x
+	return newExchangeIter(ctx, x.Match, seg, m), nil
 }
 
 // buildSide forces the build side of every join that may build left
@@ -1291,16 +1323,25 @@ func (b joinBuild) String() string {
 // The choice never changes the output (joinIter), only what is hashed.
 func chooseBuild(x *JoinNode, rows func(*storage.Table) int64, force buildSide) joinBuild {
 	b := joinBuild{lrows: rowBound(x.Left, rows), rrows: rowBound(x.Right, rows)}
-	if force == buildRight || x.Kind != "INNER" || len(x.LeftKeys) == 0 || x.Residual != nil {
+	if force == buildRight || !leftBuildable(x) {
 		return b
-	}
-	for _, k := range slices.Concat(x.LeftKeys, x.RightKeys) {
-		if _, ok := k.(*sqlast.ColRef); !ok {
-			return b
-		}
 	}
 	b.left = force == buildLeft || b.lrows >= 0 && b.rrows >= 0 && 4*b.lrows <= b.rrows
 	return b
+}
+
+// leftBuildable reports whether x may build its left input at all: an INNER
+// equi-join on plain column keys without a residual.
+func leftBuildable(x *JoinNode) bool {
+	if x.Kind != "INNER" || len(x.LeftKeys) == 0 || x.Residual != nil {
+		return false
+	}
+	for _, k := range slices.Concat(x.LeftKeys, x.RightKeys) {
+		if _, ok := k.(*sqlast.ColRef); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // rowBound bounds the rows n emits: a scan's table rows, passed up through
@@ -1566,84 +1607,90 @@ func (r *storeReplay) NextBatch() (*vector.Batch, error) {
 
 func (r *storeReplay) Close() { r.s.releaseAll(r.mem) }
 
+// joinBuilt is what a hash join's build leaves for its probes: the join's
+// shape, the build keys, the rows the candidates index and the table. The
+// driver fills it once (joinIter.build); from then on every probe of the
+// join — its own, and each exchange worker's probe stage — only reads it.
+type joinBuilt struct {
+	kind                  string
+	leftWidth, rightWidth int
+	keys                  buildKeys
+	store                 rowStore // the build rows, or a left build's matches
+	table                 joinTable
+	// stream is set for a right build whose keys are all distinct: every
+	// probe goes through emitStream.
+	stream bool
+	// kinds names, per build column, the typed kind every stored batch holds
+	// the column in, or -1: what emitStream gathers it into.
+	kinds []int8
+}
+
 // joinIter is the hash join. Its first NextBatch builds, on the side
 // chooseBuild picked. A right build drains the right input, retaining each
 // batch's kept rows as one dense copy, and indexes every key in the join
 // table (jointable.go), which chains each key's rows in build order. A left
 // build drains the left input the same way and indexes its keys with empty
-// chains, then streams the right input past that table, retaining only the
-// right rows that match: each key's candidates are its matches in
-// right-input order, and the stored left rows become the probe input. Either
-// way the join then probes a left batch at a time, looking every active
-// row's key up at once. When a right build left no key with a second row,
-// each probe row has at most one candidate and the join streams
-// (emitStream): it emits the probe batch's own columns under a selection,
-// beside the build columns gathered into registers it recycles. Otherwise it
-// collects up to a batch of (left row, candidate) pairs, gathers their
-// combined columns into a fresh batch, evaluates the residual over the
-// pairs, and emits the batch restricted to the survivors. The order is each
-// left row's surviving candidates in right-input order or, for a LEFT OUTER
-// row none of whose candidates survives, the row once with NULLs on the
-// right — the same rows in the same order for both builds and both emits.
+// chains, then streams the right input's match pass past that table
+// (matchRight), retaining only the right rows that match: each key's
+// candidates are its matches in right-input order, and the stored left rows
+// become the probe input. Either way the join then probes (joinProbe) and
+// emits each left row's surviving candidates in right-input order or, for a
+// LEFT OUTER row none of whose candidates survives, the row once with NULLs
+// on the right — the same rows in the same order for both builds.
 type joinIter struct {
-	kind       string
-	left       batchIter // the probe input: the left input, or a left build's replay
-	right      batchIter
-	exprs      joinExprs
-	buildLeft  bool
-	leftWidth  int
-	rightWidth int
-	size       int // pairs per output batch
-	ectx       *execContext
-	mem        *opMem
-	st         *OpStats // nil-safe: where EXPLAIN ANALYZE reads the table built
-	// byteKeys keys every join by bytes and gathers every probe into fresh
-	// vectors (Engine.byteKeyedJoin): the numeric table's and the streaming
-	// probe's oracle.
+	joinBuilt
+	probe     joinProbe // over the left input, or a left build's replay of it
+	right     batchIter // the build input, or a left build's match pass
+	exprs     joinExprs
+	buildLeft bool
+	size      int // rows per stored replay batch
+	ectx      *execContext
+	mem       *opMem
+	st        *OpStats // nil-safe: where EXPLAIN ANALYZE reads the table built
+	// byteKeys keys every join by bytes and gathers every probe
+	// (Engine.byteKeyedJoin): the numeric table's and the streaming probe's
+	// oracle.
 	byteKeys bool
 
 	built bool
-	keys  buildKeys
-	store rowStore // the right rows candidates index: the build rows, or a left build's matches
-	table joinTable
-	// stream is set for a right build whose keys are all distinct: every
-	// probe goes through emitStream.
-	stream bool
-	kh     vector.Batch // the key vectors of the batch under build or probe
+	kh    vector.Batch // the key vectors of the batch under build
+}
 
-	// The probe cursor: the left batch under probe, each of its rows' key
-	// slot (-1: no key the table holds), its next active row, that row's next
-	// candidate (-1 before its lookup), and whether one of the row's
-	// candidates survived the residual so far.
-	cur     *vector.Batch
-	found   []int32
-	pos     int
-	cand    int32
-	matched bool
-	// Per pair, recycled for every output batch: its left row, its right row,
-	// and whether it is its left row's last; plus key and selection scratch.
-	lidx   []int
-	refs   []rowRef
-	last   []bool
-	keyBuf []byte
-	sel    []int
-	pass   []int
-	// emitStream's recycled output: the header, the output selection, and a
-	// register per build column — typed where kinds names the typed kind
-	// every stored batch holds the column in, variant where it is -1.
-	out   vector.Batch
-	osel  []int
-	vregs [][]variant.Value
-	tregs []vector.TypedCol
-	kinds []int8
+// newJoinIter makes a join of left and right, building right until
+// prepareJoin says otherwise.
+func newJoinIter(ctx *execContext, kind string, left, right batchIter, exprs joinExprs, leftWidth, rightWidth int, mem *opMem) *joinIter {
+	j := &joinIter{right: right, exprs: exprs, size: ctx.batchSize, ectx: ctx, mem: mem}
+	j.kind, j.leftWidth, j.rightWidth, j.store.width = kind, leftWidth, rightWidth, rightWidth
+	j.probe = joinProbe{in: left, b: &j.joinBuilt, keys: exprs.left, residual: exprs.residual, size: ctx.batchSize}
+	return j
+}
+
+func (j *joinIter) NextBatch() (*vector.Batch, error) {
+	if err := j.ensureBuilt(); err != nil {
+		return nil, err
+	}
+	return j.probe.NextBatch()
+}
+
+// ensureBuilt builds the join unless it already has: on its first NextBatch,
+// or earlier when an exchange whose segment probes it is about to fan out.
+func (j *joinIter) ensureBuilt() error {
+	if j.built {
+		return nil
+	}
+	if err := j.build(); err != nil {
+		return err
+	}
+	j.built = true
+	return nil
 }
 
 // build drains and closes the build side and indexes its keys; a left build
-// then streams and closes the right input (matchRight) and replays the
-// stored left rows as the probe input. After a left drain that failed the
-// right input still streams, so a failing right input's error comes first,
-// as with a right build, and the left's comes after the rows before it. The
-// closed inputs are nilled so Close stays idempotent.
+// then streams and closes the right input's match pass (matchRight) and
+// replays the stored left rows as the probe input. After a left drain that
+// failed the right input still streams, so a failing right input's error
+// comes first, as with a right build, and the left's comes after the rows
+// before it. The closed inputs are nilled so Close stays idempotent.
 func (j *joinIter) build() error {
 	j.keys.num = !j.byteKeys && j.exprs.right != nil && len(j.exprs.right.roots) == 1
 	if !j.buildLeft {
@@ -1661,9 +1708,9 @@ func (j *joinIter) build() error {
 		return nil
 	}
 	replay := &storeReplay{s: rowStore{width: j.leftWidth}, size: j.size, ctx: j.ectx, mem: j.mem}
-	inErr, err := j.drain(j.left, j.exprs.left, &replay.s)
-	j.left.Close()
-	j.left, replay.err = replay, inErr
+	inErr, err := j.drain(j.probe.in, j.exprs.left, &replay.s)
+	j.probe.in.Close()
+	j.probe.in, replay.err = replay, inErr
 	if err == nil {
 		j.index(false)
 		err = j.matchRight()
@@ -1727,7 +1774,7 @@ func (j *joinIter) drain(in batchIter, keys *exprDAG, s *rowStore) (inErr, err e
 // returning the kept rows' active positions, their rows in the batch's dense
 // copy.
 func (j *joinIter) addKeys(keys *exprDAG, b *vector.Batch) ([]int, error) {
-	if err := j.evalKeys(keys, b); err != nil {
+	if err := evalKeys(keys, b, &j.kh); err != nil {
 		return nil, err
 	}
 	keep := make([]int, 0, b.NumRows())
@@ -1739,13 +1786,13 @@ func (j *joinIter) addKeys(keys *exprDAG, b *vector.Batch) ([]int, error) {
 	return keep, nil
 }
 
-// evalKeys evaluates keys over b into j.kh; a join without keys has none.
-func (j *joinIter) evalKeys(keys *exprDAG, b *vector.Batch) error {
+// evalKeys evaluates keys over b into kh; a join without keys has none.
+func evalKeys(keys *exprDAG, b *vector.Batch, kh *vector.Batch) error {
 	if keys == nil {
-		j.kh.Cols, j.kh.Typed = nil, nil
+		kh.Cols, kh.Typed = nil, nil
 		return nil
 	}
-	return keys.evalTyped(b, &j.kh)
+	return keys.evalTyped(b, kh)
 }
 
 // index puts every build key in the table in one pass over the rows in
@@ -1765,36 +1812,25 @@ func (j *joinIter) index(list bool) {
 	}
 }
 
-// matchRight streams the right input past a left build's table. Its keys
-// are plain columns (chooseBuild), read in place (evalKeys). The right
-// rows whose key the table holds are copied densely, in input order, into
-// the store, and each one's index is chained to its key's candidates.
+// matchRight streams a left build's match pass past its table. Each batch
+// holds, densely and in right-input order, the right rows whose key the
+// table holds, and each one's slot in one more column (matchIter);
+// matchRight keeps the rows in the store and chains each to its slot's
+// candidates, so whether the driver or an exchange's workers matched, the
+// chains come out in release order.
 func (j *joinIter) matchRight() error {
-	var sel []int
+	w := j.rightWidth
 	for {
 		b, err := j.right.NextBatch()
 		if err != nil || b == nil {
 			return cmp.Or(err, j.store.seal(j.mem))
 		}
-		if err := j.evalKeys(j.exprs.right, b); err != nil {
-			return err
+		n := b.Len()
+		for k, s := range b.Typed[w].Ints() {
+			j.table.push(int32(s), int32(len(j.store.locs)+k))
 		}
-		rows := activeRows(b)
-		j.found, j.keyBuf = j.table.lookup(&j.kh, rows, b.Len(), j.found, j.keyBuf)
-		sel = sel[:0]
-		for _, i := range rows {
-			if j.found[i] >= 0 {
-				sel = append(sel, i)
-			}
-		}
-		if len(sel) == 0 {
-			continue
-		}
-		for k, i := range sel {
-			j.table.push(j.found[i], int32(len(j.store.locs)+k))
-		}
-		matched := denseCopy(&vector.Batch{Cols: b.Cols, Typed: b.Typed, Sel: sel})
-		if err := j.store.add(matched, dense(len(sel))); err != nil {
+		matched := &vector.Batch{Cols: b.Cols[:w], Typed: b.Typed[:w]}
+		if err := j.store.add(matched, dense(n)); err != nil {
 			return err
 		}
 		if err := j.store.charge(j.mem, matched, true); err != nil {
@@ -1802,6 +1838,66 @@ func (j *joinIter) matchRight() error {
 		}
 	}
 }
+
+// matchIter is a left build's match pass over a stream of right rows: it
+// evaluates each batch's keys (plain columns, chooseBuild), looks them up in
+// the left table, and copies the rows whose key the table holds into a fresh
+// dense batch (denseCopy), with one more column: each row's slot. A batch
+// without a match is skipped. It only reads the table — matchRight, on the
+// driver, keeps the copies and chains them — so an exchange's workers run
+// one each, and the copy the driver keeps is the only one made.
+type matchIter struct {
+	in     batchIter
+	b      *joinBuilt
+	keys   *exprDAG
+	kh     vector.Batch
+	found  []int32
+	keyBuf []byte
+	sel    []int
+}
+
+func (m *matchIter) NextBatch() (*vector.Batch, error) {
+	for {
+		b, err := m.in.NextBatch()
+		if err != nil || b == nil {
+			return nil, err
+		}
+		if err := evalKeys(m.keys, b, &m.kh); err != nil {
+			return nil, err
+		}
+		if out := m.match(b); out != nil {
+			return out, nil
+		}
+	}
+}
+
+// match copies b's rows whose key the table holds, with their slots; nil
+// when there is none.
+func (m *matchIter) match(b *vector.Batch) *vector.Batch {
+	rows := activeRows(b)
+	m.found, m.keyBuf = m.b.table.lookup(&m.kh, rows, b.Len(), m.found, m.keyBuf)
+	sel := m.sel[:0]
+	for _, i := range rows {
+		if m.found[i] >= 0 {
+			sel = append(sel, i)
+		}
+	}
+	if m.sel = sel; len(sel) == 0 {
+		return nil
+	}
+	slots := make([]int64, len(sel))
+	for k, i := range sel {
+		slots[k] = int64(m.found[i])
+	}
+	out := denseCopy(&vector.Batch{Cols: b.Cols, Typed: b.Typed, Sel: sel})
+	if out.Typed == nil {
+		out.Typed = make([]*vector.TypedCol, len(b.Cols))
+	}
+	out.Cols, out.Typed = append(out.Cols, nil), append(out.Typed, vector.NewInt64Col(slots, nil))
+	return out
+}
+
+func (m *matchIter) Close() { m.in.Close() }
 
 // activeRows is b's active physical rows.
 func activeRows(b *vector.Batch) []int {
@@ -1850,25 +1946,84 @@ func gatherRefs(batches []*vector.Batch, c int, refs []rowRef, dst []variant.Val
 	return dst
 }
 
-func (j *joinIter) NextBatch() (*vector.Batch, error) {
-	if !j.built {
-		if err := j.build(); err != nil {
-			return nil, err
-		}
-		j.built = true
+// Close is idempotent: build already closed (and nilled) the right side, so
+// closing a drained join must not touch it again — see the execclose lint
+// fixture's earlyCloser pattern and TestJoinCloseIdempotent.
+func (j *joinIter) Close() {
+	j.probe.Close()
+	if j.right != nil {
+		j.right.Close()
+		j.right = nil
 	}
+	j.store.releaseAll(j.mem)
+	if j.mem != nil {
+		j.mem.releaseAll()
+	}
+}
+
+// joinProbe is a hash join's probe: it streams its input past a built table
+// a batch at a time, looking every active row's key up at once. When a right
+// build left no key with a second row, each probe row has at most one
+// candidate and the probe streams (emitStream): it emits the input batch's
+// own columns under a selection, beside the build columns gathered into
+// registers it recycles. Otherwise it collects up to a batch of (left row,
+// candidate) pairs, gathers their combined columns into registers it
+// recycles, evaluates the residual over the pairs, and emits the batch
+// restricted to the survivors (emit). Either way its batch is valid until its
+// next NextBatch. A probe owns its cursor, scratch and registers and only
+// reads the table, so an exchange's workers each run one over their morsels
+// of the one build: the join's own probe is the one-morsel case.
+type joinProbe struct {
+	in       batchIter
+	b        *joinBuilt
+	keys     *exprDAG // the probe keys over the input; nil without keys
+	residual *exprDAG
+	size     int          // pairs per output batch
+	kh       vector.Batch // the key vectors of the batch under probe
+
+	// The cursor: the input batch under probe, each of its rows' key slot
+	// (-1: no key the table holds), its next active row, that row's next
+	// candidate (-1 before its lookup), and whether one of the row's
+	// candidates survived the residual so far.
+	cur     *vector.Batch
+	found   []int32
+	pos     int
+	cand    int32
+	matched bool
+	// Per pair, recycled for every output batch: its left row, its right row,
+	// and whether it is its left row's last; plus key and selection scratch.
+	lidx   []int
+	refs   []rowRef
+	last   []bool
+	keyBuf []byte
+	sel    []int
+	pass   []int
+	// emit's recycled output: the header, whose columns are one register
+	// each, and the output selection.
+	pairs vector.Batch
+	psel  []int
+	// emitStream's recycled output: the header, the output selection, and a
+	// register per build column — typed where kinds names the typed kind
+	// every stored batch holds the column in, variant where it is -1.
+	out   vector.Batch
+	osel  []int
+	vregs [][]variant.Value
+	tregs []vector.TypedCol
+}
+
+func (p *joinProbe) NextBatch() (*vector.Batch, error) {
 	for {
-		if j.cur == nil || j.pos == j.cur.NumRows() {
-			if err := j.advance(); err != nil || j.cur == nil {
+		if p.cur == nil || p.pos == p.cur.NumRows() {
+			if err := p.advance(); err != nil || p.cur == nil {
 				return nil, err
 			}
 		}
 		var out *vector.Batch
 		var err error
-		if j.stream {
-			out, err = j.emitStream()
-		} else if err = j.collect(); err == nil {
-			out, err = j.emit()
+		if p.b.stream {
+			out, err = p.emitStream()
+		} else if err = p.collect(); err == nil {
+			out, err = p.emit()
 		}
 		if out != nil || err != nil {
 			return out, err
@@ -1876,94 +2031,113 @@ func (j *joinIter) NextBatch() (*vector.Batch, error) {
 	}
 }
 
-// advance moves the probe to the next left batch, evaluates its keys and
-// looks every active row's up; j.cur is nil at the end of the left input.
-func (j *joinIter) advance() error {
-	b, err := j.left.NextBatch()
-	j.cur, j.pos, j.cand = b, 0, -1
+func (p *joinProbe) Close() {
+	if p.in != nil {
+		p.in.Close()
+		p.in = nil
+	}
+}
+
+// advance moves the probe to the next input batch, evaluates its keys and
+// looks every active row's up; p.cur is nil at the end of the input.
+func (p *joinProbe) advance() error {
+	b, err := p.in.NextBatch()
+	p.cur, p.pos, p.cand = b, 0, -1
 	if err != nil || b == nil {
 		return err
 	}
-	if err := j.evalKeys(j.exprs.left, b); err != nil {
+	if err := evalKeys(p.keys, b, &p.kh); err != nil {
 		return err
 	}
-	j.found, j.keyBuf = j.table.lookup(&j.kh, activeRows(b), b.Len(), j.found, j.keyBuf)
+	p.found, p.keyBuf = p.b.table.lookup(&p.kh, activeRows(b), b.Len(), p.found, p.keyBuf)
 	return nil
 }
 
 // collect fills the pairs, from the cursor on, with up to size pairs of the
-// left batch under probe: each active row's candidates in right-input order,
-// and one pair without a right row for a LEFT OUTER row that has none.
-func (j *joinIter) collect() error {
-	j.lidx, j.refs, j.last = j.lidx[:0], j.refs[:0], j.last[:0]
-	j.store.rewind()
-	for n := j.cur.NumRows(); j.pos < n && len(j.refs) < j.size; {
-		i := j.cur.ActiveAt(j.pos)
-		if j.cand < 0 {
-			if s := j.found[i]; s >= 0 {
-				j.cand = j.table.slots[s].head
+// batch under probe: each active row's candidates in right-input order, and
+// one pair without a right row for a LEFT OUTER row that has none.
+func (p *joinProbe) collect() error {
+	t, store := &p.b.table, &p.b.store
+	p.lidx, p.refs, p.last = p.lidx[:0], p.refs[:0], p.last[:0]
+	store.rewind()
+	for n := p.cur.NumRows(); p.pos < n && len(p.refs) < p.size; {
+		i := p.cur.ActiveAt(p.pos)
+		if p.cand < 0 {
+			if s := p.found[i]; s >= 0 {
+				p.cand = t.slots[s].head
 			}
-			if j.cand < 0 {
-				if j.kind == "LEFT OUTER" {
-					j.lidx, j.refs, j.last = append(j.lidx, i), append(j.refs, rowRef{b: -1}), append(j.last, true)
+			if p.cand < 0 {
+				if p.b.kind == "LEFT OUTER" {
+					p.lidx, p.refs, p.last = append(p.lidx, i), append(p.refs, rowRef{b: -1}), append(p.last, true)
 				}
-				j.pos++
+				p.pos++
 				continue
 			}
 		}
-		for ; j.cand >= 0 && len(j.refs) < j.size; j.cand = j.table.next[j.cand] {
-			ref, err := j.store.ref(int64(j.cand))
+		for ; p.cand >= 0 && len(p.refs) < p.size; p.cand = t.next[p.cand] {
+			ref, err := store.ref(int64(p.cand))
 			if err != nil {
 				return err
 			}
-			j.lidx, j.refs, j.last = append(j.lidx, i), append(j.refs, ref), append(j.last, false)
+			p.lidx, p.refs, p.last = append(p.lidx, i), append(p.refs, ref), append(p.last, false)
 		}
-		if j.cand < 0 {
-			j.last[len(j.last)-1] = true
-			j.pos++
+		if p.cand < 0 {
+			p.last[len(p.last)-1] = true
+			p.pos++
 		}
 	}
 	return nil
 }
 
-// emit gathers the pairs' combined columns into a fresh batch and evaluates
+// emit gathers the pairs' combined columns into its registers and evaluates
 // the residual over the pairs that have a build row. It returns the batch
 // restricted to the surviving pairs — a LEFT OUTER row none of whose
 // candidates survived keeps its last pair with the right columns NULLed — or
 // nil when none survives.
-func (j *joinIter) emit() (*vector.Batch, error) {
-	n := len(j.refs)
+func (p *joinProbe) emit() (*vector.Batch, error) {
+	n := len(p.refs)
 	if n == 0 {
 		return nil, nil
 	}
-	out := &vector.Batch{Cols: make([][]variant.Value, j.leftWidth+j.rightWidth)}
-	for c := 0; c < j.leftWidth; c++ {
-		out.Cols[c] = j.cur.Gather(c, j.lidx, make([]variant.Value, 0, n))
+	lw, out := p.b.leftWidth, &p.pairs
+	if out.Cols == nil {
+		out.Cols = make([][]variant.Value, lw+p.b.rightWidth)
 	}
-	for c := 0; c < j.rightWidth; c++ {
-		out.Cols[j.leftWidth+c] = gatherRefs(j.store.batches, c, j.refs, make([]variant.Value, 0, n))
+	for c, reg := range out.Cols {
+		if vector.Poisoned() {
+			vector.Poison(reg)
+		}
+		if c < lw {
+			out.Cols[c] = p.cur.Gather(c, p.lidx, reg[:0])
+		} else {
+			out.Cols[c] = gatherRefs(p.b.store.batches, c-lw, p.refs, reg[:0])
+		}
 	}
-	if j.exprs.residual == nil {
+	out.Sel = nil
+	if p.residual == nil {
 		return out, nil
 	}
-	pairs := j.sel[:0]
-	for k, r := range j.refs {
+	pairs := p.sel[:0]
+	for k, r := range p.refs {
 		if r.b >= 0 {
 			pairs = append(pairs, k)
 		}
 	}
-	j.sel = pairs
+	p.sel = pairs
 	var pass []int // the pairs that pass, in order
 	if len(pairs) > 0 {
 		out.Sel = pairs
 		var err error
-		if pass, err = j.exprs.residual.selectTrue(out, j.pass[:0]); err != nil {
+		if pass, err = p.residual.selectTrue(out, p.pass[:0]); err != nil {
 			return nil, err
 		}
-		j.pass = pass
+		p.pass = pass
 	}
-	sel := make([]int, 0, n)
-	for k, r := range j.refs {
+	if vector.Poisoned() {
+		vector.PoisonSel(p.psel)
+	}
+	sel := p.psel[:0]
+	for k, r := range p.refs {
 		passed := len(pass) > 0 && pass[0] == k
 		if passed {
 			pass = pass[1:]
@@ -1972,18 +2146,18 @@ func (j *joinIter) emit() (*vector.Batch, error) {
 		case r.b < 0:
 			sel = append(sel, k)
 		case passed:
-			sel, j.matched = append(sel, k), true
-		case j.last[k] && !j.matched && j.kind == "LEFT OUTER":
-			for c := j.leftWidth; c < len(out.Cols); c++ {
+			sel, p.matched = append(sel, k), true
+		case p.last[k] && !p.matched && p.b.kind == "LEFT OUTER":
+			for c := lw; c < len(out.Cols); c++ {
 				out.Cols[c][k] = variant.Null
 			}
 			sel = append(sel, k)
 		}
-		if j.last[k] {
-			j.matched = false
+		if p.last[k] {
+			p.matched = false
 		}
 	}
-	switch out.Sel = sel; len(sel) {
+	switch p.psel, out.Sel = sel, sel; len(sel) {
 	case 0:
 		return nil, nil
 	case n:
@@ -1999,71 +2173,70 @@ func (j *joinIter) emit() (*vector.Batch, error) {
 // It emits the probe batch's own columns, typed views included, under the
 // selection of the taken rows that survive the residual, beside the build
 // columns gathered into its registers; a LEFT OUTER row without a surviving
-// candidate is selected with NULL build columns. The batch is valid until
-// the next NextBatch.
-func (j *joinIter) emitStream() (*vector.Batch, error) {
-	cur, outer := j.cur, j.kind == "LEFT OUTER"
+// candidate is selected with NULL build columns.
+func (p *joinProbe) emitStream() (*vector.Batch, error) {
+	b, cur, outer := p.b, p.cur, p.b.kind == "LEFT OUTER"
 	if vector.Poisoned() {
-		vector.PoisonSel(j.sel)
-		vector.PoisonSel(j.lidx)
-		vector.PoisonSel(j.osel)
+		vector.PoisonSel(p.sel)
+		vector.PoisonSel(p.lidx)
+		vector.PoisonSel(p.osel)
 	}
-	hits, rows := j.sel[:0], j.lidx[:0]
-	j.refs = j.refs[:0]
-	j.store.rewind()
-	for n := cur.NumRows(); j.pos < n && len(rows) < j.size; j.pos++ {
-		i := cur.ActiveAt(j.pos)
-		if s := j.found[i]; s >= 0 {
-			ref, err := j.store.ref(int64(j.table.slots[s].head))
+	hits, rows := p.sel[:0], p.lidx[:0]
+	p.refs = p.refs[:0]
+	b.store.rewind()
+	for n := cur.NumRows(); p.pos < n && len(rows) < p.size; p.pos++ {
+		i := cur.ActiveAt(p.pos)
+		if s := p.found[i]; s >= 0 {
+			ref, err := b.store.ref(int64(b.table.slots[s].head))
 			if err != nil {
 				return nil, err
 			}
-			hits, j.refs = append(hits, i), append(j.refs, ref)
+			hits, p.refs = append(hits, i), append(p.refs, ref)
 		} else if !outer {
 			continue
 		}
 		rows = append(rows, i)
 	}
-	j.sel, j.lidx = hits, rows
-	out := &j.out
+	p.sel, p.lidx = hits, rows
+	out := &p.out
 	if out.Cols == nil {
-		width := j.leftWidth + j.rightWidth
+		width := b.leftWidth + b.rightWidth
 		out.Cols, out.Typed = make([][]variant.Value, width), make([]*vector.TypedCol, width)
-		j.vregs, j.tregs = make([][]variant.Value, j.rightWidth), make([]vector.TypedCol, j.rightWidth)
+		p.vregs, p.tregs = make([][]variant.Value, b.rightWidth), make([]vector.TypedCol, b.rightWidth)
 	}
-	for c := 0; c < j.leftWidth; c++ {
+	for c := 0; c < b.leftWidth; c++ {
 		out.Cols[c], out.Typed[c] = cur.Cols[c], cur.TypedCol(c)
 	}
-	for c := 0; c < j.rightWidth; c++ {
-		j.gatherBuild(c, hits, cur.Len())
+	for c := 0; c < b.rightWidth; c++ {
+		p.gatherBuild(c, hits, cur.Len())
 	}
 	var pass []int // the hits that pass, in order
-	if j.exprs.residual != nil && len(hits) > 0 {
+	if p.residual != nil && len(hits) > 0 {
 		out.Sel = hits
 		var err error
-		if pass, err = j.exprs.residual.selectTrue(out, j.pass[:0]); err != nil {
+		if pass, err = p.residual.selectTrue(out, p.pass[:0]); err != nil {
 			return nil, err
 		}
-		j.pass = pass
+		p.pass = pass
 	}
-	sel, h := j.osel[:0], 0
+	sel, h := p.osel[:0], 0
 	for _, i := range rows {
 		hit := h < len(hits) && hits[h] == i
 		if hit {
 			h++
 		}
 		switch {
-		case hit && j.exprs.residual == nil:
+		case hit && p.residual == nil:
 		case hit && len(pass) > 0 && pass[0] == i:
 			pass = pass[1:]
 		case outer:
-			j.padBuild(i)
+			p.padBuild(i)
 		default:
 			continue
 		}
 		sel = append(sel, i)
 	}
-	j.osel = sel
+	p.osel = sel
 	if len(sel) == 0 {
 		return nil, nil
 	}
@@ -2073,22 +2246,22 @@ func (j *joinIter) emitStream() (*vector.Batch, error) {
 
 // gatherBuild refills build column c's register, n rows long, with the
 // candidates of the hits, through the refs emitStream took.
-func (j *joinIter) gatherBuild(c int, hits []int, n int) {
-	col := j.leftWidth + c
-	if k := j.kinds[c]; k >= 0 {
-		t := &j.tregs[c]
+func (p *joinProbe) gatherBuild(c int, hits []int, n int) {
+	col, batches := p.b.leftWidth+c, p.b.store.batches
+	if k := p.b.kinds[c]; k >= 0 {
+		t := &p.tregs[c]
 		if vector.Poisoned() {
 			vector.PoisonTyped(t)
 		}
 		t.Reset(vector.TypedKind(k), n)
 		for h, i := range hits {
-			r := j.refs[h]
-			t.Put(i, j.store.batches[r.b].Typed[c], int(r.i))
+			r := p.refs[h]
+			t.Put(i, batches[r.b].Typed[c], int(r.i))
 		}
-		j.out.Cols[col], j.out.Typed[col] = nil, t
+		p.out.Cols[col], p.out.Typed[col] = nil, t
 		return
 	}
-	v := j.vregs[c]
+	v := p.vregs[c]
 	if cap(v) < n {
 		v = make([]variant.Value, n)
 	}
@@ -2097,39 +2270,21 @@ func (j *joinIter) gatherBuild(c int, hits []int, n int) {
 		vector.Poison(v)
 	}
 	for h, i := range hits {
-		r := j.refs[h]
-		v[i] = j.store.batches[r.b].Value(c, int(r.i))
+		r := p.refs[h]
+		v[i] = batches[r.b].Value(c, int(r.i))
 	}
-	j.vregs[c] = v
-	j.out.Cols[col], j.out.Typed[col] = v, nil
+	p.vregs[c] = v
+	p.out.Cols[col], p.out.Typed[col] = v, nil
 }
 
 // padBuild NULLs row i of every build column register.
-func (j *joinIter) padBuild(i int) {
-	for c := range j.kinds {
-		if j.kinds[c] >= 0 {
-			j.tregs[c].SetNull(i)
+func (p *joinProbe) padBuild(i int) {
+	for c, k := range p.b.kinds {
+		if k >= 0 {
+			p.tregs[c].SetNull(i)
 		} else {
-			j.vregs[c][i] = variant.Null
+			p.vregs[c][i] = variant.Null
 		}
-	}
-}
-
-// Close is idempotent: build already closed (and nilled) the right side, so
-// closing a drained join must not touch it again — see the execclose lint
-// fixture's earlyCloser pattern and TestJoinCloseIdempotent.
-func (j *joinIter) Close() {
-	if j.left != nil {
-		j.left.Close()
-		j.left = nil
-	}
-	if j.right != nil {
-		j.right.Close()
-		j.right = nil
-	}
-	j.store.releaseAll(j.mem)
-	if j.mem != nil {
-		j.mem.releaseAll()
 	}
 }
 

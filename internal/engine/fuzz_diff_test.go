@@ -117,8 +117,11 @@ func FuzzPlanDiff(f *testing.F) {
 }
 
 // checkBuildSides runs the join queries over t and the dimension table d at
-// batch sizes 1/7/1024 and parallelism 1/2/4, each with every join that may
-// build left forced right, forced left, and left to the row-bound rule. In
+// batch sizes 1/7/1024 and parallelism 1/2/4, and in two cells whose
+// exchanges cut 16-row morsels (batch size 4, parallelism 2 and 4) so that a
+// probe's and a left build's match pass fan out within a fuzz-sized
+// partition, each with every join that may build left forced right, forced
+// left, and left to the row-bound rule. In
 // each cell the three runs must render the same, error included; and a
 // cell's rows must equal the first cell's when neither failed — which batch
 // a failing row sits in decides whether a LIMIT stops before it, so errors
@@ -135,61 +138,71 @@ func checkBuildSides(t *testing.T, docs, dims, queries []string) {
 		vector.SetPoison(true)
 		defer vector.SetPoison(false)
 	}
-	var first []string
+	type cell struct {
+		bs, par, morsel int
+		limit           int64
+	}
+	var cells []cell
 	for _, bs := range []int{1024, 1, 7} {
 		for _, par := range []int{1, 2, 4} {
-			limit := int64(0)
+			c := cell{bs: bs, par: par}
 			if bs == 1024 && par == 2 {
-				limit = 2 << 10
+				c.limit = 2 << 10
 			}
-			var right []string
-			for _, side := range []buildSide{buildRight, buildLeft, buildAuto} {
-				e := New(WithBatchSize(bs), WithParallelism(par), WithMemLimit(limit))
-				e.forceBuild, e.planCheck = side, true
-				for _, tab := range []struct {
-					name string
-					cols []string
-					docs []string
-				}{
-					{"t", []string{"grp", "id", "val", "s", "items", "x"}, docs},
-					{"d", []string{"dk", "dm", "dn", "dv"}, dims},
-				} {
-					tb, err := e.Catalog().CreateTable(tab.name, tab.cols)
-					if err != nil {
-						t.Fatal(err)
-					}
-					tb.SetTargetPartitionBytes(2048)
-					appendDocs(t, diffCell{name: "build-side"}, tb, tab.docs)
+			cells = append(cells, c)
+		}
+	}
+	cells = append(cells, cell{bs: 4, par: 2, morsel: 16}, cell{bs: 4, par: 4, morsel: 16})
+	var first []string
+	for _, c := range cells {
+		bs, par, limit := c.bs, c.par, c.limit
+		var right []string
+		for _, side := range []buildSide{buildRight, buildLeft, buildAuto} {
+			e := New(WithBatchSize(bs), WithParallelism(par), WithMemLimit(limit))
+			e.forceBuild, e.planCheck, e.morselRows = side, true, c.morsel
+			for _, tab := range []struct {
+				name string
+				cols []string
+				docs []string
+			}{
+				{"t", []string{"grp", "id", "val", "s", "items", "x"}, docs},
+				{"d", []string{"dk", "dm", "dn", "dv"}, dims},
+			} {
+				tb, err := e.Catalog().CreateTable(tab.name, tab.cols)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if first == nil {
-					plan, err := e.Explain(queries[len(queries)-1])
-					if err != nil || !strings.Contains(plan, " build=left ") {
-						t.Fatalf("the dimension-first join does not build left (%v):\n%s", err, plan)
-					}
+				tb.SetTargetPartitionBytes(2048)
+				appendDocs(t, diffCell{name: "build-side"}, tb, tab.docs)
+			}
+			if first == nil {
+				plan, err := e.Explain(queries[len(queries)-1])
+				if err != nil || !strings.Contains(plan, " build=left ") {
+					t.Fatalf("the dimension-first join does not build left (%v):\n%s", err, plan)
 				}
-				for qi, q := range queries {
-					got := "rows:\n"
-					res, err := e.Query(q)
-					if err != nil {
-						got = "error: " + err.Error()
-					} else {
-						got += renderRows(res)
+			}
+			for qi, q := range queries {
+				got := "rows:\n"
+				res, err := e.Query(q)
+				if err != nil {
+					got = "error: " + err.Error()
+				} else {
+					got += renderRows(res)
+				}
+				switch {
+				case len(first) == qi:
+					first = append(first, got)
+				case len(right) == qi:
+					if err == nil && !strings.HasPrefix(first[qi], "error: ") && got != first[qi] {
+						t.Errorf("[bs=%d par=%d morsel=%d limit=%d] rows diverge from bs=1024 par=1 on %s\nthere:\n%s\nhere:\n%s",
+							bs, par, c.morsel, limit, q, clipDiff(first[qi]), clipDiff(got))
 					}
-					switch {
-					case len(first) == qi:
-						first = append(first, got)
-					case len(right) == qi:
-						if err == nil && !strings.HasPrefix(first[qi], "error: ") && got != first[qi] {
-							t.Errorf("[bs=%d par=%d limit=%d] rows diverge from bs=1024 par=1 on %s\nthere:\n%s\nhere:\n%s",
-								bs, par, limit, q, clipDiff(first[qi]), clipDiff(got))
-						}
-					case got != right[qi]:
-						t.Errorf("[bs=%d par=%d limit=%d side=%d] diverges from the right build on %s\nright:\n%s\ngot:\n%s",
-							bs, par, limit, side, q, clipDiff(right[qi]), clipDiff(got))
-					}
-					if side == buildRight {
-						right = append(right, got)
-					}
+				case got != right[qi]:
+					t.Errorf("[bs=%d par=%d morsel=%d limit=%d side=%d] diverges from the right build on %s\nright:\n%s\ngot:\n%s",
+						bs, par, c.morsel, limit, side, q, clipDiff(right[qi]), clipDiff(got))
+				}
+				if side == buildRight {
+					right = append(right, got)
 				}
 			}
 		}

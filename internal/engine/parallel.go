@@ -16,12 +16,13 @@ import (
 )
 
 // Parallel execution. The ordered exchange parallelizes the streaming half of
-// a pipeline; of the blocking half, only the hash aggregation's phase 1 fans
-// out (foldParts, over the worker loop fanOut), while keeping every output
-// byte identical to the sequential operator — the ordering argument is
-// spelled out at aggMerger. The plan carries no parallel node for it: the
-// aggregate decides when it first runs (aggFanOut). The join build and the
-// sort each fill one table on the driver at every parallelism (exec.go).
+// a pipeline, hash-join probes and a left build's match pass included; of the
+// blocking half, only the hash aggregation's phase 1 fans out (foldParts,
+// over the worker loop fanOut), while keeping every output byte identical to
+// the sequential operator — the ordering argument is spelled out at
+// aggMerger. The plan carries no parallel node for it: the aggregate decides
+// when it first runs (aggFanOut). The join build and the sort each fill one
+// table on the driver at every parallelism (exec.go).
 
 // aggSpanFanout is the number of phase-1 claims per aggregation worker. Each
 // claim is a contiguous span of storage partitions sharing one local table:
@@ -55,13 +56,16 @@ func (s *staticBatches) Close() {}
 // Project, Flatten or streamed Aggregate operator is made: once per stage for
 // the driver's tree (prepareStage) and once per worker for each segment
 // replay, where the worker owns it (compiled expressions hold state) across
-// its partitions or morsels.
+// its partitions or morsels. A worker's join probe is made the same way over
+// the table the driver built (joinIter makes its own).
 type compiledStage struct {
 	node   Node
 	agg    *aggEval       // an aggregate's grouping and arguments
 	dag    *exprDAG       // the condition, select list, FLATTEN input or agg's DAG
 	rng    bool           // a FLATTEN over ARRAY_RANGE: dag holds its bounds
 	stream *streamAggIter // the streamed aggregate last instantiated
+	join   joinExprs      // a probe's keys and residual
+	built  *joinBuilt     // the table a probe reads
 }
 
 // compileStage compiles one Filter, Project, Flatten or Aggregate node's
@@ -90,6 +94,8 @@ func compileStage(ctx *execContext, n Node) (compiledStage, error) {
 		if s.agg, err = compileAggEval(ctx, x); err == nil {
 			s.dag = s.agg.dag
 		}
+	case *JoinNode:
+		s.join, err = compileJoin(ctx, x)
 	default:
 		err = fmt.Errorf("engine: node %T is not a pipeline stage", n)
 	}
@@ -113,6 +119,8 @@ func compileStages(ctx *execContext, stages []Node) ([]compiledStage, error) {
 // an aggregate stage is streamed.
 func (s *compiledStage) instantiate(in batchIter, batchSize int) batchIter {
 	switch x := s.node.(type) {
+	case *JoinNode:
+		return &joinProbe{in: in, b: s.built, keys: s.join.left, residual: s.join.residual, size: batchSize}
 	case *FilterNode:
 		return &filterIter{in: in, cond: s.dag}
 	case *ProjectNode:
@@ -159,6 +167,13 @@ type segmentPlan struct {
 	batch     int      // rows per batch inside the workers
 	scanSt    *OpStats // the scan's record: partitions, bytes and rows
 	outerScan bool     // a plain scan's exchange, whose envelope meters the rows
+	// builds[i] is the table probe stage i reads, built by the driver before
+	// the workers start; nil for every other stage.
+	builds []*joinBuilt
+	// match, when set, is the left build of join matchOf whose match pass
+	// ends the segment (matchIter).
+	match   *joinBuilt
+	matchOf *JoinNode
 }
 
 func newSegmentPlan(ctx *execContext, scan *ScanNode, stages []Node, counters []counterRef, batch int) (*segmentPlan, error) {
@@ -182,6 +197,10 @@ type segmentRun struct {
 	out      batchIter
 	stages   []compiledStage
 	counters []*exprNode
+	// held: out's batches are the worker's own, charged while in flight — a
+	// stage's, copied from the registers its next call recycles (detach), or
+	// the match pass's fresh copies; a bare scan's are the storage's.
+	held, detach bool
 }
 
 func (p *segmentPlan) compile(ctx *execContext) (*segmentRun, error) {
@@ -195,6 +214,9 @@ func (p *segmentPlan) compile(ctx *execContext) (*segmentRun, error) {
 	if r.stages, err = compileStages(ctx, p.stages); err != nil {
 		return nil, err
 	}
+	for i, b := range p.builds {
+		r.stages[i].built = b
+	}
 	for _, c := range p.counters {
 		n := r.stages[c.stage].dag.counter(c.expr)
 		if n == nil {
@@ -203,6 +225,17 @@ func (p *segmentPlan) compile(ctx *execContext) (*segmentRun, error) {
 		r.counters = append(r.counters, n)
 	}
 	r.out = instantiateChain(ctx, p, &r.src, r.stages)
+	r.held = len(r.stages) > 0 || p.match != nil
+	r.detach = p.match == nil && r.held
+	if p.match != nil {
+		x := p.matchOf
+		keys, err := compileVecs(ctx, x, x.Right.Schema(), x.RightKeys)
+		if err != nil {
+			r.out.Close()
+			return nil, err
+		}
+		r.out = &matchIter{in: r.out, b: p.match, keys: keys}
+	}
 	return r, nil
 }
 
@@ -293,6 +326,20 @@ const minMorselRows = 1024
 // ~29%, at equal speed. Results do not depend on the batch size.
 const maxWorkerBatchRows = 256
 
+// workerBatch is the batch size a segment's workers evaluate: the query's,
+// capped at maxWorkerBatchRows when a FLATTEN or streamed aggregate stage's
+// register file grows with it. A segment of filters, projections and probes
+// keeps full batches: its registers are a few columns wide.
+func workerBatch(ctx *execContext, stages []Node) int {
+	for _, n := range stages {
+		switch n.(type) {
+		case *FlattenNode, *AggregateNode:
+			return min(ctx.batchSize, maxWorkerBatchRows)
+		}
+	}
+	return ctx.batchSize
+}
+
 // morsel is rows [lo, hi) of pinned partition part.
 type morsel struct{ part, lo, hi int }
 
@@ -305,12 +352,13 @@ type morselOut struct {
 	err     error           // the morsel's first error, raised after its batches
 }
 
-// exchangeIter runs an ExchangeNode's segment — or, with no node, a plain
-// scan — on a pool of workers. Workers claim morsels from an atomic counter,
-// each holding one token of a bounded window, replay the segment over the
-// morsel on their own compiled stages, and hand the detached output to the
-// driver, which releases morsels strictly in morsel order and returns each
-// one's token on release.
+// exchangeIter runs an ExchangeNode's segment — a left build's match pass
+// (JoinNode.Match) included, or, with no node, a plain scan — on a pool of
+// workers. Workers claim morsels from an atomic counter, each holding one
+// token of a bounded window, replay the segment over the morsel on their own
+// compiled stages, and hand the detached output to the driver, which
+// releases morsels strictly in morsel order and returns each one's token on
+// release.
 //
 // Why the output is byte-identical to the sequential pipeline's: morsels are
 // contiguous row ranges, so every stage sees the same rows in the same order
@@ -321,8 +369,12 @@ type morselOut struct {
 // projection in order, and those are the concatenation of the morsels'. No
 // group of a streamed aggregate spans two morsels — its key is a row ID of
 // the segment, and a row's copies never leave its morsel — so every fold sees
-// its rows in the sequential order too. The first error in row order is the
-// first errored morsel's, raised after its earlier batches.
+// its rows in the sequential order too. A probe emits each input row's
+// candidates in right-input order, row after row, so its morsels' outputs
+// concatenate to the sequential join's; the driver builds every probed table
+// first, outermost join first as the sequential pipeline does, so a build's
+// error comes before any row. The first error in row order is the first
+// errored morsel's, raised after its earlier batches.
 type exchangeIter struct {
 	ctx   *execContext
 	node  *ExchangeNode // nil: a plain scan, whose morsels are whole partitions
@@ -332,10 +384,15 @@ type exchangeIter struct {
 	// handed out; its record is the exchange node's.
 	mem *opMem
 	// seq is the sequential pipeline prepared at bind. It serves whenever the
-	// segment does not fan out and is closed unstarted when it does.
+	// segment does not fan out; when it does, it holds the probed tables until
+	// Close.
 	seq batchIter
+	// joins are the driver's joins the probe stages read, execution order.
+	joins []*joinIter
 
 	started  bool
+	fanned   bool
+	err      error // a build's error, raised before any row
 	morsels  []morsel
 	results  chan *morselOut
 	tokens   chan struct{}
@@ -357,12 +414,22 @@ func prepareExchange(x *ExchangeNode, ctx *execContext) (batchIter, error) {
 	if err != nil {
 		return nil, err
 	}
-	seg, err := newSegmentPlan(ctx, x.Scan, x.Stages, x.Counters, min(ctx.batchSize, maxWorkerBatchRows))
+	seg, err := newSegmentPlan(ctx, x.Scan, x.Stages, x.Counters, workerBatch(ctx, x.Stages))
 	if err != nil {
 		seq.Close()
 		return nil, err
 	}
-	return newExchangeIter(ctx, x, seg, seq), nil
+	ex := newExchangeIter(ctx, x, seg, seq)
+	for i, n := range x.Stages {
+		if jn, ok := n.(*JoinNode); ok {
+			j := ctx.joins[jn]
+			if seg.builds == nil {
+				seg.builds = make([]*joinBuilt, len(x.Stages))
+			}
+			seg.builds[i], ex.joins = &j.joinBuilt, append(ex.joins, j)
+		}
+	}
+	return ex, nil
 }
 
 func newExchangeIter(ctx *execContext, node *ExchangeNode, seg *segmentPlan, seq batchIter) *exchangeIter {
@@ -374,8 +441,9 @@ func newExchangeIter(ctx *execContext, node *ExchangeNode, seg *segmentPlan, seq
 
 // start decides, on the first NextBatch, whether the segment fans out: it
 // must be eligible, run at parallelism > 1 and cut into two morsels or more
-// after pruning. Otherwise the sequential pipeline serves and the node
-// records why. An empty table yields no morsels and starts no goroutine.
+// after pruning, and the tables its probes read must build in memory.
+// Otherwise the sequential pipeline serves and the node records why. An
+// empty table yields no morsels and starts no goroutine.
 func (x *exchangeIter) start() {
 	x.started = true
 	var why string
@@ -392,12 +460,14 @@ func (x *exchangeIter) start() {
 			why = [...]string{"no morsels", "one morsel"}[len(x.morsels)]
 		}
 	}
-	if why != "" {
+	if why == "" {
+		why = x.build()
+	}
+	if why != "" || x.err != nil {
 		x.mem.st.Sequential = why
 		return
 	}
-	x.seq.Close()
-	x.seq = nil
+	x.fanned = true
 	workers := min(x.ctx.parallelism, len(x.morsels))
 	x.offsets = make([]int64, len(x.seg.counters))
 	x.mem.st.Workers, x.mem.st.Morsels = workers, len(x.morsels)
@@ -416,6 +486,24 @@ func (x *exchangeIter) start() {
 	for range workers {
 		go x.work(&claim)
 	}
+}
+
+// build builds the tables the probe stages read, outermost join first as the
+// sequential pipeline would, keeping the first error in x.err. It returns why
+// the segment stays sequential after all: a spilled build decodes its rows
+// through one scratch batch, so only the driver's probe may read it.
+func (x *exchangeIter) build() string {
+	for i := len(x.joins) - 1; i >= 0; i-- {
+		if x.err = x.joins[i].ensureBuilt(); x.err != nil {
+			return ""
+		}
+	}
+	for _, j := range x.joins {
+		if j.store.run != nil {
+			return "join build spilled"
+		}
+	}
+	return ""
 }
 
 // cut splits the pinned, unpruned partitions into morsels and returns the
@@ -498,9 +586,16 @@ func (x *exchangeIter) runMorsel(r *segmentRun, k int) *morselOut {
 			out.err = err
 			break
 		}
-		if len(r.stages) > 0 {
-			// Scan batches are stable; a stage's are recycled by its next call.
-			b = b.Detach()
+		if r.detach {
+			// A stage's batch is recycled by its next call. One with most
+			// rows filtered out is kept compacted.
+			if 2*b.NumRows() < b.Len() {
+				b = b.Compact()
+			} else {
+				b = b.Detach()
+			}
+		}
+		if r.held {
 			if x.mem.enabled() {
 				nb := activeRowsBytes(b)
 				x.mem.charge(nb)
@@ -520,7 +615,10 @@ func (x *exchangeIter) NextBatch() (*vector.Batch, error) {
 	if !x.started {
 		x.start()
 	}
-	if x.seq != nil {
+	if !x.fanned {
+		if x.err != nil {
+			return nil, x.err
+		}
 		return x.seq.NextBatch()
 	}
 	for x.cur == nil || len(x.cur.batches) == 0 {
@@ -604,22 +702,22 @@ func (x *exchangeIter) unhold(out *morselOut) {
 
 // Close stops the workers, waits for them to exit and returns every
 // accounted byte still held — of the morsel being handed out, the window, the
-// results queue and the results never sent; safe before the first NextBatch
-// and twice.
+// results queue and the results never sent — then closes the sequential
+// pipeline, releasing the tables the workers read; safe before the first
+// NextBatch and twice.
 func (x *exchangeIter) Close() {
+	if x.stop != nil {
+		x.stopOnce.Do(func() {
+			x.halt.Store(true)
+			close(x.stop)
+			x.wg.Wait()
+			x.mem.releaseAll()
+		})
+	}
 	if x.seq != nil {
 		x.seq.Close()
-		return
+		x.seq = nil
 	}
-	if x.stop == nil {
-		return
-	}
-	x.stopOnce.Do(func() {
-		x.halt.Store(true)
-		close(x.stop)
-		x.wg.Wait()
-		x.mem.releaseAll()
-	})
 }
 
 // --- fanned-out hash aggregation ----------------------------------------------

@@ -117,8 +117,8 @@ func BenchmarkSort(b *testing.B) {
 // probes 40 960 rows past it, half of whose keys miss. number-unique keys
 // the numeric table by distinct numbers, so the probe streams (emitStream);
 // number-dup gives each key four build rows, so the probe gathers pairs into
-// fresh batches; bytes-2col joins on two columns, which keys the table by
-// the byte encoding of both.
+// its recycled registers; bytes-2col joins on two columns, which keys the
+// table by the byte encoding of both.
 func BenchmarkJoinProbe(b *testing.B) {
 	const buildRows, probeBatches, size = 4096, 40, 1024
 	ints := func(n int, f func(i int) int64) *vector.TypedCol {
@@ -168,11 +168,8 @@ func BenchmarkJoinProbe(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ctx := &execContext{acct: &memAccountant{}, batchSize: size}
-				j := &joinIter{
-					kind: "INNER", left: &staticBatches{batches: probe}, right: &staticBatches{batches: build},
-					exprs: joinExprs{left: lk, right: rk}, leftWidth: 3, rightWidth: 3,
-					store: rowStore{width: 3}, size: size, ectx: ctx, mem: ctx.opMemFor(nil),
-				}
+				j := newJoinIter(ctx, "INNER", &staticBatches{batches: probe}, &staticBatches{batches: build},
+					joinExprs{left: lk, right: rk}, 3, 3, ctx.opMemFor(nil))
 				rows := 0
 				for {
 					out, err := j.NextBatch()

@@ -20,11 +20,20 @@ import (
 //     input's order property (the streaming aggregate, exec.go).
 //
 //   - ExchangeNode around every maximal segment — a scan plus a chain of
-//     Filter / Project / Flatten / streamed Aggregate stages holding at least
-//     one FLATTEN or streamed aggregate. Workers replay the segment over
-//     sub-partition morsels; the driver releases morsels in order and
-//     renumbers row IDs exactly (parallel.go). A segment that uses a row ID
-//     any other way stays sequential and the node says why.
+//     Filter / Project / Flatten / streamed Aggregate stages and hash-join
+//     probes, holding at least one FLATTEN, streamed aggregate or probe.
+//     Workers replay the segment over sub-partition morsels; the driver
+//     releases morsels in order and renumbers row IDs exactly (parallel.go).
+//     A segment that uses a row ID any other way stays sequential and the
+//     node says why.
+//
+//   - JoinNode.Match for a join that may build its left input: the segment
+//     of its right input, whose morsels the join's match pass fans out over
+//     when bind chooses the left build.
+//
+//   - JoinNode.Why, the rule keeping an INNER / LEFT OUTER equi-join's probe
+//     out of the segment below it: its keys or residual read a row ID of the
+//     segment, or the segment carries one through it.
 //
 //   - AggregateNode.Why, the hash aggregate's verdict on the two-phase
 //     partitioned aggregation: empty when every aggregate merges exactly (see
@@ -62,6 +71,20 @@ type ExchangeNode struct {
 
 func (n *ExchangeNode) Schema() *Schema { return n.Input.Schema() }
 
+// Probe stages: an INNER or LEFT OUTER equi-join whose left input is a
+// segment joins it as one more stage, its probe. A probe's output is its
+// input rows in order, each with its candidates in right-input order, so
+// replaying the probe over contiguous morsels and releasing them in order
+// concatenates exactly the sequential join's output; the driver builds the
+// table before the exchange fans out and the workers only read it. Which
+// side builds is decided at bind (chooseBuild) and either build probes the
+// same way: a left build's table chains its matched right rows under each
+// left key, so a worker looks its morsel's left rows up in it as a right
+// build's probe does. A probe keeps no order property (a join's output is
+// unordered), so the segment below must carry no row ID through it, and its
+// keys and residual must read none: JoinNode.Why names the rule, and the
+// segment ends below the join.
+
 // counterRef is one row-ID counter: select-list position expr of segment
 // stage stage (-1 when its projection belongs to no segment).
 type counterRef struct{ stage, expr int }
@@ -89,7 +112,8 @@ type segment struct {
 	scan     *ScanNode
 	stages   []Node
 	counters []*counterRef
-	work     bool   // holds a FLATTEN or a streamed aggregate
+	work     bool   // holds a FLATTEN, a streamed aggregate or a probe
+	probes   bool   // holds a join probe
 	why      string // the first rule keeping it sequential
 }
 
@@ -234,12 +258,67 @@ func (p *physicalPass) rewrite(n Node) (Node, ordering, *segment) {
 		}
 		x.Input = p.seal(x.Input, in, seg)
 	case *JoinNode:
-		x.Left = p.sealed(x.Left)
-		x.Right = p.sealed(x.Right)
+		x.Left, in, seg = p.rewrite(x.Left)
+		if seg != nil && isHashJoin(x) {
+			x.Why = probeWhy(x, seg, in)
+		}
+		if probe := seg != nil && isHashJoin(x) && x.Why == ""; !probe {
+			x.Left, seg = p.seal(x.Left, in, seg), nil
+		}
+		x.Right, x.Match = p.rewriteBuild(x)
+		if seg != nil {
+			seg.stages, seg.work, seg.probes = append(seg.stages, x), true, true
+			return x, nil, seg
+		}
 	case *SortNode:
 		x.Input = p.sealed(x.Input)
 	}
 	return n, nil, nil
+}
+
+// rewriteBuild physicalizes a join's right input and seals it. When the
+// join may build left and its right input is a plain scan pipeline, it also
+// returns that segment as the exchange the match pass fans out over
+// (JoinNode.Match): the segment then ends in the match, which reads the right
+// keys, so a key carrying a row ID keeps it sequential.
+func (p *physicalPass) rewriteBuild(x *JoinNode) (Node, *ExchangeNode) {
+	n, out, seg := p.rewrite(x.Right)
+	var match *ExchangeNode
+	if seg != nil && !seg.work && leftBuildable(x) {
+		for _, k := range x.RightKeys {
+			if usesRowID(k, n.Schema(), out) {
+				seg.sequential("row id in join key")
+			}
+		}
+		match = p.exchange(n, out, seg)
+	}
+	return p.seal(n, out, seg), match
+}
+
+// isHashJoin reports whether x is an INNER or LEFT OUTER equi-join: the
+// joins whose probe may be a segment stage.
+func isHashJoin(x *JoinNode) bool {
+	return len(x.LeftKeys) > 0 && (x.Kind == "INNER" || x.Kind == "LEFT OUTER")
+}
+
+// probeWhy is the rule keeping a hash join's probe out of the segment below
+// it, or "" when the probe may join it: neither its keys nor its residual
+// may read a row ID, and the segment may carry none through the join, whose
+// output has no order property to renumber it by.
+func probeWhy(x *JoinNode, seg *segment, in ordering) string {
+	for _, k := range x.LeftKeys {
+		if usesRowID(k, x.Left.Schema(), in) {
+			return "row id in join key"
+		}
+	}
+	// The left columns come first in the joined schema, so in indexes them.
+	if x.Residual != nil && usesRowID(x.Residual, x.Schema(), in) {
+		return "row id in join residual"
+	}
+	if seg.why != "" || len(seg.counters) > 0 {
+		return "row id in join input"
+	}
+	return ""
 }
 
 // sealed physicalizes a subtree whose consumer ends any segment in it.
@@ -247,13 +326,18 @@ func (p *physicalPass) sealed(n Node) Node {
 	return p.seal(p.rewrite(n))
 }
 
-// seal wraps a finished segment in its exchange. A segment without a FLATTEN
-// or streamed aggregate stays as it is: a plain scan pipeline's parallelism
-// is the scan's own (prepareScan).
+// seal wraps a finished segment in its exchange. A segment without a
+// FLATTEN, streamed aggregate or probe stays as it is: a plain scan
+// pipeline's parallelism is the scan's own (prepareScan).
 func (p *physicalPass) seal(n Node, out ordering, seg *segment) Node {
 	if seg == nil || !seg.work {
 		return n
 	}
+	return p.exchange(n, out, seg)
+}
+
+// exchange wraps the segment ending in n in its exchange.
+func (p *physicalPass) exchange(n Node, out ordering, seg *segment) *ExchangeNode {
 	x := &ExchangeNode{Input: n, Scan: seg.scan, Stages: seg.stages, Why: seg.why}
 	for _, c := range seg.counters {
 		x.Counters = append(x.Counters, *c)
@@ -337,7 +421,7 @@ func parallelAggWhy(x *AggregateNode, seg *segment) string {
 		return why
 	case slices.ContainsFunc(x.GroupBy, exprStateful):
 		return "row id in group key"
-	case seg == nil:
+	case seg == nil || seg.probes:
 		return "input not a scan pipeline"
 	case seg.why != "" || len(seg.counters) > 0:
 		return "row id in input"

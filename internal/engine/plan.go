@@ -130,7 +130,10 @@ type AggregateNode struct {
 // JoinNode joins two inputs. On is the parsed condition: predicate pushdown
 // splits it into hash keys (LeftKeys/RightKeys), from its equalities across
 // the sides, and the Residual, and clears it, for every join kind, so the
-// operator never evaluates On (planck checks).
+// operator never evaluates On (planck checks). The physical pass (physical.go)
+// sets Why, the rule keeping an equi-join's probe out of the segment below
+// it, and Match, the segment of the right input a left build's match pass
+// fans out over.
 type JoinNode struct {
 	Kind      string // INNER, LEFT OUTER, CROSS
 	Left      Node
@@ -139,6 +142,8 @@ type JoinNode struct {
 	LeftKeys  []sqlast.Expr
 	RightKeys []sqlast.Expr
 	Residual  sqlast.Expr
+	Why       string
+	Match     *ExchangeNode
 	schema    *Schema
 }
 
@@ -201,7 +206,8 @@ func (n *UnionNode) Schema() *Schema { return n.Left.Schema() }
 // every rule that visits inputs or expressions without caring about the kind
 // goes through them, so a new kind or field is declared once, here
 // (TestPlanTraversal checks both against the node structs). The physical
-// annotations AggregateNode/ExchangeNode.Scan and .Stages are not inputs.
+// annotations AggregateNode/ExchangeNode.Scan and .Stages and JoinNode.Match
+// are not inputs.
 // Both call fn on each slot rather than return a list, so walking a plan
 // allocates nothing.
 

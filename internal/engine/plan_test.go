@@ -23,8 +23,8 @@ var planKinds = []Node{
 }
 
 // physicalAnnotations name the node fields that point into the plan without
-// being inputs: the segment the physical pass recorded for replay.
-var physicalAnnotations = []string{"Scan", "Stages"}
+// being inputs: the segments the physical pass recorded for replay.
+var physicalAnnotations = []string{"Scan", "Stages", "Match"}
 
 var (
 	nodeType = reflect.TypeFor[Node]()

@@ -38,6 +38,10 @@ func newQueryProgress(plan Node, sql, traceID string) *queryProgress {
 		st := &OpStats{node: n, depth: depth}
 		qp.ops = append(qp.ops, st)
 		qp.byNode[n] = st
+		if j, ok := n.(*JoinNode); ok && j.Match != nil {
+			// The match pass's exchange: read through its join's line.
+			qp.byNode[j.Match] = &OpStats{node: j.Match, depth: depth}
+		}
 		inputSlots(n, func(in *Node) { walk(*in, depth+1) })
 	}
 	walk(plan, 0)

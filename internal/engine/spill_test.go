@@ -195,8 +195,9 @@ func TestOperatorMemPeakWithinQueryPeak(t *testing.T) {
 					t.Errorf("par=%d %s: %s peak %d B exceeds the query's %d B",
 						par, q, n.Op, n.MemPeakBytes, res.Metrics.MemPeakBytes)
 				}
-				// A fanned-out exchange charges its hand-off through its opMem.
-				if n.Op == "Exchange" && par > 1 && n.MemPeakBytes == 0 {
+				// A fanned-out exchange charges its hand-off through its opMem
+				// (one over a spilled join build stays sequential).
+				if n.Op == "Exchange" && strings.HasPrefix(n.Detail, "workers=") && n.MemPeakBytes == 0 {
 					t.Errorf("par=%d %s: the exchange reports no mem[peak=]\n%s", par, q, p.PlanStats().Render())
 				}
 			})
@@ -299,16 +300,7 @@ func TestJoinCloseIdempotent(t *testing.T) {
 		ctx := &execContext{acct: &memAccountant{}, batchSize: 4}
 		left := &countingIter{batches: []*vector.Batch{mkBatch(1, 2, 3)}}
 		right := &countingIter{batches: []*vector.Batch{mkBatch(2, 3, 4)}}
-		j := &joinIter{
-			kind:       "CROSS",
-			left:       left,
-			right:      right,
-			leftWidth:  2,
-			rightWidth: 2,
-			size:       4,
-			ectx:       ctx,
-			mem:        ctx.opMemFor(nil),
-		}
+		j := newJoinIter(ctx, "CROSS", left, right, joinExprs{}, 2, 2, ctx.opMemFor(nil))
 		return j, left, right
 	}
 

@@ -265,6 +265,83 @@ func TestStreamingPipelineAllocatesNothingPerBatch(t *testing.T) {
 		t.Errorf("steady-state pipeline allocates %.1f times per batch, want 0", allocs)
 	}
 	t.Run("join", streamingJoinAllocatesNothing)
+	t.Run("join-dup", func(t *testing.T) { gatheringJoinAllocatesNothing(t, false) })
+	t.Run("join-left", func(t *testing.T) { gatheringJoinAllocatesNothing(t, true) })
+}
+
+// gatheringJoinAllocatesNothing extends the contract to the joins that
+// gather their output (emit): a right build with duplicate keys, and a left
+// build, whose probe replays its stored left rows and walks each key's
+// matched right rows. Either way the pairs' columns go into registers the
+// join recycles, and the batch boundaries stay where the pairs cut them, so
+// once warm a scan→join→project pipeline allocates nothing per batch. The
+// right build is INNER with a residual over both sides; a left build has
+// none (chooseBuild).
+func gatheringJoinAllocatesNothing(t *testing.T, buildLeft bool) {
+	const batchSize = 16
+	// probe-side rows: key i%200 and a string; build-side rows: key j%100
+	// (each key six times) and a float.
+	mk := func(n, lo int, key func(i int) int64, second func(i int) variant.Value) *vector.Batch {
+		keys, extra := make([]int64, n), make([]variant.Value, n)
+		for i := range keys {
+			keys[i], extra[i] = key(lo+i), second(lo+i)
+		}
+		return &vector.Batch{Cols: [][]variant.Value{nil, extra}, Typed: []*vector.TypedCol{vector.NewInt64Col(keys, nil), nil}}
+	}
+	var probe, build []*vector.Batch
+	for lo := 0; lo < 2400; lo += 100 {
+		probe = append(probe, mk(100, lo, func(i int) int64 { return int64(i % 200) }, func(i int) variant.Value { return variant.String(fmt.Sprintf("p%d", i)) }))
+	}
+	for lo := 0; lo < 600; lo += 100 {
+		build = append(build, mk(100, lo, func(i int) int64 { return int64(i % 100) }, func(i int) variant.Value { return variant.Float(float64(i) / 4) }))
+	}
+	must := func(d *exprDAG, err error) *exprDAG {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	left, right := NewSchema([]string{"k", "p"}), NewSchema([]string{"bk", "bv"})
+	joined := NewSchema([]string{"k", "p", "bk", "bv"})
+	exprs := joinExprs{
+		left:  must(compileVecs(nil, nil, left, []sqlast.Expr{sqlast.C("k")})),
+		right: must(compileVecs(nil, nil, right, []sqlast.Expr{sqlast.C("bk")})),
+	}
+	ctx := &execContext{acct: &memAccountant{}, batchSize: batchSize}
+	var j *joinIter
+	if buildLeft {
+		// The left input is the build, drained once, so the pipeline runs
+		// until its output runs out: 600 left rows × 12 matches each.
+		j = newJoinIter(ctx, "INNER", &staticBatches{batches: build}, &staticBatches{batches: probe}, exprs, 2, 2, ctx.opMemFor(nil))
+		j.buildLeft = true
+		j.right = &matchIter{in: j.right, b: &j.joinBuilt, keys: j.exprs.right}
+	} else {
+		exprs.residual = must(compileVec(nil, nil, joined, sqlast.B("<>", sqlast.B("%", sqlast.C("k"), sqlast.L(variant.Int(3))), sqlast.L(variant.Int(1)))))
+		j = newJoinIter(ctx, "INNER", &cycleIter{batches: probe}, &staticBatches{batches: build}, exprs, 2, 2, ctx.opMemFor(nil))
+		j.probe.residual = exprs.residual
+	}
+	defer j.Close()
+	var it batchIter = &projectIter{in: j, dag: must(compileVecs(nil, nil, joined, []sqlast.Expr{
+		sqlast.C("p"), sqlast.C("bv"), sqlast.B("+", sqlast.C("bk"), sqlast.C("k")),
+	}))}
+	rows := 0
+	pull := func() {
+		b, err := it.NextBatch()
+		if err != nil || b == nil {
+			t.Fatalf("pipeline stopped: %v %v", b, err)
+		}
+		rows += b.NumRows()
+	}
+	for i := 0; i < 64; i++ { // warm-up: registers, pair scratch and selections reach their size
+		pull()
+	}
+	if j.stream || !j.table.dup && !buildLeft || rows == 0 {
+		t.Fatalf("stream=%v dup=%v rows=%d: the pipeline does not exercise the gathering probe", j.stream, j.table.dup, rows)
+	}
+	if allocs := testing.AllocsPerRun(200, pull); allocs != 0 {
+		t.Errorf("steady-state join pipeline allocates %.1f times per batch, want 0", allocs)
+	}
 }
 
 // streamingJoinAllocatesNothing extends the contract to the hash join: a
@@ -310,15 +387,11 @@ func streamingJoinAllocatesNothing(t *testing.T) {
 	left, right := NewSchema([]string{"k", "id"}), NewSchema([]string{"bk", "bv", "bn", "bs"})
 	joined := NewSchema([]string{"k", "id", "bk", "bv", "bn", "bs"})
 	ctx := &execContext{acct: &memAccountant{}, batchSize: batchSize}
-	j := &joinIter{
-		kind: "LEFT OUTER", left: &cycleIter{batches: src}, right: &staticBatches{batches: build},
-		exprs: joinExprs{
-			left:     must(compileVecs(nil, nil, left, []sqlast.Expr{sqlast.C("k")})),
-			right:    must(compileVecs(nil, nil, right, []sqlast.Expr{sqlast.C("bk")})),
-			residual: must(compileVec(nil, nil, joined, sqlast.B("<>", sqlast.B("%", sqlast.C("id"), lit(3)), sqlast.C("bn")))),
-		},
-		leftWidth: 2, rightWidth: 4, store: rowStore{width: 4}, size: batchSize, ectx: ctx, mem: ctx.opMemFor(nil),
-	}
+	j := newJoinIter(ctx, "LEFT OUTER", &cycleIter{batches: src}, &staticBatches{batches: build}, joinExprs{
+		left:     must(compileVecs(nil, nil, left, []sqlast.Expr{sqlast.C("k")})),
+		right:    must(compileVecs(nil, nil, right, []sqlast.Expr{sqlast.C("bk")})),
+		residual: must(compileVec(nil, nil, joined, sqlast.B("<>", sqlast.B("%", sqlast.C("id"), lit(3)), sqlast.C("bn")))),
+	}, 2, 4, ctx.opMemFor(nil))
 	defer j.Close()
 	var it batchIter = &projectIter{in: j, dag: must(compileVecs(nil, nil, joined, []sqlast.Expr{
 		sqlast.C("id"), sqlast.B("+", sqlast.C("bv"), sqlast.C("k")), sqlast.C("bs"),

@@ -184,23 +184,48 @@ func TestNoStreamAggregates(t *testing.T) {
 	}
 }
 
-// TestNoExchanges: SSB has no FLATTEN and no streamed aggregate, so no plan
-// gets an exchange — its scans keep their whole-partition parallelism and
-// ssb_exec is the nested exchange's control workload.
-func TestNoExchanges(t *testing.T) {
-	sess, _ := testEngines(t)
+// TestExchangeCensus: every SSB plan, in both SQL forms, gets one exchange
+// — the scan → probe chain below the final aggregate, whose SUMs keep it
+// sequential — and none stays sequential by plan. At SF 8 (the ssb_exec
+// load) and parallelism 2, EXPLAIN ANALYZE shows where the work fans out:
+// q1.x and q2.x probe lineorder's 48 morsels under the exchange; q3.x and
+// q4.x build their first join left, so that join's match pass fans out over
+// lineorder's morsels instead, and the exchange above it streams the small
+// dimension's.
+func TestExchangeCensus(t *testing.T) {
+	sess, err := Setup(20240611, 8, engine.WithParallelism(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sess.Engine()
 	for _, q := range Queries() {
 		gen, err := TranslateSQL(sess, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, sql := range []string{gen, q.SQL} {
-			plan, err := sess.Engine().Explain(sql)
+		for i, sql := range []string{gen, q.SQL} {
+			plan, err := eng.Explain(sql)
 			if err != nil {
 				t.Fatalf("%s: %v", q.ID, err)
 			}
-			if strings.Contains(plan, "Exchange") {
-				t.Errorf("%s: want no exchange:\n%s", q.ID, plan)
+			if n := strings.Count(plan, "Exchange"); n != 1 || strings.Contains(plan, "Exchange sequential") {
+				t.Errorf("%s form %d: %d exchanges, want one that may fan out:\n%s", q.ID, i, n, plan)
+			}
+			_, ps, err := eng.QueryAnalyze(sql)
+			if err != nil {
+				t.Fatalf("%s: %v", q.ID, err)
+			}
+			want, where := "Exchange workers=2 morsels=48", "Exchange"
+			if strings.HasPrefix(q.ID, "q3.") || strings.HasPrefix(q.ID, "q4.") {
+				want, where = "build=left rows=", "match[workers=2 morsels=48]"
+			}
+			found := false
+			ps.Walk(func(_ int, n *engine.PlanStats) {
+				line := n.Op + " " + n.Detail
+				found = found || strings.Contains(line, want) && strings.Contains(line, where)
+			})
+			if !found {
+				t.Errorf("%s form %d: no line with %q and %q\n%s", q.ID, i, want, where, ps.Render())
 			}
 		}
 	}

@@ -339,11 +339,36 @@ func (t *TypedCol) Put(i int, src *TypedCol, si int) {
 
 // Copy returns t's rows at idx, in order, in storage of their own: a stable
 // column, not a register — how the hash join retains a typed build column.
-// t holds numbers or booleans.
+// A string column's copy shares its dictionary and string bytes.
 func (t *TypedCol) Copy(idx []int) *TypedCol {
-	out := &TypedCol{}
-	t.Gather(idx, out)
-	out.reg = false
+	if t.kind != TypedString {
+		out := &TypedCol{}
+		t.Gather(idx, out)
+		out.reg = false
+		return out
+	}
+	out := &TypedCol{kind: TypedString, n: len(idx), dict: t.dict}
+	if t.codes != nil {
+		out.codes = make([]uint32, len(idx))
+		for k, i := range idx {
+			out.codes[k] = t.codes[i]
+		}
+	} else {
+		out.strs = make([]string, len(idx))
+		for k, i := range idx {
+			out.strs[k] = t.strs[i]
+		}
+	}
+	if t.nulls != nil {
+		for k, i := range idx {
+			if t.Null(i) {
+				if out.nulls == nil {
+					out.nulls = make([]uint64, NullBitmapWords(len(idx)))
+				}
+				SetNullBit(out.nulls, k)
+			}
+		}
+	}
 	return out
 }
 

@@ -189,6 +189,30 @@ func (b *Batch) Detach() *Batch {
 	return out
 }
 
+// Compact returns a dense copy of the batch's active rows in storage of its
+// own, each column kept in its representation — variant, typed, or both.
+// Where few rows of a batch are active it is the cheaper way to keep it:
+// Detach copies every physical row of every register.
+func (b *Batch) Compact() *Batch {
+	sel := b.ActiveSel()
+	out := &Batch{Cols: make([][]variant.Value, len(b.Cols))}
+	for c, col := range b.Cols {
+		if tc := b.TypedCol(c); tc != nil {
+			if out.Typed == nil {
+				out.Typed = make([]*TypedCol, len(b.Cols))
+			}
+			out.Typed[c] = tc.Copy(sel)
+		}
+		if col != nil {
+			out.Cols[c] = make([]variant.Value, len(sel))
+			for k, i := range sel {
+				out.Cols[c][k] = col[i]
+			}
+		}
+	}
+	return out
+}
+
 // Gather appends column c's values at the physical rows idx to dst and
 // returns it: the column-at-a-time half of an expanding operator (FLATTEN
 // replicates each parent column through its parent-index vector, the join

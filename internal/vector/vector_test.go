@@ -153,6 +153,44 @@ func TestDetachCopiesRegisters(t *testing.T) {
 	}
 }
 
+// Compact copies only a batch's active rows, densely, every column in its
+// representation — a variant vector, a number register, a dictionary or
+// plain string view with its NULLs — so the copy survives the producer
+// poisoning its registers and selection and reads the same rows.
+func TestCompact(t *testing.T) {
+	var reg TypedCol
+	reg.Reset(TypedFloat64, 4)
+	copy(reg.Floats(), []float64{0.5, 1.5, 2.5, 3.5})
+	reg.SetNull(3)
+	vals := []variant.Value{variant.Int(0), variant.String("one"), variant.Int(2), variant.Int(3)}
+	dictNulls := make([]uint64, 1)
+	SetNullBit(dictNulls, 1)
+	dict := NewDictCol([]string{"x", "y"}, []uint32{0, 1, 1, 0}, dictNulls)
+	strs := NewStringCol([]string{"a", "b", "c", "d"}, nil)
+	sel := []int{1, 3}
+	src := &Batch{Cols: [][]variant.Value{vals, nil, nil, nil}, Typed: []*TypedCol{nil, &reg, dict, strs}, Sel: sel}
+	row := func(b *Batch, i int) string {
+		return variant.Array(b.Value(0, i), b.Value(1, i), b.Value(2, i), b.Value(3, i)).JSON()
+	}
+	var want []string
+	src.ForEach(func(i int) { want = append(want, row(src, i)) })
+	kept := src.Compact()
+	Poison(vals)
+	PoisonTyped(&reg)
+	PoisonSel(sel)
+	if kept.Sel != nil || kept.Len() != 2 || kept.TypedCol(2).Kind() != TypedString || kept.TypedCol(1).Kind() != TypedFloat64 {
+		t.Fatalf("compacted batch: sel=%v len=%d", kept.Sel, kept.Len())
+	}
+	for k, w := range want {
+		if got := row(kept, k); got != w {
+			t.Errorf("compacted row %d = %s, want %s", k, got, w)
+		}
+	}
+	if len(want) != 2 || want[0] != `["one",1.5,null,"b"]` || want[1] != `[3,null,"x","d"]` {
+		t.Errorf("source rows = %v", want)
+	}
+}
+
 // A register keeps its storage across Resets, takes NULLs on demand, gathers
 // a typed column through a parent-index vector, and refills without
 // allocating once warm.
