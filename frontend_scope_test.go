@@ -90,3 +90,19 @@ func TestBooleanShortCircuitsKeepTruth(t *testing.T) {
 		})
 	}
 }
+
+// TestRebindingKeepsOuterBinding: a clause that rebinds a variable's name,
+// in a nested FLWOR or after the collection's for, hides the outer binding
+// only where the scope rule says so; translated under both strategies the
+// outer column and the collection's field columns keep reading the outer
+// binding, as the interpreter does.
+func TestRebindingKeepsOuterBinding(t *testing.T) {
+	t.Run("nested-for", func(t *testing.T) {
+		src := `for $e in collection("data") let $s := sum(for $e in $e.xs[] return $e) return {"s": $s, "e": $e}`
+		bothBackends(t, []string{"id", "xs"}, []string{`{"id":1,"xs":[1,2]}`}, src, `{"s":3,"e":{"id":1,"xs":[1,2]}}`)
+	})
+	t.Run("let-after-collection-for", func(t *testing.T) {
+		src := `for $e in collection("data") let $e := {"id": 7} return $e.id`
+		bothBackends(t, []string{"id"}, []string{`{"id": 1}`, `{"id": 2}`}, src, "7", "7")
+	})
+}
