@@ -104,7 +104,7 @@ func (tr *translator) expr(df *snowpark.DataFrame, e jsoniq.Expr) (snowpark.Colu
 	case *jsoniq.FLWOR:
 		// A nested query in expression position produces an array column
 		// (transparent re-aggregation, §IV-B).
-		return tr.nestedQuery(df, x, aggArray)
+		return tr.nestedQuery(df, x, x, aggArray)
 	}
 	return snowpark.Column{}, nil, fmt.Errorf("core: cannot translate expression %T", e)
 }
@@ -256,7 +256,7 @@ func (tr *translator) aggregateCall(df *snowpark.DataFrame, x *jsoniq.FunctionCa
 	}[x.Name]
 
 	if fl, ok := arg.(*jsoniq.FLWOR); ok {
-		col, df2, err := tr.nestedQuery(df, fl, kind)
+		col, df2, err := tr.nestedQuery(df, fl, fl, kind)
 		if err != nil {
 			return snowpark.Column{}, nil, err
 		}
@@ -310,7 +310,7 @@ func (tr *translator) aggregateCall(df *snowpark.DataFrame, x *jsoniq.FunctionCa
 		Clauses: []jsoniq.Clause{&jsoniq.ForClause{Var: v, In: arg}},
 		Return:  &jsoniq.VarRef{Name: v},
 	}
-	col, df2, err := tr.nestedQuery(df, synth, kind)
+	col, df2, err := tr.nestedQuery(df, synth, arg, kind)
 	if err != nil {
 		return snowpark.Column{}, nil, err
 	}

@@ -341,12 +341,12 @@ func (p *planner) buildSelect(s *sqlast.Select) (Node, error) {
 	// select list / HAVING / ORDER BY.
 	hasAgg := len(s.GroupBy) > 0 || s.Having != nil
 	for _, it := range items {
-		if containsAggregate(it.Expr) {
+		if ContainsAggregate(it.Expr) {
 			hasAgg = true
 		}
 	}
 	for _, o := range s.OrderBy {
-		if containsAggregate(o.Expr) {
+		if ContainsAggregate(o.Expr) {
 			hasAgg = true
 		}
 	}
@@ -505,7 +505,8 @@ func colRefFor(name string) *sqlast.ColRef {
 	return &sqlast.ColRef{Name: name}
 }
 
-func containsAggregate(e sqlast.Expr) bool {
+// ContainsAggregate reports whether e calls an aggregate function.
+func ContainsAggregate(e sqlast.Expr) bool {
 	return anyNode(e, func(n sqlast.Expr) bool {
 		fc, ok := n.(*sqlast.FuncCall)
 		return ok && isAggregateName(fc.Name)
