@@ -181,15 +181,17 @@ func (in *inliner) expr(e Expr) Expr {
 }
 
 // substitute returns e with each free reference to a name of env replaced
-// by its expression, and every variable a FLWOR inside e binds renamed to a
-// fresh name, so a binding of the body can capture no variable of an
-// argument. A renamed binding holds for the later clauses and the return of
-// its FLWOR only (MapBound): there the old name means the new one.
+// by a copy of its expression, and every variable a FLWOR inside e binds
+// renamed to a fresh name, so a binding of the body can capture no variable
+// of an argument. A renamed binding holds for the later clauses and the
+// return of its FLWOR only (MapBound): there the old name means the new
+// one. Each reference gets its own copy, so no node of the result occurs
+// twice and a back-end can tell two uses of a parameter apart by identity.
 func (in *inliner) substitute(e Expr, env map[string]Expr) Expr {
 	switch x := e.(type) {
 	case *VarRef:
 		if repl, ok := env[x.Name]; ok {
-			return repl
+			return clone(repl)
 		}
 		return e
 	case *FLWOR:
@@ -214,4 +216,32 @@ func (in *inliner) substitute(e Expr, env map[string]Expr) Expr {
 		return out
 	}
 	return MapChildren(e, func(c Expr) Expr { return in.substitute(c, env) })
+}
+
+// clone returns a copy of e that shares no expression node with it.
+func clone(e Expr) Expr {
+	if c := MapChildren(e, clone); c != e {
+		return c // every child was copied, so MapChildren copied e
+	}
+	switch x := e.(type) { // no child to copy through
+	case *Literal:
+		out := *x
+		return &out
+	case *VarRef:
+		out := *x
+		return &out
+	case *Collection:
+		out := *x
+		return &out
+	case *ObjectCtor:
+		out := *x
+		return &out
+	case *ArrayCtor:
+		out := *x
+		return &out
+	case *FunctionCall:
+		out := *x
+		return &out
+	}
+	return e // nil
 }
