@@ -173,7 +173,7 @@ func (p *physicalPass) rewrite(n Node) (Node, ordering, *segment) {
 	switch x := n.(type) {
 	case *ScanNode:
 		seg = &segment{scan: x}
-		if exprStateful(x.Filter) {
+		if ExprStateful(x.Filter) {
 			seg.sequential("stateful scan filter")
 		}
 		return x, nil, seg
@@ -357,7 +357,7 @@ func (p *physicalPass) exchange(n Node, out ordering, seg *segment) *ExchangeNod
 // usesRowID reports whether e calls a counter or reads a column of sc that
 // the order property traces to one.
 func usesRowID(e sqlast.Expr, sc *Schema, in ordering) bool {
-	return exprStateful(e) || anyNode(e, func(x sqlast.Expr) bool { return in.has(colIndex(sc, x)) })
+	return ExprStateful(e) || anyNode(e, func(x sqlast.Expr) bool { return in.has(colIndex(sc, x)) })
 }
 
 // aggUsesRowID is usesRowID over an aggregate's argument and order keys.
@@ -419,7 +419,7 @@ func parallelAggWhy(x *AggregateNode, seg *segment) string {
 	switch why := aggsMergeWhy(x.Aggs); {
 	case why != "":
 		return why
-	case slices.ContainsFunc(x.GroupBy, exprStateful):
+	case slices.ContainsFunc(x.GroupBy, ExprStateful):
 		return "row id in group key"
 	case seg == nil || seg.probes:
 		return "input not a scan pipeline"
@@ -443,11 +443,11 @@ func aggsMergeWhy(specs []AggSpec) string {
 		default:
 			return "not mergeable: " + s.Name
 		}
-		if exprStateful(s.Arg) {
+		if ExprStateful(s.Arg) {
 			return "row id in aggregate"
 		}
 		for _, o := range s.OrderBy {
-			if exprStateful(o.Expr) {
+			if ExprStateful(o.Expr) {
 				return "row id in aggregate"
 			}
 		}

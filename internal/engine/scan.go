@@ -30,7 +30,7 @@ func prepareScan(x *ScanNode, ctx *execContext) (batchIter, error) {
 	seq := &scanIter{node: x, ctx: ctx, st: ctx.statsFor(x), filter: filter, colIdx: colIdx, parts: parts}
 	// A stateful pushed-down filter (SEQ8) must see rows in order; it stays
 	// on the sequential scan rather than give each worker its own counter.
-	if ctx.parallelism > 1 && len(parts) > 1 && !exprStateful(x.Filter) {
+	if ctx.parallelism > 1 && len(parts) > 1 && !ExprStateful(x.Filter) {
 		seg := &segmentPlan{scan: x, colIdx: colIdx, batch: ctx.batchSize, scanSt: seq.st, outerScan: true}
 		return newExchangeIter(ctx, nil, seg, seq), nil
 	}
@@ -187,10 +187,10 @@ func isRowCounter(name string) bool {
 	return name == "SEQ8" || name == "SEQ4"
 }
 
-// exprStateful reports whether e calls a row counter anywhere, WITHIN GROUP
+// ExprStateful reports whether e calls a row counter anywhere, WITHIN GROUP
 // keys included, so that its result depends on evaluation order. nil
 // expressions are stateless.
-func exprStateful(e sqlast.Expr) bool {
+func ExprStateful(e sqlast.Expr) bool {
 	return anyNode(e, func(n sqlast.Expr) bool {
 		fc, ok := n.(*sqlast.FuncCall)
 		return ok && isRowCounter(strings.ToUpper(fc.Name))

@@ -145,20 +145,20 @@ walk:
 	for {
 		switch x := n.(type) {
 		case *ProjectNode:
-			if slices.ContainsFunc(x.Exprs, exprStateful) {
+			if slices.ContainsFunc(x.Exprs, ExprStateful) {
 				return nil, fmt.Errorf("engine: view %q: stateful projection above the aggregate", name)
 			}
 			suffix = append(suffix, x)
 			n = x.Input
 		case *FilterNode:
-			if exprStateful(x.Cond) {
+			if ExprStateful(x.Cond) {
 				return nil, fmt.Errorf("engine: view %q: stateful filter above the aggregate", name)
 			}
 			suffix = append(suffix, x)
 			n = x.Input
 		case *SortNode:
 			for _, k := range x.Keys {
-				if exprStateful(k.Expr) {
+				if ExprStateful(k.Expr) {
 					return nil, fmt.Errorf("engine: view %q: stateful sort key above the aggregate", name)
 				}
 			}
