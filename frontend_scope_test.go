@@ -106,3 +106,39 @@ func TestRebindingKeepsOuterBinding(t *testing.T) {
 		bothBackends(t, []string{"id"}, []string{`{"id": 1}`, `{"id": 2}`}, src, "7", "7")
 	})
 }
+
+// TestFilterAfterNestedCountKeepsRowIDs: a where clause after a let that
+// counts a nested query filters the events, not the rows the nested query's
+// row IDs number — under the join strategy the filter used to sink below
+// the projection that stamps those IDs, so the surviving events paired with
+// the counts of the events before them.
+func TestFilterAfterNestedCountKeepsRowIDs(t *testing.T) {
+	docs := []string{
+		`{"EVENT": 1, "MET": {"pt": 10}, "Jet": [{"pt": 1}, {"pt": 2}]}`,
+		`{"EVENT": 2, "MET": {"pt": 20}, "Jet": [{"pt": 3}]}`,
+		`{"EVENT": 3, "MET": {"pt": 30}, "Jet": []}`,
+	}
+	src := `for $e in collection("data") let $n := count(for $j in $e.Jet[] return $j)
+		where $e.MET.pt gt 15 return {"ev": $e.EVENT, "n": $n}`
+	bothBackends(t, []string{"EVENT", "MET", "Jet"}, docs, src, `{"ev":2,"n":1}`, `{"ev":3,"n":0}`)
+}
+
+// TestFieldPathAfterUnbox: a field read after [] in expression position maps
+// over the array's members, as (for $x in $e.Jet[] return $x.pt) does, so
+// aggregating it sums or counts each event's jets.
+func TestFieldPathAfterUnbox(t *testing.T) {
+	docs := []string{
+		`{"EVENT": 1, "Jet": [{"pt": 20.5}, {"pt": 22.5}]}`,
+		`{"EVENT": 2, "Jet": [{"pt": 40.0}]}`,
+		`{"EVENT": 3, "Jet": []}`,
+	}
+	for ret, want := range map[string][]string{
+		`sum($e.Jet[].pt)`:   {"43.0", "40.0", "0"},
+		`count($e.Jet[].pt)`: {"2", "1", "0"},
+	} {
+		t.Run(ret, func(t *testing.T) {
+			src := `for $e in collection("data") return ` + ret
+			bothBackends(t, []string{"EVENT", "Jet"}, docs, src, want...)
+		})
+	}
+}

@@ -21,6 +21,9 @@ func (tr *translator) expr(df *snowpark.DataFrame, e jsoniq.Expr) (snowpark.Colu
 	case *jsoniq.Collection:
 		return snowpark.Column{}, nil, fmt.Errorf("core: collection(%q) is only allowed in for clauses", x.Name)
 	case *jsoniq.FieldAccess:
+		if f, ok := tr.unboxedPath(x); ok {
+			return tr.nestedQuery(df, f, x, aggArray)
+		}
 		if vr, ok := x.Base.(*jsoniq.VarRef); ok {
 			if cols, known := tr.tableVars[vr.Name]; known {
 				for _, c := range cols {
@@ -107,6 +110,41 @@ func (tr *translator) expr(df *snowpark.DataFrame, e jsoniq.Expr) (snowpark.Colu
 		return tr.nestedQuery(df, x, x, aggArray)
 	}
 	return snowpark.Column{}, nil, fmt.Errorf("core: cannot translate expression %T", e)
+}
+
+// unboxedPath lowers a field path read after [] — A[].f.g — to the nested
+// query that maps it over the array's members, for $x in A[] return $x.f.g;
+// ok is false for any other expression.
+func (tr *translator) unboxedPath(e jsoniq.Expr) (*jsoniq.FLWOR, bool) {
+	unbox := pathUnbox(e)
+	if unbox == nil {
+		return nil, false
+	}
+	v := tr.fresh("x")
+	return &jsoniq.FLWOR{Clauses: []jsoniq.Clause{&jsoniq.ForClause{Var: v, In: unbox}},
+		Return: onMember(e, &jsoniq.VarRef{Name: v})}, true
+}
+
+// pathUnbox returns the [] a field path reads after — A[] of A[].f.g — or
+// nil when e is no such path.
+func pathUnbox(e jsoniq.Expr) *jsoniq.ArrayUnbox {
+	for fa, ok := e.(*jsoniq.FieldAccess); ok; fa, ok = fa.Base.(*jsoniq.FieldAccess) {
+		if unbox, ok := fa.Base.(*jsoniq.ArrayUnbox); ok {
+			return unbox
+		}
+	}
+	return nil
+}
+
+// onMember copies the field path e over member in place of its [].
+func onMember(e, member jsoniq.Expr) jsoniq.Expr {
+	fa, ok := e.(*jsoniq.FieldAccess)
+	if !ok {
+		return member
+	}
+	out := *fa
+	out.Base = onMember(fa.Base, member)
+	return &out
 }
 
 func (tr *translator) binary(df *snowpark.DataFrame, x *jsoniq.Binary) (snowpark.Column, *snowpark.DataFrame, error) {
@@ -241,10 +279,11 @@ func (tr *translator) functionCall(df *snowpark.DataFrame, x *jsoniq.FunctionCal
 }
 
 // aggregateCall translates aggregates over sequences. When the argument is a
-// nested FLWOR, the re-aggregation of the nested query uses the native SQL
-// aggregate directly; otherwise array-valued arguments are wrapped into a
-// synthetic FLWOR so the same machinery applies. count()/exists()/empty()
-// over plain arrays avoid the detour via ARRAY_SIZE.
+// nested FLWOR, or a field path after [] (unboxedPath), the re-aggregation
+// of the nested query uses the native SQL aggregate directly; otherwise
+// array-valued arguments are wrapped into a synthetic FLWOR so the same
+// machinery applies. count()/exists()/empty() over plain arrays avoid the
+// detour via ARRAY_SIZE.
 func (tr *translator) aggregateCall(df *snowpark.DataFrame, x *jsoniq.FunctionCall) (snowpark.Column, *snowpark.DataFrame, error) {
 	if len(x.Args) != 1 {
 		return snowpark.Column{}, nil, fmt.Errorf("core: %s() takes one argument", x.Name)
@@ -255,8 +294,12 @@ func (tr *translator) aggregateCall(df *snowpark.DataFrame, x *jsoniq.FunctionCa
 		"min": aggMin, "max": aggMax, "exists": aggCount, "empty": aggCount,
 	}[x.Name]
 
-	if fl, ok := arg.(*jsoniq.FLWOR); ok {
-		col, df2, err := tr.nestedQuery(df, fl, fl, kind)
+	fl, ok := arg.(*jsoniq.FLWOR)
+	if !ok {
+		fl, ok = tr.unboxedPath(arg)
+	}
+	if ok {
+		col, df2, err := tr.nestedQuery(df, fl, arg, kind)
 		if err != nil {
 			return snowpark.Column{}, nil, err
 		}

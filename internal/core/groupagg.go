@@ -56,9 +56,10 @@ func (rw *groupAggRewriter) rewrite(e jsoniq.Expr) jsoniq.Expr {
 
 // groupedCall reports whether call is an aggregate a group by answers
 // natively: count/sum/avg/min/max over a path rooted at a variable grouped
-// holds for. It returns the SQL aggregate and the argument it aggregates
-// per tuple, nil for count over a variable nonNull marks (COUNT(*), which
-// keeps the scan prunable instead of forcing the variable's column).
+// holds for that reads no field after []. It returns the SQL aggregate and
+// the argument it aggregates per tuple, nil for count over a variable
+// nonNull marks (COUNT(*), which keeps the scan prunable instead of forcing
+// the variable's column).
 func groupedCall(call *jsoniq.FunctionCall, grouped func(string) bool, nonNull map[string]bool) (agg string, arg jsoniq.Expr, ok bool) {
 	agg, ok = jsoniqAggregates[call.Name]
 	if !ok || len(call.Args) != 1 {
@@ -66,6 +67,9 @@ func groupedCall(call *jsoniq.FunctionCall, grouped func(string) bool, nonNull m
 	}
 	if v, rooted := rootVar(call.Args[0]); !rooted || !grouped(v) {
 		return "", nil, false
+	}
+	if pathUnbox(call.Args[0]) != nil {
+		return "", nil, false // a nested query (unboxedPath)
 	}
 	if vr, plain := call.Args[0].(*jsoniq.VarRef); plain && agg == "COUNT" && nonNull[vr.Name] {
 		return agg, nil, true

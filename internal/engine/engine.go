@@ -50,8 +50,9 @@ type Engine struct {
 	// every join that may build left build on the side it names — the left
 	// build's oracle is buildRight; noDiscardRules turns off the top-1 and
 	// flatten-bound rules (discard.go) — their oracle; byteKeyedJoin keys
-	// every hash join by bytes and gathers every probe into fresh vectors —
-	// the numeric join table's and the streaming probe's oracle.
+	// every hash join by bytes and gathers every probe's pairs as variants —
+	// the oracle of the numeric join table, the streaming probe and the
+	// typed pairs.
 	forceHashAgg   bool
 	forceBuild     buildSide
 	morselRows     int

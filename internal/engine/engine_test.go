@@ -386,6 +386,17 @@ func TestSeq8RowIDsUnique(t *testing.T) {
 	}
 }
 
+// TestFilterStaysAboveRowCounter: a conjunct over a projection that numbers
+// its rows stays above it, even when it reads no row number itself; pushed
+// below, the counter would number the filter's survivors 0 and 1.
+func TestFilterStaysAboveRowCounter(t *testing.T) {
+	e := testEngine(t)
+	r := mustQuery(t, e, `SELECT * FROM (SELECT "o_id", SEQ8() AS "rid" FROM "orders") WHERE ("o_id" > 2)`)
+	if got := fmt.Sprint(r.Rows); got != "[[3 2] [4 3]]" {
+		t.Errorf("rows = %s, want [[3 2] [4 3]]", got)
+	}
+}
+
 func TestThreeValuedLogic(t *testing.T) {
 	e := testEngine(t)
 	// NULL <> 'x' is NULL, so no rows pass; NOT NULL is NULL too.

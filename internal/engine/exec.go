@@ -67,8 +67,8 @@ type execContext struct {
 	// forceBuild forces the joins that may build left to one side
 	// (Engine.forceBuild, a test hook).
 	forceBuild buildSide
-	// byteKeyedJoin keys every join by bytes and gathers every probe
-	// (Engine.byteKeyedJoin, a test hook).
+	// byteKeyedJoin keys every join by bytes and gathers every probe's pairs
+	// as variants (Engine.byteKeyedJoin, a test hook).
 	byteKeyedJoin bool
 	// joins maps each join prepared so far to its operator, so an exchange
 	// whose segment probes it can build it before fanning out (driver
@@ -612,7 +612,7 @@ func (f *flattenIter) expand() bool {
 	f.emit(w, f.rng, value)
 	f.emit(w+1, typed, index)
 	for c := 0; c < w; c++ {
-		if tc := b.TypedCol(c); typed && tc != nil && tc.Kind() != vector.TypedString {
+		if tc := b.TypedCol(c); typed && tc != nil {
 			tc.Gather(parent, &f.tcols[c])
 			f.emit(c, true, nil)
 			continue
@@ -1507,7 +1507,7 @@ func (s *rowStore) ref(r int64) (rowRef, error) {
 
 // typedKinds returns, per column, the typed kind every retained batch holds
 // the column in, or -1 where one does not or the store spilled: the kind the
-// join's streaming probe gathers the column in.
+// join's probes gather the column in.
 func (s *rowStore) typedKinds() []int8 {
 	kinds := make([]int8, s.width)
 	for c := range kinds {
@@ -1621,7 +1621,8 @@ type joinBuilt struct {
 	// probe goes through emitStream.
 	stream bool
 	// kinds names, per build column, the typed kind every stored batch holds
-	// the column in, or -1: what emitStream gathers it into.
+	// the column in, or -1: the kind a probe gathers it into, variant at -1.
+	// nil (Engine.byteKeyedJoin) gathers every column of a pair as variants.
 	kinds []int8
 }
 
@@ -1647,9 +1648,9 @@ type joinIter struct {
 	ectx      *execContext
 	mem       *opMem
 	st        *OpStats // nil-safe: where EXPLAIN ANALYZE reads the table built
-	// byteKeys keys every join by bytes and gathers every probe
-	// (Engine.byteKeyedJoin): the numeric table's and the streaming probe's
-	// oracle.
+	// byteKeys keys every join by bytes and gathers every probe's pairs as
+	// variants (Engine.byteKeyedJoin): the oracle of the numeric table, the
+	// streaming probe and the typed pairs.
 	byteKeys bool
 
 	built bool
@@ -1701,9 +1702,8 @@ func (j *joinIter) build() error {
 			return err
 		}
 		j.index(true)
-		if j.stream = !j.table.dup && !j.byteKeys; j.stream {
-			j.kinds = j.store.typedKinds()
-		}
+		j.stream = !j.table.dup && !j.byteKeys
+		j.noteKinds()
 		j.noteTable()
 		return nil
 	}
@@ -1714,6 +1714,7 @@ func (j *joinIter) build() error {
 	if err == nil {
 		j.index(false)
 		err = j.matchRight()
+		j.noteKinds()
 		j.noteTable()
 	}
 	j.right.Close()
@@ -1721,8 +1722,18 @@ func (j *joinIter) build() error {
 	return err
 }
 
+// noteKinds records the kind each build column's register is gathered in,
+// unless the join keys by bytes: that oracle gathers every column as
+// variants.
+func (j *joinIter) noteKinds() {
+	if !j.byteKeys {
+		j.kinds = j.store.typedKinds()
+	}
+}
+
 // noteTable records the table built for EXPLAIN ANALYZE: "number" or
-// "bytes", plus "unique" when the probe streams.
+// "bytes", plus "unique" when the probe streams and "direct" when integer
+// keys map directly.
 func (j *joinIter) noteTable() {
 	if j.st == nil {
 		return
@@ -1733,6 +1744,9 @@ func (j *joinIter) noteTable() {
 	}
 	if j.stream {
 		j.st.table += " unique"
+	}
+	if j.table.direct != nil {
+		j.st.table += " direct"
 	}
 }
 
@@ -1796,8 +1810,9 @@ func evalKeys(keys *exprDAG, b *vector.Batch, kh *vector.Batch) error {
 }
 
 // index puts every build key in the table in one pass over the rows in
-// drain order. A right build chains each key's rows, in build order; a left
-// build starts each key's chain empty for matchRight to fill.
+// drain order, then maps dense integer keys directly (mapDirect). A right
+// build chains each key's rows, in build order; a left build starts each
+// key's chain empty for matchRight to fill.
 func (j *joinIter) index(list bool) {
 	t := &j.table
 	t.alloc(&j.keys)
@@ -1810,6 +1825,7 @@ func (j *joinIter) index(list bool) {
 			t.push(s, r)
 		}
 	}
+	t.mapDirect()
 }
 
 // matchRight streams a left build's match pass past its table. Each batch
@@ -1909,13 +1925,14 @@ func activeRows(b *vector.Batch) []int {
 
 // denseCopy copies b's active rows into fresh dense vectors, one allocation
 // per column: how the join and the sort retain their input. A column b holds
-// as typed numbers or booleans stays typed — the streaming probe gathers the
-// join's build columns typed; the sort reads its rows through Batch.Value.
+// typed stays typed, a string column sharing its dictionary and bytes — the
+// join's probes gather stored columns typed; the sort reads its rows through
+// Batch.Value.
 func denseCopy(b *vector.Batch) *vector.Batch {
 	sel := activeRows(b)
 	out := &vector.Batch{Cols: make([][]variant.Value, len(b.Cols))}
 	for c := range out.Cols {
-		if tc := b.TypedCol(c); tc != nil && tc.Kind() != vector.TypedString {
+		if tc := b.TypedCol(c); tc != nil {
 			if out.Typed == nil {
 				out.Typed = make([]*vector.TypedCol, len(b.Cols))
 			}
@@ -1998,13 +2015,11 @@ type joinProbe struct {
 	keyBuf []byte
 	sel    []int
 	pass   []int
-	// emit's recycled output: the header, whose columns are one register
-	// each, and the output selection.
-	pairs vector.Batch
-	psel  []int
-	// emitStream's recycled output: the header, the output selection, and a
-	// register per build column — typed where kinds names the typed kind
-	// every stored batch holds the column in, variant where it is -1.
+	// The recycled output: the header, the output selection, and a register
+	// per output column, typed or variant. A build column is typed where
+	// kinds names its kind, a pair's probe column where the batch under
+	// probe holds it typed; emitStream passes the probe batch's own columns
+	// through.
 	out   vector.Batch
 	osel  []int
 	vregs [][]variant.Value
@@ -2089,6 +2104,17 @@ func (p *joinProbe) collect() error {
 	return nil
 }
 
+// output returns the recycled output header, making it and the registers
+// on first use.
+func (p *joinProbe) output() *vector.Batch {
+	if p.out.Cols == nil {
+		w := p.b.leftWidth + p.b.rightWidth
+		p.out.Cols, p.out.Typed = make([][]variant.Value, w), make([]*vector.TypedCol, w)
+		p.vregs, p.tregs = make([][]variant.Value, w), make([]vector.TypedCol, w)
+	}
+	return &p.out
+}
+
 // emit gathers the pairs' combined columns into its registers and evaluates
 // the residual over the pairs that have a build row. It returns the batch
 // restricted to the surviving pairs — a LEFT OUTER row none of whose
@@ -2099,19 +2125,12 @@ func (p *joinProbe) emit() (*vector.Batch, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	lw, out := p.b.leftWidth, &p.pairs
-	if out.Cols == nil {
-		out.Cols = make([][]variant.Value, lw+p.b.rightWidth)
+	lw, out := p.b.leftWidth, p.output()
+	for c := 0; c < lw; c++ {
+		p.gatherProbe(c)
 	}
-	for c, reg := range out.Cols {
-		if vector.Poisoned() {
-			vector.Poison(reg)
-		}
-		if c < lw {
-			out.Cols[c] = p.cur.Gather(c, p.lidx, reg[:0])
-		} else {
-			out.Cols[c] = gatherRefs(p.b.store.batches, c-lw, p.refs, reg[:0])
-		}
+	for c := 0; c < p.b.rightWidth; c++ {
+		p.gatherBuild(c, p.refs, dense(n), n)
 	}
 	out.Sel = nil
 	if p.residual == nil {
@@ -2134,9 +2153,9 @@ func (p *joinProbe) emit() (*vector.Batch, error) {
 		p.pass = pass
 	}
 	if vector.Poisoned() {
-		vector.PoisonSel(p.psel)
+		vector.PoisonSel(p.osel)
 	}
-	sel := p.psel[:0]
+	sel := p.osel[:0]
 	for k, r := range p.refs {
 		passed := len(pass) > 0 && pass[0] == k
 		if passed {
@@ -2148,16 +2167,14 @@ func (p *joinProbe) emit() (*vector.Batch, error) {
 		case passed:
 			sel, p.matched = append(sel, k), true
 		case p.last[k] && !p.matched && p.b.kind == "LEFT OUTER":
-			for c := lw; c < len(out.Cols); c++ {
-				out.Cols[c][k] = variant.Null
-			}
+			p.padBuild(k)
 			sel = append(sel, k)
 		}
 		if p.last[k] {
 			p.matched = false
 		}
 	}
-	switch p.psel, out.Sel = sel, sel; len(sel) {
+	switch p.osel, out.Sel = sel, sel; len(sel) {
 	case 0:
 		return nil, nil
 	case n:
@@ -2198,17 +2215,12 @@ func (p *joinProbe) emitStream() (*vector.Batch, error) {
 		rows = append(rows, i)
 	}
 	p.sel, p.lidx = hits, rows
-	out := &p.out
-	if out.Cols == nil {
-		width := b.leftWidth + b.rightWidth
-		out.Cols, out.Typed = make([][]variant.Value, width), make([]*vector.TypedCol, width)
-		p.vregs, p.tregs = make([][]variant.Value, b.rightWidth), make([]vector.TypedCol, b.rightWidth)
-	}
+	out := p.output()
 	for c := 0; c < b.leftWidth; c++ {
 		out.Cols[c], out.Typed[c] = cur.Cols[c], cur.TypedCol(c)
 	}
 	for c := 0; c < b.rightWidth; c++ {
-		p.gatherBuild(c, hits, cur.Len())
+		p.gatherBuild(c, p.refs, hits, cur.Len())
 	}
 	var pass []int // the hits that pass, in order
 	if p.residual != nil && len(hits) > 0 {
@@ -2244,46 +2256,114 @@ func (p *joinProbe) emitStream() (*vector.Batch, error) {
 	return out, nil
 }
 
-// gatherBuild refills build column c's register, n rows long, with the
-// candidates of the hits, through the refs emitStream took.
-func (p *joinProbe) gatherBuild(c int, hits []int, n int) {
-	col, batches := p.b.leftWidth+c, p.b.store.batches
-	if k := p.b.kinds[c]; k >= 0 {
+// gatherProbe refills probe column c's register with the column's rows the
+// pairs take from the batch under probe: typed where the batch holds the
+// column typed and the join gathers typed (kinds), variant otherwise.
+func (p *joinProbe) gatherProbe(c int) {
+	if tc := p.cur.TypedCol(c); tc != nil && p.b.kinds != nil {
 		t := &p.tregs[c]
 		if vector.Poisoned() {
 			vector.PoisonTyped(t)
 		}
-		t.Reset(vector.TypedKind(k), n)
-		for h, i := range hits {
-			r := p.refs[h]
-			t.Put(i, batches[r.b].Typed[c], int(r.i))
-		}
-		p.out.Cols[col], p.out.Typed[col] = nil, t
+		tc.Gather(p.lidx, t)
+		p.out.Cols[c], p.out.Typed[c] = nil, t
 		return
 	}
 	v := p.vregs[c]
-	if cap(v) < n {
-		v = make([]variant.Value, n)
-	}
-	v = v[:n]
 	if vector.Poisoned() {
 		vector.Poison(v)
 	}
-	for h, i := range hits {
-		r := p.refs[h]
-		v[i] = batches[r.b].Value(c, int(r.i))
-	}
+	v = p.cur.Gather(c, p.lidx, v[:0])
 	p.vregs[c] = v
-	p.out.Cols[col], p.out.Typed[col] = v, nil
+	p.out.Cols[c], p.out.Typed[c] = v, nil
+}
+
+// gatherBuild refills build column c's register, n rows long: row at[h]
+// gets the column of the build row refs[h] addresses, NULL for a ref
+// without one. The register is typed where kinds names the column's kind,
+// switched on once, outside the row loop; rows at does not name are
+// undefined.
+func (p *joinProbe) gatherBuild(c int, refs []rowRef, at []int, n int) {
+	col, batches := p.b.leftWidth+c, p.b.store.batches
+	if p.b.kinds == nil || p.b.kinds[c] < 0 {
+		v := p.vregs[col]
+		if cap(v) < n {
+			v = make([]variant.Value, n)
+		}
+		v = v[:n]
+		if vector.Poisoned() {
+			vector.Poison(v)
+		}
+		for h, r := range refs {
+			x := variant.Null
+			if r.b >= 0 {
+				x = batches[r.b].Value(c, int(r.i))
+			}
+			v[at[h]] = x
+		}
+		p.vregs[col] = v
+		p.out.Cols[col], p.out.Typed[col] = v, nil
+		return
+	}
+	t, k := &p.tregs[col], vector.TypedKind(p.b.kinds[c])
+	if vector.Poisoned() {
+		vector.PoisonTyped(t)
+	}
+	t.Reset(k, n)
+	switch k {
+	case vector.TypedInt64:
+		dst := t.Ints()
+		for h, r := range refs {
+			if storedNull(batches, c, r) {
+				t.SetNull(at[h])
+			} else {
+				dst[at[h]] = batches[r.b].Typed[c].Ints()[r.i]
+			}
+		}
+	case vector.TypedFloat64:
+		dst := t.Floats()
+		for h, r := range refs {
+			if storedNull(batches, c, r) {
+				t.SetNull(at[h])
+			} else {
+				dst[at[h]] = batches[r.b].Typed[c].Floats()[r.i]
+			}
+		}
+	case vector.TypedString:
+		dst := t.Strs()
+		for h, r := range refs {
+			if storedNull(batches, c, r) {
+				t.SetNull(at[h])
+			} else {
+				dst[at[h]] = batches[r.b].Typed[c].StringAt(int(r.i))
+			}
+		}
+	case vector.TypedBool:
+		dst := t.Bools()
+		for h, r := range refs {
+			if storedNull(batches, c, r) {
+				t.SetNull(at[h])
+			} else {
+				dst[at[h]] = batches[r.b].Typed[c].Bools()[r.i]
+			}
+		}
+	}
+	p.out.Cols[col], p.out.Typed[col] = nil, t
+}
+
+// storedNull reports whether r has no stored row or its row holds NULL in
+// typed column c.
+func storedNull(batches []*vector.Batch, c int, r rowRef) bool {
+	return r.b < 0 || batches[r.b].Typed[c].Null(int(r.i))
 }
 
 // padBuild NULLs row i of every build column register.
 func (p *joinProbe) padBuild(i int) {
-	for c, k := range p.b.kinds {
-		if k >= 0 {
-			p.tregs[c].SetNull(i)
+	for c := p.b.leftWidth; c < len(p.out.Cols); c++ {
+		if t := p.out.Typed[c]; t != nil {
+			t.SetNull(i)
 		} else {
-			p.vregs[c][i] = variant.Null
+			p.out.Cols[c][i] = variant.Null
 		}
 	}
 }

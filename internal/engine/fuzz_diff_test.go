@@ -51,6 +51,11 @@ func FuzzPlanDiff(f *testing.F) {
 	// A LIMIT over the dimension-first join stops before a failing left row
 	// at batch size 1 but not at 1 024: both builds must do the same in each.
 	f.Add([]byte("\xd2\"\xbe\xef"))
+	// A duplicate-key LEFT OUTER join carrying a string column, with a
+	// residual that pads rows: 195 rows in 6 groups against 138 build rows,
+	// so each key has about 23 candidates and the pairs gather typed
+	// registers, strings included, on either build side.
+	f.Add([]byte("p12"))
 	// Shapes 8 and 9, the discard rules' inputs. Every seed generates both;
 	// these pin the branches below.
 	for _, seed := range discardSeeds {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"jsonpark/internal/variant"
 )
 
 // joinGrid runs sql over multiPartEngine at parallelism {1, 4} × batch size
@@ -89,4 +91,99 @@ func TestJoinLeftOuterResidualPadsInPlace(t *testing.T) {
 		t.Fatalf("%d of 40 left rows padded: the data does not pin the residual", padded)
 	}
 	joinGrid(t, sql, want.String())
+}
+
+// typedPairsEngine loads "t" — n rows whose key k repeats every 13, with a
+// number, a string and some rows without a key — and "d", whose keys 0..12
+// hold one to three rows each (11 and 12 none), with a string, a float and
+// a boolean, some of them missing. Every column seals typed, so a join's
+// pairs gather typed registers, strings included.
+func typedPairsEngine(t *testing.T, n int, opts ...Option) *Engine {
+	t.Helper()
+	e := New(opts...)
+	e.morselRows = 64
+	load := func(name string, cols, docs []string) {
+		tab, err := e.Catalog().CreateTable(name, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab.SetTargetPartitionBytes(4 << 10)
+		for _, d := range docs {
+			if err := tab.AppendObject(variant.MustParseJSON(d)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	docs := make([]string, n)
+	for i := range docs {
+		k := fmt.Sprintf(`"k": %d, `, i%13)
+		if i%17 == 5 {
+			k = ""
+		}
+		docs[i] = fmt.Sprintf(`{"id": %d, %s"v": %d, "s": "s%d"}`, i, k, i*3%101, i%7)
+	}
+	load("t", []string{"id", "k", "v", "s"}, docs)
+	var dims []string
+	for dk := 0; dk < 11; dk++ {
+		for r := 0; r <= dk%3; r++ {
+			name := fmt.Sprintf(`"name": "s%d", `, (dk+r)%7)
+			if dk == 4 && r == 1 {
+				name = ""
+			}
+			dims = append(dims, fmt.Sprintf(`{"dk": %d, %s"w": %g, "flag": %t}`, dk, name, float64(dk*10+r)/4, r%2 == 0))
+		}
+	}
+	load("d", []string{"dk", "name", "w", "flag"}, dims)
+	return e
+}
+
+// TestTypedPairsParity: joins that gather pairs — duplicate build keys,
+// INNER and LEFT OUTER, with and without a residual, and a left build —
+// emit typed registers, strings included, and their rows and order are the
+// variant path's (Engine.byteKeyedJoin gathers every column as variants) at
+// every batch size × parallelism × build side, with recycled storage,
+// string registers included, poisoned.
+func TestTypedPairsParity(t *testing.T) {
+	queries := []string{
+		`SELECT id, s, name, w, flag FROM t INNER JOIN d ON k = dk`,
+		`SELECT id, s, name, w, flag FROM t LEFT OUTER JOIN d ON k = dk`,
+		`SELECT id, s, name, w FROM t INNER JOIN d ON k = dk AND w > v % 9`,
+		`SELECT id, s, name, w, flag FROM t LEFT OUTER JOIN d ON k = dk AND name <> s`,
+		`SELECT dk, name, flag, id, s, v FROM d INNER JOIN t ON dk = k`,
+	}
+	const n = 600
+	variantPath := typedPairsEngine(t, n, WithParallelism(1))
+	variantPath.byteKeyedJoin = true
+	want := make([]string, len(queries))
+	for i, sql := range queries {
+		if want[i] = renderRows(mustQuery(t, variantPath, sql)); strings.Count(want[i], "\n") < n/2 {
+			t.Fatalf("%s returns %d rows; the data pins too little", sql, strings.Count(want[i], "\n"))
+		}
+	}
+	if !strings.Contains(want[1], "null") || strings.Contains(want[1], "poisoned") {
+		t.Fatalf("LEFT OUTER pads no row:\n%s", want[1])
+	}
+	poisonRecycling(t)
+	for _, bs := range []int{1, 7, 1024} {
+		for _, par := range []int{1, 2, 4} {
+			for _, side := range []buildSide{buildAuto, buildRight, buildLeft} {
+				e := typedPairsEngine(t, n, WithBatchSize(bs), WithParallelism(par), planChecked())
+				e.forceBuild = side
+				for i, sql := range queries {
+					res, ps, err := e.QueryAnalyze(sql)
+					if err != nil {
+						t.Fatalf("bs=%d par=%d side=%d %s: %v", bs, par, side, sql, err)
+					}
+					if got := renderRows(res); got != want[i] {
+						t.Errorf("bs=%d par=%d side=%d %s: rows diverge from the variant path", bs, par, side, sql)
+					}
+					ps.Walk(func(_ int, n *PlanStats) {
+						if strings.HasSuffix(n.Op, "Join") && strings.Contains(n.Detail, "unique") {
+							t.Errorf("%s: the join streams; it gathers no pair", sql)
+						}
+					})
+				}
+			}
+		}
+	}
 }

@@ -144,6 +144,47 @@ type joinTable struct {
 	next  []int32
 	// dup is set when a key gets a second candidate.
 	dup bool
+	// direct maps integer key k to its slot, direct[k-lo], -1 where no key
+	// is (mapDirect): a typed int64 probe key finds its slot with one load,
+	// without the hit-or-miss branches of findNum, which the branch
+	// predictor cannot learn from a stream of probe keys.
+	direct []int32
+	lo     int64
+}
+
+// directSpan bounds the direct map: at most this many entries per slot,
+// so a table of dense integer keys (1..n) maps and one of sparse ones
+// (SSB's yyyymmdd dates) does not.
+const directSpan = 4
+
+// mapDirect sets direct when every key of a numeric table is an integer
+// below 2^52 in magnitude — so a probe integer's number key equals one
+// exactly when the integers are equal; -0 is no integer here, as +0 and -0
+// stay apart — and the keys span at most directSpan entries per slot.
+func (t *joinTable) mapDirect() {
+	if !t.numeric() || len(t.keys.nums) == 0 {
+		return
+	}
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, bits := range t.keys.nums {
+		f := math.Float64frombits(bits)
+		if !(math.Abs(f) < 1<<52) || variant.NumberKey(float64(int64(f))) != bits {
+			return
+		}
+		lo, hi = min(lo, int64(f)), max(hi, int64(f))
+	}
+	if hi-lo >= int64(directSpan*len(t.slots)) {
+		return
+	}
+	t.direct, t.lo = make([]int32, hi-lo+1), lo
+	for i := range t.direct {
+		t.direct[i] = -1
+	}
+	for s, sl := range t.slots {
+		if sl.row != 0 {
+			t.direct[int64(math.Float64frombits(sl.hash))-lo] = int32(s)
+		}
+	}
 }
 
 var joinSeed = maphash.MakeSeed()
@@ -216,7 +257,8 @@ func (t *joinTable) push(s int32, m int32) {
 
 // lookup sets found[i] for every row i of sel to the slot of its key in kh,
 // or -1 when the table does not hold it, and returns found, grown to n rows.
-// A numeric table reads a typed key vector in place.
+// A numeric table reads a typed key vector in place, an int64 one through
+// the direct map when the table has one.
 func (t *joinTable) lookup(kh *vector.Batch, sel []int, n int, found []int32, buf []byte) ([]int32, []byte) {
 	if cap(found) < n {
 		found = make([]int32, n)
@@ -245,6 +287,15 @@ func (t *joinTable) lookup(kh *vector.Batch, sel []int, n int, found []int32, bu
 	switch tc.Kind() {
 	case vector.TypedInt64:
 		ints := tc.Ints()
+		if t.direct != nil {
+			for _, i := range sel {
+				found[i] = -1
+				if off := uint64(ints[i] - t.lo); off < uint64(len(t.direct)) && !tc.Null(i) {
+					found[i] = t.direct[off]
+				}
+			}
+			break
+		}
 		for _, i := range sel {
 			found[i] = -1
 			if !tc.Null(i) {

@@ -108,9 +108,10 @@ func TestJoinKeyClassesMatchByteKeys(t *testing.T) {
 }
 
 // TestJoinAnalyzeNamesTable: EXPLAIN ANALYZE names the table each join built
-// — a unique numeric build streams, a duplicate one gathers, a build with a
-// non-number key or two keys is keyed by bytes — and counts the key vectors
-// it read typed, converting none; plain EXPLAIN says nothing of it.
+// — a unique numeric build streams, a duplicate one gathers, dense integer
+// keys map directly, a build with a non-number key or two keys is keyed by
+// bytes — and counts the key vectors it read typed, converting none; plain
+// EXPLAIN says nothing of it.
 func TestJoinAnalyzeNamesTable(t *testing.T) {
 	typed, mixed := multiPartEngine(t), keyClassEngine(t)
 	for _, c := range []struct {
@@ -119,11 +120,11 @@ func TestJoinAnalyzeNamesTable(t *testing.T) {
 		typedKeys  bool
 	}{
 		{typed, `SELECT "id", "v" FROM "events" INNER JOIN (SELECT "id" AS "i2", "val" AS "v" FROM "events" WHERE "id" < 40) ON "id" = "i2"`,
-			" build=right rows=500/500 table=number unique ", true},
-		{typed, `SELECT "id", "dn" FROM "events" LEFT OUTER JOIN "dim" ON "grp" = "dk"`, " table=number ", true},
+			" build=right rows=500/500 table=number unique direct ", true},
+		{typed, `SELECT "id", "dn" FROM "events" LEFT OUTER JOIN "dim" ON "grp" = "dk"`, " table=number direct ", true},
 		{typed, `SELECT "id" FROM "events" INNER JOIN (SELECT "id" AS "i2", "grp" AS "g2" FROM "events" WHERE "id" < 40) ON "id" = "i2" AND "grp" = "g2"`,
 			" table=bytes unique ", true},
-		{typed, `SELECT "dn", "id" FROM "dim" INNER JOIN "events" ON "dk" = "grp"`, " build=left rows=40/500 table=number ", true},
+		{typed, `SELECT "dn", "id" FROM "dim" INNER JOIN "events" ON "dk" = "grp"`, " build=left rows=40/500 table=number direct ", true},
 		{mixed, `SELECT "id", "bn" FROM "p" INNER JOIN "bu" ON "pk" = "bk"`, " table=number unique ", false},
 		{mixed, `SELECT "id", "bn" FROM "p" INNER JOIN "bs" ON "pk" = "bk"`, " table=bytes ", false},
 	} {
@@ -170,5 +171,67 @@ func TestNumberKeyIsGroupKeyPayload(t *testing.T) {
 		if got := variant.Float(math.Float64frombits(bits)).AppendGroupKey(nil); string(got) != string(enc) {
 			t.Errorf("%v: number key %x re-encodes to %x, want %x", v, bits, got, enc)
 		}
+	}
+}
+
+// TestDirectMapMatchesProbe: a table maps its keys directly exactly when
+// they are dense integers below 2^52 — not with -0, a fraction, NaN, keys
+// past 2^52 or keys spread too thin — and a typed int64 probe through the
+// map finds the slots the probe loop finds: in range and out of it, either
+// side of the keys, at int64's ends, and NULL.
+func TestDirectMapMatchesProbe(t *testing.T) {
+	ints := func(lo, n, step int) []float64 {
+		var out []float64
+		for i := 0; i < n; i++ {
+			out = append(out, float64(lo+i*step))
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name   string
+		keys   []float64
+		direct bool
+	}{
+		{"dense", ints(1, 100, 1), true},
+		{"negative", ints(-50, 40, 3), true},
+		{"one", []float64{7}, true},
+		{"minus-zero", append(ints(1, 10, 1), math.Copysign(0, -1)), false},
+		{"fraction", append(ints(1, 10, 1), 2.5), false},
+		{"nan", append(ints(1, 10, 1), math.NaN()), false},
+		{"past-2^52", []float64{1 << 52, 1<<52 + 1}, false},
+		{"sparse", ints(19920101, 40, 10000), false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			k := &buildKeys{num: true}
+			for _, f := range c.keys {
+				k.nums = append(k.nums, variant.NumberKey(f))
+			}
+			var tab joinTable
+			tab.alloc(k)
+			for r := range k.nums {
+				tab.insert(int32(r))
+			}
+			tab.mapDirect()
+			if (tab.direct != nil) != c.direct {
+				t.Fatalf("direct map %v, want %v", tab.direct != nil, c.direct)
+			}
+			probe := []int64{math.MinInt64, math.MaxInt64, -1 << 53, 1<<53 + 1}
+			for x := int64(-60); x <= 120; x++ {
+				probe = append(probe, x)
+			}
+			nulls := make([]uint64, vector.NullBitmapWords(len(probe)))
+			vector.SetNullBit(nulls, 10)
+			kh := &vector.Batch{Cols: make([][]variant.Value, 1), Typed: []*vector.TypedCol{vector.NewInt64Col(probe, nulls)}}
+			sel := make([]int, len(probe))
+			for i := range sel {
+				sel[i] = i
+			}
+			got, _ := tab.lookup(kh, sel, len(probe), nil, nil)
+			tab.direct = nil
+			want, _ := tab.lookup(kh, sel, len(probe), nil, nil)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("direct lookup %v\nprobe loop    %v", got, want)
+			}
+		})
 	}
 }

@@ -410,17 +410,17 @@ func pushFilter(n Node, conjuncts []sqlast.Expr) Node {
 	case *FilterNode:
 		return pushFilter(x.Input, append(conjuncts, splitConjuncts(x.Cond)...))
 	case *ProjectNode:
-		var below, above []sqlast.Expr
-		if len(conjuncts) > 0 {
-			// A conjunct moves below when it reads only the project's
-			// outputs and none of them is stateful (SEQ8): inlined into the
-			// filter, a row counter would count the filter's input rows.
+		// A conjunct moves below when it reads only the project's outputs,
+		// and only past a project that defines no stateful column (SEQ8): a
+		// row counter under a filter would number the filter's survivors,
+		// not the project's input rows.
+		var below []sqlast.Expr
+		above := conjuncts
+		if len(conjuncts) > 0 && !slices.ContainsFunc(x.Exprs, ExprStateful) {
+			above = nil
 			defs := projectDefs(x)
 			inline := func(cr *sqlast.ColRef) sqlast.Expr {
-				if def := defs[cr.QualifiedName()]; def != nil && !ExprStateful(def) {
-					return def
-				}
-				return nil
+				return defs[cr.QualifiedName()]
 			}
 			for _, c := range conjuncts {
 				if sub, ok := inlineRefs(c, inline); ok {

@@ -118,7 +118,9 @@ func BenchmarkSort(b *testing.B) {
 // the numeric table by distinct numbers, so the probe streams (emitStream);
 // number-dup gives each key four build rows, so the probe gathers pairs into
 // its recycled registers; bytes-2col joins on two columns, which keys the
-// table by the byte encoding of both.
+// table by the byte encoding of both; left-build builds the 4 096 rows as
+// the join's left input, so the match pass streams the 40 960 rows past
+// their table and the probe gathers each stored row's pair.
 func BenchmarkJoinProbe(b *testing.B) {
 	const buildRows, probeBatches, size = 4096, 40, 1024
 	ints := func(n int, f func(i int) int64) *vector.TypedCol {
@@ -132,10 +134,12 @@ func BenchmarkJoinProbe(b *testing.B) {
 		name string
 		key  func(i int) int64 // build row i's key
 		keys int
+		left bool
 	}{
-		{"number-unique", func(i int) int64 { return int64(i) }, 1},
-		{"number-dup", func(i int) int64 { return int64(i % (buildRows / 4)) }, 1},
-		{"bytes-2col", func(i int) int64 { return int64(i) }, 2},
+		{"number-unique", func(i int) int64 { return int64(i) }, 1, false},
+		{"number-dup", func(i int) int64 { return int64(i % (buildRows / 4)) }, 1, false},
+		{"bytes-2col", func(i int) int64 { return int64(i) }, 2, false},
+		{"left-build", func(i int) int64 { return int64(i) }, 1, true},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			var build, probe []*vector.Batch
@@ -170,6 +174,12 @@ func BenchmarkJoinProbe(b *testing.B) {
 				ctx := &execContext{acct: &memAccountant{}, batchSize: size}
 				j := newJoinIter(ctx, "INNER", &staticBatches{batches: probe}, &staticBatches{batches: build},
 					joinExprs{left: lk, right: rk}, 3, 3, ctx.opMemFor(nil))
+				if c.left {
+					j = newJoinIter(ctx, "INNER", &staticBatches{batches: build}, &staticBatches{batches: probe},
+						joinExprs{left: rk, right: lk}, 3, 3, ctx.opMemFor(nil))
+					j.buildLeft = true
+					j.right = &matchIter{in: j.right, b: &j.joinBuilt, keys: j.exprs.right}
+				}
 				rows := 0
 				for {
 					out, err := j.NextBatch()

@@ -265,8 +265,10 @@ func TestStreamingPipelineAllocatesNothingPerBatch(t *testing.T) {
 		t.Errorf("steady-state pipeline allocates %.1f times per batch, want 0", allocs)
 	}
 	t.Run("join", streamingJoinAllocatesNothing)
-	t.Run("join-dup", func(t *testing.T) { gatheringJoinAllocatesNothing(t, false) })
-	t.Run("join-left", func(t *testing.T) { gatheringJoinAllocatesNothing(t, true) })
+	t.Run("join-dup", func(t *testing.T) { gatheringJoinAllocatesNothing(t, false, false) })
+	t.Run("join-left", func(t *testing.T) { gatheringJoinAllocatesNothing(t, true, false) })
+	t.Run("join-dup-typed", func(t *testing.T) { gatheringJoinAllocatesNothing(t, false, true) })
+	t.Run("join-left-build", func(t *testing.T) { gatheringJoinAllocatesNothing(t, true, true) })
 }
 
 // gatheringJoinAllocatesNothing extends the contract to the joins that
@@ -276,8 +278,10 @@ func TestStreamingPipelineAllocatesNothingPerBatch(t *testing.T) {
 // join recycles, and the batch boundaries stay where the pairs cut them, so
 // once warm a scan→join→project pipeline allocates nothing per batch. The
 // right build is INNER with a residual over both sides; a left build has
-// none (chooseBuild).
-func gatheringJoinAllocatesNothing(t *testing.T, buildLeft bool) {
+// none (chooseBuild). With typed, the second columns are typed too — the
+// strings a plain string column, the floats a float column — so the pairs
+// gather every column into typed registers, strings included.
+func gatheringJoinAllocatesNothing(t *testing.T, buildLeft, typed bool) {
 	const batchSize = 16
 	// probe-side rows: key i%200 and a string; build-side rows: key j%100
 	// (each key six times) and a float.
@@ -286,7 +290,11 @@ func gatheringJoinAllocatesNothing(t *testing.T, buildLeft bool) {
 		for i := range keys {
 			keys[i], extra[i] = key(lo+i), second(lo+i)
 		}
-		return &vector.Batch{Cols: [][]variant.Value{nil, extra}, Typed: []*vector.TypedCol{vector.NewInt64Col(keys, nil), nil}}
+		b := &vector.Batch{Cols: [][]variant.Value{nil, extra}, Typed: []*vector.TypedCol{vector.NewInt64Col(keys, nil), nil}}
+		if typed {
+			b.Cols[1], b.Typed[1] = nil, typedOf(extra)
+		}
+		return b
 	}
 	var probe, build []*vector.Batch
 	for lo := 0; lo < 2400; lo += 100 {
@@ -339,9 +347,28 @@ func gatheringJoinAllocatesNothing(t *testing.T, buildLeft bool) {
 	if j.stream || !j.table.dup && !buildLeft || rows == 0 {
 		t.Fatalf("stream=%v dup=%v rows=%d: the pipeline does not exercise the gathering probe", j.stream, j.table.dup, rows)
 	}
+	if out := &j.probe.out; typed && (out.Typed[1] == nil || out.Typed[3] == nil) {
+		t.Fatalf("typed inputs gathered into variant registers: %v", out.Typed)
+	}
 	if allocs := testing.AllocsPerRun(200, pull); allocs != 0 {
 		t.Errorf("steady-state join pipeline allocates %.1f times per batch, want 0", allocs)
 	}
+}
+
+// typedOf is vals — strings or floats — as one typed column.
+func typedOf(vals []variant.Value) *vector.TypedCol {
+	if vals[0].Kind() == variant.KindString {
+		strs := make([]string, len(vals))
+		for i, v := range vals {
+			strs[i] = v.AsString()
+		}
+		return vector.NewStringCol(strs, nil)
+	}
+	floats := make([]float64, len(vals))
+	for i, v := range vals {
+		floats[i] = v.AsFloat()
+	}
+	return vector.NewFloat64Col(floats, nil)
 }
 
 // streamingJoinAllocatesNothing extends the contract to the hash join: a

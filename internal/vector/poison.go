@@ -26,12 +26,13 @@ var PoisonValue = variant.String("\x00poisoned: read past the producer's next ca
 // Poison overwrites vals' whole capacity with PoisonValue.
 func Poison(vals []variant.Value) { fill(vals, PoisonValue) }
 
-// PoisonTyped overwrites a register's whole storage: its int, float and bool
-// words with sentinels and its null-bitmap words with all ones, so a stale
-// read of a recycled typed vector yields values no query computes.
+// PoisonTyped overwrites a register's whole storage: its int, float, string
+// and bool words with sentinels and its null-bitmap words with all ones, so
+// a stale read of a recycled typed vector yields values no query computes.
 func PoisonTyped(t *TypedCol) {
 	fill(t.ints, -0x5eed_dead_beef)
 	fill(t.floats, -1.2345e300)
+	fill(t.strs, PoisonValue.AsString())
 	fill(t.bools, true)
 	fill(t.bits, ^uint64(0))
 }

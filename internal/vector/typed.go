@@ -43,9 +43,12 @@ func (k TypedKind) String() string {
 // positions of a chunk view hold the zero value of the element type.
 //
 // A register (Reset) is a TypedCol an operator owns and refills every batch:
-// an expression DAG's typed result, FLATTEN's typed columns. Its views are
-// recycled storage, valid until the owner's next call like any variant
-// register, so Batch.Detach copies them where it shares chunk views.
+// an expression DAG's typed result, FLATTEN's typed columns, a hash join's
+// output columns. Its views are recycled storage, valid until the owner's
+// next call like any variant register, so Batch.Detach copies them where it
+// shares chunk views. A string register's rows share their bytes with the
+// strings they were gathered from, which stay alive while the register
+// holds them: until its next refill.
 type TypedCol struct {
 	kind TypedKind
 	n    int
@@ -233,8 +236,9 @@ func (t *TypedCol) ValueAt(i int) variant.Value {
 	return variant.Null
 }
 
-// Reset makes t an n-row register of an int64, float64 or bool kind over the
-// storage it kept from earlier batches: values undefined, no NULLs.
+// Reset makes t an n-row register of kind over the storage it kept from
+// earlier batches: values undefined, no NULLs. A string register holds its
+// rows as plain strings, never a dictionary.
 func (t *TypedCol) Reset(kind TypedKind, n int) {
 	t.kind, t.n, t.nulls, t.nullOff, t.reg = kind, n, nil, 0, true
 	switch kind {
@@ -242,10 +246,10 @@ func (t *TypedCol) Reset(kind TypedKind, n int) {
 		t.ints = resize(t.ints, n)
 	case TypedFloat64:
 		t.floats = resize(t.floats, n)
+	case TypedString:
+		t.strs = resize(t.strs, n)
 	case TypedBool:
 		t.bools = resize(t.bools, n)
-	default:
-		panic("vector: a register holds numbers or booleans")
 	}
 }
 
@@ -266,6 +270,8 @@ func (t *TypedCol) SetLen(n int) {
 		t.ints = t.ints[:n]
 	case TypedFloat64:
 		t.floats = t.floats[:n]
+	case TypedString:
+		t.strs = t.strs[:n]
 	case TypedBool:
 		t.bools = t.bools[:n]
 	}
@@ -293,23 +299,25 @@ func (t *TypedCol) NullsFrom(src *TypedCol, sel []int) {
 	}
 }
 
-// Gather refills the register dst with t's rows at idx, in order. t holds
-// numbers or booleans; a string column gathers through Batch.Gather.
+// Gather refills the register dst with t's rows at idx, in order; a string
+// column's rows, plain or dictionary-encoded, come out as plain strings.
 func (t *TypedCol) Gather(idx []int, dst *TypedCol) {
 	dst.Reset(t.kind, len(idx))
 	switch t.kind {
 	case TypedInt64:
-		for k, i := range idx {
-			dst.ints[k] = t.ints[i]
-		}
+		gather(dst.ints, t.ints, idx)
 	case TypedFloat64:
+		gather(dst.floats, t.floats, idx)
+	case TypedString:
+		if t.codes == nil {
+			gather(dst.strs, t.strs, idx)
+			break
+		}
 		for k, i := range idx {
-			dst.floats[k] = t.floats[i]
+			dst.strs[k] = t.dict[t.codes[i]]
 		}
 	case TypedBool:
-		for k, i := range idx {
-			dst.bools[k] = t.bools[i]
-		}
+		gather(dst.bools, t.bools, idx)
 	}
 	if t.nulls != nil {
 		for k, i := range idx {
@@ -320,20 +328,9 @@ func (t *TypedCol) Gather(idx []int, dst *TypedCol) {
 	}
 }
 
-// Put sets row i of a register to row si of src — its value, or NULL —
-// where both hold the same number or boolean kind.
-func (t *TypedCol) Put(i int, src *TypedCol, si int) {
-	if src.Null(si) {
-		t.SetNull(i)
-		return
-	}
-	switch t.kind {
-	case TypedInt64:
-		t.ints[i] = src.ints[si]
-	case TypedFloat64:
-		t.floats[i] = src.floats[si]
-	case TypedBool:
-		t.bools[i] = src.bools[si]
+func gather[T any](dst, src []T, idx []int) {
+	for k, i := range idx {
+		dst[k] = src[i]
 	}
 }
 
@@ -380,6 +377,8 @@ func (t *TypedCol) clone() *TypedCol {
 		out.ints = append([]int64(nil), t.ints...)
 	case TypedFloat64:
 		out.floats = append([]float64(nil), t.floats...)
+	case TypedString:
+		out.strs = append([]string(nil), t.strs...)
 	case TypedBool:
 		out.bools = append([]bool(nil), t.bools...)
 	}

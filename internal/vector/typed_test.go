@@ -1,6 +1,7 @@
 package vector
 
 import (
+	"strings"
 	"testing"
 
 	"jsonpark/internal/variant"
@@ -107,4 +108,48 @@ func TestBatchValueOverTypedColumn(t *testing.T) {
 	if b.Cols[0] != nil {
 		t.Error("Value materialized the typed column")
 	}
+}
+
+// TestStringRegister: a string register gathers plain and dictionary-encoded
+// columns, NULLs included, as plain strings; shrinks with SetLen; is copied
+// by Detach, so a refill does not reach the copy; and is poisoned whole.
+func TestStringRegister(t *testing.T) {
+	nulls := make([]uint64, 1)
+	SetNullBit(nulls, 1)
+	dict := NewDictCol([]string{"x", "y"}, []uint32{1, 0, 1, 0}, nulls)
+	plain := NewStringCol([]string{"a", "b", "c", "d"}, nulls)
+	var reg TypedCol
+	for _, c := range []struct {
+		src  *TypedCol
+		want string
+	}{{dict, "x,null,y,y"}, {plain, "d,null,c,c"}} {
+		c.src.Gather([]int{3, 1, 2, 2}, &reg)
+		if got := joinStrings(&reg); got != c.want || reg.Kind() != TypedString || reg.Codes() != nil {
+			t.Errorf("gathered %s, want %s", got, c.want)
+		}
+	}
+	reg.SetLen(2)
+	if got := joinStrings(&reg); got != "d,null" {
+		t.Errorf("after SetLen(2): %s", got)
+	}
+	kept := (&Batch{Cols: make([][]variant.Value, 1), Typed: []*TypedCol{&reg}}).Detach()
+	plain.Gather([]int{0, 0}, &reg)
+	if got := joinStrings(kept.Typed[0]); got != "d,null" {
+		t.Errorf("detached copy reads %s after the register's refill", got)
+	}
+	PoisonTyped(&reg)
+	if reg.Strs()[0] != PoisonValue.AsString() {
+		t.Errorf("poisoned register reads %q", reg.Strs()[0])
+	}
+}
+
+func joinStrings(t *TypedCol) string {
+	out := make([]string, t.Len())
+	for i := range out {
+		out[i] = "null"
+		if !t.Null(i) {
+			out[i] = t.StringAt(i)
+		}
+	}
+	return strings.Join(out, ",")
 }

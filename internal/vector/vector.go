@@ -31,13 +31,12 @@ const DefaultBatchSize = 1024
 // expression registers), so consumers must never mutate Cols in place.
 //
 // Lifetime: a batch handed out by a streaming operator (project, filter,
-// flatten, a join probing a build whose keys are all distinct) is valid
-// until that operator's next NextBatch, which recycles the header, the
-// selection and every vector the operator owns. Scan batches and the output
-// of materializing operators (aggregate, sort, a join with duplicate keys or
-// a left build), which write each batch into fresh vectors, are stable. A
-// consumer that keeps a batch across its producer's next call copies it
-// (Detach, or a dense Gather).
+// flatten, a hash join's probe) is valid until that operator's next
+// NextBatch, which recycles the header, the selection and every vector the
+// operator owns, typed registers included. Scan batches and the output of
+// materializing operators (aggregate, sort), which write each batch into
+// fresh vectors, are stable. A consumer that keeps a batch across its
+// producer's next call copies it (Detach, Compact, or a dense Gather).
 type Batch struct {
 	Cols  [][]variant.Value
 	Sel   []int
@@ -216,8 +215,8 @@ func (b *Batch) Compact() *Batch {
 // Gather appends column c's values at the physical rows idx to dst and
 // returns it: the column-at-a-time half of an expanding operator (FLATTEN
 // replicates each parent column through its parent-index vector, the join
-// each probe column through its pairs' rows) and of the dense copies the
-// join's build side and the sort retain. A typed column converts as it is
+// each probe column through its pairs' rows) where the column has no typed
+// view to gather (TypedCol.Gather). A typed column converts as it is
 // gathered.
 func (b *Batch) Gather(c int, idx []int, dst []variant.Value) []variant.Value {
 	if col := b.Cols[c]; col != nil {
